@@ -7,6 +7,8 @@
 //! * candidate generation,
 //! * ablation: BIPGen with and without I∅-dominance pruning.
 
+use std::collections::BTreeMap;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cophy::{BipGen, CGen, ConstraintSet};
@@ -15,8 +17,10 @@ use cophy_bench::{make_optimizer, make_workload, prepare_parallel, WorkloadKind}
 use cophy_bip::{
     BranchBound, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveOptions,
 };
-use cophy_catalog::Configuration;
+use cophy_catalog::{ColumnId, Configuration};
+use cophy_inum::ideal_config;
 use cophy_optimizer::SystemProfile;
+use cophy_workload::Query;
 
 fn bench_inum(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
@@ -119,16 +123,36 @@ fn bench_solvers(c: &mut Criterion) {
     });
 }
 
+/// The what-if kernel by join width: one statement per distinct table count
+/// of `W_hom` (1, 2, 3, 4, 6), optimized under the clustered baseline and
+/// under an INUM ideal configuration — the two shapes of probe a tune
+/// issues, and the per-call number behind `optimizer.probe_us_p50/p95` of
+/// the `perf` harness.
 fn bench_optimizer(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
-    let w = make_workload(&o, WorkloadKind::Hom, 15);
-    let cands = CGen::default().generate(o.schema(), &w);
-    let cfg: Configuration = cands.iter().take(10).map(|(_, ix)| ix.clone()).collect();
+    let schema = o.schema();
+    let w = make_workload(&o, WorkloadKind::Hom, 60);
+    let mut by_width: BTreeMap<usize, &Query> = BTreeMap::new();
+    for (_, stmt, _) in w.iter() {
+        let q = stmt.read_shell();
+        by_width.entry(q.tables.len()).or_insert(q);
+    }
+    let baseline = Configuration::baseline(schema);
     let mut group = c.benchmark_group("optimizer");
-    for (i, (_, stmt, _)) in w.iter().enumerate().take(3) {
-        let q = stmt.read_shell().clone();
-        group.bench_with_input(BenchmarkId::new("optimize", i), &q, |b, q| {
-            b.iter(|| o.optimize(q, &cfg));
+    for (n_tables, q) in by_width {
+        group.bench_with_input(BenchmarkId::new("optimize", n_tables), q, |b, q| {
+            b.iter(|| o.optimize(q, &baseline));
+        });
+        // Every table's first interesting order at once.
+        let orders: Vec<Vec<ColumnId>> = q
+            .tables
+            .iter()
+            .map(|t| q.interesting_orders_on(*t).into_iter().next().unwrap_or_default())
+            .collect();
+        let orders: Vec<&[ColumnId]> = orders.iter().map(Vec::as_slice).collect();
+        let ideal = ideal_config(schema, q, &orders);
+        group.bench_with_input(BenchmarkId::new("optimize_ideal", n_tables), q, |b, q| {
+            b.iter(|| o.optimize(q, &ideal));
         });
     }
     group.finish();

@@ -15,7 +15,8 @@
 //! [`CandidateSet::pad_random`] reproduces the paper's `S_L` (10k random
 //! candidates) stress set.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -43,6 +44,9 @@ impl Default for CGen {
 pub struct CandidateSet {
     indexes: Vec<Index>,
     sizes: Vec<u64>,
+    /// Definition → id, so that `insert` deduplicates without scanning
+    /// `indexes` (quadratic at the paper's 10k-candidate `S_L`).
+    ids: HashMap<Index, IndexId>,
 }
 
 impl CandidateSet {
@@ -52,13 +56,15 @@ impl CandidateSet {
 
     /// Add an index if not already present; returns its id.
     pub fn insert(&mut self, schema: &Schema, ix: Index) -> IndexId {
-        if let Some(pos) = self.indexes.iter().position(|i| *i == ix) {
-            return IndexId(pos as u32);
+        match self.ids.entry(ix) {
+            Entry::Occupied(seen) => *seen.get(),
+            Entry::Vacant(slot) => {
+                let id = IndexId(self.indexes.len() as u32);
+                self.sizes.push(slot.key().size_bytes(schema));
+                self.indexes.push(slot.key().clone());
+                *slot.insert(id)
+            }
         }
-        let id = IndexId(self.indexes.len() as u32);
-        self.sizes.push(ix.size_bytes(schema));
-        self.indexes.push(ix);
-        id
     }
 
     pub fn extend(&mut self, schema: &Schema, extra: impl IntoIterator<Item = Index>) {
@@ -94,9 +100,11 @@ impl CandidateSet {
     /// Keep only the first `n` candidates (the paper's `S_500`, `S_1000`
     /// subsets of `S_ALL`).
     pub fn truncate(&self, n: usize) -> CandidateSet {
+        let indexes: Vec<Index> = self.indexes.iter().take(n).cloned().collect();
         CandidateSet {
-            indexes: self.indexes.iter().take(n).cloned().collect(),
             sizes: self.sizes.iter().take(n).copied().collect(),
+            ids: indexes.iter().zip(0..).map(|(ix, i)| (ix.clone(), IndexId(i))).collect(),
+            indexes,
         }
     }
 
@@ -368,6 +376,43 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(deduped.size_bytes(id_a), naive.size_bytes(id_b));
         }
+    }
+
+    #[test]
+    fn insert_assigns_the_ids_of_a_linear_scan() {
+        let s = TpchGen::default().schema();
+        let mut rng = SmallRng::seed_from_u64(41);
+        // 2 000 inserts over a space small enough to repeat definitions.
+        let draws: Vec<Index> = (0..2_000)
+            .map(|_| {
+                let t = &s.tables()[rng.gen_range(0..s.n_tables())];
+                let nc = t.columns.len() as u32;
+                let key =
+                    (0..rng.gen_range(1..3)).map(|_| ColumnId(rng.gen_range(0..nc))).collect();
+                Index::secondary(t.id, key)
+            })
+            .collect();
+        let mut set = CandidateSet::new();
+        let mut scan: Vec<&Index> = Vec::new();
+        for ix in &draws {
+            let expected = scan.iter().position(|seen| *seen == ix).unwrap_or_else(|| {
+                scan.push(ix);
+                scan.len() - 1
+            });
+            assert_eq!(set.insert(&s, ix.clone()), IndexId(expected as u32));
+        }
+        assert!(scan.len() < draws.len(), "the draws must contain duplicates");
+        assert_eq!(set.len(), scan.len());
+        assert!(set.iter().zip(&scan).all(|((_, a), b)| a == *b), "dense, in insertion order");
+
+        // `truncate` and `extend` keep the map in step: a dropped definition
+        // gets a fresh id at the end, a kept one its old id.
+        let mut small = set.truncate(10);
+        assert_eq!(small.insert(&s, scan[3].clone()), IndexId(3));
+        assert_eq!(small.insert(&s, scan[10].clone()), IndexId(10));
+        small.extend(&s, [scan[10].clone(), scan[12].clone()]);
+        assert_eq!(small.len(), 12);
+        assert_eq!(small.get(IndexId(11)), scan[12]);
     }
 
     #[test]

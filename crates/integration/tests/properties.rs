@@ -424,3 +424,111 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// What-if optimizer invariants
+// ---------------------------------------------------------------------------
+
+/// Tables read below `p`, and a structural check of every operator on the
+/// way: inputs never cost more than the operator above them, and a merge
+/// join's inputs arrive sorted on a join edge between the two sides.
+fn check_subtree(
+    p: &cophy_optimizer::plan::SubPlan,
+    q: &cophy_workload::Query,
+    ec: &cophy_optimizer::EquivClasses,
+    n_ops: &mut usize,
+) -> Result<Vec<cophy_catalog::TableId>, TestCaseError> {
+    use cophy_optimizer::PlanNode;
+    *n_ops += 1;
+    prop_assert!(p.cost.is_finite() && p.rows >= 1.0, "cost {} rows {}", p.cost, p.rows);
+    match &p.op {
+        PlanNode::Access(path) => {
+            prop_assert_eq!(path.cost.to_bits(), p.cost.to_bits());
+            Ok(vec![path.table])
+        }
+        PlanNode::Sort(c) | PlanNode::HashAgg(c) | PlanNode::StreamAgg(c) => {
+            prop_assert!(c.cost <= p.cost, "input {} above its operator {}", c.cost, p.cost);
+            check_subtree(c, q, ec, n_ops)
+        }
+        PlanNode::HashJoin(l, r) | PlanNode::MergeJoin(l, r) | PlanNode::NestLoopJoin(l, r) => {
+            prop_assert!(l.cost + r.cost <= p.cost, "inputs above their join {}", p.cost);
+            let lt = check_subtree(l, q, ec, n_ops)?;
+            let rt = check_subtree(r, q, ec, n_ops)?;
+            if matches!(p.op, PlanNode::MergeJoin(..)) {
+                prop_assert!(!l.order.is_none() && !r.order.is_none(), "unsorted merge input");
+                let (lc, rc) = (l.order.0[0], r.order.0[0]);
+                let on_an_edge = q.joins.iter().any(|j| {
+                    let (a, b) = if lt.contains(&j.left.table) {
+                        (j.left, j.right)
+                    } else {
+                        (j.right, j.left)
+                    };
+                    lt.contains(&a.table)
+                        && rt.contains(&b.table)
+                        && ec.equivalent(lc, a)
+                        && ec.equivalent(rc, b)
+                });
+                prop_assert!(on_an_edge, "merge inputs sorted on {lc:?} / {rc:?}: no such edge");
+            }
+            Ok([lt, rt].concat())
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The plan `optimize` returns is rebuilt from the DP's back-pointers:
+    /// it must be a real plan — every table read once, costs that only grow
+    /// toward the root, sorted merge inputs — not just a correct root cost.
+    #[test]
+    fn materialized_plans_are_well_formed(seed in 0u64..10_000, keep in 0.0f64..0.08) {
+        use cophy_optimizer::EquivClasses;
+        use cophy_workload::HetGen;
+
+        let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+        let schema = o.schema();
+        let mut statements = HetGen::new(seed).generate(schema, 20);
+        for (_, stmt, _) in HomGen::new(seed).generate(schema, 15).iter() {
+            statements.push(stmt.clone());
+        }
+        // A random sub-configuration of the candidate set, with and without
+        // the clustered baseline under it.
+        let mut s = seed;
+        let mut coin = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let picked: Configuration = CGen::default()
+            .generate(schema, &statements)
+            .iter()
+            .filter(|_| coin() < keep)
+            .map(|(_, ix)| ix.clone())
+            .collect();
+        let configs = [picked.union(&Configuration::baseline(schema)), picked];
+
+        for (_, stmt, _) in statements.iter() {
+            let q = stmt.read_shell();
+            let ec = EquivClasses::of_query(q);
+            for cfg in &configs {
+                let plan = o.optimize(q, cfg);
+                let mut n_ops = 0;
+                let mut tables = check_subtree(&plan.root, q, &ec, &mut n_ops)?;
+                prop_assert_eq!(plan.root.n_ops(), n_ops);
+                prop_assert_eq!(plan.render().lines().count(), n_ops);
+                let mut expected = q.tables.clone();
+                tables.sort();
+                expected.sort();
+                prop_assert_eq!(&tables, &expected, "one leaf per referenced table");
+                prop_assert_eq!(plan.leaves.len(), q.tables.len());
+                for t in &q.tables {
+                    prop_assert!(plan.leaf(*t).is_some());
+                }
+                let leaf_cost: f64 = plan.leaves.iter().map(|l| l.path.cost).sum();
+                prop_assert!(plan.total_cost().is_finite());
+                prop_assert!(plan.total_cost() >= leaf_cost * (1.0 - 1e-12));
+                prop_assert!(plan.internal_cost() >= 0.0);
+            }
+        }
+    }
+}

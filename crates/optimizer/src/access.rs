@@ -7,8 +7,8 @@
 //! machinery computes INUM's `γ_qkia` — the cost of instantiating slot `i`
 //! with index `a` — via [`path_for_index`].
 
-use cophy_catalog::{ColumnRef, Configuration, Index, Schema, TableId};
-use cophy_workload::{PredOp, Query};
+use cophy_catalog::{ColumnId, ColumnRef, Configuration, Index, Schema, TableId};
+use cophy_workload::{PredOp, Predicate, Query};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
@@ -51,9 +51,29 @@ pub struct AccessPath {
     pub order: Ordering,
 }
 
-/// Split of `q`'s local predicates on `table` with respect to an index key:
-/// `matched_sel` is the selectivity the B-tree range absorbs, `in_index` are
-/// residual predicates testable on index columns, `residual` the rest.
+/// Everything the access paths of one table reference share: the facts that
+/// depend on the (query, table) pair but not on the index being priced.
+/// [`enumerate`] gathers them once per table; every heap and index path of
+/// that table is then priced against the same record.
+struct TableFacts<'q> {
+    table: TableId,
+    /// Base-table row count.
+    rows: f64,
+    heap_pages: u64,
+    /// Local predicates in query order, each with its selectivity.
+    preds: Vec<(&'q Predicate, f64)>,
+    /// Columns bound by equality predicates.
+    eq_cols: Vec<ColumnId>,
+    /// Every column of the table the query touches (the covering set).
+    used_cols: Vec<ColumnId>,
+    /// Rows delivered after all local predicates.
+    rows_out: f64,
+}
+
+/// Split of the local predicates with respect to an index key:
+/// `matched_sel` is the selectivity the B-tree range absorbs, `n_in_index`
+/// counts residual predicates testable on index columns, `n_residual` the
+/// rest.
 struct SargAnalysis {
     matched_sel: f64,
     eq_bound: usize,
@@ -62,58 +82,144 @@ struct SargAnalysis {
     in_index_sel: f64,
 }
 
-fn analyze_sargs(schema: &Schema, q: &Query, table: TableId, ix: &Index) -> SargAnalysis {
-    let preds: Vec<_> = q.predicates_on(table).collect();
-    let mut matched = vec![false; preds.len()];
-    let mut matched_sel = 1.0;
-    let mut eq_bound = 0;
+impl<'q> TableFacts<'q> {
+    fn new(schema: &Schema, q: &'q Query, table: TableId) -> Self {
+        let t = schema.table(table);
+        let preds: Vec<(&Predicate, f64)> =
+            q.predicates_on(table).map(|p| (p, p.selectivity(schema))).collect();
+        let eq_cols =
+            preds.iter().filter(|(p, _)| p.is_eq()).map(|(p, _)| p.column.column).collect();
+        // `Query::local_selectivity`, over the selectivities already in hand.
+        let sel = preds.iter().map(|(_, s)| *s).product::<f64>().clamp(1e-12, 1.0);
+        let rows = t.rows as f64;
+        TableFacts {
+            table,
+            rows,
+            heap_pages: t.heap_pages(),
+            preds,
+            eq_cols,
+            used_cols: q.columns_used_on(table),
+            rows_out: (rows * sel).max(1.0),
+        }
+    }
 
-    // Bind equality predicates along the key prefix.
-    for key_col in &ix.key {
-        match preds.iter().position(|p| p.column.column == *key_col && p.is_eq()) {
-            Some(pi) if !matched[pi] => {
-                matched[pi] = true;
-                matched_sel *= preds[pi].selectivity(schema);
-                eq_bound += 1;
+    /// Delivered order of a scan of `ix`: the key suffix after the
+    /// equality-bound prefix.
+    fn order_of(&self, ix: &Index) -> Ordering {
+        let bound = ix.eq_prefix_len(&self.eq_cols);
+        Ordering(ix.key[bound..].iter().map(|c| ColumnRef::new(self.table, *c)).collect())
+    }
+
+    fn analyze_sargs(&self, ix: &Index) -> SargAnalysis {
+        let preds = &self.preds;
+        let mut matched = vec![false; preds.len()];
+        let mut matched_sel = 1.0;
+        let mut eq_bound = 0;
+
+        // Bind equality predicates along the key prefix.
+        for key_col in &ix.key {
+            match preds.iter().position(|(p, _)| p.column.column == *key_col && p.is_eq()) {
+                Some(pi) if !matched[pi] => {
+                    matched[pi] = true;
+                    matched_sel *= preds[pi].1;
+                    eq_bound += 1;
+                }
+                _ => break,
             }
-            _ => break,
         }
+        // One range predicate on the next key column extends the sargable
+        // prefix.
+        if eq_bound < ix.key.len() {
+            let next = ix.key[eq_bound];
+            if let Some(pi) = preds.iter().enumerate().find_map(|(pi, (p, _))| {
+                (!matched[pi] && p.column.column == next && !p.is_eq()).then_some(pi)
+            }) {
+                matched[pi] = true;
+                matched_sel *= preds[pi].1;
+            }
+        }
+
+        // Residuals: applicable before the heap fetch iff on indexed columns.
+        let mut n_in_index = 0;
+        let mut in_index_sel = 1.0;
+        let mut n_residual = 0;
+        for (pi, (p, sel)) in preds.iter().enumerate() {
+            if matched[pi] {
+                continue;
+            }
+            if ix.contains(p.column.column) {
+                n_in_index += 1;
+                in_index_sel *= sel;
+            } else {
+                n_residual += 1;
+            }
+        }
+        SargAnalysis { matched_sel, eq_bound, n_in_index, n_residual, in_index_sel }
     }
-    // One range predicate on the next key column extends the sargable prefix.
-    if eq_bound < ix.key.len() {
-        let next = ix.key[eq_bound];
-        if let Some(pi) = preds.iter().enumerate().find_map(|(pi, p)| {
-            (!matched[pi] && p.column.column == next && !p.is_eq()).then_some(pi)
-        }) {
-            matched[pi] = true;
-            matched_sel *= preds[pi].selectivity(schema);
+
+    /// Is there a range (non-eq) predicate on column `c`?
+    fn has_range_pred(&self, c: ColumnId) -> bool {
+        self.preds.iter().any(|(p, _)| {
+            p.column.column == c
+                && matches!(p.op, PredOp::Lt(_) | PredOp::Gt(_) | PredOp::Between(_, _))
+        })
+    }
+
+    fn heap_path(&self, cm: &CostModel, clustered: Option<&Index>) -> AccessPath {
+        let cost = cm.seq_scan(self.heap_pages, self.rows) + cm.filter(self.rows, self.preds.len());
+        let order = clustered.map_or_else(Ordering::none, |cix| self.order_of(cix));
+        AccessPath {
+            table: self.table,
+            method: AccessMethod::HeapScan,
+            cost,
+            rows: self.rows_out,
+            order,
         }
     }
 
-    // Residuals: applicable before the heap fetch iff on indexed columns.
-    let mut n_in_index = 0;
-    let mut in_index_sel = 1.0;
-    let mut n_residual = 0;
-    for (pi, p) in preds.iter().enumerate() {
-        if matched[pi] {
-            continue;
-        }
-        if ix.contains(p.column.column) {
-            n_in_index += 1;
-            in_index_sel *= p.selectivity(schema);
+    fn index_path(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<AccessPath> {
+        debug_assert_eq!(ix.table, self.table);
+        let rows = self.rows;
+        let sarg = self.analyze_sargs(ix);
+        let covering = ix.covers(&self.used_cols);
+        let leaf_pages = ix.size_pages(schema);
+        let order = self.order_of(ix);
+
+        let sargable = sarg.matched_sel < 1.0 || sarg.eq_bound > 0 || {
+            // A range predicate on the first key column is sargable even when
+            // no equality binds a prefix.
+            !ix.key.is_empty() && self.has_range_pred(ix.key[0])
+        };
+
+        let (method, cost) = if sargable {
+            // Seek: descend + bounded leaf range.
+            let scanned = rows * sarg.matched_sel;
+            let mut cost =
+                cm.index_range_scan(ix.height(schema), leaf_pages, sarg.matched_sel, scanned);
+            cost += cm.filter(scanned, sarg.n_in_index);
+            let fetch_rows = scanned * sarg.in_index_sel;
+            if !covering {
+                cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
+            }
+            (AccessMethod::IndexSeek(ix.clone()), cost)
         } else {
-            n_residual += 1;
-        }
+            // Full index scan: only sensible when covering (index-only) or
+            // when the delivered order will be exploited — the caller decides
+            // the latter; we only refuse the plainly dominated non-covering
+            // case.
+            if !covering && order.is_none() {
+                return None;
+            }
+            let mut cost = cm.index_leaf_scan(leaf_pages, rows);
+            cost += cm.filter(rows, sarg.n_in_index);
+            let fetch_rows = rows * sarg.in_index_sel;
+            if !covering {
+                cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
+            }
+            (AccessMethod::IndexScan(ix.clone()), cost)
+        };
+        Some(AccessPath { table: self.table, method, cost, rows: self.rows_out, order })
     }
-    SargAnalysis { matched_sel, eq_bound, n_in_index, n_residual, in_index_sel }
-}
-
-/// Does `q` have a range (non-eq) predicate on column `c` of `table`?
-fn has_range_pred(q: &Query, table: TableId, c: cophy_catalog::ColumnId) -> bool {
-    q.predicates_on(table).any(|p| {
-        p.column.column == c
-            && matches!(p.op, PredOp::Lt(_) | PredOp::Gt(_) | PredOp::Between(_, _))
-    })
 }
 
 /// The heap-scan path (INUM's `I∅`).  If the configuration clusters the table,
@@ -125,20 +231,7 @@ pub fn heap_path(
     table: TableId,
     clustered: Option<&Index>,
 ) -> AccessPath {
-    let t = schema.table(table);
-    let sel = q.local_selectivity(schema, table);
-    let rows_out = (t.rows as f64 * sel).max(1.0);
-    let n_preds = q.predicates_on(table).count();
-    let cost = cm.seq_scan(t.heap_pages(), t.rows as f64) + cm.filter(t.rows as f64, n_preds);
-    let order = match clustered {
-        Some(cix) => {
-            let eq = q.eq_columns_on(table);
-            let bound = cix.eq_prefix_len(&eq);
-            Ordering(cix.key[bound..].iter().map(|c| ColumnRef::new(table, *c)).collect())
-        }
-        None => Ordering::none(),
-    };
-    AccessPath { table, method: AccessMethod::HeapScan, cost, rows: rows_out, order }
+    TableFacts::new(schema, q, table).heap_path(cm, clustered)
 }
 
 /// Best access path that *uses index `ix`* (seek if sargable, else full
@@ -153,65 +246,7 @@ pub fn path_for_index(
     table: TableId,
     ix: &Index,
 ) -> Option<AccessPath> {
-    debug_assert_eq!(ix.table, table);
-    let t = schema.table(table);
-    let rows = t.rows as f64;
-    let sel = q.local_selectivity(schema, table);
-    let rows_out = (rows * sel).max(1.0);
-    let sarg = analyze_sargs(schema, q, table, ix);
-    let covering = ix.covers(&q.columns_used_on(table));
-    let leaf_pages = ix.size_pages(schema);
-    let height = ix.height(schema);
-
-    // Delivered order: key suffix after the equality-bound prefix.
-    let eq = q.eq_columns_on(table);
-    let bound = ix.eq_prefix_len(&eq);
-    let order = Ordering(ix.key[bound..].iter().map(|c| ColumnRef::new(table, *c)).collect());
-
-    let sargable = sarg.matched_sel < 1.0 || sarg.eq_bound > 0 || {
-        // A range predicate on the first key column is sargable even when
-        // no equality binds a prefix.
-        !ix.key.is_empty() && has_range_pred(q, table, ix.key[0])
-    };
-
-    let path = if sargable {
-        // Seek: descend + bounded leaf range.
-        let scanned = rows * sarg.matched_sel;
-        let mut cost = cm.index_range_scan(height, leaf_pages, sarg.matched_sel, scanned);
-        cost += cm.filter(scanned, sarg.n_in_index);
-        let fetch_rows = scanned * sarg.in_index_sel;
-        if !covering {
-            cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
-        }
-        AccessPath {
-            table,
-            method: AccessMethod::IndexSeek(ix.clone()),
-            cost,
-            rows: rows_out,
-            order,
-        }
-    } else {
-        // Full index scan: only sensible when covering (index-only) or when
-        // the delivered order will be exploited — the caller decides the
-        // latter; we only refuse the plainly dominated non-covering case.
-        if !covering && order.is_none() {
-            return None;
-        }
-        let mut cost = cm.index_leaf_scan(leaf_pages, rows);
-        cost += cm.filter(rows, sarg.n_in_index);
-        let fetch_rows = rows * sarg.in_index_sel;
-        if !covering {
-            cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
-        }
-        AccessPath {
-            table,
-            method: AccessMethod::IndexScan(ix.clone()),
-            cost,
-            rows: rows_out,
-            order,
-        }
-    };
-    Some(path)
+    TableFacts::new(schema, q, table).index_path(schema, cm, ix)
 }
 
 /// Enumerate the pareto-useful access paths for `table` under
@@ -224,13 +259,10 @@ pub fn enumerate(
     table: TableId,
     config: &Configuration,
 ) -> Vec<AccessPath> {
+    let facts = TableFacts::new(schema, q, table);
     let clustered = config.on_table(table).find(|ix| ix.is_clustered());
-    let mut paths = vec![heap_path(schema, cm, q, table, clustered)];
-    for ix in config.on_table(table) {
-        if let Some(p) = path_for_index(schema, cm, q, table, ix) {
-            paths.push(p);
-        }
-    }
+    let mut paths = vec![facts.heap_path(cm, clustered)];
+    paths.extend(config.on_table(table).filter_map(|ix| facts.index_path(schema, cm, ix)));
     prune_paths(paths)
 }
 

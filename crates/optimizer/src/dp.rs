@@ -1,5 +1,5 @@
 //! Selinger-style dynamic-programming plan enumeration with interesting
-//! orders.
+//! orders, priced without building plans.
 //!
 //! For every connected subset of the query's tables the DP keeps a small
 //! pareto set of sub-plans — the cheapest plan per *useful* delivered order.
@@ -8,24 +8,155 @@
 //! aggregation) or a join column (merge join).  This is precisely the plan
 //! space INUM's template plans quotient: one template per combination of
 //! exploited interesting orders.
+//!
+//! # Candidate records, back-pointers, one materialization
+//!
+//! A what-if probe prices thousands of join candidates and returns one plan,
+//! so the enumeration never holds a plan tree.  A candidate is a [`Cand`]:
+//! cost, rows, the id of its delivered order, and an [`Op`] that names its
+//! inputs by *reference* — an access path by `(table, index into that
+//! table's path list)`, a join by the arena ids of the two kept candidates
+//! it combines plus, for a merge join, the order each side is first sorted
+//! to.  The kept candidates of all table subsets live in one arena
+//! ([`Memo::arena`]); a subset's pareto set is a range of it.  Orders are
+//! interned per query ([`Orders`]): the handful of useful ones get small
+//! ids, so a candidate is `Copy` and pricing one allocates nothing.
+//! Everything that does not depend on the pair being priced is computed
+//! before the pair loop: each join edge's table bits, selectivity and merge
+//! orders once per query, a split's crossing edges and residual-filter cost
+//! once per split.
+//!
+//! [`finalize`] prices aggregation and the final sort the same way, as up to
+//! three [`Wrap`] records stacked on a joined candidate, and only the
+//! winner is turned into a [`SubPlan`] tree, by [`Memo::materialize`]
+//! following the back-pointers.
+//!
+//! # Bit identity
+//!
+//! Every layer above consumes these costs as exact floats: INUM's β, the BIP
+//! coefficients, the recorded traces.  The kernel therefore keeps three
+//! things fixed: each cost is produced by the same float operations in the
+//! same order (a hoisted sub-expression is only ever a whole call of a pure
+//! [`CostModel`] function, never a re-associated sum); candidates are pushed
+//! in the same order (splits by descending sub-mask, left × right in pareto
+//! order, hash / nested-loop / merge per pair) and pruned by a *stable* sort
+//! on cost, so ties break by push order; and [`finalize`] takes the first
+//! cheapest plan.  `crates/integration/tests/probe_digest.rs` pins the
+//! result.
 
-use cophy_catalog::{Configuration, Schema};
-use cophy_workload::{Join, Query};
+use std::ops::Range;
 
-use crate::access;
+use cophy_catalog::{ColumnRef, Configuration, Schema};
+use cophy_workload::Query;
+
+use crate::access::{self, AccessPath};
 use crate::cardinality;
 use crate::cost::CostModel;
 use crate::ordering::{EquivClasses, Ordering};
 use crate::plan::{PhysicalPlan, PlanNode, SubPlan};
 
 /// Maximum number of table references the DP supports (bitmask width; the
-/// workloads top out at six).
-pub const MAX_TABLES: usize = 16;
+/// workloads top out at six).  [`Query::validate`] enforces it.
+pub const MAX_TABLES: usize = cophy_workload::MAX_TABLES;
+
+/// Id of an interned order; [`Orders::NONE`] is "no order".
+type OrderId = u32;
+
+/// Index of a kept candidate in [`Memo::arena`].
+type CandId = u32;
+
+/// The distinct delivered orders of one query's candidates.
+struct Orders(Vec<Ordering>);
+
+impl Orders {
+    const NONE: OrderId = 0;
+
+    fn new() -> Self {
+        Orders(vec![Ordering::none()])
+    }
+
+    fn intern(&mut self, cols: &[ColumnRef]) -> OrderId {
+        let id = self.0.iter().position(|o| o.0 == cols).unwrap_or_else(|| {
+            self.0.push(Ordering(cols.to_vec()));
+            self.0.len() - 1
+        });
+        id as OrderId
+    }
+
+    fn get(&self, id: OrderId) -> &Ordering {
+        &self.0[id as usize]
+    }
+}
+
+#[derive(Clone, Copy)]
+enum JoinKind {
+    Hash,
+    NestLoop,
+    Merge,
+}
+
+/// What a candidate does, with its inputs named by reference.
+#[derive(Clone, Copy)]
+enum Op {
+    /// Leaf: `Memo::paths[table][path]`.
+    Access { table: u32, path: u32 },
+    /// Join of two kept candidates.  `sort_left` / `sort_right` is the order
+    /// that side is explicitly sorted to first (merge joins only).
+    Join {
+        kind: JoinKind,
+        left: CandId,
+        right: CandId,
+        sort_left: Option<OrderId>,
+        sort_right: Option<OrderId>,
+    },
+}
+
+/// One priced sub-plan.
+#[derive(Clone, Copy)]
+struct Cand {
+    /// Cumulative cost including all inputs.
+    cost: f64,
+    rows: f64,
+    /// Delivered order.
+    order: OrderId,
+    op: Op,
+}
+
+/// One equi-join edge, resolved against the query's table list.
+struct Edge {
+    /// Bit of the left / right column's table.
+    left_bit: usize,
+    right_bit: usize,
+    /// `Ordering::single` of the left / right column: what a merge join on
+    /// this edge needs from the side holding that column.
+    left_req: OrderId,
+    right_req: OrderId,
+    selectivity: f64,
+}
+
+impl Edge {
+    fn crosses(&self, l: usize, r: usize) -> bool {
+        (l & self.left_bit != 0 && r & self.right_bit != 0)
+            || (l & self.right_bit != 0 && r & self.left_bit != 0)
+    }
+}
+
+/// The DP's memory: what [`Memo::materialize`] needs to turn a candidate
+/// back into a plan tree.
+struct Memo<'a> {
+    cm: &'a CostModel,
+    /// Pruned access paths per table, in `q.tables` order.
+    paths: Vec<Vec<AccessPath>>,
+    orders: Orders,
+    /// Kept candidates of every table subset, subset after subset.
+    arena: Vec<Cand>,
+}
 
 /// Optimize `q` under configuration `config`.
 ///
-/// Panics if `q` references more than [`MAX_TABLES`] tables or fails
-/// validation in debug builds.
+/// `q` must pass [`Query::validate`], which bounds the table count by
+/// [`MAX_TABLES`] and guarantees a connected join graph; the DP panics on a
+/// query that does not.
 pub fn optimize(
     schema: &Schema,
     cm: &CostModel,
@@ -38,41 +169,61 @@ pub fn optimize(
 
     let ec = EquivClasses::of_query(q);
     let requirements = collect_requirements(q);
+    let mut memo = Memo { cm, paths: Vec::with_capacity(n), orders: Orders::new(), arena: vec![] };
+    // Reused by every subset: the candidates priced for it, before pruning.
+    let mut candidates: Vec<Cand> = Vec::new();
+    // `kept[mask]`: the subset's pareto set, as a range of the arena.
+    let mut kept: Vec<Range<usize>> = vec![0..0; 1usize << n];
 
-    // Per-table access paths as single-table sub-plans.
-    let mut best: Vec<Vec<SubPlan>> = vec![Vec::new(); 1usize << n];
+    // Per-table access paths as single-table candidates.
     let mut base_rows = vec![0.0f64; n];
     for (i, &t) in q.tables.iter().enumerate() {
         base_rows[i] = cardinality::access_rows(schema, q, t);
         let paths = access::enumerate(schema, cm, q, t, config);
-        let plans = paths
-            .into_iter()
-            .map(|p| SubPlan {
+        candidates.clear();
+        for (pi, p) in paths.iter().enumerate() {
+            let useful = useful_prefix(&p.order, &requirements, &ec);
+            candidates.push(Cand {
                 cost: p.cost,
                 rows: p.rows,
-                order: normalize(&p.order, &requirements, &ec),
-                op: PlanNode::Access(p),
-            })
-            .collect();
-        best[1 << i] = prune(plans);
+                order: memo.orders.intern(&p.order.0[..useful]),
+                op: Op::Access { table: i as u32, path: pi as u32 },
+            });
+        }
+        memo.paths.push(paths);
+        kept[1 << i] = prune_into(&mut candidates, &memo.orders, &mut memo.arena);
     }
 
-    // Pre-compute subset cardinalities.
+    // Join edges resolved against the table list, once per query.
+    let table_pos = |c: ColumnRef| q.tables.iter().position(|t| *t == c.table);
+    let edges: Vec<Edge> = q
+        .joins
+        .iter()
+        .filter_map(|j| {
+            let (li, ri) = (table_pos(j.left)?, table_pos(j.right)?);
+            Some(Edge {
+                left_bit: 1 << li,
+                right_bit: 1 << ri,
+                left_req: memo.orders.intern(&[j.left]),
+                right_req: memo.orders.intern(&[j.right]),
+                selectivity: cardinality::join_selectivity(schema, j, base_rows[li], base_rows[ri]),
+            })
+        })
+        .collect();
+
+    // Subset cardinality: base rows times the selectivity of every edge
+    // inside the subset.
     let rows_of = |mask: usize| -> f64 {
         let mut rows = 1.0;
-        for (i, br) in base_rows.iter().enumerate().take(n) {
+        for (i, br) in base_rows.iter().enumerate() {
             if mask & (1 << i) != 0 {
                 rows *= br;
             }
         }
         let mut sel = 1.0;
-        for j in &q.joins {
-            let (Some(li), Some(ri)) = (table_bit(q, j.left.table), table_bit(q, j.right.table))
-            else {
-                continue;
-            };
-            if mask & (1 << li) != 0 && mask & (1 << ri) != 0 {
-                sel *= cardinality::join_selectivity(schema, j, base_rows[li], base_rows[ri]);
+        for e in &edges {
+            if mask & e.left_bit != 0 && mask & e.right_bit != 0 {
+                sel *= e.selectivity;
             }
         }
         (rows * sel).max(1.0)
@@ -85,59 +236,31 @@ pub fn optimize(
             continue;
         }
         let out_rows = rows_of(mask);
-        let mut candidates: Vec<SubPlan> = Vec::new();
+        candidates.clear();
         // Enumerate proper submask splits.
         let mut l = (mask - 1) & mask;
         while l != 0 {
             let r = mask ^ l;
-            if !best[l].is_empty() && !best[r].is_empty() {
-                let edges = cross_edges(q, l, r);
-                if !edges.is_empty() {
-                    for pl in &best[l] {
-                        for pr in &best[r] {
-                            join_candidates(
-                                cm,
-                                q,
-                                &ec,
-                                &requirements,
-                                pl,
-                                pr,
-                                &edges,
-                                out_rows,
-                                &mut candidates,
-                            );
+            if !kept[l].is_empty() && !kept[r].is_empty() {
+                let mut crossing = edges.iter().filter(|e| e.crosses(l, r));
+                if let Some(edge) = crossing.next() {
+                    let split = Split::new(cm, edge, l, crossing.count(), out_rows);
+                    for li in kept[l].clone() {
+                        for ri in kept[r].clone() {
+                            split.price_pair(&memo, &ec, li, ri, &mut candidates);
                         }
                     }
                 }
             }
             l = (l - 1) & mask;
         }
-        best[mask] = prune(candidates);
+        kept[mask] = prune_into(&mut candidates, &memo.orders, &mut memo.arena);
     }
 
-    let joined = std::mem::take(&mut best[full]);
-    assert!(!joined.is_empty(), "no plan found: join graph disconnected? {q:?}");
+    let joined = kept[full].clone();
+    assert!(!joined.is_empty(), "no plan found for a validated query: {q:?}");
 
-    finalize(schema, cm, q, &ec, &requirements, joined)
-}
-
-/// Bit position of `t` within the query's table list.
-fn table_bit(q: &Query, t: cophy_catalog::TableId) -> Option<usize> {
-    q.tables.iter().position(|x| *x == t)
-}
-
-/// Join edges crossing the (l, r) split.
-fn cross_edges(q: &Query, l: usize, r: usize) -> Vec<&Join> {
-    q.joins
-        .iter()
-        .filter(|j| {
-            let (Some(li), Some(ri)) = (table_bit(q, j.left.table), table_bit(q, j.right.table))
-            else {
-                return false;
-            };
-            (l & (1 << li) != 0 && r & (1 << ri) != 0) || (l & (1 << ri) != 0 && r & (1 << li) != 0)
-        })
-        .collect()
+    finalize(schema, q, &ec, &memo, joined)
 }
 
 /// All order requirements of the query (for normalization).
@@ -156,196 +279,283 @@ fn collect_requirements(q: &Query) -> Vec<Ordering> {
     reqs
 }
 
-/// Truncate `order` to its longest prefix that fully satisfies some
-/// requirement; unusable orders become `none`, collapsing the DP state.
-fn normalize(order: &Ordering, reqs: &[Ordering], ec: &EquivClasses) -> Ordering {
+/// Length of the longest prefix of `order` that fully satisfies some
+/// requirement.  Candidates deliver only that prefix: unusable orders become
+/// "none", collapsing the DP state.
+fn useful_prefix(order: &Ordering, reqs: &[Ordering], ec: &EquivClasses) -> usize {
     let mut useful = 0;
     for r in reqs {
         if r.0.len() > useful && ec.satisfies(order, r) {
             useful = r.0.len();
         }
     }
-    Ordering(order.0[..useful].to_vec())
+    useful
 }
 
-/// Pareto prune: cheapest plan per delivered order; a plan is dominated by a
-/// cheaper plan whose order extends its own.
-fn prune(mut plans: Vec<SubPlan>) -> Vec<SubPlan> {
-    plans.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    let mut kept: Vec<SubPlan> = Vec::new();
-    for p in plans {
-        let dominated = kept.iter().any(|k| {
-            k.cost <= p.cost
-                && k.order.0.len() >= p.order.0.len()
-                && k.order.0[..p.order.0.len()] == p.order.0[..]
-        });
+/// Pareto prune `candidates` onto the end of the arena and return the range
+/// they occupy: cheapest plan per delivered order; a plan is dominated by a
+/// cheaper plan whose order extends its own.  The sort is stable, so equal
+/// costs keep their push order.
+fn prune_into(candidates: &mut [Cand], orders: &Orders, arena: &mut Vec<Cand>) -> Range<usize> {
+    candidates.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+    let start = arena.len();
+    for p in candidates.iter() {
+        let order = &orders.get(p.order).0;
+        let dominated = arena[start..]
+            .iter()
+            .any(|k| k.cost <= p.cost && orders.get(k.order).0.starts_with(order));
         if !dominated {
-            kept.push(p);
+            arena.push(*p);
         }
     }
-    kept
+    start..arena.len()
 }
 
-/// Wrap `input` in an explicit sort to `order`.
-fn sort_to(cm: &CostModel, input: SubPlan, order: Ordering) -> SubPlan {
-    let cost = input.cost + cm.sort(input.rows);
-    let rows = input.rows;
-    SubPlan { cost, rows, order, op: PlanNode::Sort(Box::new(input)) }
+/// Cost of `input_cost` plus an explicit sort of `rows` rows.
+fn sorted(cm: &CostModel, input_cost: f64, rows: f64) -> f64 {
+    input_cost + cm.sort(rows)
 }
 
-/// Emit the hash/merge/nested-loop join candidates for one (left, right)
-/// sub-plan pair.
-#[allow(clippy::too_many_arguments)]
-fn join_candidates(
-    cm: &CostModel,
-    _q: &Query,
-    ec: &EquivClasses,
-    reqs: &[Ordering],
-    pl: &SubPlan,
-    pr: &SubPlan,
-    edges: &[&Join],
+/// One (left subset, right subset) split of a table subset: everything the
+/// candidates of its sub-plan pairs have in common.
+struct Split {
     out_rows: f64,
-    out: &mut Vec<SubPlan>,
-) {
-    let residual = edges.len().saturating_sub(1);
-
-    // Hash join: build on left, probe right (the split enumeration covers the
-    // mirrored pair).
-    let hj_cost = pl.cost
-        + pr.cost
-        + cm.hash_join(pl.rows, pr.rows, out_rows)
-        + cm.filter(out_rows, residual);
-    out.push(SubPlan {
-        cost: hj_cost,
-        rows: out_rows,
-        order: Ordering::none(),
-        op: PlanNode::HashJoin(Box::new(pl.clone()), Box::new(pr.clone())),
-    });
-
-    // Block nested-loop join: preserves outer order; only plausible for tiny
-    // inputs but the cost model prices that in.
-    let nl_cost =
-        pl.cost + pr.cost + cm.nl_join(pl.rows, pr.rows, out_rows) + cm.filter(out_rows, residual);
-    out.push(SubPlan {
-        cost: nl_cost,
-        rows: out_rows,
-        order: pl.order.clone(),
-        op: PlanNode::NestLoopJoin(Box::new(pl.clone()), Box::new(pr.clone())),
-    });
-
-    // Merge join on the first edge; sorts inserted as needed.
-    let edge = edges[0];
-    let (lreq, rreq) = if table_on_side(pl, edge.left.table) {
-        (Ordering::single(edge.left), Ordering::single(edge.right))
-    } else {
-        (Ordering::single(edge.right), Ordering::single(edge.left))
-    };
-    let li = if ec.satisfies(&pl.order, &lreq) {
-        pl.clone()
-    } else {
-        sort_to(cm, pl.clone(), lreq.clone())
-    };
-    let ri = if ec.satisfies(&pr.order, &rreq) {
-        pr.clone()
-    } else {
-        sort_to(cm, pr.clone(), rreq.clone())
-    };
-    let mj_cost = li.cost
-        + ri.cost
-        + cm.merge_join(li.rows, ri.rows, out_rows)
-        + cm.filter(out_rows, residual);
-    let delivered = normalize(&lreq, reqs, ec);
-    out.push(SubPlan {
-        cost: mj_cost,
-        rows: out_rows,
-        order: if delivered.is_none() { lreq } else { delivered },
-        op: PlanNode::MergeJoin(Box::new(li), Box::new(ri)),
-    });
+    /// Cost of filtering the output on the crossing edges beyond the first.
+    residual_filter: f64,
+    /// Merge-join order of the left / right side: the first crossing edge's
+    /// column on that side.
+    left_req: OrderId,
+    right_req: OrderId,
 }
 
-/// Does the sub-plan under `p` contain an access to `t`?  (Cheap recursive
-/// check; plans are small trees.)
-fn table_on_side(p: &SubPlan, t: cophy_catalog::TableId) -> bool {
-    match &p.op {
-        PlanNode::Access(a) => a.table == t,
-        PlanNode::Sort(c) | PlanNode::HashAgg(c) | PlanNode::StreamAgg(c) => table_on_side(c, t),
-        PlanNode::HashJoin(l, r) | PlanNode::MergeJoin(l, r) | PlanNode::NestLoopJoin(l, r) => {
-            table_on_side(l, t) || table_on_side(r, t)
+impl Split {
+    /// `edge` is the first edge crossing the split, `residual` the number of
+    /// further ones, `l` the left subset.
+    fn new(cm: &CostModel, edge: &Edge, l: usize, residual: usize, out_rows: f64) -> Self {
+        let (left_req, right_req) = if l & edge.left_bit != 0 {
+            (edge.left_req, edge.right_req)
+        } else {
+            (edge.right_req, edge.left_req)
+        };
+        Split { out_rows, residual_filter: cm.filter(out_rows, residual), left_req, right_req }
+    }
+
+    /// Emit the hash / nested-loop / merge join candidates for one (left,
+    /// right) pair of kept candidates.
+    fn price_pair(
+        &self,
+        memo: &Memo,
+        ec: &EquivClasses,
+        left: usize,
+        right: usize,
+        out: &mut Vec<Cand>,
+    ) {
+        let (cm, out_rows) = (memo.cm, self.out_rows);
+        let (pl, pr) = (memo.arena[left], memo.arena[right]);
+        let join = |kind, sort_left, sort_right| Op::Join {
+            kind,
+            left: left as CandId,
+            right: right as CandId,
+            sort_left,
+            sort_right,
+        };
+
+        // Hash join: build on left, probe right (the split enumeration covers
+        // the mirrored pair).
+        out.push(Cand {
+            cost: pl.cost
+                + pr.cost
+                + cm.hash_join(pl.rows, pr.rows, out_rows)
+                + self.residual_filter,
+            rows: out_rows,
+            order: Orders::NONE,
+            op: join(JoinKind::Hash, None, None),
+        });
+
+        // Block nested-loop join: preserves outer order; only plausible for
+        // tiny inputs but the cost model prices that in.
+        out.push(Cand {
+            cost: pl.cost + pr.cost + cm.nl_join(pl.rows, pr.rows, out_rows) + self.residual_filter,
+            rows: out_rows,
+            order: pl.order,
+            op: join(JoinKind::NestLoop, None, None),
+        });
+
+        // Merge join on the first crossing edge; sorts inserted as needed.
+        // It delivers the left merge order, which is itself a requirement
+        // and so already its own useful prefix.
+        let needs_sort = |p: &Cand, req: OrderId| {
+            (!ec.satisfies(memo.orders.get(p.order), memo.orders.get(req))).then_some(req)
+        };
+        let sort_left = needs_sort(&pl, self.left_req);
+        let sort_right = needs_sort(&pr, self.right_req);
+        let side_cost = |p: &Cand, sort: Option<OrderId>| match sort {
+            Some(_) => sorted(cm, p.cost, p.rows),
+            None => p.cost,
+        };
+        out.push(Cand {
+            cost: side_cost(&pl, sort_left)
+                + side_cost(&pr, sort_right)
+                + cm.merge_join(pl.rows, pr.rows, out_rows)
+                + self.residual_filter,
+            rows: out_rows,
+            order: self.left_req,
+            op: join(JoinKind::Merge, sort_left, sort_right),
+        });
+    }
+}
+
+impl Memo<'_> {
+    /// Rebuild the plan tree of a kept candidate from its back-pointers.
+    fn materialize(&self, id: CandId) -> SubPlan {
+        let c = self.arena[id as usize];
+        let op = match c.op {
+            Op::Access { table, path } => {
+                PlanNode::Access(self.paths[table as usize][path as usize].clone())
+            }
+            Op::Join { kind, left, right, sort_left, sort_right } => {
+                let l = Box::new(self.input(left, sort_left));
+                let r = Box::new(self.input(right, sort_right));
+                match kind {
+                    JoinKind::Hash => PlanNode::HashJoin(l, r),
+                    JoinKind::NestLoop => PlanNode::NestLoopJoin(l, r),
+                    JoinKind::Merge => PlanNode::MergeJoin(l, r),
+                }
+            }
+        };
+        SubPlan { op, cost: c.cost, rows: c.rows, order: self.orders.get(c.order).clone() }
+    }
+
+    /// A join input: the candidate, wrapped in an explicit sort if the join
+    /// asked for one.
+    fn input(&self, id: CandId, sort_to: Option<OrderId>) -> SubPlan {
+        let plan = self.materialize(id);
+        match sort_to {
+            None => plan,
+            Some(order) => SubPlan {
+                cost: sorted(self.cm, plan.cost, plan.rows),
+                rows: plan.rows,
+                order: self.orders.get(order).clone(),
+                op: PlanNode::Sort(Box::new(plan)),
+            },
         }
     }
 }
 
-/// Apply aggregation and final ordering, pick the global winner.
+/// An operator [`finalize`] stacks on a joined candidate.
+#[derive(Clone, Copy)]
+enum WrapKind {
+    Sort,
+    HashAgg,
+    StreamAgg,
+}
+
+#[derive(Clone, Copy)]
+struct Wrap<'a> {
+    kind: WrapKind,
+    /// Cumulative cost including the input.
+    cost: f64,
+    rows: f64,
+    order: &'a Ordering,
+}
+
+/// A joined candidate under its aggregation and sort operators, innermost
+/// first: at most sort → stream aggregate → sort.
+#[derive(Clone, Copy)]
+struct Finished<'a> {
+    input: CandId,
+    wraps: [Option<Wrap<'a>>; 3],
+    /// Cost, rows and delivered order of the outermost operator.
+    cost: f64,
+    rows: f64,
+    order: &'a Ordering,
+}
+
+impl<'a> Finished<'a> {
+    fn wrap(mut self, kind: WrapKind, cost: f64, rows: f64, order: &'a Ordering) -> Self {
+        let slot = self.wraps.iter().position(Option::is_none).expect("at most three wraps");
+        self.wraps[slot] = Some(Wrap { kind, cost, rows, order });
+        Finished { cost, rows, order, ..self }
+    }
+}
+
+/// Apply aggregation and final ordering to every fully joined candidate,
+/// pick the global winner and materialize it.
 fn finalize(
     schema: &Schema,
-    cm: &CostModel,
     q: &Query,
     ec: &EquivClasses,
-    reqs: &[Ordering],
-    plans: Vec<SubPlan>,
+    memo: &Memo,
+    joined: Range<usize>,
 ) -> PhysicalPlan {
+    let cm = memo.cm;
     let has_agg = !q.aggregates.is_empty() || !q.group_by.is_empty();
+    let no_order = Ordering::none();
     let group_req = Ordering(q.group_by.clone());
     let order_req = Ordering(q.order_by.clone());
     let n_aggs = q.aggregates.len().max(1);
 
-    let mut finished: Vec<SubPlan> = Vec::new();
-    for p in plans {
-        let mut posts: Vec<SubPlan> = Vec::new();
-        if has_agg {
-            let groups = cardinality::group_rows(schema, &q.group_by, p.rows);
-            if q.group_by.is_empty() {
-                // Scalar aggregate: single streaming pass, no order needed.
-                let cost = p.cost + cm.stream_agg(p.rows, 1.0, n_aggs);
-                posts.push(SubPlan {
-                    cost,
-                    rows: 1.0,
-                    order: Ordering::none(),
-                    op: PlanNode::StreamAgg(Box::new(p.clone())),
-                });
-            } else {
-                // Hash aggregation.
-                let hcost = p.cost + cm.hash_agg(p.rows, groups, n_aggs);
-                posts.push(SubPlan {
-                    cost: hcost,
-                    rows: groups,
-                    order: Ordering::none(),
-                    op: PlanNode::HashAgg(Box::new(p.clone())),
-                });
-                // Stream aggregation over (possibly sorted) input.
-                let input = if ec.satisfies(&p.order, &group_req) {
-                    p.clone()
-                } else {
-                    sort_to(cm, p.clone(), group_req.clone())
-                };
-                let scost = input.cost + cm.stream_agg(input.rows, groups, n_aggs);
-                posts.push(SubPlan {
-                    cost: scost,
-                    rows: groups,
-                    order: group_req.clone(),
-                    op: PlanNode::StreamAgg(Box::new(input)),
-                });
-            }
+    // The first cheapest finished plan wins.
+    let mut winner: Option<Finished> = None;
+    for id in joined {
+        let p = memo.arena[id];
+        let bare = Finished {
+            input: id as CandId,
+            wraps: [None; 3],
+            cost: p.cost,
+            rows: p.rows,
+            order: memo.orders.get(p.order),
+        };
+        let posts = if !has_agg {
+            [Some(bare), None]
+        } else if q.group_by.is_empty() {
+            // Scalar aggregate: single streaming pass, no order needed.
+            let cost = p.cost + cm.stream_agg(p.rows, 1.0, n_aggs);
+            [Some(bare.wrap(WrapKind::StreamAgg, cost, 1.0, &no_order)), None]
         } else {
-            posts.push(p);
-        }
-
-        for post in posts {
-            let final_plan = if order_req.is_none() || ec.satisfies(&post.order, &order_req) {
+            let groups = cardinality::group_rows(schema, &q.group_by, p.rows);
+            // Hash aggregation.
+            let hcost = p.cost + cm.hash_agg(p.rows, groups, n_aggs);
+            // Stream aggregation over (possibly sorted) input.
+            let input = if ec.satisfies(bare.order, &group_req) {
+                bare
+            } else {
+                bare.wrap(WrapKind::Sort, sorted(cm, p.cost, p.rows), p.rows, &group_req)
+            };
+            let scost = input.cost + cm.stream_agg(input.rows, groups, n_aggs);
+            [
+                Some(bare.wrap(WrapKind::HashAgg, hcost, groups, &no_order)),
+                Some(input.wrap(WrapKind::StreamAgg, scost, groups, &group_req)),
+            ]
+        };
+        for post in posts.into_iter().flatten() {
+            let done = if order_req.is_none() || ec.satisfies(post.order, &order_req) {
                 post
             } else {
-                sort_to(cm, post, order_req.clone())
+                post.wrap(WrapKind::Sort, sorted(cm, post.cost, post.rows), post.rows, &order_req)
             };
-            finished.push(final_plan);
+            if winner.as_ref().is_none_or(|w| done.cost.total_cmp(&w.cost).is_lt()) {
+                winner = Some(done);
+            }
         }
     }
 
-    let _ = reqs;
-    let winner = finished
-        .into_iter()
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .expect("at least one finished plan");
-    PhysicalPlan::finish(winner, &order_req)
+    let winner = winner.expect("at least one finished plan");
+    let mut root = memo.materialize(winner.input);
+    for wrap in winner.wraps.into_iter().flatten() {
+        let input = Box::new(root);
+        root = SubPlan {
+            cost: wrap.cost,
+            rows: wrap.rows,
+            order: wrap.order.clone(),
+            op: match wrap.kind {
+                WrapKind::Sort => PlanNode::Sort(input),
+                WrapKind::HashAgg => PlanNode::HashAgg(input),
+                WrapKind::StreamAgg => PlanNode::StreamAgg(input),
+            },
+        };
+    }
+    PhysicalPlan::finish(root, &order_req)
 }
 
 #[cfg(test)]

@@ -30,6 +30,8 @@ pub use features::{shell_key, template_key, ShellKey, StatementFeatures, Templat
 pub use gen_het::{HetGen, HetStream};
 pub use gen_hom::{HomGen, HomStream};
 pub use gen_update::{UpdateGen, UpdateStream};
-pub use query::{AggFunc, Aggregate, Join, PredOp, Predicate, Query, Statement, UpdateStatement};
+pub use query::{
+    AggFunc, Aggregate, Join, PredOp, Predicate, Query, Statement, UpdateStatement, MAX_TABLES,
+};
 pub use source::{drain_to_workload, WorkloadCursor, WorkloadSource, DEFAULT_CHUNK};
 pub use workload::{QueryId, Workload};

@@ -107,6 +107,10 @@ pub struct Aggregate {
     pub column: Option<ColumnRef>,
 }
 
+/// Most table references one query may carry: the join enumerator keys its
+/// dynamic-programming table by a bitmask over them.
+pub const MAX_TABLES: usize = 16;
+
 /// A SELECT query (or the *query shell* `q_r` of an UPDATE).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Query {
@@ -131,9 +135,17 @@ impl Query {
         Query { tables: vec![table], ..Default::default() }
     }
 
-    /// Check IR invariants: unique table refs, all column refs on referenced
-    /// tables, join edges between two distinct referenced tables.
+    /// Check IR invariants: between one and [`MAX_TABLES`] unique table refs,
+    /// all column refs on referenced tables, join edges between two distinct
+    /// referenced tables, and a join graph that connects every table (the IR
+    /// has no cross products).
     pub fn validate(&self) -> Result<(), String> {
+        if self.tables.is_empty() || self.tables.len() > MAX_TABLES {
+            return Err(format!(
+                "query references {} tables, supported: 1..={MAX_TABLES}",
+                self.tables.len()
+            ));
+        }
         for (i, t) in self.tables.iter().enumerate() {
             if self.tables[i + 1..].contains(t) {
                 return Err(format!("table {t:?} referenced more than once"));
@@ -164,6 +176,34 @@ impl Query {
             if !on_ref(&j.left) || !on_ref(&j.right) {
                 return Err("join edge touches unreferenced table".into());
             }
+        }
+        self.check_connected()
+    }
+
+    /// Union-find over the join edges: every table must end up in one
+    /// component.  (An edge with an unreferenced endpoint is the edge
+    /// check's to report and connects nothing here.)
+    fn check_connected(&self) -> Result<(), String> {
+        fn find(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        let mut parent: [usize; MAX_TABLES] = std::array::from_fn(|i| i);
+        let pos = |t: TableId| self.tables.iter().position(|x| *x == t);
+        let mut components = self.tables.len();
+        for j in &self.joins {
+            let (Some(a), Some(b)) = (pos(j.left.table), pos(j.right.table)) else { continue };
+            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+            if ra != rb {
+                parent[ra] = rb;
+                components -= 1;
+            }
+        }
+        if components > 1 {
+            return Err(format!("join graph splits the tables into {components} components"));
         }
         Ok(())
     }
@@ -349,6 +389,58 @@ mod tests {
             ..Default::default()
         };
         assert!(q.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_disconnected_join_graph() {
+        let s = schema();
+        let ord = s.table_by_name("orders").unwrap().id;
+        let li = s.table_by_name("lineitem").unwrap().id;
+        let cust = s.table_by_name("customer").unwrap().id;
+        // `FROM orders, lineitem` with no edge.
+        let cross = Query { tables: vec![ord, li], ..Default::default() };
+        assert!(cross.validate().unwrap_err().contains("2 components"));
+        // One edge over three tables leaves the third apart; the second edge
+        // connects it.
+        let mut q = Query {
+            tables: vec![cust, ord, li],
+            joins: vec![Join::new(cr(&s, "orders.o_orderkey"), cr(&s, "lineitem.l_orderkey"))],
+            ..Default::default()
+        };
+        assert!(q.validate().is_err());
+        q.joins.push(Join::new(cr(&s, "customer.c_custkey"), cr(&s, "orders.o_custkey")));
+        assert_eq!(q.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_bounds_the_table_count() {
+        assert!(Query::default().validate().is_err(), "no table at all");
+        // A chain of distinct tables joined left to right: valid up to the
+        // DP's bitmask width, rejected one past it.
+        let chain = |n: u32| {
+            let key = |t: u32| ColumnRef::new(TableId(t), ColumnId(0));
+            Query {
+                tables: (0..n).map(TableId).collect(),
+                joins: (1..n).map(|t| Join::new(key(t - 1), key(t))).collect(),
+                ..Default::default()
+            }
+        };
+        assert_eq!(chain(MAX_TABLES as u32).validate(), Ok(()));
+        assert!(chain(MAX_TABLES as u32 + 1).validate().unwrap_err().contains("17 tables"));
+    }
+
+    #[test]
+    fn generated_statements_validate() {
+        let s = schema();
+        for seed in [1, 2, 3] {
+            for w in [
+                crate::HomGen::new(seed).generate(&s, 45),
+                crate::HetGen::new(seed).generate(&s, 200),
+                crate::UpdateGen::new(seed).generate(&s, 60),
+            ] {
+                assert_eq!(w.validate(), Ok(()), "seed {seed}");
+            }
+        }
     }
 
     #[test]
