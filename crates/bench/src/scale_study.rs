@@ -13,9 +13,11 @@
 //! 1. **Bounded residency** — the per-chunk high-water mark of resident
 //!    statements (`representatives + chunk buffer`) is a constant multiple
 //!    of the final representative count, independent of `|W|`;
-//! 2. **Near-linear ingestion** — per-statement ingest time grows at most
-//!    by a small factor between the two study sizes (generous slack: the
-//!    grid lookup is amortized-constant, but CI machines are noisy);
+//! 2. **Linear ingestion** — per-statement ingest time grows by at most
+//!    half between the two study sizes (the grid lookup is amortized
+//!    constant and a chunk's rollback journal is the chunk's size; the
+//!    slack is for hash-map growth and CI noise, not for a per-chunk cost
+//!    that grows with `|W|`);
 //! 3. **Decomposition soundness** — on a small workload the decomposed
 //!    parallel solve lands within the solvers' proven-gap slack of the
 //!    exact monolithic branch-and-bound answer.
@@ -316,12 +318,13 @@ pub fn scale_gate(s: &ScaleStudy) {
         );
     }
 
-    // 2. Near-linear ingestion: per-statement time may grow by at most 3×
-    //    between the sizes (grid clustering is amortized-constant per
-    //    statement; the slack absorbs CI noise and cache effects).
+    // 2. Linear ingestion: per-statement time may grow by at most 1.5×
+    //    between the sizes (grid clustering and the rollback journal are
+    //    amortized-constant per statement; the slack absorbs CI noise and
+    //    cache effects).
     let (t1, t2) = (s.rows[0].per_statement_us(), s.rows[1].per_statement_us());
     assert!(
-        t2 <= t1 * 3.0 + 1.0,
+        t2 <= t1 * 1.5 + 1.0,
         "gate: per-statement ingest grew superlinearly: {t1:.2}us -> {t2:.2}us"
     );
 

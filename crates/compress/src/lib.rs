@@ -37,6 +37,14 @@
 //! *incremental re-clustering*: a nudged workload usually lands its new
 //! statements in existing clusters (a weight bump, zero new what-if calls)
 //! instead of forcing a new representative per nudge.
+//!
+//! A caller that must be able to take a group of absorptions back (a
+//! session whose what-if probe fails mid-chunk) brackets them with
+//! [`CompressedWorkload::begin_chunk`] and
+//! [`CompressedWorkload::commit_chunk`] /
+//! [`CompressedWorkload::rollback_chunk`]: in between, every `absorb` logs
+//! what it overwrote in an undo journal whose size is proportional to the
+//! chunk, not to the clustering.
 
 use std::collections::HashMap;
 
@@ -168,9 +176,11 @@ const LINEAR_SCAN_CUTOFF: usize = 16;
 /// chosen so any two points within ε land in the same or an adjacent cell
 /// per dimension, which makes the 3^d neighbor enumeration an exact
 /// candidate superset of the linear scan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct TemplateIndex {
     reps: Vec<QueryId>,
+    /// Grid cell → the representatives whose current feature point lies in
+    /// it.  A cell that empties is removed, so no key maps to an empty list.
     cells: Option<HashMap<Vec<i64>, Vec<QueryId>>>,
 }
 
@@ -189,19 +199,73 @@ fn make_grid(policy: CompressionPolicy, indexed: bool) -> Grid {
     }
 }
 
-/// The grid cell of a feature point: quantized selectivities plus the
-/// quantized log update footprint.
-fn cell_key(f: &StatementFeatures, cell_sel: f64, cell_rows: f64) -> Vec<i64> {
-    let mut key = Vec::with_capacity(f.selectivities.len() + 1);
-    for &s in &f.selectivities {
-        key.push((s / cell_sel).floor() as i64);
+/// A grid cell key on the stack, for lookups on the absorb hot path.  Only
+/// templates with fewer than [`MAX_INDEXED_DIMS`] selectivities are
+/// bucketed, so their keys always fit; the unused tail stays zero.
+type CellKey = [i64; MAX_INDEXED_DIMS];
+
+/// The grid cell of a bucketed template's feature point — quantized
+/// selectivities, then the quantized log update footprint — and the key's
+/// length.
+fn stack_cell_key(
+    selectivities: &[f64],
+    update_rows: f64,
+    (cell_sel, cell_rows): (f64, f64),
+) -> (CellKey, usize) {
+    let mut key = [0; MAX_INDEXED_DIMS];
+    for (slot, s) in key.iter_mut().zip(selectivities) {
+        *slot = (s / cell_sel).floor() as i64;
     }
-    key.push((f.update_rows.max(1.0).ln() / cell_rows).floor() as i64);
-    key
+    key[selectivities.len()] = (update_rows.max(1.0).ln() / cell_rows).floor() as i64;
+    (key, selectivities.len() + 1)
+}
+
+/// [`stack_cell_key`] as an owned map key.
+fn cell_key(f: &StatementFeatures, cell_sel: f64, cell_rows: f64) -> Vec<i64> {
+    let (key, dims) = stack_cell_key(&f.selectivities, f.update_rows, (cell_sel, cell_rows));
+    key[..dims].to_vec()
+}
+
+/// What one `absorb` overwrote, logged while a chunk is open.
+#[derive(Debug, Clone, PartialEq)]
+enum Undo {
+    /// A merge onto `rep`.  In streaming mode the representative's previous
+    /// feature point sits on [`Journal::points`].
+    Merged {
+        rep: QueryId,
+        /// The representative's weight before the merge.
+        weight: f64,
+        /// Re-centering moved the representative to another grid cell: its
+        /// position in the old cell, whose key sits on [`Journal::cells`].
+        moved_from: Option<usize>,
+        /// The shell an ε-merge added to the exact-shell index.
+        shell: Option<ShellKey>,
+    },
+    /// A cluster was opened: the last representative, with its feature row
+    /// and its shell, template and cell entries, is new.
+    Opened,
+}
+
+/// Undo journal of one chunk: one record per absorbed statement, so its
+/// size follows the chunk and not the clustering.  Rolling back replays the
+/// records backwards and puts saved values back — it never inverts float
+/// arithmetic — so the restored state equals the pre-chunk state field for
+/// field.
+#[derive(Debug, Clone, PartialEq)]
+struct Journal {
+    /// `original_weight` and `n_absorbed` when the chunk began.
+    original_weight: f64,
+    n_absorbed: usize,
+    records: Vec<Undo>,
+    /// Stack of previous feature points (selectivities, then update rows),
+    /// one per streaming merge.
+    points: Vec<f64>,
+    /// Stack of the old cell keys of the merges that moved cells.
+    cells: Vec<i64>,
 }
 
 /// A compressed workload: weighted representatives + assignment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressedWorkload {
     representatives: Workload,
     rep_features: Vec<StatementFeatures>,
@@ -223,6 +287,8 @@ pub struct CompressedWorkload {
     streaming: bool,
     original_weight: f64,
     policy: CompressionPolicy,
+    /// The open chunk's undo journal (see [`CompressedWorkload::begin_chunk`]).
+    journal: Option<Journal>,
 }
 
 impl CompressedWorkload {
@@ -269,6 +335,7 @@ impl CompressedWorkload {
             streaming: false,
             original_weight: 0.0,
             policy,
+            journal: None,
         };
         for (_, stmt, weight) in w.iter() {
             cw.absorb(schema, stmt, weight);
@@ -302,6 +369,7 @@ impl CompressedWorkload {
             streaming: true,
             original_weight: 0.0,
             policy,
+            journal: None,
         }
     }
 
@@ -372,14 +440,11 @@ impl CompressedWorkload {
         };
         let f = StatementFeatures::extract(schema, stmt);
         if let Some(&rep) = self.by_shell.get(&f.shell) {
-            return self.merge_into(rep, weight, Some(&f));
+            return self.merge_into(rep, weight, f, false);
         }
         if eps > 0.0 {
             if let Some(rep) = self.nearest_within(&f, eps) {
-                // Index this (novel) shell so later exact duplicates of it
-                // take the O(1) path onto the same representative.
-                self.by_shell.insert(f.shell.clone(), rep);
-                return self.merge_into(rep, weight, Some(&f));
+                return self.merge_into(rep, weight, f, true);
             }
         }
         self.open_cluster(stmt, weight, Some(f))
@@ -393,6 +458,89 @@ impl CompressedWorkload {
                 matches!(self.absorb(schema, stmt, *weight), Absorption::NewRepresentative(_))
             })
             .count()
+    }
+
+    /// Open a chunk: until [`CompressedWorkload::commit_chunk`] or
+    /// [`CompressedWorkload::rollback_chunk`], every `absorb` logs what it
+    /// overwrote, in space proportional to the statements absorbed.
+    ///
+    /// Panics if a chunk is already open.
+    pub fn begin_chunk(&mut self) {
+        assert!(self.journal.is_none(), "a chunk is already open");
+        self.journal = Some(Journal {
+            original_weight: self.original_weight,
+            n_absorbed: self.n_absorbed,
+            records: Vec::new(),
+            points: Vec::new(),
+            cells: Vec::new(),
+        });
+    }
+
+    /// Keep everything absorbed since [`CompressedWorkload::begin_chunk`].
+    pub fn commit_chunk(&mut self) {
+        self.journal = None;
+    }
+
+    /// Take back everything absorbed since
+    /// [`CompressedWorkload::begin_chunk`]: afterwards the clustering equals
+    /// its state at that call field for field (a no-op when no chunk is
+    /// open).
+    pub fn rollback_chunk(&mut self) {
+        let Some(mut journal) = self.journal.take() else { return };
+        while let Some(undo) = journal.records.pop() {
+            match undo {
+                Undo::Merged { rep, weight, moved_from, shell } => {
+                    if let Some(shell) = shell {
+                        self.by_shell.remove(&shell);
+                    }
+                    let rf = &mut self.rep_features[rep.0 as usize];
+                    if let Some(pos) = moved_from {
+                        // Undone back to just after this merge, the
+                        // representative is the newest entry of the cell of
+                        // its current point; it goes back to its old place
+                        // in the cell it left.
+                        let grid = self.grid.expect("only a gridded clustering moves cells");
+                        let (now, dims) = stack_cell_key(&rf.selectivities, rf.update_rows, grid);
+                        let cells = self
+                            .by_template
+                            .get_mut(&rf.template)
+                            .and_then(|idx| idx.cells.as_mut())
+                            .expect("a representative that moved cells is bucketed");
+                        pop_from_cell(cells, &now[..dims]);
+                        let before = journal.cells.split_off(journal.cells.len() - dims);
+                        cells.entry(before).or_default().insert(pos, rep);
+                    }
+                    if self.streaming {
+                        rf.update_rows = journal.points.pop().expect("one point per merge");
+                        let at = journal.points.len() - rf.selectivities.len();
+                        rf.selectivities.copy_from_slice(&journal.points[at..]);
+                        journal.points.truncate(at);
+                    }
+                    self.representatives.set_weight(rep, weight);
+                }
+                Undo::Opened => {
+                    self.representatives.pop();
+                    if self.policy.is_off() {
+                        continue; // no features, no indexes
+                    }
+                    let f = self.rep_features.pop().expect("one feature row per representative");
+                    self.by_shell.remove(&f.shell);
+                    let idx = self.by_template.get_mut(&f.template).expect("template is indexed");
+                    idx.reps.pop();
+                    if let (Some(cells), Some((cs, cr))) = (&mut idx.cells, self.grid) {
+                        pop_from_cell(cells, &cell_key(&f, cs, cr));
+                    }
+                    if idx.reps.is_empty() {
+                        self.by_template.remove(&f.template);
+                    }
+                }
+            }
+        }
+        if !self.streaming {
+            self.assignment.truncate(journal.n_absorbed);
+        }
+        self.original_weight = journal.original_weight;
+        self.n_absorbed = journal.n_absorbed;
     }
 
     /// The nearest same-template representative within `eps`, ties broken
@@ -411,16 +559,15 @@ impl CompressedWorkload {
             }
         };
         match (&idx.cells, self.grid) {
-            (Some(cells), Some((cs, cr))) if idx.reps.len() > LINEAR_SCAN_CUTOFF => {
-                let center = cell_key(f, cs, cr);
-                let dims = center.len() as u32;
-                for mut code in 0..3usize.pow(dims) {
-                    let mut key = center.clone();
-                    for slot in &mut key {
-                        *slot += (code % 3) as i64 - 1;
+            (Some(cells), Some(grid)) if idx.reps.len() > LINEAR_SCAN_CUTOFF => {
+                let (center, dims) = stack_cell_key(&f.selectivities, f.update_rows, grid);
+                let mut key = center;
+                for mut code in 0..3usize.pow(dims as u32) {
+                    for (slot, c) in key[..dims].iter_mut().zip(&center) {
+                        *slot = c + (code % 3) as i64 - 1;
                         code /= 3;
                     }
-                    for &rep in cells.get(&key).map(Vec::as_slice).unwrap_or_default() {
+                    for &rep in cells.get(&key[..dims]).map(Vec::as_slice).unwrap_or_default() {
                         consider(rep, &mut best);
                     }
                 }
@@ -434,19 +581,31 @@ impl CompressedWorkload {
         best.map(|(_, rep)| rep)
     }
 
+    /// Merge a statement with features `f` onto `rep`.  `novel_shell` marks
+    /// an ε-merge: the shell is indexed so later exact duplicates of it take
+    /// the O(1) path onto the same representative.
     fn merge_into(
         &mut self,
         rep: QueryId,
         weight: f64,
-        f: Option<&StatementFeatures>,
+        f: StatementFeatures,
+        novel_shell: bool,
     ) -> Absorption {
+        let weight_before = self.representatives.weight(rep);
         self.representatives.add_weight(rep, weight);
-        if self.streaming {
-            if let Some(f) = f {
-                self.recenter(rep, weight, f);
-            }
+        let moved_from = if self.streaming {
+            self.recenter(rep, weight, &f.selectivities, f.update_rows)
         } else {
             self.assignment.push(rep);
+            None
+        };
+        let mut shell = None;
+        if novel_shell {
+            shell = self.journal.as_ref().map(|_| f.shell.clone());
+            self.by_shell.insert(f.shell, rep);
+        }
+        if let Some(journal) = &mut self.journal {
+            journal.records.push(Undo::Merged { rep, weight: weight_before, moved_from, shell });
         }
         Absorption::Merged(rep)
     }
@@ -457,39 +616,49 @@ impl CompressedWorkload {
     /// The representative *statement* stays the first member — only the
     /// feature point used by the nearest-within-ε scan moves.  When the
     /// quantized grid key changes, the representative migrates cells so the
-    /// 3^d neighbor enumeration stays an exact superset of the linear scan.
-    fn recenter(&mut self, rep: QueryId, weight: f64, f: &StatementFeatures) {
+    /// 3^d neighbor enumeration stays an exact superset of the linear scan;
+    /// its position in the cell it left is returned.
+    fn recenter(
+        &mut self,
+        rep: QueryId,
+        weight: f64,
+        selectivities: &[f64],
+        update_rows: f64,
+    ) -> Option<usize> {
         let total = self.representatives.weight(rep);
-        if !total.is_finite()
-            || total <= 0.0
-            || f.selectivities.len() != self.rep_features[rep.0 as usize].selectivities.len()
-        {
-            return;
+        let rf = &mut self.rep_features[rep.0 as usize];
+        if let Some(journal) = &mut self.journal {
+            journal.points.extend_from_slice(&rf.selectivities);
+            journal.points.push(rf.update_rows);
         }
+        if !total.is_finite() || total <= 0.0 || selectivities.len() != rf.selectivities.len() {
+            return None;
+        }
+        // Bucketed templates are exactly those whose keys fit a `CellKey`.
+        let grid = self.grid.filter(|_| rf.selectivities.len() < MAX_INDEXED_DIMS);
+        let old = grid.map(|g| stack_cell_key(&rf.selectivities, rf.update_rows, g));
         let alpha = weight / total;
-        let old_key =
-            self.grid.map(|(cs, cr)| cell_key(&self.rep_features[rep.0 as usize], cs, cr));
-        {
-            let rf = &mut self.rep_features[rep.0 as usize];
-            for (c, &x) in rf.selectivities.iter_mut().zip(&f.selectivities) {
-                *c += alpha * (x - *c);
-            }
-            rf.update_rows += alpha * (f.update_rows - rf.update_rows);
+        for (c, &x) in rf.selectivities.iter_mut().zip(selectivities) {
+            *c += alpha * (x - *c);
         }
-        if let (Some((cs, cr)), Some(old_key)) = (self.grid, old_key) {
-            let rf = &self.rep_features[rep.0 as usize];
-            let new_key = cell_key(rf, cs, cr);
-            if new_key != old_key {
-                if let Some(cells) =
-                    self.by_template.get_mut(&rf.template).and_then(|idx| idx.cells.as_mut())
-                {
-                    if let Some(v) = cells.get_mut(&old_key) {
-                        v.retain(|r| *r != rep);
-                    }
-                    cells.entry(new_key).or_default().push(rep);
-                }
-            }
+        rf.update_rows += alpha * (update_rows - rf.update_rows);
+        let (old, dims) = old?;
+        let (new, _) = stack_cell_key(&rf.selectivities, rf.update_rows, grid?);
+        if new == old {
+            return None;
         }
+        let cells = self.by_template.get_mut(&rf.template)?.cells.as_mut()?;
+        let from = cells.get_mut(&old[..dims])?;
+        let pos = from.iter().position(|r| *r == rep)?;
+        from.remove(pos);
+        if from.is_empty() {
+            cells.remove(&old[..dims]);
+        }
+        cells.entry(new[..dims].to_vec()).or_default().push(rep);
+        if let Some(journal) = &mut self.journal {
+            journal.cells.extend_from_slice(&old[..dims]);
+        }
+        Some(pos)
     }
 
     fn open_cluster(
@@ -518,12 +687,15 @@ impl CompressedWorkload {
         if keep_assignment {
             self.assignment.push(rep);
         }
+        if let Some(journal) = &mut self.journal {
+            journal.records.push(Undo::Opened);
+        }
         Absorption::NewRepresentative(rep)
     }
 
     /// Check the subsystem invariants: weight conservation, a complete
-    /// assignment into the representative range, and positive cluster
-    /// weights.
+    /// assignment into the representative range, positive cluster weights,
+    /// and no empty grid cell.
     pub fn validate(&self) -> Result<(), String> {
         let rep_weight = self.representatives.total_weight();
         if (rep_weight - self.original_weight).abs() > 1e-6 * self.original_weight.max(1.0) {
@@ -559,7 +731,21 @@ impl CompressedWorkload {
                 return Err(format!("representative {id:?} has non-positive weight"));
             }
         }
+        let mut cells = self.by_template.values().filter_map(|idx| idx.cells.as_ref()).flatten();
+        if let Some((key, _)) = cells.find(|(_, reps)| reps.is_empty()) {
+            return Err(format!("grid cell {key:?} is empty but still indexed"));
+        }
         self.representatives.validate()
+    }
+}
+
+/// Remove the newest entry of the cell at `key`, and the cell with it when
+/// that was its only one.
+fn pop_from_cell(cells: &mut HashMap<Vec<i64>, Vec<QueryId>>, key: &[i64]) {
+    let cell = cells.get_mut(key).expect("the undone entry's cell exists");
+    cell.pop();
+    if cell.is_empty() {
+        cells.remove(key);
     }
 }
 
@@ -869,6 +1055,172 @@ mod tests {
             }
         }
         cw.validate().unwrap();
+    }
+
+    /// `l_shipdate < v` over lineitem: one template, the constant sets the
+    /// selectivity.
+    fn shipdate_probe(s: &Schema, v: f64) -> Statement {
+        let mut q = Query::scan(s.table_by_name("lineitem").unwrap().id);
+        q.predicates.push(Predicate::lt(s.resolve("lineitem.l_shipdate").unwrap(), v));
+        Statement::Select(q)
+    }
+
+    /// Every float of the clustering, as bits (`==` alone would let `-0.0`
+    /// pass for `0.0`).
+    fn float_bits(cw: &CompressedWorkload) -> Vec<u64> {
+        let mut bits = vec![cw.total_weight().to_bits()];
+        for id in cw.representatives().ids() {
+            bits.push(cw.representatives().weight(id).to_bits());
+            if let Some(f) = cw.representative_features(id) {
+                bits.extend(f.selectivities.iter().map(|s| s.to_bits()));
+                bits.push(f.update_rows.to_bits());
+            }
+        }
+        bits
+    }
+
+    /// Absorb `chunk` inside an open chunk, check that the journal's records
+    /// satisfy `expect`, roll back, and require the pre-chunk state field
+    /// for field.
+    fn absorb_and_roll_back(
+        s: &Schema,
+        cw: &mut CompressedWorkload,
+        chunk: &[Statement],
+        expect: impl Fn(&[Undo]) -> bool,
+    ) {
+        let before = cw.clone();
+        cw.begin_chunk();
+        for stmt in chunk {
+            cw.absorb(s, stmt, 1.5);
+        }
+        let journal = cw.journal.as_ref().unwrap();
+        assert_eq!(journal.records.len(), chunk.len(), "one record per statement");
+        assert!(expect(&journal.records), "unexpected records: {:?}", journal.records);
+        assert_ne!(*cw, before, "the chunk must have changed the clustering");
+        cw.rollback_chunk();
+        assert_eq!(*cw, before);
+        assert_eq!(float_bits(cw), float_bits(&before));
+        cw.validate().unwrap();
+    }
+
+    #[test]
+    fn rollback_undoes_a_merge_that_stays_in_its_cell() {
+        let s = schema();
+        let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(0.5));
+        cw.absorb(&s, &shipdate_probe(&s, 500.0), 1.0);
+        // An exact duplicate: no new shell, and the centroid does not move.
+        absorb_and_roll_back(&s, &mut cw, &[shipdate_probe(&s, 500.0)], |r| {
+            matches!(r, [Undo::Merged { moved_from: None, shell: None, .. }])
+        });
+    }
+
+    #[test]
+    fn rollback_undoes_an_epsilon_merge_and_its_shell() {
+        let s = schema();
+        let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(0.5));
+        cw.absorb(&s, &shipdate_probe(&s, 500.0), 1.0);
+        let novel = shipdate_probe(&s, 1500.0);
+        absorb_and_roll_back(&s, &mut cw, std::slice::from_ref(&novel), |r| {
+            matches!(r, [Undo::Merged { shell: Some(_), .. }])
+        });
+        assert!(!cw.by_shell.contains_key(&StatementFeatures::extract(&s, &novel).shell));
+        // Batch mode keeps first-member centroids and an assignment instead.
+        let mut w = Workload::new();
+        w.push(shipdate_probe(&s, 500.0));
+        let mut batch = CompressedWorkload::compress(&s, &w, CompressionPolicy::Epsilon(0.5));
+        absorb_and_roll_back(&s, &mut batch, &[novel], |r| {
+            matches!(r, [Undo::Merged { moved_from: None, shell: Some(_), .. }])
+        });
+        assert_eq!(batch.assignment().len(), 1);
+    }
+
+    #[test]
+    fn rollback_undoes_a_merge_that_moved_cells() {
+        let s = schema();
+        let eps = 0.01;
+        let sel = |v: f64| StatementFeatures::extract(&s, &shipdate_probe(&s, v)).selectivities[0];
+        let cell = |x: f64| (x / eps).floor();
+        // A first member below a cell boundary and a second within ε above
+        // it: their mean lies in the next cell, a fifth of the way does not.
+        let (a, b) = (100..400)
+            .map(|i| (i as f64, i as f64 + 20.0))
+            .find(|&(a, b)| {
+                let (a, d) = (sel(a), sel(b) - sel(a));
+                d <= eps && cell(a + 0.5 * d) != cell(a) && cell(a + 0.2 * d) == cell(a)
+            })
+            .expect("some pair straddles a cell boundary");
+        let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(eps));
+        cw.absorb(&s, &shipdate_probe(&s, a), 1.0);
+        absorb_and_roll_back(&s, &mut cw, &[shipdate_probe(&s, b)], |r| {
+            matches!(r, [Undo::Merged { moved_from: Some(0), shell: Some(_), .. }])
+        });
+        // Enough duplicates of the first member pull the centroid back into
+        // its first cell: both moves undo, in order.
+        let mut there_and_back = vec![shipdate_probe(&s, b)];
+        there_and_back.resize(10, shipdate_probe(&s, a));
+        absorb_and_roll_back(&s, &mut cw, &there_and_back, |r| {
+            r.iter().filter(|u| matches!(u, Undo::Merged { moved_from: Some(_), .. })).count() == 2
+        });
+    }
+
+    #[test]
+    fn rollback_undoes_opened_clusters() {
+        let s = schema();
+        let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(0.01));
+        cw.absorb(&s, &shipdate_probe(&s, 500.0), 1.0);
+        // Same template, farther than ε: a second cluster in the template.
+        absorb_and_roll_back(&s, &mut cw, &[shipdate_probe(&s, 1500.0)], |r| {
+            matches!(r, [Undo::Opened])
+        });
+        assert_eq!(cw.by_template.len(), 1);
+        // A template the clustering has not seen: its index entry goes too.
+        let mut q = Query::scan(s.table_by_name("lineitem").unwrap().id);
+        q.predicates.push(Predicate::gt(s.resolve("lineitem.l_tax").unwrap(), 0.07));
+        absorb_and_roll_back(&s, &mut cw, &[Statement::Select(q)], |r| matches!(r, [Undo::Opened]));
+        assert_eq!(cw.by_template.len(), 1);
+        assert_eq!(cw.n_representatives(), 1);
+    }
+
+    #[test]
+    fn rolled_back_and_committed_chunks_leave_no_trace() {
+        let s = schema();
+        let w = mixed(15, 180);
+        let stmts: Vec<(Statement, f64)> = w.iter().map(|(_, st, wt)| (st.clone(), wt)).collect();
+        let (head, tail) = stmts.split_at(100);
+        for policy in [
+            CompressionPolicy::Off,
+            CompressionPolicy::Lossless,
+            CompressionPolicy::Epsilon(0.02),
+            CompressionPolicy::default_epsilon(),
+        ] {
+            for streaming in [false, true] {
+                let fresh = || {
+                    if streaming {
+                        CompressedWorkload::streaming(policy)
+                    } else {
+                        CompressedWorkload::compress(&s, &Workload::new(), policy)
+                    }
+                };
+                let mut cw = fresh();
+                cw.absorb_chunk(&s, head);
+                let before = cw.clone();
+                cw.begin_chunk();
+                cw.absorb_chunk(&s, tail);
+                cw.rollback_chunk();
+                assert_eq!(cw, before, "{policy} streaming={streaming}");
+                assert_eq!(float_bits(&cw), float_bits(&before));
+                // Absorbing the tail again, journaled and committed, lands
+                // where a clustering that never journaled does.
+                cw.begin_chunk();
+                cw.absorb_chunk(&s, tail);
+                cw.commit_chunk();
+                let mut straight = fresh();
+                straight.absorb_chunk(&s, &stmts);
+                assert_eq!(cw, straight, "{policy} streaming={streaming}");
+                assert_eq!(float_bits(&cw), float_bits(&straight));
+                cw.validate().unwrap();
+            }
+        }
     }
 
     #[test]

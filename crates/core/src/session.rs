@@ -412,7 +412,9 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// Faults roll back **per chunk**: a failing chunk is undone whole
     /// (cache, clustering state and candidates exactly as before it), but
     /// chunks committed earlier stay — the session remains consistent and
-    /// the caller may retry the remainder of the stream later.
+    /// the caller may retry the remainder of the stream later.  Ingestion
+    /// is linear in the stream: what a chunk keeps for its rollback is
+    /// proportional to the chunk, never to the statements absorbed so far.
     pub fn try_add_source(
         &mut self,
         source: &mut dyn WorkloadSource,
@@ -443,7 +445,10 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 
     /// Ingest one chunk of weighted statements, with chunk-granular
     /// rollback on probe failure (the shared machinery behind both
-    /// ingestion surfaces above).
+    /// ingestion surfaces above).  Under compression the rollback state is
+    /// proportional to the chunk: the clustering keeps an undo journal
+    /// ([`CompressedWorkload::begin_chunk`]) and the shared cache's old
+    /// weights are noted per merge.
     fn try_add_chunk(
         &mut self,
         chunk: &[(Statement, f64)],
@@ -453,18 +458,20 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         let cache = Arc::clone(&self.prepared);
         let mut failure: Option<cophy_optimizer::BackendError> = None;
         if let Some(cw) = self.compressed.as_mut() {
-            // Snapshot for whole-chunk rollback: absorption mutates the
-            // clustering incrementally and cannot be undone per statement.
-            let cw_snapshot = cw.clone();
+            cw.begin_chunk();
             // Only the cluster-opening statements are new to CGen.
             let mut novel = Workload::new();
             cache.write(|pw| {
                 let n_before = pw.queries.len();
-                let weights_before: Vec<f64> = pw.queries.iter().map(|pq| pq.weight).collect();
+                // (representative, prepared weight before the merge), in
+                // merge order.
+                let mut weights_before: Vec<(usize, f64)> = Vec::with_capacity(chunk.len());
                 for (stmt, weight) in chunk {
                     match cw.absorb(schema, stmt, *weight) {
                         Absorption::Merged(rep) => {
-                            pw.queries[rep.0 as usize].weight += weight;
+                            let pq = &mut pw.queries[rep.0 as usize];
+                            weights_before.push((rep.0 as usize, pq.weight));
+                            pq.weight += weight;
                         }
                         Absorption::NewRepresentative(rep) => {
                             debug_assert_eq!(rep.0 as usize, pw.queries.len());
@@ -480,17 +487,22 @@ impl<'o, 'c> TuningSession<'o, 'c> {
                     }
                 }
                 if failure.is_some() {
-                    pw.queries.truncate(n_before);
-                    for (pq, w0) in pw.queries.iter_mut().zip(&weights_before) {
-                        pq.weight = *w0;
+                    // Newest first, so a representative merged onto twice
+                    // ends at its oldest saved weight.
+                    for (rep, w0) in weights_before.into_iter().rev() {
+                        pw.queries[rep].weight = w0;
                     }
+                    pw.queries.truncate(n_before);
                 }
             });
             if failure.is_some() {
-                *cw = cw_snapshot;
-            } else if !novel.is_empty() {
-                let extra = self.cophy.options.cgen.generate(schema, &novel);
-                self.candidates.extend(schema, extra.iter().map(|(_, ix)| ix.clone()));
+                cw.rollback_chunk();
+            } else {
+                cw.commit_chunk();
+                if !novel.is_empty() {
+                    let extra = self.cophy.options.cgen.generate(schema, &novel);
+                    self.candidates.extend(schema, extra.iter().map(|(_, ix)| ix.clone()));
+                }
             }
         } else {
             cache.write(|pw| {
@@ -818,8 +830,11 @@ mod tests {
     use super::*;
     use crate::solver::CoPhyOptions;
     use cophy_catalog::{ColumnId, TpchGen};
-    use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
-    use cophy_workload::HomGen;
+    use cophy_optimizer::{
+        BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend, WhatIfOptimizer,
+    };
+    use cophy_workload::{HetGen, HomGen, Query, UpdateGen};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn setup() -> WhatIfOptimizer {
         WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A)
@@ -1015,6 +1030,174 @@ mod tests {
             "homogeneous stream must cluster: {} representatives",
             session.n_representatives()
         );
+    }
+
+    /// A live optimizer behind a probe quota that can be lifted: the probe
+    /// that would exceed it fails, permanently, until the limit moves.
+    #[derive(Debug)]
+    struct QuotaBackend {
+        inner: WhatIfOptimizer,
+        limit: AtomicU64,
+    }
+
+    impl WhatIfBackend for QuotaBackend {
+        fn schema(&self) -> &cophy_catalog::Schema {
+            self.inner.schema()
+        }
+        fn profile(&self) -> SystemProfile {
+            self.inner.profile()
+        }
+        fn cost_model(&self) -> &CostModel {
+            self.inner.cost_model()
+        }
+        fn try_probe(
+            &self,
+            q: &Query,
+            config: &Configuration,
+        ) -> Result<ProbeAnswer, BackendError> {
+            let (spent, limit) = (self.inner.what_if_calls(), self.limit.load(Ordering::SeqCst));
+            if spent >= limit {
+                return Err(BackendError::QuotaExceeded { spent, limit });
+            }
+            self.inner.try_probe(q, config)
+        }
+        fn what_if_calls(&self) -> u64 {
+            self.inner.what_if_calls()
+        }
+        fn reset_call_counter(&self) {
+            self.inner.reset_call_counter()
+        }
+    }
+
+    /// Everything a failed chunk must leave as it found it.
+    #[derive(Debug, PartialEq)]
+    struct IngestState {
+        clustering: CompressedWorkload,
+        /// Bits of every float of the clustering (`==` would let `-0.0`
+        /// pass for `0.0`).
+        clustering_bits: Vec<u64>,
+        prepared_weight_bits: Vec<u64>,
+        candidates: Vec<Index>,
+        statements: usize,
+    }
+
+    fn ingest_state(session: &TuningSession) -> IngestState {
+        let cw = session.compressed.clone().expect("compression is on");
+        let mut clustering_bits = vec![cw.total_weight().to_bits()];
+        for id in cw.representatives().ids() {
+            let f = cw.representative_features(id).expect("one feature row per representative");
+            clustering_bits.push(cw.representatives().weight(id).to_bits());
+            clustering_bits.extend(f.selectivities.iter().map(|s| s.to_bits()));
+            clustering_bits.push(f.update_rows.to_bits());
+        }
+        IngestState {
+            clustering_bits,
+            prepared_weight_bits: session
+                .prepared
+                .read(|pw| pw.queries.iter().map(|pq| pq.weight.to_bits()).collect()),
+            candidates: session.candidates.iter().map(|(_, ix)| ix.clone()).collect(),
+            statements: cw.n_original(),
+            clustering: cw,
+        }
+    }
+
+    #[test]
+    fn failed_chunk_rolls_back_exactly_and_the_stream_resumes() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+        let schema = TpchGen::default().schema();
+        for case in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(0x0117_BACC ^ case);
+            // Template statements (merges, drifting centroids, novel shells)
+            // between diverse ones (new clusters, probes), a third updates.
+            let hom = HomGen::new(rng.gen_range(0..1000)).generate(&schema, 120);
+            let het = HetGen::new(rng.gen_range(0..1000)).generate(&schema, 24);
+            let mut base = Workload::new();
+            for (i, (_, stmt, weight)) in hom.iter().enumerate() {
+                base.push_weighted(stmt.clone(), weight);
+                if let Some((_, stmt, weight)) = het.iter().nth(i / 5).filter(|_| i % 5 == 4) {
+                    base.push_weighted(stmt.clone(), weight);
+                }
+            }
+            let stream: Vec<(Statement, f64)> = UpdateGen::new(rng.gen_range(0..1000))
+                .mix_into(&schema, &base, 0.3)
+                .iter()
+                .map(|(_, stmt, weight)| (stmt.clone(), weight))
+                .collect();
+            let chunks: Vec<Workload> = stream
+                .chunks(rng.gen_range(8..64))
+                .map(|c| {
+                    let mut w = Workload::new();
+                    for (stmt, weight) in c {
+                        w.push_weighted(stmt.clone(), *weight);
+                    }
+                    w
+                })
+                .collect();
+            let backend = || QuotaBackend {
+                inner: WhatIfOptimizer::new(schema.clone(), SystemProfile::A),
+                limit: u64::MAX.into(),
+            };
+            let opts = CoPhyOptions {
+                compression: cophy_compress::CompressionPolicy::default_epsilon(),
+                ..Default::default()
+            };
+            let constraints = ConstraintSet::storage_fraction(&schema, 0.5);
+            let empty = Workload::new();
+
+            // The session that never fails.
+            let healthy = backend();
+            let cophy = CoPhy::new(&healthy, opts.clone());
+            let mut reference =
+                cophy.try_session_streaming(&mut empty.source(), constraints.clone()).unwrap();
+            for chunk in &chunks {
+                reference.try_add_source(&mut chunk.source(), chunk.len()).unwrap();
+            }
+            let probes = healthy.what_if_calls();
+            assert!(probes > 0);
+
+            // The same stream against a quota that runs out at a random probe
+            // (of the later ones: the chunk then merges before it fails).
+            let flaky = backend();
+            flaky.limit.store(rng.gen_range(probes / 3..probes), Ordering::SeqCst);
+            let cophy = CoPhy::new(&flaky, opts);
+            let mut session =
+                cophy.try_session_streaming(&mut empty.source(), constraints).unwrap();
+            let mut failed = None;
+            for (i, chunk) in chunks.iter().enumerate() {
+                let before = ingest_state(&session);
+                if session.try_add_source(&mut chunk.source(), chunk.len()).is_err() {
+                    // (a) the clustering, (b) the cache, the candidates and
+                    // the committed prefix are as before the chunk; the
+                    // probes the chunk did issue stay on the books.
+                    assert_eq!(ingest_state(&session), before, "case {case}, chunk {i}");
+                    assert_eq!(session.n_statements(), before.statements);
+                    assert_eq!(
+                        before.statements,
+                        chunks[..i].iter().map(Workload::len).sum::<usize>()
+                    );
+                    assert_eq!(session.what_if_calls, flaky.what_if_calls());
+                    assert_eq!(session.prepared.read(|pw| pw.what_if_calls), flaky.what_if_calls());
+                    failed = Some(i);
+                    break;
+                }
+            }
+            let failed = failed.expect("a quota below the healthy run's probes must run out");
+
+            // (c) with the quota lifted the rest of the stream lands the
+            // session where the healthy one is.
+            flaky.limit.store(u64::MAX, Ordering::SeqCst);
+            for chunk in &chunks[failed..] {
+                session.try_add_source(&mut chunk.source(), chunk.len()).unwrap();
+            }
+            assert_eq!(ingest_state(&session), ingest_state(&reference), "case {case}");
+            assert_eq!(session.export_mps(), reference.export_mps(), "case {case}");
+            assert_eq!(
+                session.recommend().objective.to_bits(),
+                reference.recommend().objective.to_bits(),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

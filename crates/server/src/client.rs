@@ -58,6 +58,9 @@ pub struct Client {
 impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        // A request is one small write; see the server's `split` for why
+        // Nagle must not hold it back.
+        stream.set_nodelay(true)?;
         let read_half = stream.try_clone()?;
         Ok(Client { reader: BufReader::new(read_half), writer: BufWriter::new(stream) })
     }
@@ -341,4 +344,17 @@ impl Client {
 /// build requests by hand, e.g. the CI `script` subcommand).
 pub fn index_wire(ix: &Index) -> String {
     fmt_index(ix)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connected_sockets_have_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.get_ref().nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+    }
 }

@@ -9,11 +9,16 @@
 //! and stops with time-limit semantics — cooperative cancellation wired
 //! through the solve budget's deadline, no thread killing.
 //!
+//! Latency: connections run with `TCP_NODELAY`, `hb` and `progress` lines
+//! are flushed one by one (they are the anytime stream), and the lines that
+//! end a reply leave under one lock with one flush.  Memory: a request line
+//! is read into a buffer capped at [`MAX_REQUEST_LINE`].
+//!
 //! Every request is wrapped in `catch_unwind`: a panicking handler drops
 //! the (possibly torn) session, answers `err internal`, and the daemon
 //! keeps serving every other connection.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -24,11 +29,16 @@ use std::time::Duration;
 
 use cophy_bip::CancelToken;
 
-use crate::manager::{ServerConfig, SessionManager};
+use crate::manager::{PointReply, ServerConfig, SessionManager, TuneReply};
 use crate::protocol::{ErrCode, Request, WireError};
 
 /// How often the watchdog proves connection liveness during a solve.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(50);
+
+/// Longest request line accepted, newline included — about 100× the longest
+/// `what_if` the scripts send.  A client that withholds `\n` past it gets
+/// one `err bad-request` and a closed connection, not an ever-growing buffer.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// A bound listener plus the manager it serves.
 pub struct Server {
@@ -72,10 +82,83 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 type SharedWriter = Arc<Mutex<BufWriter<TcpStream>>>;
 
-/// Write one protocol line; `false` means the client is gone.
-fn send(w: &SharedWriter, line: &str) -> bool {
+/// Write protocol lines under one lock with one flush, so a reply's
+/// terminal burst leaves as one write instead of a train of tiny segments;
+/// `false` means the client is gone.
+fn send_burst<S: AsRef<str>>(w: &SharedWriter, lines: impl IntoIterator<Item = S>) -> bool {
     let mut w = lock(w);
-    w.write_all(line.as_bytes()).and_then(|()| w.write_all(b"\n")).and_then(|()| w.flush()).is_ok()
+    for line in lines {
+        if w.write_all(line.as_ref().as_bytes()).and_then(|()| w.write_all(b"\n")).is_err() {
+            return false;
+        }
+    }
+    w.flush().is_ok()
+}
+
+/// Write one protocol line and flush it; `false` means the client is gone.
+fn send(w: &SharedWriter, line: &str) -> bool {
+    send_burst(w, [line])
+}
+
+/// The two halves of an accepted connection.  Nagle is switched off: a
+/// reply is a few small writes, and with it on each would wait out the
+/// client's delayed ACK (40 ms) before the next could leave.
+fn split(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, SharedWriter)> {
+    stream.set_nodelay(true)?;
+    let read_half = stream.try_clone()?;
+    Ok((BufReader::new(read_half), Arc::new(Mutex::new(BufWriter::new(stream)))))
+}
+
+/// One attempt to read a request line.
+#[derive(Debug, PartialEq, Eq)]
+enum LineRead {
+    /// The peer closed the connection.
+    Closed,
+    /// `line` holds the next request, newline included unless EOF cut it.
+    Line,
+    /// No newline within [`MAX_REQUEST_LINE`] bytes.
+    TooLong,
+}
+
+/// Read the next request line into `line`, never buffering more than
+/// [`MAX_REQUEST_LINE`] bytes of it.
+fn read_request_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> LineRead {
+    line.clear();
+    match reader.take(MAX_REQUEST_LINE as u64).read_until(b'\n', line) {
+        Ok(0) | Err(_) => LineRead::Closed,
+        Ok(n) if n == MAX_REQUEST_LINE && !line.ends_with(b"\n") => LineRead::TooLong,
+        Ok(_) => LineRead::Line,
+    }
+}
+
+fn index_line(ix: &cophy_catalog::Index) -> String {
+    format!("index {}", cophy_optimizer::trace::fmt_index(ix))
+}
+
+/// The terminal burst of a `tune` reply: `degraded`?, `rec`, `index`*, `done`.
+fn tune_burst(r: &TuneReply) -> Vec<String> {
+    let mut lines: Vec<String> = r.degraded.iter().map(|d| d.to_line()).collect();
+    lines.push(format!(
+        "rec objective={} bound={} gap={} baseline={} calls={}",
+        r.objective, r.bound, r.gap, r.baseline, r.what_if_calls
+    ));
+    lines.extend(r.indexes.iter().map(index_line));
+    lines.push("done".into());
+    lines
+}
+
+/// The terminal burst of a `sweep` reply: (`point`, `index`*)*, `done`.
+fn sweep_burst(points: &[PointReply]) -> Vec<String> {
+    let mut lines = Vec::new();
+    for pt in points {
+        lines.push(format!(
+            "point budget={} objective={} bound={} gap={}",
+            pt.budget_bytes, pt.objective, pt.bound, pt.gap
+        ));
+        lines.extend(pt.indexes.iter().map(index_line));
+    }
+    lines.push("done".into());
+    lines
 }
 
 impl Server {
@@ -131,17 +214,24 @@ impl Server {
 
     fn serve_connection(&self, stream: TcpStream) {
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-        let Ok(read_half) = stream.try_clone() else { return };
-        let writer: SharedWriter = Arc::new(Mutex::new(BufWriter::new(stream)));
-        let mut reader = BufReader::new(read_half);
-        let mut line = String::new();
+        let Ok((mut reader, writer)) = split(stream) else { return };
+        let mut line = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
+            match read_request_line(&mut reader, &mut line) {
+                LineRead::Closed => return,
+                LineRead::Line => {}
+                LineRead::TooLong => {
+                    let e = WireError::new(
+                        ErrCode::BadRequest,
+                        format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                    );
+                    self.log(&format!("{peer} -> {e}"));
+                    let _ = send(&writer, &e.to_string());
+                    return;
+                }
             }
-            let trimmed = line.trim();
+            let Ok(text) = std::str::from_utf8(&line) else { return };
+            let trimmed = text.trim();
             if trimmed.is_empty() {
                 continue;
             }
@@ -223,27 +313,7 @@ impl Server {
                     let _ = send(writer, &p.to_line());
                 });
                 watchdog.disarm();
-                let r = r?;
-                let mut ok = true;
-                if let Some(d) = &r.degraded {
-                    ok = send(writer, &d.to_line());
-                }
-                ok = ok
-                    && send(
-                        writer,
-                        &format!(
-                            "rec objective={} bound={} gap={} baseline={} calls={}",
-                            r.objective, r.bound, r.gap, r.baseline, r.what_if_calls
-                        ),
-                    );
-                for ix in &r.indexes {
-                    ok = ok
-                        && send(
-                            writer,
-                            &format!("index {}", cophy_optimizer::trace::fmt_index(ix)),
-                        );
-                }
-                (ok && send(writer, "done")).then_some(()).ok_or_else(gone)
+                send_burst(writer, tune_burst(&r?)).then_some(()).ok_or_else(gone)
             }
             Request::Sweep { sid, budgets } => {
                 let (cancel, watchdog) = Watchdog::arm(writer.clone(), m.config().request_deadline);
@@ -251,25 +321,7 @@ impl Server {
                     let _ = send(writer, &p.to_line());
                 });
                 watchdog.disarm();
-                let mut ok = true;
-                for pt in r? {
-                    ok = ok
-                        && send(
-                            writer,
-                            &format!(
-                                "point budget={} objective={} bound={} gap={}",
-                                pt.budget_bytes, pt.objective, pt.bound, pt.gap
-                            ),
-                        );
-                    for ix in &pt.indexes {
-                        ok = ok
-                            && send(
-                                writer,
-                                &format!("index {}", cophy_optimizer::trace::fmt_index(ix)),
-                            );
-                    }
-                }
-                (ok && send(writer, "done")).then_some(()).ok_or_else(gone)
+                send_burst(writer, sweep_burst(&r?)).then_some(()).ok_or_else(gone)
             }
             Request::Pin { sid, index } => {
                 m.pin(sid, index)?;
@@ -295,12 +347,9 @@ impl Server {
             }
             Request::ExportMps { sid } => {
                 let mps = m.export_mps(sid)?;
-                let lines: Vec<&str> = mps.lines().collect();
-                let mut ok = send(writer, &format!("mps {}", lines.len()));
-                for l in lines {
-                    ok = ok && send(writer, l);
-                }
-                (ok && send(writer, "done")).then_some(()).ok_or_else(gone)
+                let header = format!("mps {}", mps.lines().count());
+                let lines = [header.as_str()].into_iter().chain(mps.lines()).chain(["done"]);
+                send_burst(writer, lines).then_some(()).ok_or_else(gone)
             }
             Request::Evict { sid } => {
                 let bytes = m.evict(sid)?;
@@ -383,5 +432,167 @@ fn request_sid(req: &Request) -> Option<&str> {
         | Request::Evict { sid }
         | Request::Close { sid } => Some(sid),
         Request::Stats | Request::Quit => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cophy_catalog::{ColumnId, Index, TableId};
+    use std::io::Cursor;
+
+    #[test]
+    fn request_lines_are_read_up_to_the_cap() {
+        let read = |bytes: Vec<u8>| {
+            let mut line = Vec::new();
+            let outcome = read_request_line(&mut Cursor::new(bytes), &mut line);
+            (outcome, line)
+        };
+        assert_eq!(read(b"stats\nquit\n".to_vec()), (LineRead::Line, b"stats\n".to_vec()));
+        assert_eq!(read(b"stats".to_vec()), (LineRead::Line, b"stats".to_vec()));
+        assert_eq!(read(Vec::new()).0, LineRead::Closed);
+        // The longest line that passes: the cap, newline included.
+        let mut longest = vec![b'a'; MAX_REQUEST_LINE - 1];
+        longest.push(b'\n');
+        assert_eq!(read(longest.clone()).0, LineRead::Line);
+        longest.insert(0, b'a');
+        assert_eq!(read(longest).0, LineRead::TooLong);
+        // However much a client sends without a newline, the buffer stops
+        // at the cap (a `Vec` may round its capacity up, to less than 2x).
+        let (outcome, line) = read(vec![b'a'; 1 << 20]);
+        assert_eq!(outcome, LineRead::TooLong);
+        assert_eq!(line.len(), MAX_REQUEST_LINE);
+        assert!(line.capacity() < 2 * MAX_REQUEST_LINE, "capacity {}", line.capacity());
+    }
+
+    #[test]
+    fn newline_free_flood_gets_one_error_and_a_closed_connection() {
+        let handle = Server::bind("127.0.0.1:0", ServerConfig::default(), None).unwrap().spawn();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        // The server hangs up after the first 64 KiB, so the tail of the
+        // write may fail; the reply is what matters.
+        let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(
+            reply.trim_end(),
+            format!("err bad-request request line exceeds {MAX_REQUEST_LINE} bytes")
+        );
+        let mut rest = Vec::new();
+        assert!(matches!(reader.read_to_end(&mut rest), Ok(0) | Err(_)), "connection stays open");
+        assert!(rest.is_empty(), "exactly one reply line: {rest:?}");
+        handle.stop();
+    }
+
+    #[test]
+    fn accepted_connections_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, writer) = split(listener.accept().unwrap().0).unwrap();
+        assert!(reader.get_ref().nodelay().unwrap());
+        assert!(lock(&writer).get_ref().nodelay().unwrap());
+    }
+
+    #[test]
+    fn terminal_bursts_render_the_reply_lines_in_protocol_order() {
+        let ix = |cols: &[u32]| {
+            Index::secondary(TableId(1), cols.iter().map(|&c| ColumnId(c)).collect())
+        };
+        let (a, b) = (ix(&[2, 0]), ix(&[5]));
+        let tune = TuneReply {
+            objective: 12.5,
+            bound: 12.0,
+            gap: 0.04,
+            baseline: 20.0,
+            what_if_calls: 7,
+            indexes: vec![a.clone(), b.clone()],
+            degraded: None,
+        };
+        assert_eq!(
+            tune_burst(&tune),
+            [
+                "rec objective=12.5 bound=12 gap=0.04 baseline=20 calls=7".to_string(),
+                index_line(&a),
+                index_line(&b),
+                "done".to_string()
+            ]
+        );
+        let points = [
+            PointReply {
+                budget_bytes: 100,
+                objective: 3.0,
+                bound: 2.5,
+                gap: 0.2,
+                indexes: vec![b.clone()],
+            },
+            PointReply { budget_bytes: 10, objective: 4.0, bound: 4.0, gap: 0.0, indexes: vec![] },
+        ];
+        assert_eq!(
+            sweep_burst(&points),
+            [
+                "point budget=100 objective=3 bound=2.5 gap=0.2".to_string(),
+                index_line(&b),
+                "point budget=10 objective=4 bound=4 gap=0".to_string(),
+                "done".to_string()
+            ]
+        );
+    }
+
+    /// One request over a raw socket: its reply lines up to `last`,
+    /// heartbeats dropped.
+    fn raw_reply(reader: &mut BufReader<TcpStream>, request: &str, last: &str) -> Vec<String> {
+        reader.get_mut().write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "closed after {lines:?}");
+            let line = line.trim_end().to_string();
+            let end = line.starts_with(last);
+            if line != "hb" {
+                lines.push(line);
+            }
+            if end {
+                return lines;
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_replies_keep_their_line_order_on_the_wire() {
+        let config = ServerConfig {
+            budget: cophy_bip::SolveBudget::within(0.05).with_time(Duration::from_secs(20)),
+            ..Default::default()
+        };
+        let handle = Server::bind("127.0.0.1:0", config, None).unwrap().spawn();
+        let mut reader = BufReader::new(TcpStream::connect(handle.addr()).unwrap());
+        let verbs = |lines: &[String]| -> Vec<String> {
+            lines.iter().map(|l| l.split(' ').next().unwrap_or_default().to_string()).collect()
+        };
+        assert_eq!(verbs(&raw_reply(&mut reader, "open s hom:7:12 0.5", "ok open")), ["ok"]);
+
+        // tune: progress* rec index+ done
+        let tune = verbs(&raw_reply(&mut reader, "tune s", "done"));
+        let rec = tune.iter().position(|v| v == "rec").expect("a rec line");
+        assert!(rec > 0 && tune[..rec].iter().all(|v| v == "progress"), "{tune:?}");
+        let indexes = &tune[rec + 1..tune.len() - 1];
+        assert!(!indexes.is_empty() && indexes.iter().all(|v| v == "index"), "{tune:?}");
+
+        // sweep: progress* (point index*){2} done
+        let total = handle.manager().schema().data_bytes();
+        let request = format!("sweep s {},{}", total / 2, total / 4);
+        let sweep = verbs(&raw_reply(&mut reader, &request, "done"));
+        let point = sweep.iter().position(|v| v == "point").expect("a point line");
+        assert!(sweep[..point].iter().all(|v| v == "progress"), "{sweep:?}");
+        let burst = &sweep[point..sweep.len() - 1];
+        assert!(burst.iter().all(|v| v == "point" || v == "index"), "{sweep:?}");
+        assert_eq!(burst.iter().filter(|v| *v == "point").count(), 2, "{sweep:?}");
+
+        // export_mps: mps <n>, n body lines, done
+        let mps = raw_reply(&mut reader, "export_mps s", "done");
+        let body: usize = mps[0].strip_prefix("mps ").unwrap().parse().unwrap();
+        assert_eq!(mps.len(), body + 2, "header, {body} body lines, done");
+        cophy_bip::lint_mps(&mps[1..=body].join("\n")).expect("the body is the exported model");
+        handle.stop();
     }
 }

@@ -25,8 +25,8 @@ use crate::workload::Workload;
 
 /// Default number of statements pulled per chunk by streaming consumers.
 ///
-/// Large enough to amortize per-chunk bookkeeping (cache write locks,
-/// snapshot clones), small enough that resident statements stay bounded by
+/// Large enough to amortize per-chunk bookkeeping (cache write locks, the
+/// rollback journal), small enough that resident statements stay bounded by
 /// `reps + DEFAULT_CHUNK` rather than `|W|`.
 pub const DEFAULT_CHUNK: usize = 256;
 

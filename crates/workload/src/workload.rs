@@ -13,7 +13,7 @@ pub struct QueryId(pub u32);
 
 /// A representative workload `W`: statements with weights `f_q` (frequency or
 /// DBA-assigned importance, §2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Workload {
     statements: Vec<Statement>,
     weights: Vec<f64>,
@@ -88,6 +88,19 @@ impl Workload {
     pub fn add_weight(&mut self, id: QueryId, delta: f64) {
         debug_assert!(delta > 0.0, "weight deltas must be positive");
         self.weights[id.0 as usize] += delta;
+    }
+
+    /// Overwrite the weight of an existing statement (restores a saved
+    /// weight when a rolled-back merge is undone).
+    pub fn set_weight(&mut self, id: QueryId, weight: f64) {
+        debug_assert!(weight > 0.0, "weights must be positive");
+        self.weights[id.0 as usize] = weight;
+    }
+
+    /// Remove the last statement (undoes the latest
+    /// [`Workload::push_weighted`]; earlier ids stay stable).
+    pub fn pop(&mut self) -> Option<(Statement, f64)> {
+        self.statements.pop().zip(self.weights.pop())
     }
 
     /// Merge exact duplicates — statements with identical shells, constants
@@ -229,6 +242,22 @@ mod tests {
         w.add_weight(id, 2.5);
         assert_eq!(w.weight(id), 4.0);
         assert_eq!(w.total_weight(), 4.0);
+    }
+
+    #[test]
+    fn set_weight_and_pop_undo_the_last_mutations() {
+        let s = TpchGen::default().schema();
+        let li = s.table_by_name("lineitem").unwrap().id;
+        let mut w = Workload::new();
+        let id = w.push_weighted(Statement::Select(Query::scan(li)), 1.5);
+        let before = w.clone();
+        w.add_weight(id, 0.1);
+        w.push(Statement::Select(Query::scan(li)));
+        assert_eq!(w.pop().map(|(_, weight)| weight), Some(1.0));
+        w.set_weight(id, 1.5);
+        assert_eq!(w, before);
+        w.pop();
+        assert!(w.is_empty() && w.pop().is_none());
     }
 
     #[test]
