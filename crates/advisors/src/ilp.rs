@@ -337,7 +337,7 @@ mod tests {
         let (ilp_cfg, _) =
             IlpAdvisor::default().recommend_with_stats(&o, &w, &candidates, &constraints);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let rec = cophy.tune_with_candidates(&w, &candidates, &constraints);
+        let rec = cophy.try_tune_with_candidates(&w, &candidates, &constraints).unwrap();
         let perf_ilp = o.perf(&w, &ilp_cfg);
         let perf_cophy = o.perf(&w, &rec.configuration);
         // §5.3: "the perf metric is very similar… CoPhy slightly better".

@@ -1,5 +1,5 @@
 //! Interactive budget-sweep study: a K-point storage sweep answered as one
-//! warm session chain (`TuningSession::sweep_storage` over the shared
+//! warm session chain (`TuningSession::try_sweep_storage_with_progress` over the shared
 //! fig10 budget grid) vs K independent cold solves of the identical BIP.
 //!
 //! Emits `BENCH_interactive.json` and doubles as the CI acceptance gate:

@@ -89,11 +89,13 @@ pub fn make_workload(o: &WhatIfOptimizer, kind: WorkloadKind, n: usize) -> Workl
     }
 }
 
-/// Parallel INUM preparation — a thin re-export of
-/// [`Inum::prepare_workload_parallel`], kept so existing bins and benches
-/// compile unchanged (the implementation was promoted into `cophy-inum`).
+/// INUM preparation sharded across OS threads (the live optimizer never
+/// fails a probe, so the fault report is dropped).
 pub fn prepare_parallel(o: &WhatIfOptimizer, w: &Workload) -> PreparedWorkload {
-    Inum::new(o).prepare_workload_parallel(w)
+    let (prepared, _) = Inum::new(o)
+        .try_prepare_workload_resilient_parallel(w, None)
+        .unwrap_or_else(|e| panic!("what-if backend error: {e}"));
+    prepared
 }
 
 /// Ground-truth quality metric `perf(X*, W)` (§5.1), computed against the
@@ -182,7 +184,7 @@ pub fn run_cophy(
         }
     };
     let rec = cophy
-        .try_tune_prepared(&prepared, cands, constraints, inum_time, prepared.what_if_calls)
+        .try_tune_prepared(&prepared, cands, constraints, inum_time, prepared.what_if_calls, |_| {})
         .expect("feasible");
     CoPhyRun {
         perf: perf(o, w, &rec.configuration),
@@ -352,7 +354,7 @@ pub fn fig6a() -> String {
         let prepared = prepare_parallel(&o, &w);
         let cands = CGen::default().generate(o.schema(), &w);
         let rec = cophy
-            .try_tune_prepared(&prepared, &cands, &constraints, Duration::ZERO, 0)
+            .try_tune_prepared(&prepared, &cands, &constraints, Duration::ZERO, 0, |_| {})
             .expect("feasible");
         out.push_str(&format!("W{n}:\n  t(ms)    gap(%)\n"));
         for p in rec.trace.iter().filter(|p| p.gap.is_finite()) {
@@ -647,7 +649,7 @@ pub fn compress_rows() -> Vec<CompressRow> {
             let cands = CGen::default().generate(o.schema(), &w);
             let cophy = CoPhy::new(&o, CoPhyOptions::default());
             let rec_u = cophy
-                .try_tune_prepared(&prepared_full, &cands, &constraints, prep_u, calls_u)
+                .try_tune_prepared(&prepared_full, &cands, &constraints, prep_u, calls_u, |_| {})
                 .expect("uncompressed tune feasible");
 
             // Compressed tune: cluster → CGen + INUM on representatives only.
@@ -807,7 +809,7 @@ fn capture_trajectory(
     w: &Workload,
     constraints: &ConstraintSet,
     backend: SolverBackend,
-) -> (Vec<SolveProgress>, Result<cophy::Recommendation, String>) {
+) -> (Vec<SolveProgress>, Result<cophy::Recommendation, cophy::CoPhyError>) {
     let prepared = prepare_parallel(o, w);
     let cands = CGen::default().generate(o.schema(), w);
     capture_trajectory_prepared(o, &prepared, &cands, constraints, backend)
@@ -822,17 +824,11 @@ fn capture_trajectory_prepared(
     cands: &CandidateSet,
     constraints: &ConstraintSet,
     backend: SolverBackend,
-) -> (Vec<SolveProgress>, Result<cophy::Recommendation, String>) {
+) -> (Vec<SolveProgress>, Result<cophy::Recommendation, cophy::CoPhyError>) {
     let cophy = CoPhy::new(o, CoPhyOptions { backend, ..Default::default() });
     let mut points = Vec::new();
-    let rec = cophy.try_tune_prepared_with_progress(
-        prepared,
-        cands,
-        constraints,
-        Duration::ZERO,
-        0,
-        |p| points.push(*p),
-    );
+    let rec = cophy
+        .try_tune_prepared(prepared, cands, constraints, Duration::ZERO, 0, |p| points.push(*p));
     (points, rec)
 }
 
@@ -1250,7 +1246,7 @@ pub struct InteractivePoint {
 }
 
 /// The fig10_interactive study: a K-point storage sweep answered as one warm
-/// session chain ([`cophy::TuningSession::sweep_storage`]) vs K independent
+/// session chain ([`cophy::TuningSession::try_sweep_storage_with_progress`]) vs K independent
 /// cold solves of the same model, plus the zero-call `what_if` probes.
 pub struct InteractiveStudy {
     pub n_statements: usize,
@@ -1310,7 +1306,11 @@ pub fn interactive_study() -> InteractiveStudy {
     let cophy = CoPhy::new(&o, opts.clone());
     let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
     let calls_before = o.what_if_calls();
-    let (warm_points, warm_wall) = timed(|| session.sweep_storage(&budgets));
+    let (warm_points, warm_wall) = timed(|| {
+        session
+            .try_sweep_storage_with_progress(&budgets, |_, _| {})
+            .expect("no pins: every point fits")
+    });
     let sweep_what_if_calls = o.what_if_calls() - calls_before;
 
     // "What does this configuration cost?" probes of every sweep answer:

@@ -36,7 +36,7 @@
 //! path stalls or its point fails validation.  Per round, the
 //! `SolveBudget::parallelism` best frontier nodes are evaluated concurrently
 //! on scoped OS threads (the same sharding pattern as
-//! `Inum::prepare_workload_parallel`) and their results are merged
+//! `Inum::try_prepare_workload_resilient_parallel`) and their results are merged
 //! *sequentially in selection order* through the [`SolveDriver`], so every
 //! run is deterministic for a fixed `parallelism` and `parallelism = 1`
 //! reproduces the serial search bit-for-bit.

@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use cophy_catalog::{ColumnId, Index, IndexId, Schema};
-use cophy_workload::{Query, Workload};
+use cophy_workload::{Query, Statement, Workload};
 
 /// Limits for candidate generation.
 #[derive(Debug, Clone)]
@@ -154,10 +154,21 @@ impl CGen {
     /// [`Self::generate`] plus the number of per-query expansions actually
     /// performed (== number of distinct statement templates in `w`).
     pub fn generate_with_stats(&self, schema: &Schema, w: &Workload) -> (CandidateSet, usize) {
+        self.propose(schema, w.iter().map(|(_, stmt, _)| stmt))
+    }
+
+    /// [`Self::generate_with_stats`] over statements wherever they live (the
+    /// ingest proposes for the cluster-opening statements of a chunk without
+    /// copying them into a workload).
+    pub(crate) fn propose<'a>(
+        &self,
+        schema: &Schema,
+        statements: impl IntoIterator<Item = &'a Statement>,
+    ) -> (CandidateSet, usize) {
         let mut set = CandidateSet::new();
         let mut seen = HashSet::new();
         let mut expansions = 0usize;
-        for (_, stmt, _) in w.iter() {
+        for stmt in statements {
             if seen.insert(cophy_workload::features::template_key(stmt)) {
                 self.per_query(schema, stmt.read_shell(), &mut set);
                 expansions += 1;

@@ -1,0 +1,242 @@
+//! The one way a workload reaches INUM.
+//!
+//! Every front door — a batch tune, a streamed tune, a session, a session's
+//! later deltas, the daemon's `open` and `add` — feeds statements through
+//! [`Ingest::add_source`]: chunk by chunk they are clustered (when
+//! compression is on), the cluster-opening ones are shown to CGen and probed
+//! by INUM under the advisor's retry policy, and the chunk commits only if
+//! every probe either answered or degraded *and* the degraded share stays
+//! above the coverage floor.  A chunk that fails is undone whole, from state
+//! proportional to the chunk.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use cophy_compress::{Absorption, CompressedWorkload};
+use cophy_inum::{Inum, InumCache, PrepFaultReport};
+use cophy_optimizer::FaultLog;
+use cophy_workload::{QueryId, Statement, Workload, WorkloadSource};
+
+use crate::cgen::CandidateSet;
+use crate::error::CoPhyError;
+use crate::solver::{CoPhy, DegradationReport};
+
+/// How the statements are clustered when compression is on — the only thing
+/// a streamed door does differently from a batch one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Clustering {
+    /// Every cluster is represented by its first member, and the
+    /// statement → cluster assignment is kept.
+    Batch,
+    /// Representatives re-center online and no per-statement state is kept:
+    /// residency follows the representatives, not `|W|`.
+    Streaming,
+}
+
+/// What ingestion has built so far.
+#[derive(Debug)]
+pub(crate) struct Ingest {
+    /// The INUM cost service, one prepared query per representative.
+    /// Shared: sessions hand the `Arc` out and open over one another's.
+    pub prepared: Arc<InumCache>,
+    pub candidates: CandidateSet,
+    /// The clustering when compression is on; `None` makes every statement
+    /// its own representative.
+    pub compressed: Option<CompressedWorkload>,
+    /// Whether CGen extends `candidates` with what novel statements propose
+    /// (off for a caller-curated set).
+    grow_candidates: bool,
+    /// Running account of retried and lost probes over everything committed.
+    faults: PrepFaultReport,
+    /// `faults` against the current weights, as of the last commit.
+    pub degradation: Option<DegradationReport>,
+    /// Probes and time spent ingesting since the owner last took them.
+    pub what_if_calls: u64,
+    pub inum_time: Duration,
+}
+
+impl Ingest {
+    /// An empty ingest under the advisor's compression policy.  A supplied
+    /// candidate set (`S_DBA`) is used as is; otherwise CGen grows one.
+    pub fn open(
+        cophy: &CoPhy<'_>,
+        clustering: Clustering,
+        candidates: Option<CandidateSet>,
+    ) -> Result<Ingest, CoPhyError> {
+        let policy = cophy.options.compression;
+        policy.validate().map_err(CoPhyError::Invalid)?;
+        let compressed = match clustering {
+            _ if policy.is_off() => None,
+            Clustering::Batch => {
+                let schema = cophy.optimizer().schema();
+                Some(CompressedWorkload::compress(schema, &Workload::new(), policy))
+            }
+            Clustering::Streaming => Some(CompressedWorkload::streaming(policy)),
+        };
+        let grow_candidates = candidates.is_none();
+        let ingest = Ingest::over(InumCache::empty(), candidates.unwrap_or_default());
+        Ok(Ingest { compressed, grow_candidates, ..ingest })
+    }
+
+    /// Continue on an existing cache: nothing is clustered, probed or
+    /// generated until the first delta.
+    pub fn over(prepared: Arc<InumCache>, candidates: CandidateSet) -> Ingest {
+        Ingest {
+            prepared,
+            candidates,
+            compressed: None,
+            grow_candidates: true,
+            faults: PrepFaultReport::default(),
+            degradation: None,
+            what_if_calls: 0,
+            inum_time: Duration::ZERO,
+        }
+    }
+
+    /// Original statements represented (not cluster representatives).
+    pub fn n_statements(&self) -> usize {
+        self.compressed.as_ref().map_or(self.prepared.len(), |c| c.n_original())
+    }
+
+    /// Drain `source` in chunks of `chunk_size` (clamped to ≥ 1).  Faults
+    /// roll back **per chunk**: on error the failing chunk is undone whole
+    /// and the chunks before it stay committed, so the caller may retry the
+    /// rest of the stream later.  The probes a failed chunk did issue stay
+    /// on the books — they were really spent.
+    pub fn add_source(
+        &mut self,
+        cophy: &CoPhy<'_>,
+        source: &mut dyn WorkloadSource,
+        chunk_size: usize,
+    ) -> Result<(), CoPhyError> {
+        let chunk_size = chunk_size.max(1);
+        let backend = cophy.optimizer();
+        let before = backend.what_if_calls();
+        let t0 = Instant::now();
+        let inum = Inum::with_retry(backend, cophy.options.retry.clone());
+        let prep_deadline = cophy.options.retry.prep_budget.map(|b| t0 + b);
+        let mut chunk: Vec<(Statement, f64)> = Vec::new();
+        let mut result = Ok(());
+        while result.is_ok() && source.next_chunk(chunk_size, &mut chunk) > 0 {
+            result = self.add_chunk(cophy, &inum, prep_deadline, &chunk);
+            chunk.clear();
+        }
+        let spent = backend.what_if_calls() - before;
+        self.prepared.write(|pw| pw.what_if_calls += spent);
+        self.what_if_calls += spent;
+        self.inum_time += t0.elapsed();
+        result
+    }
+
+    /// Ingest one chunk or leave no trace of it, in the pipeline's order:
+    /// cluster, CGen, INUM, commit.  What a failure undoes is proportional
+    /// to the chunk: the clustering keeps an undo journal
+    /// ([`CompressedWorkload::begin_chunk`]), the cache's old weights are
+    /// noted per merge, and the fault account is cut back to where it stood.
+    fn add_chunk(
+        &mut self,
+        cophy: &CoPhy<'_>,
+        inum: &Inum<'_>,
+        prep_deadline: Option<Instant>,
+        chunk: &[(Statement, f64)],
+    ) -> Result<(), CoPhyError> {
+        let backend = cophy.optimizer();
+        let (schema, cm) = (backend.schema(), backend.cost_model());
+
+        // Cluster: a statement either opens a cluster — only those are new
+        // to CGen and INUM — or lands on a representative as a weight bump.
+        let mut opened: Vec<(&Statement, f64)> = Vec::new();
+        let mut merges: Vec<(usize, f64)> = Vec::new();
+        if let Some(cw) = self.compressed.as_mut() {
+            cw.begin_chunk();
+        }
+        for &(ref stmt, weight) in chunk {
+            match self.compressed.as_mut().map(|cw| cw.absorb(schema, stmt, weight)) {
+                Some(Absorption::Merged(rep)) => merges.push((rep.0 as usize, weight)),
+                Some(Absorption::NewRepresentative(_)) | None => opened.push((stmt, weight)),
+            }
+        }
+        let proposed = self
+            .grow_candidates
+            .then(|| cophy.options.cgen.propose(schema, opened.iter().map(|&(stmt, _)| stmt)).0);
+
+        // INUM: probe the opened statements, bump the merged ones, and check
+        // the coverage floor where the chunk would commit — against
+        // everything committed so far.
+        let fault_counts = FaultLog { events: Vec::new(), ..self.faults.log };
+        let (n_events, n_degraded) = (self.faults.log.events.len(), self.faults.degraded.len());
+        let outcome = self.prepared.write(|pw| {
+            let n_before = pw.queries.len();
+            let mut weights_before: Vec<f64> = Vec::with_capacity(merges.len());
+            let mut commit = || {
+                pw.queries.reserve(opened.len());
+                for &(stmt, weight) in &opened {
+                    // A representative's id is its position in the cache.
+                    let qid = QueryId(pw.queries.len() as u32);
+                    let faults = &mut self.faults;
+                    pw.queries.push(inum.try_prepare_statement(
+                        qid,
+                        stmt,
+                        weight,
+                        None,
+                        prep_deadline,
+                        faults,
+                    )?);
+                }
+                for &(rep, weight) in &merges {
+                    weights_before.push(pw.queries[rep].weight);
+                    pw.queries[rep].weight += weight;
+                }
+                let degradation = DegradationReport::from_prep(schema, cm, pw, &self.faults);
+                match &degradation {
+                    Some(d) if d.coverage < cophy.options.min_coverage => {
+                        Err(CoPhyError::Coverage {
+                            coverage: d.coverage,
+                            floor: cophy.options.min_coverage,
+                            statements_degraded: d.statements_degraded,
+                            statements_total: d.statements_total,
+                        })
+                    }
+                    _ => Ok(degradation),
+                }
+            };
+            let outcome = commit();
+            if outcome.is_err() {
+                // Newest first, so a representative merged onto twice ends
+                // at its oldest saved weight.
+                for (&(rep, _), w0) in merges.iter().zip(weights_before).rev() {
+                    pw.queries[rep].weight = w0;
+                }
+                pw.queries.truncate(n_before);
+            }
+            outcome
+        });
+
+        match outcome {
+            Ok(degradation) => {
+                if let Some(cw) = self.compressed.as_mut() {
+                    cw.commit_chunk();
+                }
+                match proposed {
+                    Some(proposed) if self.candidates.is_empty() => self.candidates = proposed,
+                    Some(proposed) => {
+                        self.candidates.extend(schema, proposed.indexes().iter().cloned())
+                    }
+                    None => {}
+                }
+                self.degradation = degradation;
+                Ok(())
+            }
+            Err(e) => {
+                if let Some(cw) = self.compressed.as_mut() {
+                    cw.rollback_chunk();
+                }
+                let mut events = std::mem::take(&mut self.faults.log.events);
+                events.truncate(n_events);
+                self.faults.log = FaultLog { events, ..fault_counts };
+                self.faults.degraded.truncate(n_degraded);
+                Err(e)
+            }
+        }
+    }
+}

@@ -118,6 +118,8 @@
 pub mod bipgen;
 pub mod cgen;
 pub mod constraints;
+pub mod error;
+mod ingest;
 pub mod session;
 pub mod soft;
 pub mod solver;
@@ -125,6 +127,7 @@ pub mod solver;
 pub use bipgen::{BipGen, BipMapping, TuningProblem};
 pub use cgen::{CGen, CandidateSet};
 pub use constraints::{Cmp, Constraint, ConstraintSet, IndexFilter};
+pub use error::CoPhyError;
 pub use session::{SweepPoint, TuningSession, WhatIfAnswer};
 pub use soft::{ChordExplorer, ParetoPoint};
 pub use solver::{

@@ -14,7 +14,7 @@
 //! Beyond workload/candidate deltas, the session answers the DBA's variant
 //! questions from the *same* model and caches:
 //!
-//! * [`TuningSession::sweep_storage`] — a K-point budget sweep solved as one
+//! * [`TuningSession::try_sweep_storage_with_progress`] — a K-point budget sweep solved as one
 //!   **warm chain** over a single Theorem-1 BIP: each point mutates the
 //!   storage row's RHS ([`ModelDelta::SetRhs`]) and re-solves from the
 //!   previous point's root basis, incumbent and pseudo-costs
@@ -38,16 +38,18 @@ use cophy_bip::{
     ResolveContext, SolveOptions, SolveProgress, WarmStart,
 };
 use cophy_catalog::{Configuration, Index};
-use cophy_compress::{Absorption, CompressedWorkload};
-use cophy_inum::{Inum, InumCache};
-use cophy_workload::{QueryId, Statement, Workload, WorkloadSource};
+use cophy_inum::InumCache;
+use cophy_workload::{WorkloadSource, DEFAULT_CHUNK};
 
 use crate::bipgen::BipMapping;
 use crate::cgen::CandidateSet;
 use crate::constraints::ConstraintSet;
+use crate::error::CoPhyError;
+use crate::ingest::{Clustering, Ingest};
 use crate::solver::{selection_to_config, CoPhy, DegradationReport, Recommendation, SolveStats};
 
-/// One point of a [`TuningSession::sweep_storage`] budget sweep.
+/// One point of a [`TuningSession::try_sweep_storage_with_progress`] budget
+/// sweep.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     pub budget_bytes: u64,
@@ -108,19 +110,17 @@ struct InteractiveState {
 #[derive(Debug)]
 pub struct TuningSession<'o, 'c> {
     cophy: &'c CoPhy<'o>,
-    /// The shared INUM cost service.  Sessions do not own the template
-    /// cache: [`TuningSession::cache`] hands the `Arc` out, and
-    /// [`crate::CoPhy::try_session_shared`] opens further sessions over it —
-    /// concurrent readers, writes serialized on the statement-delta path.
-    prepared: Arc<InumCache>,
-    candidates: CandidateSet,
+    /// What ingestion built and every statement delta grows: the shared INUM
+    /// cost service (sessions do not own the template cache —
+    /// [`TuningSession::cache`] hands the `Arc` out, and
+    /// [`crate::CoPhy::try_session_shared`] opens further sessions over it,
+    /// concurrent readers, writes serialized on the delta path), the
+    /// candidate set, the clustering when
+    /// [`crate::CoPhyOptions::compression`] is on, and the running
+    /// degradation account.
+    ingest: Ingest,
     constraints: ConstraintSet,
     warm: Option<WarmStart>,
-    /// The clustering state when [`crate::CoPhyOptions::compression`] is on:
-    /// statement deltas route through incremental re-clustering
-    /// ([`CompressedWorkload::absorb`]) instead of forcing a new INUM
-    /// preparation per nudge.
-    compressed: Option<CompressedWorkload>,
     /// The interactive BIP + warm re-solve state (budget sweeps, pin/ban).
     interactive: Option<InteractiveState>,
     /// Sticky pin (`true`) / ban (`false`) fixings, keyed by index so they
@@ -131,153 +131,40 @@ pub struct TuningSession<'o, 'c> {
     /// cancelled.  The `cophy-server` daemon fires it when the requesting
     /// client disconnects.
     cancel: Option<CancelToken>,
-    /// Cumulative what-if calls spent on INUM preparation in this session.
-    what_if_calls: u64,
-    inum_time: Duration,
-    /// Carried degradation from the opening INUM preparation when transient
-    /// backend faults exhausted retries; attached to every recommendation
-    /// this session produces (`None` = fault-free prep).
-    degradation: Option<DegradationReport>,
 }
 
 impl<'o, 'c> TuningSession<'o, 'c> {
-    /// Open a session: run CGen and INUM once (over cluster representatives
-    /// when compression is enabled).  Panicking wrapper around
-    /// [`TuningSession::try_open`], kept for the `CoPhy::session` facade.
-    pub(crate) fn open(cophy: &'c CoPhy<'o>, w: &Workload, constraints: ConstraintSet) -> Self {
-        Self::try_open(cophy, w, constraints).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`TuningSession::open`], surfacing invalid options (non-storage-only
-    /// constraints, invalid compression ε) as recoverable errors — the same
-    /// contract as `CoPhy::try_tune`.
-    pub(crate) fn try_open(
+    /// A session over what `ingest` holds (possibly nothing yet).  Sessions
+    /// solve with the Lagrangian backend, so the constraints must be
+    /// storage-only.
+    pub(crate) fn over(
         cophy: &'c CoPhy<'o>,
-        w: &Workload,
+        ingest: Ingest,
         constraints: ConstraintSet,
-    ) -> Result<Self, String> {
-        if !constraints.is_storage_only() {
-            return Err(
-                "interactive sessions use the Lagrangian backend (storage-only constraints)".into(),
-            );
-        }
-        cophy.options.compression.validate()?;
-        let t0 = Instant::now();
-        let before = cophy.optimizer().what_if_calls();
-        let schema = cophy.optimizer().schema();
-        let inum = Inum::with_retry(cophy.optimizer(), cophy.options.retry.clone());
-        let policy = cophy.options.compression;
-        let (prepared, faults, candidates, compressed) = if policy.is_off() {
-            let (prepared, faults) =
-                inum.try_prepare_workload_resilient(w, None).map_err(|e| e.to_string())?;
-            (prepared, faults, cophy.options.cgen.generate(schema, w), None)
-        } else {
-            let cw = CompressedWorkload::compress(schema, w, policy);
-            let (prepared, faults) = inum
-                .try_prepare_compressed_resilient_parallel(&cw, None)
-                .map_err(|e| e.to_string())?;
-            let candidates = cophy.options.cgen.generate(schema, cw.representatives());
-            (prepared, faults, candidates, Some(cw))
-        };
-        let degradation = DegradationReport::from_prep(
-            schema,
-            cophy.optimizer().cost_model(),
-            &prepared,
-            &faults,
-        );
-        cophy.enforce_coverage(&degradation)?;
+    ) -> Result<Self, CoPhyError> {
+        require_storage_only(&constraints)?;
         Ok(TuningSession {
             cophy,
-            prepared: InumCache::new(prepared),
-            candidates,
+            ingest,
             constraints,
             warm: None,
-            compressed,
             interactive: None,
             fixings: Vec::new(),
             cancel: None,
-            what_if_calls: cophy.optimizer().what_if_calls() - before,
-            inum_time: t0.elapsed(),
-            degradation,
         })
     }
 
-    /// Open a session over an **existing** shared INUM cache: zero CGen and
-    /// zero INUM work — the expensive preparation is reused, and statement
-    /// deltas made through any session over the cache are visible to all of
-    /// them.  The caller supplies the candidate set (typically cloned from
-    /// the session that built the cache).  Backs
-    /// [`crate::CoPhy::try_session_shared`].
-    pub(crate) fn try_open_shared(
-        cophy: &'c CoPhy<'o>,
-        cache: Arc<InumCache>,
-        candidates: CandidateSet,
-        constraints: ConstraintSet,
-    ) -> Result<Self, String> {
-        if !constraints.is_storage_only() {
-            return Err(
-                "interactive sessions use the Lagrangian backend (storage-only constraints)".into(),
-            );
-        }
-        Ok(TuningSession {
-            cophy,
-            prepared: cache,
-            candidates,
-            constraints,
-            warm: None,
-            compressed: None,
-            interactive: None,
-            fixings: Vec::new(),
-            cancel: None,
-            what_if_calls: 0,
-            inum_time: Duration::ZERO,
-            degradation: None,
-        })
-    }
-
-    /// Open a session by **streaming** a workload source in chunks, never
-    /// materializing the full workload: with compression enabled (the
-    /// intended large-|W| configuration) the session starts from an empty
-    /// *streaming* clustering ([`CompressedWorkload::streaming`]) and
-    /// absorbs each chunk incrementally — resident state is bounded by the
-    /// representative count plus one chunk buffer, INUM prepares only the
-    /// cluster-opening statements, and CGen runs only over them.  With
-    /// compression off every statement is prepared individually (resident
-    /// state is then the prepared workload itself, as on the batch path).
-    ///
-    /// Faults roll back per chunk: on error the chunks ingested before the
-    /// failing one remain committed and the failing chunk is rolled back
-    /// whole (see [`TuningSession::try_add_source`]).  Backs
-    /// [`crate::CoPhy::try_session_streaming`] and
-    /// [`crate::CoPhy::try_tune_source`].
-    pub(crate) fn try_open_streaming(
+    /// Open a session by draining `source` through a fresh ingest; a chunk
+    /// that fails fails the open.
+    pub(crate) fn open(
         cophy: &'c CoPhy<'o>,
         source: &mut dyn WorkloadSource,
-        chunk_size: usize,
+        clustering: Clustering,
         constraints: ConstraintSet,
-    ) -> Result<Self, String> {
-        if !constraints.is_storage_only() {
-            return Err(
-                "interactive sessions use the Lagrangian backend (storage-only constraints)".into(),
-            );
-        }
-        let policy = cophy.options.compression;
-        policy.validate()?;
-        let mut session = TuningSession {
-            cophy,
-            prepared: InumCache::empty(),
-            candidates: CandidateSet::default(),
-            constraints,
-            warm: None,
-            compressed: (!policy.is_off()).then(|| CompressedWorkload::streaming(policy)),
-            interactive: None,
-            fixings: Vec::new(),
-            cancel: None,
-            what_if_calls: 0,
-            inum_time: Duration::ZERO,
-            degradation: None,
-        };
-        session.try_add_source(source, chunk_size)?;
+    ) -> Result<Self, CoPhyError> {
+        let ingest = Ingest::open(cophy, clustering, None)?;
+        let mut session = Self::over(cophy, ingest, constraints)?;
+        session.try_add_source(source, DEFAULT_CHUNK)?;
         Ok(session)
     }
 
@@ -294,11 +181,12 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         &self.constraints
     }
 
-    /// The degradation report from this session's opening INUM preparation,
-    /// when transient backend faults exhausted their retries (`None` for a
-    /// fault-free prep and for shared-cache sessions, which do no prep).
+    /// What the probes this session's ingestion retried or lost amount to,
+    /// as of its last committed chunk (`None` when every probe answered
+    /// first time — always so for a shared-cache session before its first
+    /// delta).  Attached to every recommendation the session produces.
     pub fn degradation(&self) -> Option<&DegradationReport> {
-        self.degradation.as_ref()
+        self.ingest.degradation.as_ref()
     }
 
     /// Rough bytes of *private* (non-shared) session state: candidates,
@@ -309,7 +197,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// retained workload handle + sticky fixings on the next touch.
     pub fn approx_state_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut bytes = self.candidates.len() * (size_of::<Index>() + 16);
+        let mut bytes = self.ingest.candidates.len() * (size_of::<Index>() + 16);
         if let Some(st) = &self.interactive {
             let model = st.dm.model();
             let nnz: usize = model.constraints().iter().map(|c| c.expr.terms.len()).sum();
@@ -327,23 +215,23 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// to [`crate::CoPhy::try_session_shared`] to open further sessions (or
     /// ad-hoc readers) over the same prepared workload.
     pub fn cache(&self) -> Arc<InumCache> {
-        Arc::clone(&self.prepared)
+        Arc::clone(&self.ingest.prepared)
     }
 
     pub fn candidates(&self) -> &CandidateSet {
-        &self.candidates
+        &self.ingest.candidates
     }
 
     /// Number of statements the session represents (original statements,
     /// not cluster representatives).
     pub fn n_statements(&self) -> usize {
-        self.compressed.as_ref().map_or(self.prepared.len(), |c| c.n_original())
+        self.ingest.n_statements()
     }
 
     /// Number of INUM-prepared representatives (equals
     /// [`TuningSession::n_statements`] when compression is off).
     pub fn n_representatives(&self) -> usize {
-        self.prepared.len()
+        self.ingest.prepared.len()
     }
 
     /// Add DBA-curated candidate indexes (`S_DBA`); ids of existing
@@ -351,15 +239,17 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// interactive BIP (if built) is dropped: its variable layout grows, and
     /// the next interactive answer rebuilds it with the new `z` columns.
     pub fn add_candidates(&mut self, extra: impl IntoIterator<Item = Index>) {
-        self.candidates.extend(self.cophy.optimizer().schema(), extra);
+        self.ingest.candidates.extend(self.cophy.optimizer().schema(), extra);
         self.interactive = None;
     }
 
-    /// Replace the storage budget (must remain storage-only).  When the
-    /// interactive BIP is live, the new budget lands as a `SetRhs` delta —
-    /// basis, incumbent and pseudo-costs all survive.
-    pub fn set_constraints(&mut self, constraints: ConstraintSet) {
-        assert!(constraints.is_storage_only());
+    /// Replace the storage budget.  Refused, with the session unchanged, when
+    /// the new set is not storage-only or the pinned indexes no longer fit.
+    /// When the interactive BIP is live, the new budget lands as a `SetRhs`
+    /// delta — basis, incumbent and pseudo-costs all survive.
+    pub fn set_constraints(&mut self, constraints: ConstraintSet) -> Result<(), CoPhyError> {
+        require_storage_only(&constraints)?;
+        self.check_pins_fit(None, &constraints)?;
         match (&mut self.interactive, constraints.storage_budget()) {
             (Some(st), Some(budget)) if st.mapping.storage_row.is_some() => {
                 let row = st.mapping.storage_row.expect("checked");
@@ -368,167 +258,39 @@ impl<'o, 'c> TuningSession<'o, 'c> {
             (st, _) => *st = None,
         }
         self.constraints = constraints;
-    }
-
-    /// Append statements to the workload (new blocks; old block coordinates
-    /// stay stable).  CGen runs over the genuinely new statements and
-    /// extends the candidate set in place — existing candidate ids are
-    /// stable, so the warm state remains valid while the new statements can
-    /// actually be served by indexes.
-    ///
-    /// When compression is on, every delta routes through incremental
-    /// re-clustering: statements that land in an existing cluster only bump
-    /// their representative's weight — **zero** new what-if calls and no
-    /// CGen work — and only genuinely novel statements open a cluster and
-    /// pay an INUM preparation.
-    pub fn add_statements(&mut self, w: &Workload) {
-        self.try_add_statements(w).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`TuningSession::add_statements`]: probe failures (replay
-    /// misses, exhausted what-if quotas) surface as recoverable errors.  On
-    /// error the delta is rolled back whole — the cache, the clustering
-    /// state and the candidate set are exactly as before the call — so a
-    /// quota-rejected tenant can retry later without corrupting sessions
-    /// that share the cache.  (Probes spent before the failure remain
-    /// accounted against the backend; they were really issued.)
-    ///
-    /// This is a thin shim over the chunked [`TuningSession::try_add_source`]
-    /// path: the workload is ingested as one chunk, which makes the
-    /// per-chunk rollback whole-delta rollback.
-    pub fn try_add_statements(&mut self, w: &Workload) -> Result<(), String> {
-        self.try_add_source(&mut w.source(), w.len().max(1))
+        Ok(())
     }
 
     /// Stream statements into the session from a [`WorkloadSource`] in
-    /// chunks of `chunk_size` (clamped to ≥ 1): the redesigned ingestion
-    /// path behind [`TuningSession::add_statements`] and the server's
-    /// workload deltas.  Only one chunk is resident at a time, so a
-    /// generator- or file-backed source ingests an arbitrarily large
-    /// workload without materializing it; under compression each chunk
-    /// routes through incremental re-clustering and only cluster-opening
-    /// statements pay INUM preparation and CGen.
+    /// chunks of `chunk_size` (clamped to ≥ 1) — the one way statements
+    /// enter, at open and afterwards (`&mut w.source()` for an in-memory
+    /// delta; the server's `add` verb).  New statements append blocks and
+    /// CGen extends the candidate set in place: old block coordinates and
+    /// candidate ids are stable, so the warm state stays valid.  Only one
+    /// chunk is resident at a time, so a generator- or file-backed source
+    /// ingests an arbitrarily large workload without materializing it;
+    /// under compression each chunk routes through incremental
+    /// re-clustering — a statement that lands in an existing cluster bumps
+    /// its representative's weight, **zero** new what-if calls — and only
+    /// cluster-opening statements pay INUM preparation and CGen.
     ///
-    /// Faults roll back **per chunk**: a failing chunk is undone whole
-    /// (cache, clustering state and candidates exactly as before it), but
-    /// chunks committed earlier stay — the session remains consistent and
-    /// the caller may retry the remainder of the stream later.  Ingestion
-    /// is linear in the stream: what a chunk keeps for its rollback is
-    /// proportional to the chunk, never to the statements absorbed so far.
+    /// Probes are retried per [`crate::CoPhyOptions::retry`], and faults
+    /// roll back **per chunk**: a chunk that hits a non-retryable probe
+    /// failure (replay miss, spent quota) or would breach
+    /// [`crate::CoPhyOptions::min_coverage`] is undone whole (cache,
+    /// clustering, candidates and [`TuningSession::degradation`] exactly as
+    /// before it — sessions sharing the cache never see it), but chunks
+    /// committed earlier stay, and the caller may retry the remainder of the
+    /// stream later.  Ingestion is linear in the stream: what a chunk keeps
+    /// for its rollback is proportional to the chunk, never to the
+    /// statements absorbed so far.
     pub fn try_add_source(
         &mut self,
         source: &mut dyn WorkloadSource,
         chunk_size: usize,
-    ) -> Result<(), String> {
+    ) -> Result<(), CoPhyError> {
         self.interactive = None; // the block layout grows; rebuilt on demand
-        let chunk_size = chunk_size.max(1);
-        let before = self.cophy.optimizer().what_if_calls();
-        let t0 = Instant::now();
-        let mut buf: Vec<(Statement, f64)> = Vec::new();
-        let mut result = Ok(());
-        loop {
-            buf.clear();
-            if source.next_chunk(chunk_size, &mut buf) == 0 {
-                break;
-            }
-            if let Err(e) = self.try_add_chunk(&buf) {
-                result = Err(e.to_string());
-                break;
-            }
-        }
-        let spent = self.cophy.optimizer().what_if_calls() - before;
-        self.prepared.write(|pw| pw.what_if_calls += spent);
-        self.what_if_calls += spent;
-        self.inum_time += t0.elapsed();
-        result
-    }
-
-    /// Ingest one chunk of weighted statements, with chunk-granular
-    /// rollback on probe failure (the shared machinery behind both
-    /// ingestion surfaces above).  Under compression the rollback state is
-    /// proportional to the chunk: the clustering keeps an undo journal
-    /// ([`CompressedWorkload::begin_chunk`]) and the shared cache's old
-    /// weights are noted per merge.
-    fn try_add_chunk(
-        &mut self,
-        chunk: &[(Statement, f64)],
-    ) -> Result<(), cophy_optimizer::BackendError> {
-        let schema = self.cophy.optimizer().schema();
-        let inum = Inum::new(self.cophy.optimizer());
-        let cache = Arc::clone(&self.prepared);
-        let mut failure: Option<cophy_optimizer::BackendError> = None;
-        if let Some(cw) = self.compressed.as_mut() {
-            cw.begin_chunk();
-            // Only the cluster-opening statements are new to CGen.
-            let mut novel = Workload::new();
-            cache.write(|pw| {
-                let n_before = pw.queries.len();
-                // (representative, prepared weight before the merge), in
-                // merge order.
-                let mut weights_before: Vec<(usize, f64)> = Vec::with_capacity(chunk.len());
-                for (stmt, weight) in chunk {
-                    match cw.absorb(schema, stmt, *weight) {
-                        Absorption::Merged(rep) => {
-                            let pq = &mut pw.queries[rep.0 as usize];
-                            weights_before.push((rep.0 as usize, pq.weight));
-                            pq.weight += weight;
-                        }
-                        Absorption::NewRepresentative(rep) => {
-                            debug_assert_eq!(rep.0 as usize, pw.queries.len());
-                            match inum.try_prepare_statement(rep, stmt, *weight) {
-                                Ok(pq) => pw.queries.push(pq),
-                                Err(e) => {
-                                    failure = Some(e);
-                                    break;
-                                }
-                            }
-                            novel.push_weighted(stmt.clone(), *weight);
-                        }
-                    }
-                }
-                if failure.is_some() {
-                    // Newest first, so a representative merged onto twice
-                    // ends at its oldest saved weight.
-                    for (rep, w0) in weights_before.into_iter().rev() {
-                        pw.queries[rep].weight = w0;
-                    }
-                    pw.queries.truncate(n_before);
-                }
-            });
-            if failure.is_some() {
-                cw.rollback_chunk();
-            } else {
-                cw.commit_chunk();
-                if !novel.is_empty() {
-                    let extra = self.cophy.options.cgen.generate(schema, &novel);
-                    self.candidates.extend(schema, extra.iter().map(|(_, ix)| ix.clone()));
-                }
-            }
-        } else {
-            cache.write(|pw| {
-                let offset = pw.queries.len() as u32;
-                let n_before = pw.queries.len();
-                for (i, (stmt, weight)) in chunk.iter().enumerate() {
-                    match inum.try_prepare_statement(QueryId(offset + i as u32), stmt, *weight) {
-                        Ok(pq) => pw.queries.push(pq),
-                        Err(e) => {
-                            failure = Some(e);
-                            pw.queries.truncate(n_before);
-                            break;
-                        }
-                    }
-                }
-            });
-            if failure.is_none() {
-                let mut novel = Workload::new();
-                for (stmt, weight) in chunk {
-                    novel.push_weighted(stmt.clone(), *weight);
-                }
-                let extra = self.cophy.options.cgen.generate(schema, &novel);
-                self.candidates.extend(schema, extra.iter().map(|(_, ix)| ix.clone()));
-            }
-        }
-        failure.map_or(Ok(()), Err)
+        self.ingest.add_source(self.cophy, source, chunk_size)
     }
 
     // -- the interactive surface (paper §4.2) -------------------------------
@@ -539,12 +301,12 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         if self.interactive.is_none() {
             let schema = self.cophy.optimizer().schema();
             let cm = self.cophy.optimizer().cost_model();
-            let (model, mapping, fixed_cost) = self.prepared.read(|pw| {
+            let (model, mapping, fixed_cost) = self.ingest.prepared.read(|pw| {
                 let (model, mapping) = self.cophy.options.bipgen.model(
                     schema,
                     cm,
                     pw,
-                    &self.candidates,
+                    &self.ingest.candidates,
                     &self.constraints,
                 );
                 let fixed_cost: f64 =
@@ -553,7 +315,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
             });
             let mut dm = DeltaModel::new(model);
             for (ix, value) in &self.fixings {
-                if let Some(pos) = candidate_position(&self.candidates, ix) {
+                if let Some(pos) = candidate_position(&self.ingest.candidates, ix) {
                     dm.apply(ModelDelta::FixVar { var: mapping.z[pos], value: *value });
                 }
             }
@@ -592,35 +354,18 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// chain**: every point mutates the storage row's RHS in place and
     /// re-solves from the previous point's root basis, incumbent and
     /// pseudo-costs, so the chain costs one cold root LP plus K−1 dual
-    /// re-solves instead of K independent tunes.
+    /// re-solves instead of K independent tunes.  `on_progress(point_index,
+    /// event)` fires for every incumbent or bound improvement of every
+    /// point (`|_, _| {}` to ignore them).
     ///
-    /// Panics when a point is infeasible (pinned indexes exceeding that
-    /// budget); a plain storage sweep without pins is always feasible.
-    pub fn sweep_storage(&mut self, budgets: &[u64]) -> Vec<SweepPoint> {
-        self.sweep_storage_with_progress(budgets, |_, _| {})
-    }
-
-    /// [`TuningSession::sweep_storage`] with the unified anytime stream:
-    /// `on_progress(point_index, event)` fires for every incumbent or bound
-    /// improvement of every sweep point.
-    pub fn sweep_storage_with_progress(
-        &mut self,
-        budgets: &[u64],
-        on_progress: impl FnMut(usize, &SolveProgress),
-    ) -> Vec<SweepPoint> {
-        self.try_sweep_storage_with_progress(budgets, on_progress).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`TuningSession::sweep_storage_with_progress`] surfacing an
-    /// infeasible point (pinned indexes exceeding that budget) as a
-    /// recoverable error instead of a panic — what the daemon serves, so a
-    /// DBA's over-pinned sweep is an `err` reply rather than a dropped
-    /// session.
+    /// A point no configuration fits (pinned indexes exceeding that budget)
+    /// is [`CoPhyError::Infeasible`]; a plain storage sweep without pins is
+    /// always feasible.
     pub fn try_sweep_storage_with_progress(
         &mut self,
         budgets: &[u64],
         mut on_progress: impl FnMut(usize, &SolveProgress),
-    ) -> Result<Vec<SweepPoint>, String> {
+    ) -> Result<Vec<SweepPoint>, CoPhyError> {
         let mut points = Vec::with_capacity(budgets.len());
         // Monotone-bound carry: tightening the storage budget can only raise
         // the optimum, so a point's proven lower bound remains valid for
@@ -633,10 +378,10 @@ impl<'o, 'c> TuningSession<'o, 'c> {
             let t0 = Instant::now();
             let r = self.interactive_solve(Some(budget), carried, &mut |p| on_progress(i, p));
             if r.status == MipStatus::Infeasible || r.x.is_empty() {
-                return Err(format!(
+                return Err(CoPhyError::Infeasible(format!(
                     "storage sweep point {budget} is infeasible \
                      (pinned indexes may exceed this budget)"
-                ));
+                )));
             }
             let st = self.interactive.as_ref().expect("state live after a solve");
             prev = Some((budget, r.bound));
@@ -645,7 +390,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
                 objective: r.objective + st.fixed_cost,
                 bound: r.bound + st.fixed_cost,
                 gap: r.gap,
-                configuration: st.mapping.extract_configuration(&r.x, &self.candidates),
+                configuration: st.mapping.extract_configuration(&r.x, &self.ingest.candidates),
                 nodes: r.nodes,
                 pivots: r.pivots,
                 solve_time: t0.elapsed(),
@@ -656,9 +401,32 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 
     /// Force `ix` into every subsequent answer (`z = 1`).  An index CGen
     /// never proposed is adopted as a DBA candidate first.  The fixing is a
-    /// bound pinch, so the warm re-solve state survives.
-    pub fn pin_index(&mut self, ix: &Index) {
+    /// bound pinch, so the warm re-solve state survives.  Refused, with the
+    /// session unchanged, when the pinned indexes would no longer fit the
+    /// storage budget — no later answer could honor them.
+    pub fn pin_index(&mut self, ix: &Index) -> Result<(), CoPhyError> {
+        self.check_pins_fit(Some(ix), &self.constraints)?;
         self.fix_index(ix.clone(), true);
+        Ok(())
+    }
+
+    /// Would the pinned indexes (plus `extra`) fit `constraints`' budget?
+    fn check_pins_fit(
+        &self,
+        extra: Option<&Index>,
+        constraints: &ConstraintSet,
+    ) -> Result<(), CoPhyError> {
+        let Some(budget) = constraints.storage_budget() else { return Ok(()) };
+        let schema = self.cophy.optimizer().schema();
+        let pinned = self.fixings.iter().filter(|(i, on)| *on && Some(i) != extra).map(|(i, _)| i);
+        let bytes: u64 = pinned.chain(extra).map(|i| i.size_bytes(schema)).sum();
+        if bytes > budget {
+            return Err(CoPhyError::Infeasible(format!(
+                "pinned indexes are infeasible under the session constraints: \
+                 {bytes} bytes pinned, storage budget {budget}"
+            )));
+        }
+        Ok(())
     }
 
     /// Exclude `ix` from every subsequent answer (`z = 0`).  Banning an
@@ -670,7 +438,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// Remove a pin/ban previously placed on `ix`.
     pub fn unfix_index(&mut self, ix: &Index) {
         self.fixings.retain(|(i, _)| i != ix);
-        if let Some(pos) = candidate_position(&self.candidates, ix) {
+        if let Some(pos) = candidate_position(&self.ingest.candidates, ix) {
             if let Some(st) = self.interactive.as_mut() {
                 st.dm.apply(ModelDelta::FreeVar { var: st.mapping.z[pos] });
             }
@@ -684,7 +452,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 
     fn fix_index(&mut self, ix: Index, value: bool) {
         self.fixings.retain(|(i, _)| *i != ix);
-        match candidate_position(&self.candidates, &ix) {
+        match candidate_position(&self.ingest.candidates, &ix) {
             Some(pos) => {
                 if let Some(st) = self.interactive.as_mut() {
                     st.dm.apply(ModelDelta::FixVar { var: st.mapping.z[pos], value });
@@ -716,7 +484,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     pub fn what_if(&self, cfg: &Configuration) -> WhatIfAnswer {
         let schema = self.cophy.optimizer().schema();
         let cm = self.cophy.optimizer().cost_model();
-        self.prepared.read(|pw| WhatIfAnswer {
+        self.ingest.prepared.read(|pw| WhatIfAnswer {
             cost: pw.cost(schema, cm, cfg),
             baseline_cost: pw.cost(schema, cm, &Configuration::empty()),
             size_bytes: cfg.size_bytes(schema),
@@ -730,10 +498,10 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         if self.fixings.is_empty() {
             return None;
         }
-        let mut fixed = vec![None; self.candidates.len()];
+        let mut fixed = vec![None; self.ingest.candidates.len()];
         let mut any = false;
         for (ix, value) in &self.fixings {
-            if let Some(pos) = candidate_position(&self.candidates, ix) {
+            if let Some(pos) = candidate_position(&self.ingest.candidates, ix) {
                 fixed[pos] = Some(*value);
                 any = true;
             }
@@ -759,12 +527,12 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         let schema = self.cophy.optimizer().schema();
         let cm = self.cophy.optimizer().cost_model();
         let tb = Instant::now();
-        let tp = self.prepared.read(|pw| {
+        let tp = self.ingest.prepared.read(|pw| {
             self.cophy.options.bipgen.block_problem(
                 schema,
                 cm,
                 pw,
-                &self.candidates,
+                &self.ingest.candidates,
                 &self.constraints,
             )
         });
@@ -775,7 +543,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         let reduction = self.fixing_vector().map(|fixed| {
             tp.block
                 .with_fixings(&fixed)
-                .expect("pinned indexes are infeasible under the session constraints")
+                .expect("pin_index and set_constraints keep the pinned indexes within budget")
         });
         let block = reduction.as_ref().map_or(&tp.block, |fx| &fx.problem);
         let pinned_cost = reduction.as_ref().map_or(0.0, |fx| fx.pinned_cost);
@@ -796,9 +564,11 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         if let Some(fx) = &reduction {
             fx.apply_to_selection(&mut selected);
         }
-        let configuration = selection_to_config(&selected, &self.candidates);
-        let baseline_cost =
-            self.prepared.read(|pw| pw.cost(schema, cm, &cophy_catalog::Configuration::empty()));
+        let configuration = selection_to_config(&selected, &self.ingest.candidates);
+        let baseline_cost = self
+            .ingest
+            .prepared
+            .read(|pw| pw.cost(schema, cm, &cophy_catalog::Configuration::empty()));
         Recommendation {
             configuration,
             objective: r.objective + pinned_cost + tp.fixed_cost,
@@ -806,18 +576,27 @@ impl<'o, 'c> TuningSession<'o, 'c> {
             bound: r.bound + pinned_cost + tp.fixed_cost,
             gap: r.gap,
             trace: r.trace,
-            compression: self.compressed.as_ref().map(|c| c.summary()),
-            degradation: self.degradation.clone(),
+            compression: self.ingest.compressed.as_ref().map(|c| c.summary()),
+            degradation: self.ingest.degradation.clone(),
             stats: SolveStats {
-                inum_time: std::mem::take(&mut self.inum_time),
+                inum_time: std::mem::take(&mut self.ingest.inum_time),
                 build_time,
                 solve_time,
-                what_if_calls: std::mem::take(&mut self.what_if_calls),
-                n_candidates: self.candidates.len(),
+                what_if_calls: std::mem::take(&mut self.ingest.what_if_calls),
+                n_candidates: self.ingest.candidates.len(),
                 n_variables: tp.block.n_choices() + tp.block.n_items,
             },
         }
     }
+}
+
+fn require_storage_only(constraints: &ConstraintSet) -> Result<(), CoPhyError> {
+    if constraints.is_storage_only() {
+        return Ok(());
+    }
+    Err(CoPhyError::Invalid(
+        "interactive sessions use the Lagrangian backend (storage-only constraints)".into(),
+    ))
 }
 
 /// Position of `ix` in the candidate set, if present.
@@ -830,10 +609,11 @@ mod tests {
     use super::*;
     use crate::solver::CoPhyOptions;
     use cophy_catalog::{ColumnId, TpchGen};
+    use cophy_compress::CompressedWorkload;
     use cophy_optimizer::{
         BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend, WhatIfOptimizer,
     };
-    use cophy_workload::{HetGen, HomGen, Query, UpdateGen};
+    use cophy_workload::{HetGen, HomGen, Query, Statement, UpdateGen, Workload};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn setup() -> WhatIfOptimizer {
@@ -957,7 +737,7 @@ mod tests {
         let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
         let r1 = session.recommend();
         let more = HomGen::new(34).generate(o.schema(), 5);
-        session.add_statements(&more);
+        session.try_add_source(&mut more.source(), DEFAULT_CHUNK).unwrap();
         assert_eq!(session.n_statements(), 15);
         let r2 = session.recommend();
         // More statements → higher total workload cost.
@@ -1082,7 +862,7 @@ mod tests {
     }
 
     fn ingest_state(session: &TuningSession) -> IngestState {
-        let cw = session.compressed.clone().expect("compression is on");
+        let cw = session.ingest.compressed.clone().expect("compression is on");
         let mut clustering_bits = vec![cw.total_weight().to_bits()];
         for id in cw.representatives().ids() {
             let f = cw.representative_features(id).expect("one feature row per representative");
@@ -1093,9 +873,10 @@ mod tests {
         IngestState {
             clustering_bits,
             prepared_weight_bits: session
+                .ingest
                 .prepared
                 .read(|pw| pw.queries.iter().map(|pq| pq.weight.to_bits()).collect()),
-            candidates: session.candidates.iter().map(|(_, ix)| ix.clone()).collect(),
+            candidates: session.candidates().iter().map(|(_, ix)| ix.clone()).collect(),
             statements: cw.n_original(),
             clustering: cw,
         }
@@ -1176,8 +957,8 @@ mod tests {
                         before.statements,
                         chunks[..i].iter().map(Workload::len).sum::<usize>()
                     );
-                    assert_eq!(session.what_if_calls, flaky.what_if_calls());
-                    assert_eq!(session.prepared.read(|pw| pw.what_if_calls), flaky.what_if_calls());
+                    assert_eq!(session.ingest.what_if_calls, flaky.what_if_calls());
+                    assert_eq!(session.cache().what_if_calls(), flaky.what_if_calls());
                     failed = Some(i);
                     break;
                 }
@@ -1200,6 +981,144 @@ mod tests {
         }
     }
 
+    fn faulty(plan: &cophy_optimizer::FaultPlan) -> cophy_optimizer::FaultInjectingBackend {
+        cophy_optimizer::FaultInjectingBackend::new(Box::new(setup()), plan.clone())
+    }
+
+    fn fast_retry(max_attempts: u32) -> cophy_optimizer::RetryPolicy {
+        cophy_optimizer::RetryPolicy {
+            max_attempts,
+            base_backoff: Duration::from_micros(10),
+            max_backoff: Duration::from_micros(50),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn every_door_retries_transient_faults_into_the_fault_free_answer() {
+        use cophy_optimizer::FaultPlan;
+        let o = setup();
+        let w = HomGen::new(77).generate(o.schema(), 10);
+        let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
+        let clean = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
+
+        let plan = FaultPlan::transient_only(0xFA17, 0.4, 2);
+        let opts = CoPhyOptions { retry: fast_retry(4), ..Default::default() };
+        let (batch, streamed, session) = (faulty(&plan), faulty(&plan), faulty(&plan));
+        let via_tune = CoPhy::new(&batch, opts.clone()).try_tune(&w, &constraints).unwrap();
+        let via_source = CoPhy::new(&streamed, opts.clone())
+            .try_tune_source(&mut w.source(), &constraints)
+            .unwrap();
+        let cophy = CoPhy::new(&session, opts);
+        let mut s =
+            cophy.try_session_streaming(&mut Workload::new().source(), constraints).unwrap();
+        s.try_add_source(&mut w.source(), DEFAULT_CHUNK).unwrap();
+        let via_add = s.recommend();
+
+        let d = via_tune.degradation.clone().expect("recovered faults are still reported");
+        assert!(d.probes_recovered > 0, "the schedule must have fired");
+        assert_eq!(d.statements_degraded, 0);
+        for rec in [&via_tune, &via_source, &via_add] {
+            assert_eq!(rec.objective.to_bits(), clean.objective.to_bits());
+            assert_eq!(rec.configuration, clean.configuration);
+            assert_eq!(rec.degradation.as_ref(), Some(&d), "one policy behind every door");
+        }
+    }
+
+    #[test]
+    fn chunk_below_the_coverage_floor_rolls_back_and_the_session_stands() {
+        use cophy_optimizer::FaultPlan;
+        let schema = TpchGen::default().schema();
+        let w = HetGen::new(5).generate(&schema, 16);
+        let plan = FaultPlan { permanent_rate: 0.3, ..FaultPlan::transient_only(0xF100D, 0.3, 1) };
+        let constraints = ConstraintSet::storage_fraction(&schema, 0.5);
+        let empty = Workload::new();
+        let opts = |min_coverage| CoPhyOptions {
+            compression: cophy_compress::CompressionPolicy::default_epsilon(),
+            retry: fast_retry(2),
+            min_coverage,
+            ..Default::default()
+        };
+        let one = |stmt: &Statement, weight| {
+            let mut w = Workload::new();
+            w.push_weighted(stmt.clone(), weight);
+            w
+        };
+
+        // Which statements lose probes for good is a function of the plan's
+        // seed: a scout session with no floor sorts them.
+        let scout_backend = faulty(&plan);
+        let scout = CoPhy::new(&scout_backend, opts(0.0));
+        let mut s = scout.try_session_streaming(&mut empty.source(), constraints.clone()).unwrap();
+        let (mut healthy, mut doomed) = (Workload::new(), Workload::new());
+        for (_, stmt, weight) in w.iter() {
+            let lost = |s: &TuningSession| s.degradation().map_or(0, |d| d.statements_degraded);
+            let before = lost(&s);
+            s.try_add_source(&mut one(stmt, weight).source(), 1).unwrap();
+            let side = if lost(&s) > before { &mut doomed } else { &mut healthy };
+            side.push_weighted(stmt.clone(), weight);
+        }
+        assert!(healthy.len() >= 3 && !doomed.is_empty(), "{} / {}", healthy.len(), doomed.len());
+
+        // A live session that tolerates no degradation: the healthy
+        // statements commit (their transient faults recover) ...
+        let backend = faulty(&plan);
+        let cophy = CoPhy::new(&backend, opts(1.0));
+        let mut session = cophy.try_session_streaming(&mut empty.source(), constraints).unwrap();
+        session.try_add_source(&mut healthy.source(), DEFAULT_CHUNK).unwrap();
+        let degradation = session.degradation().cloned();
+        assert!(degradation.as_ref().is_some_and(|d| d.probes_recovered > 0 && d.coverage == 1.0));
+        let before = ingest_state(&session);
+
+        // ... and a chunk that merges onto them and then loses probes is
+        // refused whole: the coverage error, and no trace of the chunk.
+        let mut chunk = healthy.truncate(3);
+        for (_, stmt, weight) in doomed.iter() {
+            chunk.push_weighted(stmt.clone(), weight);
+        }
+        let err = session.try_add_source(&mut chunk.source(), DEFAULT_CHUNK).unwrap_err();
+        assert!(matches!(err, CoPhyError::Coverage { floor, .. } if floor == 1.0), "{err:?}");
+        assert!(err.to_string().contains("coverage"), "{err}");
+        assert_eq!(ingest_state(&session), before);
+        assert_eq!(session.degradation(), degradation.as_ref());
+        assert_eq!(session.n_statements(), healthy.len());
+        assert_eq!(session.cache().what_if_calls(), backend.what_if_calls());
+
+        // The session still answers, and takes what it can take.
+        assert!(session.recommend().gap.is_finite());
+        session.try_add_source(&mut healthy.truncate(3).source(), DEFAULT_CHUNK).unwrap();
+        assert_eq!(session.n_statements(), healthy.len() + 3);
+    }
+
+    #[test]
+    fn over_pinning_is_refused_and_leaves_the_session_unchanged() {
+        let o = setup();
+        let w = HomGen::new(13).generate(o.schema(), 12);
+        let cophy = CoPhy::new(&o, CoPhyOptions::default());
+        let roomy = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.8)).recommend();
+        let tight = ConstraintSet::none().with(crate::Constraint::Storage { budget_bytes: 4096 });
+        let mut session = cophy.session(&w, tight.clone());
+        for ix in roomy.configuration.indexes() {
+            let fixings = session.fixings().to_vec();
+            match session.pin_index(ix) {
+                Ok(()) => assert!(session.fixings().len() > fixings.len()),
+                Err(e) => {
+                    assert!(matches!(e, CoPhyError::Infeasible(_)), "{e:?}");
+                    assert_eq!(session.fixings(), &fixings[..]);
+                }
+            }
+        }
+        assert!(session.fixings().len() < roomy.configuration.len(), "4 KiB cannot hold them all");
+        assert!(session.recommend().gap.is_finite(), "what is pinned fits, so the tune answers");
+
+        // The same holds for a budget change under existing pins.
+        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.8));
+        session.pin_index(&roomy.configuration.indexes()[0]).unwrap();
+        let err = session.set_constraints(tight).unwrap_err();
+        assert!(matches!(err, CoPhyError::Infeasible(_)), "{err:?}");
+        assert_eq!(session.constraints().storage_budget(), Some(o.schema().data_bytes() * 8 / 10));
+    }
+
     #[test]
     fn compressed_session_absorbs_deltas_without_new_probes() {
         let o = setup();
@@ -1219,7 +1138,7 @@ mod tests {
         // what-if calls, no new representatives.
         let reps_before = session.n_representatives();
         let calls_before = o.what_if_calls();
-        session.add_statements(&w.truncate(10));
+        session.try_add_source(&mut w.truncate(10).source(), DEFAULT_CHUNK).unwrap();
         assert_eq!(o.what_if_calls(), calls_before, "duplicates must not probe");
         assert_eq!(session.n_representatives(), reps_before);
         assert_eq!(session.n_statements(), 40);
@@ -1237,7 +1156,7 @@ mod tests {
         q.predicates.push(cophy_workload::Predicate::gt(aq, 100.0));
         let mut novel = Workload::new();
         novel.push(cophy_workload::Statement::Select(q));
-        session.add_statements(&novel);
+        session.try_add_source(&mut novel.source(), DEFAULT_CHUNK).unwrap();
         assert!(o.what_if_calls() > calls_before, "novel statement must probe");
         assert_eq!(session.n_representatives(), reps_before + 1);
         assert!(
@@ -1259,7 +1178,7 @@ mod tests {
             ..Default::default()
         };
         let err = CoPhy::new(&o, bad_eps).try_session(&w, storage.clone()).err().unwrap();
-        assert!(err.contains("invalid compression ε"), "{err}");
+        assert!(err.to_string().contains("invalid compression ε"), "{err}");
 
         let li = o.schema().table_by_name("lineitem").unwrap().id;
         let rich = storage.with(crate::Constraint::IndexCount {
@@ -1283,7 +1202,8 @@ mod tests {
         let budgets: Vec<u64> =
             [1.0, 0.4, 0.15, 0.05].iter().map(|m| (total as f64 * m) as u64).collect();
         let mut events = vec![0usize; budgets.len()];
-        let points = session.sweep_storage_with_progress(&budgets, |i, _| events[i] += 1);
+        let points =
+            session.try_sweep_storage_with_progress(&budgets, |i, _| events[i] += 1).unwrap();
         assert_eq!(points.len(), budgets.len());
         for (p, &b) in points.iter().zip(&budgets) {
             assert!(
@@ -1333,7 +1253,7 @@ mod tests {
         );
 
         session.unfix_index(&target);
-        session.pin_index(&target);
+        session.pin_index(&target).unwrap();
         let r_pin = session.recommend();
         assert!(r_pin.configuration.contains(&target), "pinned index must be in");
         assert!(session.constraints.check_configuration(o.schema(), &r_pin.configuration).is_ok());
@@ -1341,7 +1261,7 @@ mod tests {
         // Pins survive a budget sweep; every point honors them.
         let total = o.schema().data_bytes();
         let budgets = [total / 2, total];
-        for p in session.sweep_storage(&budgets) {
+        for p in session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap() {
             assert!(p.configuration.contains(&target), "sweep must honor the pin");
         }
     }
@@ -1355,7 +1275,7 @@ mod tests {
         let ps = o.schema().table_by_name("partsupp").unwrap().id;
         let pet = Index::secondary(ps, vec![ColumnId(2), ColumnId(3)]);
         let before = session.candidates().len();
-        session.pin_index(&pet);
+        session.pin_index(&pet).unwrap();
         assert_eq!(session.candidates().len(), before + 1, "pet index adopted as candidate");
         let r = session.recommend();
         assert!(r.configuration.contains(&pet));
@@ -1418,7 +1338,7 @@ mod tests {
 
         // Statement deltas through one session are visible through the other.
         let more = HomGen::new(45).generate(o.schema(), 2);
-        twin.add_statements(&more);
+        twin.try_add_source(&mut more.source(), DEFAULT_CHUNK).unwrap();
         assert_eq!(cache.len(), 10);
         assert_eq!(session.n_representatives(), 10);
         let a2 = session.what_if(&Configuration::empty());
@@ -1434,7 +1354,7 @@ mod tests {
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
         let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
         let _ = session.recommend();
-        session.set_constraints(ConstraintSet::storage_fraction(o.schema(), 0.02));
+        session.set_constraints(ConstraintSet::storage_fraction(o.schema(), 0.02)).unwrap();
         let r = session.recommend();
         assert!(
             r.configuration.size_bytes(o.schema()) <= o.schema().data_bytes() / 50 + 1,

@@ -15,7 +15,12 @@
 //! ([`cophy_bip::SolveDriver`]): the advisor passes one [`SolveBudget`]
 //! (gap / wall-clock / node limits) to whichever backend is selected and
 //! surfaces the unified [`SolveProgress`] stream through
-//! [`CoPhy::try_tune_prepared_with_progress`].
+//! [`CoPhy::try_tune_prepared`].
+//!
+//! Every `try_tune*` door is the same two steps: drain the workload through
+//! the chunked [`crate::ingest`] (clustering, INUM probes under
+//! [`CoPhyOptions::retry`], CGen, the [`CoPhyOptions::min_coverage`] floor),
+//! then [`CoPhy::try_tune_prepared`].
 
 use std::time::{Duration, Instant};
 
@@ -24,14 +29,16 @@ use cophy_bip::{
     SolveOptions, SolveProgress,
 };
 use cophy_catalog::Configuration;
-use cophy_compress::{CompressedWorkload, CompressionPolicy, CompressionSummary};
-use cophy_inum::{Inum, PrepFaultReport, PreparedWorkload};
+use cophy_compress::{CompressionPolicy, CompressionSummary};
+use cophy_inum::{PrepFaultReport, PreparedWorkload};
 use cophy_optimizer::{RetryPolicy, WhatIfBackend};
 use cophy_workload::{Workload, WorkloadSource, DEFAULT_CHUNK};
 
 use crate::bipgen::{BipGen, BipMapping};
 use crate::cgen::{CGen, CandidateSet};
 use crate::constraints::{Cmp, Constraint, ConstraintSet};
+use crate::error::CoPhyError;
+use crate::ingest::{Clustering, Ingest};
 use crate::session::TuningSession;
 
 /// Which engine solves the BIP.
@@ -65,17 +72,18 @@ pub struct CoPhyOptions {
     /// prepares only cluster representatives and the reported costs expand
     /// back to the full workload through the conserved cluster weights.
     pub compression: CompressionPolicy,
-    /// Retry policy of the INUM preparation probes: transient backend
+    /// Retry policy of every INUM probe, behind every door (batch and
+    /// streamed tunes, sessions, their later deltas): transient backend
     /// failures are retried with capped exponential backoff, and a probe
     /// that exhausts its retries *degrades* the statement (skipped template
-    /// / substituted cost) instead of aborting the tune.  The default
-    /// [`RetryPolicy::none`] performs no retries — preparation is then
-    /// bit-identical to the pre-fault-layer pipeline.
+    /// / substituted cost) instead of aborting.  The default
+    /// [`RetryPolicy::none`] performs no retries.
     pub retry: RetryPolicy,
     /// The degradation hard floor: when the weighted fraction of the
-    /// workload prepared *fully* drops below this, the tune fails with a
-    /// typed error instead of returning a silently unreliable
-    /// recommendation.  `0.0` never fails; `1.0` tolerates no degradation.
+    /// workload prepared *fully* drops below this, ingestion fails with
+    /// [`CoPhyError::Coverage`] instead of returning a silently unreliable
+    /// recommendation — checked as each chunk commits, the violating chunk
+    /// rolled back.  `0.0` never fails; `1.0` tolerates no degradation.
     pub min_coverage: f64,
 }
 
@@ -97,6 +105,7 @@ impl Default for CoPhyOptions {
 /// 5 & 10).
 #[derive(Debug, Clone, Default)]
 pub struct SolveStats {
+    /// Time inside ingestion: clustering, the INUM probes and CGen.
     pub inum_time: Duration,
     pub build_time: Duration,
     pub solve_time: Duration,
@@ -155,15 +164,23 @@ impl DegradationReport {
             return None;
         }
         let log = &report.log;
+        // A statement's qid is its position; the cache holds its current
+        // weight (a cluster's merges after the probes were lost count too).
+        let degraded = || {
+            report.degraded.iter().map(|d| {
+                let pq = &prepared.queries[d.qid.0 as usize];
+                debug_assert_eq!(pq.qid, d.qid);
+                pq
+            })
+        };
         let total_weight: f64 = prepared.queries.iter().map(|pq| pq.weight).sum();
-        let degraded_weight: f64 = report.degraded.iter().map(|d| d.weight).sum();
+        let degraded_weight: f64 = degraded().map(|pq| pq.weight).sum();
         let baseline = prepared.cost(schema, cm, &Configuration::empty());
-        let degraded_base: f64 = report
-            .degraded
-            .iter()
-            .filter_map(|d| prepared.queries.iter().find(|pq| pq.qid == d.qid))
+        // Folded from +0.0: a fully recovered preparation inflates by 0, not
+        // by the −0 an empty `sum()` returns.
+        let degraded_base = degraded()
             .map(|pq| pq.weight * pq.cost(schema, cm, &Configuration::empty()))
-            .sum();
+            .fold(0.0, |sum, cost| sum + cost);
         Some(DegradationReport {
             probes_failed: log.probes_recovered + log.probes_exhausted,
             retries: log.retries,
@@ -235,13 +252,15 @@ impl<'o> CoPhy<'o> {
         self.opt
     }
 
-    /// Full pipeline: CGen → INUM → BIPGen → Solver.
+    /// Full pipeline: compression → INUM → CGen → BIPGen → Solver.  Panics
+    /// where [`CoPhy::try_tune`] errs.
     pub fn tune(&self, w: &Workload, constraints: &ConstraintSet) -> Recommendation {
         self.try_tune(w, constraints).expect("tuning problem infeasible")
     }
 
     /// Full pipeline, surfacing infeasibility (paper line 2: the DBA removes
-    /// or softens the reported constraints).
+    /// or softens the reported constraints), probe failures and a breached
+    /// coverage floor as typed errors.
     ///
     /// With [`CoPhyOptions::compression`] enabled the workload is clustered
     /// first; CGen and INUM then see only the weighted representatives, so
@@ -251,117 +270,62 @@ impl<'o> CoPhy<'o> {
         &self,
         w: &Workload,
         constraints: &ConstraintSet,
-    ) -> Result<Recommendation, String> {
-        if self.options.compression.is_off() {
-            let candidates = self.options.cgen.generate(self.opt.schema(), w);
-            return self.try_tune_with_candidates(w, &candidates, constraints);
-        }
-        self.options.compression.validate()?;
-        let cw = CompressedWorkload::compress(self.opt.schema(), w, self.options.compression);
-        let candidates = self.options.cgen.generate(self.opt.schema(), cw.representatives());
-        self.try_tune_compressed(&cw, &candidates, constraints)
-    }
-
-    /// Tune a pre-compressed workload: INUM prepares only the
-    /// representatives (in parallel), and the recommendation carries the
-    /// [`CompressionSummary`] documenting the expansion back to the full
-    /// workload.  As on the uncompressed paths, `stats.inum_time` covers
-    /// preparation only (clustering and CGen are excluded), so prep times
-    /// stay comparable across policies.
-    pub fn try_tune_compressed(
-        &self,
-        cw: &CompressedWorkload,
-        candidates: &CandidateSet,
-        constraints: &ConstraintSet,
-    ) -> Result<Recommendation, String> {
-        let t0 = Instant::now();
-        let calls_before = self.opt.what_if_calls();
-        let inum = Inum::with_retry(self.opt, self.options.retry.clone());
-        let (prepared, faults) =
-            inum.try_prepare_compressed_resilient_parallel(cw, None).map_err(|e| e.to_string())?;
-        let inum_time = t0.elapsed();
-        let what_if_calls = self.opt.what_if_calls() - calls_before;
-        let degradation = DegradationReport::from_prep(
-            self.opt.schema(),
-            self.opt.cost_model(),
-            &prepared,
-            &faults,
-        );
-        self.enforce_coverage(&degradation)?;
-        let mut rec =
-            self.try_tune_prepared(&prepared, candidates, constraints, inum_time, what_if_calls)?;
-        rec.compression = Some(cw.summary());
-        rec.degradation = degradation;
-        Ok(rec)
+    ) -> Result<Recommendation, CoPhyError> {
+        self.ingest_and_solve(&mut w.source(), Clustering::Batch, None, constraints)
     }
 
     /// Pipeline with a caller-supplied candidate set (`S_DBA` merging, the
-    /// Figure-5 sweeps).
-    pub fn tune_with_candidates(
-        &self,
-        w: &Workload,
-        candidates: &CandidateSet,
-        constraints: &ConstraintSet,
-    ) -> Recommendation {
-        self.try_tune_with_candidates(w, candidates, constraints)
-            .expect("tuning problem infeasible")
-    }
-
+    /// Figure-5 sweeps): CGen is skipped.
     pub fn try_tune_with_candidates(
         &self,
         w: &Workload,
         candidates: &CandidateSet,
         constraints: &ConstraintSet,
-    ) -> Result<Recommendation, String> {
-        if !self.options.compression.is_off() {
-            self.options.compression.validate()?;
-            let cw = CompressedWorkload::compress(self.opt.schema(), w, self.options.compression);
-            return self.try_tune_compressed(&cw, candidates, constraints);
-        }
-        let t0 = Instant::now();
-        let before_calls = self.opt.what_if_calls();
-        let inum = Inum::with_retry(self.opt, self.options.retry.clone());
-        let (prepared, faults) =
-            inum.try_prepare_workload_resilient(w, None).map_err(|e| e.to_string())?;
-        let inum_time = t0.elapsed();
-        let what_if_calls = self.opt.what_if_calls() - before_calls;
-        let degradation = DegradationReport::from_prep(
-            self.opt.schema(),
-            self.opt.cost_model(),
-            &prepared,
-            &faults,
-        );
-        self.enforce_coverage(&degradation)?;
-        let mut rec =
-            self.try_tune_prepared(&prepared, candidates, constraints, inum_time, what_if_calls)?;
-        rec.degradation = degradation;
+    ) -> Result<Recommendation, CoPhyError> {
+        let candidates = Some(candidates.clone());
+        self.ingest_and_solve(&mut w.source(), Clustering::Batch, candidates, constraints)
+    }
+
+    /// Full pipeline over a **streamed** workload — the million-statement
+    /// entry point.  The workload is never materialized: with compression
+    /// enabled the clustering runs online
+    /// ([`cophy_compress::CompressedWorkload::streaming`]), so memory scales
+    /// with the cluster-representative count plus one chunk rather than
+    /// `|W|`, and INUM and CGen see only cluster-opening statements.
+    pub fn try_tune_source(
+        &self,
+        source: &mut dyn WorkloadSource,
+        constraints: &ConstraintSet,
+    ) -> Result<Recommendation, CoPhyError> {
+        self.ingest_and_solve(source, Clustering::Streaming, None, constraints)
+    }
+
+    /// What every `try_tune*` door does: drain the statements through the
+    /// ingest in [`DEFAULT_CHUNK`]s, then solve what it prepared.
+    fn ingest_and_solve(
+        &self,
+        source: &mut dyn WorkloadSource,
+        clustering: Clustering,
+        candidates: Option<CandidateSet>,
+        constraints: &ConstraintSet,
+    ) -> Result<Recommendation, CoPhyError> {
+        let mut ingest = Ingest::open(self, clustering, candidates)?;
+        ingest.add_source(self, source, DEFAULT_CHUNK)?;
+        let (spent, calls) = (ingest.inum_time, ingest.what_if_calls);
+        let mut rec = ingest.prepared.read(|prepared| {
+            self.try_tune_prepared(prepared, &ingest.candidates, constraints, spent, calls, |_| {})
+        })?;
+        rec.compression = ingest.compressed.as_ref().map(|c| c.summary());
+        rec.degradation = ingest.degradation;
         Ok(rec)
     }
 
-    /// The degradation hard floor: a coverage below
-    /// [`CoPhyOptions::min_coverage`] is a typed error, never a silent bad
-    /// recommendation.
-    pub(crate) fn enforce_coverage(
-        &self,
-        degradation: &Option<DegradationReport>,
-    ) -> Result<(), String> {
-        if let Some(d) = degradation {
-            if d.coverage < self.options.min_coverage {
-                return Err(format!(
-                    "degraded coverage {:.3} below floor {:.3}: {} of {} statements lost \
-                     what-if probes during preparation",
-                    d.coverage,
-                    self.options.min_coverage,
-                    d.statements_degraded,
-                    d.statements_total
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Solve from an existing INUM cache (used by sessions and benches that
-    /// amortize preparation).
+    /// Solve from an existing INUM cache (sessions, benches and baselines
+    /// that amortize preparation), with the unified anytime stream: every
+    /// incumbent or bound improvement of whichever backend runs is surfaced
+    /// as a [`SolveProgress`] event (the paper's continuous solver feedback,
+    /// Figures 3 & 6a) — identical semantics for both backends.  Pass
+    /// `|_| {}` to ignore it.
     pub fn try_tune_prepared(
         &self,
         prepared: &PreparedWorkload,
@@ -369,30 +333,8 @@ impl<'o> CoPhy<'o> {
         constraints: &ConstraintSet,
         inum_time: Duration,
         what_if_calls: u64,
-    ) -> Result<Recommendation, String> {
-        self.try_tune_prepared_with_progress(
-            prepared,
-            candidates,
-            constraints,
-            inum_time,
-            what_if_calls,
-            |_| {},
-        )
-    }
-
-    /// [`CoPhy::try_tune_prepared`] with the unified anytime stream: every
-    /// incumbent or bound improvement of whichever backend runs is surfaced
-    /// as a [`SolveProgress`] event (the paper's continuous solver feedback,
-    /// Figures 3 & 6a) — identical semantics for both backends.
-    pub fn try_tune_prepared_with_progress(
-        &self,
-        prepared: &PreparedWorkload,
-        candidates: &CandidateSet,
-        constraints: &ConstraintSet,
-        inum_time: Duration,
-        what_if_calls: u64,
         mut on_progress: impl FnMut(&SolveProgress),
-    ) -> Result<Recommendation, String> {
+    ) -> Result<Recommendation, CoPhyError> {
         let schema = self.opt.schema();
         let cm = self.opt.cost_model();
 
@@ -407,7 +349,9 @@ impl<'o> CoPhy<'o> {
 
         let tb = Instant::now();
         if use_lagrangian && !constraints.is_storage_only() {
-            return Err("Lagrangian backend supports storage-only constraint sets".into());
+            return Err(CoPhyError::Invalid(
+                "Lagrangian backend supports storage-only constraint sets".into(),
+            ));
         }
 
         let (configuration, objective, bound, gap, trace, build_time, solve_time, n_vars);
@@ -460,13 +404,12 @@ impl<'o> CoPhy<'o> {
                 .solve_seeded_with_progress(&model, &opts, seed_x, |p, _| on_progress(p));
             solve_time = ts.elapsed();
             if r.status == MipStatus::Infeasible {
-                return Err("BIP infeasible under the hard constraints".into());
+                return Err(CoPhyError::Infeasible(
+                    "BIP infeasible under the hard constraints".into(),
+                ));
             }
             if r.x.is_empty() {
-                return Err(format!(
-                    "no feasible incumbent within the solve budget ({:?})",
-                    r.status
-                ));
+                return Err(CoPhyError::NoIncumbent(r.status));
             }
             n_vars = model.n_vars();
             configuration = mapping.extract_configuration(&r.x, candidates);
@@ -542,7 +485,7 @@ impl<'o> CoPhy<'o> {
         &self,
         candidates: &CandidateSet,
         constraints: &ConstraintSet,
-    ) -> Result<(), String> {
+    ) -> Result<(), CoPhyError> {
         let rows = constraints.z_rows(self.opt.schema(), candidates);
         if rows.is_empty() {
             return Ok(());
@@ -564,25 +507,28 @@ impl<'o> CoPhy<'o> {
         if BranchBound::new().is_feasible(&m) {
             Ok(())
         } else {
-            Err("hard constraints are mutually infeasible over the candidate set".into())
+            Err(CoPhyError::Infeasible(
+                "hard constraints are mutually infeasible over the candidate set".into(),
+            ))
         }
     }
 
-    /// Open an interactive tuning session (paper §4.2).  Panics on invalid
-    /// options; see [`CoPhy::try_session`] for the recoverable variant.
+    /// Open an interactive tuning session (paper §4.2).  Panics where
+    /// [`CoPhy::try_session`] errs.
     pub fn session(&self, w: &Workload, constraints: ConstraintSet) -> TuningSession<'o, '_> {
-        TuningSession::open(self, w, constraints)
+        self.try_session(w, constraints).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`CoPhy::session`], surfacing invalid options (non-storage-only
-    /// constraints, invalid compression ε) as errors — the same contract as
-    /// [`CoPhy::try_tune`].
+    /// Open a session over `w`: clustering, INUM and CGen run once, through
+    /// the same ingest as [`CoPhy::try_tune`] — so invalid options
+    /// (non-storage-only constraints, invalid compression ε), probe
+    /// failures and a breached coverage floor are the same typed errors.
     pub fn try_session(
         &self,
         w: &Workload,
         constraints: ConstraintSet,
-    ) -> Result<TuningSession<'o, '_>, String> {
-        TuningSession::try_open(self, w, constraints)
+    ) -> Result<TuningSession<'o, '_>, CoPhyError> {
+        TuningSession::open(self, &mut w.source(), Clustering::Batch, constraints)
     }
 
     /// Open a session over an **existing** shared INUM cache
@@ -595,52 +541,22 @@ impl<'o> CoPhy<'o> {
         cache: std::sync::Arc<cophy_inum::InumCache>,
         candidates: CandidateSet,
         constraints: ConstraintSet,
-    ) -> Result<TuningSession<'o, '_>, String> {
-        TuningSession::try_open_shared(self, cache, candidates, constraints)
+    ) -> Result<TuningSession<'o, '_>, CoPhyError> {
+        TuningSession::over(self, Ingest::over(cache, candidates), constraints)
     }
 
     /// Open a session by **streaming** a [`WorkloadSource`] in
-    /// [`DEFAULT_CHUNK`]-sized chunks instead of materializing the workload:
-    /// the large-|W| ingestion path.  With compression enabled the session
-    /// clusters online ([`CompressedWorkload::streaming`]) — resident state
-    /// is bounded by the representative count plus one chunk buffer, and
-    /// INUM/CGen run only over cluster-opening statements.  Callers needing
-    /// a different chunk size open over an empty source and drive
+    /// [`DEFAULT_CHUNK`]-sized chunks instead of materializing the workload
+    /// (see [`CoPhy::try_tune_source`]).  A chunk that fails is rolled back
+    /// whole and fails the open.  Callers needing a different chunk size, or
+    /// to keep what did ingest, open over an empty source and drive
     /// [`TuningSession::try_add_source`] directly.
     pub fn try_session_streaming(
         &self,
         source: &mut dyn WorkloadSource,
         constraints: ConstraintSet,
-    ) -> Result<TuningSession<'o, '_>, String> {
-        TuningSession::try_open_streaming(self, source, DEFAULT_CHUNK, constraints)
-    }
-
-    /// Full pipeline over a **streamed** workload: chunked ingestion (see
-    /// [`CoPhy::try_session_streaming`]) followed by one solve.  This is the
-    /// million-statement entry point — the workload is never materialized,
-    /// so memory scales with the cluster-representative count rather than
-    /// `|W|`.  Storage-only constraint sets (the Lagrangian block-decomposed
-    /// backend); richer sets still go through the batch [`CoPhy::try_tune`].
-    pub fn try_tune_source(
-        &self,
-        source: &mut dyn WorkloadSource,
-        constraints: &ConstraintSet,
-    ) -> Result<Recommendation, String> {
-        self.try_tune_source_with_progress(source, constraints, |_| {})
-    }
-
-    /// [`CoPhy::try_tune_source`] with the unified anytime stream (block
-    /// decomposition progress included via
-    /// [`SolveProgress::decomposition`](cophy_bip::SolveProgress)).
-    pub fn try_tune_source_with_progress(
-        &self,
-        source: &mut dyn WorkloadSource,
-        constraints: &ConstraintSet,
-        on_progress: impl FnMut(&SolveProgress),
-    ) -> Result<Recommendation, String> {
-        let mut session = self.try_session_streaming(source, constraints.clone())?;
-        self.check_feasibility(session.candidates(), constraints)?;
-        Ok(session.recommend_with_progress(on_progress))
+    ) -> Result<TuningSession<'o, '_>, CoPhyError> {
+        TuningSession::open(self, source, Clustering::Streaming, constraints)
     }
 }
 
@@ -656,6 +572,7 @@ mod tests {
     use super::*;
     use crate::constraints::{Constraint, IndexFilter};
     use cophy_catalog::TpchGen;
+    use cophy_inum::Inum;
     use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
     use cophy_workload::HomGen;
 
@@ -703,9 +620,12 @@ mod tests {
             ..Default::default()
         };
         opts.backend = SolverBackend::Lagrangian;
-        let lag = CoPhy::new(&o, opts.clone()).tune_with_candidates(&w, &candidates, &constraints);
+        let lag = CoPhy::new(&o, opts.clone())
+            .try_tune_with_candidates(&w, &candidates, &constraints)
+            .unwrap();
         opts.backend = SolverBackend::BranchBound;
-        let bb = CoPhy::new(&o, opts).tune_with_candidates(&w, &candidates, &constraints);
+        let bb =
+            CoPhy::new(&o, opts).try_tune_with_candidates(&w, &candidates, &constraints).unwrap();
         // B&B is exact; the Lagrangian incumbent must be within a small gap.
         assert!(lag.objective >= bb.objective - 1e-6);
         assert!(
@@ -779,7 +699,10 @@ mod tests {
                 CoPhyOptions { compression: CompressionPolicy::Epsilon(bad), ..Default::default() };
             let cophy = CoPhy::new(&o, opts);
             let err = cophy.try_tune(&w, &constraints).unwrap_err();
-            assert!(err.contains("invalid compression ε"), "{err}");
+            assert!(
+                matches!(err, CoPhyError::Invalid(_)) && err.to_string().contains("ε"),
+                "{err}"
+            );
             let cands = CGen::default().generate(o.schema(), &w).truncate(5);
             assert!(cophy.try_tune_with_candidates(&w, &cands, &constraints).is_err());
         }
@@ -808,7 +731,7 @@ mod tests {
             value: 1,
         });
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let rec = cophy.tune_with_candidates(&w, &candidates, &cs);
+        let rec = cophy.try_tune_with_candidates(&w, &candidates, &cs).unwrap();
         let on_li = rec.configuration.on_table(li).count();
         assert!(on_li <= 1, "constraint violated: {on_li} lineitem indexes");
     }
@@ -824,14 +747,9 @@ mod tests {
             let cophy = CoPhy::new(&o, CoPhyOptions { backend, ..Default::default() });
             let mut events: Vec<SolveProgress> = Vec::new();
             let rec = cophy
-                .try_tune_prepared_with_progress(
-                    &prepared,
-                    &candidates,
-                    &storage,
-                    Duration::ZERO,
-                    0,
-                    |p| events.push(*p),
-                )
+                .try_tune_prepared(&prepared, &candidates, &storage, Duration::ZERO, 0, |p| {
+                    events.push(*p)
+                })
                 .expect("feasible");
             assert!(!events.is_empty(), "{backend:?} must stream progress");
             let mut prev = f64::INFINITY;
@@ -888,7 +806,7 @@ mod tests {
         assert_eq!(d.probes_substituted, 0);
         assert_eq!(d.statements_degraded, 0);
         assert_eq!(d.coverage, 1.0);
-        assert_eq!(d.worst_case_inflation, 0.0);
+        assert_eq!(d.worst_case_inflation.to_bits(), 0.0f64.to_bits(), "+0, not an empty sum's −0");
     }
 
     #[test]
@@ -931,6 +849,7 @@ mod tests {
         let err = CoPhy::new(&faulty, opts)
             .try_tune(&w, &constraints)
             .expect_err("60% permanent faults cannot clear a 0.999 coverage floor");
-        assert!(err.contains("coverage"), "floor error must name coverage: {err}");
+        assert!(matches!(err, CoPhyError::Coverage { .. }), "{err:?}");
+        assert!(err.to_string().contains("coverage"), "floor error must name coverage: {err}");
     }
 }

@@ -24,7 +24,9 @@ fn smoke_workload(backend: &dyn WhatIfBackend) -> Workload {
 fn smoke_tune(backend: &dyn WhatIfBackend, w: &Workload) -> Recommendation {
     let candidates = CGen::default().generate(backend.schema(), w).truncate(10);
     let constraints = ConstraintSet::storage_fraction(backend.schema(), 0.5);
-    CoPhy::new(backend, CoPhyOptions::default()).tune_with_candidates(w, &candidates, &constraints)
+    CoPhy::new(backend, CoPhyOptions::default())
+        .try_tune_with_candidates(w, &candidates, &constraints)
+        .expect("storage-only tune is feasible")
 }
 
 #[test]

@@ -82,7 +82,14 @@ fn off_is_byte_identical_to_the_plain_pipeline() {
     let prepared = Inum::new(&o).prepare_workload(&w);
     let cophy = CoPhy::new(&o, options);
     let manual = cophy
-        .try_tune_prepared(&prepared, &candidates, &constraints, std::time::Duration::ZERO, 0)
+        .try_tune_prepared(
+            &prepared,
+            &candidates,
+            &constraints,
+            std::time::Duration::ZERO,
+            0,
+            |_| {},
+        )
         .expect("feasible");
 
     // The advisor facade with compression explicitly Off.
@@ -110,7 +117,7 @@ fn compressed_tune_cost_is_epsilon_bounded() {
     let eps = CompressionPolicy::DEFAULT_EPSILON;
     for seed in [11u64, 12, 13] {
         let w = mixed(&o, seed, 24);
-        let full = Inum::new(&o).prepare_workload_parallel(&w);
+        let full = Inum::new(&o).prepare_workload(&w);
 
         let plain = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
         let comp = CoPhy::new(

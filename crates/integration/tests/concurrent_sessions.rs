@@ -47,7 +47,7 @@ fn n_threads_over_one_cache_cost_one_preparation_and_agree_with_serial() {
             let mut s = cophy
                 .try_session_shared(cache.clone(), candidates.clone(), constraints.clone())
                 .unwrap();
-            s.pin_index(pin);
+            s.pin_index(pin).unwrap();
             fingerprint(&s.recommend())
         })
         .collect();
@@ -64,7 +64,7 @@ fn n_threads_over_one_cache_cost_one_preparation_and_agree_with_serial() {
                 let cophy = &cophy;
                 scope.spawn(move || {
                     let mut s = cophy.try_session_shared(cache, candidates, constraints).unwrap();
-                    s.pin_index(pin);
+                    s.pin_index(pin).unwrap();
                     fingerprint(&s.recommend())
                 })
             })

@@ -35,7 +35,7 @@ fn exact_options() -> CoPhyOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Warm-chain equivalence: `sweep_storage` over K budgets returns, per
+    /// Warm-chain equivalence: `try_sweep_storage_with_progress` over K budgets returns, per
     /// point, the same objective and bound as K independent cold tunes of
     /// the same workload at that budget (both sides solved to optimality).
     #[test]
@@ -48,7 +48,7 @@ proptest! {
 
         let cophy = CoPhy::new(&o, exact_options());
         let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
-        let points = session.sweep_storage(&budgets);
+        let points = session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap();
 
         for (p, &b) in points.iter().zip(&budgets) {
             prop_assert!(p.gap <= 1e-6, "sweep point must be solved to optimality");
@@ -95,7 +95,7 @@ proptest! {
             .cloned()
             .unwrap();
         if smallest != banned {
-            session.pin_index(&smallest);
+            session.pin_index(&smallest).unwrap();
         }
 
         let r = session.recommend();
@@ -110,7 +110,7 @@ proptest! {
 
         let total = o.schema().data_bytes();
         let budgets = [(total as f64 * 0.6) as u64, (total as f64 * 0.3) as u64];
-        for p in session.sweep_storage(&budgets) {
+        for p in session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap() {
             prop_assert!(!p.configuration.contains(&banned), "sweep must honor the ban");
             prop_assert!(
                 p.configuration.size_bytes(o.schema()) <= p.budget_bytes,
@@ -184,7 +184,8 @@ fn sweep_streams_anytime_consistent_progress() {
     let total = o.schema().data_bytes();
     let budgets = [total, total / 4, total / 20];
     let mut per_point: Vec<Vec<SolveProgress>> = vec![Vec::new(); budgets.len()];
-    let points = session.sweep_storage_with_progress(&budgets, |i, p| per_point[i].push(*p));
+    let points =
+        session.try_sweep_storage_with_progress(&budgets, |i, p| per_point[i].push(*p)).unwrap();
     assert_eq!(points.len(), budgets.len());
     for (i, events) in per_point.iter().enumerate() {
         assert!(!events.is_empty(), "point {i} must stream progress");

@@ -148,7 +148,8 @@ fn backend_equivalence_end_to_end() {
             ..Default::default()
         },
     )
-    .tune_with_candidates(&w, &candidates, &constraints);
+    .try_tune_with_candidates(&w, &candidates, &constraints)
+    .unwrap();
     let lagr = CoPhy::new(
         &o,
         CoPhyOptions {
@@ -157,7 +158,8 @@ fn backend_equivalence_end_to_end() {
             ..Default::default()
         },
     )
-    .tune_with_candidates(&w, &candidates, &constraints);
+    .try_tune_with_candidates(&w, &candidates, &constraints)
+    .unwrap();
 
     assert!(lagr.objective >= exact.objective - 1e-6, "Lagrangian below proven optimum");
     assert!(
@@ -199,14 +201,9 @@ fn serial_solve_is_deterministic_and_parallel_agrees() {
         );
         let mut events: Vec<(u64, u64, u64)> = Vec::new();
         let rec = cophy
-            .try_tune_prepared_with_progress(
-                &prepared,
-                &candidates,
-                &rich,
-                std::time::Duration::ZERO,
-                0,
-                |p| events.push((p.incumbent.to_bits(), p.bound.to_bits(), p.gap.to_bits())),
-            )
+            .try_tune_prepared(&prepared, &candidates, &rich, std::time::Duration::ZERO, 0, |p| {
+                events.push((p.incumbent.to_bits(), p.bound.to_bits(), p.gap.to_bits()))
+            })
             .expect("feasible");
         (rec, events)
     };

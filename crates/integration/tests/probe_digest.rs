@@ -17,7 +17,7 @@ use std::sync::Mutex;
 
 use cophy::CGen;
 use cophy_catalog::{Configuration, Schema, TpchGen};
-use cophy_inum::Inum;
+use cophy_inum::{Inum, PrepFaultReport};
 use cophy_optimizer::backend::fnv1a;
 use cophy_optimizer::{
     BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend, WhatIfOptimizer,
@@ -94,13 +94,15 @@ fn probe_workload(backend: &DigestBackend, w: &Workload) {
     let wide: Configuration =
         CGen::default().generate(schema, w).iter().take(30).map(|(_, ix)| ix.clone()).collect();
     let inum = Inum::new(backend);
+    let mut faults = PrepFaultReport::default();
     for (qid, stmt, weight) in w.iter() {
         let q = stmt.read_shell();
         backend.probe(q, &Configuration::empty());
         backend.probe(q, &baseline);
         // INUM's probing loop: the empty configuration again, then one
         // probe per ideal configuration of the statement.
-        inum.prepare_statement(qid, stmt, weight);
+        inum.try_prepare_statement(qid, stmt, weight, None, None, &mut faults)
+            .expect("the live optimizer answers");
         backend.probe(q, &wide);
     }
 }

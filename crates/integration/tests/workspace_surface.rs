@@ -170,3 +170,35 @@ fn every_public_crate_is_reachable() {
     assert_eq!(spec_w.len(), 6);
     assert!(cophy_server::parse_spec("bogus:1:1", &schema).is_err());
 }
+
+/// Every door fails with the one `CoPhyError`, matched by variant — and a
+/// caller that carries errors as text still propagates it with `?`.
+#[test]
+fn every_door_fails_with_the_one_error_type() {
+    use cophy::{Cmp, CoPhyError, Constraint, IndexFilter};
+
+    fn tune_as_text(
+        cophy: &CoPhy<'_>,
+        w: &cophy_workload::Workload,
+        constraints: &ConstraintSet,
+    ) -> Result<usize, String> {
+        Ok(cophy.try_tune(w, constraints)?.configuration.len())
+    }
+
+    let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+    let w = HomGen::new(1).generate(o.schema(), 4);
+    let cophy = CoPhy::new(&o, CoPhyOptions::default());
+    let at_least_3 = Constraint::IndexCount { filter: IndexFilter::all(), cmp: Cmp::Ge, value: 3 };
+    let at_most_1 = Constraint::IndexCount { filter: IndexFilter::all(), cmp: Cmp::Le, value: 1 };
+    let contradictory = ConstraintSet::none().with(at_least_3).with(at_most_1);
+
+    let batch = cophy.try_tune(&w, &contradictory).unwrap_err();
+    let streamed = cophy.try_tune_source(&mut w.source(), &contradictory).unwrap_err();
+    assert!(matches!(batch, CoPhyError::Infeasible(_)), "{batch:?}");
+    assert_eq!(batch, streamed, "one path behind both doors");
+    assert!(matches!(
+        cophy.try_session(&w, contradictory.clone()).map(|_| ()),
+        Err(CoPhyError::Invalid(_))
+    ));
+    assert_eq!(tune_as_text(&cophy, &w, &contradictory), Err(batch.to_string()));
+}

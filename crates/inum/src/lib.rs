@@ -20,10 +20,13 @@
 //! of a full optimization.  [`PreparedQuery::gammas_for`] exposes the γ
 //! constants directly — exactly what CoPhy's BIP generator consumes.
 //!
-//! Preparation shards across OS threads ([`Inum::prepare_workload_parallel`])
-//! and composes with workload compression
-//! ([`Inum::prepare_compressed`]): only cluster representatives are probed,
-//! with cluster weights scaling the cached plan costs.
+//! Every preparation is [`Inum::try_prepare_statement`] over some statements:
+//! one probing loop that retries transient failures and degrades lost probes
+//! into a [`PrepFaultReport`].  [`Inum::try_prepare_workload_resilient`] runs
+//! it over a workload, [`Inum::try_prepare_workload_resilient_parallel`]
+//! shards that across OS threads, and a compressed workload is prepared by
+//! handing over its representatives — only they are probed, with cluster
+//! weights scaling the cached plan costs.
 
 pub mod cache;
 pub mod cost;

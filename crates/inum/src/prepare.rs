@@ -14,7 +14,6 @@
 use std::time::Instant;
 
 use cophy_catalog::{ColumnId, Configuration, Schema};
-use cophy_compress::CompressedWorkload;
 use cophy_optimizer::backend::{query_fingerprint, statement_fingerprint};
 use cophy_optimizer::{
     probe_with_retry, BackendError, FaultLog, ProbeAnswer, RetryPolicy, WhatIfBackend,
@@ -31,9 +30,8 @@ pub const MAX_PROBES_PER_QUERY: usize = 48;
 #[derive(Debug)]
 pub struct Inum<'o> {
     opt: &'o dyn WhatIfBackend,
-    /// Retry policy of the *resilient* preparation paths.  The plain paths
-    /// never retry regardless (one failure is one error), so the default
-    /// [`RetryPolicy::none`] keeps every legacy path bit-identical.
+    /// How every preparation probe is retried; [`RetryPolicy::none`]
+    /// (what [`Inum::new`] sets) never retries.
     retry: RetryPolicy,
 }
 
@@ -65,6 +63,8 @@ pub struct PreparedWorkload {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedStatement {
     pub qid: QueryId,
+    /// The statement's weight when it was prepared (a cluster's later merges
+    /// raise the weight in the cache, not here).
     pub weight: f64,
     /// Ideal-configuration probes dropped after retry exhaustion.  Sound but
     /// lossy: the empty-configuration template instantiates under every `X`,
@@ -92,24 +92,21 @@ impl PrepFaultReport {
     pub fn is_clean(&self) -> bool {
         self.log.is_clean() && self.degraded.is_empty()
     }
-}
 
-/// Per-statement fault outcome, merged into [`PrepFaultReport`] in qid order.
-#[derive(Debug, Clone, Default)]
-struct StatementFaults {
-    log: FaultLog,
-    skipped_probes: u32,
-    substituted: bool,
-    from_cache: bool,
+    /// Append the account of a later run (the next shard, the next chunk).
+    fn absorb(&mut self, later: PrepFaultReport) {
+        self.log.absorb(later.log);
+        self.degraded.extend(later.degraded);
+    }
 }
 
 impl<'o> Inum<'o> {
+    /// An INUM layer that never retries: one failed probe is one lost probe.
     pub fn new(opt: &'o dyn WhatIfBackend) -> Self {
         Inum { opt, retry: RetryPolicy::none() }
     }
 
-    /// An INUM layer whose *resilient* preparation paths retry transient
-    /// probe failures per `retry`.
+    /// An INUM layer that retries transient probe failures per `retry`.
     pub fn with_retry(opt: &'o dyn WhatIfBackend, retry: RetryPolicy) -> Self {
         Inum { opt, retry }
     }
@@ -122,24 +119,40 @@ impl<'o> Inum<'o> {
         &self.retry
     }
 
-    /// Prepare a single statement.  Panics on [`BackendError`]; fallible
-    /// callers (quota-metered or replayed backends) use
-    /// [`Inum::try_prepare_statement`].
-    pub fn prepare_statement(&self, qid: QueryId, stmt: &Statement, weight: f64) -> PreparedQuery {
-        self.try_prepare_statement(qid, stmt, weight)
-            .unwrap_or_else(|e| panic!("what-if backend error: {e}"))
-    }
-
-    /// Fallible single-statement preparation: probe failures (replay misses,
-    /// exhausted what-if quotas) surface as typed errors instead of panics.
+    /// Prepare one statement — the unit every preparation is made of.
+    /// Transient probe failures are retried per the policy this layer was
+    /// built with; a probe that exhausts its retries *degrades* the
+    /// statement into `report` instead of failing it — a lost
+    /// ideal-configuration probe skips that template (costs only
+    /// overestimated), a lost empty-configuration probe substitutes the
+    /// statement's templates from `fallback` (a previously prepared
+    /// workload, e.g. a shared-cache snapshot) or, failing that, the
+    /// analytic atomic-configuration template.  Non-retryable errors (replay
+    /// misses, spent quotas) abort: retrying or degrading would mask a
+    /// configuration problem.  `prep_deadline` is the caller's
+    /// [`RetryPolicy::prep_budget`] turned into an instant, once per run.
     pub fn try_prepare_statement(
         &self,
         qid: QueryId,
         stmt: &Statement,
         weight: f64,
+        fallback: Option<&PreparedWorkload>,
+        prep_deadline: Option<Instant>,
+        report: &mut PrepFaultReport,
     ) -> Result<PreparedQuery, BackendError> {
         let q = stmt.read_shell().clone();
-        let templates = self.try_extract_templates(&q)?;
+        let mut lost = DegradedStatement {
+            qid,
+            weight,
+            skipped_probes: 0,
+            substituted: false,
+            from_cache: false,
+        };
+        let templates =
+            self.extract_templates(&q, stmt, fallback, prep_deadline, &mut report.log, &mut lost)?;
+        if lost.skipped_probes > 0 || lost.substituted {
+            report.degraded.push(lost);
+        }
         let (update, fixed) = match stmt {
             Statement::Select(_) => (None, 0.0),
             Statement::Update(u) => {
@@ -154,253 +167,127 @@ impl<'o> Inum<'o> {
         Ok(PreparedQuery { qid, weight, query: q, templates, update, fixed_update_cost: fixed })
     }
 
-    /// Prepare every statement of `w` (sequentially; callers may shard the
-    /// workload across threads — `PreparedQuery` is `Send`).
+    /// Prepare every statement of `w`, or only the *representatives* of a
+    /// compressed workload (`cw.representatives()`: the cluster weights ride
+    /// along as [`PreparedQuery::weight`], so every cached plan cost
+    /// downstream stands in for the whole cluster).  Panics on a
+    /// non-retryable [`BackendError`]; lost probes degrade silently.
     pub fn prepare_workload(&self, w: &Workload) -> PreparedWorkload {
-        self.try_prepare_workload(w).unwrap_or_else(|e| panic!("what-if backend error: {e}"))
-    }
-
-    /// Fallible [`Inum::prepare_workload`].
-    pub fn try_prepare_workload(&self, w: &Workload) -> Result<PreparedWorkload, BackendError> {
-        let before = self.opt.what_if_calls();
-        let queries = w
-            .iter()
-            .map(|(qid, stmt, weight)| self.try_prepare_statement(qid, stmt, weight))
-            .collect::<Result<_, _>>()?;
-        Ok(PreparedWorkload { queries, what_if_calls: self.opt.what_if_calls() - before })
-    }
-
-    /// [`Inum::prepare_workload`] sharded across OS threads — the probing
-    /// calls are independent per statement, so preparation parallelizes
-    /// embarrassingly.  The result is byte-identical to the sequential
-    /// preparation (shards are re-sorted by statement id).
-    pub fn prepare_workload_parallel(&self, w: &Workload) -> PreparedWorkload {
-        self.try_prepare_workload_parallel(w)
-            .unwrap_or_else(|e| panic!("what-if backend error: {e}"))
-    }
-
-    /// Fallible [`Inum::prepare_workload_parallel`]: the first shard error
-    /// (by statement id) is reported, matching the sequential order.
-    pub fn try_prepare_workload_parallel(
-        &self,
-        w: &Workload,
-    ) -> Result<PreparedWorkload, BackendError> {
-        let n_threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-        let ids: Vec<_> = w.iter().collect();
-        let chunks: Vec<_> = ids.chunks(ids.len().div_ceil(n_threads).max(1)).collect();
-        let before = self.opt.what_if_calls();
-        let queries_by_chunk = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|(qid, stmt, weight)| {
-                                self.try_prepare_statement(*qid, stmt, *weight)
-                            })
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("INUM shard")).collect::<Vec<_>>()
-        });
-        let mut queries = Vec::with_capacity(w.len());
-        for shard in queries_by_chunk {
-            queries.append(&mut shard?);
+        match self.try_prepare_workload_resilient(w, None) {
+            Ok((prepared, _)) => prepared,
+            Err(e) => panic!("what-if backend error: {e}"),
         }
-        queries.sort_by_key(|pq| pq.qid);
-        Ok(PreparedWorkload { queries, what_if_calls: self.opt.what_if_calls() - before })
     }
 
-    /// Prepare only the *representatives* of a compressed workload: the
-    /// cluster weights ride along as `PreparedQuery::weight`, so every
-    /// cached plan cost downstream (the BIP objective, the fast workload
-    /// cost) is scaled to stand in for the whole cluster.  What-if calls are
-    /// spent per representative, not per original statement.
-    pub fn prepare_compressed(&self, cw: &CompressedWorkload) -> PreparedWorkload {
-        self.prepare_workload(cw.representatives())
-    }
-
-    /// Fallible [`Inum::prepare_compressed`].
-    pub fn try_prepare_compressed(
-        &self,
-        cw: &CompressedWorkload,
-    ) -> Result<PreparedWorkload, BackendError> {
-        self.try_prepare_workload(cw.representatives())
-    }
-
-    /// [`Inum::prepare_compressed`] sharded across OS threads.
-    pub fn prepare_compressed_parallel(&self, cw: &CompressedWorkload) -> PreparedWorkload {
-        self.prepare_workload_parallel(cw.representatives())
-    }
-
-    /// Fallible [`Inum::prepare_compressed_parallel`].
-    pub fn try_prepare_compressed_parallel(
-        &self,
-        cw: &CompressedWorkload,
-    ) -> Result<PreparedWorkload, BackendError> {
-        self.try_prepare_workload_parallel(cw.representatives())
-    }
-
-    /// Resilient preparation: transient probe failures are retried per the
-    /// policy this layer was built with ([`Inum::with_retry`]); a probe that
-    /// exhausts its retries *degrades* the statement instead of aborting the
-    /// preparation — a lost ideal-configuration probe skips that template
-    /// (costs only overestimated), a lost empty-configuration probe
-    /// substitutes the statement's templates from `fallback` (a previously
-    /// prepared workload, e.g. a shared-cache snapshot) or, failing that,
-    /// the analytic atomic-configuration template.  Non-retryable errors
-    /// (replay misses, spent quotas) still abort: retrying or degrading
-    /// would mask a configuration problem.
+    /// [`Inum::try_prepare_statement`] over a workload, on the calling
+    /// thread, with the typed account of what was retried and what was lost.
     pub fn try_prepare_workload_resilient(
         &self,
         w: &Workload,
         fallback: Option<&PreparedWorkload>,
     ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
-        let prep_deadline = self.retry.prep_budget.map(|b| Instant::now() + b);
-        let before = self.opt.what_if_calls();
-        let mut queries = Vec::with_capacity(w.len());
-        let mut report = PrepFaultReport::default();
-        for (qid, stmt, weight) in w.iter() {
-            let (pq, faults) =
-                self.try_prepare_statement_resilient(qid, stmt, weight, fallback, prep_deadline)?;
-            merge_faults(&mut report, &pq, faults);
-            queries.push(pq);
-        }
-        let pw = PreparedWorkload { queries, what_if_calls: self.opt.what_if_calls() - before };
-        Ok((pw, report))
+        self.prepare_sharded(w, fallback, 1)
     }
 
-    /// [`Inum::try_prepare_workload_resilient`] sharded across OS threads.
-    /// Fault schedules keyed per `(query, configuration)` pair are
-    /// interleaving-independent, so the prepared workload *and* the fault
-    /// report are byte-identical to the sequential resilient preparation
-    /// (shards re-sorted by statement id before merging).
+    /// [`Inum::try_prepare_workload_resilient`] sharded across OS threads —
+    /// the probes of different statements are independent.  Fault schedules
+    /// keyed per `(query, configuration)` pair are interleaving-independent,
+    /// so the prepared workload *and* the fault report are byte-identical to
+    /// the single-threaded preparation.
     pub fn try_prepare_workload_resilient_parallel(
         &self,
         w: &Workload,
         fallback: Option<&PreparedWorkload>,
     ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
-        let prep_deadline = self.retry.prep_budget.map(|b| Instant::now() + b);
         let n_threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-        let ids: Vec<_> = w.iter().collect();
-        let chunks: Vec<_> = ids.chunks(ids.len().div_ceil(n_threads).max(1)).collect();
+        self.prepare_sharded(w, fallback, n_threads)
+    }
+
+    /// The one driver: contiguous shards in statement order, each with its
+    /// own fault report, concatenated in shard order (so the first error by
+    /// statement id is the one reported).  One shard runs on the calling
+    /// thread and spawns nothing.
+    fn prepare_sharded(
+        &self,
+        w: &Workload,
+        fallback: Option<&PreparedWorkload>,
+        n_shards: usize,
+    ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
+        let prep_deadline = self.retry.prep_budget.map(|b| Instant::now() + b);
         let before = self.opt.what_if_calls();
-        let by_chunk = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
+        let statements: Vec<_> = w.iter().collect();
+        let prepare = |shard: &[(QueryId, &Statement, f64)]| {
+            let mut report = PrepFaultReport::default();
+            let queries = shard
                 .iter()
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|(qid, stmt, weight)| {
-                                self.try_prepare_statement_resilient(
-                                    *qid,
-                                    stmt,
-                                    *weight,
-                                    fallback,
-                                    prep_deadline,
-                                )
-                            })
-                            .collect::<Result<Vec<_>, _>>()
-                    })
+                .map(|&(qid, stmt, weight)| {
+                    self.try_prepare_statement(
+                        qid,
+                        stmt,
+                        weight,
+                        fallback,
+                        prep_deadline,
+                        &mut report,
+                    )
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("INUM shard")).collect::<Vec<_>>()
-        });
-        let mut pairs = Vec::with_capacity(w.len());
-        for shard in by_chunk {
-            pairs.append(&mut shard?);
-        }
-        pairs.sort_by_key(|(pq, _)| pq.qid);
-        let mut queries = Vec::with_capacity(pairs.len());
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((queries, report))
+        };
+        let shards: Vec<Result<_, BackendError>> = if n_shards <= 1 {
+            vec![prepare(&statements)]
+        } else {
+            let per_shard = statements.len().div_ceil(n_shards).max(1);
+            std::thread::scope(|s| {
+                let handles: Vec<_> =
+                    statements.chunks(per_shard).map(|shard| s.spawn(|| prepare(shard))).collect();
+                handles.into_iter().map(|h| h.join().expect("INUM shard")).collect()
+            })
+        };
+        let mut queries = Vec::with_capacity(statements.len());
         let mut report = PrepFaultReport::default();
-        for (pq, faults) in pairs {
-            merge_faults(&mut report, &pq, faults);
-            queries.push(pq);
+        for shard in shards {
+            let (mut prepared, faults) = shard?;
+            queries.append(&mut prepared);
+            report.absorb(faults);
         }
         let pw = PreparedWorkload { queries, what_if_calls: self.opt.what_if_calls() - before };
         Ok((pw, report))
     }
 
-    /// Resilient [`Inum::try_prepare_compressed`]: representatives only.
-    pub fn try_prepare_compressed_resilient(
-        &self,
-        cw: &CompressedWorkload,
-        fallback: Option<&PreparedWorkload>,
-    ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
-        self.try_prepare_workload_resilient(cw.representatives(), fallback)
-    }
-
-    /// Resilient [`Inum::try_prepare_compressed_parallel`].
-    pub fn try_prepare_compressed_resilient_parallel(
-        &self,
-        cw: &CompressedWorkload,
-        fallback: Option<&PreparedWorkload>,
-    ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
-        self.try_prepare_workload_resilient_parallel(cw.representatives(), fallback)
-    }
-
-    /// Resilient single-statement preparation (see
-    /// [`Inum::try_prepare_workload_resilient`] for the degradation rules).
-    fn try_prepare_statement_resilient(
-        &self,
-        qid: QueryId,
-        stmt: &Statement,
-        weight: f64,
-        fallback: Option<&PreparedWorkload>,
-        prep_deadline: Option<Instant>,
-    ) -> Result<(PreparedQuery, StatementFaults), BackendError> {
-        let q = stmt.read_shell().clone();
-        let mut faults = StatementFaults::default();
-        let templates =
-            self.try_extract_templates_resilient(&q, stmt, fallback, prep_deadline, &mut faults)?;
-        let (update, fixed) = match stmt {
-            Statement::Select(_) => (None, 0.0),
-            Statement::Update(u) => {
-                let rows = cophy_optimizer::cardinality::access_rows(
-                    self.opt.schema(),
-                    &u.shell,
-                    u.table(),
-                );
-                (Some((u.clone(), rows)), self.opt.base_update_cost(u))
-            }
-        };
-        let pq =
-            PreparedQuery { qid, weight, query: q, templates, update, fixed_update_cost: fixed };
-        Ok((pq, faults))
-    }
-
-    /// The resilient probing loop: every probe goes through
-    /// [`probe_with_retry`]; exhausted retries degrade per the rules above.
-    fn try_extract_templates_resilient(
+    /// The probing loop — the only place a preparation probe is issued,
+    /// counted, retried and degraded: the empty configuration (the
+    /// all-sort/hash template, whose slots never carry requirements), then
+    /// one ideal configuration per combination of interesting orders.
+    fn extract_templates(
         &self,
         q: &Query,
         stmt: &Statement,
         fallback: Option<&PreparedWorkload>,
         prep_deadline: Option<Instant>,
-        faults: &mut StatementFaults,
+        log: &mut FaultLog,
+        lost: &mut DegradedStatement,
     ) -> Result<Vec<TemplatePlan>, BackendError> {
         let schema = self.opt.schema();
         let cm = self.opt.cost_model();
         let stmt_fp = statement_fingerprint(stmt);
+        let mut probe = |cfg: &Configuration| {
+            let probe = probe_with_retry(self.opt, &self.retry, q, cfg, prep_deadline);
+            log.record(stmt_fp, &probe);
+            probe.result
+        };
         let mut templates: Vec<TemplatePlan> = Vec::new();
 
-        let probe =
-            probe_with_retry(self.opt, &self.retry, q, &Configuration::empty(), prep_deadline);
-        faults.log.record(stmt_fp, &probe);
-        match probe.result {
+        match probe(&Configuration::empty()) {
             Ok(base) => push_template(&mut templates, extract(schema, cm, q, &base)),
             Err(e) if e.is_retryable() => {
-                faults.substituted = true;
+                lost.substituted = true;
                 let qfp = query_fingerprint(q);
                 if let Some(prev) = fallback
                     .and_then(|pw| pw.queries.iter().find(|pq| query_fingerprint(&pq.query) == qfp))
                 {
                     // A previously prepared twin: reuse its whole template
                     // set, skip every further probe of this statement.
-                    faults.from_cache = true;
+                    lost.from_cache = true;
                     return Ok(prev.templates.clone());
                 }
                 push_template(&mut templates, atomic_fallback_template(schema, cm, q));
@@ -410,36 +297,11 @@ impl<'o> Inum<'o> {
 
         for combo in ideal_combos(q) {
             let refs: Vec<&[ColumnId]> = combo.iter().map(Vec::as_slice).collect();
-            let cfg = ideal_config(schema, q, &refs);
-            let probe = probe_with_retry(self.opt, &self.retry, q, &cfg, prep_deadline);
-            faults.log.record(stmt_fp, &probe);
-            match probe.result {
+            match probe(&ideal_config(schema, q, &refs)) {
                 Ok(ans) => push_template(&mut templates, extract(schema, cm, q, &ans)),
-                Err(e) if e.is_retryable() => faults.skipped_probes += 1,
+                Err(e) if e.is_retryable() => lost.skipped_probes += 1,
                 Err(e) => return Err(e),
             }
-        }
-
-        templates.sort_by(|a, b| a.internal_cost.total_cmp(&b.internal_cost));
-        Ok(templates)
-    }
-
-    /// The probing loop: empty-config probe + ideal-config probes.
-    fn try_extract_templates(&self, q: &Query) -> Result<Vec<TemplatePlan>, BackendError> {
-        let schema = self.opt.schema();
-        let cm = self.opt.cost_model();
-        let mut templates: Vec<TemplatePlan> = Vec::new();
-
-        // Probe 1: empty configuration → the all-sort/hash template.  Its
-        // slots never carry requirements (heap scans deliver no order).
-        let base = self.opt.try_probe(q, &Configuration::empty())?;
-        push_template(&mut templates, extract(schema, cm, q, &base));
-
-        for combo in ideal_combos(q) {
-            let refs: Vec<&[ColumnId]> = combo.iter().map(Vec::as_slice).collect();
-            let cfg = ideal_config(schema, q, &refs);
-            let ans = self.opt.try_probe(q, &cfg)?;
-            push_template(&mut templates, extract(schema, cm, q, &ans));
         }
 
         templates.sort_by(|a, b| a.internal_cost.total_cmp(&b.internal_cost));
@@ -449,9 +311,7 @@ impl<'o> Inum<'o> {
 
 /// The ideal-configuration combination stream of one query: all-none,
 /// singles, pairs of per-table interesting orders (capped at
-/// [`MAX_PROBES_PER_QUERY`]).  Shared by the plain and resilient probing
-/// loops so their probe sequences — and therefore any fault schedule keyed
-/// on them — are identical.
+/// [`MAX_PROBES_PER_QUERY`]).
 fn ideal_combos(q: &Query) -> Vec<Vec<Vec<ColumnId>>> {
     let per_table: Vec<Vec<Vec<ColumnId>>> =
         q.tables.iter().map(|t| q.interesting_orders_on(*t)).collect();
@@ -504,20 +364,6 @@ fn atomic_fallback_template(
         })
         .collect();
     TemplatePlan { internal_cost: 0.0, slots }
-}
-
-/// Fold one statement's fault outcome into the preparation report.
-fn merge_faults(report: &mut PrepFaultReport, pq: &PreparedQuery, faults: StatementFaults) {
-    if faults.skipped_probes > 0 || faults.substituted {
-        report.degraded.push(DegradedStatement {
-            qid: pq.qid,
-            weight: pq.weight,
-            skipped_probes: faults.skipped_probes,
-            substituted: faults.substituted,
-            from_cache: faults.from_cache,
-        });
-    }
-    report.log.absorb(faults.log);
 }
 
 /// Turn a probe answer into a template: β = internal cost, slots carry the
@@ -613,7 +459,7 @@ mod tests {
         let o = opt();
         let inum = Inum::new(&o);
         let w = HetGen::new(12).generate(o.schema(), 16);
-        let par = inum.prepare_workload_parallel(&w);
+        let (par, _) = inum.try_prepare_workload_resilient_parallel(&w, None).unwrap();
         let seq = inum.prepare_workload(&w);
         assert_eq!(par.queries.len(), seq.queries.len());
         assert_eq!(par.what_if_calls, seq.what_if_calls);
@@ -639,9 +485,13 @@ mod tests {
         for (_, stmt, weight) in base.iter().chain(base.iter()) {
             w.push_weighted(stmt.clone(), weight);
         }
-        let cw = CompressedWorkload::compress(s, &w, cophy_compress::CompressionPolicy::Lossless);
+        let cw = cophy_compress::CompressedWorkload::compress(
+            s,
+            &w,
+            cophy_compress::CompressionPolicy::Lossless,
+        );
         let full = inum.prepare_workload(&w);
-        let comp = inum.prepare_compressed(&cw);
+        let comp = inum.prepare_workload(cw.representatives());
         assert_eq!(comp.queries.len(), cw.n_representatives());
         assert!(comp.queries.len() < w.len());
         assert!(
@@ -755,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_prepare_with_no_faults_matches_plain_path() {
+    fn retry_policy_is_invisible_without_faults() {
         let o = opt();
         let w = HetGen::new(4).generate(o.schema(), 9);
         let plain = Inum::new(&o).prepare_workload(&w);

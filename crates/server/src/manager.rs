@@ -327,26 +327,6 @@ pub fn parse_spec(spec: &str, schema: &Schema) -> Result<Workload, WireError> {
     Ok(drain_to_workload(&mut *parse_spec_source(spec, schema)?))
 }
 
-/// Map a session-layer error string onto the protocol's typed codes.  The
-/// quota and replay paths produce stable [`cophy_optimizer::BackendError`]
-/// Display strings (their variants are the *typed* source of truth; by the
-/// time the error has flowed through `try_add_statements` it is a String,
-/// so the daemon keys on those stable phrases).
-fn classify(message: String) -> WireError {
-    let code = if message.contains("quota exceeded") {
-        ErrCode::Quota
-    } else if message.contains("unrecorded")
-        || message.contains("transient what-if failure")
-        || message.contains("timed out")
-        || message.contains("coverage")
-    {
-        ErrCode::Backend
-    } else {
-        ErrCode::BadRequest
-    };
-    WireError::new(code, message)
-}
-
 impl SessionManager {
     pub fn new(config: ServerConfig) -> Arc<SessionManager> {
         let schema = TpchGen::default().schema();
@@ -437,7 +417,7 @@ impl SessionManager {
             drop(st);
             let before = tenant.backend.spent();
             let built = parse_spec(spec, &self.schema)
-                .and_then(|w| tenant.cophy.try_session(&w, constraints.clone()).map_err(classify));
+                .and_then(|w| Ok(tenant.cophy.try_session(&w, constraints.clone())?));
             let mut st = lock(&self.state);
             st.building.remove(spec);
             self.build_cv.notify_all();
@@ -474,8 +454,7 @@ impl SessionManager {
         }
         let entry = &st.caches[spec];
         let (cache, candidates) = (entry.cache.clone(), entry.candidates.clone());
-        let session =
-            tenant.cophy.try_session_shared(cache, candidates, constraints).map_err(classify)?;
+        let session = tenant.cophy.try_session_shared(cache, candidates, constraints)?;
         self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
         let reply = OpenReply {
             sid: sid.to_string(),
@@ -537,13 +516,11 @@ impl SessionManager {
                 format!("evicted session {sid} lost its cache entry for {}", ev.spec),
             ));
         };
-        let mut session = tenant
-            .cophy
-            .try_session_shared(cache.cache.clone(), ev.candidates, ev.constraints)
-            .map_err(classify)?;
+        let mut session =
+            tenant.cophy.try_session_shared(cache.cache.clone(), ev.candidates, ev.constraints)?;
         for (ix, pinned) in &ev.fixings {
             if *pinned {
-                session.pin_index(ix);
+                session.pin_index(ix)?;
             } else {
                 session.ban_index(ix);
             }
@@ -588,7 +565,7 @@ impl SessionManager {
         }
         let out = self.with_session(sid, |session| {
             let before = tenant.backend.spent();
-            session.try_add_source(source.as_mut(), DEFAULT_CHUNK).map_err(classify)?;
+            session.try_add_source(source.as_mut(), DEFAULT_CHUNK)?;
             Ok(OpenReply {
                 sid: sid.to_string(),
                 statements: session.n_statements(),
@@ -648,8 +625,7 @@ impl SessionManager {
                 on_progress(ProgressLine::from_event(i, p))
             });
             session.set_cancel(None);
-            Ok(points
-                .map_err(classify)?
+            Ok(points?
                 .iter()
                 .map(|pt| PointReply {
                     budget_bytes: pt.budget_bytes,
@@ -663,10 +639,7 @@ impl SessionManager {
     }
 
     pub fn pin(&self, sid: &str, ix: &Index) -> Result<(), WireError> {
-        self.with_session(sid, |s| {
-            s.pin_index(ix);
-            Ok(())
-        })
+        self.with_session(sid, |s| Ok(s.pin_index(ix)?))
     }
 
     pub fn ban(&self, sid: &str, ix: &Index) -> Result<(), WireError> {

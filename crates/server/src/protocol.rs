@@ -45,9 +45,11 @@
 //!
 //! [`Client`]: crate::Client
 
+use cophy::CoPhyError;
 use cophy_bip::{DecompositionProgress, SolveProgress};
 use cophy_catalog::Index;
 use cophy_optimizer::trace::{fmt_index, parse_index};
+use cophy_optimizer::BackendError;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,6 +155,23 @@ impl WireError {
     pub fn retry_after(&self) -> Option<std::time::Duration> {
         let ms: u64 = field(&self.message, "retry_after_ms").ok()?.parse().ok()?;
         Some(std::time::Duration::from_millis(ms))
+    }
+}
+
+/// The one place advisor errors become wire codes: a spent quota is the
+/// tenant's to fix (`quota`), any other probe failure and a breached
+/// coverage floor are the backend's (`backend`, which trips the circuit
+/// breaker), and everything else is the request's (`bad-request`).
+impl From<CoPhyError> for WireError {
+    fn from(e: CoPhyError) -> WireError {
+        let code = match &e {
+            CoPhyError::Backend(BackendError::QuotaExceeded { .. }) => ErrCode::Quota,
+            CoPhyError::Backend(_) | CoPhyError::Coverage { .. } => ErrCode::Backend,
+            CoPhyError::Infeasible(_) | CoPhyError::Invalid(_) | CoPhyError::NoIncumbent(_) => {
+                ErrCode::BadRequest
+            }
+        };
+        WireError::new(code, e.to_string())
     }
 }
 
@@ -557,6 +576,22 @@ mod tests {
         assert_eq!(back.inflation.to_bits(), d.inflation.to_bits());
         assert_eq!(back, d);
         assert!(DegradedLine::parse("degraded coverage=0.5").is_err());
+
+        // A fully recovered preparation: nothing lost, so nothing inflated —
+        // and the wire says `0`, not the `-0` of an empty float sum.
+        let recovered = DegradedLine::from_report(&cophy::DegradationReport {
+            probes_failed: 6,
+            retries: 8,
+            probes_recovered: 6,
+            probes_substituted: 0,
+            statements_degraded: 0,
+            statements_total: 24,
+            coverage: 1.0,
+            worst_case_inflation: 0.0,
+        });
+        let line = recovered.to_line();
+        assert!(line.starts_with("degraded coverage=1 inflation=0 failed=6"), "{line}");
+        assert_eq!(DegradedLine::parse(&line).unwrap(), recovered);
     }
 
     #[test]

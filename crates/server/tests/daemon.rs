@@ -267,6 +267,23 @@ fn transient_chaos_daemon_reports_degraded_and_matches_the_clean_daemon() {
     assert_eq!(chaos_rec.indexes, clean_rec.indexes);
     assert!(chaos_rec.degraded.is_some(), "tune must carry the session's degradation");
 
+    // The `add` verb probes under the same retry policy as `open`: the
+    // transient faults on its new statements recover, at the clean
+    // daemon's probe bill, into a bit-identical re-tune.
+    let clean_add = cc.add("s", "het:8:6").unwrap();
+    let chaos_add = cf.add("s", "het:8:6").unwrap();
+    assert!(clean_add.probes > 0, "diverse statements must probe");
+    assert_eq!(chaos_add.probes, clean_add.probes);
+    assert_eq!(chaos_add.statements, clean_add.statements);
+    let clean_rec = cc.tune("s", |_| {}).unwrap();
+    let chaos_rec = cf.tune("s", |_| {}).unwrap();
+    assert_eq!(chaos_rec.objective.to_bits(), clean_rec.objective.to_bits());
+    assert_eq!(chaos_rec.bound.to_bits(), clean_rec.bound.to_bits());
+    assert_eq!(chaos_rec.indexes, clean_rec.indexes);
+    let after_add = chaos_rec.degraded.expect("the add's recovered probes are on the account");
+    assert!(after_add.recovered > d.recovered, "the schedule must have fired on the add");
+    assert_eq!(after_add.substituted, 0);
+
     cc.quit().unwrap();
     cf.quit().unwrap();
     clean.stop();
@@ -373,6 +390,33 @@ fn infeasible_sweep_is_a_typed_error_not_a_dropped_session() {
     let again = c.tune("s", |_| {}).unwrap();
     assert!(again.gap.is_finite());
     assert!(again.objective <= rec.objective + 1e-6);
+    c.quit().unwrap();
+    handle.stop();
+}
+
+#[test]
+fn over_pinned_session_is_a_typed_error_not_a_dropped_session() {
+    let handle = Server::bind("127.0.0.1:0", smoke_config(), None).unwrap().spawn();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    // What a roomy session recommends cannot fit a 4 KiB budget.
+    c.open("roomy", "hom:13:12", 0.8).unwrap();
+    let rec = c.tune("roomy", |_| {}).unwrap();
+    assert!(!rec.indexes.is_empty());
+    c.open("s", "hom:13:12", 4096.0).unwrap();
+    let refused: Vec<_> = rec.indexes.iter().filter_map(|ix| c.pin("s", ix).err()).collect();
+    assert!(!refused.is_empty(), "the pins cannot all fit 4096 bytes");
+    for e in refused {
+        match e {
+            ClientError::Server(e) => {
+                assert_eq!(e.code, ErrCode::BadRequest, "{}", e.message);
+                assert!(e.message.contains("infeasible"), "{}", e.message);
+            }
+            other => panic!("expected server error, got {other}"),
+        }
+    }
+    // The session survived, holds no pin it cannot honor, and still answers.
+    let tuned = c.tune("s", |_| {}).unwrap();
+    assert!(tuned.gap.is_finite());
     c.quit().unwrap();
     handle.stop();
 }

@@ -14,7 +14,7 @@ use std::time::Instant;
 use cophy::{CGen, CoPhy, CoPhyOptions, ConstraintSet};
 use cophy_catalog::{Index, TpchGen};
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
-use cophy_workload::HomGen;
+use cophy_workload::{HomGen, DEFAULT_CHUNK};
 
 fn main() {
     let optimizer = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
@@ -53,7 +53,9 @@ fn main() {
     );
 
     // --- tighten the budget -------------------------------------------------
-    session.set_constraints(ConstraintSet::storage_fraction(schema, 0.25));
+    session
+        .set_constraints(ConstraintSet::storage_fraction(schema, 0.25))
+        .expect("storage-only, nothing pinned");
     let t2 = Instant::now();
     let r3 = session.recommend();
     println!(
@@ -66,7 +68,9 @@ fn main() {
 
     // --- next week's queries arrive -----------------------------------------
     let monday = HomGen::new(100).generate(schema, 20);
-    session.add_statements(&monday);
+    session
+        .try_add_source(&mut monday.source(), DEFAULT_CHUNK)
+        .expect("the live optimizer answers");
     let t3 = Instant::now();
     let r4 = session.recommend();
     println!(
@@ -96,7 +100,9 @@ fn main() {
     let total = schema.data_bytes();
     let budgets: Vec<u64> = [1.0, 0.4, 0.1].iter().map(|m| (total as f64 * m) as u64).collect();
     let t4 = Instant::now();
-    let sweep = lab.sweep_storage(&budgets);
+    let sweep = lab
+        .try_sweep_storage_with_progress(&budgets, |_, _| {})
+        .expect("no pins yet: every budget fits");
     println!("\nbudget sweep ({} points, one warm chain, {:?}):", sweep.len(), t4.elapsed());
     for p in &sweep {
         println!(
@@ -113,7 +119,7 @@ fn main() {
     // Pin a pet index in, ban a recommended one out; the fixings are bound
     // pinches, so the re-solves stay warm.
     let pet = Index::secondary(li.id, vec![ok, sd]);
-    lab.pin_index(&pet);
+    lab.pin_index(&pet).expect("one index fits the budget");
     if let Some(out) = sweep[0].configuration.indexes().first().cloned() {
         lab.ban_index(&out);
     }
