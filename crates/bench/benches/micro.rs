@@ -15,7 +15,7 @@ use cophy::{BipGen, CGen, ConstraintSet};
 use cophy_advisors::IlpAdvisor;
 use cophy_bench::{make_optimizer, make_workload, prepare_parallel, WorkloadKind};
 use cophy_bip::{
-    BranchBound, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveOptions,
+    BranchBound, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveBudget, SolveOptions,
 };
 use cophy_catalog::{ColumnId, Configuration};
 use cophy_inum::ideal_config;
@@ -99,7 +99,7 @@ fn bench_solvers(c: &mut Criterion) {
         b.iter(|| SimplexSolver::new().solve(&m, &lo, &hi));
     });
     c.bench_function("solver/branch_bound_60v_30c_gap5", |b| {
-        let opts = SolveOptions::within_5_percent();
+        let opts = SolveOptions { budget: SolveBudget::within(0.05), ..Default::default() };
         b.iter(|| BranchBound::new().solve(&m, &opts));
     });
 
@@ -117,8 +117,7 @@ fn bench_solvers(c: &mut Criterion) {
         &constraints,
     );
     c.bench_function("solver/lagrangian_40q_gap5", |b| {
-        let solver =
-            LagrangianSolver { budget: cophy_bip::SolveBudget::within(0.05), ..Default::default() };
+        let solver = LagrangianSolver { budget: SolveBudget::within(0.05), ..Default::default() };
         b.iter(|| solver.solve(&tp.block));
     });
 }

@@ -1,4 +1,4 @@
-//! Robustness smoke study (the `chaos_smoke` CI gate).
+//! Robustness study (the `chaos` CI gate).
 //!
 //! Runs the same tune three times on one workload:
 //!
@@ -11,50 +11,21 @@
 //!    retry/backoff policy: the pipeline must *complete*, report its
 //!    degradation honestly, and land within a bounded cost delta of the
 //!    fault-free tune.
-//!
-//! Writes `BENCH_chaos.json` (probe counts, fault log, coverage, cost
-//! delta) *before* gating, so the CI artifact survives a failure.
 
 use std::time::{Duration, Instant};
 
-use cophy::{CoPhy, CoPhyOptions, ConstraintSet, DegradationReport};
+use cophy::{CoPhy, CoPhyOptions, ConstraintSet};
 use cophy_catalog::TpchGen;
 use cophy_optimizer::{
     FaultInjectingBackend, FaultPlan, RetryPolicy, SystemProfile, WhatIfBackend, WhatIfOptimizer,
 };
 
-use crate::{secs, sizes};
+use crate::Cell::{Bool, Int, Num, Pct, Secs};
+use crate::{Knobs, Outcome, Table};
 
 /// The chaos schedule's seed — fixed so the study is reproducible and the
 /// gate bounds below are meaningful.
 const CHAOS_SEED: u64 = 0xC4A05;
-
-/// Everything the study measures; gates and the artifact both read this.
-pub struct ChaosStudy {
-    pub statements: usize,
-    /// Fault-free baseline.
-    pub clean_objective: f64,
-    pub clean_bound: f64,
-    pub clean_gap: f64,
-    pub clean_probes: u64,
-    /// Zero-fault wrapped run.
-    pub wrapped_probes: u64,
-    pub zero_fault_identical: bool,
-    /// Chaos run.
-    pub chaos_objective: f64,
-    pub chaos_gap: f64,
-    pub chaos_probes: u64,
-    pub degradation: Option<DegradationReport>,
-    pub wall: Duration,
-}
-
-impl ChaosStudy {
-    /// Relative cost delta of the chaos recommendation vs the fault-free
-    /// tune (positive = worse).
-    pub fn cost_delta(&self) -> f64 {
-        self.chaos_objective / self.clean_objective - 1.0
-    }
-}
 
 fn fast_retry() -> RetryPolicy {
     RetryPolicy {
@@ -65,9 +36,11 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-/// Run the whole study.  `n` statements; the workload is `hom:7:n` (the
-/// `server_smoke` workload, so the two gates stress the same tune).
-pub fn chaos_study(n: usize) -> ChaosStudy {
+/// Run the whole study on the workload `hom:7:n`, `n` the scale's middle
+/// size (the `server` study's workload, so the two gates stress the same
+/// tune).
+pub(crate) fn chaos(k: &Knobs) -> Outcome {
+    let n = k.scale.sizes()[1];
     let t0 = Instant::now();
     let schema = TpchGen::default().schema();
     let o = WhatIfOptimizer::new(schema.clone(), SystemProfile::A);
@@ -104,143 +77,69 @@ pub fn chaos_study(n: usize) -> ChaosStudy {
         .try_tune(&w, &constraints)
         .expect("chaos tune must complete (degraded, not dead)");
 
-    ChaosStudy {
-        statements: n,
-        clean_objective: clean.objective,
-        clean_bound: clean.bound,
-        clean_gap: clean.gap,
-        clean_probes,
-        wrapped_probes,
+    // Relative cost of the chaos recommendation vs the fault-free tune
+    // (positive = worse).
+    let cost_delta = chaos.objective / clean.objective - 1.0;
+    let chaos_probes = chaotic.what_if_calls();
+    let d = chaos.degradation.as_ref();
+    let count = |f: fn(&cophy::DegradationReport) -> u64| Int(d.map_or(0, f));
+    let t = Table::record(
+        format!(
+            "workload hom:7:{n}, chaos seed {CHAOS_SEED:#x}, retry {} attempts",
+            fast_retry().max_attempts
+        ),
+        vec![
+            ("clean_probes", Int(clean_probes)),
+            ("wrapped_probes", Int(wrapped_probes)),
+            ("zero_fault_identical", Bool(zero_fault_identical)),
+            ("clean_objective", Num(clean.objective)),
+            ("chaos_objective", Num(chaos.objective)),
+            ("cost_delta", Pct(cost_delta)),
+            ("chaos_probes", Int(chaos_probes)),
+            ("chaos_gap", Pct(chaos.gap)),
+            ("probes_failed", count(|d| d.probes_failed)),
+            ("retries", count(|d| d.retries)),
+            ("probes_recovered", count(|d| d.probes_recovered)),
+            ("probes_substituted", count(|d| d.probes_substituted)),
+            ("statements_degraded", count(|d| d.statements_degraded as u64)),
+            ("statements_total", Int(d.map_or(n, |d| d.statements_total) as u64)),
+            ("coverage", Pct(d.map_or(1.0, |d| d.coverage))),
+            ("worst_case_inflation", Pct(d.map_or(0.0, |d| d.worst_case_inflation))),
+            ("wall", Secs(t0.elapsed())),
+        ],
+    );
+
+    let mut out = Outcome::new(vec![t]);
+    out.claim(
         zero_fault_identical,
-        chaos_objective: chaos.objective,
-        chaos_gap: chaos.gap,
-        chaos_probes: chaotic.what_if_calls(),
-        degradation: chaos.degradation,
-        wall: t0.elapsed(),
-    }
-}
-
-/// `BENCH_chaos.json` body.
-pub fn chaos_artifact_json(s: &ChaosStudy) -> String {
-    let (coverage, inflation, failed, retries, recovered, substituted, degraded, total) = s
-        .degradation
-        .as_ref()
-        .map(|d| {
-            (
-                d.coverage,
-                d.worst_case_inflation,
-                d.probes_failed,
-                d.retries,
-                d.probes_recovered,
-                d.probes_substituted,
-                d.statements_degraded,
-                d.statements_total,
-            )
-        })
-        .unwrap_or((1.0, 0.0, 0, 0, 0, 0, 0, s.statements));
-    format!(
-        "{{\"experiment\":\"chaos_smoke\",\"statements\":{},\"seed\":{},\
-         \"clean_probes\":{},\"wrapped_probes\":{},\"zero_fault_identical\":{},\
-         \"clean_objective\":{:.6},\"chaos_objective\":{:.6},\"cost_delta\":{:.6},\
-         \"chaos_probes\":{},\"chaos_gap\":{:.6},\
-         \"probes_failed\":{failed},\"retries\":{retries},\"probes_recovered\":{recovered},\
-         \"probes_substituted\":{substituted},\"statements_degraded\":{degraded},\
-         \"statements_total\":{total},\"coverage\":{coverage:.4},\
-         \"worst_case_inflation\":{inflation:.4},\"wall_s\":{:.3}}}\n",
-        s.statements,
-        CHAOS_SEED,
-        s.clean_probes,
-        s.wrapped_probes,
-        s.zero_fault_identical,
-        s.clean_objective,
-        s.chaos_objective,
-        s.cost_delta(),
-        s.chaos_probes,
-        s.chaos_gap,
-        s.wall.as_secs_f64(),
-    )
-}
-
-pub fn write_chaos_artifact(json: &str) {
-    let path = "BENCH_chaos.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote chaos artifact to {path}");
-}
-
-/// Human-readable report.
-pub fn chaos_report(s: &ChaosStudy) -> String {
-    let mut out = String::new();
-    out.push_str("## chaos_smoke — fault-injection robustness gate\n\n");
-    out.push_str(&format!(
-        "workload hom:7:{} | chaos seed {:#x} | retry {} attempts\n\n",
-        s.statements,
-        CHAOS_SEED,
-        fast_retry().max_attempts
-    ));
-    out.push_str(&format!(
-        "zero-fault wrapper: bit-identical {} | probes {} vs {} clean\n",
-        s.zero_fault_identical, s.wrapped_probes, s.clean_probes
-    ));
-    match &s.degradation {
-        Some(d) => out.push_str(&format!(
-            "chaos: {} failed / {} retries / {} recovered / {} substituted | \
-             {}/{} statements degraded | coverage {:.1}% | inflation {:.1}%\n",
-            d.probes_failed,
-            d.retries,
-            d.probes_recovered,
-            d.probes_substituted,
-            d.statements_degraded,
-            d.statements_total,
-            d.coverage * 100.0,
-            d.worst_case_inflation * 100.0
-        )),
-        None => out.push_str("chaos: no degradation reported\n"),
-    }
-    out.push_str(&format!(
-        "cost: clean {:.0} vs chaos {:.0} ({:+.2}%) | chaos gap {:.2}% | wall {}\n",
-        s.clean_objective,
-        s.chaos_objective,
-        s.cost_delta() * 100.0,
-        s.chaos_gap * 100.0,
-        secs(s.wall)
-    ));
-    out
-}
-
-/// Assertions behind the CI gate; the artifact is written by the caller
-/// *before* this runs.
-pub fn chaos_gate(s: &ChaosStudy) {
-    assert!(
-        s.zero_fault_identical,
-        "gate: a zero-fault schedule must be bit-identical to the unwrapped backend"
+        "a zero-fault schedule is bit-identical to the unwrapped backend",
     );
-    assert_eq!(
-        s.wrapped_probes, s.clean_probes,
-        "gate: the zero-fault wrapper must not cost a single extra what-if probe"
+    out.claim(
+        wrapped_probes == clean_probes,
+        format!(
+            "the zero-fault wrapper costs not one extra what-if probe: \
+             {wrapped_probes} vs {clean_probes}"
+        ),
     );
-    let d = s.degradation.as_ref().expect("gate: the chaos tune must report its degradation");
-    assert!(d.probes_failed > 0, "gate: the chaos schedule must actually fire");
-    assert!(d.probes_recovered > 0, "gate: retries must recover at least one transient");
-    assert!(d.coverage >= 0.25, "gate: chaos coverage {:.3} under the floor", d.coverage);
-    assert!(s.chaos_gap.is_finite(), "gate: the chaos tune must prove a finite gap");
+    out.claim(d.is_some(), "the chaos tune reports its degradation");
+    out.claim(d.is_some_and(|d| d.probes_failed > 0), "the chaos schedule actually fires");
+    out.claim(d.is_some_and(|d| d.probes_recovered > 0), "retries recover at least one transient");
+    out.claim(
+        d.is_some_and(|d| d.coverage >= 0.25),
+        "chaos coverage stays at or above the 0.25 floor",
+    );
+    out.claim(chaos.gap.is_finite(), "the chaos tune proves a finite gap");
     // Bounded cost delta: cost corruption is ±5% per probe and lost
     // templates inflate by at most the advertised worst case, so 15% plus
     // the report's own inflation bound is a conservative ceiling.
-    let ceiling = 0.15 + d.worst_case_inflation;
-    assert!(
-        s.cost_delta().abs() <= ceiling,
-        "gate: chaos cost delta {:+.2}% exceeds the {:.2}% ceiling",
-        s.cost_delta() * 100.0,
-        ceiling * 100.0
+    let ceiling = 0.15 + d.map_or(0.0, |d| d.worst_case_inflation);
+    out.claim(
+        cost_delta.abs() <= ceiling,
+        format!(
+            "the chaos cost delta stays under its ceiling: {:+.2}% vs {:.2}%",
+            cost_delta * 100.0,
+            ceiling * 100.0
+        ),
     );
-}
-
-/// Entry point of the `chaos_smoke` bin.
-pub fn chaos_smoke() -> String {
-    let n = sizes()[1];
-    let study = chaos_study(n);
-    write_chaos_artifact(&chaos_artifact_json(&study));
-    let report = chaos_report(&study);
-    chaos_gate(&study);
-    report
+    out
 }

@@ -1,15 +1,21 @@
-//! Experiment harness for the CoPhy reproduction.
+//! Experiment harness for the CoPhy reproduction: one binary over one table.
 //!
-//! One function per table/figure of the paper's §5 + Appendix C, each
-//! printing the same rows/series the paper reports.  Binaries under
-//! `src/bin/` are thin wrappers; `all_experiments` runs the lot and emits an
-//! `EXPERIMENTS.md`-ready transcript.
+//! ```sh
+//! cargo run --release -p cophy-bench -- <name>… | all | gates
+//! ```
+//!
+//! [`EXPERIMENTS`] lists every table and figure of the paper's §5 +
+//! Appendix C (`all`) and the six CI studies (`gates`).  An experiment only
+//! *measures*: it returns an [`Outcome`] — [`Table`]s of typed [`Cell`]s
+//! plus the gate [`Claim`]s it checked.  [`run`] is the one place that
+//! renders the tables as aligned text, writes `BENCH_<name>.json` through
+//! the crate's one JSON renderer and only then reports the violated claims,
+//! so a failing gate always leaves its report and artifact behind.
 //!
 //! ## Scale
 //!
-//! The paper's workloads are 250/500/1000 statements.  Those sizes work here
-//! too, but the default harness scale divides them by the `COPHY_SCALE`
-//! environment variable semantics:
+//! `COPHY_SCALE` picks the three workload sizes ([`Scale::sizes`]); the
+//! paper's are 250/500/1000:
 //!
 //! * `COPHY_SCALE=full`  → 250/500/1000 (paper-exact sizes),
 //! * `COPHY_SCALE=std`   → 100/200/400,
@@ -17,32 +23,385 @@
 //! * `COPHY_SCALE=smoke` → 6/12/24 (CI smoke: exercises every code path of
 //!   an experiment end-to-end in seconds; the numbers mean nothing).
 //!
+//! `COPHY_THREADS` pins the worker count of the parallel solver
+//! configurations (default: the host's parallelism; clamped to 2..=8).
+//! Any other value of either is an error, not a silent default.
+//!
 //! Absolute wall-clock numbers differ from the paper (different hardware,
 //! solver, DBMS); the claims under test are the *shapes*: who wins, by
 //! roughly what factor, and how times scale.
 
-pub mod chaos_study;
-pub mod scale_study;
-pub mod server_study;
+mod chaos_study;
+mod compress_study;
+mod interactive_study;
+mod paper;
+mod scale_study;
+mod server_study;
+mod solver_study;
 
-pub use chaos_study::{chaos_smoke, chaos_study, ChaosStudy};
-pub use scale_study::{
-    scale_artifact_json, scale_gate, scale_report, scale_smoke, scale_study, write_scale_artifact,
-    ScaleStudy,
-};
-pub use server_study::{server_smoke, server_study, ServerStudy};
-
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use cophy::{
-    CGen, CandidateSet, ChordExplorer, Cmp, CoPhy, CoPhyOptions, Constraint, ConstraintSet,
-    IndexFilter, SolveProgress, SolverBackend,
-};
-use cophy_advisors::{Advisor, IlpAdvisor, ToolA, ToolB};
-use cophy_catalog::{Configuration, Skew, TpchGen};
+use cophy::{CGen, CandidateSet, CoPhy, CoPhyOptions, ConstraintSet};
+use cophy_catalog::{Skew, TpchGen};
 use cophy_inum::{Inum, PreparedWorkload};
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
 use cophy_workload::{HetGen, HomGen, Workload};
+
+use chaos_study::chaos;
+use compress_study::compress;
+use interactive_study::interactive;
+use paper::{fig10, fig4, fig5, fig6a, fig6b, fig6c, fig7, fig8, fig9, skew, table1};
+use scale_study::scale;
+use server_study::server;
+use solver_study::solver;
+
+// ---------------------------------------------------------------------------
+// Outcome of an experiment: tables + claims
+// ---------------------------------------------------------------------------
+
+/// One typed cell of a [`Table`].  The type decides both renderings: how the
+/// value reads in the text report and what it is in the JSON artifact.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    Int(u64),
+    /// A plain number; non-finite values are `null` in the artifact.
+    Num(f64),
+    /// A wall-clock span: `1.23s` in text, seconds in the artifact.
+    Secs(Duration),
+    /// A fraction shown as a percentage: `12.30%` in text, the raw fraction
+    /// in the artifact.
+    Pct(f64),
+    Text(String),
+    Bool(bool),
+}
+
+impl Cell {
+    fn text(&self) -> String {
+        match self {
+            Cell::Int(v) => v.to_string(),
+            Cell::Num(v) if v.abs() >= 1000.0 => format!("{v:.0}"),
+            Cell::Num(v) => format!("{v:.2}"),
+            Cell::Secs(d) => format!("{:.2}s", d.as_secs_f64()),
+            Cell::Pct(v) => format!("{:.2}%", v * 100.0),
+            Cell::Text(s) => s.clone(),
+            Cell::Bool(b) => b.to_string(),
+        }
+    }
+
+    fn json(&self) -> String {
+        let num = |v: f64| if v.is_finite() { v.to_string() } else { "null".into() };
+        match self {
+            Cell::Int(v) => v.to_string(),
+            Cell::Num(v) | Cell::Pct(v) => num(*v),
+            Cell::Secs(d) => num(d.as_secs_f64()),
+            Cell::Text(s) => json_str(s),
+            Cell::Bool(b) => b.to_string(),
+        }
+    }
+}
+
+/// Rows of [`Cell`]s under named columns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    pub title: String,
+    pub columns: Vec<&'static str>,
+    pub rows: Vec<Vec<Cell>>,
+}
+
+impl Table {
+    pub fn new(title: impl Into<String>, columns: &[&'static str]) -> Table {
+        Table { title: title.into(), columns: columns.to_vec(), rows: Vec::new() }
+    }
+
+    pub fn row(&mut self, cells: Vec<Cell>) {
+        assert_eq!(cells.len(), self.columns.len(), "row width of table `{}`", self.title);
+        self.rows.push(cells);
+    }
+
+    /// A table of one row, written as `(column, cell)` pairs.
+    pub fn record(title: impl Into<String>, fields: Vec<(&'static str, Cell)>) -> Table {
+        let (columns, row) = fields.into_iter().unzip();
+        Table { title: title.into(), columns, rows: vec![row] }
+    }
+}
+
+/// One gate condition an experiment checked, with the measured values in
+/// its text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    pub text: String,
+    pub holds: bool,
+}
+
+/// Everything an experiment produces.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Outcome {
+    pub tables: Vec<Table>,
+    pub claims: Vec<Claim>,
+}
+
+impl Outcome {
+    pub fn new(tables: Vec<Table>) -> Outcome {
+        Outcome { tables, claims: Vec::new() }
+    }
+
+    pub fn claim(&mut self, holds: bool, text: impl Into<String>) {
+        self.claims.push(Claim { text: text.into(), holds });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The experiment table
+// ---------------------------------------------------------------------------
+
+/// One entry of [`EXPERIMENTS`].
+pub struct Experiment {
+    /// What the command line and the artifact file name call it.
+    pub name: &'static str,
+    pub title: &'static str,
+    pub run: fn(&Knobs) -> Outcome,
+}
+
+/// Every experiment of the crate: the paper's tables and figures first,
+/// then the six gated CI studies.
+pub const EXPERIMENTS: [Experiment; 17] = [
+    entry("table1", "Table 1: CoPhy vs the commercial advisors across skew and diversity", table1),
+    entry("fig4", "Figure 4: advisor execution time vs workload size (W_hom, z=0, M=1)", fig4),
+    entry("fig5", "Figure 5: CoPhy vs ILP time split vs candidate-set size", fig5),
+    entry("fig6a", "Figure 6a: estimated distance from optimal over solver time", fig6a),
+    entry("fig6b", "Figure 6b: warm re-solve time after candidate deltas", fig6b),
+    entry("fig6c", "Figure 6c: time per Pareto point of a soft storage constraint", fig6c),
+    entry("fig7", "Figure 7: quality (% speedup) vs workload size (W_hom, z=0, M=1)", fig7),
+    entry("fig8", "Figure 8: speedup ratios vs storage budget M", fig8),
+    entry("fig9", "Figure 9: quality (% speedup) on W_het, System-B, M=1", fig9),
+    entry("fig10", "Figure 10: CoPhy vs ILP time split vs workload size (S_ALL each)", fig10),
+    entry("skew", "Appendix C: quality under data skew z=1 (W_hom)", skew),
+    entry("compress", "Workload compression: default-ε clustering vs the full tune", compress),
+    entry("solver", "Solve engine: anytime trajectories + warm-start/parallelism study", solver),
+    entry("interactive", "Interactive budget sweep: one warm chain vs cold solves", interactive),
+    entry("server", "Advisor as a service: concurrent sessions over one shared INUM cache", server),
+    entry("chaos", "Fault injection: zero-fault transparency + bounded chaos degradation", chaos),
+    entry("scale", "Streamed large-workload tuning: residency, ingest rate, decomposition", scale),
+];
+
+const fn entry(name: &'static str, title: &'static str, run: fn(&Knobs) -> Outcome) -> Experiment {
+    Experiment { name, title, run }
+}
+
+/// How many leading entries of [`EXPERIMENTS`] reproduce the paper; the
+/// rest are the gated studies.
+const PAPER: usize = 11;
+
+/// The experiments a command-line word names: one by its name, `all` for
+/// the paper's transcript, `gates` for the CI studies.
+pub fn select(word: &str) -> Option<&'static [Experiment]> {
+    match word {
+        "all" => Some(&EXPERIMENTS[..PAPER]),
+        "gates" => Some(&EXPERIMENTS[PAPER..]),
+        name => EXPERIMENTS.iter().find(|e| e.name == name).map(std::slice::from_ref),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sequencer and the two renderers
+// ---------------------------------------------------------------------------
+
+/// What [`run`] hands back: by the time a caller sees `failures`, the text
+/// report is rendered and the artifact is on disk.
+pub struct Report {
+    pub text: String,
+    pub artifact: PathBuf,
+    /// The violated claims (plus the I/O error if the artifact could not be
+    /// written); empty means the experiment passed.
+    pub failures: Vec<String>,
+}
+
+/// Run one experiment: measure, render the report, write
+/// `<out_dir>/BENCH_<name>.json`, and *then* collect the violated claims.
+pub fn run(exp: &Experiment, knobs: &Knobs, out_dir: &Path) -> Report {
+    let outcome = (exp.run)(knobs);
+    let text = render_text(exp, &outcome);
+    let artifact = out_dir.join(format!("BENCH_{}.json", exp.name));
+    let mut failures: Vec<String> =
+        outcome.claims.iter().filter(|c| !c.holds).map(|c| c.text.clone()).collect();
+    if let Err(e) = std::fs::write(&artifact, render_json(exp, knobs, &outcome)) {
+        failures.push(format!("cannot write {}: {e}", artifact.display()));
+    }
+    Report { text, artifact, failures }
+}
+
+fn render_text(exp: &Experiment, outcome: &Outcome) -> String {
+    let mut out = format!("## {} — {}\n", exp.name, exp.title);
+    for t in &outcome.tables {
+        let _ = writeln!(out, "\n{}", t.title);
+        let cells: Vec<Vec<String>> =
+            t.rows.iter().map(|r| r.iter().map(Cell::text).collect()).collect();
+        // A single record reads better as a list than as one very wide row.
+        if let [only] = cells.as_slice() {
+            for (column, value) in t.columns.iter().zip(only) {
+                let _ = writeln!(out, "  {column}: {value}");
+            }
+            continue;
+        }
+        let header: Vec<String> = t.columns.iter().map(|c| c.to_string()).collect();
+        let lines: Vec<&Vec<String>> = std::iter::once(&header).chain(&cells).collect();
+        let width =
+            |j: usize| lines.iter().map(|l| l[j].chars().count()).max().expect("a header line");
+        let widths: Vec<usize> = (0..header.len()).map(width).collect();
+        for l in &lines {
+            let padded: Vec<String> =
+                l.iter().zip(&widths).map(|(v, w)| format!("{v:<w$}", w = *w)).collect();
+            let _ = writeln!(out, "  {}", padded.join("  ").trim_end());
+        }
+    }
+    if !outcome.claims.is_empty() {
+        out.push('\n');
+    }
+    for c in &outcome.claims {
+        let _ = writeln!(out, "[{}] {}", if c.holds { "ok" } else { "VIOLATED" }, c.text);
+    }
+    out
+}
+
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The one artifact schema: a header naming the experiment and the knobs it
+/// ran under, then its tables (column names once, rows as arrays) and claims.
+fn render_json(exp: &Experiment, knobs: &Knobs, outcome: &Outcome) -> String {
+    fn list<T>(items: &[T], f: impl Fn(&T) -> String) -> String {
+        format!("[{}]", items.iter().map(f).collect::<Vec<_>>().join(","))
+    }
+    let tables = list(&outcome.tables, |t| {
+        format!(
+            "{{\"title\":{},\"columns\":{},\"rows\":{}}}",
+            json_str(&t.title),
+            list(&t.columns, |c| json_str(c)),
+            list(&t.rows, |r| list(r, Cell::json)),
+        )
+    });
+    let claims = list(&outcome.claims, |c| {
+        format!("{{\"text\":{},\"holds\":{}}}", json_str(&c.text), c.holds)
+    });
+    format!(
+        "{{\"experiment\":{},\"title\":{},\"scale\":{},\"threads\":{},\"host_threads\":{},\
+         \"tables\":{tables},\"claims\":{claims}}}\n",
+        json_str(exp.name),
+        json_str(exp.title),
+        json_str(knobs.scale.name()),
+        knobs.threads,
+        host_threads(),
+    )
+}
+
+// ---------------------------------------------------------------------------
+// Knobs: COPHY_SCALE and COPHY_THREADS
+// ---------------------------------------------------------------------------
+
+/// Workload scale of a run (`COPHY_SCALE`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    Smoke,
+    /// `COPHY_SCALE` unset.
+    Local,
+    Std,
+    Full,
+}
+
+impl Scale {
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Smoke => "smoke",
+            Scale::Local => "local",
+            Scale::Std => "std",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The three workload sizes of the evaluation.
+    pub fn sizes(self) -> [usize; 3] {
+        match self {
+            Scale::Full => [250, 500, 1000],
+            Scale::Std => [100, 200, 400],
+            Scale::Local => [50, 100, 200],
+            Scale::Smoke => [6, 12, 24],
+        }
+    }
+
+    /// Largest of [`Scale::sizes`] — the paper's default `W_1000`.
+    pub fn default_size(self) -> usize {
+        self.sizes()[2]
+    }
+}
+
+/// The two settings an experiment runs under, parsed once by the binary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Knobs {
+    pub scale: Scale,
+    /// `SolveBudget::parallelism` of the parallel study configurations, in
+    /// 2..=8: at least 2 so the parallel path is exercised even on one-core
+    /// boxes.  CI pins it on the hosted runners so the artifacts record a
+    /// reproducible value.
+    pub threads: usize,
+}
+
+impl Knobs {
+    /// Resolve the raw values of `COPHY_SCALE` and `COPHY_THREADS` (`None` =
+    /// unset).  An unrecognised value is an error naming the accepted ones.
+    pub fn parse(scale: Option<&str>, threads: Option<&str>) -> Result<Knobs, String> {
+        let scale = match scale {
+            None => Scale::Local,
+            Some(v) => [Scale::Smoke, Scale::Std, Scale::Full]
+                .into_iter()
+                .find(|s| s.name() == v)
+                .ok_or_else(|| format!("COPHY_SCALE={v:?}: expected smoke, std, full, or unset"))?,
+        };
+        let threads = match threads {
+            None => host_threads(),
+            Some(v) => v
+                .parse::<usize>()
+                .map_err(|_| format!("COPHY_THREADS={v:?}: expected a thread count, or unset"))?,
+        };
+        Ok(Knobs { scale, threads: threads.clamp(2, 8) })
+    }
+
+    /// [`Knobs::parse`] of the process environment.
+    pub fn from_env() -> Result<Knobs, String> {
+        let var = |name: &str| match std::env::var(name) {
+            Ok(v) => Ok(Some(v)),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name} is not valid UTF-8")),
+        };
+        Knobs::parse(var("COPHY_SCALE")?.as_deref(), var("COPHY_THREADS")?.as_deref())
+    }
+}
+
+/// The host's reported parallelism (recorded in every artifact so multi-core
+/// CI runs are distinguishable from 1-core container runs).
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+}
+
+// ---------------------------------------------------------------------------
+// Scenario helpers shared by the experiments
+// ---------------------------------------------------------------------------
 
 /// Workload family used by an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,22 +417,6 @@ impl std::fmt::Display for WorkloadKind {
             WorkloadKind::Het => write!(f, "W_het"),
         }
     }
-}
-
-/// The three workload sizes of the evaluation, resolved against
-/// `COPHY_SCALE`.
-pub fn sizes() -> [usize; 3] {
-    match std::env::var("COPHY_SCALE").as_deref() {
-        Ok("full") => [250, 500, 1000],
-        Ok("std") => [100, 200, 400],
-        Ok("smoke") => [6, 12, 24],
-        _ => [50, 100, 200],
-    }
-}
-
-/// Largest of [`sizes`] — the paper's default `W_1000`.
-pub fn default_size() -> usize {
-    sizes()[2]
 }
 
 /// Build the simulated DBMS for a given system profile and skew.
@@ -98,76 +441,26 @@ pub fn prepare_parallel(o: &WhatIfOptimizer, w: &Workload) -> PreparedWorkload {
     prepared
 }
 
-/// Ground-truth quality metric `perf(X*, W)` (§5.1), computed against the
-/// what-if optimizer directly.
-pub fn perf(o: &WhatIfOptimizer, w: &Workload, cfg: &Configuration) -> f64 {
-    o.perf(w, cfg)
-}
-
-/// Pretty seconds.
-pub fn secs(d: Duration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
-}
-
-// ---------------------------------------------------------------------------
-// Shared sweep harness (fig5 / fig10 / fig10_interactive)
-// ---------------------------------------------------------------------------
-
-/// Header of the INUM/build/solve time-split tables (fig5, fig10).
-pub fn time_split_header(key: &str) -> String {
-    format!("{key:<6} tool    INUM      build     solve     total\n")
-}
-
-/// One row of the time-split tables.
-pub fn time_split_row(
-    key: &str,
-    tool: &str,
-    inum: Duration,
-    build: Duration,
-    solve: Duration,
-    total: Duration,
-) -> String {
-    format!(
-        "{key:<6} {tool:<7} {:<9} {:<9} {:<9} {:<9}\n",
-        secs(inum),
-        secs(build),
-        secs(solve),
-        secs(total),
-    )
-}
-
-/// The K-point storage-budget fractions of the fig10-family sweeps, loose →
-/// tight: every step *pinches* the storage row, so a warm chain pays genuine
-/// dual re-solves rather than trivially-feasible loosenings.
-pub const SWEEP_FRACTIONS: [f64; 6] = [1.0, 0.7, 0.4, 0.2, 0.1, 0.05];
-
-/// Materialize [`SWEEP_FRACTIONS`] against a schema's data size — the one
-/// budget grid shared by `fig10_interactive`'s warm chain and its cold
-/// baseline (and by any caller wanting the same sweep).
-pub fn storage_budget_grid(schema: &cophy_catalog::Schema) -> Vec<u64> {
-    SWEEP_FRACTIONS.iter().map(|m| (schema.data_bytes() as f64 * m) as u64).collect()
-}
-
 /// Time a closure.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
     let v = f();
     (v, t0.elapsed())
 }
 
 /// A CoPhy run with its measurement.
-pub struct CoPhyRun {
-    pub configuration: Configuration,
-    pub perf: f64,
-    pub total: Duration,
-    pub inum: Duration,
-    pub build: Duration,
-    pub solve: Duration,
-    pub n_candidates: usize,
+struct CoPhyRun {
+    /// Ground-truth quality metric `perf(X*, W)` (§5.1), computed against
+    /// the what-if optimizer directly.
+    perf: f64,
+    total: Duration,
+    inum: Duration,
+    build: Duration,
+    solve: Duration,
 }
 
 /// Run CoPhy end-to-end on a workload (INUM prepared in parallel).
-pub fn run_cophy(
+fn run_cophy(
     o: &WhatIfOptimizer,
     w: &Workload,
     constraints: &ConstraintSet,
@@ -187,1327 +480,25 @@ pub fn run_cophy(
         .try_tune_prepared(&prepared, cands, constraints, inum_time, prepared.what_if_calls, |_| {})
         .expect("feasible");
     CoPhyRun {
-        perf: perf(o, w, &rec.configuration),
+        perf: o.perf(w, &rec.configuration),
         total: rec.stats.total_time(),
         inum: rec.stats.inum_time,
         build: rec.stats.build_time,
         solve: rec.stats.solve_time,
-        n_candidates: rec.stats.n_candidates,
-        configuration: rec.configuration,
     }
-}
-
-/// Run a baseline advisor, timed.
-pub fn run_advisor(
-    advisor: &dyn Advisor,
-    o: &WhatIfOptimizer,
-    w: &Workload,
-    constraints: &ConstraintSet,
-) -> (Configuration, f64, Duration) {
-    let (cfg, t) = timed(|| advisor.recommend(o, w, constraints));
-    let p = perf(o, w, &cfg);
-    (cfg, p, t)
-}
-
-// ---------------------------------------------------------------------------
-// Experiments
-// ---------------------------------------------------------------------------
-
-/// Table 1: CoPhy vs the commercial advisors across data skew and workload
-/// diversity (ratio of `perf` improvements; > 1 means CoPhy wins).
-pub fn table1() -> String {
-    let n = default_size();
-    let mut out = String::new();
-    out.push_str("Table 1: perf(CoPhy)/perf(Tool) ratios\n");
-    out.push_str("z     workload      CoPhyA/ToolA   CoPhyB/ToolB\n");
-    for z in [0.0, 2.0] {
-        for kind in [WorkloadKind::Hom, WorkloadKind::Het] {
-            let mut row = format!("{z:<5} {kind}{n:<6}",);
-            // System A vs Tool-A
-            let oa = make_optimizer(SystemProfile::A, z);
-            let wa = make_workload(&oa, kind, n);
-            let ca = ConstraintSet::storage_fraction(oa.schema(), 1.0);
-            let cophy_a = run_cophy(&oa, &wa, &ca, None);
-            let (_, perf_ta, _) = run_advisor(&ToolA::default(), &oa, &wa, &ca);
-            row.push_str(&format!("   {:>10.2}", ratio(cophy_a.perf, perf_ta)));
-            // System B vs Tool-B
-            let ob = make_optimizer(SystemProfile::B, z);
-            let wb = make_workload(&ob, kind, n);
-            let cb = ConstraintSet::storage_fraction(ob.schema(), 1.0);
-            let cophy_b = run_cophy(&ob, &wb, &cb, None);
-            let (_, perf_tb, _) = run_advisor(&ToolB::default(), &ob, &wb, &cb);
-            row.push_str(&format!("   {:>10.2}\n", ratio(cophy_b.perf, perf_tb)));
-            out.push_str(&row);
-        }
-    }
-    out
-}
-
-fn ratio(a: f64, b: f64) -> f64 {
-    if b.abs() < 1e-9 {
-        f64::INFINITY
-    } else {
-        a / b
-    }
-}
-
-/// Figure 4: advisor execution time vs workload size (W_hom, z = 0, M = 1).
-pub fn fig4() -> String {
-    let mut out = String::new();
-    out.push_str("Figure 4: execution time (seconds) vs workload size, W_hom, z=0, M=1\n");
-    out.push_str("size   Tool-A    CoPhy-A   |  Tool-B    CoPhy-B\n");
-    for n in sizes() {
-        let oa = make_optimizer(SystemProfile::A, 0.0);
-        let wa = make_workload(&oa, WorkloadKind::Hom, n);
-        let ca = ConstraintSet::storage_fraction(oa.schema(), 1.0);
-        let cophy_a = run_cophy(&oa, &wa, &ca, None);
-        let (_, _, t_a) = run_advisor(&ToolA::default(), &oa, &wa, &ca);
-
-        let ob = make_optimizer(SystemProfile::B, 0.0);
-        let wb = make_workload(&ob, WorkloadKind::Hom, n);
-        let cb = ConstraintSet::storage_fraction(ob.schema(), 1.0);
-        let cophy_b = run_cophy(&ob, &wb, &cb, None);
-        let (_, _, t_b) = run_advisor(&ToolB::default(), &ob, &wb, &cb);
-
-        out.push_str(&format!(
-            "{n:<6} {:<9} {:<9} |  {:<9} {:<9}\n",
-            secs(t_a),
-            secs(cophy_a.total),
-            secs(t_b),
-            secs(cophy_b.total),
-        ));
-    }
-    out
-}
-
-/// Figure 5: CoPhy vs ILP, time split (INUM/build/solve) vs candidate count
-/// (500 / 1000 / S_ALL / 10000) on the default workload.
-pub fn fig5() -> String {
-    let n = default_size();
-    let o = make_optimizer(SystemProfile::A, 0.0);
-    let w = make_workload(&o, WorkloadKind::Hom, n);
-    let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-    let s_all = CGen::default().generate(o.schema(), &w);
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Figure 5: time split vs candidate-set size (W_hom{n}); S_ALL = {}\n",
-        s_all.len()
-    ));
-    out.push_str(&time_split_header("cands"));
-
-    let mut sets: Vec<(String, CandidateSet)> = Vec::new();
-    for cut in [500usize, 1000] {
-        if s_all.len() > cut {
-            sets.push((cut.to_string(), s_all.truncate(cut)));
-        }
-    }
-    sets.push((format!("S_ALL({})", s_all.len()), s_all.clone()));
-    let mut padded = s_all.clone();
-    padded.pad_random(o.schema(), 10_000, 99);
-    sets.push(("10000".into(), padded));
-
-    for (label, cands) in &sets {
-        let cophy = run_cophy(&o, &w, &constraints, Some(cands));
-        out.push_str(&time_split_row(
-            label,
-            "CoPhy",
-            cophy.inum,
-            cophy.build,
-            cophy.solve,
-            cophy.total,
-        ));
-        let ilp = IlpAdvisor::default();
-        let ((_, stats), _) = timed(|| ilp.recommend_with_stats(&o, &w, cands, &constraints));
-        out.push_str(&time_split_row(
-            label,
-            "ILP",
-            stats.inum_time,
-            stats.build_time,
-            stats.solve_time,
-            stats.inum_time + stats.build_time + stats.solve_time,
-        ));
-    }
-    out
-}
-
-/// Figure 6a: anytime optimality-gap feedback over time for three workload
-/// sizes.
-pub fn fig6a() -> String {
-    let mut out = String::new();
-    out.push_str("Figure 6a: estimated distance from optimal (%) over solver time\n");
-    for n in sizes() {
-        let o = make_optimizer(SystemProfile::A, 0.0);
-        let w = make_workload(&o, WorkloadKind::Hom, n);
-        let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-        let cophy = CoPhy::new(
-            &o,
-            CoPhyOptions {
-                budget: cophy::SolveBudget {
-                    gap_limit: 1e-4,
-                    node_limit: Some(400),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        let prepared = prepare_parallel(&o, &w);
-        let cands = CGen::default().generate(o.schema(), &w);
-        let rec = cophy
-            .try_tune_prepared(&prepared, &cands, &constraints, Duration::ZERO, 0, |_| {})
-            .expect("feasible");
-        out.push_str(&format!("W{n}:\n  t(ms)    gap(%)\n"));
-        for p in rec.trace.iter().filter(|p| p.gap.is_finite()) {
-            out.push_str(&format!("  {:<8.1} {:.2}\n", p.at.as_secs_f64() * 1e3, p.gap * 100.0));
-        }
-    }
-    out
-}
-
-/// Figure 6b: re-solve time after adding +10/+25/+50/+100 candidates to an
-/// initial S_1000 (warm-started interactive session).
-pub fn fig6b() -> String {
-    let n = default_size();
-    let o = make_optimizer(SystemProfile::A, 0.0);
-    let w = make_workload(&o, WorkloadKind::Hom, n);
-    let cophy = CoPhy::new(&o, CoPhyOptions::default());
-    let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
-
-    // Reserve some candidates to inject later.
-    let s_all = CGen { max_key_columns: 3, max_include_columns: 6 }.generate(o.schema(), &w);
-    let mut extra = s_all.clone();
-    extra.pad_random(o.schema(), s_all.len() + 120, 7);
-    let pool: Vec<_> = extra.iter().skip(s_all.len()).map(|(_, ix)| ix.clone()).collect();
-
-    let mut out = String::new();
-    out.push_str(&format!("Figure 6b: re-solve time after candidate deltas (W_hom{n})\n"));
-    let (r0, t0) = timed(|| session.recommend());
-    out.push_str(&format!(
-        "initial(S={})        solve {:<9} total {}\n",
-        r0.stats.n_candidates,
-        secs(r0.stats.solve_time),
-        secs(t0)
-    ));
-    let mut taken = 0usize;
-    for delta in [10usize, 25, 50, 100] {
-        let add: Vec<_> = pool.iter().skip(taken).take(delta - taken).cloned().collect();
-        taken = delta;
-        session.add_candidates(add);
-        let (r, t) = timed(|| session.recommend());
-        out.push_str(&format!(
-            "+{delta:<4} candidates      solve {:<9} total {}\n",
-            secs(r.stats.solve_time),
-            secs(t)
-        ));
-    }
-    out
-}
-
-/// Figure 6c: time per Pareto point for a soft storage constraint (Chord
-/// algorithm with warm starts vs naive cold re-solves).
-pub fn fig6c() -> String {
-    let n = default_size();
-    let o = make_optimizer(SystemProfile::A, 0.0);
-    let w = make_workload(&o, WorkloadKind::Hom, n);
-    let cophy = CoPhy::new(&o, CoPhyOptions::default());
-    let prepared = prepare_parallel(&o, &w);
-    let cands = CGen::default().generate(o.schema(), &w);
-
-    let explorer = ChordExplorer { max_points: 5, ..Default::default() };
-    let (points, total_warm) = timed(|| explorer.explore(&cophy, &prepared, &cands));
-
-    let mut out = String::new();
-    out.push_str(&format!("Figure 6c: Pareto-point generation times (W_hom{n})\n"));
-    out.push_str("lambda   solve     size(MB)   cost\n");
-    for p in &points {
-        out.push_str(&format!(
-            "{:<8.2} {:<9} {:<10.1} {:.0}\n",
-            p.lambda,
-            secs(p.solve_time),
-            p.size_bytes as f64 / 1e6,
-            p.workload_cost
-        ));
-    }
-    // Naive: re-solve each λ cold.
-    let lambdas: Vec<f64> = points.iter().map(|p| p.lambda).filter(|l| *l > 0.0).collect();
-    let (_, total_cold) = timed(|| {
-        for &l in &lambdas {
-            let e = ChordExplorer { max_points: 1, ..Default::default() };
-            // max_points=1 solves exactly the λ=1 extreme; emulate cold cost
-            // by exploring a single point per λ via a fresh explorer run.
-            let _ = l;
-            let _ = e.explore(&cophy, &prepared, &cands);
-        }
-    });
-    out.push_str(&format!(
-        "chord+warm total: {}   naive cold total: {}   speedup {:.1}x\n",
-        secs(total_warm),
-        secs(total_cold),
-        total_cold.as_secs_f64() / total_warm.as_secs_f64().max(1e-9)
-    ));
-    out
-}
-
-/// Figure 7 (Appendix C): solution quality (% speedup) vs workload size.
-pub fn fig7() -> String {
-    let mut out = String::new();
-    out.push_str("Figure 7: quality (% speedup) vs workload size, W_hom, z=0, M=1\n");
-    out.push_str("size   Tool-A   CoPhy-A  |  Tool-B   CoPhy-B\n");
-    for n in sizes() {
-        let oa = make_optimizer(SystemProfile::A, 0.0);
-        let wa = make_workload(&oa, WorkloadKind::Hom, n);
-        let ca = ConstraintSet::storage_fraction(oa.schema(), 1.0);
-        let cophy_a = run_cophy(&oa, &wa, &ca, None);
-        let (_, perf_ta, _) = run_advisor(&ToolA::default(), &oa, &wa, &ca);
-
-        let ob = make_optimizer(SystemProfile::B, 0.0);
-        let wb = make_workload(&ob, WorkloadKind::Hom, n);
-        let cb = ConstraintSet::storage_fraction(ob.schema(), 1.0);
-        let cophy_b = run_cophy(&ob, &wb, &cb, None);
-        let (_, perf_tb, _) = run_advisor(&ToolB::default(), &ob, &wb, &cb);
-
-        out.push_str(&format!(
-            "{n:<6} {:<8.1} {:<8.1} |  {:<8.1} {:<8.1}\n",
-            perf_ta * 100.0,
-            cophy_a.perf * 100.0,
-            perf_tb * 100.0,
-            cophy_b.perf * 100.0,
-        ));
-    }
-    out
-}
-
-/// Figure 8 (Appendix C): quality ratios vs storage budget M ∈ {0.5, 1, 2}.
-pub fn fig8() -> String {
-    let n = default_size();
-    let mut out = String::new();
-    out.push_str(&format!("Figure 8: speedup ratios vs space budget (W_hom{n})\n"));
-    out.push_str("M      CoPhyA/ToolA   CoPhyB/ToolB\n");
-    for m in [0.5, 1.0, 2.0] {
-        let oa = make_optimizer(SystemProfile::A, 0.0);
-        let wa = make_workload(&oa, WorkloadKind::Hom, n);
-        let ca = ConstraintSet::storage_fraction(oa.schema(), m);
-        let cophy_a = run_cophy(&oa, &wa, &ca, None);
-        let (_, perf_ta, _) = run_advisor(&ToolA::default(), &oa, &wa, &ca);
-
-        let ob = make_optimizer(SystemProfile::B, 0.0);
-        let wb = make_workload(&ob, WorkloadKind::Hom, n);
-        let cb = ConstraintSet::storage_fraction(ob.schema(), m);
-        let cophy_b = run_cophy(&ob, &wb, &cb, None);
-        let (_, perf_tb, _) = run_advisor(&ToolB::default(), &ob, &wb, &cb);
-
-        out.push_str(&format!(
-            "{m:<6} {:>12.2} {:>14.2}\n",
-            ratio(cophy_a.perf, perf_ta),
-            ratio(cophy_b.perf, perf_tb),
-        ));
-    }
-    out
-}
-
-/// Figure 9 (Appendix C): heterogeneous workloads on System-B.
-pub fn fig9() -> String {
-    let mut out = String::new();
-    out.push_str("Figure 9: quality (% speedup) on W_het, System-B, M=1\n");
-    out.push_str("size   Tool-B   CoPhy-B\n");
-    for n in sizes() {
-        let o = make_optimizer(SystemProfile::B, 0.0);
-        let w = make_workload(&o, WorkloadKind::Het, n);
-        let c = ConstraintSet::storage_fraction(o.schema(), 1.0);
-        let cophy_b = run_cophy(&o, &w, &c, None);
-        let (_, perf_tb, _) = run_advisor(&ToolB::default(), &o, &w, &c);
-        out.push_str(&format!("{n:<6} {:<8.1} {:<8.1}\n", perf_tb * 100.0, cophy_b.perf * 100.0));
-    }
-    out
-}
-
-/// Figure 10 (Appendix C): CoPhy vs ILP time split vs workload size.
-pub fn fig10() -> String {
-    let mut out = String::new();
-    out.push_str("Figure 10: CoPhy vs ILP time split vs workload size (S_ALL per size)\n");
-    out.push_str(&time_split_header("size"));
-    for n in sizes() {
-        let o = make_optimizer(SystemProfile::A, 0.0);
-        let w = make_workload(&o, WorkloadKind::Hom, n);
-        let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-        let cands = CGen::default().generate(o.schema(), &w);
-        let cophy = run_cophy(&o, &w, &constraints, Some(&cands));
-        let key = n.to_string();
-        out.push_str(&time_split_row(
-            &key,
-            "CoPhy",
-            cophy.inum,
-            cophy.build,
-            cophy.solve,
-            cophy.total,
-        ));
-        let ilp = IlpAdvisor::default();
-        let ((_, stats), _) = timed(|| ilp.recommend_with_stats(&o, &w, &cands, &constraints));
-        out.push_str(&time_split_row(
-            &key,
-            "ILP",
-            stats.inum_time,
-            stats.build_time,
-            stats.solve_time,
-            stats.inum_time + stats.build_time + stats.solve_time,
-        ));
-    }
-    out
-}
-
-/// Appendix C data-skew study: z = 1 quality on W_hom.
-pub fn skew() -> String {
-    let n = default_size();
-    let mut out = String::new();
-    out.push_str(&format!("Appendix C (skew): z=1, W_hom{n}, % speedup\n"));
-    let oa = make_optimizer(SystemProfile::A, 1.0);
-    let wa = make_workload(&oa, WorkloadKind::Hom, n);
-    let ca = ConstraintSet::storage_fraction(oa.schema(), 1.0);
-    let cophy_a = run_cophy(&oa, &wa, &ca, None);
-    let (_, perf_ta, _) = run_advisor(&ToolA::default(), &oa, &wa, &ca);
-    out.push_str(&format!(
-        "System-A: Tool-A {:.1}%   CoPhy-A {:.1}%\n",
-        perf_ta * 100.0,
-        cophy_a.perf * 100.0
-    ));
-    let ob = make_optimizer(SystemProfile::B, 1.0);
-    let wb = make_workload(&ob, WorkloadKind::Hom, n);
-    let cb = ConstraintSet::storage_fraction(ob.schema(), 1.0);
-    let cophy_b = run_cophy(&ob, &wb, &cb, None);
-    let (_, perf_tb, _) = run_advisor(&ToolB::default(), &ob, &wb, &cb);
-    out.push_str(&format!(
-        "System-B: Tool-B {:.1}%   CoPhy-B {:.1}%\n",
-        perf_tb * 100.0,
-        cophy_b.perf * 100.0
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Workload-compression study (fig_compress) + CI smoke guard
-// ---------------------------------------------------------------------------
-
-/// Workload sizes of the compression study.  Fixed (not `COPHY_SCALE`-scaled):
-/// the claim under test is the compression behavior at a given `|W|`, and the
-/// acceptance gate lives at `|W| = 200`.
-pub fn compress_sizes() -> [usize; 3] {
-    [24, 96, 200]
-}
-
-/// One row of the compression study: uncompressed vs `Epsilon(default)`
-/// CoPhy on the same workload and constraints.
-pub struct CompressRow {
-    pub n: usize,
-    pub representatives: usize,
-    pub calls_uncompressed: u64,
-    pub calls_compressed: u64,
-    pub prep_uncompressed: Duration,
-    pub prep_compressed: Duration,
-    pub solve_uncompressed: Duration,
-    pub solve_compressed: Duration,
-    /// Clustering wall clock with the per-template linear scan (the
-    /// pre-index baseline, `CompressedWorkload::compress_unindexed`).
-    pub cluster_linear: Duration,
-    /// Clustering wall clock with the feature-quantile bucket index (the
-    /// default `CompressedWorkload::compress` path).
-    pub cluster_indexed: Duration,
-    /// Full-workload INUM cost of the uncompressed tune's recommendation.
-    pub cost_uncompressed: f64,
-    /// Full-workload INUM cost of the compressed tune's recommendation
-    /// (ground-truth expansion: the config is costed against every original
-    /// statement, not just the representatives).
-    pub cost_compressed: f64,
-}
-
-impl CompressRow {
-    /// What-if call reduction factor.
-    pub fn call_cut(&self) -> f64 {
-        self.calls_uncompressed as f64 / self.calls_compressed.max(1) as f64
-    }
-
-    /// Relative cost delta of the compressed recommendation (positive =
-    /// worse than the uncompressed tune).
-    pub fn cost_delta(&self) -> f64 {
-        self.cost_compressed / self.cost_uncompressed - 1.0
-    }
-}
-
-/// Run the compression study on `W_hom` across [`compress_sizes`].
-pub fn compress_rows() -> Vec<CompressRow> {
-    compress_sizes()
-        .into_iter()
-        .map(|n| {
-            let o = make_optimizer(SystemProfile::A, 0.0);
-            let w = make_workload(&o, WorkloadKind::Hom, n);
-            let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-
-            // Uncompressed tune, from a full INUM cache (also the
-            // ground-truth cost oracle for both recommendations below).
-            let before = o.what_if_calls();
-            let (prepared_full, prep_u) = timed(|| prepare_parallel(&o, &w));
-            let calls_u = o.what_if_calls() - before;
-            let cands = CGen::default().generate(o.schema(), &w);
-            let cophy = CoPhy::new(&o, CoPhyOptions::default());
-            let rec_u = cophy
-                .try_tune_prepared(&prepared_full, &cands, &constraints, prep_u, calls_u, |_| {})
-                .expect("uncompressed tune feasible");
-
-            // Compressed tune: cluster → CGen + INUM on representatives only.
-            let opts = CoPhyOptions {
-                compression: cophy::CompressionPolicy::default_epsilon(),
-                ..Default::default()
-            };
-            let rec_c = CoPhy::new(&o, opts).try_tune(&w, &constraints).expect("feasible");
-            let summary = rec_c.compression.expect("compressed tune carries a summary");
-
-            // Before/after clustering timing: the same workload through the
-            // pre-index linear scan and the bucket index (identical output,
-            // asserted by the compress crate's equivalence tests).
-            let policy = cophy::CompressionPolicy::default_epsilon();
-            let (_, cluster_linear) =
-                timed(|| cophy::CompressedWorkload::compress_unindexed(o.schema(), &w, policy));
-            let (_, cluster_indexed) =
-                timed(|| cophy::CompressedWorkload::compress(o.schema(), &w, policy));
-
-            let cm = o.cost_model();
-            CompressRow {
-                n,
-                representatives: summary.n_representatives,
-                calls_uncompressed: calls_u,
-                calls_compressed: rec_c.stats.what_if_calls,
-                prep_uncompressed: prep_u,
-                prep_compressed: rec_c.stats.inum_time,
-                solve_uncompressed: rec_u.stats.solve_time,
-                solve_compressed: rec_c.stats.solve_time,
-                cluster_linear,
-                cluster_indexed,
-                cost_uncompressed: prepared_full.cost(o.schema(), cm, &rec_u.configuration),
-                cost_compressed: prepared_full.cost(o.schema(), cm, &rec_c.configuration),
-            }
-        })
-        .collect()
-}
-
-/// The `BENCH_compress.json` artifact body for a set of study rows.
-pub fn compress_artifact_json(rows: &[CompressRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"n\":{},\"representatives\":{},\"what_if_uncompressed\":{},\
-                 \"what_if_compressed\":{},\"call_cut\":{:.3},\"prep_uncompressed_ms\":{:.3},\
-                 \"prep_compressed_ms\":{:.3},\"solve_uncompressed_ms\":{:.3},\
-                 \"solve_compressed_ms\":{:.3},\"cluster_linear_ms\":{:.3},\
-                 \"cluster_indexed_ms\":{:.3},\"cost_uncompressed\":{},\"cost_compressed\":{},\
-                 \"cost_delta\":{:.6}}}",
-                r.n,
-                r.representatives,
-                r.calls_uncompressed,
-                r.calls_compressed,
-                r.call_cut(),
-                r.prep_uncompressed.as_secs_f64() * 1e3,
-                r.prep_compressed.as_secs_f64() * 1e3,
-                r.solve_uncompressed.as_secs_f64() * 1e3,
-                r.solve_compressed.as_secs_f64() * 1e3,
-                r.cluster_linear.as_secs_f64() * 1e3,
-                r.cluster_indexed.as_secs_f64() * 1e3,
-                json_f64(r.cost_uncompressed),
-                json_f64(r.cost_compressed),
-                r.cost_delta(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"experiment\":\"workload_compression\",\"epsilon\":{},\"rows\":[{}]}}\n",
-        cophy::CompressionPolicy::DEFAULT_EPSILON,
-        body.join(",")
-    )
-}
-
-/// The human-readable compression study report for a set of study rows.
-pub fn compress_report(rows: &[CompressRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Workload compression: W_hom, ε = {} (default), M = 0.5\n",
-        cophy::CompressionPolicy::DEFAULT_EPSILON
-    ));
-    out.push_str(
-        "size   reps   what-if(full)  what-if(comp)  cut     prep(comp) solve(comp) \
-         cluster lin→idx (ms)  cost delta\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<6} {:<6} {:<14} {:<14} {:<7.1} {:<10} {:<11} {:>8.2} → {:<8.2}  {:+.2}%\n",
-            r.n,
-            r.representatives,
-            r.calls_uncompressed,
-            r.calls_compressed,
-            r.call_cut(),
-            secs(r.prep_compressed),
-            secs(r.solve_compressed),
-            r.cluster_linear.as_secs_f64() * 1e3,
-            r.cluster_indexed.as_secs_f64() * 1e3,
-            r.cost_delta() * 100.0,
-        ));
-    }
-    out
-}
-
-/// The CI acceptance gate: **panics** unless, at `|W| = 200`, the default-ε
-/// compression cuts what-if calls ≥ 4× while the expanded recommendation
-/// cost stays within 5% of the uncompressed tune.  Callers print the report
-/// and write the artifact *before* gating, so a failure still leaves the
-/// full diagnostics behind.
-pub fn compress_gate(rows: &[CompressRow]) {
-    let gate = rows.iter().find(|r| r.n == 200).expect("|W| = 200 row present");
-    assert!(
-        gate.call_cut() >= 4.0,
-        "compression must cut what-if calls ≥ 4× at |W| = 200: got {:.2}× ({} → {})",
-        gate.call_cut(),
-        gate.calls_uncompressed,
-        gate.calls_compressed
-    );
-    assert!(
-        gate.cost_delta() <= 0.05,
-        "compressed recommendation must stay within 5% of the uncompressed tune: {:+.2}%",
-        gate.cost_delta() * 100.0
-    );
-}
-
-/// Write the compression artifact next to the experiment output.
-pub fn write_compress_artifact(json: &str) {
-    let path = "BENCH_compress.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote workload-compression artifact to {path}");
-}
-
-// ---------------------------------------------------------------------------
-// Solver-trajectory artifact + CI smoke guard
-// ---------------------------------------------------------------------------
-
-/// Statement count for rich-constraint B&B runs: the generic backend's dense
-/// simplex does not scale like the Lagrangian, so cap at the acceptance
-/// workload (24) while still honoring smaller smoke scales.
-pub fn bb_size() -> usize {
-    sizes()[2].min(24)
-}
-
-/// The rich (non-storage-only) constraint set that routes tuning to the
-/// generic branch-and-bound backend.
-pub fn rich_constraints(o: &WhatIfOptimizer) -> ConstraintSet {
-    let li = o.schema().table_by_name("lineitem").expect("TPC-H lineitem").id;
-    ConstraintSet::storage_fraction(o.schema(), 0.5).with(Constraint::IndexCount {
-        filter: IndexFilter::on_table(li),
-        cmp: Cmp::Le,
-        value: 2,
-    })
-}
-
-/// Run one backend with the unified progress stream captured.
-fn capture_trajectory(
-    o: &WhatIfOptimizer,
-    w: &Workload,
-    constraints: &ConstraintSet,
-    backend: SolverBackend,
-) -> (Vec<SolveProgress>, Result<cophy::Recommendation, cophy::CoPhyError>) {
-    let prepared = prepare_parallel(o, w);
-    let cands = CGen::default().generate(o.schema(), w);
-    capture_trajectory_prepared(o, &prepared, &cands, constraints, backend)
-}
-
-/// [`capture_trajectory`] from an existing INUM cache and candidate set —
-/// callers that run several studies on the same workload (`solver_smoke`)
-/// prepare once and share.
-fn capture_trajectory_prepared(
-    o: &WhatIfOptimizer,
-    prepared: &PreparedWorkload,
-    cands: &CandidateSet,
-    constraints: &ConstraintSet,
-    backend: SolverBackend,
-) -> (Vec<SolveProgress>, Result<cophy::Recommendation, cophy::CoPhyError>) {
-    let cophy = CoPhy::new(o, CoPhyOptions { backend, ..Default::default() });
-    let mut points = Vec::new();
-    let rec = cophy
-        .try_tune_prepared(prepared, cands, constraints, Duration::ZERO, 0, |p| points.push(*p));
-    (points, rec)
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-fn json_series(backend: &str, n: usize, points: &[SolveProgress]) -> String {
-    let pts: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"t_ms\":{:.3},\"incumbent\":{},\"bound\":{},\"gap\":{},\"ticks\":{},\
-                 \"pivots\":{}}}",
-                p.at.as_secs_f64() * 1e3,
-                json_f64(p.incumbent),
-                json_f64(p.bound),
-                json_f64(p.gap),
-                p.ticks,
-                p.pivots
-            )
-        })
-        .collect();
-    format!("{{\"backend\":\"{backend}\",\"statements\":{n},\"points\":[{}]}}", pts.join(","))
-}
-
-/// Gap-vs-time trajectories of both backends through the unified
-/// [`SolveProgress`] stream, as a JSON document.  The `fig4`/`fig10` bins
-/// write this to `BENCH_solver.json` so future PRs can track solver
-/// regressions (anytime behavior, not just end-to-end wall clock);
-/// `solver_smoke` appends the warm-start/parallelism configuration rows
-/// (nodes, pivots/node, threads) via [`solver_artifact_json`].
-pub fn solver_trajectory_json() -> String {
-    solver_artifact_json(&[])
-}
-
-/// The `BENCH_solver.json` body: both backends' gap-vs-time series plus the
-/// warm-start/parallelism study rows (empty for the cheap `fig4`/`fig10`
-/// writes).  Captures both trajectories itself; callers that already hold a
-/// capture (the `solver_smoke` guard) use [`solver_artifact_body`] instead
-/// of paying the solves twice.
-pub fn solver_artifact_json(configs: &[SolverConfigRow]) -> String {
-    let o = make_optimizer(SystemProfile::A, 0.0);
-
-    // Lagrangian on the storage-only set (the common, large case).
-    let n_lag = default_size();
-    let w_lag = make_workload(&o, WorkloadKind::Hom, n_lag);
-    let storage = ConstraintSet::storage_fraction(o.schema(), 0.5);
-    let (lag_points, lag_rec) = capture_trajectory(&o, &w_lag, &storage, SolverBackend::Lagrangian);
-    let lag_rec = lag_rec.expect("storage-only tuning is feasible");
-
-    // Branch-and-bound on a rich constraint set.
-    let n_bb = bb_size();
-    let w_bb = make_workload(&o, WorkloadKind::Hom, n_bb);
-    let rich = rich_constraints(&o);
-    let (bb_points, bb_rec) = capture_trajectory(&o, &w_bb, &rich, SolverBackend::BranchBound);
-    let bb_rec = bb_rec.expect("rich-constraint tuning must find an incumbent");
-
-    solver_artifact_body((n_lag, &lag_points, lag_rec.gap), (n_bb, &bb_points, bb_rec.gap), configs)
-}
-
-/// Format the `BENCH_solver.json` body from already-captured trajectories
-/// `(statements, points, final gap)` per backend plus the study rows.
-pub fn solver_artifact_body(
-    lagrangian: (usize, &[SolveProgress], f64),
-    branch_bound: (usize, &[SolveProgress], f64),
-    configs: &[SolverConfigRow],
-) -> String {
-    let config_rows: Vec<String> = configs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"label\":\"{}\",\"engine\":\"{}\",\"warm_start\":{},\"threads\":{},\
-                 \"nodes\":{},\"pivots\":{},\"pivots_per_node\":{:.2},\
-                 \"pivots_per_sec\":{:.1},\"refactorizations\":{},\"devex_resets\":{},\
-                 \"gap\":{},\"bound\":{},\"objective\":{},\"wall_ms\":{:.3}}}",
-                r.label,
-                r.engine,
-                r.warm_start,
-                r.threads,
-                r.nodes,
-                r.pivots,
-                r.pivots_per_node(),
-                r.pivots_per_sec(),
-                r.refactorizations,
-                r.devex_resets,
-                json_f64(r.gap),
-                json_f64(r.bound),
-                json_f64(r.objective),
-                r.wall.as_secs_f64() * 1e3,
-            )
-        })
-        .collect();
-    let (n_lag, lag_points, lag_gap) = lagrangian;
-    let (n_bb, bb_points, bb_gap) = branch_bound;
-    format!(
-        "{{\"experiment\":\"solver_trajectory\",\"host_threads\":{},\"final_gaps\":{{\"lagrangian\":{},\"branch_bound\":{}}},\"series\":[{},{}],\"configs\":[{}]}}\n",
-        host_threads(),
-        json_f64(lag_gap),
-        json_f64(bb_gap),
-        json_series("lagrangian", n_lag, lag_points),
-        json_series("branch_bound", n_bb, bb_points),
-        config_rows.join(","),
-    )
-}
-
-/// Write the solver trajectory artifact next to the experiment output.
-pub fn write_solver_artifact() {
-    write_named_solver_artifact(&solver_trajectory_json());
-}
-
-/// Write a prebuilt `BENCH_solver.json` body.
-pub fn write_named_solver_artifact(body: &str) {
-    let path = "BENCH_solver.json";
-    std::fs::write(path, body).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote solver artifact to {path}");
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start / parallel-node study (solver_smoke gate)
-// ---------------------------------------------------------------------------
-
-/// `SolveBudget::parallelism` of the warm-parallel study config:
-/// `COPHY_THREADS` when set (CI pins it on the hosted runners), otherwise
-/// the host's available parallelism, clamped to `[2, 8]`.
-pub fn study_threads() -> usize {
-    std::env::var("COPHY_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4))
-        .clamp(2, 8)
-}
-
-/// The host's reported parallelism (recorded in the artifacts so multi-core
-/// CI runs are distinguishable from 1-core container runs).
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-}
-
-/// One configuration of the warm-start/parallelism study on the rich
-/// W_hom24 branch-and-bound tune.
-pub struct SolverConfigRow {
-    pub label: &'static str,
-    /// LP kernel of the run (`"sparse"` revised simplex or the retained
-    /// `"dense"` explicit-inverse baseline).
-    pub engine: &'static str,
-    pub warm_start: bool,
-    /// `SolveBudget::parallelism` of the run.
-    pub threads: usize,
-    /// B&B nodes explored within the budget.
-    pub nodes: usize,
-    /// Cumulative simplex pivots (root + node LPs, warm and cold alike).
-    pub pivots: usize,
-    /// From-scratch basis (re)factorizations across every LP of the run.
-    pub refactorizations: usize,
-    /// Devex reference-framework resets across every LP of the run.
-    pub devex_resets: usize,
-    pub gap: f64,
-    pub bound: f64,
-    pub objective: f64,
-    pub wall: Duration,
-}
-
-impl SolverConfigRow {
-    pub fn pivots_per_node(&self) -> f64 {
-        self.pivots as f64 / self.nodes.max(1) as f64
-    }
-
-    /// Pivot throughput — the tentpole metric of the sparse-kernel gate.
-    pub fn pivots_per_sec(&self) -> f64 {
-        self.pivots as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Run the rich-constraint W_hom24 BIP through four branch-and-bound
-/// configurations under the same default interactive budget (5% gap, 60 s):
-/// the PR-2 baseline (cold two-phase node LPs, serial), the PR-6 baseline
-/// (warm serial on the retained dense explicit-inverse kernel), warm-started
-/// serial on the sparse revised kernel, and warm-started parallel.  The
-/// model is built once from the caller's INUM cache; each run solves the
-/// same BIP, so nodes/pivots/gap compare engines, not model noise.
-pub fn solver_config_rows(
-    o: &WhatIfOptimizer,
-    prepared: &PreparedWorkload,
-    cands: &CandidateSet,
-    constraints: &ConstraintSet,
-) -> Vec<SolverConfigRow> {
-    use cophy_bip::{BranchBound, LpEngine, SimplexSolver, SolveOptions};
-
-    let (model, _mapping) =
-        cophy::BipGen::default().model(o.schema(), o.cost_model(), prepared, cands, constraints);
-
-    // At least 2 so the parallel path is exercised even on one-core boxes
-    // (a batch of 2 on one core costs the same total work as 2 serial
-    // nodes; the warm start, not the core count, carries the speedup
-    // there).  `COPHY_THREADS` pins the count explicitly — CI sets it on
-    // the multi-core hosted runners so the artifact records a reproducible
-    // `SolveBudget::parallelism`.
-    let threads = study_threads();
-    let configs: [(&'static str, LpEngine, bool, usize); 4] = [
-        ("cold-serial (PR-2 baseline)", LpEngine::Sparse, false, 1),
-        ("dense-serial (PR-6 baseline)", LpEngine::Dense, true, 1),
-        ("warm-serial", LpEngine::Sparse, true, 1),
-        ("warm-parallel", LpEngine::Sparse, true, threads),
-    ];
-    configs
-        .into_iter()
-        .map(|(label, engine, warm_start, k)| {
-            let opts = SolveOptions {
-                budget: cophy::SolveBudget::interactive().with_parallelism(k),
-                warm_start,
-                ..Default::default()
-            };
-            let bb = BranchBound { simplex: SimplexSolver { engine, ..Default::default() } };
-            let (r, wall) = timed(|| bb.solve(&model, &opts));
-            SolverConfigRow {
-                label,
-                engine: if engine == LpEngine::Dense { "dense" } else { "sparse" },
-                warm_start,
-                threads: k,
-                nodes: r.nodes,
-                pivots: r.pivots,
-                refactorizations: r.refactorizations,
-                devex_resets: r.devex_resets,
-                gap: r.gap,
-                bound: r.bound,
-                objective: r.objective,
-                wall,
-            }
-        })
-        .collect()
-}
-
-/// Human-readable report of the warm-start/parallelism study.
-pub fn solver_config_report(rows: &[SolverConfigRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Warm-start / parallel-node study: rich W_hom{} BIP, budget 5% gap / 60 s\n",
-        bb_size()
-    ));
-    out.push_str(
-        "config                        engine  threads  nodes    pivots/node  pivots/sec  \
-         refact  resets  gap      wall\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<29} {:<7} {:<8} {:<8} {:<12.1} {:<11.0} {:<7} {:<7} {:<8.2}% {}\n",
-            r.label,
-            r.engine,
-            r.threads,
-            r.nodes,
-            r.pivots_per_node(),
-            r.pivots_per_sec(),
-            r.refactorizations,
-            r.devex_resets,
-            r.gap * 100.0,
-            secs(r.wall),
-        ));
-    }
-    out
-}
-
-/// The CI acceptance gate of the warm-started parallel engine: **panics**
-/// unless, within the same budget, the warm-parallel configuration (a)
-/// proves a strictly smaller gap than the cold-serial PR-2 baseline (or
-/// already reaches the 5% gap target, where it is allowed to stop early)
-/// and (b) explores at least 5× the baseline's node count (same early-stop
-/// escape).  The sparse-kernel gate then requires the warm-serial sparse
-/// configuration to sustain **≥ 10× the pivot throughput** of the dense
-/// PR-6 baseline and to prove an equal-or-smaller gap — skipped only when
-/// either run is too short to measure (pivots < 500 or wall < 50 ms, the
-/// early-stop regime where throughput is noise).  Callers print the report
-/// and write the artifact *before* gating, so a failure still leaves the
-/// diagnostics behind.
-pub fn solver_config_gate(rows: &[SolverConfigRow]) {
-    let base = rows.iter().find(|r| !r.warm_start).expect("cold-serial baseline row");
-    let warm = rows.iter().find(|r| r.label == "warm-parallel").expect("warm-parallel row");
-    let target_reached = warm.gap <= 0.05 + 1e-9;
-    assert!(
-        warm.gap < base.gap - 1e-9 || target_reached,
-        "warm-parallel must prove a strictly smaller gap than the cold baseline: \
-         {:.2}% vs {:.2}%",
-        warm.gap * 100.0,
-        base.gap * 100.0
-    );
-    assert!(
-        warm.nodes >= 5 * base.nodes || target_reached,
-        "warm-parallel must explore ≥5× the baseline's nodes within the budget: \
-         {} vs {}",
-        warm.nodes,
-        base.nodes
-    );
-
-    // Sparse revised simplex vs the dense explicit-inverse baseline.
-    let dense = rows.iter().find(|r| r.engine == "dense").expect("dense-serial baseline row");
-    let sparse = rows.iter().find(|r| r.label == "warm-serial").expect("warm-serial row");
-    assert!(
-        sparse.gap <= dense.gap + 1e-9,
-        "sparse warm-serial must prove an equal-or-smaller gap than the dense baseline: \
-         {:.2}% vs {:.2}%",
-        sparse.gap * 100.0,
-        dense.gap * 100.0
-    );
-    let measurable = |r: &SolverConfigRow| r.pivots >= 500 && r.wall >= Duration::from_millis(50);
-    if measurable(dense) && measurable(sparse) {
-        assert!(
-            sparse.pivots_per_sec() >= 10.0 * dense.pivots_per_sec(),
-            "sparse warm-serial must sustain ≥10× the dense baseline's pivot throughput: \
-             {:.0}/s vs {:.0}/s",
-            sparse.pivots_per_sec(),
-            dense.pivots_per_sec()
-        );
-    } else {
-        eprintln!(
-            "sparse-vs-dense throughput gate skipped: run too short to measure \
-             (sparse {} pivots / {:.0} ms, dense {} pivots / {:.0} ms)",
-            sparse.pivots,
-            sparse.wall.as_secs_f64() * 1e3,
-            dense.pivots,
-            dense.wall.as_secs_f64() * 1e3
-        );
-    }
-}
-
-/// CI smoke guard for the generic backend: a rich-constraint B&B run that
-/// **fails** unless a feasible incumbent appears at the root node and a
-/// finite gap is reached within the default budget (guards the
-/// LP-rounding/repair heuristic against regressions), followed by the
-/// warm-start/parallelism study whose gate requires the warm-parallel
-/// engine to beat the cold-serial PR-2 baseline (see [`solver_config_gate`]).
-/// The enriched `BENCH_solver.json` (trajectories + per-config nodes,
-/// pivots/node, threads) is written *before* the gate asserts.
-pub fn solver_smoke() -> String {
-    let n = bb_size();
-    let o = make_optimizer(SystemProfile::A, 0.0);
-    let w = make_workload(&o, WorkloadKind::Hom, n);
-    let rich = rich_constraints(&o);
-    // One INUM preparation + candidate set serves the guard run, the
-    // warm-start/parallelism study, and the artifact below.
-    let prepared = prepare_parallel(&o, &w);
-    let cands = CGen::default().generate(o.schema(), &w);
-    let (points, rec) =
-        capture_trajectory_prepared(&o, &prepared, &cands, &rich, SolverBackend::BranchBound);
-    let rec = rec.expect("rich-constraint B&B found no incumbent within the default budget");
-    let first_incumbent_ticks = points.iter().find(|p| p.incumbent.is_finite()).map(|p| p.ticks);
-    assert!(rec.gap.is_finite(), "gap stayed infinite within the default budget");
-    assert_eq!(
-        first_incumbent_ticks,
-        Some(0),
-        "the rounding heuristic must produce the first incumbent at the root node"
-    );
-
-    // Warm-start / parallel-node study: report + artifact land first so a
-    // gate failure still leaves the diagnostics behind.  The artifact
-    // reuses the B&B trajectory captured above (the expensive solve);
-    // only the cheap Lagrangian series is captured fresh.
-    let configs = solver_config_rows(&o, &prepared, &cands, &rich);
-    let report = solver_config_report(&configs);
-    eprintln!("{report}");
-    let n_lag = default_size();
-    let w_lag = make_workload(&o, WorkloadKind::Hom, n_lag);
-    let storage = ConstraintSet::storage_fraction(o.schema(), 0.5);
-    let (lag_points, lag_rec) = capture_trajectory(&o, &w_lag, &storage, SolverBackend::Lagrangian);
-    let lag_rec = lag_rec.expect("storage-only tuning is feasible");
-    write_named_solver_artifact(&solver_artifact_body(
-        (n_lag, &lag_points, lag_rec.gap),
-        (n, &points, rec.gap),
-        &configs,
-    ));
-    solver_config_gate(&configs);
-
-    format!(
-        "solver smoke: W_hom{n} under rich constraints → incumbent at root, \
-         {} progress events, final gap {:.2}%, bound {:.0}, solve {}\n\n{report}",
-        points.len(),
-        rec.gap * 100.0,
-        rec.bound,
-        secs(rec.stats.solve_time),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Interactive re-optimization study (fig10_interactive) + CI smoke guard
-// ---------------------------------------------------------------------------
-
-/// Statement count of the interactive study.  The warm chain runs the
-/// branch-and-bound backend over the Theorem-1 model, whose dense-inverse
-/// LPs do not scale like the Lagrangian — cap at 12 while honoring smaller
-/// smoke scales (the claim under test is the *pivot economy* of the warm
-/// chain, not workload scale).
-pub fn interactive_size() -> usize {
-    sizes()[0].clamp(6, 12)
-}
-
-/// One budget point of the interactive study: the warm-chained sweep answer
-/// vs an independent cold tune of the identical BIP.
-pub struct InteractivePoint {
-    pub budget_bytes: u64,
-    pub warm_objective: f64,
-    pub warm_bound: f64,
-    pub warm_gap: f64,
-    pub warm_nodes: usize,
-    pub warm_pivots: usize,
-    pub warm_time: Duration,
-    pub cold_objective: f64,
-    pub cold_bound: f64,
-    pub cold_gap: f64,
-    pub cold_nodes: usize,
-    pub cold_pivots: usize,
-    pub cold_time: Duration,
-}
-
-/// The fig10_interactive study: a K-point storage sweep answered as one warm
-/// session chain ([`cophy::TuningSession::try_sweep_storage_with_progress`]) vs K independent
-/// cold solves of the same model, plus the zero-call `what_if` probes.
-pub struct InteractiveStudy {
-    pub n_statements: usize,
-    pub points: Vec<InteractivePoint>,
-    pub warm_wall: Duration,
-    pub cold_wall: Duration,
-    /// Optimizer what-if calls issued *during* the sweep (must be 0: the
-    /// chain re-solves the model, it never re-probes the optimizer).
-    pub sweep_what_if_calls: u64,
-    /// Optimizer what-if calls issued by `what_if()` probes of every sweep
-    /// answer (must be 0: answered from the INUM cache).
-    pub what_if_probe_calls: u64,
-}
-
-impl InteractiveStudy {
-    pub fn warm_pivots(&self) -> usize {
-        self.points.iter().map(|p| p.warm_pivots).sum()
-    }
-
-    pub fn cold_pivots(&self) -> usize {
-        self.points.iter().map(|p| p.cold_pivots).sum()
-    }
-
-    /// Total-pivot economy of the warm chain (cold / warm; higher = better).
-    pub fn pivot_ratio(&self) -> f64 {
-        self.cold_pivots() as f64 / self.warm_pivots().max(1) as f64
-    }
-}
-
-/// Run the interactive study on `W_hom` at [`interactive_size`] over the
-/// shared [`storage_budget_grid`].  The warm chain and the cold baseline
-/// share one INUM cache and candidate set, so the comparison isolates
-/// solver work: per point, the two sides solve bit-identical BIPs (same
-/// rows, same RHS) under the same default interactive budget.
-pub fn interactive_study() -> InteractiveStudy {
-    use cophy_bip::{BranchBound, SolveOptions};
-
-    let o = make_optimizer(SystemProfile::A, 0.0);
-    let n = interactive_size();
-    let w = make_workload(&o, WorkloadKind::Hom, n);
-    let budgets = storage_budget_grid(o.schema());
-
-    // Warm chain: one session, K budget points, one ResolveContext.  The
-    // study runs at the paper's interactive operating point (5% gap, 60 s)
-    // with a lean candidate grammar (2-column keys, no covering variants):
-    // interactivity presumes per-point answers in seconds, and the lean
-    // grammar keeps every budget point in that regime — both sides of the
-    // comparison use the identical grammar, so the ratio is solver economics
-    // only.
-    let gap: f64 =
-        std::env::var("COPHY_SWEEP_GAP").ok().and_then(|v| v.parse().ok()).unwrap_or(0.05);
-    let opts = CoPhyOptions {
-        budget: cophy::SolveBudget::within(gap).with_time(Duration::from_secs(60)),
-        cgen: CGen { max_key_columns: 2, max_include_columns: 0 },
-        ..Default::default()
-    };
-    let cophy = CoPhy::new(&o, opts.clone());
-    let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
-    let calls_before = o.what_if_calls();
-    let (warm_points, warm_wall) = timed(|| {
-        session
-            .try_sweep_storage_with_progress(&budgets, |_, _| {})
-            .expect("no pins: every point fits")
-    });
-    let sweep_what_if_calls = o.what_if_calls() - calls_before;
-
-    // "What does this configuration cost?" probes of every sweep answer:
-    // answered from the INUM cache, so the optimizer counter must not move.
-    let probe_before = o.what_if_calls();
-    for p in &warm_points {
-        let _ = session.what_if(&p.configuration);
-    }
-    let what_if_probe_calls = o.what_if_calls() - probe_before;
-
-    // Cold baseline: K independent solves of the identical BIP (fresh model
-    // and solver state per budget; the session's own INUM preparation and
-    // CGen run are reproduced deterministically).
-    let prepared = Inum::new(&o).prepare_workload(&w);
-    let cands = opts.cgen.generate(o.schema(), &w);
-    let cm = o.cost_model();
-    let fixed: f64 = prepared.queries.iter().map(|pq| pq.weight * pq.fixed_update_cost).sum();
-    let mut points = Vec::with_capacity(budgets.len());
-    let t0 = Instant::now();
-    for (wp, &budget) in warm_points.iter().zip(&budgets) {
-        let constraints = ConstraintSet::none().with(Constraint::Storage { budget_bytes: budget });
-        let (model, _) =
-            cophy::BipGen::default().model(o.schema(), cm, &prepared, &cands, &constraints);
-        let solve_opts = SolveOptions { budget: opts.budget, ..Default::default() };
-        let (r, cold_time) = timed(|| BranchBound::new().solve(&model, &solve_opts));
-        points.push(InteractivePoint {
-            budget_bytes: budget,
-            warm_objective: wp.objective,
-            warm_bound: wp.bound,
-            warm_gap: wp.gap,
-            warm_nodes: wp.nodes,
-            warm_pivots: wp.pivots,
-            warm_time: wp.solve_time,
-            cold_objective: r.objective + fixed,
-            cold_bound: r.bound + fixed,
-            cold_gap: r.gap,
-            cold_nodes: r.nodes,
-            cold_pivots: r.pivots,
-            cold_time,
-        });
-    }
-    let cold_wall = t0.elapsed();
-
-    InteractiveStudy {
-        n_statements: n,
-        points,
-        warm_wall,
-        cold_wall,
-        sweep_what_if_calls,
-        what_if_probe_calls,
-    }
-}
-
-/// Human-readable report of the interactive study.
-pub fn interactive_report(study: &InteractiveStudy) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Interactive budget sweep: W_hom{} × {} budget points, warm chain vs cold solves\n",
-        study.n_statements,
-        study.points.len()
-    ));
-    out.push_str(
-        "budget(MB)  warm pivots  nodes  gap      time    |  cold pivots  nodes  gap      time\n",
-    );
-    for p in &study.points {
-        out.push_str(&format!(
-            "{:<11.1} {:<12} {:<6} {:<8.2}% {:<7} |  {:<12} {:<6} {:<8.2}% {}\n",
-            p.budget_bytes as f64 / 1e6,
-            p.warm_pivots,
-            p.warm_nodes,
-            p.warm_gap * 100.0,
-            secs(p.warm_time),
-            p.cold_pivots,
-            p.cold_nodes,
-            p.cold_gap * 100.0,
-            secs(p.cold_time),
-        ));
-    }
-    out.push_str(&format!(
-        "totals: warm {} pivots in {} vs cold {} pivots in {} → {:.1}× fewer pivots\n\
-         what-if calls during sweep: {} (probes: {})\n",
-        study.warm_pivots(),
-        secs(study.warm_wall),
-        study.cold_pivots(),
-        secs(study.cold_wall),
-        study.pivot_ratio(),
-        study.sweep_what_if_calls,
-        study.what_if_probe_calls,
-    ));
-    out
-}
-
-/// The `BENCH_interactive.json` artifact body.
-pub fn interactive_artifact_json(study: &InteractiveStudy) -> String {
-    let pts: Vec<String> = study
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"budget_bytes\":{},\"warm\":{{\"objective\":{},\"bound\":{},\"gap\":{},\
-                 \"nodes\":{},\"pivots\":{},\"time_ms\":{:.3}}},\"cold\":{{\"objective\":{},\
-                 \"bound\":{},\"gap\":{},\"nodes\":{},\"pivots\":{},\"time_ms\":{:.3}}}}}",
-                p.budget_bytes,
-                json_f64(p.warm_objective),
-                json_f64(p.warm_bound),
-                json_f64(p.warm_gap),
-                p.warm_nodes,
-                p.warm_pivots,
-                p.warm_time.as_secs_f64() * 1e3,
-                json_f64(p.cold_objective),
-                json_f64(p.cold_bound),
-                json_f64(p.cold_gap),
-                p.cold_nodes,
-                p.cold_pivots,
-                p.cold_time.as_secs_f64() * 1e3,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"experiment\":\"interactive_sweep\",\"statements\":{},\"k\":{},\"host_threads\":{},\
-         \"warm_total_pivots\":{},\"cold_total_pivots\":{},\"pivot_ratio\":{:.3},\
-         \"warm_wall_ms\":{:.3},\"cold_wall_ms\":{:.3},\"sweep_what_if_calls\":{},\
-         \"what_if_probe_calls\":{},\"points\":[{}]}}\n",
-        study.n_statements,
-        study.points.len(),
-        host_threads(),
-        study.warm_pivots(),
-        study.cold_pivots(),
-        study.pivot_ratio(),
-        study.warm_wall.as_secs_f64() * 1e3,
-        study.cold_wall.as_secs_f64() * 1e3,
-        study.sweep_what_if_calls,
-        study.what_if_probe_calls,
-        pts.join(","),
-    )
-}
-
-/// Write the interactive-sweep artifact next to the experiment output.
-pub fn write_interactive_artifact(json: &str) {
-    let path = "BENCH_interactive.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote interactive-sweep artifact to {path}");
-}
-
-/// The CI acceptance gate of the interactive engine: **panics** unless the
-/// warm-chained K-point sweep (a) spends ≥ 3× fewer total simplex pivots
-/// than K cold solves, (b) issued zero optimizer what-if calls (sweep and
-/// probes alike), and (c) stays answer-consistent with the cold solves
-/// within both sides' gap slack.  Callers print the report and write the
-/// artifact *before* gating, so a failure still leaves diagnostics behind.
-pub fn interactive_gate(study: &InteractiveStudy) {
-    assert_eq!(
-        study.sweep_what_if_calls, 0,
-        "the warm sweep must not issue optimizer what-if calls"
-    );
-    assert_eq!(
-        study.what_if_probe_calls, 0,
-        "what_if probes must be answered from the INUM cache alone"
-    );
-    assert!(
-        study.pivot_ratio() >= 3.0,
-        "warm chain must spend ≥3× fewer pivots than cold solves: {} vs {} ({:.2}×)",
-        study.warm_pivots(),
-        study.cold_pivots(),
-        study.pivot_ratio()
-    );
-    for p in &study.points {
-        let slack = 1.0 + p.warm_gap.max(p.cold_gap) + 1e-9;
-        assert!(
-            p.warm_objective <= p.cold_objective * slack
-                && p.cold_objective <= p.warm_objective * slack,
-            "warm and cold answers diverged beyond gap slack at budget {}: {} vs {}",
-            p.budget_bytes,
-            p.warm_objective,
-            p.cold_objective
-        );
-    }
-}
-
-/// The fig10_interactive experiment: study + report + artifact + gate.
-pub fn fig10_interactive() -> String {
-    let study = interactive_study();
-    let report = interactive_report(&study);
-    eprintln!("{report}");
-    write_interactive_artifact(&interactive_artifact_json(&study));
-    interactive_gate(&study);
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cophy_catalog::Configuration;
 
     #[test]
     fn sizes_resolve() {
-        let s = sizes();
-        assert!(s[0] < s[1] && s[1] < s[2]);
+        for scale in [Scale::Smoke, Scale::Local, Scale::Std, Scale::Full] {
+            let s = scale.sizes();
+            assert!(s[0] < s[1] && s[1] < s[2]);
+        }
     }
 
     #[test]
@@ -1528,12 +519,12 @@ mod tests {
     }
 
     #[test]
-    fn run_cophy_smoke() {
+    fn run_cophy_measures_a_tune() {
         let o = make_optimizer(SystemProfile::A, 0.0);
         let w = make_workload(&o, WorkloadKind::Hom, 10);
         let c = ConstraintSet::storage_fraction(o.schema(), 1.0);
         let run = run_cophy(&o, &w, &c, None);
         assert!(run.perf > 0.0);
-        assert!(run.n_candidates > 0);
+        assert_eq!(run.total, run.inum + run.build + run.solve);
     }
 }

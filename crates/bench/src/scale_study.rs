@@ -1,5 +1,4 @@
-//! Million-statement scaling study (the `fig_scale` bin and the
-//! `scale_smoke` CI gate).
+//! Million-statement scaling study (the `scale` CI gate).
 //!
 //! Exercises the PR-10 large-workload path end to end: a generator-backed
 //! [`WorkloadSource`] feeds a streaming session chunk by chunk, compression
@@ -21,9 +20,6 @@
 //! 3. **Decomposition soundness** — on a small workload the decomposed
 //!    parallel solve lands within the solvers' proven-gap slack of the
 //!    exact monolithic branch-and-bound answer.
-//!
-//! Writes `BENCH_scale.json` *before* gating, so the CI artifact survives a
-//! failure.
 
 use std::time::{Duration, Instant};
 
@@ -34,7 +30,8 @@ use cophy_catalog::TpchGen;
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
 use cophy_workload::{HomGen, Statement, Workload, WorkloadSource, DEFAULT_CHUNK};
 
-use crate::{host_threads, secs, study_threads};
+use crate::Cell::{Int, Num, Pct, Secs};
+use crate::{Knobs, Outcome, Scale, Table};
 
 /// Stream seed — fixed so the study is reproducible across runs and hosts.
 const SCALE_SEED: u64 = 0x5CA1E;
@@ -44,10 +41,10 @@ const SCALE_SEED: u64 = 0x5CA1E;
 /// 2·10⁴ and 10⁵ statements (the smoke acceptance size — still far beyond
 /// anything the batch path would want to materialize per-statement state
 /// for).
-pub fn scale_sizes() -> (usize, usize) {
-    match std::env::var("COPHY_SCALE").as_deref() {
-        Ok("full") => (200_000, 1_000_000),
-        _ => (20_000, 100_000),
+fn stream_sizes(scale: Scale) -> [usize; 2] {
+    match scale {
+        Scale::Full => [200_000, 1_000_000],
+        _ => [20_000, 100_000],
     }
 }
 
@@ -72,38 +69,38 @@ impl WorkloadSource for SliceSource {
 }
 
 /// One streamed tune at one workload size.
-pub struct ScaleRow {
-    pub statements: usize,
+struct ScaleRow {
+    statements: usize,
     /// Cluster representatives at the end of ingestion (== INUM-prepared
     /// statements == resident statement state of the session).
-    pub representatives: usize,
+    representatives: usize,
     /// Max over chunks of `representatives-so-far + chunk length`: every
     /// statement resident at any point during ingestion.
-    pub resident_high_water: usize,
+    resident_high_water: usize,
     /// Generation + online clustering + INUM preparation of representatives.
-    pub ingest_time: Duration,
-    pub solve_time: Duration,
-    pub objective: f64,
-    pub gap: f64,
+    ingest_time: Duration,
+    solve_time: Duration,
+    objective: f64,
+    gap: f64,
     /// What-if probes spent (scales with representatives, not `|W|`).
-    pub probes: u64,
+    probes: u64,
 }
 
 impl ScaleRow {
-    pub fn per_statement_us(&self) -> f64 {
+    fn per_statement_us(&self) -> f64 {
         self.ingest_time.as_secs_f64() * 1e6 / self.statements.max(1) as f64
     }
 }
 
 /// Stream `n` statements into a fresh session, tracking the residency
 /// high-water mark, then solve with the block-decomposed parallel backend.
-pub fn scale_row(n: usize) -> ScaleRow {
+fn scale_row(n: usize, threads: usize) -> ScaleRow {
     let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
     let opts = CoPhyOptions {
         compression: CompressionPolicy::default_epsilon(),
         budget: SolveBudget::within(0.05)
             .with_time(Duration::from_secs(60))
-            .with_parallelism(study_threads()),
+            .with_parallelism(threads),
         backend: SolverBackend::Lagrangian,
         ..Default::default()
     };
@@ -146,29 +143,29 @@ pub fn scale_row(n: usize) -> ScaleRow {
 
 /// The small-instance decomposition cross-check: decomposed parallel
 /// Lagrangian vs exact monolithic branch-and-bound.
-pub struct ScaleAgreement {
-    pub statements: usize,
-    pub lag_objective: f64,
-    pub lag_gap: f64,
-    pub bb_objective: f64,
-    pub bb_gap: f64,
+struct ScaleAgreement {
+    statements: usize,
+    lag_objective: f64,
+    lag_gap: f64,
+    bb_objective: f64,
+    bb_gap: f64,
 }
 
 impl ScaleAgreement {
     /// Relative distance of the decomposed incumbent from the exact answer.
-    pub fn rel_delta(&self) -> f64 {
+    fn rel_delta(&self) -> f64 {
         (self.lag_objective - self.bb_objective) / self.bb_objective
     }
 
     /// The tolerated slack: the solvers' summed proven gaps, floored at the
     /// study's 5% budget gap.
-    pub fn slack(&self) -> f64 {
+    fn slack(&self) -> f64 {
         (self.lag_gap + self.bb_gap).max(0.05)
     }
 }
 
 /// Run both backends on a small workload where branch-and-bound is exact.
-pub fn scale_agreement() -> ScaleAgreement {
+fn scale_agreement(threads: usize) -> ScaleAgreement {
     let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
     let w = HomGen::new(SCALE_SEED ^ 1).generate(o.schema(), 8);
     let constraints = ConstraintSet::storage_fraction(o.schema(), 0.25);
@@ -177,7 +174,7 @@ pub fn scale_agreement() -> ScaleAgreement {
     let lag = CoPhy::new(
         &o,
         CoPhyOptions {
-            budget: budget.with_parallelism(study_threads()),
+            budget: budget.with_parallelism(threads),
             backend: SolverBackend::Lagrangian,
             ..Default::default()
         },
@@ -199,122 +196,83 @@ pub fn scale_agreement() -> ScaleAgreement {
     }
 }
 
-/// Everything the study produces; report, artifact and gate all read this.
-pub struct ScaleStudy {
-    pub rows: [ScaleRow; 2],
-    pub agreement: ScaleAgreement,
-}
-
 /// Run the full study at the configured scale.
-pub fn scale_study() -> ScaleStudy {
-    let (small, large) = scale_sizes();
-    ScaleStudy { rows: [scale_row(small), scale_row(large)], agreement: scale_agreement() }
-}
+pub(crate) fn scale(k: &Knobs) -> Outcome {
+    let sizes = stream_sizes(k.scale);
+    let rows = sizes.map(|n| scale_row(n, k.threads));
+    let a = scale_agreement(k.threads);
 
-/// The `BENCH_scale.json` artifact body.
-pub fn scale_artifact_json(s: &ScaleStudy) -> String {
-    let mut out = String::from("{\"experiment\":\"scale\",");
-    out.push_str(&format!(
-        "\"threads\":{},\"host_threads\":{},\"chunk\":{},\"rows\":[",
-        study_threads(),
-        host_threads(),
-        DEFAULT_CHUNK
-    ));
-    for (i, r) in s.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"statements\":{},\"representatives\":{},\"resident_high_water\":{},\
-             \"ingest_s\":{:.4},\"per_statement_us\":{:.4},\"solve_s\":{:.4},\
-             \"objective\":{:.6},\"gap\":{:.6},\"probes\":{}}}",
-            r.statements,
-            r.representatives,
-            r.resident_high_water,
-            r.ingest_time.as_secs_f64(),
-            r.per_statement_us(),
-            r.solve_time.as_secs_f64(),
-            r.objective,
-            r.gap,
-            r.probes,
-        ));
+    let mut streamed = Table::new(
+        format!("streamed tunes, chunk = {DEFAULT_CHUNK} statements"),
+        &[
+            "statements",
+            "representatives",
+            "resident_high_water",
+            "ingest",
+            "per_statement_us",
+            "solve",
+            "objective",
+            "gap",
+            "probes",
+        ],
+    );
+    for r in &rows {
+        streamed.row(vec![
+            Int(r.statements as u64),
+            Int(r.representatives as u64),
+            Int(r.resident_high_water as u64),
+            Secs(r.ingest_time),
+            Num(r.per_statement_us()),
+            Secs(r.solve_time),
+            Num(r.objective),
+            Pct(r.gap),
+            Int(r.probes),
+        ]);
     }
-    let a = &s.agreement;
-    out.push_str(&format!(
-        "],\"agreement\":{{\"statements\":{},\"lag_objective\":{:.6},\"lag_gap\":{:.6},\
-         \"bb_objective\":{:.6},\"bb_gap\":{:.6},\"rel_delta\":{:.6},\"slack\":{:.6}}}}}\n",
-        a.statements,
-        a.lag_objective,
-        a.lag_gap,
-        a.bb_objective,
-        a.bb_gap,
-        a.rel_delta(),
-        a.slack(),
-    ));
-    out
-}
+    let agreement = Table::record(
+        "decomposed Lagrangian vs monolithic branch-and-bound on a small exact instance",
+        vec![
+            ("statements", Int(a.statements as u64)),
+            ("lag_objective", Num(a.lag_objective)),
+            ("lag_gap", Pct(a.lag_gap)),
+            ("bb_objective", Num(a.bb_objective)),
+            ("bb_gap", Pct(a.bb_gap)),
+            ("rel_delta", Pct(a.rel_delta())),
+            ("slack", Pct(a.slack())),
+        ],
+    );
 
-/// Write the scaling artifact next to the experiment output.
-pub fn write_scale_artifact(json: &str) {
-    let path = "BENCH_scale.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote scaling artifact to {path}");
-}
-
-/// Human-readable report.
-pub fn scale_report(s: &ScaleStudy) -> String {
-    let mut out = String::new();
-    out.push_str("## fig_scale — streamed million-statement tuning\n\n");
-    out.push_str(&format!("threads={} chunk={}\n\n", study_threads(), DEFAULT_CHUNK));
-    out.push_str("|W| streamed | reps | resident hi-water | ingest | us/stmt | solve | gap\n");
-    out.push_str("------------|------|-------------------|--------|---------|-------|----\n");
-    for r in &s.rows {
-        out.push_str(&format!(
-            "{:>11} | {:>4} | {:>17} | {:>6} | {:>7.2} | {:>5} | {:.3}\n",
-            r.statements,
-            r.representatives,
-            r.resident_high_water,
-            secs(r.ingest_time),
-            r.per_statement_us(),
-            secs(r.solve_time),
-            r.gap,
-        ));
-    }
-    let a = &s.agreement;
-    out.push_str(&format!(
-        "\ndecomposed vs monolithic on |W|={}: {:.6} vs {:.6} (delta {:+.3}%, slack {:.1}%)\n",
-        a.statements,
-        a.lag_objective,
-        a.bb_objective,
-        a.rel_delta() * 100.0,
-        a.slack() * 100.0,
-    ));
-    out
-}
-
-/// Assertions behind the CI gate; the artifact is written by the caller
-/// first, so a failure still leaves diagnostics behind.
-pub fn scale_gate(s: &ScaleStudy) {
-    let (_, large) = scale_sizes();
-    let big = &s.rows[1];
-    assert_eq!(big.statements, large, "gate: the large tune must stream the full size");
-    assert!(big.gap.is_finite() && big.objective.is_finite(), "gate: streamed tune must solve");
+    let mut out = Outcome::new(vec![streamed, agreement]);
+    let big = &rows[1];
+    out.claim(
+        big.statements == sizes[1],
+        format!("the large tune streams the full size: {} of {}", big.statements, sizes[1]),
+    );
+    out.claim(
+        big.gap.is_finite() && big.objective.is_finite(),
+        format!(
+            "the streamed tune solves: objective {:.0}, gap {:.2}%",
+            big.objective,
+            big.gap * 100.0
+        ),
+    );
 
     // 1. Bounded residency: high-water ≤ reps + one chunk (+1 chunk slack),
     //    and far below |W|.
-    for r in &s.rows {
-        assert!(
+    for r in &rows {
+        out.claim(
             r.resident_high_water <= r.representatives + 2 * DEFAULT_CHUNK,
-            "gate: residency {} exceeds reps {} + 2 chunks at |W|={}",
-            r.resident_high_water,
-            r.representatives,
-            r.statements
+            format!(
+                "residency stays within representatives + 2 chunks at |W|={}: {} vs {} reps",
+                r.statements, r.resident_high_water, r.representatives
+            ),
         );
-        assert!(
+        out.claim(
             r.resident_high_water * 10 <= r.statements,
-            "gate: residency {} not far below |W|={}",
-            r.resident_high_water,
-            r.statements
+            format!(
+                "residency stays far below |W|={}: {} resident",
+                r.statements, r.resident_high_water
+            ),
         );
     }
 
@@ -322,29 +280,30 @@ pub fn scale_gate(s: &ScaleStudy) {
     //    between the sizes (grid clustering and the rollback journal are
     //    amortized-constant per statement; the slack absorbs CI noise and
     //    cache effects).
-    let (t1, t2) = (s.rows[0].per_statement_us(), s.rows[1].per_statement_us());
-    assert!(
+    let (t1, t2) = (rows[0].per_statement_us(), rows[1].per_statement_us());
+    out.claim(
         t2 <= t1 * 1.5 + 1.0,
-        "gate: per-statement ingest grew superlinearly: {t1:.2}us -> {t2:.2}us"
+        format!(
+            "per-statement ingest grows at most 1.5× between the sizes: {t1:.2}us -> {t2:.2}us"
+        ),
     );
 
     // 3. Decomposition soundness on the exact small instance.
-    let a = &s.agreement;
-    assert!(a.lag_objective >= a.bb_objective - 1e-6, "gate: B&B is exact, lag cannot beat it");
-    assert!(
-        a.rel_delta() <= a.slack() + 1e-9,
-        "gate: decomposed solve {:.6} off exact {:.6} beyond slack {:.3}",
-        a.lag_objective,
-        a.bb_objective,
-        a.slack()
+    out.claim(
+        a.lag_objective >= a.bb_objective - 1e-6,
+        format!(
+            "B&B is exact, the decomposed solve cannot beat it: {:.6} vs {:.6}",
+            a.lag_objective, a.bb_objective
+        ),
     );
-}
-
-/// Entry point of the `scale_smoke` bin.
-pub fn scale_smoke() -> String {
-    let study = scale_study();
-    write_scale_artifact(&scale_artifact_json(&study));
-    let report = scale_report(&study);
-    scale_gate(&study);
-    report
+    out.claim(
+        a.rel_delta() <= a.slack() + 1e-9,
+        format!(
+            "the decomposed solve lands within gap slack of the exact answer: \
+             delta {:+.3}% vs slack {:.1}%",
+            a.rel_delta() * 100.0,
+            a.slack() * 100.0
+        ),
+    );
+    out
 }

@@ -1,7 +1,7 @@
-//! Advisor-as-a-service smoke study (the `server_smoke` CI gate).
+//! Advisor-as-a-service study (the `server` CI gate).
 //!
 //! Boots a real `cophy-server` on loopback, drives **eight concurrent
-//! client sessions over one shared INUM cache**, and checks the service
+//! client sessions over one shared INUM cache**, and claims the service
 //! keeps the in-process engine's guarantees across the wire:
 //!
 //! * the streamed `progress` lines of every session match an in-process
@@ -14,9 +14,8 @@
 //! * the per-tenant probe quota rejects a starved open with `err quota`;
 //! * every proven gap is finite.
 //!
-//! Writes `BENCH_server.json` (sessions, cache hit rate, probes saved vs
-//! unshared, stream stats, p50/p95 request latency) *before* gating, so the
-//! CI artifact survives a failure.
+//! The table records sessions, cache hit rate, probes saved vs unshared,
+//! stream stats and p50/p95 request latency.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -26,64 +25,10 @@ use cophy_catalog::TpchGen;
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
 use cophy_server::{Client, ClientError, ErrCode, ProgressLine, Server, ServerConfig};
 
-use crate::{secs, sizes};
+use crate::Cell::{Bool, Int, Num, Pct, Secs};
+use crate::{Knobs, Outcome, Table};
 
 const N_SESSIONS: usize = 8;
-
-/// Everything the study measures; gates and the artifact both read this.
-pub struct ServerStudy {
-    pub statements: usize,
-    pub sessions: usize,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub probes_single: u64,
-    pub probes_total: u64,
-    pub stream_events: usize,
-    pub stream_match: bool,
-    pub rec_match: bool,
-    pub eviction_reproduced: bool,
-    pub quota_enforced: bool,
-    pub gap: f64,
-    pub latencies: Vec<Duration>,
-    pub wall: Duration,
-}
-
-impl ServerStudy {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
-    }
-
-    /// Fraction of probes the shared cache saved vs N unshared sessions.
-    pub fn probes_saved(&self) -> f64 {
-        let unshared = self.probes_single * self.sessions as u64;
-        if unshared == 0 {
-            return 0.0;
-        }
-        1.0 - self.probes_total as f64 / unshared as f64
-    }
-
-    fn latency_at(&self, q: f64) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort();
-        let i = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[i]
-    }
-
-    pub fn p50(&self) -> Duration {
-        self.latency_at(0.50)
-    }
-
-    pub fn p95(&self) -> Duration {
-        self.latency_at(0.95)
-    }
-}
 
 /// The solver-state fingerprint of one streamed event.
 type EventKey = (usize, u64, u64, u64, usize, usize);
@@ -100,8 +45,10 @@ fn rec_key(objective: f64, bound: f64, gap: f64, indexes: &[cophy_catalog::Index
     )
 }
 
-/// Run the whole study.  `n` statements; the workload spec is `hom:7:n`.
-pub fn server_study(n: usize) -> ServerStudy {
+/// Run the whole study on the workload spec `hom:7:n`, `n` the scale's
+/// middle size.
+pub(crate) fn server(k: &Knobs) -> Outcome {
+    let n = k.scale.sizes()[1];
     let spec = format!("hom:7:{n}");
     let t0 = Instant::now();
 
@@ -215,119 +162,57 @@ pub fn server_study(n: usize) -> ServerStudy {
         outcome
     };
 
-    ServerStudy {
-        statements: n,
-        sessions: N_SESSIONS,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        probes_single,
-        probes_total: stats.probes,
-        stream_events,
-        stream_match,
-        rec_match,
-        eviction_reproduced,
-        quota_enforced,
-        gap: rec.gap,
-        latencies: latencies.into_inner().unwrap(),
-        wall: t0.elapsed(),
-    }
-}
+    let (hits, misses, probes_total) = (stats.cache_hits, stats.cache_misses, stats.probes);
+    let mut latencies = latencies.into_inner().expect("session threads joined cleanly");
+    latencies.sort();
+    let latency_ms = |q: f64| {
+        let i = ((latencies.len() - 1) as f64 * q).round() as usize;
+        Num(latencies[i].as_secs_f64() * 1e3)
+    };
+    let unshared = probes_single * N_SESSIONS as u64;
+    let t = Table::record(
+        format!("workload {spec}, {N_SESSIONS} concurrent sessions over one shared INUM cache"),
+        vec![
+            ("cache_hits", Int(hits)),
+            ("cache_misses", Int(misses)),
+            ("hit_rate", Pct(hits as f64 / (hits + misses).max(1) as f64)),
+            ("probes_single", Int(probes_single)),
+            ("probes_total", Int(probes_total)),
+            ("probes_saved_vs_unshared", Pct(1.0 - probes_total as f64 / unshared.max(1) as f64)),
+            ("stream_events", Int(stream_events as u64)),
+            ("stream_match", Bool(stream_match)),
+            ("rec_match", Bool(rec_match)),
+            ("eviction_reproduced", Bool(eviction_reproduced)),
+            ("quota_enforced", Bool(quota_enforced)),
+            ("gap", Pct(rec.gap)),
+            ("p50_ms", latency_ms(0.50)),
+            ("p95_ms", latency_ms(0.95)),
+            ("wall", Secs(t0.elapsed())),
+        ],
+    );
 
-/// `BENCH_server.json` body.
-pub fn server_artifact_json(s: &ServerStudy) -> String {
-    format!(
-        "{{\"experiment\":\"server_smoke\",\"statements\":{},\"sessions\":{},\
-         \"cache_hits\":{},\"cache_misses\":{},\"hit_rate\":{:.4},\
-         \"probes_single\":{},\"probes_total\":{},\"probes_saved_vs_unshared\":{:.4},\
-         \"stream_events\":{},\"stream_match\":{},\"rec_match\":{},\
-         \"eviction_reproduced\":{},\"quota_enforced\":{},\"gap\":{:.6},\
-         \"p50_ms\":{:.3},\"p95_ms\":{:.3},\"wall_s\":{:.3}}}\n",
-        s.statements,
-        s.sessions,
-        s.cache_hits,
-        s.cache_misses,
-        s.hit_rate(),
-        s.probes_single,
-        s.probes_total,
-        s.probes_saved(),
-        s.stream_events,
-        s.stream_match,
-        s.rec_match,
-        s.eviction_reproduced,
-        s.quota_enforced,
-        s.gap,
-        s.p50().as_secs_f64() * 1e3,
-        s.p95().as_secs_f64() * 1e3,
-        s.wall.as_secs_f64(),
-    )
-}
-
-pub fn write_server_artifact(json: &str) {
-    let path = "BENCH_server.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote server artifact to {path}");
-}
-
-/// Human-readable report.
-pub fn server_report(s: &ServerStudy) -> String {
-    let mut out = String::new();
-    out.push_str("## server_smoke — advisor-as-a-service gate\n\n");
-    out.push_str(&format!(
-        "workload hom:7:{} | {} concurrent sessions over one shared INUM cache\n\n",
-        s.statements, s.sessions
-    ));
-    out.push_str(&format!(
-        "cache: {} hits / {} misses (hit rate {:.0}%)\n",
-        s.cache_hits,
-        s.cache_misses,
-        s.hit_rate() * 100.0
-    ));
-    out.push_str(&format!(
-        "probes: {} total vs {} unshared ({:.0}% saved)\n",
-        s.probes_total,
-        s.probes_single * s.sessions as u64,
-        s.probes_saved() * 100.0
-    ));
-    out.push_str(&format!(
-        "stream: {} events/session, wire==in-process: {} | recommendations match: {}\n",
-        s.stream_events, s.stream_match, s.rec_match
-    ));
-    out.push_str(&format!(
-        "eviction reproduced: {} | quota enforced: {} | final gap {:.2}%\n",
-        s.eviction_reproduced,
-        s.quota_enforced,
-        s.gap * 100.0
-    ));
-    out.push_str(&format!(
-        "latency: p50 {} p95 {} | wall {}\n",
-        secs(s.p50()),
-        secs(s.p95()),
-        secs(s.wall)
-    ));
+    let mut out = Outcome::new(vec![t]);
+    out.claim(N_SESSIONS >= 8, format!("≥ 8 concurrent sessions ran: {N_SESSIONS}"));
+    out.claim(
+        misses == 1,
+        format!("exactly one cold build (cold-stampede guard): {misses} cache misses"),
+    );
+    out.claim(
+        hits as usize == N_SESSIONS - 1,
+        format!("all other opens share the cache: {hits} hits of {}", N_SESSIONS - 1),
+    );
+    out.claim(
+        probes_total == probes_single,
+        format!("N sessions cost one session's probes: {probes_total} vs {probes_single}"),
+    );
+    out.claim(
+        stream_events > 0,
+        format!("the solve streams anytime events: {stream_events} per session"),
+    );
+    out.claim(stream_match, "the wire stream equals the in-process stream event for event");
+    out.claim(rec_match, "the wire recommendations equal the in-process one");
+    out.claim(eviction_reproduced, "an evicted session reproduces its recommendation");
+    out.claim(quota_enforced, "a starved tenant is rejected with `err quota`");
+    out.claim(rec.gap.is_finite(), format!("the proven gap is finite: {:.2}%", rec.gap * 100.0));
     out
-}
-
-/// Assertions behind the CI gate; the artifact is written by the caller
-/// *before* this runs.
-pub fn server_gate(s: &ServerStudy) {
-    assert!(s.sessions >= 8, "gate: need >=8 concurrent sessions, ran {}", s.sessions);
-    assert_eq!(s.cache_misses, 1, "gate: exactly one cold build expected (cold-stampede guard)");
-    assert_eq!(s.cache_hits as usize, s.sessions - 1, "gate: all other opens must share");
-    assert_eq!(s.probes_total, s.probes_single, "gate: N sessions must cost one session's probes");
-    assert!(s.stream_events > 0, "gate: the solve must stream anytime events");
-    assert!(s.stream_match, "gate: wire stream must equal the in-process stream event for event");
-    assert!(s.rec_match, "gate: wire recommendations must equal the in-process one");
-    assert!(s.eviction_reproduced, "gate: evicted session must reproduce its recommendation");
-    assert!(s.quota_enforced, "gate: starved tenant must be rejected with err quota");
-    assert!(s.gap.is_finite(), "gate: proven gap must be finite, got {}", s.gap);
-}
-
-/// Entry point of the `server_smoke` bin.
-pub fn server_smoke() -> String {
-    let n = sizes()[1];
-    let study = server_study(n);
-    write_server_artifact(&server_artifact_json(&study));
-    let report = server_report(&study);
-    server_gate(&study);
-    report
 }

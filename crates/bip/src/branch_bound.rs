@@ -152,11 +152,6 @@ pub struct SolveOptions {
     /// Raised into the driver before the root LP, so even a solve whose
     /// root relaxation hits the deadline reports a finite gap.
     pub known_bound: Option<f64>,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Strong-branch a variable until it has this many pseudo-cost
-    /// observations in each direction (reliability branching).
-    pub reliability: u32,
     /// Total strong-branching variable evaluations across the solve (each
     /// costs two bounded child LPs).
     pub strong_branch_budget: usize,
@@ -164,10 +159,6 @@ pub struct SolveOptions {
     /// unconditional; large models run it at every node since repair is
     /// cheap next to their LPs).
     pub heuristic_period: usize,
-    /// Strong branching is disabled above this variable count — on large
-    /// models the bounded child LPs cost more than the better branching
-    /// saves (pseudo-costs then learn from regular node solves only).
-    pub strong_branch_max_vars: usize,
     /// Re-solve node LPs from the parent's optimal basis with the dual
     /// simplex (cold two-phase fallback when the warm path stalls or fails
     /// validation).  On by default; the bench harness turns it off to
@@ -184,23 +175,23 @@ impl Default for SolveOptions {
         SolveOptions {
             budget: SolveBudget::default(),
             known_bound: None,
-            int_tol: 1e-6,
-            reliability: 1,
             strong_branch_budget: 24,
             heuristic_period: 16,
-            strong_branch_max_vars: 400,
             warm_start: true,
             cancel: None,
         }
     }
 }
 
-impl SolveOptions {
-    /// The paper's interactive default: terminate within 5% of optimal.
-    pub fn within_5_percent() -> Self {
-        SolveOptions { budget: SolveBudget::within(0.05), ..Default::default() }
-    }
-}
+/// Integrality tolerance.
+const INT_TOL: f64 = 1e-6;
+/// Strong-branch a variable until it has this many pseudo-cost
+/// observations in each direction (reliability branching).
+const RELIABILITY: u32 = 1;
+/// Strong branching is disabled above this variable count — on large
+/// models the bounded child LPs cost more than the better branching
+/// saves (pseudo-costs then learn from regular node solves only).
+const STRONG_BRANCH_MAX_VARS: usize = 400;
 
 /// A search node: variable fixings layered over the root bounds.  `bound` is
 /// the parent's LP objective (a valid lower bound for the node); `branch`
@@ -702,7 +693,7 @@ impl BranchBound {
                         model,
                         start,
                         RoundMode::Nearest,
-                        opts.int_tol,
+                        INT_TOL,
                         root_lo,
                         root_hi,
                     ) {
@@ -746,14 +737,14 @@ impl BranchBound {
         // anytime incumbent on rich constraint sets.
         if let Some(seed) = seed {
             if let Some((obj, x)) =
-                round_and_repair(model, seed, RoundMode::Nearest, opts.int_tol, root_lo, root_hi)
+                round_and_repair(model, seed, RoundMode::Nearest, INT_TOL, root_lo, root_hi)
             {
                 driver.offer_incumbent(obj, x);
             }
         }
         for mode in [RoundMode::Nearest, RoundMode::Floor] {
             if let Some((obj, x)) =
-                round_and_repair(model, &root.x, mode, opts.int_tol, root_lo, root_hi)
+                round_and_repair(model, &root.x, mode, INT_TOL, root_lo, root_hi)
             {
                 driver.offer_incumbent(obj, x);
                 break;
@@ -767,7 +758,6 @@ impl BranchBound {
                 opts.warm_start,
                 root.basis.as_ref(),
                 &root.x,
-                opts,
                 &driver,
                 root_lo,
                 root_hi,
@@ -787,7 +777,7 @@ impl BranchBound {
         }];
         let mut root_lp = Some(root);
         let mut sb_remaining =
-            if n <= opts.strong_branch_max_vars { opts.strong_branch_budget } else { 0 };
+            if n <= STRONG_BRANCH_MAX_VARS { opts.strong_branch_budget } else { 0 };
         let heuristic_period = match opts.heuristic_period {
             0 => 0,
             p if n > 500 => p.min(1),
@@ -920,7 +910,7 @@ impl BranchBound {
                     if lp.status != LpStatus::Optimal {
                         continue;
                     }
-                    let fracs = fractionals(&lp.x, opts.int_tol);
+                    let fracs = fractionals(&lp.x, INT_TOL);
                     if fracs.is_empty() {
                         continue;
                     }
@@ -1033,7 +1023,7 @@ impl BranchBound {
                     continue;
                 }
 
-                let fracs = fractionals(&lp.x, opts.int_tol);
+                let fracs = fractionals(&lp.x, INT_TOL);
                 if fracs.is_empty() {
                     driver.offer_incumbent(lp.objective, lp.x.clone());
                     continue;
@@ -1044,7 +1034,7 @@ impl BranchBound {
                         model,
                         &lp.x,
                         RoundMode::Nearest,
-                        opts.int_tol,
+                        INT_TOL,
                         root_lo,
                         root_hi,
                     ) {
@@ -1056,7 +1046,6 @@ impl BranchBound {
                 node.apply_fixings(&mut lo, &mut hi, root_lo, root_hi);
                 let j = select_branch_var(
                     model,
-                    opts,
                     &lp_solver,
                     &dual,
                     if opts.warm_start { lp.basis.as_ref() } else { None },
@@ -1153,7 +1142,6 @@ impl BranchBound {
         warm_start: bool,
         root_basis: Option<&Basis>,
         root_x: &[f64],
-        opts: &SolveOptions,
         driver: &SolveDriver<'_, F>,
         root_lo: &[f64],
         root_hi: &[f64],
@@ -1169,12 +1157,12 @@ impl BranchBound {
                 return None;
             }
             if let Some(found) =
-                round_and_repair(model, &x, RoundMode::Nearest, opts.int_tol, root_lo, root_hi)
+                round_and_repair(model, &x, RoundMode::Nearest, INT_TOL, root_lo, root_hi)
             {
                 return Some(found);
             }
             // Most integral fractional variable.
-            let (j, frac) = fractionals(&x, opts.int_tol)
+            let (j, frac) = fractionals(&x, INT_TOL)
                 .into_iter()
                 .min_by(|a, b| (a.1 - a.1.round()).abs().total_cmp(&(b.1 - b.1.round()).abs()))?;
             let v = frac >= 0.5;
@@ -1238,7 +1226,6 @@ impl BranchBound {
 #[allow(clippy::too_many_arguments)]
 fn select_branch_var(
     model: &Model,
-    opts: &SolveOptions,
     lp_solver: &SimplexSolver,
     dual: &DualSimplex,
     node_basis: Option<&Basis>,
@@ -1260,7 +1247,7 @@ fn select_branch_var(
             if *sb_remaining == 0 {
                 break;
             }
-            if pc.reliable(j, opts.reliability) {
+            if pc.reliable(j, RELIABILITY) {
                 continue;
             }
             *sb_remaining -= 1;

@@ -129,15 +129,6 @@ impl SolveBudget {
         SolveBudget { gap_limit, ..Default::default() }
     }
 
-    /// The paper's interactive operating point: 5% gap, bounded wall clock.
-    pub fn interactive() -> Self {
-        SolveBudget {
-            gap_limit: 0.05,
-            time_limit: Some(Duration::from_secs(60)),
-            ..Default::default()
-        }
-    }
-
     /// Builder: wall-clock limit.
     pub fn with_time(mut self, limit: Duration) -> Self {
         self.time_limit = Some(limit);

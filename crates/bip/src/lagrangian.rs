@@ -273,11 +273,6 @@ pub struct LagrangianSolver {
     /// applies (subgradient ascent also self-terminates once the step
     /// scale collapses).
     pub budget: SolveBudget,
-    /// Initial Polyak step scale (halved after stretches without dual
-    /// improvement).
-    pub alpha0: f64,
-    /// Local-search passes after the subgradient phase.
-    pub local_search_passes: usize,
     /// Cooperative cancellation: a fired token stops the subgradient loop
     /// at its next iteration with [`MipStatus::TimeLimit`] semantics.
     pub cancel: Option<CancelToken>,
@@ -285,12 +280,7 @@ pub struct LagrangianSolver {
 
 impl Default for LagrangianSolver {
     fn default() -> Self {
-        LagrangianSolver {
-            budget: SolveBudget::within(0.02),
-            alpha0: 2.0,
-            local_search_passes: 2,
-            cancel: None,
-        }
+        LagrangianSolver { budget: SolveBudget::within(0.02), cancel: None }
     }
 }
 
@@ -379,7 +369,10 @@ impl LagrangianSolver {
         let initial_ub = p.evaluate(&best_sel).expect("initial selection evaluates");
         driver.offer_incumbent(initial_ub, best_sel);
 
-        let mut alpha = self.alpha0;
+        // Initial Polyak step scale (halved after stretches without dual
+        // improvement).
+        const ALPHA0: f64 = 2.0;
+        let mut alpha = ALPHA0;
         let mut stall = 0usize;
         let mut g = vec![0.0f64; coord.len()];
         let mut m_acc = vec![0.0f64; n];
@@ -498,13 +491,12 @@ impl LagrangianSolver {
         }
 
         // Local search with the inverted index.
-        if self.local_search_passes > 0 {
-            let (mut ls_best, mut ls_sel) =
-                driver.incumbent().map(|(obj, sel)| (*obj, sel.clone())).expect("primal exists");
-            let inv = p.item_blocks();
-            local_search(p, &inv, &mut ls_sel, &mut ls_best, self.local_search_passes);
-            driver.offer_incumbent(ls_best, ls_sel);
-        }
+        const LOCAL_SEARCH_PASSES: usize = 2;
+        let (mut ls_best, mut ls_sel) =
+            driver.incumbent().map(|(obj, sel)| (*obj, sel.clone())).expect("primal exists");
+        let inv = p.item_blocks();
+        local_search(p, &inv, &mut ls_sel, &mut ls_best, LOCAL_SEARCH_PASSES);
+        driver.offer_incumbent(ls_best, ls_sel);
 
         let r = driver.finish();
         let (objective, best_sel) = r.incumbent.expect("initial incumbent always offered");

@@ -550,11 +550,8 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         let build_time = tb.elapsed();
 
         let ts = Instant::now();
-        let solver = LagrangianSolver {
-            budget: self.cophy.options.budget,
-            cancel: self.cancel.clone(),
-            ..Default::default()
-        };
+        let solver =
+            LagrangianSolver { budget: self.cophy.options.budget, cancel: self.cancel.clone() };
         let (r, warm) =
             solver.solve_warm_with_progress(block, self.warm.as_ref(), |p, _| on_progress(p));
         let solve_time = ts.elapsed();

@@ -1,5 +1,4 @@
-//! Property-based tests (proptest) for the core invariants listed in
-//! DESIGN.md §5.
+//! Property-based tests (proptest) for the core invariants.
 
 use proptest::prelude::*;
 

@@ -161,9 +161,13 @@ fn every_public_crate_is_reachable() {
     let rec = greedy.recommend(&o, &w, &constraints);
     assert!(constraints.check_configuration(o.schema(), &rec).is_ok());
 
-    // cophy-bench (harness helpers)
-    let sizes = cophy_bench::sizes();
+    // cophy-bench (one experiment table, knobs that fail closed)
+    let knobs = cophy_bench::Knobs::parse(Some("smoke"), Some("4")).unwrap();
+    let sizes = knobs.scale.sizes();
     assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2]);
+    assert!(cophy_bench::Knobs::parse(Some("smok"), None).is_err());
+    assert_eq!(cophy_bench::select("fig4").map(|e| e[0].name), Some("fig4"));
+    assert_eq!(cophy_bench::select("gates").map(<[_]>::len), Some(6));
 
     // cophy-server (workload specs are the daemon's cache fingerprint)
     let spec_w = cophy_server::parse_spec("het:3:6", &schema).unwrap();
