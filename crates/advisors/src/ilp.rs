@@ -1,8 +1,8 @@
-//! The ILP baseline [14]: one variable per *atomic configuration*.
+//! The ILP baseline \[14\]: one variable per *atomic configuration*.
 //!
 //! For every query the advisor enumerates atomic configurations — one
 //! candidate (or `I∅`) per referenced table — costs each with INUM, prunes
-//! the space to the most promising `P` configurations per query ([13]'s
+//! the space to the most promising `P` configurations per query (\[13\]'s
 //! pruning; without it the space is `Π_i (1+|S_i|)`), and builds a BIP with
 //! variables `y_{q,A}` coupled to the per-index `z_a`.  The BIP is then
 //! solved by the *same* solver machinery as CoPhy (here: the Lagrangian
@@ -25,7 +25,7 @@ use cophy_workload::Workload;
 
 use crate::Advisor;
 
-/// Per-query atomic-configuration cap (the pruning knob of [13]).
+/// Per-query atomic-configuration cap (the pruning knob of \[13\]).
 pub const DEFAULT_CONFIGS_PER_QUERY: usize = 64;
 
 /// Per-slot candidate short-list length used during enumeration.

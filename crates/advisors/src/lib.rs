@@ -4,18 +4,18 @@
 //! comparisons can be reproduced:
 //!
 //! * [`IlpAdvisor`] — the BIP-per-atomic-configuration formulation of
-//!   Papadomanolakis & Ailamaki [14], with the candidate-configuration
-//!   pruning of [13].  Interfaced with INUM and solved by the same solver as
+//!   Papadomanolakis & Ailamaki \[14\], with the candidate-configuration
+//!   pruning of \[13\].  Interfaced with INUM and solved by the same solver as
 //!   CoPhy — exactly the paper's setup — so the measured difference is the
 //!   *formulation*: ILP's build phase enumerates (and must prune) a
 //!   multiplicative space of atomic configurations, while CoPhy's stays
 //!   linear in the candidates.
 //! * [`ToolA`] — a relaxation-based advisor in the style of Bruno &
-//!   Chaudhuri [3] (the technique behind the paper's commercial Tool-A):
+//!   Chaudhuri \[3\] (the technique behind the paper's commercial Tool-A):
 //!   start from per-query optimal candidate sets, then repeatedly *relax*
 //!   (drop/merge/shrink), re-costing against the what-if optimizer until the
 //!   storage budget holds.
-//! * [`ToolB`] — a DB2-Design-Advisor-style greedy [20] (the paper's
+//! * [`ToolB`] — a DB2-Design-Advisor-style greedy \[20\] (the paper's
 //!   Tool-B): workload compression by random sampling, benefit/size greedy
 //!   selection, iterative refinement.
 //!

@@ -1,4 +1,4 @@
-//! Tool-A: a relaxation-based advisor in the style of Bruno & Chaudhuri [3].
+//! Tool-A: a relaxation-based advisor in the style of Bruno & Chaudhuri \[3\].
 //!
 //! The real technique starts from the per-query *optimal* configurations
 //! (what the optimizer would pick with every candidate available) and

@@ -1,4 +1,4 @@
-//! Tool-B: a DB2-Design-Advisor-style greedy with workload compression [20].
+//! Tool-B: a DB2-Design-Advisor-style greedy with workload compression \[20\].
 //!
 //! The defining traits reproduced from the paper's description:
 //!

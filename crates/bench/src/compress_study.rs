@@ -32,8 +32,7 @@ pub(crate) fn compress(_: &Knobs) -> Outcome {
             "prep_comp",
             "solve_full",
             "solve_comp",
-            "cluster_linear_ms",
-            "cluster_indexed_ms",
+            "cluster_ms",
             "cost_full",
             "cost_comp",
             "cost_delta",
@@ -60,12 +59,8 @@ pub(crate) fn compress(_: &Knobs) -> Outcome {
         let rec_comp = CoPhy::new(&o, opts).try_tune(&w, &constraints).expect("feasible");
         let summary = rec_comp.compression.expect("compressed tune carries a summary");
 
-        // Before/after clustering timing: the same workload through the
-        // pre-index linear scan and the bucket index (identical output,
-        // asserted by the compress crate's equivalence tests).
-        let (_, cluster_linear) =
-            timed(|| CompressedWorkload::compress_unindexed(o.schema(), &w, policy));
-        let (_, cluster_indexed) = timed(|| CompressedWorkload::compress(o.schema(), &w, policy));
+        // Clustering alone, outside the tune.
+        let (_, cluster) = timed(|| CompressedWorkload::compress(o.schema(), &w, policy));
 
         // Ground-truth expansion: both configurations are costed against
         // every original statement, not just the representatives.
@@ -85,8 +80,7 @@ pub(crate) fn compress(_: &Knobs) -> Outcome {
             Secs(rec_comp.stats.inum_time),
             Secs(rec_full.stats.solve_time),
             Secs(rec_comp.stats.solve_time),
-            Num(cluster_linear.as_secs_f64() * 1e3),
-            Num(cluster_indexed.as_secs_f64() * 1e3),
+            Num(cluster.as_secs_f64() * 1e3),
             Num(cost_full),
             Num(cost_comp),
             Pct(cost_delta),

@@ -129,7 +129,10 @@ fn time_split_rows(
 }
 
 /// Figure 5: CoPhy vs ILP, time split (INUM/build/solve) vs candidate count
-/// (500 / 1000 / S_ALL / 10000) on the default workload.
+/// (500 / 1000 / S_ALL / S_L) on the default workload.  `S_L` is the
+/// paper's 10 000-candidate point; `pad_random` draws only one- and
+/// two-column keys, so on a small schema it saturates well below that, and
+/// every label states the count the set really ran with.
 pub(crate) fn fig5(k: &Knobs) -> Outcome {
     let n = k.scale.default_size();
     let o = make_optimizer(SystemProfile::A, 0.0);
@@ -146,13 +149,25 @@ pub(crate) fn fig5(k: &Knobs) -> Outcome {
     sets.push((format!("S_ALL({})", s_all.len()), s_all.clone()));
     let mut padded = s_all.clone();
     padded.pad_random(o.schema(), 10_000, 99);
-    sets.push(("10000".into(), padded));
+    sets.push((format!("S_L({})", padded.len()), padded));
 
     let mut t = time_split_table(format!("time split vs candidate-set size, W_hom{n}"), "cands");
     for (label, cands) in &sets {
         time_split_rows(&mut t, label, &o, &w, cands, &constraints);
     }
-    Outcome::new(vec![t])
+    let mut out = Outcome::new(vec![t]);
+    // A label is a bare count or `NAME(count)`: its digits are the count.
+    let honest = sets.iter().all(|(label, cands)| {
+        let digits: String = label.chars().filter(char::is_ascii_digit).collect();
+        digits == cands.len().to_string()
+    });
+    let ran: Vec<String> =
+        sets.iter().map(|(label, cands)| format!("{label} ran {}", cands.len())).collect();
+    out.claim(
+        honest,
+        format!("every candidate set is labelled with the count it ran with: {}", ran.join(", ")),
+    );
+    out
 }
 
 /// Figure 6a: anytime optimality-gap feedback over time for three workload

@@ -1,11 +1,11 @@
 //! Solve-engine study: both backends' gap-vs-time trajectories through the
 //! unified [`SolveProgress`] stream, and the warm-start / parallel-node
-//! comparison of four branch-and-bound configurations on one BIP.
+//! comparison of three branch-and-bound configurations on one BIP.
 //!
 //! Gated on the generic backend producing a root incumbent and a finite gap
 //! within the default budget (guards the LP-rounding/repair heuristic), on
 //! the warm-started parallel engine beating the cold-serial PR-2 baseline,
-//! and on the sparse LP kernel beating the retained dense one.
+//! and on the LP kernel's pivot throughput staying above a fixed floor.
 
 use std::time::Duration;
 
@@ -13,7 +13,7 @@ use cophy::{
     BipGen, CGen, CandidateSet, Cmp, CoPhy, CoPhyError, CoPhyOptions, Constraint, ConstraintSet,
     IndexFilter, Recommendation, SolveBudget, SolveProgress, SolverBackend,
 };
-use cophy_bip::{BranchBound, LpEngine, SimplexSolver, SolveOptions};
+use cophy_bip::{BranchBound, SolveOptions};
 use cophy_inum::PreparedWorkload;
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
 
@@ -58,7 +58,7 @@ struct ConfigRow {
 }
 
 impl ConfigRow {
-    /// Pivot throughput — the metric of the sparse-kernel gate.
+    /// Pivot throughput — the metric of the [`PIVOT_RATE_FLOOR`] gate.
     fn pivots_per_sec(&self) -> f64 {
         self.pivots as f64 / self.wall.as_secs_f64().max(1e-9)
     }
@@ -144,13 +144,12 @@ pub(crate) fn solver(k: &Knobs) -> Outcome {
     out
 }
 
-/// Run the rich-constraint BIP through four branch-and-bound configurations
+/// Run the rich-constraint BIP through three branch-and-bound configurations
 /// under the same default interactive budget (5% gap, 60 s): the PR-2
-/// baseline (cold two-phase node LPs, serial), the PR-6 baseline (warm
-/// serial on the retained dense explicit-inverse kernel), warm-started
-/// serial on the sparse revised kernel, and warm-started parallel.  The
-/// model is built once from the caller's INUM cache; each run solves the
-/// same BIP, so nodes/pivots/gap compare engines, not model noise.
+/// baseline (cold two-phase node LPs, serial), warm-started serial, and
+/// warm-started parallel.  The model is built once from the caller's INUM
+/// cache; each run solves the same BIP, so nodes/pivots/gap compare
+/// configurations, not model noise.
 fn config_rows(
     o: &WhatIfOptimizer,
     prepared: &PreparedWorkload,
@@ -167,7 +166,6 @@ fn config_rows(
         ),
         &[
             "config",
-            "engine",
             "warm_start",
             "threads",
             "nodes",
@@ -183,13 +181,12 @@ fn config_rows(
         ],
     );
     let rows = [
-        ("cold-serial (PR-2 baseline)", LpEngine::Sparse, false, 1),
-        ("dense-serial (PR-6 baseline)", LpEngine::Dense, true, 1),
-        ("warm-serial", LpEngine::Sparse, true, 1),
-        ("warm-parallel", LpEngine::Sparse, true, threads),
+        ("cold-serial (PR-2 baseline)", false, 1),
+        ("warm-serial", true, 1),
+        ("warm-parallel", true, threads),
     ]
     .into_iter()
-    .map(|(label, engine, warm_start, parallelism)| {
+    .map(|(label, warm_start, parallelism)| {
         let opts = SolveOptions {
             budget: SolveBudget::within(0.05)
                 .with_time(Duration::from_secs(60))
@@ -197,12 +194,10 @@ fn config_rows(
             warm_start,
             ..Default::default()
         };
-        let bb = BranchBound { simplex: SimplexSolver { engine, ..Default::default() } };
-        let (r, wall) = timed(|| bb.solve(&model, &opts));
+        let (r, wall) = timed(|| BranchBound::new().solve(&model, &opts));
         let row = ConfigRow { label, nodes: r.nodes, pivots: r.pivots, gap: r.gap, wall };
         t.row(vec![
             Text(label.into()),
-            Text(if engine == LpEngine::Dense { "dense" } else { "sparse" }.into()),
             Bool(warm_start),
             Int(parallelism as u64),
             Int(r.nodes as u64),
@@ -222,14 +217,25 @@ fn config_rows(
     (t, rows)
 }
 
+/// Floor on warm-serial pivot throughput, in pivots per second.
+///
+/// The study used to carry a fourth row, warm-serial on the PR-6 dense
+/// explicit-inverse tableau, and required the sparse kernel to sustain ≥ 10×
+/// its rate.  That tableau is now a test-only oracle, so the ratio became a
+/// constant: run once at the last commit that had both (d23f947,
+/// `COPHY_SCALE=full COPHY_THREADS=4`, rich W_hom24 BIP, 2-core container)
+/// the dense row made 18 592 pivots in 60.01 s = **309.79 pivots/s** and
+/// warm-serial 108 505 pivots in 16.86 s = **6 437 pivots/s** (20.8×).  The
+/// floor is 10× the recorded dense rate, halved for host variance.
+const PIVOT_RATE_FLOOR: f64 = 10.0 * 309.79 / 2.0;
+
 /// The gate of the warm-started parallel engine — within the same budget
 /// the warm-parallel configuration proves a strictly smaller gap than the
 /// cold-serial PR-2 baseline and explores ≥ 5× its nodes (or already reaches
-/// the 5% gap target, where it is allowed to stop early) — and of the sparse
-/// kernel: warm-serial sparse proves an equal-or-smaller gap than the dense
-/// PR-6 baseline at ≥ 10× its pivot throughput, the latter checked only when
-/// both runs are long enough to measure (pivots ≥ 500 and wall ≥ 50 ms;
-/// below that, in the early-stop regime, throughput is noise).
+/// the 5% gap target, where it is allowed to stop early) — and of the LP
+/// kernel: warm-serial pivots at [`PIVOT_RATE_FLOOR`] or faster, checked
+/// only when the run is long enough to measure (pivots ≥ 500 and wall ≥
+/// 50 ms; below that, in the early-stop regime, throughput is noise).
 fn config_claims(out: &mut Outcome, rows: &[ConfigRow]) {
     let find = |label: &str| rows.iter().find(|r| r.label.starts_with(label)).expect("config row");
     let (base, warm) = (find("cold-serial"), find("warm-parallel"));
@@ -252,36 +258,24 @@ fn config_claims(out: &mut Outcome, rows: &[ConfigRow]) {
         ),
     );
 
-    let (dense, sparse) = (find("dense-serial"), find("warm-serial"));
-    out.claim(
-        sparse.gap <= dense.gap + 1e-9,
-        format!(
-            "sparse warm-serial proves an equal-or-smaller gap than the dense baseline: \
-             {:.2}% vs {:.2}%",
-            sparse.gap * 100.0,
-            dense.gap * 100.0
-        ),
-    );
-    let measurable = |r: &ConfigRow| r.pivots >= 500 && r.wall >= Duration::from_millis(50);
-    let (fast, slow) = (sparse.pivots_per_sec(), dense.pivots_per_sec());
-    if measurable(dense) && measurable(sparse) {
+    let serial = find("warm-serial");
+    let rate = serial.pivots_per_sec();
+    if serial.pivots >= 500 && serial.wall >= Duration::from_millis(50) {
         out.claim(
-            fast >= 10.0 * slow,
+            rate >= PIVOT_RATE_FLOOR,
             format!(
-                "sparse warm-serial sustains ≥ 10× the dense baseline's pivot throughput: \
-                 {fast:.0}/s vs {slow:.0}/s"
+                "warm-serial sustains the fixed pivot-throughput floor \
+                 (10× the recorded dense rate, halved): {rate:.0}/s vs {PIVOT_RATE_FLOOR:.0}/s"
             ),
         );
     } else {
         out.claim(
             true,
             format!(
-                "sparse-vs-dense throughput not gated: run too short to measure \
-                 (sparse {} pivots / {:.0} ms, dense {} pivots / {:.0} ms)",
-                sparse.pivots,
-                sparse.wall.as_secs_f64() * 1e3,
-                dense.pivots,
-                dense.wall.as_secs_f64() * 1e3
+                "pivot throughput not gated: run too short to measure \
+                 ({} pivots / {:.0} ms)",
+                serial.pivots,
+                serial.wall.as_secs_f64() * 1e3
             ),
         );
     }

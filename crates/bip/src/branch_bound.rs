@@ -16,11 +16,11 @@
 //!
 //! Index-tuning BIPs have near-integral LP relaxations, but plain rounding
 //! usually breaks the assignment rows (`Σ_k y_qk = 1`, `Σ_a x = y`) and the
-//! AT-MOST/storage rows.  [`round_and_repair`] rounds the LP point and then
+//! AT-MOST/storage rows.  `round_and_repair` rounds the LP point and then
 //! repairs violated rows greedily: candidate flips are scored by objective
 //! damage per unit of violation removed — penalized when a flip would break
 //! other rows — and selected by the shared
-//! [`knapsack::greedy_cover`](crate::knapsack::greedy_cover) routine (a
+//! [`knapsack::greedy_cover`] routine (a
 //! violated storage row *is* a covering knapsack over drop candidates).  If
 //! repair fails at the root, a bounded LP **dive** fixes the most-integral
 //! fractionals one at a time and retries.  The heuristic re-runs periodically
@@ -29,7 +29,7 @@
 //! ## Warm-started, parallel node evaluation
 //!
 //! Node evaluation is a pure function of `(model, bounds, parent basis)`
-//! ([`evaluate_node`]): each node re-solves its LP from the parent's optimal
+//! (`evaluate_node`): each node re-solves its LP from the parent's optimal
 //! [`Basis`] with the bounded-variable [`DualSimplex`] (a bound pinch leaves
 //! the parent basis dual feasible, so a child costs a handful of dual pivots
 //! instead of a two-phase solve), falling back to a cold solve when the warm
@@ -84,9 +84,9 @@ pub struct MipResult {
     pub lookahead_hits: usize,
     /// Singular-basis breakdowns the solve recovered from instead of
     /// surfacing an error: a failed refactorization (or an ftran/pricing
-    /// disagreement) forces a cold two-phase re-solve on the other LP
-    /// kernel, and warm re-solves that went singular pay the same cold
-    /// fallback (see [`LpStatus::Singular`]).
+    /// disagreement) forces a cold two-phase re-solve on the simplex's
+    /// careful pivot path, and warm re-solves that went singular pay the
+    /// cold fallback (see [`LpStatus::Singular`]).
     pub factor_recoveries: usize,
     /// Incumbent/bound improvements over time.
     pub trace: Vec<GapPoint>,
@@ -230,13 +230,9 @@ impl Node {
 }
 
 /// Evaluate one node's LP relaxation — a pure function of the model, the
-/// node's bounds and the parent basis, safe to run on a worker thread.
-/// Warm path first (dual re-solve from the parent basis), with a cold
-/// two-phase fallback when the warm solve is unavailable, stalls without the
-/// deadline having passed, or returns a point that fails validation against
-/// the model rows (the node bound must stay sound even under numerical
-/// drift).
-#[allow(clippy::too_many_arguments)]
+/// node's bounds and the parent basis, safe to run on a worker thread: the
+/// dual re-solve from the parent basis when there is one, through
+/// [`accept_or_cold`].
 fn evaluate_node(
     model: &Model,
     lp_solver: &SimplexSolver,
@@ -247,33 +243,47 @@ fn evaluate_node(
     root_hi: &[f64],
 ) -> LpResult {
     let (lo, hi) = node.bounds(root_lo, root_hi);
-    if warm_start {
-        if let Some(basis) = &node.basis {
-            if let Some(r) = dual.resolve(model, &lo, &hi, basis) {
-                match r.status {
-                    LpStatus::Optimal if warm_point_valid(model, &r.x, &lo, &hi) => return r,
-                    LpStatus::Infeasible => return r,
-                    LpStatus::IterLimit
-                        if dual.deadline.is_some_and(|dl| std::time::Instant::now() >= dl) =>
-                    {
-                        return r;
-                    }
-                    // Stalled, singular, or invalid: pay the cold solve
-                    // below, keeping the warm pivots in the accounting via
-                    // `iterations` — and counting a singular warm basis as
-                    // a recovered factorization failure.
-                    _ => {
-                        let mut cold = lp_solver.solve(model, &lo, &hi);
-                        cold.iterations += r.iterations;
-                        cold.factor_recoveries +=
-                            r.factor_recoveries + usize::from(r.status == LpStatus::Singular);
-                        return cold;
-                    }
-                }
-            }
+    let warm = node
+        .basis
+        .as_ref()
+        .filter(|_| warm_start)
+        .and_then(|basis| dual.resolve(model, &lo, &hi, basis));
+    accept_or_cold(model, lp_solver, &lo, &hi, warm, true)
+}
+
+/// The warm → validate → cold ladder every warm-started LP of the search
+/// goes through.  The warm answer is taken when it is `Optimal` at a point
+/// that passes [`warm_point_valid`] (the bound must stay sound under
+/// numerical drift), when the deadline ended it, or — only where
+/// `trust_infeasible` — when it is `Infeasible`: at a node that merely
+/// prunes a subtree, but at the root it would abort the whole solve, and
+/// dual unboundedness on a stale near-degenerate basis can be drift.
+/// Everything else (no warm answer, a stall, a singular basis, an invalid
+/// point) pays the cold two-phase solve, which keeps the warm pivots in the
+/// accounting and counts a singular warm basis as a recovered breakdown.
+fn accept_or_cold(
+    model: &Model,
+    lp_solver: &SimplexSolver,
+    lo: &[f64],
+    hi: &[f64],
+    warm: Option<LpResult>,
+    trust_infeasible: bool,
+) -> LpResult {
+    let Some(r) = warm else {
+        return lp_solver.solve(model, lo, hi);
+    };
+    match r.status {
+        LpStatus::Optimal if warm_point_valid(model, &r.x, lo, hi) => r,
+        LpStatus::Infeasible if trust_infeasible => r,
+        LpStatus::IterLimit if lp_solver.deadline_expired() => r,
+        _ => {
+            let mut cold = lp_solver.solve(model, lo, hi);
+            cold.iterations += r.iterations;
+            cold.factor_recoveries +=
+                r.factor_recoveries + usize::from(r.status == LpStatus::Singular);
+            cold
         }
     }
-    lp_solver.solve(model, &lo, &hi)
 }
 
 /// Cheap soundness check on a warm-optimal point: every row satisfied and
@@ -602,70 +612,36 @@ impl BranchBound {
             driver.raise_bound(kb);
         }
 
-        // Root LP: from the caller's basis via the dual simplex when one is
-        // available (an interactive re-solve after RHS/bound deltas), cold
-        // two-phase otherwise — or as the fallback when the warm path
-        // stalls, its point fails validation, or it claims infeasibility
-        // (dual unboundedness on a stale near-degenerate basis can be
-        // numerical drift, and a root infeasibility verdict aborts the
-        // whole solve, so it is only trusted after a cold confirmation).
-        let root = match warm.basis {
-            Some(basis) if warm.primal_root => {
-                // The objective moved since the snapshot: the basis point is
-                // still primal feasible, so restart phase 2 of the primal
-                // simplex from it (the dual path would price with stale
-                // reduced costs).  Any failure falls back to a cold solve.
-                match lp_solver.warm_solve(model, root_lo, root_hi, basis) {
-                    Some(r) => match r.status {
-                        LpStatus::Optimal if warm_point_valid(model, &r.x, root_lo, root_hi) => r,
-                        LpStatus::IterLimit
-                            if lp_solver
-                                .deadline
-                                .is_some_and(|dl| std::time::Instant::now() >= dl) =>
-                        {
-                            r
-                        }
-                        _ => {
-                            let mut cold = lp_solver.solve(model, root_lo, root_hi);
-                            cold.iterations += r.iterations;
-                            cold.factor_recoveries +=
-                                r.factor_recoveries + usize::from(r.status == LpStatus::Singular);
-                            cold
-                        }
-                    },
-                    None => lp_solver.solve(model, root_lo, root_hi),
-                }
-            }
-            Some(basis) => {
-                let dual_root = DualSimplex {
-                    max_iters: lp_solver.max_iters,
-                    tol: lp_solver.tol,
-                    deadline: lp_solver.deadline,
-                    engine: lp_solver.engine,
-                };
-                match dual_root.resolve(model, root_lo, root_hi, basis) {
-                    Some(r) => match r.status {
-                        LpStatus::Optimal if warm_point_valid(model, &r.x, root_lo, root_hi) => r,
-                        LpStatus::IterLimit
-                            if lp_solver
-                                .deadline
-                                .is_some_and(|dl| std::time::Instant::now() >= dl) =>
-                        {
-                            r
-                        }
-                        _ => {
-                            let mut cold = lp_solver.solve(model, root_lo, root_hi);
-                            cold.iterations += r.iterations;
-                            cold.factor_recoveries +=
-                                r.factor_recoveries + usize::from(r.status == LpStatus::Singular);
-                            cold
-                        }
-                    },
-                    None => lp_solver.solve(model, root_lo, root_hi),
-                }
-            }
-            None => lp_solver.solve(model, root_lo, root_hi),
+        // The dual simplex is armed like the primal; a warm re-solve after
+        // one bound pinch should cost a handful of dual pivots, so node LPs
+        // cap its budget well below the primal's — a degenerate or cycling
+        // re-solve then fails fast to the cold fallback instead of burning
+        // the full pivot budget first (the dual loop has no Bland-style
+        // anti-cycling switch).
+        let dual_root = DualSimplex {
+            max_iters: lp_solver.max_iters,
+            tol: lp_solver.tol,
+            deadline: lp_solver.deadline,
         };
+        let dual = DualSimplex {
+            max_iters: (4 * model.n_constraints() + 256).min(lp_solver.max_iters),
+            ..dual_root.clone()
+        };
+
+        // Root LP: warm from the caller's basis when one is available (an
+        // interactive re-solve), cold two-phase otherwise.  After RHS/bound
+        // deltas the basis is still dual feasible and the dual simplex
+        // repairs it; after an objective edit it is primal feasible instead
+        // (the dual path would price with stale reduced costs), so phase 2
+        // of the primal simplex restarts from it.
+        let warm_root = warm.basis.and_then(|basis| {
+            if warm.primal_root {
+                lp_solver.warm_solve(model, root_lo, root_hi, basis)
+            } else {
+                dual_root.resolve(model, root_lo, root_hi, basis)
+            }
+        });
+        let root = accept_or_cold(model, &lp_solver, root_lo, root_hi, warm_root, false);
         driver.add_pivots(root.iterations);
         stats.absorb(&root);
         let root_basis_out = root.basis.clone();
@@ -683,8 +659,8 @@ impl BranchBound {
                 panic!("LP relaxation of a BIP cannot be unbounded");
             }
             LpStatus::IterLimit | LpStatus::Singular => {
-                // Out of time inside the root LP — or both kernels went
-                // singular on it, which exhausts the recovery ladder:
+                // Out of time inside the root LP — or the careful retry
+                // went singular too, which exhausts the recovery ladder:
                 // salvage what the primal heuristics can build from the
                 // seed / partial point.  The caller's known bound (if any)
                 // keeps the reported gap finite even on this path.
@@ -718,18 +694,6 @@ impl BranchBound {
             LpStatus::Optimal => {}
         }
         driver.raise_bound(root.objective);
-
-        // A warm re-solve after one bound pinch should cost a handful of
-        // dual pivots; cap its budget well below the primal's so a
-        // degenerate or cycling re-solve fails fast to the cold fallback
-        // instead of burning the full pivot budget first (the dual loop has
-        // no Bland-style anti-cycling switch).
-        let dual = DualSimplex {
-            max_iters: (4 * model.n_constraints() + 256).min(lp_solver.max_iters),
-            tol: lp_solver.tol,
-            deadline: lp_solver.deadline,
-            engine: lp_solver.engine,
-        };
 
         // Root primal: the caller's seed first (repaired to feasibility),
         // then LP rounding + greedy repair, then a bounded dive if the cheap
@@ -987,11 +951,11 @@ impl BranchBound {
                     continue;
                 }
                 if lp.status == LpStatus::Singular {
-                    // Both kernels went singular on this node's LP, so its
-                    // objective is unusable.  Treat it exactly like a pivot
-                    // stall: skip the node (the parent bound stays valid via
-                    // the frontier) and remember the search is no longer
-                    // exhaustive.
+                    // Both pivot paths went singular on this node's LP, so
+                    // its objective is unusable.  Treat it exactly like a
+                    // pivot stall: skip the node (the parent bound stays
+                    // valid via the frontier) and remember the search is no
+                    // longer exhaustive.
                     stalled_nodes += 1;
                     stalled_bound_cap = stalled_bound_cap.min(node.bound);
                     continue;
@@ -1003,9 +967,7 @@ impl BranchBound {
                     // parent bound stays valid via the frontier) and keep
                     // searching, but remember the search is no longer
                     // exhaustive.
-                    let deadline_passed =
-                        lp_solver.deadline.is_some_and(|dl| std::time::Instant::now() >= dl);
-                    if deadline_passed {
+                    if lp_solver.deadline_expired() {
                         status = Some(MipStatus::TimeLimit);
                         break 'search;
                     }

@@ -1,22 +1,15 @@
-//! The pre-sparse dense simplex engine, retained as a reference oracle.
+//! The pre-sparse dense simplex, kept as a test-only reference oracle.
 //!
-//! This is the PR-6 production engine verbatim: an explicit dense `B⁻¹`
+//! This is the PR-6 production kernel verbatim: an explicit dense `B⁻¹`
 //! updated by O(m²) product-form pivots, Dantzig pricing with a Bland
 //! anti-cycling fallback, and the plain (non-bound-flipping) dual ratio
-//! test.  It is kept for two reasons:
-//!
-//! 1. **Differential testing** — the proptest equivalence suite solves the
-//!    same random LPs and pinch chains on both engines and requires equal
-//!    verdicts and objectives, which pins the sparse kernel's semantics to
-//!    a known-good implementation.
-//! 2. **Benchmark baseline** — `solver_smoke` runs one dense config so the
-//!    ≥10× pivots/sec speedup gate in `BENCH_solver.json` is measured
-//!    against the engine this PR replaced, not against a guess.
-//!
-//! Select it with [`LpEngine::Dense`](crate::LpEngine) on
-//! [`SimplexSolver`](crate::SimplexSolver) /
-//! [`DualSimplex`](crate::DualSimplex); nothing in the production solve
-//! path constructs it implicitly.
+//! test.  The module is compiled only under `cfg(test)`: nothing shipped
+//! can reach it.  The differential tests — `lp_equivalence` and the
+//! `engines_agree_*` unit tests in `simplex` and `dual` — call
+//! [`dense_solve`] / [`dense_resolve`] directly on the same random LPs and
+//! pinch chains as the shipped sparse kernel and require equal verdicts and
+//! objectives, which pins the sparse kernel's semantics to a known-good
+//! implementation.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -438,9 +431,10 @@ impl DenseTableau {
     }
 }
 
-/// The old two-phase primal solve on the dense tableau.  The caller
-/// ([`SimplexSolver::solve`]) has already handled the no-constraint shortcut
-/// and the expired-deadline entry check.
+/// The old two-phase primal solve on the dense tableau, armed with
+/// `solver`'s tolerance, pivot cap and deadline.  It has neither the
+/// no-constraint shortcut nor the expired-deadline entry check of
+/// [`SimplexSolver::solve`]: callers pass models with at least one row.
 pub(crate) fn dense_solve(
     solver: &SimplexSolver,
     model: &Model,
@@ -514,7 +508,8 @@ pub(crate) fn dense_solve(
 }
 
 /// The old dual-simplex re-solve (most-violated leaving row, plain dual
-/// ratio test, no bound flipping) on the dense tableau.
+/// ratio test, no bound flipping) on the dense tableau, armed with `dual`'s
+/// tolerance, pivot cap and deadline.
 pub(crate) fn dense_resolve(
     dual: &DualSimplex,
     model: &Model,

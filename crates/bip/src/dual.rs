@@ -12,7 +12,7 @@
 //! 24-statement models (ROADMAP, "Next candidates for the solve path").
 //!
 //! The algorithm is the bounded-variable dual simplex on the same sparse
-//! [`Tableau`] workspace the primal uses (LU factors + eta file):
+//! `Tableau` workspace the primal uses (LU factors + eta file):
 //!
 //! 1. **Leaving row** — picked by **dual Devex**: maximize
 //!    `violation² / dw_i` against reference-framework row weights updated
@@ -30,7 +30,7 @@
 //!    unbounded ⇒ the pinched polytope is empty (`Infeasible`) — decided
 //!    before any flip is applied.
 //! 3. **Pivot** — appends a product-form eta shared with the primal,
-//!    refactorized every [`REFACTOR_EVERY`] pivots.
+//!    refactorized every `REFACTOR_EVERY` pivots.
 //!
 //! Soundness: callers treat anything other than `Optimal`/`Infeasible` as
 //! "fall back to a cold two-phase solve", and the branch-and-bound
@@ -44,13 +44,13 @@
 
 use crate::model::Model;
 use crate::simplex::{
-    Basis, LpEngine, LpResult, LpStatus, Tableau, VarState, DEADLINE_CHECK_INTERVAL,
-    DEVEX_RESET_LIMIT, PIVOT_TOL,
+    Basis, LpResult, LpStatus, Tableau, VarState, DEADLINE_CHECK_INTERVAL, DEVEX_RESET_LIMIT,
+    PIVOT_TOL, REFACTOR_EVERY,
 };
 
 /// The dual-simplex engine.  Mirrors [`SimplexSolver`](crate::SimplexSolver)
-/// knobs so branch-and-bound can arm both with the same tolerance,
-/// wall-clock deadline and kernel.
+/// knobs so branch-and-bound can arm both with the same tolerance and
+/// wall-clock deadline.
 #[derive(Debug, Clone)]
 pub struct DualSimplex {
     pub max_iters: usize,
@@ -59,13 +59,11 @@ pub struct DualSimplex {
     /// instant passes — checked before the first factorization and every
     /// [`DEADLINE_CHECK_INTERVAL`] pivots, same contract as the primal.
     pub deadline: Option<std::time::Instant>,
-    /// Which kernel to run on (sparse LU by default).
-    pub engine: LpEngine,
 }
 
 impl Default for DualSimplex {
     fn default() -> Self {
-        DualSimplex { max_iters: 50_000, tol: 1e-7, deadline: None, engine: LpEngine::Sparse }
+        DualSimplex { max_iters: 50_000, tol: 1e-7, deadline: None }
     }
 }
 
@@ -93,9 +91,6 @@ impl DualSimplex {
         // An already-expired deadline aborts before the first factorization.
         if self.deadline.is_some_and(|dl| std::time::Instant::now() >= dl) {
             return Some(LpResult::aborted(model.n_vars()));
-        }
-        if self.engine == LpEngine::Dense {
-            return crate::dense::dense_resolve(self, model, lo, hi, basis);
         }
         let mut t = Tableau::build(model, lo, hi);
         if !t.restore(basis) {
@@ -316,7 +311,7 @@ impl DualSimplex {
                 t.devex_resets += 1;
             }
 
-            if !t.update_factors(r, &w, &mut since_refactor) {
+            if !t.update_factors(r, &w, &mut since_refactor, REFACTOR_EVERY) {
                 return (LpStatus::Singular, iter);
             }
         }
@@ -327,6 +322,7 @@ impl DualSimplex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::dense_resolve;
     use crate::model::{LinExpr, Model, Sense};
     use crate::simplex::SimplexSolver;
 
@@ -434,17 +430,18 @@ mod tests {
         let _ = (x, y);
         let root = SimplexSolver::new().solve(&m, &[0.0, 0.0], &[1.0, 1.0]);
         let basis = root.basis.expect("root basis");
-        for engine in [LpEngine::Sparse, LpEngine::Dense] {
-            let dual = DualSimplex {
-                deadline: Some(std::time::Instant::now()),
-                engine,
-                ..Default::default()
-            };
-            let r = dual.resolve(&m, &[1.0, 0.0], &[1.0, 1.0], &basis).expect("fits");
-            assert_eq!(r.status, LpStatus::IterLimit);
-            assert_eq!(r.iterations, 0, "no dual pivot may run past an expired deadline");
-            assert_eq!(r.refactorizations, 0, "no factorization past an expired deadline");
-        }
+        let dual = DualSimplex { deadline: Some(std::time::Instant::now()), ..Default::default() };
+        let (lo, hi) = ([1.0, 0.0], [1.0, 1.0]);
+        let r = dual.resolve(&m, &lo, &hi, &basis).expect("fits");
+        assert_eq!(r.status, LpStatus::IterLimit);
+        assert_eq!(r.iterations, 0, "no dual pivot may run past an expired deadline");
+        assert_eq!(r.refactorizations, 0, "no factorization past an expired deadline");
+        // The dense oracle, called directly, has no entry check of its own
+        // (that lives in `resolve`): it restores the basis, then stops at
+        // the loop's first deadline check without a pivot.
+        let oracle = dense_resolve(&dual, &m, &lo, &hi, &basis).expect("fits");
+        assert_eq!(oracle.status, LpStatus::IterLimit);
+        assert_eq!(oracle.iterations, 0, "no dual pivot may run past an expired deadline");
     }
 
     #[test]
@@ -560,8 +557,8 @@ mod tests {
 
     #[test]
     fn engines_agree_across_pinch_chain() {
-        // Sparse (Devex + BFRT) and dense (most-violated + plain ratio)
-        // dual engines must produce identical verdicts and objectives on a
+        // The sparse dual (Devex + BFRT) and the dense oracle (most-violated
+        // + plain ratio) must produce identical verdicts and objectives on a
         // shared pinch chain from the same root basis.
         let mut m = Model::new();
         let mut e = LinExpr::new();
@@ -574,12 +571,11 @@ mod tests {
         let (mut lo, mut hi) = (vec![0.0; n], vec![1.0; n]);
         let root = SimplexSolver::new().solve(&m, &lo, &hi);
         let basis = root.basis.expect("root basis");
-        let sparse = DualSimplex::new();
-        let dense = DualSimplex { engine: LpEngine::Dense, ..Default::default() };
+        let dual = DualSimplex::new();
         for (j, v) in [(2usize, 1.0), (5usize, 1.0), (0usize, 0.0), (7usize, 1.0)] {
             pinch(&mut lo, &mut hi, j, v);
-            let a = sparse.resolve(&m, &lo, &hi, &basis).expect("sparse fits");
-            let b = dense.resolve(&m, &lo, &hi, &basis).expect("dense fits");
+            let a = dual.resolve(&m, &lo, &hi, &basis).expect("sparse fits");
+            let b = dense_resolve(&dual, &m, &lo, &hi, &basis).expect("dense fits");
             assert_eq!(a.status, b.status, "pinch ({j}, {v})");
             if a.status == LpStatus::Optimal {
                 assert!(

@@ -3,7 +3,7 @@
 //! The Theorem-1 BIP has a special shape: per-query variables (`y`, `x`)
 //! couple to the global index variables (`z`) only through `x_qkia ≤ z_a`.
 //! Dualizing those coupling constraints with multipliers `μ ≥ 0` makes the
-//! problem fall apart (Fisher [11], the technique the paper's Solver applies
+//! problem fall apart (Fisher \[11\], the technique the paper's Solver applies
 //! as `relax(B)` in Figure 3):
 //!
 //! * one **independent minimum per query block** — for fixed `μ`, each query
@@ -274,7 +274,7 @@ pub struct LagrangianSolver {
     /// scale collapses).
     pub budget: SolveBudget,
     /// Cooperative cancellation: a fired token stops the subgradient loop
-    /// at its next iteration with [`MipStatus::TimeLimit`] semantics.
+    /// at its next iteration with [`MipStatus::TimeLimit`](crate::MipStatus::TimeLimit) semantics.
     pub cancel: Option<CancelToken>,
 }
 

@@ -12,10 +12,11 @@
 //!   simplex for the LP relaxations: sparse-LU basis factorization
 //!   (`factor`, Markowitz-style ordering + threshold partial pivoting) with
 //!   eta-file product-form updates and periodic refactorization, Devex
-//!   pricing with a Dantzig-equivalent reset, and optimal-[`Basis`]
-//!   snapshots for warm re-solves.  The previous dense explicit-`B⁻¹`
-//!   engine is retained behind [`LpEngine::Dense`] as a
-//!   differential-testing oracle and benchmark baseline (`dense`);
+//!   pricing with a Dantzig-equivalent reset, optimal-[`Basis`] snapshots
+//!   for warm re-solves, and a one-step recovery from a singular basis on
+//!   the same kernel's careful pivot path.  It is the only simplex that
+//!   ships: the previous dense explicit-`B⁻¹` tableau is compiled under
+//!   `cfg(test)` alone, as the oracle of this crate's differential tests;
 //! * [`dual`] — a bounded-variable **dual simplex** on the same sparse
 //!   kernel that re-solves an LP from a parent basis after a bound pinch
 //!   (the branch-and-bound warm-start: a child LP costs a handful of dual
@@ -51,12 +52,15 @@
 
 pub mod branch_bound;
 pub mod delta;
-pub(crate) mod dense;
+#[cfg(test)]
+mod dense;
 pub mod driver;
 pub mod dual;
 pub(crate) mod factor;
 pub mod knapsack;
 pub mod lagrangian;
+#[cfg(test)]
+mod lp_equivalence;
 pub mod model;
 pub mod mps;
 pub mod simplex;
@@ -74,4 +78,4 @@ pub use lagrangian::{
 };
 pub use model::{ConstrId, LinExpr, Model, Sense, VarId};
 pub use mps::{lint_mps, parse_mps, write_mps};
-pub use simplex::{Basis, LpEngine, LpResult, LpStatus, SimplexSolver};
+pub use simplex::{Basis, LpResult, LpStatus, SimplexSolver};

@@ -1,16 +1,19 @@
-//! Differential equivalence suite: the sparse revised simplex (LU + eta
-//! updates, Devex pricing, bound-flipping dual ratio test) against the
-//! retained dense explicit-inverse engine ([`cophy_bip::LpEngine::Dense`]).
+//! Differential equivalence suite: the shipped sparse revised simplex (LU +
+//! eta updates, Devex pricing, bound-flipping dual ratio test) against the
+//! test-only dense explicit-inverse oracle ([`crate::dense`]), and the
+//! sparse kernel's careful pivot path against its fast one.
 //!
 //! The contract under test is *objective/verdict equality*, not trace
-//! equality: the two kernels pivot differently (Devex vs Dantzig), but on
-//! every LP they must agree on feasibility and on the optimal value, and a
-//! [`cophy_bip::Basis`] snapshot must survive snapshot → restore → extend
-//! round-trips on either engine.
+//! equality: the kernels pivot differently (Devex vs Dantzig vs Bland), but
+//! on every LP they must agree on feasibility and on the optimal value, and
+//! a [`Basis`](crate::Basis) snapshot must survive snapshot → restore →
+//! extend round-trips on either kernel.
 
 use proptest::prelude::*;
 
-use cophy_bip::{DualSimplex, LinExpr, LpEngine, LpStatus, Model, Sense, SimplexSolver, VarId};
+use crate::dense::{dense_resolve, dense_solve};
+use crate::simplex::PivotPath;
+use crate::{DualSimplex, LinExpr, LpStatus, Model, Sense, SimplexSolver, VarId};
 
 /// Deterministic LCG in [-1, 1) from a seed, same idiom as `properties.rs`.
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -67,8 +70,57 @@ fn lp_with_pinches() -> impl Strategy<Value = (Model, Vec<(usize, bool)>)> {
     })
 }
 
-fn solver(engine: LpEngine) -> SimplexSolver {
-    SimplexSolver { engine, ..SimplexSolver::new() }
+/// An index-tuning-shaped LP (Theorem 1): `n_q` assignment rows
+/// `Σ_k y_qk = 1`, a coupling row `y_qk ≤ z_a` per plan, one storage row
+/// over the `z` — hundreds of rows, massively degenerate, which the ≤ 4-row
+/// [`random_lp`] family is not.
+fn tuning_shaped_lp(n_q: usize, n_plans: usize, n_idx: usize, seed: u64) -> Model {
+    let mut next = lcg(seed);
+    let mut m = Model::new();
+    let z: Vec<VarId> =
+        (0..n_idx).map(|a| m.add_var(format!("z{a}"), 1.0 + next().abs())).collect();
+    let mut storage = LinExpr::new();
+    for &za in &z {
+        storage.add(za, 1.0 + next().abs() * 9.0);
+    }
+    m.add_constraint(storage, Sense::Le, 2.5 * n_idx as f64);
+    for q in 0..n_q {
+        let mut assign = LinExpr::new();
+        for k in 0..n_plans {
+            let y = m.add_var(format!("y{q}_{k}"), 5.0 + next().abs() * 40.0);
+            assign.add(y, 1.0);
+            if k > 0 {
+                // Plan 0 is the index-free fallback; the others need an index.
+                let a = (next().abs() * n_idx as f64) as usize % n_idx;
+                m.add_constraint(LinExpr::new().term(y, 1.0).term(z[a], -1.0), Sense::Le, 0.0);
+            }
+        }
+        m.add_constraint(assign, Sense::Eq, 1.0);
+    }
+    m
+}
+
+#[test]
+fn careful_path_solves_tuning_shaped_lps() {
+    for seed in 0..6u64 {
+        let m = tuning_shaped_lp(40, 4, 12, seed);
+        let n = m.n_vars();
+        let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
+        let solver = SimplexSolver::new();
+        let fast = solver.solve_cold(&m, &lo, &hi, PivotPath::Fast);
+        let careful = solver.solve_cold(&m, &lo, &hi, PivotPath::Careful);
+        let oracle = dense_solve(&solver, &m, &lo, &hi);
+        assert_eq!(fast.status, LpStatus::Optimal, "seed {seed}");
+        for (name, r) in [("careful", &careful), ("oracle", &oracle)] {
+            assert_eq!(r.status, LpStatus::Optimal, "{name}, seed {seed}");
+            assert!(
+                (r.objective - fast.objective).abs() <= 1e-6 * (1.0 + fast.objective.abs()),
+                "seed {seed}: {name} {} vs fast {}",
+                r.objective,
+                fast.objective
+            );
+        }
+    }
 }
 
 proptest! {
@@ -79,8 +131,8 @@ proptest! {
     fn engines_agree_on_random_lps(m in random_lp()) {
         let n = m.n_vars();
         let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
-        let sparse = solver(LpEngine::Sparse).solve(&m, &lo, &hi);
-        let dense = solver(LpEngine::Dense).solve(&m, &lo, &hi);
+        let sparse = SimplexSolver::new().solve(&m, &lo, &hi);
+        let dense = dense_solve(&SimplexSolver::new(), &m, &lo, &hi);
         prop_assert_eq!(sparse.status, dense.status);
         if sparse.status == LpStatus::Optimal {
             prop_assert!(
@@ -92,6 +144,27 @@ proptest! {
         }
     }
 
+    /// The recovery path is a solver in its own right: a cold solve on the
+    /// careful pivot path (Bland from the first pivot, stricter ratio-test
+    /// tolerance, fresh LU per pivot) reaches the fast path's verdict and
+    /// value.
+    #[test]
+    fn careful_path_agrees_with_the_fast_path(m in random_lp()) {
+        let n = m.n_vars();
+        let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
+        let solver = SimplexSolver::new();
+        let fast = solver.solve_cold(&m, &lo, &hi, PivotPath::Fast);
+        let careful = solver.solve_cold(&m, &lo, &hi, PivotPath::Careful);
+        prop_assert_eq!(careful.status, fast.status);
+        if fast.status == LpStatus::Optimal {
+            prop_assert!(
+                (careful.objective - fast.objective).abs() <= 1e-6 * (1.0 + fast.objective.abs()),
+                "careful {} vs fast {}", careful.objective, fast.objective
+            );
+            prop_assert!(careful.basis.is_some(), "a careful optimum snapshots its basis");
+        }
+    }
+
     /// Warm pinch chains: the sparse dual simplex re-solving from the parent
     /// basis must reach the verdict and value of a dense cold solve at every
     /// link of the chain.
@@ -100,7 +173,7 @@ proptest! {
         let (m, pinches) = case;
         let n = m.n_vars();
         let (mut lo, mut hi) = (vec![0.0; n], vec![1.0; n]);
-        let root = solver(LpEngine::Sparse).solve(&m, &lo, &hi);
+        let root = SimplexSolver::new().solve(&m, &lo, &hi);
         if root.status != LpStatus::Optimal {
             // Infeasible roots carry no basis to chain from; skip the case.
             return Ok(());
@@ -111,7 +184,7 @@ proptest! {
             lo[j] = if v { 1.0 } else { 0.0 };
             hi[j] = lo[j];
             let warm = dual.resolve(&m, &lo, &hi, &basis).expect("basis fits the same model");
-            let cold = solver(LpEngine::Dense).solve(&m, &lo, &hi);
+            let cold = dense_solve(&SimplexSolver::new(), &m, &lo, &hi);
             prop_assert!(
                 warm.status == cold.status
                     || (warm.status == LpStatus::IterLimit && cold.status == LpStatus::Optimal),
@@ -139,7 +212,7 @@ proptest! {
     fn basis_roundtrips_across_snapshot_restore_and_extend(m in random_lp()) {
         let n = m.n_vars();
         let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
-        let root = solver(LpEngine::Sparse).solve(&m, &lo, &hi);
+        let root = SimplexSolver::new().solve(&m, &lo, &hi);
         if root.status != LpStatus::Optimal {
             // Nothing to round-trip without an optimal snapshot.
             return Ok(());
@@ -147,10 +220,10 @@ proptest! {
         let basis = root.basis.clone().expect("optimal solve snapshots a basis");
 
         // Restore under identical bounds: the dual simplex finds nothing to
-        // repair on either engine.
-        for engine in [LpEngine::Sparse, LpEngine::Dense] {
-            let dual = DualSimplex { engine, ..DualSimplex::new() };
-            let r = dual.resolve(&m, &lo, &hi, &basis).expect("snapshot fits its own model");
+        // repair on either kernel.
+        let dual = DualSimplex::new();
+        for r in [dual.resolve(&m, &lo, &hi, &basis), dense_resolve(&dual, &m, &lo, &hi, &basis)] {
+            let r = r.expect("snapshot fits its own model");
             prop_assert_eq!(r.status, LpStatus::Optimal);
             prop_assert!(
                 (r.objective - root.objective).abs() <= 1e-6 * (1.0 + root.objective.abs())

@@ -1,7 +1,7 @@
 //! Two-phase bounded-variable **sparse revised** primal simplex.
 //!
 //! Solves the LP relaxation `min cᵀx, Ax {≤,=,≥} b, lo ≤ x ≤ hi` of a
-//! [`Model`](crate::model::Model).  Design notes:
+//! [`Model`].  Design notes:
 //!
 //! * **Bounded variables** — nonbasic variables rest at either bound, so
 //!   branch-and-bound can fix binaries by pinching `[lo, hi]` without adding
@@ -16,8 +16,13 @@
 //!   one sparse eta vector, and the factors are rebuilt from scratch every
 //!   `REFACTOR_EVERY` pivots for numerical hygiene.  `ftran`/`btran` cost
 //!   O(nnz) instead of the O(m²) row sweeps of the dense explicit `B⁻¹` the
-//!   engine used before (retained verbatim as the [`LpEngine::Dense`]
-//!   reference oracle in the `dense` module).
+//!   crate used before; that tableau (`dense.rs`) is compiled only under
+//!   `cfg(test)`, as the oracle of the crate's differential tests.
+//! * **Singular-basis recovery** — a cold solve whose refactorization
+//!   breaks down ([`LpStatus::Singular`]) is retried once, cold, on the
+//!   same kernel's *careful* pivot path: a fresh LU after every pivot,
+//!   Bland's rule from the first iteration, and a stricter ratio-test pivot
+//!   tolerance.  Counted in [`LpResult::factor_recoveries`].
 //! * **Devex pricing** — nonbasic columns are scored `d² / γ_j` against
 //!   reference-framework weights updated from each pivot row; when the
 //!   weights overflow their stable range they are reset to 1 (counted in
@@ -51,8 +56,8 @@ pub enum LpStatus {
     /// The basis matrix went numerically singular mid-solve (a failed
     /// refactorization, or an ftran/pricing disagreement beyond tolerance).
     /// Distinct from [`LpStatus::IterLimit`] so callers recover — a cold
-    /// re-solve on the other kernel — instead of treating the abort as an
-    /// exhausted budget.
+    /// re-solve on the careful pivot path — instead of treating the abort
+    /// as an exhausted budget.
     Singular,
 }
 
@@ -68,12 +73,12 @@ pub struct LpResult {
     /// [`LpStatus::Optimal`]), the warm-start handle for
     /// [`DualSimplex::resolve`](crate::dual::DualSimplex::resolve).
     pub basis: Option<Basis>,
-    /// Number of from-scratch LU (or dense inverse) factorizations paid.
+    /// Number of from-scratch LU factorizations paid.
     pub refactorizations: usize,
-    /// Number of Devex reference-framework resets (0 on the dense engine).
+    /// Number of Devex reference-framework resets.
     pub devex_resets: usize,
     /// Singular-basis events this solve recovered from by falling back to
-    /// a cold two-phase solve on the other kernel (see
+    /// a cold two-phase solve on the careful pivot path (see
     /// [`LpStatus::Singular`]).
     pub factor_recoveries: usize,
 }
@@ -94,25 +99,10 @@ impl LpResult {
     }
 }
 
-/// Which simplex kernel backs a solve.
-///
-/// [`LpEngine::Sparse`] is the production path: sparse LU factorization with
-/// eta-file updates and Devex pricing.  [`LpEngine::Dense`] is the previous
-/// dense explicit-`B⁻¹` engine, retained verbatim as a differential-testing
-/// oracle and as the PR-6 performance baseline in the solver benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    #[default]
-    Sparse,
-    Dense,
-}
-
 /// A reusable snapshot of a simplex basis over the standard-form column
 /// space (structural + slack + artificial variables).  Opaque outside the
 /// crate: it is only produced by an optimal solve and only consumed by the
 /// dual-simplex warm re-solve after a bound change on the same model.
-/// Snapshots are engine-agnostic — either [`LpEngine`] can restore a basis
-/// captured by the other.
 #[derive(Debug, Clone)]
 pub struct Basis {
     /// Per-column variable state (length: structural + slack + artificial).
@@ -196,22 +186,19 @@ pub struct SimplexSolver {
     /// [`DEADLINE_CHECK_INTERVAL`] pivots, so a single large LP cannot blow
     /// through a caller's wall-clock budget.
     pub deadline: Option<std::time::Instant>,
-    /// Which kernel to run on (sparse LU by default).
-    pub engine: LpEngine,
 }
 
 /// Pivots between wall-clock deadline checks, shared by the primal and
-/// [`dual`](crate::dual) simplex loops.  Sparse pivots cost O(nnz) rather
-/// than the O(m²) of the old dense engine, so the interval is tuned small
-/// enough (16) that even a rich full-scale BIP stays within ~100ms of its
-/// wall-clock budget.  The check also runs before the first pivot — and
-/// before the first factorization at solve entry — so an already-expired
-/// deadline aborts without touching the basis.
+/// [`dual`](crate::dual) simplex loops.  Sparse pivots cost O(nnz), so the
+/// interval is tuned small enough (16) that even a rich full-scale BIP stays
+/// within ~100ms of its wall-clock budget.  The check also runs before the
+/// first pivot — and before the first factorization at solve entry — so an
+/// already-expired deadline aborts without touching the basis.
 pub const DEADLINE_CHECK_INTERVAL: usize = 16;
 
 impl Default for SimplexSolver {
     fn default() -> Self {
-        SimplexSolver { max_iters: 50_000, tol: 1e-7, deadline: None, engine: LpEngine::Sparse }
+        SimplexSolver { max_iters: 50_000, tol: 1e-7, deadline: None }
     }
 }
 
@@ -253,10 +240,26 @@ pub(crate) struct Tableau {
 
 pub(crate) const PIVOT_TOL: f64 = 1e-9;
 pub(crate) const REFACTOR_EVERY: usize = 128;
+/// Ratio-test pivot tolerance of [`PivotPath::Careful`]: rows whose entry in
+/// the entering column is this small never leave the basis, so the retry
+/// cannot pivot on the near-zero elements that made the first LU break down.
+const CAREFUL_PIVOT_TOL: f64 = 1e-7;
 /// Devex weights above this trigger a reference-framework reset.
 pub(crate) const DEVEX_RESET_LIMIT: f64 = 1e7;
 /// Entries below this are dropped from eta vectors.
 pub(crate) const ETA_DROP_TOL: f64 = 1e-12;
+
+/// The pivot path of one [`Tableau::run`].  `Fast` is every shipped solve;
+/// `Careful` is the retry after a [`LpStatus::Singular`] breakdown — a
+/// deterministic re-run of `Fast` would fail at the same pivot, so it takes
+/// a different route to the same optimum: Bland's entering rule from the
+/// first iteration, [`CAREFUL_PIVOT_TOL`] in the ratio test, and a fresh LU
+/// after every pivot (no eta file to accumulate error in).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PivotPath {
+    Fast,
+    Careful,
+}
 
 impl Tableau {
     pub(crate) fn build(model: &Model, lo: &[f64], hi: &[f64]) -> Tableau {
@@ -482,34 +485,41 @@ impl Tableau {
     }
 
     /// Record a basis change at row `r` with ftran'd entering column `w`:
-    /// append the product-form eta and refactorize on cadence.  Returns
-    /// false on a singular refactorization (caller aborts with
-    /// [`LpStatus::Singular`] so the solve can recover on the other kernel).
+    /// append the product-form eta and refactorize every `refactor_every`
+    /// pivots.  Returns false on a singular refactorization (caller aborts
+    /// with [`LpStatus::Singular`] so the solve can recover on the careful
+    /// pivot path).
     #[must_use]
     pub(crate) fn update_factors(
         &mut self,
         r: usize,
         w: &[f64],
         since_refactor: &mut usize,
+        refactor_every: usize,
     ) -> bool {
         self.etas.push(Eta::from_pivot(r, w, ETA_DROP_TOL));
         *since_refactor += 1;
-        if *since_refactor >= REFACTOR_EVERY {
+        if *since_refactor >= refactor_every {
             *since_refactor = 0;
             return self.refactor();
         }
         true
     }
 
-    /// Run the primal simplex on the given phase costs with Devex pricing.
-    /// Returns (status, iterations).
+    /// Run the primal simplex on the given phase costs with Devex pricing
+    /// (see [`PivotPath`] for what `Careful` changes).  Returns (status,
+    /// iterations).
     pub(crate) fn run(
         &mut self,
         cost: &[f64],
         tol: f64,
         max_iters: usize,
         deadline: Option<std::time::Instant>,
+        path: PivotPath,
     ) -> (LpStatus, usize) {
+        let careful = path == PivotPath::Careful;
+        let (pivot_tol, refactor_every) =
+            if careful { (CAREFUL_PIVOT_TOL, 1) } else { (PIVOT_TOL, REFACTOR_EVERY) };
         let m = self.m;
         let ncols = self.cols.len();
         let mut y = vec![0.0; m];
@@ -531,7 +541,7 @@ impl Tableau {
             self.duals(cost, &mut y);
 
             // Pricing: Devex normally, Bland when cycling is suspected.
-            let bland = degenerate_run > 2 * (m + 16);
+            let bland = careful || degenerate_run > 2 * (m + 16);
             let mut entering: Option<(usize, f64, f64)> = None; // (j, d, score)
             for j in 0..ncols {
                 if self.state[j] == VarState::Basic || self.lo[j] >= self.hi[j] {
@@ -568,7 +578,7 @@ impl Tableau {
             for i in 0..m {
                 let delta = sigma * w[i];
                 let bv = self.basis[i];
-                if delta > PIVOT_TOL {
+                if delta > pivot_tol {
                     // basic variable decreases toward its lower bound
                     let room = self.xb[i] - self.lo[bv];
                     let limit = (room / delta).max(0.0);
@@ -576,7 +586,7 @@ impl Tableau {
                         t_max = limit;
                         leaving = Some((i, VarState::Lower));
                     }
-                } else if delta < -PIVOT_TOL {
+                } else if delta < -pivot_tol {
                     // basic variable increases toward its upper bound
                     if self.hi[bv].is_finite() {
                         let room = self.hi[bv] - self.xb[i];
@@ -657,7 +667,7 @@ impl Tableau {
                     self.basis[r] = j;
                     self.xb[r] = entering_val;
 
-                    if !self.update_factors(r, &w, &mut since_refactor) {
+                    if !self.update_factors(r, &w, &mut since_refactor, refactor_every) {
                         return (LpStatus::Singular, iter);
                     }
                 }
@@ -689,7 +699,7 @@ impl SimplexSolver {
     }
 
     /// True once the wall-clock deadline (if armed) has passed.
-    fn deadline_expired(&self) -> bool {
+    pub(crate) fn deadline_expired(&self) -> bool {
         self.deadline.is_some_and(|dl| std::time::Instant::now() >= dl)
     }
 
@@ -720,22 +730,22 @@ impl SimplexSolver {
         if self.deadline_expired() {
             return LpResult::aborted(n);
         }
-        let first = match self.engine {
-            LpEngine::Sparse => self.solve_sparse(model, lo, hi),
-            LpEngine::Dense => crate::dense::dense_solve(self, model, lo, hi),
-        };
+        let first = self.solve_cold(model, lo, hi, PivotPath::Fast);
+        self.recover(model, lo, hi, first)
+    }
+
+    /// The recovery ladder behind [`SimplexSolver::solve`], given the first
+    /// cold attempt.  A singular basis is a property of the pivot path that
+    /// reached it — an identical retry would break down at the same pivot —
+    /// so the one retry is a cold two-phase solve on [`PivotPath::Careful`],
+    /// with the abandoned attempt's work folded into the result.  A second
+    /// `Singular` is returned as it is (branch-and-bound then treats the
+    /// node as stalled).
+    fn recover(&self, model: &Model, lo: &[f64], hi: &[f64], first: LpResult) -> LpResult {
         if first.status != LpStatus::Singular {
             return first;
         }
-        // A singular basis is a property of this kernel's pivot path — a
-        // deterministic identical retry would break down at the same pivot.
-        // Recover with a cold two-phase solve on the *other* kernel
-        // (threshold vs plain partial pivoting take different elimination
-        // paths), folding the abandoned attempt's work into the result.
-        let mut second = match self.engine {
-            LpEngine::Sparse => crate::dense::dense_solve(self, model, lo, hi),
-            LpEngine::Dense => self.solve_sparse(model, lo, hi),
-        };
+        let mut second = self.solve_cold(model, lo, hi, PivotPath::Careful);
         second.iterations += first.iterations;
         second.refactorizations += first.refactorizations;
         second.devex_resets += first.devex_resets;
@@ -743,7 +753,14 @@ impl SimplexSolver {
         second
     }
 
-    fn solve_sparse(&self, model: &Model, lo: &[f64], hi: &[f64]) -> LpResult {
+    /// One cold two-phase solve from the all-artificial basis.
+    pub(crate) fn solve_cold(
+        &self,
+        model: &Model,
+        lo: &[f64],
+        hi: &[f64],
+        path: PivotPath,
+    ) -> LpResult {
         let n = model.n_vars();
         let mut t = Tableau::build(model, lo, hi);
         t.init_basis();
@@ -753,7 +770,7 @@ impl SimplexSolver {
         for j in t.n_artificial_start..t.cols.len() {
             phase1_cost[j] = 1.0;
         }
-        let (s1, it1) = t.run(&phase1_cost, self.tol, self.max_iters, self.deadline);
+        let (s1, it1) = t.run(&phase1_cost, self.tol, self.max_iters, self.deadline, path);
         if matches!(s1, LpStatus::IterLimit | LpStatus::Singular) {
             return LpResult {
                 status: s1,
@@ -795,7 +812,7 @@ impl SimplexSolver {
         }
         let mut phase2_cost = vec![0.0; t.cols.len()];
         phase2_cost[..n].copy_from_slice(model.objective());
-        let (s2, it2) = t.run(&phase2_cost, self.tol, self.max_iters, self.deadline);
+        let (s2, it2) = t.run(&phase2_cost, self.tol, self.max_iters, self.deadline, path);
 
         let x = t.structural_x();
         let objective = model.objective_value(&x);
@@ -851,7 +868,8 @@ impl SimplexSolver {
         }
         let mut cost = vec![0.0; t.cols.len()];
         cost[..n].copy_from_slice(model.objective());
-        let (status, iterations) = t.run(&cost, self.tol, self.max_iters, self.deadline);
+        let (status, iterations) =
+            t.run(&cost, self.tol, self.max_iters, self.deadline, PivotPath::Fast);
         let x = t.structural_x();
         let objective = model.objective_value(&x);
         let snap = (status == LpStatus::Optimal).then(|| t.snapshot());
@@ -879,6 +897,7 @@ impl SimplexSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::dense_solve;
     use crate::model::{LinExpr, Model, Sense};
 
     fn bounds(n: usize) -> (Vec<f64>, Vec<f64>) {
@@ -927,7 +946,7 @@ mod tests {
         // A corrupted basis (duplicate column) must surface as a false
         // return from the cadence refactorization — the hook [`Tableau::run`]
         // turns into [`LpStatus::Singular`] so the solve recovers on the
-        // other kernel instead of pretending the pivot budget ran out.
+        // careful pivot path instead of pretending the pivot budget ran out.
         let mut m = Model::new();
         let x = m.add_var("x", -1.0);
         let y = m.add_var("y", -2.0);
@@ -940,9 +959,61 @@ mod tests {
         let w = vec![1.0, 0.0];
         let mut since = REFACTOR_EVERY - 1;
         assert!(
-            !t.update_factors(0, &w, &mut since),
+            !t.update_factors(0, &w, &mut since, REFACTOR_EVERY),
             "refactorizing a singular basis must report failure, not succeed"
         );
+    }
+
+    #[test]
+    fn singular_first_attempt_recovers_on_the_careful_path() {
+        // Hand the ladder a first attempt that broke down: the answer must
+        // be the clean solve's, with one recovery counted and the abandoned
+        // attempt's pivots and factorizations folded into the totals.
+        let mut m = Model::new();
+        let x = m.add_var("x", -1.0);
+        let y = m.add_var("y", -2.0);
+        let z = m.add_var("z", -1.5);
+        m.add_constraint(LinExpr::new().term(x, 1.0).term(y, 1.0).term(z, 1.0), Sense::Le, 1.5);
+        m.add_constraint(LinExpr::new().term(x, 1.0).term(z, -1.0), Sense::Ge, 0.1);
+        m.add_constraint(LinExpr::new().term(y, 2.0).term(z, 1.0), Sense::Eq, 1.2);
+        let (lo, hi) = bounds(3);
+        let solver = SimplexSolver::new();
+        let clean = solver.solve(&m, &lo, &hi);
+        assert_eq!(clean.status, LpStatus::Optimal);
+        assert_eq!(clean.factor_recoveries, 0);
+        let careful = solver.solve_cold(&m, &lo, &hi, PivotPath::Careful);
+
+        let broken = LpResult {
+            status: LpStatus::Singular,
+            iterations: 7,
+            refactorizations: 3,
+            devex_resets: 1,
+            ..LpResult::aborted(3)
+        };
+        let r = solver.recover(&m, &lo, &hi, broken);
+        assert_eq!(r.status, clean.status);
+        assert!(
+            (r.objective - clean.objective).abs() < 1e-6,
+            "{} vs {}",
+            r.objective,
+            clean.objective
+        );
+        assert!(r.basis.is_some(), "a recovered optimum still snapshots its basis");
+        assert_eq!(r.factor_recoveries, 1);
+        assert_eq!(r.iterations, careful.iterations + 7);
+        assert_eq!(r.refactorizations, careful.refactorizations + 3);
+        assert_eq!(r.devex_resets, careful.devex_resets + 1);
+        assert!(
+            careful.refactorizations > careful.iterations / 2,
+            "the careful path refactorizes after every basis change: {} LUs over {} pivots",
+            careful.refactorizations,
+            careful.iterations
+        );
+
+        // Any other first verdict passes through the ladder untouched.
+        let passthrough = solver.recover(&m, &lo, &hi, clean.clone());
+        assert_eq!(passthrough.factor_recoveries, 0, "a clean first attempt is returned untouched");
+        assert_eq!(passthrough.iterations, clean.iterations);
     }
 
     #[test]
@@ -1042,13 +1113,10 @@ mod tests {
         let y = m.add_var("y", -2.0);
         m.add_constraint(LinExpr::new().term(x, 1.0).term(y, 1.0), Sense::Le, 1.5);
         let (lo, hi) = bounds(2);
-        for engine in [LpEngine::Sparse, LpEngine::Dense] {
-            let solver = SimplexSolver {
-                deadline: Some(std::time::Instant::now()),
-                engine,
-                ..Default::default()
-            };
-            let r = solver.solve(&m, &lo, &hi);
+        let solver =
+            SimplexSolver { deadline: Some(std::time::Instant::now()), ..Default::default() };
+        // The shipped solve, and the dense oracle called directly.
+        for r in [solver.solve(&m, &lo, &hi), dense_solve(&solver, &m, &lo, &hi)] {
             assert_eq!(r.status, LpStatus::IterLimit);
             assert_eq!(r.iterations, 0, "no pivot may run past an expired deadline");
             assert_eq!(r.refactorizations, 0, "no factorization past an expired deadline");
@@ -1120,8 +1188,7 @@ mod tests {
             m.add_constraint(expr, Sense::Le, 11.0);
             let (lo, hi) = bounds(n);
             let sparse = SimplexSolver::new().solve(&m, &lo, &hi);
-            let dense =
-                SimplexSolver { engine: LpEngine::Dense, ..Default::default() }.solve(&m, &lo, &hi);
+            let dense = dense_solve(&SimplexSolver::new(), &m, &lo, &hi);
             assert_eq!(sparse.status, dense.status, "seed {seed}");
             assert!(
                 (sparse.objective - dense.objective).abs() < 1e-6,

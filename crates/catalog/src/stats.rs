@@ -1,6 +1,6 @@
 //! Column statistics with a Zipf-skew knob.
 //!
-//! The paper evaluates on TPC-H data generated by `tpcdskew` [8], which skews
+//! The paper evaluates on TPC-H data generated by `tpcdskew` \[8\], which skews
 //! value frequencies by a Zipf parameter `z` (`z = 0` uniform, `z = 2` highly
 //! skewed).  Skew changes *selectivities*: with high skew, a handful of values
 //! dominate, so equality predicates on non-dominant values become extremely
@@ -9,7 +9,7 @@
 //!
 //! We reproduce this with an equi-*width* histogram whose bucket frequencies
 //! follow a Zipf(z) law, plus the usual NDV / min / max summary.  Estimation
-//! formulas follow the classic System-R conventions [18].
+//! formulas follow the classic System-R conventions \[18\].
 
 use serde::{Deserialize, Serialize};
 

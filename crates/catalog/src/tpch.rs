@@ -1,7 +1,7 @@
 //! TPC-H schema + statistics generator with Zipf skew.
 //!
 //! Stands in for the paper's "1 GB TPC-H database generated by the `tpcdskew`
-//! tool" [8].  We synthesize the *statistics* of that database directly: row
+//! tool" \[8\].  We synthesize the *statistics* of that database directly: row
 //! counts at a scale factor, per-column NDVs from the TPC-H specification, and
 //! histograms skewed by the Zipf parameter `z` (`z = 0` uniform, `z = 2`
 //! highly skewed), applied to the same columns `tpcdskew` skews (foreign keys

@@ -22,9 +22,8 @@
 //!    selectivity dimension, `−ln(1−ε)` on the log update footprint), so
 //!    the scan touches only the 3^d neighbor cells of the query point
 //!    instead of every representative of the template — an exact
-//!    replacement for the linear scan
-//!    ([`CompressedWorkload::compress_unindexed`] keeps the baseline for
-//!    the `fig_compress` before/after timing).
+//!    replacement for the linear scan, which stays where it is cheaper:
+//!    templates with few representatives or many feature dimensions.
 //!
 //! The result is a [`CompressedWorkload`]: a weighted representative
 //! [`Workload`] plus the full original→representative assignment.  Cluster
@@ -188,13 +187,13 @@ struct TemplateIndex {
 /// Selectivities quantize at width ε (|Δsel| ≤ ε ⟹ adjacent cells); the
 /// update-row footprint quantizes `ln(max(rows, 1))` at width `−ln(1 − ε)`
 /// (relative deviation ≤ ε ⟹ adjacent cells).  `None` disables the grid:
-/// indexing off, ε = 0 (exact-dedup only), or ε ≥ 1 (every same-template
-/// pair is within ε anyway).
+/// ε = 0 (exact-dedup only) or ε ≥ 1 (every same-template pair is within ε
+/// anyway).
 type Grid = Option<(f64, f64)>;
 
-fn make_grid(policy: CompressionPolicy, indexed: bool) -> Grid {
+fn make_grid(policy: CompressionPolicy) -> Grid {
     match policy.merge_threshold() {
-        Some(eps) if indexed && eps > 0.0 && eps < 1.0 => Some((eps, -(1.0 - eps).ln())),
+        Some(eps) if eps > 0.0 && eps < 1.0 => Some((eps, -(1.0 - eps).ln())),
         _ => None,
     }
 }
@@ -300,30 +299,9 @@ impl CompressedWorkload {
         w: &Workload,
         policy: CompressionPolicy,
     ) -> CompressedWorkload {
-        Self::compress_with_indexing(schema, w, policy, true)
-    }
-
-    /// [`CompressedWorkload::compress`] with the bucket index disabled —
-    /// every ε-agglomeration runs the linear scan over same-template
-    /// representatives.  Produces an identical clustering; kept as the
-    /// timing baseline of the `fig_compress` study.
-    pub fn compress_unindexed(
-        schema: &Schema,
-        w: &Workload,
-        policy: CompressionPolicy,
-    ) -> CompressedWorkload {
-        Self::compress_with_indexing(schema, w, policy, false)
-    }
-
-    fn compress_with_indexing(
-        schema: &Schema,
-        w: &Workload,
-        policy: CompressionPolicy,
-        indexed: bool,
-    ) -> CompressedWorkload {
         // Validate ε eagerly, even for empty workloads (`make_grid` calls
         // `merge_threshold`, which panics on an invalid ε).
-        let grid = make_grid(policy, indexed);
+        let grid = make_grid(policy);
         let mut cw = CompressedWorkload {
             representatives: Workload::new(),
             rep_features: Vec::new(),
@@ -357,7 +335,7 @@ impl CompressedWorkload {
     /// Batch compression ([`CompressedWorkload::compress`]) keeps the
     /// first-member semantics unchanged.
     pub fn streaming(policy: CompressionPolicy) -> CompressedWorkload {
-        let grid = make_grid(policy, true);
+        let grid = make_grid(policy);
         CompressedWorkload {
             representatives: Workload::new(),
             rep_features: Vec::new(),
@@ -763,6 +741,24 @@ mod tests {
         let s = schema();
         let base = HomGen::new(seed).generate(&s, n);
         UpdateGen::new(seed ^ 0xA5).mix_into(&s, &base, 0.2)
+    }
+
+    impl CompressedWorkload {
+        /// [`CompressedWorkload::compress`] with the bucket grid off, so
+        /// every ε-agglomeration runs the linear scan over same-template
+        /// representatives: the reference the indexed clustering must equal.
+        fn compress_unindexed(
+            schema: &Schema,
+            w: &Workload,
+            policy: CompressionPolicy,
+        ) -> CompressedWorkload {
+            let mut cw = CompressedWorkload::compress(schema, &Workload::new(), policy);
+            cw.grid = None;
+            for (_, stmt, weight) in w.iter() {
+                cw.absorb(schema, stmt, weight);
+            }
+            cw
+        }
     }
 
     #[test]

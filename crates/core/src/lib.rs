@@ -64,7 +64,7 @@
 //! | INUM            | [`cophy_inum::Inum`] |
 //! | CGen            | [`cgen::CGen`] |
 //! | BIPGen          | [`bipgen::BipGen`] |
-//! | Solver          | [`solver::Solver`] (Lagrangian `relax(B)` + B&B backends) |
+//! | Solver          | [`solver::CoPhy`] (Lagrangian `relax(B)` + B&B backends) |
 //! | soft constraints| [`soft::ChordExplorer`] (Pareto frontier via the Chord algorithm) |
 //! | interactive     | [`session::TuningSession`] (warm-started deltas) |
 //!
@@ -86,20 +86,25 @@
 //! * [`cophy_optimizer::TraceRecorder`] / [`cophy_optimizer::TraceReplay`] —
 //!   record a tune's probe answers to text, then replay them bit-identically
 //!   with zero optimizer work (the CI backend-swap smoke);
-//! * [`cophy_optimizer::NoisyBackend`] — deterministic calibrated noise on
-//!   top of any inner backend, for robustness studies.
+//! * [`cophy_optimizer::FaultInjectingBackend`] — seeded faults and bounded
+//!   cost corruption on top of any inner backend, for robustness studies.
 //!
 //! Wiring a custom backend into a session is just passing the trait object:
 //!
 //! ```
 //! use cophy::{CoPhy, CoPhyOptions, ConstraintSet};
 //! use cophy_catalog::TpchGen;
-//! use cophy_optimizer::{NoisyBackend, SystemProfile, WhatIfBackend, WhatIfOptimizer};
+//! use cophy_optimizer::{
+//!     FaultInjectingBackend, FaultPlan, SystemProfile, WhatIfBackend, WhatIfOptimizer,
+//! };
 //! use cophy_workload::HomGen;
 //!
 //! let live = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
-//! // Any `WhatIfBackend` drives the whole stack — here the noise wrapper.
-//! let backend = NoisyBackend::new(&live, 0.05, 7);
+//! // Any `WhatIfBackend` drives the whole stack — here a wrapper that scales
+//! // every probe by a seeded per-(query, configuration) factor within ±5%.
+//! let noise =
+//!     FaultPlan { corruption_rate: 1.0, corruption_amplitude: 0.05, ..FaultPlan::none(7) };
+//! let backend = FaultInjectingBackend::new(Box::new(live), noise);
 //! let w = HomGen::new(1).generate(backend.schema(), 8);
 //! let cophy = CoPhy::new(&backend, CoPhyOptions::default());
 //! let mut session = cophy.session(&w, ConstraintSet::storage_fraction(backend.schema(), 0.5));
@@ -142,9 +147,7 @@ pub use cophy_bip::{DecompositionProgress, SolveBudget, SolveProgress};
 // re-exported so custom-backend authors and cache-sharing callers need not
 // depend on `cophy_optimizer`/`cophy_inum` directly.
 pub use cophy_inum::InumCache;
-pub use cophy_optimizer::{
-    NoisyBackend, ProbeAnswer, ProbeLeaf, TraceRecorder, TraceReplay, WhatIfBackend,
-};
+pub use cophy_optimizer::{ProbeAnswer, ProbeLeaf, TraceRecorder, TraceReplay, WhatIfBackend};
 
 // The workload-compression subsystem's vocabulary, re-exported so callers
 // can set `CoPhyOptions::compression` and read `Recommendation::compression`

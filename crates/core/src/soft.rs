@@ -10,7 +10,7 @@
 //! ```
 //!
 //! and retrieves Pareto-optimal points by solving for selected values of
-//! `λ ∈ [0, 1]`.  The **Chord algorithm** [9] picks those values: starting
+//! `λ ∈ [0, 1]`.  The **Chord algorithm** \[9\] picks those values: starting
 //! from the extreme points it recursively solves at the λ induced by each
 //! chord's slope and keeps the new point only if it is further than `ε` from
 //! the chord — yielding a provably good approximation of the frontier with

@@ -18,7 +18,7 @@
 //! [`CoPhy::try_tune_prepared`].
 //!
 //! Every `try_tune*` door is the same two steps: drain the workload through
-//! the chunked [`crate::ingest`] (clustering, INUM probes under
+//! the chunked `crate::ingest` (clustering, INUM probes under
 //! [`CoPhyOptions::retry`], CGen, the [`CoPhyOptions::min_coverage`] floor),
 //! then [`CoPhy::try_tune_prepared`].
 
@@ -235,7 +235,7 @@ impl Recommendation {
 }
 
 /// The CoPhy advisor — a thin layer over any [`WhatIfBackend`] (live
-/// optimizer, trace replay, noise wrapper, or a custom DBMS adapter).
+/// optimizer, trace replay, fault wrapper, or a custom DBMS adapter).
 #[derive(Debug)]
 pub struct CoPhy<'o> {
     opt: &'o dyn WhatIfBackend,

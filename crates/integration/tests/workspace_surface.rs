@@ -175,6 +175,34 @@ fn every_public_crate_is_reachable() {
     assert!(cophy_server::parse_spec("bogus:1:1", &schema).is_err());
 }
 
+/// One simplex kernel ships: the solver stack is built and run without
+/// naming an engine.  The struct literals are exhaustive on purpose (no
+/// `..`), so a selector field coming back is a compile error here.
+#[test]
+fn the_solver_stack_has_no_engine_selector() {
+    use cophy_bip::{BranchBound, DualSimplex, LinExpr, LpStatus, Model, Sense, SimplexSolver};
+
+    let primal = SimplexSolver { max_iters: 50_000, tol: 1e-7, deadline: None };
+    let dual = DualSimplex { max_iters: 50_000, tol: 1e-7, deadline: None };
+
+    let mut m = Model::new();
+    let x = m.add_var("x", -1.0);
+    let y = m.add_var("y", -2.0);
+    m.add_constraint(LinExpr::new().term(x, 1.0).term(y, 1.0), Sense::Le, 1.5);
+    let root = primal.solve(&m, &[0.0, 0.0], &[1.0, 1.0]);
+    assert_eq!(root.status, LpStatus::Optimal);
+    assert_eq!(root.factor_recoveries, 0);
+    let basis = root.basis.as_ref().expect("optimal solve snapshots its basis");
+    let child = dual.resolve(&m, &[1.0, 0.0], &[1.0, 1.0], basis).expect("basis fits");
+    assert_eq!(child.status, LpStatus::Optimal);
+    assert!((child.objective - (-2.0)).abs() < 1e-6);
+
+    let bb = BranchBound { simplex: primal };
+    let r = bb.solve(&m, &cophy_bip::SolveOptions::default());
+    assert_eq!(r.status, cophy_bip::MipStatus::Optimal);
+    assert!((r.objective - (-2.0)).abs() < 1e-6);
+}
+
 /// Every door fails with the one `CoPhyError`, matched by variant — and a
 /// caller that carries errors as text still propagates it with `?`.
 #[test]

@@ -1,7 +1,7 @@
 //! # cophy-inum
 //!
 //! An implementation of INUM — *efficient use of the query optimizer for
-//! automated physical design* [15] — the fast what-if layer the CoPhy paper
+//! automated physical design* \[15\] — the fast what-if layer the CoPhy paper
 //! builds on.
 //!
 //! For each query `q`, INUM makes a small number of carefully chosen what-if
@@ -17,7 +17,7 @@
 //! `cost(q, X)` is then the Definition-1 minimum
 //! `min_k { β_qk + Σ_i min_{a ∈ X_i ∪ I∅} γ_qkia }`, i.e. the *linearly
 //! composable* cost function of the paper, evaluated in microseconds instead
-//! of a full optimization.  [`PreparedQuery::gammas_for`] exposes the γ
+//! of a full optimization.  [`TemplatePlan::gamma`] exposes the γ
 //! constants directly — exactly what CoPhy's BIP generator consumes.
 //!
 //! Every preparation is [`Inum::try_prepare_statement`] over some statements:

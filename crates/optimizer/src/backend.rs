@@ -18,8 +18,8 @@
 //! model, so the §2 update semantics stay identical across backends.
 //!
 //! [`crate::WhatIfOptimizer`] is the reference implementation; see
-//! [`crate::trace`] for a record/replay backend and [`crate::noise`] for a
-//! calibrated-noise wrapper.
+//! [`crate::trace`] for a record/replay backend and [`crate::fault`] for a
+//! seeded fault- and cost-corruption-injecting wrapper.
 
 use std::fmt;
 
@@ -155,7 +155,7 @@ impl ProbeAnswer {
 /// A pluggable what-if costing service.
 ///
 /// Object safe: the whole stack threads `&dyn WhatIfBackend`, so backends can
-/// be swapped at run time (live optimizer, trace replay, noise wrapper, or a
+/// be swapped at run time (live optimizer, trace replay, fault wrapper, or a
 /// remote DBMS adapter).  `Send + Sync` is required because INUM preparation
 /// shards probes across OS threads.
 pub trait WhatIfBackend: std::fmt::Debug + Send + Sync {
@@ -275,8 +275,8 @@ pub trait WhatIfBackend: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// SplitMix64 finalizer — the seeded scrambling primitive shared by the
-/// noise and fault-injection wrappers: one pass turns a fingerprint XOR into
+/// SplitMix64 finalizer — the seeded scrambling primitive of the
+/// fault-injection wrapper: one pass turns a fingerprint XOR into
 /// uniform 64-bit output, so a pair's draw depends only on `(seed, pair)`.
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -286,7 +286,7 @@ pub fn splitmix64(x: u64) -> u64 {
 }
 
 /// FNV-1a 64-bit hash — the stable fingerprint primitive shared by the trace
-/// backend and the noise backend (keyed on `Debug` renderings, which are
+/// backend and the fault-injection wrapper (keyed on `Debug` renderings, which are
 /// deterministic for the resolved-id IR).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

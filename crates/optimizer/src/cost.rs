@@ -1,4 +1,4 @@
-//! The cost model: abstract cost units in the System-R tradition [18].
+//! The cost model: abstract cost units in the System-R tradition \[18\].
 //!
 //! Costs mix I/O (pages, sequential vs random) and CPU (per-tuple work).
 //! The absolute unit is irrelevant to the advisor — only *relative* plan

@@ -12,23 +12,23 @@
 //! # Candidate records, back-pointers, one materialization
 //!
 //! A what-if probe prices thousands of join candidates and returns one plan,
-//! so the enumeration never holds a plan tree.  A candidate is a [`Cand`]:
-//! cost, rows, the id of its delivered order, and an [`Op`] that names its
+//! so the enumeration never holds a plan tree.  A candidate is a `Cand`:
+//! cost, rows, the id of its delivered order, and an `Op` that names its
 //! inputs by *reference* — an access path by `(table, index into that
 //! table's path list)`, a join by the arena ids of the two kept candidates
 //! it combines plus, for a merge join, the order each side is first sorted
 //! to.  The kept candidates of all table subsets live in one arena
-//! ([`Memo::arena`]); a subset's pareto set is a range of it.  Orders are
-//! interned per query ([`Orders`]): the handful of useful ones get small
+//! (`Memo::arena`); a subset's pareto set is a range of it.  Orders are
+//! interned per query (`Orders`): the handful of useful ones get small
 //! ids, so a candidate is `Copy` and pricing one allocates nothing.
 //! Everything that does not depend on the pair being priced is computed
 //! before the pair loop: each join edge's table bits, selectivity and merge
 //! orders once per query, a split's crossing edges and residual-filter cost
 //! once per split.
 //!
-//! [`finalize`] prices aggregation and the final sort the same way, as up to
-//! three [`Wrap`] records stacked on a joined candidate, and only the
-//! winner is turned into a [`SubPlan`] tree, by [`Memo::materialize`]
+//! `finalize` prices aggregation and the final sort the same way, as up to
+//! three `Wrap` records stacked on a joined candidate, and only the
+//! winner is turned into a [`SubPlan`] tree, by `Memo::materialize`
 //! following the back-pointers.
 //!
 //! # Bit identity
@@ -40,7 +40,7 @@
 //! [`CostModel`] function, never a re-associated sum); candidates are pushed
 //! in the same order (splits by descending sub-mask, left × right in pareto
 //! order, hash / nested-loop / merge per pair) and pruned by a *stable* sort
-//! on cost, so ties break by push order; and [`finalize`] takes the first
+//! on cost, so ties break by push order; and `finalize` takes the first
 //! cheapest plan.  `crates/integration/tests/probe_digest.rs` pins the
 //! result.
 

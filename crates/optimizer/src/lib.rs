@@ -27,7 +27,6 @@ pub mod cardinality;
 pub mod cost;
 pub mod dp;
 pub mod fault;
-pub mod noise;
 pub mod ordering;
 pub mod plan;
 pub mod trace;
@@ -40,7 +39,6 @@ pub use fault::{
     probe_with_retry, FaultEvent, FaultInjectingBackend, FaultKind, FaultLog, FaultPlan,
     FaultStatsSnapshot, RetriedProbe, RetryPolicy,
 };
-pub use noise::NoisyBackend;
 pub use ordering::{EquivClasses, Ordering};
 pub use plan::{LeafAccess, PhysicalPlan, PlanNode};
 pub use trace::{TraceRecorder, TraceReplay};

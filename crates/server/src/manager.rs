@@ -16,7 +16,7 @@
 //! * **Memory-capped LRU.**  Each session's private solve state is metered
 //!   by [`cophy::TuningSession::approx_state_bytes`]; when the sum passes
 //!   the cap, the least-recently-touched sessions are demoted to a compact
-//!   [`EvictedState`] (spec + candidates + constraints + sticky fixings).
+//!   `EvictedState` (spec + candidates + constraints + sticky fixings).
 //!   The shared cache `Arc` is *retained*, so a later touch rebuilds the
 //!   session with zero probes, and — the solves being deterministic — a
 //!   rebuilt session's cold recommendation is bit-identical to the one it

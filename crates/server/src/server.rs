@@ -12,7 +12,7 @@
 //! Latency: connections run with `TCP_NODELAY`, `hb` and `progress` lines
 //! are flushed one by one (they are the anytime stream), and the lines that
 //! end a reply leave under one lock with one flush.  Memory: a request line
-//! is read into a buffer capped at [`MAX_REQUEST_LINE`].
+//! is read into a buffer capped at `MAX_REQUEST_LINE`.
 //!
 //! Every request is wrapped in `catch_unwind`: a panicking handler drops
 //! the (possibly torn) session, answers `err internal`, and the daemon

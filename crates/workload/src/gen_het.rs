@@ -1,6 +1,6 @@
 //! The heterogeneous workload generator `W_het`.
 //!
-//! The paper's `W_het` comes from an index-tuning benchmark [17] (the C2 suite
+//! The paper's `W_het` comes from an index-tuning benchmark \[17\] (the C2 suite
 //! with the most complex templates): SPJ queries with group-by and
 //! aggregation, spanning *many more distinct templates* than `W_hom`.  We
 //! reproduce the property that matters — structural diversity — by sampling

@@ -9,7 +9,7 @@
 //!   generator on fifteen templates);
 //! * [`HetGen`] — the *heterogeneous* workload `W_het`: structurally diverse
 //!   SPJ queries with group-by and aggregation, modeled on the online
-//!   index-selection benchmark's C2 suite [17];
+//!   index-selection benchmark's C2 suite \[17\];
 //! * [`UpdateGen`] — UPDATE statements, modeled as a query shell plus an
 //!   update shell with per-index maintenance costs (§2).
 //!
