@@ -13,23 +13,23 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cophy::{BipGen, CGen, ConstraintSet};
 use cophy_advisors::IlpAdvisor;
-use cophy_bench::{make_optimizer, make_workload, prepare_parallel, WorkloadKind};
+use cophy_bench::{make_optimizer, make_workload, prepare, WorkloadKind};
 use cophy_bip::{
     BranchBound, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveBudget, SolveOptions,
 };
 use cophy_catalog::{ColumnId, Configuration};
 use cophy_inum::ideal_config;
-use cophy_optimizer::SystemProfile;
+use cophy_optimizer::{SystemProfile, WhatIfBackend};
 use cophy_workload::Query;
 
 fn bench_inum(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
     let w = make_workload(&o, WorkloadKind::Hom, 20);
     c.bench_function("inum/prepare_20_queries", |b| {
-        b.iter(|| prepare_parallel(&o, &w));
+        b.iter(|| prepare(&o, &w));
     });
 
-    let prepared = prepare_parallel(&o, &w);
+    let prepared = prepare(&o, &w);
     let cands = CGen::default().generate(o.schema(), &w);
     let cfg: Configuration = cands.iter().take(12).map(|(_, ix)| ix.clone()).collect();
     c.bench_function("inum/cost_eval_20_queries", |b| {
@@ -43,7 +43,7 @@ fn bench_inum(c: &mut Criterion) {
 fn bench_build(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
     let w = make_workload(&o, WorkloadKind::Hom, 30);
-    let prepared = prepare_parallel(&o, &w);
+    let prepared = prepare(&o, &w);
     let cands = CGen::default().generate(o.schema(), &w);
     let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
 
@@ -106,7 +106,7 @@ fn bench_solvers(c: &mut Criterion) {
     // Lagrangian on a realistic tuning instance.
     let o = make_optimizer(SystemProfile::A, 0.0);
     let w = make_workload(&o, WorkloadKind::Hom, 40);
-    let prepared = prepare_parallel(&o, &w);
+    let prepared = prepare(&o, &w);
     let cands = CGen::default().generate(o.schema(), &w);
     let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
     let tp = BipGen::default().block_problem(

@@ -6,9 +6,7 @@ use cophy::{CGen, CoPhy, CoPhyOptions, CompressedWorkload, CompressionPolicy, Co
 use cophy_optimizer::SystemProfile;
 
 use crate::Cell::{Int, Num, Pct, Secs};
-use crate::{
-    make_optimizer, make_workload, prepare_parallel, timed, Knobs, Outcome, Table, WorkloadKind,
-};
+use crate::{make_optimizer, make_workload, prepare, timed, Knobs, Outcome, Table, WorkloadKind};
 
 /// Workload sizes of the study.  Fixed (not `COPHY_SCALE`-scaled): the claim
 /// under test is the compression behavior at a given `|W|`, and the gate
@@ -47,7 +45,7 @@ pub(crate) fn compress(_: &Knobs) -> Outcome {
         // Uncompressed tune, from a full INUM cache (also the ground-truth
         // cost oracle for both recommendations below).
         let before = o.what_if_calls();
-        let (prepared_full, prep_full) = timed(|| prepare_parallel(&o, &w));
+        let (prepared_full, prep_full) = timed(|| prepare(&o, &w));
         let calls_full = o.what_if_calls() - before;
         let cands = CGen::default().generate(o.schema(), &w);
         let rec_full = CoPhy::new(&o, CoPhyOptions::default())

@@ -43,10 +43,10 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use cophy::{CGen, CandidateSet, CoPhy, CoPhyOptions, ConstraintSet};
+use cophy::{CandidateSet, CoPhy, CoPhyOptions, ConstraintSet, SolveStats};
 use cophy_catalog::{Skew, TpchGen};
 use cophy_inum::{Inum, PreparedWorkload};
-use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
+use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::{HetGen, HomGen, Workload};
 
 use chaos_study::chaos;
@@ -432,13 +432,10 @@ pub fn make_workload(o: &WhatIfOptimizer, kind: WorkloadKind, n: usize) -> Workl
     }
 }
 
-/// INUM preparation sharded across OS threads (the live optimizer never
-/// fails a probe, so the fault report is dropped).
-pub fn prepare_parallel(o: &WhatIfOptimizer, w: &Workload) -> PreparedWorkload {
-    let (prepared, _) = Inum::new(o)
-        .try_prepare_workload_resilient_parallel(w, None)
-        .unwrap_or_else(|e| panic!("what-if backend error: {e}"));
-    prepared
+/// INUM preparation for the studies that solve a [`PreparedWorkload`]
+/// directly (the live optimizer never fails a probe).
+pub fn prepare(o: &WhatIfOptimizer, w: &Workload) -> PreparedWorkload {
+    Inum::new(o).prepare_workload(w)
 }
 
 /// Time a closure.
@@ -453,13 +450,12 @@ struct CoPhyRun {
     /// Ground-truth quality metric `perf(X*, W)` (§5.1), computed against
     /// the what-if optimizer directly.
     perf: f64,
-    total: Duration,
-    inum: Duration,
-    build: Duration,
-    solve: Duration,
+    /// The tune's own INUM / build / solve split.
+    stats: SolveStats,
 }
 
-/// Run CoPhy end-to-end on a workload (INUM prepared in parallel).
+/// Run CoPhy end-to-end on a workload through the product's front door
+/// (with `candidates`, the door that skips CGen).
 fn run_cophy(
     o: &WhatIfOptimizer,
     w: &Workload,
@@ -467,31 +463,17 @@ fn run_cophy(
     candidates: Option<&CandidateSet>,
 ) -> CoPhyRun {
     let cophy = CoPhy::new(o, CoPhyOptions::default());
-    let (prepared, inum_time) = timed(|| prepare_parallel(o, w));
-    let owned;
-    let cands = match candidates {
-        Some(c) => c,
-        None => {
-            owned = CGen::default().generate(o.schema(), w);
-            &owned
-        }
-    };
-    let rec = cophy
-        .try_tune_prepared(&prepared, cands, constraints, inum_time, prepared.what_if_calls, |_| {})
-        .expect("feasible");
-    CoPhyRun {
-        perf: o.perf(w, &rec.configuration),
-        total: rec.stats.total_time(),
-        inum: rec.stats.inum_time,
-        build: rec.stats.build_time,
-        solve: rec.stats.solve_time,
+    let rec = match candidates {
+        Some(c) => cophy.try_tune_with_candidates(w, c, constraints),
+        None => cophy.try_tune(w, constraints),
     }
+    .expect("feasible");
+    CoPhyRun { perf: o.perf(w, &rec.configuration), stats: rec.stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cophy_catalog::Configuration;
 
     #[test]
     fn sizes_resolve() {
@@ -502,29 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_prepare_matches_sequential() {
-        let o = make_optimizer(SystemProfile::A, 0.0);
-        let w = make_workload(&o, WorkloadKind::Hom, 12);
-        let par = prepare_parallel(&o, &w);
-        let seq = Inum::new(&o).prepare_workload(&w);
-        assert_eq!(par.queries.len(), seq.queries.len());
-        for (a, b) in par.queries.iter().zip(seq.queries.iter()) {
-            assert_eq!(a.qid, b.qid);
-            assert_eq!(a.templates.len(), b.templates.len());
-        }
-        let cfg = Configuration::empty();
-        let ca = par.cost(o.schema(), o.cost_model(), &cfg);
-        let cb = seq.cost(o.schema(), o.cost_model(), &cfg);
-        assert!((ca - cb).abs() < 1e-9);
-    }
-
-    #[test]
     fn run_cophy_measures_a_tune() {
         let o = make_optimizer(SystemProfile::A, 0.0);
         let w = make_workload(&o, WorkloadKind::Hom, 10);
         let c = ConstraintSet::storage_fraction(o.schema(), 1.0);
         let run = run_cophy(&o, &w, &c, None);
         assert!(run.perf > 0.0);
-        assert_eq!(run.total, run.inum + run.build + run.solve);
+        assert!(run.stats.what_if_calls > 0 && run.stats.inum_time > Duration::ZERO);
     }
 }

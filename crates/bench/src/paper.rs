@@ -5,14 +5,14 @@ use std::time::Duration;
 
 use cophy::{CGen, CandidateSet, ChordExplorer, CoPhy, CoPhyOptions, ConstraintSet};
 use cophy_advisors::{Advisor, IlpAdvisor, ToolA, ToolB};
-use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
+use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::Workload;
 
 use crate::Cell::{Int, Num, Pct, Secs, Text};
 use crate::WorkloadKind::{Het, Hom};
 use crate::{
-    make_optimizer, make_workload, prepare_parallel, run_cophy, timed, CoPhyRun, Knobs, Outcome,
-    Table, WorkloadKind,
+    make_optimizer, make_workload, prepare, run_cophy, timed, CoPhyRun, Knobs, Outcome, Table,
+    WorkloadKind,
 };
 
 /// One scenario of the evaluation: a system, a data skew, a workload and a
@@ -87,9 +87,9 @@ pub(crate) fn fig4(k: &Knobs) -> Outcome {
         t.row(vec![
             Int(n as u64),
             Secs(a.tool_time),
-            Secs(a.cophy.total),
+            Secs(a.cophy.stats.total_time()),
             Secs(b.tool_time),
-            Secs(b.cophy.total),
+            Secs(b.cophy.stats.total_time()),
         ]);
     }
     Outcome::new(vec![t])
@@ -110,11 +110,11 @@ fn time_split_rows(
     cands: &CandidateSet,
     constraints: &ConstraintSet,
 ) {
-    let cophy = run_cophy(o, w, constraints, Some(cands));
+    let cophy = run_cophy(o, w, constraints, Some(cands)).stats;
     let (_, ilp) = IlpAdvisor::default().recommend_with_stats(o, w, cands, constraints);
     let ilp_total = ilp.inum_time + ilp.build_time + ilp.solve_time;
     for (tool, inum, build, solve, total) in [
-        ("CoPhy", cophy.inum, cophy.build, cophy.solve, cophy.total),
+        ("CoPhy", cophy.inum_time, cophy.build_time, cophy.solve_time, cophy.total_time()),
         ("ILP", ilp.inum_time, ilp.build_time, ilp.solve_time, ilp_total),
     ] {
         t.row(vec![
@@ -189,7 +189,7 @@ pub(crate) fn fig6a(k: &Knobs) -> Outcome {
                 ..Default::default()
             },
         );
-        let prepared = prepare_parallel(&o, &w);
+        let prepared = prepare(&o, &w);
         let cands = CGen::default().generate(o.schema(), &w);
         let rec = cophy
             .try_tune_prepared(&prepared, &cands, &constraints, Duration::ZERO, 0, |_| {})
@@ -244,7 +244,7 @@ pub(crate) fn fig6c(k: &Knobs) -> Outcome {
     let o = make_optimizer(SystemProfile::A, 0.0);
     let w = make_workload(&o, Hom, n);
     let cophy = CoPhy::new(&o, CoPhyOptions::default());
-    let prepared = prepare_parallel(&o, &w);
+    let prepared = prepare(&o, &w);
     let cands = CGen::default().generate(o.schema(), &w);
 
     let explorer = ChordExplorer { max_points: 5, ..Default::default() };

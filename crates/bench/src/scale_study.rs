@@ -5,7 +5,7 @@
 //! clusters **online** (resident statements stay bounded by the
 //! representative count plus one chunk buffer, never `|W|`), INUM prepares
 //! only cluster-opening representatives, and the block-decomposed Lagrangian
-//! backend solves the per-statement blocks in parallel.
+//! backend solves the per-statement blocks.
 //!
 //! Three claims are measured and gated:
 //!
@@ -18,8 +18,8 @@
 //!    slack is for hash-map growth and CI noise, not for a per-chunk cost
 //!    that grows with `|W|`);
 //! 3. **Decomposition soundness** — on a small workload the decomposed
-//!    parallel solve lands within the solvers' proven-gap slack of the
-//!    exact monolithic branch-and-bound answer.
+//!    solve lands within the solvers' proven-gap slack of the exact
+//!    monolithic branch-and-bound answer.
 
 use std::time::{Duration, Instant};
 
@@ -93,14 +93,12 @@ impl ScaleRow {
 }
 
 /// Stream `n` statements into a fresh session, tracking the residency
-/// high-water mark, then solve with the block-decomposed parallel backend.
-fn scale_row(n: usize, threads: usize) -> ScaleRow {
+/// high-water mark, then solve with the block-decomposed backend.
+fn scale_row(n: usize) -> ScaleRow {
     let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
     let opts = CoPhyOptions {
         compression: CompressionPolicy::default_epsilon(),
-        budget: SolveBudget::within(0.05)
-            .with_time(Duration::from_secs(60))
-            .with_parallelism(threads),
+        budget: SolveBudget::within(0.05).with_time(Duration::from_secs(60)),
         backend: SolverBackend::Lagrangian,
         ..Default::default()
     };
@@ -141,8 +139,8 @@ fn scale_row(n: usize, threads: usize) -> ScaleRow {
     }
 }
 
-/// The small-instance decomposition cross-check: decomposed parallel
-/// Lagrangian vs exact monolithic branch-and-bound.
+/// The small-instance decomposition cross-check: decomposed Lagrangian vs
+/// exact monolithic branch-and-bound.
 struct ScaleAgreement {
     statements: usize,
     lag_objective: f64,
@@ -165,7 +163,7 @@ impl ScaleAgreement {
 }
 
 /// Run both backends on a small workload where branch-and-bound is exact.
-fn scale_agreement(threads: usize) -> ScaleAgreement {
+fn scale_agreement() -> ScaleAgreement {
     let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
     let w = HomGen::new(SCALE_SEED ^ 1).generate(o.schema(), 8);
     let constraints = ConstraintSet::storage_fraction(o.schema(), 0.25);
@@ -173,11 +171,7 @@ fn scale_agreement(threads: usize) -> ScaleAgreement {
     let budget = SolveBudget { gap_limit: 1e-6, node_limit: Some(800), ..Default::default() };
     let lag = CoPhy::new(
         &o,
-        CoPhyOptions {
-            budget: budget.with_parallelism(threads),
-            backend: SolverBackend::Lagrangian,
-            ..Default::default()
-        },
+        CoPhyOptions { budget, backend: SolverBackend::Lagrangian, ..Default::default() },
     )
     .try_tune_with_candidates(&w, &candidates, &constraints)
     .unwrap_or_else(|e| panic!("{e}"));
@@ -199,8 +193,8 @@ fn scale_agreement(threads: usize) -> ScaleAgreement {
 /// Run the full study at the configured scale.
 pub(crate) fn scale(k: &Knobs) -> Outcome {
     let sizes = stream_sizes(k.scale);
-    let rows = sizes.map(|n| scale_row(n, k.threads));
-    let a = scale_agreement(k.threads);
+    let rows = sizes.map(scale_row);
+    let a = scale_agreement();
 
     let mut streamed = Table::new(
         format!("streamed tunes, chunk = {DEFAULT_CHUNK} statements"),

@@ -18,9 +18,7 @@ use cophy_inum::PreparedWorkload;
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
 
 use crate::Cell::{Bool, Int, Num, Pct, Secs, Text};
-use crate::{
-    make_optimizer, make_workload, prepare_parallel, timed, Knobs, Outcome, Table, WorkloadKind,
-};
+use crate::{make_optimizer, make_workload, prepare, timed, Knobs, Outcome, Table, WorkloadKind};
 
 /// The rich (non-storage-only) constraint set that routes tuning to the
 /// generic branch-and-bound backend.
@@ -74,7 +72,7 @@ pub(crate) fn solver(k: &Knobs) -> Outcome {
     let rich = rich_constraints(&o);
     // One INUM preparation + candidate set serves the guard run and the
     // warm-start/parallelism study.
-    let prepared = prepare_parallel(&o, &w);
+    let prepared = prepare(&o, &w);
     let cands = CGen::default().generate(o.schema(), &w);
     let (bb_points, bb_rec) =
         capture_trajectory(&o, &prepared, &cands, &rich, SolverBackend::BranchBound);
@@ -85,7 +83,7 @@ pub(crate) fn solver(k: &Knobs) -> Outcome {
     let storage = ConstraintSet::storage_fraction(o.schema(), 0.5);
     let (lag_points, lag_rec) = capture_trajectory(
         &o,
-        &prepare_parallel(&o, &w_lag),
+        &prepare(&o, &w_lag),
         &CGen::default().generate(o.schema(), &w_lag),
         &storage,
         SolverBackend::Lagrangian,

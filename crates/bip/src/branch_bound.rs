@@ -35,11 +35,10 @@
 //! instead of a two-phase solve), falling back to a cold solve when the warm
 //! path stalls or its point fails validation.  Per round, the
 //! `SolveBudget::parallelism` best frontier nodes are evaluated concurrently
-//! on scoped OS threads (the same sharding pattern as
-//! `Inum::try_prepare_workload_resilient_parallel`) and their results are merged
-//! *sequentially in selection order* through the [`SolveDriver`], so every
-//! run is deterministic for a fixed `parallelism` and `parallelism = 1`
-//! reproduces the serial search bit-for-bit.
+//! on scoped OS threads and their results are merged *sequentially in
+//! selection order* through the [`SolveDriver`], so every run is
+//! deterministic for a fixed `parallelism` and `parallelism = 1` reproduces
+//! the serial search bit-for-bit.
 
 use std::sync::Arc;
 
@@ -78,10 +77,6 @@ pub struct MipResult {
     pub sb_cold_lps: usize,
     /// Cold two-phase LPs paid by the dive heuristic (same contract).
     pub dive_cold_lps: usize,
-    /// Node LPs answered from the speculative-lookahead cache (idle workers
-    /// pre-solving predicted children when the open frontier is thinner
-    /// than `parallelism`).
-    pub lookahead_hits: usize,
     /// Singular-basis breakdowns the solve recovered from instead of
     /// surfacing an error: a failed refactorization (or an ftran/pricing
     /// disagreement) forces a cold two-phase re-solve on the simplex's
@@ -106,7 +101,6 @@ impl MipResult {
             devex_resets: 0,
             sb_cold_lps: 0,
             dive_cold_lps: 0,
-            lookahead_hits: 0,
             factor_recoveries: 0,
             trace: Vec::new(),
         }
@@ -120,7 +114,6 @@ struct NodeStats {
     devex_resets: usize,
     sb_cold_lps: usize,
     dive_cold_lps: usize,
-    lookahead_hits: usize,
     factor_recoveries: usize,
 }
 
@@ -137,7 +130,6 @@ impl NodeStats {
         out.devex_resets = self.devex_resets;
         out.sb_cold_lps = self.sb_cold_lps;
         out.dive_cold_lps = self.dive_cold_lps;
-        out.lookahead_hits = self.lookahead_hits;
         out.factor_recoveries = self.factor_recoveries;
     }
 }
@@ -748,14 +740,6 @@ impl BranchBound {
             p => p,
         };
         let parallelism = opts.budget.parallelism.max(1);
-        // Speculative lookahead (work stealing): when a round selects fewer
-        // nodes than `parallelism`, the idle workers pre-solve the children
-        // the pseudo-costs predict for this round's nodes.  Evaluation is
-        // pure, so a cached result is identical to the one the main loop
-        // would compute; `parallelism == 1` never touches the cache and
-        // stays bit-for-bit serial.
-        let mut spec_cache: std::collections::HashMap<Vec<(usize, bool)>, LpResult> =
-            std::collections::HashMap::new();
 
         let mut status: Option<MipStatus> = None;
         // Subtrees abandoned because their LP stalled on the pivot cap: the
@@ -806,9 +790,6 @@ impl BranchBound {
                     lp.devex_resets = 0;
                     lp.factor_recoveries = 0;
                     vec![lp]
-                } else if parallelism > 1 && spec_cache.contains_key(&node.fixings) {
-                    stats.lookahead_hits += 1;
-                    vec![spec_cache.remove(&node.fixings).expect("checked")]
                 } else {
                     vec![evaluate_node(
                         model,
@@ -821,21 +802,12 @@ impl BranchBound {
                     )]
                 }
             } else {
-                // Consume speculative hits first; only the misses are
-                // re-evaluated on the worker threads.
-                let mut cached: Vec<Option<LpResult>> =
-                    batch.iter().map(|node| spec_cache.remove(&node.fixings)).collect();
-                stats.lookahead_hits += cached.iter().filter(|c| c.is_some()).count();
                 std::thread::scope(|s| {
                     let handles: Vec<_> = batch
                         .iter()
-                        .zip(&cached)
-                        .map(|(node, hit)| {
-                            if hit.is_some() {
-                                return None;
-                            }
+                        .map(|node| {
                             let (lp_solver, dual) = (&lp_solver, &dual);
-                            Some(s.spawn(move || {
+                            s.spawn(move || {
                                 evaluate_node(
                                     model,
                                     lp_solver,
@@ -845,91 +817,12 @@ impl BranchBound {
                                     root_lo,
                                     root_hi,
                                 )
-                            }))
+                            })
                         })
                         .collect();
-                    handles
-                        .into_iter()
-                        .zip(cached.iter_mut())
-                        .map(|(h, hit)| match h {
-                            Some(h) => h.join().expect("node LP shard"),
-                            None => hit.take().expect("cached lookahead"),
-                        })
-                        .collect()
+                    handles.into_iter().map(|h| h.join().expect("node LP shard")).collect()
                 })
             };
-
-            // Work stealing: pre-solve predicted children with the workers
-            // this round left idle.  Pivot/factorization counters of a
-            // speculative LP are accounted only when (and if) the result is
-            // consumed at a later merge, so discarded speculation never
-            // skews the reported effort.
-            let spare = parallelism.saturating_sub(batch.len());
-            if spare > 0 && driver.stop_status().is_none() {
-                let mut spec: Vec<Node> = Vec::new();
-                for (node, lp) in batch.iter().zip(&evals) {
-                    if spec.len() >= spare {
-                        break;
-                    }
-                    if lp.status != LpStatus::Optimal {
-                        continue;
-                    }
-                    let fracs = fractionals(&lp.x, INT_TOL);
-                    if fracs.is_empty() {
-                        continue;
-                    }
-                    let j = predict_branch_var(&fracs, &pc);
-                    let frac = lp.x[j].fract();
-                    let b = lp.basis.clone().map(Arc::new);
-                    for v in [true, false] {
-                        if spec.len() >= spare {
-                            break;
-                        }
-                        let mut fx = node.fixings.clone();
-                        fx.push((j, v));
-                        if spec_cache.contains_key(&fx) {
-                            continue;
-                        }
-                        spec.push(Node {
-                            bound: lp.objective,
-                            fixings: fx,
-                            depth: node.depth + 1,
-                            branch: Some((j, v, frac)),
-                            basis: b.clone(),
-                        });
-                    }
-                }
-                if !spec.is_empty() {
-                    let results: Vec<LpResult> = std::thread::scope(|s| {
-                        let handles: Vec<_> = spec
-                            .iter()
-                            .map(|node| {
-                                let (lp_solver, dual) = (&lp_solver, &dual);
-                                s.spawn(move || {
-                                    evaluate_node(
-                                        model,
-                                        lp_solver,
-                                        dual,
-                                        opts.warm_start,
-                                        node,
-                                        root_lo,
-                                        root_hi,
-                                    )
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().expect("lookahead LP shard")).collect()
-                    });
-                    for (node, r) in spec.into_iter().zip(results) {
-                        spec_cache.insert(node.fixings, r);
-                    }
-                    // Bound the cache: stale predictions accumulate when the
-                    // search keeps mispredicting; restart cheap.
-                    if spec_cache.len() > 512 {
-                        spec_cache.clear();
-                    }
-                }
-            }
 
             // Merge sequentially in selection order through the driver.
             for (idx, (node, lp)) in batch.into_iter().zip(evals).enumerate() {
@@ -1251,13 +1144,6 @@ fn select_branch_var(
             }
         }
     }
-    predict_branch_var(fracs, pc)
-}
-
-/// The branch variable the current pseudo-costs select (no probing).  Also
-/// used to predict speculative-lookahead children; a mispredict there is
-/// only a cache miss, never an unsound result.
-fn predict_branch_var(fracs: &[(usize, f64)], pc: &PseudoCosts) -> usize {
     let means = pc.global_means();
     let mut best = fracs[0].0;
     let mut best_score = f64::NEG_INFINITY;
@@ -2021,28 +1907,5 @@ mod tests {
             );
         }
         assert!(ctx.has_basis());
-    }
-
-    #[test]
-    fn speculative_lookahead_steals_work_and_preserves_the_optimum() {
-        let m = branchy_model(9, 20);
-        // No strong branching so branch selection is stable and the
-        // lookahead's predictions actually land.
-        let serial = SolveOptions { strong_branch_budget: 0, ..Default::default() };
-        let rs = BranchBound::new().solve(&m, &serial);
-        assert_eq!(rs.lookahead_hits, 0, "serial search must never consult the cache");
-        let wide = SolveOptions {
-            strong_branch_budget: 0,
-            budget: SolveBudget::exact().with_parallelism(4),
-            ..Default::default()
-        };
-        let rp = BranchBound::new().solve(&m, &wide);
-        assert_eq!(rp.status, MipStatus::Optimal);
-        assert!((rs.objective - rp.objective).abs() < 1e-6);
-        assert!(
-            rp.lookahead_hits > 0,
-            "idle workers should have pre-solved predicted children (nodes={})",
-            rp.nodes
-        );
     }
 }

@@ -103,12 +103,10 @@ pub struct SolveBudget {
     pub time_limit: Option<Duration>,
     /// B&B node limit / Lagrangian iteration limit.
     pub node_limit: Option<usize>,
-    /// Worker threads per search round: frontier nodes evaluated
-    /// concurrently on the branch-and-bound backend, block subproblems
-    /// solved concurrently per subgradient iteration on the Lagrangian
-    /// backend (OS threads; `1` = serial).  Both backends fold partial
-    /// results in deterministic order, so the solve is bit-for-bit
-    /// identical at any thread count.
+    /// Frontier nodes the branch-and-bound backend evaluates concurrently
+    /// per search round (OS threads; `1` = serial).  Results merge in
+    /// selection order, so a solve is deterministic for a fixed value.
+    /// The Lagrangian backend is single-threaded and does not read it.
     pub parallelism: usize,
 }
 
@@ -150,7 +148,7 @@ impl SolveBudget {
 }
 
 /// Progress of a block-decomposed solve: how far the per-block subproblem
-/// shard and the coordinating multiplier loop have come.  Reported by the
+/// sweep and the coordinating multiplier loop have come.  Reported by the
 /// Lagrangian backend (`None` on backends without a decomposition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecompositionProgress {

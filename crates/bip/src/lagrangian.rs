@@ -20,13 +20,11 @@
 //! bound, gap trace, warm start — but scales to hundreds of thousands of `x`
 //! variables, where a dense-inverse simplex cannot go.
 //!
-//! **Block decomposition is parallel.**  For a fixed μ the per-block minima
-//! are independent, so each subgradient iteration shards the blocks into
-//! contiguous chunks across `SolveBudget::parallelism` scoped threads
-//! (disjoint `split_at_mut` result slices, no locks) and folds the partial
-//! results serially in block order — the solve is bit-for-bit identical at
-//! any thread count.  Progress of the shard and the coordinating multiplier
-//! loop streams through [`DecompositionProgress`] on every progress event.
+//! **The solve is single-threaded**, like the paper's Solver: for a fixed μ
+//! each subgradient iteration takes the per-block minima one after another
+//! and folds them in block order (`SolveBudget::parallelism` is not read
+//! here).  Progress of the block sweep and the coordinating multiplier loop
+//! streams through [`DecompositionProgress`] on every progress event.
 
 use std::collections::HashMap;
 
@@ -326,8 +324,7 @@ impl LagrangianSolver {
         // offsets[(b,k,s)] → position of that slot's first choice in μ.
         let mut coord: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(p.n_choices());
         // block_start[b] → position of block b's first choice coordinate;
-        // each block's coordinates are contiguous, which is what lets the
-        // per-block subproblems shard across threads on disjoint μ ranges.
+        // each block's coordinates are contiguous.
         let mut block_start: Vec<usize> = Vec::with_capacity(p.blocks.len());
         for (b, block) in p.blocks.iter().enumerate() {
             block_start.push(coord.len());
@@ -377,10 +374,7 @@ impl LagrangianSolver {
         let mut g = vec![0.0f64; coord.len()];
         let mut m_acc = vec![0.0f64; n];
         let mut chosen: Vec<u32> = Vec::new();
-        // Per-block subproblem results, reused across iterations.
-        let mut block_vals = vec![0.0f64; p.blocks.len()];
-        let mut block_choices: Vec<Vec<u32>> = vec![Vec::new(); p.blocks.len()];
-        let workers = self.budget.parallelism.max(1).min(p.blocks.len().max(1));
+        let mut block_choice: Vec<u32> = Vec::new();
         let mut blocks_done = 0usize;
 
         while driver.ticks() < max_iters {
@@ -396,24 +390,15 @@ impl LagrangianSolver {
             }
 
             // Query part: the per-block minima under μ-inflated γ — the
-            // decomposed subproblems.  Blocks only couple through μ, so the
-            // shard solves them on `workers` scoped threads over disjoint
-            // result slices, then folds serially in block order: bit-for-bit
-            // the serial result at any thread count.
-            solve_block_shard(
-                &p.blocks,
-                &block_start,
-                &mu,
-                &mut block_vals,
-                &mut block_choices,
-                workers,
-            );
+            // decomposed subproblems, which only couple through μ — folded
+            // in block order.
             chosen.clear();
             let mut query_part = 0.0;
-            for (b, &val) in block_vals.iter().enumerate() {
+            for (block, &start) in p.blocks.iter().zip(&block_start) {
+                let val = block_minimum(block, &mu, start, &mut block_choice);
                 debug_assert!(val.is_finite(), "block without feasible alternative");
                 query_part += val;
-                chosen.extend_from_slice(&block_choices[b]);
+                chosen.extend_from_slice(&block_choice);
             }
             blocks_done += p.blocks.len();
             driver.set_decomposition(DecompositionProgress {
@@ -521,8 +506,7 @@ impl LagrangianSolver {
 /// One decomposed subproblem: the minimum of block `b` under μ-inflated γ,
 /// with `start` the block's first coordinate in the flat μ vector.  Writes
 /// the winning choice coordinates into `out` (cleared first) and returns the
-/// minimal value.  Pure in `(block, mu, start)`, which is what makes the
-/// parallel shard deterministic.
+/// minimal value.  Pure in `(block, mu, start)`.
 fn block_minimum(block: &Block, mu: &[f64], start: usize, out: &mut Vec<u32>) -> f64 {
     out.clear();
     let mut best = f64::INFINITY;
@@ -567,52 +551,6 @@ fn block_minimum(block: &Block, mu: &[f64], start: usize, out: &mut Vec<u32>) ->
         }
     }
     best
-}
-
-/// Solve every block subproblem for the current μ, writing values and
-/// winning coordinates into `vals` / `choices` (one slot per block).
-///
-/// With `workers > 1` the blocks split into contiguous chunks, one scoped
-/// thread each, writing through disjoint `split_at_mut` slices — no locks,
-/// no result reordering.  The caller folds `vals` in block order, so the
-/// parallel path is bit-identical to the serial one.
-fn solve_block_shard(
-    blocks: &[Block],
-    starts: &[usize],
-    mu: &[f64],
-    vals: &mut [f64],
-    choices: &mut [Vec<u32>],
-    workers: usize,
-) {
-    if workers <= 1 || blocks.len() < 2 {
-        for (b, block) in blocks.iter().enumerate() {
-            vals[b] = block_minimum(block, mu, starts[b], &mut choices[b]);
-        }
-        return;
-    }
-    let chunk = blocks.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut rest_blocks = blocks;
-        let mut rest_starts = starts;
-        let mut rest_vals = vals;
-        let mut rest_choices = choices;
-        while !rest_blocks.is_empty() {
-            let take = chunk.min(rest_blocks.len());
-            let (cb, tb) = rest_blocks.split_at(take);
-            let (cs, ts) = rest_starts.split_at(take);
-            let (cv, tv) = std::mem::take(&mut rest_vals).split_at_mut(take);
-            let (cc, tc) = std::mem::take(&mut rest_choices).split_at_mut(take);
-            rest_blocks = tb;
-            rest_starts = ts;
-            rest_vals = tv;
-            rest_choices = tc;
-            scope.spawn(move || {
-                for (i, block) in cb.iter().enumerate() {
-                    cv[i] = block_minimum(block, mu, cs[i], &mut cc[i]);
-                }
-            });
-        }
-    });
 }
 
 /// Is `a` a strictly better feasible selection than `b`?
@@ -890,44 +828,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_block_shard_is_bit_identical_to_serial() {
-        for seed in [3u64, 21, 77] {
-            let p = random_problem(seed, 12, 40);
-            let serial = LagrangianSolver {
-                budget: SolveBudget::within(0.01).with_parallelism(1),
-                ..Default::default()
-            }
-            .solve(&p);
-            for k in [2usize, 4, 7] {
-                let par = LagrangianSolver {
-                    budget: SolveBudget::within(0.01).with_parallelism(k),
-                    ..Default::default()
-                }
-                .solve(&p);
-                assert_eq!(
-                    serial.objective.to_bits(),
-                    par.objective.to_bits(),
-                    "seed {seed} k={k}: objectives diverge"
-                );
-                assert_eq!(
-                    serial.bound.to_bits(),
-                    par.bound.to_bits(),
-                    "seed {seed} k={k}: bounds diverge"
-                );
-                assert_eq!(serial.selected, par.selected, "seed {seed} k={k}");
-                assert_eq!(serial.iterations, par.iterations, "seed {seed} k={k}");
-            }
-        }
-    }
-
-    #[test]
     fn decomposition_progress_streams_through_events() {
         let p = random_problem(31, 10, 25);
         let n_blocks = p.blocks.len();
-        let solver = LagrangianSolver {
-            budget: SolveBudget::within(0.001).with_parallelism(3),
-            ..Default::default()
-        };
+        let solver = LagrangianSolver { budget: SolveBudget::within(0.001), ..Default::default() };
         let mut decomposed_events = 0usize;
         let mut prev_done = 0usize;
         let (r, _) = solver.solve_warm_with_progress(&p, None, |pr, _| {

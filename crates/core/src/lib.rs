@@ -34,7 +34,7 @@
 //! [`cophy_workload::WorkloadSource`] (generator streams, file readers,
 //! query-log tailers) feeds the advisor chunk by chunk, compression
 //! clusters **online** (resident state ∝ representatives, not `|W|`), and
-//! the Lagrangian backend solves the per-statement blocks in parallel:
+//! the Lagrangian backend solves the model one per-statement block at a time:
 //!
 //! ```
 //! use cophy::{CoPhy, CoPhyOptions, CompressionPolicy, ConstraintSet};

@@ -58,9 +58,10 @@ pub struct CoPhyOptions {
     /// The solve budget handed to whichever backend runs: relative gap
     /// (paper default 5%), wall-clock limit (default **60 s**, overridable
     /// to `None` for unbounded solves), node/iteration limit, and
-    /// `parallelism` — how many frontier nodes the branch-and-bound backend
+    /// `parallelism` — branch-and-bound only: how many frontier nodes it
     /// evaluates concurrently per round (default 1 = serial, bit-for-bit
-    /// deterministic; see [`SolveBudget::with_parallelism`]).
+    /// deterministic; see [`SolveBudget::with_parallelism`]).  The
+    /// Lagrangian backend is single-threaded.
     pub budget: SolveBudget,
     pub backend: SolverBackend,
     pub cgen: CGen,

@@ -5,7 +5,7 @@ use cophy::{CGen, CoPhy, CoPhyOptions, ConstraintSet, SolveBudget, SolverBackend
 use cophy_advisors::{Advisor, IlpAdvisor, ToolA, ToolB};
 use cophy_catalog::{Configuration, Skew, TpchGen};
 use cophy_inum::Inum;
-use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
+use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::{HetGen, HomGen, Statement, UpdateGen};
 
 fn optimizer(profile: SystemProfile, z: f64) -> WhatIfOptimizer {

@@ -137,6 +137,7 @@ fn every_public_crate_is_reachable() {
     assert_eq!(w.len(), 5);
 
     // cophy-optimizer
+    use cophy_optimizer::WhatIfBackend;
     let o = WhatIfOptimizer::new(schema.clone(), SystemProfile::B);
     let plan_cost = o.cost_workload(&w, &cfg);
     assert!(plan_cost.is_finite() && plan_cost > 0.0);

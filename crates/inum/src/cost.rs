@@ -131,7 +131,7 @@ mod tests {
     use super::*;
     use crate::prepare::Inum;
     use cophy_catalog::{Configuration, Index, TpchGen};
-    use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
+    use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
     use cophy_workload::{HetGen, HomGen, Predicate, Query, Statement, Workload};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

@@ -23,10 +23,9 @@
 //! Every preparation is [`Inum::try_prepare_statement`] over some statements:
 //! one probing loop that retries transient failures and degrades lost probes
 //! into a [`PrepFaultReport`].  [`Inum::try_prepare_workload_resilient`] runs
-//! it over a workload, [`Inum::try_prepare_workload_resilient_parallel`]
-//! shards that across OS threads, and a compressed workload is prepared by
-//! handing over its representatives — only they are probed, with cluster
-//! weights scaling the cached plan costs.
+//! it over a workload in statement order, and a compressed workload is
+//! prepared by handing over its representatives — only they are probed, with
+//! cluster weights scaling the cached plan costs.
 
 pub mod cache;
 pub mod cost;

@@ -92,12 +92,6 @@ impl PrepFaultReport {
     pub fn is_clean(&self) -> bool {
         self.log.is_clean() && self.degraded.is_empty()
     }
-
-    /// Append the account of a later run (the next shard, the next chunk).
-    fn absorb(&mut self, later: PrepFaultReport) {
-        self.log.absorb(later.log);
-        self.degraded.extend(later.degraded);
-    }
 }
 
 impl<'o> Inum<'o> {
@@ -179,76 +173,26 @@ impl<'o> Inum<'o> {
         }
     }
 
-    /// [`Inum::try_prepare_statement`] over a workload, on the calling
-    /// thread, with the typed account of what was retried and what was lost.
+    /// [`Inum::try_prepare_statement`] over a workload in statement order,
+    /// with the typed account of what was retried and what was lost.
     pub fn try_prepare_workload_resilient(
         &self,
         w: &Workload,
         fallback: Option<&PreparedWorkload>,
     ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
-        self.prepare_sharded(w, fallback, 1)
-    }
-
-    /// [`Inum::try_prepare_workload_resilient`] sharded across OS threads —
-    /// the probes of different statements are independent.  Fault schedules
-    /// keyed per `(query, configuration)` pair are interleaving-independent,
-    /// so the prepared workload *and* the fault report are byte-identical to
-    /// the single-threaded preparation.
-    pub fn try_prepare_workload_resilient_parallel(
-        &self,
-        w: &Workload,
-        fallback: Option<&PreparedWorkload>,
-    ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
-        let n_threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-        self.prepare_sharded(w, fallback, n_threads)
-    }
-
-    /// The one driver: contiguous shards in statement order, each with its
-    /// own fault report, concatenated in shard order (so the first error by
-    /// statement id is the one reported).  One shard runs on the calling
-    /// thread and spawns nothing.
-    fn prepare_sharded(
-        &self,
-        w: &Workload,
-        fallback: Option<&PreparedWorkload>,
-        n_shards: usize,
-    ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
         let prep_deadline = self.retry.prep_budget.map(|b| Instant::now() + b);
         let before = self.opt.what_if_calls();
-        let statements: Vec<_> = w.iter().collect();
-        let prepare = |shard: &[(QueryId, &Statement, f64)]| {
-            let mut report = PrepFaultReport::default();
-            let queries = shard
-                .iter()
-                .map(|&(qid, stmt, weight)| {
-                    self.try_prepare_statement(
-                        qid,
-                        stmt,
-                        weight,
-                        fallback,
-                        prep_deadline,
-                        &mut report,
-                    )
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((queries, report))
-        };
-        let shards: Vec<Result<_, BackendError>> = if n_shards <= 1 {
-            vec![prepare(&statements)]
-        } else {
-            let per_shard = statements.len().div_ceil(n_shards).max(1);
-            std::thread::scope(|s| {
-                let handles: Vec<_> =
-                    statements.chunks(per_shard).map(|shard| s.spawn(|| prepare(shard))).collect();
-                handles.into_iter().map(|h| h.join().expect("INUM shard")).collect()
-            })
-        };
-        let mut queries = Vec::with_capacity(statements.len());
         let mut report = PrepFaultReport::default();
-        for shard in shards {
-            let (mut prepared, faults) = shard?;
-            queries.append(&mut prepared);
-            report.absorb(faults);
+        let mut queries = Vec::with_capacity(w.len());
+        for (qid, stmt, weight) in w.iter() {
+            queries.push(self.try_prepare_statement(
+                qid,
+                stmt,
+                weight,
+                fallback,
+                prep_deadline,
+                &mut report,
+            )?);
         }
         let pw = PreparedWorkload { queries, what_if_calls: self.opt.what_if_calls() - before };
         Ok((pw, report))
@@ -455,26 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_prepare_is_byte_identical_to_sequential() {
-        let o = opt();
-        let inum = Inum::new(&o);
-        let w = HetGen::new(12).generate(o.schema(), 16);
-        let (par, _) = inum.try_prepare_workload_resilient_parallel(&w, None).unwrap();
-        let seq = inum.prepare_workload(&w);
-        assert_eq!(par.queries.len(), seq.queries.len());
-        assert_eq!(par.what_if_calls, seq.what_if_calls);
-        for (a, b) in par.queries.iter().zip(seq.queries.iter()) {
-            assert_eq!(a.qid, b.qid);
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-            assert_eq!(a.templates.len(), b.templates.len());
-            for (ta, tb) in a.templates.iter().zip(b.templates.iter()) {
-                assert_eq!(ta.internal_cost.to_bits(), tb.internal_cost.to_bits());
-                assert_eq!(ta.signature(), tb.signature());
-            }
-        }
-    }
-
-    #[test]
     fn compressed_prepare_probes_only_representatives() {
         let o = opt();
         let inum = Inum::new(&o);
@@ -538,18 +462,6 @@ mod tests {
                 assert_eq!(ta.internal_cost.to_bits(), tb.internal_cost.to_bits());
                 assert_eq!(ta.signature(), tb.signature());
             }
-        }
-
-        // The sharded resilient path agrees byte-for-byte, fault report
-        // included (per-pair schedules are interleaving-independent).
-        faulty.reset_schedule();
-        faulty.reset_call_counter();
-        let (par, par_report) = inum.try_prepare_workload_resilient_parallel(&w, None).unwrap();
-        assert_eq!(par_report, report);
-        assert_eq!(par.what_if_calls, got.what_if_calls);
-        for (a, b) in par.queries.iter().zip(got.queries.iter()) {
-            assert_eq!(a.qid, b.qid);
-            assert_eq!(a.templates.len(), b.templates.len());
         }
     }
 

@@ -7,8 +7,8 @@
 //! * [`FaultPlan`] — a seeded, schedule-driven fault plan.  Every fault
 //!   decision is a pure function of `(seed, query fingerprint, configuration
 //!   fingerprint, attempt number)`, so a schedule is reproducible across
-//!   runs *and independent of probe interleaving*: the serial and sharded
-//!   INUM preparation paths see the identical fault pattern.
+//!   runs *and independent of probe interleaving*: concurrent sessions
+//!   sharing one backend see the identical fault pattern.
 //! * [`FaultInjectingBackend`] — wraps any [`WhatIfBackend`] and applies the
 //!   plan: the first `k` attempts of a scheduled pair fail (transient or
 //!   timeout), permanent pairs never succeed, and corrupted pairs return a
@@ -18,8 +18,8 @@
 //!   per-probe deadline and an overall preparation budget, consumed by
 //!   [`probe_with_retry`] (the helper `Inum` threads through its
 //!   preparation paths).
-//! * [`FaultLog`] — the typed per-preparation fault account the parallel
-//!   shards aggregate instead of short-circuiting on the first error.
+//! * [`FaultLog`] — the typed per-preparation fault account a preparation
+//!   keeps instead of short-circuiting on the first error.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -221,11 +221,6 @@ impl FaultInjectingBackend {
     pub fn stats(&self) -> FaultStatsSnapshot {
         self.stats.snapshot()
     }
-
-    /// Forget all attempt history (the schedule replays from the start).
-    pub fn reset_schedule(&self) {
-        self.attempts.lock().unwrap().clear();
-    }
 }
 
 impl WhatIfBackend for FaultInjectingBackend {
@@ -424,9 +419,8 @@ pub struct FaultEvent {
     pub recovered: bool,
 }
 
-/// The typed fault account of one preparation run.  Parallel shards build
-/// independent logs and [`FaultLog::absorb`] them in statement order, so the
-/// merged log is deterministic for a fixed workload.
+/// The typed fault account of one preparation run, recorded in preparation
+/// order — deterministic for a fixed workload and fault schedule.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultLog {
     /// Probes that returned an answer on the first attempt.
@@ -467,15 +461,6 @@ impl FaultLog {
                 });
             }
         }
-    }
-
-    /// Fold another shard's log into this one.
-    pub fn absorb(&mut self, other: FaultLog) {
-        self.probes_clean += other.probes_clean;
-        self.retries += other.retries;
-        self.probes_recovered += other.probes_recovered;
-        self.probes_exhausted += other.probes_exhausted;
-        self.events.extend(other.events);
     }
 
     /// True when nothing ever failed — preparation ran exactly as it would
@@ -627,30 +612,5 @@ mod tests {
         assert!(b9 <= policy.max_backoff, "backoff must stay capped");
         assert_eq!(policy.backoff(1, 2, 1), b1, "jitter must be deterministic");
         assert_ne!(policy.backoff(1, 3, 1), b1, "different pairs draw different jitter");
-    }
-
-    #[test]
-    fn fault_log_absorbs_shards() {
-        let mut a =
-            FaultLog { probes_clean: 3, retries: 2, probes_recovered: 1, ..Default::default() };
-        let b = FaultLog {
-            probes_clean: 1,
-            retries: 4,
-            probes_recovered: 1,
-            probes_exhausted: 1,
-            events: vec![FaultEvent {
-                statement: 7,
-                kind: FaultKind::Timeout,
-                attempts: 4,
-                recovered: false,
-            }],
-        };
-        a.absorb(b);
-        assert_eq!(a.probes_clean, 4);
-        assert_eq!(a.retries, 6);
-        assert_eq!(a.probes_recovered, 2);
-        assert_eq!(a.probes_exhausted, 1);
-        assert_eq!(a.events.len(), 1);
-        assert!(!a.is_clean());
     }
 }

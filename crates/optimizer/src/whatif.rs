@@ -3,7 +3,7 @@
 //! This is the interface the paper's architecture diagram draws between the
 //! DBMS and everything else: given a statement and a *hypothetical*
 //! configuration, return the optimal plan and its cost, without materializing
-//! anything.  The facade also:
+//! anything.  The facade (through its [`WhatIfBackend`] impl) also:
 //!
 //! * counts what-if calls — the scarce resource whose consumption separates
 //!   INUM-based advisors from optimizer-in-the-loop advisors (Figures 4/5),
@@ -14,8 +14,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-use cophy_catalog::{Configuration, Index, Schema};
-use cophy_workload::{Query, Statement, UpdateStatement, Workload};
+use cophy_catalog::{Configuration, Schema};
+use cophy_workload::Query;
 
 use crate::backend::{BackendError, ProbeAnswer, WhatIfBackend};
 use crate::cost::{CostModel, SystemProfile};
@@ -67,65 +67,11 @@ impl WhatIfOptimizer {
         self.calls.fetch_add(1, AtomicOrdering::Relaxed);
         dp::optimize(&self.schema, &self.cm, q, config)
     }
-
-    /// `cost(q, X)` for a SELECT.
-    pub fn cost_query(&self, q: &Query, config: &Configuration) -> f64 {
-        self.optimize(q, config).total_cost()
-    }
-
-    /// Maintenance cost `ucost(a, q)` of index `a` under update `q` (§2):
-    /// per-modified-row B-tree maintenance, independent of the rest of the
-    /// configuration.
-    pub fn ucost(&self, upd: &UpdateStatement, ix: &Index) -> f64 {
-        if !upd.affects(ix) {
-            return 0.0;
-        }
-        let rows = crate::cardinality::access_rows(&self.schema, &upd.shell, upd.table());
-        self.cm.maintain(rows, ix.height(&self.schema))
-    }
-
-    /// The fixed `c_q` term: rewriting the base tuples themselves.
-    pub fn base_update_cost(&self, upd: &UpdateStatement) -> f64 {
-        let rows = crate::cardinality::access_rows(&self.schema, &upd.shell, upd.table());
-        self.cm.heap_fetches(rows) + rows * self.cm.cpu_tuple
-    }
-
-    /// Full statement cost under a configuration.
-    pub fn cost_statement(&self, stmt: &Statement, config: &Configuration) -> f64 {
-        match stmt {
-            Statement::Select(q) => self.cost_query(q, config),
-            Statement::Update(u) => {
-                let read = self.cost_query(&u.shell, config);
-                let maintenance: f64 = config.iter().map(|ix| self.ucost(u, ix)).sum();
-                read + maintenance + self.base_update_cost(u)
-            }
-        }
-    }
-
-    /// Weighted workload cost `Σ_q f_q · cost(q, X)` — the objective of the
-    /// index tuning problem, measured against the real optimizer.
-    pub fn cost_workload(&self, w: &Workload, config: &Configuration) -> f64 {
-        w.iter().map(|(_, stmt, f)| f * self.cost_statement(stmt, config)).sum()
-    }
-
-    /// The §5.1 quality metric:
-    /// `perf(X*, W) = 1 − cost(X* ∪ X0, W) / cost(X0, W)`,
-    /// where `X0` is the clustered-primary-key baseline.
-    pub fn perf(&self, w: &Workload, x_star: &Configuration) -> f64 {
-        let x0 = Configuration::baseline(&self.schema);
-        let base = self.cost_workload(w, &x0);
-        let tuned = self.cost_workload(w, &x_star.union(&x0));
-        if base <= 0.0 {
-            return 0.0;
-        }
-        1.0 - tuned / base
-    }
 }
 
 /// The reference [`WhatIfBackend`]: every probe is a live `dp::optimize`
-/// call.  The inherent methods above stay available on the concrete type;
-/// the trait impl simply delegates, so a `&WhatIfOptimizer` coerces to
-/// `&dyn WhatIfBackend` with identical behavior (bit-for-bit costs).
+/// call, and the statement / workload costing (`cost_query` … `perf`) is the
+/// trait's own — import [`WhatIfBackend`] to call it on the concrete type.
 impl WhatIfBackend for WhatIfOptimizer {
     fn schema(&self) -> &Schema {
         WhatIfOptimizer::schema(self)
@@ -155,8 +101,8 @@ impl WhatIfBackend for WhatIfOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cophy_catalog::TpchGen;
-    use cophy_workload::{HomGen, Predicate, UpdateGen};
+    use cophy_catalog::{Index, TpchGen};
+    use cophy_workload::{HomGen, Predicate, Statement, UpdateGen, Workload};
 
     fn opt() -> WhatIfOptimizer {
         WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A)

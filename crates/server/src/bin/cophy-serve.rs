@@ -8,9 +8,11 @@
 //! cophy-serve script --addr 127.0.0.1:7171 [--expect-degraded]
 //! ```
 //!
-//! `serve` blocks forever.  `--chaos SEED` wraps every tenant's backend in
-//! a seeded [`FaultPlan::chaos`] fault injector — the CI robustness smoke
-//! runs a daemon in this mode to prove `degraded`/`err` replies end to end.
+//! `serve` blocks forever; a flag without a value, or with one that does not
+//! parse, names the flag and the accepted form and exits 2.  `--chaos SEED`
+//! wraps every tenant's backend in a seeded [`FaultPlan::chaos`] fault
+//! injector — the CI robustness smoke runs a daemon in this mode to prove
+//! `degraded`/`err` replies end to end.
 //! `script` runs the canonical round trip — open, streamed tune, pin, warm
 //! re-tune, what-if, close — asserting a finite proven gap, and exits
 //! non-zero on any protocol or acceptance failure; with `--expect-degraded`
@@ -26,56 +28,76 @@ use cophy_server::{Client, Server, ServerConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let run = match args.first().map(String::as_str) {
         Some("serve") => serve(&args),
         Some("script") => script(&args),
         _ => {
             eprintln!("usage: cophy-serve serve|script --addr HOST:PORT [options]");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    // A bad flag exits 2, the way an unknown `COPHY_SCALE` does.
+    run.unwrap_or_else(|e| {
+        eprintln!("cophy-serve: {e}");
+        ExitCode::from(2)
+    })
 }
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// The value of flag `name`, parsed: `Ok(None)` when the flag is absent.  A
+/// flag without a value, or with one that is not `form`, is an error — a
+/// mistyped `--quota` must not start an unmetered daemon.
+fn flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    form: &str,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
+    let Some(value) = args.get(i + 1) else {
+        return Err(format!("{name}: missing value, expected {form}"));
+    };
+    value.parse().map(Some).map_err(|_| format!("{name} {value:?}: expected {form}"))
 }
 
-fn serve(args: &[String]) -> ExitCode {
-    let flag = |name: &str| flag(args, name);
-    let addr = flag("--addr").unwrap_or("127.0.0.1:7171").to_string();
+/// `--addr`, defaulting to the loopback port both subcommands share.
+fn addr_flag(args: &[String]) -> Result<String, String> {
+    Ok(flag(args, "--addr", "HOST:PORT")?.unwrap_or_else(|| "127.0.0.1:7171".to_string()))
+}
+
+fn serve(args: &[String]) -> Result<ExitCode, String> {
     let mut config = ServerConfig::default();
-    if let Some(q) = flag("--quota").and_then(|v| v.parse().ok()) {
+    if let Some(q) = flag(args, "--quota", "a probe count")? {
         config.quota = q;
     }
-    if let Some(p) = flag("--pool").and_then(|v| v.parse().ok()) {
+    if let Some(p) = flag(args, "--pool", "a solver-slot count")? {
         config.solver_slots = p;
     }
-    if let Some(m) = flag("--mem-cap").and_then(|v| v.parse().ok()) {
+    if let Some(m) = flag(args, "--mem-cap", "a byte count")? {
         config.mem_cap_bytes = m;
     }
-    if let Some(t) = flag("--time-limit").and_then(|v| v.parse().ok()) {
+    if let Some(t) = flag(args, "--time-limit", "whole seconds")? {
         config.budget = config.budget.with_time(Duration::from_secs(t));
     }
-    if let Some(seed) = flag("--chaos").and_then(|v| v.parse().ok()) {
+    if let Some(seed) = flag(args, "--chaos", "an unsigned integer seed")? {
         config.fault_plan = Some(FaultPlan::chaos(seed));
     }
-    let log = flag("--log").map(std::path::PathBuf::from);
+    let addr = addr_flag(args)?;
+    let log: Option<std::path::PathBuf> = flag(args, "--log", "a file path")?;
     let server = match Server::bind(&addr, config, log) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cophy-serve: bind {addr}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!("cophy-serve: listening on {}", server.local_addr());
     server.run(Arc::new(AtomicBool::new(false)));
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn script(args: &[String]) -> ExitCode {
-    let addr = flag(args, "--addr").unwrap_or("127.0.0.1:7171").to_string();
+fn script(args: &[String]) -> Result<ExitCode, String> {
+    let addr = addr_flag(args)?;
     let expect_degraded = args.iter().any(|a| a == "--expect-degraded");
-    match run_script(&addr, expect_degraded) {
+    Ok(match run_script(&addr, expect_degraded) {
         Ok(()) => {
             println!("script: PASS");
             ExitCode::SUCCESS
@@ -84,7 +106,7 @@ fn script(args: &[String]) -> ExitCode {
             eprintln!("script: FAIL: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// The canonical smoke session; every step's reply is checked.

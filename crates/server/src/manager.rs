@@ -36,6 +36,7 @@ use cophy::{CoPhy, CoPhyOptions, ConstraintSet, TuningSession};
 use cophy_bip::{CancelToken, SolveBudget};
 use cophy_catalog::{Configuration, Index, Schema, TpchGen};
 use cophy_inum::InumCache;
+use cophy_optimizer::trace::fmt_index;
 use cophy_optimizer::{
     FaultInjectingBackend, FaultPlan, RetryPolicy, SystemProfile, WhatIfBackend, WhatIfOptimizer,
 };
@@ -638,11 +639,33 @@ impl SessionManager {
         })
     }
 
+    /// Where a wire index enters the manager: the protocol parser accepts
+    /// any ids, and the catalog indexes its tables and columns unchecked, so
+    /// an index the schema cannot hold is refused here, before it reaches a
+    /// session.
+    fn check_index(&self, ix: &Index) -> Result<(), WireError> {
+        let bad = |why: String| {
+            WireError::new(ErrCode::BadRequest, format!("index {}: {why}", fmt_index(ix)))
+        };
+        let Some(table) = self.schema.tables().get(ix.table.0 as usize) else {
+            return Err(bad(format!("no table {}", ix.table.0)));
+        };
+        if ix.key.is_empty() {
+            return Err(bad("empty key".into()));
+        }
+        match ix.key.iter().chain(&ix.include).find(|c| c.0 as usize >= table.columns.len()) {
+            Some(c) => Err(bad(format!("table {} has no column {}", table.name, c.0))),
+            None => Ok(()),
+        }
+    }
+
     pub fn pin(&self, sid: &str, ix: &Index) -> Result<(), WireError> {
+        self.check_index(ix)?;
         self.with_session(sid, |s| Ok(s.pin_index(ix)?))
     }
 
     pub fn ban(&self, sid: &str, ix: &Index) -> Result<(), WireError> {
+        self.check_index(ix)?;
         self.with_session(sid, |s| {
             s.ban_index(ix);
             Ok(())
@@ -650,6 +673,7 @@ impl SessionManager {
     }
 
     pub fn unfix(&self, sid: &str, ix: &Index) -> Result<(), WireError> {
+        self.check_index(ix)?;
         self.with_session(sid, |s| {
             s.unfix_index(ix);
             Ok(())
@@ -659,6 +683,7 @@ impl SessionManager {
     /// `what_if`: memo-lookup costing of an explicit configuration — no
     /// probes, no solver slot.
     pub fn what_if(&self, sid: &str, indexes: &[Index]) -> Result<WhatIfReply, WireError> {
+        indexes.iter().try_for_each(|ix| self.check_index(ix))?;
         let cfg = Configuration::from_indexes(indexes.iter().cloned());
         self.with_session(sid, |s| {
             let a = s.what_if(&cfg);

@@ -225,6 +225,76 @@ fn malformed_and_unknown_session_requests_are_typed_errors() {
     handle.stop();
 }
 
+#[test]
+fn out_of_schema_indexes_are_bad_requests_not_dropped_sessions() {
+    use cophy_catalog::{ColumnId, Index, TableId};
+    let handle = Server::bind("127.0.0.1:0", smoke_config(), None).unwrap().spawn();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    c.open("s1", "hom:7:12", 0.5).unwrap();
+    let before = c.tune("s1", |_| {}).unwrap();
+
+    // `99/S/0/0/`, column 500 of table 0, and a key-less index: the wire
+    // parser takes them all, the catalog would index out of bounds.
+    let no_table = Index::secondary(TableId(99), vec![ColumnId(0)]);
+    let no_column = Index::secondary(TableId(0), vec![ColumnId(500)]);
+    let no_include = Index::covering(TableId(0), vec![ColumnId(0)], vec![ColumnId(500)]);
+    let no_key = Index::secondary(TableId(0), Vec::new());
+    let replies = [
+        c.what_if("s1", std::slice::from_ref(&no_table)).err(),
+        c.pin("s1", &no_table).err(),
+        c.what_if("s1", std::slice::from_ref(&no_column)).err(),
+        c.ban("s1", &no_column).err(),
+        c.pin("s1", &no_include).err(),
+        c.unfix("s1", &no_key).err(),
+    ];
+    for reply in replies {
+        match reply {
+            Some(ClientError::Server(e)) => assert_eq!(e.code, ErrCode::BadRequest, "{e:?}"),
+            other => panic!("expected bad-request, got {other:?}"),
+        }
+    }
+
+    // Same connection, same session, no fixing left behind.
+    let after = c.tune("s1", |_| {}).unwrap();
+    assert_eq!(after.indexes, before.indexes);
+    c.quit().unwrap();
+    handle.stop();
+}
+
+#[test]
+fn serve_exits_2_on_a_flag_value_it_cannot_parse() {
+    use std::process::{Command, Stdio};
+    for (args, flag) in [
+        (&["--quota", "abc"][..], "--quota"),
+        (&["--pool", "x"], "--pool"),
+        (&["--time-limit", "1.5"], "--time-limit"),
+        (&["--chaos", "-3"], "--chaos"),
+        (&["--quota", "10", "--mem-cap"], "--mem-cap"),
+    ] {
+        let mut serve = Command::new(env!("CARGO_BIN_EXE_cophy-serve"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // A daemon that ignores the flag would serve forever: bound the wait.
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while serve.try_wait().unwrap().is_none() {
+            if std::time::Instant::now() > deadline {
+                serve.kill().unwrap();
+                serve.wait().unwrap();
+                panic!("{args:?}: serve started a daemon instead of rejecting the flag");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let out = serve.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains("expected"), "{args:?}: {stderr}");
+    }
+}
+
 fn fast_retry(max_attempts: u32) -> RetryPolicy {
     RetryPolicy {
         max_attempts,

@@ -10,7 +10,7 @@ use std::time::Instant;
 use cophy::{CGen, CoPhy, CoPhyOptions, ConstraintSet};
 use cophy_advisors::{Advisor, IlpAdvisor, ToolA, ToolB};
 use cophy_catalog::TpchGen;
-use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
+use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::HetGen;
 
 fn main() {

@@ -6,7 +6,7 @@
 
 use cophy::{CoPhy, CoPhyOptions, ConstraintSet};
 use cophy_catalog::TpchGen;
-use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
+use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::{sql, HomGen};
 
 fn main() {
