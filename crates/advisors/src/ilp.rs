@@ -127,6 +127,7 @@ impl IlpAdvisor {
         // Short-list per slot: the best few candidates by γ in *any*
         // template, plus the `I∅` option.
         let mut shortlists: Vec<Vec<Option<IndexId>>> = Vec::with_capacity(n_slots);
+        let facts = pq.table_facts(schema);
         for s in 0..n_slots {
             let mut scored: Vec<(f64, IndexId)> = Vec::new();
             for (id, ix) in candidates.iter() {
@@ -136,7 +137,11 @@ impl IlpAdvisor {
                 let best_gamma = pq
                     .templates
                     .iter()
-                    .filter_map(|tpl| tpl.gamma(schema, cm, &pq.query, s, ix))
+                    .filter_map(|tpl| {
+                        let slot = &tpl.slots[s];
+                        let facts = facts.iter().find(|f| f.table() == slot.table)?;
+                        slot.gamma(facts, schema, cm, ix)
+                    })
                     .fold(f64::INFINITY, f64::min);
                 if best_gamma.is_finite() {
                     scored.push((best_gamma, id));

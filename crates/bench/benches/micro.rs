@@ -11,15 +11,15 @@ use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cophy::{BipGen, CGen, ConstraintSet};
+use cophy::{BipGen, CGen, CandidateSet, ConstraintSet};
 use cophy_advisors::IlpAdvisor;
 use cophy_bench::{make_optimizer, make_workload, prepare, WorkloadKind};
 use cophy_bip::{
     BranchBound, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveBudget, SolveOptions,
 };
 use cophy_catalog::{ColumnId, Configuration};
-use cophy_inum::ideal_config;
-use cophy_optimizer::{SystemProfile, WhatIfBackend};
+use cophy_inum::{ideal_config, PreparedWorkload};
+use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::Query;
 
 fn bench_inum(c: &mut Criterion) {
@@ -38,6 +38,14 @@ fn bench_inum(c: &mut Criterion) {
     c.bench_function("whatif/direct_cost_20_queries", |b| {
         b.iter(|| o.cost_workload(&w, &cfg));
     });
+}
+
+/// The `perf` harness's `het_storage` size: 200 diverse statements, every
+/// CGen candidate, storage 0.5 × data.
+fn het200(o: &WhatIfOptimizer) -> (PreparedWorkload, CandidateSet, ConstraintSet) {
+    let w = make_workload(o, WorkloadKind::Het, 200);
+    let half = ConstraintSet::storage_fraction(o.schema(), 0.5);
+    (prepare(o, &w), CGen::default().generate(o.schema(), &w), half)
 }
 
 fn bench_build(c: &mut Criterion) {
@@ -65,6 +73,19 @@ fn bench_build(c: &mut Criterion) {
     });
     group.bench_function("cgen_30_queries", |b| {
         b.iter(|| CGen::default().generate(o.schema(), &w));
+    });
+    // `bipgen.build_s` of `perf`'s `het_storage`, and the literal model at
+    // `rich_bb`'s size (the branch-and-bound door's builder).
+    let (prepared, cands, half) = het200(&o);
+    group.bench_function("block_problem_het200", |b| {
+        b.iter(|| {
+            BipGen::default().block_problem(o.schema(), o.cost_model(), &prepared, &cands, &half)
+        });
+    });
+    let w = make_workload(&o, WorkloadKind::Hom, 20);
+    let (prepared, cands) = (prepare(&o, &w), CGen::default().generate(o.schema(), &w));
+    group.bench_function("model_hom20", |b| {
+        b.iter(|| BipGen::default().model(o.schema(), o.cost_model(), &prepared, &cands, &half));
     });
     group.finish();
 
@@ -118,6 +139,18 @@ fn bench_solvers(c: &mut Criterion) {
     );
     c.bench_function("solver/lagrangian_40q_gap5", |b| {
         let solver = LagrangianSolver { budget: SolveBudget::within(0.05), ..Default::default() };
+        b.iter(|| solver.solve(&tp.block));
+    });
+
+    // `lagrangian.solve_s` of `perf`'s `het_storage`: the solve runs out its
+    // 400 iterations.
+    let (prepared, cands, half) = het200(&o);
+    let tp = BipGen::default().block_problem(o.schema(), o.cost_model(), &prepared, &cands, &half);
+    c.bench_function("solver/lagrangian_het200_400it", |b| {
+        let solver = LagrangianSolver {
+            budget: SolveBudget::within(0.05).with_nodes(400),
+            ..Default::default()
+        };
         b.iter(|| solver.solve(&tp.block));
     });
 }

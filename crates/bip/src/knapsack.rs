@@ -8,55 +8,62 @@
 /// Solve `min Σ cost_j · z_j  s.t.  Σ size_j · z_j ≤ budget, z ∈ [0,1]`.
 ///
 /// Only items with negative cost are worth taking; they are taken greedily by
-/// `cost/size` ratio (most negative per unit first), fractionally at the end.
-/// Returns `(objective, z)`.
-pub fn continuous_min(cost: &[f64], size: &[f64], budget: f64) -> (f64, Vec<f64>) {
+/// `cost/size` ratio (most negative per unit first, lowest index first among
+/// equal ratios), fractionally at the end.  Writes the solution into `z`
+/// (resized to the item count) and returns the objective.  `order` is
+/// scratch: a caller that solves in a loop — the Lagrangian `z` subproblem,
+/// once per subgradient iteration — keeps both buffers and allocates nothing.
+pub fn continuous_min(
+    cost: &[f64],
+    size: &[f64],
+    budget: f64,
+    z: &mut Vec<f64>,
+    order: &mut Vec<(f64, u32)>,
+) -> f64 {
     debug_assert_eq!(cost.len(), size.len());
-    let mut z = vec![0.0; cost.len()];
-    // Zero-size bargains are free.
-    let mut order: Vec<usize> = (0..cost.len()).filter(|&j| cost[j] < 0.0).collect();
+    z.clear();
+    z.resize(cost.len(), 0.0);
+    order.clear();
     let mut obj = 0.0;
-    let mut remaining = budget;
-    for &j in &order {
-        if size[j] <= 0.0 {
-            z[j] = 1.0;
-            obj += cost[j];
+    for (j, (&c, &s)) in cost.iter().zip(size).enumerate() {
+        if c < 0.0 {
+            if s <= 0.0 {
+                // Zero-size bargains are free.
+                z[j] = 1.0;
+                obj += c;
+            } else if s > 0.0 {
+                // (a NaN size is neither free nor a candidate)
+                order.push((c / s, j as u32));
+            }
         }
     }
-    order.retain(|&j| size[j] > 0.0);
-    order.sort_by(|&a, &b| (cost[a] / size[a]).total_cmp(&(cost[b] / size[b])));
-    for j in order {
+    // The budget usually runs out long before the candidates do, so they are
+    // put in `(ratio, index)` order — the order a stable sort by ratio gives
+    // — one doubling chunk at a time: select the chunk's members, sort them.
+    let by_ratio = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    let mut remaining = budget;
+    let (mut ordered, mut chunk) = (0, 32);
+    for i in 0..order.len() {
         if remaining <= 0.0 {
             break;
         }
+        if i == ordered {
+            let rest = &mut order[ordered..];
+            let n = chunk.min(rest.len());
+            if n < rest.len() {
+                rest.select_nth_unstable_by(n, by_ratio);
+            }
+            rest[..n].sort_unstable_by(by_ratio);
+            ordered += n;
+            chunk *= 2;
+        }
+        let j = order[i].1 as usize;
         let take = (remaining / size[j]).min(1.0);
         z[j] = take;
         obj += cost[j] * take;
         remaining -= size[j] * take;
     }
-    (obj, z)
-}
-
-/// Greedy 0/1 variant of [`continuous_min`] (no fractional item). An upper
-/// bound on the continuous optimum's magnitude but always integral.
-pub fn greedy_binary_min(cost: &[f64], size: &[f64], budget: f64) -> (f64, Vec<bool>) {
-    let mut z = vec![false; cost.len()];
-    let mut order: Vec<usize> = (0..cost.len()).filter(|&j| cost[j] < 0.0).collect();
-    order.sort_by(|&a, &b| {
-        let ra = cost[a] / size[a].max(1e-12);
-        let rb = cost[b] / size[b].max(1e-12);
-        ra.total_cmp(&rb)
-    });
-    let mut obj = 0.0;
-    let mut remaining = budget;
-    for j in order {
-        if size[j] <= remaining {
-            z[j] = true;
-            obj += cost[j];
-            remaining -= size[j];
-        }
-    }
-    (obj, z)
+    obj
 }
 
 /// Greedy covering: pick items by cost-per-unit-gain (ascending, so
@@ -121,10 +128,17 @@ pub fn repair_to_budget(selected: &mut [bool], value: &[f64], size: &[f64], budg
 mod tests {
     use super::*;
 
+    /// [`continuous_min`] into fresh buffers: `(objective, z)`.
+    fn continuous(cost: &[f64], size: &[f64], budget: f64) -> (f64, Vec<f64>) {
+        let mut z = Vec::new();
+        let obj = continuous_min(cost, size, budget, &mut z, &mut Vec::new());
+        (obj, z)
+    }
+
     #[test]
     fn continuous_takes_best_ratio_first() {
         // item 0: cost −10 size 5 (ratio −2); item 1: cost −6 size 2 (−3).
-        let (obj, z) = continuous_min(&[-10.0, -6.0], &[5.0, 2.0], 4.0);
+        let (obj, z) = continuous(&[-10.0, -6.0], &[5.0, 2.0], 4.0);
         assert_eq!(z[1], 1.0);
         assert!((z[0] - 0.4).abs() < 1e-9);
         assert!((obj - (-6.0 - 4.0)).abs() < 1e-9);
@@ -132,7 +146,7 @@ mod tests {
 
     #[test]
     fn continuous_ignores_positive_cost() {
-        let (obj, z) = continuous_min(&[3.0, -1.0], &[1.0, 1.0], 10.0);
+        let (obj, z) = continuous(&[3.0, -1.0], &[1.0, 1.0], 10.0);
         assert_eq!(z[0], 0.0);
         assert_eq!(z[1], 1.0);
         assert_eq!(obj, -1.0);
@@ -140,23 +154,91 @@ mod tests {
 
     #[test]
     fn continuous_zero_budget() {
-        let (obj, z) = continuous_min(&[-5.0], &[2.0], 0.0);
+        let (obj, z) = continuous(&[-5.0], &[2.0], 0.0);
         assert_eq!(obj, 0.0);
         assert_eq!(z[0], 0.0);
     }
 
     #[test]
     fn continuous_bound_dominates_binary() {
-        // LP knapsack optimum ≤ greedy binary (both minimizing).
+        // LP knapsack optimum ≤ the best 0/1 selection (both minimizing) —
+        // the inequality that makes the Lagrangian `z` subproblem a bound.
         let cost = [-7.0, -4.0, -9.0, -2.0, -5.0];
         let size = [3.0, 2.0, 5.0, 1.0, 4.0];
         for budget in [0.0, 2.5, 5.0, 8.0, 100.0] {
-            let (c_obj, _) = continuous_min(&cost, &size, budget);
-            let (b_obj, sel) = greedy_binary_min(&cost, &size, budget);
+            let (c_obj, _) = continuous(&cost, &size, budget);
+            let mut b_obj = f64::INFINITY;
+            for mask in 0..1u32 << cost.len() {
+                let chosen = || (0..cost.len()).filter(move |j| mask >> j & 1 == 1);
+                if chosen().map(|j| size[j]).sum::<f64>() <= budget {
+                    b_obj = b_obj.min(chosen().map(|j| cost[j]).sum());
+                }
+            }
             assert!(c_obj <= b_obj + 1e-9, "budget {budget}: {c_obj} > {b_obj}");
-            let used: f64 = (0..sel.len()).filter(|&j| sel[j]).map(|j| size[j]).sum();
-            assert!(used <= budget + 1e-9);
         }
+    }
+
+    #[test]
+    fn chunked_ordering_is_the_stable_sort_by_ratio() {
+        // The textbook routine: sort every candidate by ratio, stably, then
+        // fill.  Ratios repeat (costs and sizes are drawn from few values),
+        // and budgets run from "first chunk suffices" to "takes everything".
+        fn by_full_sort(cost: &[f64], size: &[f64], budget: f64) -> (f64, Vec<f64>) {
+            let mut z = vec![0.0; cost.len()];
+            let mut order: Vec<usize> = (0..cost.len()).filter(|&j| cost[j] < 0.0).collect();
+            let mut obj = 0.0;
+            let mut remaining = budget;
+            for &j in &order {
+                if size[j] <= 0.0 {
+                    z[j] = 1.0;
+                    obj += cost[j];
+                }
+            }
+            order.retain(|&j| size[j] > 0.0);
+            order.sort_by(|&a, &b| (cost[a] / size[a]).total_cmp(&(cost[b] / size[b])));
+            for j in order {
+                if remaining <= 0.0 {
+                    break;
+                }
+                let take = (remaining / size[j]).min(1.0);
+                z[j] = take;
+                obj += cost[j] * take;
+                remaining -= size[j] * take;
+            }
+            (obj, z)
+        }
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let (mut z, mut order) = (Vec::new(), Vec::new());
+        for n in [0, 1, 31, 32, 33, 100, 500] {
+            let cost: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(-6..3))).collect();
+            let size: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..5))).collect();
+            for budget in [0.0, 7.5, 40.0, 333.0, 1e9] {
+                let (want_obj, want_z) = by_full_sort(&cost, &size, budget);
+                let obj = continuous_min(&cost, &size, budget, &mut z, &mut order);
+                assert_eq!(obj.to_bits(), want_obj.to_bits(), "n {n} budget {budget}");
+                assert_eq!(z, want_z, "n {n} budget {budget}");
+            }
+        }
+    }
+
+    #[test]
+    fn buffers_are_reused_across_calls() {
+        // A second solve into the same buffers sees nothing of the first.
+        let (mut z, mut order) = (Vec::new(), Vec::new());
+        continuous_min(&[-1.0, -2.0, -3.0], &[1.0, 1.0, 1.0], 3.0, &mut z, &mut order);
+        assert_eq!(z, [1.0, 1.0, 1.0]);
+        let obj = continuous_min(&[-4.0, 1.0], &[2.0, 1.0], 1.0, &mut z, &mut order);
+        assert_eq!(z, [0.5, 0.0]);
+        assert_eq!(obj, -2.0);
+    }
+
+    #[test]
+    fn equal_ratios_are_taken_lowest_index_first() {
+        // Three items of ratio −1; the budget covers one and a half.
+        let (obj, z) = continuous(&[-2.0, -2.0, -2.0], &[2.0, 2.0, 2.0], 3.0);
+        assert_eq!(z, [1.0, 0.5, 0.0]);
+        assert_eq!(obj, -3.0);
     }
 
     #[test]
@@ -190,7 +272,7 @@ mod tests {
 
     #[test]
     fn zero_size_items_always_taken() {
-        let (obj, z) = continuous_min(&[-5.0, -1.0], &[0.0, 1.0], 0.0);
+        let (obj, z) = continuous(&[-5.0, -1.0], &[0.0, 1.0], 0.0);
         assert_eq!(z[0], 1.0);
         assert_eq!(z[1], 0.0);
         assert_eq!(obj, -5.0);

@@ -25,6 +25,47 @@
 //! and folds them in block order (`SolveBudget::parallelism` is not read
 //! here).  Progress of the block sweep and the coordinating multiplier loop
 //! streams through [`DecompositionProgress`] on every progress event.
+//!
+//! # The flat layout
+//!
+//! [`BlockProblem`] is the nested form BIPGen emits and the public reference
+//! semantics ([`BlockProblem::block_cost`], [`BlockProblem::evaluate`]).  A
+//! solve flattens it once into contiguous arrays and runs every iteration on
+//! those.  One μ *coordinate* per `(block, alt, slot, choice)`, numbered in
+//! that nesting order; per coordinate `γ`, its item and its slot; per slot a
+//! coordinate range and the fallback; per alternative a slot range and the
+//! base; per block an alternative range; and the inverse, item → its
+//! coordinates in ascending order.  The `(block, alt, slot, item)` keys of a
+//! [`WarmStart`] are produced by a walk over the nested form at import and
+//! export only.
+//!
+//! An iteration then costs what it touches, not the size of the problem —
+//! and changes no bit of any result, because
+//!
+//! * *skipping zeros in ascending order keeps every sum.*  `M_a = Σ μ`,
+//!   `‖g‖²` and the μ update are left folds over the coordinates in ascending
+//!   order.  A coordinate with `μ = 0` (resp. `g = 0`) contributes `+ 0.0`,
+//!   the accumulators start at `+0.0` and never reach `−0.0` (μ is clamped at
+//!   `+0.0`, squares are non-negative), and `x + 0.0 == x` bit for bit for
+//!   every such `x`.  So the folds visit only the support of μ (≈ 20 % of
+//!   the coordinates) and of `g` — the block winners and the coordinates of
+//!   items with `z > 0`, ≈ 10 % — as bitsets walked word by word, which is
+//!   ascending order;
+//! * *a minimum does not depend on the order it is taken in.*  The rounded
+//!   candidate is priced by lowering per-slot minima, seeded with the
+//!   fallbacks, with the choices of the *selected* items only; `min` over a
+//!   set of finite floats is the same float whatever the order.  The sums —
+//!   an alternative over its slots, the objective over the blocks — are
+//!   then taken in the reference order, so no addition is reordered.  The
+//!   primal heuristics price an item flip the same way, from slot minima
+//!   kept current across flips (`SlotMinima`);
+//! * *the knapsack order is a total order.*  A stable sort by ratio is the
+//!   order `(ratio, index)`; [`knapsack::continuous_min`] may produce only
+//!   the prefix of it that the budget consumes.
+//!
+//! All of this assumes finite coefficients, which BIPGen guarantees.  The
+//! kernels are tested against the nested walks bit for bit, and
+//! `lagrangian_digest.rs` pins whole solves recorded before the rewrite.
 
 use std::collections::HashMap;
 
@@ -123,27 +164,6 @@ impl BlockProblem {
             None => true,
             Some(b) => self.size_of(sel) <= b + 1e-9,
         }
-    }
-
-    /// Inverted index: which blocks reference each item.
-    pub fn item_blocks(&self) -> Vec<Vec<u32>> {
-        let mut inv: Vec<Vec<u32>> = vec![Vec::new(); self.n_items];
-        for (b, block) in self.blocks.iter().enumerate() {
-            for alt in &block.alts {
-                for slot in &alt.slots {
-                    for &(item, _) in &slot.choices {
-                        let v = &mut inv[item as usize];
-                        if v.last() != Some(&(b as u32)) {
-                            v.push(b as u32);
-                        }
-                    }
-                }
-            }
-        }
-        for v in &mut inv {
-            v.dedup();
-        }
-        inv
     }
 
     /// Total number of `(block, alt, slot, choice)` coordinates (the μ
@@ -319,34 +339,27 @@ impl LagrangianSolver {
         driver.set_cancel(self.cancel.clone());
         let max_iters = self.budget.node_limit.unwrap_or(Self::DEFAULT_MAX_ITERS);
         let n = p.n_items;
+        let flat = Flat::new(p);
+        let n_coords = flat.gamma.len();
 
-        // --- flatten μ coordinates -----------------------------------------
-        // offsets[(b,k,s)] → position of that slot's first choice in μ.
-        let mut coord: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(p.n_choices());
-        // block_start[b] → position of block b's first choice coordinate;
-        // each block's coordinates are contiguous.
-        let mut block_start: Vec<usize> = Vec::with_capacity(p.blocks.len());
-        for (b, block) in p.blocks.iter().enumerate() {
-            block_start.push(coord.len());
-            for (k, alt) in block.alts.iter().enumerate() {
-                for (s, slot) in alt.slots.iter().enumerate() {
-                    for &(item, _) in &slot.choices {
-                        coord.push((b as u32, k as u32, s as u32, item));
+        // --- multipliers ----------------------------------------------------
+        // `nonzero` is the support of μ; a multiplier is imported where it is
+        // one (μ > 0), so the support only ever holds positive coordinates.
+        let mut mu = vec![0.0f64; n_coords];
+        let mut nonzero = CoordSet::new(n_coords);
+        if let Some(w) = warm {
+            for_each_key(p, |ci, key| {
+                if let Some(&v) = w.multipliers.get(&key) {
+                    if v > 0.0 {
+                        mu[ci] = v;
+                        nonzero.insert(ci);
                     }
                 }
-            }
-        }
-        let mut mu = vec![0.0f64; coord.len()];
-        if let Some(w) = warm {
-            for (c, m) in coord.iter().zip(mu.iter_mut()) {
-                if let Some(v) = w.multipliers.get(c) {
-                    *m = *v;
-                }
-            }
+            });
         }
 
         // --- initial primal -------------------------------------------------
-        let mut best_sel = greedy_initial(p);
+        let mut best_sel = greedy_initial(p, &flat);
         if let Some(w) = warm {
             let mut cand = vec![false; n];
             for (a, &v) in w.selection.iter().take(n).enumerate() {
@@ -371,10 +384,16 @@ impl LagrangianSolver {
         const ALPHA0: f64 = 2.0;
         let mut alpha = ALPHA0;
         let mut stall = 0usize;
-        let mut g = vec![0.0f64; coord.len()];
+        // Everything an iteration writes lives in these buffers; the loop
+        // allocates only the rounded candidate it offers the driver.
         let mut m_acc = vec![0.0f64; n];
+        let mut zcost = vec![0.0f64; n];
+        let mut zfrac: Vec<f64> = Vec::with_capacity(n);
+        let mut ratio_order: Vec<(f64, u32)> = Vec::new();
         let mut chosen: Vec<u32> = Vec::new();
-        let mut block_choice: Vec<u32> = Vec::new();
+        let mut touched = CoordSet::new(n_coords);
+        let mut step: Vec<(u32, f64)> = Vec::new();
+        let mut slot_min: Vec<Option<f64>> = vec![None; flat.fallback.len()];
         let mut blocks_done = 0usize;
 
         while driver.ticks() < max_iters {
@@ -385,20 +404,17 @@ impl LagrangianSolver {
 
             // M_a = Σ μ over the item's choice coordinates.
             m_acc.fill(0.0);
-            for (ci, &(_, _, _, item)) in coord.iter().enumerate() {
-                m_acc[item as usize] += mu[ci];
-            }
+            nonzero.for_each(|ci| m_acc[flat.item_of[ci] as usize] += mu[ci]);
 
             // Query part: the per-block minima under μ-inflated γ — the
             // decomposed subproblems, which only couple through μ — folded
             // in block order.
             chosen.clear();
             let mut query_part = 0.0;
-            for (block, &start) in p.blocks.iter().zip(&block_start) {
-                let val = block_minimum(block, &mu, start, &mut block_choice);
+            for b in 0..p.blocks.len() {
+                let val = flat.block_minimum(b, &mu, &mut chosen);
                 debug_assert!(val.is_finite(), "block without feasible alternative");
                 query_part += val;
-                chosen.extend_from_slice(&block_choice);
             }
             blocks_done += p.blocks.len();
             driver.set_decomposition(DecompositionProgress {
@@ -408,19 +424,24 @@ impl LagrangianSolver {
             });
 
             // z subproblem: continuous knapsack over reduced costs.
-            let zcost: Vec<f64> = (0..n).map(|a| p.item_cost[a] - m_acc[a]).collect();
-            let (zobj, zfrac) = match p.budget {
-                Some(b) => knapsack::continuous_min(&zcost, &p.item_size, b),
+            for a in 0..n {
+                zcost[a] = p.item_cost[a] - m_acc[a];
+            }
+            let zobj = match p.budget {
+                Some(b) => {
+                    knapsack::continuous_min(&zcost, &p.item_size, b, &mut zfrac, &mut ratio_order)
+                }
                 None => {
-                    let mut z = vec![0.0; n];
+                    zfrac.clear();
+                    zfrac.resize(n, 0.0);
                     let mut obj = 0.0;
                     for a in 0..n {
                         if zcost[a] < 0.0 {
-                            z[a] = 1.0;
+                            zfrac[a] = 1.0;
                             obj += zcost[a];
                         }
                     }
-                    (obj, z)
+                    obj
                 }
             };
             let lb = query_part + zobj;
@@ -443,7 +464,9 @@ impl LagrangianSolver {
                 p.budget.unwrap_or(f64::INFINITY),
             );
             if p.fits_budget(&cand) {
-                if let Some(obj) = p.evaluate(&cand) {
+                let obj = flat.evaluate(p, &cand, &mut slot_min);
+                debug_assert_eq!(obj.map(f64::to_bits), p.evaluate(&cand).map(f64::to_bits));
+                if let Some(obj) = obj {
                     driver.offer_incumbent(obj, cand);
                 }
             }
@@ -452,35 +475,53 @@ impl LagrangianSolver {
                 break;
             }
 
-            // Subgradient step.
-            g.fill(0.0);
-            for &cc in &chosen {
-                g[cc as usize] += 1.0;
+            // Subgradient step.  g = [coordinate won its slot] − z_item is
+            // non-zero only on `touched`: the block winners and the
+            // coordinates of items with z > 0.  `chosen` is ascending (blocks,
+            // then slots, in flattening order), so one cursor tells the
+            // ascending walk which coordinates won.
+            touched.clear();
+            for &ci in &chosen {
+                touched.insert(ci as usize);
             }
-            for (ci2, &(_, _, _, item)) in coord.iter().enumerate() {
-                g[ci2] -= zfrac[item as usize];
+            for (a, &z) in zfrac.iter().enumerate() {
+                if z != 0.0 {
+                    for &ci in flat.coords_of(a) {
+                        touched.insert(ci as usize);
+                    }
+                }
             }
-            let norm2: f64 = g.iter().map(|v| v * v).sum();
+            step.clear();
+            let mut norm2 = 0.0f64;
+            let mut next_won = 0;
+            touched.for_each(|ci| {
+                let won = chosen.get(next_won) == Some(&(ci as u32));
+                next_won += usize::from(won);
+                let g = f64::from(u8::from(won)) - zfrac[flat.item_of[ci] as usize];
+                norm2 += g * g;
+                step.push((ci as u32, g));
+            });
             if norm2 < 1e-14 {
                 break;
             }
             let best_ub = driver.incumbent_objective();
             let target = (best_ub - lb).max(best_ub.abs() * 1e-4);
             let t = alpha * target / norm2;
-            for (m, gi) in mu.iter_mut().zip(g.iter()) {
-                *m = (*m + t * gi).max(0.0);
+            for &(ci, g) in &step {
+                let m = &mut mu[ci as usize];
+                *m = (*m + t * g).max(0.0);
+                nonzero.set(ci as usize, *m != 0.0);
             }
             if alpha < 1e-6 {
                 break;
             }
         }
 
-        // Local search with the inverted index.
+        // Local search over the item → coordinates inverse.
         const LOCAL_SEARCH_PASSES: usize = 2;
         let (mut ls_best, mut ls_sel) =
             driver.incumbent().map(|(obj, sel)| (*obj, sel.clone())).expect("primal exists");
-        let inv = p.item_blocks();
-        local_search(p, &inv, &mut ls_sel, &mut ls_best, LOCAL_SEARCH_PASSES);
+        local_search(p, &flat, &mut ls_sel, &mut ls_best, LOCAL_SEARCH_PASSES);
         driver.offer_incumbent(ls_best, ls_sel);
 
         let r = driver.finish();
@@ -494,63 +535,288 @@ impl LagrangianSolver {
             trace: r.trace,
         };
         let mut wout = WarmStart { multipliers: HashMap::new(), selection: best_sel };
-        for (ci, c) in coord.iter().enumerate() {
+        for_each_key(p, |ci, key| {
             if mu[ci] != 0.0 {
-                wout.multipliers.insert(*c, mu[ci]);
+                wout.multipliers.insert(key, mu[ci]);
             }
-        }
+        });
         (result, wout)
     }
 }
 
-/// One decomposed subproblem: the minimum of block `b` under μ-inflated γ,
-/// with `start` the block's first coordinate in the flat μ vector.  Writes
-/// the winning choice coordinates into `out` (cleared first) and returns the
-/// minimal value.  Pure in `(block, mu, start)`.
-fn block_minimum(block: &Block, mu: &[f64], start: usize, out: &mut Vec<u32>) -> f64 {
-    out.clear();
-    let mut best = f64::INFINITY;
-    let mut scratch: Vec<u32> = Vec::new();
-    let mut ci = start; // coordinate cursor; advances alt by alt
-    for alt in &block.alts {
-        // This alt's coords occupy [ci, ci + span), matching the flattening
-        // order of `coord` in the solver.
-        let alt_start = ci;
-        ci += alt.slots.iter().map(|s| s.choices.len()).sum::<usize>();
-        let mut val = alt.base;
-        scratch.clear();
-        let mut ok = true;
-        let mut slot_ci = alt_start;
-        for slot in &alt.slots {
-            let mut sbest = slot.fallback;
-            let mut sbest_ci: Option<u32> = None;
-            for (off, &(_, gamma)) in slot.choices.iter().enumerate() {
-                let inflated = gamma + mu[slot_ci + off];
-                if sbest.is_none_or(|c| inflated < c) {
-                    sbest = Some(inflated);
-                    sbest_ci = Some((slot_ci + off) as u32);
+/// Walk the μ coordinates in flattening order — block, alternative, slot,
+/// choice — handing each its position and its stable [`WarmStart`] key.
+fn for_each_key(p: &BlockProblem, mut f: impl FnMut(usize, (u32, u32, u32, u32))) {
+    let mut ci = 0;
+    for (b, block) in p.blocks.iter().enumerate() {
+        for (k, alt) in block.alts.iter().enumerate() {
+            for (s, slot) in alt.slots.iter().enumerate() {
+                for &(item, _) in &slot.choices {
+                    f(ci, (b as u32, k as u32, s as u32, item));
+                    ci += 1;
                 }
             }
-            slot_ci += slot.choices.len();
-            match sbest {
-                Some(c) => {
-                    val += c;
-                    if let Some(cc) = sbest_ci {
-                        scratch.push(cc);
-                    }
-                }
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok && val < best {
-            best = val;
-            std::mem::swap(out, &mut scratch);
         }
     }
-    best
+}
+
+/// "No coordinate": the slot's fallback won.
+const NO_COORD: u32 = u32::MAX;
+
+/// A [`BlockProblem`] flattened once per solve into contiguous arrays (see
+/// the module docs).  Coordinates, slots, alternatives and blocks are each
+/// numbered globally in flattening order; a slot owns a contiguous coordinate
+/// range, an alternative a contiguous slot range, a block a contiguous
+/// alternative range.
+struct Flat {
+    /// Per coordinate: `γ`, the item, and the (global) slot it belongs to.
+    gamma: Vec<f64>,
+    item_of: Vec<u32>,
+    slot_of: Vec<u32>,
+    /// Slot `s` owns coordinates `slot_start[s]..slot_start[s + 1]`.
+    slot_start: Vec<u32>,
+    fallback: Vec<Option<f64>>,
+    block_of_slot: Vec<u32>,
+    /// Alternative `k` owns slots `alt_start[k]..alt_start[k + 1]`.
+    alt_start: Vec<u32>,
+    base: Vec<f64>,
+    /// Block `b` owns alternatives `block_start[b]..block_start[b + 1]`.
+    block_start: Vec<u32>,
+    /// Item `a` sits at coordinates
+    /// `item_coords[item_start[a]..item_start[a + 1]]`, ascending.
+    item_start: Vec<u32>,
+    item_coords: Vec<u32>,
+}
+
+impl Flat {
+    fn new(p: &BlockProblem) -> Flat {
+        let n_coords = p.n_choices();
+        assert!(n_coords < NO_COORD as usize, "μ coordinates are indexed by u32");
+        let mut f = Flat {
+            gamma: Vec::with_capacity(n_coords),
+            item_of: Vec::with_capacity(n_coords),
+            slot_of: Vec::with_capacity(n_coords),
+            slot_start: vec![0],
+            fallback: Vec::new(),
+            block_of_slot: Vec::new(),
+            alt_start: vec![0],
+            base: Vec::new(),
+            block_start: vec![0],
+            item_start: vec![0; p.n_items + 1],
+            item_coords: vec![0; n_coords],
+        };
+        for (b, block) in p.blocks.iter().enumerate() {
+            for alt in &block.alts {
+                for slot in &alt.slots {
+                    let s = f.fallback.len() as u32;
+                    for &(item, gamma) in &slot.choices {
+                        f.gamma.push(gamma);
+                        f.item_of.push(item);
+                        f.slot_of.push(s);
+                        f.item_start[item as usize + 1] += 1;
+                    }
+                    f.fallback.push(slot.fallback);
+                    f.block_of_slot.push(b as u32);
+                    f.slot_start.push(f.gamma.len() as u32);
+                }
+                f.base.push(alt.base);
+                f.alt_start.push(f.fallback.len() as u32);
+            }
+            f.block_start.push(f.base.len() as u32);
+        }
+        // The inverse is a counting sort of the coordinates by item, which
+        // leaves every item's coordinates ascending.
+        for a in 0..p.n_items {
+            f.item_start[a + 1] += f.item_start[a];
+        }
+        let mut next = f.item_start.clone();
+        for (ci, &item) in f.item_of.iter().enumerate() {
+            f.item_coords[next[item as usize] as usize] = ci as u32;
+            next[item as usize] += 1;
+        }
+        f
+    }
+
+    fn n_blocks(&self) -> usize {
+        self.block_start.len() - 1
+    }
+
+    fn alts_of(&self, b: usize) -> std::ops::Range<usize> {
+        self.block_start[b] as usize..self.block_start[b + 1] as usize
+    }
+
+    fn slots_of(&self, k: usize) -> std::ops::Range<usize> {
+        self.alt_start[k] as usize..self.alt_start[k + 1] as usize
+    }
+
+    fn coords_in(&self, s: usize) -> std::ops::Range<usize> {
+        self.slot_start[s] as usize..self.slot_start[s + 1] as usize
+    }
+
+    /// The coordinates of item `a`, ascending.
+    fn coords_of(&self, a: usize) -> &[u32] {
+        &self.item_coords[self.item_start[a] as usize..self.item_start[a + 1] as usize]
+    }
+
+    /// The blocks that reference item `a`, ascending, each once.
+    fn blocks_of(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut last = None;
+        self.coords_of(a).iter().filter_map(move |&ci| {
+            let b = self.block_of_slot[self.slot_of[ci as usize] as usize] as usize;
+            (last != Some(b)).then(|| {
+                last = Some(b);
+                b
+            })
+        })
+    }
+
+    /// One decomposed subproblem: the minimum of block `b` under μ-inflated
+    /// γ.  Appends the winning choice coordinates (slot order of the winning
+    /// alternative) to `chosen` and returns the minimal value.  Pure in
+    /// `(b, mu)`.
+    fn block_minimum(&self, b: usize, mu: &[f64], chosen: &mut Vec<u32>) -> f64 {
+        let block_base = chosen.len();
+        let mut best = f64::INFINITY;
+        for k in self.alts_of(b) {
+            // This alternative's winners go behind the block's current ones
+            // and replace them if it wins.
+            let alt_base = chosen.len();
+            let mut val = self.base[k];
+            let mut ok = true;
+            for s in self.slots_of(k) {
+                let coords = self.coords_in(s);
+                let (mut sbest, mut sbest_ci, rest) = match self.fallback[s] {
+                    Some(fallback) => (fallback, NO_COORD, coords),
+                    None if coords.is_empty() => {
+                        ok = false;
+                        break;
+                    }
+                    None => {
+                        let first = coords.start;
+                        (self.gamma[first] + mu[first], first as u32, first + 1..coords.end)
+                    }
+                };
+                let first = rest.start;
+                for (off, (gamma, m)) in self.gamma[rest.clone()].iter().zip(&mu[rest]).enumerate()
+                {
+                    let inflated = gamma + m;
+                    if inflated < sbest {
+                        sbest = inflated;
+                        sbest_ci = (first + off) as u32;
+                    }
+                }
+                val += sbest;
+                if sbest_ci != NO_COORD {
+                    chosen.push(sbest_ci);
+                }
+            }
+            if ok && val < best {
+                best = val;
+                let won = chosen.len() - alt_base;
+                chosen.copy_within(alt_base.., block_base);
+                chosen.truncate(block_base + won);
+            } else {
+                chosen.truncate(alt_base);
+            }
+        }
+        best
+    }
+
+    /// Per-slot minima under `sel`, priced from the selected items'
+    /// coordinates: every slot starts at its fallback and each selected
+    /// choice lowers its slot.
+    fn slot_minima(&self, sel: &[bool], slot_min: &mut [Option<f64>]) {
+        slot_min.copy_from_slice(&self.fallback);
+        for a in (0..sel.len()).filter(|&a| sel[a]) {
+            for &ci in self.coords_of(a) {
+                lower(&mut slot_min[self.slot_of[ci as usize] as usize], self.gamma[ci as usize]);
+            }
+        }
+    }
+
+    /// [`BlockProblem::block_cost`] from per-slot minima: alternative sums in
+    /// slot order, the block's minimum in alternative order.
+    fn block_cost(&self, b: usize, slot_min: &[Option<f64>]) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        'alts: for k in self.alts_of(b) {
+            let mut total = self.base[k];
+            for s in self.slots_of(k) {
+                match slot_min[s] {
+                    Some(c) => total += c,
+                    None => continue 'alts,
+                }
+            }
+            if best.is_none_or(|c| total < c) {
+                best = Some(total);
+            }
+        }
+        best
+    }
+
+    /// [`BlockProblem::evaluate`], bit for bit, in time proportional to the
+    /// selected items' coordinates plus the slot count.  `slot_min` is
+    /// scratch of one entry per slot.
+    fn evaluate(
+        &self,
+        p: &BlockProblem,
+        sel: &[bool],
+        slot_min: &mut [Option<f64>],
+    ) -> Option<f64> {
+        debug_assert_eq!(sel.len(), p.n_items);
+        self.slot_minima(sel, slot_min);
+        let items: f64 = (0..p.n_items).filter(|&a| sel[a]).map(|a| p.item_cost[a]).sum();
+        let mut total = items;
+        for b in 0..self.n_blocks() {
+            total += self.block_cost(b, slot_min)?;
+        }
+        Some(total)
+    }
+}
+
+/// `min` of a slot minimum and one more admissible cost.
+fn lower(slot_min: &mut Option<f64>, gamma: f64) {
+    if slot_min.is_none_or(|c| gamma < c) {
+        *slot_min = Some(gamma);
+    }
+}
+
+/// A set of μ coordinates, walked in ascending order word by word.
+struct CoordSet {
+    words: Vec<u64>,
+}
+
+impl CoordSet {
+    fn new(n_coords: usize) -> Self {
+        CoordSet { words: vec![0; n_coords.div_ceil(64)] }
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    fn insert(&mut self, ci: usize) {
+        self.words[ci / 64] |= 1 << (ci % 64);
+    }
+
+    fn set(&mut self, ci: usize, member: bool) {
+        let bit = 1 << (ci % 64);
+        if member {
+            self.words[ci / 64] |= bit;
+        } else {
+            self.words[ci / 64] &= !bit;
+        }
+    }
+
+    /// Visit the members in ascending order.
+    fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// Is `a` a strictly better feasible selection than `b`?
@@ -565,35 +831,102 @@ fn better(p: &BlockProblem, a: &[bool], b: &[bool]) -> bool {
     }
 }
 
+/// The primal heuristics' view of a selection: the per-slot minima it
+/// induces and the block costs that follow, kept current across item flips
+/// so that a flip is priced from the flipped item's coordinates and the slots
+/// of the blocks it touches instead of a walk over those blocks' choices.
+/// One flip is open at a time: [`SlotMinima::add`] / [`SlotMinima::remove`]
+/// apply it to the minima and log what they overwrote,
+/// [`SlotMinima::flipped_cost`] prices a block under it, then
+/// [`SlotMinima::commit`] or [`SlotMinima::revert`] closes it.
+struct SlotMinima<'f> {
+    flat: &'f Flat,
+    slot_min: Vec<Option<f64>>,
+    /// Cost of every block (`∞` if uninstantiable) with no flip open.
+    block_cost: Vec<f64>,
+    /// `(slot, minimum before)` per write of the open flip.
+    undo: Vec<(u32, Option<f64>)>,
+}
+
+impl<'f> SlotMinima<'f> {
+    fn new(flat: &'f Flat, sel: &[bool]) -> Self {
+        let mut slot_min = vec![None; flat.fallback.len()];
+        flat.slot_minima(sel, &mut slot_min);
+        let mut minima = SlotMinima { flat, slot_min, block_cost: Vec::new(), undo: Vec::new() };
+        minima.block_cost = (0..flat.n_blocks()).map(|b| minima.flipped_cost(b)).collect();
+        minima
+    }
+
+    /// Cost of block `b` under the current minima, open flip included.
+    fn flipped_cost(&self, b: usize) -> f64 {
+        self.flat.block_cost(b, &self.slot_min).unwrap_or(f64::INFINITY)
+    }
+
+    /// Item `a` joins the selection: its choices lower their slots.
+    fn add(&mut self, a: usize) {
+        for &ci in self.flat.coords_of(a) {
+            let s = self.flat.slot_of[ci as usize];
+            self.undo.push((s, self.slot_min[s as usize]));
+            lower(&mut self.slot_min[s as usize], self.flat.gamma[ci as usize]);
+        }
+    }
+
+    /// Item `a` left the selection (`sel[a]` is already `false`): a slot
+    /// whose minimum one of its choices may have held is re-scanned.
+    fn remove(&mut self, a: usize, sel: &[bool]) {
+        let flat = self.flat;
+        for &ci in flat.coords_of(a) {
+            let s = flat.slot_of[ci as usize] as usize;
+            if self.slot_min[s] != Some(flat.gamma[ci as usize]) {
+                continue;
+            }
+            self.undo.push((s as u32, self.slot_min[s]));
+            self.slot_min[s] = flat.fallback[s];
+            for cj in flat.coords_in(s) {
+                if sel[flat.item_of[cj] as usize] {
+                    lower(&mut self.slot_min[s], flat.gamma[cj]);
+                }
+            }
+        }
+    }
+
+    /// Keep the open flip of item `a`.
+    fn commit(&mut self, a: usize) {
+        self.undo.clear();
+        for b in self.flat.blocks_of(a) {
+            self.block_cost[b] = self.flipped_cost(b);
+        }
+    }
+
+    /// Undo the open flip.
+    fn revert(&mut self) {
+        while let Some((s, before)) = self.undo.pop() {
+            self.slot_min[s as usize] = before;
+        }
+    }
+}
+
 /// Marginal-gain greedy with lazy re-evaluation: repeatedly add the item
 /// with the best exact cost reduction per byte until nothing helps or the
 /// budget is exhausted.  Block costs are cached and only the blocks touching
-/// a flipped item are re-costed; scores are managed lazily (pop, recompute,
-/// re-push if stale) as in the accelerated greedy for submodular
-/// maximization — marginal gains here are not exactly submodular, but close
-/// enough that laziness rarely mis-orders candidates (and the subsequent
-/// local search cleans up the rest).
-fn greedy_initial(p: &BlockProblem) -> Vec<bool> {
-    let inv = p.item_blocks();
+/// a flipped item are re-costed, from cached slot minima; scores are managed
+/// lazily (pop, recompute, re-push if stale) as in the accelerated greedy
+/// for submodular maximization — marginal gains here are not exactly
+/// submodular, but close enough that laziness rarely mis-orders candidates
+/// (and the subsequent local search cleans up the rest).
+fn greedy_initial(p: &BlockProblem, flat: &Flat) -> Vec<bool> {
     let budget = p.budget.unwrap_or(f64::INFINITY);
     let mut sel = vec![false; p.n_items];
-    let mut cache: Vec<f64> =
-        (0..p.blocks.len()).map(|b| p.block_cost(b, &sel).unwrap_or(f64::INFINITY)).collect();
+    let mut minima = SlotMinima::new(flat, &sel);
     let mut used = 0.0f64;
 
-    fn gain_per_byte(
-        p: &BlockProblem,
-        inv: &[Vec<u32>],
-        cache: &[f64],
-        sel: &mut [bool],
-        a: usize,
-    ) -> f64 {
-        sel[a] = true;
+    fn gain_per_byte(p: &BlockProblem, minima: &mut SlotMinima, a: usize) -> f64 {
+        minima.add(a);
         let mut delta = p.item_cost[a];
-        for &b in &inv[a] {
-            delta += p.block_cost(b as usize, sel).unwrap_or(f64::INFINITY) - cache[b as usize];
+        for b in minima.flat.blocks_of(a) {
+            delta += minima.flipped_cost(b) - minima.block_cost[b];
         }
-        sel[a] = false;
+        minima.revert();
         -delta / p.item_size[a].max(1.0)
     }
 
@@ -601,7 +934,7 @@ fn greedy_initial(p: &BlockProblem) -> Vec<bool> {
     // computed in; stale scores are recomputed on pop.
     let mut heap: Vec<(f64, usize, usize)> = (0..p.n_items)
         .filter(|&a| p.item_size[a] <= budget)
-        .map(|a| (gain_per_byte(p, &inv, &cache, &mut sel, a), a, 0))
+        .map(|a| (gain_per_byte(p, &mut minima, a), a, 0))
         .collect();
     heap.retain(|(s, _, _)| *s > 0.0);
     heap.sort_by(|x, y| x.0.total_cmp(&y.0)); // ascending; best at the end
@@ -612,7 +945,7 @@ fn greedy_initial(p: &BlockProblem) -> Vec<bool> {
             continue;
         }
         if stamp != round {
-            let fresh = gain_per_byte(p, &inv, &cache, &mut sel, a);
+            let fresh = gain_per_byte(p, &mut minima, a);
             if fresh > 0.0 {
                 // Binary-insert to keep the lazy queue ordered.
                 let pos = heap.partition_point(|(s, _, _)| *s < fresh);
@@ -623,24 +956,18 @@ fn greedy_initial(p: &BlockProblem) -> Vec<bool> {
         // Accept.
         sel[a] = true;
         used += p.item_size[a];
-        for &b in &inv[a] {
-            cache[b as usize] = p.block_cost(b as usize, &sel).unwrap_or(f64::INFINITY);
-        }
+        minima.add(a);
+        minima.commit(a);
         round += 1;
     }
     sel
 }
 
-/// Add/drop local search over the item→blocks inverted index: only blocks
-/// touching the flipped item are re-costed.
-fn local_search(
-    p: &BlockProblem,
-    inv: &[Vec<u32>],
-    sel: &mut [bool],
-    best: &mut f64,
-    passes: usize,
-) {
+/// Add/drop local search over the item → coordinates inverse: only blocks
+/// touching the flipped item are re-costed, from cached slot minima.
+fn local_search(p: &BlockProblem, flat: &Flat, sel: &mut [bool], best: &mut f64, passes: usize) {
     let budget = p.budget.unwrap_or(f64::INFINITY);
+    let mut minima = SlotMinima::new(flat, sel);
     for _ in 0..passes {
         let mut improved = false;
         let mut used = p.size_of(sel);
@@ -651,22 +978,23 @@ fn local_search(
             }
             // Delta over affected blocks only.
             let mut delta = if flip_to { p.item_cost[a] } else { -p.item_cost[a] };
-            let before: f64 = inv[a]
-                .iter()
-                .map(|&b| p.block_cost(b as usize, sel).unwrap_or(f64::INFINITY))
-                .sum();
+            let before: f64 = flat.blocks_of(a).map(|b| minima.block_cost[b]).sum();
             sel[a] = flip_to;
-            let after: f64 = inv[a]
-                .iter()
-                .map(|&b| p.block_cost(b as usize, sel).unwrap_or(f64::INFINITY))
-                .sum();
+            if flip_to {
+                minima.add(a);
+            } else {
+                minima.remove(a, sel);
+            }
+            let after: f64 = flat.blocks_of(a).map(|b| minima.flipped_cost(b)).sum();
             delta += after - before;
             if delta < -1e-9 {
                 *best += delta;
                 used += if flip_to { p.item_size[a] } else { -p.item_size[a] };
                 improved = true;
+                minima.commit(a);
             } else {
                 sel[a] = !flip_to; // revert
+                minima.revert();
             }
         }
         if !improved {
@@ -716,6 +1044,384 @@ mod tests {
             budget: Some(rng.gen_range(3.0..(n_items as f64 * 3.0))),
             blocks,
         }
+    }
+
+    /// A problem with every irregularity the flat kernels must survive:
+    /// slots without a fallback, slots without choices, an item in two slots
+    /// of one alternative (and twice in one slot), zero-size items.  With
+    /// `instantiable`, every block also gets one alternative whose slots all
+    /// have fallbacks, so that the solver can run on it.
+    fn ragged_problem(seed: u64, budget: Option<f64>, instantiable: bool) -> BlockProblem {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n_items = rng.gen_range(3..9);
+        let mut blocks = Vec::new();
+        for _ in 0..rng.gen_range(1..10) {
+            let mut alts = Vec::new();
+            for _ in 0..rng.gen_range(1..4) {
+                let mut slots = Vec::new();
+                let twice = rng.gen_range(0..n_items) as u32;
+                for _ in 0..rng.gen_range(1..4) {
+                    let fallback = rng.gen_bool(0.7).then(|| rng.gen_range(5.0..50.0));
+                    let mut choices: Vec<(u32, f64)> = (0..rng.gen_range(0..5))
+                        .map(|_| (rng.gen_range(0..n_items) as u32, rng.gen_range(0.5..40.0)))
+                        .collect();
+                    if rng.gen_bool(0.5) {
+                        choices.push((twice, rng.gen_range(0.5..40.0)));
+                    }
+                    slots.push(SlotChoices { fallback, choices });
+                }
+                alts.push(Alt { base: rng.gen_range(1.0..20.0), slots });
+            }
+            if instantiable {
+                let slots = (0..rng.gen_range(1..3))
+                    .map(|_| SlotChoices {
+                        fallback: Some(rng.gen_range(20.0..60.0)),
+                        choices: vec![(rng.gen_range(0..n_items) as u32, rng.gen_range(0.5..40.0))],
+                    })
+                    .collect();
+                alts.push(Alt { base: rng.gen_range(1.0..20.0), slots });
+            }
+            blocks.push(Block { alts });
+        }
+        BlockProblem {
+            n_items,
+            item_cost: (0..n_items).map(|_| rng.gen_range(0.0..2.0)).collect(),
+            item_size: (0..n_items)
+                .map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen_range(1.0..5.0) })
+                .collect(),
+            budget,
+            blocks,
+        }
+    }
+
+    /// Kernel inputs: regular and ragged problems, with and without a
+    /// budget, and the empty problem.
+    fn kernel_problems() -> Vec<BlockProblem> {
+        let mut problems = vec![BlockProblem::default(), random_problem(1, 12, 30)];
+        for seed in 0..40u64 {
+            let budget = (seed % 3 != 0).then_some(2.0 + seed as f64);
+            problems.push(ragged_problem(seed, budget, seed % 2 == 0));
+        }
+        problems
+    }
+
+    /// Random multipliers: about half of them zero, like a running solve.
+    fn random_mu(rng: &mut SmallRng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(0.0..30.0) }).collect()
+    }
+
+    fn random_selection(rng: &mut SmallRng, n: usize) -> Vec<bool> {
+        let density = rng.gen_range(0.0..1.0);
+        (0..n).map(|_| rng.gen_bool(density)).collect()
+    }
+
+    /// Every block's first coordinate.
+    fn block_starts(p: &BlockProblem) -> Vec<usize> {
+        let mut next = 0;
+        let mut starts = Vec::new();
+        for block in &p.blocks {
+            starts.push(next);
+            next +=
+                block.alts.iter().flat_map(|a| &a.slots).map(|s| s.choices.len()).sum::<usize>();
+        }
+        starts
+    }
+
+    /// The block minimum as a walk over the nested problem (what every
+    /// iteration ran before the flat layout): the oracle of
+    /// [`Flat::block_minimum`].  `start` is the block's first coordinate.
+    fn block_minimum(block: &Block, mu: &[f64], start: usize, out: &mut Vec<u32>) -> f64 {
+        out.clear();
+        let mut best = f64::INFINITY;
+        let mut scratch: Vec<u32> = Vec::new();
+        let mut ci = start; // coordinate cursor; advances alt by alt
+        for alt in &block.alts {
+            let alt_start = ci;
+            ci += alt.slots.iter().map(|s| s.choices.len()).sum::<usize>();
+            let mut val = alt.base;
+            scratch.clear();
+            let mut ok = true;
+            let mut slot_ci = alt_start;
+            for slot in &alt.slots {
+                let mut sbest = slot.fallback;
+                let mut sbest_ci: Option<u32> = None;
+                for (off, &(_, gamma)) in slot.choices.iter().enumerate() {
+                    let inflated = gamma + mu[slot_ci + off];
+                    if sbest.is_none_or(|c| inflated < c) {
+                        sbest = Some(inflated);
+                        sbest_ci = Some((slot_ci + off) as u32);
+                    }
+                }
+                slot_ci += slot.choices.len();
+                match sbest {
+                    Some(c) => {
+                        val += c;
+                        if let Some(cc) = sbest_ci {
+                            scratch.push(cc);
+                        }
+                    }
+                    None => {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+            if ok && val < best {
+                best = val;
+                std::mem::swap(out, &mut scratch);
+            }
+        }
+        best
+    }
+
+    /// The subgradient loop as dense sweeps over every coordinate (what ran
+    /// before the sparse walks), around the same primal heuristics and
+    /// driver: the oracle of [`LagrangianSolver::solve_warm`] on a cold
+    /// start.
+    fn dense_solve(p: &BlockProblem, budget: SolveBudget) -> (LagrangeResult, WarmStart) {
+        let mut driver: SolveDriver<Vec<bool>> = SolveDriver::new(budget);
+        let n = p.n_items;
+        let flat = Flat::new(p);
+        let mut coord = Vec::new();
+        for_each_key(p, |_, key| coord.push(key));
+        let block_start = block_starts(p);
+        let mut mu = vec![0.0f64; coord.len()];
+        let best_sel = greedy_initial(p, &flat);
+        driver.offer_incumbent(p.evaluate(&best_sel).unwrap(), best_sel);
+
+        let (mut alpha, mut stall) = (2.0, 0);
+        let mut g = vec![0.0f64; coord.len()];
+        let mut m_acc = vec![0.0f64; n];
+        let (mut chosen, mut block_choice) = (Vec::new(), Vec::new());
+        let (mut zfrac, mut order) = (Vec::new(), Vec::new());
+        while driver.ticks() < budget.node_limit.unwrap() {
+            if driver.stop_status().is_some() {
+                break;
+            }
+            driver.tick();
+            m_acc.fill(0.0);
+            for (ci, &(_, _, _, item)) in coord.iter().enumerate() {
+                m_acc[item as usize] += mu[ci];
+            }
+            chosen.clear();
+            let mut query_part = 0.0;
+            for (block, &start) in p.blocks.iter().zip(&block_start) {
+                query_part += block_minimum(block, &mu, start, &mut block_choice);
+                chosen.extend_from_slice(&block_choice);
+            }
+            let zcost: Vec<f64> = (0..n).map(|a| p.item_cost[a] - m_acc[a]).collect();
+            let zobj = match p.budget {
+                Some(b) => {
+                    knapsack::continuous_min(&zcost, &p.item_size, b, &mut zfrac, &mut order)
+                }
+                None => {
+                    zfrac = zcost.iter().map(|&c| if c < 0.0 { 1.0 } else { 0.0 }).collect();
+                    zcost.iter().filter(|&&c| c < 0.0).fold(0.0, |obj, c| obj + c)
+                }
+            };
+            let lb = query_part + zobj;
+            if driver.raise_bound(lb) {
+                stall = 0;
+            } else {
+                stall += 1;
+                if stall > 20 {
+                    alpha *= 0.5;
+                    stall = 0;
+                }
+            }
+            let mut cand: Vec<bool> = zfrac.iter().map(|v| *v >= 0.5).collect();
+            let cap = p.budget.unwrap_or(f64::INFINITY);
+            knapsack::repair_to_budget(&mut cand, &m_acc, &p.item_size, cap);
+            if p.fits_budget(&cand) {
+                if let Some(obj) = p.evaluate(&cand) {
+                    driver.offer_incumbent(obj, cand);
+                }
+            }
+            if driver.gap_reached() {
+                break;
+            }
+            g.fill(0.0);
+            for &cc in &chosen {
+                g[cc as usize] += 1.0;
+            }
+            for (ci, &(_, _, _, item)) in coord.iter().enumerate() {
+                g[ci] -= zfrac[item as usize];
+            }
+            let norm2: f64 = g.iter().map(|v| v * v).sum();
+            if norm2 < 1e-14 {
+                break;
+            }
+            let best_ub = driver.incumbent_objective();
+            let target = (best_ub - lb).max(best_ub.abs() * 1e-4);
+            let t = alpha * target / norm2;
+            for (m, gi) in mu.iter_mut().zip(g.iter()) {
+                *m = (*m + t * gi).max(0.0);
+            }
+            if alpha < 1e-6 {
+                break;
+            }
+        }
+        let (mut ls_best, mut ls_sel) = driver.incumbent().cloned().unwrap();
+        local_search(p, &flat, &mut ls_sel, &mut ls_best, 2);
+        driver.offer_incumbent(ls_best, ls_sel);
+        let r = driver.finish();
+        let (objective, selected) = r.incumbent.unwrap();
+        let multipliers =
+            coord.iter().zip(&mu).filter(|(_, &m)| m != 0.0).map(|(&c, &m)| (c, m)).collect();
+        (
+            LagrangeResult {
+                selected: selected.clone(),
+                objective,
+                bound: r.bound,
+                gap: r.gap,
+                iterations: r.ticks,
+                trace: r.trace,
+            },
+            WarmStart { multipliers, selection: selected },
+        )
+    }
+
+    #[test]
+    fn flat_block_minimum_matches_the_nested_walk() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        for p in kernel_problems() {
+            let flat = Flat::new(&p);
+            assert_eq!(flat.gamma.len(), p.n_choices());
+            assert_eq!(flat.n_blocks(), p.blocks.len());
+            for _ in 0..20 {
+                let mu = random_mu(&mut rng, p.n_choices());
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                for (b, (block, start)) in p.blocks.iter().zip(block_starts(&p)).enumerate() {
+                    let want_val = block_minimum(block, &mu, start, &mut want);
+                    got.clear();
+                    let got_val = flat.block_minimum(b, &mu, &mut got);
+                    assert_eq!(got_val.to_bits(), want_val.to_bits(), "value of block {b}");
+                    assert_eq!(got, want, "winning coordinates of block {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_block_minimum_appends_behind_earlier_blocks() {
+        // The loop hands every block the same vector: what earlier blocks
+        // pushed stays, a losing alternative leaves nothing behind.
+        let p = random_problem(3, 10, 25);
+        let flat = Flat::new(&p);
+        let mu = random_mu(&mut SmallRng::seed_from_u64(1), p.n_choices());
+        let (mut all, mut one) = (Vec::new(), Vec::new());
+        let mut expect = Vec::new();
+        for b in 0..p.blocks.len() {
+            flat.block_minimum(b, &mu, &mut all);
+            one.clear();
+            flat.block_minimum(b, &mu, &mut one);
+            expect.extend_from_slice(&one);
+        }
+        assert_eq!(all, expect);
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "winners come out ascending");
+    }
+
+    #[test]
+    fn sparse_pricing_matches_evaluate() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let (mut priced, mut uninstantiable) = (0, 0);
+        for p in kernel_problems() {
+            let flat = Flat::new(&p);
+            let mut scratch = vec![None; flat.fallback.len()];
+            for _ in 0..30 {
+                let sel = random_selection(&mut rng, p.n_items);
+                let want = p.evaluate(&sel);
+                let got = flat.evaluate(&p, &sel, &mut scratch);
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                match want {
+                    Some(_) => priced += 1,
+                    None => uninstantiable += 1,
+                }
+            }
+        }
+        assert!(priced > 100 && uninstantiable > 100, "{priced} priced, {uninstantiable} not");
+    }
+
+    #[test]
+    fn flip_pricing_matches_block_cost_differences() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        for p in kernel_problems() {
+            let flat = Flat::new(&p);
+            let reference = |b: usize, sel: &[bool]| p.block_cost(b, sel).unwrap_or(f64::INFINITY);
+            let mut sel = random_selection(&mut rng, p.n_items);
+            let mut minima = SlotMinima::new(&flat, &sel);
+            for _ in 0..60 {
+                if p.n_items == 0 {
+                    break;
+                }
+                let a = rng.gen_range(0..p.n_items);
+                let before: Vec<f64> = (0..p.blocks.len()).map(|b| reference(b, &sel)).collect();
+                assert_eq!(minima.block_cost, before);
+                sel[a] = !sel[a];
+                if sel[a] {
+                    minima.add(a);
+                } else {
+                    minima.remove(a, &sel);
+                }
+                // Every block is priced right under the open flip, and the
+                // ones the item does not touch have not moved.
+                for (b, before) in before.iter().enumerate() {
+                    assert_eq!(minima.flipped_cost(b).to_bits(), reference(b, &sel).to_bits());
+                    if !flat.blocks_of(a).any(|x| x == b) {
+                        assert_eq!(reference(b, &sel).to_bits(), before.to_bits());
+                    }
+                }
+                if rng.gen_bool(0.5) {
+                    minima.commit(a);
+                } else {
+                    sel[a] = !sel[a];
+                    minima.revert();
+                }
+                let fresh = SlotMinima::new(&flat, &sel);
+                assert_eq!(minima.slot_min, fresh.slot_min);
+                assert_eq!(minima.block_cost, fresh.block_cost);
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_iteration_matches_the_dense_sweep() {
+        let budget = SolveBudget::within(1e-6).with_nodes(50);
+        let solver = LagrangianSolver { budget, cancel: None };
+        let mut solved = 0;
+        for p in kernel_problems() {
+            if p.evaluate(&vec![false; p.n_items]).is_none() {
+                continue; // a block with no instantiable alternative
+            }
+            let (want, want_warm) = dense_solve(&p, budget);
+            let (got, got_warm) = solver.solve_warm(&p, None);
+            assert_eq!(got.iterations, want.iterations);
+            assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+            assert_eq!(got.bound.to_bits(), want.bound.to_bits());
+            assert_eq!(got.selected, want.selected);
+            let bits = |r: &LagrangeResult| -> Vec<[u64; 3]> {
+                r.trace
+                    .iter()
+                    .map(|pt| [pt.incumbent, pt.bound, pt.gap].map(f64::to_bits))
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want));
+            let sorted = |w: &WarmStart| {
+                let mut m: Vec<_> = w.multipliers.iter().map(|(k, v)| (*k, v.to_bits())).collect();
+                m.sort_unstable();
+                m
+            };
+            assert_eq!(sorted(&got_warm), sorted(&want_warm));
+            solved += usize::from(got.iterations == 50);
+        }
+        assert!(solved >= 10, "only {solved} inputs ran all 50 iterations");
+    }
+
+    #[test]
+    fn the_empty_problem_solves() {
+        let r = LagrangianSolver::new().solve(&BlockProblem::default());
+        assert!(r.selected.is_empty());
+        assert_eq!(r.objective, 0.0);
     }
 
     /// Exhaustive optimum over item subsets (test oracle).
@@ -973,18 +1679,16 @@ mod tests {
     #[test]
     fn inverted_index_is_complete() {
         let p = random_problem(13, 10, 20);
-        let inv = p.item_blocks();
-        for (b, block) in p.blocks.iter().enumerate() {
-            for alt in &block.alts {
-                for slot in &alt.slots {
-                    for &(item, _) in &slot.choices {
-                        assert!(
-                            inv[item as usize].contains(&(b as u32)),
-                            "missing block {b} for item {item}"
-                        );
-                    }
-                }
-            }
+        let flat = Flat::new(&p);
+        for_each_key(&p, |ci, (b, _, _, item)| {
+            assert!(flat.coords_of(item as usize).contains(&(ci as u32)));
+            assert!(flat.blocks_of(item as usize).any(|x| x == b as usize));
+        });
+        for a in 0..p.n_items {
+            assert!(flat.coords_of(a).windows(2).all(|w| w[0] < w[1]), "ascending, no repeats");
+            assert!(flat.coords_of(a).iter().all(|&ci| flat.item_of[ci as usize] == a as u32));
+            let blocks: Vec<usize> = flat.blocks_of(a).collect();
+            assert!(blocks.windows(2).all(|w| w[0] < w[1]), "ascending, each block once");
         }
     }
 }

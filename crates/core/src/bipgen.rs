@@ -14,10 +14,21 @@
 //! replacing such an access by the heap scan never hurts, so the solution
 //! space is unchanged while the program shrinks drastically.  The knob
 //! `prune_dominated` exists for the ablation bench.
+//!
+//! **One `γ` per (statement, table, candidate).**  `γ_qkia` depends on the
+//! template `k` only through the slot's order requirement
+//! ([`Slot::admits`]); the cost itself is a function of the statement, the
+//! table and the index.  Both builders therefore bucket the candidates by
+//! table once per build, price every candidate on a table a statement reads
+//! once against that table's [`TableFacts`] (`StatementGammas`), and let
+//! each template slot filter the priced list by its order requirement and
+//! the domination rule — in candidate-id order, so the emitted program is
+//! the one a (template, slot, candidate) triple loop would emit.
 
 use cophy_bip::{Alt, Block, BlockProblem, ConstrId, LinExpr, Model, Sense, SlotChoices, VarId};
-use cophy_catalog::{Configuration, Schema};
-use cophy_inum::{PreparedQuery, PreparedWorkload};
+use cophy_catalog::{Configuration, Index, Schema};
+use cophy_inum::{PreparedQuery, PreparedWorkload, Slot};
+use cophy_optimizer::access::TableFacts;
 use cophy_optimizer::CostModel;
 
 use crate::cgen::CandidateSet;
@@ -154,39 +165,83 @@ pub struct TuningProblem {
     pub fixed_cost: f64,
 }
 
-impl BipGen {
-    /// Per-slot candidate survivors: `(candidate position, γ)` pairs.
-    fn slot_choices(
-        &self,
+/// The candidate set bucketed by table (`TableId.0` indexes the outer
+/// vector): `(candidate position, index)` in candidate-id order.
+fn candidates_by_table<'a>(
+    schema: &Schema,
+    candidates: &'a CandidateSet,
+) -> Vec<Vec<(u32, &'a Index)>> {
+    let mut by_table = vec![Vec::new(); schema.n_tables()];
+    for (id, ix) in candidates.iter() {
+        by_table[ix.table.0 as usize].push((id.0, ix));
+    }
+    by_table
+}
+
+/// `Σ_q f_q · ucost(a, q)` per candidate.  An UPDATE only charges indexes on
+/// the table it writes; every other term of the sum is `+ 0.0`.
+fn maintenance_costs(
+    schema: &Schema,
+    cm: &CostModel,
+    prepared: &PreparedWorkload,
+    by_table: &[Vec<(u32, &Index)>],
+    n_candidates: usize,
+) -> Vec<f64> {
+    let mut costs = vec![0.0f64; n_candidates];
+    for pq in &prepared.queries {
+        let Some((update, _)) = &pq.update else { continue };
+        for &(a, ix) in &by_table[update.table().0 as usize] {
+            costs[a as usize] += pq.weight * pq.ucost(schema, cm, ix);
+        }
+    }
+    costs
+}
+
+/// One table a statement reads: its facts and `(candidate position, index,
+/// γ)` of every candidate on it that has a finite `γ`, in candidate-id order.
+struct TableGammas<'a> {
+    facts: TableFacts<'a>,
+    priced: Vec<(u32, &'a Index, f64)>,
+}
+
+/// One statement's `γ` table: a [`TableGammas`] per table its templates read.
+struct StatementGammas<'a>(Vec<TableGammas<'a>>);
+
+impl<'a> StatementGammas<'a> {
+    fn new(
         schema: &Schema,
         cm: &CostModel,
-        pq: &PreparedQuery,
-        tpl_idx: usize,
-        slot_idx: usize,
-        candidates: &CandidateSet,
-    ) -> (Option<f64>, Vec<(u32, f64)>) {
-        let tpl = &pq.templates[tpl_idx];
-        let slot = &tpl.slots[slot_idx];
-        let fallback = slot.heap_cost;
-        let mut choices = Vec::new();
-        for (id, ix) in candidates.iter() {
-            if ix.table != slot.table {
-                continue;
-            }
-            if let Some(g) = tpl.gamma(schema, cm, &pq.query, slot_idx, ix) {
-                if self.prune_dominated {
-                    if let Some(h) = fallback {
-                        if g >= h {
-                            continue;
-                        }
-                    }
-                }
-                choices.push((id.0, g));
-            }
-        }
-        (fallback, choices)
+        pq: &'a PreparedQuery,
+        by_table: &[Vec<(u32, &'a Index)>],
+    ) -> Self {
+        let price = |facts: TableFacts<'a>| {
+            let priced = by_table[facts.table().0 as usize]
+                .iter()
+                .filter_map(|&(a, ix)| facts.index_cost(schema, cm, ix).map(|g| (a, ix, g)))
+                .collect();
+            TableGammas { facts, priced }
+        };
+        StatementGammas(pq.table_facts(schema).into_iter().map(price).collect())
     }
 
+    /// Per-slot candidate survivors: `(candidate position, γ)` pairs.
+    fn slot_choices(&self, slot: &Slot, prune_dominated: bool) -> Vec<(u32, f64)> {
+        let on_table = self
+            .0
+            .iter()
+            .find(|t| t.facts.table() == slot.table)
+            .expect("every slot table was priced");
+        let dominated = |g: f64| prune_dominated && slot.heap_cost.is_some_and(|h| g >= h);
+        on_table
+            .priced
+            .iter()
+            .filter(|&&(_, ix, g)| slot.admits(ix, on_table.facts.eq_cols()) && !dominated(g))
+            .map(|&(a, _, g)| (a, g))
+            .collect()
+    }
+}
+
+impl BipGen {
     /// Build the block-angular form (Lagrangian backend).
     ///
     /// Costs are pre-weighted by `f_q`; the storage budget (if any) becomes
@@ -202,15 +257,8 @@ impl BipGen {
     ) -> TuningProblem {
         debug_assert!(constraints.is_storage_only(), "block form supports storage only");
         let n = candidates.len();
-        let mut item_cost = vec![0.0f64; n];
-        for pq in &prepared.queries {
-            if pq.update.is_none() {
-                continue;
-            }
-            for (id, ix) in candidates.iter() {
-                item_cost[id.0 as usize] += pq.weight * pq.ucost(schema, cm, ix);
-            }
-        }
+        let by_table = candidates_by_table(schema, candidates);
+        let item_cost = maintenance_costs(schema, cm, prepared, &by_table, n);
         let item_size: Vec<f64> =
             candidates.iter().map(|(id, _)| candidates.size_bytes(id) as f64).collect();
 
@@ -218,14 +266,14 @@ impl BipGen {
         let mut fixed_cost = 0.0;
         for pq in &prepared.queries {
             fixed_cost += pq.weight * pq.fixed_update_cost;
+            let gammas = StatementGammas::new(schema, cm, pq, &by_table);
             let mut alts = Vec::with_capacity(pq.templates.len());
-            for k in 0..pq.templates.len() {
-                let tpl = &pq.templates[k];
+            for tpl in &pq.templates {
                 let mut slots = Vec::with_capacity(tpl.slots.len());
-                for s in 0..tpl.slots.len() {
-                    let (fallback, choices) = self.slot_choices(schema, cm, pq, k, s, candidates);
+                for slot in &tpl.slots {
+                    let choices = gammas.slot_choices(slot, self.prune_dominated);
                     slots.push(SlotChoices {
-                        fallback: fallback.map(|f| pq.weight * f),
+                        fallback: slot.heap_cost.map(|f| pq.weight * f),
                         choices: choices.into_iter().map(|(a, g)| (a, pq.weight * g)).collect(),
                     });
                 }
@@ -257,15 +305,8 @@ impl BipGen {
     ) -> (Model, BipMapping) {
         let mut m = Model::new();
         // z_a variables with their update-cost objective coefficients.
-        let mut z_obj = vec![0.0f64; candidates.len()];
-        for pq in &prepared.queries {
-            if pq.update.is_none() {
-                continue;
-            }
-            for (id, ix) in candidates.iter() {
-                z_obj[id.0 as usize] += pq.weight * pq.ucost(schema, cm, ix);
-            }
-        }
+        let by_table = candidates_by_table(schema, candidates);
+        let z_obj = maintenance_costs(schema, cm, prepared, &by_table, candidates.len());
         let z: Vec<VarId> = candidates
             .iter()
             .map(|(id, ix)| m.add_var(format!("z_{}", ix.describe(schema)), z_obj[id.0 as usize]))
@@ -293,6 +334,7 @@ impl BipGen {
             }
             m.add_constraint(ysum, Sense::Eq, 1.0);
 
+            let gammas = StatementGammas::new(schema, cm, pq, &by_table);
             let mut qvars = QueryVars::default();
             for (k, tpl) in pq.templates.iter().enumerate() {
                 let mut tvars = TemplateVars {
@@ -300,11 +342,11 @@ impl BipGen {
                     base: pq.weight * tpl.internal_cost,
                     slots: Vec::with_capacity(tpl.slots.len()),
                 };
-                for s in 0..tpl.slots.len() {
-                    let (fallback, choices) = self.slot_choices(schema, cm, pq, k, s, candidates);
+                for (s, slot) in tpl.slots.iter().enumerate() {
+                    let choices = gammas.slot_choices(slot, self.prune_dominated);
                     let mut svars = SlotVars { heap: None, choices: Vec::new() };
                     let mut xsum = LinExpr::new();
-                    if let Some(h) = fallback {
+                    if let Some(h) = slot.heap_cost {
                         let xh = m.add_var(format!("x_q{qi}_k{k}_s{s}_heap"), pq.weight * h);
                         cost_expr.add(xh, h);
                         xsum.add(xh, 1.0);

@@ -237,7 +237,9 @@ proptest! {
         }
     }
 
-    /// Continuous knapsack lower-bounds greedy binary and respects budgets.
+    /// The continuous knapsack lower-bounds the binary optimum (brute force
+    /// over at most 2¹¹ selections) — the inequality that makes the
+    /// Lagrangian `z` subproblem a valid dual bound — and respects budgets.
     #[test]
     fn knapsack_relaxation_dominance(
         costs in prop::collection::vec(-20.0..0.0f64, 1..12),
@@ -245,13 +247,19 @@ proptest! {
         budget in 0.0..40.0f64,
     ) {
         let n = costs.len().min(sizes.len());
-        let (c_obj, z) = knapsack::continuous_min(&costs[..n], &sizes[..n], budget);
-        let (b_obj, sel) = knapsack::greedy_binary_min(&costs[..n], &sizes[..n], budget);
+        let mut z = Vec::new();
+        let c_obj =
+            knapsack::continuous_min(&costs[..n], &sizes[..n], budget, &mut z, &mut Vec::new());
+        let mut b_obj = f64::INFINITY;
+        for mask in 0..1u32 << n {
+            let chosen = || (0..n).filter(move |j| mask >> j & 1 == 1);
+            if chosen().map(|j| sizes[j]).sum::<f64>() <= budget {
+                b_obj = b_obj.min(chosen().map(|j| costs[j]).sum());
+            }
+        }
         prop_assert!(c_obj <= b_obj + 1e-9);
         let used: f64 = z.iter().zip(&sizes[..n]).map(|(zi, s)| zi * s).sum();
         prop_assert!(used <= budget + 1e-6);
-        let bused: f64 = sel.iter().zip(&sizes[..n]).filter(|(s, _)| **s).map(|(_, s)| s).sum();
-        prop_assert!(bused <= budget + 1e-6);
         for zi in &z {
             prop_assert!((0.0..=1.0).contains(zi));
         }

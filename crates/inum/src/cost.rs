@@ -7,6 +7,7 @@
 //! paper's Definition 1 and what makes the evaluation run in microseconds.
 
 use cophy_catalog::{Configuration, Index, Schema};
+use cophy_optimizer::access::TableFacts;
 use cophy_optimizer::CostModel;
 
 use crate::prepare::{PreparedQuery, PreparedWorkload};
@@ -35,6 +36,21 @@ pub struct CostBreakdown {
 }
 
 impl PreparedQuery {
+    /// What every `γ` of this statement is priced against: the access facts
+    /// of each table its templates' slots read, one entry per table.  `γ`
+    /// depends on the template only through
+    /// [`Slot::admits`](crate::Slot::admits), so callers that price many
+    /// indexes gather these once and use [`Slot::gamma`](crate::Slot::gamma).
+    pub fn table_facts(&self, schema: &Schema) -> Vec<TableFacts<'_>> {
+        let mut facts: Vec<TableFacts<'_>> = Vec::new();
+        for slot in self.templates.iter().flat_map(|tpl| &tpl.slots) {
+            if !facts.iter().any(|f| f.table() == slot.table) {
+                facts.push(TableFacts::new(schema, &self.query, slot.table));
+            }
+        }
+        facts
+    }
+
     /// `ucost(a, q)`: maintenance cost of index `a` under this statement
     /// (0 for SELECTs and unaffected indexes).
     pub fn ucost(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> f64 {
@@ -70,20 +86,25 @@ impl PreparedQuery {
         config: &Configuration,
     ) -> CostBreakdown {
         let indexes: Vec<&Index> = config.iter().collect();
+        let facts = self.table_facts(schema);
         let mut best: Option<CostBreakdown> = None;
 
         for (k, tpl) in self.templates.iter().enumerate() {
             let mut slot_choices = Vec::with_capacity(tpl.slots.len());
             let mut total = tpl.internal_cost;
             let mut feasible = true;
-            for (i, slot) in tpl.slots.iter().enumerate() {
+            for slot in &tpl.slots {
                 let mut slot_best: Option<(AtomicChoice, f64)> =
                     slot.heap_cost.map(|c| (AtomicChoice::Heap, c));
+                let slot_facts = facts
+                    .iter()
+                    .find(|f| f.table() == slot.table)
+                    .expect("facts of every slot table were gathered");
                 for (pos, ix) in indexes.iter().enumerate() {
                     if ix.table != slot.table {
                         continue;
                     }
-                    if let Some(g) = tpl.gamma(schema, cm, &self.query, i, ix) {
+                    if let Some(g) = slot.gamma(slot_facts, schema, cm, ix) {
                         if slot_best.as_ref().is_none_or(|(_, c)| g < *c) {
                             slot_best = Some((AtomicChoice::Index(pos), g));
                         }

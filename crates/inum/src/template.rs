@@ -1,7 +1,8 @@
 //! Template plans: the unit of INUM's cache.
 
 use cophy_catalog::{ColumnId, Index, Schema, TableId};
-use cophy_optimizer::{access, CostModel};
+use cophy_optimizer::access::TableFacts;
+use cophy_optimizer::CostModel;
 use cophy_workload::Query;
 use serde::{Deserialize, Serialize};
 
@@ -17,6 +18,32 @@ pub struct Slot {
     /// `None` when the required order makes the heap scan incompatible
     /// (`γ = ∞` in the paper's notation).
     pub heap_cost: Option<f64>,
+}
+
+impl Slot {
+    /// Can `ix` fill this slot — is it on the slot's table, and does its
+    /// scan deliver the required order once the equality-bound columns
+    /// `eq_cols` are stripped from the front of its key?  This is all of
+    /// `γ` that depends on the template.
+    pub fn admits(&self, ix: &Index, eq_cols: &[ColumnId]) -> bool {
+        ix.table == self.table && ix.provides_order(&self.required, eq_cols)
+    }
+
+    /// `γ` of this slot for `ix`, priced against the facts of the slot's
+    /// table that the caller gathered once for the statement.
+    pub fn gamma(
+        &self,
+        facts: &TableFacts<'_>,
+        schema: &Schema,
+        cm: &CostModel,
+        ix: &Index,
+    ) -> Option<f64> {
+        debug_assert_eq!(facts.table(), self.table);
+        if !self.admits(ix, facts.eq_cols()) {
+            return None;
+        }
+        facts.index_cost(schema, cm, ix)
+    }
 }
 
 /// A template plan: internal operators with open access slots.
@@ -50,13 +77,7 @@ impl TemplatePlan {
         if ix.table != slot.table {
             return None;
         }
-        if !slot.required.is_empty() {
-            let eq = q.eq_columns_on(slot.table);
-            if !ix.provides_order(&slot.required, &eq) {
-                return None;
-            }
-        }
-        access::path_for_index(schema, cm, q, slot.table, ix).map(|p| p.cost)
+        slot.gamma(&TableFacts::new(schema, q, slot.table), schema, cm, ix)
     }
 
     /// Instantiated cost `icost(p, A)` for an atomic configuration given as

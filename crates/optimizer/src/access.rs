@@ -5,7 +5,8 @@
 //! descend on a sargable prefix) and full index *scan*, with index-only
 //! variants when the index covers every referenced column.  The same
 //! machinery computes INUM's `γ_qkia` — the cost of instantiating slot `i`
-//! with index `a` — via [`path_for_index`].
+//! with index `a`: [`TableFacts::index_cost`] is the cost of the path
+//! [`path_for_index`] returns, without building the path.
 
 use cophy_catalog::{ColumnId, ColumnRef, Configuration, Index, Schema, TableId};
 use cophy_workload::{PredOp, Predicate, Query};
@@ -54,8 +55,12 @@ pub struct AccessPath {
 /// Everything the access paths of one table reference share: the facts that
 /// depend on the (query, table) pair but not on the index being priced.
 /// [`enumerate`] gathers them once per table; every heap and index path of
-/// that table is then priced against the same record.
-struct TableFacts<'q> {
+/// that table is then priced against the same record.  Public so that the
+/// layers above the optimizer (INUM's `γ`, BIPGen) can gather them once per
+/// (statement, table) and price every candidate index against them with
+/// [`TableFacts::index_cost`].
+#[derive(Debug)]
+pub struct TableFacts<'q> {
     table: TableId,
     /// Base-table row count.
     rows: f64,
@@ -83,7 +88,7 @@ struct SargAnalysis {
 }
 
 impl<'q> TableFacts<'q> {
-    fn new(schema: &Schema, q: &'q Query, table: TableId) -> Self {
+    pub fn new(schema: &Schema, q: &'q Query, table: TableId) -> Self {
         let t = schema.table(table);
         let preds: Vec<(&Predicate, f64)> =
             q.predicates_on(table).map(|p| (p, p.selectivity(schema))).collect();
@@ -103,6 +108,18 @@ impl<'q> TableFacts<'q> {
         }
     }
 
+    /// The table these facts describe.
+    pub fn table(&self) -> TableId {
+        self.table
+    }
+
+    /// Columns bound by equality predicates, in predicate order
+    /// (`Query::eq_columns_on`) — what `Index::provides_order` strips from
+    /// the front of a key.
+    pub fn eq_cols(&self) -> &[ColumnId] {
+        &self.eq_cols
+    }
+
     /// Delivered order of a scan of `ix`: the key suffix after the
     /// equality-bound prefix.
     fn order_of(&self, ix: &Index) -> Ordering {
@@ -112,7 +129,15 @@ impl<'q> TableFacts<'q> {
 
     fn analyze_sargs(&self, ix: &Index) -> SargAnalysis {
         let preds = &self.preds;
-        let mut matched = vec![false; preds.len()];
+        // One flag per local predicate, on the stack for any realistic count.
+        let (mut inline, mut spilled) = ([false; 16], Vec::new());
+        let matched: &mut [bool] = match inline.get_mut(..preds.len()) {
+            Some(flags) => flags,
+            None => {
+                spilled.resize(preds.len(), false);
+                &mut spilled
+            }
+        };
         let mut matched_sel = 1.0;
         let mut eq_bound = 0;
 
@@ -177,13 +202,16 @@ impl<'q> TableFacts<'q> {
         }
     }
 
-    fn index_path(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<AccessPath> {
+    /// Price the best access that uses `ix`: whether it is a seek, and its
+    /// cost.  `None` when using the index is nonsensical (see
+    /// [`path_for_index`]).  The one copy of the access-cost formula;
+    /// allocates nothing.
+    fn price(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<(bool, f64)> {
         debug_assert_eq!(ix.table, self.table);
         let rows = self.rows;
         let sarg = self.analyze_sargs(ix);
         let covering = ix.covers(&self.used_cols);
         let leaf_pages = ix.size_pages(schema);
-        let order = self.order_of(ix);
 
         let sargable = sarg.matched_sel < 1.0 || sarg.eq_bound > 0 || {
             // A range predicate on the first key column is sargable even when
@@ -191,7 +219,7 @@ impl<'q> TableFacts<'q> {
             !ix.key.is_empty() && self.has_range_pred(ix.key[0])
         };
 
-        let (method, cost) = if sargable {
+        if sargable {
             // Seek: descend + bounded leaf range.
             let scanned = rows * sarg.matched_sel;
             let mut cost =
@@ -201,13 +229,13 @@ impl<'q> TableFacts<'q> {
             if !covering {
                 cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
             }
-            (AccessMethod::IndexSeek(ix.clone()), cost)
+            Some((true, cost))
         } else {
             // Full index scan: only sensible when covering (index-only) or
             // when the delivered order will be exploited — the caller decides
             // the latter; we only refuse the plainly dominated non-covering
-            // case.
-            if !covering && order.is_none() {
+            // case, where the equality-bound prefix leaves no order at all.
+            if !covering && ix.eq_prefix_len(&self.eq_cols) == ix.key.len() {
                 return None;
             }
             let mut cost = cm.index_leaf_scan(leaf_pages, rows);
@@ -216,9 +244,30 @@ impl<'q> TableFacts<'q> {
             if !covering {
                 cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
             }
-            (AccessMethod::IndexScan(ix.clone()), cost)
+            Some((false, cost))
+        }
+    }
+
+    /// `path_for_index(..).map(|p| p.cost)` for the table of these facts,
+    /// without building the path.
+    pub fn index_cost(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<f64> {
+        self.price(schema, cm, ix).map(|(_, cost)| cost)
+    }
+
+    fn index_path(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<AccessPath> {
+        let (seek, cost) = self.price(schema, cm, ix)?;
+        let method = if seek {
+            AccessMethod::IndexSeek(ix.clone())
+        } else {
+            AccessMethod::IndexScan(ix.clone())
         };
-        Some(AccessPath { table: self.table, method, cost, rows: self.rows_out, order })
+        Some(AccessPath {
+            table: self.table,
+            method,
+            cost,
+            rows: self.rows_out,
+            order: self.order_of(ix),
+        })
     }
 }
 
@@ -390,6 +439,75 @@ mod tests {
         let bare = enumerate(&s, &cm, &q, li.id, &Configuration::empty());
         assert_eq!(bare.len(), 1);
         assert!(matches!(bare[0].method, AccessMethod::HeapScan));
+    }
+
+    /// Index shapes over `table` as `q` sees it: every key of one to three
+    /// of the columns the query touches plus one it does not (CGen's shapes
+    /// and the useless ones it never proposes), each plain and with the
+    /// remaining touched columns as INCLUDE payload, the clustered primary
+    /// key, and the keyless index (the one shape with no order to deliver).
+    fn index_family(s: &Schema, q: &Query, table: TableId) -> Vec<Index> {
+        let t = s.table(table);
+        let used = q.columns_used_on(table);
+        let mut cols: Vec<ColumnId> = used.iter().copied().take(4).collect();
+        cols.extend((0..t.columns.len() as u32).map(ColumnId).find(|c| !used.contains(c)));
+        let mut keys: Vec<Vec<ColumnId>> = vec![Vec::new()];
+        for &a in &cols {
+            keys.push(vec![a]);
+            for &b in cols.iter().filter(|&&b| b != a) {
+                keys.push(vec![a, b]);
+                keys.extend(cols.iter().filter(|&&c| c != a && c != b).map(|&c| vec![a, b, c]));
+            }
+        }
+        let mut family = vec![Index::clustered(table, t.primary_key.clone())];
+        for key in keys {
+            let rest = used.iter().copied().filter(|c| !key.contains(c)).collect();
+            family.push(Index::covering(table, key.clone(), rest));
+            family.push(Index::secondary(table, key));
+        }
+        family
+    }
+
+    #[test]
+    fn index_cost_is_the_cost_of_the_path() {
+        use cophy_workload::{HetGen, HomGen, UpdateGen};
+        let (s, cm) = setup();
+        let workloads = [
+            HomGen::new(3).generate(&s, 50),
+            HetGen::new(3).generate(&s, 50),
+            UpdateGen::new(3).generate(&s, 50),
+        ];
+        let (mut priced, mut refused) = (0, 0);
+        for w in &workloads {
+            for (_, stmt, _) in w.iter() {
+                let q = stmt.read_shell();
+                for &table in &q.tables {
+                    let facts = TableFacts::new(&s, q, table);
+                    assert_eq!(facts.eq_cols(), q.eq_columns_on(table));
+                    for ix in index_family(&s, q, table) {
+                        let path = path_for_index(&s, &cm, q, table, &ix);
+                        let cost = facts.index_cost(&s, &cm, &ix);
+                        assert_eq!(cost.map(f64::to_bits), path.as_ref().map(|p| p.cost.to_bits()));
+                        // The one refusal: a full scan that neither covers
+                        // the query nor delivers an order.
+                        let useless =
+                            !ix.covers(&q.columns_used_on(table)) && facts.order_of(&ix).is_none();
+                        match path {
+                            Some(p) => {
+                                let seek = matches!(p.method, AccessMethod::IndexSeek(_));
+                                assert!(seek || !useless, "{ix:?} should have been refused");
+                                priced += 1;
+                            }
+                            None => {
+                                assert!(useless, "{ix:?} was refused");
+                                refused += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(priced > 10_000 && refused > 100, "{priced} priced, {refused} refused");
     }
 
     #[test]
