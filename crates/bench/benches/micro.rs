@@ -11,9 +11,11 @@ use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cophy::{BipGen, CGen, CandidateSet, ConstraintSet};
+use cophy::{BipGen, CGen, CandidateSet, Cmp, Constraint, ConstraintSet, IndexFilter};
 use cophy_advisors::IlpAdvisor;
 use cophy_bench::{make_optimizer, make_workload, prepare, WorkloadKind};
+use cophy_bip::branch_bound::bench_repair;
+use cophy_bip::simplex::bench_refactor;
 use cophy_bip::{
     BranchBound, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveBudget, SolveOptions,
 };
@@ -152,6 +154,44 @@ fn bench_solvers(c: &mut Criterion) {
             ..Default::default()
         };
         b.iter(|| solver.solve(&tp.block));
+    });
+
+    // `bb.solve_s` of `perf`'s `rich_bb` and the two kernels inside it that
+    // the public API cannot reach alone: `build/model_hom20`'s model plus
+    // the `IndexCount(lineitem) ≤ 2` row, searched to a 100-node cap; the
+    // repair heuristic on that model's root LP point (one of ≈ 100 calls a
+    // solve); and the LU of its root basis (one per node LP).
+    let w = make_workload(&o, WorkloadKind::Hom, 20);
+    let lineitem = o.schema().table_by_name("lineitem").expect("TPC-H lineitem").id;
+    let rich = half.with(Constraint::IndexCount {
+        filter: IndexFilter::on_table(lineitem),
+        cmp: Cmp::Le,
+        value: 2,
+    });
+    let cands = CGen::default().generate(o.schema(), &w);
+    let (model, _) =
+        BipGen::default().model(o.schema(), o.cost_model(), &prepare(&o, &w), &cands, &rich);
+    c.bench_function("solver/branch_bound_rich20_100nodes", |b| {
+        let opts =
+            SolveOptions { budget: SolveBudget::exact().with_nodes(100), ..Default::default() };
+        b.iter(|| BranchBound::new().solve(&model, &opts));
+    });
+    // The cold two-phase root of that search (`lp.root_s`), what a solve
+    // pays before its first node.
+    let n = model.n_vars();
+    let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
+    c.bench_function("solver/simplex_rich20_root_cold", |b| {
+        b.iter(|| SimplexSolver::new().solve(&model, &lo, &hi));
+    });
+    let root = SimplexSolver::new().solve(&model, &lo, &hi);
+    bench_repair(&model, |repair| {
+        c.bench_function("solver/repair_rich20_root", |b| b.iter(|| repair(&root.x)));
+    });
+    let root_basis = root.basis.expect("the rich-20 root LP is feasible and bounded");
+    bench_refactor(&model, &root_basis, |refactor| {
+        c.bench_function("solver/lu_factorize_rich20_root_basis", |b| {
+            b.iter(|| assert!(refactor(), "the root basis factorizes"));
+        });
     });
 }
 

@@ -26,19 +26,36 @@
 //! fractionals one at a time and retries.  The heuristic re-runs periodically
 //! at search nodes on their LP points.
 //!
+//! **A repeated state proves `None`.**  One repair pass is a deterministic
+//! map `x → x'`: the violated list, every row repair and every collateral
+//! count read only `x`, the model, the box and the tolerances.  A state seen
+//! twice at a pass boundary therefore repeats for ever, through states each
+//! already found infeasible, and the loop could only end by running out its
+//! passes — so it returns that `None` at the repeat (states are compared
+//! whole, never by hash; one saved state re-saved after passes 1, 2, 4, 8, …
+//! catches a cycle within three times its entry + period).  On index-tuning
+//! BIPs most failing calls are such cycles — a two-term linking row and the
+//! assignment row it feeds re-breaking each other from the fourth pass on —
+//! and they end after ≈ 6 passes instead of `2 · rows + 16`.  The pass cap
+//! stays as the backstop for the one run the cut cannot shorten: a long walk
+//! through states that never repeat.  `MipResult::repair_calls` /
+//! `repair_passes` / `repair_hits` count what the heuristic did.
+//!
 //! ## Warm-started, parallel node evaluation
 //!
 //! Node evaluation is a pure function of `(model, bounds, parent basis)`
-//! (`evaluate_node`): each node re-solves its LP from the parent's optimal
-//! [`Basis`] with the bounded-variable [`DualSimplex`] (a bound pinch leaves
-//! the parent basis dual feasible, so a child costs a handful of dual pivots
-//! instead of a two-phase solve), falling back to a cold solve when the warm
-//! path stalls or its point fails validation.  Per round, the
-//! `SolveBudget::parallelism` best frontier nodes are evaluated concurrently
-//! on scoped OS threads and their results are merged *sequentially in
-//! selection order* through the [`SolveDriver`], so every run is
-//! deterministic for a fixed `parallelism` and `parallelism = 1` reproduces
-//! the serial search bit-for-bit.
+//! (`Search::evaluate_node`) over what one solve builds once and every LP
+//! and heuristic call then only reads — the rows' standard form, whose
+//! columns also tell the repair heuristic which rows a variable is in: each
+//! node re-solves its LP from the parent's optimal [`Basis`] with the bounded-variable [`DualSimplex`] (a
+//! bound pinch leaves the parent basis dual feasible, so a child costs a
+//! handful of dual pivots instead of a two-phase solve), falling back to a
+//! cold solve when the warm path stalls or its point fails validation.  Per
+//! round, the `SolveBudget::parallelism` best frontier nodes are evaluated
+//! concurrently on scoped OS threads and their results are merged
+//! *sequentially in selection order* through the [`SolveDriver`], so every
+//! run is deterministic for a fixed `parallelism` and `parallelism = 1`
+//! reproduces the serial search bit-for-bit.
 
 use std::sync::Arc;
 
@@ -47,7 +64,7 @@ use crate::driver::{CancelToken, SolveDriver, SolveProgress};
 use crate::dual::DualSimplex;
 use crate::knapsack;
 use crate::model::{ConstrId, Model, Sense};
-use crate::simplex::{Basis, LpResult, LpStatus, SimplexSolver};
+use crate::simplex::{Basis, LpResult, LpStatus, SimplexSolver, StandardForm};
 
 pub use crate::driver::{relative_gap, GapPoint, MipStatus, SolveBudget};
 
@@ -83,6 +100,15 @@ pub struct MipResult {
     /// careful pivot path, and warm re-solves that went singular pay the
     /// cold fallback (see [`LpStatus::Singular`]).
     pub factor_recoveries: usize,
+    /// Calls of the rounding + greedy-repair heuristic (root, dive levels
+    /// and search nodes).
+    pub repair_calls: usize,
+    /// Repair passes across those calls; `repair_passes / repair_calls`
+    /// stays in single digits while the periodicity cut holds (see the
+    /// module docs) and is in the thousands without it.
+    pub repair_passes: usize,
+    /// Calls that returned a feasible point.
+    pub repair_hits: usize,
     /// Incumbent/bound improvements over time.
     pub trace: Vec<GapPoint>,
 }
@@ -102,12 +128,16 @@ impl MipResult {
             sb_cold_lps: 0,
             dive_cold_lps: 0,
             factor_recoveries: 0,
+            repair_calls: 0,
+            repair_passes: 0,
+            repair_hits: 0,
             trace: Vec::new(),
         }
     }
 }
 
-/// Per-solve LP instrumentation, surfaced through [`MipResult`] (internal).
+/// Per-solve LP and heuristic instrumentation, surfaced through
+/// [`MipResult`] (internal).
 #[derive(Debug, Default, Clone, Copy)]
 struct NodeStats {
     refactorizations: usize,
@@ -115,6 +145,9 @@ struct NodeStats {
     sb_cold_lps: usize,
     dive_cold_lps: usize,
     factor_recoveries: usize,
+    repair_calls: usize,
+    repair_passes: usize,
+    repair_hits: usize,
 }
 
 impl NodeStats {
@@ -131,6 +164,9 @@ impl NodeStats {
         out.sb_cold_lps = self.sb_cold_lps;
         out.dive_cold_lps = self.dive_cold_lps;
         out.factor_recoveries = self.factor_recoveries;
+        out.repair_calls = self.repair_calls;
+        out.repair_passes = self.repair_passes;
+        out.repair_hits = self.repair_hits;
     }
 }
 
@@ -221,60 +257,88 @@ impl Node {
     }
 }
 
-/// Evaluate one node's LP relaxation — a pure function of the model, the
-/// node's bounds and the parent basis, safe to run on a worker thread: the
-/// dual re-solve from the parent basis when there is one, through
-/// [`accept_or_cold`].
-fn evaluate_node(
-    model: &Model,
-    lp_solver: &SimplexSolver,
-    dual: &DualSimplex,
+/// What every LP and heuristic call of one engine run shares, built once
+/// per solve and only read afterwards — worker threads borrow it whole.  The
+/// standard form depends on the model's rows alone, so the root, every dive
+/// level, every probe and every node reuse it instead of walking the
+/// constraint list again: the LPs pivot on its columns, the repair heuristic
+/// reads off them which rows a variable is in.
+struct Search<'a> {
+    form: StandardForm<'a>,
+    /// [`Repair::penalty`] of the model.
+    repair_penalty: f64,
+    lp_solver: SimplexSolver,
+    /// The node-LP dual simplex (pivot budget capped, see `solve_engine`).
+    dual: DualSimplex,
     warm_start: bool,
-    node: &Node,
-    root_lo: &[f64],
-    root_hi: &[f64],
-) -> LpResult {
-    let (lo, hi) = node.bounds(root_lo, root_hi);
-    let warm = node
-        .basis
-        .as_ref()
-        .filter(|_| warm_start)
-        .and_then(|basis| dual.resolve(model, &lo, &hi, basis));
-    accept_or_cold(model, lp_solver, &lo, &hi, warm, true)
+    root_lo: &'a [f64],
+    root_hi: &'a [f64],
 }
 
-/// The warm → validate → cold ladder every warm-started LP of the search
-/// goes through.  The warm answer is taken when it is `Optimal` at a point
-/// that passes [`warm_point_valid`] (the bound must stay sound under
-/// numerical drift), when the deadline ended it, or — only where
-/// `trust_infeasible` — when it is `Infeasible`: at a node that merely
-/// prunes a subtree, but at the root it would abort the whole solve, and
-/// dual unboundedness on a stale near-degenerate basis can be drift.
-/// Everything else (no warm answer, a stall, a singular basis, an invalid
-/// point) pays the cold two-phase solve, which keeps the warm pivots in the
-/// accounting and counts a singular warm basis as a recovered breakdown.
-fn accept_or_cold(
-    model: &Model,
-    lp_solver: &SimplexSolver,
-    lo: &[f64],
-    hi: &[f64],
-    warm: Option<LpResult>,
-    trust_infeasible: bool,
-) -> LpResult {
-    let Some(r) = warm else {
-        return lp_solver.solve(model, lo, hi);
-    };
-    match r.status {
-        LpStatus::Optimal if warm_point_valid(model, &r.x, lo, hi) => r,
-        LpStatus::Infeasible if trust_infeasible => r,
-        LpStatus::IterLimit if lp_solver.deadline_expired() => r,
-        _ => {
-            let mut cold = lp_solver.solve(model, lo, hi);
-            cold.iterations += r.iterations;
-            cold.factor_recoveries +=
-                r.factor_recoveries + usize::from(r.status == LpStatus::Singular);
-            cold
+impl Search<'_> {
+    /// Evaluate one node's LP relaxation — a pure function of the model,
+    /// the node's bounds and the parent basis, safe to run on a worker
+    /// thread: the dual re-solve from the parent basis when there is one,
+    /// through [`Search::accept_or_cold`].
+    fn evaluate_node(&self, node: &Node) -> LpResult {
+        let (lo, hi) = node.bounds(self.root_lo, self.root_hi);
+        let warm = node
+            .basis
+            .as_ref()
+            .filter(|_| self.warm_start)
+            .and_then(|basis| self.dual.resolve_on(&self.form, &lo, &hi, basis));
+        self.accept_or_cold(&lo, &hi, warm, true)
+    }
+
+    /// The warm → validate → cold ladder every warm-started LP of the
+    /// search goes through.  The warm answer is taken when it is `Optimal`
+    /// at a point that passes [`warm_point_valid`] (the bound must stay
+    /// sound under numerical drift), when the deadline ended it, or — only
+    /// where `trust_infeasible` — when it is `Infeasible`: at a node that
+    /// merely prunes a subtree, but at the root it would abort the whole
+    /// solve, and dual unboundedness on a stale near-degenerate basis can be
+    /// drift.  Everything else (no warm answer, a stall, a singular basis,
+    /// an invalid point) pays the cold two-phase solve, which keeps the warm
+    /// pivots in the accounting and counts a singular warm basis as a
+    /// recovered breakdown.
+    fn accept_or_cold(
+        &self,
+        lo: &[f64],
+        hi: &[f64],
+        warm: Option<LpResult>,
+        trust_infeasible: bool,
+    ) -> LpResult {
+        let Some(r) = warm else {
+            return self.lp_solver.solve_on(&self.form, lo, hi);
+        };
+        match r.status {
+            LpStatus::Optimal if warm_point_valid(self.form.model, &r.x, lo, hi) => r,
+            LpStatus::Infeasible if trust_infeasible => r,
+            LpStatus::IterLimit if self.lp_solver.deadline_expired() => r,
+            _ => {
+                let mut cold = self.lp_solver.solve_on(&self.form, lo, hi);
+                cold.iterations += r.iterations;
+                cold.factor_recoveries +=
+                    r.factor_recoveries + usize::from(r.status == LpStatus::Singular);
+                cold
+            }
         }
+    }
+
+    /// The rounding + repair heuristic on an LP point, inside the root box.
+    fn round_and_repair(
+        &self,
+        x_lp: &[f64],
+        mode: RoundMode,
+        stats: &mut NodeStats,
+    ) -> Option<(f64, Vec<f64>)> {
+        Repair { form: &self.form, penalty: self.repair_penalty }.round_and_repair(
+            x_lp,
+            mode,
+            self.root_lo,
+            self.root_hi,
+            stats,
+        )
     }
 }
 
@@ -619,6 +683,16 @@ impl BranchBound {
             max_iters: (4 * model.n_constraints() + 256).min(lp_solver.max_iters),
             ..dual_root.clone()
         };
+        let search = Search {
+            form: StandardForm::new(model),
+            repair_penalty: Repair::penalty(model),
+            lp_solver,
+            dual,
+            warm_start: opts.warm_start,
+            root_lo,
+            root_hi,
+        };
+        let (form, lp_solver) = (&search.form, &search.lp_solver);
 
         // Root LP: warm from the caller's basis when one is available (an
         // interactive re-solve), cold two-phase otherwise.  After RHS/bound
@@ -628,12 +702,12 @@ impl BranchBound {
         // of the primal simplex restarts from it.
         let warm_root = warm.basis.and_then(|basis| {
             if warm.primal_root {
-                lp_solver.warm_solve(model, root_lo, root_hi, basis)
+                lp_solver.warm_solve_on(form, root_lo, root_hi, basis)
             } else {
-                dual_root.resolve(model, root_lo, root_hi, basis)
+                dual_root.resolve_on(form, root_lo, root_hi, basis)
             }
         });
-        let root = accept_or_cold(model, &lp_solver, root_lo, root_hi, warm_root, false);
+        let root = search.accept_or_cold(root_lo, root_hi, warm_root, false);
         driver.add_pivots(root.iterations);
         stats.absorb(&root);
         let root_basis_out = root.basis.clone();
@@ -657,14 +731,9 @@ impl BranchBound {
                 // seed / partial point.  The caller's known bound (if any)
                 // keeps the reported gap finite even on this path.
                 for start in [seed.unwrap_or(&root.x), &root.x as &[f64]] {
-                    if let Some((obj, x)) = round_and_repair(
-                        model,
-                        start,
-                        RoundMode::Nearest,
-                        INT_TOL,
-                        root_lo,
-                        root_hi,
-                    ) {
+                    if let Some((obj, x)) =
+                        search.round_and_repair(start, RoundMode::Nearest, &mut stats)
+                    {
                         driver.offer_incumbent(obj, x);
                         break;
                     }
@@ -692,33 +761,18 @@ impl BranchBound {
         // repairs fail.  This is what turns "gap = ∞ forever" into an
         // anytime incumbent on rich constraint sets.
         if let Some(seed) = seed {
-            if let Some((obj, x)) =
-                round_and_repair(model, seed, RoundMode::Nearest, INT_TOL, root_lo, root_hi)
-            {
+            if let Some((obj, x)) = search.round_and_repair(seed, RoundMode::Nearest, &mut stats) {
                 driver.offer_incumbent(obj, x);
             }
         }
         for mode in [RoundMode::Nearest, RoundMode::Floor] {
-            if let Some((obj, x)) =
-                round_and_repair(model, &root.x, mode, INT_TOL, root_lo, root_hi)
-            {
+            if let Some((obj, x)) = search.round_and_repair(&root.x, mode, &mut stats) {
                 driver.offer_incumbent(obj, x);
                 break;
             }
         }
         if !driver.has_incumbent() {
-            if let Some((obj, x)) = self.dive(
-                model,
-                &lp_solver,
-                &dual,
-                opts.warm_start,
-                root.basis.as_ref(),
-                &root.x,
-                &driver,
-                root_lo,
-                root_hi,
-                &mut stats,
-            ) {
+            if let Some((obj, x)) = search.dive(root.basis.as_ref(), &root.x, &driver, &mut stats) {
                 driver.offer_incumbent(obj, x);
             }
         }
@@ -791,34 +845,14 @@ impl BranchBound {
                     lp.factor_recoveries = 0;
                     vec![lp]
                 } else {
-                    vec![evaluate_node(
-                        model,
-                        &lp_solver,
-                        &dual,
-                        opts.warm_start,
-                        node,
-                        root_lo,
-                        root_hi,
-                    )]
+                    vec![search.evaluate_node(node)]
                 }
             } else {
                 std::thread::scope(|s| {
+                    let search = &search;
                     let handles: Vec<_> = batch
                         .iter()
-                        .map(|node| {
-                            let (lp_solver, dual) = (&lp_solver, &dual);
-                            s.spawn(move || {
-                                evaluate_node(
-                                    model,
-                                    lp_solver,
-                                    dual,
-                                    opts.warm_start,
-                                    node,
-                                    root_lo,
-                                    root_hi,
-                                )
-                            })
-                        })
+                        .map(|node| s.spawn(move || search.evaluate_node(node)))
                         .collect();
                     handles.into_iter().map(|h| h.join().expect("node LP shard")).collect()
                 })
@@ -885,24 +919,16 @@ impl BranchBound {
                 }
                 // Periodic node heuristic on the node's LP point.
                 if heuristic_period > 0 && driver.ticks() % heuristic_period == 0 {
-                    if let Some((obj, x)) = round_and_repair(
-                        model,
-                        &lp.x,
-                        RoundMode::Nearest,
-                        INT_TOL,
-                        root_lo,
-                        root_hi,
-                    ) {
+                    if let Some((obj, x)) =
+                        search.round_and_repair(&lp.x, RoundMode::Nearest, &mut stats)
+                    {
                         driver.offer_incumbent(obj, x);
                     }
                 }
 
                 // Strong branching probes from this node's bounds.
                 node.apply_fixings(&mut lo, &mut hi, root_lo, root_hi);
-                let j = select_branch_var(
-                    model,
-                    &lp_solver,
-                    &dual,
+                let j = search.select_branch_var(
                     if opts.warm_start { lp.basis.as_ref() } else { None },
                     &mut lo,
                     &mut hi,
@@ -978,7 +1004,9 @@ impl BranchBound {
     pub fn solve(&self, model: &Model, opts: &SolveOptions) -> MipResult {
         self.solve_with_progress(model, opts, |_, _| {})
     }
+}
 
+impl Search<'_> {
     /// Bounded LP dive: fix the most-integral fractional variable to its
     /// rounded value, re-solve, and retry the cheap repair at every level.
     /// One flip is allowed per level when the dive LP goes infeasible.
@@ -988,32 +1016,23 @@ impl BranchBound {
     /// pinch keeps it dual feasible), chaining bases down the dive; if a
     /// warm re-solve stalls the dive aborts rather than paying a cold
     /// two-phase LP, so `dive_cold_lps` stays zero on the warm path.
-    #[allow(clippy::too_many_arguments)]
     fn dive<F>(
         &self,
-        model: &Model,
-        lp_solver: &SimplexSolver,
-        dual: &DualSimplex,
-        warm_start: bool,
         root_basis: Option<&Basis>,
         root_x: &[f64],
         driver: &SolveDriver<'_, F>,
-        root_lo: &[f64],
-        root_hi: &[f64],
         stats: &mut NodeStats,
     ) -> Option<(f64, Vec<f64>)> {
         const MAX_DIVE: usize = 24;
-        let mut lo = root_lo.to_vec();
-        let mut hi = root_hi.to_vec();
+        let mut lo = self.root_lo.to_vec();
+        let mut hi = self.root_hi.to_vec();
         let mut x = root_x.to_vec();
-        let mut basis = if warm_start { root_basis.cloned() } else { None };
+        let mut basis = if self.warm_start { root_basis.cloned() } else { None };
         for _ in 0..MAX_DIVE {
             if driver.stop_status() == Some(MipStatus::TimeLimit) {
                 return None;
             }
-            if let Some(found) =
-                round_and_repair(model, &x, RoundMode::Nearest, INT_TOL, root_lo, root_hi)
-            {
+            if let Some(found) = self.round_and_repair(&x, RoundMode::Nearest, stats) {
                 return Some(found);
             }
             // Most integral fractional variable.
@@ -1026,7 +1045,7 @@ impl BranchBound {
                 lo[j] = val;
                 hi[j] = val;
                 let lp = match &basis {
-                    Some(b) => match dual.resolve(model, &lo, &hi, b) {
+                    Some(b) => match self.dual.resolve_on(&self.form, &lo, &hi, b) {
                         Some(r) => {
                             stats.absorb(&r);
                             match r.status {
@@ -1041,7 +1060,7 @@ impl BranchBound {
                     },
                     None => {
                         stats.dive_cold_lps += 1;
-                        let r = lp_solver.solve(model, &lo, &hi);
+                        let r = self.lp_solver.solve_on(&self.form, &lo, &hi);
                         stats.absorb(&r);
                         r
                     }
@@ -1065,96 +1084,94 @@ impl BranchBound {
         }
         None
     }
-}
 
-/// Reliability-initialized pseudo-cost branching: pick the fractional
-/// variable with the best degradation-product score, strong-branching
-/// the most fractional unreliable candidates while the strong-branch
-/// budget lasts.
-///
-/// With a `node_basis` (the warm path), each probe re-solves the pinched
-/// child from the node's own optimal basis through the [`DualSimplex`] — a
-/// handful of dual pivots instead of a bounded two-phase LP.  Only warm
-/// Optimal/Infeasible verdicts feed the pseudo-costs; a stalled probe is
-/// *skipped*, never downgraded to a cold solve, so `sb_cold_lps` is zero by
-/// construction whenever the warm path is on.
-#[allow(clippy::too_many_arguments)]
-fn select_branch_var(
-    model: &Model,
-    lp_solver: &SimplexSolver,
-    dual: &DualSimplex,
-    node_basis: Option<&Basis>,
-    lo: &mut [f64],
-    hi: &mut [f64],
-    node_obj: f64,
-    fracs: &[(usize, f64)],
-    pc: &mut PseudoCosts,
-    sb_remaining: &mut usize,
-    stats: &mut NodeStats,
-) -> usize {
-    if *sb_remaining > 0 {
-        // Most fractional candidates first (closest to 0.5).
-        let mut cands: Vec<(usize, f64)> = fracs.to_vec();
-        cands.sort_by(|a, b| (a.1 - 0.5).abs().total_cmp(&(b.1 - 0.5).abs()));
-        let big = 1e6 * (1.0 + node_obj.abs());
-        let sb_simplex = SimplexSolver { max_iters: 2_000, ..lp_solver.clone() };
-        for &(j, frac) in cands.iter().take(8) {
-            if *sb_remaining == 0 {
-                break;
-            }
-            if pc.reliable(j, RELIABILITY) {
-                continue;
-            }
-            *sb_remaining -= 1;
-            for up in [false, true] {
-                let (plo, phi) = (lo[j], hi[j]);
-                lo[j] = if up { 1.0 } else { 0.0 };
-                hi[j] = lo[j];
-                let denom = if up { (1.0 - frac).max(1e-6) } else { frac.max(1e-6) };
-                let per_unit = match node_basis {
-                    Some(b) => match dual.resolve(model, lo, hi, b) {
-                        Some(r) => {
-                            stats.absorb(&r);
-                            match r.status {
-                                LpStatus::Infeasible => Some(big),
-                                LpStatus::Optimal => {
-                                    Some((r.objective - node_obj).max(0.0) / denom)
+    /// Reliability-initialized pseudo-cost branching: pick the fractional
+    /// variable with the best degradation-product score, strong-branching
+    /// the most fractional unreliable candidates while the strong-branch
+    /// budget lasts.
+    ///
+    /// With a `node_basis` (the warm path), each probe re-solves the pinched
+    /// child from the node's own optimal basis through the [`DualSimplex`] —
+    /// a handful of dual pivots instead of a bounded two-phase LP.  Only
+    /// warm Optimal/Infeasible verdicts feed the pseudo-costs; a stalled
+    /// probe is *skipped*, never downgraded to a cold solve, so
+    /// `sb_cold_lps` is zero by construction whenever the warm path is on.
+    #[allow(clippy::too_many_arguments)]
+    fn select_branch_var(
+        &self,
+        node_basis: Option<&Basis>,
+        lo: &mut [f64],
+        hi: &mut [f64],
+        node_obj: f64,
+        fracs: &[(usize, f64)],
+        pc: &mut PseudoCosts,
+        sb_remaining: &mut usize,
+        stats: &mut NodeStats,
+    ) -> usize {
+        if *sb_remaining > 0 {
+            // Most fractional candidates first (closest to 0.5).
+            let mut cands: Vec<(usize, f64)> = fracs.to_vec();
+            cands.sort_by(|a, b| (a.1 - 0.5).abs().total_cmp(&(b.1 - 0.5).abs()));
+            let big = 1e6 * (1.0 + node_obj.abs());
+            let sb_simplex = SimplexSolver { max_iters: 2_000, ..self.lp_solver.clone() };
+            for &(j, frac) in cands.iter().take(8) {
+                if *sb_remaining == 0 {
+                    break;
+                }
+                if pc.reliable(j, RELIABILITY) {
+                    continue;
+                }
+                *sb_remaining -= 1;
+                for up in [false, true] {
+                    let (plo, phi) = (lo[j], hi[j]);
+                    lo[j] = if up { 1.0 } else { 0.0 };
+                    hi[j] = lo[j];
+                    let denom = if up { (1.0 - frac).max(1e-6) } else { frac.max(1e-6) };
+                    let per_unit = match node_basis {
+                        Some(b) => match self.dual.resolve_on(&self.form, lo, hi, b) {
+                            Some(r) => {
+                                stats.absorb(&r);
+                                match r.status {
+                                    LpStatus::Infeasible => Some(big),
+                                    LpStatus::Optimal => {
+                                        Some((r.objective - node_obj).max(0.0) / denom)
+                                    }
+                                    // Stalled warm probe: record nothing.
+                                    _ => None,
                                 }
-                                // Stalled warm probe: record nothing.
-                                _ => None,
                             }
+                            None => None,
+                        },
+                        None => {
+                            stats.sb_cold_lps += 1;
+                            let child = sb_simplex.solve_on(&self.form, lo, hi);
+                            stats.absorb(&child);
+                            Some(match child.status {
+                                LpStatus::Infeasible => big,
+                                _ => (child.objective - node_obj).max(0.0) / denom,
+                            })
                         }
-                        None => None,
-                    },
-                    None => {
-                        stats.sb_cold_lps += 1;
-                        let child = sb_simplex.solve(model, lo, hi);
-                        stats.absorb(&child);
-                        Some(match child.status {
-                            LpStatus::Infeasible => big,
-                            _ => (child.objective - node_obj).max(0.0) / denom,
-                        })
+                    };
+                    lo[j] = plo;
+                    hi[j] = phi;
+                    if let Some(pu) = per_unit {
+                        pc.record(j, up, pu);
                     }
-                };
-                lo[j] = plo;
-                hi[j] = phi;
-                if let Some(pu) = per_unit {
-                    pc.record(j, up, pu);
                 }
             }
         }
-    }
-    let means = pc.global_means();
-    let mut best = fracs[0].0;
-    let mut best_score = f64::NEG_INFINITY;
-    for &(j, frac) in fracs {
-        let s = pc.score(j, frac, means);
-        if s > best_score {
-            best_score = s;
-            best = j;
+        let means = pc.global_means();
+        let mut best = fracs[0].0;
+        let mut best_score = f64::NEG_INFINITY;
+        for &(j, frac) in fracs {
+            let s = pc.score(j, frac, means);
+            if s > best_score {
+                best_score = s;
+                best = j;
+            }
         }
+        best
     }
-    best
 }
 
 fn best_node(frontier: &[Node]) -> Option<usize> {
@@ -1183,26 +1200,172 @@ enum RoundMode {
     Floor,
 }
 
-/// LP-rounding + greedy-repair primal heuristic.
-///
-/// Rounds `x_lp` per `mode` (clamped into the caller's root `[lo, hi]` box,
-/// so pin/ban fixings always hold), then repairs violated rows: each pass
-/// walks the violated constraints and flips the candidate variables with the
-/// least objective damage per unit of violation removed (penalizing flips
-/// that would break currently-satisfied rows), selected by
-/// [`knapsack::greedy_cover`]; fixed variables (`lo == hi`) are never
-/// flipped.  Returns a feasible `(objective, x)` or `None` when the repair
-/// budget runs out.
-fn round_and_repair(
-    model: &Model,
-    x_lp: &[f64],
-    mode: RoundMode,
-    tol: f64,
-    lo: &[f64],
-    hi: &[f64],
-) -> Option<(f64, Vec<f64>)> {
-    let mut x: Vec<f64> = x_lp
-        .iter()
+/// The repair heuristic over a solve's standard form — whose structural
+/// columns say which rows each variable is in, what the collateral-damage
+/// count walks — with the penalty that count is priced at.
+struct Repair<'a> {
+    form: &'a StandardForm<'a>,
+    penalty: f64,
+}
+
+impl<'a> Repair<'a> {
+    fn new(form: &'a StandardForm<'a>) -> Repair<'a> {
+        Repair { form, penalty: Repair::penalty(form.model) }
+    }
+
+    /// What one newly broken row costs a candidate flip: above any sum of
+    /// objective coefficients the flips of a row could save.
+    fn penalty(model: &Model) -> f64 {
+        1e6 * (1.0 + model.objective().iter().fold(0.0f64, |m, c| m.max(c.abs())))
+    }
+
+    /// LP-rounding + greedy-repair primal heuristic.
+    ///
+    /// Rounds `x_lp` per `mode` (clamped into the caller's root `[lo, hi]`
+    /// box, so pin/ban fixings always hold), then repairs violated rows:
+    /// each pass walks the violated constraints and flips the candidate
+    /// variables with the least objective damage per unit of violation
+    /// removed (penalizing flips that would break currently-satisfied rows),
+    /// selected by [`knapsack::greedy_cover`]; fixed variables (`lo == hi`)
+    /// are never flipped.  Returns a feasible `(objective, x)`, or `None`
+    /// when a pass flips nothing, when the passes are proved periodic (module
+    /// docs), or when the pass cap runs out.
+    fn round_and_repair(
+        &self,
+        x_lp: &[f64],
+        mode: RoundMode,
+        lo: &[f64],
+        hi: &[f64],
+        stats: &mut NodeStats,
+    ) -> Option<(f64, Vec<f64>)> {
+        let model = self.form.model;
+        stats.repair_calls += 1;
+        let mut x = rounded(x_lp, mode, lo, hi);
+        // One saved pass-boundary state, re-saved after passes 1, 2, 4, 8, …
+        // (Brent): a cycle entered after μ passes with period λ is caught
+        // within 3·(μ + λ) passes, at one vector compare per pass.
+        let mut saved = x.clone();
+        let mut save_after = 1usize;
+        for pass in 1..=max_repair_passes(model) {
+            let violated = model.violated(&x, INT_TOL);
+            if violated.is_empty() {
+                stats.repair_hits += 1;
+                return Some((model.objective_value(&x), x));
+            }
+            stats.repair_passes += 1;
+            let mut flipped_any = false;
+            for cid in violated {
+                flipped_any |= self.repair_row(cid, &mut x, lo, hi);
+            }
+            if !flipped_any || x == saved {
+                return None;
+            }
+            if pass == save_after {
+                saved.copy_from_slice(&x);
+                save_after *= 2;
+            }
+        }
+        None
+    }
+
+    /// Repair one violated row by greedy covering over candidate flips
+    /// (fixed variables are not candidates).  Returns whether anything was
+    /// flipped.
+    fn repair_row(&self, cid: ConstrId, x: &mut [f64], lo: &[f64], hi: &[f64]) -> bool {
+        let cons = self.form.model.constraint(cid);
+        let lhs = cons.expr.value(x);
+        // Positive amount by which the lhs must fall (`need_fall`) or rise.
+        let (need_fall, amount) = match cons.sense {
+            Sense::Le => (true, lhs - cons.rhs),
+            Sense::Ge => (false, cons.rhs - lhs),
+            Sense::Eq => {
+                if lhs > cons.rhs {
+                    (true, lhs - cons.rhs)
+                } else {
+                    (false, cons.rhs - lhs)
+                }
+            }
+        };
+        if amount <= INT_TOL {
+            return false; // repaired as a side effect of an earlier row
+        }
+        let obj = self.form.model.objective();
+        // Candidate flips: (variable, movement toward feasibility, flip cost).
+        let mut moves: Vec<(usize, f64, f64)> = Vec::new();
+        for &(v, c) in &cons.expr.terms {
+            let j = v.0 as usize;
+            if lo[j] >= hi[j] {
+                continue; // pinned by the caller's fixings — not a repair move
+            }
+            let set = x[j] >= 0.5;
+            let gain = match (need_fall, set, c > 0.0) {
+                (true, true, true) => c,    // drop a positive term
+                (true, false, false) => -c, // add a negative term
+                (false, true, false) => -c, // drop a negative term
+                (false, false, true) => c,  // add a positive term
+                _ => continue,
+            };
+            let mut cost = if set { -obj[j] } else { obj[j] };
+            cost += self.penalty * self.collateral_violations(x, j, cid) as f64;
+            moves.push((j, gain, cost));
+        }
+        let items: Vec<(f64, f64)> = moves.iter().map(|&(_, gain, cost)| (cost, gain)).collect();
+        let Some(chosen) = knapsack::greedy_cover(amount, &items) else {
+            return false;
+        };
+        let mut flipped = false;
+        for i in chosen {
+            let j = moves[i].0;
+            x[j] = 1.0 - x[j];
+            flipped = true;
+        }
+        flipped
+    }
+
+    /// How many currently-satisfied rows (other than `fixing`) would
+    /// flipping `j` break?
+    fn collateral_violations(&self, x: &mut [f64], j: usize, fixing: ConstrId) -> usize {
+        let mut broken = 0;
+        let old = x[j];
+        for &(ci, _) in self.form.col(j) {
+            if ci == fixing.0 as usize {
+                continue;
+            }
+            let cons = &self.form.model.constraints()[ci];
+            if !cons.satisfied(x, 1e-6) {
+                continue; // already violated; cannot get "newly broken"
+            }
+            x[j] = 1.0 - old;
+            let still_ok = cons.satisfied(x, 1e-6);
+            x[j] = old;
+            if !still_ok {
+                broken += 1;
+            }
+        }
+        broken
+    }
+}
+
+/// Hook for `crates/bench/benches/micro.rs`, not part of the interface: hands
+/// `run` the rounding + repair heuristic on `model` over the free `[0, 1]`
+/// box — the per-solve standard form already built — as a closure from an LP
+/// point to the repaired objective.
+#[doc(hidden)]
+pub fn bench_repair(model: &Model, run: impl FnOnce(&mut dyn FnMut(&[f64]) -> Option<f64>)) {
+    let form = StandardForm::new(model);
+    let repair = Repair::new(&form);
+    let n = model.n_vars();
+    let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
+    run(&mut |x_lp| {
+        let mut stats = NodeStats::default();
+        let found = repair.round_and_repair(x_lp, RoundMode::Nearest, &lo, &hi, &mut stats);
+        found.map(|(objective, _)| objective)
+    });
+}
+
+/// Snap an LP point to binaries per `mode`, inside the `[lo, hi]` box.
+fn rounded(x_lp: &[f64], mode: RoundMode, lo: &[f64], hi: &[f64]) -> Vec<f64> {
+    x_lp.iter()
         .zip(lo.iter().zip(hi))
         .map(|(&v, (&l, &h))| {
             let r: f64 = match mode {
@@ -1223,132 +1386,20 @@ fn round_and_repair(
             };
             r.clamp(l, h)
         })
-        .collect();
-    if model.feasible(&x, tol) {
-        return Some((model.objective_value(&x), x));
-    }
-    // Column index: which rows each variable appears in (for the
-    // collateral-damage penalty).
-    let mut cols: Vec<Vec<u32>> = vec![Vec::new(); model.n_vars()];
-    for (ci, c) in model.constraints().iter().enumerate() {
-        for &(v, _) in &c.expr.terms {
-            cols[v.0 as usize].push(ci as u32);
-        }
-    }
-    let penalty = 1e6 * (1.0 + model.objective().iter().fold(0.0f64, |m, c| m.max(c.abs())));
-    let max_passes = 2 * model.n_constraints() + 16;
-    for _ in 0..max_passes {
-        let violated = model.violated(&x, tol);
-        if violated.is_empty() {
-            return Some((model.objective_value(&x), x));
-        }
-        let mut flipped_any = false;
-        for cid in violated {
-            flipped_any |= repair_row(model, cid, &mut x, &cols, penalty, tol, lo, hi);
-        }
-        if !flipped_any {
-            return None;
-        }
-    }
-    None
+        .collect()
 }
 
-/// Repair one violated row by greedy covering over candidate flips (fixed
-/// variables are not candidates).  Returns whether anything was flipped.
-#[allow(clippy::too_many_arguments)]
-fn repair_row(
-    model: &Model,
-    cid: ConstrId,
-    x: &mut [f64],
-    cols: &[Vec<u32>],
-    penalty: f64,
-    tol: f64,
-    lo: &[f64],
-    hi: &[f64],
-) -> bool {
-    let cons = model.constraint(cid);
-    let lhs = cons.expr.value(x);
-    // Positive amount by which the lhs must fall (`need_fall`) or rise.
-    let (need_fall, amount) = match cons.sense {
-        Sense::Le => (true, lhs - cons.rhs),
-        Sense::Ge => (false, cons.rhs - lhs),
-        Sense::Eq => {
-            if lhs > cons.rhs {
-                (true, lhs - cons.rhs)
-            } else {
-                (false, cons.rhs - lhs)
-            }
-        }
-    };
-    if amount <= tol {
-        return false; // repaired as a side effect of an earlier row
-    }
-    let obj = model.objective();
-    // Candidate flips: (variable, movement toward feasibility, flip cost).
-    let mut moves: Vec<(usize, f64, f64)> = Vec::new();
-    for &(v, c) in &cons.expr.terms {
-        let j = v.0 as usize;
-        if lo[j] >= hi[j] {
-            continue; // pinned by the caller's fixings — not a repair move
-        }
-        let set = x[j] >= 0.5;
-        let gain = match (need_fall, set, c > 0.0) {
-            (true, true, true) => c,    // drop a positive term
-            (true, false, false) => -c, // add a negative term
-            (false, true, false) => -c, // drop a negative term
-            (false, false, true) => c,  // add a positive term
-            _ => continue,
-        };
-        let mut cost = if set { -obj[j] } else { obj[j] };
-        cost += penalty * collateral_violations(model, cols, x, j, cid) as f64;
-        moves.push((j, gain, cost));
-    }
-    let items: Vec<(f64, f64)> = moves.iter().map(|&(_, gain, cost)| (cost, gain)).collect();
-    let Some(chosen) = knapsack::greedy_cover(amount, &items) else {
-        return false;
-    };
-    let mut flipped = false;
-    for i in chosen {
-        let j = moves[i].0;
-        x[j] = 1.0 - x[j];
-        flipped = true;
-    }
-    flipped
-}
-
-/// How many currently-satisfied rows (other than `fixing`) would flipping
-/// `j` break?
-fn collateral_violations(
-    model: &Model,
-    cols: &[Vec<u32>],
-    x: &mut [f64],
-    j: usize,
-    fixing: ConstrId,
-) -> usize {
-    let mut broken = 0;
-    let old = x[j];
-    for &ci in &cols[j] {
-        if ci == fixing.0 {
-            continue;
-        }
-        let cons = &model.constraints()[ci as usize];
-        if !cons.satisfied(x, 1e-6) {
-            continue; // already violated; cannot get "newly broken"
-        }
-        x[j] = 1.0 - old;
-        let still_ok = cons.satisfied(x, 1e-6);
-        x[j] = old;
-        if !still_ok {
-            broken += 1;
-        }
-    }
-    broken
+/// The backstop of the repair loop: a run that is neither feasible, stuck
+/// nor periodic by then — each pass reaching a state never seen before —
+/// is cut off here.
+fn max_repair_passes(model: &Model) -> usize {
+    2 * model.n_constraints() + 16
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LinExpr, Model, Sense};
+    use crate::model::{LinExpr, Model, Sense, VarId};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1822,7 +1873,11 @@ mod tests {
         m.add_constraint(row, Sense::Le, 6.0);
         let lp_point = vec![1.0; 6];
         let (lo, hi) = (vec![0.0; 6], vec![1.0; 6]);
-        let (obj, x) = round_and_repair(&m, &lp_point, RoundMode::Nearest, 1e-6, &lo, &hi).unwrap();
+        let mut stats = NodeStats::default();
+        let (obj, x) = Repair::new(&StandardForm::new(&m))
+            .round_and_repair(&lp_point, RoundMode::Nearest, &lo, &hi, &mut stats)
+            .unwrap();
+        assert_eq!((stats.repair_calls, stats.repair_passes, stats.repair_hits), (1, 1, 1));
         assert!(m.feasible(&x, 1e-6));
         assert!((m.objective_value(&x) - obj).abs() < 1e-9);
         // The cheap-to-drop (least negative) items go first.
@@ -1907,5 +1962,287 @@ mod tests {
             );
         }
         assert!(ctx.has_basis());
+    }
+
+    // -- the repair heuristic against the loop it replaces ------------------
+
+    /// The pass loop as it was before the periodicity cut: it ends on a
+    /// feasible point, on a pass that flips nothing, or at the pass cap.
+    fn repair_without_the_cut(
+        r: &Repair<'_>,
+        x_lp: &[f64],
+        mode: RoundMode,
+        lo: &[f64],
+        hi: &[f64],
+    ) -> Option<(f64, Vec<f64>)> {
+        let mut x = rounded(x_lp, mode, lo, hi);
+        for _ in 0..max_repair_passes(r.form.model) {
+            let violated = r.form.model.violated(&x, INT_TOL);
+            if violated.is_empty() {
+                return Some((r.form.model.objective_value(&x), x));
+            }
+            let mut flipped_any = false;
+            for cid in violated {
+                flipped_any |= r.repair_row(cid, &mut x, lo, hi);
+            }
+            if !flipped_any {
+                return None;
+            }
+        }
+        None
+    }
+
+    /// `(entry, period)` of the pass map from the rounded start, by keeping
+    /// every state; `None` when the run ends (feasible or stuck) first.
+    fn cycle_of(r: &Repair<'_>, x_lp: &[f64], lo: &[f64], hi: &[f64]) -> Option<(usize, usize)> {
+        let mut x = rounded(x_lp, RoundMode::Nearest, lo, hi);
+        let mut seen: Vec<Vec<f64>> = vec![x.clone()];
+        loop {
+            let violated = r.form.model.violated(&x, INT_TOL);
+            let mut flipped_any = false;
+            for cid in violated {
+                flipped_any |= r.repair_row(cid, &mut x, lo, hi);
+            }
+            if !flipped_any {
+                return None;
+            }
+            if let Some(entry) = seen.iter().position(|s| *s == x) {
+                return Some((entry, seen.len() - entry));
+            }
+            seen.push(x.clone());
+        }
+    }
+
+    /// Rows that fall like dominoes, one per pass: `x₀ = 1`, then
+    /// `x_i ≥ x_{i−1}` for `i = 1..=k`.  From all-zeros the repair sets one
+    /// more variable per pass (a row joins the violated list only on the
+    /// pass after its predecessor's repair broke it) and ends feasible
+    /// after `k + 1` passes.  Appended to `m` on fresh variables.
+    fn add_domino_chain(m: &mut Model, k: usize) {
+        let x: Vec<_> = (0..=k).map(|i| m.add_var(format!("d{i}"), -1.0)).collect();
+        m.add_constraint(LinExpr::new().term(x[0], 1.0), Sense::Eq, 1.0);
+        for i in 1..=k {
+            m.add_constraint(LinExpr::new().term(x[i], 1.0).term(x[i - 1], -1.0), Sense::Ge, 0.0);
+        }
+    }
+
+    /// `a + b = 1` against `a − b = 0`: from `(0, 0)` the first row sets
+    /// `a`, which breaks the second, whose cheapest repair clears `a` again.
+    fn add_period_two(m: &mut Model) {
+        let a = m.add_var("a", 1.0);
+        let b = m.add_var("b", 1.0);
+        m.add_constraint(LinExpr::new().term(a, 1.0).term(b, 1.0), Sense::Eq, 1.0);
+        m.add_constraint(LinExpr::new().term(a, 1.0).term(b, -1.0), Sense::Eq, 0.0);
+    }
+
+    /// `2a + b = 2` against `−2b = −1` (no binary `b` satisfies it): from
+    /// `(1, 1)` the passes visit `(0, 0)`, `(1, 0)` and `(1, 1)` again.
+    fn add_period_three(m: &mut Model) -> [VarId; 2] {
+        let a = m.add_var("a", 3.0);
+        let b = m.add_var("b", -1.0);
+        m.add_constraint(LinExpr::new().term(a, 2.0).term(b, 1.0), Sense::Eq, 2.0);
+        m.add_constraint(LinExpr::new().term(b, -2.0), Sense::Eq, -1.0);
+        [a, b]
+    }
+
+    /// Run the shipped heuristic from `start` over the free box and return
+    /// its answer with the passes it took.
+    fn repair_from(m: &Model, start: &[f64]) -> (Option<(f64, Vec<f64>)>, usize) {
+        let (lo, hi) = (vec![0.0; start.len()], vec![1.0; start.len()]);
+        let mut stats = NodeStats::default();
+        let found = Repair::new(&StandardForm::new(m)).round_and_repair(
+            start,
+            RoundMode::Nearest,
+            &lo,
+            &hi,
+            &mut stats,
+        );
+        assert_eq!(stats.repair_calls, 1);
+        assert_eq!(stats.repair_hits, usize::from(found.is_some()));
+        (found, stats.repair_passes)
+    }
+
+    #[test]
+    fn periodic_repairs_end_at_the_repeat_not_at_the_pass_cap() {
+        // (model, start, entry, period) — the last one enters its cycle only
+        // after the dominoes have fallen, past the saves at passes 1 to 8.
+        let mut two = Model::new();
+        add_period_two(&mut two);
+        let mut three = Model::new();
+        add_period_three(&mut three);
+        let mut late = Model::new();
+        add_domino_chain(&mut late, 10);
+        add_period_two(&mut late);
+        let mut late_three = Model::new();
+        let [a, b] = add_period_three(&mut late_three);
+        add_domino_chain(&mut late_three, 12);
+        let mut late_three_start = vec![0.0; late_three.n_vars()];
+        late_three_start[a.0 as usize] = 1.0;
+        late_three_start[b.0 as usize] = 1.0;
+        let cases = [
+            (&two, vec![0.0; 2], 0, 2),
+            (&three, vec![1.0, 1.0], 0, 3),
+            (&late, vec![0.0; late.n_vars()], 11, 2),
+            (&late_three, late_three_start, 13, 3),
+        ];
+        for (m, start, entry, period) in cases {
+            let (lo, hi) = (vec![0.0; start.len()], vec![1.0; start.len()]);
+            let form = StandardForm::new(m);
+            let r = Repair::new(&form);
+            assert_eq!(cycle_of(&r, &start, &lo, &hi), Some((entry, period)));
+            let (found, passes) = repair_from(m, &start);
+            assert!(found.is_none(), "a periodic repair cannot succeed");
+            assert!(
+                passes <= 3 * (entry + period),
+                "entry {entry}, period {period}: {passes} passes"
+            );
+            assert!(passes < max_repair_passes(m), "the cap is the backstop, not the exit");
+            assert!(repair_without_the_cut(&r, &start, RoundMode::Nearest, &lo, &hi).is_none());
+        }
+    }
+
+    #[test]
+    fn a_repair_that_needs_many_passes_still_succeeds() {
+        let mut m = Model::new();
+        add_domino_chain(&mut m, 9);
+        let (found, passes) = repair_from(&m, &vec![0.0; m.n_vars()]);
+        let (obj, x) = found.expect("ten passes, each on a state never seen before");
+        assert_eq!(passes, 10);
+        assert_eq!(x, vec![1.0; m.n_vars()]);
+        assert_eq!(obj, -10.0);
+    }
+
+    /// A Theorem-1-shaped BIP: `z` per index under a storage row and an
+    /// AT-MOST row, and per query an assignment row over its plans, each
+    /// plan needing one `x ≤ z` access per slot (or the heap fallback).
+    fn theorem1_model(rng: &mut SmallRng) -> Model {
+        let mut m = Model::new();
+        let n_idx = rng.gen_range(3..8);
+        let z: Vec<_> =
+            (0..n_idx).map(|a| m.add_var(format!("z{a}"), rng.gen_range(0.0..2.0))).collect();
+        let mut storage = LinExpr::new();
+        let mut count = LinExpr::new();
+        for &zv in &z {
+            storage.add(zv, rng.gen_range(1.0..10.0));
+            count.add(zv, 1.0);
+        }
+        m.add_constraint(storage, Sense::Le, rng.gen_range(2.0..12.0));
+        m.add_constraint(count, Sense::Le, f64::from(rng.gen_range(1..3)));
+        for q in 0..rng.gen_range(2..6) {
+            let mut assign = LinExpr::new();
+            for k in 0..rng.gen_range(1..4) {
+                let y = m.add_var(format!("y{q}_{k}"), rng.gen_range(1.0..10.0));
+                assign.add(y, 1.0);
+                for slot in 0..rng.gen_range(1..3) {
+                    let heap = m.add_var(format!("h{q}_{k}_{slot}"), rng.gen_range(20.0..60.0));
+                    let mut link = LinExpr::new().term(heap, 1.0).term(y, -1.0);
+                    for &zv in &z {
+                        if rng.gen_bool(0.4) {
+                            let x = m.add_var("x", rng.gen_range(1.0..20.0));
+                            m.add_constraint(
+                                LinExpr::new().term(x, 1.0).term(zv, -1.0),
+                                Sense::Le,
+                                0.0,
+                            );
+                            link.add(x, 1.0);
+                        }
+                    }
+                    m.add_constraint(link, Sense::Eq, 0.0);
+                }
+            }
+            m.add_constraint(assign, Sense::Eq, 1.0);
+        }
+        m
+    }
+
+    #[test]
+    fn repair_walks_the_rows_the_nested_column_index_listed() {
+        let mut rng = SmallRng::seed_from_u64(0xC5C);
+        for _ in 0..50 {
+            let m = theorem1_model(&mut rng);
+            // The per-call index `round_and_repair` used to build.
+            let mut cols: Vec<Vec<u32>> = vec![Vec::new(); m.n_vars()];
+            for (ci, c) in m.constraints().iter().enumerate() {
+                for &(v, _) in &c.expr.terms {
+                    cols[v.0 as usize].push(ci as u32);
+                }
+            }
+            let form = StandardForm::new(&m);
+            let r = Repair::new(&form);
+            for (j, rows) in cols.iter().enumerate() {
+                let walked: Vec<u32> = form.col(j).iter().map(|&(ci, _)| ci as u32).collect();
+                assert_eq!(&walked, rows);
+            }
+            let cmax = m.objective().iter().fold(0.0f64, |m, c| m.max(c.abs()));
+            assert_eq!(r.penalty.to_bits(), (1e6 * (1.0 + cmax)).to_bits());
+        }
+    }
+
+    #[test]
+    fn cut_and_uncut_repairs_agree_on_random_models() {
+        let mut rng = SmallRng::seed_from_u64(0xB0B);
+        let (mut hits, mut misses, mut cut_short) = (0, 0, 0);
+        for case in 0..600 {
+            let mut m = if case % 3 == 0 {
+                branchy_model(case as u64, rng.gen_range(4..30))
+            } else {
+                theorem1_model(&mut rng)
+            };
+            // Every fifth model carries rows no point satisfies, so its
+            // repair cycles once the satisfiable part has settled.
+            match case % 10 {
+                1 => add_period_two(&mut m),
+                6 => _ = add_period_three(&mut m),
+                _ => {}
+            }
+            let n = m.n_vars();
+            // Fractional start points with most coordinates integral, like
+            // an LP vertex; `case % 4 == 0` pins a few variables.
+            let start: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.gen_range(0.0..1.0),
+                })
+                .collect();
+            let (mut lo, mut hi) = (vec![0.0; n], vec![1.0; n]);
+            if case % 4 == 0 {
+                for _ in 0..rng.gen_range(1..4) {
+                    let j = rng.gen_range(0..n);
+                    lo[j] = f64::from(rng.gen_range(0..2));
+                    hi[j] = lo[j];
+                }
+            }
+            let form = StandardForm::new(&m);
+            let r = Repair::new(&form);
+            for mode in [RoundMode::Nearest, RoundMode::Floor] {
+                let mut stats = NodeStats::default();
+                let cut = r.round_and_repair(&start, mode, &lo, &hi, &mut stats);
+                let uncut = repair_without_the_cut(&r, &start, mode, &lo, &hi);
+                let bits = |found: &Option<(f64, Vec<f64>)>| {
+                    found.as_ref().map(|(obj, x)| (obj.to_bits(), x.clone()))
+                };
+                assert_eq!(bits(&cut), bits(&uncut), "case {case}, {mode:?}");
+                match cut {
+                    Some((_, x)) => {
+                        assert!(m.feasible(&x, INT_TOL));
+                        assert!(x
+                            .iter()
+                            .zip(lo.iter().zip(&hi))
+                            .all(|(v, (l, h))| l <= v && v <= h));
+                        hits += 1;
+                    }
+                    None => misses += 1,
+                }
+                if mode == RoundMode::Nearest && cycle_of(&r, &start, &lo, &hi).is_some() {
+                    assert!(stats.repair_passes < max_repair_passes(&m));
+                    cut_short += 1;
+                }
+            }
+        }
+        assert!(
+            hits > 500 && misses > 200 && cut_short > 100,
+            "{hits} hits, {misses} misses, {cut_short} cycles cut"
+        );
     }
 }

@@ -44,8 +44,8 @@
 
 use crate::model::Model;
 use crate::simplex::{
-    Basis, LpResult, LpStatus, Tableau, VarState, DEADLINE_CHECK_INTERVAL, DEVEX_RESET_LIMIT,
-    PIVOT_TOL, REFACTOR_EVERY,
+    Basis, LpResult, LpStatus, StandardForm, Tableau, VarState, DEADLINE_CHECK_INTERVAL,
+    DEVEX_RESET_LIMIT, PIVOT_TOL, REFACTOR_EVERY,
 };
 
 /// The dual-simplex engine.  Mirrors [`SimplexSolver`](crate::SimplexSolver)
@@ -84,43 +84,40 @@ impl DualSimplex {
         hi: &[f64],
         basis: &Basis,
     ) -> Option<LpResult> {
-        if model.n_constraints() == 0 {
+        self.resolve_on(&StandardForm::new(model), lo, hi, basis)
+    }
+
+    /// [`DualSimplex::resolve`] on a standard form the caller already built.
+    pub(crate) fn resolve_on(
+        &self,
+        form: &StandardForm<'_>,
+        lo: &[f64],
+        hi: &[f64],
+        basis: &Basis,
+    ) -> Option<LpResult> {
+        if form.model.n_constraints() == 0 {
             // The bound-minimization shortcut in the primal is already free.
             return None;
         }
         // An already-expired deadline aborts before the first factorization.
         if self.deadline.is_some_and(|dl| std::time::Instant::now() >= dl) {
-            return Some(LpResult::aborted(model.n_vars()));
+            return Some(LpResult::aborted(form.model.n_vars()));
         }
-        let mut t = Tableau::build(model, lo, hi);
+        let mut t = Tableau::new(form, lo, hi);
         if !t.restore(basis) {
             return None;
         }
-        let n = model.n_vars();
-        let mut cost = vec![0.0; t.cols.len()];
-        cost[..n].copy_from_slice(model.objective());
+        let cost = t.phase2_cost();
         let (status, iterations) = self.run_dual(&mut t, &cost);
-        let x = t.structural_x();
-        let objective = model.objective_value(&x);
-        let basis = (status == LpStatus::Optimal).then(|| t.snapshot());
-        Some(LpResult {
-            status,
-            x,
-            objective,
-            iterations,
-            basis,
-            refactorizations: t.refactorizations,
-            devex_resets: t.devex_resets,
-            factor_recoveries: 0,
-        })
+        Some(t.into_result(status, iterations))
     }
 
     /// The dual pivot loop.  Invariant: the basis is dual feasible (reduced
     /// costs correctly signed per nonbasic state, within tolerance) on
     /// entry and after every pivot.
-    fn run_dual(&self, t: &mut Tableau, cost: &[f64]) -> (LpStatus, usize) {
+    fn run_dual(&self, t: &mut Tableau<'_>, cost: &[f64]) -> (LpStatus, usize) {
         let m = t.m;
-        let ncols = t.cols.len();
+        let ncols = t.n_cols();
         let mut y = vec![0.0; m];
         let mut rho = vec![0.0; m];
         let mut w = vec![0.0; m];
@@ -177,7 +174,7 @@ impl DualSimplex {
                     continue;
                 }
                 let mut alpha = 0.0;
-                for &(i, a) in &t.cols[j] {
+                for &(i, a) in t.col(j) {
                     alpha += rho[i] * a;
                 }
                 if alpha.abs() <= PIVOT_TOL {
@@ -249,7 +246,7 @@ impl DualSimplex {
                         VarState::Basic => unreachable!(),
                     };
                     t.state[j] = flipped;
-                    for &(i, a) in &t.cols[j] {
+                    for &(i, a) in t.col(j) {
                         flip_rhs[i] += a * dv;
                     }
                 }

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use crate::dense::{dense_resolve, dense_solve};
-use crate::simplex::PivotPath;
+use crate::simplex::{structural_x_by_position, PivotPath, StandardForm, Tableau};
 use crate::{DualSimplex, LinExpr, LpStatus, Model, Sense, SimplexSolver, VarId};
 
 /// Deterministic LCG in [-1, 1) from a seed, same idiom as `properties.rs`.
@@ -107,8 +107,9 @@ fn careful_path_solves_tuning_shaped_lps() {
         let n = m.n_vars();
         let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
         let solver = SimplexSolver::new();
-        let fast = solver.solve_cold(&m, &lo, &hi, PivotPath::Fast);
-        let careful = solver.solve_cold(&m, &lo, &hi, PivotPath::Careful);
+        let form = StandardForm::new(&m);
+        let fast = solver.solve_cold(&form, &lo, &hi, PivotPath::Fast);
+        let careful = solver.solve_cold(&form, &lo, &hi, PivotPath::Careful);
         let oracle = dense_solve(&solver, &m, &lo, &hi);
         assert_eq!(fast.status, LpStatus::Optimal, "seed {seed}");
         for (name, r) in [("careful", &careful), ("oracle", &oracle)] {
@@ -134,6 +135,12 @@ proptest! {
         let sparse = SimplexSolver::new().solve(&m, &lo, &hi);
         let dense = dense_solve(&SimplexSolver::new(), &m, &lo, &hi);
         prop_assert_eq!(sparse.status, dense.status);
+        if let Some(basis) = &sparse.basis {
+            let form = StandardForm::new(&m);
+            let mut t = Tableau::new(&form, &lo, &hi);
+            prop_assert!(t.restore(basis));
+            prop_assert_eq!(t.structural_x(), structural_x_by_position(&t));
+        }
         if sparse.status == LpStatus::Optimal {
             prop_assert!(
                 (sparse.objective - dense.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
@@ -153,8 +160,9 @@ proptest! {
         let n = m.n_vars();
         let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
         let solver = SimplexSolver::new();
-        let fast = solver.solve_cold(&m, &lo, &hi, PivotPath::Fast);
-        let careful = solver.solve_cold(&m, &lo, &hi, PivotPath::Careful);
+        let form = StandardForm::new(&m);
+        let fast = solver.solve_cold(&form, &lo, &hi, PivotPath::Fast);
+        let careful = solver.solve_cold(&form, &lo, &hi, PivotPath::Careful);
         prop_assert_eq!(careful.status, fast.status);
         if fast.status == LpStatus::Optimal {
             prop_assert!(
@@ -198,6 +206,12 @@ proptest! {
                         "warm {} vs dense cold {}", warm.objective, cold.objective
                     );
                     basis = warm.basis.expect("optimal resolve snapshots a basis");
+                    // The single walk over the basis reads the same point
+                    // off the solved tableau as one search per variable.
+                    let form = StandardForm::new(&m);
+                    let mut t = Tableau::new(&form, &lo, &hi);
+                    prop_assert!(t.restore(&basis));
+                    prop_assert_eq!(t.structural_x(), structural_x_by_position(&t));
                 }
                 // Infeasible: the chain cannot continue from this pinch.
                 _ => break,

@@ -29,6 +29,17 @@
 //!   [`LpResult::devex_resets`]), which degrades gracefully to Dantzig
 //!   pricing until the weights re-learn the geometry.  A Bland rule still
 //!   takes over after a long degenerate run, guaranteeing termination.
+//! * **One standard form, many workspaces** — `StandardForm` is what an LP
+//!   takes from the model's rows alone: every structural and slack column
+//!   as one flat CSC, the right-hand sides and the column-block offsets.
+//!   `Tableau` borrows it and owns what differs from LP to LP — bounds,
+//!   variable states, the basis with its factors and eta file, the `m`
+//!   one-entry artificial columns (their signs are set per LP) and scratch.
+//!   [`SimplexSolver::solve`], [`SimplexSolver::warm_solve`] and
+//!   [`DualSimplex::resolve`](crate::dual::DualSimplex::resolve) build a
+//!   form per call; branch-and-bound builds one per solve and runs every
+//!   node, probe and dive LP over it, worker threads included, through the
+//!   crate-internal `*_on` twins of those three.
 //! * **Basis snapshots** — an optimal solve captures its [`Basis`] (variable
 //!   states + basic set + phase-1 artificial signs) in the [`LpResult`], so
 //!   branch-and-bound can re-solve a child LP with the
@@ -209,14 +220,95 @@ pub(crate) enum VarState {
     Upper,
 }
 
-/// Internal standard-form workspace on the sparse kernel, shared with the
-/// [`dual`](crate::dual) simplex.
-pub(crate) struct Tableau {
-    /// Sparse columns for every variable (structural, slack, artificial).
-    pub(crate) cols: Vec<Vec<(usize, f64)>>,
+/// The standard form of a model's rows — every structural and slack column
+/// as one flat CSC, the right-hand sides and the three column-block offsets
+/// — in the layout the simplex pivots on.  It depends on the rows alone (not
+/// on bounds, a basis or the objective), so branch-and-bound builds it once
+/// per solve and every node, probe and dive LP borrows it, worker threads
+/// included; what differs between those LPs lives in the [`Tableau`].
+pub(crate) struct StandardForm<'m> {
+    pub(crate) model: &'m Model,
+    /// Column `j < n_artificial_start` is `entries[start[j]..start[j + 1]]`
+    /// as `(row, coefficient)`, rows ascending: structural columns first,
+    /// then one slack per inequality row, in row order.
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+    rhs: Vec<f64>,
+    n_structural: usize,
+    /// Structural + slack columns; row `i`'s artificial is column
+    /// `n_artificial_start + i`.
+    n_artificial_start: usize,
+    m: usize,
+}
+
+impl<'m> StandardForm<'m> {
+    pub(crate) fn new(model: &'m Model) -> StandardForm<'m> {
+        let n = model.n_vars();
+        let rows = model.constraints();
+        let m = rows.len();
+        let n_slack = rows.iter().filter(|c| c.sense != Sense::Eq).count();
+        let n_artificial_start = n + n_slack;
+
+        // Count, prefix-sum, fill: walking the rows in order leaves every
+        // column's entries in ascending row order.
+        let mut start = vec![0usize; n_artificial_start + 1];
+        for c in rows {
+            for &(v, _) in &c.expr.terms {
+                start[v.0 as usize + 1] += 1;
+            }
+        }
+        for j in n..n_artificial_start {
+            start[j + 1] = 1;
+        }
+        for j in 0..n_artificial_start {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut entries = vec![(0usize, 0.0f64); start[n_artificial_start]];
+        let mut slack = n;
+        for (i, c) in rows.iter().enumerate() {
+            for &(v, a) in &c.expr.terms {
+                let at = &mut next[v.0 as usize];
+                entries[*at] = (i, a);
+                *at += 1;
+            }
+            let coeff = match c.sense {
+                Sense::Le => 1.0,
+                Sense::Ge => -1.0,
+                Sense::Eq => continue,
+            };
+            entries[start[slack]] = (i, coeff);
+            slack += 1;
+        }
+        StandardForm {
+            model,
+            start,
+            entries,
+            rhs: rows.iter().map(|c| c.rhs).collect(),
+            n_structural: n,
+            n_artificial_start,
+            m,
+        }
+    }
+
+    /// Structural or slack column `j` as `(row, coefficient)`, rows
+    /// ascending.
+    pub(crate) fn col(&self, j: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[j]..self.start[j + 1]]
+    }
+}
+
+/// One LP's mutable workspace over a shared [`StandardForm`], used by the
+/// primal and the [`dual`](crate::dual) simplex alike: the bounds, the basis
+/// and its factors, the `m` artificial columns (their signs are chosen per
+/// LP) and scratch.  Building one allocates a dozen vectors, none per column.
+pub(crate) struct Tableau<'f> {
+    form: &'f StandardForm<'f>,
+    /// Row `i`'s artificial column is the single entry `(i, sign)`; the sign
+    /// is fixed by [`Tableau::init_basis`] or [`Tableau::restore`].
+    art: Vec<(usize, f64)>,
     pub(crate) lo: Vec<f64>,
     pub(crate) hi: Vec<f64>,
-    pub(crate) rhs: Vec<f64>,
     pub(crate) n_structural: usize,
     pub(crate) n_artificial_start: usize,
     pub(crate) m: usize,
@@ -236,6 +328,15 @@ pub(crate) struct Tableau {
     // counters surfaced through LpResult
     pub(crate) refactorizations: usize,
     pub(crate) devex_resets: usize,
+}
+
+/// Column `j` of the standard form: a slice of the shared CSC, or the one
+/// entry of an artificial.
+fn column<'a>(form: &'a StandardForm<'_>, art: &'a [(usize, f64)], j: usize) -> &'a [(usize, f64)] {
+    match j.checked_sub(form.n_artificial_start) {
+        None => form.col(j),
+        Some(i) => std::slice::from_ref(&art[i]),
+    }
 }
 
 pub(crate) const PIVOT_TOL: f64 = 1e-9;
@@ -261,52 +362,28 @@ pub(crate) enum PivotPath {
     Careful,
 }
 
-impl Tableau {
-    pub(crate) fn build(model: &Model, lo: &[f64], hi: &[f64]) -> Tableau {
-        let n = model.n_vars();
-        let m = model.n_constraints();
+impl<'f> Tableau<'f> {
+    /// A fresh workspace under structural bounds `lo`/`hi`: slacks and
+    /// artificials range over `[0, ∞)`, no basis yet.
+    pub(crate) fn new(form: &'f StandardForm<'f>, lo: &[f64], hi: &[f64]) -> Tableau<'f> {
+        let (n, m) = (form.n_structural, form.m);
         assert_eq!(lo.len(), n);
         assert_eq!(hi.len(), n);
-
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        let mut rhs = Vec::with_capacity(m);
-        for (i, c) in model.constraints().iter().enumerate() {
-            for &(v, a) in &c.expr.terms {
-                cols[v.0 as usize].push((i, a));
-            }
-            rhs.push(c.rhs);
-        }
-        let mut lo = lo.to_vec();
-        let mut hi = hi.to_vec();
-
-        // Slacks.
-        for (i, c) in model.constraints().iter().enumerate() {
-            let coeff = match c.sense {
-                Sense::Le => 1.0,
-                Sense::Ge => -1.0,
-                Sense::Eq => continue,
-            };
-            cols.push(vec![(i, coeff)]);
-            lo.push(0.0);
-            hi.push(f64::INFINITY);
-        }
-        let n_artificial_start = cols.len();
-
-        // One artificial per row; sign fixed at init_basis time.
-        for i in 0..m {
-            cols.push(vec![(i, 1.0)]);
-            lo.push(0.0);
-            hi.push(f64::INFINITY);
-        }
-
-        let total = cols.len();
+        let total = form.n_artificial_start + m;
+        let bounds = |structural: &[f64], rest: f64| {
+            let mut v = Vec::with_capacity(total);
+            v.extend_from_slice(structural);
+            v.resize(total, rest);
+            v
+        };
         Tableau {
-            cols,
-            lo,
-            hi,
-            rhs,
+            form,
+            // One artificial per row; sign fixed at init_basis time.
+            art: (0..m).map(|i| (i, 1.0)).collect(),
+            lo: bounds(lo, 0.0),
+            hi: bounds(hi, f64::INFINITY),
             n_structural: n,
-            n_artificial_start,
+            n_artificial_start: form.n_artificial_start,
             m,
             state: vec![VarState::Lower; total],
             basis: Vec::new(),
@@ -319,6 +396,16 @@ impl Tableau {
             refactorizations: 0,
             devex_resets: 0,
         }
+    }
+
+    /// Number of columns: structural, slack and artificial.
+    pub(crate) fn n_cols(&self) -> usize {
+        self.state.len()
+    }
+
+    /// Sparse column `j` as `(row, coefficient)`, rows ascending.
+    pub(crate) fn col(&self, j: usize) -> &[(usize, f64)] {
+        column(self.form, &self.art, j)
     }
 
     /// Nonbasic value of variable `j` per its state.
@@ -335,7 +422,7 @@ impl Tableau {
         Basis {
             state: self.state.clone(),
             basis: self.basis.clone(),
-            art_sigma: (0..self.m).map(|i| self.cols[self.n_artificial_start + i][0].1).collect(),
+            art_sigma: self.art.iter().map(|&(_, sigma)| sigma).collect(),
             n_structural: self.n_structural,
         }
     }
@@ -348,7 +435,7 @@ impl Tableau {
     /// cold two-phase solve.
     pub(crate) fn restore(&mut self, b: &Basis) -> bool {
         if b.n_structural != self.n_structural
-            || b.state.len() != self.cols.len()
+            || b.state.len() != self.n_cols()
             || b.basis.len() != self.m
             || b.art_sigma.len() != self.m
         {
@@ -356,12 +443,10 @@ impl Tableau {
         }
         self.state.copy_from_slice(&b.state);
         self.basis.clone_from(&b.basis);
-        for (i, &sigma) in b.art_sigma.iter().enumerate() {
-            self.cols[self.n_artificial_start + i][0].1 = sigma;
+        for (art, &sigma) in self.art.iter_mut().zip(&b.art_sigma) {
+            art.1 = sigma;
         }
-        for j in self.n_artificial_start..self.cols.len() {
-            self.hi[j] = 0.0;
-        }
+        self.hi[self.n_artificial_start..].fill(0.0);
         self.refactor()
     }
 
@@ -369,11 +454,11 @@ impl Tableau {
     pub(crate) fn init_basis(&mut self) {
         // Residual with every non-artificial variable at its lower bound
         // (fixed vars sit at lo == hi).
-        let mut r = self.rhs.clone();
+        let mut r = self.form.rhs.clone();
         for j in 0..self.n_artificial_start {
             let v = self.lo[j];
             if v != 0.0 {
-                for &(i, a) in &self.cols[j] {
+                for &(i, a) in self.form.col(j) {
                     r[i] -= a * v;
                 }
             }
@@ -382,8 +467,7 @@ impl Tableau {
         self.basis = (0..self.m).map(|i| self.n_artificial_start + i).collect();
         for i in 0..self.m {
             let art = self.n_artificial_start + i;
-            let sigma = if r[i] >= 0.0 { 1.0 } else { -1.0 };
-            self.cols[art][0].1 = sigma;
+            self.art[i].1 = if r[i] >= 0.0 { 1.0 } else { -1.0 };
             self.state[art] = VarState::Basic;
         }
         // The all-artificial basis is a signed identity; factorization is
@@ -395,8 +479,8 @@ impl Tableau {
     /// `w = B⁻¹ · col_j` (LU solve plus the eta file).
     pub(crate) fn ftran(&mut self, j: usize, w: &mut [f64]) {
         w.fill(0.0);
-        let Tableau { cols, lu, etas, rowbuf, .. } = self;
-        for &(r, a) in &cols[j] {
+        let Tableau { form, art, lu, etas, rowbuf, .. } = self;
+        for &(r, a) in column(form, art, j) {
             rowbuf[r] += a;
         }
         lu.as_ref().expect("factorized").ftran(rowbuf, w);
@@ -443,7 +527,7 @@ impl Tableau {
 
     pub(crate) fn reduced_cost(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
         let mut d = cost[j];
-        for &(i, a) in &self.cols[j] {
+        for &(i, a) in self.col(j) {
             d -= y[i] * a;
         }
         d
@@ -454,7 +538,7 @@ impl Tableau {
     /// numerically singular.
     pub(crate) fn refactor(&mut self) -> bool {
         let bcols: Vec<&[(usize, f64)]> =
-            self.basis.iter().map(|&bv| self.cols[bv].as_slice()).collect();
+            self.basis.iter().map(|&bv| column(self.form, &self.art, bv)).collect();
         let Some(lu) = LuFactors::factorize(self.m, &bcols) else {
             return false;
         };
@@ -467,14 +551,14 @@ impl Tableau {
 
     /// `x_B = B⁻¹ (b − N x_N)`.
     pub(crate) fn recompute_xb(&mut self) {
-        let mut r = self.rhs.clone();
-        for j in 0..self.cols.len() {
+        let mut r = self.form.rhs.clone();
+        for j in 0..self.n_cols() {
             if self.state[j] == VarState::Basic {
                 continue;
             }
             let v = self.nb_value(j);
             if v != 0.0 && v.is_finite() {
-                for &(i, a) in &self.cols[j] {
+                for &(i, a) in self.col(j) {
                     r[i] -= a * v;
                 }
             }
@@ -521,7 +605,7 @@ impl Tableau {
         let (pivot_tol, refactor_every) =
             if careful { (CAREFUL_PIVOT_TOL, 1) } else { (PIVOT_TOL, REFACTOR_EVERY) };
         let m = self.m;
-        let ncols = self.cols.len();
+        let ncols = self.n_cols();
         let mut y = vec![0.0; m];
         let mut w = vec![0.0; m];
         let mut rho = vec![0.0; m];
@@ -640,7 +724,7 @@ impl Tableau {
                             continue;
                         }
                         let mut alpha = 0.0;
-                        for &(i, a) in &self.cols[k] {
+                        for &(i, a) in self.col(k) {
                             alpha += rho[i] * a;
                         }
                         if alpha != 0.0 {
@@ -676,18 +760,44 @@ impl Tableau {
         (LpStatus::IterLimit, max_iters)
     }
 
-    /// Structural-variable values of the current basis.
+    /// The model's objective over the structural columns, zero elsewhere.
+    pub(crate) fn phase2_cost(&self) -> Vec<f64> {
+        let mut cost = vec![0.0; self.n_cols()];
+        cost[..self.n_structural].copy_from_slice(self.form.model.objective());
+        cost
+    }
+
+    /// Read the LP's answer off the final basis; an optimal one is
+    /// snapshotted for warm re-solves.
+    pub(crate) fn into_result(self, status: LpStatus, iterations: usize) -> LpResult {
+        let x = self.structural_x();
+        LpResult {
+            status,
+            objective: self.form.model.objective_value(&x),
+            x,
+            iterations,
+            basis: (status == LpStatus::Optimal).then(|| self.snapshot()),
+            refactorizations: self.refactorizations,
+            devex_resets: self.devex_resets,
+            factor_recoveries: 0,
+        }
+    }
+
+    /// Structural-variable values of the current basis: nonbasic columns
+    /// sit on a bound, and one walk over the basis fills in the rest (a
+    /// column is basic in exactly one row).
     pub(crate) fn structural_x(&self) -> Vec<f64> {
-        let mut x = vec![0.0; self.n_structural];
-        for (j, xi) in x.iter_mut().enumerate() {
-            *xi = match self.state[j] {
+        let mut x: Vec<f64> = (0..self.n_structural)
+            .map(|j| match self.state[j] {
                 VarState::Lower => self.lo[j],
                 VarState::Upper => self.hi[j],
-                VarState::Basic => {
-                    let r = self.basis.iter().position(|&b| b == j).expect("basic var in basis");
-                    self.xb[r]
-                }
-            };
+                VarState::Basic => 0.0,
+            })
+            .collect();
+        for (r, &bv) in self.basis.iter().enumerate() {
+            if bv < self.n_structural {
+                x[bv] = self.xb[r];
+            }
         }
         x
     }
@@ -705,9 +815,14 @@ impl SimplexSolver {
 
     /// Solve the LP relaxation of `model` with per-variable bounds.
     pub fn solve(&self, model: &Model, lo: &[f64], hi: &[f64]) -> LpResult {
-        let n = model.n_vars();
+        self.solve_on(&StandardForm::new(model), lo, hi)
+    }
+
+    /// [`SimplexSolver::solve`] on a standard form the caller already built.
+    pub(crate) fn solve_on(&self, form: &StandardForm<'_>, lo: &[f64], hi: &[f64]) -> LpResult {
+        let model = form.model;
         // Trivial: no constraints → bound-minimize each variable.
-        if model.n_constraints() == 0 {
+        if form.m == 0 {
             let x: Vec<f64> = model
                 .objective()
                 .iter()
@@ -728,10 +843,10 @@ impl SimplexSolver {
         }
         // An already-expired deadline aborts before the first factorization.
         if self.deadline_expired() {
-            return LpResult::aborted(n);
+            return LpResult::aborted(form.n_structural);
         }
-        let first = self.solve_cold(model, lo, hi, PivotPath::Fast);
-        self.recover(model, lo, hi, first)
+        let first = self.solve_cold(form, lo, hi, PivotPath::Fast);
+        self.recover(form, lo, hi, first)
     }
 
     /// The recovery ladder behind [`SimplexSolver::solve`], given the first
@@ -741,11 +856,17 @@ impl SimplexSolver {
     /// with the abandoned attempt's work folded into the result.  A second
     /// `Singular` is returned as it is (branch-and-bound then treats the
     /// node as stalled).
-    fn recover(&self, model: &Model, lo: &[f64], hi: &[f64], first: LpResult) -> LpResult {
+    fn recover(
+        &self,
+        form: &StandardForm<'_>,
+        lo: &[f64],
+        hi: &[f64],
+        first: LpResult,
+    ) -> LpResult {
         if first.status != LpStatus::Singular {
             return first;
         }
-        let mut second = self.solve_cold(model, lo, hi, PivotPath::Careful);
+        let mut second = self.solve_cold(form, lo, hi, PivotPath::Careful);
         second.iterations += first.iterations;
         second.refactorizations += first.refactorizations;
         second.devex_resets += first.devex_resets;
@@ -756,20 +877,18 @@ impl SimplexSolver {
     /// One cold two-phase solve from the all-artificial basis.
     pub(crate) fn solve_cold(
         &self,
-        model: &Model,
+        form: &StandardForm<'_>,
         lo: &[f64],
         hi: &[f64],
         path: PivotPath,
     ) -> LpResult {
-        let n = model.n_vars();
-        let mut t = Tableau::build(model, lo, hi);
+        let n = form.n_structural;
+        let mut t = Tableau::new(form, lo, hi);
         t.init_basis();
 
         // Phase 1: minimize the artificial sum.
-        let mut phase1_cost = vec![0.0; t.cols.len()];
-        for j in t.n_artificial_start..t.cols.len() {
-            phase1_cost[j] = 1.0;
-        }
+        let mut phase1_cost = vec![0.0; t.n_cols()];
+        phase1_cost[t.n_artificial_start..].fill(1.0);
         let (s1, it1) = t.run(&phase1_cost, self.tol, self.max_iters, self.deadline, path);
         if matches!(s1, LpStatus::IterLimit | LpStatus::Singular) {
             return LpResult {
@@ -804,29 +923,14 @@ impl SimplexSolver {
         }
 
         // Phase 2: pin artificials to zero, restore the real objective.
-        for j in t.n_artificial_start..t.cols.len() {
+        for j in t.n_artificial_start..t.n_cols() {
             t.hi[j] = 0.0;
             if t.state[j] != VarState::Basic {
                 t.state[j] = VarState::Lower;
             }
         }
-        let mut phase2_cost = vec![0.0; t.cols.len()];
-        phase2_cost[..n].copy_from_slice(model.objective());
-        let (s2, it2) = t.run(&phase2_cost, self.tol, self.max_iters, self.deadline, path);
-
-        let x = t.structural_x();
-        let objective = model.objective_value(&x);
-        let basis = (s2 == LpStatus::Optimal).then(|| t.snapshot());
-        LpResult {
-            status: s2,
-            x,
-            objective,
-            iterations: it1 + it2,
-            basis,
-            refactorizations: t.refactorizations,
-            devex_resets: t.devex_resets,
-            factor_recoveries: 0,
-        }
+        let (s2, it2) = t.run(&t.phase2_cost(), self.tol, self.max_iters, self.deadline, path);
+        t.into_result(s2, it1 + it2)
     }
 
     /// Warm-start **phase 2** from a basis snapshot of the *same model and
@@ -847,14 +951,25 @@ impl SimplexSolver {
         hi: &[f64],
         basis: &Basis,
     ) -> Option<LpResult> {
-        let n = model.n_vars();
-        if model.n_constraints() == 0 {
+        self.warm_solve_on(&StandardForm::new(model), lo, hi, basis)
+    }
+
+    /// [`SimplexSolver::warm_solve`] on a standard form the caller already
+    /// built.
+    pub(crate) fn warm_solve_on(
+        &self,
+        form: &StandardForm<'_>,
+        lo: &[f64],
+        hi: &[f64],
+        basis: &Basis,
+    ) -> Option<LpResult> {
+        if form.m == 0 {
             return None;
         }
         if self.deadline_expired() {
-            return Some(LpResult::aborted(n));
+            return Some(LpResult::aborted(form.n_structural));
         }
-        let mut t = Tableau::build(model, lo, hi);
+        let mut t = Tableau::new(form, lo, hi);
         if !t.restore(basis) {
             return None;
         }
@@ -866,23 +981,9 @@ impl SimplexSolver {
                 return None;
             }
         }
-        let mut cost = vec![0.0; t.cols.len()];
-        cost[..n].copy_from_slice(model.objective());
         let (status, iterations) =
-            t.run(&cost, self.tol, self.max_iters, self.deadline, PivotPath::Fast);
-        let x = t.structural_x();
-        let objective = model.objective_value(&x);
-        let snap = (status == LpStatus::Optimal).then(|| t.snapshot());
-        Some(LpResult {
-            status,
-            x,
-            objective,
-            iterations,
-            basis: snap,
-            refactorizations: t.refactorizations,
-            devex_resets: t.devex_resets,
-            factor_recoveries: 0,
-        })
+            t.run(&t.phase2_cost(), self.tol, self.max_iters, self.deadline, PivotPath::Fast);
+        Some(t.into_result(status, iterations))
     }
 
     /// Feasibility check only (phase 1): is the relaxed polytope non-empty?
@@ -892,6 +993,34 @@ impl SimplexSolver {
         }
         self.solve(model, lo, hi).status != LpStatus::Infeasible
     }
+}
+
+/// Hook for `crates/bench/benches/micro.rs`, not part of the interface: hands
+/// `run` a closure that factorizes `basis` over `model`'s standard form from
+/// scratch (`false`: singular, or the snapshot does not fit), the form and
+/// the workspace already built.
+#[doc(hidden)]
+pub fn bench_refactor(model: &Model, basis: &Basis, run: impl FnOnce(&mut dyn FnMut() -> bool)) {
+    let form = StandardForm::new(model);
+    let n = model.n_vars();
+    let mut t = Tableau::new(&form, &vec![0.0; n], &vec![1.0; n]);
+    let fits = t.restore(basis);
+    run(&mut || fits && t.refactor());
+}
+
+/// [`Tableau::structural_x`] as it was: one search of the basis per basic
+/// variable, O(n·m).  The oracle of the single-walk version.
+#[cfg(test)]
+pub(crate) fn structural_x_by_position(t: &Tableau<'_>) -> Vec<f64> {
+    (0..t.n_structural)
+        .map(|j| match t.state[j] {
+            VarState::Lower => t.lo[j],
+            VarState::Upper => t.hi[j],
+            VarState::Basic => {
+                t.xb[t.basis.iter().position(|&b| b == j).expect("basic var in basis")]
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -919,6 +1048,58 @@ mod tests {
         assert!((r.x[1] - 1.0).abs() < 1e-6);
         assert!(r.refactorizations >= 1, "cold solve factorizes at least once");
         assert_eq!(r.factor_recoveries, 0, "clean solve must not report recoveries");
+    }
+
+    #[test]
+    fn standard_form_is_the_per_lp_column_build_flattened() {
+        // What `Tableau::build` used to walk out of the constraint list for
+        // every LP: one `Vec` per structural column, then one per slack.
+        for seed in 0..40u64 {
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |k: u64| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 33) % k
+            };
+            let mut m = Model::new();
+            let n = 2 + next(12) as usize;
+            let vars: Vec<_> = (0..n).map(|j| m.add_var(format!("v{j}"), j as f64)).collect();
+            for _ in 0..1 + next(9) {
+                let mut e = LinExpr::new();
+                for &v in &vars {
+                    if next(3) == 0 {
+                        e.add(v, next(9) as f64 - 4.0);
+                    }
+                }
+                let sense = [Sense::Le, Sense::Ge, Sense::Eq][next(3) as usize];
+                m.add_constraint(e, sense, next(5) as f64);
+            }
+            let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+            for (i, c) in m.constraints().iter().enumerate() {
+                for &(v, a) in &c.expr.terms {
+                    cols[v.0 as usize].push((i, a));
+                }
+            }
+            for (i, c) in m.constraints().iter().enumerate() {
+                match c.sense {
+                    Sense::Le => cols.push(vec![(i, 1.0)]),
+                    Sense::Ge => cols.push(vec![(i, -1.0)]),
+                    Sense::Eq => {}
+                }
+            }
+            let form = StandardForm::new(&m);
+            assert_eq!((form.n_structural, form.m), (n, m.n_constraints()));
+            assert_eq!(form.n_artificial_start, cols.len());
+            for (j, col) in cols.iter().enumerate() {
+                assert_eq!(form.col(j), col.as_slice(), "seed {seed}, column {j}");
+            }
+            assert_eq!(form.rhs, m.constraints().iter().map(|c| c.rhs).collect::<Vec<_>>());
+            // The workspace appends one artificial per row.
+            let t = Tableau::new(&form, &vec![0.0; n], &vec![1.0; n]);
+            assert_eq!(t.n_cols(), cols.len() + m.n_constraints());
+            for i in 0..m.n_constraints() {
+                assert_eq!(t.col(cols.len() + i), &[(i, 1.0)]);
+            }
+        }
     }
 
     #[test]
@@ -953,7 +1134,8 @@ mod tests {
         m.add_constraint(LinExpr::new().term(x, 1.0).term(y, 1.0), Sense::Le, 1.5);
         m.add_constraint(LinExpr::new().term(y, 1.0), Sense::Le, 0.9);
         let (lo, hi) = bounds(2);
-        let mut t = Tableau::build(&m, &lo, &hi);
+        let form = StandardForm::new(&m);
+        let mut t = Tableau::new(&form, &lo, &hi);
         t.init_basis();
         t.basis[1] = t.basis[0];
         let w = vec![1.0, 0.0];
@@ -981,7 +1163,8 @@ mod tests {
         let clean = solver.solve(&m, &lo, &hi);
         assert_eq!(clean.status, LpStatus::Optimal);
         assert_eq!(clean.factor_recoveries, 0);
-        let careful = solver.solve_cold(&m, &lo, &hi, PivotPath::Careful);
+        let form = StandardForm::new(&m);
+        let careful = solver.solve_cold(&form, &lo, &hi, PivotPath::Careful);
 
         let broken = LpResult {
             status: LpStatus::Singular,
@@ -990,7 +1173,7 @@ mod tests {
             devex_resets: 1,
             ..LpResult::aborted(3)
         };
-        let r = solver.recover(&m, &lo, &hi, broken);
+        let r = solver.recover(&form, &lo, &hi, broken);
         assert_eq!(r.status, clean.status);
         assert!(
             (r.objective - clean.objective).abs() < 1e-6,
@@ -1011,7 +1194,7 @@ mod tests {
         );
 
         // Any other first verdict passes through the ladder untouched.
-        let passthrough = solver.recover(&m, &lo, &hi, clean.clone());
+        let passthrough = solver.recover(&form, &lo, &hi, clean.clone());
         assert_eq!(passthrough.factor_recoveries, 0, "a clean first attempt is returned untouched");
         assert_eq!(passthrough.iterations, clean.iterations);
     }

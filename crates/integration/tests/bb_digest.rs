@@ -156,7 +156,7 @@ fn digest(backend: &dyn WhatIfBackend, seed: u64) -> u64 {
     // sweep point is a `BranchBound::resolve` from the previous point's
     // basis, incumbent and pseudo-costs.
     let mut session = cophy.try_session(&w, storage).expect("storage-only session");
-    let mut answer = |fold: &mut Fold, objective: f64, bound: f64, c: &Configuration| {
+    let answer = |fold: &mut Fold, objective: f64, bound: f64, c: &Configuration| {
         fold.f64(objective);
         fold.f64(bound);
         fold.configuration(c);
@@ -171,7 +171,7 @@ fn digest(backend: &dyn WhatIfBackend, seed: u64) -> u64 {
     let at = |fraction: f64| {
         ConstraintSet::storage_fraction(schema, fraction).storage_budget().expect("storage row")
     };
-    let mut sweep = |fold: &mut Fold, session: &mut cophy::TuningSession, budgets: &[u64]| {
+    let sweep = |fold: &mut Fold, session: &mut cophy::TuningSession, budgets: &[u64]| {
         let points = session.try_sweep_storage_with_progress(budgets, |_, _| {}).expect("feasible");
         for p in &points {
             answer(fold, p.objective, p.bound, &p.configuration);
