@@ -69,7 +69,6 @@ pub(crate) fn interactive(k: &Knobs) -> Outcome {
     // solve bit-identical BIPs under the same budget.
     let prepared = Inum::new(&o).prepare_workload(&w);
     let cands = opts.cgen.generate(o.schema(), &w);
-    let fixed: f64 = prepared.queries.iter().map(|pq| pq.weight * pq.fixed_update_cost).sum();
     let mut points = Table::new(
         format!("W_hom{n} × {} budget points, warm chain vs cold solves", budgets.len()),
         &[
@@ -91,11 +90,11 @@ pub(crate) fn interactive(k: &Knobs) -> Outcome {
     let t0 = Instant::now();
     for (wp, &budget) in warm_points.iter().zip(&budgets) {
         let constraints = ConstraintSet::none().with(Constraint::Storage { budget_bytes: budget });
-        let (model, _) =
+        let (model, mapping) =
             BipGen::default().model(o.schema(), o.cost_model(), &prepared, &cands, &constraints);
         let solve_opts = SolveOptions { budget: opts.budget, ..Default::default() };
         let (r, cold_time) = timed(|| BranchBound::new().solve(&model, &solve_opts));
-        let cold_objective = r.objective + fixed;
+        let cold_objective = r.objective + mapping.fixed_cost;
         warm_pivots += wp.pivots;
         cold_pivots += r.pivots;
         let slack = 1.0 + wp.gap.max(r.gap) + 1e-9;

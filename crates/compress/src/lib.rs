@@ -26,11 +26,14 @@
 //!    templates with few representatives or many feature dimensions.
 //!
 //! The result is a [`CompressedWorkload`]: a weighted representative
-//! [`Workload`] plus the full original→representative assignment.  Cluster
-//! weights **conserve total workload weight**, so a cost computed over the
-//! representatives (`Σ_r w_r · cost(rep_r, X)`) *is* the expansion of the
-//! estimated full-workload cost — each original statement is approximated by
-//! its representative at its own weight.
+//! [`Workload`] and nothing per absorbed statement
+//! ([`CompressedWorkload::absorb`] returns each statement's representative).
+//! Cluster weights **conserve total workload weight**, so a cost computed
+//! over the representatives (`Σ_r w_r · cost(rep_r, X)`) *is* the expansion
+//! of the estimated full-workload cost — each original statement is
+//! approximated by its representative at its own weight.  Every merge
+//! re-centers the representative's feature point to the weighted running mean
+//! of its members; the representative *statement* stays the first member.
 //!
 //! [`CompressedWorkload::absorb`] routes statement deltas through
 //! *incremental re-clustering*: a nudged workload usually lands its new
@@ -228,8 +231,8 @@ fn cell_key(f: &StatementFeatures, cell_sel: f64, cell_rows: f64) -> Vec<i64> {
 /// What one `absorb` overwrote, logged while a chunk is open.
 #[derive(Debug, Clone, PartialEq)]
 enum Undo {
-    /// A merge onto `rep`.  In streaming mode the representative's previous
-    /// feature point sits on [`Journal::points`].
+    /// A merge onto `rep`; the representative's previous feature point sits
+    /// on [`Journal::points`].
     Merged {
         rep: QueryId,
         /// The representative's weight before the merge.
@@ -257,13 +260,14 @@ struct Journal {
     n_absorbed: usize,
     records: Vec<Undo>,
     /// Stack of previous feature points (selectivities, then update rows),
-    /// one per streaming merge.
+    /// one per merge.
     points: Vec<f64>,
     /// Stack of the old cell keys of the merges that moved cells.
     cells: Vec<i64>,
 }
 
-/// A compressed workload: weighted representatives + assignment.
+/// A compressed workload: weighted representatives whose resident state
+/// follows their number, not the number of statements absorbed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedWorkload {
     representatives: Workload,
@@ -274,16 +278,8 @@ pub struct CompressedWorkload {
     by_template: HashMap<TemplateKey, TemplateIndex>,
     /// Bucket-grid cell widths (see [`Grid`]).
     grid: Grid,
-    /// Original statement position → representative id.  Empty in streaming
-    /// mode, where holding one entry per absorbed statement would defeat the
-    /// bounded-memory contract.
-    assignment: Vec<QueryId>,
-    /// Count of absorbed statements (`assignment.len()` in batch mode).
+    /// Count of absorbed statements.
     n_absorbed: usize,
-    /// Streaming mode: drop the per-statement assignment and re-center each
-    /// representative's feature point online (weighted running mean of its
-    /// members) so clusters track the stream instead of their first member.
-    streaming: bool,
     original_weight: f64,
     policy: CompressionPolicy,
     /// The open chunk's undo journal (see [`CompressedWorkload::begin_chunk`]).
@@ -291,60 +287,33 @@ pub struct CompressedWorkload {
 }
 
 impl CompressedWorkload {
-    /// Compress `w` under `policy`.  Statement order is preserved among
-    /// representatives (each cluster is represented by its first member),
+    /// Compress `w` under `policy`: [`CompressedWorkload::streaming`] with
+    /// every statement absorbed in order.  Statement order is preserved
+    /// among representatives (each cluster's statement is its first member),
     /// and cluster weights sum to the original total workload weight.
     pub fn compress(
         schema: &Schema,
         w: &Workload,
         policy: CompressionPolicy,
     ) -> CompressedWorkload {
-        // Validate ε eagerly, even for empty workloads (`make_grid` calls
-        // `merge_threshold`, which panics on an invalid ε).
-        let grid = make_grid(policy);
-        let mut cw = CompressedWorkload {
-            representatives: Workload::new(),
-            rep_features: Vec::new(),
-            by_shell: HashMap::new(),
-            by_template: HashMap::new(),
-            grid,
-            assignment: Vec::with_capacity(w.len()),
-            n_absorbed: 0,
-            streaming: false,
-            original_weight: 0.0,
-            policy,
-            journal: None,
-        };
+        let mut cw = CompressedWorkload::streaming(policy);
         for (_, stmt, weight) in w.iter() {
             cw.absorb(schema, stmt, weight);
         }
         cw
     }
 
-    /// An empty compressed workload in **streaming mode**, for chunked
-    /// ingestion of workloads too large to materialize:
-    ///
-    /// * the per-statement `assignment` vector is not kept, so resident state
-    ///   is proportional to the number of *representatives*, not `|W|`;
-    /// * on every merge the representative's feature point is re-centered to
-    ///   the weighted running mean of its members (the online medoid-update
-    ///   follow-up to greedy agglomeration), re-bucketing its grid cell when
-    ///   the quantized key moves — so clusters track the stream instead of
-    ///   being pinned to their first member.
-    ///
-    /// Batch compression ([`CompressedWorkload::compress`]) keeps the
-    /// first-member semantics unchanged.
+    /// An empty compressed workload, for chunked ingestion of workloads too
+    /// large to materialize.  Panics on an invalid ε (`make_grid` calls
+    /// [`CompressionPolicy::merge_threshold`]).
     pub fn streaming(policy: CompressionPolicy) -> CompressedWorkload {
-        let grid = make_grid(policy);
         CompressedWorkload {
             representatives: Workload::new(),
             rep_features: Vec::new(),
             by_shell: HashMap::new(),
             by_template: HashMap::new(),
-            grid,
-            assignment: Vec::new(),
+            grid: make_grid(policy),
             n_absorbed: 0,
-            streaming: true,
             original_weight: 0.0,
             policy,
             journal: None,
@@ -356,26 +325,8 @@ impl CompressedWorkload {
         &self.representatives
     }
 
-    /// Original statement position → representative id, in absorption order.
-    /// Empty in streaming mode.
-    pub fn assignment(&self) -> &[QueryId] {
-        &self.assignment
-    }
-
-    /// The representative of the `i`-th absorbed statement.
-    ///
-    /// Panics in streaming mode, which does not retain the assignment.
-    pub fn representative_of(&self, original: usize) -> QueryId {
-        self.assignment[original]
-    }
-
     pub fn policy(&self) -> CompressionPolicy {
         self.policy
-    }
-
-    /// Whether this workload was built via [`CompressedWorkload::streaming`].
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
     }
 
     /// The current (possibly re-centered) feature point of a representative,
@@ -488,12 +439,10 @@ impl CompressedWorkload {
                         let before = journal.cells.split_off(journal.cells.len() - dims);
                         cells.entry(before).or_default().insert(pos, rep);
                     }
-                    if self.streaming {
-                        rf.update_rows = journal.points.pop().expect("one point per merge");
-                        let at = journal.points.len() - rf.selectivities.len();
-                        rf.selectivities.copy_from_slice(&journal.points[at..]);
-                        journal.points.truncate(at);
-                    }
+                    rf.update_rows = journal.points.pop().expect("one point per merge");
+                    let at = journal.points.len() - rf.selectivities.len();
+                    rf.selectivities.copy_from_slice(&journal.points[at..]);
+                    journal.points.truncate(at);
                     self.representatives.set_weight(rep, weight);
                 }
                 Undo::Opened => {
@@ -513,9 +462,6 @@ impl CompressedWorkload {
                     }
                 }
             }
-        }
-        if !self.streaming {
-            self.assignment.truncate(journal.n_absorbed);
         }
         self.original_weight = journal.original_weight;
         self.n_absorbed = journal.n_absorbed;
@@ -571,12 +517,7 @@ impl CompressedWorkload {
     ) -> Absorption {
         let weight_before = self.representatives.weight(rep);
         self.representatives.add_weight(rep, weight);
-        let moved_from = if self.streaming {
-            self.recenter(rep, weight, &f.selectivities, f.update_rows)
-        } else {
-            self.assignment.push(rep);
-            None
-        };
+        let moved_from = self.recenter(rep, weight, &f.selectivities, f.update_rows);
         let mut shell = None;
         if novel_shell {
             shell = self.journal.as_ref().map(|_| f.shell.clone());
@@ -588,7 +529,7 @@ impl CompressedWorkload {
         Absorption::Merged(rep)
     }
 
-    /// Online re-centering (streaming mode only): shift the representative's
+    /// Online re-centering: shift the representative's
     /// stored feature point toward the weighted running mean of its members,
     /// `c ← c + (w / W) · (x − c)` with `W` the cluster's cumulative weight.
     /// The representative *statement* stays the first member — only the
@@ -646,7 +587,6 @@ impl CompressedWorkload {
         features: Option<StatementFeatures>,
     ) -> Absorption {
         let rep = self.representatives.push_weighted(stmt.clone(), weight);
-        let keep_assignment = !self.streaming;
         if let Some(f) = features {
             self.by_shell.insert(f.shell.clone(), rep);
             let grid = self.grid;
@@ -662,18 +602,15 @@ impl CompressedWorkload {
             }
             self.rep_features.push(f);
         }
-        if keep_assignment {
-            self.assignment.push(rep);
-        }
         if let Some(journal) = &mut self.journal {
             journal.records.push(Undo::Opened);
         }
         Absorption::NewRepresentative(rep)
     }
 
-    /// Check the subsystem invariants: weight conservation, a complete
-    /// assignment into the representative range, positive cluster weights,
-    /// and no empty grid cell.
+    /// Check the subsystem invariants: weight conservation, no more
+    /// representatives than statements, positive cluster weights, and no
+    /// empty grid cell.
     pub fn validate(&self) -> Result<(), String> {
         let rep_weight = self.representatives.total_weight();
         if (rep_weight - self.original_weight).abs() > 1e-6 * self.original_weight.max(1.0) {
@@ -682,26 +619,11 @@ impl CompressedWorkload {
                 self.original_weight
             ));
         }
-        let n_reps = self.representatives.len() as u32;
-        if let Some(bad) = self.assignment.iter().find(|r| r.0 >= n_reps) {
-            return Err(format!("assignment targets unknown representative {bad:?}"));
-        }
-        if self.streaming {
-            if !self.assignment.is_empty() {
-                return Err("streaming mode must not retain an assignment".into());
-            }
-            if self.n_absorbed < self.representatives.len() {
-                return Err(format!(
-                    "absorbed {} statements but hold {} representatives",
-                    self.n_absorbed,
-                    self.representatives.len()
-                ));
-            }
-        } else if self.assignment.len() != self.n_absorbed {
+        if self.n_absorbed < self.representatives.len() {
             return Err(format!(
-                "assignment covers {} of {} absorbed statements",
-                self.assignment.len(),
-                self.n_absorbed
+                "absorbed {} statements but hold {} representatives",
+                self.n_absorbed,
+                self.representatives.len()
             ));
         }
         for id in self.representatives.ids() {
@@ -743,33 +665,46 @@ mod tests {
         UpdateGen::new(seed ^ 0xA5).mix_into(&s, &base, 0.2)
     }
 
-    impl CompressedWorkload {
-        /// [`CompressedWorkload::compress`] with the bucket grid off, so
-        /// every ε-agglomeration runs the linear scan over same-template
-        /// representatives: the reference the indexed clustering must equal.
-        fn compress_unindexed(
-            schema: &Schema,
-            w: &Workload,
-            policy: CompressionPolicy,
-        ) -> CompressedWorkload {
-            let mut cw = CompressedWorkload::compress(schema, &Workload::new(), policy);
-            cw.grid = None;
-            for (_, stmt, weight) in w.iter() {
-                cw.absorb(schema, stmt, weight);
-            }
-            cw
-        }
+    /// Absorb `w` into `cw`; the representative each statement was assigned
+    /// to, in order — the assignment the clustering itself does not keep.
+    fn absorb_all(s: &Schema, cw: &mut CompressedWorkload, w: &Workload) -> Vec<QueryId> {
+        w.iter().map(|(_, stmt, weight)| cw.absorb(s, stmt, weight).representative()).collect()
+    }
+
+    /// `w` clustered under `policy`, with its assignment.
+    fn clustered(
+        s: &Schema,
+        w: &Workload,
+        policy: CompressionPolicy,
+    ) -> (CompressedWorkload, Vec<QueryId>) {
+        let mut cw = CompressedWorkload::streaming(policy);
+        let assignment = absorb_all(s, &mut cw, w);
+        (cw, assignment)
+    }
+
+    /// [`clustered`] with the bucket grid off, so every ε-agglomeration runs
+    /// the linear scan over same-template representatives: the reference the
+    /// indexed clustering must equal.
+    fn clustered_unindexed(
+        s: &Schema,
+        w: &Workload,
+        policy: CompressionPolicy,
+    ) -> (CompressedWorkload, Vec<QueryId>) {
+        let mut cw = CompressedWorkload::streaming(policy);
+        cw.grid = None;
+        let assignment = absorb_all(s, &mut cw, w);
+        (cw, assignment)
     }
 
     #[test]
     fn off_is_the_identity() {
         let s = schema();
         let w = mixed(1, 30);
-        let cw = CompressedWorkload::compress(&s, &w, CompressionPolicy::Off);
+        let (cw, assignment) = clustered(&s, &w, CompressionPolicy::Off);
         assert_eq!(cw.n_representatives(), w.len());
         assert_eq!(cw.n_original(), w.len());
         for (i, (id, stmt, weight)) in w.iter().enumerate() {
-            assert_eq!(cw.representative_of(i), id);
+            assert_eq!(assignment[i], id);
             assert_eq!(cw.representatives().statement(id), stmt);
             assert_eq!(cw.representatives().weight(id), weight);
         }
@@ -787,13 +722,11 @@ mod tests {
         for (_, stmt, weight) in w.iter() {
             twice.push_weighted(stmt.clone(), weight);
         }
-        let cw = CompressedWorkload::compress(&s, &twice, CompressionPolicy::Lossless);
+        let (cw, assignment) = clustered(&s, &twice, CompressionPolicy::Lossless);
         assert_eq!(cw.n_representatives(), w.dedup_by_shell().len());
         assert_eq!(cw.n_original(), 2 * w.len());
         // Second copy maps onto the first copy's representatives.
-        for i in 0..w.len() {
-            assert_eq!(cw.representative_of(i), cw.representative_of(w.len() + i));
-        }
+        assert_eq!(assignment[..w.len()], assignment[w.len()..]);
         cw.validate().unwrap();
     }
 
@@ -801,9 +734,9 @@ mod tests {
     fn epsilon_zero_equals_lossless() {
         let s = schema();
         for w in [mixed(3, 60), HetGen::new(4).generate(&s, 60)] {
-            let a = CompressedWorkload::compress(&s, &w, CompressionPolicy::Lossless);
-            let b = CompressedWorkload::compress(&s, &w, CompressionPolicy::Epsilon(0.0));
-            assert_eq!(a.assignment(), b.assignment());
+            let (a, a_assignment) = clustered(&s, &w, CompressionPolicy::Lossless);
+            let (b, b_assignment) = clustered(&s, &w, CompressionPolicy::Epsilon(0.0));
+            assert_eq!(a_assignment, b_assignment);
             assert_eq!(a.n_representatives(), b.n_representatives());
             for id in a.representatives().ids() {
                 assert_eq!(a.representatives().weight(id), b.representatives().weight(id));
@@ -834,34 +767,46 @@ mod tests {
 
     #[test]
     fn members_stay_within_epsilon_of_their_representative() {
+        // The bound holds where the merge is decided: against the
+        // representative's feature point as the member arrives.  (A repeat
+        // of a shell seen before follows that shell, wherever the point has
+        // moved since.)
         let s = schema();
         let eps = 0.2;
         let w = mixed(5, 120);
-        let cw = CompressedWorkload::compress(&s, &w, CompressionPolicy::Epsilon(eps));
-        for (i, (_, stmt, _)) in w.iter().enumerate() {
-            let rep = cw.representative_of(i);
+        let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(eps));
+        let mut epsilon_merges = 0;
+        for (i, (_, stmt, weight)) in w.iter().enumerate() {
             let f = StatementFeatures::extract(&s, stmt);
-            let rf = StatementFeatures::extract(&s, cw.representatives().statement(rep));
-            let d = f.distance(&rf);
+            let before = cw.clone();
+            let Absorption::Merged(rep) = cw.absorb(&s, stmt, weight) else { continue };
+            if before.by_shell.contains_key(&f.shell) {
+                continue;
+            }
+            let d = f.distance(before.representative_features(rep).unwrap());
             assert!(d <= eps, "member {i} at distance {d} > ε from its representative");
+            epsilon_merges += 1;
         }
+        assert!(epsilon_merges > 0, "the workload must exercise ε-merges");
     }
 
     #[test]
     fn absorb_is_incremental_and_consistent_with_batch() {
+        // Absorbing into a clustering continues it: a head compressed in one
+        // shot and a tail absorbed later equal the one-shot whole, statement
+        // by statement and field by field.
         let s = schema();
         let w = mixed(6, 80);
-        let batch = CompressedWorkload::compress(&s, &w, CompressionPolicy::default_epsilon());
-        let mut inc = CompressedWorkload::compress(
-            &s,
-            &Workload::new(),
-            CompressionPolicy::default_epsilon(),
-        );
-        for (_, stmt, weight) in w.iter() {
-            inc.absorb(&s, stmt, weight);
+        let policy = CompressionPolicy::default_epsilon();
+        let (batch, assignment) = clustered(&s, &w, policy);
+        let mut tail = Workload::new();
+        for (_, stmt, weight) in w.iter().skip(50) {
+            tail.push_weighted(stmt.clone(), weight);
         }
-        assert_eq!(batch.assignment(), inc.assignment());
-        assert_eq!(batch.n_representatives(), inc.n_representatives());
+        let mut inc = CompressedWorkload::compress(&s, &w.truncate(50), policy);
+        assert_eq!(absorb_all(&s, &mut inc, &tail), assignment[50..]);
+        assert_eq!(inc, batch);
+        assert_eq!(float_bits(&inc), float_bits(&batch));
         inc.validate().unwrap();
     }
 
@@ -894,11 +839,10 @@ mod tests {
             for w in [mixed(seed, 150), HetGen::new(seed).generate(&s, 150)] {
                 for eps in [0.05, 0.25, 0.6, 1.5] {
                     let policy = CompressionPolicy::Epsilon(eps);
-                    let a = CompressedWorkload::compress(&s, &w, policy);
-                    let b = CompressedWorkload::compress_unindexed(&s, &w, policy);
+                    let (a, a_assignment) = clustered(&s, &w, policy);
+                    let (b, b_assignment) = clustered_unindexed(&s, &w, policy);
                     assert_eq!(
-                        a.assignment(),
-                        b.assignment(),
+                        a_assignment, b_assignment,
                         "seed {seed} ε {eps}: index must reproduce the linear scan"
                     );
                     assert_eq!(a.n_representatives(), b.n_representatives());
@@ -928,9 +872,9 @@ mod tests {
         }
         for eps in [0.002, 0.01, 0.08] {
             let policy = CompressionPolicy::Epsilon(eps);
-            let a = CompressedWorkload::compress(&s, &w, policy);
-            let b = CompressedWorkload::compress_unindexed(&s, &w, policy);
-            assert_eq!(a.assignment(), b.assignment(), "ε {eps}");
+            let (a, a_assignment) = clustered(&s, &w, policy);
+            let (b, b_assignment) = clustered_unindexed(&s, &w, policy);
+            assert_eq!(a_assignment, b_assignment, "ε {eps}");
             assert_eq!(a.n_representatives(), b.n_representatives());
             a.validate().unwrap();
         }
@@ -945,50 +889,28 @@ mod tests {
 
     #[test]
     fn bucket_index_absorb_matches_batch() {
+        // Chunked ingestion from a source — any chunk size, journaled or not
+        // — lands where the one-shot compression does.
         let s = schema();
         let w = mixed(12, 100);
-        let batch = CompressedWorkload::compress(&s, &w, CompressionPolicy::default_epsilon());
-        let mut inc = CompressedWorkload::compress(
-            &s,
-            &Workload::new(),
-            CompressionPolicy::default_epsilon(),
-        );
-        for (_, stmt, weight) in w.iter() {
-            inc.absorb(&s, stmt, weight);
+        for policy in [CompressionPolicy::Lossless, CompressionPolicy::default_epsilon()] {
+            let batch = CompressedWorkload::compress(&s, &w, policy);
+            let mut stream = CompressedWorkload::streaming(policy);
+            let mut src = w.source();
+            let mut buf = Vec::new();
+            while {
+                buf.clear();
+                cophy_workload::WorkloadSource::next_chunk(&mut src, 17, &mut buf) > 0
+            } {
+                stream.begin_chunk();
+                stream.absorb_chunk(&s, &buf);
+                stream.commit_chunk();
+            }
+            assert_eq!(stream.n_original(), w.len());
+            assert_eq!(stream, batch, "{policy}");
+            assert_eq!(float_bits(&stream), float_bits(&batch));
+            stream.validate().unwrap();
         }
-        assert_eq!(batch.assignment(), inc.assignment());
-    }
-
-    #[test]
-    fn streaming_lossless_matches_batch_representatives() {
-        // With Lossless every merge is an exact duplicate, so online
-        // re-centering is a mathematical no-op and streaming must reproduce
-        // the batch representatives bit for bit — while retaining no
-        // assignment.
-        let s = schema();
-        let w = mixed(14, 90);
-        let batch = CompressedWorkload::compress(&s, &w, CompressionPolicy::Lossless);
-        let mut stream = CompressedWorkload::streaming(CompressionPolicy::Lossless);
-        let mut src = w.source();
-        let mut buf = Vec::new();
-        while {
-            buf.clear();
-            cophy_workload::WorkloadSource::next_chunk(&mut src, 17, &mut buf) > 0
-        } {
-            stream.absorb_chunk(&s, &buf);
-        }
-        assert!(stream.is_streaming());
-        assert!(stream.assignment().is_empty());
-        assert_eq!(stream.n_original(), w.len());
-        assert_eq!(stream.n_representatives(), batch.n_representatives());
-        for id in batch.representatives().ids() {
-            assert_eq!(
-                batch.representatives().statement(id),
-                stream.representatives().statement(id)
-            );
-            assert_eq!(batch.representatives().weight(id), stream.representatives().weight(id));
-        }
-        stream.validate().unwrap();
     }
 
     #[test]
@@ -1120,14 +1042,6 @@ mod tests {
             matches!(r, [Undo::Merged { shell: Some(_), .. }])
         });
         assert!(!cw.by_shell.contains_key(&StatementFeatures::extract(&s, &novel).shell));
-        // Batch mode keeps first-member centroids and an assignment instead.
-        let mut w = Workload::new();
-        w.push(shipdate_probe(&s, 500.0));
-        let mut batch = CompressedWorkload::compress(&s, &w, CompressionPolicy::Epsilon(0.5));
-        absorb_and_roll_back(&s, &mut batch, &[novel], |r| {
-            matches!(r, [Undo::Merged { moved_from: None, shell: Some(_), .. }])
-        });
-        assert_eq!(batch.assignment().len(), 1);
     }
 
     #[test]
@@ -1189,33 +1103,24 @@ mod tests {
             CompressionPolicy::Epsilon(0.02),
             CompressionPolicy::default_epsilon(),
         ] {
-            for streaming in [false, true] {
-                let fresh = || {
-                    if streaming {
-                        CompressedWorkload::streaming(policy)
-                    } else {
-                        CompressedWorkload::compress(&s, &Workload::new(), policy)
-                    }
-                };
-                let mut cw = fresh();
-                cw.absorb_chunk(&s, head);
-                let before = cw.clone();
-                cw.begin_chunk();
-                cw.absorb_chunk(&s, tail);
-                cw.rollback_chunk();
-                assert_eq!(cw, before, "{policy} streaming={streaming}");
-                assert_eq!(float_bits(&cw), float_bits(&before));
-                // Absorbing the tail again, journaled and committed, lands
-                // where a clustering that never journaled does.
-                cw.begin_chunk();
-                cw.absorb_chunk(&s, tail);
-                cw.commit_chunk();
-                let mut straight = fresh();
-                straight.absorb_chunk(&s, &stmts);
-                assert_eq!(cw, straight, "{policy} streaming={streaming}");
-                assert_eq!(float_bits(&cw), float_bits(&straight));
-                cw.validate().unwrap();
-            }
+            let mut cw = CompressedWorkload::streaming(policy);
+            cw.absorb_chunk(&s, head);
+            let before = cw.clone();
+            cw.begin_chunk();
+            cw.absorb_chunk(&s, tail);
+            cw.rollback_chunk();
+            assert_eq!(cw, before, "{policy}");
+            assert_eq!(float_bits(&cw), float_bits(&before));
+            // Absorbing the tail again, journaled and committed, lands
+            // where a clustering that never journaled does.
+            cw.begin_chunk();
+            cw.absorb_chunk(&s, tail);
+            cw.commit_chunk();
+            let mut straight = CompressedWorkload::streaming(policy);
+            straight.absorb_chunk(&s, &stmts);
+            assert_eq!(cw, straight, "{policy}");
+            assert_eq!(float_bits(&cw), float_bits(&straight));
+            cw.validate().unwrap();
         }
     }
 
@@ -1259,7 +1164,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Total workload weight is conserved under every policy, on every
-        /// generator family, and the assignment is always complete.
+        /// generator family, and every statement is counted.
         #[test]
         fn weights_conserved_under_any_policy(
             seed in any::<u64>(),
@@ -1287,9 +1192,11 @@ mod proptests {
         fn epsilon_zero_is_lossless(seed in any::<u64>(), n in 1usize..50) {
             let s = TpchGen::default().schema();
             let w = UpdateGen::new(seed).mix_into(&s, &HomGen::new(seed).generate(&s, n), 0.25);
-            let a = CompressedWorkload::compress(&s, &w, CompressionPolicy::Lossless);
-            let b = CompressedWorkload::compress(&s, &w, CompressionPolicy::Epsilon(0.0));
-            prop_assert_eq!(a.assignment(), b.assignment());
+            let mut a = CompressedWorkload::streaming(CompressionPolicy::Lossless);
+            let mut b = CompressedWorkload::streaming(CompressionPolicy::Epsilon(0.0));
+            for (_, stmt, weight) in w.iter() {
+                prop_assert_eq!(a.absorb(&s, stmt, weight), b.absorb(&s, stmt, weight));
+            }
         }
     }
 }

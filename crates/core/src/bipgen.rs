@@ -86,6 +86,8 @@ pub struct BipMapping {
     /// one — the interactive session's `ModelDelta::SetRhs` handle for
     /// warm-chained budget sweeps.
     pub storage_row: Option<ConstrId>,
+    /// `Σ_q f_q c_q`: the fixed update-base cost outside the model.
+    pub fixed_cost: f64,
 }
 
 impl BipMapping {
@@ -416,7 +418,8 @@ impl BipGen {
             }
         }
 
-        (m, BipMapping { z, queries, n_y, n_x, storage_row })
+        let fixed_cost = prepared.queries.iter().map(|pq| pq.weight * pq.fixed_update_cost).sum();
+        (m, BipMapping { z, queries, n_y, n_x, storage_row, fixed_cost })
     }
 }
 

@@ -15,23 +15,11 @@ use std::time::{Duration, Instant};
 use cophy_compress::{Absorption, CompressedWorkload};
 use cophy_inum::{Inum, InumCache, PrepFaultReport};
 use cophy_optimizer::FaultLog;
-use cophy_workload::{QueryId, Statement, Workload, WorkloadSource};
+use cophy_workload::{QueryId, Statement, WorkloadSource};
 
 use crate::cgen::CandidateSet;
 use crate::error::CoPhyError;
 use crate::solver::{CoPhy, DegradationReport};
-
-/// How the statements are clustered when compression is on — the only thing
-/// a streamed door does differently from a batch one.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Clustering {
-    /// Every cluster is represented by its first member, and the
-    /// statement → cluster assignment is kept.
-    Batch,
-    /// Representatives re-center online and no per-statement state is kept:
-    /// residency follows the representatives, not `|W|`.
-    Streaming,
-}
 
 /// What ingestion has built so far.
 #[derive(Debug)]
@@ -58,21 +46,10 @@ pub(crate) struct Ingest {
 impl Ingest {
     /// An empty ingest under the advisor's compression policy.  A supplied
     /// candidate set (`S_DBA`) is used as is; otherwise CGen grows one.
-    pub fn open(
-        cophy: &CoPhy<'_>,
-        clustering: Clustering,
-        candidates: Option<CandidateSet>,
-    ) -> Result<Ingest, CoPhyError> {
+    pub fn open(cophy: &CoPhy<'_>, candidates: Option<CandidateSet>) -> Result<Ingest, CoPhyError> {
         let policy = cophy.options.compression;
         policy.validate().map_err(CoPhyError::Invalid)?;
-        let compressed = match clustering {
-            _ if policy.is_off() => None,
-            Clustering::Batch => {
-                let schema = cophy.optimizer().schema();
-                Some(CompressedWorkload::compress(schema, &Workload::new(), policy))
-            }
-            Clustering::Streaming => Some(CompressedWorkload::streaming(policy)),
-        };
+        let compressed = (!policy.is_off()).then(|| CompressedWorkload::streaming(policy));
         let grow_candidates = candidates.is_none();
         let ingest = Ingest::over(InumCache::empty(), candidates.unwrap_or_default());
         Ok(Ingest { compressed, grow_candidates, ..ingest })

@@ -34,7 +34,9 @@
 //! [`cophy_workload::WorkloadSource`] (generator streams, file readers,
 //! query-log tailers) feeds the advisor chunk by chunk, compression
 //! clusters **online** (resident state ∝ representatives, not `|W|`), and
-//! the Lagrangian backend solves the model one per-statement block at a time:
+//! the Lagrangian backend solves the model one per-statement block at a time.
+//! A materialized workload is tuned as its own `source()`, so loaded or
+//! tailed, the same statements get the same recommendation:
 //!
 //! ```
 //! use cophy::{CoPhy, CoPhyOptions, CompressionPolicy, ConstraintSet};

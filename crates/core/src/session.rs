@@ -34,8 +34,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cophy_bip::{
-    BranchBound, CancelToken, DeltaModel, LagrangianSolver, MipResult, MipStatus, ModelDelta,
-    ResolveContext, SolveOptions, SolveProgress, WarmStart,
+    BranchBound, CancelToken, DeltaModel, MipResult, MipStatus, ModelDelta, ResolveContext,
+    SolveOptions, SolveProgress, WarmStart,
 };
 use cophy_catalog::{Configuration, Index};
 use cophy_inum::InumCache;
@@ -45,8 +45,8 @@ use crate::bipgen::BipMapping;
 use crate::cgen::CandidateSet;
 use crate::constraints::ConstraintSet;
 use crate::error::CoPhyError;
-use crate::ingest::{Clustering, Ingest};
-use crate::solver::{selection_to_config, CoPhy, DegradationReport, Recommendation, SolveStats};
+use crate::ingest::Ingest;
+use crate::solver::{CoPhy, DegradationReport, Recommendation, Steering};
 
 /// One point of a [`TuningSession::try_sweep_storage_with_progress`] budget
 /// sweep.
@@ -101,8 +101,6 @@ impl WhatIfAnswer {
 struct InteractiveState {
     dm: DeltaModel,
     mapping: BipMapping,
-    /// `Σ_q f_q c_q`, the fixed update-base cost outside the model.
-    fixed_cost: f64,
     ctx: ResolveContext,
 }
 
@@ -159,10 +157,9 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     pub(crate) fn open(
         cophy: &'c CoPhy<'o>,
         source: &mut dyn WorkloadSource,
-        clustering: Clustering,
         constraints: ConstraintSet,
     ) -> Result<Self, CoPhyError> {
-        let ingest = Ingest::open(cophy, clustering, None)?;
+        let ingest = Ingest::open(cophy, None)?;
         let mut session = Self::over(cophy, ingest, constraints)?;
         session.try_add_source(source, DEFAULT_CHUNK)?;
         Ok(session)
@@ -301,17 +298,14 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         if self.interactive.is_none() {
             let schema = self.cophy.optimizer().schema();
             let cm = self.cophy.optimizer().cost_model();
-            let (model, mapping, fixed_cost) = self.ingest.prepared.read(|pw| {
-                let (model, mapping) = self.cophy.options.bipgen.model(
+            let (model, mapping) = self.ingest.prepared.read(|pw| {
+                self.cophy.options.bipgen.model(
                     schema,
                     cm,
                     pw,
                     &self.ingest.candidates,
                     &self.constraints,
-                );
-                let fixed_cost: f64 =
-                    pw.queries.iter().map(|pq| pq.weight * pq.fixed_update_cost).sum();
-                (model, mapping, fixed_cost)
+                )
             });
             let mut dm = DeltaModel::new(model);
             for (ix, value) in &self.fixings {
@@ -319,8 +313,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
                     dm.apply(ModelDelta::FixVar { var: mapping.z[pos], value: *value });
                 }
             }
-            self.interactive =
-                Some(InteractiveState { dm, mapping, fixed_cost, ctx: ResolveContext::new() });
+            self.interactive = Some(InteractiveState { dm, mapping, ctx: ResolveContext::new() });
         }
         self.interactive.as_mut().expect("just built")
     }
@@ -387,8 +380,8 @@ impl<'o, 'c> TuningSession<'o, 'c> {
             prev = Some((budget, r.bound));
             points.push(SweepPoint {
                 budget_bytes: budget,
-                objective: r.objective + st.fixed_cost,
-                bound: r.bound + st.fixed_cost,
+                objective: r.objective + st.mapping.fixed_cost,
+                bound: r.bound + st.mapping.fixed_cost,
                 gap: r.gap,
                 configuration: st.mapping.extract_configuration(&r.x, &self.ingest.candidates),
                 nodes: r.nodes,
@@ -524,66 +517,24 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         &mut self,
         mut on_progress: impl FnMut(&SolveProgress),
     ) -> Recommendation {
-        let schema = self.cophy.optimizer().schema();
-        let cm = self.cophy.optimizer().cost_model();
-        let tb = Instant::now();
-        let tp = self.ingest.prepared.read(|pw| {
-            self.cophy.options.bipgen.block_problem(
-                schema,
-                cm,
-                pw,
-                &self.ingest.candidates,
-                &self.constraints,
-            )
-        });
-        // Pin/ban fixings fold into the block form itself (fallback
-        // absorption + budget pre-charge) instead of detouring through the
-        // B&B backend: item ids stay stable, so the warm multiplier chain
-        // keeps flowing across fixed and unfixed recommends alike.
-        let reduction = self.fixing_vector().map(|fixed| {
-            tp.block
-                .with_fixings(&fixed)
-                .expect("pin_index and set_constraints keep the pinned indexes within budget")
-        });
-        let block = reduction.as_ref().map_or(&tp.block, |fx| &fx.problem);
-        let pinned_cost = reduction.as_ref().map_or(0.0, |fx| fx.pinned_cost);
-        let build_time = tb.elapsed();
-
-        let ts = Instant::now();
-        let solver =
-            LagrangianSolver { budget: self.cophy.options.budget, cancel: self.cancel.clone() };
-        let (r, warm) =
-            solver.solve_warm_with_progress(block, self.warm.as_ref(), |p, _| on_progress(p));
-        let solve_time = ts.elapsed();
+        let steering = Steering {
+            fixed: self.fixing_vector(),
+            warm: self.warm.as_ref(),
+            cancel: self.cancel.clone(),
+        };
+        let (mut rec, warm) = self.cophy.lagrangian_recommendation(
+            &*self.ingest.prepared,
+            &self.ingest.candidates,
+            &self.constraints,
+            steering,
+            &mut on_progress,
+        );
         self.warm = Some(warm);
-
-        let mut selected = r.selected.clone();
-        if let Some(fx) = &reduction {
-            fx.apply_to_selection(&mut selected);
-        }
-        let configuration = selection_to_config(&selected, &self.ingest.candidates);
-        let baseline_cost = self
-            .ingest
-            .prepared
-            .read(|pw| pw.cost(schema, cm, &cophy_catalog::Configuration::empty()));
-        Recommendation {
-            configuration,
-            objective: r.objective + pinned_cost + tp.fixed_cost,
-            baseline_cost,
-            bound: r.bound + pinned_cost + tp.fixed_cost,
-            gap: r.gap,
-            trace: r.trace,
-            compression: self.ingest.compressed.as_ref().map(|c| c.summary()),
-            degradation: self.ingest.degradation.clone(),
-            stats: SolveStats {
-                inum_time: std::mem::take(&mut self.ingest.inum_time),
-                build_time,
-                solve_time,
-                what_if_calls: std::mem::take(&mut self.ingest.what_if_calls),
-                n_candidates: self.ingest.candidates.len(),
-                n_variables: tp.block.n_choices() + tp.block.n_items,
-            },
-        }
+        rec.compression = self.ingest.compressed.as_ref().map(|c| c.summary());
+        rec.degradation = self.ingest.degradation.clone();
+        rec.stats.inum_time = std::mem::take(&mut self.ingest.inum_time);
+        rec.stats.what_if_calls = std::mem::take(&mut self.ingest.what_if_calls);
+        rec
     }
 }
 
@@ -740,30 +691,6 @@ mod tests {
         // More statements → higher total workload cost.
         assert!(r2.objective > r1.objective);
         assert!(r2.baseline_cost > r1.baseline_cost);
-    }
-
-    #[test]
-    fn streaming_session_matches_batch_session_bit_for_bit() {
-        let o = setup();
-        let w = HomGen::new(41).generate(o.schema(), 40);
-        let opts = CoPhyOptions {
-            compression: cophy_compress::CompressionPolicy::Lossless,
-            ..Default::default()
-        };
-        let cophy = CoPhy::new(&o, opts);
-        let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-        let mut batch = cophy.try_session(&w, constraints.clone()).unwrap();
-        let mut streamed = cophy.try_session_streaming(&mut w.source(), constraints).unwrap();
-        assert_eq!(streamed.n_statements(), w.len());
-        assert_eq!(streamed.n_representatives(), batch.n_representatives());
-        // Lossless streaming clustering is bit-identical to the batch path,
-        // so the Theorem-1 models coincide textually...
-        assert_eq!(batch.export_mps(), streamed.export_mps());
-        // ...and the solves coincide bit-for-bit.
-        let rb = batch.recommend();
-        let rs = streamed.recommend();
-        assert_eq!(rb.objective.to_bits(), rs.objective.to_bits());
-        assert_eq!(rb.configuration, rs.configuration);
     }
 
     #[test]

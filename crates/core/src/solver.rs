@@ -20,17 +20,20 @@
 //! Every `try_tune*` door is the same two steps: drain the workload through
 //! the chunked `crate::ingest` (clustering, INUM probes under
 //! [`CoPhyOptions::retry`], CGen, the [`CoPhyOptions::min_coverage`] floor),
-//! then [`CoPhy::try_tune_prepared`].
+//! then [`CoPhy::try_tune_prepared`].  A materialized [`Workload`] is a
+//! source like any other ([`CoPhy::try_tune`] *is* [`CoPhy::try_tune_source`]
+//! over `w.source()`), so the same statements get the same answer through
+//! either door under every compression policy.
 
 use std::time::{Duration, Instant};
 
 use cophy_bip::{
-    BranchBound, GapPoint, LagrangianSolver, LinExpr, MipStatus, Model, Sense, SolveBudget,
-    SolveOptions, SolveProgress,
+    BranchBound, CancelToken, GapPoint, LagrangianSolver, LinExpr, MipStatus, Model, Sense,
+    SolveBudget, SolveOptions, SolveProgress, WarmStart,
 };
 use cophy_catalog::Configuration;
 use cophy_compress::{CompressionPolicy, CompressionSummary};
-use cophy_inum::{PrepFaultReport, PreparedWorkload};
+use cophy_inum::{InumCache, PrepFaultReport, PreparedWorkload};
 use cophy_optimizer::{RetryPolicy, WhatIfBackend};
 use cophy_workload::{Workload, WorkloadSource, DEFAULT_CHUNK};
 
@@ -38,7 +41,7 @@ use crate::bipgen::{BipGen, BipMapping};
 use crate::cgen::{CGen, CandidateSet};
 use crate::constraints::{Cmp, Constraint, ConstraintSet};
 use crate::error::CoPhyError;
-use crate::ingest::{Clustering, Ingest};
+use crate::ingest::Ingest;
 use crate::session::TuningSession;
 
 /// Which engine solves the BIP.
@@ -263,42 +266,41 @@ impl<'o> CoPhy<'o> {
     /// or softens the reported constraints), probe failures and a breached
     /// coverage floor as typed errors.
     ///
-    /// With [`CoPhyOptions::compression`] enabled the workload is clustered
-    /// first; CGen and INUM then see only the weighted representatives, so
-    /// the what-if budget scales with the number of clusters instead of
-    /// `|W|`.
+    /// [`CoPhy::try_tune_source`] over `w.source()`: a materialized workload
+    /// is a stream that happens to be resident, and is tuned as one.
     pub fn try_tune(
         &self,
         w: &Workload,
         constraints: &ConstraintSet,
     ) -> Result<Recommendation, CoPhyError> {
-        self.ingest_and_solve(&mut w.source(), Clustering::Batch, None, constraints)
+        self.try_tune_source(&mut w.source(), constraints)
     }
 
-    /// Pipeline with a caller-supplied candidate set (`S_DBA` merging, the
-    /// Figure-5 sweeps): CGen is skipped.
+    /// [`CoPhy::try_tune`] with a caller-supplied candidate set (`S_DBA`
+    /// merging, the Figure-5 sweeps): CGen is skipped, nothing else differs.
     pub fn try_tune_with_candidates(
         &self,
         w: &Workload,
         candidates: &CandidateSet,
         constraints: &ConstraintSet,
     ) -> Result<Recommendation, CoPhyError> {
-        let candidates = Some(candidates.clone());
-        self.ingest_and_solve(&mut w.source(), Clustering::Batch, candidates, constraints)
+        self.ingest_and_solve(&mut w.source(), Some(candidates.clone()), constraints)
     }
 
-    /// Full pipeline over a **streamed** workload — the million-statement
-    /// entry point.  The workload is never materialized: with compression
-    /// enabled the clustering runs online
-    /// ([`cophy_compress::CompressedWorkload::streaming`]), so memory scales
-    /// with the cluster-representative count plus one chunk rather than
-    /// `|W|`, and INUM and CGen see only cluster-opening statements.
+    /// Full pipeline over a workload source — a materialized workload's
+    /// `source()` or the million-statement stream that is never
+    /// materialized.  With [`CoPhyOptions::compression`] enabled the
+    /// statements are clustered online
+    /// ([`cophy_compress::CompressedWorkload::streaming`]) as they arrive;
+    /// CGen and INUM see only the cluster-opening ones, so the what-if
+    /// budget scales with the number of clusters instead of `|W|`, and
+    /// memory with the representatives plus one chunk.
     pub fn try_tune_source(
         &self,
         source: &mut dyn WorkloadSource,
         constraints: &ConstraintSet,
     ) -> Result<Recommendation, CoPhyError> {
-        self.ingest_and_solve(source, Clustering::Streaming, None, constraints)
+        self.ingest_and_solve(source, None, constraints)
     }
 
     /// What every `try_tune*` door does: drain the statements through the
@@ -306,11 +308,10 @@ impl<'o> CoPhy<'o> {
     fn ingest_and_solve(
         &self,
         source: &mut dyn WorkloadSource,
-        clustering: Clustering,
         candidates: Option<CandidateSet>,
         constraints: &ConstraintSet,
     ) -> Result<Recommendation, CoPhyError> {
-        let mut ingest = Ingest::open(self, clustering, candidates)?;
+        let mut ingest = Ingest::open(self, candidates)?;
         ingest.add_source(self, source, DEFAULT_CHUNK)?;
         let (spent, calls) = (ingest.inum_time, ingest.what_if_calls);
         let mut rec = ingest.prepared.read(|prepared| {
@@ -336,9 +337,6 @@ impl<'o> CoPhy<'o> {
         what_if_calls: u64,
         mut on_progress: impl FnMut(&SolveProgress),
     ) -> Result<Recommendation, CoPhyError> {
-        let schema = self.opt.schema();
-        let cm = self.opt.cost_model();
-
         // Step 1: feasibility of the z-only polytope.
         self.check_feasibility(candidates, constraints)?;
 
@@ -347,35 +345,23 @@ impl<'o> CoPhy<'o> {
             SolverBackend::BranchBound => false,
             SolverBackend::Auto => constraints.is_storage_only(),
         };
-
-        let tb = Instant::now();
         if use_lagrangian && !constraints.is_storage_only() {
             return Err(CoPhyError::Invalid(
                 "Lagrangian backend supports storage-only constraint sets".into(),
             ));
         }
 
-        let (configuration, objective, bound, gap, trace, build_time, solve_time, n_vars);
-        if use_lagrangian {
-            let tp =
-                self.options.bipgen.block_problem(schema, cm, prepared, candidates, constraints);
-            build_time = tb.elapsed();
-            let ts = Instant::now();
-            let solver = LagrangianSolver { budget: self.options.budget, ..Default::default() };
-            let (r, _) = solver.solve_warm_with_progress(&tp.block, None, |p, _| on_progress(p));
-            solve_time = ts.elapsed();
-            n_vars = tp.block.n_choices() + tp.block.n_items;
-            configuration = selection_to_config(&r.selected, candidates);
-            objective = r.objective + tp.fixed_cost;
-            bound = r.bound + tp.fixed_cost;
-            gap = r.gap;
-            trace = r.trace;
+        let mut rec = if use_lagrangian {
+            let steering = Steering::default();
+            self.lagrangian_recommendation(prepared, candidates, constraints, steering, on_progress)
+                .0
         } else {
+            let schema = self.opt.schema();
+            let cm = self.opt.cost_model();
+            let tb = Instant::now();
             let (model, mapping) =
                 self.options.bipgen.model(schema, cm, prepared, candidates, constraints);
-            build_time = tb.elapsed();
-            let fixed: f64 =
-                prepared.queries.iter().map(|pq| pq.weight * pq.fixed_update_cost).sum();
+            let build_time = tb.elapsed();
             let ts = Instant::now();
             // Seed the generic backend with the structure-exploiting
             // backend's answer to the storage-only projection of the
@@ -403,7 +389,7 @@ impl<'o> CoPhy<'o> {
             let opts = SolveOptions { budget, known_bound, ..Default::default() };
             let r = BranchBound::new()
                 .solve_seeded_with_progress(&model, &opts, seed_x, |p, _| on_progress(p));
-            solve_time = ts.elapsed();
+            let solve_time = ts.elapsed();
             if r.status == MipStatus::Infeasible {
                 return Err(CoPhyError::Infeasible(
                     "BIP infeasible under the hard constraints".into(),
@@ -412,37 +398,112 @@ impl<'o> CoPhy<'o> {
             if r.x.is_empty() {
                 return Err(CoPhyError::NoIncumbent(r.status));
             }
-            n_vars = model.n_vars();
-            configuration = mapping.extract_configuration(&r.x, candidates);
-            objective = r.objective + fixed;
-            bound = r.bound + fixed;
-            gap = r.gap;
-            trace = r.trace;
-        }
+            let solved = Solved {
+                configuration: mapping.extract_configuration(&r.x, candidates),
+                objective: r.objective + mapping.fixed_cost,
+                bound: r.bound + mapping.fixed_cost,
+                gap: r.gap,
+                trace: r.trace,
+                build_time,
+                solve_time,
+                n_variables: model.n_vars(),
+            };
+            self.recommendation(prepared, candidates, constraints, solved)
+        };
+        rec.stats.inum_time = inum_time;
+        rec.stats.what_if_calls = what_if_calls;
+        Ok(rec)
+    }
 
-        let baseline_cost = prepared.cost(schema, cm, &Configuration::empty());
+    /// The one Lagrangian answer path, behind every storage-only tune and
+    /// every session `recommend`: block form → pin / ban folding → (warm)
+    /// solve → configuration → [`CoPhy::recommendation`], plus the solve's
+    /// warm-start state.  `prepared` is never read across the solve.
+    pub(crate) fn lagrangian_recommendation(
+        &self,
+        prepared: &impl ReadPrepared,
+        candidates: &CandidateSet,
+        constraints: &ConstraintSet,
+        steering: Steering<'_>,
+        mut on_progress: impl FnMut(&SolveProgress),
+    ) -> (Recommendation, WarmStart) {
+        let schema = self.opt.schema();
+        let cm = self.opt.cost_model();
+        let tb = Instant::now();
+        let tp = prepared
+            .read(|pw| self.options.bipgen.block_problem(schema, cm, pw, candidates, constraints));
+        // Pin/ban fixings fold into the block form itself (fallback
+        // absorption + budget pre-charge) instead of detouring through the
+        // B&B backend: item ids stay stable, so the warm multiplier chain
+        // keeps flowing across fixed and unfixed recommends alike.
+        let reduction = steering.fixed.map(|fixed| {
+            tp.block
+                .with_fixings(&fixed)
+                .expect("pin_index and set_constraints keep the pinned indexes within budget")
+        });
+        let block = reduction.as_ref().map_or(&tp.block, |fx| &fx.problem);
+        let build_time = tb.elapsed();
+
+        let ts = Instant::now();
+        let solver = LagrangianSolver { budget: self.options.budget, cancel: steering.cancel };
+        let (r, warm) =
+            solver.solve_warm_with_progress(block, steering.warm, |p, _| on_progress(p));
+        let solve_time = ts.elapsed();
+
+        let mut selected = r.selected;
+        let (mut objective, mut bound) = (r.objective, r.bound);
+        if let Some(fx) = &reduction {
+            fx.apply_to_selection(&mut selected);
+            objective += fx.pinned_cost;
+            bound += fx.pinned_cost;
+        }
+        let chosen = candidates.iter().filter(|(id, _)| selected[id.0 as usize]);
+        let solved = Solved {
+            configuration: Configuration::from_indexes(chosen.map(|(_, ix)| ix.clone())),
+            objective: objective + tp.fixed_cost,
+            bound: bound + tp.fixed_cost,
+            gap: r.gap,
+            trace: r.trace,
+            build_time,
+            solve_time,
+            n_variables: tp.block.n_choices() + tp.block.n_items,
+        };
+        (self.recommendation(prepared, candidates, constraints, solved), warm)
+    }
+
+    /// Dress a backend's answer as a [`Recommendation`]; ingestion's share
+    /// (probes, `inum_time`, compression, degradation) is the caller's.
+    fn recommendation(
+        &self,
+        prepared: &impl ReadPrepared,
+        candidates: &CandidateSet,
+        constraints: &ConstraintSet,
+        solved: Solved,
+    ) -> Recommendation {
+        let schema = self.opt.schema();
+        let baseline_cost =
+            prepared.read(|pw| pw.cost(schema, self.opt.cost_model(), &Configuration::empty()));
         debug_assert!(
-            constraints.check_configuration(schema, &configuration).is_ok(),
+            constraints.check_configuration(schema, &solved.configuration).is_ok(),
             "solver returned a constraint-violating configuration"
         );
-        Ok(Recommendation {
-            configuration,
-            objective,
+        Recommendation {
+            configuration: solved.configuration,
+            objective: solved.objective,
             baseline_cost,
-            bound,
-            gap,
-            trace,
+            bound: solved.bound,
+            gap: solved.gap,
+            trace: solved.trace,
             compression: None,
             degradation: None,
             stats: SolveStats {
-                inum_time,
-                build_time,
-                solve_time,
-                what_if_calls,
+                build_time: solved.build_time,
+                solve_time: solved.solve_time,
                 n_candidates: candidates.len(),
-                n_variables: n_vars,
+                n_variables: solved.n_variables,
+                ..Default::default()
             },
-        })
+        }
     }
 
     /// Primal seed for rich-constraint solves: drop every non-storage
@@ -520,16 +581,13 @@ impl<'o> CoPhy<'o> {
         self.try_session(w, constraints).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Open a session over `w`: clustering, INUM and CGen run once, through
-    /// the same ingest as [`CoPhy::try_tune`] — so invalid options
-    /// (non-storage-only constraints, invalid compression ε), probe
-    /// failures and a breached coverage floor are the same typed errors.
+    /// [`CoPhy::try_session_streaming`] over `w.source()`.
     pub fn try_session(
         &self,
         w: &Workload,
         constraints: ConstraintSet,
     ) -> Result<TuningSession<'o, '_>, CoPhyError> {
-        TuningSession::open(self, &mut w.source(), Clustering::Batch, constraints)
+        self.try_session_streaming(&mut w.source(), constraints)
     }
 
     /// Open a session over an **existing** shared INUM cache
@@ -546,26 +604,61 @@ impl<'o> CoPhy<'o> {
         TuningSession::over(self, Ingest::over(cache, candidates), constraints)
     }
 
-    /// Open a session by **streaming** a [`WorkloadSource`] in
-    /// [`DEFAULT_CHUNK`]-sized chunks instead of materializing the workload
-    /// (see [`CoPhy::try_tune_source`]).  A chunk that fails is rolled back
-    /// whole and fails the open.  Callers needing a different chunk size, or
-    /// to keep what did ingest, open over an empty source and drive
-    /// [`TuningSession::try_add_source`] directly.
+    /// Open a session by draining a [`WorkloadSource`] in
+    /// [`DEFAULT_CHUNK`]-sized chunks: clustering, INUM and CGen run once,
+    /// through the same ingest as [`CoPhy::try_tune_source`] — so invalid
+    /// options (non-storage-only constraints, invalid compression ε), probe
+    /// failures and a breached coverage floor are the same typed errors.  A
+    /// chunk that fails is rolled back whole and fails the open.  Callers
+    /// needing a different chunk size, or to keep what did ingest, open over
+    /// an empty source and drive [`TuningSession::try_add_source`] directly.
     pub fn try_session_streaming(
         &self,
         source: &mut dyn WorkloadSource,
         constraints: ConstraintSet,
     ) -> Result<TuningSession<'o, '_>, CoPhyError> {
-        TuningSession::open(self, source, Clustering::Streaming, constraints)
+        TuningSession::open(self, source, constraints)
     }
 }
 
-/// Convert a Lagrangian selection vector into a configuration.
-pub(crate) fn selection_to_config(sel: &[bool], candidates: &CandidateSet) -> Configuration {
-    Configuration::from_indexes(
-        candidates.iter().filter(|(id, _)| sel[id.0 as usize]).map(|(_, ix)| ix.clone()),
-    )
+/// Read access to a prepared workload, one call at a time: a plain borrow,
+/// or a shared cache's read lock — taken per call, so a session's solve never
+/// holds the cache's writers out.
+pub(crate) trait ReadPrepared {
+    fn read<R>(&self, f: impl FnOnce(&PreparedWorkload) -> R) -> R;
+}
+
+impl ReadPrepared for PreparedWorkload {
+    fn read<R>(&self, f: impl FnOnce(&PreparedWorkload) -> R) -> R {
+        f(self)
+    }
+}
+
+impl ReadPrepared for InumCache {
+    fn read<R>(&self, f: impl FnOnce(&PreparedWorkload) -> R) -> R {
+        InumCache::read(self, f)
+    }
+}
+
+/// What a session adds to a Lagrangian solve; a tune has none of it.
+#[derive(Default)]
+pub(crate) struct Steering<'a> {
+    /// Per-candidate pin (`Some(true)`) / ban (`Some(false)`).
+    pub fixed: Option<Vec<Option<bool>>>,
+    pub warm: Option<&'a WarmStart>,
+    pub cancel: Option<CancelToken>,
+}
+
+/// One backend's answer, before [`CoPhy::recommendation`] dresses it.
+struct Solved {
+    configuration: Configuration,
+    objective: f64,
+    bound: f64,
+    gap: f64,
+    trace: Vec<GapPoint>,
+    build_time: Duration,
+    solve_time: Duration,
+    n_variables: usize,
 }
 
 #[cfg(test)]

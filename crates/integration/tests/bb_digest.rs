@@ -26,7 +26,8 @@
 //! every earlier step for every column, and every node LP rebuilt its
 //! standard form from the constraint list.  A rewrite of those layers that
 //! keeps every float bit, every flip and every pivot leaves them alone;
-//! anything else moves them.  They are not to be regenerated.
+//! anything else moves them.  They are not to be regenerated;
+//! `front_door_digest.rs` has the re-record protocol.
 
 use cophy::{
     BipGen, CGen, Cmp, CoPhy, CoPhyOptions, Constraint, ConstraintSet, IndexFilter, SolveBudget,
@@ -34,8 +35,8 @@ use cophy::{
 };
 use cophy_bip::{BranchBound, SolveOptions};
 use cophy_catalog::{Configuration, Schema, TpchGen};
+use cophy_integration::Fold;
 use cophy_inum::Inum;
-use cophy_optimizer::backend::fnv1a;
 use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::{HomGen, Statement, Workload};
 use rand::rngs::SmallRng;
@@ -56,26 +57,6 @@ const fn sub_seed(seed: u64, i: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-#[derive(Default)]
-struct Fold(Vec<u8>);
-
-impl Fold {
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn configuration(&mut self, c: &Configuration) {
-        self.u64(c.len() as u64);
-        for ix in c.indexes() {
-            self.0.extend_from_slice(format!("{ix:?}").as_bytes());
-        }
-    }
 }
 
 /// The templates in rotation, as `Scenario::batch` instantiates them.
@@ -132,7 +113,7 @@ fn digest(backend: &dyn WhatIfBackend, seed: u64) -> u64 {
     let (model, _) = BipGen::default().model(schema, cm, &prepared, &candidates, &rich);
     let opts = SolveOptions { budget: budget(), ..Default::default() };
     let r = BranchBound::new().solve(&model, &opts);
-    fold.0.extend_from_slice(format!("{:?}", r.status).as_bytes());
+    fold.bytes(format!("{:?}", r.status).as_bytes());
     for v in [r.objective, r.bound, r.gap] {
         fold.f64(v);
     }
@@ -185,7 +166,7 @@ fn digest(backend: &dyn WhatIfBackend, seed: u64) -> u64 {
     session.unfix_index(&banned);
     sweep(&mut fold, &mut session, &[at(0.5), at(0.3), at(0.15)]);
 
-    fnv1a(&fold.0)
+    fold.digest()
 }
 
 fn check(seed: u64, expected: u64) {

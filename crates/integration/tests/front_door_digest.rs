@@ -16,6 +16,19 @@
 //! what-if probes → candidates".  A refactor of the path behind the doors
 //! that keeps every float bit, every id and every probe leaves them alone;
 //! anything else moves them.  They are not to be regenerated.
+//!
+//! **Re-record protocol** (this file and `probe_digest.rs`,
+//! `lagrangian_digest.rs`, `bb_digest.rs`).  A change that moves an answer
+//! on purpose changes constants only in a commit of its own, which contains
+//! nothing but the new constants and whose message names the issue, the
+//! test that justifies the move (an oracle or an equality property that
+//! fails at the parent) and the gate numbers that moved with it.  The new
+//! values are the ones the failing test prints: every digest test prints
+//! its full computed table on a mismatch, and no switch or environment
+//! variable regenerates anything.  First use: ISSUE 21 gave every door the
+//! streaming clustering, which moved the three `long/epsilon` constants of
+//! the materialized-workload doors onto their streamed twins' values
+//! (`streaming.rs::every_door_gives_the_same_answer_under_every_policy`).
 
 use std::time::Duration;
 
@@ -23,12 +36,14 @@ use cophy::{
     CGen, CandidateSet, Cmp, CoPhy, CoPhyOptions, CompressionPolicy, Constraint, ConstraintSet,
     IndexFilter, Recommendation, SolveBudget, TuningSession,
 };
-use cophy_catalog::{Index, Schema, TpchGen};
-use cophy_optimizer::backend::fnv1a;
+use cophy_catalog::{Schema, TpchGen};
+use cophy_integration::Fold;
 use cophy_optimizer::{
     FaultInjectingBackend, FaultPlan, RetryPolicy, SystemProfile, WhatIfBackend, WhatIfOptimizer,
 };
-use cophy_workload::{HetGen, HomGen, UpdateGen, Workload, DEFAULT_CHUNK};
+use cophy_workload::{HetGen, HomGen, UpdateGen, Workload};
+
+mod common;
 
 const DOORS: [&str; 5] = [
     "try_tune",
@@ -169,92 +184,67 @@ const EXPECTED_RICH: u64 = 0x70d3_e94e_e379_056d;
 /// off and on, `DegradationReport` folded in.
 const EXPECTED_FAULTED: [u64; 2] = [0x1941_83a5_214c_1f03, 0x9d94_d808_7bc7_687c];
 
-/// The bytes one door's outcome folds to.
-#[derive(Default)]
-struct Fold(Vec<u8>);
-
-impl Fold {
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+fn fold_recommendation(fold: &mut Fold, rec: &Recommendation) {
+    for v in [rec.objective, rec.bound, rec.baseline_cost, rec.gap] {
+        fold.f64(v);
     }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn index(&mut self, ix: &Index) {
-        self.0.extend_from_slice(format!("{ix:?}").as_bytes());
-    }
-
-    fn recommendation(&mut self, rec: &Recommendation) {
-        for v in [rec.objective, rec.bound, rec.baseline_cost, rec.gap] {
-            self.f64(v);
+    fold.configuration(&rec.configuration);
+    fold.u64(rec.stats.what_if_calls);
+    fold.u64(rec.stats.n_candidates as u64);
+    fold.u64(rec.stats.n_variables as u64);
+    match &rec.compression {
+        None => fold.u64(0),
+        Some(c) => {
+            fold.u64(1);
+            fold.u64(c.n_original as u64);
+            fold.u64(c.n_representatives as u64);
+            fold.f64(c.total_weight);
         }
-        self.u64(rec.configuration.len() as u64);
-        for ix in rec.configuration.indexes() {
-            self.index(ix);
-        }
-        self.u64(rec.stats.what_if_calls);
-        self.u64(rec.stats.n_candidates as u64);
-        self.u64(rec.stats.n_variables as u64);
-        match &rec.compression {
-            None => self.u64(0),
-            Some(c) => {
-                self.u64(1);
-                self.u64(c.n_original as u64);
-                self.u64(c.n_representatives as u64);
-                self.f64(c.total_weight);
+    }
+    match &rec.degradation {
+        None => fold.u64(0),
+        Some(d) => {
+            fold.u64(1);
+            for v in [d.probes_failed, d.retries, d.probes_recovered, d.probes_substituted] {
+                fold.u64(v);
             }
+            fold.u64(d.statements_degraded as u64);
+            fold.u64(d.statements_total as u64);
+            fold.f64(d.coverage);
+            fold.f64(d.worst_case_inflation);
         }
-        match &rec.degradation {
-            None => self.u64(0),
-            Some(d) => {
-                self.u64(1);
-                for v in [d.probes_failed, d.retries, d.probes_recovered, d.probes_substituted] {
-                    self.u64(v);
+    }
+}
+
+/// Everything a session holds before its first solve: the prepared
+/// workload, the probe bill, the candidates and the model.
+fn fold_session(fold: &mut Fold, session: &mut TuningSession) {
+    fold.u64(session.n_statements() as u64);
+    let pw = session.cache().snapshot();
+    fold.u64(pw.what_if_calls);
+    fold.u64(pw.queries.len() as u64);
+    for pq in &pw.queries {
+        fold.u64(u64::from(pq.qid.0));
+        fold.f64(pq.weight);
+        fold.f64(pq.fixed_update_cost);
+        fold.u64(pq.templates.len() as u64);
+        for t in &pq.templates {
+            fold.f64(t.internal_cost);
+            for s in &t.slots {
+                fold.u64(u64::from(s.table.0));
+                fold.u64(s.required.len() as u64);
+                for c in &s.required {
+                    fold.u64(u64::from(c.0));
                 }
-                self.u64(d.statements_degraded as u64);
-                self.u64(d.statements_total as u64);
-                self.f64(d.coverage);
-                self.f64(d.worst_case_inflation);
+                fold.opt(s.heap_cost);
             }
         }
     }
-
-    /// Everything a session holds before its first solve: the prepared
-    /// workload, the probe bill, the candidates and the model.
-    fn session(&mut self, session: &mut TuningSession) {
-        self.u64(session.n_statements() as u64);
-        let pw = session.cache().snapshot();
-        self.u64(pw.what_if_calls);
-        self.u64(pw.queries.len() as u64);
-        for pq in &pw.queries {
-            self.u64(u64::from(pq.qid.0));
-            self.f64(pq.weight);
-            self.f64(pq.fixed_update_cost);
-            self.u64(pq.templates.len() as u64);
-            for t in &pq.templates {
-                self.f64(t.internal_cost);
-                for s in &t.slots {
-                    self.u64(u64::from(s.table.0));
-                    self.u64(s.required.len() as u64);
-                    for c in &s.required {
-                        self.u64(u64::from(c.0));
-                    }
-                    self.f64(s.heap_cost.unwrap_or(f64::NEG_INFINITY));
-                }
-            }
-        }
-        self.u64(session.candidates().len() as u64);
-        for (_, ix) in session.candidates().iter() {
-            self.index(ix);
-        }
-        self.0.extend_from_slice(session.export_mps().as_bytes());
+    fold.u64(session.candidates().len() as u64);
+    for (_, ix) in session.candidates().iter() {
+        fold.index(ix);
     }
-
-    fn digest(&self) -> u64 {
-        fnv1a(&self.0)
-    }
+    fold.bytes(session.export_mps().as_bytes());
 }
 
 fn optimizer() -> WhatIfOptimizer {
@@ -290,19 +280,19 @@ fn door_digests(backend: &dyn WhatIfBackend, opts: &CoPhyOptions, w: &Workload) 
             }
             "try_session" => {
                 let mut s = cophy.try_session(w, constraints.clone()).expect(door);
-                fold.session(&mut s);
+                fold_session(&mut fold, &mut s);
                 s.recommend()
             }
             "try_session_streaming" => {
                 let mut s =
                     cophy.try_session_streaming(&mut w.source(), constraints.clone()).expect(door);
-                fold.session(&mut s);
+                fold_session(&mut fold, &mut s);
                 s.recommend()
             }
             "try_tune_source" => cophy.try_tune_source(&mut w.source(), &constraints).expect(door),
             _ => unreachable!(),
         };
-        fold.recommendation(&rec);
+        fold_recommendation(&mut fold, &rec);
         fold.digest()
     })
 }
@@ -319,24 +309,6 @@ fn update_mix(schema: &Schema) -> Workload {
     UpdateGen::new(101).mix_into(schema, &HomGen::new(5).generate(schema, 18), 0.4)
 }
 
-/// 300 statements, more than one `DEFAULT_CHUNK`: templates with a diverse
-/// statement after every ninth, so the second chunk opens clusters and
-/// proposes candidates of its own.
-fn long(schema: &Schema) -> Workload {
-    let hom = HomGen::new(9).generate(schema, 270);
-    let het = HetGen::new(4).generate(schema, 30);
-    let mut w = Workload::new();
-    for (i, (_, stmt, weight)) in hom.iter().enumerate() {
-        w.push_weighted(stmt.clone(), weight);
-        if i % 9 == 8 {
-            let (_, stmt, weight) = het.iter().nth(i / 9).expect("30 diverse statements");
-            w.push_weighted(stmt.clone(), weight);
-        }
-    }
-    assert!(w.len() == 300 && w.len() > DEFAULT_CHUNK);
-    w
-}
-
 const POLICIES: [(&str, CompressionPolicy); 3] = [
     ("off", CompressionPolicy::Off),
     ("lossless", CompressionPolicy::Lossless),
@@ -351,7 +323,7 @@ fn every_front_door_folds_to_its_recorded_digest() {
         ("hom", hom(&schema), 400),
         ("het", het(&schema), 400),
         ("update_mix", update_mix(&schema), 400),
-        ("long", long(&schema), 40),
+        ("long", common::long_workload(&schema), 40),
     ];
     let mut got: Vec<(String, [u64; 5])> = Vec::new();
     for (name, w, iterations) in &workloads {
@@ -394,7 +366,7 @@ fn rich_constraint_tune_folds_to_its_recorded_digest() {
     let rec = CoPhy::new(&o, opts).try_tune(&w, &rich).expect("feasible");
     assert!(rec.configuration.on_table(li).count() <= 1);
     let mut fold = Fold::default();
-    fold.recommendation(&rec);
+    fold_recommendation(&mut fold, &rec);
     assert_eq!(
         fold.digest(),
         EXPECTED_RICH,
@@ -426,7 +398,7 @@ fn faulted_tune_folds_to_its_recorded_digest() {
         let d = rec.degradation.as_ref().expect("the schedule must fire");
         assert!(d.probes_recovered > 0 && d.probes_substituted > 0 && d.statements_degraded > 0);
         let mut fold = Fold::default();
-        fold.recommendation(&rec);
+        fold_recommendation(&mut fold, &rec);
         fold.digest()
     });
     assert_eq!(got, EXPECTED_FAULTED, "faulted tunes drifted: {got:#018x?}");

@@ -1,11 +1,12 @@
-//! Heap traffic of streaming ingestion, per statement.
+//! Heap traffic of ingestion, per statement.
 //!
 //! Ingestion is linear in the stream: a chunk's rollback state is an undo
 //! journal of the chunk's size, so the bytes a statement costs do not depend
 //! on how many came before it.  A session that deep-copied its clustering
 //! before every chunk allocated several times more per statement at 10⁵
 //! statements than at 2·10⁴; this test keeps that from coming back, by
-//! counting instead of timing.
+//! counting instead of timing — through the streamed door and through the
+//! materialized one, which keeps no per-statement state either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -45,17 +46,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Bytes allocated per statement while a streaming session ingests `n`
-/// `HomGen` statements under default-ε compression.
-fn ingest_bytes_per_statement(n: usize) -> f64 {
+/// Bytes allocated per statement while a session ingests `n` `HomGen`
+/// statements under default-ε compression — streamed from the generator, or
+/// materialized first (outside the count) and handed to `try_session`.
+fn ingest_bytes_per_statement(n: usize, materialized: bool) -> f64 {
     let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
     let opts =
         CoPhyOptions { compression: CompressionPolicy::default_epsilon(), ..Default::default() };
     let cophy = CoPhy::new(&o, opts);
     let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-    let mut stream = HomGen::new(0x5CA1E).stream(o.schema(), n);
+    let gen = HomGen::new(0x5CA1E);
+    let w = materialized.then(|| gen.generate(o.schema(), n));
     let before = BYTES.with(Cell::get);
-    let session = cophy.try_session_streaming(&mut stream, constraints).unwrap();
+    let session = match &w {
+        Some(w) => cophy.try_session(w, constraints),
+        None => cophy.try_session_streaming(&mut gen.stream(o.schema(), n), constraints),
+    }
+    .unwrap();
     let bytes = BYTES.with(Cell::get) - before;
     assert_eq!(session.n_statements(), n);
     bytes as f64 / n as f64
@@ -63,12 +70,14 @@ fn ingest_bytes_per_statement(n: usize) -> f64 {
 
 #[test]
 fn ingestion_allocates_linearly_in_the_stream() {
-    let small = ingest_bytes_per_statement(20_000);
-    let large = ingest_bytes_per_statement(100_000);
-    // Hash-map doubling alone moves the ratio by tens of percent; a cost
-    // that grows with the statements absorbed so far moves it several-fold.
-    assert!(
-        large <= 1.5 * small,
-        "bytes per statement grew from {small:.0} at 2·10⁴ to {large:.0} at 10⁵"
-    );
+    for (door, materialized) in [("try_session_streaming", false), ("try_session", true)] {
+        let small = ingest_bytes_per_statement(20_000, materialized);
+        let large = ingest_bytes_per_statement(100_000, materialized);
+        // Hash-map doubling alone moves the ratio by tens of percent; a cost
+        // that grows with the statements absorbed so far moves it several-fold.
+        assert!(
+            large <= 1.5 * small,
+            "{door}: bytes per statement grew from {small:.0} at 2·10⁴ to {large:.0} at 10⁵"
+        );
+    }
 }

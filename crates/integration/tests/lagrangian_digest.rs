@@ -22,13 +22,13 @@
 //! BIPGen priced one access path per (template, slot, candidate).  A rewrite
 //! of either layer that keeps every float bit, every tie-break and every
 //! iteration leaves them alone; anything else moves them.  They are not to
-//! be regenerated.
+//! be regenerated; `front_door_digest.rs` has the re-record protocol.
 
 use cophy::{BipGen, CGen, ConstraintSet};
 use cophy_bip::{BlockProblem, LagrangeResult, LagrangianSolver, SolveBudget, WarmStart};
 use cophy_catalog::{Schema, TpchGen};
+use cophy_integration::Fold;
 use cophy_inum::Inum;
-use cophy_optimizer::backend::fnv1a;
 use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::{HetGen, HomGen, UpdateGen, Workload};
 
@@ -40,73 +40,55 @@ const EXPECTED: [(&str, u64); 4] = [
     ("hom45", 0x4da1_f2e1_6fa0_5ca8),
 ];
 
-#[derive(Default)]
-struct Fold(Vec<u8>);
-
-impl Fold {
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// `None` folds as a bit pattern no cost takes.
-    fn opt(&mut self, v: Option<f64>) {
-        self.f64(v.unwrap_or(f64::NEG_INFINITY));
-    }
-
-    fn problem(&mut self, p: &BlockProblem, fixed_cost: f64) {
-        self.u64(p.blocks.len() as u64);
-        for block in &p.blocks {
-            self.u64(block.alts.len() as u64);
-            for alt in &block.alts {
-                self.f64(alt.base);
-                self.u64(alt.slots.len() as u64);
-                for slot in &alt.slots {
-                    self.opt(slot.fallback);
-                    self.u64(slot.choices.len() as u64);
-                    for &(item, gamma) in &slot.choices {
-                        self.u64(u64::from(item));
-                        self.f64(gamma);
-                    }
+fn fold_problem(fold: &mut Fold, p: &BlockProblem, fixed_cost: f64) {
+    fold.u64(p.blocks.len() as u64);
+    for block in &p.blocks {
+        fold.u64(block.alts.len() as u64);
+        for alt in &block.alts {
+            fold.f64(alt.base);
+            fold.u64(alt.slots.len() as u64);
+            for slot in &alt.slots {
+                fold.opt(slot.fallback);
+                fold.u64(slot.choices.len() as u64);
+                for &(item, gamma) in &slot.choices {
+                    fold.u64(u64::from(item));
+                    fold.f64(gamma);
                 }
             }
         }
-        self.u64(p.n_items as u64);
-        for a in 0..p.n_items {
-            self.f64(p.item_cost[a]);
-            self.f64(p.item_size[a]);
-        }
-        self.opt(p.budget);
-        self.f64(fixed_cost);
     }
+    fold.u64(p.n_items as u64);
+    for a in 0..p.n_items {
+        fold.f64(p.item_cost[a]);
+        fold.f64(p.item_size[a]);
+    }
+    fold.opt(p.budget);
+    fold.f64(fixed_cost);
+}
 
-    fn solve(&mut self, r: &LagrangeResult, warm: &WarmStart) {
-        for v in [r.objective, r.bound, r.gap] {
-            self.f64(v);
+fn fold_solve(fold: &mut Fold, r: &LagrangeResult, warm: &WarmStart) {
+    for v in [r.objective, r.bound, r.gap] {
+        fold.f64(v);
+    }
+    fold.u64(r.iterations as u64);
+    for selection in [&r.selected, &warm.selection] {
+        fold.u64(selection.len() as u64);
+        fold.bytes(&selection.iter().map(|&s| u8::from(s)).collect::<Vec<_>>());
+    }
+    fold.u64(r.trace.len() as u64);
+    for pt in &r.trace {
+        for v in [pt.incumbent, pt.bound, pt.gap] {
+            fold.f64(v);
         }
-        self.u64(r.iterations as u64);
-        for selection in [&r.selected, &warm.selection] {
-            self.u64(selection.len() as u64);
-            self.0.extend(selection.iter().map(|&s| u8::from(s)));
+    }
+    let mut multipliers: Vec<_> = warm.multipliers.iter().collect();
+    multipliers.sort_by_key(|(key, _)| **key);
+    fold.u64(multipliers.len() as u64);
+    for (&(b, k, s, item), &mu) in multipliers {
+        for v in [b, k, s, item] {
+            fold.u64(u64::from(v));
         }
-        self.u64(r.trace.len() as u64);
-        for pt in &r.trace {
-            for v in [pt.incumbent, pt.bound, pt.gap] {
-                self.f64(v);
-            }
-        }
-        let mut multipliers: Vec<_> = warm.multipliers.iter().collect();
-        multipliers.sort_by_key(|(key, _)| **key);
-        self.u64(multipliers.len() as u64);
-        for (&(b, k, s, item), &mu) in multipliers {
-            for v in [b, k, s, item] {
-                self.u64(u64::from(v));
-            }
-            self.f64(mu);
-        }
+        fold.f64(mu);
     }
 }
 
@@ -126,12 +108,12 @@ fn digest(backend: &dyn WhatIfBackend, w: &Workload) -> u64 {
     assert!(p.n_choices() > 0, "an input without a single choice pins nothing");
 
     let mut fold = Fold::default();
-    fold.problem(p, tp.fixed_cost);
+    fold_problem(&mut fold, p, tp.fixed_cost);
 
     let (cold, warm) = solver().solve_warm(p, None);
-    fold.solve(&cold, &warm);
+    fold_solve(&mut fold, &cold, &warm);
     let (rewarmed, warm2) = solver().solve_warm(p, Some(&warm));
-    fold.solve(&rewarmed, &warm2);
+    fold_solve(&mut fold, &rewarmed, &warm2);
 
     // Ban the first index the cold solve chose, pin the first one it left
     // out that fits the budget on its own.
@@ -146,9 +128,9 @@ fn digest(backend: &dyn WhatIfBackend, w: &Workload) -> u64 {
     let fx = p.with_fixings(&fixed).expect("one pin fits the budget");
     fold.f64(fx.pinned_cost);
     let (fixed_solve, fixed_warm) = solver().solve_warm(&fx.problem, None);
-    fold.solve(&fixed_solve, &fixed_warm);
+    fold_solve(&mut fold, &fixed_solve, &fixed_warm);
 
-    fnv1a(&fold.0)
+    fold.digest()
 }
 
 fn inputs(schema: &Schema) -> [Workload; 4] {
@@ -164,12 +146,10 @@ fn inputs(schema: &Schema) -> [Workload; 4] {
 fn block_form_and_lagrangian_solves_fold_to_the_recorded_digests() {
     let backend = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
     let workloads = inputs(backend.schema());
-    let mut drifted = Vec::new();
-    for ((name, expected), w) in EXPECTED.iter().zip(&workloads) {
-        let got = digest(&backend, w);
-        if got != *expected {
-            drifted.push(format!("(\"{name}\", {got:#018x})"));
-        }
-    }
-    assert!(drifted.is_empty(), "digests drifted from the recorded layers: {drifted:?}");
+    let got: Vec<(&str, u64)> = EXPECTED
+        .iter()
+        .zip(&workloads)
+        .map(|((name, _), w)| (*name, digest(&backend, w)))
+        .collect();
+    assert!(got == EXPECTED, "digests drifted from the recorded layers; computed: {got:#018x?}");
 }

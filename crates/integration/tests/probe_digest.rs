@@ -11,14 +11,15 @@
 //! six-table template, update shells and wide configurations.
 //!
 //! A kernel change that keeps every float bit and every tie-break leaves
-//! the digest alone; anything else moves it.
+//! the digest alone; anything else moves it (`front_door_digest.rs` has the
+//! re-record protocol).
 
 use std::sync::Mutex;
 
 use cophy::CGen;
 use cophy_catalog::{Configuration, Schema, TpchGen};
+use cophy_integration::Fold;
 use cophy_inum::{Inum, PrepFaultReport};
-use cophy_optimizer::backend::fnv1a;
 use cophy_optimizer::{
     BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend, WhatIfOptimizer,
 };
@@ -34,26 +35,26 @@ const SEEDS: [u64; 3] = [3, 17, 101];
 #[derive(Debug)]
 struct DigestBackend {
     inner: WhatIfOptimizer,
-    log: Mutex<Vec<u8>>,
+    log: Mutex<Fold>,
 }
 
 impl DigestBackend {
     fn new() -> Self {
         DigestBackend {
             inner: WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A),
-            log: Mutex::new(Vec::new()),
+            log: Mutex::default(),
         }
     }
 
     fn record(&self, ans: &ProbeAnswer) {
         let mut log = self.log.lock().expect("single-threaded test");
-        log.extend_from_slice(&ans.total_cost.to_bits().to_le_bytes());
-        log.extend_from_slice(&ans.internal_cost.to_bits().to_le_bytes());
+        log.f64(ans.total_cost);
+        log.f64(ans.internal_cost);
         for leaf in &ans.leaves {
-            log.extend_from_slice(&leaf.table.0.to_le_bytes());
-            log.extend_from_slice(&(leaf.required.len() as u32).to_le_bytes());
+            log.u32(leaf.table.0);
+            log.u32(leaf.required.len() as u32);
             for c in &leaf.required {
-                log.extend_from_slice(&c.0.to_le_bytes());
+                log.u32(c.0);
             }
         }
     }
@@ -125,7 +126,7 @@ fn probe_answers_fold_to_the_recorded_digest() {
     assert_eq!(max_tables, 6, "the inputs must include the six-table template");
     let probes = backend.what_if_calls();
     assert!(probes > 2_000, "only {probes} probes folded");
-    let digest = fnv1a(&backend.log.lock().expect("single-threaded test"));
+    let digest = backend.log.lock().expect("single-threaded test").digest();
     assert_eq!(
         digest, EXPECTED_DIGEST,
         "probe answers drifted from the recorded kernel ({probes} probes): {digest:#018x}"

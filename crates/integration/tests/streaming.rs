@@ -1,7 +1,11 @@
 //! Streaming-ingestion and block-decomposition properties (PR 10).
 //!
-//! Two invariants of the large-workload path:
+//! Three invariants of the large-workload path:
 //!
+//! 0. **The door is invisible.**  A materialized workload handed to
+//!    `try_tune` / `try_session` and the same statements streamed into
+//!    `try_tune_source` / `try_session_streaming` build the same model and
+//!    give the same answer, bit for bit, under every compression policy.
 //! 1. **Chunking is invisible.**  Feeding a mixed workload through the
 //!    chunked `WorkloadSource` ingestion in any chunk size yields a model
 //!    bit-identical to one-shot ingestion (compared as exported MPS text,
@@ -13,13 +17,16 @@
 //!    proven gap slack, and its bound never crosses its incumbent.
 
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use cophy::{
     CGen, CoPhy, CoPhyOptions, CompressionPolicy, ConstraintSet, SolveBudget, SolverBackend,
 };
 use cophy_catalog::TpchGen;
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
-use cophy_workload::{HomGen, UpdateGen, Workload};
+use cophy_workload::{HetGen, HomGen, UpdateGen, Workload};
+
+mod common;
 
 /// A mixed select + update workload (the shape that exercises both block
 /// kinds: query blocks and update blocks with fixed base costs).
@@ -34,6 +41,67 @@ fn mixed_workload(
         w.push_weighted(stmt.clone(), f);
     }
     w
+}
+
+/// The materialized doors against the streamed ones, on `w` under `policy`.
+/// No wall clock: every solve ends by gap or by its iteration cap.
+fn assert_doors_agree(w: &Workload, policy: CompressionPolicy, iterations: usize, label: &str) {
+    let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+    let opts = CoPhyOptions {
+        budget: SolveBudget {
+            time_limit: None,
+            ..SolveBudget::within(0.05).with_nodes(iterations)
+        },
+        compression: policy,
+        ..Default::default()
+    };
+    let cophy = CoPhy::new(&o, opts);
+    let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
+
+    let batch = cophy.try_tune(w, &constraints).unwrap();
+    let streamed = cophy.try_tune_source(&mut w.source(), &constraints).unwrap();
+    let mut session = cophy.try_session(w, constraints.clone()).unwrap();
+    let mut streamed_session = cophy.try_session_streaming(&mut w.source(), constraints).unwrap();
+    assert_eq!(session.n_statements(), w.len(), "{label}");
+    assert_eq!(session.n_representatives(), streamed_session.n_representatives(), "{label}");
+    assert_eq!(session.export_mps(), streamed_session.export_mps(), "{label}: Theorem-1 model");
+
+    let (recommended, streamed_recommended) = (session.recommend(), streamed_session.recommend());
+    for (a, b) in [(&batch, &streamed), (&recommended, &streamed_recommended)] {
+        for (x, y) in [(a.objective, b.objective), (a.bound, b.bound), (a.gap, b.gap)] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label}: {x} vs {y}");
+        }
+        assert_eq!(a.configuration, b.configuration, "{label}");
+        assert_eq!(a.stats.what_if_calls, b.stats.what_if_calls, "{label}");
+        assert_eq!(a.stats.n_candidates, b.stats.n_candidates, "{label}");
+        assert_eq!(a.compression, b.compression, "{label}");
+        assert_eq!(a.compression.is_some(), !policy.is_off(), "{label}");
+    }
+}
+
+#[test]
+fn every_door_gives_the_same_answer_under_every_policy() {
+    let schema = TpchGen::default().schema();
+    let mut rng = SmallRng::seed_from_u64(0xD00D);
+    let policies = |rng: &mut SmallRng| {
+        [
+            CompressionPolicy::Off,
+            CompressionPolicy::Lossless,
+            CompressionPolicy::Epsilon(rng.gen_range(0.01..0.6)),
+            CompressionPolicy::default_epsilon(),
+        ]
+    };
+    let (seed, n) = (rng.gen_range(0..1000u64), rng.gen_range(12..40usize));
+    for (shape, w, iterations) in [
+        ("long", common::long_workload(&schema), 40),
+        ("hom", HomGen::new(seed).generate(&schema, n), 400),
+        ("het", HetGen::new(seed).generate(&schema, n), 400),
+        ("update_mix", mixed_workload(&schema, seed, n, n / 3 + 1), 400),
+    ] {
+        for policy in policies(&mut rng) {
+            assert_doors_agree(&w, policy, iterations, &format!("{shape}:{seed}:{n}/{policy}"));
+        }
+    }
 }
 
 proptest! {

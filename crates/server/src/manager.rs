@@ -295,8 +295,9 @@ pub struct SessionManager {
 
 /// Parse a canonical workload spec `(hom|het|upd):SEED:N` into a
 /// **streaming** source: statements are generated on demand, chunk by
-/// chunk, so ingestion never materializes the workload (`add` routes every
-/// chunk through [`cophy::TuningSession::try_add_source`]).
+/// chunk, so ingestion never materializes the workload (a cold `open` and
+/// `add` both route every chunk through
+/// [`cophy::TuningSession::try_add_source`]).
 pub fn parse_spec_source<'a>(
     spec: &str,
     schema: &'a Schema,
@@ -320,10 +321,10 @@ pub fn parse_spec_source<'a>(
 }
 
 /// Parse a canonical workload spec `(hom|het|upd):SEED:N` into a
-/// materialized [`Workload`] (the cold-`open` path, which hands the whole
-/// workload to CGen + INUM at once).  Bit-identical to draining
-/// [`parse_spec_source`]: the batch generators are defined as drains of
-/// their streams.
+/// materialized [`Workload`], for callers that want the statements
+/// themselves (the daemon ingests [`parse_spec_source`] directly).
+/// Bit-identical to draining [`parse_spec_source`]: the batch generators are
+/// defined as drains of their streams.
 pub fn parse_spec(spec: &str, schema: &Schema) -> Result<Workload, WireError> {
     Ok(drain_to_workload(&mut *parse_spec_source(spec, schema)?))
 }
@@ -417,8 +418,9 @@ impl SessionManager {
             st.building.insert(spec.to_string());
             drop(st);
             let before = tenant.backend.spent();
-            let built = parse_spec(spec, &self.schema)
-                .and_then(|w| Ok(tenant.cophy.try_session(&w, constraints.clone())?));
+            let built = parse_spec_source(spec, &self.schema).and_then(|mut source| {
+                Ok(tenant.cophy.try_session_streaming(&mut *source, constraints.clone())?)
+            });
             let mut st = lock(&self.state);
             st.building.remove(spec);
             self.build_cv.notify_all();
