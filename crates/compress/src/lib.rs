@@ -799,12 +799,11 @@ mod tests {
         let w = mixed(6, 80);
         let policy = CompressionPolicy::default_epsilon();
         let (batch, assignment) = clustered(&s, &w, policy);
-        let mut tail = Workload::new();
-        for (_, stmt, weight) in w.iter().skip(50) {
-            tail.push_weighted(stmt.clone(), weight);
-        }
         let mut inc = CompressedWorkload::compress(&s, &w.truncate(50), policy);
-        assert_eq!(absorb_all(&s, &mut inc, &tail), assignment[50..]);
+        let tail = w.iter().skip(50);
+        let later: Vec<QueryId> =
+            tail.map(|(_, stmt, weight)| inc.absorb(&s, stmt, weight).representative()).collect();
+        assert_eq!(later, assignment[50..]);
         assert_eq!(inc, batch);
         assert_eq!(float_bits(&inc), float_bits(&batch));
         inc.validate().unwrap();

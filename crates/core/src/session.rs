@@ -515,7 +515,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// (the paper's §4.2 continuous-feedback contract).
     pub fn recommend_with_progress(
         &mut self,
-        mut on_progress: impl FnMut(&SolveProgress),
+        on_progress: impl FnMut(&SolveProgress),
     ) -> Recommendation {
         let steering = Steering {
             fixed: self.fixing_vector(),
@@ -527,7 +527,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
             &self.ingest.candidates,
             &self.constraints,
             steering,
-            &mut on_progress,
+            on_progress,
         );
         self.warm = Some(warm);
         rec.compression = self.ingest.compressed.as_ref().map(|c| c.summary());
