@@ -34,7 +34,7 @@ pub(crate) fn interactive(k: &Knobs) -> Outcome {
     let budgets: Vec<u64> =
         SWEEP_FRACTIONS.iter().map(|m| (o.schema().data_bytes() as f64 * m) as u64).collect();
 
-    // Warm chain: one session, K budget points, one ResolveContext.  The
+    // Warm chain: one session, K budget points, one DeltaModel.  The
     // study runs at the paper's interactive operating point (5% gap, 60 s)
     // with a lean candidate grammar (2-column keys, no covering variants):
     // interactivity presumes per-point answers in seconds, and the lean

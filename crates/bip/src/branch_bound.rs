@@ -353,7 +353,7 @@ fn warm_point_valid(model: &Model, x: &[f64], lo: &[f64], hi: &[f64]) -> bool {
 /// Per-variable branching history: average objective degradation per unit of
 /// fraction, per direction.
 #[derive(Debug, Clone)]
-struct PseudoCosts {
+pub(crate) struct PseudoCosts {
     up: Vec<f64>,
     dn: Vec<f64>,
     n_up: Vec<u32>,
@@ -363,18 +363,6 @@ struct PseudoCosts {
 impl PseudoCosts {
     fn new(n: usize) -> Self {
         PseudoCosts { up: vec![0.0; n], dn: vec![0.0; n], n_up: vec![0; n], n_dn: vec![0; n] }
-    }
-
-    /// Grow the table to `n` variables (new entries start unobserved); used
-    /// when a [`ResolveContext`] table is reused after the model gained
-    /// variables.
-    fn ensure_len(&mut self, n: usize) {
-        if self.up.len() < n {
-            self.up.resize(n, 0.0);
-            self.dn.resize(n, 0.0);
-            self.n_up.resize(n, 0);
-            self.n_dn.resize(n, 0);
-        }
     }
 
     /// Fold one observed per-unit degradation into the running mean.
@@ -421,63 +409,6 @@ impl PseudoCosts {
     }
 }
 
-/// Warm-start state carried between interactive re-solves of one (mutating)
-/// model — the `ResolveContext` of the paper's §4.2 re-optimization loop:
-///
-/// * the **root LP basis** of the previous solve, re-used by the dual
-///   simplex after RHS or bound deltas (both leave it dual feasible) and
-///   *extended* after row appends (each new row's slack enters as basic,
-///   which keeps the old duals — and dual feasibility — intact);
-/// * the **last incumbent**, offered (after repair against the mutated
-///   rows and clamped to the current fixings) as the next solve's seed;
-/// * the accumulated **pseudo-cost table**, so branching stays informed
-///   across re-solves instead of re-learning per question.
-///
-/// Obtain one with [`ResolveContext::new`] and thread it through
-/// [`BranchBound::resolve_with_progress`]; the context invalidates its own
-/// basis when the model's structure version moved (row relaxed) and pays
-/// one cold root LP in that case.
-#[derive(Debug, Default)]
-pub struct ResolveContext {
-    basis: Option<Arc<Basis>>,
-    incumbent: Option<Vec<f64>>,
-    pseudo: Option<PseudoCosts>,
-    /// `DeltaModel::structure_version` the basis was snapshotted under.
-    version: u64,
-    /// `DeltaModel::objective_version` the basis was snapshotted under; a
-    /// moved objective keeps the basis primal feasible but dual-stale, so
-    /// the next root restarts through the primal simplex instead.
-    obj_version: u64,
-    n_vars: usize,
-    /// Constraint count the basis was snapshotted under; a larger current
-    /// count with the version unmoved means rows were appended, so the
-    /// basis is extended rather than dropped.
-    n_rows: usize,
-    resolves: usize,
-}
-
-impl ResolveContext {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Is a warm root basis available for the next re-solve?
-    pub fn has_basis(&self) -> bool {
-        self.basis.is_some()
-    }
-
-    /// Number of solves served through this context so far.
-    pub fn resolves(&self) -> usize {
-        self.resolves
-    }
-
-    /// Drop the warm state (basis, seed, pseudo-costs); the next resolve
-    /// runs as a cold solve.
-    pub fn reset(&mut self) {
-        *self = ResolveContext::default();
-    }
-}
-
 /// Warm inputs of one engine run (internal).
 struct WarmInputs<'a> {
     root_lo: &'a [f64],
@@ -505,7 +436,7 @@ struct EngineArtifacts {
 /// Best-first B&B solver.
 #[derive(Debug, Default)]
 pub struct BranchBound {
-    pub simplex: SimplexSolver,
+    pub(crate) simplex: SimplexSolver,
 }
 
 impl BranchBound {
@@ -548,94 +479,56 @@ impl BranchBound {
         self.solve_engine(model, opts, seed, WarmInputs::cold(&lo, &hi), on_progress).0
     }
 
-    /// Re-solve a previously solved (and since mutated) model from its
-    /// [`ResolveContext`]: the root LP restarts from the last solve's basis
-    /// with the dual simplex (sound after any combination of
-    /// [`crate::ModelDelta::SetRhs`]/`FixVar`/`FreeVar` deltas — neither RHS
-    /// nor bounds enter the reduced costs), the previous incumbent is
-    /// clamped to the current fixings, repaired against the mutated rows and
-    /// offered as the seed, and branching continues from the accumulated
-    /// pseudo-cost table.  Row additions (`AddRow`) *extend* the basis —
-    /// each appended row's slack enters as basic, so the dual simplex only
-    /// repairs the new rows' violations — while `RelaxRow` drops it (that
-    /// re-solve pays one cold root LP); seed and pseudo-costs survive both.
-    /// An objective edit (`SetObjective`, the λ step of a Pareto sweep)
-    /// keeps the basis but reroutes the root through the *primal* simplex's
-    /// phase-2 restart: the old point stays primal feasible while its
-    /// reduced costs go stale, the exact mirror of the RHS/bound case.
+    /// Solve a [`DeltaModel`] from what its last solve left in it, and leave
+    /// the same behind for the next: the root LP restarts from the stored
+    /// basis with the dual simplex (sound after any mix of
+    /// [`DeltaModel::set_rhs`] and [`DeltaModel::fix`] — neither RHS nor
+    /// bounds enter the reduced costs), the previous incumbent is clamped to
+    /// the current fixings, repaired against the mutated rows and offered as
+    /// the seed, and branching continues from the accumulated pseudo-cost
+    /// table.  After [`DeltaModel::set_objective`] (the λ step of a Pareto
+    /// sweep) the root goes through the *primal* simplex's phase-2 restart
+    /// instead: the old point stays primal feasible while its reduced costs
+    /// go stale, the exact mirror of the RHS/bound case.  The first solve of
+    /// a fresh `DeltaModel` has nothing to restart from and runs cold.
+    /// Every incumbent/bound improvement streams through `on_progress`
+    /// (`|_, _| {}` to ignore them).
     pub fn resolve(
         &self,
-        dm: &DeltaModel,
+        dm: &mut DeltaModel,
         opts: &SolveOptions,
-        ctx: &mut ResolveContext,
-    ) -> MipResult {
-        self.resolve_with_progress(dm, opts, ctx, |_, _| {})
-    }
-
-    /// [`BranchBound::resolve`] streaming every incumbent/bound improvement
-    /// through the unified [`SolveProgress`] contract.
-    pub fn resolve_with_progress(
-        &self,
-        dm: &DeltaModel,
-        opts: &SolveOptions,
-        ctx: &mut ResolveContext,
         on_progress: impl FnMut(&SolveProgress, Option<&Vec<f64>>),
     ) -> MipResult {
-        let model = dm.model();
-        let n = model.n_vars();
-        let n_rows = model.n_constraints();
         let (lo, hi) = dm.bounds();
-        let structure_ok = ctx.version == dm.structure_version() && ctx.n_vars == n;
-        if structure_ok && n_rows > ctx.n_rows {
-            // Rows were appended since the snapshot (`AddRow` keeps the
-            // version): extend the basis in place — the new rows' slacks
-            // (pinned artificials for equalities) enter as basic, so the
-            // dual-simplex root stays warm and only repairs the violations
-            // the new rows introduce.
-            ctx.basis = ctx.basis.take().and_then(|b| b.extended_to(model).map(Arc::new));
-            ctx.n_rows = n_rows;
-        }
-        let basis_fits = structure_ok && ctx.n_rows == n_rows;
-        let basis = if basis_fits { ctx.basis.clone() } else { None };
         // Seed from the previous incumbent, clamped into the current pin/ban
         // box so the repair starts from a bound-respecting point.
-        let seed: Option<Vec<f64>> = ctx.incumbent.as_ref().filter(|x| x.len() == n).map(|x| {
+        let seed: Option<Vec<f64>> = dm.incumbent.as_ref().map(|x| {
             x.iter().zip(lo.iter().zip(&hi)).map(|(&v, (&l, &h))| v.clamp(l, h)).collect()
         });
-        let mut pseudo = ctx.pseudo.take();
-        if let Some(pc) = &mut pseudo {
-            pc.ensure_len(n);
-        }
         let warm = WarmInputs {
             root_lo: &lo,
             root_hi: &hi,
-            basis: basis.as_deref(),
-            pseudo,
-            primal_root: ctx.obj_version != dm.objective_version(),
+            basis: dm.basis.as_ref(),
+            pseudo: dm.pseudo.take(),
+            primal_root: dm.objective_moved,
         };
         let (result, artifacts) =
-            self.solve_engine(model, opts, seed.as_deref(), warm, on_progress);
-        ctx.pseudo = Some(artifacts.pseudo);
-        match artifacts.root_basis {
-            Some(b) => ctx.basis = Some(Arc::new(b)),
-            // No fresh optimal root (deadline inside the root LP): keep the
-            // old basis only while it still fits the model's structure.
-            None if !basis_fits => ctx.basis = None,
-            None => {}
+            self.solve_engine(dm.model(), opts, seed.as_deref(), warm, on_progress);
+        dm.pseudo = Some(artifacts.pseudo);
+        // No fresh optimal root (deadline inside the root LP) keeps the old
+        // basis: it still fits, the layout cannot have changed.
+        if let Some(b) = artifacts.root_basis {
+            dm.basis = Some(b);
         }
-        ctx.version = dm.structure_version();
-        ctx.obj_version = dm.objective_version();
-        ctx.n_vars = n;
-        ctx.n_rows = n_rows;
+        dm.objective_moved = false;
         if !result.x.is_empty() {
-            ctx.incumbent = Some(result.x.clone());
+            dm.incumbent = Some(result.x.clone());
         }
-        ctx.resolves += 1;
         result
     }
 
     /// The shared search engine behind [`BranchBound::solve_seeded_with_progress`]
-    /// and [`BranchBound::resolve_with_progress`]: root bounds carry the
+    /// and [`BranchBound::resolve`]: root bounds carry the
     /// caller's pin/ban fixings, `warm.basis` (if any) warm-starts the root
     /// LP through the dual simplex, and `warm.pseudo` (if any) continues an
     /// earlier solve's branching history.  Returns the result plus the
@@ -663,7 +556,6 @@ impl BranchBound {
         let mut hi = root_hi.to_vec();
         let mut stats = NodeStats::default();
         let mut pc = warm.pseudo.unwrap_or_else(|| PseudoCosts::new(n));
-        pc.ensure_len(n);
         if let Some(kb) = opts.known_bound {
             driver.raise_bound(kb);
         }
@@ -1715,16 +1607,14 @@ mod tests {
 
     #[test]
     fn rhs_sweep_resolves_match_cold_solves_and_pivot_less() {
-        use crate::delta::{DeltaModel, ModelDelta};
         let (m, row) = resolve_knapsack(5, 14, 30.0);
         let mut dm = DeltaModel::new(m.clone());
-        let mut ctx = ResolveContext::new();
         let opts = SolveOptions::default();
         let mut warm_pivots = 0usize;
         let mut cold_pivots = 0usize;
         for (i, rhs) in [30.0, 24.0, 18.0, 12.0, 6.0].into_iter().enumerate() {
-            dm.apply(ModelDelta::SetRhs { row, rhs });
-            let warm = BranchBound::new().resolve(&dm, &opts, &mut ctx);
+            dm.set_rhs(row, rhs);
+            let warm = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
             let mut cold_model = m.clone();
             cold_model.set_rhs(row, rhs);
             let cold = BranchBound::new().solve(&cold_model, &opts);
@@ -1742,8 +1632,7 @@ mod tests {
                 cold_pivots += cold.pivots;
             }
         }
-        assert_eq!(ctx.resolves(), 5);
-        assert!(ctx.has_basis(), "optimal resolves must leave a root basis behind");
+        assert!(dm.basis.is_some(), "optimal resolves must leave a root basis behind");
         assert!(
             warm_pivots <= cold_pivots,
             "warm-chained re-solves must not pivot more than cold solves: {warm_pivots} vs \
@@ -1753,111 +1642,32 @@ mod tests {
 
     #[test]
     fn fix_and_free_deltas_are_respected_across_resolves() {
-        use crate::delta::{DeltaModel, ModelDelta};
         let (m, _) = resolve_knapsack(9, 10, 20.0);
         let mut dm = DeltaModel::new(m.clone());
-        let mut ctx = ResolveContext::new();
         let opts = SolveOptions::default();
-        let free = BranchBound::new().resolve(&dm, &opts, &mut ctx);
+        let free = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
         assert_eq!(free.status, MipStatus::Optimal);
 
         // Ban the variable the free optimum relies on most (first one set).
         let banned = free.x.iter().position(|&v| v >= 0.5).expect("something selected");
-        dm.apply(ModelDelta::FixVar { var: crate::VarId(banned as u32), value: false });
-        let r_ban = BranchBound::new().resolve(&dm, &opts, &mut ctx);
+        dm.fix(crate::VarId(banned as u32), Some(false));
+        let r_ban = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
         assert_eq!(r_ban.status, MipStatus::Optimal);
         assert_eq!(r_ban.x[banned], 0.0, "banned variable must stay 0");
         assert!(r_ban.objective >= free.objective - 1e-9, "banning cannot improve the optimum");
 
         // Pin a variable the ban run left out, then free everything again.
         let pinned = r_ban.x.iter().position(|&v| v < 0.5).expect("something unset");
-        dm.apply(ModelDelta::FixVar { var: crate::VarId(pinned as u32), value: true });
-        let r_pin = BranchBound::new().resolve(&dm, &opts, &mut ctx);
+        dm.fix(crate::VarId(pinned as u32), Some(true));
+        let r_pin = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
         if r_pin.status != MipStatus::Infeasible {
             assert_eq!(r_pin.x[pinned], 1.0, "pinned variable must stay 1");
             assert_eq!(r_pin.x[banned], 0.0, "ban still applies");
         }
-        dm.apply(ModelDelta::FreeVar { var: crate::VarId(banned as u32) });
-        dm.apply(ModelDelta::FreeVar { var: crate::VarId(pinned as u32) });
-        let r_free = BranchBound::new().resolve(&dm, &opts, &mut ctx);
+        dm.fix(crate::VarId(banned as u32), None);
+        dm.fix(crate::VarId(pinned as u32), None);
+        let r_free = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
         assert!((r_free.objective - free.objective).abs() < 1e-6, "freeing restores the optimum");
-    }
-
-    #[test]
-    fn row_deltas_resolve_correctly_across_add_and_relax() {
-        use crate::delta::{DeltaModel, ModelDelta};
-        let (m, _) = resolve_knapsack(13, 8, 18.0);
-        let mut dm = DeltaModel::new(m);
-        let mut ctx = ResolveContext::new();
-        let opts = SolveOptions::default();
-        let r0 = BranchBound::new().resolve(&dm, &opts, &mut ctx);
-        assert_eq!(r0.status, MipStatus::Optimal);
-
-        // Cardinality row: at most 1 variable set.  An appended row keeps
-        // the warm basis (its slack enters as basic).
-        let mut card = LinExpr::new();
-        for j in 0..8 {
-            card.add(crate::VarId(j as u32), 1.0);
-        }
-        let row = dm
-            .apply(ModelDelta::AddRow { expr: card, sense: Sense::Le, rhs: 1.0 })
-            .expect("row id");
-        assert!(ctx.has_basis(), "the r0 root basis is available for extension");
-        let r1 = BranchBound::new().resolve(&dm, &opts, &mut ctx);
-        assert_eq!(r1.status, MipStatus::Optimal);
-        assert!(r1.x.iter().sum::<f64>() <= 1.0 + 1e-9, "added row must bind");
-        assert!(r1.objective >= r0.objective - 1e-9);
-
-        // Relaxing a row rewrites its columns in place: basis dropped, the
-        // re-solve pays a cold root but must still restore the r0 optimum.
-        dm.apply(ModelDelta::RelaxRow { row });
-        let r2 = BranchBound::new().resolve(&dm, &opts, &mut ctx);
-        assert!((r2.objective - r0.objective).abs() < 1e-6, "relaxing the row restores r0");
-    }
-
-    #[test]
-    fn row_additions_resolve_warm_from_the_extended_basis() {
-        use crate::delta::{DeltaModel, ModelDelta};
-        let (m, _) = resolve_knapsack(21, 14, 30.0);
-        let mut dm = DeltaModel::new(m.clone());
-        let mut ctx = ResolveContext::new();
-        let opts = SolveOptions::default();
-        let r0 = BranchBound::new().resolve(&dm, &opts, &mut ctx);
-        assert_eq!(r0.status, MipStatus::Optimal);
-
-        // Append a sequence of tightening cardinality rows; every warm
-        // re-solve must match its cold counterpart and, summed over the
-        // sweep, not pivot more (the whole point of extending the basis
-        // instead of paying cold roots).
-        let mut warm_pivots = 0usize;
-        let mut cold_pivots = 0usize;
-        let mut cold_model = m;
-        for cap in [6.0, 4.0, 2.0] {
-            let mut card = LinExpr::new();
-            for j in 0..14 {
-                card.add(crate::VarId(j as u32), 1.0);
-            }
-            dm.apply(ModelDelta::AddRow { expr: card.clone(), sense: Sense::Le, rhs: cap });
-            assert!(ctx.has_basis(), "appended rows must not drop the warm basis");
-            let warm = BranchBound::new().resolve(&dm, &opts, &mut ctx);
-            cold_model.add_constraint(card, Sense::Le, cap);
-            let cold = BranchBound::new().solve(&cold_model, &opts);
-            assert_eq!(warm.status, cold.status, "cap {cap}");
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "cap {cap}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            assert!(cold_model.feasible(&warm.x, 1e-6), "cap {cap}");
-            warm_pivots += warm.pivots;
-            cold_pivots += cold.pivots;
-        }
-        assert!(
-            warm_pivots <= cold_pivots,
-            "warm row-addition re-solves must not pivot more than cold solves: {warm_pivots} \
-             vs {cold_pivots}"
-        );
     }
 
     #[test]
@@ -1933,14 +1743,12 @@ mod tests {
         // walk): each warm resolve restarts the primal from the last basis
         // and must land exactly where a cold solve of the reweighted model
         // lands.
-        use crate::delta::{DeltaModel, ModelDelta};
         let m = branchy_model(5, 14);
         let base: Vec<f64> = m.objective().to_vec();
         let bb = BranchBound::new();
         let opts = SolveOptions::default();
         let mut dm = DeltaModel::new(m.clone());
-        let mut ctx = ResolveContext::new();
-        let first = bb.resolve(&dm, &opts, &mut ctx);
+        let first = bb.resolve(&mut dm, &opts, |_, _| {});
         assert_eq!(first.status, MipStatus::Optimal);
         for lam in [0.8, 0.5, 0.2] {
             let coeffs: Vec<f64> = base
@@ -1948,8 +1756,8 @@ mod tests {
                 .enumerate()
                 .map(|(j, c)| lam * c + (1.0 - lam) * -(((j % 3) as f64) + 0.5))
                 .collect();
-            dm.apply(ModelDelta::SetObjective { coeffs: coeffs.clone() });
-            let warm = bb.resolve(&dm, &opts, &mut ctx);
+            dm.set_objective(&coeffs);
+            let warm = bb.resolve(&mut dm, &opts, |_, _| {});
             let mut cold_model = m.clone();
             cold_model.set_objective_coeffs(&coeffs);
             let cold = bb.solve(&cold_model, &opts);
@@ -1961,7 +1769,7 @@ mod tests {
                 cold.objective
             );
         }
-        assert!(ctx.has_basis());
+        assert!(dm.basis.is_some());
     }
 
     // -- the repair heuristic against the loop it replaces ------------------

@@ -1,107 +1,66 @@
-//! Model deltas for interactive re-optimization (paper §4.2).
+//! A model under interactive re-optimization (paper §4.2).
 //!
 //! CoPhy's interactive claim rests on the observation that a DBA's follow-up
 //! questions — "what about a smaller budget?", "force this index in", "never
 //! build that one" — are *small mutations* of a BIP that has already been
 //! solved, so they should be answered by cheap re-solves of the existing
-//! model, not fresh tuning runs.  This module is the mutation vocabulary:
+//! model, not fresh tuning runs.  [`DeltaModel`] is that model: a [`Model`],
+//! its variable fixings, and what the last solve left behind for the next —
+//! the root LP basis, the incumbent and the pseudo-cost table.  Three
+//! setters mutate it, and each keeps the warm state usable:
 //!
-//! * [`ModelDelta`] — the atomic edits: tighten/relax a row's RHS (budget
-//!   sweeps), fix a variable to 0/1 (index pin/ban), free it again, add a
-//!   soft-constraint row, or relax an existing row away;
-//! * [`DeltaModel`] — a [`Model`] plus its current variable fixings and a
-//!   structure version, tracking which edits preserve the warm-start basis
-//!   (bound and RHS edits do: reduced costs depend on neither, so an optimal
-//!   basis stays **dual feasible** and the
-//!   [`DualSimplex`](crate::dual::DualSimplex) restores primal feasibility in
-//!   a handful of pivots; row *additions* do too — the new row's slack
-//!   enters as basic, extending the basis without touching the old duals)
-//!   and which do not (relaxing a row rewrites its columns in place, so the
-//!   next re-solve pays one cold root LP).
+//! * [`DeltaModel::set_rhs`] (budget sweeps) and [`DeltaModel::fix`] (index
+//!   pin / ban as a bound pinch, `None` to free) — reduced costs depend on
+//!   neither, so the old basis stays **dual feasible** and the
+//!   [`DualSimplex`](crate::dual::DualSimplex) restores primal feasibility
+//!   in a handful of pivots;
+//! * [`DeltaModel::set_objective`] (one λ step of a Pareto sweep) — the old
+//!   basis stays **primal** feasible while its reduced costs go stale, so
+//!   the next root restarts phase 2 of the *primal* simplex from it.
 //!
-//! The companion state — final root basis, last incumbent, pseudo-cost
-//! table — lives in [`ResolveContext`](crate::branch_bound::ResolveContext)
-//! and is threaded through
-//! [`BranchBound::resolve_with_progress`](crate::BranchBound::resolve_with_progress).
+//! Nothing here adds, drops or rewrites a row or a column: a caller whose
+//! edit changes the layout builds a new `DeltaModel`.
+//! [`BranchBound::resolve`](crate::BranchBound::resolve) is the one consumer.
 
-use crate::model::{ConstrId, LinExpr, Model, Sense, VarId};
+use crate::branch_bound::PseudoCosts;
+use crate::model::{ConstrId, Model, VarId};
+use crate::simplex::Basis;
 
-/// One atomic model mutation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ModelDelta {
-    /// Replace a row's right-hand side (e.g. the storage-budget sweep).
-    /// Keeps the warm-start basis: reduced costs do not depend on `b`.
-    SetRhs { row: ConstrId, rhs: f64 },
-    /// Pin a variable to a binary value (index pin = 1, ban = 0) by
-    /// collapsing its `[lo, hi]` interval.  Keeps the warm-start basis:
-    /// a bound pinch leaves the basis dual feasible.
-    FixVar { var: VarId, value: bool },
-    /// Remove a variable's fixing, restoring `[0, 1]`.
-    FreeVar { var: VarId },
-    /// Append a constraint row (e.g. materializing a soft constraint as a
-    /// hard row).  Keeps the warm-start basis: the appended row's slack (its
-    /// pinned artificial for an equality) enters as basic, which leaves the
-    /// old rows' duals — and with them every reduced cost — untouched, so
-    /// the dual simplex only repairs the new row's primal violation instead
-    /// of paying a cold root.
-    AddRow { expr: LinExpr, sense: Sense, rhs: f64 },
-    /// Neutralize an existing row in place (`0 {≤,=,≥} 0`), dropping it
-    /// from the feasible-region description without renumbering
-    /// [`ConstrId`]s.  Invalidates the warm-start basis (the structural
-    /// columns change).
-    RelaxRow { row: ConstrId },
-    /// Replace the full objective vector (e.g. one λ step of a Pareto /
-    /// chord sweep over `λ·cost + (1−λ)·storage`).  Keeps the warm-start
-    /// basis **primal** feasible but makes its reduced costs stale, so the
-    /// next re-solve restarts phase 2 of the *primal* simplex from the old
-    /// basis (a dual re-solve after an objective edit would be unsound).
-    SetObjective { coeffs: Vec<f64> },
-}
-
-/// A model under interactive mutation: the BIP, its current variable
-/// fixings, and a structure version that warm-start consumers compare
-/// against to decide whether a snapshot taken earlier still fits.
-#[derive(Debug, Clone)]
+/// A model under re-solve: the BIP, its current variable fixings and the
+/// warm state [`BranchBound::resolve`](crate::BranchBound::resolve) reads
+/// and rewrites (all of it empty until the first solve).
+#[derive(Debug)]
 pub struct DeltaModel {
     model: Model,
     fixed: Vec<Option<bool>>,
-    structure_version: u64,
-    objective_version: u64,
+    /// Optimal root basis of the last solve that reached one.
+    pub(crate) basis: Option<Basis>,
+    /// Last solve's incumbent; clamped to the fixings and repaired against
+    /// the mutated rows, it seeds the next.
+    pub(crate) incumbent: Option<Vec<f64>>,
+    /// Branching history accumulated over every solve so far.
+    pub(crate) pseudo: Option<PseudoCosts>,
+    /// The objective changed since `basis` was taken: a dual re-solve would
+    /// price with stale reduced costs, so the next root goes primal.
+    pub(crate) objective_moved: bool,
 }
 
 impl DeltaModel {
-    /// Wrap a freshly built model (no fixings, structure version 0).
+    /// Wrap a freshly built model: no fixings, nothing warm.
     pub fn new(model: Model) -> Self {
-        let n = model.n_vars();
-        DeltaModel { model, fixed: vec![None; n], structure_version: 0, objective_version: 0 }
+        let fixed = vec![None; model.n_vars()];
+        DeltaModel {
+            model,
+            fixed,
+            basis: None,
+            incumbent: None,
+            pseudo: None,
+            objective_moved: false,
+        }
     }
 
     pub fn model(&self) -> &Model {
         &self.model
-    }
-
-    /// Current fixing per variable (`None` = free).
-    pub fn fixed(&self) -> &[Option<bool>] {
-        &self.fixed
-    }
-
-    /// Bumped by every basis-destroying structure delta — today only
-    /// [`ModelDelta::RelaxRow`], which rewrites an existing row's columns in
-    /// place.  RHS and bound edits leave it unchanged, and so does
-    /// [`ModelDelta::AddRow`]: an appended row extends the old basis (its
-    /// slack enters as basic) rather than invalidating it, so warm-start
-    /// consumers pair this version with the row count to decide between
-    /// reuse, extension and a cold root.
-    pub fn structure_version(&self) -> u64 {
-        self.structure_version
-    }
-
-    /// Bumped by every [`ModelDelta::SetObjective`].  An objective edit
-    /// keeps the old basis primal feasible but not dual feasible, so warm
-    /// consumers route the next root through the primal simplex's phase-2
-    /// restart instead of the dual re-solve.
-    pub fn objective_version(&self) -> u64 {
-        self.objective_version
     }
 
     /// Root variable bounds under the current fixings.
@@ -118,45 +77,29 @@ impl DeltaModel {
         (lo, hi)
     }
 
-    /// Apply one delta.  Returns the id of the appended row for
-    /// [`ModelDelta::AddRow`], `None` otherwise.
-    pub fn apply(&mut self, delta: ModelDelta) -> Option<ConstrId> {
-        match delta {
-            ModelDelta::SetRhs { row, rhs } => {
-                self.model.set_rhs(row, rhs);
-                None
-            }
-            ModelDelta::FixVar { var, value } => {
-                self.fixed[var.0 as usize] = Some(value);
-                None
-            }
-            ModelDelta::FreeVar { var } => {
-                self.fixed[var.0 as usize] = None;
-                None
-            }
-            ModelDelta::AddRow { expr, sense, rhs } => {
-                // Deliberately no version bump: row appends are
-                // basis-extending, not basis-destroying (see
-                // `structure_version`).
-                Some(self.model.add_constraint(expr, sense, rhs))
-            }
-            ModelDelta::RelaxRow { row } => {
-                self.structure_version += 1;
-                self.model.relax_constraint(row);
-                None
-            }
-            ModelDelta::SetObjective { coeffs } => {
-                self.objective_version += 1;
-                self.model.set_objective_coeffs(&coeffs);
-                None
-            }
-        }
+    /// Replace a row's right-hand side (e.g. the storage-budget sweep).
+    pub fn set_rhs(&mut self, row: ConstrId, rhs: f64) {
+        self.model.set_rhs(row, rhs);
+    }
+
+    /// Pin a variable to a binary value (index pin = 1, ban = 0) by
+    /// collapsing its `[lo, hi]` interval, or restore `[0, 1]` with `None`.
+    pub fn fix(&mut self, var: VarId, value: Option<bool>) {
+        self.fixed[var.0 as usize] = value;
+    }
+
+    /// Replace the full objective vector (e.g. one λ step of a chord sweep
+    /// over `λ·cost + (1−λ)·storage`).
+    pub fn set_objective(&mut self, coeffs: &[f64]) {
+        self.objective_moved = true;
+        self.model.set_objective_coeffs(coeffs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{LinExpr, Sense};
 
     fn knapsack() -> (Model, ConstrId) {
         // min −10x − 6y − 4z s.t. 5x + 4y + 3z ≤ 9.
@@ -170,13 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn rhs_and_bound_edits_preserve_structure_version() {
+    fn rhs_and_bound_edits_leave_the_basis_dual_usable() {
         let (m, row) = knapsack();
         let mut dm = DeltaModel::new(m);
-        dm.apply(ModelDelta::SetRhs { row, rhs: 5.0 });
-        dm.apply(ModelDelta::FixVar { var: VarId(0), value: true });
-        dm.apply(ModelDelta::FreeVar { var: VarId(0) });
-        assert_eq!(dm.structure_version(), 0);
+        dm.set_rhs(row, 5.0);
+        dm.fix(VarId(0), Some(true));
+        dm.fix(VarId(0), None);
+        assert!(!dm.objective_moved);
         assert_eq!(dm.model().constraint(row).rhs, 5.0);
     }
 
@@ -184,46 +127,23 @@ mod tests {
     fn fixings_materialize_as_bounds() {
         let (m, _) = knapsack();
         let mut dm = DeltaModel::new(m);
-        dm.apply(ModelDelta::FixVar { var: VarId(1), value: true });
-        dm.apply(ModelDelta::FixVar { var: VarId(2), value: false });
+        dm.fix(VarId(1), Some(true));
+        dm.fix(VarId(2), Some(false));
         let (lo, hi) = dm.bounds();
         assert_eq!((lo[0], hi[0]), (0.0, 1.0));
         assert_eq!((lo[1], hi[1]), (1.0, 1.0));
         assert_eq!((lo[2], hi[2]), (0.0, 0.0));
-        dm.apply(ModelDelta::FreeVar { var: VarId(2) });
+        dm.fix(VarId(2), None);
         let (lo, hi) = dm.bounds();
         assert_eq!((lo[2], hi[2]), (0.0, 1.0));
     }
 
     #[test]
-    fn row_edits_version_correctly_and_keep_ids_stable() {
-        let (m, row) = knapsack();
-        let mut dm = DeltaModel::new(m);
-        let added = dm
-            .apply(ModelDelta::AddRow {
-                expr: LinExpr::new().term(VarId(0), 1.0).term(VarId(1), 1.0),
-                sense: Sense::Le,
-                rhs: 1.0,
-            })
-            .expect("AddRow returns the new row id");
-        assert_eq!(dm.structure_version(), 0, "row appends extend the basis, no version bump");
-        assert_eq!(dm.model().n_constraints(), 2);
-        dm.apply(ModelDelta::RelaxRow { row: added });
-        assert_eq!(dm.structure_version(), 1, "relaxing a row destroys the basis");
-        // Ids stay stable: the original row is untouched, the relaxed row is
-        // trivially satisfied by every point.
-        assert_eq!(dm.model().constraint(row).rhs, 9.0);
-        assert!(dm.model().constraint(added).expr.terms.is_empty());
-        assert!(dm.model().feasible(&[1.0, 1.0, 0.0], 1e-9), "relaxed row no longer binds");
-    }
-
-    #[test]
-    fn objective_edits_version_independently_of_structure() {
+    fn objective_edits_send_the_next_root_primal() {
         let (m, _) = knapsack();
         let mut dm = DeltaModel::new(m);
-        dm.apply(ModelDelta::SetObjective { coeffs: vec![-1.0, -2.0, -3.0] });
-        assert_eq!(dm.structure_version(), 0, "objective edits keep the structure version");
-        assert_eq!(dm.objective_version(), 1);
+        dm.set_objective(&[-1.0, -2.0, -3.0]);
+        assert!(dm.objective_moved);
         assert_eq!(dm.model().objective(), &[-1.0, -2.0, -3.0]);
     }
 }

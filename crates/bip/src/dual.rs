@@ -53,12 +53,12 @@ use crate::simplex::{
 /// wall-clock deadline.
 #[derive(Debug, Clone)]
 pub struct DualSimplex {
-    pub max_iters: usize,
-    pub tol: f64,
+    pub(crate) max_iters: usize,
+    pub(crate) tol: f64,
     /// Abandon the re-solve (status [`LpStatus::IterLimit`]) once this
     /// instant passes — checked before the first factorization and every
     /// [`DEADLINE_CHECK_INTERVAL`] pivots, same contract as the primal.
-    pub deadline: Option<std::time::Instant>,
+    pub(crate) deadline: Option<std::time::Instant>,
 }
 
 impl Default for DualSimplex {
@@ -439,64 +439,6 @@ mod tests {
         let oracle = dense_resolve(&dual, &m, &lo, &hi, &basis).expect("fits");
         assert_eq!(oracle.status, LpStatus::IterLimit);
         assert_eq!(oracle.iterations, 0, "no dual pivot may run past an expired deadline");
-    }
-
-    #[test]
-    fn extended_basis_resolves_row_appends_of_every_sense() {
-        // Root: min −x − 2y − 3z s.t. x + y + z ≤ 2.  Append one row of
-        // each sense and re-solve from the extended basis; the result must
-        // match a cold solve, and the extension must stay chainable.
-        let mut m = Model::new();
-        let x = m.add_var("x", -1.0);
-        let y = m.add_var("y", -2.0);
-        let z = m.add_var("z", -3.0);
-        m.add_constraint(LinExpr::new().term(x, 1.0).term(y, 1.0).term(z, 1.0), Sense::Le, 2.0);
-        let (lo, hi) = (vec![0.0; 3], vec![1.0; 3]);
-        let root = SimplexSolver::new().solve(&m, &lo, &hi);
-        assert_eq!(root.status, LpStatus::Optimal);
-        let mut basis = root.basis.expect("root basis");
-
-        let appends = [
-            (LinExpr::new().term(y, 1.0).term(z, 1.0), Sense::Le, 1.5),
-            (LinExpr::new().term(x, 1.0).term(y, 1.0), Sense::Ge, 0.5),
-            (LinExpr::new().term(x, 1.0), Sense::Eq, 0.25),
-        ];
-        for (expr, sense, rhs) in appends {
-            m.add_constraint(expr, sense, rhs);
-            let ext = basis.extended_to(&m).expect("row appends extend the basis");
-            assert_eq!(ext.basis.len(), m.n_constraints());
-            let warm = DualSimplex::new().resolve(&m, &lo, &hi, &ext).expect("extension fits");
-            let cold = SimplexSolver::new().solve(&m, &lo, &hi);
-            assert_eq!(warm.status, cold.status, "sense {sense:?}");
-            assert_eq!(warm.status, LpStatus::Optimal);
-            assert!(
-                (warm.objective - cold.objective).abs() < 1e-6,
-                "sense {sense:?}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-            basis = warm.basis.expect("optimal warm solve snapshots");
-        }
-    }
-
-    #[test]
-    fn extension_rejects_incompatible_models() {
-        let mut m = Model::new();
-        let x = m.add_var("x", -1.0);
-        m.add_constraint(LinExpr::new().term(x, 1.0), Sense::Le, 1.0);
-        let root = SimplexSolver::new().solve(&m, &[0.0], &[1.0]);
-        let basis = root.basis.expect("root basis");
-        // A model with a different variable count cannot absorb the basis.
-        let mut other = Model::new();
-        let p = other.add_var("p", -1.0);
-        let q = other.add_var("q", -1.0);
-        other.add_constraint(LinExpr::new().term(p, 1.0).term(q, 1.0), Sense::Le, 1.0);
-        assert!(basis.extended_to(&other).is_none());
-        // A sense flip among the old rows is not a row-append history.
-        let mut flipped = Model::new();
-        let r = flipped.add_var("x", -1.0);
-        flipped.add_constraint(LinExpr::new().term(r, 1.0), Sense::Eq, 1.0);
-        assert!(basis.extended_to(&flipped).is_none());
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! calibration note for this reproduction flags Rust LP-solver crates as
 //! immature, so everything here is built from scratch:
 //!
-//! * [`Model`] — a sparse BIP model builder with incremental extension
-//!   (new variables/constraints after a solve), the delta interface CoPhy's
-//!   interactive tuning exploits;
+//! * [`Model`] — a sparse BIP model builder;
 //! * [`simplex`] — a two-phase, bounded-variable **sparse revised** primal
 //!   simplex for the LP relaxations: sparse-LU basis factorization
 //!   (`factor`, Markowitz-style ordering + threshold partial pivoting) with
@@ -40,11 +38,12 @@
 //!   (gap / wall-clock / node limits), a [`SolveDriver`] owning the
 //!   incumbent stream, monotone bound and proven-gap tracking, and the
 //!   unified [`SolveProgress`] callback both backends report through;
-//! * [`delta`] — the **interactive re-optimization** vocabulary:
-//!   [`ModelDelta`] mutations (RHS sweeps, variable pin/ban, row
-//!   add/relax) over a [`DeltaModel`], re-solved through a
-//!   [`ResolveContext`] (last root basis + incumbent + pseudo-costs) so a
-//!   follow-up question costs dual pivots, not a fresh solve.
+//! * [`delta`] — **interactive re-optimization**: a [`DeltaModel`] is a
+//!   model, its pin/ban fixings and the last solve's root basis, incumbent
+//!   and pseudo-costs; `set_rhs` (budget sweeps), `fix` (pin/ban) and
+//!   `set_objective` (Pareto λ steps) mutate it, [`BranchBound::resolve`]
+//!   re-solves it, so a follow-up question costs a few pivots, not a fresh
+//!   solve.
 //!
 //! The solvers report the same observables CPLEX exposes to CoPhy:
 //! feasibility, anytime incumbent + bound (⇒ optimality gap), and cheap
@@ -65,8 +64,8 @@ pub mod model;
 pub mod mps;
 pub mod simplex;
 
-pub use branch_bound::{BranchBound, MipResult, ResolveContext, SolveOptions};
-pub use delta::{DeltaModel, ModelDelta};
+pub use branch_bound::{BranchBound, MipResult, SolveOptions};
+pub use delta::DeltaModel;
 pub use driver::{
     relative_gap, CancelToken, DecompositionProgress, DriverResult, GapPoint, MipStatus,
     SolveBudget, SolveDriver, SolveProgress,

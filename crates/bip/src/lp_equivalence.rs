@@ -6,8 +6,8 @@
 //! The contract under test is *objective/verdict equality*, not trace
 //! equality: the kernels pivot differently (Devex vs Dantzig vs Bland), but
 //! on every LP they must agree on feasibility and on the optimal value, and
-//! a [`Basis`](crate::Basis) snapshot must survive snapshot → restore →
-//! extend round-trips on either kernel.
+//! a [`Basis`](crate::Basis) snapshot must survive a snapshot → restore
+//! round-trip on either kernel.
 
 use proptest::prelude::*;
 
@@ -220,10 +220,9 @@ proptest! {
     }
 
     /// Basis round-trip: a snapshot restored under the *same* bounds is
-    /// already optimal (zero or near-zero extra pivots, equal objective),
-    /// and extending it across a row append keeps it usable.
+    /// already optimal (zero or near-zero extra pivots, equal objective).
     #[test]
-    fn basis_roundtrips_across_snapshot_restore_and_extend(m in random_lp()) {
+    fn basis_roundtrips_across_snapshot_and_restore(m in random_lp()) {
         let n = m.n_vars();
         let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
         let root = SimplexSolver::new().solve(&m, &lo, &hi);
@@ -243,23 +242,5 @@ proptest! {
                 (r.objective - root.objective).abs() <= 1e-6 * (1.0 + root.objective.abs())
             );
         }
-
-        // Append a redundant row and extend: the extended basis must solve
-        // the grown model to the same optimum.
-        let mut grown = m.clone();
-        let mut row = LinExpr::new();
-        for j in 0..n {
-            row.add(VarId(j as u32), 1.0);
-        }
-        grown.add_constraint(row, Sense::Le, n as f64 + 1.0);
-        let extended = basis.extended_to(&grown).expect("append-only extension");
-        let r = DualSimplex::new()
-            .resolve(&grown, &lo, &hi, &extended)
-            .expect("extended basis fits the grown model");
-        prop_assert_eq!(r.status, LpStatus::Optimal);
-        prop_assert!(
-            (r.objective - root.objective).abs() <= 1e-6 * (1.0 + root.objective.abs()),
-            "extended {} vs root {}", r.objective, root.objective
-        );
     }
 }

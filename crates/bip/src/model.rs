@@ -1,10 +1,9 @@
 //! Sparse BIP model builder.
 //!
 //! All variables are binary (`{0, 1}`); the LP relaxation solves over
-//! `[0, 1]`.  The model supports *incremental extension* — adding variables
-//! and constraints after a solve — which is the "delta" interface CoPhy's
-//! interactive tuning uses (§4.2): the solver keeps its incumbent and
-//! multiplier state, only the new parts are fresh.
+//! `[0, 1]`.  Warm re-solves of a model whose layout stays put (§4.2: a new
+//! right-hand side, a pinned variable, a re-weighted objective) go through
+//! [`DeltaModel`](crate::DeltaModel).
 
 use serde::{Deserialize, Serialize};
 
@@ -159,18 +158,6 @@ impl Model {
     /// do not depend on `b`.
     pub fn set_rhs(&mut self, c: ConstrId, rhs: f64) {
         self.constraints[c.0 as usize].rhs = rhs;
-    }
-
-    /// Neutralize one constraint in place: the row keeps its sense but loses
-    /// all terms and its RHS becomes 0, so it reads `0 {≤,=,≥} 0` — trivially
-    /// satisfied by every point.  Used by the delta interface to *drop* a row
-    /// without renumbering the remaining [`ConstrId`]s — the row count and
-    /// slack layout are unchanged, but the structural columns are, so
-    /// warm-start snapshots taken before the drop must be discarded.
-    pub fn relax_constraint(&mut self, c: ConstrId) {
-        let row = &mut self.constraints[c.0 as usize];
-        row.expr = LinExpr::new();
-        row.rhs = 0.0;
     }
 
     /// Objective value of an assignment.

@@ -351,11 +351,17 @@ mod tests {
 
     #[test]
     fn relaxed_rows_survive_export() {
-        let mut m = small_model();
-        m.relax_constraint(crate::model::ConstrId(1));
+        // A row with no terms (`0 ≥ 0`) has no COLUMNS entry to carry it;
+        // the ROWS section alone must bring it back, between its neighbours.
+        let mut m = Model::new();
+        let x = m.add_var("x", -1.0);
+        m.add_constraint(LinExpr::new().term(x, 1.0), Sense::Le, 1.0);
+        m.add_constraint(LinExpr::new(), Sense::Ge, 0.0);
+        m.add_constraint(LinExpr::new().term(x, 2.0), Sense::Ge, 0.0);
         let back = parse_mps(&write_mps(&m, "relaxed")).unwrap();
         assert_eq!(back.n_constraints(), 3);
         assert!(back.constraints()[1].expr.terms.is_empty());
-        assert_eq!(back.constraints()[1].rhs, 0.0);
+        assert_eq!((back.constraints()[1].sense, back.constraints()[1].rhs), (Sense::Ge, 0.0));
+        assert_eq!(back.constraints()[2].expr.terms, m.constraints()[2].expr.terms);
     }
 }

@@ -125,78 +125,16 @@ pub struct Basis {
     pub(crate) n_structural: usize,
 }
 
-impl Basis {
-    /// Extend this snapshot to the same model after rows were **appended**
-    /// (the [`ModelDelta::AddRow`](crate::ModelDelta::AddRow) path).  Old
-    /// columns keep their states — structural and slack indices are
-    /// unchanged, the artificial block shifts past the new rows' slacks —
-    /// and every appended row enters the basis through its own slack (its
-    /// pinned artificial for an equality row).  The extended basis matrix is
-    /// block triangular `[[B, 0], [C, ±I]]`, hence still invertible, and the
-    /// new rows' dual values are zero, so every old reduced cost — and with
-    /// it dual feasibility — survives verbatim.  A dual-simplex re-solve
-    /// from the extension therefore only repairs the primal violations the
-    /// new rows introduce, instead of paying a cold two-phase root.
-    ///
-    /// Returns `None` when the snapshot cannot have come from a row-append
-    /// history of `model` (different variable count, fewer rows than the
-    /// snapshot, or a sense change among the old rows).
-    pub fn extended_to(&self, model: &Model) -> Option<Basis> {
-        let n = self.n_structural;
-        let old_m = self.basis.len();
-        let new_m = model.n_constraints();
-        if model.n_vars() != n || new_m < old_m || self.state.len() < n + old_m {
-            return None;
-        }
-        let s_old = self.state.len() - n - old_m;
-        let rows = model.constraints();
-        if rows[..old_m].iter().filter(|c| c.sense != Sense::Eq).count() != s_old {
-            return None;
-        }
-        let s_new = rows[old_m..].iter().filter(|c| c.sense != Sense::Eq).count();
-
-        // New column layout:
-        // [0, n)                structural           (states copied)
-        // [n, n+s_old)          old slacks           (states copied)
-        // [n+s_old, n+s_old+s_new)  new slacks       (basic, patched below)
-        // [.., ..+old_m)        old artificials      (states copied, shifted)
-        // [.., ..+new_m-old_m)  new artificials      (nonbasic unless Eq row)
-        let mut state = Vec::with_capacity(n + s_old + s_new + new_m);
-        state.extend_from_slice(&self.state[..n + s_old]);
-        state.resize(n + s_old + s_new, VarState::Lower);
-        state.extend_from_slice(&self.state[n + s_old..]);
-        state.resize(n + s_old + s_new + new_m, VarState::Lower);
-        let mut basis: Vec<usize> =
-            self.basis.iter().map(|&b| if b < n + s_old { b } else { b + s_new }).collect();
-        let mut art_sigma = self.art_sigma.clone();
-        let art_start = n + s_old + s_new;
-        let mut next_slack = n + s_old;
-        for (i, c) in rows.iter().enumerate().skip(old_m) {
-            let enter = if c.sense == Sense::Eq {
-                art_start + i
-            } else {
-                let slack = next_slack;
-                next_slack += 1;
-                slack
-            };
-            state[enter] = VarState::Basic;
-            basis.push(enter);
-            art_sigma.push(1.0);
-        }
-        Some(Basis { state, basis, art_sigma, n_structural: n })
-    }
-}
-
 /// The simplex engine.
 #[derive(Debug, Clone)]
 pub struct SimplexSolver {
-    pub max_iters: usize,
-    pub tol: f64,
+    pub(crate) max_iters: usize,
+    pub(crate) tol: f64,
     /// Abandon the solve (status [`LpStatus::IterLimit`]) once this instant
     /// passes — checked before any factorization and every
     /// [`DEADLINE_CHECK_INTERVAL`] pivots, so a single large LP cannot blow
     /// through a caller's wall-clock budget.
-    pub deadline: Option<std::time::Instant>,
+    pub(crate) deadline: Option<std::time::Instant>,
 }
 
 /// Pivots between wall-clock deadline checks, shared by the primal and

@@ -83,7 +83,7 @@ pub struct BipMapping {
     /// Total `x` variables after pruning.
     pub n_x: usize,
     /// The model row carrying the storage budget, if the constraint set has
-    /// one — the interactive session's `ModelDelta::SetRhs` handle for
+    /// one — the interactive session's `DeltaModel::set_rhs` handle for
     /// warm-chained budget sweeps.
     pub storage_row: Option<ConstrId>,
     /// `Σ_q f_q c_q`: the fixed update-base cost outside the model.

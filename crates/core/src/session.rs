@@ -15,18 +15,22 @@
 //! questions from the *same* model and caches:
 //!
 //! * [`TuningSession::try_sweep_storage_with_progress`] — a K-point budget sweep solved as one
-//!   **warm chain** over a single Theorem-1 BIP: each point mutates the
-//!   storage row's RHS ([`ModelDelta::SetRhs`]) and re-solves from the
-//!   previous point's root basis, incumbent and pseudo-costs
-//!   ([`cophy_bip::ResolveContext`]), so K points cost one cold root plus
-//!   K−1 dual re-solves instead of K cold tunes (the paper's Figure 10
-//!   economics);
+//!   **warm chain** over a single Theorem-1 BIP: each point sets the
+//!   storage row's RHS ([`DeltaModel::set_rhs`]) and re-solves from the
+//!   root basis, incumbent and pseudo-costs the previous point left in the
+//!   same [`DeltaModel`], so K points cost one cold root plus K−1 dual
+//!   re-solves instead of K cold tunes (the paper's Figure 10 economics);
 //! * [`TuningSession::pin_index`] / [`TuningSession::ban_index`] — force an
 //!   index into or out of every subsequent answer by fixing its `z`
-//!   variable ([`ModelDelta::FixVar`]), a bound pinch the warm re-solve
+//!   variable ([`DeltaModel::fix`]), a bound pinch the warm re-solve
 //!   absorbs in a handful of dual pivots;
 //! * [`TuningSession::what_if`] — cost an explicit configuration **entirely
 //!   from the INUM cache**: zero optimizer what-if calls, zero solver work.
+//!
+//! The session owns pin / ban / budget **once** ([`TuningSession::fixings`],
+//! [`TuningSession::constraints`]).  The interactive BIP is a cache of them:
+//! each sweep point writes the fixings and its budget into the model just
+//! before it solves, so no mutator has to keep a second copy in step.
 //!
 //! Every solve streams through the unified [`SolveProgress`] contract.
 
@@ -34,8 +38,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cophy_bip::{
-    BranchBound, CancelToken, DeltaModel, MipResult, MipStatus, ModelDelta, ResolveContext,
-    SolveOptions, SolveProgress, WarmStart,
+    BranchBound, CancelToken, DeltaModel, MipResult, MipStatus, Model, SolveOptions, SolveProgress,
+    WarmStart,
 };
 use cophy_catalog::{Configuration, Index};
 use cophy_inum::InumCache;
@@ -93,15 +97,14 @@ impl WhatIfAnswer {
     }
 }
 
-/// The session's interactive BIP: the Theorem-1 model under mutation plus
-/// the warm re-solve state.  Built lazily on the first interactive call and
-/// dropped whenever a structural delta (new candidates, new statements, new
-/// constraint set) changes the variable layout.
+/// The session's interactive BIP: the Theorem-1 model under re-solve, warm
+/// state included.  Built lazily by the first sweep and dropped whenever a
+/// delta (new candidates, new statements, a constraint set with a different
+/// row layout) changes its variables or rows.
 #[derive(Debug)]
 struct InteractiveState {
     dm: DeltaModel,
     mapping: BipMapping,
-    ctx: ResolveContext,
 }
 
 /// An open tuning session.
@@ -119,10 +122,11 @@ pub struct TuningSession<'o, 'c> {
     ingest: Ingest,
     constraints: ConstraintSet,
     warm: Option<WarmStart>,
-    /// The interactive BIP + warm re-solve state (budget sweeps, pin/ban).
+    /// The interactive BIP + warm re-solve state of the budget sweeps.
     interactive: Option<InteractiveState>,
-    /// Sticky pin (`true`) / ban (`false`) fixings, keyed by index so they
-    /// survive interactive-model rebuilds.
+    /// Pin (`true`) / ban (`false`) fixings, keyed by index: the one copy,
+    /// read by every recommend and written into the interactive model by
+    /// every sweep point.
     fixings: Vec<(Index, bool)>,
     /// Cooperative cancellation armed on every solve this session runs
     /// (B&B re-solves and Lagrangian recommends alike); `None` = never
@@ -199,7 +203,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
             let model = st.dm.model();
             let nnz: usize = model.constraints().iter().map(|c| c.expr.terms.len()).sum();
             bytes += model.n_vars() * 24 + model.n_constraints() * 48 + nnz * 16;
-            // ResolveContext holds a basis + pseudo-cost table ~ O(vars).
+            // Its warm state: a basis + pseudo-cost table ~ O(vars).
             bytes += model.n_vars() * 48;
         }
         if let Some(warm) = &self.warm {
@@ -242,17 +246,16 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 
     /// Replace the storage budget.  Refused, with the session unchanged, when
     /// the new set is not storage-only or the pinned indexes no longer fit.
-    /// When the interactive BIP is live, the new budget lands as a `SetRhs`
-    /// delta — basis, incumbent and pseudo-costs all survive.
+    /// A live interactive BIP survives — basis, incumbent and pseudo-costs
+    /// included — as long as both sets have a storage row for the sweep to
+    /// retarget.
     pub fn set_constraints(&mut self, constraints: ConstraintSet) -> Result<(), CoPhyError> {
         require_storage_only(&constraints)?;
         self.check_pins_fit(None, &constraints)?;
-        match (&mut self.interactive, constraints.storage_budget()) {
-            (Some(st), Some(budget)) if st.mapping.storage_row.is_some() => {
-                let row = st.mapping.storage_row.expect("checked");
-                st.dm.apply(ModelDelta::SetRhs { row, rhs: budget as f64 });
-            }
-            (st, _) => *st = None,
+        let retargetable = constraints.storage_budget().is_some()
+            && self.interactive.as_ref().is_some_and(|st| st.mapping.storage_row.is_some());
+        if !retargetable {
+            self.interactive = None;
         }
         self.constraints = constraints;
         Ok(())
@@ -292,64 +295,67 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 
     // -- the interactive surface (paper §4.2) -------------------------------
 
-    /// Lazily build (or fetch) the interactive Theorem-1 BIP, re-applying
-    /// the session's sticky pin/ban fixings to the fresh variable layout.
+    /// The Theorem-1 BIP of the session as it stands: current statements,
+    /// candidates and constraints, no fixings.
+    fn build_model(&self) -> (Model, BipMapping) {
+        let schema = self.cophy.optimizer().schema();
+        let cm = self.cophy.optimizer().cost_model();
+        self.ingest.prepared.read(|pw| {
+            self.cophy.options.bipgen.model(
+                schema,
+                cm,
+                pw,
+                &self.ingest.candidates,
+                &self.constraints,
+            )
+        })
+    }
+
+    /// Lazily build (or fetch) the interactive BIP.
     fn interactive_state(&mut self) -> &mut InteractiveState {
         if self.interactive.is_none() {
-            let schema = self.cophy.optimizer().schema();
-            let cm = self.cophy.optimizer().cost_model();
-            let (model, mapping) = self.ingest.prepared.read(|pw| {
-                self.cophy.options.bipgen.model(
-                    schema,
-                    cm,
-                    pw,
-                    &self.ingest.candidates,
-                    &self.constraints,
-                )
-            });
-            let mut dm = DeltaModel::new(model);
-            for (ix, value) in &self.fixings {
-                if let Some(pos) = candidate_position(&self.ingest.candidates, ix) {
-                    dm.apply(ModelDelta::FixVar { var: mapping.z[pos], value: *value });
-                }
-            }
-            self.interactive = Some(InteractiveState { dm, mapping, ctx: ResolveContext::new() });
+            let (model, mapping) = self.build_model();
+            self.interactive = Some(InteractiveState { dm: DeltaModel::new(model), mapping });
         }
         self.interactive.as_mut().expect("just built")
     }
 
-    /// One warm re-solve of the interactive BIP, optionally retargeting the
-    /// storage row first.  The solver restarts from the previous answer's
-    /// root basis, incumbent and pseudo-cost table; `known_bound` (if any)
-    /// is a caller-proven lower bound on this solve's binary optimum.
+    /// One warm re-solve of the interactive BIP under the session's current
+    /// pin/ban fixings, with the storage row (if the model has one) set to
+    /// `budget_bytes`.  The solver restarts from the previous answer's root
+    /// basis, incumbent and pseudo-cost table; `known_bound` (if any) is a
+    /// caller-proven lower bound on this solve's binary optimum.
     fn interactive_solve(
         &mut self,
-        budget_bytes: Option<u64>,
+        budget_bytes: u64,
         known_bound: Option<f64>,
         on_progress: &mut dyn FnMut(&SolveProgress),
     ) -> MipResult {
-        let solve_budget = self.cophy.options.budget;
-        let st = self.interactive_state();
-        if let (Some(row), Some(b)) = (st.mapping.storage_row, budget_bytes) {
-            st.dm.apply(ModelDelta::SetRhs { row, rhs: b as f64 });
-        }
         let opts = SolveOptions {
-            budget: solve_budget,
+            budget: self.cophy.options.budget,
             known_bound,
             cancel: self.cancel.clone(),
             ..Default::default()
         };
-        let st = self.interactive.as_mut().expect("state live");
-        BranchBound::new().resolve_with_progress(&st.dm, &opts, &mut st.ctx, |p, _| on_progress(p))
+        let fixed = self.fixing_vector();
+        let st = self.interactive_state();
+        for (pos, &var) in st.mapping.z.iter().enumerate() {
+            st.dm.fix(var, fixed.as_ref().and_then(|f| f[pos]));
+        }
+        if let Some(row) = st.mapping.storage_row {
+            st.dm.set_rhs(row, budget_bytes as f64);
+        }
+        BranchBound::new().resolve(&mut st.dm, &opts, |p, _| on_progress(p))
     }
 
     /// Answer a K-point storage-budget sweep (paper Figure 10) as **one warm
     /// chain**: every point mutates the storage row's RHS in place and
     /// re-solves from the previous point's root basis, incumbent and
     /// pseudo-costs, so the chain costs one cold root LP plus K−1 dual
-    /// re-solves instead of K independent tunes.  `on_progress(point_index,
-    /// event)` fires for every incumbent or bound improvement of every
-    /// point (`|_, _| {}` to ignore them).
+    /// re-solves instead of K independent tunes.  The sweep's budgets are
+    /// its own: [`TuningSession::constraints`] is unchanged afterwards.
+    /// `on_progress(point_index, event)` fires for every incumbent or bound
+    /// improvement of every point (`|_, _| {}` to ignore them).
     ///
     /// A point no configuration fits (pinned indexes exceeding that budget)
     /// is [`CoPhyError::Infeasible`]; a plain storage sweep without pins is
@@ -369,7 +375,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         for (i, &budget) in budgets.iter().enumerate() {
             let carried = prev.and_then(|(pb, b)| (budget <= pb && b.is_finite()).then_some(b));
             let t0 = Instant::now();
-            let r = self.interactive_solve(Some(budget), carried, &mut |p| on_progress(i, p));
+            let r = self.interactive_solve(budget, carried, &mut |p| on_progress(i, p));
             if r.status == MipStatus::Infeasible || r.x.is_empty() {
                 return Err(CoPhyError::Infeasible(format!(
                     "storage sweep point {budget} is infeasible \
@@ -394,9 +400,9 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 
     /// Force `ix` into every subsequent answer (`z = 1`).  An index CGen
     /// never proposed is adopted as a DBA candidate first.  The fixing is a
-    /// bound pinch, so the warm re-solve state survives.  Refused, with the
-    /// session unchanged, when the pinned indexes would no longer fit the
-    /// storage budget — no later answer could honor them.
+    /// bound pinch, so the sweeps' warm re-solve state survives.  Refused,
+    /// with the session unchanged, when the pinned indexes would no longer
+    /// fit the storage budget — no later answer could honor them.
     pub fn pin_index(&mut self, ix: &Index) -> Result<(), CoPhyError> {
         self.check_pins_fit(Some(ix), &self.constraints)?;
         self.fix_index(ix.clone(), true);
@@ -431,11 +437,6 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// Remove a pin/ban previously placed on `ix`.
     pub fn unfix_index(&mut self, ix: &Index) {
         self.fixings.retain(|(i, _)| i != ix);
-        if let Some(pos) = candidate_position(&self.ingest.candidates, ix) {
-            if let Some(st) = self.interactive.as_mut() {
-                st.dm.apply(ModelDelta::FreeVar { var: st.mapping.z[pos] });
-            }
-        }
     }
 
     /// Current pin/ban fixings `(index, pinned?)`.
@@ -445,29 +446,21 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 
     fn fix_index(&mut self, ix: Index, value: bool) {
         self.fixings.retain(|(i, _)| *i != ix);
-        match candidate_position(&self.ingest.candidates, &ix) {
-            Some(pos) => {
-                if let Some(st) = self.interactive.as_mut() {
-                    st.dm.apply(ModelDelta::FixVar { var: st.mapping.z[pos], value });
-                }
-            }
-            // Pinning an unknown index adopts it (interactive model is
-            // rebuilt with the new z column on the next solve).
-            None if value => self.add_candidates([ix.clone()]),
-            None => {}
+        // Pinning an unknown index adopts it as a candidate.
+        if value && candidate_position(&self.ingest.candidates, &ix).is_none() {
+            self.add_candidates([ix.clone()]);
         }
         self.fixings.push((ix, value));
     }
 
-    /// Export the session's interactive Theorem-1 BIP as free-format MPS
-    /// text ([`cophy_bip::mps`]) — the portable hand-off for cross-checking
-    /// the built-in engines against an external solver.  The model is built
-    /// lazily, so the export reflects the current statements, candidates and
-    /// constraints (pin/ban fixings are variable bounds, not rows, and are
-    /// listed separately by [`TuningSession::fixings`]).
-    pub fn export_mps(&mut self) -> String {
-        let st = self.interactive_state();
-        cophy_bip::write_mps(st.dm.model(), "cophy_bip")
+    /// Export the session's Theorem-1 BIP as free-format MPS text
+    /// ([`cophy_bip::mps`]) — the portable hand-off for cross-checking the
+    /// built-in engines against an external solver.  The model is built for
+    /// the export from the current statements, candidates and constraints
+    /// (pin/ban fixings are variable bounds, not rows, and are listed
+    /// separately by [`TuningSession::fixings`]).
+    pub fn export_mps(&self) -> String {
+        cophy_bip::write_mps(&self.build_model().0, "cophy_bip")
     }
 
     /// Cost an explicit configuration against the session workload,
@@ -647,7 +640,7 @@ mod tests {
             ..Default::default()
         };
         let cophy = CoPhy::new(&o, opts);
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
         let text = session.export_mps();
         let (cols, rows) = cophy_bip::lint_mps(&text).expect("export passes the format lint");
         assert!(rows > 0 && cols > 0, "the Theorem-1 BIP is non-trivial");
@@ -663,9 +656,8 @@ mod tests {
 
         // The native in-memory BIP and its MPS round trip solve to the same
         // objective within the engines' proven gap slack.
-        let st = session.interactive_state();
         let solve_opts = SolveOptions::default();
-        let native = BranchBound::new().solve(st.dm.model(), &solve_opts);
+        let native = BranchBound::new().solve(&session.build_model().0, &solve_opts);
         let round = BranchBound::new().solve(&imported, &solve_opts);
         assert_eq!(native.status, round.status);
         let slack = (native.gap.max(round.gap) + 1e-9) * native.objective.abs().max(1.0);

@@ -17,17 +17,17 @@
 //! few solver invocations.
 //!
 //! Successive λ points are **warm-chained**: the BIP is built once, each λ
-//! step is a [`ModelDelta::SetObjective`] over the same [`DeltaModel`], and
-//! the solve runs through [`BranchBound::resolve`] with a shared
-//! [`ResolveContext`] — the root LP restarts phase 2 of the primal simplex
-//! from the previous λ's optimal basis (an objective edit keeps that basis
-//! primal feasible), the previous configuration seeds the incumbent, and the
-//! pseudo-cost table carries over (the paper reports a 4× speed-up for
-//! warm-started sweeps over solving each point from scratch).
+//! step is a [`DeltaModel::set_objective`] on the same [`DeltaModel`], and
+//! the solve runs through [`BranchBound::resolve`] — the root LP restarts
+//! phase 2 of the primal simplex from the previous λ's optimal basis (an
+//! objective edit keeps that basis primal feasible), the previous
+//! configuration seeds the incumbent, and the pseudo-cost table carries over
+//! (the paper reports a 4× speed-up for warm-started sweeps over solving
+//! each point from scratch).
 
 use std::time::{Duration, Instant};
 
-use cophy_bip::{BranchBound, DeltaModel, ModelDelta, ResolveContext, SolveOptions};
+use cophy_bip::{BranchBound, DeltaModel, SolveOptions};
 use cophy_catalog::Configuration;
 use cophy_inum::PreparedWorkload;
 
@@ -76,7 +76,7 @@ impl ChordExplorer {
         let schema = cophy.optimizer().schema();
         let cm = cophy.optimizer().cost_model();
         // Build the unbudgeted BIP once; every λ is an objective re-weight
-        // of the same model, warm-chained through one ResolveContext.
+        // of the same model, warm-chained through one DeltaModel.
         let (model, mapping) =
             BipGen::default().model(schema, cm, prepared, candidates, &ConstraintSet::none());
         // Normalize storage into cost units so λ spans a meaningful range:
@@ -95,34 +95,32 @@ impl ChordExplorer {
         let bb = BranchBound::new();
         let opts = SolveOptions { budget: cophy.options.budget, ..Default::default() };
         let mut dm = DeltaModel::new(model);
-        let mut ctx = ResolveContext::new();
         let mut solves = 0usize;
-        let solve_at =
-            |lambda: f64, dm: &mut DeltaModel, ctx: &mut ResolveContext, solves: &mut usize| {
-                *solves += 1;
-                let t0 = Instant::now();
-                let coeffs: Vec<f64> = base_obj
-                    .iter()
-                    .zip(&sizes)
-                    .map(|(&c, &s)| lambda * c + (1.0 - lambda) * scale * s)
-                    .collect();
-                dm.apply(ModelDelta::SetObjective { coeffs });
-                let r = bb.resolve(dm, &opts, ctx);
-                let configuration = if r.x.len() == dm.model().n_vars() {
-                    mapping.extract_configuration(&r.x, candidates)
-                } else {
-                    Configuration::empty()
-                };
-                let workload_cost = prepared.cost(schema, cm, &configuration);
-                let size_bytes = configuration.size_bytes(schema);
-                ParetoPoint {
-                    lambda,
-                    configuration,
-                    workload_cost,
-                    size_bytes,
-                    solve_time: t0.elapsed(),
-                }
+        let solve_at = |lambda: f64, dm: &mut DeltaModel, solves: &mut usize| {
+            *solves += 1;
+            let t0 = Instant::now();
+            let coeffs: Vec<f64> = base_obj
+                .iter()
+                .zip(&sizes)
+                .map(|(&c, &s)| lambda * c + (1.0 - lambda) * scale * s)
+                .collect();
+            dm.set_objective(&coeffs);
+            let r = bb.resolve(dm, &opts, |_, _| {});
+            let configuration = if r.x.len() == dm.model().n_vars() {
+                mapping.extract_configuration(&r.x, candidates)
+            } else {
+                Configuration::empty()
             };
+            let workload_cost = prepared.cost(schema, cm, &configuration);
+            let size_bytes = configuration.size_bytes(schema);
+            ParetoPoint {
+                lambda,
+                configuration,
+                workload_cost,
+                size_bytes,
+                solve_time: t0.elapsed(),
+            }
+        };
 
         // Extremes: λ→0 is the empty configuration by construction; solve it
         // analytically to save a solver call.
@@ -133,7 +131,7 @@ impl ChordExplorer {
             size_bytes: 0,
             solve_time: Duration::ZERO,
         };
-        let full = solve_at(1.0, &mut dm, &mut ctx, &mut solves);
+        let full = solve_at(1.0, &mut dm, &mut solves);
 
         let mut points = vec![empty, full];
         // Chord recursion over a worklist of (lo, hi) index pairs into
@@ -151,7 +149,7 @@ impl ChordExplorer {
                 continue;
             }
             let lambda = (size_span / (cost_span + size_span)).clamp(0.01, 0.99);
-            let p = solve_at(lambda, &mut dm, &mut ctx, &mut solves);
+            let p = solve_at(lambda, &mut dm, &mut solves);
             // Distance of p from the chord (normalized space).
             let d = chord_distance(
                 (a.workload_cost, a.size_bytes as f64 * scale),

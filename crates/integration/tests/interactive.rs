@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use cophy::{CoPhy, CoPhyOptions, ConstraintSet, SolveBudget, SolveProgress};
-use cophy_catalog::Configuration;
+use cophy_catalog::{ColumnId, Configuration, Index};
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
 use cophy_workload::HomGen;
 use std::time::Duration;
@@ -71,10 +71,17 @@ proptest! {
         }
     }
 
-    /// Pin/ban re-solves stay feasible and respect the fixings at every
-    /// budget point of a subsequent sweep.
+    /// The session owns pin / ban / budget once.  Pin/ban re-solves stay
+    /// feasible and respect the fixings at every budget point of a sweep; a
+    /// sweep borrows the model's storage row without moving the session's
+    /// budget; after any interleaving of the mutators every sweep point
+    /// honours exactly `session.fixings()`; and a ban between two sweeps
+    /// leaves the second one warm.
     #[test]
-    fn pin_and_ban_hold_across_sweeps(seed in 0u64..1000) {
+    fn pin_and_ban_hold_across_sweeps(
+        seed in 0u64..1000,
+        ops in prop::collection::vec((0u8..6, any::<u16>()), 4..9),
+    ) {
         let o = optimizer();
         let w = HomGen::new(seed.wrapping_add(7)).generate(o.schema(), 6);
         let cophy = CoPhy::new(&o, CoPhyOptions { cgen: lean_cgen(), ..Default::default() });
@@ -108,16 +115,120 @@ proptest! {
             "fixed recommendation must stay feasible"
         );
 
+        // A sweep to tighter budgets is a question, not a `set_constraints`:
+        // the exported model keeps the session's own storage row.
         let total = o.schema().data_bytes();
         let budgets = [(total as f64 * 0.6) as u64, (total as f64 * 0.3) as u64];
-        for p in session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap() {
-            prop_assert!(!p.configuration.contains(&banned), "sweep must honor the ban");
+        let rhs_before = rhs_section(&session.export_mps());
+        let first_sweep = checked_sweep(&o, &mut session, &budgets)?;
+        prop_assert_eq!(rhs_section(&session.export_mps()), rhs_before);
+
+        // sweep → ban → sweep: the ban is a bound pinch on the model the
+        // first sweep left warm, so the second sweep's first point restarts
+        // from that root basis, where a fresh session pays a cold root LP.
+        let newly_banned = first_sweep.and_then(|points| {
+            points[0].configuration.indexes().iter().find(|ix| **ix != smallest).cloned()
+        });
+        if let Some(ix) = newly_banned {
+            session.ban_index(&ix);
+            let warm = checked_sweep(&o, &mut session, &budgets[..1])?.expect("bans fit");
+            let mut fresh = cophy.session(&w, storage.clone());
+            for (ix, pinned) in session.fixings().to_vec() {
+                if pinned {
+                    fresh.pin_index(&ix).unwrap();
+                } else {
+                    fresh.ban_index(&ix);
+                }
+            }
+            let cold = checked_sweep(&o, &mut fresh, &budgets[..1])?.expect("bans fit");
             prop_assert!(
-                p.configuration.size_bytes(o.schema()) <= p.budget_bytes,
-                "sweep point over budget"
+                warm[0].pivots < cold[0].pivots,
+                "a ban must not cool the chain: {} warm pivots vs {} cold",
+                warm[0].pivots, cold[0].pivots
             );
         }
+
+        // Any interleaving of the mutators, then a sweep.
+        for (op, arg) in ops {
+            let arg = arg as usize;
+            let pick = session.candidates().indexes()[arg % session.candidates().len()].clone();
+            match op {
+                // A pin the budget cannot hold is refused, session unchanged.
+                0 => drop(session.pin_index(&pick)),
+                1 => session.ban_index(&pick),
+                2 => {
+                    let fixed = session.fixings();
+                    if let Some((ix, _)) = fixed.get(arg % fixed.len().max(1)).cloned() {
+                        session.unfix_index(&ix);
+                    }
+                }
+                // Likewise a budget the pins no longer fit.
+                3 => drop(session.set_constraints(ConstraintSet::storage_fraction(
+                    o.schema(),
+                    0.1 + (arg % 9) as f64 * 0.1,
+                ))),
+                4 => {
+                    let n_cols = o.schema().table(pick.table).columns.len();
+                    let extra = ColumnId((arg % n_cols) as u32);
+                    if !pick.contains(extra) {
+                        let mut key = pick.key.clone();
+                        key.push(extra);
+                        session.add_candidates([Index::secondary(pick.table, key)]);
+                    }
+                }
+                _ => drop(checked_sweep(&o, &mut session, &[total / (1 + arg as u64 % 8)])?),
+            }
+        }
+        checked_sweep(&o, &mut session, &budgets)?;
     }
+}
+
+/// The `RHS` section of an exported model.
+fn rhs_section(mps: &str) -> Vec<String> {
+    mps.lines()
+        .skip_while(|l| *l != "RHS")
+        .take_while(|l| *l != "BOUNDS")
+        .map(String::from)
+        .collect()
+}
+
+/// Sweep `budgets` and check every point against the session's own record of
+/// its fixings: each pinned index present, each banned one absent, the
+/// configuration inside the point's budget.  `None` when the sweep is refused
+/// as infeasible — which only pins larger than a point's budget may cause.
+fn checked_sweep(
+    o: &WhatIfOptimizer,
+    session: &mut cophy::TuningSession<'_, '_>,
+    budgets: &[u64],
+) -> Result<Option<Vec<cophy::SweepPoint>>, TestCaseError> {
+    let fixings = session.fixings().to_vec();
+    let points = match session.try_sweep_storage_with_progress(budgets, |_, _| {}) {
+        Ok(points) => points,
+        Err(e) => {
+            let pinned: u64 =
+                fixings.iter().filter(|(_, on)| *on).map(|(ix, _)| ix.size_bytes(o.schema())).sum();
+            let tightest = *budgets.iter().min().expect("a sweep has points");
+            prop_assert!(pinned > tightest, "{e}: {pinned} bytes pinned fit {tightest}");
+            return Ok(None);
+        }
+    };
+    for p in &points {
+        for (ix, pinned) in &fixings {
+            prop_assert_eq!(
+                p.configuration.contains(ix),
+                *pinned,
+                "budget {}: {:?} is {}",
+                p.budget_bytes,
+                ix,
+                if *pinned { "pinned" } else { "banned" }
+            );
+        }
+        prop_assert!(
+            p.configuration.size_bytes(o.schema()) <= p.budget_bytes,
+            "sweep point over budget"
+        );
+    }
+    Ok(Some(points))
 }
 
 /// Acceptance criterion: `what_if` answers issue **zero** new optimizer
@@ -160,7 +271,7 @@ fn session_exports_a_lintable_reimportable_mps_model() {
     let o = optimizer();
     let w = HomGen::new(91).generate(o.schema(), 6);
     let cophy = CoPhy::new(&o, CoPhyOptions { cgen: lean_cgen(), ..Default::default() });
-    let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+    let session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
     let text = session.export_mps();
     let (cols, rows) = cophy_bip::lint_mps(&text).expect("export passes the format lint");
     let model = cophy_bip::parse_mps(&text).expect("export re-imports");

@@ -177,14 +177,15 @@ fn every_public_crate_is_reachable() {
 }
 
 /// One simplex kernel ships: the solver stack is built and run without
-/// naming an engine.  The struct literals are exhaustive on purpose (no
-/// `..`), so a selector field coming back is a compile error here.
+/// naming an engine.  `::new()` is the only way to build any of the three —
+/// none has a field settable from outside `cophy-bip`, so there is no place
+/// for a selector to come back.
 #[test]
 fn the_solver_stack_has_no_engine_selector() {
     use cophy_bip::{BranchBound, DualSimplex, LinExpr, LpStatus, Model, Sense, SimplexSolver};
 
-    let primal = SimplexSolver { max_iters: 50_000, tol: 1e-7, deadline: None };
-    let dual = DualSimplex { max_iters: 50_000, tol: 1e-7, deadline: None };
+    let primal = SimplexSolver::new();
+    let dual = DualSimplex::new();
 
     let mut m = Model::new();
     let x = m.add_var("x", -1.0);
@@ -198,7 +199,7 @@ fn the_solver_stack_has_no_engine_selector() {
     assert_eq!(child.status, LpStatus::Optimal);
     assert!((child.objective - (-2.0)).abs() < 1e-6);
 
-    let bb = BranchBound { simplex: primal };
+    let bb = BranchBound::new();
     let r = bb.solve(&m, &cophy_bip::SolveOptions::default());
     assert_eq!(r.status, cophy_bip::MipStatus::Optimal);
     assert!((r.objective - (-2.0)).abs() < 1e-6);

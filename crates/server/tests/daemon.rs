@@ -195,9 +195,12 @@ fn sweep_streams_point_tagged_events() {
 
     let schema_bytes = handle.manager().schema().data_bytes();
     let budgets = [schema_bytes, schema_bytes / 2, schema_bytes / 4];
+    let mps_before = c.export_mps("s").unwrap();
     let mut seen_points = Vec::new();
     let points = c.sweep("s", &budgets, |p| seen_points.push(p.point)).unwrap();
     assert_eq!(points.len(), 3);
+    // The sweep's budgets are its own: `mps` still exports the session's.
+    assert_eq!(c.export_mps("s").unwrap(), mps_before);
     for (pt, budget) in points.iter().zip(budgets) {
         assert_eq!(pt.budget_bytes, budget);
         assert!(pt.gap.is_finite());

@@ -82,7 +82,7 @@ fn main() {
 
     // --- the warm re-optimization surface -----------------------------------
     // Budget sweeps, pin/ban and what-if probes run on the session's
-    // interactive BIP (branch-and-bound + ModelDelta/ResolveContext), whose
+    // interactive BIP (branch-and-bound re-solving one DeltaModel), whose
     // dense LPs want a smaller workload and a lean candidate grammar so
     // every answer lands in interactive time.
     let small = HomGen::new(101).generate(schema, 12);
