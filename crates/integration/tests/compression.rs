@@ -1,15 +1,16 @@
 //! Cross-stack invariants of the workload-compression subsystem
 //! (ISSUE 3): weight conservation under every policy, `Epsilon(0.0)` ≡
-//! `Lossless`, bounded quality loss of compressed tunes, and bit-identical
-//! `Off` behavior.
+//! `Lossless`, bounded quality loss of compressed tunes, bit-identical `Off`
+//! behavior, and the clustering itself as recorded digests.
 
 use proptest::prelude::*;
 
 use cophy::{CoPhy, CoPhyOptions, CompressedWorkload, CompressionPolicy, ConstraintSet};
-use cophy_catalog::TpchGen;
+use cophy_catalog::{Schema, TpchGen};
+use cophy_integration::Fold;
 use cophy_inum::Inum;
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
-use cophy_workload::{HetGen, HomGen, UpdateGen, Workload};
+use cophy_workload::{HetGen, HomGen, Predicate, Query, Statement, UpdateGen, Workload};
 
 fn optimizer() -> WhatIfOptimizer {
     WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A)
@@ -167,4 +168,93 @@ fn lossless_dedup_commutes_with_inum_costs() {
     let a = full.cost(o.schema(), o.cost_model(), &cfg);
     let b = comp.cost(o.schema(), o.cost_model(), &cfg);
     assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
+}
+
+/// What the ε-agglomeration decides, one digest per ε of each row's list.
+/// Recorded at commit 39883ee (PR 22), when a template past 16
+/// representatives was searched through a feature-quantile bucket grid — the
+/// `shipdate` rows reached it.  Re-record protocol: `front_door_digest.rs`.
+const EXPECTED_CLUSTERING: [(&str, &[u64]); 9] = [
+    ("shipdate_linear", &[0x1b202536282fc7e7, 0x126537aff53b4ac5, 0x6e00c1cc848aec02]),
+    ("shipdate_wrapped", &[0x1872093b29bf0a75]),
+    ("mixed9", &[0xc9b78a2c5871aa47, 0x4fea69c1f4485889, 0xf8e5363a824c75d0, 0xf8e5363a824c75d0]),
+    ("het9", &[0xd602bab5c8a64cab, 0xd602bab5c8a64cab, 0xd602bab5c8a64cab, 0xd602bab5c8a64cab]),
+    ("mixed10", &[0xaef9cde671a9495e, 0xc5f90583882a77a3, 0x5e57088180061ed1, 0xe44b035212680980]),
+    ("het10", &[0xf0998602db667f40, 0xf0998602db667f40, 0xf0998602db667f40, 0xf0998602db667f40]),
+    ("mixed11", &[0xe9d2d2461593b552, 0xca326c34c128e1a6, 0x309d45db9a70726a, 0x309d45db9a70726a]),
+    ("het11", &[0x55a938b81d4848f9, 0x55a938b81d4848f9, 0x55a938b81d4848f9, 0x55a938b81d4848f9]),
+    ("shipdate_wrapped/rolled_back", &[0x74158a9ad010c877]),
+];
+
+/// Per statement the representative it lands on, then every representative's
+/// weight and feature point as bits — after the first half and at the end.
+/// `roll_back` absorbs the second half twice, rolled back and then committed
+/// (its merges carry centroids across multiples of ε, the grid's cell edges).
+fn clustering_digest(schema: &Schema, w: &Workload, eps: f64, roll_back: bool) -> u64 {
+    let mut fold = Fold::default();
+    let mut absorb = |cw: &mut CompressedWorkload, part: std::ops::Range<usize>| {
+        for (_, stmt, weight) in w.iter().skip(part.start).take(part.len()) {
+            fold.u32(cw.absorb(schema, stmt, weight).representative().0);
+        }
+        for id in cw.representatives().ids() {
+            let f = cw.representative_features(id).expect("compression is on");
+            fold.f64(cw.representatives().weight(id));
+            f.selectivities.iter().for_each(|&sel| fold.f64(sel));
+            fold.f64(f.update_rows);
+        }
+    };
+    let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(eps));
+    let half = w.len() / 2;
+    absorb(&mut cw, 0..half);
+    if roll_back {
+        let before = cw.clone();
+        cw.begin_chunk();
+        absorb(&mut cw, half..w.len());
+        cw.rollback_chunk();
+        assert_eq!(cw, before, "a rolled-back chunk leaves no trace");
+        cw.begin_chunk();
+    }
+    absorb(&mut cw, half..w.len());
+    cw.commit_chunk();
+    cw.validate().expect("invariants hold");
+    fold.digest()
+}
+
+#[test]
+fn clusterings_fold_to_their_recorded_digests() {
+    let o = optimizer();
+    let schema = o.schema();
+    let li = schema.table_by_name("lineitem").expect("TPC-H").id;
+    let sd = schema.resolve("lineitem.l_shipdate").expect("TPC-H");
+    let shipdate = |value: fn(f64) -> f64| {
+        let mut w = Workload::new();
+        for i in 0..400 {
+            let mut q = Query::scan(li);
+            q.predicates.push(Predicate::lt(sd, value(f64::from(i))));
+            w.push(Statement::Select(q));
+        }
+        w
+    };
+    let mut got: Vec<(String, Vec<u64>)> = Vec::new();
+    let mut record = |label: String, w: &Workload, epsilons: &[f64], roll_back: bool| {
+        let digests = epsilons.iter().map(|&eps| clustering_digest(schema, w, eps, roll_back));
+        got.push((label, digests.collect()));
+    };
+    let wrapped = shipdate(|i| 1.0 + (i * 37.0) % 2400.0);
+    record("shipdate_linear".into(), &shipdate(|i| 1.0 + i * 6.1), &[0.002, 0.01, 0.08], false);
+    record("shipdate_wrapped".into(), &wrapped, &[0.01], false);
+    for seed in [9, 10, 11] {
+        let het = HetGen::new(seed).generate(schema, 150);
+        record(format!("mixed{seed}"), &mixed(&o, seed, 150), &[0.05, 0.25, 0.6, 1.5], false);
+        record(format!("het{seed}"), &het, &[0.05, 0.25, 0.6, 1.5], false);
+    }
+    record("shipdate_wrapped/rolled_back".into(), &wrapped, &[0.01], true);
+    let row = |(label, d): &(String, Vec<u64>)| {
+        let cells: Vec<String> = d.iter().map(|d| format!("{d:#018x}")).collect();
+        format!("    ({label:?}, &[{}]),\n", cells.join(", "))
+    };
+    let table: String = got.iter().map(row).collect();
+    let matches =
+        got.iter().map(|(label, d)| (label.as_str(), d.as_slice())).eq(EXPECTED_CLUSTERING);
+    assert!(matches, "clustering digests drifted from the recorded ones; computed:\n{table}");
 }
