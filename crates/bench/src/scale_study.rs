@@ -13,10 +13,10 @@
 //!    statements (`representatives + chunk buffer`) is a constant multiple
 //!    of the final representative count, independent of `|W|`;
 //! 2. **Linear ingestion** — per-statement ingest time grows by at most
-//!    half between the two study sizes (the grid lookup is amortized
-//!    constant and a chunk's rollback journal is the chunk's size; the
-//!    slack is for hash-map growth and CI noise, not for a per-chunk cost
-//!    that grows with `|W|`);
+//!    half between the two study sizes (a statement is an exact-shell hit
+//!    or a scan of its template's representatives, counted at ≤ 5 of them,
+//!    and a chunk's rollback journal is the chunk's size; the slack is for
+//!    hash-map growth and CI noise, not for a cost that grows with `|W|`);
 //! 3. **Decomposition soundness** — on a small workload the decomposed
 //!    solve lands within the solvers' proven-gap slack of the exact
 //!    monolithic branch-and-bound answer.
@@ -271,9 +271,9 @@ pub(crate) fn scale(k: &Knobs) -> Outcome {
     }
 
     // 2. Linear ingestion: per-statement time may grow by at most 1.5×
-    //    between the sizes (grid clustering and the rollback journal are
-    //    amortized-constant per statement; the slack absorbs CI noise and
-    //    cache effects).
+    //    between the sizes (the same-template scan is ≤ 5 representatives
+    //    long and the rollback journal one record per statement; the slack
+    //    absorbs CI noise and cache effects).
     let (t1, t2) = (rows[0].per_statement_us(), rows[1].per_statement_us());
     out.claim(
         t2 <= t1 * 1.5 + 1.0,

@@ -17,13 +17,11 @@
 //!    template matches an existing representative and whose
 //!    [`StatementFeatures::distance`] (largest selectivity deviation /
 //!    relative update-footprint deviation) is within `ε` merge onto the
-//!    nearest representative.  The nearest-representative query runs against
-//!    a per-template **feature-quantile bucket index** (cell width ε per
-//!    selectivity dimension, `−ln(1−ε)` on the log update footprint), so
-//!    the scan touches only the 3^d neighbor cells of the query point
-//!    instead of every representative of the template — an exact
-//!    replacement for the linear scan, which stays where it is cheaper:
-//!    templates with few representatives or many feature dimensions.
+//!    nearest representative, found by one scan of the template's own
+//!    representatives, oldest first.  The scan is short: counted at the
+//!    default ε, a statement that misses the exact-shell index meets at
+//!    most 5 of them on every generator; where ε = 0.01 leaves a template
+//!    some 140, a feature-bucket grid over them measured slower.
 //!
 //! The result is a [`CompressedWorkload`]: a weighted representative
 //! [`Workload`] and nothing per absorbed statement
@@ -162,72 +160,6 @@ impl CompressionSummary {
     }
 }
 
-/// Feature dimensionality cap for the bucket index: enumerating the 3^d
-/// neighbor cells of a query point must stay cheaper than the linear scan it
-/// replaces, so high-dimensional templates keep the plain scan.
-const MAX_INDEXED_DIMS: usize = 6;
-
-/// Representative count below which the linear scan is used even on an
-/// indexed template — hashing 3^d neighbor cells only pays once the
-/// template has accumulated more representatives than that.
-const LINEAR_SCAN_CUTOFF: usize = 16;
-
-/// Per-template representative index: the insertion-ordered list (the
-/// ε-agglomeration scan baseline) plus, for low-dimensional templates under
-/// an indexable ε, a coarse feature-quantile bucket grid.  Cell widths are
-/// chosen so any two points within ε land in the same or an adjacent cell
-/// per dimension, which makes the 3^d neighbor enumeration an exact
-/// candidate superset of the linear scan.
-#[derive(Debug, Clone, PartialEq)]
-struct TemplateIndex {
-    reps: Vec<QueryId>,
-    /// Grid cell → the representatives whose current feature point lies in
-    /// it.  A cell that empties is removed, so no key maps to an empty list.
-    cells: Option<HashMap<Vec<i64>, Vec<QueryId>>>,
-}
-
-/// Quantization cell widths `(cell_sel, cell_rows)` of the bucket grid.
-/// Selectivities quantize at width ε (|Δsel| ≤ ε ⟹ adjacent cells); the
-/// update-row footprint quantizes `ln(max(rows, 1))` at width `−ln(1 − ε)`
-/// (relative deviation ≤ ε ⟹ adjacent cells).  `None` disables the grid:
-/// ε = 0 (exact-dedup only) or ε ≥ 1 (every same-template pair is within ε
-/// anyway).
-type Grid = Option<(f64, f64)>;
-
-fn make_grid(policy: CompressionPolicy) -> Grid {
-    match policy.merge_threshold() {
-        Some(eps) if eps > 0.0 && eps < 1.0 => Some((eps, -(1.0 - eps).ln())),
-        _ => None,
-    }
-}
-
-/// A grid cell key on the stack, for lookups on the absorb hot path.  Only
-/// templates with fewer than [`MAX_INDEXED_DIMS`] selectivities are
-/// bucketed, so their keys always fit; the unused tail stays zero.
-type CellKey = [i64; MAX_INDEXED_DIMS];
-
-/// The grid cell of a bucketed template's feature point — quantized
-/// selectivities, then the quantized log update footprint — and the key's
-/// length.
-fn stack_cell_key(
-    selectivities: &[f64],
-    update_rows: f64,
-    (cell_sel, cell_rows): (f64, f64),
-) -> (CellKey, usize) {
-    let mut key = [0; MAX_INDEXED_DIMS];
-    for (slot, s) in key.iter_mut().zip(selectivities) {
-        *slot = (s / cell_sel).floor() as i64;
-    }
-    key[selectivities.len()] = (update_rows.max(1.0).ln() / cell_rows).floor() as i64;
-    (key, selectivities.len() + 1)
-}
-
-/// [`stack_cell_key`] as an owned map key.
-fn cell_key(f: &StatementFeatures, cell_sel: f64, cell_rows: f64) -> Vec<i64> {
-    let (key, dims) = stack_cell_key(&f.selectivities, f.update_rows, (cell_sel, cell_rows));
-    key[..dims].to_vec()
-}
-
 /// What one `absorb` overwrote, logged while a chunk is open.
 #[derive(Debug, Clone, PartialEq)]
 enum Undo {
@@ -237,22 +169,19 @@ enum Undo {
         rep: QueryId,
         /// The representative's weight before the merge.
         weight: f64,
-        /// Re-centering moved the representative to another grid cell: its
-        /// position in the old cell, whose key sits on [`Journal::cells`].
-        moved_from: Option<usize>,
         /// The shell an ε-merge added to the exact-shell index.
         shell: Option<ShellKey>,
     },
     /// A cluster was opened: the last representative, with its feature row
-    /// and its shell, template and cell entries, is new.
+    /// and its shell and template entries, is new.
     Opened,
 }
 
 /// Undo journal of one chunk: one record per absorbed statement, so its
 /// size follows the chunk and not the clustering.  Rolling back replays the
 /// records backwards and puts saved values back — it never inverts float
-/// arithmetic — so the restored state equals the pre-chunk state field for
-/// field.
+/// arithmetic — and every index entry it removes is the newest of its list,
+/// so the restored state equals the pre-chunk state field for field.
 #[derive(Debug, Clone, PartialEq)]
 struct Journal {
     /// `original_weight` and `n_absorbed` when the chunk began.
@@ -262,8 +191,6 @@ struct Journal {
     /// Stack of previous feature points (selectivities, then update rows),
     /// one per merge.
     points: Vec<f64>,
-    /// Stack of the old cell keys of the merges that moved cells.
-    cells: Vec<i64>,
 }
 
 /// A compressed workload: weighted representatives whose resident state
@@ -274,14 +201,15 @@ pub struct CompressedWorkload {
     rep_features: Vec<StatementFeatures>,
     /// Exact-shell index: every shell ever absorbed → its representative.
     by_shell: HashMap<ShellKey, QueryId>,
-    /// Template index over representatives, for the ε-agglomeration scan.
-    by_template: HashMap<TemplateKey, TemplateIndex>,
-    /// Bucket-grid cell widths (see [`Grid`]).
-    grid: Grid,
+    /// Each template's representatives, oldest first: what the
+    /// ε-agglomeration scans.
+    by_template: HashMap<TemplateKey, Vec<QueryId>>,
     /// Count of absorbed statements.
     n_absorbed: usize,
     original_weight: f64,
     policy: CompressionPolicy,
+    /// `policy`'s merge threshold, resolved (and validated) once.
+    eps: Option<f64>,
     /// The open chunk's undo journal (see [`CompressedWorkload::begin_chunk`]).
     journal: Option<Journal>,
 }
@@ -304,18 +232,18 @@ impl CompressedWorkload {
     }
 
     /// An empty compressed workload, for chunked ingestion of workloads too
-    /// large to materialize.  Panics on an invalid ε (`make_grid` calls
-    /// [`CompressionPolicy::merge_threshold`]).
+    /// large to materialize.  Panics on an invalid ε
+    /// ([`CompressionPolicy::merge_threshold`]).
     pub fn streaming(policy: CompressionPolicy) -> CompressedWorkload {
         CompressedWorkload {
             representatives: Workload::new(),
             rep_features: Vec::new(),
             by_shell: HashMap::new(),
             by_template: HashMap::new(),
-            grid: make_grid(policy),
             n_absorbed: 0,
             original_weight: 0.0,
             policy,
+            eps: policy.merge_threshold(),
             journal: None,
         }
     }
@@ -357,6 +285,19 @@ impl CompressedWorkload {
         }
     }
 
+    /// Rough bytes of resident clustering state: the representatives with
+    /// their feature rows, and the two indexes — of which `by_shell` follows
+    /// the distinct shells absorbed, not the representatives.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        // A key and its word stream, at the 32 words the encoder reserves.
+        let key = size_of::<ShellKey>() + 32 * size_of::<u64>();
+        self.representatives.len() * size_of::<Statement>()
+            + self.rep_features.len() * (size_of::<StatementFeatures>() + 2 * key)
+            + self.by_shell.len() * (key + size_of::<QueryId>())
+            + self.by_template.len() * (key + size_of::<Vec<QueryId>>())
+    }
+
     /// Absorb one statement: exact-shell dedup first, then (for `Epsilon`)
     /// the greedy scan over same-template representatives, else a new
     /// cluster.  This is the incremental re-clustering entry point used by
@@ -364,7 +305,7 @@ impl CompressedWorkload {
     pub fn absorb(&mut self, schema: &Schema, stmt: &Statement, weight: f64) -> Absorption {
         self.original_weight += weight;
         self.n_absorbed += 1;
-        let Some(eps) = self.policy.merge_threshold() else {
+        let Some(eps) = self.eps else {
             return self.open_cluster(stmt, weight, None);
         };
         let f = StatementFeatures::extract(schema, stmt);
@@ -401,7 +342,6 @@ impl CompressedWorkload {
             n_absorbed: self.n_absorbed,
             records: Vec::new(),
             points: Vec::new(),
-            cells: Vec::new(),
         });
     }
 
@@ -418,27 +358,11 @@ impl CompressedWorkload {
         let Some(mut journal) = self.journal.take() else { return };
         while let Some(undo) = journal.records.pop() {
             match undo {
-                Undo::Merged { rep, weight, moved_from, shell } => {
+                Undo::Merged { rep, weight, shell } => {
                     if let Some(shell) = shell {
                         self.by_shell.remove(&shell);
                     }
                     let rf = &mut self.rep_features[rep.0 as usize];
-                    if let Some(pos) = moved_from {
-                        // Undone back to just after this merge, the
-                        // representative is the newest entry of the cell of
-                        // its current point; it goes back to its old place
-                        // in the cell it left.
-                        let grid = self.grid.expect("only a gridded clustering moves cells");
-                        let (now, dims) = stack_cell_key(&rf.selectivities, rf.update_rows, grid);
-                        let cells = self
-                            .by_template
-                            .get_mut(&rf.template)
-                            .and_then(|idx| idx.cells.as_mut())
-                            .expect("a representative that moved cells is bucketed");
-                        pop_from_cell(cells, &now[..dims]);
-                        let before = journal.cells.split_off(journal.cells.len() - dims);
-                        cells.entry(before).or_default().insert(pos, rep);
-                    }
                     rf.update_rows = journal.points.pop().expect("one point per merge");
                     let at = journal.points.len() - rf.selectivities.len();
                     rf.selectivities.copy_from_slice(&journal.points[at..]);
@@ -452,12 +376,9 @@ impl CompressedWorkload {
                     }
                     let f = self.rep_features.pop().expect("one feature row per representative");
                     self.by_shell.remove(&f.shell);
-                    let idx = self.by_template.get_mut(&f.template).expect("template is indexed");
-                    idx.reps.pop();
-                    if let (Some(cells), Some((cs, cr))) = (&mut idx.cells, self.grid) {
-                        pop_from_cell(cells, &cell_key(&f, cs, cr));
-                    }
-                    if idx.reps.is_empty() {
+                    let reps = self.by_template.get_mut(&f.template).expect("template is indexed");
+                    reps.pop();
+                    if reps.is_empty() {
                         self.by_template.remove(&f.template);
                     }
                 }
@@ -468,38 +389,14 @@ impl CompressedWorkload {
     }
 
     /// The nearest same-template representative within `eps`, ties broken
-    /// toward the oldest representative (deterministic).  Uses the bucket
-    /// grid when the template is indexed — any representative within `eps`
-    /// lies in the query point's cell or an adjacent one per dimension, so
-    /// scanning the 3^d neighbor cells is an exact replacement for the
-    /// linear scan.
+    /// toward the oldest representative: the list is oldest first, and only
+    /// a strictly nearer one displaces the best so far.
     fn nearest_within(&self, f: &StatementFeatures, eps: f64) -> Option<QueryId> {
-        let idx = self.by_template.get(&f.template)?;
         let mut best: Option<(f64, QueryId)> = None;
-        let consider = |rep: QueryId, best: &mut Option<(f64, QueryId)>| {
+        for &rep in self.by_template.get(&f.template)? {
             let d = f.distance(&self.rep_features[rep.0 as usize]);
-            if d <= eps && best.is_none_or(|(bd, br)| d < bd || (d == bd && rep < br)) {
-                *best = Some((d, rep));
-            }
-        };
-        match (&idx.cells, self.grid) {
-            (Some(cells), Some(grid)) if idx.reps.len() > LINEAR_SCAN_CUTOFF => {
-                let (center, dims) = stack_cell_key(&f.selectivities, f.update_rows, grid);
-                let mut key = center;
-                for mut code in 0..3usize.pow(dims as u32) {
-                    for (slot, c) in key[..dims].iter_mut().zip(&center) {
-                        *slot = c + (code % 3) as i64 - 1;
-                        code /= 3;
-                    }
-                    for &rep in cells.get(&key[..dims]).map(Vec::as_slice).unwrap_or_default() {
-                        consider(rep, &mut best);
-                    }
-                }
-            }
-            _ => {
-                for &rep in &idx.reps {
-                    consider(rep, &mut best);
-                }
+            if d <= eps && best.is_none_or(|(nearest, _)| d < nearest) {
+                best = Some((d, rep));
             }
         }
         best.map(|(_, rep)| rep)
@@ -517,33 +414,24 @@ impl CompressedWorkload {
     ) -> Absorption {
         let weight_before = self.representatives.weight(rep);
         self.representatives.add_weight(rep, weight);
-        let moved_from = self.recenter(rep, weight, &f.selectivities, f.update_rows);
+        self.recenter(rep, weight, &f.selectivities, f.update_rows);
         let mut shell = None;
         if novel_shell {
             shell = self.journal.as_ref().map(|_| f.shell.clone());
             self.by_shell.insert(f.shell, rep);
         }
         if let Some(journal) = &mut self.journal {
-            journal.records.push(Undo::Merged { rep, weight: weight_before, moved_from, shell });
+            journal.records.push(Undo::Merged { rep, weight: weight_before, shell });
         }
         Absorption::Merged(rep)
     }
 
-    /// Online re-centering: shift the representative's
-    /// stored feature point toward the weighted running mean of its members,
+    /// Online re-centering: shift the representative's stored feature point
+    /// toward the weighted running mean of its members,
     /// `c ← c + (w / W) · (x − c)` with `W` the cluster's cumulative weight.
     /// The representative *statement* stays the first member — only the
-    /// feature point used by the nearest-within-ε scan moves.  When the
-    /// quantized grid key changes, the representative migrates cells so the
-    /// 3^d neighbor enumeration stays an exact superset of the linear scan;
-    /// its position in the cell it left is returned.
-    fn recenter(
-        &mut self,
-        rep: QueryId,
-        weight: f64,
-        selectivities: &[f64],
-        update_rows: f64,
-    ) -> Option<usize> {
+    /// feature point [`Self::nearest_within`] measures against moves.
+    fn recenter(&mut self, rep: QueryId, weight: f64, selectivities: &[f64], update_rows: f64) {
         let total = self.representatives.weight(rep);
         let rf = &mut self.rep_features[rep.0 as usize];
         if let Some(journal) = &mut self.journal {
@@ -551,33 +439,13 @@ impl CompressedWorkload {
             journal.points.push(rf.update_rows);
         }
         if !total.is_finite() || total <= 0.0 || selectivities.len() != rf.selectivities.len() {
-            return None;
+            return;
         }
-        // Bucketed templates are exactly those whose keys fit a `CellKey`.
-        let grid = self.grid.filter(|_| rf.selectivities.len() < MAX_INDEXED_DIMS);
-        let old = grid.map(|g| stack_cell_key(&rf.selectivities, rf.update_rows, g));
         let alpha = weight / total;
         for (c, &x) in rf.selectivities.iter_mut().zip(selectivities) {
             *c += alpha * (x - *c);
         }
         rf.update_rows += alpha * (update_rows - rf.update_rows);
-        let (old, dims) = old?;
-        let (new, _) = stack_cell_key(&rf.selectivities, rf.update_rows, grid?);
-        if new == old {
-            return None;
-        }
-        let cells = self.by_template.get_mut(&rf.template)?.cells.as_mut()?;
-        let from = cells.get_mut(&old[..dims])?;
-        let pos = from.iter().position(|r| *r == rep)?;
-        from.remove(pos);
-        if from.is_empty() {
-            cells.remove(&old[..dims]);
-        }
-        cells.entry(new[..dims].to_vec()).or_default().push(rep);
-        if let Some(journal) = &mut self.journal {
-            journal.cells.extend_from_slice(&old[..dims]);
-        }
-        Some(pos)
     }
 
     fn open_cluster(
@@ -589,17 +457,7 @@ impl CompressedWorkload {
         let rep = self.representatives.push_weighted(stmt.clone(), weight);
         if let Some(f) = features {
             self.by_shell.insert(f.shell.clone(), rep);
-            let grid = self.grid;
-            let idx = self.by_template.entry(f.template.clone()).or_insert_with(|| {
-                // Index the template only when enumerating neighbor cells
-                // beats scanning its representative list.
-                let indexable = grid.is_some() && f.selectivities.len() < MAX_INDEXED_DIMS;
-                TemplateIndex { reps: Vec::new(), cells: indexable.then(HashMap::new) }
-            });
-            idx.reps.push(rep);
-            if let (Some(cells), Some((cs, cr))) = (&mut idx.cells, grid) {
-                cells.entry(cell_key(&f, cs, cr)).or_default().push(rep);
-            }
+            self.by_template.entry(f.template.clone()).or_default().push(rep);
             self.rep_features.push(f);
         }
         if let Some(journal) = &mut self.journal {
@@ -609,8 +467,7 @@ impl CompressedWorkload {
     }
 
     /// Check the subsystem invariants: weight conservation, no more
-    /// representatives than statements, positive cluster weights, and no
-    /// empty grid cell.
+    /// representatives than statements, and positive cluster weights.
     pub fn validate(&self) -> Result<(), String> {
         let rep_weight = self.representatives.total_weight();
         if (rep_weight - self.original_weight).abs() > 1e-6 * self.original_weight.max(1.0) {
@@ -631,21 +488,7 @@ impl CompressedWorkload {
                 return Err(format!("representative {id:?} has non-positive weight"));
             }
         }
-        let mut cells = self.by_template.values().filter_map(|idx| idx.cells.as_ref()).flatten();
-        if let Some((key, _)) = cells.find(|(_, reps)| reps.is_empty()) {
-            return Err(format!("grid cell {key:?} is empty but still indexed"));
-        }
         self.representatives.validate()
-    }
-}
-
-/// Remove the newest entry of the cell at `key`, and the cell with it when
-/// that was its only one.
-fn pop_from_cell(cells: &mut HashMap<Vec<i64>, Vec<QueryId>>, key: &[i64]) {
-    let cell = cells.get_mut(key).expect("the undone entry's cell exists");
-    cell.pop();
-    if cell.is_empty() {
-        cells.remove(key);
     }
 }
 
@@ -665,34 +508,16 @@ mod tests {
         UpdateGen::new(seed ^ 0xA5).mix_into(&s, &base, 0.2)
     }
 
-    /// Absorb `w` into `cw`; the representative each statement was assigned
-    /// to, in order — the assignment the clustering itself does not keep.
-    fn absorb_all(s: &Schema, cw: &mut CompressedWorkload, w: &Workload) -> Vec<QueryId> {
-        w.iter().map(|(_, stmt, weight)| cw.absorb(s, stmt, weight).representative()).collect()
-    }
-
-    /// `w` clustered under `policy`, with its assignment.
+    /// `w` clustered under `policy`, with the representative each statement
+    /// was assigned to, in order — which the clustering itself does not keep.
     fn clustered(
         s: &Schema,
         w: &Workload,
         policy: CompressionPolicy,
     ) -> (CompressedWorkload, Vec<QueryId>) {
         let mut cw = CompressedWorkload::streaming(policy);
-        let assignment = absorb_all(s, &mut cw, w);
-        (cw, assignment)
-    }
-
-    /// [`clustered`] with the bucket grid off, so every ε-agglomeration runs
-    /// the linear scan over same-template representatives: the reference the
-    /// indexed clustering must equal.
-    fn clustered_unindexed(
-        s: &Schema,
-        w: &Workload,
-        policy: CompressionPolicy,
-    ) -> (CompressedWorkload, Vec<QueryId>) {
-        let mut cw = CompressedWorkload::streaming(policy);
-        cw.grid = None;
-        let assignment = absorb_all(s, &mut cw, w);
+        let assign = |(_, stmt, weight)| cw.absorb(s, stmt, weight).representative();
+        let assignment = w.iter().map(assign).collect();
         (cw, assignment)
     }
 
@@ -832,62 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_matches_linear_scan() {
-        let s = schema();
-        for seed in [9u64, 10, 11] {
-            for w in [mixed(seed, 150), HetGen::new(seed).generate(&s, 150)] {
-                for eps in [0.05, 0.25, 0.6, 1.5] {
-                    let policy = CompressionPolicy::Epsilon(eps);
-                    let (a, a_assignment) = clustered(&s, &w, policy);
-                    let (b, b_assignment) = clustered_unindexed(&s, &w, policy);
-                    assert_eq!(
-                        a_assignment, b_assignment,
-                        "seed {seed} ε {eps}: index must reproduce the linear scan"
-                    );
-                    assert_eq!(a.n_representatives(), b.n_representatives());
-                    for id in a.representatives().ids() {
-                        assert_eq!(a.representatives().weight(id), b.representatives().weight(id));
-                    }
-                    a.validate().unwrap();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bucket_index_engages_past_the_cutoff_and_stays_exact() {
-        // One template, many distinct constants, tiny ε: the template
-        // accumulates far more representatives than LINEAR_SCAN_CUTOFF, so
-        // the cell enumeration path actually runs — and must keep matching
-        // the linear scan exactly.
-        let s = schema();
-        let li = s.table_by_name("lineitem").unwrap().id;
-        let sd = s.resolve("lineitem.l_shipdate").unwrap();
-        let mut w = Workload::new();
-        for i in 0..400u32 {
-            let mut q = Query::scan(li);
-            q.predicates.push(Predicate::lt(sd, 1.0 + i as f64 * 6.1));
-            w.push_weighted(Statement::Select(q), 1.0);
-        }
-        for eps in [0.002, 0.01, 0.08] {
-            let policy = CompressionPolicy::Epsilon(eps);
-            let (a, a_assignment) = clustered(&s, &w, policy);
-            let (b, b_assignment) = clustered_unindexed(&s, &w, policy);
-            assert_eq!(a_assignment, b_assignment, "ε {eps}");
-            assert_eq!(a.n_representatives(), b.n_representatives());
-            a.validate().unwrap();
-        }
-        // Sanity: the tightest ε really produced a deep-template workload.
-        let tight = CompressedWorkload::compress(&s, &w, CompressionPolicy::Epsilon(0.002));
-        assert!(
-            tight.n_representatives() > super::LINEAR_SCAN_CUTOFF,
-            "test must exercise the indexed path: {} reps",
-            tight.n_representatives()
-        );
-    }
-
-    #[test]
-    fn bucket_index_absorb_matches_batch() {
+    fn chunked_absorb_matches_batch() {
         // Chunked ingestion from a source — any chunk size, journaled or not
         // — lands where the one-shot compression does.
         let s = schema();
@@ -939,41 +709,6 @@ mod tests {
         cw.validate().unwrap();
     }
 
-    #[test]
-    fn streaming_grid_stays_consistent_under_recentering() {
-        // Deep single-template stream with a tight ε: representatives drift
-        // and re-bucket.  Every representative must sit in exactly the cell
-        // matching its *current* feature point, or the neighbor enumeration
-        // would silently miss merges.
-        let s = schema();
-        let li = s.table_by_name("lineitem").unwrap().id;
-        let sd = s.resolve("lineitem.l_shipdate").unwrap();
-        let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(0.01));
-        for i in 0..400u32 {
-            let mut q = Query::scan(li);
-            q.predicates.push(Predicate::lt(sd, 1.0 + (i as f64 * 37.0) % 2400.0));
-            cw.absorb(&s, &Statement::Select(q), 1.0);
-        }
-        assert!(
-            cw.n_representatives() > LINEAR_SCAN_CUTOFF,
-            "test must exercise the indexed path: {} reps",
-            cw.n_representatives()
-        );
-        let (cs, cr) = cw.grid.expect("tight ε must build a grid");
-        for (_, idx) in cw.by_template.iter() {
-            let cells = idx.cells.as_ref().expect("low-dim template must be indexed");
-            for rep in &idx.reps {
-                let key = cell_key(&cw.rep_features[rep.0 as usize], cs, cr);
-                let home = cells.get(&key).map(Vec::as_slice).unwrap_or_default();
-                assert!(home.contains(rep), "{rep:?} missing from its current cell");
-                let listings: usize =
-                    cells.values().map(|v| v.iter().filter(|r| *r == rep).count()).sum();
-                assert_eq!(listings, 1, "{rep:?} listed {listings} times across cells");
-            }
-        }
-        cw.validate().unwrap();
-    }
-
     /// `l_shipdate < v` over lineitem: one template, the constant sets the
     /// selectivity.
     fn shipdate_probe(s: &Schema, v: f64) -> Statement {
@@ -1021,13 +756,13 @@ mod tests {
     }
 
     #[test]
-    fn rollback_undoes_a_merge_that_stays_in_its_cell() {
+    fn rollback_undoes_an_exact_duplicate_merge() {
         let s = schema();
         let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(0.5));
         cw.absorb(&s, &shipdate_probe(&s, 500.0), 1.0);
         // An exact duplicate: no new shell, and the centroid does not move.
         absorb_and_roll_back(&s, &mut cw, &[shipdate_probe(&s, 500.0)], |r| {
-            matches!(r, [Undo::Merged { moved_from: None, shell: None, .. }])
+            matches!(r, [Undo::Merged { shell: None, .. }])
         });
     }
 
@@ -1041,35 +776,6 @@ mod tests {
             matches!(r, [Undo::Merged { shell: Some(_), .. }])
         });
         assert!(!cw.by_shell.contains_key(&StatementFeatures::extract(&s, &novel).shell));
-    }
-
-    #[test]
-    fn rollback_undoes_a_merge_that_moved_cells() {
-        let s = schema();
-        let eps = 0.01;
-        let sel = |v: f64| StatementFeatures::extract(&s, &shipdate_probe(&s, v)).selectivities[0];
-        let cell = |x: f64| (x / eps).floor();
-        // A first member below a cell boundary and a second within ε above
-        // it: their mean lies in the next cell, a fifth of the way does not.
-        let (a, b) = (100..400)
-            .map(|i| (i as f64, i as f64 + 20.0))
-            .find(|&(a, b)| {
-                let (a, d) = (sel(a), sel(b) - sel(a));
-                d <= eps && cell(a + 0.5 * d) != cell(a) && cell(a + 0.2 * d) == cell(a)
-            })
-            .expect("some pair straddles a cell boundary");
-        let mut cw = CompressedWorkload::streaming(CompressionPolicy::Epsilon(eps));
-        cw.absorb(&s, &shipdate_probe(&s, a), 1.0);
-        absorb_and_roll_back(&s, &mut cw, &[shipdate_probe(&s, b)], |r| {
-            matches!(r, [Undo::Merged { moved_from: Some(0), shell: Some(_), .. }])
-        });
-        // Enough duplicates of the first member pull the centroid back into
-        // its first cell: both moves undo, in order.
-        let mut there_and_back = vec![shipdate_probe(&s, b)];
-        there_and_back.resize(10, shipdate_probe(&s, a));
-        absorb_and_roll_back(&s, &mut cw, &there_and_back, |r| {
-            r.iter().filter(|u| matches!(u, Undo::Merged { moved_from: Some(_), .. })).count() == 2
-        });
     }
 
     #[test]
@@ -1126,9 +832,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid compression ε")]
     fn negative_epsilon_rejected() {
-        let s = schema();
-        let w = HomGen::new(8).generate(&s, 2);
-        let _ = CompressedWorkload::compress(&s, &w, CompressionPolicy::Epsilon(-0.1));
+        // Before any statement is absorbed: `compress` starts here too.
+        let _ = CompressedWorkload::streaming(CompressionPolicy::Epsilon(-0.1));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid compression ε")]
+    fn nan_epsilon_rejected() {
+        let _ = CompressedWorkload::streaming(CompressionPolicy::Epsilon(f64::NAN));
     }
 
     #[test]

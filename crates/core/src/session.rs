@@ -191,14 +191,16 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     }
 
     /// Rough bytes of *private* (non-shared) session state: candidates,
-    /// the interactive BIP under mutation, and the Lagrangian warm-start
-    /// vectors.  The shared INUM cache is excluded — it outlives any one
+    /// the clustering when compression is on, the interactive BIP under
+    /// mutation, and the Lagrangian warm-start vectors.  The shared INUM
+    /// cache is excluded — it outlives any one
     /// session.  This is the metric the `cophy-server` LRU evicts on: an
     /// evicted session drops exactly this state and rebuilds it from the
     /// retained workload handle + sticky fixings on the next touch.
     pub fn approx_state_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.ingest.candidates.len() * (size_of::<Index>() + 16);
+        bytes += self.ingest.compressed.as_ref().map_or(0, |cw| cw.approx_bytes());
         if let Some(st) = &self.interactive {
             let model = st.dm.model();
             let nnz: usize = model.constraints().iter().map(|c| c.expr.terms.len()).sum();

@@ -21,10 +21,11 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use cophy::{
     CGen, CoPhy, CoPhyOptions, CompressionPolicy, ConstraintSet, SolveBudget, SolverBackend,
+    TuningSession,
 };
-use cophy_catalog::TpchGen;
+use cophy_catalog::{Index, TpchGen};
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
-use cophy_workload::{HetGen, HomGen, UpdateGen, Workload};
+use cophy_workload::{HetGen, HomGen, UpdateGen, Workload, DEFAULT_CHUNK};
 
 mod common;
 
@@ -102,6 +103,39 @@ fn every_door_gives_the_same_answer_under_every_policy() {
             assert_doors_agree(&w, policy, iterations, &format!("{shape}:{seed}:{n}/{policy}"));
         }
     }
+}
+
+/// `approx_state_bytes` — what the daemon's LRU evicts on — counts the
+/// clustering a session keeps for itself, which follows the distinct shells
+/// absorbed.  A session without one (compression off, or opened over a
+/// shared cache) reports, before its first solve, its candidates alone.
+#[test]
+fn state_bytes_count_the_sessions_private_clustering() {
+    let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+    let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
+    let w = HomGen::new(7).generate(o.schema(), 120);
+    let clustering_bytes = |s: &TuningSession| {
+        s.approx_state_bytes() - s.candidates().len() * (std::mem::size_of::<Index>() + 16)
+    };
+    let plain = CoPhy::new(&o, CoPhyOptions::default());
+    let off = plain.try_session(&w, constraints.clone()).unwrap();
+    let opts =
+        CoPhyOptions { compression: CompressionPolicy::default_epsilon(), ..Default::default() };
+    let cophy = CoPhy::new(&o, opts);
+    let (cache, candidates) = (off.cache(), off.candidates().clone());
+    let shared = cophy.try_session_shared(cache, candidates, constraints.clone()).unwrap();
+    assert_eq!((clustering_bytes(&off), clustering_bytes(&shared)), (0, 0));
+
+    // The same templates under fresh constants, twice: new shells grow the
+    // figure, their exact repeats add weight and no state.
+    let mut session = cophy.try_session(&w, constraints).unwrap();
+    let fresh = HomGen::new(8).generate(o.schema(), 120);
+    let mut bytes = vec![clustering_bytes(&session)];
+    for _ in 0..2 {
+        session.try_add_source(&mut fresh.source(), DEFAULT_CHUNK).unwrap();
+        bytes.push(clustering_bytes(&session));
+    }
+    assert!(0 < bytes[0] && bytes[0] < bytes[1] && bytes[1] == bytes[2], "{bytes:?}");
 }
 
 proptest! {
