@@ -17,7 +17,8 @@ use cophy_bench::{make_optimizer, make_workload, prepare, WorkloadKind};
 use cophy_bip::branch_bound::bench_repair;
 use cophy_bip::simplex::bench_refactor;
 use cophy_bip::{
-    BranchBound, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveBudget, SolveOptions,
+    BranchBound, DualSimplex, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveBudget,
+    SolveOptions,
 };
 use cophy_catalog::{ColumnId, Configuration};
 use cophy_inum::{ideal_config, PreparedWorkload};
@@ -156,11 +157,12 @@ fn bench_solvers(c: &mut Criterion) {
         b.iter(|| solver.solve(&tp.block));
     });
 
-    // `bb.solve_s` of `perf`'s `rich_bb` and the two kernels inside it that
-    // the public API cannot reach alone: `build/model_hom20`'s model plus
-    // the `IndexCount(lineitem) ≤ 2` row, searched to a 100-node cap; the
-    // repair heuristic on that model's root LP point (one of ≈ 100 calls a
-    // solve); and the LU of its root basis (one per node LP).
+    // `bb.solve_s` of `perf`'s `rich_bb` and the kernels inside it:
+    // `build/model_hom20`'s model plus the `IndexCount(lineitem) ≤ 2` row,
+    // searched to a 100-node cap; its cold root LP and one pair of warm
+    // child LPs; and the two the public API cannot reach alone — the repair
+    // heuristic on the root LP point (one of ≈ 100 calls a solve) and the
+    // LU of the root basis (one per node LP).
     let w = make_workload(&o, WorkloadKind::Hom, 20);
     let lineitem = o.schema().table_by_name("lineitem").expect("TPC-H lineitem").id;
     let rich = half.with(Constraint::IndexCount {
@@ -187,7 +189,26 @@ fn bench_solvers(c: &mut Criterion) {
     bench_repair(&model, |repair| {
         c.bench_function("solver/repair_rich20_root", |b| b.iter(|| repair(&root.x)));
     });
+    let branch = root
+        .x
+        .iter()
+        .position(|v| (v - v.round()).abs() > 1e-6)
+        .expect("the rich-20 root LP has a fractional variable");
     let root_basis = root.basis.expect("the rich-20 root LP is feasible and bounded");
+    // What a node costs after that: the two children of the root — its
+    // first fractional variable pinched to 0, then to 1 — each re-solved by
+    // the dual simplex from the root basis.
+    c.bench_function("solver/dual_resolve_rich20_child", |b| {
+        let (mut down, mut up) = (hi.clone(), lo.clone());
+        (down[branch], up[branch]) = (0.0, 1.0);
+        let dual = DualSimplex::new();
+        b.iter(|| {
+            (
+                dual.resolve(&model, &lo, &down, &root_basis),
+                dual.resolve(&model, &up, &hi, &root_basis),
+            )
+        });
+    });
     bench_refactor(&model, &root_basis, |refactor| {
         c.bench_function("solver/lu_factorize_rich20_root_basis", |b| {
             b.iter(|| assert!(refactor(), "the root basis factorizes"));

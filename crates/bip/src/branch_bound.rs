@@ -1289,7 +1289,7 @@ fn max_repair_passes(model: &Model) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{LinExpr, Model, Sense, VarId};
     use rand::rngs::SmallRng;
@@ -1697,7 +1697,7 @@ mod tests {
 
     /// A knapsack-family BIP with a fractional root and enough symmetry to
     /// force real branching (shared by the instrumentation tests below).
-    fn branchy_model(seed: u64, n: usize) -> Model {
+    pub(crate) fn branchy_model(seed: u64, n: usize) -> Model {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut m = Model::new();
         let mut e = LinExpr::new();
@@ -1923,7 +1923,7 @@ mod tests {
     /// A Theorem-1-shaped BIP: `z` per index under a storage row and an
     /// AT-MOST row, and per query an assignment row over its plans, each
     /// plan needing one `x ≤ z` access per slot (or the heap fallback).
-    fn theorem1_model(rng: &mut SmallRng) -> Model {
+    pub(crate) fn theorem1_model(rng: &mut SmallRng) -> Model {
         let mut m = Model::new();
         let n_idx = rng.gen_range(3..8);
         let z: Vec<_> =

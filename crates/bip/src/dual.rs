@@ -9,7 +9,7 @@
 //! and run dual pivots until primal feasibility is restored — typically a
 //! handful of pivots, which is what turns node throughput from "one LP per
 //! tens of seconds" into hundreds of nodes per budget on the rich
-//! 24-statement models (ROADMAP, "Next candidates for the solve path").
+//! 24-statement models (ROADMAP, "Solve-engine architecture").
 //!
 //! The algorithm is the bounded-variable dual simplex on the same sparse
 //! `Tableau` workspace the primal uses (LU factors + eta file):
@@ -19,16 +19,20 @@
 //!    from each pivot column (reset to 1 — plain most-violated — when they
 //!    overflow, counted in [`LpResult::devex_resets`]); none ⇒ the basis is
 //!    primal feasible and, being dual feasible by invariant, optimal.
-//! 2. **Bound-flipping (long-step) ratio test** — eligible nonbasic columns
-//!    are sorted by dual ratio `|d_j| / |α_j|`; walking the breakpoints in
-//!    order, every *boxed* column whose full `lo↔hi` flip still leaves the
-//!    leaving row violated is flipped (no pivot, no factorization update —
-//!    exactly how box-constrained binaries should move), and the first
-//!    breakpoint that cannot be stepped over becomes the entering column.
-//!    All flips of one iteration are applied with a single collective
-//!    `ftran`.  Exhausting the breakpoints with violation left ⇒ the dual is
-//!    unbounded ⇒ the pinched polytope is empty (`Infeasible`) — decided
-//!    before any flip is applied.
+//! 2. **Bound-flipping (long-step) ratio test** — the pivot row `ρ = eᵣᵀB⁻¹`
+//!    prices `α_j = ρ·a_j` by scattering its non-zero rows over a row-wise
+//!    copy of the columns (`Tableau::price_row`), so only the columns those
+//!    rows reach are looked at; the eligible ones become breakpoints at dual
+//!    ratio `|d_j| / |α_j|`.  The walk reads them in `(ratio, index)` order
+//!    and orders only the prefix it reads (`knapsack::OrderedPrefix`): every
+//!    *boxed* column whose full `lo↔hi` flip still leaves the leaving row
+//!    violated is flipped (no pivot, no factorization update — exactly how
+//!    box-constrained binaries should move), and the first breakpoint that
+//!    cannot be stepped over becomes the entering column.  All flips of one
+//!    iteration are applied with a single collective `ftran`.  Exhausting
+//!    the breakpoints with violation left ⇒ the dual is unbounded ⇒ the
+//!    pinched polytope is empty (`Infeasible`) — decided before any flip is
+//!    applied.
 //! 3. **Pivot** — appends a product-form eta shared with the primal,
 //!    refactorized every `REFACTOR_EVERY` pivots.
 //!
@@ -42,14 +46,16 @@
 
 #![allow(clippy::needless_range_loop)]
 
+use crate::knapsack::OrderedPrefix;
 use crate::model::Model;
 use crate::simplex::{
     Basis, LpResult, LpStatus, StandardForm, Tableau, VarState, DEADLINE_CHECK_INTERVAL,
     DEVEX_RESET_LIMIT, PIVOT_TOL, REFACTOR_EVERY,
 };
 
-/// The dual-simplex engine.  Mirrors [`SimplexSolver`](crate::SimplexSolver)
-/// knobs so branch-and-bound can arm both with the same tolerance and
+/// The dual-simplex engine.  Its three crate-private fields are
+/// [`SimplexSolver`](crate::SimplexSolver)'s, and branch-and-bound fills
+/// them from its primal solver so both stop at the same tolerance and
 /// wall-clock deadline.
 #[derive(Debug, Clone)]
 pub struct DualSimplex {
@@ -117,7 +123,6 @@ impl DualSimplex {
     /// entry and after every pivot.
     fn run_dual(&self, t: &mut Tableau<'_>, cost: &[f64]) -> (LpStatus, usize) {
         let m = t.m;
-        let ncols = t.n_cols();
         let mut y = vec![0.0; m];
         let mut rho = vec![0.0; m];
         let mut w = vec![0.0; m];
@@ -161,79 +166,26 @@ impl DualSimplex {
                 return (LpStatus::Optimal, iter);
             };
 
-            // Row r of B⁻¹ prices every nonbasic column: α_j = ρ · a_j.
-            t.btran_row(r, &mut rho);
-            t.duals(cost, &mut y);
+            // Row r of B⁻¹ prices the nonbasic columns, α_j = ρ · a_j, and
+            // the duals their reduced costs: one fused solve for both.
+            t.btran_row_and_duals(r, cost, &mut rho, &mut y);
 
-            // Breakpoint collection.  `increase` ⟺ the leaving variable
-            // sits below its lower bound and must rise toward it.
+            // `increase` ⟺ the leaving variable sits below its lower bound
+            // and must rise toward it.
             let increase = leave_to == VarState::Lower;
-            cands.clear();
-            for j in 0..ncols {
-                if t.state[j] == VarState::Basic || t.lo[j] >= t.hi[j] {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                for &(i, a) in t.col(j) {
-                    alpha += rho[i] * a;
-                }
-                if alpha.abs() <= PIVOT_TOL {
-                    continue;
-                }
-                // Entering from Lower moves up, from Upper moves down; the
-                // induced change on x_B[r] is −t·α_j, so eligibility pairs
-                // the state with the sign of α_j.
-                let eligible = match (t.state[j], increase) {
-                    (VarState::Lower, true) | (VarState::Upper, false) => alpha < 0.0,
-                    (VarState::Upper, true) | (VarState::Lower, false) => alpha > 0.0,
-                    (VarState::Basic, _) => false,
-                };
-                if !eligible {
-                    continue;
-                }
-                let d = t.reduced_cost(cost, &y, j);
-                // Dual feasibility magnitude: d ≥ 0 at Lower, ≤ 0 at Upper;
-                // clamp small drift to zero.
-                let dmag = match t.state[j] {
-                    VarState::Lower => d.max(0.0),
-                    VarState::Upper => (-d).max(0.0),
-                    VarState::Basic => unreachable!(),
-                };
-                cands.push((j, alpha, dmag / alpha.abs()));
-            }
-            if cands.is_empty() {
-                // Dual unbounded: no column can absorb the violation, so
-                // the pinched primal polytope is empty.
-                return (LpStatus::Infeasible, iter);
-            }
-
-            // Bound-flipping walk over the breakpoints in dual-ratio order
-            // (ties to the lowest index, keeping re-solves deterministic).
-            // A boxed column whose full flip still leaves the row violated
-            // is stepped over; the first that cannot be enters the basis.
-            cands.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite ratios").then(a.0.cmp(&b.0)));
+            collect_breakpoints(t, cost, &y, &rho, increase, &mut cands);
             let bv = t.basis[r];
-            let mut remaining = match leave_to {
+            let violation = match leave_to {
                 VarState::Lower => t.lo[bv] - t.xb[r],
                 VarState::Upper => t.xb[r] - t.hi[bv],
                 VarState::Basic => unreachable!(),
             };
-            let mut entering: Option<usize> = None;
-            let mut n_flips = 0usize;
-            for &(j, alpha, _) in cands.iter() {
-                let range = t.hi[j] - t.lo[j];
-                if range.is_finite() && remaining - alpha.abs() * range > self.tol {
-                    n_flips += 1;
-                    remaining -= alpha.abs() * range;
-                } else {
-                    entering = Some(j);
-                    break;
-                }
-            }
-            let Some(q) = entering else {
-                // Every breakpoint exhausted with violation left: flipping
-                // the whole box cannot restore feasibility ⇒ dual unbounded
-                // ⇒ Infeasible (no flip has been applied yet).
+            let Some((q, n_flips)) = long_step(&mut cands, &t.lo, &t.hi, violation, self.tol)
+            else {
+                // No breakpoint at all, or every one of them stepped over
+                // with violation left: flipping the whole box cannot restore
+                // feasibility ⇒ dual unbounded ⇒ the pinched primal polytope
+                // is empty (no flip has been applied yet).
                 return (LpStatus::Infeasible, iter);
             };
 
@@ -273,17 +225,12 @@ impl DualSimplex {
             }
             let t_e = delta / alpha;
             let enter_val = t.nb_value(q) + t_e;
-            for i in 0..m {
-                if i != r {
-                    t.xb[i] -= t_e * w[i];
-                }
-            }
             t.state[bv] = leave_to;
             t.state[q] = VarState::Basic;
             t.basis[r] = q;
-            t.xb[r] = enter_val;
 
-            // Dual Devex weight update from the pivot column.
+            // One pass over the pivot column moves x_B and raises the dual
+            // Devex weights.
             let dw_r = dw[r];
             let inv_a2 = 1.0 / (alpha * alpha);
             let mut dmax = 1.0f64;
@@ -291,6 +238,7 @@ impl DualSimplex {
                 if i == r {
                     continue;
                 }
+                t.xb[i] -= t_e * w[i];
                 let cand = w[i] * w[i] * inv_a2 * dw_r;
                 if cand > dw[i] {
                     dw[i] = cand;
@@ -299,6 +247,7 @@ impl DualSimplex {
                     dmax = dw[i];
                 }
             }
+            t.xb[r] = enter_val;
             dw[r] = (dw_r * inv_a2).max(1.0);
             if dw[r] > dmax {
                 dmax = dw[r];
@@ -316,12 +265,293 @@ impl DualSimplex {
     }
 }
 
+/// One breakpoint of the dual ratio test: `(j, priced α_j, dual ratio)`.
+type Breakpoint = (usize, f64, f64);
+
+/// The breakpoints of one dual iteration: every nonbasic, unfixed column the
+/// pivot row `rho` prices beyond [`PIVOT_TOL`] with the sign that lets it
+/// absorb the leaving row's violation.  Only columns reached by
+/// [`Tableau::price_row`] can qualify; they arrive in the order the scatter
+/// met them, which [`long_step`]'s total order makes immaterial.
+fn collect_breakpoints(
+    t: &mut Tableau<'_>,
+    cost: &[f64],
+    y: &[f64],
+    rho: &[f64],
+    increase: bool,
+    cands: &mut Vec<Breakpoint>,
+) {
+    cands.clear();
+    t.price_row(rho);
+    for &j in &t.reached {
+        if let Some(ratio) = breakpoint(t, cost, y, j, t.alpha[j], increase) {
+            cands.push((j, t.alpha[j], ratio));
+        }
+    }
+    t.clear_pricing();
+}
+
+/// The dual ratio of column `j` priced at `alpha`, if it is a breakpoint.
+fn breakpoint(
+    t: &Tableau<'_>,
+    cost: &[f64],
+    y: &[f64],
+    j: usize,
+    alpha: f64,
+    increase: bool,
+) -> Option<f64> {
+    // The filters run cheapest first (α is in hand, the state is one byte);
+    // which columns pass does not depend on their order.
+    if alpha.abs() <= PIVOT_TOL {
+        return None;
+    }
+    // Entering from Lower moves up, from Upper moves down; the induced
+    // change on x_B[r] is −t·α_j, so eligibility pairs the state with the
+    // sign of α_j.
+    let eligible = match (t.state[j], increase) {
+        (VarState::Lower, true) | (VarState::Upper, false) => alpha < 0.0,
+        (VarState::Upper, true) | (VarState::Lower, false) => alpha > 0.0,
+        (VarState::Basic, _) => false,
+    };
+    if !eligible || t.lo[j] >= t.hi[j] {
+        return None;
+    }
+    let d = t.reduced_cost(cost, y, j);
+    // Dual feasibility magnitude: d ≥ 0 at Lower, ≤ 0 at Upper; clamp small
+    // drift to zero.
+    let dmag = match t.state[j] {
+        VarState::Lower => d.max(0.0),
+        VarState::Upper => (-d).max(0.0),
+        VarState::Basic => unreachable!(),
+    };
+    Some(dmag / alpha.abs())
+}
+
+/// `(ratio, index)`: ties to the lowest index, keeping re-solves
+/// deterministic — and making the order total, so a prefix of it is the
+/// prefix of any sort.
+fn by_ratio(a: &Breakpoint, b: &Breakpoint) -> std::cmp::Ordering {
+    a.2.partial_cmp(&b.2).expect("finite ratios").then(a.0.cmp(&b.0))
+}
+
+/// Breakpoints put in order per call of [`OrderedPrefix::cover`], doubling:
+/// of the ≈ 125 a `rich_bb` iteration collects, the walk reads a handful.
+const FIRST_BREAKPOINTS: usize = 8;
+
+/// The bound-flipping walk over the breakpoints in dual-ratio order.  A
+/// boxed column whose full flip still leaves the row violated is stepped
+/// over; the first that cannot be enters the basis.  Returns `(entering
+/// column, flips)` with the flipped breakpoints in `cands[..flips]`, in walk
+/// order, or `None` when every breakpoint was stepped over.  Most walks end
+/// within a few breakpoints, so only the prefix read is put in order.
+fn long_step(
+    cands: &mut [Breakpoint],
+    lo: &[f64],
+    hi: &[f64],
+    mut violation: f64,
+    tol: f64,
+) -> Option<(usize, usize)> {
+    let mut prefix = OrderedPrefix::new(FIRST_BREAKPOINTS);
+    for k in 0..cands.len() {
+        prefix.cover(cands, k, by_ratio);
+        let (j, alpha, _) = cands[k];
+        let range = hi[j] - lo[j];
+        if range.is_finite() && violation - alpha.abs() * range > tol {
+            violation -= alpha.abs() * range;
+        } else {
+            return Some((j, k));
+        }
+    }
+    None
+}
+
+/// [`collect_breakpoints`] as it was: `ρ·a_j` recomputed by a walk down
+/// every column, the breakpoints listed in column order.  The oracle of the
+/// row scatter.
+#[cfg(test)]
+fn collect_breakpoints_by_columns(
+    t: &Tableau<'_>,
+    cost: &[f64],
+    y: &[f64],
+    rho: &[f64],
+    increase: bool,
+    cands: &mut Vec<Breakpoint>,
+) {
+    cands.clear();
+    for (j, alpha) in t.price_by_columns(rho).into_iter().enumerate() {
+        if t.state[j] == VarState::Basic || t.lo[j] >= t.hi[j] {
+            continue;
+        }
+        if alpha.abs() <= PIVOT_TOL {
+            continue;
+        }
+        let eligible = match (t.state[j], increase) {
+            (VarState::Lower, true) | (VarState::Upper, false) => alpha < 0.0,
+            (VarState::Upper, true) | (VarState::Lower, false) => alpha > 0.0,
+            (VarState::Basic, _) => false,
+        };
+        if !eligible {
+            continue;
+        }
+        let d = t.reduced_cost(cost, y, j);
+        let dmag = match t.state[j] {
+            VarState::Lower => d.max(0.0),
+            VarState::Upper => (-d).max(0.0),
+            VarState::Basic => unreachable!(),
+        };
+        cands.push((j, alpha, dmag / alpha.abs()));
+    }
+}
+
+/// [`long_step`] as it was: every breakpoint sorted before the walk reads
+/// the first few.  The oracle of the prefix walk.
+#[cfg(test)]
+fn long_step_after_a_full_sort(
+    cands: &mut [Breakpoint],
+    lo: &[f64],
+    hi: &[f64],
+    mut violation: f64,
+    tol: f64,
+) -> Option<(usize, usize)> {
+    cands.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite ratios").then(a.0.cmp(&b.0)));
+    let mut n_flips = 0usize;
+    for &(j, alpha, _) in cands.iter() {
+        let range = hi[j] - lo[j];
+        if range.is_finite() && violation - alpha.abs() * range > tol {
+            n_flips += 1;
+            violation -= alpha.abs() * range;
+        } else {
+            return Some((j, n_flips));
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::dense_resolve;
+    use crate::factor::tests::float_bits;
     use crate::model::{LinExpr, Model, Sense};
+    use crate::simplex::tests::{pinned_bounds, pricing_family, pricing_rows};
     use crate::simplex::SimplexSolver;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn breakpoint_bits(cands: &[Breakpoint]) -> Vec<(usize, u64, u64)> {
+        cands.iter().map(|&(j, alpha, ratio)| (j, alpha.to_bits(), ratio.to_bits())).collect()
+    }
+
+    #[test]
+    fn scattered_breakpoints_are_the_column_walks_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(0xD0A1);
+        let (mut compared, mut breakpoints) = (0, 0);
+        for (case, m) in pricing_family().iter().enumerate() {
+            let n = m.n_vars();
+            let form = StandardForm::new(m);
+            let root = SimplexSolver::new().solve_on(&form, &vec![0.0; n], &vec![1.0; n]);
+            let Some(basis) = root.basis else { continue };
+            // The root basis under a node's pinched bounds, then a few dual
+            // pivots further on.
+            let (lo, hi) = pinned_bounds(&mut rng, n);
+            let mut t = Tableau::new(&form, &lo, &hi);
+            assert!(t.restore(&basis));
+            let cost = t.phase2_cost();
+            for burst in [0, 1, 3] {
+                let dual = DualSimplex { max_iters: burst, ..Default::default() };
+                if dual.run_dual(&mut t, &cost).0 == LpStatus::Singular {
+                    break;
+                }
+                let (mut y, mut fused_y) = (vec![0.0; t.m], vec![0.0; t.m]);
+                t.duals(&cost, &mut y);
+                for rho in pricing_rows(&mut t, &mut rng) {
+                    for increase in [true, false] {
+                        let (mut scattered, mut walked) = (Vec::new(), Vec::new());
+                        collect_breakpoints(&mut t, &cost, &y, &rho, increase, &mut scattered);
+                        collect_breakpoints_by_columns(&t, &cost, &y, &rho, increase, &mut walked);
+                        // The scatter lists them as it meets them.
+                        scattered.sort_unstable_by_key(|&(j, _, _)| j);
+                        assert_eq!(
+                            breakpoint_bits(&scattered),
+                            breakpoint_bits(&walked),
+                            "case {case}, burst {burst}"
+                        );
+                        compared += 1;
+                        breakpoints += walked.len();
+                    }
+                }
+                // The fused solve against its two halves, on a live basis
+                // with its eta file.
+                let r = rng.gen_range(0..t.m);
+                let (mut rho, mut fused_rho) = (vec![0.0; t.m], vec![0.0; t.m]);
+                t.btran_row(r, &mut rho);
+                t.btran_row_and_duals(r, &cost, &mut fused_rho, &mut fused_y);
+                assert_eq!(float_bits(&fused_rho), float_bits(&rho), "case {case}, burst {burst}");
+                assert_eq!(float_bits(&fused_y), float_bits(&y), "case {case}, burst {burst}");
+            }
+        }
+        assert!(
+            compared > 1000 && breakpoints > 3000,
+            "{compared} rows compared, {breakpoints} breakpoints"
+        );
+    }
+
+    #[test]
+    fn prefix_walk_reproduces_the_full_sort() {
+        let mut rng = SmallRng::seed_from_u64(0xB0F7);
+        let (mut entered, mut exhausted, mut long_walks, mut tied) = (0, 0, 0, 0);
+        for case in 0..3000 {
+            let n_cols = rng.gen_range(1..260usize);
+            // Boxed binaries, a few free-above columns no walk steps over.
+            let lo = vec![0.0; n_cols];
+            let hi: Vec<f64> =
+                (0..n_cols).map(|_| if rng.gen_bool(0.03) { f64::INFINITY } else { 1.0 }).collect();
+            // Degenerate LPs clamp most dual ratios to exactly zero (of
+            // either sign: `(-d).max(0.0)`); the rest repeat a few values.
+            let zero_share = [0.0, 0.6, 0.95, 1.0][case % 4];
+            let mut cols: Vec<usize> = (0..n_cols).collect();
+            for i in (1..n_cols).rev() {
+                cols.swap(i, rng.gen_range(0..i + 1));
+            }
+            cols.truncate(rng.gen_range(0..n_cols + 1));
+            let cands: Vec<Breakpoint> = cols
+                .iter()
+                .map(|&j| {
+                    let ratio = if rng.gen_bool(zero_share) {
+                        [0.0, -0.0][rng.gen_range(0..2)]
+                    } else {
+                        f64::from(rng.gen_range(0..6)) * 0.25
+                    };
+                    (j, rng.gen_range(-2.0..2.0), ratio)
+                })
+                .collect();
+            // From a walk that stops at the first breakpoint to one that
+            // flips past everything the prefix first ordered, or past all.
+            let violation = [0.5, 6.0, 40.0, 400.0][rng.gen_range(0..4)];
+
+            let (mut prefix, mut sorted) = (cands.clone(), cands);
+            let fast = long_step(&mut prefix, &lo, &hi, violation, 1e-7);
+            let oracle = long_step_after_a_full_sort(&mut sorted, &lo, &hi, violation, 1e-7);
+            assert_eq!(fast, oracle, "case {case}");
+            match fast {
+                Some((_, flips)) => {
+                    assert_eq!(
+                        breakpoint_bits(&prefix[..flips]),
+                        breakpoint_bits(&sorted[..flips]),
+                        "case {case}: flip list"
+                    );
+                    entered += 1;
+                    long_walks += usize::from(flips > FIRST_BREAKPOINTS);
+                    tied += usize::from(flips > 0 && sorted[flips].2 == sorted[0].2);
+                }
+                None => exhausted += 1,
+            }
+        }
+        assert!(
+            entered > 1500 && exhausted > 100 && long_walks > 300 && tied > 300,
+            "{entered} entered, {exhausted} exhausted, {long_walks} long walks, {tied} tied"
+        );
+    }
 
     fn pinch(lo: &mut [f64], hi: &mut [f64], j: usize, v: f64) {
         lo[j] = v;

@@ -71,9 +71,7 @@ impl LuFactors {
                 row_count[r] += 1;
             }
         }
-        // Eliminate columns in ascending-nonzero order (static Markowitz).
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&p| (cols[p].len(), p));
+        let order = ascending_nonzero_order(cols);
 
         let mut lu = LuFactors {
             m,
@@ -237,6 +235,61 @@ impl LuFactors {
             y[self.pivot_row[k]] = acc;
         }
     }
+
+    /// [`LuFactors::btran`] for two right-hand sides in one pass over the
+    /// factors: `ya` solves for `ca`, `yb` for `cb`, and each accumulator
+    /// folds the terms of its own single solve in that solve's order.
+    pub(crate) fn btran2(
+        &self,
+        ca: &[f64],
+        cb: &[f64],
+        ya: &mut [f64],
+        yb: &mut [f64],
+        za: &mut [f64],
+        zb: &mut [f64],
+    ) {
+        for k in 0..self.m {
+            let pos = self.pivot_pos[k];
+            let (mut a, mut b) = (ca[pos], cb[pos]);
+            for &(t, v) in &self.u_cols[k] {
+                a -= v * za[t];
+                b -= v * zb[t];
+            }
+            za[k] = a / self.u_diag[k];
+            zb[k] = b / self.u_diag[k];
+        }
+        for k in (0..self.m).rev() {
+            let (mut a, mut b) = (za[k], zb[k]);
+            for &(r, v) in &self.l_cols[k] {
+                a -= v * ya[r];
+                b -= v * yb[r];
+            }
+            let prow = self.pivot_row[k];
+            ya[prow] = a;
+            yb[prow] = b;
+        }
+    }
+}
+
+/// Basis positions in ascending `(non-zeros, position)` order — the static
+/// Markowitz elimination order — by a counting sort: a column has at most `m`
+/// non-zeros and a warm basis is mostly singletons, so there are few
+/// distinct counts to tell apart.
+fn ascending_nonzero_order(cols: &[&[(usize, f64)]]) -> Vec<usize> {
+    let longest = cols.iter().map(|c| c.len()).max().unwrap_or(0);
+    let mut next = vec![0usize; longest + 2];
+    for col in cols {
+        next[col.len() + 1] += 1;
+    }
+    for len in 0..=longest {
+        next[len + 1] += next[len];
+    }
+    let mut order = vec![0usize; cols.len()];
+    for (p, col) in cols.iter().enumerate() {
+        order[next[col.len()]] = p;
+        next[col.len()] += 1;
+    }
+    order
 }
 
 /// One product-form update: after column `q` replaces the basic variable in
@@ -253,18 +306,23 @@ pub(crate) struct Eta {
 impl Eta {
     /// Build the eta vector for pivot row `r` from the ftran'd entering
     /// column `w` (dense, basis-position space). `w[r]` must be the pivot.
-    pub(crate) fn from_pivot(r: usize, w: &[f64], drop_tol: f64) -> Eta {
-        let piv = w[r];
-        let inv = 1.0 / piv;
-        let mut col: Vec<(usize, f64)> = Vec::new();
+    /// `scratch` is any buffer of `w`'s length: the kept entries are packed
+    /// into its front without a branch per row, then copied out at their
+    /// final size — one pass and one allocation on a path a solve takes
+    /// thousands of times.
+    pub(crate) fn from_pivot(
+        r: usize,
+        w: &[f64],
+        drop_tol: f64,
+        scratch: &mut [(usize, f64)],
+    ) -> Eta {
+        let inv = 1.0 / w[r];
+        let mut len = 0;
         for (i, &wi) in w.iter().enumerate() {
-            if i == r {
-                col.push((r, inv));
-            } else if wi.abs() > drop_tol {
-                col.push((i, -wi * inv));
-            }
+            scratch[len] = (i, if i == r { inv } else { -wi * inv });
+            len += usize::from(i == r || wi.abs() > drop_tol);
         }
-        Eta { r, col }
+        Eta { r, col: scratch[..len].to_vec() }
     }
 
     /// Apply `x ← E·x` (ftran direction).
@@ -290,11 +348,24 @@ impl Eta {
         }
         c[self.r] = acc;
     }
+
+    /// [`Eta::apply_btran`] to two vectors in one pass over the eta column.
+    pub(crate) fn apply_btran2(&self, ca: &mut [f64], cb: &mut [f64]) {
+        let (mut a, mut b) = (0.0, 0.0);
+        for &(i, v) in &self.col {
+            a += ca[i] * v;
+            b += cb[i] * v;
+        }
+        ca[self.r] = a;
+        cb[self.r] = b;
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn dense_mul(m: usize, cols: &[Vec<(usize, f64)>], x: &[f64]) -> Vec<f64> {
         let mut b = vec![0.0; m];
@@ -473,48 +544,53 @@ mod tests {
         )
     }
 
+    /// Basis `case` of the 400-member random family: sizes on both sides of
+    /// the 64-step word boundary, from near-identity to a dense block, some
+    /// permuted, some with repeated row indices, some singular.
+    fn random_basis(rng: &mut SmallRng, case: usize) -> (usize, Vec<Vec<(usize, f64)>>) {
+        let m = rng.gen_range(1..150usize);
+        // A warm basis is mostly slack columns with a few structurals
+        // mixed in; `extra` sweeps from that to a dense block.
+        let extra = [0.0, 0.02, 0.1, 0.5][case % 4];
+        let mut perm: Vec<usize> = (0..m).collect();
+        if case % 3 == 0 {
+            for i in (1..m).rev() {
+                perm.swap(i, rng.gen_range(0..i + 1));
+            }
+        }
+        let mut cols: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|j| {
+                let mut col = vec![(perm[j], if rng.gen_bool(0.5) { 1.0 } else { -1.0 })];
+                for r in 0..m {
+                    if rng.gen_bool(extra) {
+                        col.push((r, rng.gen_range(-4.0..4.0)));
+                    }
+                }
+                // A repeated row index accumulates in the scatter, and a
+                // pair that cancels leaves an explicit zero behind.
+                if case % 5 == 0 {
+                    let (r, v) = col[rng.gen_range(0..col.len())];
+                    col.push((r, if rng.gen_bool(0.5) { -v } else { 0.5 * v }));
+                }
+                col
+            })
+            .collect();
+        if case % 7 == 0 && m > 1 {
+            // Numerically singular: one column repeats another.
+            let (a, b) = (rng.gen_range(0..m), rng.gen_range(0..m));
+            if a != b {
+                cols[a] = cols[b].clone();
+            }
+        }
+        (m, cols)
+    }
+
     #[test]
     fn pending_step_solve_reproduces_the_full_scan_bit_for_bit() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0x1AB5);
         let (mut factorized, mut singular) = (0, 0);
         for case in 0..400 {
-            // Sizes on both sides of the 64-step word boundary.
-            let m = rng.gen_range(1..150usize);
-            // A warm basis is mostly slack columns with a few structurals
-            // mixed in; `extra` sweeps from that to a dense block.
-            let extra = [0.0, 0.02, 0.1, 0.5][case % 4];
-            let mut perm: Vec<usize> = (0..m).collect();
-            if case % 3 == 0 {
-                for i in (1..m).rev() {
-                    perm.swap(i, rng.gen_range(0..i + 1));
-                }
-            }
-            let mut cols: Vec<Vec<(usize, f64)>> = (0..m)
-                .map(|j| {
-                    let mut col = vec![(perm[j], if rng.gen_bool(0.5) { 1.0 } else { -1.0 })];
-                    for r in 0..m {
-                        if rng.gen_bool(extra) {
-                            col.push((r, rng.gen_range(-4.0..4.0)));
-                        }
-                    }
-                    // A repeated row index accumulates in the scatter, and a
-                    // pair that cancels leaves an explicit zero behind.
-                    if case % 5 == 0 {
-                        let (r, v) = col[rng.gen_range(0..col.len())];
-                        col.push((r, if rng.gen_bool(0.5) { -v } else { 0.5 * v }));
-                    }
-                    col
-                })
-                .collect();
-            if case % 7 == 0 && m > 1 {
-                // Numerically singular: one column repeats another.
-                let (a, b) = (rng.gen_range(0..m), rng.gen_range(0..m));
-                if a != b {
-                    cols[a] = cols[b].clone();
-                }
-            }
+            let (m, cols) = random_basis(&mut rng, case);
             let refs: Vec<&[(usize, f64)]> = cols.iter().map(|c| c.as_slice()).collect();
             let fast = LuFactors::factorize(m, &refs);
             let oracle = factorize_scanning_every_step(m, &refs);
@@ -530,12 +606,101 @@ mod tests {
         assert!(factorized > 200 && singular > 10, "{factorized} factorized, {singular} singular");
     }
 
+    /// [`Eta::from_pivot`] as it was: the kept entries pushed one by one
+    /// into a vector that grows as it goes.
+    fn eta_pushed_entry_by_entry(r: usize, w: &[f64], drop_tol: f64) -> Eta {
+        let piv = w[r];
+        let inv = 1.0 / piv;
+        let mut col: Vec<(usize, f64)> = Vec::new();
+        for (i, &wi) in w.iter().enumerate() {
+            if i == r {
+                col.push((r, inv));
+            } else if wi.abs() > drop_tol {
+                col.push((i, -wi * inv));
+            }
+        }
+        Eta { r, col }
+    }
+
+    pub(crate) fn float_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_btran_reproduces_the_two_single_solves_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(0x1AB5);
+        let (mut solved, mut eta_total) = (0, 0);
+        for case in 0..400 {
+            let (m, cols) = random_basis(&mut rng, case);
+            let refs: Vec<&[(usize, f64)]> = cols.iter().map(|c| c.as_slice()).collect();
+            let Some(lu) = LuFactors::factorize(m, &refs) else { continue };
+            // An eta file of 0–127 product-form updates, as a solve leaves
+            // behind between two refactorizations.
+            let mut scratch = vec![(0, 0.0); m];
+            let etas: Vec<Eta> = (0..rng.gen_range(0..128))
+                .map(|_| {
+                    let r = rng.gen_range(0..m);
+                    let density = [0.05, 0.3, 1.0][rng.gen_range(0..3)];
+                    let mut w: Vec<f64> = (0..m)
+                        .map(|_| if rng.gen_bool(density) { rng.gen_range(-3.0..3.0) } else { 0.0 })
+                        .collect();
+                    // Entries under the drop tolerance stay out of the eta.
+                    w[rng.gen_range(0..m)] = 1e-13;
+                    w[r] = rng.gen_range(0.5..2.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    let eta = Eta::from_pivot(r, &w, 1e-12, &mut scratch);
+                    let pushed = eta_pushed_entry_by_entry(r, &w, 1e-12);
+                    assert_eq!(eta.r, pushed.r);
+                    assert_eq!(
+                        eta.col.iter().map(|&(i, v)| (i, v.to_bits())).collect::<Vec<_>>(),
+                        pushed.col.iter().map(|&(i, v)| (i, v.to_bits())).collect::<Vec<_>>(),
+                        "case {case}: packed eta differs from the pushed one"
+                    );
+                    eta
+                })
+                .collect();
+            eta_total += etas.len();
+            // The dual simplex's pair: a unit vector and a basic-cost vector
+            // (zeros of both signs among the costs).
+            let mut unit = vec![0.0; m];
+            unit[rng.gen_range(0..m)] = 1.0;
+            let cost: Vec<f64> = (0..m)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-50.0..50.0),
+                })
+                .collect();
+
+            let single = |rhs: &[f64]| {
+                let mut c = rhs.to_vec();
+                for eta in etas.iter().rev() {
+                    eta.apply_btran(&mut c);
+                }
+                let (mut y, mut z) = (vec![0.0; m], vec![0.0; m]);
+                lu.btran(&c, &mut y, &mut z);
+                y
+            };
+            let (mut ca, mut cb) = (unit.clone(), cost.clone());
+            for eta in etas.iter().rev() {
+                eta.apply_btran2(&mut ca, &mut cb);
+            }
+            // Stale scratch must not leak into either solution.
+            let (mut ya, mut yb) = (vec![7.0; m], vec![-7.0; m]);
+            let (mut za, mut zb) = (vec![7.0; m], vec![-7.0; m]);
+            lu.btran2(&ca, &cb, &mut ya, &mut yb, &mut za, &mut zb);
+            assert_eq!(float_bits(&ya), float_bits(&single(&unit)), "case {case}: unit row");
+            assert_eq!(float_bits(&yb), float_bits(&single(&cost)), "case {case}: duals");
+            solved += 1;
+        }
+        assert!(solved > 200 && eta_total > 10_000, "{solved} bases, {eta_total} etas");
+    }
+
     #[test]
     fn eta_matches_refactorization() {
         // Basis = identity, replace position 1 with column [1, 2, 1]^T.
         let m = 3;
         let w = vec![1.0, 2.0, 1.0];
-        let eta = Eta::from_pivot(1, &w, 1e-12);
+        let eta = Eta::from_pivot(1, &w, 1e-12, &mut [(0, 0.0); 3]);
         // ftran of b through E must equal solving the updated basis directly.
         let new_cols = [vec![(0, 1.0)], vec![(0, 1.0), (1, 2.0), (2, 1.0)], vec![(2, 1.0)]];
         let refs: Vec<&[(usize, f64)]> = new_cols.iter().map(|c| c.as_slice()).collect();

@@ -5,6 +5,46 @@
 //! (solvable greedily by ratio — a valid lower bound on the binary version),
 //! and the primal heuristics need fast 0/1 repairs.
 
+/// The part of a slice already in order, for a walk that usually stops after
+/// a few elements: instead of sorting everything up front, the walk calls
+/// [`OrderedPrefix::cover`] before it reads element `i`, and the prefix grows
+/// one doubling chunk at a time — select the chunk's members, sort them.
+/// Under a total order every element read is the one a full sort would have
+/// put there.
+pub(crate) struct OrderedPrefix {
+    ordered: usize,
+    chunk: usize,
+}
+
+impl OrderedPrefix {
+    pub(crate) fn new(first_chunk: usize) -> OrderedPrefix {
+        OrderedPrefix { ordered: 0, chunk: first_chunk }
+    }
+
+    /// Make `v[..=i]` final.  The walk reads `0, 1, 2, …`, so `i` is at most
+    /// the first element past the prefix.
+    #[inline]
+    pub(crate) fn cover<T>(
+        &mut self,
+        v: &mut [T],
+        i: usize,
+        by: impl Fn(&T, &T) -> std::cmp::Ordering + Copy,
+    ) {
+        if i < self.ordered {
+            return;
+        }
+        debug_assert_eq!(i, self.ordered);
+        let rest = &mut v[self.ordered..];
+        let n = self.chunk.min(rest.len());
+        if n < rest.len() {
+            rest.select_nth_unstable_by(n, by);
+        }
+        rest[..n].sort_unstable_by(by);
+        self.ordered += n;
+        self.chunk *= 2;
+    }
+}
+
 /// Solve `min Σ cost_j · z_j  s.t.  Σ size_j · z_j ≤ budget, z ∈ [0,1]`.
 ///
 /// Only items with negative cost are worth taking; they are taken greedily by
@@ -39,24 +79,15 @@ pub fn continuous_min(
     }
     // The budget usually runs out long before the candidates do, so they are
     // put in `(ratio, index)` order — the order a stable sort by ratio gives
-    // — one doubling chunk at a time: select the chunk's members, sort them.
+    // — one doubling chunk at a time.
     let by_ratio = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
     let mut remaining = budget;
-    let (mut ordered, mut chunk) = (0, 32);
+    let mut prefix = OrderedPrefix::new(32);
     for i in 0..order.len() {
         if remaining <= 0.0 {
             break;
         }
-        if i == ordered {
-            let rest = &mut order[ordered..];
-            let n = chunk.min(rest.len());
-            if n < rest.len() {
-                rest.select_nth_unstable_by(n, by_ratio);
-            }
-            rest[..n].sort_unstable_by(by_ratio);
-            ordered += n;
-            chunk *= 2;
-        }
+        prefix.cover(order, i, by_ratio);
         let j = order[i].1 as usize;
         let take = (remaining / size[j]).min(1.0);
         z[j] = take;

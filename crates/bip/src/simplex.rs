@@ -29,9 +29,16 @@
 //!   [`LpResult::devex_resets`]), which degrades gracefully to Dantzig
 //!   pricing until the weights re-learn the geometry.  A Bland rule still
 //!   takes over after a long degenerate run, guaranteeing termination.
+//! * **Pricing by row** — a pivot row `ρ = eᵣᵀB⁻¹` has few non-zeros, so
+//!   `α_j = ρ·a_j` (the Devex update here, the ratio test of the
+//!   [`dual`](crate::dual) simplex) is computed by scattering those rows of
+//!   the row-wise form (`Tableau::price_row`) and only the columns they
+//!   reach are visited.  Rows are scattered in ascending order, so every
+//!   `α_j` has the bits of a walk down column `j`.
 //! * **One standard form, many workspaces** — `StandardForm` is what an LP
 //!   takes from the model's rows alone: every structural and slack column
-//!   as one flat CSC, the right-hand sides and the column-block offsets.
+//!   as one flat CSC, the same non-zeros once more by row, the right-hand
+//!   sides and the column-block offsets.
 //!   `Tableau` borrows it and owns what differs from LP to LP — bounds,
 //!   variable states, the basis with its factors and eta file, the `m`
 //!   one-entry artificial columns (their signs are set per LP) and scratch.
@@ -159,11 +166,12 @@ pub(crate) enum VarState {
 }
 
 /// The standard form of a model's rows — every structural and slack column
-/// as one flat CSC, the right-hand sides and the three column-block offsets
-/// — in the layout the simplex pivots on.  It depends on the rows alone (not
-/// on bounds, a basis or the objective), so branch-and-bound builds it once
-/// per solve and every node, probe and dive LP borrows it, worker threads
-/// included; what differs between those LPs lives in the [`Tableau`].
+/// as one flat CSC, the same entries by row, the right-hand sides and the
+/// three column-block offsets — in the layout the simplex pivots on.  It
+/// depends on the rows alone (not on bounds, a basis or the objective), so
+/// branch-and-bound builds it once per solve and every node, probe and dive
+/// LP borrows it, worker threads included; what differs between those LPs
+/// lives in the [`Tableau`].
 pub(crate) struct StandardForm<'m> {
     pub(crate) model: &'m Model,
     /// Column `j < n_artificial_start` is `entries[start[j]..start[j + 1]]`
@@ -171,6 +179,14 @@ pub(crate) struct StandardForm<'m> {
     /// then one slack per inequality row, in row order.
     start: Vec<usize>,
     entries: Vec<(usize, f64)>,
+    /// The same non-zeros by row: row `i` is
+    /// `row_entries[row_start[i]..row_start[i + 1]]` as `(column,
+    /// coefficient)`, in the order of the row's terms, its slack last.
+    /// Walking the rows in ascending order therefore meets the entries of any
+    /// one column in the order [`StandardForm::col`] lists them — what lets
+    /// [`Tableau::price_row`] fold `ρ·a_j` to the bits of a column walk.
+    row_start: Vec<usize>,
+    row_entries: Vec<(usize, f64)>,
     rhs: Vec<f64>,
     n_structural: usize,
     /// Structural + slack columns; row `i`'s artificial is column
@@ -202,13 +218,18 @@ impl<'m> StandardForm<'m> {
             start[j + 1] += start[j];
         }
         let mut next = start.clone();
-        let mut entries = vec![(0usize, 0.0f64); start[n_artificial_start]];
+        let nnz = start[n_artificial_start];
+        let mut entries = vec![(0usize, 0.0f64); nnz];
+        let mut row_start = Vec::with_capacity(m + 1);
+        let mut row_entries = Vec::with_capacity(nnz);
         let mut slack = n;
         for (i, c) in rows.iter().enumerate() {
+            row_start.push(row_entries.len());
             for &(v, a) in &c.expr.terms {
                 let at = &mut next[v.0 as usize];
                 entries[*at] = (i, a);
                 *at += 1;
+                row_entries.push((v.0 as usize, a));
             }
             let coeff = match c.sense {
                 Sense::Le => 1.0,
@@ -216,12 +237,16 @@ impl<'m> StandardForm<'m> {
                 Sense::Eq => continue,
             };
             entries[start[slack]] = (i, coeff);
+            row_entries.push((slack, coeff));
             slack += 1;
         }
+        row_start.push(row_entries.len());
         StandardForm {
             model,
             start,
             entries,
+            row_start,
+            row_entries,
             rhs: rows.iter().map(|c| c.rhs).collect(),
             n_structural: n,
             n_artificial_start,
@@ -234,12 +259,19 @@ impl<'m> StandardForm<'m> {
     pub(crate) fn col(&self, j: usize) -> &[(usize, f64)] {
         &self.entries[self.start[j]..self.start[j + 1]]
     }
+
+    /// Row `i` over the structural and slack columns as `(column,
+    /// coefficient)`.
+    fn row(&self, i: usize) -> &[(usize, f64)] {
+        &self.row_entries[self.row_start[i]..self.row_start[i + 1]]
+    }
 }
 
 /// One LP's mutable workspace over a shared [`StandardForm`], used by the
 /// primal and the [`dual`](crate::dual) simplex alike: the bounds, the basis
 /// and its factors, the `m` artificial columns (their signs are chosen per
-/// LP) and scratch.  Building one allocates a dozen vectors, none per column.
+/// LP) and scratch.  Building one allocates some fifteen vectors, none per
+/// column.
 pub(crate) struct Tableau<'f> {
     form: &'f StandardForm<'f>,
     /// Row `i`'s artificial column is the single entry `(i, sign)`; the sign
@@ -263,6 +295,18 @@ pub(crate) struct Tableau<'f> {
     rowbuf: Vec<f64>,
     posbuf: Vec<f64>,
     zbuf: Vec<f64>,
+    /// Packing buffer of [`Eta::from_pivot`].
+    etabuf: Vec<(usize, f64)>,
+    /// Second right-hand side and step-space scratch of the fused solve
+    /// ([`Tableau::btran_row_and_duals`]).
+    posbuf2: Vec<f64>,
+    zbuf2: Vec<f64>,
+    /// Row pricing ([`Tableau::price_row`]): `alpha[j] = ρ·a_j` for the
+    /// columns listed in `reached` (`seen[j]` ⟺ listed), `0.0` and `false`
+    /// everywhere else — and everywhere after [`Tableau::clear_pricing`].
+    pub(crate) alpha: Vec<f64>,
+    seen: Vec<bool>,
+    pub(crate) reached: Vec<usize>,
     // counters surfaced through LpResult
     pub(crate) refactorizations: usize,
     pub(crate) devex_resets: usize,
@@ -331,6 +375,12 @@ impl<'f> Tableau<'f> {
             rowbuf: vec![0.0; m],
             posbuf: vec![0.0; m],
             zbuf: vec![0.0; m],
+            etabuf: vec![(0, 0.0); m],
+            posbuf2: vec![0.0; m],
+            zbuf2: vec![0.0; m],
+            alpha: vec![0.0; total],
+            seen: vec![false; total],
+            reached: Vec::with_capacity(total),
             refactorizations: 0,
             devex_resets: 0,
         }
@@ -463,6 +513,85 @@ impl<'f> Tableau<'f> {
         lu.as_ref().expect("factorized").btran(posbuf, y, zbuf);
     }
 
+    /// [`Tableau::btran_row`] and [`Tableau::duals`] on the current basis in
+    /// one pass over the eta file and the LU, each folded exactly as its own
+    /// solve folds it.  The dual simplex wants both at every iteration; the
+    /// primal learns its pivot row only after a ratio test that needs `y`,
+    /// and keeps the two calls.
+    pub(crate) fn btran_row_and_duals(
+        &mut self,
+        r: usize,
+        cost: &[f64],
+        rho: &mut [f64],
+        y: &mut [f64],
+    ) {
+        let Tableau { lu, etas, posbuf, zbuf, posbuf2, zbuf2, basis, .. } = self;
+        posbuf.fill(0.0);
+        posbuf[r] = 1.0;
+        for (k, &bv) in basis.iter().enumerate() {
+            posbuf2[k] = cost[bv];
+        }
+        for eta in etas.iter().rev() {
+            eta.apply_btran2(posbuf, posbuf2);
+        }
+        lu.as_ref().expect("factorized").btran2(posbuf, posbuf2, rho, y, zbuf, zbuf2);
+    }
+
+    /// Price every column against a row-space vector: afterwards
+    /// `alpha[j] = ρ·a_j` for each `j` in `reached`, and every column not
+    /// listed prices at exactly `0.0`.  Only the non-zero rows of `rho` are
+    /// scattered, in ascending row order — the order a walk down column `j`
+    /// meets them, so each `alpha[j]` carries the bits of that walk (a term
+    /// with `ρ_i = ±0` adds `±0.0` to a sum that started at `+0.0`, which
+    /// never moves it).  Row `i`'s artificial is reached through its one
+    /// `(i, sign)` entry.  The caller reads `alpha` / `reached`, then calls
+    /// [`Tableau::clear_pricing`].
+    pub(crate) fn price_row(&mut self, rho: &[f64]) {
+        let Tableau { form, art, alpha, seen, reached, .. } = self;
+        debug_assert!(reached.is_empty());
+        for (i, &p) in rho.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            for &(j, a) in form.row(i) {
+                if !seen[j] {
+                    seen[j] = true;
+                    reached.push(j);
+                }
+                alpha[j] += p * a;
+            }
+            let j = form.n_artificial_start + i;
+            alpha[j] += p * art[i].1;
+            reached.push(j);
+        }
+    }
+
+    /// Return the pricing scratch to all-zero, touching only what
+    /// [`Tableau::price_row`] reached.
+    pub(crate) fn clear_pricing(&mut self) {
+        for &j in &self.reached {
+            self.alpha[j] = 0.0;
+            self.seen[j] = false;
+        }
+        self.reached.clear();
+    }
+
+    /// `ρ·a_j` of every column by a walk down the column: what the ratio
+    /// test and the Devex update computed before [`Tableau::price_row`], and
+    /// its oracle.
+    #[cfg(test)]
+    pub(crate) fn price_by_columns(&self, rho: &[f64]) -> Vec<f64> {
+        (0..self.n_cols())
+            .map(|j| {
+                let mut alpha = 0.0;
+                for &(i, a) in self.col(j) {
+                    alpha += rho[i] * a;
+                }
+                alpha
+            })
+            .collect()
+    }
+
     pub(crate) fn reduced_cost(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
         let mut d = cost[j];
         for &(i, a) in self.col(j) {
@@ -519,7 +648,7 @@ impl<'f> Tableau<'f> {
         since_refactor: &mut usize,
         refactor_every: usize,
     ) -> bool {
-        self.etas.push(Eta::from_pivot(r, w, ETA_DROP_TOL));
+        self.etas.push(Eta::from_pivot(r, w, ETA_DROP_TOL, &mut self.etabuf));
         *since_refactor += 1;
         if *since_refactor >= refactor_every {
             *since_refactor = 0;
@@ -656,25 +785,7 @@ impl<'f> Tableau<'f> {
                     self.btran_row(r, &mut rho);
                     let gamma_q = gamma[j];
                     let inv_piv2 = 1.0 / (piv * piv);
-                    let mut gmax = 1.0f64;
-                    for k in 0..ncols {
-                        if self.state[k] == VarState::Basic || k == j || self.lo[k] >= self.hi[k] {
-                            continue;
-                        }
-                        let mut alpha = 0.0;
-                        for &(i, a) in self.col(k) {
-                            alpha += rho[i] * a;
-                        }
-                        if alpha != 0.0 {
-                            let cand = alpha * alpha * inv_piv2 * gamma_q;
-                            if cand > gamma[k] {
-                                gamma[k] = cand;
-                            }
-                            if gamma[k] > gmax {
-                                gmax = gamma[k];
-                            }
-                        }
-                    }
+                    let mut gmax = self.devex_raise(&rho, &mut gamma, j, inv_piv2);
                     gamma[old] = (gamma_q * inv_piv2).max(1.0);
                     if gamma[old] > gmax {
                         gmax = gamma[old];
@@ -696,6 +807,64 @@ impl<'f> Tableau<'f> {
             }
         }
         (LpStatus::IterLimit, max_iters)
+    }
+
+    /// The Devex step over the nonbasic columns: `γ_k ← max(γ_k, α_k² ·
+    /// inv_piv2 · γ_q)` wherever the pivot row `rho` prices column `k ≠ q`
+    /// at `α_k ≠ 0`; returns the largest weight among those columns (at
+    /// least 1).  Only the columns [`Tableau::price_row`] reaches can have
+    /// `α_k ≠ 0`, and neither the per-column maximum nor the running one
+    /// depends on the order they are visited in.
+    fn devex_raise(&mut self, rho: &[f64], gamma: &mut [f64], q: usize, inv_piv2: f64) -> f64 {
+        self.price_row(rho);
+        let gamma_q = gamma[q];
+        let mut gmax = 1.0f64;
+        for &k in &self.reached {
+            if self.state[k] == VarState::Basic || k == q || self.lo[k] >= self.hi[k] {
+                continue;
+            }
+            let alpha = self.alpha[k];
+            if alpha != 0.0 {
+                let cand = alpha * alpha * inv_piv2 * gamma_q;
+                if cand > gamma[k] {
+                    gamma[k] = cand;
+                }
+                if gamma[k] > gmax {
+                    gmax = gamma[k];
+                }
+            }
+        }
+        self.clear_pricing();
+        gmax
+    }
+
+    /// [`Tableau::devex_raise`] as it was: `ρ·a_k` recomputed by a walk down
+    /// every column.  The oracle of the row-scatter version.
+    #[cfg(test)]
+    fn devex_raise_by_columns(
+        &self,
+        rho: &[f64],
+        gamma: &mut [f64],
+        q: usize,
+        inv_piv2: f64,
+    ) -> f64 {
+        let gamma_q = gamma[q];
+        let mut gmax = 1.0f64;
+        for (k, alpha) in self.price_by_columns(rho).into_iter().enumerate() {
+            if self.state[k] == VarState::Basic || k == q || self.lo[k] >= self.hi[k] {
+                continue;
+            }
+            if alpha != 0.0 {
+                let cand = alpha * alpha * inv_piv2 * gamma_q;
+                if cand > gamma[k] {
+                    gamma[k] = cand;
+                }
+                if gamma[k] > gmax {
+                    gmax = gamma[k];
+                }
+            }
+        }
+        gmax
     }
 
     /// The model's objective over the structural columns, zero elsewhere.
@@ -962,10 +1131,14 @@ pub(crate) fn structural_x_by_position(t: &Tableau<'_>) -> Vec<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::branch_bound::tests::{branchy_model, theorem1_model};
     use crate::dense::dense_solve;
+    use crate::factor::tests::float_bits;
     use crate::model::{LinExpr, Model, Sense};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn bounds(n: usize) -> (Vec<f64>, Vec<f64>) {
         (vec![0.0; n], vec![1.0; n])
@@ -1008,6 +1181,10 @@ mod tests {
                         e.add(v, next(9) as f64 - 4.0);
                     }
                 }
+                // A variable named twice keeps both terms, in term order.
+                if next(4) == 0 {
+                    e.add(vars[next(n as u64) as usize], 0.5);
+                }
                 let sense = [Sense::Le, Sense::Ge, Sense::Eq][next(3) as usize];
                 m.add_constraint(e, sense, next(5) as f64);
             }
@@ -1031,6 +1208,15 @@ mod tests {
                 assert_eq!(form.col(j), col.as_slice(), "seed {seed}, column {j}");
             }
             assert_eq!(form.rhs, m.constraints().iter().map(|c| c.rhs).collect::<Vec<_>>());
+            // The row-wise copy is the same matrix: transposed back, walking
+            // the rows in order, it lists every column as `col` does.
+            let mut transposed: Vec<Vec<(usize, f64)>> = vec![Vec::new(); cols.len()];
+            for i in 0..form.m {
+                for &(j, a) in form.row(i) {
+                    transposed[j].push((i, a));
+                }
+            }
+            assert_eq!(transposed, cols, "seed {seed}");
             // The workspace appends one artificial per row.
             let t = Tableau::new(&form, &vec![0.0; n], &vec![1.0; n]);
             assert_eq!(t.n_cols(), cols.len() + m.n_constraints());
@@ -1038,6 +1224,141 @@ mod tests {
                 assert_eq!(t.col(cols.len() + i), &[(i, 1.0)]);
             }
         }
+    }
+
+    /// The models the pricing tests run on: the Theorem-1-shaped and
+    /// knapsack families of
+    /// `branch_bound::tests::cut_and_uncut_repairs_agree_on_random_models`,
+    /// and small mixed-sense models — `Eq` rows carry no slack, `Ge` rows a
+    /// negative one, some rows name a variable twice.
+    pub(crate) fn pricing_family() -> Vec<Model> {
+        let mut rng = SmallRng::seed_from_u64(0xB0B);
+        (0..90)
+            .map(|case| match case % 3 {
+                0 => branchy_model(case as u64, rng.gen_range(4..30)),
+                1 => theorem1_model(&mut rng),
+                _ => {
+                    let mut m = Model::new();
+                    let n = rng.gen_range(3..14);
+                    let vars: Vec<_> = (0..n)
+                        .map(|j| m.add_var(format!("v{j}"), rng.gen_range(-9.0..9.0)))
+                        .collect();
+                    for _ in 0..rng.gen_range(2..9) {
+                        let mut e = LinExpr::new();
+                        for &v in &vars {
+                            if rng.gen_bool(0.4) {
+                                e.add(v, rng.gen_range(-4.0..4.0));
+                            }
+                        }
+                        e.add(vars[rng.gen_range(0..n)], 0.75);
+                        if rng.gen_bool(0.25) {
+                            e.add(vars[rng.gen_range(0..n)], -0.5);
+                        }
+                        let sense = [Sense::Le, Sense::Ge, Sense::Eq][rng.gen_range(0..3)];
+                        m.add_constraint(e, sense, rng.gen_range(-1.0..3.0));
+                    }
+                    m
+                }
+            })
+            .collect()
+    }
+
+    /// `[0, 1]` bounds with a few variables pinned, as a branch-and-bound
+    /// node has them.
+    pub(crate) fn pinned_bounds(rng: &mut SmallRng, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let (mut lo, mut hi) = bounds(n);
+        for _ in 0..rng.gen_range(0..4) {
+            let j = rng.gen_range(0..n);
+            lo[j] = f64::from(rng.gen_range(0..2));
+            hi[j] = lo[j];
+        }
+        (lo, hi)
+    }
+
+    /// Pivot rows to price on the current basis: rows of `B⁻¹`, and a made-up
+    /// vector with zeros of both signs among its entries.
+    pub(crate) fn pricing_rows(t: &mut Tableau<'_>, rng: &mut SmallRng) -> Vec<Vec<f64>> {
+        let m = t.m;
+        let mut rows: Vec<Vec<f64>> = (0..4)
+            .map(|_| {
+                let mut rho = vec![0.0; m];
+                t.btran_row(rng.gen_range(0..m), &mut rho);
+                rho
+            })
+            .collect();
+        rows.push(
+            (0..m)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+                .collect(),
+        );
+        rows
+    }
+
+    #[test]
+    fn row_scatter_pricing_reproduces_the_column_walk_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(0x5CA7);
+        let (mut priced, mut live_artificials, mut unreached) = (0, 0, 0);
+        for (case, m) in pricing_family().iter().enumerate() {
+            let (lo, hi) = pinned_bounds(&mut rng, m.n_vars());
+            let form = StandardForm::new(m);
+            let mut t = Tableau::new(&form, &lo, &hi);
+            t.init_basis();
+            let mut phase1_cost = vec![0.0; t.n_cols()];
+            phase1_cost[t.n_artificial_start..].fill(1.0);
+            // From the all-artificial basis through bursts of phase-1
+            // pivots: an artificial that has left the basis stays a live
+            // column (`hi = ∞`) until phase 2 pins it.
+            for burst in [0, 1, 2, 5, 20] {
+                t.run(&phase1_cost, 1e-7, burst, None, PivotPath::Fast);
+                for rho in pricing_rows(&mut t, &mut rng) {
+                    let walked = t.price_by_columns(&rho);
+                    t.price_row(&rho);
+                    let mut reached = t.reached.clone();
+                    reached.sort_unstable();
+                    reached.dedup();
+                    assert_eq!(
+                        reached.len(),
+                        t.reached.len(),
+                        "case {case}: a column listed twice"
+                    );
+                    for j in 0..t.n_cols() {
+                        if reached.binary_search(&j).is_err() {
+                            // Never reached: the walk folds to exactly +0.0.
+                            assert_eq!(walked[j].to_bits(), 0.0f64.to_bits(), "case {case}, {j}");
+                            unreached += 1;
+                        }
+                        assert_eq!(t.alpha[j].to_bits(), walked[j].to_bits(), "case {case}, {j}");
+                        let live = j >= t.n_artificial_start
+                            && t.state[j] != VarState::Basic
+                            && t.lo[j] < t.hi[j];
+                        live_artificials += usize::from(live && walked[j] != 0.0);
+                    }
+                    t.clear_pricing();
+                    assert!(t.reached.is_empty() && !t.seen.contains(&true));
+                    assert!(t.alpha.iter().all(|a| a.to_bits() == 0.0f64.to_bits()));
+
+                    // The Devex step on top of either pricing.
+                    let gamma: Vec<f64> =
+                        (0..t.n_cols()).map(|_| rng.gen_range(1.0..40.0)).collect();
+                    let q = rng.gen_range(0..t.n_cols());
+                    let inv_piv2 = rng.gen_range(0.01..30.0);
+                    let (mut scattered, mut by_columns) = (gamma.clone(), gamma);
+                    let gmax = t.devex_raise(&rho, &mut scattered, q, inv_piv2);
+                    let oracle = t.devex_raise_by_columns(&rho, &mut by_columns, q, inv_piv2);
+                    assert_eq!(gmax.to_bits(), oracle.to_bits(), "case {case}");
+                    assert_eq!(float_bits(&scattered), float_bits(&by_columns), "case {case}");
+                    priced += 1;
+                }
+            }
+        }
+        assert!(
+            priced > 2000 && live_artificials > 1000 && unreached > 10_000,
+            "{priced} rows priced, {live_artificials} live artificials, {unreached} unreached"
+        );
     }
 
     #[test]
