@@ -10,9 +10,14 @@
 //! `backend_replay`'s `smoke.trace` covers six statements; this covers the
 //! six-table template, update shells and wide configurations.
 //!
+//! The answers carry costs and leaf requirements only, so two plans of
+//! equal cost fold alike whichever of them won.  A second digest folds the
+//! `Debug` rendering of every full [`PhysicalPlan`] behind the same probes:
+//! operators, access paths, sorts, rows and costs of every node.
+//!
 //! A kernel change that keeps every float bit and every tie-break leaves
-//! the digest alone; anything else moves it (`front_door_digest.rs` has the
-//! re-record protocol).
+//! both digests alone; anything else moves them (`front_door_digest.rs` has
+//! the re-record protocol).
 
 use std::sync::Mutex;
 
@@ -20,8 +25,10 @@ use cophy::CGen;
 use cophy_catalog::{Configuration, Schema, TpchGen};
 use cophy_integration::Fold;
 use cophy_inum::{Inum, PrepFaultReport};
+use cophy_optimizer::backend::fnv1a;
 use cophy_optimizer::{
-    BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend, WhatIfOptimizer,
+    BackendError, CostModel, PhysicalPlan, ProbeAnswer, SystemProfile, WhatIfBackend,
+    WhatIfOptimizer,
 };
 use cophy_workload::{HetGen, HomGen, Query, UpdateGen, Workload};
 
@@ -29,13 +36,19 @@ use cophy_workload::{HetGen, HomGen, Query, UpdateGen, Workload};
 /// back-pointer rewrite.
 const EXPECTED_DIGEST: u64 = 0x43d0_4351_0176_95de;
 
+/// Recorded from the kernel at commit 6aa3b07, before the per-order front
+/// replaced the stable-sort prune.
+const EXPECTED_PLAN_DIGEST: u64 = 0xc893_cc12_a607_6aab;
+
 const SEEDS: [u64; 3] = [3, 17, 101];
 
-/// A live optimizer that appends every answer it gives to a byte log.
+/// A live optimizer that appends every answer it gives to a byte log, and
+/// the plan behind it to a second one.
 #[derive(Debug)]
 struct DigestBackend {
     inner: WhatIfOptimizer,
     log: Mutex<Fold>,
+    plans: Mutex<Fold>,
 }
 
 impl DigestBackend {
@@ -43,7 +56,15 @@ impl DigestBackend {
         DigestBackend {
             inner: WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A),
             log: Mutex::default(),
+            plans: Mutex::default(),
         }
+    }
+
+    /// One plan as the FNV-1a of its `Debug` rendering: every float prints
+    /// as its shortest round-trip form, so the rendering pins every bit.
+    fn record_plan(&self, plan: &PhysicalPlan) {
+        let mut plans = self.plans.lock().expect("single-threaded test");
+        plans.u64(fnv1a(format!("{plan:?}").as_bytes()));
     }
 
     fn record(&self, ans: &ProbeAnswer) {
@@ -74,7 +95,10 @@ impl WhatIfBackend for DigestBackend {
     }
 
     fn try_probe(&self, q: &Query, config: &Configuration) -> Result<ProbeAnswer, BackendError> {
-        let ans = WhatIfBackend::try_probe(&self.inner, q, config)?;
+        // `WhatIfOptimizer::try_probe`, with the plan kept for the log.
+        let plan = self.inner.optimize(q, config);
+        self.record_plan(&plan);
+        let ans = ProbeAnswer::from_plan(q, &plan);
         self.record(&ans);
         Ok(ans)
     }
@@ -127,8 +151,13 @@ fn probe_answers_fold_to_the_recorded_digest() {
     let probes = backend.what_if_calls();
     assert!(probes > 2_000, "only {probes} probes folded");
     let digest = backend.log.lock().expect("single-threaded test").digest();
+    let plan_digest = backend.plans.lock().expect("single-threaded test").digest();
     assert_eq!(
         digest, EXPECTED_DIGEST,
         "probe answers drifted from the recorded kernel ({probes} probes): {digest:#018x}"
+    );
+    assert_eq!(
+        plan_digest, EXPECTED_PLAN_DIGEST,
+        "plans drifted from the recorded kernel ({probes} probes): {plan_digest:#018x}"
     );
 }
