@@ -7,7 +7,8 @@
 //! * candidate generation,
 //! * ablation: BIPGen with and without I∅-dominance pruning.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Mutex;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -20,10 +21,12 @@ use cophy_bip::{
     BranchBound, DualSimplex, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveBudget,
     SolveOptions,
 };
-use cophy_catalog::{ColumnId, Configuration};
-use cophy_inum::{ideal_config, PreparedWorkload};
-use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
-use cophy_workload::Query;
+use cophy_catalog::{ColumnId, Configuration, Schema};
+use cophy_inum::{ideal_config, Inum, PreparedWorkload};
+use cophy_optimizer::{
+    BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend, WhatIfOptimizer,
+};
+use cophy_workload::{template_key, Query, Workload};
 
 fn bench_inum(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
@@ -41,6 +44,63 @@ fn bench_inum(c: &mut Criterion) {
     c.bench_function("whatif/direct_cost_20_queries", |b| {
         b.iter(|| o.cost_workload(&w, &cfg));
     });
+
+    // One statement per `HomGen` template, and every ideal configuration
+    // INUM's probing loop asks the optimizer about for it.
+    let mut seen = HashSet::new();
+    let mut one_each = Workload::new();
+    for (_, stmt, _) in make_workload(&o, WorkloadKind::Hom, 45).iter() {
+        if seen.insert(template_key(stmt)) {
+            one_each.push(stmt.clone());
+        }
+    }
+    assert_eq!(one_each.len(), 15, "45 statements cover the 15 templates");
+    let recorder = ProbeLog { inner: &o, probes: Mutex::default() };
+    Inum::new(&recorder).prepare_workload(&one_each);
+    let ideal: Vec<(Query, Configuration)> = recorder
+        .probes
+        .into_inner()
+        .expect("single-threaded")
+        .into_iter()
+        .filter(|(_, cfg)| !cfg.is_empty())
+        .collect();
+    c.bench_function("whatif/probe_hom_ideal_configs", |b| {
+        b.iter(|| ideal.iter().map(|(q, cfg)| o.optimize(q, cfg).total_cost()).sum::<f64>());
+    });
+}
+
+/// A live optimizer that keeps every (query, configuration) it is asked.
+#[derive(Debug)]
+struct ProbeLog<'a> {
+    inner: &'a WhatIfOptimizer,
+    probes: Mutex<Vec<(Query, Configuration)>>,
+}
+
+impl WhatIfBackend for ProbeLog<'_> {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn profile(&self) -> SystemProfile {
+        self.inner.profile()
+    }
+
+    fn cost_model(&self) -> &CostModel {
+        self.inner.cost_model()
+    }
+
+    fn try_probe(&self, q: &Query, config: &Configuration) -> Result<ProbeAnswer, BackendError> {
+        self.probes.lock().expect("single-threaded").push((q.clone(), config.clone()));
+        self.inner.try_probe(q, config)
+    }
+
+    fn what_if_calls(&self) -> u64 {
+        self.inner.what_if_calls()
+    }
+
+    fn reset_call_counter(&self) {
+        self.inner.reset_call_counter()
+    }
 }
 
 /// The `perf` harness's `het_storage` size: 200 diverse statements, every

@@ -17,8 +17,10 @@
 //!
 //! A kernel change that keeps every float bit and every tie-break leaves
 //! both digests alone; anything else moves them (`front_door_digest.rs` has
-//! the re-record protocol).
+//! the re-record protocol).  The same inputs also check that every probe
+//! costs finitely, which the DP's pareto front assumes.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use cophy::CGen;
@@ -49,6 +51,8 @@ struct DigestBackend {
     inner: WhatIfOptimizer,
     log: Mutex<Fold>,
     plans: Mutex<Fold>,
+    /// Answers with a non-finite total or internal cost.
+    non_finite: AtomicU64,
 }
 
 impl DigestBackend {
@@ -57,6 +61,7 @@ impl DigestBackend {
             inner: WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A),
             log: Mutex::default(),
             plans: Mutex::default(),
+            non_finite: AtomicU64::new(0),
         }
     }
 
@@ -68,6 +73,9 @@ impl DigestBackend {
     }
 
     fn record(&self, ans: &ProbeAnswer) {
+        if !(ans.total_cost.is_finite() && ans.internal_cost.is_finite()) {
+            self.non_finite.fetch_add(1, Ordering::Relaxed);
+        }
         let mut log = self.log.lock().expect("single-threaded test");
         log.f64(ans.total_cost);
         log.f64(ans.internal_cost);
@@ -132,8 +140,8 @@ fn probe_workload(backend: &DigestBackend, w: &Workload) {
     }
 }
 
-#[test]
-fn probe_answers_fold_to_the_recorded_digest() {
+/// Probe all three generators at every seed; a backend over all inputs.
+fn probe_inputs() -> DigestBackend {
     let backend = DigestBackend::new();
     let schema = backend.schema().clone();
     let mut max_tables = 0;
@@ -148,6 +156,12 @@ fn probe_answers_fold_to_the_recorded_digest() {
         }
     }
     assert_eq!(max_tables, 6, "the inputs must include the six-table template");
+    backend
+}
+
+#[test]
+fn probe_answers_fold_to_the_recorded_digest() {
+    let backend = probe_inputs();
     let probes = backend.what_if_calls();
     assert!(probes > 2_000, "only {probes} probes folded");
     let digest = backend.log.lock().expect("single-threaded test").digest();
@@ -160,4 +174,14 @@ fn probe_answers_fold_to_the_recorded_digest() {
         plan_digest, EXPECTED_PLAN_DIGEST,
         "plans drifted from the recorded kernel ({probes} probes): {plan_digest:#018x}"
     );
+}
+
+/// `dp.rs`'s front keeps one candidate per order, which equals the
+/// stable-sort prune only when no cost is NaN.
+#[test]
+fn every_probe_costs_finitely() {
+    let backend = probe_inputs();
+    let non_finite = backend.non_finite.load(Ordering::Relaxed);
+    let probes = backend.what_if_calls();
+    assert_eq!(non_finite, 0, "{non_finite} of {probes} probes cost non-finitely");
 }

@@ -213,10 +213,17 @@ impl<'o> Inum<'o> {
     ) -> Result<Vec<TemplatePlan>, BackendError> {
         let schema = self.opt.schema();
         let cm = self.opt.cost_model();
-        let stmt_fp = statement_fingerprint(stmt);
+        // The log reads the fingerprint, a `Debug` rendering of the whole
+        // statement, only for a retried or failed probe.
+        let mut stmt_fp = None;
         let mut probe = |cfg: &Configuration| {
             let probe = probe_with_retry(self.opt, &self.retry, q, cfg, prep_deadline);
-            log.record(stmt_fp, &probe);
+            let fp = if probe.retries == 0 && probe.result.is_ok() {
+                0
+            } else {
+                *stmt_fp.get_or_insert_with(|| statement_fingerprint(stmt))
+            };
+            log.record(fp, &probe);
             probe.result
         };
         let mut templates: Vec<TemplatePlan> = Vec::new();
@@ -463,6 +470,26 @@ mod tests {
                 assert_eq!(ta.signature(), tb.signature());
             }
         }
+    }
+
+    #[test]
+    fn retried_probes_log_the_statement_fingerprint() {
+        use cophy_optimizer::{FaultInjectingBackend, FaultPlan};
+        let faulty =
+            FaultInjectingBackend::new(Box::new(opt()), FaultPlan::transient_only(21, 0.8, 3));
+        let w = HetGen::new(8).generate(faulty.schema(), 12);
+        let inum = Inum::with_retry(&faulty, fast_retry(4));
+        let mut events = 0;
+        for (qid, stmt, weight) in w.iter() {
+            let mut report = PrepFaultReport::default();
+            inum.try_prepare_statement(qid, stmt, weight, None, None, &mut report).unwrap();
+            for e in &report.log.events {
+                assert!(e.recovered && e.attempts > 1, "{e:?}");
+                assert_eq!(e.statement, statement_fingerprint(stmt), "{qid:?}");
+            }
+            events += report.log.events.len();
+        }
+        assert!(events > 10, "the schedule must retry probes of several statements: {events}");
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //! Everything that does not depend on the pair being priced is computed
 //! before the pair loop: each join edge's table bits, selectivity and merge
 //! orders once per query, a split's crossing edges and residual-filter cost
-//! once per split.
+//! once per split.  A subset's candidates are never collected: each is
+//! offered to a `Front` of one slot per order as it is priced, and only the
+//! slots' survivors are pruned (see "Bit identity").  Once the join edges
+//! are interned no new order appears, so whether one order satisfies
+//! another is a lookup in a per-query table (`Satisfies`).
 //!
 //! `finalize` prices aggregation and the final sort the same way, as up to
 //! three `Wrap` records stacked on a joined candidate, and only the
@@ -37,12 +41,32 @@
 //! coefficients, the recorded traces.  The kernel therefore keeps three
 //! things fixed: each cost is produced by the same float operations in the
 //! same order (a hoisted sub-expression is only ever a whole call of a pure
-//! [`CostModel`] function, never a re-associated sum); candidates are pushed
-//! in the same order (splits by descending sub-mask, left × right in pareto
-//! order, hash / nested-loop / merge per pair) and pruned by a *stable* sort
-//! on cost, so ties break by push order; and `finalize` takes the first
-//! cheapest plan.  `crates/integration/tests/probe_digest.rs` pins the
-//! result.
+//! [`CostModel`] function, never a re-associated sum); candidates are
+//! offered in the same order (splits by descending sub-mask, left × right in
+//! pareto order, hash / nested-loop / merge per pair); and `finalize` takes
+//! the first cheapest plan.  `crates/integration/tests/probe_digest.rs` pins
+//! the answers and the full plans.
+//!
+//! The pareto set a subset keeps is defined by a prune over *all* its
+//! candidates in the total order (cost by `total_cmp`, then offer order): a
+//! candidate is kept unless a kept one at most as expensive delivers an
+//! order extending its own.  Only the first cheapest candidate `m` of each
+//! order `o` can be kept, so the front holds just that one.  Take any later
+//! candidate `p` of order `o`:
+//!
+//! - if `m` is kept, it dominates `p`: `m.cost ≤ p.cost`, and `o` extends
+//!   `o`;
+//! - if `m` is dominated by a kept `k`, then `k.cost ≤ m.cost ≤ p.cost` and
+//!   `k`'s order extends `o`, so `k` dominates `p` too.
+//!
+//! Whether a survivor is kept depends only on the kept candidates before it,
+//! all of them survivors, so pruning the survivors in the same order keeps
+//! the same candidates in the same arena order.  The argument needs costs
+//! that are not NaN: the prune over all candidates keeps every NaN candidate
+//! of an order (`NaN <= x` is false), the front one.  `Front::offer`
+//! asserts it in debug builds, and a test checks that the probes of all
+//! three workload generators cost finitely.  The stable-sort prune over all
+//! candidates is kept as the test oracle of the front.
 
 use std::ops::Range;
 
@@ -88,7 +112,7 @@ impl Orders {
     }
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum JoinKind {
     Hash,
     NestLoop,
@@ -96,7 +120,7 @@ enum JoinKind {
 }
 
 /// What a candidate does, with its inputs named by reference.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Op {
     /// Leaf: `Memo::paths[table][path]`.
     Access { table: u32, path: u32 },
@@ -170,8 +194,8 @@ pub fn optimize(
     let ec = EquivClasses::of_query(q);
     let requirements = collect_requirements(q);
     let mut memo = Memo { cm, paths: Vec::with_capacity(n), orders: Orders::new(), arena: vec![] };
-    // Reused by every subset: the candidates priced for it, before pruning.
-    let mut candidates: Vec<Cand> = Vec::new();
+    // Reused by every subset: the survivors of the candidates priced for it.
+    let mut front = Front::default();
     // `kept[mask]`: the subset's pareto set, as a range of the arena.
     let mut kept: Vec<Range<usize>> = vec![0..0; 1usize << n];
 
@@ -180,10 +204,9 @@ pub fn optimize(
     for (i, &t) in q.tables.iter().enumerate() {
         base_rows[i] = cardinality::access_rows(schema, q, t);
         let paths = access::enumerate(schema, cm, q, t, config);
-        candidates.clear();
         for (pi, p) in paths.iter().enumerate() {
             let useful = useful_prefix(&p.order, &requirements, &ec);
-            candidates.push(Cand {
+            front.offer(Cand {
                 cost: p.cost,
                 rows: p.rows,
                 order: memo.orders.intern(&p.order.0[..useful]),
@@ -191,7 +214,7 @@ pub fn optimize(
             });
         }
         memo.paths.push(paths);
-        kept[1 << i] = prune_into(&mut candidates, &memo.orders, &mut memo.arena);
+        kept[1 << i] = front.drain_into(&memo.orders, &mut memo.arena);
     }
 
     // Join edges resolved against the table list, once per query.
@@ -210,6 +233,8 @@ pub fn optimize(
             })
         })
         .collect();
+    // Every order is interned by now.
+    let mut sat = Satisfies::new(&ec, &memo.orders);
 
     // Subset cardinality: base rows times the selectivity of every edge
     // inside the subset.
@@ -236,7 +261,6 @@ pub fn optimize(
             continue;
         }
         let out_rows = rows_of(mask);
-        candidates.clear();
         // Enumerate proper submask splits.
         let mut l = (mask - 1) & mask;
         while l != 0 {
@@ -247,14 +271,14 @@ pub fn optimize(
                     let split = Split::new(cm, edge, l, crossing.count(), out_rows);
                     for li in kept[l].clone() {
                         for ri in kept[r].clone() {
-                            split.price_pair(&memo, &ec, li, ri, &mut candidates);
+                            split.price_pair(&memo, &mut sat, li, ri, &mut front);
                         }
                     }
                 }
             }
             l = (l - 1) & mask;
         }
-        kept[mask] = prune_into(&mut candidates, &memo.orders, &mut memo.arena);
+        kept[mask] = front.drain_into(&memo.orders, &mut memo.arena);
     }
 
     let joined = kept[full].clone();
@@ -292,23 +316,93 @@ fn useful_prefix(order: &Ordering, reqs: &[Ordering], ec: &EquivClasses) -> usiz
     useful
 }
 
-/// Pareto prune `candidates` onto the end of the arena and return the range
-/// they occupy: cheapest plan per delivered order; a plan is dominated by a
-/// cheaper plan whose order extends its own.  The sort is stable, so equal
-/// costs keep their push order.
-fn prune_into(candidates: &mut [Cand], orders: &Orders, arena: &mut Vec<Cand>) -> Range<usize> {
-    candidates.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-    let start = arena.len();
-    for p in candidates.iter() {
-        let order = &orders.get(p.order).0;
-        let dominated = arena[start..]
-            .iter()
-            .any(|k| k.cost <= p.cost && orders.get(k.order).0.starts_with(order));
-        if !dominated {
-            arena.push(*p);
+/// The pareto set of one table subset while its candidates are priced: one
+/// slot per interned order, holding the first cheapest candidate offered
+/// with that order (see "Bit identity" for why no other can survive).
+/// Reused by every subset; nothing is allocated once the slots have grown to
+/// the query's order count.
+#[derive(Default)]
+struct Front {
+    /// `slots[order]`: the slot's candidate and its offer number.
+    slots: Vec<Option<(u32, Cand)>>,
+    /// The orders whose slot is filled.
+    filled: Vec<OrderId>,
+    /// Candidates offered since the last drain.
+    offers: u32,
+}
+
+impl Front {
+    /// Offer the next priced candidate: it takes its order's slot if that is
+    /// empty or holds a candidate strictly more expensive by `total_cmp`.
+    fn offer(&mut self, c: Cand) {
+        debug_assert!(!c.cost.is_nan(), "the front is exact for non-NaN costs only");
+        let seq = self.offers;
+        self.offers += 1;
+        let i = c.order as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        match &mut self.slots[i] {
+            Some((_, m)) if c.cost.total_cmp(&m.cost).is_ge() => {}
+            slot => {
+                if slot.is_none() {
+                    self.filled.push(c.order);
+                }
+                *slot = Some((seq, c));
+            }
         }
     }
-    start..arena.len()
+
+    /// Pareto prune the survivors onto the end of the arena, empty the front
+    /// and return the range they occupy: in `(cost, offer)` order, a
+    /// candidate is kept unless a kept one at most as expensive delivers an
+    /// order extending its own.
+    fn drain_into(&mut self, orders: &Orders, arena: &mut Vec<Cand>) -> Range<usize> {
+        let slots = &mut self.slots;
+        let slot = |o: OrderId| slots[o as usize].expect("a filled slot");
+        self.filled.sort_unstable_by(|&a, &b| {
+            let ((sa, a), (sb, b)) = (slot(a), slot(b));
+            a.cost.total_cmp(&b.cost).then(sa.cmp(&sb))
+        });
+        let start = arena.len();
+        for &o in &self.filled {
+            let (_, p) = slots[o as usize].take().expect("a filled slot");
+            let order = &orders.get(p.order).0;
+            let dominated = arena[start..]
+                .iter()
+                .any(|k| k.cost <= p.cost && orders.get(k.order).0.starts_with(order));
+            if !dominated {
+                arena.push(p);
+            }
+        }
+        self.filled.clear();
+        self.offers = 0;
+        start..arena.len()
+    }
+}
+
+/// [`EquivClasses::satisfies`] over the interned orders of one query, each
+/// pair computed on first use.  Built once the join edges are interned,
+/// after which no new order appears.
+struct Satisfies<'a> {
+    ec: &'a EquivClasses,
+    orders: &'a Orders,
+    /// `cells[delivered * n + required]`, `None` until asked.
+    cells: Vec<Option<bool>>,
+}
+
+impl<'a> Satisfies<'a> {
+    fn new(ec: &'a EquivClasses, orders: &'a Orders) -> Self {
+        let n = orders.0.len();
+        Satisfies { ec, orders, cells: vec![None; n * n] }
+    }
+
+    /// Does order `delivered` satisfy order `required`?
+    fn get(&mut self, delivered: OrderId, required: OrderId) -> bool {
+        let (ec, orders) = (self.ec, self.orders);
+        let cell = &mut self.cells[delivered as usize * orders.0.len() + required as usize];
+        *cell.get_or_insert_with(|| ec.satisfies(orders.get(delivered), orders.get(required)))
+    }
 }
 
 /// Cost of `input_cost` plus an explicit sort of `rows` rows.
@@ -345,10 +439,10 @@ impl Split {
     fn price_pair(
         &self,
         memo: &Memo,
-        ec: &EquivClasses,
+        sat: &mut Satisfies,
         left: usize,
         right: usize,
-        out: &mut Vec<Cand>,
+        front: &mut Front,
     ) {
         let (cm, out_rows) = (memo.cm, self.out_rows);
         let (pl, pr) = (memo.arena[left], memo.arena[right]);
@@ -362,7 +456,7 @@ impl Split {
 
         // Hash join: build on left, probe right (the split enumeration covers
         // the mirrored pair).
-        out.push(Cand {
+        front.offer(Cand {
             cost: pl.cost
                 + pr.cost
                 + cm.hash_join(pl.rows, pr.rows, out_rows)
@@ -374,7 +468,7 @@ impl Split {
 
         // Block nested-loop join: preserves outer order; only plausible for
         // tiny inputs but the cost model prices that in.
-        out.push(Cand {
+        front.offer(Cand {
             cost: pl.cost + pr.cost + cm.nl_join(pl.rows, pr.rows, out_rows) + self.residual_filter,
             rows: out_rows,
             order: pl.order,
@@ -384,16 +478,14 @@ impl Split {
         // Merge join on the first crossing edge; sorts inserted as needed.
         // It delivers the left merge order, which is itself a requirement
         // and so already its own useful prefix.
-        let needs_sort = |p: &Cand, req: OrderId| {
-            (!ec.satisfies(memo.orders.get(p.order), memo.orders.get(req))).then_some(req)
-        };
+        let mut needs_sort = |p: &Cand, req: OrderId| (!sat.get(p.order, req)).then_some(req);
         let sort_left = needs_sort(&pl, self.left_req);
         let sort_right = needs_sort(&pr, self.right_req);
         let side_cost = |p: &Cand, sort: Option<OrderId>| match sort {
             Some(_) => sorted(cm, p.cost, p.rows),
             None => p.cost,
         };
-        out.push(Cand {
+        front.offer(Cand {
             cost: side_cost(&pl, sort_left)
                 + side_cost(&pr, sort_right)
                 + cm.merge_join(pl.rows, pr.rows, out_rows)
@@ -562,11 +654,168 @@ fn finalize(
 mod tests {
     use super::*;
     use crate::cost::SystemProfile;
-    use cophy_catalog::{Index, TpchGen};
-    use cophy_workload::{HetGen, HomGen, Predicate};
+    use cophy_catalog::{ColumnId, Index, TableId, TpchGen};
+    use cophy_workload::{HetGen, HomGen, Predicate, UpdateGen};
 
     fn setup() -> (Schema, CostModel) {
         (TpchGen::default().schema(), CostModel::profile(SystemProfile::A))
+    }
+
+    /// The prune the front replaced, kept as its oracle: every candidate,
+    /// stable-sorted on cost so equal costs keep their push order.
+    fn prune_into(candidates: &mut [Cand], orders: &Orders, arena: &mut Vec<Cand>) -> Range<usize> {
+        candidates.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+        let start = arena.len();
+        for p in candidates.iter() {
+            let order = &orders.get(p.order).0;
+            let dominated = arena[start..]
+                .iter()
+                .any(|k| k.cost <= p.cost && orders.get(k.order).0.starts_with(order));
+            if !dominated {
+                arena.push(*p);
+            }
+        }
+        start..arena.len()
+    }
+
+    /// SplitMix64: a seeded stream for the randomized oracles.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// 1–12 distinct orders over four columns, many of them prefixes of
+    /// others: the empty order, random lists, and prefixes of those.
+    fn random_orders(rng: &mut Rng) -> Orders {
+        let col = |c: usize| ColumnRef::new(TableId(0), ColumnId(c as u32));
+        let mut orders = Orders::new();
+        let target = 1 + rng.below(12);
+        while orders.0.len() < target {
+            let cols: Vec<ColumnRef> = if orders.0.len() > 1 && rng.below(2) == 0 {
+                let base = &orders.0[1 + rng.below(orders.0.len() - 1)].0;
+                base[..rng.below(base.len() + 1)].to_vec()
+            } else {
+                (0..1 + rng.below(4)).map(|_| col(rng.below(4))).collect()
+            };
+            orders.intern(&cols);
+        }
+        orders
+    }
+
+    #[test]
+    fn front_reproduces_the_stable_sort_prune_bit_for_bit() {
+        // A few costs, so that ties are the common case; both zeros and +∞.
+        const COSTS: [f64; 7] = [0.0, -0.0, 1.0, 2.5, 2.5e6, 7.0, f64::INFINITY];
+        let mut rng = Rng(0x5eed);
+        let mut front = Front::default();
+        let (mut offered, mut kept, mut tied) = (0, 0, 0);
+        for stream in 0..2_500 {
+            let orders = random_orders(&mut rng);
+            let n = if stream % 10 == 0 { rng.below(4) } else { rng.below(401) };
+            let mut candidates: Vec<Cand> = (0..n)
+                .map(|i| Cand {
+                    cost: COSTS[rng.below(COSTS.len())],
+                    rows: rng.below(1_000) as f64,
+                    order: rng.below(orders.0.len()) as OrderId,
+                    op: Op::Access { table: 0, path: i as u32 },
+                })
+                .collect();
+            for &c in &candidates {
+                front.offer(c);
+            }
+            // A non-empty arena, so that the returned ranges are offsets.
+            let lead = Cand {
+                cost: -1.0,
+                rows: 0.0,
+                order: Orders::NONE,
+                op: Op::Access { table: 9, path: 9 },
+            };
+            let (mut want, mut got) = (vec![lead], vec![lead]);
+            let want_range = prune_into(&mut candidates, &orders, &mut want);
+            let got_range = front.drain_into(&orders, &mut got);
+            assert_eq!(got_range, want_range, "stream {stream}");
+            assert_eq!(got.len(), want.len(), "stream {stream}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.cost.to_bits(), w.cost.to_bits(), "stream {stream}");
+                assert_eq!(g.rows.to_bits(), w.rows.to_bits(), "stream {stream}");
+                assert_eq!(g.order, w.order, "stream {stream}");
+                assert_eq!(g.op, w.op, "stream {stream}");
+            }
+            offered += n;
+            kept += want_range.len();
+            tied += candidates
+                .windows(2)
+                .filter(|p| p[0].cost.to_bits() == p[1].cost.to_bits())
+                .count();
+        }
+        assert!(offered > 400_000 && kept > 5_000 && tied > 300_000, "{offered} / {kept} / {tied}");
+    }
+
+    /// Every order one `optimize` call could intern for `q`: the useful
+    /// prefix of each access path under each configuration, the merge
+    /// orders of its join edges, and each requirement with its prefixes.
+    fn query_orders(s: &Schema, cm: &CostModel, q: &Query, configs: &[&Configuration]) -> Orders {
+        let (ec, reqs) = (EquivClasses::of_query(q), collect_requirements(q));
+        let mut orders = Orders::new();
+        for config in configs {
+            for &t in &q.tables {
+                for p in access::enumerate(s, cm, q, t, config) {
+                    orders.intern(&p.order.0[..useful_prefix(&p.order, &reqs, &ec)]);
+                }
+            }
+        }
+        for r in &reqs {
+            for len in 0..=r.0.len() {
+                orders.intern(&r.0[..len]);
+            }
+        }
+        orders
+    }
+
+    #[test]
+    fn satisfies_table_matches_the_equivalence_classes() {
+        let (s, cm) = setup();
+        let (empty, baseline) = (Configuration::empty(), Configuration::baseline(&s));
+        let (mut statements, mut pairs) = (0, 0);
+        for seed in [3, 17] {
+            let workloads = [
+                HomGen::new(seed).generate(&s, 45),
+                HetGen::new(seed).generate(&s, 60),
+                UpdateGen::new(seed).generate(&s, 30),
+            ];
+            for w in &workloads {
+                for (_, stmt, _) in w.iter() {
+                    let q = stmt.read_shell();
+                    let ec = EquivClasses::of_query(q);
+                    let orders = query_orders(&s, &cm, q, &[&empty, &baseline]);
+                    let mut sat = Satisfies::new(&ec, &orders);
+                    let n = orders.0.len() as OrderId;
+                    // Twice: the second pass reads filled cells.
+                    for _ in 0..2 {
+                        for d in 0..n {
+                            for r in 0..n {
+                                let want = ec.satisfies(orders.get(d), orders.get(r));
+                                assert_eq!(sat.get(d, r), want, "{q:?}: {d} / {r}");
+                            }
+                        }
+                    }
+                    statements += 1;
+                    pairs += n * n;
+                }
+            }
+        }
+        assert!(statements == 270 && pairs > 5_000, "{statements} statements, {pairs} pairs");
     }
 
     #[test]
