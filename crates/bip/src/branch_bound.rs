@@ -491,18 +491,22 @@ impl BranchBound {
     /// instead: the old point stays primal feasible while its reduced costs
     /// go stale, the exact mirror of the RHS/bound case.  The first solve of
     /// a fresh `DeltaModel` has nothing to restart from and runs cold.
-    /// Every incumbent/bound improvement streams through `on_progress`
-    /// (`|_, _| {}` to ignore them).
+    /// A caller-known `seed` (as in
+    /// [`BranchBound::solve_seeded_with_progress`]) is offered in place of
+    /// the previous incumbent.  Every incumbent/bound improvement streams
+    /// through `on_progress` (`|_, _| {}` to ignore them).
     pub fn resolve(
         &self,
         dm: &mut DeltaModel,
         opts: &SolveOptions,
+        seed: Option<&[f64]>,
         on_progress: impl FnMut(&SolveProgress, Option<&Vec<f64>>),
     ) -> MipResult {
         let (lo, hi) = dm.bounds();
-        // Seed from the previous incumbent, clamped into the current pin/ban
-        // box so the repair starts from a bound-respecting point.
-        let seed: Option<Vec<f64>> = dm.incumbent.as_ref().map(|x| {
+        // Seed from the caller's point or the previous incumbent, clamped
+        // into the current pin/ban box so the repair starts from a
+        // bound-respecting point.
+        let seed: Option<Vec<f64>> = seed.or(dm.incumbent.as_deref()).map(|x| {
             x.iter().zip(lo.iter().zip(&hi)).map(|(&v, (&l, &h))| v.clamp(l, h)).collect()
         });
         let warm = WarmInputs {
@@ -1614,7 +1618,7 @@ pub(crate) mod tests {
         let mut cold_pivots = 0usize;
         for (i, rhs) in [30.0, 24.0, 18.0, 12.0, 6.0].into_iter().enumerate() {
             dm.set_rhs(row, rhs);
-            let warm = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
+            let warm = BranchBound::new().resolve(&mut dm, &opts, None, |_, _| {});
             let mut cold_model = m.clone();
             cold_model.set_rhs(row, rhs);
             let cold = BranchBound::new().solve(&cold_model, &opts);
@@ -1645,13 +1649,13 @@ pub(crate) mod tests {
         let (m, _) = resolve_knapsack(9, 10, 20.0);
         let mut dm = DeltaModel::new(m.clone());
         let opts = SolveOptions::default();
-        let free = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
+        let free = BranchBound::new().resolve(&mut dm, &opts, None, |_, _| {});
         assert_eq!(free.status, MipStatus::Optimal);
 
         // Ban the variable the free optimum relies on most (first one set).
         let banned = free.x.iter().position(|&v| v >= 0.5).expect("something selected");
         dm.fix(crate::VarId(banned as u32), Some(false));
-        let r_ban = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
+        let r_ban = BranchBound::new().resolve(&mut dm, &opts, None, |_, _| {});
         assert_eq!(r_ban.status, MipStatus::Optimal);
         assert_eq!(r_ban.x[banned], 0.0, "banned variable must stay 0");
         assert!(r_ban.objective >= free.objective - 1e-9, "banning cannot improve the optimum");
@@ -1659,14 +1663,14 @@ pub(crate) mod tests {
         // Pin a variable the ban run left out, then free everything again.
         let pinned = r_ban.x.iter().position(|&v| v < 0.5).expect("something unset");
         dm.fix(crate::VarId(pinned as u32), Some(true));
-        let r_pin = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
+        let r_pin = BranchBound::new().resolve(&mut dm, &opts, None, |_, _| {});
         if r_pin.status != MipStatus::Infeasible {
             assert_eq!(r_pin.x[pinned], 1.0, "pinned variable must stay 1");
             assert_eq!(r_pin.x[banned], 0.0, "ban still applies");
         }
         dm.fix(crate::VarId(banned as u32), None);
         dm.fix(crate::VarId(pinned as u32), None);
-        let r_free = BranchBound::new().resolve(&mut dm, &opts, |_, _| {});
+        let r_free = BranchBound::new().resolve(&mut dm, &opts, None, |_, _| {});
         assert!((r_free.objective - free.objective).abs() < 1e-6, "freeing restores the optimum");
     }
 
@@ -1748,7 +1752,7 @@ pub(crate) mod tests {
         let bb = BranchBound::new();
         let opts = SolveOptions::default();
         let mut dm = DeltaModel::new(m.clone());
-        let first = bb.resolve(&mut dm, &opts, |_, _| {});
+        let first = bb.resolve(&mut dm, &opts, None, |_, _| {});
         assert_eq!(first.status, MipStatus::Optimal);
         for lam in [0.8, 0.5, 0.2] {
             let coeffs: Vec<f64> = base
@@ -1757,7 +1761,7 @@ pub(crate) mod tests {
                 .map(|(j, c)| lam * c + (1.0 - lam) * -(((j % 3) as f64) + 0.5))
                 .collect();
             dm.set_objective(&coeffs);
-            let warm = bb.resolve(&mut dm, &opts, |_, _| {});
+            let warm = bb.resolve(&mut dm, &opts, None, |_, _| {});
             let mut cold_model = m.clone();
             cold_model.set_objective_coeffs(&coeffs);
             let cold = bb.solve(&cold_model, &opts);

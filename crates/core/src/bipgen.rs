@@ -32,7 +32,7 @@ use cophy_optimizer::access::TableFacts;
 use cophy_optimizer::CostModel;
 
 use crate::cgen::CandidateSet;
-use crate::constraints::{Cmp, ConstraintSet};
+use crate::constraints::{add_z_row, ConstraintSet};
 
 /// BIP generator options.
 #[derive(Debug, Clone)]
@@ -384,17 +384,8 @@ impl BipGen {
         let mut storage_row = None;
         for c in &constraints.hard {
             let is_storage = matches!(c, crate::constraints::Constraint::Storage { .. });
-            for (terms, cmp, rhs) in c.z_rows(schema, candidates) {
-                let mut e = LinExpr::new();
-                for (pos, coeff) in terms {
-                    e.add(z[pos], coeff);
-                }
-                let sense = match cmp {
-                    Cmp::Le => Sense::Le,
-                    Cmp::Ge => Sense::Ge,
-                    Cmp::Eq => Sense::Eq,
-                };
-                let cid = m.add_constraint(e, sense, rhs);
+            for row in c.z_rows(schema, candidates) {
+                let cid = add_z_row(&mut m, &z, &row);
                 if is_storage && storage_row.is_none() {
                     storage_row = Some(cid);
                 }

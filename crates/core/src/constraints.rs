@@ -14,6 +14,7 @@
 //! * **soft constraints** (§4.1) are *not* rows — they reshape the objective
 //!   and are handled by [`crate::soft`].
 
+use cophy_bip::{ConstrId, LinExpr, Model, Sense, VarId};
 use cophy_catalog::{ColumnId, Schema, TableId};
 use cophy_workload::QueryId;
 use serde::{Deserialize, Serialize};
@@ -32,6 +33,21 @@ pub enum Cmp {
 /// BIP generator: `(terms, cmp, rhs)` with terms `(candidate position,
 /// coefficient)`.
 pub type LinearRow = (Vec<(usize, f64)>, Cmp, f64);
+
+/// Add one row to `m` over its `z` columns (position-aligned with the
+/// candidate set).
+pub(crate) fn add_z_row(m: &mut Model, z: &[VarId], (terms, cmp, rhs): &LinearRow) -> ConstrId {
+    let mut e = LinExpr::new();
+    for &(pos, coeff) in terms {
+        e.add(z[pos], coeff);
+    }
+    let sense = match cmp {
+        Cmp::Le => Sense::Le,
+        Cmp::Ge => Sense::Ge,
+        Cmp::Eq => Sense::Eq,
+    };
+    m.add_constraint(e, sense, *rhs)
+}
 
 /// A declarative filter selecting the candidate subset `Sc ⊂ S` a constraint
 /// applies to (the paper's Filters, E.3).

@@ -124,6 +124,7 @@
 
 pub mod bipgen;
 pub mod cgen;
+mod chain;
 pub mod constraints;
 pub mod error;
 mod ingest;

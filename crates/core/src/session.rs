@@ -16,13 +16,13 @@
 //!
 //! * [`TuningSession::try_sweep_storage_with_progress`] — a K-point budget sweep solved as one
 //!   **warm chain** over a single Theorem-1 BIP: each point sets the
-//!   storage row's RHS ([`DeltaModel::set_rhs`]) and re-solves from the
+//!   storage row's RHS ([`cophy_bip::DeltaModel::set_rhs`]) and re-solves from the
 //!   root basis, incumbent and pseudo-costs the previous point left in the
-//!   same [`DeltaModel`], so K points cost one cold root plus K−1 dual
+//!   same `DeltaModel`, so K points cost one cold root plus K−1 dual
 //!   re-solves instead of K cold tunes (the paper's Figure 10 economics);
 //! * [`TuningSession::pin_index`] / [`TuningSession::ban_index`] — force an
 //!   index into or out of every subsequent answer by fixing its `z`
-//!   variable ([`DeltaModel::fix`]), a bound pinch the warm re-solve
+//!   variable ([`cophy_bip::DeltaModel::fix`]), a bound pinch the warm re-solve
 //!   absorbs in a handful of dual pivots;
 //! * [`TuningSession::what_if`] — cost an explicit configuration **entirely
 //!   from the INUM cache**: zero optimizer what-if calls, zero solver work.
@@ -37,20 +37,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cophy_bip::{
-    BranchBound, CancelToken, DeltaModel, MipResult, MipStatus, Model, SolveOptions, SolveProgress,
-    WarmStart,
-};
+use cophy_bip::{CancelToken, SolveProgress, WarmStart};
 use cophy_catalog::{Configuration, Index};
 use cophy_inum::InumCache;
 use cophy_workload::{WorkloadSource, DEFAULT_CHUNK};
 
-use crate::bipgen::BipMapping;
 use crate::cgen::CandidateSet;
-use crate::constraints::ConstraintSet;
+use crate::chain::{block_form, Exact, Held};
+use crate::constraints::{Constraint, ConstraintSet};
 use crate::error::CoPhyError;
 use crate::ingest::Ingest;
-use crate::solver::{CoPhy, DegradationReport, Recommendation, Steering};
+use crate::solver::{CoPhy, DegradationReport, Recommendation};
 
 /// One point of a [`TuningSession::try_sweep_storage_with_progress`] budget
 /// sweep.
@@ -97,16 +94,6 @@ impl WhatIfAnswer {
     }
 }
 
-/// The session's interactive BIP: the Theorem-1 model under re-solve, warm
-/// state included.  Built lazily by the first sweep and dropped whenever a
-/// delta (new candidates, new statements, a constraint set with a different
-/// row layout) changes its variables or rows.
-#[derive(Debug)]
-struct InteractiveState {
-    dm: DeltaModel,
-    mapping: BipMapping,
-}
-
 /// An open tuning session.
 #[derive(Debug)]
 pub struct TuningSession<'o, 'c> {
@@ -122,8 +109,9 @@ pub struct TuningSession<'o, 'c> {
     ingest: Ingest,
     constraints: ConstraintSet,
     warm: Option<WarmStart>,
-    /// The interactive BIP + warm re-solve state of the budget sweeps.
-    interactive: Option<InteractiveState>,
+    /// The sweeps' interactive BIP and warm state, with a storage row of its
+    /// own; built by the first sweep, dropped by new candidates or statements.
+    interactive: Option<Exact>,
     /// Pin (`true`) / ban (`false`) fixings, keyed by index: the one copy,
     /// read by every recommend and written into the interactive model by
     /// every sweep point.
@@ -136,15 +124,15 @@ pub struct TuningSession<'o, 'c> {
 }
 
 impl<'o, 'c> TuningSession<'o, 'c> {
-    /// A session over what `ingest` holds (possibly nothing yet).  Sessions
-    /// solve with the Lagrangian backend, so the constraints must be
-    /// storage-only.
+    /// A session over what `ingest` holds (possibly nothing yet).  Its
+    /// `recommend` relaxes over the block form, so the constraints must be
+    /// storage-only; its sweeps finish exact, each point under its own budget.
     pub(crate) fn over(
         cophy: &'c CoPhy<'o>,
         ingest: Ingest,
         constraints: ConstraintSet,
     ) -> Result<Self, CoPhyError> {
-        require_storage_only(&constraints)?;
+        block_form(&constraints)?;
         Ok(TuningSession {
             cophy,
             ingest,
@@ -249,16 +237,10 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// Replace the storage budget.  Refused, with the session unchanged, when
     /// the new set is not storage-only or the pinned indexes no longer fit.
     /// A live interactive BIP survives — basis, incumbent and pseudo-costs
-    /// included — as long as both sets have a storage row for the sweep to
-    /// retarget.
+    /// included: its storage row is the sweeps', not the session's.
     pub fn set_constraints(&mut self, constraints: ConstraintSet) -> Result<(), CoPhyError> {
-        require_storage_only(&constraints)?;
+        block_form(&constraints)?;
         self.check_pins_fit(None, &constraints)?;
-        let retargetable = constraints.storage_budget().is_some()
-            && self.interactive.as_ref().is_some_and(|st| st.mapping.storage_row.is_some());
-        if !retargetable {
-            self.interactive = None;
-        }
         self.constraints = constraints;
         Ok(())
     }
@@ -297,59 +279,6 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 
     // -- the interactive surface (paper §4.2) -------------------------------
 
-    /// The Theorem-1 BIP of the session as it stands: current statements,
-    /// candidates and constraints, no fixings.
-    fn build_model(&self) -> (Model, BipMapping) {
-        let schema = self.cophy.optimizer().schema();
-        let cm = self.cophy.optimizer().cost_model();
-        self.ingest.prepared.read(|pw| {
-            self.cophy.options.bipgen.model(
-                schema,
-                cm,
-                pw,
-                &self.ingest.candidates,
-                &self.constraints,
-            )
-        })
-    }
-
-    /// Lazily build (or fetch) the interactive BIP.
-    fn interactive_state(&mut self) -> &mut InteractiveState {
-        if self.interactive.is_none() {
-            let (model, mapping) = self.build_model();
-            self.interactive = Some(InteractiveState { dm: DeltaModel::new(model), mapping });
-        }
-        self.interactive.as_mut().expect("just built")
-    }
-
-    /// One warm re-solve of the interactive BIP under the session's current
-    /// pin/ban fixings, with the storage row (if the model has one) set to
-    /// `budget_bytes`.  The solver restarts from the previous answer's root
-    /// basis, incumbent and pseudo-cost table; `known_bound` (if any) is a
-    /// caller-proven lower bound on this solve's binary optimum.
-    fn interactive_solve(
-        &mut self,
-        budget_bytes: u64,
-        known_bound: Option<f64>,
-        on_progress: &mut dyn FnMut(&SolveProgress),
-    ) -> MipResult {
-        let opts = SolveOptions {
-            budget: self.cophy.options.budget,
-            known_bound,
-            cancel: self.cancel.clone(),
-            ..Default::default()
-        };
-        let fixed = self.fixing_vector();
-        let st = self.interactive_state();
-        for (pos, &var) in st.mapping.z.iter().enumerate() {
-            st.dm.fix(var, fixed.as_ref().and_then(|f| f[pos]));
-        }
-        if let Some(row) = st.mapping.storage_row {
-            st.dm.set_rhs(row, budget_bytes as f64);
-        }
-        BranchBound::new().resolve(&mut st.dm, &opts, |p, _| on_progress(p))
-    }
-
     /// Answer a K-point storage-budget sweep (paper Figure 10) as **one warm
     /// chain**: every point mutates the storage row's RHS in place and
     /// re-solves from the previous point's root basis, incumbent and
@@ -361,7 +290,8 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     ///
     /// A point no configuration fits (pinned indexes exceeding that budget)
     /// is [`CoPhyError::Infeasible`]; a plain storage sweep without pins is
-    /// always feasible.
+    /// always feasible.  A point whose time budget or cancel token runs out
+    /// before its first incumbent is [`CoPhyError::NoIncumbent`].
     pub fn try_sweep_storage_with_progress(
         &mut self,
         budgets: &[u64],
@@ -375,25 +305,35 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         // next to the root basis).
         let mut prev: Option<(u64, f64)> = None;
         for (i, &budget) in budgets.iter().enumerate() {
-            let carried = prev.and_then(|(pb, b)| (budget <= pb && b.is_finite()).then_some(b));
             let t0 = Instant::now();
-            let r = self.interactive_solve(budget, carried, &mut |p| on_progress(i, p));
-            if r.status == MipStatus::Infeasible || r.x.is_empty() {
-                return Err(CoPhyError::Infeasible(format!(
-                    "storage sweep point {budget} is infeasible \
-                     (pinned indexes may exceed this budget)"
-                )));
-            }
-            let st = self.interactive.as_ref().expect("state live after a solve");
-            prev = Some((budget, r.bound));
+            let fixed = self.fixing_vector();
+            let (cophy, ingest) = (self.cophy, &self.ingest);
+            let exact = self.interactive.get_or_insert_with(|| {
+                let storage =
+                    ConstraintSet::none().with(Constraint::Storage { budget_bytes: budget });
+                cophy.exact_state(&*ingest.prepared, &ingest.candidates, &storage)
+            });
+            let row = exact.mapping.storage_row.expect("a sweep's model has a storage row");
+            exact.dm.set_rhs(row, budget as f64);
+            let held = Held {
+                fixed,
+                exact: Some(exact),
+                known_bound: prev.and_then(|(pb, b)| (budget <= pb && b.is_finite()).then_some(b)),
+                cancel: self.cancel.clone(),
+                ..Default::default()
+            };
+            let (prepared, candidates) = (&*ingest.prepared, &ingest.candidates);
+            let s = cophy
+                .solve(prepared, candidates, &self.constraints, held, |p| on_progress(i, p))?;
+            prev = Some((budget, s.bound));
             points.push(SweepPoint {
                 budget_bytes: budget,
-                objective: r.objective + st.mapping.fixed_cost,
-                bound: r.bound + st.mapping.fixed_cost,
-                gap: r.gap,
-                configuration: st.mapping.extract_configuration(&r.x, &self.ingest.candidates),
-                nodes: r.nodes,
-                pivots: r.pivots,
+                objective: s.objective + s.offset,
+                bound: s.bound + s.offset,
+                gap: s.gap,
+                configuration: s.configuration,
+                nodes: s.nodes,
+                pivots: s.pivots,
                 solve_time: t0.elapsed(),
             });
         }
@@ -462,7 +402,9 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// (pin/ban fixings are variable bounds, not rows, and are listed
     /// separately by [`TuningSession::fixings`]).
     pub fn export_mps(&self) -> String {
-        cophy_bip::write_mps(&self.build_model().0, "cophy_bip")
+        let (prepared, candidates) = (&*self.ingest.prepared, &self.ingest.candidates);
+        let exact = self.cophy.exact_state(prepared, candidates, &self.constraints);
+        cophy_bip::write_mps(exact.dm.model(), "cophy_bip")
     }
 
     /// Cost an explicit configuration against the session workload,
@@ -512,34 +454,22 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         &mut self,
         on_progress: impl FnMut(&SolveProgress),
     ) -> Recommendation {
-        let steering = Steering {
+        let held = Held {
             fixed: self.fixing_vector(),
-            warm: self.warm.as_ref(),
+            warm: Some(&mut self.warm),
             cancel: self.cancel.clone(),
+            ..Default::default()
         };
-        let (mut rec, warm) = self.cophy.lagrangian_recommendation(
-            &*self.ingest.prepared,
-            &self.ingest.candidates,
-            &self.constraints,
-            steering,
-            on_progress,
-        );
-        self.warm = Some(warm);
+        let (prepared, candidates) = (&*self.ingest.prepared, &self.ingest.candidates);
+        let solved = self.cophy.solve(prepared, candidates, &self.constraints, held, on_progress);
+        let solved = solved.expect("the relax stage always answers");
+        let mut rec = self.cophy.recommendation(prepared, candidates, &self.constraints, solved);
         rec.compression = self.ingest.compressed.as_ref().map(|c| c.summary());
         rec.degradation = self.ingest.degradation.clone();
         rec.stats.inum_time = std::mem::take(&mut self.ingest.inum_time);
         rec.stats.what_if_calls = std::mem::take(&mut self.ingest.what_if_calls);
         rec
     }
-}
-
-fn require_storage_only(constraints: &ConstraintSet) -> Result<(), CoPhyError> {
-    if constraints.is_storage_only() {
-        return Ok(());
-    }
-    Err(CoPhyError::Invalid(
-        "interactive sessions use the Lagrangian backend (storage-only constraints)".into(),
-    ))
 }
 
 /// Position of `ix` in the candidate set, if present.
@@ -551,6 +481,7 @@ fn candidate_position(candidates: &CandidateSet, ix: &Index) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::solver::CoPhyOptions;
+    use cophy_bip::{BranchBound, CancelToken, MipStatus, SolveOptions};
     use cophy_catalog::{ColumnId, TpchGen};
     use cophy_compress::CompressedWorkload;
     use cophy_optimizer::{
@@ -659,7 +590,9 @@ mod tests {
         // The native in-memory BIP and its MPS round trip solve to the same
         // objective within the engines' proven gap slack.
         let solve_opts = SolveOptions::default();
-        let native = BranchBound::new().solve(&session.build_model().0, &solve_opts);
+        let (prepared, candidates) = (&*session.ingest.prepared, &session.ingest.candidates);
+        let exact = cophy.exact_state(prepared, candidates, session.constraints());
+        let native = BranchBound::new().solve(exact.dm.model(), &solve_opts);
         let round = BranchBound::new().solve(&imported, &solve_opts);
         assert_eq!(native.status, round.status);
         let slack = (native.gap.max(round.gap) + 1e-9) * native.objective.abs().max(1.0);
@@ -1278,5 +1211,48 @@ mod tests {
             r.configuration.size_bytes(o.schema()) <= o.schema().data_bytes() / 50 + 1,
             "budget not respected after retune"
         );
+    }
+
+    #[test]
+    fn every_sweep_point_imposes_its_budget_without_a_storage_row() {
+        let o = setup();
+        let w = HomGen::new(77).generate(o.schema(), 12);
+        let cophy = CoPhy::new(&o, CoPhyOptions::default());
+        let mut session = cophy.session(&w, ConstraintSet::none());
+        let budgets = [1_227_134_060, 24_542_681, 1];
+        let points = session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap();
+        for p in &points {
+            let size = p.configuration.size_bytes(o.schema());
+            assert!(
+                size <= p.budget_bytes,
+                "{size} B answered for a budget of {} B",
+                p.budget_bytes
+            );
+        }
+        assert!(points[2].configuration.is_empty());
+    }
+
+    #[test]
+    fn a_sweep_out_of_time_has_no_incumbent_and_is_not_infeasible() {
+        let o = setup();
+        let w = HetGen::new(5).generate(o.schema(), 60);
+        let storage = ConstraintSet::storage_fraction(o.schema(), 0.05);
+        let budgets = [storage.storage_budget().unwrap()];
+        let cophy = CoPhy::new(&o, CoPhyOptions::default());
+        let mut session = cophy.session(&w, storage.clone());
+        let fired = CancelToken::new();
+        fired.cancel();
+        session.set_cancel(Some(fired));
+        let err = session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap_err();
+        assert_eq!(err, CoPhyError::NoIncumbent(MipStatus::TimeLimit), "{err}");
+
+        let mut out_of_time = CoPhyOptions::default();
+        out_of_time.budget.time_limit = Some(Duration::ZERO);
+        let cophy = CoPhy::new(&o, out_of_time);
+        let mut session = cophy
+            .try_session_shared(session.cache(), session.candidates().clone(), storage)
+            .unwrap();
+        let err = session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap_err();
+        assert_eq!(err, CoPhyError::NoIncumbent(MipStatus::TimeLimit), "{err}");
     }
 }

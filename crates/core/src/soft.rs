@@ -16,9 +16,11 @@
 //! the chord — yielding a provably good approximation of the frontier with
 //! few solver invocations.
 //!
-//! Successive λ points are **warm-chained**: the BIP is built once, each λ
-//! step is a [`DeltaModel::set_objective`] on the same [`DeltaModel`], and
-//! the solve runs through [`BranchBound::resolve`] — the root LP restarts
+//! Successive λ points are **warm-chained**: the BIP is built once (by
+//! [`crate::CoPhyOptions::bipgen`]), each λ step is a
+//! [`DeltaModel::set_objective`](cophy_bip::DeltaModel::set_objective) on
+//! the same [`cophy_bip::DeltaModel`], and the solve is the advisor's exact
+//! stage, [`cophy_bip::BranchBound::resolve`] — the root LP restarts
 //! phase 2 of the primal simplex from the previous λ's optimal basis (an
 //! objective edit keeps that basis primal feasible), the previous
 //! configuration seeds the incumbent, and the pseudo-cost table carries over
@@ -27,12 +29,11 @@
 
 use std::time::{Duration, Instant};
 
-use cophy_bip::{BranchBound, DeltaModel, SolveOptions};
 use cophy_catalog::Configuration;
 use cophy_inum::PreparedWorkload;
 
-use crate::bipgen::BipGen;
 use crate::cgen::CandidateSet;
+use crate::chain::{Exact, Held};
 use crate::constraints::ConstraintSet;
 use crate::solver::CoPhy;
 
@@ -77,26 +78,23 @@ impl ChordExplorer {
         let cm = cophy.optimizer().cost_model();
         // Build the unbudgeted BIP once; every λ is an objective re-weight
         // of the same model, warm-chained through one DeltaModel.
-        let (model, mapping) =
-            BipGen::default().model(schema, cm, prepared, candidates, &ConstraintSet::none());
+        let mut exact = frontier_model(cophy, prepared, candidates);
         // Normalize storage into cost units so λ spans a meaningful range:
         // one "cost unit" per (data_bytes / baseline_cost) bytes.
         let baseline = prepared.cost(schema, cm, &Configuration::empty());
         let scale = baseline / schema.data_bytes() as f64;
         // λ=1 objective per variable, and each variable's storage footprint
         // (nonzero only for the z columns): f_λ is their affine blend.
-        let base_obj: Vec<f64> = model.objective().to_vec();
-        let mut sizes = vec![0.0f64; model.n_vars()];
-        for (pos, v) in mapping.z.iter().enumerate() {
+        let base_obj: Vec<f64> = exact.dm.model().objective().to_vec();
+        let mut sizes = vec![0.0f64; base_obj.len()];
+        for (pos, v) in exact.mapping.z.iter().enumerate() {
             let ix = candidates.get(cophy_catalog::IndexId(pos as u32));
             sizes[v.0 as usize] = ix.size_bytes(schema) as f64;
         }
 
-        let bb = BranchBound::new();
-        let opts = SolveOptions { budget: cophy.options.budget, ..Default::default() };
-        let mut dm = DeltaModel::new(model);
+        let none = ConstraintSet::none();
         let mut solves = 0usize;
-        let solve_at = |lambda: f64, dm: &mut DeltaModel, solves: &mut usize| {
+        let solve_at = |lambda: f64, exact: &mut Exact, solves: &mut usize| {
             *solves += 1;
             let t0 = Instant::now();
             let coeffs: Vec<f64> = base_obj
@@ -104,13 +102,12 @@ impl ChordExplorer {
                 .zip(&sizes)
                 .map(|(&c, &s)| lambda * c + (1.0 - lambda) * scale * s)
                 .collect();
-            dm.set_objective(&coeffs);
-            let r = bb.resolve(dm, &opts, |_, _| {});
-            let configuration = if r.x.len() == dm.model().n_vars() {
-                mapping.extract_configuration(&r.x, candidates)
-            } else {
-                Configuration::empty()
-            };
+            exact.dm.set_objective(&coeffs);
+            let held = Held { exact: Some(exact), ..Default::default() };
+            // A λ the budget ran out on answers with the empty configuration.
+            let configuration = cophy
+                .solve(prepared, candidates, &none, held, |_| {})
+                .map_or_else(|_| Configuration::empty(), |s| s.configuration);
             let workload_cost = prepared.cost(schema, cm, &configuration);
             let size_bytes = configuration.size_bytes(schema);
             ParetoPoint {
@@ -131,7 +128,7 @@ impl ChordExplorer {
             size_bytes: 0,
             solve_time: Duration::ZERO,
         };
-        let full = solve_at(1.0, &mut dm, &mut solves);
+        let full = solve_at(1.0, &mut exact, &mut solves);
 
         let mut points = vec![empty, full];
         // Chord recursion over a worklist of (lo, hi) index pairs into
@@ -149,7 +146,7 @@ impl ChordExplorer {
                 continue;
             }
             let lambda = (size_span / (cost_span + size_span)).clamp(0.01, 0.99);
-            let p = solve_at(lambda, &mut dm, &mut solves);
+            let p = solve_at(lambda, &mut exact, &mut solves);
             // Distance of p from the chord (normalized space).
             let d = chord_distance(
                 (a.workload_cost, a.size_bytes as f64 * scale),
@@ -177,6 +174,15 @@ impl ChordExplorer {
         points.sort_by(|x, y| x.lambda.total_cmp(&y.lambda));
         points
     }
+}
+
+/// The explorer's model: the unbudgeted Theorem-1 BIP.
+fn frontier_model(
+    cophy: &CoPhy<'_>,
+    prepared: &PreparedWorkload,
+    candidates: &CandidateSet,
+) -> Exact {
+    cophy.exact_state(prepared, candidates, &ConstraintSet::none())
 }
 
 /// Euclidean distance of point `p` from the line through `a`, `b`.
@@ -259,5 +265,18 @@ mod tests {
         let points = explorer.explore(&cophy, &prepared, &candidates);
         // analytic empty point + at most 3 solves
         assert!(points.len() <= 4);
+    }
+    #[test]
+    fn the_explorer_builds_its_model_with_the_advisors_bipgen() {
+        let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+        let w = HomGen::new(9).generate(o.schema(), 8);
+        let prepared = Inum::new(&o).prepare_workload(&w);
+        let candidates = crate::cgen::CGen::default().generate(o.schema(), &w);
+        let n_vars = |prune_dominated| {
+            let bipgen = crate::BipGen { prune_dominated };
+            let cophy = CoPhy::new(&o, CoPhyOptions { bipgen, ..Default::default() });
+            frontier_model(&cophy, &prepared, &candidates).dm.model().n_vars()
+        };
+        assert!(n_vars(false) > n_vars(true), "{} vs {}", n_vars(false), n_vars(true));
     }
 }

@@ -5,9 +5,11 @@
 //! 1. **feasibility check** — an LP over the `z` variables and the
 //!    constraint rows; on failure the offending constraints are reported so
 //!    the DBA can drop or soften them;
-//! 2. **`relax(B)`** — the Lagrangian relaxation of the coupling
-//!    constraints (storage-only instances; the common, large case), or the
-//!    LP relaxation inside branch-and-bound (rich constraint sets);
+//! 2. **`relax(B)`, then an exact finish** — one chain (`chain.rs`): the
+//!    Lagrangian relaxation over the block form answers storage-only tunes
+//!    (the common, large case) and session `recommend`s; rich sets relax
+//!    their storage-only projection into a seed for branch-and-bound, which
+//!    also re-solves session sweeps and the Chord explorer warm;
 //! 3. **solve** — anytime incumbents with a global bound; terminate at the
 //!    configured optimality gap (the paper runs at 5%).
 //!
@@ -25,21 +27,19 @@
 //! over `w.source()`), so the same statements get the same answer through
 //! either door under every compression policy.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cophy_bip::{
-    BranchBound, CancelToken, GapPoint, LagrangianSolver, LinExpr, MipStatus, Model, Sense,
-    SolveBudget, SolveOptions, SolveProgress, WarmStart,
-};
+use cophy_bip::{BranchBound, GapPoint, Model, SolveBudget, SolveProgress};
 use cophy_catalog::Configuration;
 use cophy_compress::{CompressionPolicy, CompressionSummary};
-use cophy_inum::{InumCache, PrepFaultReport, PreparedWorkload};
+use cophy_inum::{PrepFaultReport, PreparedWorkload};
 use cophy_optimizer::{RetryPolicy, WhatIfBackend};
 use cophy_workload::{Workload, WorkloadSource, DEFAULT_CHUNK};
 
-use crate::bipgen::{BipGen, BipMapping};
+use crate::bipgen::BipGen;
 use crate::cgen::{CGen, CandidateSet};
-use crate::constraints::{Cmp, Constraint, ConstraintSet};
+use crate::chain::{Held, ReadPrepared, Solved};
+use crate::constraints::{add_z_row, ConstraintSet};
 use crate::error::CoPhyError;
 use crate::ingest::Ingest;
 use crate::session::TuningSession;
@@ -335,145 +335,18 @@ impl<'o> CoPhy<'o> {
         constraints: &ConstraintSet,
         inum_time: Duration,
         what_if_calls: u64,
-        mut on_progress: impl FnMut(&SolveProgress),
+        on_progress: impl FnMut(&SolveProgress),
     ) -> Result<Recommendation, CoPhyError> {
-        // Step 1: feasibility of the z-only polytope.
-        self.check_feasibility(candidates, constraints)?;
-
-        let use_lagrangian = match self.options.backend {
-            SolverBackend::Lagrangian => true,
-            SolverBackend::BranchBound => false,
-            SolverBackend::Auto => constraints.is_storage_only(),
-        };
-        if use_lagrangian && !constraints.is_storage_only() {
-            return Err(CoPhyError::Invalid(
-                "Lagrangian backend supports storage-only constraint sets".into(),
-            ));
-        }
-
-        let mut rec = if use_lagrangian {
-            let steering = Steering::default();
-            self.lagrangian_recommendation(prepared, candidates, constraints, steering, on_progress)
-                .0
-        } else {
-            let schema = self.opt.schema();
-            let cm = self.opt.cost_model();
-            let tb = Instant::now();
-            let (model, mapping) =
-                self.options.bipgen.model(schema, cm, prepared, candidates, constraints);
-            let build_time = tb.elapsed();
-            let ts = Instant::now();
-            // Seed the generic backend with the structure-exploiting
-            // backend's answer to the storage-only projection of the
-            // constraint set: completing that selection through Theorem 1's
-            // rows yields a near-optimal starting incumbent (which the
-            // rounding repair adjusts for the rich constraint rows), and the
-            // projection's dual bound is a valid lower bound for the rich
-            // problem, keeping the gap finite even if the root LP times out.
-            let seed = self.storage_projection_seed(
-                schema,
-                cm,
-                prepared,
-                candidates,
-                constraints,
-                &mapping,
-                model.n_vars(),
-            );
-            let (seed_x, known_bound) = match &seed {
-                Some((x, b)) => (Some(x.as_slice()), b.is_finite().then_some(*b)),
-                None => (None, None),
-            };
-            // The seed solve spends part of the caller's wall clock.
-            let mut budget = self.options.budget;
-            budget.time_limit = budget.time_limit.map(|t| t.saturating_sub(ts.elapsed()));
-            let opts = SolveOptions { budget, known_bound, ..Default::default() };
-            let r = BranchBound::new()
-                .solve_seeded_with_progress(&model, &opts, seed_x, |p, _| on_progress(p));
-            let solve_time = ts.elapsed();
-            if r.status == MipStatus::Infeasible {
-                return Err(CoPhyError::Infeasible(
-                    "BIP infeasible under the hard constraints".into(),
-                ));
-            }
-            if r.x.is_empty() {
-                return Err(CoPhyError::NoIncumbent(r.status));
-            }
-            let solved = Solved {
-                configuration: mapping.extract_configuration(&r.x, candidates),
-                objective: r.objective + mapping.fixed_cost,
-                bound: r.bound + mapping.fixed_cost,
-                gap: r.gap,
-                trace: r.trace,
-                build_time,
-                solve_time,
-                n_variables: model.n_vars(),
-            };
-            self.recommendation(prepared, candidates, constraints, solved)
-        };
+        let solved = self.solve(prepared, candidates, constraints, Held::default(), on_progress)?;
+        let mut rec = self.recommendation(prepared, candidates, constraints, solved);
         rec.stats.inum_time = inum_time;
         rec.stats.what_if_calls = what_if_calls;
         Ok(rec)
     }
 
-    /// The one Lagrangian answer path, behind every storage-only tune and
-    /// every session `recommend`: block form → pin / ban folding → (warm)
-    /// solve → configuration → [`CoPhy::recommendation`], plus the solve's
-    /// warm-start state.  `prepared` is never read across the solve.
-    pub(crate) fn lagrangian_recommendation(
-        &self,
-        prepared: &impl ReadPrepared,
-        candidates: &CandidateSet,
-        constraints: &ConstraintSet,
-        steering: Steering<'_>,
-        mut on_progress: impl FnMut(&SolveProgress),
-    ) -> (Recommendation, WarmStart) {
-        let schema = self.opt.schema();
-        let cm = self.opt.cost_model();
-        let tb = Instant::now();
-        let tp = prepared
-            .read(|pw| self.options.bipgen.block_problem(schema, cm, pw, candidates, constraints));
-        // Pin/ban fixings fold into the block form itself (fallback
-        // absorption + budget pre-charge) instead of detouring through the
-        // B&B backend: item ids stay stable, so the warm multiplier chain
-        // keeps flowing across fixed and unfixed recommends alike.
-        let reduction = steering.fixed.map(|fixed| {
-            tp.block
-                .with_fixings(&fixed)
-                .expect("pin_index and set_constraints keep the pinned indexes within budget")
-        });
-        let block = reduction.as_ref().map_or(&tp.block, |fx| &fx.problem);
-        let build_time = tb.elapsed();
-
-        let ts = Instant::now();
-        let solver = LagrangianSolver { budget: self.options.budget, cancel: steering.cancel };
-        let (r, warm) =
-            solver.solve_warm_with_progress(block, steering.warm, |p, _| on_progress(p));
-        let solve_time = ts.elapsed();
-
-        let mut selected = r.selected;
-        let (mut objective, mut bound) = (r.objective, r.bound);
-        if let Some(fx) = &reduction {
-            fx.apply_to_selection(&mut selected);
-            objective += fx.pinned_cost;
-            bound += fx.pinned_cost;
-        }
-        let chosen = candidates.iter().filter(|(id, _)| selected[id.0 as usize]);
-        let solved = Solved {
-            configuration: Configuration::from_indexes(chosen.map(|(_, ix)| ix.clone())),
-            objective: objective + tp.fixed_cost,
-            bound: bound + tp.fixed_cost,
-            gap: r.gap,
-            trace: r.trace,
-            build_time,
-            solve_time,
-            n_variables: tp.block.n_choices() + tp.block.n_items,
-        };
-        (self.recommendation(prepared, candidates, constraints, solved), warm)
-    }
-
-    /// Dress a backend's answer as a [`Recommendation`]; ingestion's share
+    /// Dress the chain's answer as a [`Recommendation`]; ingestion's share
     /// (probes, `inum_time`, compression, degradation) is the caller's.
-    fn recommendation(
+    pub(crate) fn recommendation(
         &self,
         prepared: &impl ReadPrepared,
         candidates: &CandidateSet,
@@ -489,9 +362,9 @@ impl<'o> CoPhy<'o> {
         );
         Recommendation {
             configuration: solved.configuration,
-            objective: solved.objective,
+            objective: solved.objective + solved.offset,
             baseline_cost,
-            bound: solved.bound,
+            bound: solved.bound + solved.offset,
             gap: solved.gap,
             trace: solved.trace,
             compression: None,
@@ -504,41 +377,6 @@ impl<'o> CoPhy<'o> {
                 ..Default::default()
             },
         }
-    }
-
-    /// Primal seed for rich-constraint solves: drop every non-storage
-    /// constraint, solve the resulting block-angular problem with a small
-    /// Lagrangian budget, and complete its selection through the Theorem-1
-    /// variable layout.  Returns the completed point plus the projection's
-    /// dual bound — the projection is a relaxation of the rich problem, so
-    /// that bound is a valid global lower bound for it.
-    #[allow(clippy::too_many_arguments)]
-    fn storage_projection_seed(
-        &self,
-        schema: &cophy_catalog::Schema,
-        cm: &cophy_optimizer::CostModel,
-        prepared: &PreparedWorkload,
-        candidates: &CandidateSet,
-        constraints: &ConstraintSet,
-        mapping: &BipMapping,
-        n_vars: usize,
-    ) -> Option<(Vec<f64>, f64)> {
-        if candidates.is_empty() {
-            return None;
-        }
-        let projection = match constraints.storage_budget() {
-            Some(budget_bytes) => ConstraintSet::none().with(Constraint::Storage { budget_bytes }),
-            None => ConstraintSet::none(),
-        };
-        let tp = self.options.bipgen.block_problem(schema, cm, prepared, candidates, &projection);
-        let budget = SolveBudget {
-            gap_limit: 0.05,
-            time_limit: self.options.budget.time_limit.map(|t| t / 10),
-            node_limit: Some(200),
-            ..Default::default()
-        };
-        let r = LagrangianSolver { budget, ..Default::default() }.solve(&tp.block);
-        Some((mapping.completion(&r.selected, n_vars), r.bound))
     }
 
     /// Paper Figure 3, line 1: is the constraint polytope non-empty?
@@ -554,25 +392,14 @@ impl<'o> CoPhy<'o> {
         }
         let mut m = Model::new();
         let z: Vec<_> = (0..candidates.len()).map(|a| m.add_var(format!("z{a}"), 0.0)).collect();
-        for (terms, cmp, rhs) in &rows {
-            let mut e = LinExpr::new();
-            for (pos, c) in terms {
-                e.add(z[*pos], *c);
-            }
-            let sense = match cmp {
-                Cmp::Le => Sense::Le,
-                Cmp::Ge => Sense::Ge,
-                Cmp::Eq => Sense::Eq,
-            };
-            m.add_constraint(e, sense, *rhs);
+        for row in &rows {
+            add_z_row(&mut m, &z, row);
         }
-        if BranchBound::new().is_feasible(&m) {
-            Ok(())
-        } else {
-            Err(CoPhyError::Infeasible(
-                "hard constraints are mutually infeasible over the candidate set".into(),
-            ))
-        }
+        let why = "hard constraints are mutually infeasible over the candidate set";
+        BranchBound::new()
+            .is_feasible(&m)
+            .then_some(())
+            .ok_or_else(|| CoPhyError::Infeasible(why.into()))
     }
 
     /// Open an interactive tuning session (paper §4.2).  Panics where
@@ -621,50 +448,10 @@ impl<'o> CoPhy<'o> {
     }
 }
 
-/// Read access to a prepared workload, one call at a time: a plain borrow,
-/// or a shared cache's read lock — taken per call, so a session's solve never
-/// holds the cache's writers out.
-pub(crate) trait ReadPrepared {
-    fn read<R>(&self, f: impl FnOnce(&PreparedWorkload) -> R) -> R;
-}
-
-impl ReadPrepared for PreparedWorkload {
-    fn read<R>(&self, f: impl FnOnce(&PreparedWorkload) -> R) -> R {
-        f(self)
-    }
-}
-
-impl ReadPrepared for InumCache {
-    fn read<R>(&self, f: impl FnOnce(&PreparedWorkload) -> R) -> R {
-        InumCache::read(self, f)
-    }
-}
-
-/// What a session adds to a Lagrangian solve; a tune has none of it.
-#[derive(Default)]
-pub(crate) struct Steering<'a> {
-    /// Per-candidate pin (`Some(true)`) / ban (`Some(false)`).
-    pub fixed: Option<Vec<Option<bool>>>,
-    pub warm: Option<&'a WarmStart>,
-    pub cancel: Option<CancelToken>,
-}
-
-/// One backend's answer, before [`CoPhy::recommendation`] dresses it.
-struct Solved {
-    configuration: Configuration,
-    objective: f64,
-    bound: f64,
-    gap: f64,
-    trace: Vec<GapPoint>,
-    build_time: Duration,
-    solve_time: Duration,
-    n_variables: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraints::{Constraint, IndexFilter};
+    use crate::constraints::{Cmp, Constraint, IndexFilter};
     use cophy_catalog::TpchGen;
     use cophy_inum::Inum;
     use cophy_optimizer::{SystemProfile, WhatIfOptimizer};

@@ -37,7 +37,8 @@ proptest! {
 
     /// Warm-chain equivalence: `try_sweep_storage_with_progress` over K budgets returns, per
     /// point, the same objective and bound as K independent cold tunes of
-    /// the same workload at that budget (both sides solved to optimality).
+    /// the same workload at that budget (both sides solved to optimality) —
+    /// whether or not the session's own constraints carry a storage row.
     #[test]
     fn warm_sweep_matches_cold_tunes(seed in 0u64..1000) {
         let o = optimizer();
@@ -47,27 +48,32 @@ proptest! {
             [1.0, 0.3, 0.08].iter().map(|m| (total as f64 * m) as u64).collect();
 
         let cophy = CoPhy::new(&o, exact_options());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
-        let points = session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap();
-
-        for (p, &b) in points.iter().zip(&budgets) {
-            prop_assert!(p.gap <= 1e-6, "sweep point must be solved to optimality");
-            prop_assert!(p.configuration.size_bytes(o.schema()) <= b);
-            let cold = cophy
-                .try_tune(&w, &ConstraintSet::none().with(cophy::Constraint::Storage {
+        let cold: Vec<_> = budgets
+            .iter()
+            .map(|&b| {
+                let storage = ConstraintSet::none().with(cophy::Constraint::Storage {
                     budget_bytes: b,
-                }))
-                .expect("cold tune feasible");
-            prop_assert!(
-                (p.objective - cold.objective).abs() / cold.objective < 1e-6,
-                "objective diverged at budget {}: warm {} vs cold {}",
-                b, p.objective, cold.objective
-            );
-            prop_assert!(
-                (p.bound - cold.bound).abs() / cold.bound.abs().max(1.0) < 1e-6,
-                "bound diverged at budget {}: warm {} vs cold {}",
-                b, p.bound, cold.bound
-            );
+                });
+                cophy.try_tune(&w, &storage).expect("cold tune feasible")
+            })
+            .collect();
+        for session_set in [ConstraintSet::storage_fraction(o.schema(), 1.0), ConstraintSet::none()] {
+            let mut session = cophy.session(&w, session_set);
+            let points = session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap();
+            for ((p, &b), cold) in points.iter().zip(&budgets).zip(&cold) {
+                prop_assert!(p.gap <= 1e-6, "sweep point must be solved to optimality");
+                prop_assert!(p.configuration.size_bytes(o.schema()) <= b);
+                prop_assert!(
+                    (p.objective - cold.objective).abs() / cold.objective < 1e-6,
+                    "objective diverged at budget {}: warm {} vs cold {}",
+                    b, p.objective, cold.objective
+                );
+                prop_assert!(
+                    (p.bound - cold.bound).abs() / cold.bound.abs().max(1.0) < 1e-6,
+                    "bound diverged at budget {}: warm {} vs cold {}",
+                    b, p.bound, cold.bound
+                );
+            }
         }
     }
 
