@@ -307,11 +307,12 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         for (i, &budget) in budgets.iter().enumerate() {
             let t0 = Instant::now();
             let fixed = self.fixing_vector();
-            let (cophy, ingest) = (self.cophy, &self.ingest);
+            let cophy = self.cophy;
+            let (prepared, candidates) = (&*self.ingest.prepared, &self.ingest.candidates);
             let exact = self.interactive.get_or_insert_with(|| {
                 let storage =
                     ConstraintSet::none().with(Constraint::Storage { budget_bytes: budget });
-                cophy.exact_state(&*ingest.prepared, &ingest.candidates, &storage)
+                cophy.exact_state(prepared, candidates, &storage)
             });
             let row = exact.mapping.storage_row.expect("a sweep's model has a storage row");
             exact.dm.set_rhs(row, budget as f64);
@@ -322,7 +323,6 @@ impl<'o, 'c> TuningSession<'o, 'c> {
                 cancel: self.cancel.clone(),
                 ..Default::default()
             };
-            let (prepared, candidates) = (&*ingest.prepared, &ingest.candidates);
             let s = cophy
                 .solve(prepared, candidates, &self.constraints, held, |p| on_progress(i, p))?;
             prev = Some((budget, s.bound));
