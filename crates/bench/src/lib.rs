@@ -23,9 +23,7 @@
 //! * `COPHY_SCALE=smoke` → 6/12/24 (CI smoke: exercises every code path of
 //!   an experiment end-to-end in seconds; the numbers mean nothing).
 //!
-//! `COPHY_THREADS` pins the worker count of the parallel solver
-//! configurations (default: the host's parallelism; clamped to 2..=8).
-//! Any other value of either is an error, not a silent default.
+//! Any other value is an error, not a silent default.
 //!
 //! Absolute wall-clock numbers differ from the paper (different hardware,
 //! solver, DBMS); the claims under test are the *shapes*: who wins, by
@@ -179,7 +177,7 @@ pub const EXPERIMENTS: [Experiment; 17] = [
     entry("fig10", "Figure 10: CoPhy vs ILP time split vs workload size (S_ALL each)", fig10),
     entry("skew", "Appendix C: quality under data skew z=1 (W_hom)", skew),
     entry("compress", "Workload compression: default-ε clustering vs the full tune", compress),
-    entry("solver", "Solve engine: anytime trajectories + warm-start/parallelism study", solver),
+    entry("solver", "Solve engine: anytime trajectories + warm-start study", solver),
     entry("interactive", "Interactive budget sweep: one warm chain vs cold solves", interactive),
     entry("server", "Advisor as a service: concurrent sessions over one shared INUM cache", server),
     entry("chaos", "Fault injection: zero-fault transparency + bounded chaos degradation", chaos),
@@ -301,18 +299,17 @@ fn render_json(exp: &Experiment, knobs: &Knobs, outcome: &Outcome) -> String {
         format!("{{\"text\":{},\"holds\":{}}}", json_str(&c.text), c.holds)
     });
     format!(
-        "{{\"experiment\":{},\"title\":{},\"scale\":{},\"threads\":{},\"host_threads\":{},\
+        "{{\"experiment\":{},\"title\":{},\"scale\":{},\"host_threads\":{},\
          \"tables\":{tables},\"claims\":{claims}}}\n",
         json_str(exp.name),
         json_str(exp.title),
         json_str(knobs.scale.name()),
-        knobs.threads,
         host_threads(),
     )
 }
 
 // ---------------------------------------------------------------------------
-// Knobs: COPHY_SCALE and COPHY_THREADS
+// Knobs: COPHY_SCALE
 // ---------------------------------------------------------------------------
 
 /// Workload scale of a run (`COPHY_SCALE`).
@@ -351,21 +348,16 @@ impl Scale {
     }
 }
 
-/// The two settings an experiment runs under, parsed once by the binary.
+/// The settings an experiment runs under, parsed once by the binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Knobs {
     pub scale: Scale,
-    /// `SolveBudget::parallelism` of the parallel study configurations, in
-    /// 2..=8: at least 2 so the parallel path is exercised even on one-core
-    /// boxes.  CI pins it on the hosted runners so the artifacts record a
-    /// reproducible value.
-    pub threads: usize,
 }
 
 impl Knobs {
-    /// Resolve the raw values of `COPHY_SCALE` and `COPHY_THREADS` (`None` =
-    /// unset).  An unrecognised value is an error naming the accepted ones.
-    pub fn parse(scale: Option<&str>, threads: Option<&str>) -> Result<Knobs, String> {
+    /// Resolve the raw value of `COPHY_SCALE` (`None` = unset).  An
+    /// unrecognised value is an error naming the accepted ones.
+    pub fn parse(scale: Option<&str>) -> Result<Knobs, String> {
         let scale = match scale {
             None => Scale::Local,
             Some(v) => [Scale::Smoke, Scale::Std, Scale::Full]
@@ -373,13 +365,7 @@ impl Knobs {
                 .find(|s| s.name() == v)
                 .ok_or_else(|| format!("COPHY_SCALE={v:?}: expected smoke, std, full, or unset"))?,
         };
-        let threads = match threads {
-            None => host_threads(),
-            Some(v) => v
-                .parse::<usize>()
-                .map_err(|_| format!("COPHY_THREADS={v:?}: expected a thread count, or unset"))?,
-        };
-        Ok(Knobs { scale, threads: threads.clamp(2, 8) })
+        Ok(Knobs { scale })
     }
 
     /// [`Knobs::parse`] of the process environment.
@@ -389,7 +375,7 @@ impl Knobs {
             Err(std::env::VarError::NotPresent) => Ok(None),
             Err(std::env::VarError::NotUnicode(_)) => Err(format!("{name} is not valid UTF-8")),
         };
-        Knobs::parse(var("COPHY_SCALE")?.as_deref(), var("COPHY_THREADS")?.as_deref())
+        Knobs::parse(var("COPHY_SCALE")?.as_deref())
     }
 }
 

@@ -1,10 +1,10 @@
 //! Solve-engine study: both backends' gap-vs-time trajectories through the
-//! unified [`SolveProgress`] stream, and the warm-start / parallel-node
-//! comparison of three branch-and-bound configurations on one BIP.
+//! unified [`SolveProgress`] stream, and the warm-start comparison of two
+//! branch-and-bound configurations on one BIP.
 //!
 //! Gated on the generic backend producing a root incumbent and a finite gap
 //! within the default budget (guards the LP-rounding/repair heuristic), on
-//! the warm-started parallel engine beating the cold-serial PR-2 baseline,
+//! warm-started node LPs beating the cold PR-2 baseline,
 //! on the LP kernel's pivot throughput staying above a fixed floor, and on
 //! the repair heuristic giving up on a periodic run within a few passes.
 
@@ -47,7 +47,7 @@ fn capture_trajectory(
     (points, rec)
 }
 
-/// One configuration of the warm-start/parallelism study.
+/// One configuration of the warm-start study.
 struct ConfigRow {
     label: &'static str,
     nodes: usize,
@@ -74,7 +74,7 @@ pub(crate) fn solver(k: &Knobs) -> Outcome {
     let w = make_workload(&o, WorkloadKind::Hom, n);
     let rich = rich_constraints(&o);
     // One INUM preparation + candidate set serves the guard run and the
-    // warm-start/parallelism study.
+    // warm-start study.
     let prepared = prepare(&o, &w);
     let cands = CGen::default().generate(o.schema(), &w);
     let (bb_points, bb_rec) =
@@ -125,7 +125,7 @@ pub(crate) fn solver(k: &Knobs) -> Outcome {
         }
     }
 
-    let (configs, rows) = config_rows(&o, &prepared, &cands, &rich, k.threads);
+    let (configs, rows) = config_rows(&o, &prepared, &cands, &rich);
     let mut out = Outcome::new(vec![finals, configs, series]);
 
     out.claim(lag_rec.is_ok(), "storage-only Lagrangian tuning is feasible");
@@ -145,10 +145,9 @@ pub(crate) fn solver(k: &Knobs) -> Outcome {
     out
 }
 
-/// Run the rich-constraint BIP through three branch-and-bound configurations
+/// Run the rich-constraint BIP through two branch-and-bound configurations
 /// under the same default interactive budget (5% gap, 60 s): the PR-2
-/// baseline (cold two-phase node LPs, serial), warm-started serial, and
-/// warm-started parallel.  The model is built once from the caller's INUM
+/// baseline (cold two-phase node LPs) and warm-started node LPs.  The model is built once from the caller's INUM
 /// cache; each run solves the same BIP, so nodes/pivots/gap compare
 /// configurations, not model noise.
 fn config_rows(
@@ -156,19 +155,14 @@ fn config_rows(
     prepared: &PreparedWorkload,
     cands: &CandidateSet,
     constraints: &ConstraintSet,
-    threads: usize,
 ) -> (Table, Vec<ConfigRow>) {
     let (model, _mapping) =
         BipGen::default().model(o.schema(), o.cost_model(), prepared, cands, constraints);
     let mut t = Table::new(
-        format!(
-            "warm-start / parallel-node study: rich W_hom{} BIP, budget 5% gap / 60 s",
-            prepared.queries.len()
-        ),
+        format!("warm-start study: rich W_hom{} BIP, budget 5% gap / 60 s", prepared.queries.len()),
         &[
             "config",
             "warm_start",
-            "threads",
             "nodes",
             "pivots",
             "pivots_per_node",
@@ -184,51 +178,44 @@ fn config_rows(
             "wall",
         ],
     );
-    let rows = [
-        ("cold-serial (PR-2 baseline)", false, 1),
-        ("warm-serial", true, 1),
-        ("warm-parallel", true, threads),
-    ]
-    .into_iter()
-    .map(|(label, warm_start, parallelism)| {
-        let opts = SolveOptions {
-            budget: SolveBudget::within(0.05)
-                .with_time(Duration::from_secs(60))
-                .with_parallelism(parallelism),
-            warm_start,
-            ..Default::default()
-        };
-        let (r, wall) = timed(|| BranchBound::new().solve(&model, &opts));
-        let row = ConfigRow {
-            label,
-            nodes: r.nodes,
-            pivots: r.pivots,
-            gap: r.gap,
-            wall,
-            repair_calls: r.repair_calls,
-            repair_passes: r.repair_passes,
-        };
-        t.row(vec![
-            Text(label.into()),
-            Bool(warm_start),
-            Int(parallelism as u64),
-            Int(r.nodes as u64),
-            Int(r.pivots as u64),
-            Num(r.pivots as f64 / r.nodes.max(1) as f64),
-            Num(row.pivots_per_sec()),
-            Int(r.refactorizations as u64),
-            Int(r.devex_resets as u64),
-            Int(r.repair_calls as u64),
-            Int(r.repair_passes as u64),
-            Int(r.repair_hits as u64),
-            Pct(r.gap),
-            Num(r.bound),
-            Num(r.objective),
-            Secs(wall),
-        ]);
-        row
-    })
-    .collect();
+    let rows = [("cold-serial (PR-2 baseline)", false), ("warm-serial", true)]
+        .into_iter()
+        .map(|(label, warm_start)| {
+            let opts = SolveOptions {
+                budget: SolveBudget::within(0.05).with_time(Duration::from_secs(60)),
+                warm_start,
+                ..Default::default()
+            };
+            let (r, wall) = timed(|| BranchBound::new().solve(&model, &opts));
+            let row = ConfigRow {
+                label,
+                nodes: r.nodes,
+                pivots: r.pivots,
+                gap: r.gap,
+                wall,
+                repair_calls: r.repair_calls,
+                repair_passes: r.repair_passes,
+            };
+            t.row(vec![
+                Text(label.into()),
+                Bool(warm_start),
+                Int(r.nodes as u64),
+                Int(r.pivots as u64),
+                Num(r.pivots as f64 / r.nodes.max(1) as f64),
+                Num(row.pivots_per_sec()),
+                Int(r.refactorizations as u64),
+                Int(r.devex_resets as u64),
+                Int(r.repair_calls as u64),
+                Int(r.repair_passes as u64),
+                Int(r.repair_hits as u64),
+                Pct(r.gap),
+                Num(r.bound),
+                Num(r.objective),
+                Secs(wall),
+            ]);
+            row
+        })
+        .collect();
     (t, rows)
 }
 
@@ -237,7 +224,7 @@ fn config_rows(
 ///
 /// Measured at the commit that taught the simplex loops to price by row, walk
 /// an ordered prefix of the breakpoints and solve both `btran`s in one pass
-/// (PR 24, on parent ba628cf; `COPHY_SCALE=smoke COPHY_THREADS=4`, rich
+/// (PR 24, on parent ba628cf; `COPHY_SCALE=smoke`, rich
 /// W_hom24 BIP, 2-core container): warm-serial made 108 505 pivots over 855
 /// nodes in 5.617 s = **19 317 pivots/s**; the parent, the same pivots in
 /// 8.015 s = 13 538/s.  Re-record it when the kernel gets faster again: the
@@ -253,8 +240,8 @@ const PIVOT_RATE_FLOOR: f64 = 19_317.0 / 2.0;
 /// so the guard does not depend on a clock.
 const REPAIR_PASSES_PER_CALL_CEILING: f64 = 16.0;
 
-/// The gate of the warm-started parallel engine — within the same budget
-/// the warm-parallel configuration proves a strictly smaller gap than the
+/// The gate of warm-started node LPs — within the same budget the
+/// warm-serial configuration proves a strictly smaller gap than the
 /// cold-serial PR-2 baseline and explores ≥ 5× its nodes (or already reaches
 /// the 5% gap target, where it is allowed to stop early) — and of the LP
 /// kernel: warm-serial pivots at [`PIVOT_RATE_FLOOR`] or faster, checked
@@ -264,12 +251,12 @@ const REPAIR_PASSES_PER_CALL_CEILING: f64 = 16.0;
 /// [`REPAIR_PASSES_PER_CALL_CEILING`] passes per call.
 fn config_claims(out: &mut Outcome, rows: &[ConfigRow]) {
     let find = |label: &str| rows.iter().find(|r| r.label.starts_with(label)).expect("config row");
-    let (base, warm) = (find("cold-serial"), find("warm-parallel"));
+    let (base, warm) = (find("cold-serial"), find("warm-serial"));
     let target_reached = warm.gap <= 0.05 + 1e-9;
     out.claim(
         warm.gap < base.gap - 1e-9 || target_reached,
         format!(
-            "warm-parallel proves a strictly smaller gap than the cold baseline \
+            "warm-serial proves a strictly smaller gap than the cold baseline \
              (or reaches the 5% target): {:.2}% vs {:.2}%",
             warm.gap * 100.0,
             base.gap * 100.0
@@ -278,7 +265,7 @@ fn config_claims(out: &mut Outcome, rows: &[ConfigRow]) {
     out.claim(
         warm.nodes >= 5 * base.nodes || target_reached,
         format!(
-            "warm-parallel explores ≥ 5× the baseline's nodes within the budget \
+            "warm-serial explores ≥ 5× the baseline's nodes within the budget \
              (or reaches the 5% target): {} vs {}",
             warm.nodes, base.nodes
         ),
@@ -296,9 +283,8 @@ fn config_claims(out: &mut Outcome, rows: &[ConfigRow]) {
         ),
     );
 
-    let serial = find("warm-serial");
-    let rate = serial.pivots_per_sec();
-    if serial.pivots >= 500 && serial.wall >= Duration::from_millis(50) {
+    let rate = warm.pivots_per_sec();
+    if warm.pivots >= 500 && warm.wall >= Duration::from_millis(50) {
         out.claim(
             rate >= PIVOT_RATE_FLOOR,
             format!(
@@ -312,8 +298,8 @@ fn config_claims(out: &mut Outcome, rows: &[ConfigRow]) {
             format!(
                 "pivot throughput not gated: run too short to measure \
                  ({} pivots / {:.0} ms)",
-                serial.pivots,
-                serial.wall.as_secs_f64() * 1e3
+                warm.pivots,
+                warm.wall.as_secs_f64() * 1e3
             ),
         );
     }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use cophy_bench::{run, select, Cell, Experiment, Knobs, Outcome, Scale, Table, EXPERIMENTS};
 
-const KNOBS: Knobs = Knobs { scale: Scale::Smoke, threads: 2 };
+const KNOBS: Knobs = Knobs { scale: Scale::Smoke };
 
 /// A fresh directory per test: tests run on parallel threads and must not
 /// share files.
@@ -170,7 +170,6 @@ fn an_artifact_round_trips_through_an_independent_reader() {
     assert_eq!(doc.get("experiment"), &Json::Str("awkward".into()));
     assert_eq!(doc.get("title"), &Json::Str(NASTY.into()), "escapes decode to the original");
     assert_eq!(doc.get("scale"), &Json::Str("smoke".into()));
-    assert_eq!(doc.get("threads"), &Json::Num(2.0));
     assert!(matches!(doc.get("host_threads"), Json::Num(n) if *n >= 1.0));
 
     // Tables nest in the document, rows in tables, cells in rows.
@@ -334,22 +333,13 @@ fn every_invocation_the_docs_show_names_a_real_experiment() {
 
 #[test]
 fn unknown_knob_values_are_rejected_with_the_accepted_ones() {
-    assert_eq!(
-        Knobs::parse(Some("smoke"), Some("4")),
-        Ok(Knobs { scale: Scale::Smoke, threads: 4 })
-    );
-    assert_eq!(Knobs::parse(Some("std"), Some("1")).map(|k| k.threads), Ok(2), "clamped to 2..=8");
-    assert_eq!(Knobs::parse(Some("full"), Some("64")).map(|k| k.threads), Ok(8));
-    let unset = Knobs::parse(None, None).unwrap();
-    assert_eq!(unset.scale, Scale::Local);
-    assert!((2..=8).contains(&unset.threads));
+    assert_eq!(Knobs::parse(Some("smoke")), Ok(Knobs { scale: Scale::Smoke }));
+    assert_eq!(Knobs::parse(Some("std")).map(|k| k.scale), Ok(Scale::Std));
+    assert_eq!(Knobs::parse(Some("full")).map(|k| k.scale), Ok(Scale::Full));
+    assert_eq!(Knobs::parse(None), Ok(Knobs { scale: Scale::Local }));
 
     for typo in ["smok", "SMOKE", "", "local", "full "] {
-        let err = Knobs::parse(Some(typo), None).unwrap_err();
+        let err = Knobs::parse(Some(typo)).unwrap_err();
         assert!(err.contains("COPHY_SCALE") && err.contains("smoke, std, full"), "{err}");
-    }
-    for typo in ["abc", "", "-1", "4.0"] {
-        let err = Knobs::parse(None, Some(typo)).unwrap_err();
-        assert!(err.contains("COPHY_THREADS") && err.contains("thread count"), "{err}");
     }
 }

@@ -41,7 +41,7 @@
 //! through states that never repeat.  `MipResult::repair_calls` /
 //! `repair_passes` / `repair_hits` count what the heuristic did.
 //!
-//! ## Warm-started, parallel node evaluation
+//! ## Warm-started node evaluation
 //!
 //! Node evaluation is a pure function of `(model, bounds, parent basis)`
 //! (`Search::evaluate_node`) over what one solve builds once and every LP
@@ -50,14 +50,13 @@
 //! node re-solves its LP from the parent's optimal [`Basis`] with the bounded-variable [`DualSimplex`] (a
 //! bound pinch leaves the parent basis dual feasible, so a child costs a
 //! handful of dual pivots instead of a two-phase solve), falling back to a
-//! cold solve when the warm path stalls or its point fails validation.  Per
-//! round, the `SolveBudget::parallelism` best frontier nodes are evaluated
-//! concurrently on scoped OS threads and their results are merged
-//! *sequentially in selection order* through the [`SolveDriver`], so every
-//! run is deterministic for a fixed `parallelism` and `parallelism = 1`
-//! reproduces the serial search bit-for-bit.
+//! cold solve when the warm path stalls or its point fails validation.  The
+//! search is one serial best-first loop — pop the cheapest open node, raise
+//! the bound and check the stop, prune against the incumbent, evaluate the
+//! node, merge its result through the [`SolveDriver`] — so every run is
+//! deterministic.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::delta::DeltaModel;
 use crate::driver::{CancelToken, SolveDriver, SolveProgress};
@@ -233,7 +232,7 @@ struct Node {
     fixings: Vec<(usize, bool)>,
     depth: usize,
     branch: Option<(usize, bool, f64)>,
-    basis: Option<Arc<Basis>>,
+    basis: Option<Rc<Basis>>,
 }
 
 impl Node {
@@ -258,8 +257,7 @@ impl Node {
 }
 
 /// What every LP and heuristic call of one engine run shares, built once
-/// per solve and only read afterwards — worker threads borrow it whole.  The
-/// standard form depends on the model's rows alone, so the root, every dive
+/// per solve and only read afterwards.  The standard form depends on the model's rows alone, so the root, every dive
 /// level, every probe and every node reuse it instead of walking the
 /// constraint list again: the LPs pivot on its columns, the repair heuristic
 /// reads off them which rows a variable is in.
@@ -277,9 +275,8 @@ struct Search<'a> {
 
 impl Search<'_> {
     /// Evaluate one node's LP relaxation — a pure function of the model,
-    /// the node's bounds and the parent basis, safe to run on a worker
-    /// thread: the dual re-solve from the parent basis when there is one,
-    /// through [`Search::accept_or_cold`].
+    /// the node's bounds and the parent basis: the dual re-solve from the
+    /// parent basis when there is one, through [`Search::accept_or_cold`].
     fn evaluate_node(&self, node: &Node) -> LpResult {
         let (lo, hi) = node.bounds(self.root_lo, self.root_hi);
         let warm = node
@@ -689,164 +686,121 @@ impl BranchBound {
             p if n > 500 => p.min(1),
             p => p,
         };
-        let parallelism = opts.budget.parallelism.max(1);
-
         let mut status: Option<MipStatus> = None;
         // Subtrees abandoned because their LP stalled on the pivot cap: the
         // global bound must never rise above the cheapest of them, and the
         // search can no longer prove optimality by exhaustion.
         let mut stalled_nodes = 0usize;
         let mut stalled_bound_cap = f64::INFINITY;
-        'search: loop {
-            // Select up to `parallelism` frontier nodes, best-first.  Only
-            // the first survivor may raise the global bound: it is the
-            // cheapest open node, while later batch members merely share its
-            // round (their own bounds still back open siblings).
-            let mut batch: Vec<Node> = Vec::with_capacity(parallelism);
-            while batch.len() < parallelism {
-                let Some(pos) = best_node(&frontier) else { break };
-                let node = frontier.swap_remove(pos);
-                if batch.is_empty() {
-                    driver.raise_bound(node.bound.min(stalled_bound_cap));
-                    if let Some(stop) = driver.stop_status() {
-                        status = Some(stop);
-                        break 'search;
-                    }
-                }
-                // Prune against the incumbent.
-                if node.bound >= driver.incumbent_objective() - 1e-9 {
-                    continue;
-                }
-                batch.push(node);
-            }
-            if batch.is_empty() {
+        while let Some(pos) = best_node(&frontier) {
+            // The popped node is the cheapest open one, so its bound is the
+            // global bound.
+            let node = frontier.swap_remove(pos);
+            driver.raise_bound(node.bound.min(stalled_bound_cap));
+            if let Some(stop) = driver.stop_status() {
+                status = Some(stop);
                 break;
             }
+            // Prune against the incumbent.
+            if node.bound >= driver.incumbent_objective() - 1e-9 {
+                continue;
+            }
 
-            // Evaluate the batch: in-line when it is a single node (the
-            // serial path, also reusing the root LP), scoped OS threads
-            // otherwise.  Evaluation is pure, so thread scheduling cannot
-            // change any result — only the merge order below matters, and
-            // that is the deterministic selection order.
-            let evals: Vec<LpResult> = if batch.len() == 1 {
-                let node = &batch[0];
-                if node.fixings.is_empty() && root_lp.is_some() {
+            // The first node evaluated is the root (the frontier holds
+            // nothing else until it branches), and its LP is already solved.
+            let lp = match root_lp.take() {
+                Some(mut lp) => {
                     // The root's pivots were accounted when its LP was
                     // solved; zero them (and the factorization counters)
-                    // so the merge loop does not count them twice.
-                    let mut lp = root_lp.take().expect("checked");
+                    // so they are not counted twice below.
                     lp.iterations = 0;
                     lp.refactorizations = 0;
                     lp.devex_resets = 0;
                     lp.factor_recoveries = 0;
-                    vec![lp]
-                } else {
-                    vec![search.evaluate_node(node)]
+                    lp
                 }
-            } else {
-                std::thread::scope(|s| {
-                    let search = &search;
-                    let handles: Vec<_> = batch
-                        .iter()
-                        .map(|node| s.spawn(move || search.evaluate_node(node)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("node LP shard")).collect()
-                })
+                None => search.evaluate_node(&node),
             };
+            driver.tick();
+            driver.add_pivots(lp.iterations);
+            stats.absorb(&lp);
 
-            // Merge sequentially in selection order through the driver.
-            for (idx, (node, lp)) in batch.into_iter().zip(evals).enumerate() {
-                // Between batch members (never before the first, so the
-                // serial path keeps its exact per-round semantics), honor
-                // the budget: without this a wide batch would overshoot
-                // node/gap/time limits by up to `parallelism − 1` nodes.
-                if idx > 0 {
-                    if let Some(stop) = driver.stop_status() {
-                        status = Some(stop);
-                        break 'search;
-                    }
+            if lp.status == LpStatus::Infeasible {
+                continue;
+            }
+            if lp.status == LpStatus::Singular {
+                // Both pivot paths went singular on this node's LP, so
+                // its objective is unusable.  Treat it exactly like a
+                // pivot stall: skip the node (the parent bound stays
+                // valid via the frontier) and remember the search is no
+                // longer exhaustive.
+                stalled_nodes += 1;
+                stalled_bound_cap = stalled_bound_cap.min(node.bound);
+                continue;
+            }
+            if lp.status == LpStatus::IterLimit {
+                // The LP stalled, so its objective is not a sound bound.
+                // Deadline hit → stop with the best-so-far; pivot-cap
+                // stall without a deadline → skip just this node (its
+                // parent bound stays valid via the frontier) and keep
+                // searching, but remember the search is no longer
+                // exhaustive.
+                if lp_solver.deadline_expired() {
+                    status = Some(MipStatus::TimeLimit);
+                    break;
                 }
-                driver.tick();
-                driver.add_pivots(lp.iterations);
-                stats.absorb(&lp);
+                stalled_nodes += 1;
+                stalled_bound_cap = stalled_bound_cap.min(node.bound);
+                continue;
+            }
+            // Pseudo-cost update from the branch that created this node.
+            if let Some((j, up, frac)) = node.branch {
+                let per_unit = (lp.objective - node.bound).max(0.0)
+                    / if up { (1.0 - frac).max(1e-6) } else { frac.max(1e-6) };
+                pc.record(j, up, per_unit);
+            }
+            if lp.objective >= driver.incumbent_objective() - 1e-9 {
+                continue;
+            }
 
-                if lp.status == LpStatus::Infeasible {
-                    continue;
+            let fracs = fractionals(&lp.x, INT_TOL);
+            if fracs.is_empty() {
+                driver.offer_incumbent(lp.objective, lp.x.clone());
+                continue;
+            }
+            // Periodic node heuristic on the node's LP point.
+            if heuristic_period > 0 && driver.ticks() % heuristic_period == 0 {
+                if let Some((obj, x)) =
+                    search.round_and_repair(&lp.x, RoundMode::Nearest, &mut stats)
+                {
+                    driver.offer_incumbent(obj, x);
                 }
-                if lp.status == LpStatus::Singular {
-                    // Both pivot paths went singular on this node's LP, so
-                    // its objective is unusable.  Treat it exactly like a
-                    // pivot stall: skip the node (the parent bound stays
-                    // valid via the frontier) and remember the search is no
-                    // longer exhaustive.
-                    stalled_nodes += 1;
-                    stalled_bound_cap = stalled_bound_cap.min(node.bound);
-                    continue;
-                }
-                if lp.status == LpStatus::IterLimit {
-                    // The LP stalled, so its objective is not a sound bound.
-                    // Deadline hit → stop with the best-so-far; pivot-cap
-                    // stall without a deadline → skip just this node (its
-                    // parent bound stays valid via the frontier) and keep
-                    // searching, but remember the search is no longer
-                    // exhaustive.
-                    if lp_solver.deadline_expired() {
-                        status = Some(MipStatus::TimeLimit);
-                        break 'search;
-                    }
-                    stalled_nodes += 1;
-                    stalled_bound_cap = stalled_bound_cap.min(node.bound);
-                    continue;
-                }
-                // Pseudo-cost update from the branch that created this node.
-                if let Some((j, up, frac)) = node.branch {
-                    let per_unit = (lp.objective - node.bound).max(0.0)
-                        / if up { (1.0 - frac).max(1e-6) } else { frac.max(1e-6) };
-                    pc.record(j, up, per_unit);
-                }
-                if lp.objective >= driver.incumbent_objective() - 1e-9 {
-                    continue;
-                }
+            }
 
-                let fracs = fractionals(&lp.x, INT_TOL);
-                if fracs.is_empty() {
-                    driver.offer_incumbent(lp.objective, lp.x.clone());
-                    continue;
-                }
-                // Periodic node heuristic on the node's LP point.
-                if heuristic_period > 0 && driver.ticks() % heuristic_period == 0 {
-                    if let Some((obj, x)) =
-                        search.round_and_repair(&lp.x, RoundMode::Nearest, &mut stats)
-                    {
-                        driver.offer_incumbent(obj, x);
-                    }
-                }
-
-                // Strong branching probes from this node's bounds.
-                node.apply_fixings(&mut lo, &mut hi, root_lo, root_hi);
-                let j = search.select_branch_var(
-                    if opts.warm_start { lp.basis.as_ref() } else { None },
-                    &mut lo,
-                    &mut hi,
-                    lp.objective,
-                    &fracs,
-                    &mut pc,
-                    &mut sb_remaining,
-                    &mut stats,
-                );
-                let frac = lp.x[j].fract();
-                let child_basis = lp.basis.map(Arc::new);
-                for v in [true, false] {
-                    let mut fx = node.fixings.clone();
-                    fx.push((j, v));
-                    frontier.push(Node {
-                        bound: lp.objective,
-                        fixings: fx,
-                        depth: node.depth + 1,
-                        branch: Some((j, v, frac)),
-                        basis: child_basis.clone(),
-                    });
-                }
+            // Strong branching probes from this node's bounds.
+            node.apply_fixings(&mut lo, &mut hi, root_lo, root_hi);
+            let j = search.select_branch_var(
+                if opts.warm_start { lp.basis.as_ref() } else { None },
+                &mut lo,
+                &mut hi,
+                lp.objective,
+                &fracs,
+                &mut pc,
+                &mut sb_remaining,
+                &mut stats,
+            );
+            let frac = lp.x[j].fract();
+            let child_basis = lp.basis.map(Rc::new);
+            for v in [true, false] {
+                let mut fx = node.fixings.clone();
+                fx.push((j, v));
+                frontier.push(Node {
+                    bound: lp.objective,
+                    fixings: fx,
+                    depth: node.depth + 1,
+                    branch: Some((j, v, frac)),
+                    basis: child_basis.clone(),
+                });
             }
         }
 
@@ -1462,15 +1416,7 @@ pub(crate) mod tests {
         let opts =
             SolveOptions { budget: SolveBudget::exact().with_nodes(5), ..Default::default() };
         let r = BranchBound::new().solve(&m, &opts);
-        assert!(r.nodes <= 6);
-        // A wide batch must not overshoot the limit either (the merge loop
-        // re-checks the budget between batch members).
-        let wide = SolveOptions {
-            budget: SolveBudget::exact().with_nodes(5).with_parallelism(8),
-            ..Default::default()
-        };
-        let r = BranchBound::new().solve(&m, &wide);
-        assert!(r.nodes <= 6, "parallel batch overshot the node limit: {}", r.nodes);
+        assert!(r.nodes <= 5, "overshot the node limit: {}", r.nodes);
     }
 
     #[test]
@@ -1510,36 +1456,6 @@ pub(crate) mod tests {
         assert_eq!(first_incumbent_ticks, Some(0), "incumbent must appear at the root");
         let (expect, _) = m.brute_force().unwrap();
         assert!((r.objective - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn parallel_and_serial_prove_the_same_optimum() {
-        let mut rng = SmallRng::seed_from_u64(99);
-        let mut m = Model::new();
-        let mut e = LinExpr::new();
-        for j in 0..14 {
-            let v = m.add_var(format!("v{j}"), -rng.gen_range(4.0..16.0));
-            e.add(v, rng.gen_range(2.0..8.0));
-        }
-        m.add_constraint(e, Sense::Le, 24.0);
-        let serial = BranchBound::new().solve(&m, &SolveOptions::default());
-        assert_eq!(serial.status, MipStatus::Optimal);
-        for k in [2usize, 4] {
-            let opts = SolveOptions {
-                budget: SolveBudget::exact().with_parallelism(k),
-                ..Default::default()
-            };
-            let par = BranchBound::new().solve(&m, &opts);
-            assert_eq!(par.status, MipStatus::Optimal, "k={k}");
-            assert!(
-                (par.objective - serial.objective).abs() < 1e-6,
-                "k={k}: {} vs {}",
-                par.objective,
-                serial.objective
-            );
-            assert!((par.bound - serial.bound).abs() < 1e-6, "k={k}: bounds must agree");
-            assert!(m.feasible(&par.x, 1e-6));
-        }
     }
 
     #[test]
@@ -1589,7 +1505,7 @@ pub(crate) mod tests {
         };
         let (a, ea) = run();
         let (b, eb) = run();
-        assert_eq!(ea, eb, "parallelism = 1 must reproduce the exact event stream");
+        assert_eq!(ea, eb, "a serial solve must reproduce the exact event stream");
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
         assert_eq!(a.bound.to_bits(), b.bound.to_bits());
         assert_eq!(a.nodes, b.nodes);

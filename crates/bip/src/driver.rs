@@ -22,8 +22,7 @@
 //!
 //! The driver is generic over the solution payload `S` (`Vec<f64>` for the
 //! generic BIP, `Vec<bool>` selections for the block-angular form), so future
-//! backends — e.g. parallel node evaluation — plug in without re-deriving the
-//! anytime contract.
+//! backends plug in without re-deriving the anytime contract.
 
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -103,10 +102,8 @@ pub struct SolveBudget {
     pub time_limit: Option<Duration>,
     /// B&B node limit / Lagrangian iteration limit.
     pub node_limit: Option<usize>,
-    /// Frontier nodes the branch-and-bound backend evaluates concurrently
-    /// per search round (OS threads; `1` = serial).  Results merge in
-    /// selection order, so a solve is deterministic for a fixed value.
-    /// The Lagrangian backend is single-threaded and does not read it.
+    /// Ignored: every backend solves on the caller's thread.  The field
+    /// stays only so existing struct literals keep compiling.
     pub parallelism: usize,
 }
 
@@ -136,13 +133,6 @@ impl SolveBudget {
     /// Builder: node/iteration limit.
     pub fn with_nodes(mut self, limit: usize) -> Self {
         self.node_limit = Some(limit);
-        self
-    }
-
-    /// Builder: concurrent frontier nodes per branch-and-bound round
-    /// (clamped to at least 1).
-    pub fn with_parallelism(mut self, k: usize) -> Self {
-        self.parallelism = k.max(1);
         self
     }
 }

@@ -22,8 +22,7 @@
 //!
 //! **The solve is single-threaded**, like the paper's Solver: for a fixed μ
 //! each subgradient iteration takes the per-block minima one after another
-//! and folds them in block order (`SolveBudget::parallelism` is not read
-//! here).  Progress of the block sweep and the coordinating multiplier loop
+//! and folds them in block order.  Progress of the block sweep and the coordinating multiplier loop
 //! streams through [`DecompositionProgress`] on every progress event.
 //!
 //! # The flat layout

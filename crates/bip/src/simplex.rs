@@ -45,8 +45,8 @@
 //!   [`SimplexSolver::solve`], [`SimplexSolver::warm_solve`] and
 //!   [`DualSimplex::resolve`](crate::dual::DualSimplex::resolve) build a
 //!   form per call; branch-and-bound builds one per solve and runs every
-//!   node, probe and dive LP over it, worker threads included, through the
-//!   crate-internal `*_on` twins of those three.
+//!   node, probe and dive LP over it through the crate-internal `*_on`
+//!   twins of those three.
 //! * **Basis snapshots** — an optimal solve captures its [`Basis`] (variable
 //!   states + basic set + phase-1 artificial signs) in the [`LpResult`], so
 //!   branch-and-bound can re-solve a child LP with the
@@ -170,8 +170,7 @@ pub(crate) enum VarState {
 /// three column-block offsets — in the layout the simplex pivots on.  It
 /// depends on the rows alone (not on bounds, a basis or the objective), so
 /// branch-and-bound builds it once per solve and every node, probe and dive
-/// LP borrows it, worker threads included; what differs between those LPs
-/// lives in the [`Tableau`].
+/// LP borrows it; what differs between those LPs lives in the [`Tableau`].
 pub(crate) struct StandardForm<'m> {
     pub(crate) model: &'m Model,
     /// Column `j < n_artificial_start` is `entries[start[j]..start[j + 1]]`

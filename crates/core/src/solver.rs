@@ -60,11 +60,9 @@ pub enum SolverBackend {
 pub struct CoPhyOptions {
     /// The solve budget handed to whichever backend runs: relative gap
     /// (paper default 5%), wall-clock limit (default **60 s**, overridable
-    /// to `None` for unbounded solves), node/iteration limit, and
-    /// `parallelism` — branch-and-bound only: how many frontier nodes it
-    /// evaluates concurrently per round (default 1 = serial, bit-for-bit
-    /// deterministic; see [`SolveBudget::with_parallelism`]).  The
-    /// Lagrangian backend is single-threaded.
+    /// to `None` for unbounded solves) and node/iteration limit.  Both
+    /// backends solve serially on the caller's thread, so a solve is
+    /// deterministic; `parallelism` is ignored.
     pub budget: SolveBudget,
     pub backend: SolverBackend,
     pub cgen: CGen,

@@ -70,7 +70,7 @@ fn workload(schema: &Schema, seed: u64) -> Workload {
 /// Exact gap, so the node cap ends every solve; no wall clock anywhere, so
 /// the digests do not depend on the host.
 fn budget() -> SolveBudget {
-    SolveBudget { time_limit: None, ..SolveBudget::exact().with_nodes(NODES).with_parallelism(1) }
+    SolveBudget { time_limit: None, ..SolveBudget::exact().with_nodes(NODES) }
 }
 
 fn digest(backend: &dyn WhatIfBackend, seed: u64) -> u64 {

@@ -42,7 +42,7 @@ const STATEMENTS: usize = 12;
 const NODES: usize = 60;
 
 fn budget() -> SolveBudget {
-    SolveBudget { time_limit: None, ..SolveBudget::exact().with_nodes(NODES).with_parallelism(1) }
+    SolveBudget { time_limit: None, ..SolveBudget::exact().with_nodes(NODES) }
 }
 
 fn answer(fold: &mut Fold, objective: f64, bound: f64, c: &Configuration) {

@@ -176,7 +176,6 @@ proptest! {
     fn decomposed_solve_matches_monolithic_within_gap_slack(
         seed in 0u64..500,
         n in 4usize..9,
-        workers in 2usize..5,
     ) {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
         let w = mixed_workload(o.schema(), seed, n, 2);
@@ -185,7 +184,7 @@ proptest! {
         let budget = SolveBudget { gap_limit: 1e-6, node_limit: Some(800), ..Default::default() };
 
         let lag_opts = CoPhyOptions {
-            budget: budget.with_parallelism(workers),
+            budget,
             backend: SolverBackend::Lagrangian,
             ..Default::default()
         };

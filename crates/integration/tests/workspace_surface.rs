@@ -163,10 +163,10 @@ fn every_public_crate_is_reachable() {
     assert!(constraints.check_configuration(o.schema(), &rec).is_ok());
 
     // cophy-bench (one experiment table, knobs that fail closed)
-    let knobs = cophy_bench::Knobs::parse(Some("smoke"), Some("4")).unwrap();
+    let knobs = cophy_bench::Knobs::parse(Some("smoke")).unwrap();
     let sizes = knobs.scale.sizes();
     assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2]);
-    assert!(cophy_bench::Knobs::parse(Some("smok"), None).is_err());
+    assert!(cophy_bench::Knobs::parse(Some("smok")).is_err());
     assert_eq!(cophy_bench::select("fig4").map(|e| e[0].name), Some("fig4"));
     assert_eq!(cophy_bench::select("gates").map(<[_]>::len), Some(6));
 
