@@ -147,9 +147,9 @@ pub(crate) fn solver(k: &Knobs) -> Outcome {
 
 /// Run the rich-constraint BIP through two branch-and-bound configurations
 /// under the same default interactive budget (5% gap, 60 s): the PR-2
-/// baseline (cold two-phase node LPs) and warm-started node LPs.  The model is built once from the caller's INUM
-/// cache; each run solves the same BIP, so nodes/pivots/gap compare
-/// configurations, not model noise.
+/// baseline (cold two-phase node LPs) and warm-started node LPs.  The model
+/// is built once from the caller's INUM cache; each run solves the same BIP,
+/// so nodes/pivots/gap compare configurations, not model noise.
 fn config_rows(
     o: &WhatIfOptimizer,
     prepared: &PreparedWorkload,

@@ -257,10 +257,11 @@ impl Node {
 }
 
 /// What every LP and heuristic call of one engine run shares, built once
-/// per solve and only read afterwards.  The standard form depends on the model's rows alone, so the root, every dive
-/// level, every probe and every node reuse it instead of walking the
-/// constraint list again: the LPs pivot on its columns, the repair heuristic
-/// reads off them which rows a variable is in.
+/// per solve and only read afterwards.  The standard form depends on the
+/// model's rows alone, so the root, every dive level, every probe and every
+/// node reuse it instead of walking the constraint list again: the LPs pivot
+/// on its columns, the repair heuristic reads off them which rows a variable
+/// is in.
 struct Search<'a> {
     form: StandardForm<'a>,
     /// [`Repair::penalty`] of the model.
