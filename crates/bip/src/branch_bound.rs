@@ -687,6 +687,7 @@ impl BranchBound {
             p if n > 500 => p.min(1),
             p => p,
         };
+
         let mut status: Option<MipStatus> = None;
         // Subtrees abandoned because their LP stalled on the pivot cap: the
         // global bound must never rise above the cheapest of them, and the
