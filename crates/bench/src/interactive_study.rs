@@ -94,7 +94,7 @@ pub(crate) fn interactive(k: &Knobs) -> Outcome {
             BipGen::default().model(o.schema(), o.cost_model(), &prepared, &cands, &constraints);
         let solve_opts = SolveOptions { budget: opts.budget, ..Default::default() };
         let (r, cold_time) = timed(|| BranchBound::new().solve(&model, &solve_opts));
-        let cold_objective = r.objective + mapping.fixed_cost;
+        let cold_objective = r.objective + mapping.problem.fixed_cost;
         warm_pivots += wp.pivots;
         cold_pivots += r.pivots;
         let slack = 1.0 + wp.gap.max(r.gap) + 1e-9;

@@ -82,6 +82,21 @@ pub struct SlotChoices {
     pub choices: Vec<(u32, f64)>,
 }
 
+impl SlotChoices {
+    /// The cheapest access under `sel`: its cost and the position of its
+    /// choice (`None` for the fallback), or `None` when nothing is
+    /// admissible.  A tie keeps the earlier access, the fallback first.
+    pub fn argmin(&self, sel: &[bool]) -> Option<(f64, Option<usize>)> {
+        let mut best = self.fallback.map(|f| (f, None));
+        for (i, &(item, g)) in self.choices.iter().enumerate() {
+            if sel[item as usize] && best.is_none_or(|(c, _)| g < c) {
+                best = Some((g, Some(i)));
+            }
+        }
+        best
+    }
+}
+
 /// One template alternative of a block: `f_q β_qk` plus its slots.
 #[derive(Debug, Clone, Default)]
 pub struct Alt {
@@ -93,6 +108,26 @@ pub struct Alt {
 #[derive(Debug, Clone, Default)]
 pub struct Block {
     pub alts: Vec<Alt>,
+}
+
+impl Block {
+    /// The cheapest instantiable alternative under `sel`: its position and
+    /// its base plus slot minima, summed in slot order; `None` when no
+    /// alternative instantiates.  A tie keeps the earlier alternative.
+    pub fn argmin(&self, sel: &[bool]) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        'alts: for (k, alt) in self.alts.iter().enumerate() {
+            let mut total = alt.base;
+            for slot in &alt.slots {
+                let Some((c, _)) = slot.argmin(sel) else { continue 'alts };
+                total += c;
+            }
+            if best.is_none_or(|(_, c)| total < c) {
+                best = Some((k, total));
+            }
+        }
+        best
+    }
 }
 
 /// The block-angular problem: `min Σ_b block_cost_b(z) + Σ_a cost_a z_a`
@@ -114,30 +149,7 @@ impl BlockProblem {
     /// is instantiable (cannot happen if every block has an unconstrained
     /// alternative, which INUM guarantees).
     pub fn block_cost(&self, b: usize, sel: &[bool]) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for alt in &self.blocks[b].alts {
-            let mut total = alt.base;
-            let mut ok = true;
-            for slot in &alt.slots {
-                let mut sbest = slot.fallback;
-                for &(item, g) in &slot.choices {
-                    if sel[item as usize] && sbest.is_none_or(|c| g < c) {
-                        sbest = Some(g);
-                    }
-                }
-                match sbest {
-                    Some(c) => total += c,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok && best.is_none_or(|c| total < c) {
-                best = Some(total);
-            }
-        }
-        best
+        self.blocks[b].argmin(sel).map(|(_, cost)| cost)
     }
 
     /// Total objective under `sel` (block costs + item costs); `None` if some

@@ -1,38 +1,46 @@
 //! BIPGen: Theorem 1 made executable.
 //!
-//! From a prepared workload (INUM templates) and a candidate set, BIPGen
-//! produces the compact BIP in two isomorphic representations:
+//! **One walk, two layouts.**  One walk over INUM's (statement, template,
+//! slot, candidate) produces the compact BIP in block-angular form, a
+//! [`TuningProblem`]: a [`Block`] per statement, an [`Alt`] per template,
+//! [`SlotChoices`] per slot, costs weighted by `f_q`.
+//! [`BipGen::block_problem`] returns it to the Lagrangian backend;
+//! [`BipGen::model`] lays the literal Theorem-1 program over `y_qk`,
+//! `x_qkia`, `z_a` out from it for branch-and-bound and keeps it in the
+//! [`BipMapping`].
 //!
-//! * [`BipGen::model`] — the *literal* Theorem-1 program over variables
-//!   `y_qk`, `x_qkia`, `z_a` for the generic branch-and-bound backend (and
-//!   for the equivalence tests against exhaustive search);
-//! * [`BipGen::block_problem`] — the same program in block-angular form for
-//!   the Lagrangian backend, which scales to the paper's large instances.
+//! **The layout**, which [`BipMapping::completion`] walks the block form
+//! against: the `z` columns in candidate order; then per block its `y`
+//! columns, one per alternative, and per alternative and slot the heap column
+//! (when the slot has a fallback) and one column per choice.  Each column's
+//! objective is its block-form cost.  Rows: per block `Σ y = 1`, then per
+//! slot an `x ≤ z` row per choice and `Σ x = y`; then the constraint set's
+//! `z`-only rows; then the query-cost rows (E.2).
 //!
-//! Variable pruning: a slot's `x` variable is dropped when its `γ` is
-//! dominated by the slot's `I∅` cost (`γ ≥ γ_I∅` with the heap admissible) —
-//! replacing such an access by the heap scan never hurts, so the solution
-//! space is unchanged while the program shrinks drastically.  The knob
-//! `prune_dominated` exists for the ablation bench.
+//! Variable pruning: a slot's `x` is dropped when its `γ` is dominated by the
+//! slot's `I∅` cost (`γ ≥ γ_I∅`, heap admissible) — the heap scan never does
+//! worse, so the solution space is unchanged while the program shrinks
+//! drastically.  `prune_dominated` exists for the ablation bench.
 //!
 //! **One `γ` per (statement, table, candidate).**  `γ_qkia` depends on the
-//! template `k` only through the slot's order requirement
-//! ([`Slot::admits`]); the cost itself is a function of the statement, the
-//! table and the index.  Both builders therefore bucket the candidates by
-//! table once per build, price every candidate on a table a statement reads
-//! once against that table's [`TableFacts`] (`StatementGammas`), and let
-//! each template slot filter the priced list by its order requirement and
-//! the domination rule — in candidate-id order, so the emitted program is
-//! the one a (template, slot, candidate) triple loop would emit.
+//! template only through the slot's order requirement ([`Slot::admits`]).
+//! The walk prices every candidate on a table a statement reads once against
+//! that table's [`TableFacts`] (`StatementGammas`), and each slot filters the
+//! priced list by its order requirement and the domination rule in
+//! candidate-id order — the program a (template, slot, candidate) triple loop
+//! would emit.
+
+use std::ops::Range;
 
 use cophy_bip::{Alt, Block, BlockProblem, ConstrId, LinExpr, Model, Sense, SlotChoices, VarId};
 use cophy_catalog::{Configuration, Index, Schema};
 use cophy_inum::{PreparedQuery, PreparedWorkload, Slot};
 use cophy_optimizer::access::TableFacts;
 use cophy_optimizer::CostModel;
+use cophy_workload::QueryId;
 
 use crate::cgen::CandidateSet;
-use crate::constraints::{add_z_row, ConstraintSet};
+use crate::constraints::{add_z_row, Constraint, ConstraintSet};
 
 /// BIP generator options.
 #[derive(Debug, Clone)]
@@ -47,47 +55,18 @@ impl Default for BipGen {
     }
 }
 
-/// One slot's variables: the heap fallback (if admissible) and the surviving
-/// candidate accesses, each with its `γ` cost.
-#[derive(Debug, Clone)]
-pub struct SlotVars {
-    pub heap: Option<(VarId, f64)>,
-    /// `(candidate position, x variable, γ)`.
-    pub choices: Vec<(u32, VarId, f64)>,
-}
-
-/// One template alternative's variables.
-#[derive(Debug, Clone)]
-pub struct TemplateVars {
-    pub y: VarId,
-    /// `f_q β_qk` (weighted internal cost).
-    pub base: f64,
-    pub slots: Vec<SlotVars>,
-}
-
-/// Per-query variable layout (position-aligned with the prepared workload).
-#[derive(Debug, Clone, Default)]
-pub struct QueryVars {
-    pub templates: Vec<TemplateVars>,
-}
-
 /// Mapping from model variables back to the tuning domain.
 #[derive(Debug, Clone)]
 pub struct BipMapping {
     /// `z_a` variable per candidate (position-aligned with the candidate set).
     pub z: Vec<VarId>,
-    /// Per-query template/slot variable layout (Theorem 1's structure).
-    pub queries: Vec<QueryVars>,
-    /// Total `y` variables (one per query-template).
-    pub n_y: usize,
-    /// Total `x` variables after pruning.
-    pub n_x: usize,
     /// The model row carrying the storage budget, if the constraint set has
     /// one — the interactive session's `DeltaModel::set_rhs` handle for
     /// warm-chained budget sweeps.
     pub storage_row: Option<ConstrId>,
-    /// `Σ_q f_q c_q`: the fixed update-base cost outside the model.
-    pub fixed_cost: f64,
+    /// The block form the model was laid out from, its knapsack row the
+    /// constraint set's storage budget at layout time.
+    pub problem: TuningProblem,
 }
 
 impl BipMapping {
@@ -103,8 +82,8 @@ impl BipMapping {
     }
 
     /// Best integral completion of a candidate selection: set `z` from
-    /// `selected`, then per query pick the cheapest instantiable template
-    /// and per-slot access.  Used to seed the generic backend with the
+    /// `selected`, then per block the alternative and per slot the access
+    /// [`Block::argmin`] picks.  Used to seed the generic backend with the
     /// Lagrangian backend's storage-only solution (the completion satisfies
     /// all Theorem-1 rows by construction; any extra constraint rows are
     /// repaired by the solver's rounding heuristic).
@@ -115,43 +94,23 @@ impl BipMapping {
                 x[v.0 as usize] = 1.0;
             }
         }
-        for q in &self.queries {
-            // Cheapest template under the selection.
-            let mut best: Option<(f64, usize)> = None;
-            for (k, t) in q.templates.iter().enumerate() {
-                let mut total = t.base;
-                let mut ok = true;
-                for s in &t.slots {
-                    let mut sbest = s.heap.map(|(_, h)| h);
-                    for &(cand, _, g) in &s.choices {
-                        if selected[cand as usize] && sbest.is_none_or(|c| g < c) {
-                            sbest = Some(g);
-                        }
-                    }
-                    match sbest {
-                        Some(c) => total += c,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok && best.is_none_or(|(c, _)| total < c) {
-                    best = Some((total, k));
-                }
+        // The columns after the `z`s, in the module header's layout.
+        let mut col = self.z.len();
+        for block in &self.problem.block.blocks {
+            let best = block.argmin(selected).map(|(k, _)| k);
+            if let Some(k) = best {
+                x[col + k] = 1.0;
             }
-            let Some((_, k)) = best else { continue };
-            let t = &q.templates[k];
-            x[t.y.0 as usize] = 1.0;
-            for s in &t.slots {
-                let mut sbest: Option<(f64, VarId)> = s.heap.map(|(v, h)| (h, v));
-                for &(cand, v, g) in &s.choices {
-                    if selected[cand as usize] && sbest.as_ref().is_none_or(|(c, _)| g < *c) {
-                        sbest = Some((g, v));
+            col += block.alts.len();
+            for (k, alt) in block.alts.iter().enumerate() {
+                for slot in &alt.slots {
+                    let heap = usize::from(slot.fallback.is_some());
+                    if best == Some(k) {
+                        if let Some((_, choice)) = slot.argmin(selected) {
+                            x[col + choice.map_or(0, |i| heap + i)] = 1.0;
+                        }
                     }
-                }
-                if let Some((_, v)) = sbest {
-                    x[v.0 as usize] = 1.0;
+                    col += heap + slot.choices.len();
                 }
             }
         }
@@ -159,8 +118,9 @@ impl BipMapping {
     }
 }
 
-/// A fully generated tuning problem (both solver forms plus bookkeeping).
-#[derive(Debug)]
+/// A tuning problem in block-angular form, plus the update-base cost that
+/// lies outside it.
+#[derive(Debug, Clone)]
 pub struct TuningProblem {
     pub block: BlockProblem,
     /// `Σ_q f_q c_q`: the fixed update-base cost excluded from optimization.
@@ -244,20 +204,16 @@ impl<'a> StatementGammas<'a> {
 }
 
 impl BipGen {
-    /// Build the block-angular form (Lagrangian backend).
-    ///
-    /// Costs are pre-weighted by `f_q`; the storage budget (if any) becomes
-    /// the knapsack row.  Richer constraints are not representable here —
-    /// the Solver routes such instances to the generic backend.
-    pub fn block_problem(
+    /// The one walk from INUM to the Theorem-1 program: costs pre-weighted
+    /// by `f_q`, `budget` the knapsack row.
+    fn walk(
         &self,
         schema: &Schema,
         cm: &CostModel,
         prepared: &PreparedWorkload,
         candidates: &CandidateSet,
-        constraints: &ConstraintSet,
+        budget: Option<f64>,
     ) -> TuningProblem {
-        debug_assert!(constraints.is_storage_only(), "block form supports storage only");
         let n = candidates.len();
         let by_table = candidates_by_table(schema, candidates);
         let item_cost = maintenance_costs(schema, cm, prepared, &by_table, n);
@@ -285,18 +241,29 @@ impl BipGen {
         }
 
         TuningProblem {
-            block: BlockProblem {
-                n_items: n,
-                item_cost,
-                item_size,
-                budget: constraints.storage_budget().map(|b| b as f64),
-                blocks,
-            },
+            block: BlockProblem { n_items: n, item_cost, item_size, budget, blocks },
             fixed_cost,
         }
     }
 
-    /// Build the literal Theorem-1 model (generic backend).
+    /// Build the block-angular form (Lagrangian backend): the storage budget
+    /// (if any) becomes the knapsack row.  Richer constraints are not
+    /// representable here — the Solver routes them to the generic backend.
+    pub fn block_problem(
+        &self,
+        schema: &Schema,
+        cm: &CostModel,
+        prepared: &PreparedWorkload,
+        candidates: &CandidateSet,
+        constraints: &ConstraintSet,
+    ) -> TuningProblem {
+        debug_assert!(constraints.is_storage_only(), "block form supports storage only");
+        let budget = constraints.storage_budget().map(|b| b as f64);
+        self.walk(schema, cm, prepared, candidates, budget)
+    }
+
+    /// Build the literal Theorem-1 model (generic backend), laid out from
+    /// the block form as the module header describes.
     pub fn model(
         &self,
         schema: &Schema,
@@ -305,112 +272,76 @@ impl BipGen {
         candidates: &CandidateSet,
         constraints: &ConstraintSet,
     ) -> (Model, BipMapping) {
+        let budget = constraints.storage_budget().map(|b| b as f64);
+        let problem = self.walk(schema, cm, prepared, candidates, budget);
+        let p = &problem.block;
         let mut m = Model::new();
-        // z_a variables with their update-cost objective coefficients.
-        let by_table = candidates_by_table(schema, candidates);
-        let z_obj = maintenance_costs(schema, cm, prepared, &by_table, candidates.len());
         let z: Vec<VarId> = candidates
             .iter()
-            .map(|(id, ix)| m.add_var(format!("z_{}", ix.describe(schema)), z_obj[id.0 as usize]))
+            .map(|(id, ix)| {
+                m.add_var(format!("z_{}", ix.describe(schema)), p.item_cost[id.0 as usize])
+            })
             .collect();
 
-        let mut n_y = 0usize;
-        let mut n_x = 0usize;
-        // Per-query cost expressions (unweighted), for query-cost constraints.
-        let mut cost_exprs: Vec<LinExpr> = Vec::with_capacity(prepared.queries.len());
-        let mut queries: Vec<QueryVars> = Vec::with_capacity(prepared.queries.len());
-
-        for (qi, pq) in prepared.queries.iter().enumerate() {
-            let mut yq = Vec::with_capacity(pq.templates.len());
-            let mut cost_expr = LinExpr::new();
-            for (k, tpl) in pq.templates.iter().enumerate() {
-                let y = m.add_var(format!("y_q{qi}_k{k}"), pq.weight * tpl.internal_cost);
-                cost_expr.add(y, tpl.internal_cost);
-                yq.push(y);
-                n_y += 1;
-            }
-            // Σ_k y_qk = 1
+        // The statements a query-cost bound names, with their blocks' columns.
+        let bounds = constraints.query_cost_bounds();
+        let names =
+            |pq: &PreparedQuery, target: Option<QueryId>| target.is_none_or(|t| t == pq.qid);
+        let mut named: Vec<(&PreparedQuery, Range<usize>)> = Vec::new();
+        for (qi, (pq, block)) in prepared.queries.iter().zip(&p.blocks).enumerate() {
+            let first = m.n_vars();
             let mut ysum = LinExpr::new();
-            for &y in &yq {
-                ysum.add(y, 1.0);
+            for (k, alt) in block.alts.iter().enumerate() {
+                ysum.add(m.add_var(format!("y_q{qi}_k{k}"), alt.base), 1.0);
             }
             m.add_constraint(ysum, Sense::Eq, 1.0);
-
-            let gammas = StatementGammas::new(schema, cm, pq, &by_table);
-            let mut qvars = QueryVars::default();
-            for (k, tpl) in pq.templates.iter().enumerate() {
-                let mut tvars = TemplateVars {
-                    y: yq[k],
-                    base: pq.weight * tpl.internal_cost,
-                    slots: Vec::with_capacity(tpl.slots.len()),
-                };
-                for (s, slot) in tpl.slots.iter().enumerate() {
-                    let choices = gammas.slot_choices(slot, self.prune_dominated);
-                    let mut svars = SlotVars { heap: None, choices: Vec::new() };
+            for (k, alt) in block.alts.iter().enumerate() {
+                for (s, slot) in alt.slots.iter().enumerate() {
                     let mut xsum = LinExpr::new();
-                    if let Some(h) = slot.heap_cost {
-                        let xh = m.add_var(format!("x_q{qi}_k{k}_s{s}_heap"), pq.weight * h);
-                        cost_expr.add(xh, h);
-                        xsum.add(xh, 1.0);
-                        svars.heap = Some((xh, pq.weight * h));
-                        n_x += 1;
+                    if let Some(h) = slot.fallback {
+                        xsum.add(m.add_var(format!("x_q{qi}_k{k}_s{s}_heap"), h), 1.0);
                     }
-                    for (a, g) in choices {
-                        let xv = m.add_var(format!("x_q{qi}_k{k}_s{s}_a{a}"), pq.weight * g);
-                        cost_expr.add(xv, g);
+                    for &(a, g) in &slot.choices {
+                        let xv = m.add_var(format!("x_q{qi}_k{k}_s{s}_a{a}"), g);
                         xsum.add(xv, 1.0);
-                        svars.choices.push((a, xv, pq.weight * g));
-                        n_x += 1;
                         // x ≤ z   (z_a ≥ x_qkia)
-                        m.add_constraint(
-                            LinExpr::new().term(xv, 1.0).term(z[a as usize], -1.0),
-                            Sense::Le,
-                            0.0,
-                        );
+                        let row = LinExpr::new().term(xv, 1.0).term(z[a as usize], -1.0);
+                        m.add_constraint(row, Sense::Le, 0.0);
                     }
                     // Σ_a x_qkia = y_qk
-                    xsum.add(yq[k], -1.0);
+                    xsum.add(VarId((first + k) as u32), -1.0);
                     m.add_constraint(xsum, Sense::Eq, 0.0);
-                    tvars.slots.push(svars);
                 }
-                qvars.templates.push(tvars);
             }
-            queries.push(qvars);
-            cost_exprs.push(cost_expr);
+            if bounds.iter().any(|&(target, _)| names(pq, target)) {
+                named.push((pq, first..m.n_vars()));
+            }
         }
 
         // z-only constraint rows, constraint by constraint so the storage
         // row's id can be recorded for interactive RHS sweeps.
         let mut storage_row = None;
         for c in &constraints.hard {
-            let is_storage = matches!(c, crate::constraints::Constraint::Storage { .. });
             for row in c.z_rows(schema, candidates) {
                 let cid = add_z_row(&mut m, &z, &row);
-                if is_storage && storage_row.is_none() {
+                if matches!(c, Constraint::Storage { .. }) && storage_row.is_none() {
                     storage_row = Some(cid);
                 }
             }
         }
 
-        // Query-cost constraints (E.2): cost(q, X) ≤ factor · cost(q, X0).
-        let bounds = constraints.query_cost_bounds();
-        if !bounds.is_empty() {
-            let x0 = Configuration::baseline(schema);
-            for (target, factor) in bounds {
-                for (qi, pq) in prepared.queries.iter().enumerate() {
-                    if let Some(t) = target {
-                        if t != pq.qid {
-                            continue;
-                        }
-                    }
-                    let baseline = pq.cost(schema, cm, &x0);
-                    m.add_constraint(cost_exprs[qi].clone(), Sense::Le, factor * baseline);
-                }
+        // Query-cost constraints (E.2): cost(q, X) ≤ factor · cost(q, X0),
+        // scaled by f_q — the block's columns at their objective costs.
+        let x0 = Configuration::baseline(schema);
+        for &(target, factor) in &bounds {
+            for (pq, cols) in named.iter().filter(|(pq, _)| names(pq, target)) {
+                let terms = cols.clone().map(|j| (VarId(j as u32), m.objective()[j])).collect();
+                let rhs = pq.weight * factor * pq.cost(schema, cm, &x0);
+                m.add_constraint(LinExpr { terms }, Sense::Le, rhs);
             }
         }
 
-        let fixed_cost = prepared.queries.iter().map(|pq| pq.weight * pq.fixed_update_cost).sum();
-        (m, BipMapping { z, queries, n_y, n_x, storage_row, fixed_cost })
+        (m, BipMapping { z, storage_row, problem })
     }
 }
 
@@ -556,11 +487,10 @@ mod tests {
 
         let pruned = BipGen { prune_dominated: true };
         let full = BipGen { prune_dominated: false };
-        let (mp, map_p) =
+        let (mp, _) =
             pruned.model(o.schema(), o.cost_model(), &prepared, &candidates, &constraints);
-        let (mf, map_f) =
-            full.model(o.schema(), o.cost_model(), &prepared, &candidates, &constraints);
-        assert!(map_p.n_x <= map_f.n_x);
+        let (mf, _) = full.model(o.schema(), o.cost_model(), &prepared, &candidates, &constraints);
+        assert!(mp.n_vars() <= mf.n_vars());
         let rp = BranchBound::new().solve(&mp, &SolveOptions::default());
         let rf = BranchBound::new().solve(&mf, &SolveOptions::default());
         assert!(

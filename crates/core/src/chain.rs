@@ -17,7 +17,7 @@ use cophy_inum::{InumCache, PreparedWorkload};
 
 use crate::bipgen::BipMapping;
 use crate::cgen::CandidateSet;
-use crate::constraints::{Constraint, ConstraintSet};
+use crate::constraints::ConstraintSet;
 use crate::error::CoPhyError;
 use crate::solver::{CoPhy, SolverBackend};
 
@@ -115,7 +115,7 @@ impl CoPhy<'_> {
                 let mut exact = self.exact_state(prepared, candidates, constraints);
                 let build_time = tb.elapsed();
                 let started = Instant::now();
-                let seed = self.storage_projection_seed(prepared, candidates, constraints, &exact);
+                let seed = self.storage_projection_seed(&exact);
                 held.known_bound = seed.as_ref().and_then(|(_, b)| b.is_finite().then_some(*b));
                 let seed_x = seed.as_ref().map(|(x, _)| x.as_slice());
                 let solved = self.exact(&mut exact, candidates, held, seed_x, started, on_progress);
@@ -192,33 +192,24 @@ impl CoPhy<'_> {
         }
     }
 
-    /// The seed stage: relax the storage-only projection of `constraints` on
-    /// a small budget and complete its selection through `exact`'s layout (the
-    /// exact stage repairs it for the rich rows).  The projection's dual bound
-    /// bounds the rich problem too, keeping its gap finite.
-    fn storage_projection_seed(
-        &self,
-        prepared: &impl ReadPrepared,
-        candidates: &CandidateSet,
-        constraints: &ConstraintSet,
-        exact: &Exact,
-    ) -> Option<(Vec<f64>, f64)> {
-        if candidates.is_empty() {
+    /// The seed stage: relax `exact`'s block form — the storage-only
+    /// projection of the constraint set, its knapsack row the tune's storage
+    /// budget — on a small budget and complete its selection through
+    /// `exact`'s layout (the exact stage repairs it for the rich rows).  The
+    /// projection's dual bound bounds the rich problem too, keeping its gap
+    /// finite.
+    fn storage_projection_seed(&self, exact: &Exact) -> Option<(Vec<f64>, f64)> {
+        if exact.mapping.z.is_empty() {
             return None;
         }
-        let storage =
-            constraints.storage_budget().map(|budget_bytes| Constraint::Storage { budget_bytes });
-        let projection = ConstraintSet { hard: storage.into_iter().collect() };
-        let (schema, cm) = (self.optimizer().schema(), self.optimizer().cost_model());
-        let tp = prepared
-            .read(|pw| self.options.bipgen.block_problem(schema, cm, pw, candidates, &projection));
         let budget = SolveBudget {
             gap_limit: 0.05,
             time_limit: self.options.budget.time_limit.map(|t| t / 10),
             node_limit: Some(200),
             ..Default::default()
         };
-        let r = LagrangianSolver { budget, ..Default::default() }.solve(&tp.block);
+        let r =
+            LagrangianSolver { budget, ..Default::default() }.solve(&exact.mapping.problem.block);
         Some((exact.mapping.completion(&r.selected, exact.dm.model().n_vars()), r.bound))
     }
 
@@ -258,7 +249,7 @@ impl CoPhy<'_> {
             configuration: exact.mapping.extract_configuration(&r.x, candidates),
             objective: r.objective,
             bound: r.bound,
-            offset: exact.mapping.fixed_cost,
+            offset: exact.mapping.problem.fixed_cost,
             gap: r.gap,
             trace: r.trace,
             solve_time: started.elapsed(),

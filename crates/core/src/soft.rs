@@ -78,7 +78,8 @@ impl ChordExplorer {
         let cm = cophy.optimizer().cost_model();
         // Build the unbudgeted BIP once; every λ is an objective re-weight
         // of the same model, warm-chained through one DeltaModel.
-        let mut exact = frontier_model(cophy, prepared, candidates);
+        let none = ConstraintSet::none();
+        let mut exact = cophy.exact_state(prepared, candidates, &none);
         // Normalize storage into cost units so λ spans a meaningful range:
         // one "cost unit" per (data_bytes / baseline_cost) bytes.
         let baseline = prepared.cost(schema, cm, &Configuration::empty());
@@ -92,7 +93,6 @@ impl ChordExplorer {
             sizes[v.0 as usize] = ix.size_bytes(schema) as f64;
         }
 
-        let none = ConstraintSet::none();
         let mut solves = 0usize;
         let solve_at = |lambda: f64, exact: &mut Exact, solves: &mut usize| {
             *solves += 1;
@@ -174,15 +174,6 @@ impl ChordExplorer {
         points.sort_by(|x, y| x.lambda.total_cmp(&y.lambda));
         points
     }
-}
-
-/// The explorer's model: the unbudgeted Theorem-1 BIP.
-fn frontier_model(
-    cophy: &CoPhy<'_>,
-    prepared: &PreparedWorkload,
-    candidates: &CandidateSet,
-) -> Exact {
-    cophy.exact_state(prepared, candidates, &ConstraintSet::none())
 }
 
 /// Euclidean distance of point `p` from the line through `a`, `b`.
@@ -275,7 +266,8 @@ mod tests {
         let n_vars = |prune_dominated| {
             let bipgen = crate::BipGen { prune_dominated };
             let cophy = CoPhy::new(&o, CoPhyOptions { bipgen, ..Default::default() });
-            frontier_model(&cophy, &prepared, &candidates).dm.model().n_vars()
+            let exact = cophy.exact_state(&prepared, &candidates, &ConstraintSet::none());
+            exact.dm.model().n_vars()
         };
         assert!(n_vars(false) > n_vars(true), "{} vs {}", n_vars(false), n_vars(true));
     }

@@ -86,7 +86,7 @@ fn digest(
     let mut fold = Fold::default();
     fold_model(&mut fold, &model);
     fold.u64(mapping.storage_row.map_or(u64::MAX, |r| u64::from(r.0)));
-    fold.f64(mapping.fixed_cost);
+    fold.f64(mapping.problem.fixed_cost);
 
     // The seed of a rich tune: the storage-only projection relaxed on the
     // seed budget (no wall clock, so nothing depends on the host).
