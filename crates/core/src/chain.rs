@@ -14,6 +14,7 @@ use cophy_bip::{
 };
 use cophy_catalog::Configuration;
 use cophy_inum::{InumCache, PreparedWorkload};
+use cophy_workload::QueryId;
 
 use crate::bipgen::BipMapping;
 use crate::cgen::CandidateSet;
@@ -87,6 +88,24 @@ pub(crate) fn block_form(constraints: &ConstraintSet) -> Result<(), CoPhyError> 
     constraints.is_storage_only().then_some(()).ok_or_else(|| CoPhyError::Invalid(why.into()))
 }
 
+/// Every statement a query-cost bound names is prepared: BIPGen matches the
+/// id against `PreparedQuery::qid`, and an id no statement carries would add
+/// no row, leaving the tune unconstrained.
+fn bounds_name_prepared(
+    prepared: &impl ReadPrepared,
+    constraints: &ConstraintSet,
+) -> Result<(), CoPhyError> {
+    let carried = |q: QueryId| prepared.read(|pw| pw.queries.iter().any(|pq| pq.qid == q));
+    let mut targets = constraints.query_cost_bounds().into_iter().filter_map(|(target, _)| target);
+    match targets.find(|&q| !carried(q)) {
+        None => Ok(()),
+        Some(q) => Err(CoPhyError::Invalid(format!(
+            "a query-cost bound names statement {}, which no prepared statement carries",
+            q.0
+        ))),
+    }
+}
+
 impl CoPhy<'_> {
     /// Run the stages `held` selects, streaming every improvement.  An exact
     /// solve without an integral point is [`CoPhyError::Infeasible`], one
@@ -104,6 +123,7 @@ impl CoPhy<'_> {
         }
         if held.warm.is_none() {
             // A tune: Figure 3's line 1, then the route.
+            bounds_name_prepared(prepared, constraints)?;
             self.check_feasibility(candidates, constraints)?;
             let relax = match self.options.backend {
                 SolverBackend::BranchBound => false,

@@ -114,7 +114,10 @@ pub enum Constraint {
     IndexSize { filter: IndexFilter, cmp: Cmp, value: u64 },
     /// Unrolled generator (E.3): at most one clustered index per table.
     OneClusteredPerTable,
-    /// E.2: `cost(q, X) ≤ factor · baseline_cost(q)` for one query.
+    /// E.2: `cost(q, X) ≤ factor · baseline_cost(q)` for the prepared
+    /// statement whose id is `query` (its position in the workload).  A tune
+    /// refuses an id no prepared statement carries, and refuses the bound
+    /// outright under compression, which renumbers the statements.
     QueryCost { query: QueryId, factor: f64 },
     /// Unrolled generator over all queries: every query within `factor` of
     /// its baseline cost.

@@ -39,7 +39,7 @@ use cophy_workload::{Workload, WorkloadSource, DEFAULT_CHUNK};
 use crate::bipgen::BipGen;
 use crate::cgen::{CGen, CandidateSet};
 use crate::chain::{Held, ReadPrepared, Solved};
-use crate::constraints::{add_z_row, ConstraintSet};
+use crate::constraints::{add_z_row, Constraint, ConstraintSet};
 use crate::error::CoPhyError;
 use crate::ingest::Ingest;
 use crate::session::TuningSession;
@@ -309,6 +309,11 @@ impl<'o> CoPhy<'o> {
         candidates: Option<CandidateSet>,
         constraints: &ConstraintSet,
     ) -> Result<Recommendation, CoPhyError> {
+        let by_id = |c: &Constraint| matches!(c, Constraint::QueryCost { .. });
+        if !self.options.compression.is_off() && constraints.hard.iter().any(by_id) {
+            let why = "a query-cost bound names a statement by id, which compression renumbers";
+            return Err(CoPhyError::Invalid(why.into()));
+        }
         let mut ingest = Ingest::open(self, candidates)?;
         ingest.add_source(self, source, DEFAULT_CHUNK)?;
         let (spent, calls) = (ingest.inum_time, ingest.what_if_calls);

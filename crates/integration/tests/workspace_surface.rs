@@ -209,7 +209,7 @@ fn the_solver_stack_has_no_engine_selector() {
 /// caller that carries errors as text still propagates it with `?`.
 #[test]
 fn every_door_fails_with_the_one_error_type() {
-    use cophy::{Cmp, CoPhyError, Constraint, IndexFilter};
+    use cophy::{Cmp, CoPhyError, CompressionPolicy, Constraint, IndexFilter};
 
     fn tune_as_text(
         cophy: &CoPhy<'_>,
@@ -235,4 +235,17 @@ fn every_door_fails_with_the_one_error_type() {
         Err(CoPhyError::Invalid(_))
     ));
     assert_eq!(tune_as_text(&cophy, &w, &contradictory), Err(batch.to_string()));
+
+    // A query-cost bound names a statement by id: an id no statement
+    // carries, or any id once compression renumbers the statements, is
+    // refused rather than dropped or retargeted.
+    let bound = |id| {
+        let storage = ConstraintSet::storage_fraction(o.schema(), 0.5);
+        storage.with(Constraint::QueryCost { query: cophy_workload::QueryId(id), factor: 2.0 })
+    };
+    assert!(matches!(cophy.try_tune(&w, &bound(99)), Err(CoPhyError::Invalid(_))));
+    let options =
+        CoPhyOptions { compression: CompressionPolicy::default_epsilon(), ..Default::default() };
+    let compressed = CoPhy::new(&o, options);
+    assert!(matches!(compressed.try_tune(&w, &bound(0)), Err(CoPhyError::Invalid(_))));
 }
