@@ -30,14 +30,11 @@
 //! candidate-id order — the program a (template, slot, candidate) triple loop
 //! would emit.
 
-use std::ops::Range;
-
 use cophy_bip::{Alt, Block, BlockProblem, ConstrId, LinExpr, Model, Sense, SlotChoices, VarId};
 use cophy_catalog::{Configuration, Index, Schema};
 use cophy_inum::{PreparedQuery, PreparedWorkload, Slot};
 use cophy_optimizer::access::TableFacts;
 use cophy_optimizer::CostModel;
-use cophy_workload::QueryId;
 
 use crate::cgen::CandidateSet;
 use crate::constraints::{add_z_row, Constraint, ConstraintSet};
@@ -283,13 +280,11 @@ impl BipGen {
             })
             .collect();
 
-        // The statements a query-cost bound names, with their blocks' columns.
-        let bounds = constraints.query_cost_bounds();
-        let names =
-            |pq: &PreparedQuery, target: Option<QueryId>| target.is_none_or(|t| t == pq.qid);
-        let mut named: Vec<(&PreparedQuery, Range<usize>)> = Vec::new();
-        for (qi, (pq, block)) in prepared.queries.iter().zip(&p.blocks).enumerate() {
+        // Where each block's columns start, plus the end of the last.
+        let mut starts = Vec::with_capacity(p.blocks.len() + 1);
+        for (qi, block) in p.blocks.iter().enumerate() {
             let first = m.n_vars();
+            starts.push(first);
             let mut ysum = LinExpr::new();
             for (k, alt) in block.alts.iter().enumerate() {
                 ysum.add(m.add_var(format!("y_q{qi}_k{k}"), alt.base), 1.0);
@@ -313,10 +308,8 @@ impl BipGen {
                     m.add_constraint(xsum, Sense::Eq, 0.0);
                 }
             }
-            if bounds.iter().any(|&(target, _)| names(pq, target)) {
-                named.push((pq, first..m.n_vars()));
-            }
         }
+        starts.push(m.n_vars());
 
         // z-only constraint rows, constraint by constraint so the storage
         // row's id can be recorded for interactive RHS sweeps.
@@ -333,9 +326,11 @@ impl BipGen {
         // Query-cost constraints (E.2): cost(q, X) ≤ factor · cost(q, X0),
         // scaled by f_q — the block's columns at their objective costs.
         let x0 = Configuration::baseline(schema);
-        for &(target, factor) in &bounds {
-            for (pq, cols) in named.iter().filter(|(pq, _)| names(pq, target)) {
-                let terms = cols.clone().map(|j| (VarId(j as u32), m.objective()[j])).collect();
+        for (target, factor) in constraints.query_cost_bounds() {
+            let named = prepared.queries.iter().enumerate();
+            for (qi, pq) in named.filter(|(_, pq)| target.is_none_or(|t| t == pq.qid)) {
+                let cols = starts[qi]..starts[qi + 1];
+                let terms = cols.map(|j| (VarId(j as u32), m.objective()[j])).collect();
                 let rhs = pq.weight * factor * pq.cost(schema, cm, &x0);
                 m.add_constraint(LinExpr { terms }, Sense::Le, rhs);
             }

@@ -11,8 +11,8 @@
 //!   its sense and its rhs bits, in row order;
 //! * the storage row's id and the fixed update-base cost;
 //! * `BipMapping::completion` of two selections: the one the Lagrangian solve
-//!   of the storage-only projection returns (what a rich tune seeds
-//!   branch-and-bound with) and every other candidate.
+//!   of the mapping's block form returns (the storage-only projection a rich
+//!   tune relaxes to seed branch-and-bound) and every other candidate.
 //!
 //! Inputs: 24 statements of `HomGen`, of `HetGen`, and of `HetGen` with half
 //! of them turned into UPDATEs, each under storage 0.5 × data alone and under
@@ -88,13 +88,11 @@ fn digest(
     fold.u64(mapping.storage_row.map_or(u64::MAX, |r| u64::from(r.0)));
     fold.f64(mapping.problem.fixed_cost);
 
-    // The seed of a rich tune: the storage-only projection relaxed on the
-    // seed budget (no wall clock, so nothing depends on the host).
-    let storage = ConstraintSet::none()
-        .with(Constraint::Storage { budget_bytes: constraints.storage_budget().expect("budget") });
-    let tp = bipgen.block_problem(schema, cm, prepared, candidates, &storage);
+    // The seed of a rich tune: the mapping's block form (the storage-only
+    // projection) relaxed on the seed budget, with no wall clock so nothing
+    // depends on the host.
     let seed = LagrangianSolver { budget: SolveBudget::within(0.05).with_nodes(200), cancel: None }
-        .solve(&tp.block);
+        .solve(&mapping.problem.block);
     let every_other: Vec<bool> = (0..candidates.len()).map(|a| a % 2 == 0).collect();
     for selected in [&seed.selected, &every_other] {
         let x = mapping.completion(selected, model.n_vars());

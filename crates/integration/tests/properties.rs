@@ -250,88 +250,94 @@ proptest! {
     /// index tuning problem under the INUM cost function — under a storage
     /// budget alone, and with query-cost rows (E.2) over every statement or
     /// over one.  HomGen emits SELECTs only, whose INUM cost is the row's
-    /// read cost.  A factor bounds a cost ratio to the baseline configuration;
-    /// it sits at `t` of the way from the least ratio any storage-feasible
-    /// subset reaches to the ratio at the storage-only optimum (a span of at
-    /// least 1 %, so no factor lands on a ratio), and the rows range from
-    /// infeasible through binding to slack.
+    /// read cost.  Two budgets: 0.2 × data, the storage-only case this test
+    /// has always checked, and 0.08 × data, tight enough for a query-cost
+    /// row to bind (at 0.2 the storage-only optimum is, in practice, every
+    /// statement's cheapest feasible plan, so a row is slack or infeasible).
+    /// A factor bounds a cost ratio to the baseline configuration; it sits
+    /// at `t` of the way from the least ratio any storage-feasible subset
+    /// reaches to the ratio at the storage-only optimum (a span of at least
+    /// 1 %, so no factor lands on a ratio).
     #[test]
     fn theorem1_equivalence(seed in 0u64..500, n_cands in 4usize..9, t in -0.1f64..1.1) {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
         let (schema, cm) = (o.schema(), o.cost_model());
-        let w = HomGen::new(seed).generate(schema, 6);
+        let w = HomGen::new(seed).generate(schema, 4);
         let inum = Inum::new(&o);
         let prepared = inum.prepare_workload(&w);
         let candidates = CGen::default().generate(schema, &w).truncate(n_cands);
-        let storage = ConstraintSet::storage_fraction(schema, 0.05);
-        let subsets: Vec<Configuration> = (0..1u32 << candidates.len())
-            .map(|mask| Configuration::from_indexes(
-                candidates.iter().filter(|(id, _)| mask >> id.0 & 1 == 1)
-                    .map(|(_, ix)| ix.clone())))
-            .filter(|cfg| storage.check_configuration(schema, cfg).is_ok())
-            .collect();
-
-        // Per subset, each statement's cost over its baseline cost.
         let baseline = Configuration::baseline(schema);
         let base: Vec<f64> =
             prepared.queries.iter().map(|pq| pq.cost(schema, cm, &baseline)).collect();
-        let ratios: Vec<Vec<f64>> = subsets.iter().map(|cfg| {
-            prepared.queries.iter().zip(&base).map(|(pq, b)| pq.cost(schema, cm, cfg) / b)
-                .collect()
-        }).collect();
-        let costs: Vec<f64> = subsets.iter().map(|cfg| prepared.cost(schema, cm, cfg)).collect();
-        let optimum = (0..subsets.len())
-            .min_by(|&a, &b| costs[a].total_cmp(&costs[b]))
-            .expect("the empty subset fits");
-        let at = |lo: f64, hi: f64| lo + t * (hi - lo).max(0.01 * lo);
-        let worst = |r: &Vec<f64>| r.iter().copied().fold(0.0f64, f64::max);
-        let least_worst = ratios.iter().map(worst).fold(f64::INFINITY, f64::min);
-        let every = at(least_worst, worst(&ratios[optimum]));
-        let least = |q: usize| ratios.iter().map(|r| r[q]).fold(f64::INFINITY, f64::min);
-        let bounded = (0..base.len())
-            .max_by(|&a, &b| {
-                let span = |q: usize| ratios[optimum][q] - least(q);
-                span(a).total_cmp(&span(b))
-            })
-            .expect("statements");
-        let sets = [
-            storage.clone(),
-            storage.clone().with(Constraint::AllQueryCosts { factor: every }),
-            storage.with(Constraint::QueryCost {
-                query: prepared.queries[bounded].qid,
-                factor: at(least(bounded), ratios[optimum][bounded]),
-            }),
-        ];
-        for constraints in &sets {
-            let (model, mapping) =
-                BipGen::default().model(schema, cm, &prepared, &candidates, constraints);
-            let r = BranchBound::new().solve(&model, &SolveOptions::default());
+        let fixed: f64 = prepared.queries.iter()
+            .map(|pq| pq.weight * pq.fixed_update_cost).sum();
+        for fraction in [0.2, 0.08] {
+            let storage = ConstraintSet::storage_fraction(schema, fraction);
+            let subsets: Vec<Configuration> = (0..1u32 << candidates.len())
+                .map(|mask| Configuration::from_indexes(
+                    candidates.iter().filter(|(id, _)| mask >> id.0 & 1 == 1)
+                        .map(|(_, ix)| ix.clone())))
+                .filter(|cfg| storage.check_configuration(schema, cfg).is_ok())
+                .collect();
 
-            // Oracle: every storage-feasible subset whose bounded statements
-            // cost at most `factor` times their baseline cost.
-            let within = |cfg: &Configuration| {
-                constraints.query_cost_bounds().into_iter().all(|(target, factor)| {
-                    prepared.queries.iter().zip(&base)
-                        .filter(|(pq, _)| target.is_none_or(|q| q == pq.qid))
-                        .all(|(pq, b)| pq.cost(schema, cm, cfg) <= factor * b)
+            // Per subset, each statement's cost over its baseline cost.
+            let ratios: Vec<Vec<f64>> = subsets.iter().map(|cfg| {
+                prepared.queries.iter().zip(&base).map(|(pq, b)| pq.cost(schema, cm, cfg) / b)
+                    .collect()
+            }).collect();
+            let costs: Vec<f64> =
+                subsets.iter().map(|cfg| prepared.cost(schema, cm, cfg)).collect();
+            let optimum = (0..subsets.len())
+                .min_by(|&a, &b| costs[a].total_cmp(&costs[b]))
+                .expect("the empty subset fits");
+            let at = |lo: f64, hi: f64| lo + t * (hi - lo).max(0.01 * lo);
+            let worst = |r: &Vec<f64>| r.iter().copied().fold(0.0f64, f64::max);
+            let least_worst = ratios.iter().map(worst).fold(f64::INFINITY, f64::min);
+            let every = at(least_worst, worst(&ratios[optimum]));
+            let least = |q: usize| ratios.iter().map(|r| r[q]).fold(f64::INFINITY, f64::min);
+            let bounded = (0..base.len())
+                .max_by(|&a, &b| {
+                    let span = |q: usize| ratios[optimum][q] - least(q);
+                    span(a).total_cmp(&span(b))
                 })
-            };
-            let best = subsets.iter().zip(&costs)
-                .filter(|(cfg, _)| within(cfg))
-                .fold(f64::INFINITY, |best, (_, &c)| best.min(c));
-            if best.is_infinite() {
-                prop_assert_eq!(r.status, cophy_bip::MipStatus::Infeasible);
-                continue;
+                .expect("statements");
+            let sets = [
+                storage.clone(),
+                storage.clone().with(Constraint::AllQueryCosts { factor: every }),
+                storage.with(Constraint::QueryCost {
+                    query: prepared.queries[bounded].qid,
+                    factor: at(least(bounded), ratios[optimum][bounded]),
+                }),
+            ];
+            for constraints in &sets {
+                let (model, mapping) =
+                    BipGen::default().model(schema, cm, &prepared, &candidates, constraints);
+                let r = BranchBound::new().solve(&model, &SolveOptions::default());
+
+                // Oracle: every storage-feasible subset whose bounded
+                // statements cost at most `factor` times their baseline cost.
+                let within = |cfg: &Configuration| {
+                    constraints.query_cost_bounds().into_iter().all(|(target, factor)| {
+                        prepared.queries.iter().zip(&base)
+                            .filter(|(pq, _)| target.is_none_or(|q| q == pq.qid))
+                            .all(|(pq, b)| pq.cost(schema, cm, cfg) <= factor * b)
+                    })
+                };
+                let best = subsets.iter().zip(&costs)
+                    .filter(|(cfg, _)| within(cfg))
+                    .fold(f64::INFINITY, |best, (_, &c)| best.min(c));
+                if best.is_infinite() {
+                    prop_assert_eq!(r.status, cophy_bip::MipStatus::Infeasible);
+                    continue;
+                }
+                prop_assert_eq!(r.status, cophy_bip::MipStatus::Optimal);
+                prop_assert!(((r.objective + fixed) - best).abs() / best < 1e-6,
+                    "BIP {} vs oracle {}", r.objective + fixed, best);
+                // Extracted configuration achieves the optimum.
+                let cfg = mapping.extract_configuration(&r.x, &candidates);
+                let achieved = prepared.cost(schema, cm, &cfg);
+                prop_assert!((achieved - best).abs() / best < 1e-6);
             }
-            prop_assert_eq!(r.status, cophy_bip::MipStatus::Optimal);
-            let fixed: f64 = prepared.queries.iter()
-                .map(|pq| pq.weight * pq.fixed_update_cost).sum();
-            prop_assert!(((r.objective + fixed) - best).abs() / best < 1e-6,
-                "BIP {} vs oracle {}", r.objective + fixed, best);
-            // Extracted configuration achieves the optimum.
-            let cfg = mapping.extract_configuration(&r.x, &candidates);
-            let achieved = prepared.cost(schema, cm, &cfg);
-            prop_assert!((achieved - best).abs() / best < 1e-6);
         }
     }
 
