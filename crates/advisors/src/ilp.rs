@@ -26,10 +26,10 @@ use cophy_workload::Workload;
 use crate::Advisor;
 
 /// Per-query atomic-configuration cap (the pruning knob of \[13\]).
-pub const DEFAULT_CONFIGS_PER_QUERY: usize = 64;
+pub(crate) const DEFAULT_CONFIGS_PER_QUERY: usize = 64;
 
 /// Per-slot candidate short-list length used during enumeration.
-pub const SLOT_SHORTLIST: usize = 4;
+pub(crate) const SLOT_SHORTLIST: usize = 4;
 
 /// The ILP advisor.
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ impl IlpAdvisor {
     /// [`IlpAdvisor::recommend_with_stats`] streaming the solver's anytime
     /// [`SolveProgress`] events — the same stream CoPhy's backends emit, so
     /// Figure-5/10 runs can compare trajectories directly.
-    pub fn recommend_with_stats_progress(
+    pub(crate) fn recommend_with_stats_progress(
         &self,
         optimizer: &dyn WhatIfBackend,
         w: &Workload,

@@ -22,16 +22,16 @@
 //! All advisors implement [`Advisor`] and are measured with the same
 //! ground-truth metric `perf(X*, W)` as CoPhy.
 
-pub mod ilp;
-pub mod tool_a;
-pub mod tool_b;
+mod ilp;
+mod tool_a;
+mod tool_b;
 
 use cophy::{ConstraintSet, SolveProgress};
 use cophy_catalog::Configuration;
 use cophy_optimizer::WhatIfBackend;
 use cophy_workload::Workload;
 
-pub use ilp::IlpAdvisor;
+pub use ilp::{IlpAdvisor, IlpStats};
 pub use tool_a::ToolA;
 pub use tool_b::ToolB;
 

@@ -15,11 +15,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cophy::{BipGen, CGen, CandidateSet, Cmp, Constraint, ConstraintSet, IndexFilter};
 use cophy_advisors::IlpAdvisor;
 use cophy_bench::{make_optimizer, make_workload, prepare, WorkloadKind};
-use cophy_bip::branch_bound::bench_repair;
-use cophy_bip::simplex::bench_refactor;
 use cophy_bip::{
-    BranchBound, DualSimplex, LagrangianSolver, LinExpr, Model, Sense, SimplexSolver, SolveBudget,
-    SolveOptions,
+    bench_refactor, bench_repair, BranchBound, DualSimplex, LagrangianSolver, LinExpr, Model,
+    Sense, SimplexSolver, SolveBudget, SolveOptions,
 };
 use cophy_catalog::{ColumnId, Configuration, Schema};
 use cophy_inum::{ideal_config, Inum, PreparedWorkload};

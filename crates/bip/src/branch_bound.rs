@@ -59,13 +59,11 @@
 use std::rc::Rc;
 
 use crate::delta::DeltaModel;
-use crate::driver::{CancelToken, SolveDriver, SolveProgress};
+use crate::driver::{CancelToken, GapPoint, MipStatus, SolveBudget, SolveDriver, SolveProgress};
 use crate::dual::DualSimplex;
 use crate::knapsack;
 use crate::model::{ConstrId, Model, Sense};
 use crate::simplex::{Basis, LpResult, LpStatus, SimplexSolver, StandardForm};
-
-pub use crate::driver::{relative_gap, GapPoint, MipStatus, SolveBudget};
 
 /// Result of a MIP solve.
 #[derive(Debug, Clone)]
@@ -414,7 +412,7 @@ struct WarmInputs<'a> {
     basis: Option<&'a Basis>,
     pseudo: Option<PseudoCosts>,
     /// The objective moved since the basis snapshot: route the root through
-    /// [`SimplexSolver::warm_solve`] (phase-2 primal restart) — a dual
+    /// [`SimplexSolver::warm_solve_on`] (phase-2 primal restart) — a dual
     /// re-solve would price with stale reduced costs and is unsound.
     primal_root: bool,
 }

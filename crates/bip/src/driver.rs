@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 /// A cooperative cancellation handle for an in-flight solve.
 ///
 /// Cloning shares the flag; any holder may [`cancel`](CancelToken::cancel),
-/// and the solve observes it at its next [`SolveDriver::stop_status`] check
+/// and the solve observes it at its next `SolveDriver::stop_status` check
 /// (between B&B nodes / subgradient iterations — latency is bounded by one
 /// node LP).  Cancellation is wired through the budget's deadline semantics:
 /// a fired token behaves exactly like a `time_limit` brought forward to
@@ -51,7 +51,7 @@ impl CancelToken {
         self.0.store(true, AtomicOrdering::Relaxed);
     }
 
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(AtomicOrdering::Relaxed)
     }
 }
@@ -83,7 +83,7 @@ pub struct GapPoint {
 }
 
 /// Relative optimality gap, safe for zero incumbents.
-pub fn relative_gap(incumbent: f64, bound: f64) -> f64 {
+pub(crate) fn relative_gap(incumbent: f64, bound: f64) -> f64 {
     if !incumbent.is_finite() {
         return f64::INFINITY;
     }
@@ -177,7 +177,7 @@ pub struct SolveProgress {
 /// Callback invoked on every incumbent or bound improvement.  The second
 /// argument carries the improving solution when the event is an incumbent
 /// improvement (`None` for pure bound moves).
-pub type ProgressFn<'cb, S> = dyn FnMut(&SolveProgress, Option<&S>) + 'cb;
+pub(crate) type ProgressFn<'cb, S> = dyn FnMut(&SolveProgress, Option<&S>) + 'cb;
 
 /// Everything a backend hands back when its search loop ends.
 #[derive(Debug, Clone)]
@@ -188,7 +188,7 @@ pub struct DriverResult<S> {
     /// Best proven relative gap.
     pub gap: f64,
     pub ticks: usize,
-    /// Cumulative simplex pivots reported via [`SolveDriver::add_pivots`].
+    /// Cumulative simplex pivots reported via `SolveDriver::add_pivots`.
     pub pivots: usize,
     pub trace: Vec<GapPoint>,
 }
@@ -230,7 +230,7 @@ impl<S> SolveDriver<'static, S> {
 
 impl<'cb, S> SolveDriver<'cb, S> {
     /// Driver streaming every improvement to `on_progress`.
-    pub fn with_progress(
+    pub(crate) fn with_progress(
         budget: SolveBudget,
         on_progress: impl FnMut(&SolveProgress, Option<&S>) + 'cb,
     ) -> Self {
@@ -276,12 +276,12 @@ impl<'cb, S> SolveDriver<'cb, S> {
         self.bound
     }
 
-    pub fn has_incumbent(&self) -> bool {
+    pub(crate) fn has_incumbent(&self) -> bool {
         self.incumbent.is_some()
     }
 
     /// Objective of the best incumbent (`∞` if none).
-    pub fn incumbent_objective(&self) -> f64 {
+    pub(crate) fn incumbent_objective(&self) -> f64 {
         self.incumbent.as_ref().map_or(f64::INFINITY, |(obj, _)| *obj)
     }
 
@@ -296,7 +296,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
     }
 
     /// Account simplex pivots spent on node LPs (warm or cold).
-    pub fn add_pivots(&mut self, n: usize) {
+    pub(crate) fn add_pivots(&mut self, n: usize) {
         self.pivots += n;
     }
 
@@ -308,7 +308,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
     /// Record the current decomposition state; every subsequent progress
     /// event carries it (decomposed backends update this once per outer
     /// iteration, before offering incumbents or raising bounds).
-    pub fn set_decomposition(&mut self, d: DecompositionProgress) {
+    pub(crate) fn set_decomposition(&mut self, d: DecompositionProgress) {
         self.decomposition = Some(d);
     }
 
@@ -338,7 +338,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
 
     /// Offer a feasible solution; keep it (and emit progress) if it improves
     /// the incumbent.  Returns whether it was accepted.
-    pub fn offer_incumbent(&mut self, objective: f64, solution: S) -> bool {
+    pub(crate) fn offer_incumbent(&mut self, objective: f64, solution: S) -> bool {
         if objective >= self.incumbent_objective() - 1e-9 {
             return false;
         }
@@ -358,7 +358,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
     /// above the best feasible point just proves that incumbent optimal, and
     /// the true global bound `min(open-node bounds, incumbent)` never
     /// exceeds it.
-    pub fn raise_bound(&mut self, bound: f64) -> bool {
+    pub(crate) fn raise_bound(&mut self, bound: f64) -> bool {
         let bound = bound.min(self.incumbent_objective());
         // NaN-safe: only a strict, finite improvement moves the bound.
         if bound <= self.bound + 1e-12 || bound.is_nan() {
@@ -388,13 +388,13 @@ impl<'cb, S> SolveDriver<'cb, S> {
     }
 
     /// Has the proven gap reached the budget's target?
-    pub fn gap_reached(&self) -> bool {
+    pub(crate) fn gap_reached(&self) -> bool {
         self.best_gap <= self.budget.gap_limit
     }
 
     /// The stop decision: gap target, wall clock, then node budget.
     /// `None` means keep searching.
-    pub fn stop_status(&self) -> Option<MipStatus> {
+    pub(crate) fn stop_status(&self) -> Option<MipStatus> {
         if self.has_incumbent() && self.gap_reached() {
             return Some(if self.best_gap <= 1e-9 {
                 MipStatus::Optimal
@@ -421,7 +421,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
 
     /// Close the gap after an exhausted search: with no open work left, the
     /// incumbent is optimal, so the bound snaps to it.
-    pub fn close_exhausted(&mut self) {
+    pub(crate) fn close_exhausted(&mut self) {
         if let Some((obj, _)) = &self.incumbent {
             let obj = *obj;
             if obj > self.bound {

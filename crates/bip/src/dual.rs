@@ -42,7 +42,7 @@
 //! trusting its objective as a node bound.  Note the dual restart is sound
 //! for *bound/RHS* deltas only; after an **objective** change the basis is
 //! primal- but not dual-feasible, and the right warm restart is
-//! [`SimplexSolver::warm_solve`](crate::SimplexSolver::warm_solve).
+//! [`SimplexSolver::warm_solve_on`](crate::SimplexSolver::warm_solve_on).
 
 #![allow(clippy::needless_range_loop)]
 

@@ -106,7 +106,7 @@ pub fn continuous_min(
 /// This is the selection core shared by the budget repairs below and by the
 /// branch-and-bound rounding heuristic's row repair (violated AT-MOST /
 /// storage rows are exactly a covering knapsack over candidate flips).
-pub fn greedy_cover(need: f64, items: &[(f64, f64)]) -> Option<Vec<usize>> {
+pub(crate) fn greedy_cover(need: f64, items: &[(f64, f64)]) -> Option<Vec<usize>> {
     let mut order: Vec<usize> = (0..items.len()).filter(|&i| items[i].1 > 0.0).collect();
     let total: f64 = order.iter().map(|&i| items[i].1).sum();
     if total + 1e-9 < need {
@@ -135,7 +135,7 @@ pub fn greedy_cover(need: f64, items: &[(f64, f64)]) -> Option<Vec<usize>> {
 
 /// Drop items (largest size first among the worst ratios) until the selection
 /// fits the budget.  Used to repair heuristic solutions.
-pub fn repair_to_budget(selected: &mut [bool], value: &[f64], size: &[f64], budget: f64) {
+pub(crate) fn repair_to_budget(selected: &mut [bool], value: &[f64], size: &[f64], budget: f64) {
     let mut used: f64 = (0..selected.len()).filter(|&j| selected[j]).map(|j| size[j]).sum();
     while used > budget {
         // Drop the selected item with the worst value-per-size.

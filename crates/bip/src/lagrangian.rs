@@ -298,7 +298,7 @@ pub struct LagrangeResult {
 #[derive(Debug, Clone)]
 pub struct LagrangianSolver {
     /// Gap / time / iteration budget.  `node_limit` caps subgradient
-    /// iterations; when `None`, [`LagrangianSolver::DEFAULT_MAX_ITERS`]
+    /// iterations; when `None`, `LagrangianSolver::DEFAULT_MAX_ITERS` (400)
     /// applies (subgradient ascent also self-terminates once the step
     /// scale collapses).
     pub budget: SolveBudget,
@@ -315,7 +315,7 @@ impl Default for LagrangianSolver {
 
 impl LagrangianSolver {
     /// Iteration cap applied when the budget sets no `node_limit`.
-    pub const DEFAULT_MAX_ITERS: usize = 400;
+    pub(crate) const DEFAULT_MAX_ITERS: usize = 400;
 
     pub fn new() -> Self {
         Self::default()

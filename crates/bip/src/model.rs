@@ -44,7 +44,7 @@ impl LinExpr {
     }
 
     /// Merge duplicate variables and drop zero coefficients.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         self.terms.sort_by_key(|(v, _)| *v);
         let mut out: Vec<(VarId, f64)> = Vec::with_capacity(self.terms.len());
         for &(v, c) in &self.terms {
@@ -134,7 +134,7 @@ impl Model {
 
     /// Replace the whole objective vector (one λ step of a Pareto sweep).
     /// Panics if `coeffs` does not cover every variable.
-    pub fn set_objective_coeffs(&mut self, coeffs: &[f64]) {
+    pub(crate) fn set_objective_coeffs(&mut self, coeffs: &[f64]) {
         assert_eq!(coeffs.len(), self.objective.len(), "objective vector must cover all vars");
         self.objective.copy_from_slice(coeffs);
     }

@@ -42,17 +42,17 @@
 //!   `Tableau` borrows it and owns what differs from LP to LP — bounds,
 //!   variable states, the basis with its factors and eta file, the `m`
 //!   one-entry artificial columns (their signs are set per LP) and scratch.
-//!   [`SimplexSolver::solve`], [`SimplexSolver::warm_solve`] and
+//!   [`SimplexSolver::solve`] and
 //!   [`DualSimplex::resolve`](crate::dual::DualSimplex::resolve) build a
 //!   form per call; branch-and-bound builds one per solve and runs every
 //!   node, probe and dive LP over it through the crate-internal `*_on`
-//!   twins of those three.
+//!   twins of those two and [`SimplexSolver::warm_solve_on`].
 //! * **Basis snapshots** — an optimal solve captures its [`Basis`] (variable
 //!   states + basic set + phase-1 artificial signs) in the [`LpResult`], so
 //!   branch-and-bound can re-solve a child LP with the
 //!   [`dual`](crate::dual) simplex after a bound pinch instead of paying a
 //!   fresh two-phase solve.  After a pure *objective* change the basis stays
-//!   primal feasible instead, and [`SimplexSolver::warm_solve`] restarts
+//!   primal feasible instead, and [`SimplexSolver::warm_solve_on`] restarts
 //!   phase 2 directly from it (the soft-constraint λ-sweep path).
 
 // The pivot kernels below intentionally use index loops; iterator chains
@@ -150,7 +150,7 @@ pub struct SimplexSolver {
 /// within ~100ms of its wall-clock budget.  The check also runs before the
 /// first pivot — and before the first factorization at solve entry — so an
 /// already-expired deadline aborts without touching the basis.
-pub const DEADLINE_CHECK_INTERVAL: usize = 16;
+pub(crate) const DEADLINE_CHECK_INTERVAL: usize = 16;
 
 impl Default for SimplexSolver {
     fn default() -> Self {
@@ -1050,18 +1050,6 @@ impl SimplexSolver {
     /// Returns `None` when the snapshot does not fit, its basis is
     /// singular, or the restored point violates the current bounds — the
     /// caller then pays a cold two-phase solve.
-    pub fn warm_solve(
-        &self,
-        model: &Model,
-        lo: &[f64],
-        hi: &[f64],
-        basis: &Basis,
-    ) -> Option<LpResult> {
-        self.warm_solve_on(&StandardForm::new(model), lo, hi, basis)
-    }
-
-    /// [`SimplexSolver::warm_solve`] on a standard form the caller already
-    /// built.
     pub(crate) fn warm_solve_on(
         &self,
         form: &StandardForm<'_>,
@@ -1375,7 +1363,7 @@ pub(crate) mod tests {
         let mut bad = r.basis.clone().expect("optimal solve snapshots its basis");
         bad.basis[1] = bad.basis[0];
         assert!(
-            solver.warm_solve(&m, &lo, &hi, &bad).is_none(),
+            solver.warm_solve_on(&StandardForm::new(&m), &lo, &hi, &bad).is_none(),
             "a singular snapshot must be rejected so the caller re-solves cold"
         );
     }
@@ -1655,7 +1643,9 @@ pub(crate) mod tests {
         // Flip the preference: y becomes expensive, x cheap.
         m.set_objective(x, -5.0);
         m.set_objective(y, 1.0);
-        let warm = SimplexSolver::new().warm_solve(&m, &lo, &hi, &basis).expect("basis fits");
+        let warm = SimplexSolver::new()
+            .warm_solve_on(&StandardForm::new(&m), &lo, &hi, &basis)
+            .expect("basis fits");
         let cold = SimplexSolver::new().solve(&m, &lo, &hi);
         assert_eq!(warm.status, LpStatus::Optimal);
         assert!(

@@ -95,7 +95,7 @@ impl Index {
     }
 
     /// Leaf-entry width in bytes.
-    pub fn entry_width(&self, table: &Table) -> u64 {
+    pub(crate) fn entry_width(&self, table: &Table) -> u64 {
         let cols: u64 = self
             .key
             .iter()

@@ -18,24 +18,24 @@
 //! `IndexId`) so the optimizer, INUM and the BIP generator can use plain
 //! vectors as maps.
 
-pub mod config;
-pub mod index;
-pub mod schema;
-pub mod stats;
-pub mod tpch;
+mod config;
+mod index;
+mod schema;
+mod stats;
+mod tpch;
 
 pub use config::Configuration;
 pub use index::{Index, IndexId, IndexKind};
 pub use schema::{Column, ColumnId, ColumnRef, ColumnType, Schema, Table, TableId};
 pub use stats::{ColumnStats, Histogram, Skew};
-pub use tpch::TpchGen;
+pub use tpch::{TpchGen, DATE_DOMAIN_DAYS};
 
 /// A page in the storage model is 8 KiB, the common default of the systems the
 /// paper targets.
-pub const PAGE_SIZE: u64 = 8192;
+pub(crate) const PAGE_SIZE: u64 = 8192;
 
 /// Per-row storage overhead (tuple header + slot pointer), bytes.
-pub const ROW_OVERHEAD: u64 = 27;
+pub(crate) const ROW_OVERHEAD: u64 = 27;
 
 /// Per-index-entry overhead (key header + row pointer), bytes.
-pub const ENTRY_OVERHEAD: u64 = 12;
+pub(crate) const ENTRY_OVERHEAD: u64 = 12;

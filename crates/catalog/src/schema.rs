@@ -97,13 +97,13 @@ pub struct Table {
 
 impl Table {
     /// Average row width in bytes, including per-row overhead.
-    pub fn row_width(&self) -> u64 {
+    pub(crate) fn row_width(&self) -> u64 {
         let data: u64 = self.columns.iter().map(|c| u64::from(c.width())).sum();
         data + crate::ROW_OVERHEAD
     }
 
     /// Heap size of the table in bytes.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.rows * self.row_width()
     }
 
@@ -134,7 +134,7 @@ impl Schema {
     }
 
     /// Register a table; its `id` field is overwritten with the dense id.
-    pub fn add_table(&mut self, mut table: Table) -> TableId {
+    pub(crate) fn add_table(&mut self, mut table: Table) -> TableId {
         let id = TableId(self.tables.len() as u32);
         table.id = id;
         self.tables.push(table);

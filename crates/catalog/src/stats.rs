@@ -18,10 +18,10 @@ use serde::{Deserialize, Serialize};
 pub struct Skew(pub f64);
 
 impl Skew {
-    pub const UNIFORM: Skew = Skew(0.0);
+    pub(crate) const UNIFORM: Skew = Skew(0.0);
 
     /// Normalized Zipf frequencies `f_j ∝ 1/(j+1)^z` for `n` ranks.
-    pub fn frequencies(&self, n: usize) -> Vec<f64> {
+    pub(crate) fn frequencies(&self, n: usize) -> Vec<f64> {
         assert!(n > 0, "need at least one rank");
         let z = self.0;
         let mut f: Vec<f64> = (0..n).map(|j| 1.0 / ((j + 1) as f64).powf(z)).collect();
@@ -34,7 +34,7 @@ impl Skew {
 }
 
 /// Number of histogram buckets kept per column.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 32;
 
 /// An equi-width histogram over a numeric domain `[lo, hi]` with per-bucket
 /// *fractions* of the table's rows.  Bucket `j` covers
@@ -56,7 +56,7 @@ impl Histogram {
     /// Histogram whose bucket frequencies follow Zipf(z).  The heaviest bucket
     /// is placed first (lowest values), matching `tpcdskew`'s convention of
     /// skewing toward small key values.
-    pub fn zipf(lo: f64, hi: f64, skew: Skew) -> Self {
+    pub(crate) fn zipf(lo: f64, hi: f64, skew: Skew) -> Self {
         assert!(hi >= lo, "histogram domain must be non-empty");
         Histogram { lo, hi, fractions: skew.frequencies(HISTOGRAM_BUCKETS) }
     }
@@ -66,7 +66,7 @@ impl Histogram {
     }
 
     /// Fraction of rows with value `< v` (interpolating within a bucket).
-    pub fn fraction_below(&self, v: f64) -> f64 {
+    pub(crate) fn fraction_below(&self, v: f64) -> f64 {
         if v <= self.lo {
             return 0.0;
         }
@@ -85,7 +85,7 @@ impl Histogram {
     }
 
     /// Fraction of rows in `[a, b]`.
-    pub fn fraction_between(&self, a: f64, b: f64) -> f64 {
+    pub(crate) fn fraction_between(&self, a: f64, b: f64) -> f64 {
         if b < a {
             return 0.0;
         }
@@ -113,7 +113,7 @@ impl ColumnStats {
     }
 
     /// Zipf-skewed column.
-    pub fn zipf(ndv: u64, min: f64, max: f64, skew: Skew) -> Self {
+    pub(crate) fn zipf(ndv: u64, min: f64, max: f64, skew: Skew) -> Self {
         ColumnStats {
             ndv: ndv.max(1),
             min,

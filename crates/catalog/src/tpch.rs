@@ -33,26 +33,6 @@ impl Default for TpchGen {
     }
 }
 
-/// Table order matches the TPC-H specification; ids are stable, so
-/// `TpchTable::Lineitem as u32` can be used to build a `TableId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TpchTable {
-    Region = 0,
-    Nation = 1,
-    Supplier = 2,
-    Customer = 3,
-    Part = 4,
-    Partsupp = 5,
-    Orders = 6,
-    Lineitem = 7,
-}
-
-impl TpchTable {
-    pub fn id(self) -> TableId {
-        TableId(self as u32)
-    }
-}
-
 impl TpchGen {
     pub fn new(scale: f64, skew: Skew) -> Self {
         TpchGen { scale, skew }
@@ -336,16 +316,16 @@ mod tests {
     fn skew_changes_data_columns_not_keys() {
         let uni = TpchGen::new(1.0, Skew::UNIFORM).schema();
         let skw = TpchGen::new(1.0, Skew(2.0)).schema();
-        let li = TpchTable::Lineitem.id();
+        let li = uni.table_by_name("lineitem").unwrap().id;
         let t_uni = uni.table(li);
         let t_skw = skw.table(li);
         // l_orderkey (FK) is skewed, selectivities differ.
         let c = t_uni.column_by_name("l_shipdate").unwrap();
         assert!(t_skw.column(c).stats.eq_selectivity() > t_uni.column(c).stats.eq_selectivity());
         // primary keys stay dense-uniform.
-        let orders = uni.table(TpchTable::Orders.id());
+        let orders = uni.table_by_name("orders").unwrap();
         let ok = orders.column_by_name("o_orderkey").unwrap();
-        let skw_orders = skw.table(TpchTable::Orders.id());
+        let skw_orders = skw.table(orders.id);
         assert_eq!(
             skw_orders.column(ok).stats.eq_selectivity(),
             orders.column(ok).stats.eq_selectivity()
@@ -354,10 +334,16 @@ mod tests {
 
     #[test]
     fn table_enum_ids_line_up() {
+        // Table order matches the TPC-H specification, and ids are positions.
         let s = TpchGen::default().schema();
-        assert_eq!(s.table(TpchTable::Lineitem.id()).name, "lineitem");
-        assert_eq!(s.table(TpchTable::Region.id()).name, "region");
-        assert_eq!(s.table(TpchTable::Orders.id()).name, "orders");
+        let names: Vec<&str> = s.tables().iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"]
+        );
+        for (i, t) in s.tables().iter().enumerate() {
+            assert_eq!(t.id, TableId(i as u32));
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl CompressionPolicy {
     ///
     /// Panics on an invalid `Epsilon` threshold (validate with
     /// [`CompressionPolicy::validate`] first to handle it gracefully).
-    pub fn merge_threshold(&self) -> Option<f64> {
+    pub(crate) fn merge_threshold(&self) -> Option<f64> {
         if let Err(e) = self.validate() {
             panic!("{e}");
         }
@@ -233,7 +233,7 @@ impl CompressedWorkload {
 
     /// An empty compressed workload, for chunked ingestion of workloads too
     /// large to materialize.  Panics on an invalid ε
-    /// ([`CompressionPolicy::merge_threshold`]).
+    /// (`CompressionPolicy::merge_threshold`).
     pub fn streaming(policy: CompressionPolicy) -> CompressedWorkload {
         CompressedWorkload {
             representatives: Workload::new(),

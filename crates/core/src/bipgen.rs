@@ -33,8 +33,7 @@
 use cophy_bip::{Alt, Block, BlockProblem, ConstrId, LinExpr, Model, Sense, SlotChoices, VarId};
 use cophy_catalog::{Configuration, Index, Schema};
 use cophy_inum::{PreparedQuery, PreparedWorkload, Slot};
-use cophy_optimizer::access::TableFacts;
-use cophy_optimizer::CostModel;
+use cophy_optimizer::{CostModel, TableFacts};
 
 use crate::cgen::CandidateSet;
 use crate::constraints::{add_z_row, Constraint, ConstraintSet};

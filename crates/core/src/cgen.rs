@@ -139,7 +139,7 @@ impl CGen {
     /// Candidate enumeration only looks at the structural shell of each
     /// statement (tables, sargable columns and their comparison shapes, join
     /// edges, interesting orders, projections) — exactly what
-    /// [`cophy_workload::features::TemplateKey`] captures with constants
+    /// [`cophy_workload::TemplateKey`] captures with constants
     /// erased.  Statements sharing a template therefore propose identical
     /// candidates, and the expensive per-query expansion runs once per
     /// *template* rather than once per statement.  The resulting
@@ -153,7 +153,11 @@ impl CGen {
 
     /// [`Self::generate`] plus the number of per-query expansions actually
     /// performed (== number of distinct statement templates in `w`).
-    pub fn generate_with_stats(&self, schema: &Schema, w: &Workload) -> (CandidateSet, usize) {
+    pub(crate) fn generate_with_stats(
+        &self,
+        schema: &Schema,
+        w: &Workload,
+    ) -> (CandidateSet, usize) {
         self.propose(schema, w.iter().map(|(_, stmt, _)| stmt))
     }
 
@@ -169,7 +173,7 @@ impl CGen {
         let mut seen = HashSet::new();
         let mut expansions = 0usize;
         for stmt in statements {
-            if seen.insert(cophy_workload::features::template_key(stmt)) {
+            if seen.insert(cophy_workload::template_key(stmt)) {
                 self.per_query(schema, stmt.read_shell(), &mut set);
                 expansions += 1;
             }

@@ -32,7 +32,7 @@ pub enum Cmp {
 /// One linear constraint row over candidate positions, as consumed by the
 /// BIP generator: `(terms, cmp, rhs)` with terms `(candidate position,
 /// coefficient)`.
-pub type LinearRow = (Vec<(usize, f64)>, Cmp, f64);
+pub(crate) type LinearRow = (Vec<(usize, f64)>, Cmp, f64);
 
 /// Add one row to `m` over its `z` columns (position-aligned with the
 /// candidate set).
@@ -131,7 +131,7 @@ impl Constraint {
     /// constraint (the interactive session mutates the storage row's RHS in
     /// place for budget sweeps).  Query-cost constraints translate to rows
     /// over `y`/`x` variables instead and return nothing here.
-    pub fn z_rows(&self, schema: &Schema, candidates: &CandidateSet) -> Vec<LinearRow> {
+    pub(crate) fn z_rows(&self, schema: &Schema, candidates: &CandidateSet) -> Vec<LinearRow> {
         let mut rows = Vec::new();
         match self {
             Constraint::Storage { budget_bytes } => {
@@ -271,7 +271,7 @@ impl ConstraintSet {
 
     /// Translate the z-only constraints into linear rows over the candidate
     /// set: `(terms, cmp, rhs)` with terms `(candidate position, coeff)`.
-    pub fn z_rows(&self, schema: &Schema, candidates: &CandidateSet) -> Vec<LinearRow> {
+    pub(crate) fn z_rows(&self, schema: &Schema, candidates: &CandidateSet) -> Vec<LinearRow> {
         self.hard.iter().flat_map(|c| c.z_rows(schema, candidates)).collect()
     }
 

@@ -46,7 +46,10 @@ pub(crate) struct Ingest {
 impl Ingest {
     /// An empty ingest under the advisor's compression policy.  A supplied
     /// candidate set (`S_DBA`) is used as is; otherwise CGen grows one.
-    pub fn open(cophy: &CoPhy<'_>, candidates: Option<CandidateSet>) -> Result<Ingest, CoPhyError> {
+    pub(crate) fn open(
+        cophy: &CoPhy<'_>,
+        candidates: Option<CandidateSet>,
+    ) -> Result<Ingest, CoPhyError> {
         let policy = cophy.options.compression;
         policy.validate().map_err(CoPhyError::Invalid)?;
         let compressed = (!policy.is_off()).then(|| CompressedWorkload::streaming(policy));
@@ -57,7 +60,7 @@ impl Ingest {
 
     /// Continue on an existing cache: nothing is clustered, probed or
     /// generated until the first delta.
-    pub fn over(prepared: Arc<InumCache>, candidates: CandidateSet) -> Ingest {
+    pub(crate) fn over(prepared: Arc<InumCache>, candidates: CandidateSet) -> Ingest {
         Ingest {
             prepared,
             candidates,
@@ -71,7 +74,7 @@ impl Ingest {
     }
 
     /// Original statements represented (not cluster representatives).
-    pub fn n_statements(&self) -> usize {
+    pub(crate) fn n_statements(&self) -> usize {
         self.compressed.as_ref().map_or(self.prepared.len(), |c| c.n_original())
     }
 
@@ -80,7 +83,7 @@ impl Ingest {
     /// and the chunks before it stay committed, so the caller may retry the
     /// rest of the stream later.  The probes a failed chunk did issue stay
     /// on the books — they were really spent.
-    pub fn add_source(
+    pub(crate) fn add_source(
         &mut self,
         cophy: &CoPhy<'_>,
         source: &mut dyn WorkloadSource,

@@ -122,15 +122,15 @@
 //! handle of an existing session ([`TuningSession::cache`]), so concurrent
 //! readers reuse every cached plan instead of re-probing the backend.
 
-pub mod bipgen;
-pub mod cgen;
+mod bipgen;
+mod cgen;
 mod chain;
-pub mod constraints;
-pub mod error;
+mod constraints;
+mod error;
 mod ingest;
-pub mod session;
-pub mod soft;
-pub mod solver;
+mod session;
+mod soft;
+mod solver;
 
 pub use bipgen::{BipGen, BipMapping, TuningProblem};
 pub use cgen::{CGen, CandidateSet};

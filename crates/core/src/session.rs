@@ -396,7 +396,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     }
 
     /// Export the session's Theorem-1 BIP as free-format MPS text
-    /// ([`cophy_bip::mps`]) — the portable hand-off for cross-checking the
+    /// ([`cophy_bip::write_mps`]) — the portable hand-off for cross-checking the
     /// built-in engines against an external solver.  The model is built for
     /// the export from the current statements, candidates and constraints
     /// (pin/ban fixings are variable bounds, not rows, and are listed

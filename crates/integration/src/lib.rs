@@ -2,7 +2,7 @@
 //! tests (`*_digest.rs`) fold their layer's output into.
 
 use cophy_catalog::{Configuration, Index};
-use cophy_optimizer::backend::fnv1a;
+use cophy_optimizer::fnv1a;
 
 /// An append-only byte log, read as one FNV-1a digest.  What is appended,
 /// and in which order, is each digest test's contract; how a value becomes

@@ -27,9 +27,8 @@ use cophy::CGen;
 use cophy_catalog::{Configuration, Schema, TpchGen};
 use cophy_integration::Fold;
 use cophy_inum::{Inum, PrepFaultReport};
-use cophy_optimizer::backend::fnv1a;
 use cophy_optimizer::{
-    BackendError, CostModel, PhysicalPlan, ProbeAnswer, SystemProfile, WhatIfBackend,
+    fnv1a, BackendError, CostModel, PhysicalPlan, ProbeAnswer, SystemProfile, WhatIfBackend,
     WhatIfOptimizer,
 };
 use cophy_workload::{HetGen, HomGen, Query, UpdateGen, Workload};

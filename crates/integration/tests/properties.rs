@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use cophy::{BipGen, CGen, Constraint, ConstraintSet};
 use cophy_bip::{
-    knapsack, Alt, Block, BlockProblem, BranchBound, DualSimplex, LagrangianSolver, LinExpr, Model,
-    Sense, SimplexSolver, SlotChoices, SolveOptions, SolveProgress,
+    continuous_min, Alt, Block, BlockProblem, BranchBound, DualSimplex, LagrangianSolver, LinExpr,
+    Model, Sense, SimplexSolver, SlotChoices, SolveOptions, SolveProgress,
 };
 use cophy_catalog::{ColumnId, Configuration, Index, Skew, TpchGen};
 use cophy_inum::Inum;
@@ -221,7 +221,7 @@ proptest! {
         let n = costs.len().min(sizes.len());
         let mut z = Vec::new();
         let c_obj =
-            knapsack::continuous_min(&costs[..n], &sizes[..n], budget, &mut z, &mut Vec::new());
+            continuous_min(&costs[..n], &sizes[..n], budget, &mut z, &mut Vec::new());
         let mut b_obj = f64::INFINITY;
         for mask in 0..1u32 << n {
             let chosen = || (0..n).filter(move |j| mask >> j & 1 == 1);
@@ -438,6 +438,60 @@ proptest! {
     }
 }
 
+/// The root LP bound is the Lagrangian's ceiling (the sibling of
+/// `lagrangian_bound_sandwich`, at sizes exhaustive search cannot reach).
+/// The Theorem-1 blocks have the integrality property and the `z`
+/// subproblem is a continuous knapsack, so by weak duality every bound the
+/// subgradient reports on the block form is at most the root LP optimum of
+/// the model laid out from it.  A bound above it is a bug; an invalid bound
+/// (above the optimum) is always above it.  Three generators at perf's
+/// seed and storage fraction, with and without dominated-`x` pruning.
+#[test]
+fn lp_bound_caps_every_lagrangian_bound() {
+    use cophy_bip::{LpStatus, SolveBudget};
+    use cophy_workload::{HetGen, UpdateGen};
+
+    let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+    let (schema, cm) = (o.schema(), o.cost_model());
+    let seed = 0xC0FFEE;
+    let het = |n| HetGen::new(seed).generate(schema, n);
+    let inputs = [
+        ("hom", HomGen::new(seed).generate(schema, 12)),
+        ("het", het(12)),
+        ("het+updates", UpdateGen::new(seed ^ 0x5EED).mix_into(schema, &het(6), 0.5)),
+    ];
+    let constraints = ConstraintSet::storage_fraction(schema, 0.5);
+    let solver = LagrangianSolver { budget: SolveBudget::within(1e-9), ..Default::default() };
+    for (name, w) in &inputs {
+        let prepared = Inum::new(&o).prepare_workload(w);
+        let candidates = CGen::default().generate(schema, w);
+        for prune_dominated in [true, false] {
+            let (model, mapping) =
+                BipGen { prune_dominated }.model(schema, cm, &prepared, &candidates, &constraints);
+            let n = model.n_vars();
+            let lp = SimplexSolver::new().solve(&model, &vec![0.0; n], &vec![1.0; n]);
+            assert_eq!(lp.status, LpStatus::Optimal, "{name}, pruned {prune_dominated}");
+            let ceiling = lp.objective + 1e-9 * lp.objective.abs();
+            let mut bounds = Vec::new();
+            let (r, _) = solver.solve_warm_with_progress(&mapping.problem.block, None, |p, _| {
+                bounds.push(p.bound)
+            });
+            assert!(!bounds.is_empty(), "{name}: no anytime event");
+            for b in bounds.iter().chain([&r.bound]) {
+                assert!(
+                    *b <= ceiling,
+                    "{name}, pruned {prune_dominated}: bound {b} above LP {}",
+                    lp.objective
+                );
+            }
+            eprintln!(
+                "{name:<12} pruned {prune_dominated:<5} bound/LP {:.3}",
+                r.bound / lp.objective
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // What-if optimizer invariants
 // ---------------------------------------------------------------------------
@@ -446,7 +500,7 @@ proptest! {
 /// way: inputs never cost more than the operator above them, and a merge
 /// join's inputs arrive sorted on a join edge between the two sides.
 fn check_subtree(
-    p: &cophy_optimizer::plan::SubPlan,
+    p: &cophy_optimizer::SubPlan,
     q: &cophy_workload::Query,
     ec: &cophy_optimizer::EquivClasses,
     n_ops: &mut usize,

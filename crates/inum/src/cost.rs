@@ -7,8 +7,7 @@
 //! paper's Definition 1 and what makes the evaluation run in microseconds.
 
 use cophy_catalog::{Configuration, Index, Schema};
-use cophy_optimizer::access::TableFacts;
-use cophy_optimizer::CostModel;
+use cophy_optimizer::{CostModel, TableFacts};
 
 use crate::prepare::{PreparedQuery, PreparedWorkload};
 
@@ -69,7 +68,12 @@ impl PreparedQuery {
     }
 
     /// Total update maintenance under `config`.
-    pub fn maintenance_cost(&self, schema: &Schema, cm: &CostModel, config: &Configuration) -> f64 {
+    pub(crate) fn maintenance_cost(
+        &self,
+        schema: &Schema,
+        cm: &CostModel,
+        config: &Configuration,
+    ) -> f64 {
         config.iter().map(|ix| self.ucost(schema, cm, ix)).sum()
     }
 

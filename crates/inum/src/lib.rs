@@ -27,11 +27,11 @@
 //! prepared by handing over its representatives — only they are probed, with
 //! cluster weights scaling the cached plan costs.
 
-pub mod cache;
-pub mod cost;
-pub mod ideal;
-pub mod prepare;
-pub mod template;
+mod cache;
+mod cost;
+mod ideal;
+mod prepare;
+mod template;
 
 pub use cache::InumCache;
 pub use cost::{AtomicChoice, CostBreakdown};

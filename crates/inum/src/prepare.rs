@@ -14,9 +14,9 @@
 use std::time::Instant;
 
 use cophy_catalog::{ColumnId, Configuration, Schema};
-use cophy_optimizer::backend::{query_fingerprint, statement_fingerprint};
 use cophy_optimizer::{
-    probe_with_retry, BackendError, FaultLog, ProbeAnswer, RetryPolicy, WhatIfBackend,
+    probe_with_retry, query_fingerprint, statement_fingerprint, BackendError, FaultLog,
+    ProbeAnswer, RetryPolicy, WhatIfBackend,
 };
 use cophy_workload::{Query, QueryId, Statement, UpdateStatement, Workload};
 
@@ -24,7 +24,7 @@ use crate::ideal::ideal_config;
 use crate::template::{Slot, TemplatePlan};
 
 /// Cap on probing calls per query (1 empty + singles + pairs up to this).
-pub const MAX_PROBES_PER_QUERY: usize = 48;
+pub(crate) const MAX_PROBES_PER_QUERY: usize = 48;
 
 /// The INUM layer wrapping any what-if backend.
 #[derive(Debug)]
@@ -109,10 +109,6 @@ impl<'o> Inum<'o> {
         self.opt
     }
 
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Prepare one statement — the unit every preparation is made of.
     /// Transient probe failures are retried per the policy this layer was
     /// built with; a probe that exhausts its retries *degrades* the
@@ -150,11 +146,7 @@ impl<'o> Inum<'o> {
         let (update, fixed) = match stmt {
             Statement::Select(_) => (None, 0.0),
             Statement::Update(u) => {
-                let rows = cophy_optimizer::cardinality::access_rows(
-                    self.opt.schema(),
-                    &u.shell,
-                    u.table(),
-                );
+                let rows = cophy_optimizer::access_rows(self.opt.schema(), &u.shell, u.table());
                 (Some((u.clone(), rows)), self.opt.base_update_cost(u))
             }
         };
@@ -311,7 +303,7 @@ fn atomic_fallback_template(
         .map(|&t| Slot {
             table: t,
             required: Vec::new(),
-            heap_cost: Some(cophy_optimizer::access::heap_path(schema, cm, q, t, None).cost),
+            heap_cost: Some(cophy_optimizer::heap_path(schema, cm, q, t, None).cost),
         })
         .collect();
     TemplatePlan { internal_cost: 0.0, slots }
@@ -329,7 +321,7 @@ fn extract(
     let mut slots = Vec::with_capacity(q.tables.len());
     for leaf in &ans.leaves {
         let heap_cost = if leaf.required.is_empty() {
-            Some(cophy_optimizer::access::heap_path(schema, cm, q, leaf.table, None).cost)
+            Some(cophy_optimizer::heap_path(schema, cm, q, leaf.table, None).cost)
         } else {
             None
         };

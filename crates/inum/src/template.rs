@@ -1,8 +1,7 @@
 //! Template plans: the unit of INUM's cache.
 
 use cophy_catalog::{ColumnId, Index, Schema, TableId};
-use cophy_optimizer::access::TableFacts;
-use cophy_optimizer::CostModel;
+use cophy_optimizer::{CostModel, TableFacts};
 use cophy_workload::Query;
 use serde::{Deserialize, Serialize};
 
@@ -149,7 +148,7 @@ mod tests {
     fn icost_adds_beta_and_gammas() {
         let (s, cm) = setup();
         let (q, li) = sample_query(&s);
-        let heap = cophy_optimizer::access::heap_path(&s, &cm, &q, li, None);
+        let heap = cophy_optimizer::heap_path(&s, &cm, &q, li, None);
         let tpl = TemplatePlan {
             internal_cost: 7.0,
             slots: vec![Slot { table: li, required: vec![], heap_cost: Some(heap.cost) }],

@@ -6,7 +6,7 @@
 //! variants when the index covers every referenced column.  The same
 //! machinery computes INUM's `γ_qkia` — the cost of instantiating slot `i`
 //! with index `a`: [`TableFacts::index_cost`] is the cost of the path
-//! [`path_for_index`] returns, without building the path.
+//! `TableFacts::index_path` returns, without building the path.
 
 use cophy_catalog::{ColumnId, ColumnRef, Configuration, Index, Schema, TableId};
 use cophy_workload::{PredOp, Predicate, Query};
@@ -54,7 +54,7 @@ pub struct AccessPath {
 
 /// Everything the access paths of one table reference share: the facts that
 /// depend on the (query, table) pair but not on the index being priced.
-/// [`enumerate`] gathers them once per table; every heap and index path of
+/// `enumerate` gathers them once per table; every heap and index path of
 /// that table is then priced against the same record.  Public so that the
 /// layers above the optimizer (INUM's `γ`, BIPGen) can gather them once per
 /// (statement, table) and price every candidate index against them with
@@ -204,7 +204,7 @@ impl<'q> TableFacts<'q> {
 
     /// Price the best access that uses `ix`: whether it is a seek, and its
     /// cost.  `None` when using the index is nonsensical (see
-    /// [`path_for_index`]).  The one copy of the access-cost formula;
+    /// `index_path`).  The one copy of the access-cost formula;
     /// allocates nothing.
     fn price(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<(bool, f64)> {
         debug_assert_eq!(ix.table, self.table);
@@ -248,12 +248,17 @@ impl<'q> TableFacts<'q> {
         }
     }
 
-    /// `path_for_index(..).map(|p| p.cost)` for the table of these facts,
+    /// `index_path(..).map(|p| p.cost)` for the table of these facts,
     /// without building the path.
     pub fn index_cost(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<f64> {
         self.price(schema, cm, ix).map(|(_, cost)| cost)
     }
 
+    /// Best access path that *uses index `ix`* (seek if sargable, else full
+    /// scan).  Returns `None` when using the index is nonsensical (e.g. a full
+    /// scan of a non-covering index would re-fetch every heap row *and* the
+    /// index has no sargable prefix or useful order — such paths are strictly
+    /// dominated by the heap scan and INUM prunes their `x` variables).
     fn index_path(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<AccessPath> {
         let (seek, cost) = self.price(schema, cm, ix)?;
         let method = if seek {
@@ -283,25 +288,10 @@ pub fn heap_path(
     TableFacts::new(schema, q, table).heap_path(cm, clustered)
 }
 
-/// Best access path that *uses index `ix`* (seek if sargable, else full
-/// scan).  Returns `None` when using the index is nonsensical (e.g. a full
-/// scan of a non-covering index would re-fetch every heap row *and* the index
-/// has no sargable prefix or useful order — such paths are strictly dominated
-/// by the heap scan and INUM prunes their `x` variables).
-pub fn path_for_index(
-    schema: &Schema,
-    cm: &CostModel,
-    q: &Query,
-    table: TableId,
-    ix: &Index,
-) -> Option<AccessPath> {
-    TableFacts::new(schema, q, table).index_path(schema, cm, ix)
-}
-
 /// Enumerate the pareto-useful access paths for `table` under
 /// `config ∪ {heap}`: minimum cost per distinct delivered order, always
 /// including the overall cheapest.
-pub fn enumerate(
+pub(crate) fn enumerate(
     schema: &Schema,
     cm: &CostModel,
     q: &Query,
@@ -362,7 +352,7 @@ mod tests {
         let mut q = Query::scan(ord.id);
         q.predicates.push(Predicate::eq(ck, 42.0));
         let ix = Index::secondary(ord.id, vec![ck.column]);
-        let seek = path_for_index(&s, &cm, &q, ord.id, &ix).unwrap();
+        let seek = TableFacts::new(&s, &q, ord.id).index_path(&s, &cm, &ix).unwrap();
         let heap = heap_path(&s, &cm, &q, ord.id, None);
         assert!(matches!(seek.method, AccessMethod::IndexSeek(_)));
         assert!(seek.cost < heap.cost / 10.0, "seek {} heap {}", seek.cost, heap.cost);
@@ -379,8 +369,8 @@ mod tests {
         q.projections.push(ep);
         let plain = Index::secondary(li.id, vec![sd.column]);
         let cov = Index::covering(li.id, vec![sd.column], vec![ep.column]);
-        let p_plain = path_for_index(&s, &cm, &q, li.id, &plain).unwrap();
-        let p_cov = path_for_index(&s, &cm, &q, li.id, &cov).unwrap();
+        let p_plain = TableFacts::new(&s, &q, li.id).index_path(&s, &cm, &plain).unwrap();
+        let p_cov = TableFacts::new(&s, &q, li.id).index_path(&s, &cm, &cov).unwrap();
         assert!(p_cov.cost < p_plain.cost);
     }
 
@@ -393,7 +383,7 @@ mod tests {
         let mut q = Query::scan(li.id);
         q.predicates.push(Predicate::eq(ok, 7.0));
         let ix = Index::secondary(li.id, vec![ok.column, sd.column]);
-        let p = path_for_index(&s, &cm, &q, li.id, &ix).unwrap();
+        let p = TableFacts::new(&s, &q, li.id).index_path(&s, &cm, &ix).unwrap();
         assert_eq!(p.order, Ordering(vec![sd]), "bound prefix must be stripped");
     }
 
@@ -409,9 +399,9 @@ mod tests {
         };
         // Index on an unprojected, unfiltered comment column: full scan of it
         // is non-covering with no order value — but it *does* deliver an
-        // order, so path_for_index returns a (costly) IndexScan.
+        // order, so `index_path` returns a (costly) IndexScan.
         let ix = Index::secondary(li.id, vec![cm2.column]);
-        let p = path_for_index(&s, &cm, &q, li.id, &ix).unwrap();
+        let p = TableFacts::new(&s, &q, li.id).index_path(&s, &cm, &ix).unwrap();
         let heap = heap_path(&s, &cm, &q, li.id, None);
         assert!(p.cost > heap.cost, "useless index must not look cheap");
     }
@@ -485,7 +475,7 @@ mod tests {
                     let facts = TableFacts::new(&s, q, table);
                     assert_eq!(facts.eq_cols(), q.eq_columns_on(table));
                     for ix in index_family(&s, q, table) {
-                        let path = path_for_index(&s, &cm, q, table, &ix);
+                        let path = TableFacts::new(&s, q, table).index_path(&s, &cm, &ix);
                         let cost = facts.index_cost(&s, &cm, &ix);
                         assert_eq!(cost.map(f64::to_bits), path.as_ref().map(|p| p.cost.to_bits()));
                         // The one refusal: a full scan that neither covers

@@ -278,7 +278,7 @@ pub trait WhatIfBackend: std::fmt::Debug + Send + Sync {
 /// SplitMix64 finalizer — the seeded scrambling primitive of the
 /// fault-injection wrapper: one pass turns a fingerprint XOR into
 /// uniform 64-bit output, so a pair's draw depends only on `(seed, pair)`.
-pub fn splitmix64(x: u64) -> u64 {
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -309,7 +309,7 @@ pub fn statement_fingerprint(stmt: &Statement) -> u64 {
 
 /// Order-independent fingerprint of a configuration: per-index renderings are
 /// sorted before hashing, so set-equal configurations fingerprint equal.
-pub fn config_fingerprint(config: &Configuration) -> u64 {
+pub(crate) fn config_fingerprint(config: &Configuration) -> u64 {
     let mut parts: Vec<String> = config.iter().map(|ix| format!("{ix:?}")).collect();
     parts.sort_unstable();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -16,29 +16,20 @@ pub fn access_rows(schema: &Schema, q: &Query, table: cophy_catalog::TableId) ->
 }
 
 /// NDV of a column, capped by the current row estimate of its relation.
-pub fn ndv(schema: &Schema, c: ColumnRef, rows: f64) -> f64 {
+pub(crate) fn ndv(schema: &Schema, c: ColumnRef, rows: f64) -> f64 {
     let raw = schema.table(c.table).column(c.column).stats.ndv as f64;
     raw.min(rows.max(1.0)).max(1.0)
 }
 
 /// Selectivity of an equi-join edge given current per-side row estimates.
-pub fn join_selectivity(schema: &Schema, j: &Join, left_rows: f64, right_rows: f64) -> f64 {
+pub(crate) fn join_selectivity(schema: &Schema, j: &Join, left_rows: f64, right_rows: f64) -> f64 {
     let nl = ndv(schema, j.left, left_rows);
     let nr = ndv(schema, j.right, right_rows);
     1.0 / nl.max(nr)
 }
 
-/// Output rows of joining two sub-plans of `lr` and `rr` rows across `edges`.
-pub fn join_rows(schema: &Schema, edges: &[&Join], lr: f64, rr: f64) -> f64 {
-    let mut sel = 1.0;
-    for j in edges {
-        sel *= join_selectivity(schema, j, lr, rr);
-    }
-    (lr * rr * sel).max(1.0)
-}
-
 /// Number of groups produced by GROUP BY over `rows` input rows.
-pub fn group_rows(schema: &Schema, group_by: &[ColumnRef], rows: f64) -> f64 {
+pub(crate) fn group_rows(schema: &Schema, group_by: &[ColumnRef], rows: f64) -> f64 {
     if group_by.is_empty() {
         return 1.0; // scalar aggregate
     }
@@ -76,7 +67,8 @@ mod tests {
             s.resolve("orders.o_orderkey").unwrap(),
             s.resolve("lineitem.l_orderkey").unwrap(),
         );
-        let out = join_rows(&s, &[&j], 1_500_000.0, 6_000_000.0);
+        let (lr, rr) = (1_500_000.0, 6_000_000.0);
+        let out = lr * rr * join_selectivity(&s, &j, lr, rr);
         let rel_err = (out - 6_000_000.0).abs() / 6_000_000.0;
         assert!(rel_err < 0.01, "FK join should preserve fact rows, got {out}");
     }

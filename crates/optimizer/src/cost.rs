@@ -80,22 +80,28 @@ impl CostModel {
     }
 
     /// Sequential scan of a heap: all pages + per-tuple CPU.
-    pub fn seq_scan(&self, pages: u64, rows: f64) -> f64 {
+    pub(crate) fn seq_scan(&self, pages: u64, rows: f64) -> f64 {
         pages as f64 * self.seq_page + rows * self.cpu_tuple
     }
 
     /// Full scan of a B-tree's leaf level.
-    pub fn index_leaf_scan(&self, leaf_pages: u64, entries: f64) -> f64 {
+    pub(crate) fn index_leaf_scan(&self, leaf_pages: u64, entries: f64) -> f64 {
         leaf_pages as f64 * self.seq_page + entries * self.cpu_index_tuple
     }
 
     /// Descend a B-tree of the given height.
-    pub fn btree_descend(&self, height: u32) -> f64 {
+    pub(crate) fn btree_descend(&self, height: u32) -> f64 {
         f64::from(height) * self.random_page
     }
 
     /// Read `frac` of a B-tree's leaves after a descend (range scan).
-    pub fn index_range_scan(&self, height: u32, leaf_pages: u64, frac: f64, entries: f64) -> f64 {
+    pub(crate) fn index_range_scan(
+        &self,
+        height: u32,
+        leaf_pages: u64,
+        frac: f64,
+        entries: f64,
+    ) -> f64 {
         self.btree_descend(height)
             + (leaf_pages as f64 * frac).ceil() * self.seq_page
             + entries * self.cpu_index_tuple
@@ -103,7 +109,7 @@ impl CostModel {
 
     /// Fetch `rows` heap tuples pointed to by index entries (non-covering
     /// access); fetches are random but partially cached.
-    pub fn heap_fetches(&self, rows: f64) -> f64 {
+    pub(crate) fn heap_fetches(&self, rows: f64) -> f64 {
         rows * self.random_page * (1.0 - self.fetch_cache_hit)
     }
 
@@ -117,28 +123,28 @@ impl CostModel {
     }
 
     /// Hash join: build on `build_rows`, probe with `probe_rows`, emit `out`.
-    pub fn hash_join(&self, build_rows: f64, probe_rows: f64, out: f64) -> f64 {
+    pub(crate) fn hash_join(&self, build_rows: f64, probe_rows: f64, out: f64) -> f64 {
         build_rows * self.hash_build + probe_rows * self.hash_probe + out * self.cpu_tuple
     }
 
     /// Merge join over two sorted inputs.
-    pub fn merge_join(&self, left_rows: f64, right_rows: f64, out: f64) -> f64 {
+    pub(crate) fn merge_join(&self, left_rows: f64, right_rows: f64, out: f64) -> f64 {
         (left_rows + right_rows) * self.cpu_operator * 2.0 + out * self.cpu_tuple
     }
 
     /// Block nested-loop join (no index on the inner); only competitive when
     /// one side is tiny, which is exactly when the optimizer picks it.
-    pub fn nl_join(&self, outer_rows: f64, inner_rows: f64, out: f64) -> f64 {
+    pub(crate) fn nl_join(&self, outer_rows: f64, inner_rows: f64, out: f64) -> f64 {
         outer_rows * inner_rows * self.cpu_operator + out * self.cpu_tuple
     }
 
     /// Hash aggregation of `rows` into `groups`.
-    pub fn hash_agg(&self, rows: f64, groups: f64, n_aggs: usize) -> f64 {
+    pub(crate) fn hash_agg(&self, rows: f64, groups: f64, n_aggs: usize) -> f64 {
         rows * (self.hash_probe + n_aggs as f64 * self.cpu_operator) + groups * self.cpu_tuple
     }
 
     /// Stream (sorted-input) aggregation.
-    pub fn stream_agg(&self, rows: f64, groups: f64, n_aggs: usize) -> f64 {
+    pub(crate) fn stream_agg(&self, rows: f64, groups: f64, n_aggs: usize) -> f64 {
         rows * (self.cpu_operator * (1 + n_aggs) as f64) + groups * self.cpu_tuple
     }
 

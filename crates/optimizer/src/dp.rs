@@ -81,7 +81,7 @@ use crate::plan::{PhysicalPlan, PlanNode, SubPlan};
 
 /// Maximum number of table references the DP supports (bitmask width; the
 /// workloads top out at six).  [`Query::validate`] enforces it.
-pub const MAX_TABLES: usize = cophy_workload::MAX_TABLES;
+pub(crate) const MAX_TABLES: usize = cophy_workload::MAX_TABLES;
 
 /// Id of an interned order; [`Orders::NONE`] is "no order".
 type OrderId = u32;
@@ -181,7 +181,7 @@ struct Memo<'a> {
 /// `q` must pass [`Query::validate`], which bounds the table count by
 /// [`MAX_TABLES`] and guarantees a connected join graph; the DP panics on a
 /// query that does not.
-pub fn optimize(
+pub(crate) fn optimize(
     schema: &Schema,
     cm: &CostModel,
     q: &Query,

@@ -119,7 +119,7 @@ impl FaultPlan {
     }
 
     /// The deterministic fate of one `(query, config)` pair under this plan.
-    pub fn fate(&self, query_fp: u64, config_fp: u64) -> PairFate {
+    pub(crate) fn fate(&self, query_fp: u64, config_fp: u64) -> PairFate {
         let h = splitmix64(self.seed ^ query_fp ^ config_fp.rotate_left(32));
         let permanent = unit(splitmix64(h ^ 0x01)) < self.permanent_rate;
         let faults = if permanent {
@@ -141,7 +141,7 @@ impl FaultPlan {
 
 /// What the plan has in store for one probe pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairFate {
+pub(crate) struct PairFate {
     /// How many leading attempts fail (`u32::MAX` = never succeeds).
     pub faults: u32,
     /// Multiplicative cost corruption applied to successful probes.
@@ -160,14 +160,14 @@ impl PairFate {
 /// Per-fault accounting of a [`FaultInjectingBackend`], cheap enough to keep
 /// always-on (atomic counters).
 #[derive(Debug, Default)]
-pub struct FaultStats {
+pub(crate) struct FaultStats {
     pub transient_injected: AtomicU64,
     pub timeouts_injected: AtomicU64,
     pub corrupted_probes: AtomicU64,
     pub probes_passed: AtomicU64,
 }
 
-/// A point-in-time copy of [`FaultStats`].
+/// A point-in-time copy of a backend's fault counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStatsSnapshot {
     pub transient_injected: u64,
@@ -192,7 +192,7 @@ impl FaultStats {
 /// Owns its inner backend (`Box<dyn WhatIfBackend>`) so long-lived hosts —
 /// the `cophy-server` daemon wrapping a tenant, the chaos bench harness —
 /// can hold it without borrowing.  Fault decisions are keyed per pair and
-/// attempt (see [`FaultPlan::fate`]), so two backends over the same plan and
+/// attempt (see `FaultPlan::fate`), so two backends over the same plan and
 /// seed inject identical faults regardless of probe order.
 #[derive(Debug)]
 pub struct FaultInjectingBackend {
@@ -320,11 +320,6 @@ impl RetryPolicy {
     /// the fault layer existed (zero extra probes, bit-identical results).
     pub fn none() -> Self {
         RetryPolicy { max_attempts: 1, ..Default::default() }
-    }
-
-    /// Whether this policy can ever re-attempt a probe.
-    pub fn retries_enabled(&self) -> bool {
-        self.max_attempts > 1
     }
 
     /// The backoff before retrying after the `attempt`-th (1-based) failed

@@ -9,11 +9,11 @@
 //! * a System-R-style cost model ([`CostModel`]) with two parameterizations
 //!   ([`SystemProfile::A`], [`SystemProfile::B`]) standing in for the paper's
 //!   two commercial systems,
-//! * cardinality estimation from catalog statistics ([`cardinality`]),
+//! * cardinality estimation from catalog statistics (`cardinality`),
 //! * access-path selection over heap scans, index seeks, index scans and
-//!   index-only variants ([`access`]),
+//!   index-only variants ([`AccessPath`]),
 //! * Selinger-style dynamic-programming join enumeration with *interesting
-//!   orders* ([`dp`]) — the plan-space structure INUM's template plans encode,
+//!   orders* (`dp`) — the plan-space structure INUM's template plans encode,
 //! * the what-if facade ([`WhatIfOptimizer`]) with per-call accounting and
 //!   update-maintenance costing (`ucost`).
 //!
@@ -21,25 +21,29 @@
 //! (`PhysicalPlan::leaves`), which is exactly the decomposition INUM needs:
 //! `total = internal (β) + Σ leaf access costs (γ)`.
 
-pub mod access;
-pub mod backend;
-pub mod cardinality;
-pub mod cost;
-pub mod dp;
-pub mod fault;
-pub mod ordering;
-pub mod plan;
+mod access;
+mod backend;
+mod cardinality;
+mod cost;
+mod dp;
+mod fault;
+mod ordering;
+mod plan;
 pub mod trace;
-pub mod whatif;
+mod whatif;
 
-pub use access::{AccessMethod, AccessPath};
-pub use backend::{BackendError, ProbeAnswer, ProbeLeaf, WhatIfBackend};
+pub use access::{heap_path, AccessMethod, AccessPath, TableFacts};
+pub use backend::{
+    fnv1a, query_fingerprint, statement_fingerprint, BackendError, ProbeAnswer, ProbeLeaf,
+    WhatIfBackend,
+};
+pub use cardinality::access_rows;
 pub use cost::{CostModel, SystemProfile};
 pub use fault::{
     probe_with_retry, FaultEvent, FaultInjectingBackend, FaultKind, FaultLog, FaultPlan,
     FaultStatsSnapshot, RetriedProbe, RetryPolicy,
 };
 pub use ordering::{EquivClasses, Ordering};
-pub use plan::{LeafAccess, PhysicalPlan, PlanNode};
+pub use plan::{LeafAccess, PhysicalPlan, PlanNode, SubPlan};
 pub use trace::{TraceRecorder, TraceReplay};
 pub use whatif::WhatIfOptimizer;

@@ -30,7 +30,7 @@ const MAGIC: &str = "COPHY-TRACE v1";
 
 /// Fingerprint of a schema, stored in the trace header so a replay against
 /// the wrong schema fails fast instead of producing nonsense costs.
-pub fn schema_fingerprint(schema: &Schema) -> u64 {
+pub(crate) fn schema_fingerprint(schema: &Schema) -> u64 {
     fnv1a(format!("{schema:?}").as_bytes())
 }
 
@@ -213,11 +213,6 @@ impl TraceReplay {
             calls: AtomicU64::new(0),
         })
     }
-
-    /// Number of distinct probe answers in the trace.
-    pub fn n_recorded_probes(&self) -> usize {
-        self.probes.len()
-    }
 }
 
 impl WhatIfBackend for TraceReplay {
@@ -312,7 +307,11 @@ pub fn parse_index(s: &str) -> Result<Index, String> {
             "S" => IndexKind::Secondary,
             other => return Err(format!("bad index kind {other:?}")),
         },
-        unique: unique == "1",
+        unique: match unique {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("bad unique flag {other:?}")),
+        },
     })
 }
 
@@ -343,7 +342,7 @@ mod tests {
         }
         let text = rec.serialize();
         let replay = TraceReplay::parse(TpchGen::default().schema(), &text).unwrap();
-        assert_eq!(replay.n_recorded_probes(), answers.len());
+        assert_eq!(replay.probes.len(), answers.len());
         for ((_, stmt, _), want) in w.iter().zip(&answers) {
             let got = replay.probe(stmt.read_shell(), &Configuration::empty());
             assert_eq!(got.total_cost.to_bits(), want.total_cost.to_bits());
@@ -424,5 +423,14 @@ mod tests {
         assert_eq!(parse_index(&fmt_index(&ix)).unwrap(), ix);
         let scan = Index::secondary(li, Vec::new());
         assert_eq!(parse_index(&fmt_index(&scan)).unwrap(), scan);
+    }
+
+    #[test]
+    fn index_wire_format_rejects_a_bad_unique_flag() {
+        assert!(parse_index("7/S/0/1/-").is_ok());
+        for flag in ["yes", "2", "", "true"] {
+            let err = parse_index(&format!("7/S/{flag}/1/-")).unwrap_err();
+            assert!(err.contains("bad unique flag"), "{flag:?}: {err}");
+        }
     }
 }

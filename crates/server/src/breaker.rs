@@ -17,28 +17,21 @@
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Observable breaker state (the classic three-state machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation; counts consecutive backend failures.
-    Closed,
-    /// Rejecting everything until the cooldown elapses.
-    Open,
-    /// Cooldown elapsed: one trial request in flight decides the outcome.
-    HalfOpen,
-}
-
+/// The classic three-state machine.
 #[derive(Debug)]
 enum Inner {
+    /// Normal operation; counts consecutive backend failures.
     Closed { consecutive: u32 },
+    /// Rejecting everything until the cooldown elapses.
     Open { since: Instant },
+    /// Cooldown elapsed: one trial request in flight decides the outcome.
     HalfOpen,
 }
 
 /// A three-state circuit breaker: trip on repeated backend faults, reject
 /// fast while open, half-open on a timer.
 #[derive(Debug)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     threshold: u32,
     cooldown: Duration,
     inner: Mutex<Inner>,
@@ -47,7 +40,7 @@ pub struct CircuitBreaker {
 impl CircuitBreaker {
     /// Trip after `threshold` consecutive failures; half-open a trial
     /// request after `cooldown`.  A zero threshold disables the breaker.
-    pub fn new(threshold: u32, cooldown: Duration) -> CircuitBreaker {
+    pub(crate) fn new(threshold: u32, cooldown: Duration) -> CircuitBreaker {
         CircuitBreaker { threshold, cooldown, inner: Mutex::new(Inner::Closed { consecutive: 0 }) }
     }
 
@@ -55,25 +48,9 @@ impl CircuitBreaker {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current state, transitioning `Open → HalfOpen` if the cooldown has
-    /// elapsed (observation is what arms the trial request).
-    pub fn state(&self) -> BreakerState {
-        let mut g = self.lock();
-        if let Inner::Open { since } = *g {
-            if since.elapsed() >= self.cooldown {
-                *g = Inner::HalfOpen;
-            }
-        }
-        match *g {
-            Inner::Closed { .. } => BreakerState::Closed,
-            Inner::Open { .. } => BreakerState::Open,
-            Inner::HalfOpen => BreakerState::HalfOpen,
-        }
-    }
-
     /// Admit or reject a request.  `Err(retry_after)` means the breaker is
     /// open and the caller should come back after the hinted wait.
-    pub fn admit(&self) -> Result<(), Duration> {
+    pub(crate) fn admit(&self) -> Result<(), Duration> {
         if self.threshold == 0 {
             return Ok(());
         }
@@ -94,13 +71,13 @@ impl CircuitBreaker {
 
     /// Record a request that reached the backend and succeeded: closes the
     /// breaker and clears the failure streak.
-    pub fn record_success(&self) {
+    pub(crate) fn record_success(&self) {
         *self.lock() = Inner::Closed { consecutive: 0 };
     }
 
     /// Record a backend fault.  In `Closed`, extends the streak and trips at
     /// the threshold; in `HalfOpen`, the failed trial re-opens immediately.
-    pub fn record_failure(&self) {
+    pub(crate) fn record_failure(&self) {
         if self.threshold == 0 {
             return;
         }
@@ -123,6 +100,32 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Observable breaker state.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum BreakerState {
+        Closed,
+        Open,
+        HalfOpen,
+    }
+
+    impl CircuitBreaker {
+        /// Current state, transitioning `Open → HalfOpen` if the cooldown has
+        /// elapsed, as [`CircuitBreaker::admit`] does.
+        fn state(&self) -> BreakerState {
+            let mut g = self.lock();
+            if let Inner::Open { since } = *g {
+                if since.elapsed() >= self.cooldown {
+                    *g = Inner::HalfOpen;
+                }
+            }
+            match *g {
+                Inner::Closed { .. } => BreakerState::Closed,
+                Inner::Open { .. } => BreakerState::Open,
+                Inner::HalfOpen => BreakerState::HalfOpen,
+            }
+        }
+    }
 
     #[test]
     fn trips_after_threshold_rejects_fast_and_half_opens_on_timer() {

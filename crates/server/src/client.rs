@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use cophy_catalog::Index;
-use cophy_optimizer::trace::{fmt_index, parse_index};
+use cophy_optimizer::trace::parse_index;
 
 use crate::manager::{OpenReply, PointReply, StatsReply, TuneReply, WhatIfReply};
 use crate::protocol::{
@@ -338,12 +338,6 @@ impl Client {
             Err(parse_err(format!("expected {prefix}, got {line:?}")))
         }
     }
-}
-
-/// Format an index for a protocol argument (re-export for callers that
-/// build requests by hand, e.g. the CI `script` subcommand).
-pub fn index_wire(ix: &Index) -> String {
-    fmt_index(ix)
 }
 
 #[cfg(test)]

@@ -7,13 +7,13 @@
 //! process:
 //!
 //! * **Transport** — `std::net::TcpListener` + OS threads, line-delimited
-//!   text ([`protocol`]); no async runtime, nothing outside the workspace.
+//!   text ([`Request`]); no async runtime, nothing outside the workspace.
 //! * **Sharing** — sessions opened over the same workload spec share one
 //!   [`cophy_inum::InumCache`] `Arc`: N concurrent sessions cost the probes
-//!   of one ([`manager`]).
-//! * **Isolation** — per-tenant probe quotas ([`quota`]), a bounded solver
+//!   of one ([`SessionManager`]).
+//! * **Isolation** — per-tenant probe quotas ([`ServerConfig::quota`]), a bounded solver
 //!   pool (`err busy` instead of collapse), cooperative cancellation when a
-//!   client disconnects mid-solve ([`server`]), and a memory-capped LRU
+//!   client disconnects mid-solve ([`Server`]), and a memory-capped LRU
 //!   that demotes cold sessions to a compact form they rebuild from
 //!   bit-identically.
 //! * **Streaming** — `tune`/`sweep` forward every anytime
@@ -35,19 +35,17 @@
 //! handle.stop();
 //! ```
 
-pub mod breaker;
-pub mod client;
-pub mod manager;
-pub mod protocol;
-pub mod quota;
-pub mod server;
+mod breaker;
+mod client;
+mod manager;
+mod protocol;
+mod quota;
+mod server;
 
-pub use breaker::{BreakerState, CircuitBreaker};
 pub use client::{Client, ClientError};
 pub use manager::{
     parse_spec, parse_spec_source, OpenReply, PointReply, ServerConfig, SessionManager, StatsReply,
     TuneReply, WhatIfReply,
 };
 pub use protocol::{DegradedLine, ErrCode, ProgressLine, Request, WireError};
-pub use quota::MeteredBackend;
 pub use server::{Server, ServerHandle};

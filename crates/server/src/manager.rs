@@ -107,7 +107,7 @@ impl Default for ServerConfig {
 
 /// A counting semaphore over solver slots (std-only: Mutex + Condvar).
 #[derive(Debug)]
-pub struct SolverPool {
+pub(crate) struct SolverPool {
     free: Mutex<usize>,
     cv: Condvar,
     wait: Duration,
@@ -212,7 +212,7 @@ struct ManagerState {
 
 /// Server-wide counters surfaced by the `stats` verb.
 #[derive(Debug, Default)]
-pub struct Counters {
+pub(crate) struct Counters {
     pub cache_hits: AtomicU64,
     pub cache_misses: AtomicU64,
     pub evictions: AtomicU64,
@@ -290,7 +290,7 @@ pub struct SessionManager {
     build_cv: Condvar,
     pool: SolverPool,
     clock: AtomicU64,
-    pub counters: Counters,
+    pub(crate) counters: Counters,
 }
 
 /// Parse a canonical workload spec `(hom|het|upd):SEED:N` into a
@@ -775,7 +775,7 @@ impl SessionManager {
 
     /// Drop a session whose request handler panicked (its state may be
     /// arbitrarily torn); the client sees `err internal`.
-    pub fn drop_session(&self, sid: &str) {
+    pub(crate) fn drop_session(&self, sid: &str) {
         let mut st = lock(&self.state);
         st.live.remove(sid);
         st.evicted.remove(sid);

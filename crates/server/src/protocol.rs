@@ -413,7 +413,7 @@ pub struct DegradedLine {
 }
 
 impl DegradedLine {
-    pub fn from_report(d: &cophy::DegradationReport) -> DegradedLine {
+    pub(crate) fn from_report(d: &cophy::DegradationReport) -> DegradedLine {
         DegradedLine {
             coverage: d.coverage,
             inflation: d.worst_case_inflation,
@@ -505,9 +505,15 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_bad_request() {
-        for line in
-            ["", "frobnicate s1", "open s1", "open s!d hom:1:2 0.5", "sweep s1 1,x", "pin s1 zz"]
-        {
+        for line in [
+            "",
+            "frobnicate s1",
+            "open s1",
+            "open s!d hom:1:2 0.5",
+            "sweep s1 1,x",
+            "pin s1 zz",
+            "pin s1 0/S/yes/1/-",
+        ] {
             let err = Request::parse(line).unwrap_err();
             assert_eq!(err.code, ErrCode::BadRequest, "line {line:?} -> {err}");
         }

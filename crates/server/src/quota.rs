@@ -15,8 +15,6 @@
 //! inner backend performed, so the ledger can never drift from the costs it
 //! gates.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use cophy_catalog::{Configuration, Index, Schema};
 use cophy_optimizer::{BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend};
 use cophy_workload::{Query, Statement};
@@ -26,30 +24,20 @@ use cophy_workload::{Query, Statement};
 /// One instance per tenant; all of the tenant's sessions share it, so the
 /// quota covers the tenant's total probe spend, not per-session slices.
 #[derive(Debug)]
-pub struct MeteredBackend {
+pub(crate) struct MeteredBackend {
     inner: Box<dyn WhatIfBackend>,
-    limit: AtomicU64,
+    limit: u64,
 }
 
 impl MeteredBackend {
     /// Wrap `inner`, allowing at most `limit` probes (`u64::MAX` = unmetered).
-    pub fn new(inner: Box<dyn WhatIfBackend>, limit: u64) -> Self {
-        MeteredBackend { inner, limit: AtomicU64::new(limit) }
+    pub(crate) fn new(inner: Box<dyn WhatIfBackend>, limit: u64) -> Self {
+        MeteredBackend { inner, limit }
     }
 
     /// Probes the tenant has spent so far.
-    pub fn spent(&self) -> u64 {
+    pub(crate) fn spent(&self) -> u64 {
         self.inner.what_if_calls()
-    }
-
-    /// The current probe limit.
-    pub fn limit(&self) -> u64 {
-        self.limit.load(Ordering::Relaxed)
-    }
-
-    /// Raise (or lower) the tenant's quota at run time.
-    pub fn set_limit(&self, limit: u64) {
-        self.limit.store(limit, Ordering::Relaxed);
     }
 }
 
@@ -68,9 +56,8 @@ impl WhatIfBackend for MeteredBackend {
 
     fn try_probe(&self, q: &Query, config: &Configuration) -> Result<ProbeAnswer, BackendError> {
         let spent = self.inner.what_if_calls();
-        let limit = self.limit.load(Ordering::Relaxed);
-        if spent >= limit {
-            return Err(BackendError::QuotaExceeded { spent, limit });
+        if spent >= self.limit {
+            return Err(BackendError::QuotaExceeded { spent, limit: self.limit });
         }
         self.inner.try_probe(q, config)
     }
@@ -121,14 +108,5 @@ mod tests {
         }
         // The rejected probe was never performed: the ledger holds at 2.
         assert_eq!(b.spent(), 2);
-    }
-
-    #[test]
-    fn raising_the_limit_unblocks_the_tenant() {
-        let (b, w) = metered(0);
-        let q = w.iter().next().unwrap().1.read_shell().clone();
-        assert!(b.try_probe(&q, &Configuration::empty()).is_err());
-        b.set_limit(5);
-        assert!(b.try_probe(&q, &Configuration::empty()).is_ok());
     }
 }

@@ -106,7 +106,7 @@ impl Statement {
 
 /// Both keys of `stmt` in one traversal (the hot path of compression —
 /// called once per absorbed statement).
-pub fn keys(stmt: &Statement) -> (TemplateKey, ShellKey) {
+pub(crate) fn keys(stmt: &Statement) -> (TemplateKey, ShellKey) {
     let e = encode(stmt);
     (TemplateKey(e.template), ShellKey(e.shell))
 }
@@ -117,7 +117,7 @@ pub fn template_key(stmt: &Statement) -> TemplateKey {
 }
 
 /// The exact shell key of `stmt` (constants included, bit-exact).
-pub fn shell_key(stmt: &Statement) -> ShellKey {
+pub(crate) fn shell_key(stmt: &Statement) -> ShellKey {
     keys(stmt).1
 }
 

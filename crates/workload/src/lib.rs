@@ -17,16 +17,16 @@
 //! references a table at most once; generators enforce it by construction and
 //! [`Query::validate`] checks it.
 
-pub mod features;
-pub mod gen_het;
-pub mod gen_hom;
-pub mod gen_update;
-pub mod query;
-pub mod source;
-pub mod sql;
-pub mod workload;
+mod features;
+mod gen_het;
+mod gen_hom;
+mod gen_update;
+mod query;
+mod source;
+mod sql;
+mod workload;
 
-pub use features::{shell_key, template_key, ShellKey, StatementFeatures, TemplateKey};
+pub use features::{template_key, ShellKey, StatementFeatures, TemplateKey};
 pub use gen_het::{HetGen, HetStream};
 pub use gen_hom::{HomGen, HomStream};
 pub use gen_update::{UpdateGen, UpdateStream};
@@ -34,4 +34,5 @@ pub use query::{
     AggFunc, Aggregate, Join, PredOp, Predicate, Query, Statement, UpdateStatement, MAX_TABLES,
 };
 pub use source::{drain_to_workload, WorkloadCursor, WorkloadSource, DEFAULT_CHUNK};
+pub use sql::format_statement;
 pub use workload::{QueryId, Workload};

@@ -286,12 +286,6 @@ impl Query {
         }
         orders
     }
-
-    /// Is this a point/selective lookup query shape (single table, equality
-    /// predicate)? Used by candidate-generation heuristics.
-    pub fn is_single_table(&self) -> bool {
-        self.tables.len() == 1
-    }
 }
 
 /// An UPDATE statement, modeled per §2 as query shell + update shell.
@@ -344,10 +338,6 @@ impl Statement {
             Statement::Select(q) => q,
             Statement::Update(u) => &u.shell,
         }
-    }
-
-    pub fn is_update(&self) -> bool {
-        matches!(self, Statement::Update(_))
     }
 
     pub fn validate(&self) -> Result<(), String> {
@@ -551,7 +541,7 @@ mod tests {
         let li = s.table_by_name("lineitem").unwrap().id;
         let q = Query::scan(li);
         let sel = Statement::Select(q.clone());
-        assert!(!sel.is_update());
+        assert!(matches!(sel, Statement::Select(_)));
         assert_eq!(sel.read_shell(), &q);
     }
 }

@@ -16,7 +16,7 @@ fn col(schema: &Schema, c: ColumnRef) -> String {
 }
 
 /// Render a SELECT query as SQL text.
-pub fn format_query(schema: &Schema, q: &Query) -> String {
+pub(crate) fn format_query(schema: &Schema, q: &Query) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("SELECT ");
     let mut items: Vec<String> = q.projections.iter().map(|c| col(schema, *c)).collect();
@@ -76,7 +76,7 @@ pub fn format_query(schema: &Schema, q: &Query) -> String {
 }
 
 /// Render an UPDATE statement as SQL text.
-pub fn format_update(schema: &Schema, u: &UpdateStatement) -> String {
+pub(crate) fn format_update(schema: &Schema, u: &UpdateStatement) -> String {
     let t = schema.table(u.table());
     let sets: Vec<String> =
         u.set_columns.iter().map(|c| format!("{} = ?", t.column(*c).name)).collect();

@@ -64,16 +64,6 @@ impl Workload {
             .map(|(i, (s, w))| (QueryId(i as u32), s, *w))
     }
 
-    /// Ids of SELECT statements and query shells (`W_r` in §2: the read side).
-    pub fn read_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.ids() // every statement has a read shell
-    }
-
-    /// Ids of UPDATE statements (`W_u`).
-    pub fn update_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.iter().filter(|(_, s, _)| s.is_update()).map(|(id, _, _)| id)
-    }
-
     /// Take the first `n` statements (used to build the 250/500/1000-query
     /// variants from one generated pool, as the paper does).
     pub fn truncate(&self, n: usize) -> Workload {
@@ -182,8 +172,9 @@ mod tests {
             shell: Query::scan(li),
             set_columns: vec![ColumnId(4)],
         }));
-        assert_eq!(w.read_ids().count(), 2); // every statement has a read shell
-        assert_eq!(w.update_ids().count(), 1);
+        // Every statement has a read shell (`W_r` in §2); one is an update (`W_u`).
+        assert!(w.iter().all(|(_, s, _)| s.read_shell() == &Query::scan(li)));
+        assert_eq!(w.iter().filter(|(_, s, _)| matches!(s, Statement::Update(_))).count(), 1);
     }
 
     /// Interleave `w` with itself: every statement appears exactly twice.

@@ -7,7 +7,7 @@
 use cophy::{CoPhy, CoPhyOptions, ConstraintSet};
 use cophy_catalog::TpchGen;
 use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
-use cophy_workload::{sql, HomGen};
+use cophy_workload::{format_statement, HomGen};
 
 fn main() {
     // 1. A database: the TPC-H schema at scale factor 1, uniform data.
@@ -18,7 +18,7 @@ fn main() {
     let workload = HomGen::new(42).generate(schema, 100);
     println!(
         "First workload statement:\n{}\n",
-        sql::format_statement(schema, workload.statement(cophy_workload::QueryId(0)))
+        format_statement(schema, workload.statement(cophy_workload::QueryId(0)))
     );
 
     // 3. Tune under a storage budget of half the database size.
