@@ -24,7 +24,7 @@ use cophy_inum::{ideal_config, Inum, PreparedWorkload};
 use cophy_optimizer::{
     BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend, WhatIfOptimizer,
 };
-use cophy_workload::{template_key, Query, Workload};
+use cophy_workload::{template_key, Query, UpdateGen, Workload};
 
 fn bench_inum(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
@@ -208,6 +208,25 @@ fn bench_solvers(c: &mut Criterion) {
     let (prepared, cands, half) = het200(&o);
     let tp = BipGen::default().block_problem(o.schema(), o.cost_model(), &prepared, &cands, &half);
     c.bench_function("solver/lagrangian_het200_400it", |b| {
+        let solver = LagrangianSolver {
+            budget: SolveBudget::within(0.05).with_nodes(400),
+            ..Default::default()
+        };
+        b.iter(|| solver.solve(&tp.block));
+    });
+    // ... and of `het_update`: the same 200 statements mixed 50 % with
+    // UPDATEs, whose maintenance costs land on `z`.
+    let het = make_workload(&o, WorkloadKind::Het, 200);
+    let w = UpdateGen::new(0xC0FFEE ^ 0x5EED).mix_into(o.schema(), &het, 0.5);
+    let cands = CGen::default().generate(o.schema(), &w);
+    let tp = BipGen::default().block_problem(
+        o.schema(),
+        o.cost_model(),
+        &prepare(&o, &w),
+        &cands,
+        &half,
+    );
+    c.bench_function("solver/lagrangian_het200_updates_400it", |b| {
         let solver = LagrangianSolver {
             budget: SolveBudget::within(0.05).with_nodes(400),
             ..Default::default()

@@ -41,26 +41,60 @@
 //! An iteration then costs what it touches, not the size of the problem —
 //! and changes no bit of any result, because
 //!
-//! * *skipping zeros in ascending order keeps every sum.*  `M_a = Σ μ`,
-//!   `‖g‖²` and the μ update are left folds over the coordinates in ascending
-//!   order.  A coordinate with `μ = 0` (resp. `g = 0`) contributes `+ 0.0`,
-//!   the accumulators start at `+0.0` and never reach `−0.0` (μ is clamped at
+//! * *skipping zeros in ascending order keeps every sum.*  `M_a = Σ μ` and
+//!   `‖g‖²` are left folds over the coordinates in ascending order.  A
+//!   coordinate with `μ = 0` (resp. `g = 0`) contributes `+ 0.0`, the
+//!   accumulators start at `+0.0` and never reach `−0.0` (μ is clamped at
 //!   `+0.0`, squares are non-negative), and `x + 0.0 == x` bit for bit for
 //!   every such `x`.  So the folds visit only the support of μ (≈ 20 % of
 //!   the coordinates) and of `g` — the block winners and the coordinates of
 //!   items with `z > 0`, ≈ 10 % — as bitsets walked word by word, which is
-//!   ascending order;
-//! * *a minimum does not depend on the order it is taken in.*  The rounded
-//!   candidate is priced by lowering per-slot minima, seeded with the
-//!   fallbacks, with the choices of the *selected* items only; `min` over a
-//!   set of finite floats is the same float whatever the order.  The sums —
-//!   an alternative over its slots, the objective over the blocks — are
-//!   then taken in the reference order, so no addition is reordered.  The
-//!   primal heuristics price an item flip the same way, from slot minima
-//!   kept current across flips (`SlotMinima`);
+//!   ascending order.  The μ update visits fewer still: `(μ + t·g).max(0.0)`
+//!   is `μ` again for `g = 0`, and `+0.0` again for `g < 0` at `μ = 0`;
+//! * *a minimum does not depend on the order it is taken in — once ties are
+//!   broken by position.*  `min` over a set of finite floats is the same
+//!   value whatever the order, but not always the same bits: `−0.0 == +0.0`,
+//!   and a scan by `<` keeps whichever it met first.  So a slot's minimum is
+//!   kept as a *winner*, its value and its position, and a tie goes to the
+//!   earlier position in the scan order "fallback, then coordinates
+//!   ascending" (`Winner::offer`).  That is a total order, so the winner is
+//!   the scan's whatever order the candidates arrive in.  The rounded
+//!   candidate is priced from the winners of the *selected* items' choices,
+//!   seeded with the fallbacks; the sums — an alternative over its slots, the
+//!   objective over the blocks — are then taken in the reference order, so
+//!   no addition is reordered.  The primal heuristics price an item flip the
+//!   same way, from winners kept current across flips (`SlotMinima`);
 //! * *the knapsack order is a total order.*  A stable sort by ratio is the
 //!   order `(ratio, index)`; [`knapsack::continuous_min`] may produce only
 //!   the prefix of it that the budget consumes.
+//!
+//! # Slot winners across μ steps
+//!
+//! The block minima read no coordinate.  A solve keeps every slot's winner
+//! under the current μ (`Winners`): built by one scan of every slot after
+//! the warm-start import, then carried from step to step.  One step changes
+//! the bits of ≈ 2 % of the multipliers, and each of them is merged into its
+//! slot with `v = γ + μ`, the expression the scan evaluates:
+//!
+//! * the winner itself stays on a fall or a tie (it was first among the
+//!   minima and still is), and marks its slot for a rescan on a rise (another
+//!   coordinate may now be smaller; only a scan can tell which);
+//! * another coordinate takes over on a smaller value, or on a tie with a
+//!   winner at a larger coordinate; the fallback keeps every tie — exactly
+//!   where a scan by `<` would have switched;
+//! * a marked slot takes no merges, and is rescanned once against the final μ
+//!   when the step closes.
+//!
+//! The scan (`Flat::scan`) takes two passes: a four-lane minimum of `γ + μ`,
+//! exact in any order for finite values, then the first coordinate whose
+//! `γ + μ` equals it — with its own bits, so a `±0` tie resolves as the
+//! sequential scan resolves it.  That minimum is compared with the fallback
+//! by `<`.  The block pass then sums each alternative's base and winners in
+//! slot order, takes the first minimal alternative by `<`, and hands the
+//! winning coordinates to the subgradient — the same floats in the same
+//! order as the sweep over every coordinate it replaces, which survives as
+//! the `#[cfg(test)]` oracle `Flat::block_minimum` and is checked against
+//! the winners at every block of every test solve.
 //!
 //! All of this assumes finite coefficients, which BIPGen guarantees.  The
 //! kernels are tested against the nested walks bit for bit, and
@@ -404,7 +438,8 @@ impl LagrangianSolver {
         let mut chosen: Vec<u32> = Vec::new();
         let mut touched = CoordSet::new(n_coords);
         let mut step: Vec<(u32, f64)> = Vec::new();
-        let mut slot_min: Vec<Option<f64>> = vec![None; flat.fallback.len()];
+        let mut slot_min = flat.fallback.clone();
+        let mut winners = Winners::new(&flat, &mu);
         let mut blocks_done = 0usize;
 
         while driver.ticks() < max_iters {
@@ -419,11 +454,17 @@ impl LagrangianSolver {
 
             // Query part: the per-block minima under μ-inflated γ — the
             // decomposed subproblems, which only couple through μ — folded
-            // in block order.
+            // in block order, from the slot winners the μ steps keep.
             chosen.clear();
             let mut query_part = 0.0;
             for b in 0..p.blocks.len() {
-                let val = flat.block_minimum(b, &mu, &mut chosen);
+                let val = winners.block_minimum(&flat, b, &mut chosen);
+                #[cfg(test)]
+                debug_assert_eq!(
+                    val.to_bits(),
+                    flat.block_minimum(b, &mu, &mut Vec::new()).to_bits(),
+                    "block {b}: the winners against the dense scan"
+                );
                 debug_assert!(val.is_finite(), "block without feasible alternative");
                 query_part += val;
             }
@@ -490,7 +531,10 @@ impl LagrangianSolver {
             // non-zero only on `touched`: the block winners and the
             // coordinates of items with z > 0.  `chosen` is ascending (blocks,
             // then slots, in flattening order), so one cursor tells the
-            // ascending walk which coordinates won.
+            // ascending walk which coordinates won.  Only a coordinate whose
+            // μ can move stays on `step` — `(0 + t·g).max(0.0)` is `+0.0`
+            // again for `g < 0` — but every one is written, and the test
+            // does not short-circuit, so that the walk does not branch on g.
             touched.clear();
             for &ci in &chosen {
                 touched.insert(ci as usize);
@@ -502,16 +546,19 @@ impl LagrangianSolver {
                     }
                 }
             }
-            step.clear();
+            step.resize(touched.len(), (0, 0.0));
             let mut norm2 = 0.0f64;
-            let mut next_won = 0;
+            let (mut n_step, mut next_won) = (0, 0);
             touched.for_each(|ci| {
                 let won = chosen.get(next_won) == Some(&(ci as u32));
                 next_won += usize::from(won);
                 let g = f64::from(u8::from(won)) - zfrac[flat.item_of[ci] as usize];
                 norm2 += g * g;
-                step.push((ci as u32, g));
+                let m = mu[ci];
+                step[n_step] = (ci as u32, g);
+                n_step += usize::from((g > 0.0) | ((g < 0.0) & (m > 0.0)));
             });
+            step.truncate(n_step);
             if norm2 < 1e-14 {
                 break;
             }
@@ -519,10 +566,15 @@ impl LagrangianSolver {
             let target = (best_ub - lb).max(best_ub.abs() * 1e-4);
             let t = alpha * target / norm2;
             for &(ci, g) in &step {
-                let m = &mut mu[ci as usize];
-                *m = (*m + t * g).max(0.0);
-                nonzero.set(ci as usize, *m != 0.0);
+                let ci = ci as usize;
+                let m = (mu[ci] + t * g).max(0.0);
+                if m.to_bits() != mu[ci].to_bits() {
+                    mu[ci] = m;
+                    nonzero.set(ci, m != 0.0);
+                    winners.moved(&flat, &mu, ci);
+                }
             }
+            winners.rescan(&flat, &mu);
             if alpha < 1e-6 {
                 break;
             }
@@ -573,6 +625,11 @@ fn for_each_key(p: &BlockProblem, mut f: impl FnMut(usize, (u32, u32, u32, u32))
 
 /// "No coordinate": the slot's fallback won.
 const NO_COORD: u32 = u32::MAX;
+/// A slot with neither a fallback nor a choice: no alternative that has it
+/// instantiates.
+const EMPTY_SLOT: u32 = u32::MAX - 1;
+/// A slot whose winner rose in this μ step, to be rescanned at its end.
+const RESCAN: u32 = u32::MAX - 2;
 
 /// A [`BlockProblem`] flattened once per solve into contiguous arrays (see
 /// the module docs).  Coordinates, slots, alternatives and blocks are each
@@ -586,7 +643,9 @@ struct Flat {
     slot_of: Vec<u32>,
     /// Slot `s` owns coordinates `slot_start[s]..slot_start[s + 1]`.
     slot_start: Vec<u32>,
-    fallback: Vec<Option<f64>>,
+    /// Per slot, its winner while no coordinate competes: the fallback, or
+    /// [`Winner::EMPTY`].
+    fallback: Vec<Winner>,
     block_of_slot: Vec<u32>,
     /// Alternative `k` owns slots `alt_start[k]..alt_start[k + 1]`.
     alt_start: Vec<u32>,
@@ -602,7 +661,7 @@ struct Flat {
 impl Flat {
     fn new(p: &BlockProblem) -> Flat {
         let n_coords = p.n_choices();
-        assert!(n_coords < NO_COORD as usize, "μ coordinates are indexed by u32");
+        assert!(n_coords < RESCAN as usize, "μ coordinates are indexed by u32");
         let mut f = Flat {
             gamma: Vec::with_capacity(n_coords),
             item_of: Vec::with_capacity(n_coords),
@@ -626,7 +685,10 @@ impl Flat {
                         f.slot_of.push(s);
                         f.item_start[item as usize + 1] += 1;
                     }
-                    f.fallback.push(slot.fallback);
+                    f.fallback.push(match slot.fallback {
+                        Some(value) => Winner { value, pos: NO_COORD },
+                        None => Winner::EMPTY,
+                    });
                     f.block_of_slot.push(b as u32);
                     f.slot_start.push(f.gamma.len() as u32);
                 }
@@ -681,10 +743,48 @@ impl Flat {
         })
     }
 
-    /// One decomposed subproblem: the minimum of block `b` under μ-inflated
-    /// γ.  Appends the winning choice coordinates (slot order of the winning
-    /// alternative) to `chosen` and returns the minimal value.  Pure in
-    /// `(b, mu)`.
+    /// The winner of slot `s` under μ: the first minimum of `γ + μ` in the
+    /// order "fallback, then coordinates ascending".  Two passes: a four-lane
+    /// minimum of the coordinates' values (exact in any order, for finite
+    /// values), then the first coordinate at that value, with its own bits —
+    /// `−0.0 == +0.0`, so the first of a `±0` tie wins as in a scan by `<`.
+    fn scan(&self, s: usize, mu: &[f64]) -> Winner {
+        let coords = self.coords_in(s);
+        let (gamma, mu) = (&self.gamma[coords.clone()], &mu[coords.clone()]);
+        let mut lanes = [f64::INFINITY; 4];
+        let (g4, m4) = (gamma.chunks_exact(4), mu.chunks_exact(4));
+        let tail = g4.remainder().iter().zip(m4.remainder());
+        for (g, m) in g4.zip(m4) {
+            for l in 0..4 {
+                let v = g[l] + m[l];
+                if v < lanes[l] {
+                    lanes[l] = v;
+                }
+            }
+        }
+        for (g, m) in tail {
+            let v = g + m;
+            if v < lanes[0] {
+                lanes[0] = v;
+            }
+        }
+        let min = lanes.into_iter().fold(f64::INFINITY, |a, v| if v < a { v } else { a });
+        let fallback = self.fallback[s];
+        if min < fallback.value {
+            // Only a NaN can miss `min`; the module assumes finite values.
+            let off = gamma.iter().zip(mu).position(|(g, m)| g + m == min).unwrap_or(0);
+            Winner { value: gamma[off] + mu[off], pos: (coords.start + off) as u32 }
+        } else {
+            fallback
+        }
+    }
+
+    /// One decomposed subproblem by a sweep over every coordinate (what each
+    /// iteration ran before the slot winners): the minimum of block `b`
+    /// under μ-inflated γ.  Appends the winning choice coordinates (slot
+    /// order of the winning alternative) to `chosen` and returns the minimal
+    /// value.  Pure in `(b, mu)`; the oracle of [`Winners::block_minimum`].
+    #[cfg(test)]
     fn block_minimum(&self, b: usize, mu: &[f64], chosen: &mut Vec<u32>) -> f64 {
         let block_base = chosen.len();
         let mut best = f64::INFINITY;
@@ -696,13 +796,14 @@ impl Flat {
             let mut ok = true;
             for s in self.slots_of(k) {
                 let coords = self.coords_in(s);
-                let (mut sbest, mut sbest_ci, rest) = match self.fallback[s] {
-                    Some(fallback) => (fallback, NO_COORD, coords),
-                    None if coords.is_empty() => {
+                let fallback = self.fallback[s];
+                let (mut sbest, mut sbest_ci, rest) = match fallback.pos {
+                    NO_COORD => (fallback.value, NO_COORD, coords),
+                    _ if coords.is_empty() => {
                         ok = false;
                         break;
                     }
-                    None => {
+                    _ => {
                         let first = coords.start;
                         (self.gamma[first] + mu[first], first as u32, first + 1..coords.end)
                     }
@@ -733,32 +834,35 @@ impl Flat {
         best
     }
 
-    /// Per-slot minima under `sel`, priced from the selected items'
+    /// Every slot's winner under `sel`, priced from the selected items'
     /// coordinates: every slot starts at its fallback and each selected
-    /// choice lowers its slot.
-    fn slot_minima(&self, sel: &[bool], slot_min: &mut [Option<f64>]) {
+    /// choice is offered to its slot.
+    fn slot_minima(&self, sel: &[bool], slot_min: &mut [Winner]) {
         slot_min.copy_from_slice(&self.fallback);
         for a in (0..sel.len()).filter(|&a| sel[a]) {
             for &ci in self.coords_of(a) {
-                lower(&mut slot_min[self.slot_of[ci as usize] as usize], self.gamma[ci as usize]);
+                let s = self.slot_of[ci as usize] as usize;
+                slot_min[s].offer(self.gamma[ci as usize], ci);
             }
         }
     }
 
-    /// [`BlockProblem::block_cost`] from per-slot minima: alternative sums in
-    /// slot order, the block's minimum in alternative order.
-    fn block_cost(&self, b: usize, slot_min: &[Option<f64>]) -> Option<f64> {
-        let mut best: Option<f64> = None;
+    /// The cheapest instantiable alternative of block `b` given every
+    /// slot's winner: its position and its base plus the winners' values,
+    /// summed in slot order; `None` when no alternative instantiates.  A tie
+    /// keeps the earlier alternative.
+    fn best_alt(&self, b: usize, slot: &[Winner]) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
         'alts: for k in self.alts_of(b) {
             let mut total = self.base[k];
-            for s in self.slots_of(k) {
-                match slot_min[s] {
-                    Some(c) => total += c,
-                    None => continue 'alts,
+            for w in &slot[self.slots_of(k)] {
+                if w.pos == EMPTY_SLOT {
+                    continue 'alts;
                 }
+                total += w.value;
             }
-            if best.is_none_or(|c| total < c) {
-                best = Some(total);
+            if best.is_none_or(|(_, c)| total < c) {
+                best = Some((k, total));
             }
         }
         best
@@ -767,27 +871,94 @@ impl Flat {
     /// [`BlockProblem::evaluate`], bit for bit, in time proportional to the
     /// selected items' coordinates plus the slot count.  `slot_min` is
     /// scratch of one entry per slot.
-    fn evaluate(
-        &self,
-        p: &BlockProblem,
-        sel: &[bool],
-        slot_min: &mut [Option<f64>],
-    ) -> Option<f64> {
+    fn evaluate(&self, p: &BlockProblem, sel: &[bool], slot_min: &mut [Winner]) -> Option<f64> {
         debug_assert_eq!(sel.len(), p.n_items);
         self.slot_minima(sel, slot_min);
         let items: f64 = (0..p.n_items).filter(|&a| sel[a]).map(|a| p.item_cost[a]).sum();
         let mut total = items;
         for b in 0..self.n_blocks() {
-            total += self.block_cost(b, slot_min)?;
+            total += self.best_alt(b, slot_min)?.1;
         }
         Some(total)
     }
 }
 
-/// `min` of a slot minimum and one more admissible cost.
-fn lower(slot_min: &mut Option<f64>, gamma: f64) {
-    if slot_min.is_none_or(|c| gamma < c) {
-        *slot_min = Some(gamma);
+/// A slot's winner under μ: its value and its position — a coordinate,
+/// [`NO_COORD`] for the fallback, [`EMPTY_SLOT`], or [`RESCAN`] while a μ
+/// step is open.
+#[derive(Debug, Clone, Copy)]
+struct Winner {
+    value: f64,
+    pos: u32,
+}
+
+impl Winner {
+    /// The winner of a slot with neither a fallback nor a choice.
+    const EMPTY: Winner = Winner { value: f64::INFINITY, pos: EMPTY_SLOT };
+
+    /// Coordinate `ci` at `value` enters the slot: it wins if a scan in slot
+    /// order meets it first among the minima — on a smaller value, or on a
+    /// tie with a coordinate after it.  The fallback keeps every tie.
+    fn offer(&mut self, value: f64, ci: u32) {
+        if value < self.value || (value == self.value && self.pos != NO_COORD && ci < self.pos) {
+            *self = Winner { value, pos: ci };
+        }
+    }
+}
+
+/// Every slot's winner under the current μ (see the module docs), kept
+/// across μ steps: [`Winners::moved`] merges each coordinate whose μ changed
+/// bits, [`Winners::rescan`] closes the step, and
+/// [`Winners::block_minimum`] takes a block's minimum from the winners alone.
+struct Winners {
+    slot: Vec<Winner>,
+    /// The slots marked [`RESCAN`] in the open step.
+    marked: Vec<u32>,
+}
+
+impl Winners {
+    fn new(flat: &Flat, mu: &[f64]) -> Self {
+        let slot = (0..flat.fallback.len()).map(|s| flat.scan(s, mu)).collect();
+        Winners { slot, marked: Vec::new() }
+    }
+
+    /// Coordinate `ci`'s μ changed bits.  The winner stays on a fall or a
+    /// tie; a rise marks the slot for a rescan.  Another coordinate takes
+    /// over on a smaller value, or on a tie with a winner at a larger
+    /// coordinate; the fallback keeps every tie.
+    fn moved(&mut self, flat: &Flat, mu: &[f64], ci: usize) {
+        let s = flat.slot_of[ci];
+        let w = &mut self.slot[s as usize];
+        let v = flat.gamma[ci] + mu[ci];
+        let ci = ci as u32;
+        if w.pos == ci {
+            if v > w.value {
+                w.pos = RESCAN;
+                self.marked.push(s);
+            } else {
+                w.value = v;
+            }
+        } else if w.pos != RESCAN {
+            w.offer(v, ci);
+        }
+    }
+
+    /// Close a μ step: rescan the slots whose winner rose.
+    fn rescan(&mut self, flat: &Flat, mu: &[f64]) {
+        for s in self.marked.drain(..) {
+            self.slot[s as usize] = flat.scan(s as usize, mu);
+        }
+    }
+
+    /// One decomposed subproblem: the minimum of block `b` under μ-inflated
+    /// γ, each alternative its base plus its slots' winners in slot order.
+    /// Appends the winning alternative's choice coordinates to `chosen` (in
+    /// slot order) and returns the minimal value.
+    fn block_minimum(&self, flat: &Flat, b: usize, chosen: &mut Vec<u32>) -> f64 {
+        let Some((k, value)) = flat.best_alt(b, &self.slot) else { return f64::INFINITY };
+        let won = self.slot[flat.slots_of(k)].iter().map(|w| w.pos);
+        chosen.extend(won.filter(|&pos| pos != NO_COORD));
+        value
     }
 }
 
@@ -803,6 +974,10 @@ impl CoordSet {
 
     fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     fn insert(&mut self, ci: usize) {
@@ -852,16 +1027,16 @@ fn better(p: &BlockProblem, a: &[bool], b: &[bool]) -> bool {
 /// [`SlotMinima::commit`] or [`SlotMinima::revert`] closes it.
 struct SlotMinima<'f> {
     flat: &'f Flat,
-    slot_min: Vec<Option<f64>>,
+    slot_min: Vec<Winner>,
     /// Cost of every block (`∞` if uninstantiable) with no flip open.
     block_cost: Vec<f64>,
-    /// `(slot, minimum before)` per write of the open flip.
-    undo: Vec<(u32, Option<f64>)>,
+    /// `(slot, winner before)` per write of the open flip.
+    undo: Vec<(u32, Winner)>,
 }
 
 impl<'f> SlotMinima<'f> {
     fn new(flat: &'f Flat, sel: &[bool]) -> Self {
-        let mut slot_min = vec![None; flat.fallback.len()];
+        let mut slot_min = flat.fallback.clone();
         flat.slot_minima(sel, &mut slot_min);
         let mut minima = SlotMinima { flat, slot_min, block_cost: Vec::new(), undo: Vec::new() };
         minima.block_cost = (0..flat.n_blocks()).map(|b| minima.flipped_cost(b)).collect();
@@ -870,32 +1045,32 @@ impl<'f> SlotMinima<'f> {
 
     /// Cost of block `b` under the current minima, open flip included.
     fn flipped_cost(&self, b: usize) -> f64 {
-        self.flat.block_cost(b, &self.slot_min).unwrap_or(f64::INFINITY)
+        self.flat.best_alt(b, &self.slot_min).map_or(f64::INFINITY, |(_, cost)| cost)
     }
 
-    /// Item `a` joins the selection: its choices lower their slots.
+    /// Item `a` joins the selection: its choices enter their slots.
     fn add(&mut self, a: usize) {
         for &ci in self.flat.coords_of(a) {
             let s = self.flat.slot_of[ci as usize];
             self.undo.push((s, self.slot_min[s as usize]));
-            lower(&mut self.slot_min[s as usize], self.flat.gamma[ci as usize]);
+            self.slot_min[s as usize].offer(self.flat.gamma[ci as usize], ci);
         }
     }
 
-    /// Item `a` left the selection (`sel[a]` is already `false`): a slot
-    /// whose minimum one of its choices may have held is re-scanned.
+    /// Item `a` left the selection (`sel[a]` is already `false`): a slot one
+    /// of its choices won is re-scanned.
     fn remove(&mut self, a: usize, sel: &[bool]) {
         let flat = self.flat;
         for &ci in flat.coords_of(a) {
             let s = flat.slot_of[ci as usize] as usize;
-            if self.slot_min[s] != Some(flat.gamma[ci as usize]) {
+            if self.slot_min[s].pos != ci {
                 continue;
             }
             self.undo.push((s as u32, self.slot_min[s]));
             self.slot_min[s] = flat.fallback[s];
             for cj in flat.coords_in(s) {
                 if sel[flat.item_of[cj] as usize] {
-                    lower(&mut self.slot_min[s], flat.gamma[cj]);
+                    self.slot_min[s].offer(flat.gamma[cj], cj as u32);
                 }
             }
         }
@@ -1105,7 +1280,55 @@ mod tests {
         }
     }
 
-    /// Kernel inputs: regular and ragged problems, with and without a
+    /// A value of the small grid the tied problems live on; both zeros are
+    /// on it.
+    fn on_grid(rng: &mut SmallRng) -> f64 {
+        [-0.0, 0.0, 1.0, 2.0, 3.0][rng.gen_range(0..5)]
+    }
+
+    /// Ties everywhere: γ, fallbacks and bases on a small integer grid,
+    /// slots without a fallback, and in the first block one slot with
+    /// neither a fallback nor a choice.  With `instantiable`, every block
+    /// also gets an alternative whose one slot has a fallback.
+    fn tied_problem(seed: u64, budget: Option<f64>, instantiable: bool) -> BlockProblem {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n_items = rng.gen_range(2..6);
+        let mut blocks = Vec::new();
+        for b in 0..rng.gen_range(1..8) {
+            let mut alts = Vec::new();
+            for _ in 0..rng.gen_range(1..4) {
+                let mut slots = Vec::new();
+                for _ in 0..rng.gen_range(1..4) {
+                    let fallback = rng.gen_bool(0.6).then(|| on_grid(&mut rng));
+                    let choices = (0..rng.gen_range(0..7))
+                        .map(|_| (rng.gen_range(0..n_items) as u32, on_grid(&mut rng)))
+                        .collect();
+                    slots.push(SlotChoices { fallback, choices });
+                }
+                alts.push(Alt { base: on_grid(&mut rng), slots });
+            }
+            if b == 0 {
+                alts[0].slots.push(SlotChoices::default());
+            }
+            if instantiable {
+                let slot = SlotChoices {
+                    fallback: Some(on_grid(&mut rng)),
+                    choices: vec![(rng.gen_range(0..n_items) as u32, on_grid(&mut rng))],
+                };
+                alts.push(Alt { base: on_grid(&mut rng), slots: vec![slot] });
+            }
+            blocks.push(Block { alts });
+        }
+        BlockProblem {
+            n_items,
+            item_cost: (0..n_items).map(|_| on_grid(&mut rng).abs()).collect(),
+            item_size: (0..n_items).map(|_| on_grid(&mut rng).abs()).collect(),
+            budget,
+            blocks,
+        }
+    }
+
+    /// Kernel inputs: regular, ragged and tied problems, with and without a
     /// budget, and the empty problem.
     fn kernel_problems() -> Vec<BlockProblem> {
         let mut problems = vec![BlockProblem::default(), random_problem(1, 12, 30)];
@@ -1113,12 +1336,27 @@ mod tests {
             let budget = (seed % 3 != 0).then_some(2.0 + seed as f64);
             problems.push(ragged_problem(seed, budget, seed % 2 == 0));
         }
+        for seed in 0..20u64 {
+            let budget = (seed % 3 != 0).then_some(1.0 + (seed % 4) as f64);
+            problems.push(tied_problem(seed, budget, seed % 2 == 0));
+        }
         problems
     }
 
     /// Random multipliers: about half of them zero, like a running solve.
     fn random_mu(rng: &mut SmallRng, n: usize) -> Vec<f64> {
         (0..n).map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen_range(0.0..30.0) }).collect()
+    }
+
+    /// Multipliers on the tied problems' grid, so that γ + μ ties too (and
+    /// `−0.0 + −0.0` makes a `−0.0`).
+    fn grid_mu(rng: &mut SmallRng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| on_grid(rng)).collect()
+    }
+
+    /// Every slot's winner, bit for bit.
+    fn winner_bits(slot: &[Winner]) -> Vec<(u64, u32)> {
+        slot.iter().map(|w| (w.value.to_bits(), w.pos)).collect()
     }
 
     fn random_selection(rng: &mut SmallRng, n: usize) -> Vec<bool> {
@@ -1299,18 +1537,155 @@ mod tests {
             let flat = Flat::new(&p);
             assert_eq!(flat.gamma.len(), p.n_choices());
             assert_eq!(flat.n_blocks(), p.blocks.len());
-            for _ in 0..20 {
-                let mu = random_mu(&mut rng, p.n_choices());
-                let (mut want, mut got) = (Vec::new(), Vec::new());
+            for draw in 0..40 {
+                let mu = match draw % 2 {
+                    0 => random_mu(&mut rng, p.n_choices()),
+                    _ => grid_mu(&mut rng, p.n_choices()),
+                };
+                let winners = Winners::new(&flat, &mu);
+                let (mut want, mut got, mut kept) = (Vec::new(), Vec::new(), Vec::new());
                 for (b, (block, start)) in p.blocks.iter().zip(block_starts(&p)).enumerate() {
                     let want_val = block_minimum(block, &mu, start, &mut want);
                     got.clear();
                     let got_val = flat.block_minimum(b, &mu, &mut got);
                     assert_eq!(got_val.to_bits(), want_val.to_bits(), "value of block {b}");
                     assert_eq!(got, want, "winning coordinates of block {b}");
+                    kept.clear();
+                    let kept_val = winners.block_minimum(&flat, b, &mut kept);
+                    assert_eq!(kept_val.to_bits(), want_val.to_bits(), "winners' block {b}");
+                    assert_eq!(kept, want, "winners' coordinates of block {b}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn winners_follow_random_steps_like_a_fresh_scan() {
+        // Each step moves a random subset of the multipliers, each once, in
+        // ascending (as the solve does) or descending order; after its
+        // rescan every slot's winner is the one a fresh scan finds, and
+        // every block's minimum is the dense sweep's.
+        let mut rng = SmallRng::seed_from_u64(17);
+        let (mut rises, mut takeovers) = (0, 0);
+        for p in kernel_problems() {
+            let flat = Flat::new(&p);
+            let n = p.n_choices();
+            let mut mu = grid_mu(&mut rng, n);
+            let mut winners = Winners::new(&flat, &mu);
+            for step in 0..30 {
+                let mut order: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.3)).collect();
+                if step % 2 == 1 {
+                    order.reverse();
+                }
+                for ci in order {
+                    let m =
+                        if rng.gen_bool(0.7) { on_grid(&mut rng) } else { rng.gen_range(0.0..4.0) };
+                    if m.to_bits() != mu[ci].to_bits() {
+                        let before = winners.slot[flat.slot_of[ci] as usize].pos;
+                        mu[ci] = m;
+                        winners.moved(&flat, &mu, ci);
+                        let after = winners.slot[flat.slot_of[ci] as usize].pos;
+                        rises += usize::from(before == ci as u32 && after == RESCAN);
+                        takeovers += usize::from(before != ci as u32 && after == ci as u32);
+                    }
+                }
+                winners.rescan(&flat, &mu);
+                assert_eq!(winner_bits(&winners.slot), winner_bits(&Winners::new(&flat, &mu).slot));
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                for b in 0..p.blocks.len() {
+                    want.clear();
+                    got.clear();
+                    let want_val = flat.block_minimum(b, &mu, &mut want);
+                    let got_val = winners.block_minimum(&flat, b, &mut got);
+                    assert_eq!((got_val.to_bits(), &got), (want_val.to_bits(), &want), "block {b}");
+                }
+            }
+        }
+        assert!(rises > 1000 && takeovers > 500, "{rises} rises, {takeovers} takeovers");
+    }
+
+    #[test]
+    fn winners_merge_by_the_scan_order() {
+        // One alternative with a slot per merge rule, coordinates numbered
+        // in slot order, and a second alternative whose one slot is empty.
+        let slot = |fallback: Option<f64>, gamma: &[f64]| SlotChoices {
+            fallback,
+            choices: gamma.iter().map(|&g| (0, g)).collect(),
+        };
+        let p = BlockProblem {
+            n_items: 1,
+            item_cost: vec![0.0],
+            item_size: vec![1.0],
+            budget: None,
+            blocks: vec![Block {
+                alts: vec![
+                    Alt {
+                        base: 1.0,
+                        slots: vec![
+                            slot(Some(9.0), &[1.0, 2.0, 3.0]),  // A: coordinates 0..3
+                            slot(Some(9.0), &[4.0, 3.0]),       // B: 3..5
+                            slot(None, &[0.0, 1.0]),            // C: 5..7
+                            slot(Some(3.0), &[1.0]),            // D: 7
+                            slot(Some(10.0), &[1.0, 1.0, 1.0]), // E: 8..11
+                            slot(None, &[-0.0, 0.0]),           // F: 11..13
+                            slot(Some(-0.0), &[0.0]),           // G: 13
+                        ],
+                    },
+                    Alt { base: 0.0, slots: vec![slot(None, &[])] }, // H
+                ],
+            }],
+        };
+        let flat = Flat::new(&p);
+        let bits = |v: &[(f64, u32)]| -> Vec<(u64, u32)> {
+            v.iter().map(|&(value, pos)| (value.to_bits(), pos)).collect()
+        };
+        let mut mu = vec![0.0, 0.0, 0.0, 2.0, 3.0, 3.0, 0.0, 4.0, 0.0, 2.0, 3.0, 1.0, 0.0, 1.0];
+        let mut winners = Winners::new(&flat, &mu);
+        let start = [
+            (1.0, 0),
+            (6.0, 3), // a tie, the lower coordinate first
+            (1.0, 6),
+            (3.0, NO_COORD),
+            (1.0, 8),
+            (0.0, 12),
+            (-0.0, NO_COORD),
+            (f64::INFINITY, EMPTY_SLOT),
+        ];
+        assert_eq!(winner_bits(&winners.slot), bits(&start));
+
+        for (ci, m) in [
+            (0, 5.0),   // A: the winner rises to 6, a rescan follows
+            (3, 1.0),   // B: the winner falls to 5
+            (5, 1.0),   // C: a coordinate ties the winner at a lower index
+            (7, 2.0),   // D: a coordinate ties the fallback
+            (8, 4.0),   // E: the winner rises ...
+            (10, 0.0),  // ... and another coordinate falls, in one step
+            (11, -0.0), // F: −0.0 + −0.0 ties +0.0 at a lower index
+            (13, 0.0),  // G: +0.0 ties a −0.0 fallback
+        ] {
+            mu[ci] = m;
+            winners.moved(&flat, &mu, ci);
+        }
+        assert_eq!(winners.marked, [0, 4], "the slots whose winner rose");
+        winners.rescan(&flat, &mu);
+        let end = [
+            (2.0, 1),
+            (5.0, 3),
+            (1.0, 5),
+            (3.0, NO_COORD),
+            (1.0, 10),
+            (-0.0, 11),
+            (-0.0, NO_COORD),
+            (f64::INFINITY, EMPTY_SLOT),
+        ];
+        assert_eq!(winner_bits(&winners.slot), bits(&end));
+        assert_eq!(winner_bits(&winners.slot), winner_bits(&Winners::new(&flat, &mu).slot));
+
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let want_val = flat.block_minimum(0, &mu, &mut want);
+        let got_val = winners.block_minimum(&flat, 0, &mut got);
+        assert_eq!((got_val.to_bits(), &got), (want_val.to_bits(), &want));
+        assert_eq!(got, [1, 3, 5, 10, 11], "the winning coordinates, fallbacks left out");
     }
 
     #[test]
@@ -1338,7 +1713,7 @@ mod tests {
         let (mut priced, mut uninstantiable) = (0, 0);
         for p in kernel_problems() {
             let flat = Flat::new(&p);
-            let mut scratch = vec![None; flat.fallback.len()];
+            let mut scratch = flat.fallback.clone();
             for _ in 0..30 {
                 let sel = random_selection(&mut rng, p.n_items);
                 let want = p.evaluate(&sel);
@@ -1389,7 +1764,7 @@ mod tests {
                     minima.revert();
                 }
                 let fresh = SlotMinima::new(&flat, &sel);
-                assert_eq!(minima.slot_min, fresh.slot_min);
+                assert_eq!(winner_bits(&minima.slot_min), winner_bits(&fresh.slot_min));
                 assert_eq!(minima.block_cost, fresh.block_cost);
             }
         }

@@ -448,6 +448,21 @@ proptest! {
 /// seed and storage fraction, with and without dominated-`x` pruning.
 #[test]
 fn lp_bound_caps_every_lagrangian_bound() {
+    lp_bound_caps_every_lagrangian_bound_at(12);
+}
+
+/// [`lp_bound_caps_every_lagrangian_bound`] at 50 statements a generator
+/// (25 mixed with as many UPDATEs), ≈ 4× the size: ≈ 40 s in release on a
+/// 2-core box, most of it the unpruned het model's root LP.
+#[test]
+#[ignore = "release only: ≈ 40 s"]
+fn lp_bound_caps_every_lagrangian_bound_at_50_statements() {
+    lp_bound_caps_every_lagrangian_bound_at(50);
+}
+
+/// `n` HomGen and `n` HetGen statements, and `n / 2` HetGen statements
+/// mixed 50 % with UPDATEs.
+fn lp_bound_caps_every_lagrangian_bound_at(n: usize) {
     use cophy_bip::{LpStatus, SolveBudget};
     use cophy_workload::{HetGen, UpdateGen};
 
@@ -456,9 +471,9 @@ fn lp_bound_caps_every_lagrangian_bound() {
     let seed = 0xC0FFEE;
     let het = |n| HetGen::new(seed).generate(schema, n);
     let inputs = [
-        ("hom", HomGen::new(seed).generate(schema, 12)),
-        ("het", het(12)),
-        ("het+updates", UpdateGen::new(seed ^ 0x5EED).mix_into(schema, &het(6), 0.5)),
+        ("hom", HomGen::new(seed).generate(schema, n)),
+        ("het", het(n)),
+        ("het+updates", UpdateGen::new(seed ^ 0x5EED).mix_into(schema, &het(n / 2), 0.5)),
     ];
     let constraints = ConstraintSet::storage_fraction(schema, 0.5);
     let solver = LagrangianSolver { budget: SolveBudget::within(1e-9), ..Default::default() };
