@@ -5,14 +5,18 @@
 //! * BIP construction, CoPhy vs ILP (the Figure 5/10 build-time gap),
 //! * the solver engines (simplex, branch & bound, Lagrangian),
 //! * candidate generation,
-//! * ablation: BIPGen with and without I∅-dominance pruning.
+//! * ablation: BIPGen with and without I∅-dominance pruning,
+//! * online compression of a 40 k-statement stream.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Mutex;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cophy::{BipGen, CGen, CandidateSet, Cmp, Constraint, ConstraintSet, IndexFilter};
+use cophy::{
+    BipGen, CGen, CandidateSet, Cmp, CompressedWorkload, CompressionPolicy, Constraint,
+    ConstraintSet, IndexFilter, DEFAULT_CHUNK,
+};
 use cophy_advisors::IlpAdvisor;
 use cophy_bench::{make_optimizer, make_workload, prepare, WorkloadKind};
 use cophy_bip::{
@@ -24,7 +28,7 @@ use cophy_inum::{ideal_config, Inum, PreparedWorkload};
 use cophy_optimizer::{
     BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend, WhatIfOptimizer,
 };
-use cophy_workload::{template_key, Query, UpdateGen, Workload};
+use cophy_workload::{template_key, HetGen, HomGen, Query, Statement, UpdateGen, Workload};
 
 fn bench_inum(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
@@ -328,9 +332,41 @@ fn bench_optimizer(c: &mut Criterion) {
     group.finish();
 }
 
+/// `compress.absorb_s` of `perf`'s `stream_mix`, at its shape (the seeds
+/// differ): 40 000 `W_hom` statements with one `W_het` statement after
+/// every 4 000, absorbed at the default ε
+/// in journaled `DEFAULT_CHUNK` chunks, as a streaming session absorbs them.
+/// The input is generated once, outside the timing.
+fn bench_compress(c: &mut Criterion) {
+    let o = make_optimizer(SystemProfile::A, 0.0);
+    let schema = o.schema();
+    let het = HetGen::new(0xC0FFEE ^ 0x4E7).generate(schema, 10);
+    let mut het = het.iter();
+    let mut input: Vec<(Statement, f64)> = Vec::new();
+    for (i, (_, stmt, weight)) in HomGen::new(0xC0FFEE).generate(schema, 40_000).iter().enumerate()
+    {
+        input.push((stmt.clone(), weight));
+        if (i + 1) % 4000 == 0 {
+            let (_, stmt, weight) = het.next().expect("one W_het statement per 4 000");
+            input.push((stmt.clone(), weight));
+        }
+    }
+    c.bench_function("compress/absorb_stream_40k", |b| {
+        b.iter(|| {
+            let mut cw = CompressedWorkload::streaming(CompressionPolicy::default_epsilon());
+            for chunk in input.chunks(DEFAULT_CHUNK) {
+                cw.begin_chunk();
+                cw.absorb_chunk(schema, chunk);
+                cw.commit_chunk();
+            }
+            cw
+        });
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_inum, bench_build, bench_solvers, bench_optimizer
+    targets = bench_inum, bench_build, bench_solvers, bench_optimizer, bench_compress
 );
 criterion_main!(benches);

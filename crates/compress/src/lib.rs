@@ -23,6 +23,17 @@
 //!    most 5 of them on every generator; where ε = 0.01 leaves a template
 //!    some 140, a feature-bucket grid over them measured slower.
 //!
+//! Both steps start from one lookup of the statement's [`TemplateKey`].
+//! Each template's entry holds its representatives, oldest first, and its
+//! exact-shell index: every [`ShellKey`] absorbed under the template — the
+//! statement's constants, which with the template are its shell — mapped to
+//! its representative.  The index keeps one entry per distinct shell ever
+//! absorbed (≈ 0.93 per statement on a 40 k-statement `W_hom` stream at the
+//! default ε), so it is the one part of the resident state that follows the
+//! stream rather than the representatives: a few constants and a hash slot,
+//! ≈ 60–70 bytes of live heap per absorbed statement (`ingest_allocations.rs`
+//! bounds it).
+//!
 //! The result is a [`CompressedWorkload`]: a weighted representative
 //! [`Workload`] and nothing per absorbed statement
 //! ([`CompressedWorkload::absorb`] returns each statement's representative).
@@ -51,7 +62,9 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use cophy_catalog::Schema;
-use cophy_workload::{QueryId, ShellKey, Statement, StatementFeatures, TemplateKey, Workload};
+use cophy_workload::{
+    PredOp, QueryId, ShellKey, Statement, StatementFeatures, TemplateKey, Workload,
+};
 
 /// How aggressively to compress a workload before INUM preparation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -160,6 +173,17 @@ impl CompressionSummary {
     }
 }
 
+/// One template's part of the clustering.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct TemplateEntry {
+    /// The template's representatives, oldest first: what the
+    /// ε-agglomeration scans.
+    reps: Vec<QueryId>,
+    /// Exact-shell index: the constants of every shell ever absorbed under
+    /// the template → its representative.
+    shells: HashMap<ShellKey, QueryId>,
+}
+
 /// What one `absorb` overwrote, logged while a chunk is open.
 #[derive(Debug, Clone, PartialEq)]
 enum Undo {
@@ -169,11 +193,12 @@ enum Undo {
         rep: QueryId,
         /// The representative's weight before the merge.
         weight: f64,
-        /// The shell an ε-merge added to the exact-shell index.
+        /// The shell an ε-merge added to the representative's template's
+        /// exact-shell index.
         shell: Option<ShellKey>,
     },
     /// A cluster was opened: the last representative, with its feature row
-    /// and its shell and template entries, is new.
+    /// and its entries in its template's index, is new.
     Opened,
 }
 
@@ -199,11 +224,8 @@ struct Journal {
 pub struct CompressedWorkload {
     representatives: Workload,
     rep_features: Vec<StatementFeatures>,
-    /// Exact-shell index: every shell ever absorbed → its representative.
-    by_shell: HashMap<ShellKey, QueryId>,
-    /// Each template's representatives, oldest first: what the
-    /// ε-agglomeration scans.
-    by_template: HashMap<TemplateKey, Vec<QueryId>>,
+    /// Each template's representatives and exact-shell index.
+    by_template: HashMap<TemplateKey, TemplateEntry>,
     /// Count of absorbed statements.
     n_absorbed: usize,
     original_weight: f64,
@@ -238,7 +260,6 @@ impl CompressedWorkload {
         CompressedWorkload {
             representatives: Workload::new(),
             rep_features: Vec::new(),
-            by_shell: HashMap::new(),
             by_template: HashMap::new(),
             n_absorbed: 0,
             original_weight: 0.0,
@@ -286,16 +307,29 @@ impl CompressedWorkload {
     }
 
     /// Rough bytes of resident clustering state: the representatives with
-    /// their feature rows, and the two indexes — of which `by_shell` follows
-    /// the distinct shells absorbed, not the representatives.
+    /// their feature rows, and each template's entry — whose exact-shell
+    /// index follows the distinct shells absorbed, not the representatives.
+    /// An index entry is charged its hash slot and its constants' words.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        // A key and its word stream, at the 32 words the encoder reserves.
-        let key = size_of::<ShellKey>() + 32 * size_of::<u64>();
-        self.representatives.len() * size_of::<Statement>()
-            + self.rep_features.len() * (size_of::<StatementFeatures>() + 2 * key)
-            + self.by_shell.len() * (key + size_of::<QueryId>())
-            + self.by_template.len() * (key + size_of::<Vec<QueryId>>())
+        // A template key, at the 24 words the encoder reserves.
+        let template = size_of::<TemplateKey>() + 24 * size_of::<u64>();
+        let word = size_of::<u64>();
+        let constants = |rep: QueryId| constant_words(self.representatives.statement(rep));
+        let mut bytes = self.representatives.len() * size_of::<Statement>();
+        for (rep, f) in self.representatives.ids().zip(&self.rep_features) {
+            bytes += size_of::<StatementFeatures>() + template;
+            bytes += (constants(rep) + f.selectivities.len()) * word;
+        }
+        for entry in self.by_template.values() {
+            // Every shell of a template holds as many constants.
+            let words = constants(entry.reps[0]);
+            bytes += template + size_of::<TemplateEntry>();
+            bytes += entry.reps.capacity() * size_of::<QueryId>();
+            bytes += entry.shells.capacity() * (size_of::<(ShellKey, QueryId)>() + 1);
+            bytes += entry.shells.len() * words * word;
+        }
+        bytes
     }
 
     /// Absorb one statement: exact-shell dedup first, then (for `Epsilon`)
@@ -309,12 +343,19 @@ impl CompressedWorkload {
             return self.open_cluster(stmt, weight, None);
         };
         let f = StatementFeatures::extract(schema, stmt);
-        if let Some(&rep) = self.by_shell.get(&f.shell) {
-            return self.merge_into(rep, weight, f, false);
+        let Some(entry) = self.by_template.get_mut(&f.template) else {
+            return self.open_cluster(stmt, weight, Some(f));
+        };
+        if let Some(&rep) = entry.shells.get(&f.shell) {
+            return self.merge_into(rep, weight, &f.selectivities, f.update_rows, None);
         }
         if eps > 0.0 {
-            if let Some(rep) = self.nearest_within(&f, eps) {
-                return self.merge_into(rep, weight, f, true);
+            if let Some(rep) = nearest_within(&entry.reps, &self.rep_features, &f, eps) {
+                // A novel shell: indexed so that later exact duplicates of it
+                // take the O(1) path onto the same representative.
+                let journaled = self.journal.as_ref().map(|_| f.shell.clone());
+                entry.shells.insert(f.shell, rep);
+                return self.merge_into(rep, weight, &f.selectivities, f.update_rows, journaled);
             }
         }
         self.open_cluster(stmt, weight, Some(f))
@@ -359,10 +400,11 @@ impl CompressedWorkload {
         while let Some(undo) = journal.records.pop() {
             match undo {
                 Undo::Merged { rep, weight, shell } => {
-                    if let Some(shell) = shell {
-                        self.by_shell.remove(&shell);
-                    }
                     let rf = &mut self.rep_features[rep.0 as usize];
+                    if let Some(shell) = shell {
+                        let entry = self.by_template.get_mut(&rf.template);
+                        entry.expect("template is indexed").shells.remove(&shell);
+                    }
                     rf.update_rows = journal.points.pop().expect("one point per merge");
                     let at = journal.points.len() - rf.selectivities.len();
                     rf.selectivities.copy_from_slice(&journal.points[at..]);
@@ -375,10 +417,10 @@ impl CompressedWorkload {
                         continue; // no features, no indexes
                     }
                     let f = self.rep_features.pop().expect("one feature row per representative");
-                    self.by_shell.remove(&f.shell);
-                    let reps = self.by_template.get_mut(&f.template).expect("template is indexed");
-                    reps.pop();
-                    if reps.is_empty() {
+                    let entry = self.by_template.get_mut(&f.template).expect("template is indexed");
+                    entry.shells.remove(&f.shell);
+                    entry.reps.pop();
+                    if entry.reps.is_empty() {
                         self.by_template.remove(&f.template);
                     }
                 }
@@ -388,38 +430,20 @@ impl CompressedWorkload {
         self.n_absorbed = journal.n_absorbed;
     }
 
-    /// The nearest same-template representative within `eps`, ties broken
-    /// toward the oldest representative: the list is oldest first, and only
-    /// a strictly nearer one displaces the best so far.
-    fn nearest_within(&self, f: &StatementFeatures, eps: f64) -> Option<QueryId> {
-        let mut best: Option<(f64, QueryId)> = None;
-        for &rep in self.by_template.get(&f.template)? {
-            let d = f.distance(&self.rep_features[rep.0 as usize]);
-            if d <= eps && best.is_none_or(|(nearest, _)| d < nearest) {
-                best = Some((d, rep));
-            }
-        }
-        best.map(|(_, rep)| rep)
-    }
-
-    /// Merge a statement with features `f` onto `rep`.  `novel_shell` marks
-    /// an ε-merge: the shell is indexed so later exact duplicates of it take
-    /// the O(1) path onto the same representative.
+    /// Merge a statement with feature point (`selectivities`, `update_rows`)
+    /// onto `rep`.  `shell` is the journal's copy of the shell an ε-merge
+    /// indexed, if any.
     fn merge_into(
         &mut self,
         rep: QueryId,
         weight: f64,
-        f: StatementFeatures,
-        novel_shell: bool,
+        selectivities: &[f64],
+        update_rows: f64,
+        shell: Option<ShellKey>,
     ) -> Absorption {
         let weight_before = self.representatives.weight(rep);
         self.representatives.add_weight(rep, weight);
-        self.recenter(rep, weight, &f.selectivities, f.update_rows);
-        let mut shell = None;
-        if novel_shell {
-            shell = self.journal.as_ref().map(|_| f.shell.clone());
-            self.by_shell.insert(f.shell, rep);
-        }
+        self.recenter(rep, weight, selectivities, update_rows);
         if let Some(journal) = &mut self.journal {
             journal.records.push(Undo::Merged { rep, weight: weight_before, shell });
         }
@@ -430,7 +454,7 @@ impl CompressedWorkload {
     /// toward the weighted running mean of its members,
     /// `c ← c + (w / W) · (x − c)` with `W` the cluster's cumulative weight.
     /// The representative *statement* stays the first member — only the
-    /// feature point [`Self::nearest_within`] measures against moves.
+    /// feature point [`nearest_within`] measures against moves.
     fn recenter(&mut self, rep: QueryId, weight: f64, selectivities: &[f64], update_rows: f64) {
         let total = self.representatives.weight(rep);
         let rf = &mut self.rep_features[rep.0 as usize];
@@ -456,8 +480,9 @@ impl CompressedWorkload {
     ) -> Absorption {
         let rep = self.representatives.push_weighted(stmt.clone(), weight);
         if let Some(f) = features {
-            self.by_shell.insert(f.shell.clone(), rep);
-            self.by_template.entry(f.template.clone()).or_default().push(rep);
+            let entry = self.by_template.entry(f.template.clone()).or_default();
+            entry.shells.insert(f.shell.clone(), rep);
+            entry.reps.push(rep);
             self.rep_features.push(f);
         }
         if let Some(journal) = &mut self.journal {
@@ -492,6 +517,32 @@ impl CompressedWorkload {
     }
 }
 
+/// The nearest of a template's representatives `reps` within `eps` of `f`,
+/// ties broken toward the oldest representative: the list is oldest first,
+/// and only a strictly nearer one displaces the best so far.
+fn nearest_within(
+    reps: &[QueryId],
+    rep_features: &[StatementFeatures],
+    f: &StatementFeatures,
+    eps: f64,
+) -> Option<QueryId> {
+    let mut best: Option<(f64, QueryId)> = None;
+    for &rep in reps {
+        let d = f.distance(&rep_features[rep.0 as usize]);
+        if d <= eps && best.is_none_or(|(nearest, _)| d < nearest) {
+            best = Some((d, rep));
+        }
+    }
+    best.map(|(_, rep)| rep)
+}
+
+/// Words in `stmt`'s [`ShellKey`]: the encoder writes one constant per
+/// comparison and two per `BETWEEN`, into a stream of exactly that length.
+fn constant_words(stmt: &Statement) -> usize {
+    let predicates = &stmt.read_shell().predicates;
+    predicates.iter().map(|p| if matches!(p.op, PredOp::Between(..)) { 2 } else { 1 }).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,6 +551,13 @@ mod tests {
 
     fn schema() -> Schema {
         TpchGen::default().schema()
+    }
+
+    impl CompressedWorkload {
+        /// Whether the exact-shell index holds `f`'s shell.
+        fn has_shell(&self, f: &StatementFeatures) -> bool {
+            self.by_template.get(&f.template).is_some_and(|e| e.shells.contains_key(&f.shell))
+        }
     }
 
     fn mixed(seed: u64, n: usize) -> Workload {
@@ -605,7 +663,7 @@ mod tests {
             let f = StatementFeatures::extract(&s, stmt);
             let before = cw.clone();
             let Absorption::Merged(rep) = cw.absorb(&s, stmt, weight) else { continue };
-            if before.by_shell.contains_key(&f.shell) {
+            if before.has_shell(&f) {
                 continue;
             }
             let d = f.distance(before.representative_features(rep).unwrap());
@@ -654,6 +712,29 @@ mod tests {
         assert!(matches!(b, Absorption::NewRepresentative(_)));
         assert_eq!(cw.n_representatives(), reps_before + 1);
         cw.validate().unwrap();
+    }
+
+    #[test]
+    fn equal_constants_under_two_templates_stay_apart() {
+        // The exact-shell index keys constants under a template: the same
+        // constant on another column is another shell, under every policy.
+        let s = schema();
+        let lt = |column: &str, v: f64| {
+            let c = s.resolve(column).unwrap();
+            let mut q = Query::scan(c.table);
+            q.predicates.push(Predicate::lt(c, v));
+            Statement::Select(q)
+        };
+        let (ship, order) = (lt("lineitem.l_shipdate", 10.0), lt("orders.o_orderdate", 10.0));
+        for policy in [CompressionPolicy::Lossless, CompressionPolicy::Epsilon(1.0)] {
+            let mut cw = CompressedWorkload::streaming(policy);
+            let a = cw.absorb(&s, &ship, 1.0);
+            let b = cw.absorb(&s, &order, 1.0);
+            assert!(matches!(b, Absorption::NewRepresentative(_)), "{policy}: {b:?}");
+            assert_eq!(cw.absorb(&s, &ship, 1.0), Absorption::Merged(a.representative()));
+            assert_eq!(cw.absorb(&s, &order, 1.0), Absorption::Merged(b.representative()));
+            cw.validate().unwrap();
+        }
     }
 
     #[test]
@@ -775,7 +856,7 @@ mod tests {
         absorb_and_roll_back(&s, &mut cw, std::slice::from_ref(&novel), |r| {
             matches!(r, [Undo::Merged { shell: Some(_), .. }])
         });
-        assert!(!cw.by_shell.contains_key(&StatementFeatures::extract(&s, &novel).shell));
+        assert!(!cw.has_shell(&StatementFeatures::extract(&s, &novel)));
     }
 
     #[test]

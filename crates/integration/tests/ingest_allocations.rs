@@ -7,12 +7,20 @@
 //! statements than at 2·10⁴; this test keeps that from coming back, by
 //! counting instead of timing — through the streamed door and through the
 //! materialized one, which keeps no per-statement state either.
+//!
+//! What does stay per statement is the clustering's exact-shell index, one
+//! entry per distinct shell absorbed.  Its resident bytes per absorbed
+//! statement are bounded here too, and so is the gap between them and what
+//! `approx_state_bytes` — the daemon's eviction metric — charges for them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cophy::{CoPhy, CoPhyOptions, CompressionPolicy, ConstraintSet};
-use cophy_catalog::TpchGen;
+use cophy::{
+    CoPhy, CoPhyOptions, CompressedWorkload, CompressionPolicy, ConstraintSet, WorkloadSource,
+    DEFAULT_CHUNK,
+};
+use cophy_catalog::{Index, TpchGen};
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
 use cophy_workload::HomGen;
 
@@ -20,6 +28,8 @@ thread_local! {
     /// Bytes requested by this thread (the harness's own threads do not
     /// disturb the count).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread handed back: `BYTES − FREED` is its live heap.
+    static FREED: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -34,11 +44,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED.with(|c| c.set(c.get() + layout.size() as u64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BYTES.with(|c| c.set(c.get() + new_size as u64));
+        FREED.with(|c| c.set(c.get() + layout.size() as u64));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -80,4 +92,49 @@ fn ingestion_allocates_linearly_in_the_stream() {
             "{door}: bytes per statement grew from {small:.0} at 2·10⁴ to {large:.0} at 10⁵"
         );
     }
+}
+
+/// This thread's live heap: bytes allocated and not yet freed.
+fn live_bytes() -> u64 {
+    BYTES.with(Cell::get) - FREED.with(Cell::get)
+}
+
+#[test]
+fn the_clustering_keeps_few_bytes_per_absorbed_statement() {
+    const N: usize = 100_000;
+    let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+    let (schema, policy) = (o.schema(), CompressionPolicy::default_epsilon());
+    let gen = HomGen::new(0x5CA1E);
+
+    // The clustering alone, fed as a session feeds it: journaled chunks.
+    let mut source = gen.stream(schema, N);
+    let mut buf = Vec::new();
+    let before = live_bytes();
+    let mut cw = CompressedWorkload::streaming(policy);
+    while {
+        buf.clear();
+        source.next_chunk(DEFAULT_CHUNK, &mut buf) > 0
+    } {
+        cw.begin_chunk();
+        cw.absorb_chunk(schema, &buf);
+        cw.commit_chunk();
+    }
+    drop(buf);
+    let resident = (live_bytes() - before) as f64 / N as f64;
+    assert_eq!(cw.n_original(), N);
+    // A key of the whole shell per entry held ≈ 300 B per statement.
+    assert!(resident <= 120.0, "{resident:.0} B resident per absorbed statement");
+
+    // What the daemon's LRU charges for the same clustering, kept by a
+    // session: its state before the first solve, less the candidates.
+    let opts = CoPhyOptions { compression: policy, ..Default::default() };
+    let cophy = CoPhy::new(&o, opts);
+    let constraints = ConstraintSet::storage_fraction(schema, 0.5);
+    let session = cophy.try_session_streaming(&mut gen.stream(schema, N), constraints).unwrap();
+    let candidates = session.candidates().len() * (std::mem::size_of::<Index>() + 16);
+    let charged = (session.approx_state_bytes() - candidates) as f64 / N as f64;
+    assert!(
+        (0.5 * resident..=1.5 * resident).contains(&charged),
+        "approx_state_bytes charges {charged:.0} B per statement for {resident:.0} B resident"
+    );
 }

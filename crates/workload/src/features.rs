@@ -11,8 +11,11 @@
 //!   join edges, GROUP BY / ORDER BY interesting orders, projections,
 //!   aggregates, and the update footprint (SET columns).  Two statements with
 //!   different template keys never cluster together.
-//! * [`ShellKey`] — the exact shell *including* constants (bit-exact), used
-//!   for lossless exact-duplicate merging.
+//! * [`ShellKey`] — the statement's constants *under its template*, in
+//!   encoding order and bit-exact (`-0.0` and `0.0` differ).  The pair
+//!   (template, constants) identifies the exact shell, and is what lossless
+//!   exact-duplicate merging keys on; the constants alone do not (two
+//!   templates may share them).
 //! * [`StatementFeatures`] — both keys plus the numeric features that vary
 //!   within a template: per-predicate selectivities against the catalog
 //!   statistics and the estimated update row footprint.
@@ -22,6 +25,19 @@
 //! for identical shells, and otherwise the largest absolute selectivity
 //! deviation (plus the relative update-footprint deviation), clamped
 //! positive so that `ε = 0` merges nothing but exact duplicates.
+//!
+//! # Why the pair is the shell
+//!
+//! The exact shell is one word stream: every structural word, with each
+//! constant spliced in where the encoder meets it.  Only comparison
+//! predicates carry constants, and each one follows its operator's tag word,
+//! which fixes how many come next: one for `=`, `<` and `>` (tags 0–2), two
+//! for `BETWEEN` (tag 3).  Nothing else sits between a tag and its
+//! constants.  So the template stream fixes every position at which the
+//! shell holds a constant, and splicing the constants back in at those
+//! positions rebuilds the shell: equal (template, constants) pairs ⇔ equal
+//! shells.  The index keeps the two apart so that a duplicate test hashes a
+//! few constants under a template it has already found, not a whole shell.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +49,9 @@ use crate::query::{Aggregate, PredOp, Query, Statement};
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TemplateKey(Vec<u64>);
 
-/// Exact shell signature of a statement, constants included (bit-exact).
+/// The constants of a statement under its [`TemplateKey`], in encoding
+/// order and bit-exact: together with the template, the exact shell (see the
+/// module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ShellKey(Vec<u64>);
 
@@ -68,7 +86,8 @@ impl StatementFeatures {
     /// Template-aware clustering distance.
     ///
     /// * `∞` if the structural templates differ (never cluster),
-    /// * `0` exactly when the shells are identical (exact duplicates),
+    /// * `0` exactly when the shells are identical (exact duplicates: equal
+    ///   templates and equal constants),
     /// * otherwise `max(largest |Δselectivity|, relative Δupdate-rows)`,
     ///   clamped to a positive value — so a threshold of `0` merges exact
     ///   duplicates and nothing else.
@@ -105,7 +124,9 @@ impl Statement {
 }
 
 /// Both keys of `stmt` in one traversal (the hot path of compression —
-/// called once per absorbed statement).
+/// called once per absorbed statement).  Together they are the exact shell:
+/// key an exact-duplicate index by the pair, or by the constants only under
+/// one template.
 pub(crate) fn keys(stmt: &Statement) -> (TemplateKey, ShellKey) {
     let e = encode(stmt);
     (TemplateKey(e.template), ShellKey(e.shell))
@@ -116,27 +137,40 @@ pub fn template_key(stmt: &Statement) -> TemplateKey {
     keys(stmt).0
 }
 
-/// The exact shell key of `stmt` (constants included, bit-exact).
-pub(crate) fn shell_key(stmt: &Statement) -> ShellKey {
-    keys(stmt).1
-}
-
-/// Word-stream encoder emitting both key streams in one pass: structural
-/// words go to both, constants only to the shell stream.  Every section is
+/// Word-stream encoder emitting both keys in one pass: structural words go
+/// to the template stream, constants to the shell stream.  Every section is
 /// tagged and length-prefixed so that sections cannot alias each other.
 struct Enc {
     template: Vec<u64>,
     shell: Vec<u64>,
+    /// The one-stream shell — structural words and constants interleaved —
+    /// that the pair must be equivalent to.
+    #[cfg(test)]
+    oracle: Vec<u64>,
 }
 
 impl Enc {
-    fn new() -> Enc {
-        Enc { template: Vec::with_capacity(24), shell: Vec::with_capacity(32) }
+    /// Sized for `stmt`: the constants stream exactly, since an index may
+    /// keep it for as long as the clustering lives.
+    fn new(stmt: &Statement) -> Enc {
+        let constants = stmt
+            .read_shell()
+            .predicates
+            .iter()
+            .map(|p| if matches!(p.op, PredOp::Between(..)) { 2 } else { 1 })
+            .sum();
+        Enc {
+            template: Vec::with_capacity(24),
+            shell: Vec::with_capacity(constants),
+            #[cfg(test)]
+            oracle: Vec::new(),
+        }
     }
 
     fn word(&mut self, w: u64) {
         self.template.push(w);
-        self.shell.push(w);
+        #[cfg(test)]
+        self.oracle.push(w);
     }
 
     fn section(&mut self, tag: u64, len: usize) {
@@ -150,6 +184,8 @@ impl Enc {
     /// A constant: part of the shell, erased from the template.
     fn constant(&mut self, v: f64) {
         self.shell.push(v.to_bits());
+        #[cfg(test)]
+        self.oracle.push(v.to_bits());
     }
 }
 
@@ -209,7 +245,7 @@ fn encode_query(e: &mut Enc, q: &Query) {
 }
 
 fn encode(stmt: &Statement) -> Enc {
-    let mut e = Enc::new();
+    let mut e = Enc::new(stmt);
     match stmt {
         Statement::Select(q) => {
             e.section(0, 0);
@@ -231,12 +267,125 @@ mod tests {
     use super::*;
     use crate::gen_hom::HomGen;
     use crate::query::{Predicate, UpdateStatement};
+    use crate::{HetGen, UpdateGen, Workload};
     use cophy_catalog::TpchGen;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
         TpchGen::default().schema()
+    }
+
+    /// The one-stream shell: structural words with the constants spliced in.
+    fn oracle_shell(stmt: &Statement) -> Vec<u64> {
+        encode(stmt).oracle
+    }
+
+    /// Whether `a` and `b` have equal shells, after checking that the pair of
+    /// keys says the same as the one-stream oracle.
+    fn same_shell(a: &Statement, b: &Statement) -> bool {
+        let same = oracle_shell(a) == oracle_shell(b);
+        assert_eq!(keys(a) == keys(b), same, "{a:?} vs {b:?}");
+        same
+    }
+
+    /// `stmt` under the same template, each constant kept or, one time in
+    /// four, replaced from a small set that holds both zeros — so a variant
+    /// often has its original's shell and often differs from it in one place.
+    fn variant(stmt: &Statement, rng: &mut SmallRng) -> Statement {
+        const VALUES: [f64; 4] = [0.0, -0.0, 1.0, 2.0];
+        let mut pick =
+            |v: f64| if rng.gen_range(0..4) == 0 { VALUES[rng.gen_range(0..4)] } else { v };
+        let mut out = stmt.clone();
+        let predicates = match &mut out {
+            Statement::Select(q) => &mut q.predicates,
+            Statement::Update(u) => &mut u.shell.predicates,
+        };
+        for p in predicates {
+            p.op = match p.op {
+                PredOp::Eq(v) => PredOp::Eq(pick(v)),
+                PredOp::Lt(v) => PredOp::Lt(pick(v)),
+                PredOp::Gt(v) => PredOp::Gt(pick(v)),
+                PredOp::Between(a, b) => PredOp::Between(pick(a), pick(b)),
+            };
+        }
+        out
+    }
+
+    #[test]
+    fn the_pair_is_the_shell() {
+        let s = schema();
+        let mut rng = SmallRng::seed_from_u64(0x5E11);
+        let (mut equal, mut pairs) = (0, 0);
+        for seed in 0..6 {
+            let pool: Vec<Statement> = [
+                HomGen::new(seed).generate(&s, 30),
+                HetGen::new(seed).generate(&s, 30),
+                UpdateGen::new(seed).generate(&s, 30),
+            ]
+            .iter()
+            .flat_map(|w| w.iter().map(|(_, stmt, _)| stmt.clone()).collect::<Vec<_>>())
+            .collect();
+            // Within one template: each statement against variants of itself.
+            for a in &pool {
+                for _ in 0..3 {
+                    let b = variant(a, &mut rng);
+                    assert_eq!(template_key(a), template_key(&b));
+                    equal += usize::from(same_shell(a, &b));
+                    pairs += 1;
+                }
+            }
+            // And every pair of the pool, within a template or across two.
+            for (i, a) in pool.iter().enumerate() {
+                for b in &pool[i + 1..] {
+                    equal += usize::from(same_shell(a, b));
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(0 < equal && equal < pairs, "{equal} equal shells in {pairs} pairs");
+    }
+
+    #[test]
+    fn the_pair_separates_what_the_constants_alone_do_not() {
+        let s = schema();
+        let li = s.table_by_name("lineitem").unwrap().id;
+        let sd = s.resolve("lineitem.l_shipdate").unwrap();
+        let od = s.resolve("orders.o_orderdate").unwrap();
+        let ok = s.resolve("lineitem.l_orderkey").unwrap();
+        let select = |p: Predicate| {
+            let mut q = Query::scan(p.column.table);
+            q.predicates.push(p);
+            Statement::Select(q)
+        };
+        let update = {
+            let mut shell = Query::scan(li);
+            shell.predicates.push(Predicate::eq(ok, 7.0));
+            Statement::Update(UpdateStatement { shell, set_columns: vec![ok.column] })
+        };
+        let cases = [
+            (select(Predicate::lt(sd, 0.0)), select(Predicate::lt(sd, -0.0)), false),
+            (
+                select(Predicate::between(sd, 10.0, 20.0)),
+                select(Predicate::between(sd, 20.0, 10.0)),
+                false,
+            ),
+            (select(Predicate::lt(sd, 10.0)), select(Predicate::lt(od, 10.0)), false),
+            (update.clone(), Statement::Select(update.read_shell().clone()), false),
+            (select(Predicate::lt(sd, 10.0)), select(Predicate::lt(sd, 10.0)), true),
+        ];
+        for (a, b, same) in cases {
+            assert_eq!(same_shell(&a, &b), same, "{a:?} vs {b:?}");
+            let mut w = Workload::new();
+            w.push(a.clone());
+            w.push(b.clone());
+            assert_eq!(w.dedup_by_shell().len(), if same { 1 } else { 2 }, "{a:?} vs {b:?}");
+        }
+        // Two templates with the same constants: only the template tells them
+        // apart, in the keys and in `dedup_by_shell`.
+        let (a, b) = (select(Predicate::lt(sd, 10.0)), select(Predicate::lt(od, 10.0)));
+        assert_eq!(keys(&a).1, keys(&b).1);
+        assert_eq!(keys(&update).1, keys(&Statement::Select(update.read_shell().clone())).1);
     }
 
     #[test]
@@ -281,7 +430,7 @@ mod tests {
         };
         let (a, b) = (mk(100.0), mk(900.0));
         assert_eq!(template_key(&a), template_key(&b));
-        assert_ne!(shell_key(&a), shell_key(&b));
+        assert_ne!(keys(&a).1, keys(&b).1);
         let (fa, fb) = (a.features(&s), b.features(&s));
         let d = fa.distance(&fb);
         assert!(d > 0.0 && d <= 1.0, "selectivity distance in (0, 1]: {d}");

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::features::{shell_key, ShellKey};
+use crate::features::{keys, ShellKey, TemplateKey};
 use crate::query::Statement;
 
 /// Dense identifier of a statement within a [`Workload`].
@@ -97,12 +97,13 @@ impl Workload {
     /// included — by summing their weights (first occurrence kept, order
     /// preserved).  This is the lossless fast path of workload compression:
     /// the merged workload has bit-identical total cost under every
-    /// configuration.
+    /// configuration.  The shell is the (template, constants) pair; the
+    /// constants alone would merge two templates that share them.
     pub fn dedup_by_shell(&self) -> Workload {
-        let mut seen: HashMap<ShellKey, QueryId> = HashMap::new();
+        let mut seen: HashMap<(TemplateKey, ShellKey), QueryId> = HashMap::new();
         let mut out = Workload::new();
         for (_, stmt, weight) in self.iter() {
-            match seen.entry(shell_key(stmt)) {
+            match seen.entry(keys(stmt)) {
                 std::collections::hash_map::Entry::Occupied(e) => out.add_weight(*e.get(), weight),
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(out.push_weighted(stmt.clone(), weight));
