@@ -176,7 +176,7 @@ impl IlpAdvisor {
             cfg.cost = pq
                 .templates
                 .iter()
-                .filter_map(|tpl| tpl.icost(schema, cm, &pq.query, &atomic))
+                .filter_map(|tpl| tpl.icost(&facts, schema, cm, &atomic))
                 .fold(f64::INFINITY, f64::min);
         }
         configs.retain(|c| c.cost.is_finite());

@@ -20,8 +20,8 @@ use cophy::{
 use cophy_advisors::IlpAdvisor;
 use cophy_bench::{make_optimizer, make_workload, prepare, WorkloadKind};
 use cophy_bip::{
-    bench_refactor, bench_repair, BranchBound, DualSimplex, LagrangianSolver, LinExpr, Model,
-    Sense, SimplexSolver, SolveBudget, SolveOptions,
+    bench_refactor, bench_repair, BranchBound, LagrangianSolver, LinExpr, Model, Sense,
+    SimplexSolver, SolveBudget, SolveOptions,
 };
 use cophy_catalog::{ColumnId, Configuration, Schema};
 use cophy_inum::{ideal_config, Inum, PreparedWorkload};
@@ -282,7 +282,7 @@ fn bench_solvers(c: &mut Criterion) {
     c.bench_function("solver/dual_resolve_rich20_child", |b| {
         let (mut down, mut up) = (hi.clone(), lo.clone());
         (down[branch], up[branch]) = (0.0, 1.0);
-        let dual = DualSimplex::new();
+        let dual = SimplexSolver::new();
         b.iter(|| {
             (
                 dual.resolve(&model, &lo, &down, &root_basis),

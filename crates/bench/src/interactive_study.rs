@@ -47,7 +47,9 @@ pub(crate) fn interactive(k: &Knobs) -> Outcome {
         ..Default::default()
     };
     let cophy = CoPhy::new(&o, opts.clone());
-    let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
+    let mut session = cophy
+        .try_session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0))
+        .expect("session opens");
     let calls_before = o.what_if_calls();
     let (warm_points, warm_wall) = timed(|| {
         session

@@ -208,7 +208,9 @@ pub(crate) fn fig6b(k: &Knobs) -> Outcome {
     let o = make_optimizer(SystemProfile::A, 0.0);
     let w = make_workload(&o, Hom, n);
     let cophy = CoPhy::new(&o, CoPhyOptions::default());
-    let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
+    let mut session = cophy
+        .try_session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0))
+        .expect("session opens");
 
     // Reserve some candidates to inject later.
     let s_all = CGen { max_key_columns: 3, max_include_columns: 6 }.generate(o.schema(), &w);

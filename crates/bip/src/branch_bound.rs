@@ -47,10 +47,11 @@
 //! (`Search::evaluate_node`) over what one solve builds once and every LP
 //! and heuristic call then only reads — the rows' standard form, whose
 //! columns also tell the repair heuristic which rows a variable is in: each
-//! node re-solves its LP from the parent's optimal [`Basis`] with the bounded-variable [`DualSimplex`] (a
-//! bound pinch leaves the parent basis dual feasible, so a child costs a
-//! handful of dual pivots instead of a two-phase solve), falling back to a
-//! cold solve when the warm path stalls or its point fails validation.  The
+//! node re-solves its LP from the parent's optimal [`Basis`] with the
+//! bounded-variable dual simplex ([`SimplexSolver::resolve`]; a bound pinch
+//! leaves the parent basis dual feasible, so a child costs a handful of dual
+//! pivots instead of a two-phase solve), falling back to a cold solve when
+//! the warm path stalls or its point fails validation.  The
 //! search is one serial best-first loop — pop the cheapest open node, raise
 //! the bound and check the stop, prune against the incumbent, evaluate the
 //! node, merge its result through the [`SolveDriver`] — so every run is
@@ -60,7 +61,6 @@ use std::rc::Rc;
 
 use crate::delta::DeltaModel;
 use crate::driver::{CancelToken, GapPoint, MipStatus, SolveBudget, SolveDriver, SolveProgress};
-use crate::dual::DualSimplex;
 use crate::knapsack;
 use crate::model::{ConstrId, Model, Sense};
 use crate::simplex::{Basis, LpResult, LpStatus, SimplexSolver, StandardForm};
@@ -265,8 +265,9 @@ struct Search<'a> {
     /// [`Repair::penalty`] of the model.
     repair_penalty: f64,
     lp_solver: SimplexSolver,
-    /// The node-LP dual simplex (pivot budget capped, see `solve_engine`).
-    dual: DualSimplex,
+    /// `lp_solver` with the pivot budget capped for node-LP dual re-solves
+    /// (see `solve_engine`).
+    dual: SimplexSolver,
     warm_start: bool,
     root_lo: &'a [f64],
     root_hi: &'a [f64],
@@ -448,20 +449,10 @@ impl BranchBound {
 
     /// Solve `model` to binary optimality (or to the configured budget),
     /// streaming every incumbent/bound improvement through `on_progress`
-    /// (the improving solution rides along on incumbent events).
-    pub fn solve_with_progress(
-        &self,
-        model: &Model,
-        opts: &SolveOptions,
-        on_progress: impl FnMut(&SolveProgress, Option<&Vec<f64>>),
-    ) -> MipResult {
-        self.solve_seeded_with_progress(model, opts, None, on_progress)
-    }
-
-    /// [`BranchBound::solve_with_progress`] warm-started from a caller-known
-    /// (possibly infeasible) point: the seed is repaired to feasibility and
-    /// offered as the first incumbent.  CoPhy seeds rich-constraint solves
-    /// with the Lagrangian backend's storage-only solution.
+    /// (the improving solution rides along on incumbent events).  A
+    /// caller-known (possibly infeasible) `seed` is repaired to feasibility
+    /// and offered as the first incumbent.  CoPhy seeds rich-constraint
+    /// solves with the Lagrangian backend's storage-only solution.
     pub fn solve_seeded_with_progress(
         &self,
         model: &Model,
@@ -566,14 +557,9 @@ impl BranchBound {
         // re-solve then fails fast to the cold fallback instead of burning
         // the full pivot budget first (the dual loop has no Bland-style
         // anti-cycling switch).
-        let dual_root = DualSimplex {
-            max_iters: lp_solver.max_iters,
-            tol: lp_solver.tol,
-            deadline: lp_solver.deadline,
-        };
-        let dual = DualSimplex {
+        let dual = SimplexSolver {
             max_iters: (4 * model.n_constraints() + 256).min(lp_solver.max_iters),
-            ..dual_root.clone()
+            ..lp_solver.clone()
         };
         let search = Search {
             form: StandardForm::new(model),
@@ -596,7 +582,7 @@ impl BranchBound {
             if warm.primal_root {
                 lp_solver.warm_solve_on(form, root_lo, root_hi, basis)
             } else {
-                dual_root.resolve_on(form, root_lo, root_hi, basis)
+                lp_solver.resolve_on(form, root_lo, root_hi, basis)
             }
         });
         let root = search.accept_or_cold(root_lo, root_hi, warm_root, false);
@@ -850,9 +836,9 @@ impl BranchBound {
         (result, artifacts(pc))
     }
 
-    /// Solve without progress consumers.
+    /// Solve without a seed or progress consumer.
     pub fn solve(&self, model: &Model, opts: &SolveOptions) -> MipResult {
-        self.solve_with_progress(model, opts, |_, _| {})
+        self.solve_seeded_with_progress(model, opts, None, |_, _| {})
     }
 }
 
@@ -862,7 +848,7 @@ impl Search<'_> {
     /// One flip is allowed per level when the dive LP goes infeasible.
     ///
     /// When warm-starting with a root `basis`, every dive level re-solves
-    /// through the [`DualSimplex`] from the previous level's basis (a bound
+    /// through the dual simplex from the previous level's basis (a bound
     /// pinch keeps it dual feasible), chaining bases down the dive; if a
     /// warm re-solve stalls the dive aborts rather than paying a cold
     /// two-phase LP, so `dive_cold_lps` stays zero on the warm path.
@@ -941,7 +927,7 @@ impl Search<'_> {
     /// budget lasts.
     ///
     /// With a `node_basis` (the warm path), each probe re-solves the pinched
-    /// child from the node's own optimal basis through the [`DualSimplex`] —
+    /// child from the node's own optimal basis through the dual simplex —
     /// a handful of dual pivots instead of a bounded two-phase LP.  Only
     /// warm Optimal/Infeasible verdicts feed the pseudo-costs; a stalled
     /// probe is *skipped*, never downgraded to a cold solve, so
@@ -1380,14 +1366,19 @@ pub(crate) mod tests {
         m.add_constraint(e, Sense::Le, 25.0);
         let mut events: Vec<SolveProgress> = Vec::new();
         let mut incumbent_events = 0usize;
-        let r = BranchBound::new().solve_with_progress(&m, &SolveOptions::default(), |p, sol| {
-            if let Some(x) = sol {
-                incumbent_events += 1;
-                assert!(m.feasible(x, 1e-6), "streamed incumbent must be feasible");
-                assert!((m.objective_value(x) - p.incumbent).abs() < 1e-9);
-            }
-            events.push(*p);
-        });
+        let r = BranchBound::new().solve_seeded_with_progress(
+            &m,
+            &SolveOptions::default(),
+            None,
+            |p, sol| {
+                if let Some(x) = sol {
+                    incumbent_events += 1;
+                    assert!(m.feasible(x, 1e-6), "streamed incumbent must be feasible");
+                    assert!((m.objective_value(x) - p.incumbent).abs() < 1e-9);
+                }
+                events.push(*p);
+            },
+        );
         assert_eq!(r.status, MipStatus::Optimal);
         assert!(incumbent_events > 0, "at least the root heuristic must stream");
         // Incumbents improve monotonically, gaps never regress.
@@ -1447,11 +1438,16 @@ pub(crate) mod tests {
         m.add_constraint(zsum, Sense::Le, 1.0);
 
         let mut first_incumbent_ticks = None;
-        let r = BranchBound::new().solve_with_progress(&m, &SolveOptions::default(), |p, sol| {
-            if sol.is_some() && first_incumbent_ticks.is_none() {
-                first_incumbent_ticks = Some(p.ticks);
-            }
-        });
+        let r = BranchBound::new().solve_seeded_with_progress(
+            &m,
+            &SolveOptions::default(),
+            None,
+            |p, sol| {
+                if sol.is_some() && first_incumbent_ticks.is_none() {
+                    first_incumbent_ticks = Some(p.ticks);
+                }
+            },
+        );
         assert_ne!(r.status, MipStatus::Infeasible);
         assert_eq!(first_incumbent_ticks, Some(0), "incumbent must appear at the root");
         let (expect, _) = m.brute_force().unwrap();
@@ -1498,9 +1494,14 @@ pub(crate) mod tests {
         m.add_constraint(e, Sense::Le, 22.0);
         let run = || {
             let mut seen: Vec<(f64, f64, f64)> = Vec::new();
-            let r = BranchBound::new().solve_with_progress(&m, &SolveOptions::default(), |p, _| {
-                seen.push((p.incumbent, p.bound, p.gap));
-            });
+            let r = BranchBound::new().solve_seeded_with_progress(
+                &m,
+                &SolveOptions::default(),
+                None,
+                |p, _| {
+                    seen.push((p.incumbent, p.bound, p.gap));
+                },
+            );
             (r, seen)
         };
         let (a, ea) = run();

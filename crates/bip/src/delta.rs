@@ -11,9 +11,9 @@
 //!
 //! * [`DeltaModel::set_rhs`] (budget sweeps) and [`DeltaModel::fix`] (index
 //!   pin / ban as a bound pinch, `None` to free) — reduced costs depend on
-//!   neither, so the old basis stays **dual feasible** and the
-//!   [`DualSimplex`](crate::dual::DualSimplex) restores primal feasibility
-//!   in a handful of pivots;
+//!   neither, so the old basis stays **dual feasible** and the dual
+//!   simplex ([`SimplexSolver::resolve`](crate::SimplexSolver::resolve))
+//!   restores primal feasibility in a handful of pivots;
 //! * [`DeltaModel::set_objective`] (one λ step of a Pareto sweep) — the old
 //!   basis stays **primal** feasible while its reduced costs go stale, so
 //!   the next root restarts phase 2 of the *primal* simplex from it.

@@ -13,7 +13,6 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use crate::dual::DualSimplex;
 use crate::model::{Model, Sense};
 use crate::simplex::{
     Basis, LpResult, LpStatus, SimplexSolver, VarState, DEADLINE_CHECK_INTERVAL, PIVOT_TOL,
@@ -511,7 +510,7 @@ pub(crate) fn dense_solve(
 /// ratio test, no bound flipping) on the dense tableau, armed with `dual`'s
 /// tolerance, pivot cap and deadline.
 pub(crate) fn dense_resolve(
-    dual: &DualSimplex,
+    dual: &SimplexSolver,
     model: &Model,
     lo: &[f64],
     hi: &[f64],
@@ -540,7 +539,7 @@ pub(crate) fn dense_resolve(
     })
 }
 
-fn run_dual_dense(dual: &DualSimplex, t: &mut DenseTableau, cost: &[f64]) -> (LpStatus, usize) {
+fn run_dual_dense(dual: &SimplexSolver, t: &mut DenseTableau, cost: &[f64]) -> (LpStatus, usize) {
     let m = t.m;
     let mut y = vec![0.0; m];
     let mut rho = vec![0.0; m];

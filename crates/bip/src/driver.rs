@@ -181,7 +181,7 @@ pub(crate) type ProgressFn<'cb, S> = dyn FnMut(&SolveProgress, Option<&S>) + 'cb
 
 /// Everything a backend hands back when its search loop ends.
 #[derive(Debug, Clone)]
-pub struct DriverResult<S> {
+pub(crate) struct DriverResult<S> {
     /// Best `(objective, solution)` found, if any.
     pub incumbent: Option<(f64, S)>,
     pub bound: f64,
@@ -194,7 +194,7 @@ pub struct DriverResult<S> {
 }
 
 /// The shared engine state: deadline, incumbent, bound, gap, trace.
-pub struct SolveDriver<'cb, S> {
+pub(crate) struct SolveDriver<'cb, S> {
     budget: SolveBudget,
     started: Instant,
     incumbent: Option<(f64, S)>,
@@ -206,26 +206,6 @@ pub struct SolveDriver<'cb, S> {
     trace: Vec<GapPoint>,
     cancel: Option<CancelToken>,
     on_progress: Box<ProgressFn<'cb, S>>,
-}
-
-impl<S> std::fmt::Debug for SolveDriver<'_, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolveDriver")
-            .field("budget", &self.budget)
-            .field("elapsed", &self.started.elapsed())
-            .field("incumbent", &self.incumbent.as_ref().map(|(obj, _)| *obj))
-            .field("bound", &self.bound)
-            .field("best_gap", &self.best_gap)
-            .field("ticks", &self.ticks)
-            .finish()
-    }
-}
-
-impl<S> SolveDriver<'static, S> {
-    /// Driver with no progress consumer.
-    pub fn new(budget: SolveBudget) -> Self {
-        SolveDriver::with_progress(budget, |_, _| {})
-    }
 }
 
 impl<'cb, S> SolveDriver<'cb, S> {
@@ -251,29 +231,12 @@ impl<'cb, S> SolveDriver<'cb, S> {
 
     /// Arm cooperative cancellation: once `token` fires, `stop_status`
     /// reports [`MipStatus::TimeLimit`] (the deadline brought forward).
-    pub fn set_cancel(&mut self, token: Option<CancelToken>) {
+    pub(crate) fn set_cancel(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
     }
 
-    pub fn budget(&self) -> &SolveBudget {
-        &self.budget
-    }
-
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    pub fn ticks(&self) -> usize {
+    pub(crate) fn ticks(&self) -> usize {
         self.ticks
-    }
-
-    /// Best proven relative gap so far.
-    pub fn gap(&self) -> f64 {
-        self.best_gap
-    }
-
-    pub fn bound(&self) -> f64 {
-        self.bound
     }
 
     pub(crate) fn has_incumbent(&self) -> bool {
@@ -286,12 +249,12 @@ impl<'cb, S> SolveDriver<'cb, S> {
     }
 
     /// Best `(objective, solution)` so far.
-    pub fn incumbent(&self) -> Option<&(f64, S)> {
+    pub(crate) fn incumbent(&self) -> Option<&(f64, S)> {
         self.incumbent.as_ref()
     }
 
     /// Count one unit of search work (a node or an iteration).
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.ticks += 1;
     }
 
@@ -300,21 +263,11 @@ impl<'cb, S> SolveDriver<'cb, S> {
         self.pivots += n;
     }
 
-    /// Cumulative simplex pivots accounted so far.
-    pub fn pivots(&self) -> usize {
-        self.pivots
-    }
-
     /// Record the current decomposition state; every subsequent progress
     /// event carries it (decomposed backends update this once per outer
     /// iteration, before offering incumbents or raising bounds).
     pub(crate) fn set_decomposition(&mut self, d: DecompositionProgress) {
         self.decomposition = Some(d);
-    }
-
-    /// The latest decomposition state, if the backend reported one.
-    pub fn decomposition(&self) -> Option<DecompositionProgress> {
-        self.decomposition
     }
 
     fn snapshot(&self) -> SolveProgress {
@@ -432,7 +385,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
     }
 
     /// Tear down into the final result, recording a terminal trace point.
-    pub fn finish(mut self) -> DriverResult<S> {
+    pub(crate) fn finish(mut self) -> DriverResult<S> {
         if self.has_incumbent() {
             let p = self.snapshot();
             let last = self.trace.last();
@@ -465,7 +418,8 @@ mod tests {
 
     #[test]
     fn offers_keep_only_improvements() {
-        let mut d: SolveDriver<'_, Vec<f64>> = SolveDriver::new(SolveBudget::exact());
+        let mut d: SolveDriver<'_, Vec<f64>> =
+            SolveDriver::with_progress(SolveBudget::exact(), |_, _| {});
         assert!(d.offer_incumbent(10.0, vec![1.0]));
         assert!(!d.offer_incumbent(10.0, vec![0.0]), "equal objective is not an improvement");
         assert!(!d.offer_incumbent(12.0, vec![0.0]));
@@ -483,7 +437,7 @@ mod tests {
             d.offer_incumbent(10.0, ());
             d.raise_bound(5.0);
             assert!(!d.raise_bound(4.0), "bound must not regress");
-            assert_eq!(d.bound(), 5.0);
+            assert_eq!(d.bound, 5.0);
             d.raise_bound(9.0);
             d.offer_incumbent(9.2, ());
             let _ = d.finish();
@@ -499,17 +453,19 @@ mod tests {
     fn reported_gap_survives_denominator_shrink() {
         // inc 10 → 6 with bound −2: the raw relative gap would *rise*
         // (1.2 → 1.33); the proven gap must not.
-        let mut d: SolveDriver<'_, ()> = SolveDriver::new(SolveBudget::exact());
+        let mut d: SolveDriver<'_, ()> =
+            SolveDriver::with_progress(SolveBudget::exact(), |_, _| {});
         d.offer_incumbent(10.0, ());
         d.raise_bound(-2.0);
-        let g1 = d.gap();
+        let g1 = d.best_gap;
         d.offer_incumbent(6.0, ());
-        assert!(d.gap() <= g1 + 1e-12);
+        assert!(d.best_gap <= g1 + 1e-12);
     }
 
     #[test]
     fn stop_decision_order() {
-        let mut d: SolveDriver<'_, ()> = SolveDriver::new(SolveBudget::within(0.5).with_nodes(3));
+        let mut d: SolveDriver<'_, ()> =
+            SolveDriver::with_progress(SolveBudget::within(0.5).with_nodes(3), |_, _| {});
         assert_eq!(d.stop_status(), None);
         d.tick();
         d.tick();
@@ -526,18 +482,19 @@ mod tests {
     #[test]
     fn time_limit_observed() {
         let d: SolveDriver<'_, ()> =
-            SolveDriver::new(SolveBudget::exact().with_time(Duration::ZERO));
+            SolveDriver::with_progress(SolveBudget::exact().with_time(Duration::ZERO), |_, _| {});
         assert_eq!(d.stop_status(), Some(MipStatus::TimeLimit));
     }
 
     #[test]
     fn exhausted_search_closes_gap() {
-        let mut d: SolveDriver<'_, ()> = SolveDriver::new(SolveBudget::exact());
+        let mut d: SolveDriver<'_, ()> =
+            SolveDriver::with_progress(SolveBudget::exact(), |_, _| {});
         d.offer_incumbent(7.0, ());
         d.raise_bound(5.0);
         d.close_exhausted();
-        assert_eq!(d.gap(), 0.0);
-        assert_eq!(d.bound(), 7.0);
+        assert_eq!(d.best_gap, 0.0);
+        assert_eq!(d.bound, 7.0);
         let r = d.finish();
         assert_eq!(r.gap, 0.0);
         assert!(!r.trace.is_empty());
@@ -545,7 +502,8 @@ mod tests {
 
     #[test]
     fn cancel_token_acts_as_deadline() {
-        let mut d: SolveDriver<'_, ()> = SolveDriver::new(SolveBudget::exact());
+        let mut d: SolveDriver<'_, ()> =
+            SolveDriver::with_progress(SolveBudget::exact(), |_, _| {});
         let token = CancelToken::new();
         d.set_cancel(Some(token.clone()));
         assert_eq!(d.stop_status(), None);

@@ -49,40 +49,21 @@
 use crate::knapsack::OrderedPrefix;
 use crate::model::Model;
 use crate::simplex::{
-    Basis, LpResult, LpStatus, StandardForm, Tableau, VarState, DEADLINE_CHECK_INTERVAL,
-    DEVEX_RESET_LIMIT, PIVOT_TOL, REFACTOR_EVERY,
+    Basis, LpResult, LpStatus, SimplexSolver, StandardForm, Tableau, VarState,
+    DEADLINE_CHECK_INTERVAL, DEVEX_RESET_LIMIT, PIVOT_TOL, REFACTOR_EVERY,
 };
 
-/// The dual-simplex engine.  Its three crate-private fields are
-/// [`SimplexSolver`](crate::SimplexSolver)'s, and branch-and-bound fills
-/// them from its primal solver so both stop at the same tolerance and
-/// wall-clock deadline.
-#[derive(Debug, Clone)]
-pub struct DualSimplex {
-    pub(crate) max_iters: usize,
-    pub(crate) tol: f64,
-    /// Abandon the re-solve (status [`LpStatus::IterLimit`]) once this
-    /// instant passes — checked before the first factorization and every
-    /// [`DEADLINE_CHECK_INTERVAL`] pivots, same contract as the primal.
-    pub(crate) deadline: Option<std::time::Instant>,
-}
-
-impl Default for DualSimplex {
-    fn default() -> Self {
-        DualSimplex { max_iters: 50_000, tol: 1e-7, deadline: None }
-    }
-}
-
-impl DualSimplex {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl SimplexSolver {
     /// Re-solve `model` under new per-variable bounds, warm-starting from a
     /// basis snapshot taken by an optimal solve of the *same model* (only
     /// the bounds may differ).  Returns `None` when the snapshot does not
     /// fit the model or its basis matrix is singular — the caller then pays
     /// the cold two-phase solve instead.
+    ///
+    /// This is the bounded-variable dual simplex: it runs under the same
+    /// iteration cap, tolerance and wall-clock deadline as
+    /// [`SimplexSolver::solve`], and an already-expired deadline aborts it
+    /// (status [`LpStatus::IterLimit`]) before the first factorization.
     pub fn resolve(
         &self,
         model: &Model,
@@ -93,7 +74,7 @@ impl DualSimplex {
         self.resolve_on(&StandardForm::new(model), lo, hi, basis)
     }
 
-    /// [`DualSimplex::resolve`] on a standard form the caller already built.
+    /// [`SimplexSolver::resolve`] on a standard form the caller already built.
     pub(crate) fn resolve_on(
         &self,
         form: &StandardForm<'_>,
@@ -434,7 +415,6 @@ mod tests {
     use crate::factor::tests::float_bits;
     use crate::model::{LinExpr, Model, Sense};
     use crate::simplex::tests::{pinned_bounds, pricing_family, pricing_rows};
-    use crate::simplex::SimplexSolver;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -458,7 +438,7 @@ mod tests {
             assert!(t.restore(&basis));
             let cost = t.phase2_cost();
             for burst in [0, 1, 3] {
-                let dual = DualSimplex { max_iters: burst, ..Default::default() };
+                let dual = SimplexSolver { max_iters: burst, ..Default::default() };
                 if dual.run_dual(&mut t, &cost).0 == LpStatus::Singular {
                     break;
                 }
@@ -572,7 +552,7 @@ mod tests {
         let mut bad = root.basis.clone().expect("root basis");
         bad.basis[1] = bad.basis[0];
         let _ = (x, y);
-        assert!(DualSimplex::new().resolve(&m, &[0.0, 0.0], &[1.0, 1.0], &bad).is_none());
+        assert!(SimplexSolver::new().resolve(&m, &[0.0, 0.0], &[1.0, 1.0], &bad).is_none());
     }
 
     #[test]
@@ -589,7 +569,7 @@ mod tests {
         for v in [0.0, 1.0] {
             let (mut lo, mut hi) = (vec![0.0, 0.0], vec![1.0, 1.0]);
             pinch(&mut lo, &mut hi, 0, v);
-            let warm = DualSimplex::new().resolve(&m, &lo, &hi, &basis).expect("basis fits");
+            let warm = SimplexSolver::new().resolve(&m, &lo, &hi, &basis).expect("basis fits");
             let cold = SimplexSolver::new().solve(&m, &lo, &hi);
             assert_eq!(warm.status, LpStatus::Optimal, "pinch x={v}");
             assert!(
@@ -613,7 +593,7 @@ mod tests {
         let root = SimplexSolver::new().solve(&m, &[0.0, 0.0], &[1.0, 1.0]);
         let basis = root.basis.expect("root basis");
         let r =
-            DualSimplex::new().resolve(&m, &[0.0, 0.0], &[0.0, 0.0], &basis).expect("basis fits");
+            SimplexSolver::new().resolve(&m, &[0.0, 0.0], &[0.0, 0.0], &basis).expect("basis fits");
         assert_eq!(r.status, LpStatus::Infeasible);
     }
 
@@ -633,7 +613,7 @@ mod tests {
         let mut basis = root.basis.expect("root basis");
         for (j, v) in [(0usize, 1.0), (3usize, 0.0), (1usize, 1.0)] {
             pinch(&mut lo, &mut hi, j, v);
-            let warm = DualSimplex::new().resolve(&m, &lo, &hi, &basis).expect("fits");
+            let warm = SimplexSolver::new().resolve(&m, &lo, &hi, &basis).expect("fits");
             let cold = SimplexSolver::new().solve(&m, &lo, &hi);
             assert_eq!(warm.status, cold.status, "pinch ({j}, {v})");
             if warm.status == LpStatus::Optimal {
@@ -657,7 +637,8 @@ mod tests {
         let _ = (x, y);
         let root = SimplexSolver::new().solve(&m, &[0.0, 0.0], &[1.0, 1.0]);
         let basis = root.basis.expect("root basis");
-        let dual = DualSimplex { deadline: Some(std::time::Instant::now()), ..Default::default() };
+        let dual =
+            SimplexSolver { deadline: Some(std::time::Instant::now()), ..Default::default() };
         let (lo, hi) = ([1.0, 0.0], [1.0, 1.0]);
         let r = dual.resolve(&m, &lo, &hi, &basis).expect("fits");
         assert_eq!(r.status, LpStatus::IterLimit);
@@ -683,7 +664,7 @@ mod tests {
         let p = b.add_var("p", 1.0);
         let q = b.add_var("q", 1.0);
         b.add_constraint(LinExpr::new().term(p, 1.0).term(q, 1.0), Sense::Le, 1.0);
-        assert!(DualSimplex::new().resolve(&b, &[0.0, 0.0], &[1.0, 1.0], &basis).is_none());
+        assert!(SimplexSolver::new().resolve(&b, &[0.0, 0.0], &[1.0, 1.0], &basis).is_none());
     }
 
     #[test]
@@ -711,7 +692,7 @@ mod tests {
         for j in [1usize, 4] {
             pinch(&mut lo, &mut hi, j, 0.0);
         }
-        let warm = DualSimplex::new().resolve(&m, &lo, &hi, &basis).expect("fits");
+        let warm = SimplexSolver::new().resolve(&m, &lo, &hi, &basis).expect("fits");
         let cold = SimplexSolver::new().solve(&m, &lo, &hi);
         assert_eq!(warm.status, cold.status);
         if warm.status == LpStatus::Optimal {
@@ -740,7 +721,7 @@ mod tests {
         let (mut lo, mut hi) = (vec![0.0; n], vec![1.0; n]);
         let root = SimplexSolver::new().solve(&m, &lo, &hi);
         let basis = root.basis.expect("root basis");
-        let dual = DualSimplex::new();
+        let dual = SimplexSolver::new();
         for (j, v) in [(2usize, 1.0), (5usize, 1.0), (0usize, 0.0), (7usize, 1.0)] {
             pinch(&mut lo, &mut hi, j, v);
             let a = dual.resolve(&m, &lo, &hi, &basis).expect("sparse fits");

@@ -327,8 +327,9 @@ pub struct LagrangeResult {
     pub trace: Vec<GapPoint>,
 }
 
-/// Subgradient-driven Lagrangian solver, running inside the shared
-/// [`SolveDriver`] (one tick per subgradient iteration).
+/// Subgradient-driven Lagrangian solver, running inside the anytime engine
+/// it shares with [`BranchBound`](crate::BranchBound) (one tick per
+/// subgradient iteration).
 #[derive(Debug, Clone)]
 pub struct LagrangianSolver {
     /// Gap / time / iteration budget.  `node_limit` caps subgradient
@@ -357,23 +358,14 @@ impl LagrangianSolver {
 
     /// Solve from scratch.
     pub fn solve(&self, p: &BlockProblem) -> LagrangeResult {
-        self.solve_warm(p, None).0
+        self.solve_warm_with_progress(p, None, |_, _| {}).0
     }
 
     /// Solve with optional warm-start state; returns the result plus the
-    /// state to reuse for the next (incrementally modified) solve.
-    pub fn solve_warm(
-        &self,
-        p: &BlockProblem,
-        warm: Option<&WarmStart>,
-    ) -> (LagrangeResult, WarmStart) {
-        self.solve_warm_with_progress(p, warm, |_, _| {})
-    }
-
-    /// [`LagrangianSolver::solve_warm`] streaming every incumbent/bound
-    /// improvement through `on_progress` (the improving selection rides
-    /// along on incumbent events) — the same anytime contract as the
-    /// branch-and-bound backend.
+    /// state to reuse for the next (incrementally modified) solve.  Every
+    /// incumbent/bound improvement streams through `on_progress` (the
+    /// improving selection rides along on incumbent events) — the same
+    /// anytime contract as the branch-and-bound backend.
     pub fn solve_warm_with_progress(
         &self,
         p: &BlockProblem,
@@ -1425,10 +1417,10 @@ mod tests {
 
     /// The subgradient loop as dense sweeps over every coordinate (what ran
     /// before the sparse walks), around the same primal heuristics and
-    /// driver: the oracle of [`LagrangianSolver::solve_warm`] on a cold
-    /// start.
+    /// driver: the oracle of
+    /// [`LagrangianSolver::solve_warm_with_progress`] on a cold start.
     fn dense_solve(p: &BlockProblem, budget: SolveBudget) -> (LagrangeResult, WarmStart) {
-        let mut driver: SolveDriver<Vec<bool>> = SolveDriver::new(budget);
+        let mut driver: SolveDriver<Vec<bool>> = SolveDriver::with_progress(budget, |_, _| {});
         let n = p.n_items;
         let flat = Flat::new(p);
         let mut coord = Vec::new();
@@ -1780,7 +1772,7 @@ mod tests {
                 continue; // a block with no instantiable alternative
             }
             let (want, want_warm) = dense_solve(&p, budget);
-            let (got, got_warm) = solver.solve_warm(&p, None);
+            let (got, got_warm) = solver.solve_warm_with_progress(&p, None, |_, _| {});
             assert_eq!(got.iterations, want.iterations);
             assert_eq!(got.objective.to_bits(), want.objective.to_bits());
             assert_eq!(got.bound.to_bits(), want.bound.to_bits());
@@ -1962,8 +1954,8 @@ mod tests {
     fn warm_start_converges_faster() {
         let p = random_problem(77, 14, 40);
         let solver = LagrangianSolver { budget: SolveBudget::within(0.01), ..Default::default() };
-        let (r1, warm) = solver.solve_warm(&p, None);
-        let (r2, _) = solver.solve_warm(&p, Some(&warm));
+        let (r1, warm) = solver.solve_warm_with_progress(&p, None, |_, _| {});
+        let (r2, _) = solver.solve_warm_with_progress(&p, Some(&warm), |_, _| {});
         // Warm-started solve must not do worse, and usually does far less work.
         assert!(r2.objective <= r1.objective + 1e-6);
         assert!(
@@ -2027,7 +2019,8 @@ mod tests {
                 }
             }
             // Solving the reduced problem yields the fixed-optimal objective.
-            let (r, _) = LagrangianSolver::new().solve_warm(&fx.problem, None);
+            let (r, _) =
+                LagrangianSolver::new().solve_warm_with_progress(&fx.problem, None, |_, _| {});
             let mut sel = r.selected.clone();
             fx.apply_to_selection(&mut sel);
             let restricted_opt = {

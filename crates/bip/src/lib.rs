@@ -14,13 +14,13 @@
 //!   for warm re-solves, and a one-step recovery from a singular basis on
 //!   the same kernel's careful pivot path.  It is the only simplex that
 //!   ships: the previous dense explicit-`B⁻¹` tableau is compiled under
-//!   `cfg(test)` alone, as the oracle of this crate's differential tests;
-//! * [`DualSimplex`] — a bounded-variable **dual simplex** on the same
-//!   sparse kernel that re-solves an LP from a parent basis after a bound pinch
-//!   (the branch-and-bound warm-start: a child LP costs a handful of dual
-//!   pivots instead of a fresh two-phase solve), with dual Devex row
-//!   pricing and a bound-flipping (long-step) ratio test that moves
-//!   box-constrained binaries across their box without a pivot;
+//!   `cfg(test)` alone, as the oracle of this crate's differential tests.
+//!   [`SimplexSolver::resolve`] is its bounded-variable **dual simplex**,
+//!   which re-solves an LP from a parent basis after a bound pinch (the
+//!   branch-and-bound warm-start: a child LP costs a handful of dual pivots
+//!   instead of a fresh two-phase solve), with dual Devex row pricing and a
+//!   bound-flipping (long-step) ratio test that moves box-constrained
+//!   binaries across their box without a pivot;
 //! * [`BranchBound`] — a best-first branch-and-bound MIP solver with
 //!   anytime incumbents, a global lower bound, relative-gap early
 //!   termination, time/node limits and improvement callbacks (the paper's
@@ -37,7 +37,7 @@
 //!   solvers.
 //!
 //! * the shared **anytime solve engine**: one [`SolveBudget`] (gap /
-//!   wall-clock / node limits), a [`SolveDriver`] owning the
+//!   wall-clock / node limits), one crate-private driver owning the
 //!   incumbent stream, monotone bound and proven-gap tracking, and the
 //!   unified [`SolveProgress`] callback both backends report through;
 //! * **interactive re-optimization**: a [`DeltaModel`] is a model, its
@@ -71,10 +71,8 @@ pub use branch_bound::bench_repair;
 pub use branch_bound::{BranchBound, MipResult, SolveOptions};
 pub use delta::DeltaModel;
 pub use driver::{
-    CancelToken, DecompositionProgress, DriverResult, GapPoint, MipStatus, SolveBudget,
-    SolveDriver, SolveProgress,
+    CancelToken, DecompositionProgress, GapPoint, MipStatus, SolveBudget, SolveProgress,
 };
-pub use dual::DualSimplex;
 pub use knapsack::continuous_min;
 pub use lagrangian::{
     Alt, Block, BlockProblem, FixedBlockProblem, LagrangeResult, LagrangianSolver, SlotChoices,

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use crate::dense::{dense_resolve, dense_solve};
 use crate::simplex::{structural_x_by_position, PivotPath, StandardForm, Tableau};
-use crate::{DualSimplex, LinExpr, LpStatus, Model, Sense, SimplexSolver, VarId};
+use crate::{LinExpr, LpStatus, Model, Sense, SimplexSolver, VarId};
 
 /// Deterministic LCG in [-1, 1) from a seed, same idiom as `properties.rs`.
 fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -187,7 +187,7 @@ proptest! {
             return Ok(());
         }
         let mut basis = root.basis.expect("optimal solve snapshots a basis");
-        let dual = DualSimplex::new();
+        let dual = SimplexSolver::new();
         for (j, v) in pinches {
             lo[j] = if v { 1.0 } else { 0.0 };
             hi[j] = lo[j];
@@ -234,7 +234,7 @@ proptest! {
 
         // Restore under identical bounds: the dual simplex finds nothing to
         // repair on either kernel.
-        let dual = DualSimplex::new();
+        let dual = SimplexSolver::new();
         for r in [dual.resolve(&m, &lo, &hi, &basis), dense_resolve(&dual, &m, &lo, &hi, &basis)] {
             let r = r.expect("snapshot fits its own model");
             prop_assert_eq!(r.status, LpStatus::Optimal);

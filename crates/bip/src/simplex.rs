@@ -42,8 +42,7 @@
 //!   `Tableau` borrows it and owns what differs from LP to LP — bounds,
 //!   variable states, the basis with its factors and eta file, the `m`
 //!   one-entry artificial columns (their signs are set per LP) and scratch.
-//!   [`SimplexSolver::solve`] and
-//!   [`DualSimplex::resolve`](crate::dual::DualSimplex::resolve) build a
+//!   [`SimplexSolver::solve`] and [`SimplexSolver::resolve`] build a
 //!   form per call; branch-and-bound builds one per solve and runs every
 //!   node, probe and dive LP over it through the crate-internal `*_on`
 //!   twins of those two and [`SimplexSolver::warm_solve_on`].
@@ -89,7 +88,7 @@ pub struct LpResult {
     pub iterations: usize,
     /// Snapshot of the optimal basis (present only on
     /// [`LpStatus::Optimal`]), the warm-start handle for
-    /// [`DualSimplex::resolve`](crate::dual::DualSimplex::resolve).
+    /// [`SimplexSolver::resolve`].
     pub basis: Option<Basis>,
     /// Number of from-scratch LU factorizations paid.
     pub refactorizations: usize,
@@ -1041,8 +1040,8 @@ impl SimplexSolver {
 
     /// Warm-start **phase 2** from a basis snapshot of the *same model and
     /// bounds* after a pure objective change.  Bound and RHS edits keep a
-    /// basis dual feasible (the [`DualSimplex`](crate::dual::DualSimplex)
-    /// territory); an objective edit instead keeps it **primal** feasible,
+    /// basis dual feasible (the territory of the dual re-solve,
+    /// [`SimplexSolver::resolve`]); an objective edit instead keeps it **primal** feasible,
     /// so the correct warm restart is the primal phase 2 — a dual re-solve
     /// here would accept a suboptimal point.  Used by the soft-constraint
     /// λ-sweep, where only the objective weights move between points.

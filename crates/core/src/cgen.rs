@@ -85,6 +85,11 @@ impl CandidateSet {
         &self.indexes[id.0 as usize]
     }
 
+    /// The id of `ix`, if it is a candidate.
+    pub(crate) fn id_of(&self, ix: &Index) -> Option<IndexId> {
+        self.ids.get(ix).copied()
+    }
+
     pub fn size_bytes(&self, id: IndexId) -> u64 {
         self.sizes[id.0 as usize]
     }
@@ -148,22 +153,14 @@ impl CGen {
     /// order, and repeats would only re-insert duplicates that
     /// [`CandidateSet::insert`] drops anyway.
     pub fn generate(&self, schema: &Schema, w: &Workload) -> CandidateSet {
-        self.generate_with_stats(schema, w).0
+        self.propose(schema, w.iter().map(|(_, stmt, _)| stmt)).0
     }
 
-    /// [`Self::generate`] plus the number of per-query expansions actually
-    /// performed (== number of distinct statement templates in `w`).
-    pub(crate) fn generate_with_stats(
-        &self,
-        schema: &Schema,
-        w: &Workload,
-    ) -> (CandidateSet, usize) {
-        self.propose(schema, w.iter().map(|(_, stmt, _)| stmt))
-    }
-
-    /// [`Self::generate_with_stats`] over statements wherever they live (the
-    /// ingest proposes for the cluster-opening statements of a chunk without
-    /// copying them into a workload).
+    /// [`Self::generate`] over statements wherever they live (the ingest
+    /// proposes for the cluster-opening statements of a chunk without
+    /// copying them into a workload), plus the number of per-query
+    /// expansions actually performed (== number of distinct statement
+    /// templates).
     pub(crate) fn propose<'a>(
         &self,
         schema: &Schema,
@@ -378,7 +375,7 @@ mod tests {
             gen.per_query(&s, stmt.read_shell(), &mut naive);
         }
 
-        let (deduped, expansions) = gen.generate_with_stats(&s, &w);
+        let (deduped, expansions) = gen.propose(&s, w.iter().map(|(_, stmt, _)| stmt));
         let distinct: std::collections::HashSet<_> =
             w.iter().map(|(_, stmt, _)| cophy_workload::template_key(stmt)).collect();
         assert_eq!(expansions, distinct.len());

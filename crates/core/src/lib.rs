@@ -23,7 +23,7 @@
 //! let cophy = CoPhy::new(&optimizer, CoPhyOptions::default());
 //! // storage budget = 0.5 × data size
 //! let constraints = ConstraintSet::storage_fraction(optimizer.schema(), 0.5);
-//! let rec = cophy.tune(&workload, &constraints);
+//! let rec = cophy.try_tune(&workload, &constraints).unwrap();
 //! assert!(rec.objective <= rec.baseline_cost * 1.0 + 1e-6);
 //! println!("{} indexes, gap {:.1}%", rec.configuration.len(), rec.gap * 100.0);
 //! ```
@@ -109,7 +109,8 @@
 //! let backend = FaultInjectingBackend::new(Box::new(live), noise);
 //! let w = HomGen::new(1).generate(backend.schema(), 8);
 //! let cophy = CoPhy::new(&backend, CoPhyOptions::default());
-//! let mut session = cophy.session(&w, ConstraintSet::storage_fraction(backend.schema(), 0.5));
+//! let storage = ConstraintSet::storage_fraction(backend.schema(), 0.5);
+//! let mut session = cophy.try_session(&w, storage).unwrap();
 //! let rec = session.recommend();
 //! assert!(rec.objective <= rec.baseline_cost + 1e-6);
 //! // The same model is exportable for external solvers:

@@ -389,7 +389,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     fn fix_index(&mut self, ix: Index, value: bool) {
         self.fixings.retain(|(i, _)| *i != ix);
         // Pinning an unknown index adopts it as a candidate.
-        if value && candidate_position(&self.ingest.candidates, &ix).is_none() {
+        if value && self.ingest.candidates.id_of(&ix).is_none() {
             self.add_candidates([ix.clone()]);
         }
         self.fixings.push((ix, value));
@@ -431,8 +431,8 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         let mut fixed = vec![None; self.ingest.candidates.len()];
         let mut any = false;
         for (ix, value) in &self.fixings {
-            if let Some(pos) = candidate_position(&self.ingest.candidates, ix) {
-                fixed[pos] = Some(*value);
+            if let Some(id) = self.ingest.candidates.id_of(ix) {
+                fixed[id.0 as usize] = Some(*value);
                 any = true;
             }
         }
@@ -473,10 +473,6 @@ impl<'o, 'c> TuningSession<'o, 'c> {
 }
 
 /// Position of `ix` in the candidate set, if present.
-fn candidate_position(candidates: &CandidateSet, ix: &Index) -> Option<usize> {
-    candidates.iter().find(|(_, c)| *c == ix).map(|(id, _)| id.0 as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,7 +495,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(31).generate(o.schema(), 20);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
         let r1 = session.recommend();
         assert!(r1.objective < r1.baseline_cost);
 
@@ -523,7 +520,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(32).generate(o.schema(), 30);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0)).unwrap();
         let r1 = session.recommend();
         let cold_solve = r1.stats.solve_time;
         // Small delta: a couple of random candidates.
@@ -546,7 +544,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(36).generate(o.schema(), 20);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
         let mut events: Vec<SolveProgress> = Vec::new();
         let r = session.recommend_with_progress(|p| events.push(*p));
         assert!(!events.is_empty(), "the interactive loop must stream progress");
@@ -573,7 +572,8 @@ mod tests {
             ..Default::default()
         };
         let cophy = CoPhy::new(&o, opts);
-        let session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
         let text = session.export_mps();
         let (cols, rows) = cophy_bip::lint_mps(&text).expect("export passes the format lint");
         assert!(rows > 0 && cols > 0, "the Theorem-1 BIP is non-trivial");
@@ -609,7 +609,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(33).generate(o.schema(), 10);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0)).unwrap();
         let r1 = session.recommend();
         let more = HomGen::new(34).generate(o.schema(), 5);
         session.try_add_source(&mut more.source(), DEFAULT_CHUNK).unwrap();
@@ -851,7 +852,7 @@ mod tests {
         let o = setup();
         let w = HomGen::new(77).generate(o.schema(), 10);
         let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-        let clean = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
+        let clean = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap();
 
         let plan = FaultPlan::transient_only(0xFA17, 0.4, 2);
         let opts = CoPhyOptions { retry: fast_retry(4), ..Default::default() };
@@ -946,9 +947,12 @@ mod tests {
         let o = setup();
         let w = HomGen::new(13).generate(o.schema(), 12);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let roomy = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.8)).recommend();
+        let roomy = cophy
+            .try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.8))
+            .unwrap()
+            .recommend();
         let tight = ConstraintSet::none().with(crate::Constraint::Storage { budget_bytes: 4096 });
-        let mut session = cophy.session(&w, tight.clone());
+        let mut session = cophy.try_session(&w, tight.clone()).unwrap();
         for ix in roomy.configuration.indexes() {
             let fixings = session.fixings().to_vec();
             match session.pin_index(ix) {
@@ -963,7 +967,8 @@ mod tests {
         assert!(session.recommend().gap.is_finite(), "what is pinned fits, so the tune answers");
 
         // The same holds for a budget change under existing pins.
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.8));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.8)).unwrap();
         session.pin_index(&roomy.configuration.indexes()[0]).unwrap();
         let err = session.set_constraints(tight).unwrap_err();
         assert!(matches!(err, CoPhyError::Infeasible(_)), "{err:?}");
@@ -979,7 +984,8 @@ mod tests {
             ..Default::default()
         };
         let cophy = CoPhy::new(&o, opts);
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
         assert_eq!(session.n_statements(), 30);
         assert!(session.n_representatives() < 30, "W_hom must cluster");
         let r1 = session.recommend();
@@ -1046,7 +1052,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(40).generate(o.schema(), 8);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0)).unwrap();
         let total = o.schema().data_bytes();
         // Loose → tight, the paper's sweep direction: every step pinches the
         // storage row and pays dual pivots from the previous basis.
@@ -1084,7 +1091,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(41).generate(o.schema(), 8);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
         let r_free = session.recommend();
         assert!(!r_free.configuration.is_empty());
 
@@ -1122,7 +1130,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(43).generate(o.schema(), 6);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0)).unwrap();
         let ps = o.schema().table_by_name("partsupp").unwrap().id;
         let pet = Index::secondary(ps, vec![ColumnId(2), ColumnId(3)]);
         let before = session.candidates().len();
@@ -1137,7 +1146,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(42).generate(o.schema(), 10);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
         let rec = session.recommend();
         let calls = o.what_if_calls();
         let ans = session.what_if(&rec.configuration);
@@ -1171,7 +1181,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(44).generate(o.schema(), 8);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
         let cache = session.cache();
         let calls = o.what_if_calls();
         let mut twin = cophy
@@ -1203,7 +1214,8 @@ mod tests {
         let o = setup();
         let w = HomGen::new(35).generate(o.schema(), 15);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0)).unwrap();
         let _ = session.recommend();
         session.set_constraints(ConstraintSet::storage_fraction(o.schema(), 0.02)).unwrap();
         let r = session.recommend();
@@ -1218,7 +1230,7 @@ mod tests {
         let o = setup();
         let w = HomGen::new(77).generate(o.schema(), 12);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::none());
+        let mut session = cophy.try_session(&w, ConstraintSet::none()).unwrap();
         let budgets = [1_227_134_060, 24_542_681, 1];
         let points = session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap();
         for p in &points {
@@ -1239,7 +1251,7 @@ mod tests {
         let storage = ConstraintSet::storage_fraction(o.schema(), 0.05);
         let budgets = [storage.storage_budget().unwrap()];
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let mut session = cophy.session(&w, storage.clone());
+        let mut session = cophy.try_session(&w, storage.clone()).unwrap();
         let fired = CancelToken::new();
         fired.cancel();
         session.set_cancel(Some(fired));

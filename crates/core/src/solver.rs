@@ -13,11 +13,10 @@
 //! 3. **solve** — anytime incumbents with a global bound; terminate at the
 //!    configured optimality gap (the paper runs at 5%).
 //!
-//! Both backends run inside the shared anytime engine
-//! ([`cophy_bip::SolveDriver`]): the advisor passes one [`SolveBudget`]
-//! (gap / wall-clock / node limits) to whichever backend is selected and
-//! surfaces the unified [`SolveProgress`] stream through
-//! [`CoPhy::try_tune_prepared`].
+//! Both backends run inside `cophy-bip`'s shared anytime engine: the
+//! advisor passes one [`SolveBudget`] (gap / wall-clock / node limits) to
+//! whichever backend is selected and surfaces the unified [`SolveProgress`]
+//! stream through [`CoPhy::try_tune_prepared`].
 //!
 //! Every `try_tune*` door is the same two steps: drain the workload through
 //! the chunked `crate::ingest` (clustering, INUM probes under
@@ -254,15 +253,10 @@ impl<'o> CoPhy<'o> {
         self.opt
     }
 
-    /// Full pipeline: compression → INUM → CGen → BIPGen → Solver.  Panics
-    /// where [`CoPhy::try_tune`] errs.
-    pub fn tune(&self, w: &Workload, constraints: &ConstraintSet) -> Recommendation {
-        self.try_tune(w, constraints).expect("tuning problem infeasible")
-    }
-
-    /// Full pipeline, surfacing infeasibility (paper line 2: the DBA removes
-    /// or softens the reported constraints), probe failures and a breached
-    /// coverage floor as typed errors.
+    /// Full pipeline: compression → INUM → CGen → BIPGen → Solver,
+    /// surfacing infeasibility (paper line 2: the DBA removes or softens the
+    /// reported constraints), probe failures and a breached coverage floor
+    /// as typed errors.
     ///
     /// [`CoPhy::try_tune_source`] over `w.source()`: a materialized workload
     /// is a stream that happens to be resident, and is tuned as one.
@@ -405,12 +399,7 @@ impl<'o> CoPhy<'o> {
             .ok_or_else(|| CoPhyError::Infeasible(why.into()))
     }
 
-    /// Open an interactive tuning session (paper §4.2).  Panics where
-    /// [`CoPhy::try_session`] errs.
-    pub fn session(&self, w: &Workload, constraints: ConstraintSet) -> TuningSession<'o, '_> {
-        self.try_session(w, constraints).unwrap_or_else(|e| panic!("{e}"))
-    }
-
+    /// Open an interactive tuning session (paper §4.2):
     /// [`CoPhy::try_session_streaming`] over `w.source()`.
     pub fn try_session(
         &self,
@@ -471,7 +460,7 @@ mod tests {
         let (o, w) = advisor_setup(25);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
         let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-        let rec = cophy.tune(&w, &constraints);
+        let rec = cophy.try_tune(&w, &constraints).unwrap();
         assert!(!rec.configuration.is_empty(), "should recommend something");
         assert!(rec.objective < rec.baseline_cost, "must beat the empty config");
         assert!(rec.estimated_improvement() > 0.1, "{}", rec.estimated_improvement());
@@ -487,8 +476,8 @@ mod tests {
     fn tighter_budget_never_improves_objective() {
         let (o, w) = advisor_setup(15);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let loose = cophy.tune(&w, &ConstraintSet::storage_fraction(o.schema(), 1.0));
-        let tight = cophy.tune(&w, &ConstraintSet::storage_fraction(o.schema(), 0.05));
+        let loose = cophy.try_tune(&w, &ConstraintSet::storage_fraction(o.schema(), 1.0)).unwrap();
+        let tight = cophy.try_tune(&w, &ConstraintSet::storage_fraction(o.schema(), 0.05)).unwrap();
         assert!(loose.objective <= tight.objective * 1.02 + 1e-6);
         let tight_size = tight.configuration.size_bytes(o.schema());
         assert!(tight_size <= o.schema().data_bytes() / 20 + 1);
@@ -529,10 +518,10 @@ mod tests {
             w.push_weighted(stmt.clone(), weight);
         }
         let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-        let plain = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
+        let plain = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap();
         assert!(plain.compression.is_none());
         let opts = CoPhyOptions { compression: CompressionPolicy::Lossless, ..Default::default() };
-        let rec = CoPhy::new(&o, opts).tune(&w, &constraints);
+        let rec = CoPhy::new(&o, opts).try_tune(&w, &constraints).unwrap();
         let summary = rec.compression.expect("compressed tune carries its summary");
         assert_eq!(summary.n_original, w.len());
         assert!(summary.n_representatives <= base.len());
@@ -554,12 +543,12 @@ mod tests {
     fn epsilon_compression_cuts_probes_and_expands_costs() {
         let (o, w) = advisor_setup(60);
         let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-        let plain = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
+        let plain = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap();
         let opts = CoPhyOptions {
             compression: CompressionPolicy::default_epsilon(),
             ..Default::default()
         };
-        let rec = CoPhy::new(&o, opts).tune(&w, &constraints);
+        let rec = CoPhy::new(&o, opts).try_tune(&w, &constraints).unwrap();
         let summary = rec.compression.expect("summary present");
         assert!(summary.ratio() > 1.5, "W_hom60 must compress: ratio {}", summary.ratio());
         assert!(rec.stats.what_if_calls < plain.stats.what_if_calls);
@@ -650,7 +639,7 @@ mod tests {
     fn gap_trace_present_and_bounded() {
         let (o, w) = advisor_setup(20);
         let cophy = CoPhy::new(&o, CoPhyOptions::default());
-        let rec = cophy.tune(&w, &ConstraintSet::storage_fraction(o.schema(), 0.5));
+        let rec = cophy.try_tune(&w, &ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
         assert!(!rec.trace.is_empty());
         assert!(rec.gap >= 0.0);
         assert!(rec.stats.n_candidates > 0);
@@ -672,7 +661,7 @@ mod tests {
     fn all_transient_faults_with_retries_match_fault_free_tune_bit_for_bit() {
         let (o, w) = advisor_setup(10);
         let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-        let clean = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
+        let clean = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap();
         assert!(clean.degradation.is_none(), "fault-free tune must carry no report");
 
         let faulty = FaultInjectingBackend::new(
@@ -680,7 +669,7 @@ mod tests {
             FaultPlan::transient_only(0xFA17, 0.4, 2),
         );
         let opts = CoPhyOptions { retry: fast_retry(4), ..Default::default() };
-        let rec = CoPhy::new(&faulty, opts).tune(&w, &constraints);
+        let rec = CoPhy::new(&faulty, opts).try_tune(&w, &constraints).unwrap();
         // Every transient schedule is exhausted below max_attempts, so the
         // prepared workload — and therefore the whole tune — is bit-identical.
         assert_eq!(rec.objective.to_bits(), clean.objective.to_bits());
@@ -697,14 +686,14 @@ mod tests {
     fn permanent_faults_degrade_with_bounded_inflation() {
         let (o, w) = advisor_setup(12);
         let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-        let clean = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
+        let clean = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap();
 
         let faulty = FaultInjectingBackend::new(
             Box::new(WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A)),
             FaultPlan { permanent_rate: 0.15, ..FaultPlan::transient_only(0xDE6, 0.3, 1) },
         );
         let opts = CoPhyOptions { retry: fast_retry(3), min_coverage: 0.0, ..Default::default() };
-        let rec = CoPhy::new(&faulty, opts).tune(&w, &constraints);
+        let rec = CoPhy::new(&faulty, opts).try_tune(&w, &constraints).unwrap();
         let d = rec.degradation.expect("permanent faults must degrade the tune");
         assert!(d.probes_substituted > 0, "some probes must be lost for this seed");
         assert!(d.coverage < 1.0 && d.coverage > 0.0, "coverage {}", d.coverage);

@@ -98,7 +98,8 @@ fn off_is_byte_identical_to_the_plain_pipeline() {
     // The advisor facade with compression explicitly Off.
     let rec =
         CoPhy::new(&o, CoPhyOptions { compression: CompressionPolicy::Off, ..Default::default() })
-            .tune(&w, &constraints);
+            .try_tune(&w, &constraints)
+            .unwrap();
 
     assert!(rec.compression.is_none());
     assert_eq!(rec.objective.to_bits(), manual.objective.to_bits());
@@ -122,12 +123,13 @@ fn compressed_tune_cost_is_epsilon_bounded() {
         let w = mixed(&o, seed, 24);
         let full = Inum::new(&o).prepare_workload(&w);
 
-        let plain = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
+        let plain = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap();
         let comp = CoPhy::new(
             &o,
             CoPhyOptions { compression: CompressionPolicy::Epsilon(eps), ..Default::default() },
         )
-        .tune(&w, &constraints);
+        .try_tune(&w, &constraints)
+        .unwrap();
 
         let cm = o.cost_model();
         let cost_plain = full.cost(o.schema(), cm, &plain.configuration);

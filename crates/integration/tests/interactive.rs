@@ -58,7 +58,7 @@ proptest! {
             })
             .collect();
         for session_set in [ConstraintSet::storage_fraction(o.schema(), 1.0), ConstraintSet::none()] {
-            let mut session = cophy.session(&w, session_set);
+            let mut session = cophy.try_session(&w, session_set).unwrap();
             let points = session.try_sweep_storage_with_progress(&budgets, |_, _| {}).unwrap();
             for ((p, &b), cold) in points.iter().zip(&budgets).zip(&cold) {
                 prop_assert!(p.gap <= 1e-6, "sweep point must be solved to optimality");
@@ -92,7 +92,7 @@ proptest! {
         let w = HomGen::new(seed.wrapping_add(7)).generate(o.schema(), 6);
         let cophy = CoPhy::new(&o, CoPhyOptions { cgen: lean_cgen(), ..Default::default() });
         let storage = ConstraintSet::storage_fraction(o.schema(), 0.6);
-        let mut session = cophy.session(&w, storage.clone());
+        let mut session = cophy.try_session(&w, storage.clone()).unwrap();
         let free = session.recommend();
         if free.configuration.is_empty() {
             return Ok(()); // nothing to pin/ban on this seed
@@ -138,7 +138,7 @@ proptest! {
         if let Some(ix) = newly_banned {
             session.ban_index(&ix);
             let warm = checked_sweep(&o, &mut session, &budgets[..1])?.expect("bans fit");
-            let mut fresh = cophy.session(&w, storage.clone());
+            let mut fresh = cophy.try_session(&w, storage.clone()).unwrap();
             for (ix, pinned) in session.fixings().to_vec() {
                 if pinned {
                     fresh.pin_index(&ix).unwrap();
@@ -244,7 +244,8 @@ fn what_if_issues_zero_optimizer_calls() {
     let o = optimizer();
     let w = HomGen::new(2024).generate(o.schema(), 12);
     let cophy = CoPhy::new(&o, CoPhyOptions::default());
-    let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+    let mut session =
+        cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
     let rec = session.recommend();
 
     let calls_before = o.what_if_calls();
@@ -277,7 +278,7 @@ fn session_exports_a_lintable_reimportable_mps_model() {
     let o = optimizer();
     let w = HomGen::new(91).generate(o.schema(), 6);
     let cophy = CoPhy::new(&o, CoPhyOptions { cgen: lean_cgen(), ..Default::default() });
-    let session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5));
+    let session = cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
     let text = session.export_mps();
     let (cols, rows) = cophy_bip::lint_mps(&text).expect("export passes the format lint");
     let model = cophy_bip::parse_mps(&text).expect("export re-imports");
@@ -297,7 +298,8 @@ fn sweep_streams_anytime_consistent_progress() {
     let o = optimizer();
     let w = HomGen::new(77).generate(o.schema(), 8);
     let cophy = CoPhy::new(&o, CoPhyOptions::default());
-    let mut session = cophy.session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0));
+    let mut session =
+        cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 1.0)).unwrap();
     let total = o.schema().data_bytes();
     let budgets = [total, total / 4, total / 20];
     let mut per_point: Vec<Vec<SolveProgress>> = vec![Vec::new(); budgets.len()];

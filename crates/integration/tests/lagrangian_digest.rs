@@ -110,9 +110,9 @@ fn digest(backend: &dyn WhatIfBackend, w: &Workload) -> u64 {
     let mut fold = Fold::default();
     fold_problem(&mut fold, p, tp.fixed_cost);
 
-    let (cold, warm) = solver().solve_warm(p, None);
+    let (cold, warm) = solver().solve_warm_with_progress(p, None, |_, _| {});
     fold_solve(&mut fold, &cold, &warm);
-    let (rewarmed, warm2) = solver().solve_warm(p, Some(&warm));
+    let (rewarmed, warm2) = solver().solve_warm_with_progress(p, Some(&warm), |_, _| {});
     fold_solve(&mut fold, &rewarmed, &warm2);
 
     // Ban the first index the cold solve chose, pin the first one it left
@@ -127,7 +127,7 @@ fn digest(backend: &dyn WhatIfBackend, w: &Workload) -> u64 {
     fixed[pinned] = Some(true);
     let fx = p.with_fixings(&fixed).expect("one pin fits the budget");
     fold.f64(fx.pinned_cost);
-    let (fixed_solve, fixed_warm) = solver().solve_warm(&fx.problem, None);
+    let (fixed_solve, fixed_warm) = solver().solve_warm_with_progress(&fx.problem, None, |_, _| {});
     fold_solve(&mut fold, &fixed_solve, &fixed_warm);
 
     fold.digest()

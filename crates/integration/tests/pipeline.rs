@@ -18,7 +18,7 @@ fn full_pipeline_on_homogeneous_workload() {
     let w = HomGen::new(1).generate(o.schema(), 40);
     let cophy = CoPhy::new(&o, CoPhyOptions::default());
     let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-    let rec = cophy.tune(&w, &constraints);
+    let rec = cophy.try_tune(&w, &constraints).unwrap();
 
     // The recommendation must beat the baseline on the *real* optimizer, not
     // just on INUM's approximation.
@@ -37,7 +37,7 @@ fn full_pipeline_on_heterogeneous_workload_with_updates() {
     let w = UpdateGen::new(3).mix_into(o.schema(), &reads, 0.25);
     let cophy = CoPhy::new(&o, CoPhyOptions::default());
     let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-    let rec = cophy.tune(&w, &constraints);
+    let rec = cophy.try_tune(&w, &constraints).unwrap();
     let perf = o.perf(&w, &rec.configuration);
     assert!(perf >= 0.0, "updates must not drive the recommendation negative: {perf}");
     assert!(constraints.check_configuration(o.schema(), &rec.configuration).is_ok());
@@ -62,8 +62,10 @@ fn update_heavy_workload_selects_fewer_indexes() {
     }
 
     let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-    let free_rec = CoPhy::new(&o, CoPhyOptions::default()).tune(&maintenance_free, &constraints);
-    let upd_rec = CoPhy::new(&o, CoPhyOptions::default()).tune(&update_heavy, &constraints);
+    let free_rec =
+        CoPhy::new(&o, CoPhyOptions::default()).try_tune(&maintenance_free, &constraints).unwrap();
+    let upd_rec =
+        CoPhy::new(&o, CoPhyOptions::default()).try_tune(&update_heavy, &constraints).unwrap();
 
     assert!(
         upd_rec.configuration.len() <= free_rec.configuration.len(),
@@ -84,8 +86,8 @@ fn skew_makes_selective_indexes_more_attractive() {
     let w_skw = HomGen::new(6).generate(skw.schema(), 30);
     let c_uni = ConstraintSet::storage_fraction(uni.schema(), 1.0);
     let c_skw = ConstraintSet::storage_fraction(skw.schema(), 1.0);
-    let r_uni = CoPhy::new(&uni, CoPhyOptions::default()).tune(&w_uni, &c_uni);
-    let r_skw = CoPhy::new(&skw, CoPhyOptions::default()).tune(&w_skw, &c_skw);
+    let r_uni = CoPhy::new(&uni, CoPhyOptions::default()).try_tune(&w_uni, &c_uni).unwrap();
+    let r_skw = CoPhy::new(&skw, CoPhyOptions::default()).try_tune(&w_skw, &c_skw).unwrap();
     let p_uni = uni.perf(&w_uni, &r_uni.configuration);
     let p_skw = skw.perf(&w_skw, &r_skw.configuration);
     assert!(p_uni > 0.0 && p_skw > 0.0);
@@ -120,7 +122,7 @@ fn cophy_beats_or_matches_every_baseline_on_heterogeneous() {
     let o = optimizer(SystemProfile::A, 0.0);
     let w = HetGen::new(8).generate(o.schema(), 30);
     let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-    let rec = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &constraints);
+    let rec = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap();
     let p_cophy = o.perf(&w, &rec.configuration);
     for (name, cfg) in [
         ("Tool-A", ToolA { max_steps: 25, ..Default::default() }.recommend(&o, &w, &constraints)),
@@ -221,7 +223,8 @@ fn inum_cache_consistent_with_what_if_after_tuning() {
     let o = optimizer(SystemProfile::A, 0.0);
     let w = HomGen::new(10).generate(o.schema(), 15);
     let rec = CoPhy::new(&o, CoPhyOptions::default())
-        .tune(&w, &ConstraintSet::storage_fraction(o.schema(), 1.0));
+        .try_tune(&w, &ConstraintSet::storage_fraction(o.schema(), 1.0))
+        .unwrap();
     let inum = Inum::new(&o);
     let prepared = inum.prepare_workload(&w);
     for pq in &prepared.queries {
@@ -241,7 +244,7 @@ fn baseline_x0_is_never_part_of_recommendation_budget() {
     let o = optimizer(SystemProfile::A, 0.0);
     let w = HomGen::new(11).generate(o.schema(), 10);
     let tiny = ConstraintSet::storage_fraction(o.schema(), 0.01);
-    let rec = CoPhy::new(&o, CoPhyOptions::default()).tune(&w, &tiny);
+    let rec = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &tiny).unwrap();
     assert!(rec.configuration.size_bytes(o.schema()) <= o.schema().data_bytes() / 100 + 1);
     let x0 = Configuration::baseline(o.schema());
     let union = rec.configuration.union(&x0);

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use cophy::{BipGen, CGen, Constraint, ConstraintSet};
 use cophy_bip::{
-    continuous_min, Alt, Block, BlockProblem, BranchBound, DualSimplex, LagrangianSolver, LinExpr,
-    Model, Sense, SimplexSolver, SlotChoices, SolveOptions, SolveProgress,
+    continuous_min, Alt, Block, BlockProblem, BranchBound, LagrangianSolver, LinExpr, Model, Sense,
+    SimplexSolver, SlotChoices, SolveOptions, SolveProgress,
 };
 use cophy_catalog::{ColumnId, Configuration, Index, Skew, TpchGen};
 use cophy_inum::Inum;
@@ -119,9 +119,10 @@ proptest! {
     #[test]
     fn branch_bound_anytime_stream_invariants(m in small_bip()) {
         let mut events: Vec<(SolveProgress, Option<(bool, f64)>)> = Vec::new();
-        let r = BranchBound::new().solve_with_progress(
+        let r = BranchBound::new().solve_seeded_with_progress(
             &m,
             &SolveOptions::default(),
+            None,
             |p, sol| events.push((*p, sol.map(|x| (m.feasible(x, 1e-6), m.objective_value(x))))),
         );
         let (mut prev_inc, mut prev_gap) = (f64::INFINITY, f64::INFINITY);
@@ -193,7 +194,7 @@ proptest! {
             let j = j % n;
             lo[j] = if up { 1.0 } else { 0.0 };
             hi[j] = lo[j];
-            let warm = DualSimplex::new()
+            let warm = SimplexSolver::new()
                 .resolve(&m, &lo, &hi, &basis)
                 .expect("basis from the same model must fit");
             let cold = SimplexSolver::new().solve(&m, &lo, &hi);

@@ -17,7 +17,7 @@ fn quickstart_snippet_roundtrips() {
     let cophy = CoPhy::new(&optimizer, CoPhyOptions::default());
     // storage budget = 0.5 × data size
     let constraints = ConstraintSet::storage_fraction(optimizer.schema(), 0.5);
-    let rec = cophy.tune(&workload, &constraints);
+    let rec = cophy.try_tune(&workload, &constraints).unwrap();
     assert!(rec.objective <= rec.baseline_cost * 1.0 + 1e-6);
     println!("{} indexes, gap {:.1}%", rec.configuration.len(), rec.gap * 100.0);
 
@@ -63,7 +63,8 @@ fn backends_snippet_roundtrips() {
     fn tune_with(backend: &dyn WhatIfBackend) {
         let w = cophy_workload::HomGen::new(1).generate(backend.schema(), 8);
         let cophy = CoPhy::new(backend, CoPhyOptions::default());
-        let mut session = cophy.session(&w, ConstraintSet::storage_fraction(backend.schema(), 0.5));
+        let storage = ConstraintSet::storage_fraction(backend.schema(), 0.5);
+        let mut session = cophy.try_session(&w, storage).unwrap();
         let rec = session.recommend();
         println!("{} indexes, {} what-if calls", rec.configuration.len(), rec.stats.what_if_calls);
         let mps = session.export_mps(); // hand the exact BIP to CPLEX/Gurobi/...
@@ -177,25 +178,25 @@ fn every_public_crate_is_reachable() {
 }
 
 /// One simplex kernel ships: the solver stack is built and run without
-/// naming an engine.  `::new()` is the only way to build any of the three —
-/// none has a field settable from outside `cophy-bip`, so there is no place
-/// for a selector to come back.
+/// naming an engine.  `::new()` is the only way to build either solver —
+/// neither has a field settable from outside `cophy-bip`, so there is no
+/// place for a selector to come back.  The one `SimplexSolver` runs both
+/// the cold primal solve and the warm dual re-solve.
 #[test]
 fn the_solver_stack_has_no_engine_selector() {
-    use cophy_bip::{BranchBound, DualSimplex, LinExpr, LpStatus, Model, Sense, SimplexSolver};
+    use cophy_bip::{BranchBound, LinExpr, LpStatus, Model, Sense, SimplexSolver};
 
-    let primal = SimplexSolver::new();
-    let dual = DualSimplex::new();
+    let lp = SimplexSolver::new();
 
     let mut m = Model::new();
     let x = m.add_var("x", -1.0);
     let y = m.add_var("y", -2.0);
     m.add_constraint(LinExpr::new().term(x, 1.0).term(y, 1.0), Sense::Le, 1.5);
-    let root = primal.solve(&m, &[0.0, 0.0], &[1.0, 1.0]);
+    let root = lp.solve(&m, &[0.0, 0.0], &[1.0, 1.0]);
     assert_eq!(root.status, LpStatus::Optimal);
     assert_eq!(root.factor_recoveries, 0);
     let basis = root.basis.as_ref().expect("optimal solve snapshots its basis");
-    let child = dual.resolve(&m, &[1.0, 0.0], &[1.0, 1.0], basis).expect("basis fits");
+    let child = lp.resolve(&m, &[1.0, 0.0], &[1.0, 1.0], basis).expect("basis fits");
     assert_eq!(child.status, LpStatus::Optimal);
     assert!((child.objective - (-2.0)).abs() < 1e-6);
 

@@ -185,6 +185,27 @@ mod tests {
         cfg
     }
 
+    /// Random small configuration over the columns `q` reads: one to three
+    /// indexes of one or two keys on its tables.
+    fn config_on(q: &Query, seed: u64) -> Configuration {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut cfg = Configuration::empty();
+        for _ in 0..rng.gen_range(1..4) {
+            let t = q.tables[rng.gen_range(0..q.tables.len())];
+            let cols = q.columns_used_on(t);
+            if cols.is_empty() {
+                continue;
+            }
+            let mut key = vec![cols[rng.gen_range(0..cols.len())]];
+            let second = cols[rng.gen_range(0..cols.len())];
+            if rng.gen_bool(0.5) && !key.contains(&second) {
+                key.push(second);
+            }
+            cfg.insert(Index::secondary(t, key));
+        }
+        cfg
+    }
+
     #[test]
     fn inum_cost_matches_empty_config_optimizer_cost() {
         let o = opt();
@@ -291,6 +312,80 @@ mod tests {
             let read0 = pq.read_cost(s, o.cost_model(), &Configuration::empty());
             assert!((without - (read0 + pq.fixed_update_cost)).abs() < 1e-9);
         }
+    }
+
+    /// Definition 1 taken literally: `cost(q, X)`'s read side is the minimum
+    /// over templates `k` and atomic configurations `A ∈ atom(X)` (one index
+    /// of `X` on the slot's table, or `I∅`, per slot) of `icost(k, A)`.  The
+    /// per-slot minimum of `breakdown` is that minimum bit for bit: float
+    /// addition is monotone in each operand, so the sum of the per-slot
+    /// minima, taken in slot order, is the least of the sums.
+    #[test]
+    fn breakdown_is_the_minimum_over_atomic_configurations() {
+        let o = opt();
+        let (s, cm) = (o.schema(), o.cost_model());
+        let inum = Inum::new(&o);
+        let workloads = [
+            HomGen::new(3).generate(s, 12),
+            HetGen::new(5).generate(s, 12),
+            cophy_workload::UpdateGen::new(11).generate(s, 8),
+        ];
+        let (mut compared, mut atomics, mut index_wins) = (0, 0, 0);
+        for w in &workloads {
+            let pw = inum.prepare_workload(w);
+            for seed in 0..8u64 {
+                for (i, pq) in pw.queries.iter().enumerate() {
+                    let cfg = random_config(&o, seed)
+                        .union(&config_on(&pq.query, seed * 1000 + i as u64));
+                    let indexes: Vec<&Index> = cfg.iter().collect();
+                    let facts = pq.table_facts(s);
+                    let mut best = f64::INFINITY;
+                    for tpl in &pq.templates {
+                        let options: Vec<Vec<Option<&Index>>> = tpl
+                            .slots
+                            .iter()
+                            .map(|slot| {
+                                let on_table = indexes.iter().filter(|ix| ix.table == slot.table);
+                                std::iter::once(None).chain(on_table.map(|&ix| Some(ix))).collect()
+                            })
+                            .collect();
+                        // Odometer over the cartesian product atom(X).
+                        let mut pick = vec![0usize; options.len()];
+                        loop {
+                            let atomic: Vec<Option<&Index>> =
+                                pick.iter().zip(&options).map(|(&k, opts)| opts[k]).collect();
+                            if let Some(c) = tpl.icost(&facts, s, cm, &atomic) {
+                                best = best.min(c);
+                            }
+                            atomics += 1;
+                            let Some(d) = (0..pick.len()).find(|&d| pick[d] + 1 < options[d].len())
+                            else {
+                                break;
+                            };
+                            pick[d] += 1;
+                            pick[..d].fill(0);
+                        }
+                    }
+                    let b = pq.breakdown(s, cm, &cfg);
+                    let read = b.slots.iter().fold(b.internal_cost, |t, (_, g)| t + g);
+                    assert_eq!(best.to_bits(), read.to_bits(), "{best} vs breakdown {read}");
+                    let via_total = pq.read_cost(s, cm, &cfg);
+                    assert!(
+                        (best - via_total).abs() <= 1e-12 * best.abs(),
+                        "{best} vs {via_total}"
+                    );
+                    compared += 1;
+                    index_wins += usize::from(
+                        b.slots.iter().any(|(c, _)| matches!(c, AtomicChoice::Index(_))),
+                    );
+                }
+            }
+        }
+        assert!(
+            compared == 8 * 32 && atomics > 8 * compared && index_wins > compared / 3,
+            "{compared} statements × configurations, {atomics} atomic configurations, \
+             {index_wins} won by an index"
+        );
     }
 
     #[test]

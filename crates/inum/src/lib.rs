@@ -17,8 +17,9 @@
 //! `cost(q, X)` is then the Definition-1 minimum
 //! `min_k { β_qk + Σ_i min_{a ∈ X_i ∪ I∅} γ_qkia }`, i.e. the *linearly
 //! composable* cost function of the paper, evaluated in microseconds instead
-//! of a full optimization.  [`TemplatePlan::gamma`] exposes the γ
-//! constants directly — exactly what CoPhy's BIP generator consumes.
+//! of a full optimization.  [`Slot::gamma`] exposes the γ constants directly
+//! — exactly what CoPhy's BIP generator consumes — priced against the
+//! statement's [`PreparedQuery::table_facts`], gathered once.
 //!
 //! Every preparation is [`Inum::try_prepare_statement`] over some statements:
 //! one probing loop that retries transient failures and degrades lost probes

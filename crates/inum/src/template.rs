@@ -2,7 +2,6 @@
 
 use cophy_catalog::{ColumnId, Index, Schema, TableId};
 use cophy_optimizer::{CostModel, TableFacts};
-use cophy_workload::Query;
 use serde::{Deserialize, Serialize};
 
 /// One leaf slot of a template plan.
@@ -61,40 +60,31 @@ impl TemplatePlan {
         self.slots.iter().map(|s| (s.table, s.required.clone())).collect()
     }
 
-    /// `γ_qkia`: cost of instantiating slot `slot_idx` with index `ix`, or
-    /// `None` if the index is incompatible with the slot's order requirement
-    /// (`γ = ∞`).  Purely analytical — no optimizer call.
-    pub fn gamma(
-        &self,
-        schema: &Schema,
-        cm: &CostModel,
-        q: &Query,
-        slot_idx: usize,
-        ix: &Index,
-    ) -> Option<f64> {
-        let slot = &self.slots[slot_idx];
-        if ix.table != slot.table {
-            return None;
-        }
-        slot.gamma(&TableFacts::new(schema, q, slot.table), schema, cm, ix)
-    }
-
     /// Instantiated cost `icost(p, A)` for an atomic configuration given as
-    /// one optional index per slot (`None` = `I∅`).  Returns `None` when the
-    /// configuration cannot instantiate the template (infinite cost).
+    /// one optional index per slot (`None` = `I∅`), each `γ` priced by
+    /// [`Slot::gamma`] against the statement's gathered `facts`
+    /// ([`PreparedQuery::table_facts`](crate::PreparedQuery::table_facts)).
+    /// Returns `None` when the configuration cannot instantiate the template
+    /// (infinite cost).
     pub fn icost(
         &self,
+        facts: &[TableFacts<'_>],
         schema: &Schema,
         cm: &CostModel,
-        q: &Query,
         atomic: &[Option<&Index>],
     ) -> Option<f64> {
         debug_assert_eq!(atomic.len(), self.slots.len());
         let mut total = self.internal_cost;
-        for (i, choice) in atomic.iter().enumerate() {
+        for (slot, choice) in self.slots.iter().zip(atomic) {
             let slot_cost = match choice {
-                None => self.slots[i].heap_cost?,
-                Some(ix) => self.gamma(schema, cm, q, i, ix)?,
+                None => slot.heap_cost?,
+                Some(ix) => {
+                    let slot_facts = facts
+                        .iter()
+                        .find(|f| f.table() == slot.table)
+                        .expect("facts of every slot table were gathered");
+                    slot.gamma(slot_facts, schema, cm, ix)?
+                }
             };
             total += slot_cost;
         }
@@ -107,7 +97,7 @@ mod tests {
     use super::*;
     use cophy_catalog::TpchGen;
     use cophy_optimizer::SystemProfile;
-    use cophy_workload::Predicate;
+    use cophy_workload::{Predicate, Query};
 
     fn setup() -> (cophy_catalog::Schema, CostModel) {
         (TpchGen::default().schema(), CostModel::profile(SystemProfile::A))
@@ -133,15 +123,16 @@ mod tests {
                 heap_cost: None,
             }],
         };
+        let (slot, facts) = (&tpl.slots[0], TableFacts::new(&s, &q, li));
         // Index on another table: incompatible.
         let other = Index::secondary(s.table_by_name("orders").unwrap().id, vec![ColumnId(0)]);
-        assert!(tpl.gamma(&s, &cm, &q, 0, &other).is_none());
+        assert!(slot.gamma(&facts, &s, &cm, &other).is_none());
         // Index that does not deliver the required order: incompatible.
         let wrong = Index::secondary(li, vec![s.resolve("lineitem.l_shipdate").unwrap().column]);
-        assert!(tpl.gamma(&s, &cm, &q, 0, &wrong).is_none());
+        assert!(slot.gamma(&facts, &s, &cm, &wrong).is_none());
         // Index delivering the order: finite.
         let right = Index::secondary(li, vec![s.resolve("lineitem.l_quantity").unwrap().column]);
-        assert!(tpl.gamma(&s, &cm, &q, 0, &right).is_some());
+        assert!(slot.gamma(&facts, &s, &cm, &right).is_some());
     }
 
     #[test]
@@ -153,11 +144,11 @@ mod tests {
             internal_cost: 7.0,
             slots: vec![Slot { table: li, required: vec![], heap_cost: Some(heap.cost) }],
         };
-        let c = tpl.icost(&s, &cm, &q, &[None]).unwrap();
+        let c = tpl.icost(&[TableFacts::new(&s, &q, li)], &s, &cm, &[None]).unwrap();
         assert!((c - (7.0 + heap.cost)).abs() < 1e-9);
         // With a selective index the icost drops.
         let ix = Index::secondary(li, vec![s.resolve("lineitem.l_shipdate").unwrap().column]);
-        let c_ix = tpl.icost(&s, &cm, &q, &[Some(&ix)]).unwrap();
+        let c_ix = tpl.icost(&[TableFacts::new(&s, &q, li)], &s, &cm, &[Some(&ix)]).unwrap();
         assert!(c_ix < c);
     }
 
@@ -173,7 +164,7 @@ mod tests {
                 heap_cost: None,
             }],
         };
-        assert!(tpl.icost(&s, &cm, &q, &[None]).is_none());
+        assert!(tpl.icost(&[TableFacts::new(&s, &q, li)], &s, &cm, &[None]).is_none());
     }
 
     #[test]

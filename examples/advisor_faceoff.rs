@@ -2,7 +2,7 @@
 //! same workload, same budget, same ground-truth metric.
 //!
 //! ```sh
-//! cargo run --release -p cophy-examples --example advisor_faceoff
+//! cargo run --release -p cophy --example advisor_faceoff
 //! ```
 
 use std::time::Instant;
@@ -25,7 +25,9 @@ fn main() {
 
     // CoPhy.
     let t = Instant::now();
-    let rec = CoPhy::new(&optimizer, CoPhyOptions::default()).tune(&workload, &constraints);
+    let rec = CoPhy::new(&optimizer, CoPhyOptions::default())
+        .try_tune(&workload, &constraints)
+        .expect("tune");
     let perf = optimizer.perf(&workload, &rec.configuration);
     println!(
         "CoPhy     {:>8.1}%   {:>9.2}s   {}",

@@ -3,7 +3,7 @@
 //! assertions — all translated to linear BIP rows.
 //!
 //! ```sh
-//! cargo run --release -p cophy-examples --example constraint_language
+//! cargo run --release -p cophy --example constraint_language
 //! ```
 
 use cophy::{Cmp, CoPhy, CoPhyOptions, Constraint, ConstraintSet, IndexFilter};
@@ -25,7 +25,7 @@ fn main() {
 
     // Plain storage budget (the §3.2 running example).
     let budget_only = ConstraintSet::storage_fraction(schema, 0.5);
-    let r = cophy.tune(&workload, &budget_only);
+    let r = cophy.try_tune(&workload, &budget_only).expect("tune");
     report(schema, "storage ≤ 0.5×data", &r);
 
     // E.1-style: at most 2 indexes with more than 2 columns on lineitem.
@@ -34,7 +34,7 @@ fn main() {
         cmp: Cmp::Le,
         value: 2,
     });
-    let r = cophy.tune(&workload, &wide_cap);
+    let r = cophy.try_tune(&workload, &wide_cap).expect("tune");
     report(schema, "… + ≤2 wide lineitem indexes", &r);
     let wide = r.configuration.on_table(lineitem).filter(|ix| ix.n_columns() >= 3).count();
     println!("    (wide lineitem indexes in X*: {wide})");
@@ -42,7 +42,7 @@ fn main() {
     // E.3 generator: at most one clustered index per table (always on in real
     // systems; here it is an explicit linear row per table).
     let clustered = wide_cap.clone().with(Constraint::OneClusteredPerTable);
-    let r = cophy.tune(&workload, &clustered);
+    let r = cophy.try_tune(&workload, &clustered).expect("tune");
     report(schema, "… + one clustered per table", &r);
 
     // E.2: every query within 80% of its baseline cost (a regression guard).

@@ -6,7 +6,7 @@
 //! initial run.
 //!
 //! ```sh
-//! cargo run --release -p cophy-examples --example interactive_tuning
+//! cargo run --release -p cophy --example interactive_tuning
 //! ```
 
 use std::time::Instant;
@@ -22,7 +22,9 @@ fn main() {
     let workload = HomGen::new(99).generate(schema, 80);
 
     let cophy = CoPhy::new(&optimizer, CoPhyOptions::default());
-    let mut session = cophy.session(&workload, ConstraintSet::storage_fraction(schema, 1.0));
+    let mut session = cophy
+        .try_session(&workload, ConstraintSet::storage_fraction(schema, 1.0))
+        .expect("session opens");
 
     // --- initial recommendation -------------------------------------------
     let t0 = Instant::now();
@@ -93,7 +95,9 @@ fn main() {
             ..Default::default()
         },
     );
-    let mut lab = lab_cophy.session(&small, ConstraintSet::storage_fraction(schema, 1.0));
+    let mut lab = lab_cophy
+        .try_session(&small, ConstraintSet::storage_fraction(schema, 1.0))
+        .expect("session opens");
 
     // One warm chain answers a whole budget sweep (paper Fig. 10): each
     // point re-solves from the previous basis/incumbent/pseudo-costs.

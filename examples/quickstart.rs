@@ -1,7 +1,7 @@
 //! Quickstart: tune a TPC-H workload with CoPhy in a dozen lines.
 //!
 //! ```sh
-//! cargo run --release -p cophy-examples --example quickstart
+//! cargo run --release -p cophy --example quickstart
 //! ```
 
 use cophy::{CoPhy, CoPhyOptions, ConstraintSet};
@@ -24,7 +24,7 @@ fn main() {
     // 3. Tune under a storage budget of half the database size.
     let cophy = CoPhy::new(&optimizer, CoPhyOptions::default());
     let constraints = ConstraintSet::storage_fraction(schema, 0.5);
-    let rec = cophy.tune(&workload, &constraints);
+    let rec = cophy.try_tune(&workload, &constraints).expect("tune");
 
     // 4. Inspect the recommendation.
     println!(

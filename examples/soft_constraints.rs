@@ -6,7 +6,7 @@
 //! configurations to choose from.
 //!
 //! ```sh
-//! cargo run --release -p cophy-examples --example soft_constraints
+//! cargo run --release -p cophy --example soft_constraints
 //! ```
 
 use cophy::{CGen, ChordExplorer, CoPhy, CoPhyOptions};
