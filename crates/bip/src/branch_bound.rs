@@ -60,7 +60,7 @@
 use std::rc::Rc;
 
 use crate::delta::DeltaModel;
-use crate::driver::{CancelToken, GapPoint, MipStatus, SolveBudget, SolveDriver, SolveProgress};
+use crate::driver::{CancelToken, MipStatus, SolveBudget, SolveDriver, SolveProgress};
 use crate::knapsack;
 use crate::model::{ConstrId, Model, Sense};
 use crate::simplex::{Basis, LpResult, LpStatus, SimplexSolver, StandardForm};
@@ -107,7 +107,7 @@ pub struct MipResult {
     /// Calls that returned a feasible point.
     pub repair_hits: usize,
     /// Incumbent/bound improvements over time.
-    pub trace: Vec<GapPoint>,
+    pub trace: Vec<SolveProgress>,
 }
 
 impl MipResult {

@@ -73,15 +73,6 @@ pub enum MipStatus {
     Infeasible,
 }
 
-/// One point of the anytime gap trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GapPoint {
-    pub at: Duration,
-    pub incumbent: f64,
-    pub bound: f64,
-    pub gap: f64,
-}
-
 /// Relative optimality gap, safe for zero incumbents.
 pub(crate) fn relative_gap(incumbent: f64, bound: f64) -> f64 {
     if !incumbent.is_finite() {
@@ -190,7 +181,8 @@ pub(crate) struct DriverResult<S> {
     pub ticks: usize,
     /// Cumulative simplex pivots reported via `SolveDriver::add_pivots`.
     pub pivots: usize,
-    pub trace: Vec<GapPoint>,
+    /// Every progress event streamed, in order.
+    pub trace: Vec<SolveProgress>,
 }
 
 /// The shared engine state: deadline, incumbent, bound, gap, trace.
@@ -203,7 +195,7 @@ pub(crate) struct SolveDriver<'cb, S> {
     ticks: usize,
     pivots: usize,
     decomposition: Option<DecompositionProgress>,
-    trace: Vec<GapPoint>,
+    trace: Vec<SolveProgress>,
     cancel: Option<CancelToken>,
     on_progress: Box<ProgressFn<'cb, S>>,
 }
@@ -298,7 +290,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
         self.incumbent = Some((objective, solution));
         self.refresh_gap();
         let p = self.snapshot();
-        self.trace.push(GapPoint { at: p.at, incumbent: p.incumbent, bound: p.bound, gap: p.gap });
+        self.trace.push(p);
         let sol = self.incumbent.as_ref().map(|(_, s)| s);
         (self.on_progress)(&p, sol);
         true
@@ -329,12 +321,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
                 || (self.best_gap <= self.budget.gap_limit && before > self.budget.gap_limit));
         if visible {
             let p = self.snapshot();
-            self.trace.push(GapPoint {
-                at: p.at,
-                incumbent: p.incumbent,
-                bound: p.bound,
-                gap: p.gap,
-            });
+            self.trace.push(p);
             (self.on_progress)(&p, None);
         }
         true
@@ -392,12 +379,7 @@ impl<'cb, S> SolveDriver<'cb, S> {
             if last.is_none_or(|lp| {
                 lp.incumbent != p.incumbent || lp.bound != p.bound || lp.gap != p.gap
             }) {
-                self.trace.push(GapPoint {
-                    at: p.at,
-                    incumbent: p.incumbent,
-                    bound: p.bound,
-                    gap: p.gap,
-                });
+                self.trace.push(p);
                 (self.on_progress)(&p, self.incumbent.as_ref().map(|(_, s)| s));
             }
         }

@@ -102,9 +102,7 @@
 
 use std::collections::HashMap;
 
-use crate::driver::{
-    CancelToken, DecompositionProgress, GapPoint, SolveBudget, SolveDriver, SolveProgress,
-};
+use crate::driver::{CancelToken, DecompositionProgress, SolveBudget, SolveDriver, SolveProgress};
 use crate::knapsack;
 
 /// Per-slot access choices: the fallback `I∅` cost (if the slot's order
@@ -324,7 +322,7 @@ pub struct LagrangeResult {
     pub bound: f64,
     pub gap: f64,
     pub iterations: usize,
-    pub trace: Vec<GapPoint>,
+    pub trace: Vec<SolveProgress>,
 }
 
 /// Subgradient-driven Lagrangian solver, running inside the anytime engine

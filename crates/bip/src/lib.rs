@@ -70,9 +70,7 @@ mod simplex;
 pub use branch_bound::bench_repair;
 pub use branch_bound::{BranchBound, MipResult, SolveOptions};
 pub use delta::DeltaModel;
-pub use driver::{
-    CancelToken, DecompositionProgress, GapPoint, MipStatus, SolveBudget, SolveProgress,
-};
+pub use driver::{CancelToken, DecompositionProgress, MipStatus, SolveBudget, SolveProgress};
 pub use knapsack::continuous_min;
 pub use lagrangian::{
     Alt, Block, BlockProblem, FixedBlockProblem, LagrangeResult, LagrangianSolver, SlotChoices,

@@ -9,8 +9,8 @@
 use std::time::{Duration, Instant};
 
 use cophy_bip::{
-    BranchBound, CancelToken, DeltaModel, GapPoint, LagrangianSolver, MipStatus, SolveBudget,
-    SolveOptions, SolveProgress, WarmStart,
+    BranchBound, CancelToken, DeltaModel, LagrangianSolver, MipStatus, SolveBudget, SolveOptions,
+    SolveProgress, WarmStart,
 };
 use cophy_catalog::Configuration;
 use cophy_inum::{InumCache, PreparedWorkload};
@@ -72,7 +72,7 @@ pub(crate) struct Solved {
     pub bound: f64,
     pub offset: f64,
     pub gap: f64,
-    pub trace: Vec<GapPoint>,
+    pub trace: Vec<SolveProgress>,
     pub build_time: Duration,
     pub solve_time: Duration,
     pub n_variables: usize,

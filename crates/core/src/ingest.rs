@@ -14,7 +14,6 @@ use std::time::{Duration, Instant};
 
 use cophy_compress::{Absorption, CompressedWorkload};
 use cophy_inum::{Inum, InumCache, PrepFaultReport};
-use cophy_optimizer::FaultLog;
 use cophy_workload::{QueryId, Statement, WorkloadSource};
 
 use crate::cgen::CandidateSet;
@@ -94,11 +93,10 @@ impl Ingest {
         let before = backend.what_if_calls();
         let t0 = Instant::now();
         let inum = Inum::with_retry(backend, cophy.options.retry.clone());
-        let prep_deadline = cophy.options.retry.prep_budget.map(|b| t0 + b);
         let mut chunk: Vec<(Statement, f64)> = Vec::new();
         let mut result = Ok(());
         while result.is_ok() && source.next_chunk(chunk_size, &mut chunk) > 0 {
-            result = self.add_chunk(cophy, &inum, prep_deadline, &chunk);
+            result = self.add_chunk(cophy, &inum, &chunk);
             chunk.clear();
         }
         let spent = backend.what_if_calls() - before;
@@ -117,7 +115,6 @@ impl Ingest {
         &mut self,
         cophy: &CoPhy<'_>,
         inum: &Inum<'_>,
-        prep_deadline: Option<Instant>,
         chunk: &[(Statement, f64)],
     ) -> Result<(), CoPhyError> {
         let backend = cophy.optimizer();
@@ -143,8 +140,8 @@ impl Ingest {
         // INUM: probe the opened statements, bump the merged ones, and check
         // the coverage floor where the chunk would commit — against
         // everything committed so far.
-        let fault_counts = FaultLog { events: Vec::new(), ..self.faults.log };
-        let (n_events, n_degraded) = (self.faults.log.events.len(), self.faults.degraded.len());
+        let faults_before = PrepFaultReport { degraded: Vec::new(), ..self.faults };
+        let n_degraded = self.faults.degraded.len();
         let outcome = self.prepared.write(|pw| {
             let n_before = pw.queries.len();
             let mut weights_before: Vec<f64> = Vec::with_capacity(merges.len());
@@ -154,14 +151,7 @@ impl Ingest {
                     // A representative's id is its position in the cache.
                     let qid = QueryId(pw.queries.len() as u32);
                     let faults = &mut self.faults;
-                    pw.queries.push(inum.try_prepare_statement(
-                        qid,
-                        stmt,
-                        weight,
-                        None,
-                        prep_deadline,
-                        faults,
-                    )?);
+                    pw.queries.push(inum.try_prepare_statement(qid, stmt, weight, None, faults)?);
                 }
                 for &(rep, weight) in &merges {
                     weights_before.push(pw.queries[rep].weight);
@@ -211,10 +201,9 @@ impl Ingest {
                 if let Some(cw) = self.compressed.as_mut() {
                     cw.rollback_chunk();
                 }
-                let mut events = std::mem::take(&mut self.faults.log.events);
-                events.truncate(n_events);
-                self.faults.log = FaultLog { events, ..fault_counts };
-                self.faults.degraded.truncate(n_degraded);
+                let mut degraded = std::mem::take(&mut self.faults.degraded);
+                degraded.truncate(n_degraded);
+                self.faults = PrepFaultReport { degraded, ..faults_before };
                 Err(e)
             }
         }

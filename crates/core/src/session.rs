@@ -916,7 +916,8 @@ mod tests {
         // statements commit (their transient faults recover) ...
         let backend = faulty(&plan);
         let cophy = CoPhy::new(&backend, opts(1.0));
-        let mut session = cophy.try_session_streaming(&mut empty.source(), constraints).unwrap();
+        let mut session =
+            cophy.try_session_streaming(&mut empty.source(), constraints.clone()).unwrap();
         session.try_add_source(&mut healthy.source(), DEFAULT_CHUNK).unwrap();
         let degradation = session.degradation().cloned();
         assert!(degradation.as_ref().is_some_and(|d| d.probes_recovered > 0 && d.coverage == 1.0));
@@ -940,6 +941,15 @@ mod tests {
         assert!(session.recommend().gap.is_finite());
         session.try_add_source(&mut healthy.truncate(3).source(), DEFAULT_CHUNK).unwrap();
         assert_eq!(session.n_statements(), healthy.len() + 3);
+
+        // The fault account went back with the chunk, not just the report: a
+        // twin that never saw the refused chunk reports the same.
+        let twin_backend = faulty(&plan);
+        let twin = CoPhy::new(&twin_backend, opts(1.0));
+        let mut twin = twin.try_session_streaming(&mut empty.source(), constraints).unwrap();
+        twin.try_add_source(&mut healthy.source(), DEFAULT_CHUNK).unwrap();
+        twin.try_add_source(&mut healthy.truncate(3).source(), DEFAULT_CHUNK).unwrap();
+        assert_eq!(session.degradation(), twin.degradation());
     }
 
     #[test]

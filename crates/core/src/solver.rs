@@ -28,7 +28,7 @@
 
 use std::time::Duration;
 
-use cophy_bip::{BranchBound, GapPoint, Model, SolveBudget, SolveProgress};
+use cophy_bip::{BranchBound, Model, SolveBudget, SolveProgress};
 use cophy_catalog::Configuration;
 use cophy_compress::{CompressionPolicy, CompressionSummary};
 use cophy_inum::{PrepFaultReport, PreparedWorkload};
@@ -164,13 +164,12 @@ impl DegradationReport {
         if report.is_clean() {
             return None;
         }
-        let log = &report.log;
         // A statement's qid is its position; the cache holds its current
         // weight (a cluster's merges after the probes were lost count too).
         let degraded = || {
-            report.degraded.iter().map(|d| {
-                let pq = &prepared.queries[d.qid.0 as usize];
-                debug_assert_eq!(pq.qid, d.qid);
+            report.degraded.iter().map(|&qid| {
+                let pq = &prepared.queries[qid.0 as usize];
+                debug_assert_eq!(pq.qid, qid);
                 pq
             })
         };
@@ -183,10 +182,10 @@ impl DegradationReport {
             .map(|pq| pq.weight * pq.cost(schema, cm, &Configuration::empty()))
             .fold(0.0, |sum, cost| sum + cost);
         Some(DegradationReport {
-            probes_failed: log.probes_recovered + log.probes_exhausted,
-            retries: log.retries,
-            probes_recovered: log.probes_recovered,
-            probes_substituted: log.probes_exhausted,
+            probes_failed: report.probes_recovered + report.probes_exhausted,
+            retries: report.retries,
+            probes_recovered: report.probes_recovered,
+            probes_substituted: report.probes_exhausted,
             statements_degraded: report.degraded.len(),
             statements_total: prepared.queries.len(),
             coverage: if total_weight > 0.0 { 1.0 - degraded_weight / total_weight } else { 1.0 },
@@ -208,7 +207,7 @@ pub struct Recommendation {
     /// Relative optimality gap at termination.
     pub gap: f64,
     /// Anytime incumbent/bound trace (Figure 6a).
-    pub trace: Vec<GapPoint>,
+    pub trace: Vec<SolveProgress>,
     pub stats: SolveStats,
     /// Present when the workload was compressed before tuning.  `objective`
     /// and `baseline_cost` are then *expansions* to the full workload:

@@ -10,7 +10,7 @@
 //!
 //! * **the front door** — `CoPhy::try_tune` routed to
 //!   `SolverBackend::BranchBound`: objective / bound / gap bits, every
-//!   `GapPoint`'s incumbent / bound / gap bits (not its timestamp) and the
+//!   trace event's incumbent / bound / gap bits (not its timestamp) and the
 //!   configuration;
 //! * **the solver alone** — `BranchBound::solve` on `BipGen::model`'s output,
 //!   unseeded: status, objective / bound / gap bits, every bit of `x`, and

@@ -8,7 +8,7 @@
 //! * **a branch-and-bound tune of a storage-only set** — `CoPhy::try_tune`
 //!   routed to `SolverBackend::BranchBound` under a plain storage budget, so
 //!   the Lagrangian seed solves the whole problem: objective / bound / gap
-//!   bits, every `GapPoint`'s incumbent / bound / gap bits and the
+//!   bits, every trace event's incumbent / bound / gap bits and the
 //!   configuration;
 //! * **a session that re-targets its live model** — pin the smallest
 //!   candidate → recommend → sweep (the interactive model is now live) →

@@ -385,7 +385,6 @@ fn faulted_tune_folds_to_its_recorded_digest() {
         base_backoff: Duration::from_micros(10),
         max_backoff: Duration::from_micros(50),
         probe_deadline: None,
-        ..Default::default()
     };
     let got = [CompressionPolicy::Off, CompressionPolicy::default_epsilon()].map(|policy| {
         let faulty = FaultInjectingBackend::new(

@@ -133,7 +133,7 @@ fn probe_workload(backend: &DigestBackend, w: &Workload) {
         backend.probe(q, &baseline);
         // INUM's probing loop: the empty configuration again, then one
         // probe per ideal configuration of the statement.
-        inum.try_prepare_statement(qid, stmt, weight, None, None, &mut faults)
+        inum.try_prepare_statement(qid, stmt, weight, None, &mut faults)
             .expect("the live optimizer answers");
         backend.probe(q, &wide);
     }

@@ -22,8 +22,10 @@
 //! statement's [`PreparedQuery::table_facts`], gathered once.
 //!
 //! Every preparation is [`Inum::try_prepare_statement`] over some statements:
-//! one probing loop that retries transient failures and degrades lost probes
-//! into a [`PrepFaultReport`].  [`Inum::try_prepare_workload_resilient`] runs
+//! one probing loop that retries transient failures, degrades lost probes,
+//! and counts both into a [`PrepFaultReport`] — retries, recovered and
+//! exhausted probes, and the ids of the degraded statements, the one fault
+//! account the advisor reads.  [`Inum::try_prepare_workload_resilient`] runs
 //! it over a workload in statement order, and a compressed workload is
 //! prepared by handing over its representatives — only they are probed, with
 //! cluster weights scaling the cached plan costs.
@@ -37,5 +39,5 @@ mod template;
 pub use cache::InumCache;
 pub use cost::{AtomicChoice, CostBreakdown};
 pub use ideal::{ideal_config, ideal_index};
-pub use prepare::{DegradedStatement, Inum, PrepFaultReport, PreparedQuery, PreparedWorkload};
+pub use prepare::{Inum, PrepFaultReport, PreparedQuery, PreparedWorkload};
 pub use template::{Slot, TemplatePlan};

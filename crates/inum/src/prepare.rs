@@ -11,12 +11,9 @@
 //! `Σ_q K_q` grows roughly linearly with the workload — while still covering
 //! the merge-join templates that need orders on *two* tables at once.
 
-use std::time::Instant;
-
 use cophy_catalog::{ColumnId, Configuration, Schema};
 use cophy_optimizer::{
-    probe_with_retry, query_fingerprint, statement_fingerprint, BackendError, FaultLog,
-    ProbeAnswer, RetryPolicy, WhatIfBackend,
+    probe_with_retry, query_fingerprint, BackendError, ProbeAnswer, RetryPolicy, WhatIfBackend,
 };
 use cophy_workload::{Query, QueryId, Statement, UpdateStatement, Workload};
 
@@ -59,38 +56,29 @@ pub struct PreparedWorkload {
     pub what_if_calls: u64,
 }
 
-/// One statement whose preparation lost probes to exhausted retries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedStatement {
-    pub qid: QueryId,
-    /// The statement's weight when it was prepared (a cluster's later merges
-    /// raise the weight in the cache, not here).
-    pub weight: f64,
-    /// Ideal-configuration probes dropped after retry exhaustion.  Sound but
-    /// lossy: the empty-configuration template instantiates under every `X`,
-    /// so a missing template can only *overestimate* costs.
-    pub skipped_probes: u32,
-    /// The empty-configuration probe itself was lost; the statement's
-    /// templates were substituted (from the fallback cache when available,
-    /// else by the analytic atomic-configuration template).
-    pub substituted: bool,
-    /// The substitution came from a previously prepared workload.
-    pub from_cache: bool,
-}
-
-/// The typed fault account of one resilient preparation: the probe-level
-/// [`FaultLog`] plus per-statement degradation detail (qid order).
+/// The fault account of one resilient preparation: what was retried, what
+/// was lost, and which statements the losses degraded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrepFaultReport {
-    pub log: FaultLog,
-    pub degraded: Vec<DegradedStatement>,
+    /// Retries spent across all probes.
+    pub retries: u64,
+    /// Probes that failed at least once but recovered via retry.
+    pub probes_recovered: u64,
+    /// Probes that exhausted their retries (or failed hard).
+    pub probes_exhausted: u64,
+    /// Statements with at least one lost probe, in preparation order.  A
+    /// lost ideal-configuration probe skips that template (sound but lossy:
+    /// the empty-configuration template instantiates under every `X`, so a
+    /// missing template can only *overestimate* costs); a lost
+    /// empty-configuration probe substitutes the statement's templates.
+    pub degraded: Vec<QueryId>,
 }
 
 impl PrepFaultReport {
     /// True when nothing failed and nothing was degraded — the prepared
     /// workload is bit-identical to a fault-free preparation.
     pub fn is_clean(&self) -> bool {
-        self.log.is_clean() && self.degraded.is_empty()
+        self.probes_recovered == 0 && self.probes_exhausted == 0 && self.degraded.is_empty()
     }
 }
 
@@ -119,29 +107,21 @@ impl<'o> Inum<'o> {
     /// workload, e.g. a shared-cache snapshot) or, failing that, the
     /// analytic atomic-configuration template.  Non-retryable errors (replay
     /// misses, spent quotas) abort: retrying or degrading would mask a
-    /// configuration problem.  `prep_deadline` is the caller's
-    /// [`RetryPolicy::prep_budget`] turned into an instant, once per run.
+    /// configuration problem.
     pub fn try_prepare_statement(
         &self,
         qid: QueryId,
         stmt: &Statement,
         weight: f64,
         fallback: Option<&PreparedWorkload>,
-        prep_deadline: Option<Instant>,
         report: &mut PrepFaultReport,
     ) -> Result<PreparedQuery, BackendError> {
         let q = stmt.read_shell().clone();
-        let mut lost = DegradedStatement {
-            qid,
-            weight,
-            skipped_probes: 0,
-            substituted: false,
-            from_cache: false,
-        };
-        let templates =
-            self.extract_templates(&q, stmt, fallback, prep_deadline, &mut report.log, &mut lost)?;
-        if lost.skipped_probes > 0 || lost.substituted {
-            report.degraded.push(lost);
+        let exhausted = report.probes_exhausted;
+        let templates = self.extract_templates(&q, fallback, report)?;
+        // A hard failure returned above, so every probe lost here degraded.
+        if report.probes_exhausted > exhausted {
+            report.degraded.push(qid);
         }
         let (update, fixed) = match stmt {
             Statement::Select(_) => (None, 0.0),
@@ -172,50 +152,36 @@ impl<'o> Inum<'o> {
         w: &Workload,
         fallback: Option<&PreparedWorkload>,
     ) -> Result<(PreparedWorkload, PrepFaultReport), BackendError> {
-        let prep_deadline = self.retry.prep_budget.map(|b| Instant::now() + b);
         let before = self.opt.what_if_calls();
         let mut report = PrepFaultReport::default();
         let mut queries = Vec::with_capacity(w.len());
         for (qid, stmt, weight) in w.iter() {
-            queries.push(self.try_prepare_statement(
-                qid,
-                stmt,
-                weight,
-                fallback,
-                prep_deadline,
-                &mut report,
-            )?);
+            queries.push(self.try_prepare_statement(qid, stmt, weight, fallback, &mut report)?);
         }
         let pw = PreparedWorkload { queries, what_if_calls: self.opt.what_if_calls() - before };
         Ok((pw, report))
     }
 
     /// The probing loop — the only place a preparation probe is issued,
-    /// counted, retried and degraded: the empty configuration (the
-    /// all-sort/hash template, whose slots never carry requirements), then
-    /// one ideal configuration per combination of interesting orders.
+    /// counted into `report`, retried and degraded: the empty configuration
+    /// (the all-sort/hash template, whose slots never carry requirements),
+    /// then one ideal configuration per combination of interesting orders.
     fn extract_templates(
         &self,
         q: &Query,
-        stmt: &Statement,
         fallback: Option<&PreparedWorkload>,
-        prep_deadline: Option<Instant>,
-        log: &mut FaultLog,
-        lost: &mut DegradedStatement,
+        report: &mut PrepFaultReport,
     ) -> Result<Vec<TemplatePlan>, BackendError> {
         let schema = self.opt.schema();
         let cm = self.opt.cost_model();
-        // The log reads the fingerprint, a `Debug` rendering of the whole
-        // statement, only for a retried or failed probe.
-        let mut stmt_fp = None;
         let mut probe = |cfg: &Configuration| {
-            let probe = probe_with_retry(self.opt, &self.retry, q, cfg, prep_deadline);
-            let fp = if probe.retries == 0 && probe.result.is_ok() {
-                0
-            } else {
-                *stmt_fp.get_or_insert_with(|| statement_fingerprint(stmt))
-            };
-            log.record(fp, &probe);
+            let probe = probe_with_retry(self.opt, &self.retry, q, cfg);
+            report.retries += u64::from(probe.retries);
+            match &probe.result {
+                Ok(_) if probe.retries == 0 => {}
+                Ok(_) => report.probes_recovered += 1,
+                Err(_) => report.probes_exhausted += 1,
+            }
             probe.result
         };
         let mut templates: Vec<TemplatePlan> = Vec::new();
@@ -223,14 +189,12 @@ impl<'o> Inum<'o> {
         match probe(&Configuration::empty()) {
             Ok(base) => push_template(&mut templates, extract(schema, cm, q, &base)),
             Err(e) if e.is_retryable() => {
-                lost.substituted = true;
                 let qfp = query_fingerprint(q);
                 if let Some(prev) = fallback
                     .and_then(|pw| pw.queries.iter().find(|pq| query_fingerprint(&pq.query) == qfp))
                 {
                     // A previously prepared twin: reuse its whole template
                     // set, skip every further probe of this statement.
-                    lost.from_cache = true;
                     return Ok(prev.templates.clone());
                 }
                 push_template(&mut templates, atomic_fallback_template(schema, cm, q));
@@ -242,7 +206,7 @@ impl<'o> Inum<'o> {
             let refs: Vec<&[ColumnId]> = combo.iter().map(Vec::as_slice).collect();
             match probe(&ideal_config(schema, q, &refs)) {
                 Ok(ans) => push_template(&mut templates, extract(schema, cm, q, &ans)),
-                Err(e) if e.is_retryable() => lost.skipped_probes += 1,
+                Err(e) if e.is_retryable() => {}
                 Err(e) => return Err(e),
             }
         }
@@ -291,7 +255,7 @@ fn ideal_combos(q: &Query) -> Vec<Vec<Vec<ColumnId>>> {
 /// order requirements, so it instantiates under every `X`) and the internal
 /// cost is zero — the statement is costed by its leaf accesses alone.  The
 /// substitution keeps the BIP finite and feasible; its weighted share is
-/// what [`DegradedStatement`] reports upward as cost-bound inflation.
+/// what a degraded statement reports upward as cost-bound inflation.
 fn atomic_fallback_template(
     schema: &Schema,
     cm: &cophy_optimizer::CostModel,
@@ -452,7 +416,7 @@ mod tests {
         let inum = Inum::with_retry(&faulty, fast_retry(4));
         let (got, report) = inum.try_prepare_workload_resilient(&w, None).unwrap();
         assert!(report.degraded.is_empty(), "all-transient schedule must fully recover");
-        assert!(report.log.probes_recovered > 0, "the schedule must actually have injected");
+        assert!(report.probes_recovered > 0, "the schedule must actually have injected");
         assert_eq!(got.what_if_calls, want.what_if_calls, "faulted attempts spend no calls");
         for (a, b) in got.queries.iter().zip(want.queries.iter()) {
             assert_eq!(a.qid, b.qid);
@@ -465,50 +429,48 @@ mod tests {
     }
 
     #[test]
-    fn retried_probes_log_the_statement_fingerprint() {
-        use cophy_optimizer::{FaultInjectingBackend, FaultPlan};
-        let faulty =
-            FaultInjectingBackend::new(Box::new(opt()), FaultPlan::transient_only(21, 0.8, 3));
-        let w = HetGen::new(8).generate(faulty.schema(), 12);
-        let inum = Inum::with_retry(&faulty, fast_retry(4));
-        let mut events = 0;
-        for (qid, stmt, weight) in w.iter() {
-            let mut report = PrepFaultReport::default();
-            inum.try_prepare_statement(qid, stmt, weight, None, None, &mut report).unwrap();
-            for e in &report.log.events {
-                assert!(e.recovered && e.attempts > 1, "{e:?}");
-                assert_eq!(e.statement, statement_fingerprint(stmt), "{qid:?}");
-            }
-            events += report.log.events.len();
-        }
-        assert!(events > 10, "the schedule must retry probes of several statements: {events}");
-    }
-
-    #[test]
     fn permanent_faults_degrade_instead_of_aborting() {
         use cophy_optimizer::{FaultInjectingBackend, FaultPlan};
+        let clean = opt();
+        let w = HomGen::new(3).generate(clean.schema(), 10);
+        let want = Inum::new(&clean).prepare_workload(&w);
         let mut plan = FaultPlan::none(5);
         plan.permanent_rate = 0.3;
-        let faulty = FaultInjectingBackend::new(Box::new(opt()), plan);
-        let w = HomGen::new(3).generate(faulty.schema(), 10);
+        let faulty = FaultInjectingBackend::new(Box::new(opt()), plan.clone());
         let inum = Inum::with_retry(&faulty, fast_retry(2));
         let (pw, report) = inum.try_prepare_workload_resilient(&w, None).unwrap();
         assert_eq!(pw.queries.len(), w.len(), "every statement must still be prepared");
         assert!(!report.is_clean(), "a 30% permanent schedule must degrade something");
-        assert!(report.log.probes_exhausted > 0);
-        for pq in &pw.queries {
+        assert!(report.probes_exhausted > 0);
+        assert!(!report.degraded.is_empty() && report.degraded.len() < w.len());
+        for (pq, clean_pq) in pw.queries.iter().zip(&want.queries) {
             assert!(
                 pq.templates.iter().any(|t| t.slots.iter().all(|s| s.required.is_empty())),
                 "degraded statement {:?} lost its I∅-instantiable template",
                 pq.qid
             );
-        }
-        // Substituted statements carry the atomic fallback (β = 0).
-        for d in &report.degraded {
-            if d.substituted && !d.from_cache {
-                let pq = pw.queries.iter().find(|pq| pq.qid == d.qid).unwrap();
-                assert!(pq.templates.iter().any(|t| t.internal_cost == 0.0));
+            // A statement that lost no probe is prepared exactly as without
+            // the fault layer.
+            if !report.degraded.contains(&pq.qid) {
+                assert_eq!(pq.templates.len(), clean_pq.templates.len(), "{:?}", pq.qid);
+                for (ta, tb) in pq.templates.iter().zip(&clean_pq.templates) {
+                    assert_eq!(ta.internal_cost.to_bits(), tb.internal_cost.to_bits());
+                    assert_eq!(ta.signature(), tb.signature());
+                }
             }
+        }
+
+        // With every probe lost and no fallback, every statement is degraded
+        // and holds exactly the analytic atomic template (β = 0).
+        plan.permanent_rate = 1.0;
+        let faulty = FaultInjectingBackend::new(Box::new(opt()), plan);
+        let inum = Inum::with_retry(&faulty, fast_retry(2));
+        let (pw, report) = inum.try_prepare_workload_resilient(&w, None).unwrap();
+        assert_eq!(report.degraded, pw.queries.iter().map(|pq| pq.qid).collect::<Vec<_>>());
+        for pq in &pw.queries {
+            let atomic = atomic_fallback_template(clean.schema(), clean.cost_model(), &pq.query);
+            assert_eq!(atomic.internal_cost, 0.0);
+            assert_eq!(pq.templates, vec![atomic], "{:?}", pq.qid);
         }
     }
 
@@ -525,7 +487,6 @@ mod tests {
         let inum = Inum::with_retry(&faulty, fast_retry(2));
         let (pw, report) = inum.try_prepare_workload_resilient(&w, Some(&prior)).unwrap();
         assert_eq!(report.degraded.len(), w.len());
-        assert!(report.degraded.iter().all(|d| d.substituted && d.from_cache));
         for (a, b) in pw.queries.iter().zip(prior.queries.iter()) {
             assert_eq!(a.templates.len(), b.templates.len(), "cache substitution must be whole");
             for (ta, tb) in a.templates.iter().zip(b.templates.iter()) {

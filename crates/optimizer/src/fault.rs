@@ -14,16 +14,16 @@
 //!   timeout), permanent pairs never succeed, and corrupted pairs return a
 //!   deterministically scaled cost.  Injected faults happen *before* the
 //!   inner backend is consulted, so they never consume a real what-if call.
-//! * [`RetryPolicy`] — capped exponential backoff with seeded jitter, a
-//!   per-probe deadline and an overall preparation budget, consumed by
-//!   [`probe_with_retry`] (the helper `Inum` threads through its
-//!   preparation paths).
-//! * [`FaultLog`] — the typed per-preparation fault account a preparation
-//!   keeps instead of short-circuiting on the first error.
+//! * [`RetryPolicy`] — capped exponential backoff with seeded jitter and a
+//!   per-probe deadline, consumed by [`probe_with_retry`] (the helper
+//!   `Inum`'s probing loop calls for every preparation probe).
+//!
+//! This module is the fault *mechanism* only.  The account of what a
+//! preparation retried and lost — three counters and the degraded
+//! statements' ids — is `cophy_inum::PrepFaultReport`, kept by the probing
+//! loop itself.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -113,11 +113,6 @@ impl FaultPlan {
         }
     }
 
-    /// True when the schedule can never inject anything.
-    pub fn is_zero(&self) -> bool {
-        self.transient_rate == 0.0 && self.permanent_rate == 0.0 && self.corruption_rate == 0.0
-    }
-
     /// The deterministic fate of one `(query, config)` pair under this plan.
     pub(crate) fn fate(&self, query_fp: u64, config_fp: u64) -> PairFate {
         let h = splitmix64(self.seed ^ query_fp ^ config_fp.rotate_left(32));
@@ -157,36 +152,6 @@ impl PairFate {
     }
 }
 
-/// Per-fault accounting of a [`FaultInjectingBackend`], cheap enough to keep
-/// always-on (atomic counters).
-#[derive(Debug, Default)]
-pub(crate) struct FaultStats {
-    pub transient_injected: AtomicU64,
-    pub timeouts_injected: AtomicU64,
-    pub corrupted_probes: AtomicU64,
-    pub probes_passed: AtomicU64,
-}
-
-/// A point-in-time copy of a backend's fault counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStatsSnapshot {
-    pub transient_injected: u64,
-    pub timeouts_injected: u64,
-    pub corrupted_probes: u64,
-    pub probes_passed: u64,
-}
-
-impl FaultStats {
-    fn snapshot(&self) -> FaultStatsSnapshot {
-        FaultStatsSnapshot {
-            transient_injected: self.transient_injected.load(Ordering::Relaxed),
-            timeouts_injected: self.timeouts_injected.load(Ordering::Relaxed),
-            corrupted_probes: self.corrupted_probes.load(Ordering::Relaxed),
-            probes_passed: self.probes_passed.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A backend that injects the plan's faults in front of any inner backend.
 ///
 /// Owns its inner backend (`Box<dyn WhatIfBackend>`) so long-lived hosts —
@@ -198,28 +163,13 @@ impl FaultStats {
 pub struct FaultInjectingBackend {
     inner: Box<dyn WhatIfBackend>,
     plan: FaultPlan,
-    stats: FaultStats,
     /// Attempts seen so far per pair — the only mutable schedule state.
     attempts: Mutex<HashMap<(u64, u64), u32>>,
 }
 
 impl FaultInjectingBackend {
     pub fn new(inner: Box<dyn WhatIfBackend>, plan: FaultPlan) -> Self {
-        FaultInjectingBackend {
-            inner,
-            plan,
-            stats: FaultStats::default(),
-            attempts: Mutex::new(HashMap::new()),
-        }
-    }
-
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Per-fault accounting so far.
-    pub fn stats(&self) -> FaultStatsSnapshot {
-        self.stats.snapshot()
+        FaultInjectingBackend { inner, plan, attempts: Mutex::new(HashMap::new()) }
     }
 }
 
@@ -250,20 +200,16 @@ impl WhatIfBackend for FaultInjectingBackend {
             // Injected before the inner backend is consulted: a faulted
             // attempt never spends a real what-if call.
             return Err(if fate.is_timeout(&self.plan, attempt) {
-                self.stats.timeouts_injected.fetch_add(1, Ordering::Relaxed);
                 BackendError::Timeout { query: qfp, config: cfp, elapsed_ms: 0 }
             } else {
-                self.stats.transient_injected.fetch_add(1, Ordering::Relaxed);
                 BackendError::Transient { query: qfp, config: cfp, attempt }
             });
         }
         let mut ans = self.inner.try_probe(q, config)?;
         if fate.factor != 1.0 {
-            self.stats.corrupted_probes.fetch_add(1, Ordering::Relaxed);
             ans.total_cost *= fate.factor;
             ans.internal_cost *= fate.factor;
         }
-        self.stats.probes_passed.fetch_add(1, Ordering::Relaxed);
         Ok(ans)
     }
 
@@ -280,8 +226,10 @@ impl WhatIfBackend for FaultInjectingBackend {
     }
 }
 
-/// Capped exponential backoff with seeded jitter, a per-probe deadline and
-/// an overall preparation budget.
+/// Seed of the per-(pair, attempt) backoff jitter draw.
+const JITTER_SEED: u64 = 0x5EED;
+
+/// Capped exponential backoff with seeded jitter and a per-probe deadline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per probe (1 = no retry).
@@ -290,27 +238,20 @@ pub struct RetryPolicy {
     /// [`RetryPolicy::max_backoff`].
     pub base_backoff: Duration,
     pub max_backoff: Duration,
-    /// Seed of the per-(pair, attempt) jitter draw.
-    pub jitter_seed: u64,
     /// Wall-clock budget of one probe *including* its retries and backoffs;
     /// past it the probe gives up with its last error.
     pub probe_deadline: Option<Duration>,
-    /// Wall-clock budget of the whole preparation; past it no further
-    /// retries are attempted anywhere (first failures still surface).
-    pub prep_budget: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
     /// The production default: four attempts, 1 ms base backoff capped at
-    /// 20 ms, 250 ms per probe, no overall budget.
+    /// 20 ms, 250 ms per probe.
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(20),
-            jitter_seed: 0x5EED,
             probe_deadline: Some(Duration::from_millis(250)),
-            prep_budget: None,
         }
     }
 }
@@ -324,13 +265,12 @@ impl RetryPolicy {
 
     /// The backoff before retrying after the `attempt`-th (1-based) failed
     /// attempt: `base · 2^(attempt-1)`, capped, scaled by a deterministic
-    /// jitter in `[0.5, 1.0)` drawn from `(jitter_seed, pair, attempt)`.
+    /// jitter in `[0.5, 1.0)` drawn from `(pair, attempt)` under a fixed seed.
     pub fn backoff(&self, query_fp: u64, config_fp: u64, attempt: u32) -> Duration {
         let exp =
             self.base_backoff.saturating_mul(1u32 << (attempt - 1).min(16)).min(self.max_backoff);
-        let bits = splitmix64(
-            self.jitter_seed ^ query_fp ^ config_fp.rotate_left(32) ^ u64::from(attempt),
-        );
+        let bits =
+            splitmix64(JITTER_SEED ^ query_fp ^ config_fp.rotate_left(32) ^ u64::from(attempt));
         exp.mul_f64(0.5 + 0.5 * unit(bits))
     }
 }
@@ -345,14 +285,12 @@ pub struct RetriedProbe {
 
 /// Probe with retry: re-attempts retryable failures per `policy`, sleeping
 /// the backoff between attempts, until success, a non-retryable error, the
-/// per-probe deadline, the preparation deadline (`prep_deadline`, computed
-/// once by the caller from [`RetryPolicy::prep_budget`]), or exhaustion.
+/// per-probe deadline, or exhaustion.
 pub fn probe_with_retry(
     backend: &dyn WhatIfBackend,
     policy: &RetryPolicy,
     q: &Query,
     config: &Configuration,
-    prep_deadline: Option<Instant>,
 ) -> RetriedProbe {
     let started = Instant::now();
     let probe_deadline = policy.probe_deadline.map(|d| started + d);
@@ -362,11 +300,9 @@ pub fn probe_with_retry(
             Ok(ans) => return RetriedProbe { result: Ok(ans), retries },
             Err(e) => {
                 let attempt = retries + 1;
-                let expired = |dl: Option<Instant>| dl.is_some_and(|dl| Instant::now() >= dl);
                 if !e.is_retryable()
                     || attempt >= policy.max_attempts
-                    || expired(probe_deadline)
-                    || expired(prep_deadline)
+                    || probe_deadline.is_some_and(|dl| Instant::now() >= dl)
                 {
                     return RetriedProbe { result: Err(e), retries };
                 }
@@ -379,99 +315,6 @@ pub fn probe_with_retry(
                 retries += 1;
             }
         }
-    }
-}
-
-/// What kind of fault a [`FaultEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    Transient,
-    Timeout,
-    /// Non-retryable (replay miss, spent quota).
-    Hard,
-}
-
-impl From<&BackendError> for FaultKind {
-    fn from(e: &BackendError) -> Self {
-        match e {
-            BackendError::Transient { .. } => FaultKind::Transient,
-            BackendError::Timeout { .. } => FaultKind::Timeout,
-            _ => FaultKind::Hard,
-        }
-    }
-}
-
-/// One probe that failed at least once during preparation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Fingerprint of the statement whose preparation hit the fault.
-    pub statement: u64,
-    /// The final (or only) error's class.
-    pub kind: FaultKind,
-    /// Total attempts spent on the probe.
-    pub attempts: u32,
-    /// Whether a retry eventually succeeded.
-    pub recovered: bool,
-}
-
-/// The typed fault account of one preparation run, recorded in preparation
-/// order — deterministic for a fixed workload and fault schedule.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultLog {
-    /// Probes that returned an answer on the first attempt.
-    pub probes_clean: u64,
-    /// Retries spent across all probes.
-    pub retries: u64,
-    /// Probes that failed at least once but recovered via retry.
-    pub probes_recovered: u64,
-    /// Probes that exhausted retries (or failed hard) and were degraded.
-    pub probes_exhausted: u64,
-    /// Per-failure records, in preparation order.
-    pub events: Vec<FaultEvent>,
-}
-
-impl FaultLog {
-    /// Record one retried probe's outcome against `statement_fp`.
-    pub fn record(&mut self, statement_fp: u64, probe: &RetriedProbe) {
-        match &probe.result {
-            Ok(_) if probe.retries == 0 => self.probes_clean += 1,
-            Ok(_) => {
-                self.retries += u64::from(probe.retries);
-                self.probes_recovered += 1;
-                self.events.push(FaultEvent {
-                    statement: statement_fp,
-                    kind: FaultKind::Transient,
-                    attempts: probe.retries + 1,
-                    recovered: true,
-                });
-            }
-            Err(e) => {
-                self.retries += u64::from(probe.retries);
-                self.probes_exhausted += 1;
-                self.events.push(FaultEvent {
-                    statement: statement_fp,
-                    kind: FaultKind::from(e),
-                    attempts: probe.retries + 1,
-                    recovered: false,
-                });
-            }
-        }
-    }
-
-    /// True when nothing ever failed — preparation ran exactly as it would
-    /// have without the fault layer.
-    pub fn is_clean(&self) -> bool {
-        self.probes_recovered == 0 && self.probes_exhausted == 0
-    }
-}
-
-impl fmt::Display for FaultLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} clean, {} recovered ({} retries), {} exhausted",
-            self.probes_clean, self.probes_recovered, self.retries, self.probes_exhausted
-        )
     }
 }
 
@@ -508,8 +351,7 @@ mod tests {
             assert_eq!(a.internal_cost.to_bits(), b.internal_cost.to_bits());
             assert_eq!(a.leaves, b.leaves);
         }
-        assert_eq!(faulty.stats().transient_injected, 0);
-        assert_eq!(faulty.stats().corrupted_probes, 0);
+        assert_eq!(faulty.what_if_calls(), clean.what_if_calls());
     }
 
     #[test]
@@ -536,17 +378,15 @@ mod tests {
         let faulty = FaultInjectingBackend::new(Box::new(opt()), plan);
         let w = HomGen::new(2).generate(clean.schema(), 6);
         let policy = fast_retry(4);
-        let mut log = FaultLog::default();
+        let mut recovered = 0;
         for (_, stmt, _) in w.iter() {
             let q = stmt.read_shell();
-            let probe = probe_with_retry(&faulty, &policy, q, &Configuration::empty(), None);
-            log.record(crate::backend::statement_fingerprint(stmt), &probe);
+            let probe = probe_with_retry(&faulty, &policy, q, &Configuration::empty());
+            recovered += u32::from(probe.retries > 0);
             let want = clean.try_probe(q, &Configuration::empty()).unwrap();
             assert_eq!(probe.result.unwrap().total_cost.to_bits(), want.total_cost.to_bits());
         }
-        assert_eq!(log.probes_exhausted, 0);
-        assert!(log.probes_recovered > 0, "an all-pairs schedule must have injected faults");
-        assert!(log.retries >= log.probes_recovered);
+        assert!(recovered > 0, "an all-pairs schedule must have injected faults");
     }
 
     #[test]
@@ -555,13 +395,8 @@ mod tests {
         plan.permanent_rate = 1.0;
         let faulty = FaultInjectingBackend::new(Box::new(opt()), plan);
         let li = faulty.schema().table_by_name("lineitem").unwrap().id;
-        let probe = probe_with_retry(
-            &faulty,
-            &fast_retry(3),
-            &Query::scan(li),
-            &Configuration::empty(),
-            None,
-        );
+        let probe =
+            probe_with_retry(&faulty, &fast_retry(3), &Query::scan(li), &Configuration::empty());
         assert!(probe.result.is_err());
         assert_eq!(probe.retries, 2, "3 attempts = 2 retries");
         assert_eq!(faulty.what_if_calls(), 0);

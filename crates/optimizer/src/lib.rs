@@ -39,10 +39,7 @@ pub use backend::{
 };
 pub use cardinality::access_rows;
 pub use cost::{CostModel, SystemProfile};
-pub use fault::{
-    probe_with_retry, FaultEvent, FaultInjectingBackend, FaultKind, FaultLog, FaultPlan,
-    FaultStatsSnapshot, RetriedProbe, RetryPolicy,
-};
+pub use fault::{probe_with_retry, FaultInjectingBackend, FaultPlan, RetriedProbe, RetryPolicy};
 pub use ordering::{EquivClasses, Ordering};
 pub use plan::{LeafAccess, PhysicalPlan, PlanNode, SubPlan};
 pub use trace::{TraceRecorder, TraceReplay};
