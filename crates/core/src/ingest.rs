@@ -117,8 +117,7 @@ impl Ingest {
         inum: &Inum<'_>,
         chunk: &[(Statement, f64)],
     ) -> Result<(), CoPhyError> {
-        let backend = cophy.optimizer();
-        let (schema, cm) = (backend.schema(), backend.cost_model());
+        let schema = cophy.optimizer().schema();
 
         // Cluster: a statement either opens a cluster — only those are new
         // to CGen and INUM — or lands on a representative as a weight bump.
@@ -157,7 +156,7 @@ impl Ingest {
                     weights_before.push(pw.queries[rep].weight);
                     pw.queries[rep].weight += weight;
                 }
-                let degradation = DegradationReport::from_prep(schema, cm, pw, &self.faults);
+                let degradation = DegradationReport::from_prep(pw, &self.faults);
                 match &degradation {
                     Some(d) if d.coverage < cophy.options.min_coverage => {
                         Err(CoPhyError::Coverage {
@@ -207,5 +206,88 @@ impl Ingest {
                 Err(e)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use cophy_catalog::TpchGen;
+    use cophy_compress::CompressionPolicy;
+    use cophy_optimizer::{
+        FaultInjectingBackend, FaultPlan, RetryPolicy, SystemProfile, WhatIfBackend,
+        WhatIfOptimizer,
+    };
+    use cophy_workload::{HetGen, HomGen};
+
+    use super::*;
+    use crate::CoPhyOptions;
+
+    fn bits(d: &Option<DegradationReport>) -> Option<[u64; 8]> {
+        d.as_ref().map(|d| {
+            [
+                d.probes_failed,
+                d.retries,
+                d.probes_recovered,
+                d.probes_substituted,
+                d.statements_degraded as u64,
+                d.statements_total as u64,
+                d.coverage.to_bits(),
+                d.worst_case_inflation.to_bits(),
+            ]
+        })
+    }
+
+    /// A streamed ingest under a permanent-fault plan, 60 chunks: after
+    /// every chunk the degradation report, read from the statements' cached
+    /// `cost(q, ∅)`, equals the one that re-prices the whole cache, bit for
+    /// bit — while later chunks merge weight onto degraded representatives.
+    #[test]
+    fn degradation_from_cached_empty_costs_matches_repricing_after_every_chunk() {
+        let opt = || WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+        let schema = opt().schema().clone();
+        let plan = FaultPlan { permanent_rate: 0.1, ..FaultPlan::none(29) };
+        let faulty = FaultInjectingBackend::new(Box::new(opt()), plan);
+        let retry = RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::from_micros(10),
+            max_backoff: Duration::from_micros(50),
+            probe_deadline: None,
+        };
+        let opts = CoPhyOptions {
+            compression: CompressionPolicy::default_epsilon(),
+            retry: retry.clone(),
+            min_coverage: 0.0,
+            ..Default::default()
+        };
+        let cophy = CoPhy::new(&faulty, opts);
+        let inum = Inum::with_retry(&faulty, retry);
+        let (hom, het) =
+            (HomGen::new(31).generate(&schema, 120), HetGen::new(31).generate(&schema, 120));
+        let stream: Vec<(Statement, f64)> = hom
+            .iter()
+            .zip(het.iter())
+            .flat_map(|((_, a, wa), (_, b, wb))| [(a.clone(), wa), (b.clone(), wb)])
+            .collect();
+        let mut ingest = Ingest::open(&cophy, None).unwrap();
+        let mut chunks = 0;
+        for chunk in stream.chunks(4) {
+            ingest.add_chunk(&cophy, &inum, chunk).unwrap();
+            chunks += 1;
+            let want = ingest.prepared.read(|pw| {
+                DegradationReport::from_prep_repricing(
+                    &schema,
+                    faulty.cost_model(),
+                    pw,
+                    &ingest.faults,
+                )
+            });
+            assert_eq!(bits(&ingest.degradation), bits(&want), "chunk {chunks}");
+        }
+        assert!(chunks >= 50);
+        let d = ingest.degradation.as_ref().expect("the plan must have lost probes");
+        assert!(d.statements_degraded > 0 && d.worst_case_inflation > 0.0);
+        assert!(ingest.compressed.as_ref().unwrap().n_original() > d.statements_total);
     }
 }

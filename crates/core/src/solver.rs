@@ -154,10 +154,9 @@ pub struct DegradationReport {
 
 impl DegradationReport {
     /// Build the report from a resilient preparation's fault account.
-    /// Returns `None` when nothing failed.
+    /// Returns `None` when nothing failed.  Reads each statement's cached
+    /// `cost(q, ∅)`, so it prices nothing.
     pub(crate) fn from_prep(
-        schema: &cophy_catalog::Schema,
-        cm: &cophy_optimizer::CostModel,
         prepared: &PreparedWorkload,
         report: &PrepFaultReport,
     ) -> Option<DegradationReport> {
@@ -175,9 +174,46 @@ impl DegradationReport {
         };
         let total_weight: f64 = prepared.queries.iter().map(|pq| pq.weight).sum();
         let degraded_weight: f64 = degraded().map(|pq| pq.weight).sum();
-        let baseline = prepared.cost(schema, cm, &Configuration::empty());
+        // The sum `PreparedWorkload::cost` takes under ∅, term for term.
+        let baseline: f64 = prepared.queries.iter().map(|pq| pq.weight * pq.empty_cost).sum();
         // Folded from +0.0: a fully recovered preparation inflates by 0, not
         // by the −0 an empty `sum()` returns.
+        let degraded_base =
+            degraded().map(|pq| pq.weight * pq.empty_cost).fold(0.0, |sum, cost| sum + cost);
+        Some(DegradationReport {
+            probes_failed: report.probes_recovered + report.probes_exhausted,
+            retries: report.retries,
+            probes_recovered: report.probes_recovered,
+            probes_substituted: report.probes_exhausted,
+            statements_degraded: report.degraded.len(),
+            statements_total: prepared.queries.len(),
+            coverage: if total_weight > 0.0 { 1.0 - degraded_weight / total_weight } else { 1.0 },
+            worst_case_inflation: if baseline > 0.0 { degraded_base / baseline } else { 0.0 },
+        })
+    }
+
+    /// [`DegradationReport::from_prep`] as it was when it re-priced every
+    /// statement under ∅ on each call: the oracle of the cached costs.
+    #[cfg(test)]
+    pub(crate) fn from_prep_repricing(
+        schema: &cophy_catalog::Schema,
+        cm: &cophy_optimizer::CostModel,
+        prepared: &PreparedWorkload,
+        report: &PrepFaultReport,
+    ) -> Option<DegradationReport> {
+        if report.is_clean() {
+            return None;
+        }
+        let degraded = || {
+            report.degraded.iter().map(|&qid| {
+                let pq = &prepared.queries[qid.0 as usize];
+                debug_assert_eq!(pq.qid, qid);
+                pq
+            })
+        };
+        let total_weight: f64 = prepared.queries.iter().map(|pq| pq.weight).sum();
+        let degraded_weight: f64 = degraded().map(|pq| pq.weight).sum();
+        let baseline = prepared.cost(schema, cm, &Configuration::empty());
         let degraded_base = degraded()
             .map(|pq| pq.weight * pq.cost(schema, cm, &Configuration::empty()))
             .fold(0.0, |sum, cost| sum + cost);

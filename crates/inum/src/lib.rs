@@ -5,9 +5,11 @@
 //! builds on.
 //!
 //! For each query `q`, INUM makes a small number of carefully chosen what-if
-//! optimizer calls (one per combination of exploited *interesting orders*)
-//! and caches the resulting **template plans**: physical plans whose leaf
-//! accesses are replaced by slots.  A template `k` stores
+//! optimizer calls — one per *distinct* ideal configuration that the
+//! combinations of exploited *interesting orders* build, plus one under the
+//! empty configuration — and caches the resulting **template plans**:
+//! physical plans whose leaf accesses are replaced by slots.  A template `k`
+//! stores
 //!
 //! * `β_qk` — the *internal plan cost* of its join/aggregation operators, and
 //! * per-slot order requirements, from which `γ_qkia` — the cost of

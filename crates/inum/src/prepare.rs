@@ -1,15 +1,20 @@
 //! INUM preparation: the few what-if calls that build the template cache.
 //!
 //! For each query we probe the optimizer with *ideal configurations* (see
-//! [`crate::ideal`]) — one per combination of exploited interesting orders —
-//! plus one probe under the empty configuration, whose plan sorts/hashes
-//! everything and therefore yields a template with *no* slot requirements
-//! (guaranteeing `cost(q, X) < ∞` for every `X`, including `X = ∅`).
+//! [`crate::ideal`]) — one per *distinct* configuration the combinations of
+//! exploited interesting orders build — plus one probe under the empty
+//! configuration, whose plan sorts/hashes everything and therefore yields a
+//! template with *no* slot requirements (guaranteeing `cost(q, X) < ∞` for
+//! every `X`, including `X = ∅`).
 //!
 //! Combinations are enumerated in increasing complexity (none, singles,
 //! pairs) and capped: template counts `K_q` stay small — the paper observes
 //! `Σ_q K_q` grows roughly linearly with the workload — while still covering
-//! the merge-join templates that need orders on *two* tables at once.
+//! the merge-join templates that need orders on *two* tables at once.  An
+//! order whose ideal index is the order-free one (its column already follows
+//! the equality prefix) rebuilds the configuration of the combination
+//! without it; a configuration the statement was already answered for is
+//! not asked again, since its answer would repeat a template already kept.
 
 use cophy_catalog::{ColumnId, Configuration, Schema};
 use cophy_optimizer::{
@@ -20,7 +25,10 @@ use cophy_workload::{Query, QueryId, Statement, UpdateStatement, Workload};
 use crate::ideal::ideal_config;
 use crate::template::{Slot, TemplatePlan};
 
-/// Cap on probing calls per query (1 empty + singles + pairs up to this).
+/// Cap on the ideal-configuration combinations enumerated per query (the
+/// all-none combination, singles, then pairs up to this), not on calls: a
+/// query is asked once per distinct configuration among them, plus once
+/// under the empty configuration.
 pub(crate) const MAX_PROBES_PER_QUERY: usize = 48;
 
 /// The INUM layer wrapping any what-if backend.
@@ -46,6 +54,8 @@ pub struct PreparedQuery {
     pub update: Option<(UpdateStatement, f64)>,
     /// The fixed `c_q` base-table update cost (0 for SELECTs).
     pub fixed_update_cost: f64,
+    /// `cost(q, ∅)`, computed once from the final templates.
+    pub empty_cost: f64,
 }
 
 /// A fully prepared workload.
@@ -130,7 +140,17 @@ impl<'o> Inum<'o> {
                 (Some((u.clone(), rows)), self.opt.base_update_cost(u))
             }
         };
-        Ok(PreparedQuery { qid, weight, query: q, templates, update, fixed_update_cost: fixed })
+        let mut pq = PreparedQuery {
+            qid,
+            weight,
+            query: q,
+            templates,
+            update,
+            fixed_update_cost: fixed,
+            empty_cost: 0.0,
+        };
+        pq.empty_cost = pq.cost(self.opt.schema(), self.opt.cost_model(), &Configuration::empty());
+        Ok(pq)
     }
 
     /// Prepare every statement of `w`, or only the *representatives* of a
@@ -165,7 +185,8 @@ impl<'o> Inum<'o> {
     /// The probing loop — the only place a preparation probe is issued,
     /// counted into `report`, retried and degraded: the empty configuration
     /// (the all-sort/hash template, whose slots never carry requirements),
-    /// then one ideal configuration per combination of interesting orders.
+    /// then the ideal configuration of each combination of interesting
+    /// orders, unless the statement was already answered for it.
     fn extract_templates(
         &self,
         q: &Query,
@@ -202,10 +223,22 @@ impl<'o> Inum<'o> {
             Err(e) => return Err(e),
         }
 
+        // The ideal configurations this statement was answered for.  Asked
+        // again, one would answer alike (fault fates and corruption are per
+        // pair) and its template would leave `templates` as it is; a lost
+        // one is asked again.
+        let mut answered: Vec<Configuration> = Vec::new();
         for combo in ideal_combos(q) {
             let refs: Vec<&[ColumnId]> = combo.iter().map(Vec::as_slice).collect();
-            match probe(&ideal_config(schema, q, &refs)) {
-                Ok(ans) => push_template(&mut templates, extract(schema, cm, q, &ans)),
+            let cfg = ideal_config(schema, q, &refs);
+            if answered.contains(&cfg) {
+                continue;
+            }
+            match probe(&cfg) {
+                Ok(ans) => {
+                    push_template(&mut templates, extract(schema, cm, q, &ans));
+                    answered.push(cfg);
+                }
                 Err(e) if e.is_retryable() => {}
                 Err(e) => return Err(e),
             }
@@ -333,17 +366,75 @@ mod tests {
         }
     }
 
+    /// A backend that logs every ask — the pair and whether it answered.
+    #[derive(Debug)]
+    struct CountingBackend<B> {
+        inner: B,
+        asks: std::sync::Mutex<Vec<(Query, Configuration, bool)>>,
+    }
+
+    impl<B: WhatIfBackend> CountingBackend<B> {
+        fn new(inner: B) -> Self {
+            CountingBackend { inner, asks: std::sync::Mutex::default() }
+        }
+
+        fn take_asks(&self) -> Vec<(Query, Configuration, bool)> {
+            std::mem::take(&mut *self.asks.lock().unwrap())
+        }
+    }
+
+    impl<B: WhatIfBackend> WhatIfBackend for CountingBackend<B> {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn profile(&self) -> cophy_optimizer::SystemProfile {
+            self.inner.profile()
+        }
+
+        fn cost_model(&self) -> &cophy_optimizer::CostModel {
+            self.inner.cost_model()
+        }
+
+        fn try_probe(&self, q: &Query, cfg: &Configuration) -> Result<ProbeAnswer, BackendError> {
+            let result = self.inner.try_probe(q, cfg);
+            self.asks.lock().unwrap().push((q.clone(), cfg.clone(), result.is_ok()));
+            result
+        }
+
+        fn what_if_calls(&self) -> u64 {
+            self.inner.what_if_calls()
+        }
+
+        fn reset_call_counter(&self) {
+            self.inner.reset_call_counter()
+        }
+    }
+
     #[test]
     fn probe_counts_are_bounded() {
-        let o = opt();
-        let inum = Inum::new(&o);
-        let w = HomGen::new(2).generate(o.schema(), 20);
-        let pw = inum.prepare_workload(&w);
-        let per_query = pw.what_if_calls as f64 / 20.0;
-        assert!(
-            per_query <= (MAX_PROBES_PER_QUERY + 1) as f64,
-            "too many probes per query: {per_query}"
-        );
+        use cophy_optimizer::{FaultInjectingBackend, FaultPlan};
+        let w = HomGen::new(2).generate(opt().schema(), 20);
+        for plan in [FaultPlan::none(1), FaultPlan::chaos(5)] {
+            let backend = CountingBackend::new(FaultInjectingBackend::new(Box::new(opt()), plan));
+            let inum = Inum::with_retry(&backend, fast_retry(3));
+            let mut report = PrepFaultReport::default();
+            for (qid, stmt, weight) in w.iter() {
+                let calls = backend.what_if_calls();
+                inum.try_prepare_statement(qid, stmt, weight, None, &mut report).unwrap();
+                let calls = backend.what_if_calls() - calls;
+                assert!(
+                    calls <= (MAX_PROBES_PER_QUERY + 1) as u64,
+                    "too many probes for {qid:?}: {calls}"
+                );
+                // No pair this statement was answered for is asked again.
+                let asks = backend.take_asks();
+                for (i, (q, cfg, ok)) in asks.iter().enumerate() {
+                    let again = asks[i + 1..].iter().any(|(q2, cfg2, _)| q2 == q && cfg2 == cfg);
+                    assert!(!(*ok && again), "{qid:?} re-asked an answered pair: {cfg:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -401,6 +492,152 @@ mod tests {
             base_backoff: std::time::Duration::from_micros(10),
             max_backoff: std::time::Duration::from_micros(50),
             ..Default::default()
+        }
+    }
+
+    impl Inum<'_> {
+        /// The probing loop as it was before a configuration the statement
+        /// was answered for stopped being asked again: every combination is
+        /// probed, duplicates included.
+        fn extract_templates_every_combination(
+            &self,
+            q: &Query,
+            fallback: Option<&PreparedWorkload>,
+            report: &mut PrepFaultReport,
+        ) -> Result<Vec<TemplatePlan>, BackendError> {
+            let schema = self.opt.schema();
+            let cm = self.opt.cost_model();
+            let mut probe = |cfg: &Configuration| {
+                let probe = probe_with_retry(self.opt, &self.retry, q, cfg);
+                report.retries += u64::from(probe.retries);
+                match &probe.result {
+                    Ok(_) if probe.retries == 0 => {}
+                    Ok(_) => report.probes_recovered += 1,
+                    Err(_) => report.probes_exhausted += 1,
+                }
+                probe.result
+            };
+            let mut templates: Vec<TemplatePlan> = Vec::new();
+
+            match probe(&Configuration::empty()) {
+                Ok(base) => push_template(&mut templates, extract(schema, cm, q, &base)),
+                Err(e) if e.is_retryable() => {
+                    let qfp = query_fingerprint(q);
+                    if let Some(prev) = fallback.and_then(|pw| {
+                        pw.queries.iter().find(|pq| query_fingerprint(&pq.query) == qfp)
+                    }) {
+                        // A previously prepared twin: reuse its whole template
+                        // set, skip every further probe of this statement.
+                        return Ok(prev.templates.clone());
+                    }
+                    push_template(&mut templates, atomic_fallback_template(schema, cm, q));
+                }
+                Err(e) => return Err(e),
+            }
+
+            for combo in ideal_combos(q) {
+                let refs: Vec<&[ColumnId]> = combo.iter().map(Vec::as_slice).collect();
+                match probe(&ideal_config(schema, q, &refs)) {
+                    Ok(ans) => push_template(&mut templates, extract(schema, cm, q, &ans)),
+                    Err(e) if e.is_retryable() => {}
+                    Err(e) => return Err(e),
+                }
+            }
+
+            templates.sort_by(|a, b| a.internal_cost.total_cmp(&b.internal_cost));
+            Ok(templates)
+        }
+    }
+
+    /// `try_prepare_workload_resilient` over the loop that probes every
+    /// combination: each statement's templates, the fault account and the
+    /// calls spent.
+    fn prepare_every_combination(
+        inum: &Inum<'_>,
+        w: &Workload,
+    ) -> (Vec<Vec<TemplatePlan>>, PrepFaultReport, u64) {
+        let before = inum.opt.what_if_calls();
+        let mut report = PrepFaultReport::default();
+        let mut templates = Vec::with_capacity(w.len());
+        for (qid, stmt, _) in w.iter() {
+            let exhausted = report.probes_exhausted;
+            templates.push(
+                inum.extract_templates_every_combination(stmt.read_shell(), None, &mut report)
+                    .unwrap(),
+            );
+            if report.probes_exhausted > exhausted {
+                report.degraded.push(qid);
+            }
+        }
+        (templates, report, inum.opt.what_if_calls() - before)
+    }
+
+    /// Skipping the configurations a statement was already answered for
+    /// changes nothing but the call count: over three generators at three
+    /// seeds and four fault plans, every template (β bits, signature, slots)
+    /// and the whole fault account equal those of the loop that probes every
+    /// combination, at no more calls — strictly fewer on HomGen.
+    #[test]
+    fn answered_configurations_are_not_asked_again_and_nothing_else_moves() {
+        use cophy_optimizer::{FaultInjectingBackend, FaultPlan};
+        let schema = opt().schema().clone();
+        let permanent = FaultPlan { permanent_rate: 0.3, ..FaultPlan::none(13) };
+        let plans = [
+            FaultPlan::none(1),
+            FaultPlan::transient_only(21, 0.8, 3),
+            FaultPlan::chaos(5),
+            permanent,
+        ];
+        for seed in [3, 17, 101] {
+            let workloads = [
+                ("hom", HomGen::new(seed).generate(&schema, 16)),
+                ("het", HetGen::new(seed).generate(&schema, 16)),
+                ("update", cophy_workload::UpdateGen::new(seed).generate(&schema, 10)),
+            ];
+            for (name, w) in &workloads {
+                for plan in &plans {
+                    let label = format!("{name} seed {seed} {plan:?}");
+                    let backend = || FaultInjectingBackend::new(Box::new(opt()), plan.clone());
+                    let (every_backend, shipped_backend) = (backend(), backend());
+                    let retry = RetryPolicy { probe_deadline: None, ..fast_retry(3) };
+                    let (want, want_report, want_calls) = prepare_every_combination(
+                        &Inum::with_retry(&every_backend, retry.clone()),
+                        w,
+                    );
+                    let (got, report) = Inum::with_retry(&shipped_backend, retry)
+                        .try_prepare_workload_resilient(w, None)
+                        .unwrap();
+                    assert_eq!(report, want_report, "{label}");
+                    assert_eq!(got.queries.len(), want.len(), "{label}");
+                    for (pq, want) in got.queries.iter().zip(&want) {
+                        assert_eq!(pq.templates.len(), want.len(), "{label} {:?}", pq.qid);
+                        for (a, b) in pq.templates.iter().zip(want) {
+                            assert_eq!(a.internal_cost.to_bits(), b.internal_cost.to_bits());
+                            assert_eq!(a.signature(), b.signature(), "{label} {:?}", pq.qid);
+                            assert_eq!(a.slots.len(), b.slots.len());
+                            for (sa, sb) in a.slots.iter().zip(&b.slots) {
+                                assert_eq!((sa.table, &sa.required), (sb.table, &sb.required));
+                                assert_eq!(
+                                    sa.heap_cost.map(f64::to_bits),
+                                    sb.heap_cost.map(f64::to_bits)
+                                );
+                            }
+                        }
+                    }
+                    assert!(
+                        got.what_if_calls <= want_calls,
+                        "{label}: {} > {want_calls}",
+                        got.what_if_calls
+                    );
+                    if *name == "hom" {
+                        assert!(
+                            got.what_if_calls < want_calls,
+                            "{label}: {} ≥ {want_calls}",
+                            got.what_if_calls
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -163,7 +163,9 @@ impl PairFate {
 pub struct FaultInjectingBackend {
     inner: Box<dyn WhatIfBackend>,
     plan: FaultPlan,
-    /// Attempts seen so far per pair — the only mutable schedule state.
+    /// Attempts seen so far per pair that faults — the only mutable
+    /// schedule state.  A pair whose fate injects no fault never reads its
+    /// count, so it gets no entry.
     attempts: Mutex<HashMap<(u64, u64), u32>>,
 }
 
@@ -190,20 +192,22 @@ impl WhatIfBackend for FaultInjectingBackend {
         let qfp = query_fingerprint(q);
         let cfp = config_fingerprint(config);
         let fate = self.plan.fate(qfp, cfp);
-        let attempt = {
-            let mut attempts = self.attempts.lock().unwrap();
-            let n = attempts.entry((qfp, cfp)).or_insert(0);
-            *n = n.saturating_add(1);
-            *n
-        };
-        if attempt <= fate.faults {
-            // Injected before the inner backend is consulted: a faulted
-            // attempt never spends a real what-if call.
-            return Err(if fate.is_timeout(&self.plan, attempt) {
-                BackendError::Timeout { query: qfp, config: cfp, elapsed_ms: 0 }
-            } else {
-                BackendError::Transient { query: qfp, config: cfp, attempt }
-            });
+        if fate.faults > 0 {
+            let attempt = {
+                let mut attempts = self.attempts.lock().unwrap();
+                let n = attempts.entry((qfp, cfp)).or_insert(0);
+                *n = n.saturating_add(1);
+                *n
+            };
+            if attempt <= fate.faults {
+                // Injected before the inner backend is consulted: a faulted
+                // attempt never spends a real what-if call.
+                return Err(if fate.is_timeout(&self.plan, attempt) {
+                    BackendError::Timeout { query: qfp, config: cfp, elapsed_ms: 0 }
+                } else {
+                    BackendError::Transient { query: qfp, config: cfp, attempt }
+                });
+            }
         }
         let mut ans = self.inner.try_probe(q, config)?;
         if fate.factor != 1.0 {
@@ -352,6 +356,30 @@ mod tests {
             assert_eq!(a.leaves, b.leaves);
         }
         assert_eq!(faulty.what_if_calls(), clean.what_if_calls());
+    }
+
+    #[test]
+    fn only_faulting_pairs_keep_an_attempt_count() {
+        let w = HomGen::new(6).generate(opt().schema(), 8);
+        let configs = [Configuration::empty(), Configuration::baseline(opt().schema())];
+        for (plan, faults) in [(FaultPlan::none(7), false), (FaultPlan::chaos(5), true)] {
+            let faulty = FaultInjectingBackend::new(Box::new(opt()), plan.clone());
+            let (mut pairs, mut faulting) = (0, 0);
+            for (_, stmt, _) in w.iter() {
+                let q = stmt.read_shell();
+                for cfg in &configs {
+                    // Twice: a pair asked again adds no entry either.
+                    let _ = faulty.try_probe(q, cfg);
+                    let _ = faulty.try_probe(q, cfg);
+                    pairs += 1;
+                    let fate = plan.fate(query_fingerprint(q), config_fingerprint(cfg));
+                    faulting += usize::from(fate.faults > 0);
+                }
+            }
+            assert_eq!(faulty.attempts.lock().unwrap().len(), faulting, "{plan:?}");
+            assert_eq!(faulting > 0, faults, "{plan:?}");
+            assert!(faulting < pairs, "{plan:?}");
+        }
     }
 
     #[test]
