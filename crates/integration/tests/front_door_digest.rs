@@ -192,25 +192,25 @@ const EXPECTED_FAULTED: [u64; 2] = [0x88de_5f12_763d_8945, 0xf65f_4e4f_a588_3aa5
 
 /// What-if calls spent by each door of [`EXPECTED`], in the same shape.
 const EXPECTED_CALLS: [(&str, [u64; 5]); 12] = [
-    ("hom/off", [283, 283, 283, 283, 283]),
-    ("hom/lossless", [283, 283, 283, 283, 283]),
-    ("hom/epsilon", [142, 142, 142, 142, 142]),
-    ("het/off", [99, 99, 99, 99, 99]),
-    ("het/lossless", [99, 99, 99, 99, 99]),
-    ("het/epsilon", [99, 99, 99, 99, 99]),
-    ("update_mix/off", [241, 241, 241, 241, 241]),
-    ("update_mix/lossless", [241, 241, 241, 241, 241]),
-    ("update_mix/epsilon", [143, 143, 143, 143, 143]),
-    ("long/off", [4057, 4057, 4057, 4057, 4057]),
-    ("long/lossless", [3973, 3973, 3973, 3973, 3973]),
-    ("long/epsilon", [638, 638, 638, 638, 638]),
+    ("hom/off", [174, 174, 174, 174, 174]),
+    ("hom/lossless", [174, 174, 174, 174, 174]),
+    ("hom/epsilon", [92, 92, 92, 92, 92]),
+    ("het/off", [74, 74, 74, 74, 74]),
+    ("het/lossless", [74, 74, 74, 74, 74]),
+    ("het/epsilon", [74, 74, 74, 74, 74]),
+    ("update_mix/off", [150, 150, 150, 150, 150]),
+    ("update_mix/lossless", [150, 150, 150, 150, 150]),
+    ("update_mix/epsilon", [89, 89, 89, 89, 89]),
+    ("long/off", [2597, 2597, 2597, 2597, 2597]),
+    ("long/lossless", [2533, 2533, 2533, 2533, 2533]),
+    ("long/epsilon", [450, 450, 450, 450, 450]),
 ];
 
 /// What-if calls spent by the tune of [`EXPECTED_RICH`].
-const EXPECTED_CALLS_RICH: u64 = 154;
+const EXPECTED_CALLS_RICH: u64 = 85;
 
 /// What-if calls spent by the tunes of [`EXPECTED_FAULTED`].
-const EXPECTED_CALLS_FAULTED: [u64; 2] = [198, 113];
+const EXPECTED_CALLS_FAULTED: [u64; 2] = [129, 75];
 
 fn fold_recommendation(fold: &mut Fold, rec: &Recommendation) {
     for v in [rec.objective, rec.bound, rec.baseline_cost, rec.gap] {
