@@ -16,7 +16,7 @@
 
 use std::time::{Duration, Instant};
 
-use cophy::{CGen, CandidateSet, ConstraintSet, SolveProgress};
+use cophy::{CGen, CandidateSet, ConstraintSet};
 use cophy_bip::{Alt, Block, BlockProblem, LagrangianSolver, SlotChoices, SolveBudget};
 use cophy_catalog::{Configuration, IndexId};
 use cophy_inum::{Inum, PreparedQuery, PreparedWorkload};
@@ -77,20 +77,6 @@ impl IlpAdvisor {
         candidates: &CandidateSet,
         constraints: &ConstraintSet,
     ) -> (Configuration, IlpStats) {
-        self.recommend_with_stats_progress(optimizer, w, candidates, constraints, &mut |_| {})
-    }
-
-    /// [`IlpAdvisor::recommend_with_stats`] streaming the solver's anytime
-    /// [`SolveProgress`] events — the same stream CoPhy's backends emit, so
-    /// Figure-5/10 runs can compare trajectories directly.
-    pub(crate) fn recommend_with_stats_progress(
-        &self,
-        optimizer: &dyn WhatIfBackend,
-        w: &Workload,
-        candidates: &CandidateSet,
-        constraints: &ConstraintSet,
-        on_progress: &mut dyn FnMut(&SolveProgress),
-    ) -> (Configuration, IlpStats) {
         let mut stats = IlpStats::default();
         let t0 = Instant::now();
         let inum = Inum::new(optimizer);
@@ -103,7 +89,7 @@ impl IlpAdvisor {
 
         let ts = Instant::now();
         let solver = LagrangianSolver { budget: self.budget, ..Default::default() };
-        let (r, _) = solver.solve_warm_with_progress(&block, None, |p, _| on_progress(p));
+        let r = solver.solve(&block);
         stats.solve_time = ts.elapsed();
 
         let cfg = Configuration::from_indexes(
@@ -269,17 +255,6 @@ impl Advisor for IlpAdvisor {
         let candidates = CGen::default().generate(optimizer.schema(), w);
         self.recommend_with_stats(optimizer, w, &candidates, constraints).0
     }
-
-    fn recommend_with_progress(
-        &self,
-        optimizer: &dyn WhatIfBackend,
-        w: &Workload,
-        constraints: &ConstraintSet,
-        on_progress: &mut dyn FnMut(&SolveProgress),
-    ) -> Configuration {
-        let candidates = CGen::default().generate(optimizer.schema(), w);
-        self.recommend_with_stats_progress(optimizer, w, &candidates, constraints, on_progress).0
-    }
 }
 
 #[cfg(test)]
@@ -316,22 +291,6 @@ mod tests {
         assert!(stats.configs_enumerated > stats.configs_kept);
         // Multi-table queries alone guarantee well over 5 configs/query.
         assert!(stats.configs_enumerated >= 10 * 5);
-    }
-
-    #[test]
-    fn ilp_streams_real_anytime_progress() {
-        let (o, w) = setup(8);
-        let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-        let mut events = 0usize;
-        let mut prev_gap = f64::INFINITY;
-        let cfg = IlpAdvisor::default().recommend_with_progress(&o, &w, &constraints, &mut |p| {
-            events += 1;
-            assert!(p.gap <= prev_gap + 1e-12, "solver-backed stream must not regress");
-            prev_gap = p.gap;
-        });
-        assert!(events > 0);
-        assert!(prev_gap.is_finite(), "ILP's solver must prove a finite gap");
-        assert!(!cfg.is_empty());
     }
 
     #[test]

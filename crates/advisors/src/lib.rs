@@ -19,14 +19,15 @@
 //!   Tool-B): workload compression by random sampling, benefit/size greedy
 //!   selection, iterative refinement.
 //!
-//! All advisors implement [`Advisor`] and are measured with the same
-//! ground-truth metric `perf(X*, W)` as CoPhy.
+//! All advisors implement [`Advisor`] — a name and one `recommend` call —
+//! and are measured with the same ground-truth metric `perf(X*, W)` as
+//! CoPhy.
 
 mod ilp;
 mod tool_a;
 mod tool_b;
 
-use cophy::{ConstraintSet, SolveProgress};
+use cophy::ConstraintSet;
 use cophy_catalog::Configuration;
 use cophy_optimizer::WhatIfBackend;
 use cophy_workload::Workload;
@@ -47,24 +48,4 @@ pub trait Advisor {
         w: &Workload,
         constraints: &ConstraintSet,
     ) -> Configuration;
-
-    /// [`Advisor::recommend`] streaming anytime progress through the same
-    /// [`SolveProgress`] contract as CoPhy's solve engine, so the bench
-    /// harness can plot identical gap-vs-time series for every technique.
-    ///
-    /// BIP-backed advisors stream real incumbent/bound pairs; black-box
-    /// greedy tools stream the costs of their *feasible, improving*
-    /// intermediate configurations with an unknown (`−∞`) bound (emitting
-    /// nothing while still over budget).  The default implementation emits
-    /// nothing.
-    fn recommend_with_progress(
-        &self,
-        optimizer: &dyn WhatIfBackend,
-        w: &Workload,
-        constraints: &ConstraintSet,
-        on_progress: &mut dyn FnMut(&SolveProgress),
-    ) -> Configuration {
-        let _ = on_progress;
-        self.recommend(optimizer, w, constraints)
-    }
 }

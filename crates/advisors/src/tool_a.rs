@@ -13,53 +13,12 @@
 //! iteration cap and quality collapses (Tool-A times out on `W_het_1000`
 //! with z = 2 in Table 1).  The cap below reproduces that trade-off.
 
-use std::time::Instant;
-
-use cophy::{ConstraintSet, SolveProgress};
+use cophy::ConstraintSet;
 use cophy_catalog::{Configuration, Index, Schema};
 use cophy_optimizer::WhatIfBackend;
 use cophy_workload::Workload;
 
 use crate::Advisor;
-
-/// Anytime stream for a black-box advisor: intermediate configurations are
-/// incumbents (the technique proves no bound, so `bound = −∞`), but only
-/// *feasible, improving* ones are emitted — the same contract the shared
-/// solve driver enforces.
-pub(crate) struct BlackboxStream<'cb> {
-    started: Instant,
-    best: f64,
-    ticks: usize,
-    on_progress: &'cb mut dyn FnMut(&SolveProgress),
-}
-
-impl<'cb> BlackboxStream<'cb> {
-    pub(crate) fn new(on_progress: &'cb mut dyn FnMut(&SolveProgress)) -> Self {
-        BlackboxStream { started: Instant::now(), best: f64::INFINITY, ticks: 0, on_progress }
-    }
-
-    /// Count one unit of work (a relaxation/greedy/refinement step).
-    pub(crate) fn tick(&mut self) {
-        self.ticks += 1;
-    }
-
-    /// Offer a configuration cost; emits only if `feasible` and improving.
-    pub(crate) fn offer(&mut self, cost: f64, feasible: bool) {
-        if !feasible || cost >= self.best - 1e-9 {
-            return;
-        }
-        self.best = cost;
-        (self.on_progress)(&SolveProgress {
-            at: self.started.elapsed(),
-            incumbent: cost,
-            bound: f64::NEG_INFINITY,
-            gap: f64::INFINITY,
-            ticks: self.ticks,
-            pivots: 0,
-            decomposition: None,
-        });
-    }
-}
 
 /// The relaxation-based advisor.
 #[derive(Debug, Clone)]
@@ -174,22 +133,10 @@ impl Advisor for ToolA {
         w: &Workload,
         constraints: &ConstraintSet,
     ) -> Configuration {
-        self.recommend_with_progress(optimizer, w, constraints, &mut |_| {})
-    }
-
-    fn recommend_with_progress(
-        &self,
-        optimizer: &dyn WhatIfBackend,
-        w: &Workload,
-        constraints: &ConstraintSet,
-        on_progress: &mut dyn FnMut(&SolveProgress),
-    ) -> Configuration {
-        let mut stream = BlackboxStream::new(on_progress);
         let schema = optimizer.schema();
         let budget = constraints.storage_budget().unwrap_or(u64::MAX);
         let mut current = self.seed(schema, w);
         let mut current_cost = self.direct_cost(optimizer, w, &current);
-        stream.offer(current_cost, current.size_bytes(schema) <= budget);
 
         let mut steps = 0;
         while steps < self.max_steps {
@@ -212,11 +159,9 @@ impl Advisor for ToolA {
             }
             let Some((cand, cost, _)) = best else { break };
             steps += 1;
-            stream.tick();
             if over_budget || cost < current_cost {
                 current = cand;
                 current_cost = cost;
-                stream.offer(current_cost, current.size_bytes(schema) <= budget);
             } else {
                 break; // within budget and no improving relaxation
             }
@@ -268,30 +213,6 @@ mod tests {
             "expected heavy optimizer traffic, saw {}",
             o.what_if_calls()
         );
-    }
-
-    #[test]
-    fn streams_feasible_improving_costs() {
-        let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
-        let w = HomGen::new(6).generate(o.schema(), 6);
-        // A loose budget keeps the seed feasible, so the stream is non-empty.
-        let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-        let mut events: Vec<SolveProgress> = Vec::new();
-        let cfg = ToolA { max_steps: 10, ..Default::default() }.recommend_with_progress(
-            &o,
-            &w,
-            &constraints,
-            &mut |p| events.push(*p),
-        );
-        assert!(!events.is_empty(), "feasible improving steps must stream");
-        let mut prev = f64::INFINITY;
-        for p in &events {
-            assert!(p.incumbent.is_finite());
-            assert!(p.incumbent < prev, "black-box stream must only improve");
-            assert!(p.bound == f64::NEG_INFINITY, "black box proves no bound");
-            prev = p.incumbent;
-        }
-        assert!(constraints.check_configuration(o.schema(), &cfg).is_ok());
     }
 
     #[test]

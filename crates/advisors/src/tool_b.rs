@@ -18,12 +18,11 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use cophy::{CGen, ConstraintSet, SolveProgress};
+use cophy::{CGen, ConstraintSet};
 use cophy_catalog::{Configuration, Index};
 use cophy_optimizer::WhatIfBackend;
 use cophy_workload::Workload;
 
-use crate::tool_a::BlackboxStream;
 use crate::Advisor;
 
 /// The sampling-compression greedy advisor.
@@ -91,17 +90,6 @@ impl Advisor for ToolB {
         w: &Workload,
         constraints: &ConstraintSet,
     ) -> Configuration {
-        self.recommend_with_progress(optimizer, w, constraints, &mut |_| {})
-    }
-
-    fn recommend_with_progress(
-        &self,
-        optimizer: &dyn WhatIfBackend,
-        w: &Workload,
-        constraints: &ConstraintSet,
-        on_progress: &mut dyn FnMut(&SolveProgress),
-    ) -> Configuration {
-        let mut stream = BlackboxStream::new(on_progress);
         let schema = optimizer.schema();
         let budget = constraints.storage_budget().unwrap_or(u64::MAX);
         let sample = self.compress(w);
@@ -116,7 +104,6 @@ impl Advisor for ToolB {
         // budget by construction).
         let mut cfg = Configuration::empty();
         let mut cfg_cost = optimizer.cost_workload(&sample, &cfg);
-        stream.offer(cfg_cost, true);
         let mut remaining = budget;
         loop {
             let mut best: Option<(usize, f64, u64)> = None;
@@ -141,8 +128,6 @@ impl Advisor for ToolB {
             cfg.insert(candidates[i].clone());
             cfg_cost = optimizer.cost_workload(&sample, &cfg);
             remaining -= size;
-            stream.tick();
-            stream.offer(cfg_cost, true);
         }
 
         // Refinement: drop anything whose removal does not hurt the sample.
@@ -156,8 +141,6 @@ impl Advisor for ToolB {
                     cfg = without;
                     cfg_cost = c;
                     improved = true;
-                    stream.tick();
-                    stream.offer(cfg_cost, true);
                 }
             }
             if !improved {

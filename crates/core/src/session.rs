@@ -472,7 +472,6 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     }
 }
 
-/// Position of `ix` in the candidate set, if present.
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,11 +5,20 @@
 //! optimizer work.  This is the portability claim of the `WhatIfBackend`
 //! seam made executable, and it gives CI a backend-swap smoke that runs
 //! without the analytic optimizer in the loop.
+//!
+//! The seam's other side: a backend whose answer does not describe the
+//! probed query — a replayed trace with an edited leaf, or a live backend
+//! behind a corrupting wrapper — fails the tune with a typed
+//! `BackendError::MalformedAnswer` instead of panicking inside INUM.
 
-use cophy::{CGen, CoPhy, CoPhyOptions, ConstraintSet, Recommendation};
-use cophy_catalog::TpchGen;
-use cophy_optimizer::{SystemProfile, TraceRecorder, TraceReplay, WhatIfBackend, WhatIfOptimizer};
-use cophy_workload::{HomGen, Workload};
+use cophy::{CGen, CoPhy, CoPhyError, CoPhyOptions, ConstraintSet, Recommendation};
+use cophy_catalog::{ColumnId, Configuration, Schema, TableId, TpchGen};
+use cophy_inum::{Inum, PrepFaultReport};
+use cophy_optimizer::{
+    config_fingerprint, query_fingerprint, BackendError, CostModel, ProbeAnswer, SystemProfile,
+    TraceRecorder, TraceReplay, WhatIfBackend, WhatIfOptimizer,
+};
+use cophy_workload::{HomGen, Query, Workload};
 
 const TRACE: &str = include_str!("data/smoke.trace");
 
@@ -66,6 +75,121 @@ fn replay_fixture_drives_the_advisor_stack_without_a_live_optimizer() {
     let rec = smoke_tune(&replay, &w);
     assert!(rec.estimated_improvement() > 0.0, "replayed tune must still find improvements");
     assert!(rec.stats.what_if_calls > 0, "the stack must have probed the trace");
+}
+
+/// The fixture's empty-configuration probe of its first query, whose first
+/// leaf (table 3) the hostile-trace test rewrites.
+const EMPTY_PROBE: &str = "probe 10ad67dd5acfaf9a cbf29ce484222325 410c9bb0c9f64264 \
+                           40bbd2d93ec84c80 3:- 6:- 7:- 1:-";
+
+#[test]
+fn a_replayed_leaf_on_a_missing_table_fails_the_tune_typed() {
+    assert_eq!(TRACE.matches(EMPTY_PROBE).count(), 1, "fixture line moved");
+    let edited = TRACE.replace(EMPTY_PROBE, &EMPTY_PROBE.replace(" 3:-", " 999:-"));
+    let replay = TraceReplay::parse(TpchGen::default().schema(), &edited).expect("edit parses");
+    let w = smoke_workload(&replay);
+    let constraints = ConstraintSet::storage_fraction(replay.schema(), 0.5);
+    let err = CoPhy::new(&replay, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap_err();
+    assert_eq!(
+        err,
+        CoPhyError::Backend(BackendError::MalformedAnswer {
+            query: 0x10ad_67dd_5acf_af9a,
+            config: config_fingerprint(&Configuration::empty()),
+        })
+    );
+}
+
+/// How [`CorruptingBackend`] bends every answer of its live optimizer.
+#[derive(Debug, Clone, Copy)]
+enum Corruption {
+    /// The first leaf names a table the schema does not have.
+    TableOutOfRange,
+    /// The first leaf names a real table the query does not read.
+    ForeignTable,
+    /// One leaf too few.
+    LeafCount,
+    /// The first leaf requires a column its table does not have.
+    ColumnOutOfRange,
+}
+
+/// A live optimizer behind a wrapper that corrupts each answer it returns.
+#[derive(Debug)]
+struct CorruptingBackend {
+    inner: WhatIfOptimizer,
+    corruption: Corruption,
+}
+
+impl WhatIfBackend for CorruptingBackend {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn profile(&self) -> SystemProfile {
+        self.inner.profile()
+    }
+
+    fn cost_model(&self) -> &CostModel {
+        self.inner.cost_model()
+    }
+
+    fn try_probe(&self, q: &Query, config: &Configuration) -> Result<ProbeAnswer, BackendError> {
+        let mut ans = WhatIfBackend::try_probe(&self.inner, q, config)?;
+        match self.corruption {
+            Corruption::TableOutOfRange => ans.leaves[0].table = TableId(999),
+            Corruption::ForeignTable => {
+                let mut tables = self.schema().tables().iter().map(|t| t.id);
+                ans.leaves[0].table =
+                    tables.find(|t| !q.tables.contains(t)).expect("a foreign table");
+            }
+            Corruption::LeafCount => {
+                ans.leaves.pop();
+            }
+            Corruption::ColumnOutOfRange => ans.leaves[0].required = vec![ColumnId(999)],
+        }
+        Ok(ans)
+    }
+
+    fn what_if_calls(&self) -> u64 {
+        self.inner.what_if_calls()
+    }
+
+    fn reset_call_counter(&self) {
+        self.inner.reset_call_counter()
+    }
+}
+
+#[test]
+fn a_corrupted_answer_fails_preparation_and_the_tune_typed() {
+    for corruption in [
+        Corruption::TableOutOfRange,
+        Corruption::ForeignTable,
+        Corruption::LeafCount,
+        Corruption::ColumnOutOfRange,
+    ] {
+        let backend = CorruptingBackend {
+            inner: WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A),
+            corruption,
+        };
+        let w = smoke_workload(&backend);
+        let (qid, stmt, weight) = w.iter().next().expect("a statement");
+        // The empty configuration is the first probe of every statement.
+        let want = BackendError::MalformedAnswer {
+            query: query_fingerprint(stmt.read_shell()),
+            config: config_fingerprint(&Configuration::empty()),
+        };
+
+        let mut report = PrepFaultReport::default();
+        let err = Inum::new(&backend)
+            .try_prepare_statement(qid, stmt, weight, None, &mut report)
+            .unwrap_err();
+        assert_eq!(err, want, "{corruption:?}");
+        assert!(!err.is_retryable());
+        assert_eq!(report, PrepFaultReport::default(), "{corruption:?}: not a lost probe");
+
+        let constraints = ConstraintSet::storage_fraction(backend.schema(), 0.5);
+        let err = CoPhy::new(&backend, CoPhyOptions::default()).try_tune(&w, &constraints);
+        assert_eq!(err.unwrap_err(), CoPhyError::Backend(want), "{corruption:?}");
+    }
 }
 
 /// Regenerate `tests/data/smoke.trace` after an intentional backend or

@@ -155,13 +155,13 @@ fn probe_workload(backend: &DigestBackend, w: &Workload) {
     let mut faults = PrepFaultReport::default();
     for (qid, stmt, weight) in w.iter() {
         let q = stmt.read_shell();
-        backend.probe(q, &Configuration::empty());
-        backend.probe(q, &baseline);
+        backend.try_probe(q, &Configuration::empty()).unwrap();
+        backend.try_probe(q, &baseline).unwrap();
         // INUM's probing loop: the empty configuration again, then one
         // probe per ideal configuration of the statement.
         inum.try_prepare_statement(qid, stmt, weight, None, &mut faults)
             .expect("the live optimizer answers");
-        backend.probe(q, &wide);
+        backend.try_probe(q, &wide).unwrap();
     }
 }
 

@@ -18,7 +18,8 @@
 
 use cophy_catalog::{ColumnId, Configuration, Schema};
 use cophy_optimizer::{
-    probe_with_retry, query_fingerprint, BackendError, ProbeAnswer, RetryPolicy, WhatIfBackend,
+    config_fingerprint, probe_with_retry, query_fingerprint, BackendError, ProbeAnswer,
+    RetryPolicy, WhatIfBackend,
 };
 use cophy_workload::{Query, QueryId, Statement, UpdateStatement, Workload};
 
@@ -116,8 +117,9 @@ impl<'o> Inum<'o> {
     /// statement's templates from `fallback` (a previously prepared
     /// workload, e.g. a shared-cache snapshot) or, failing that, the
     /// analytic atomic-configuration template.  Non-retryable errors (replay
-    /// misses, spent quotas) abort: retrying or degrading would mask a
-    /// configuration problem.
+    /// misses, spent quotas, an answer that does not describe the statement:
+    /// [`BackendError::MalformedAnswer`]) abort: retrying or degrading would
+    /// mask a configuration problem.
     pub fn try_prepare_statement(
         &self,
         qid: QueryId,
@@ -186,7 +188,8 @@ impl<'o> Inum<'o> {
     /// counted into `report`, retried and degraded: the empty configuration
     /// (the all-sort/hash template, whose slots never carry requirements),
     /// then the ideal configuration of each combination of interesting
-    /// orders, unless the statement was already answered for it.
+    /// orders, unless the statement was already answered for it.  An answer
+    /// is checked against `q` before any of it is read.
     fn extract_templates(
         &self,
         q: &Query,
@@ -203,7 +206,13 @@ impl<'o> Inum<'o> {
                 Ok(_) => report.probes_recovered += 1,
                 Err(_) => report.probes_exhausted += 1,
             }
-            probe.result
+            match probe.result {
+                Ok(ans) if !describes(schema, q, &ans) => Err(BackendError::MalformedAnswer {
+                    query: query_fingerprint(q),
+                    config: config_fingerprint(cfg),
+                }),
+                result => result,
+            }
         };
         let mut templates: Vec<TemplatePlan> = Vec::new();
 
@@ -304,6 +313,18 @@ fn atomic_fallback_template(
         })
         .collect();
     TemplatePlan { internal_cost: 0.0, slots }
+}
+
+/// Whether `ans` can be an answer for `q`: one leaf per referenced table, in
+/// `q.tables` order, each requiring only columns of its own table.  A
+/// template is built by indexing the schema with these ids, so an answer that
+/// fails this must never reach [`extract`].
+fn describes(schema: &Schema, q: &Query, ans: &ProbeAnswer) -> bool {
+    ans.leaves.len() == q.tables.len()
+        && ans.leaves.iter().zip(&q.tables).all(|(leaf, &t)| {
+            let n_columns = schema.table(t).columns.len();
+            leaf.table == t && leaf.required.iter().all(|c| (c.0 as usize) < n_columns)
+        })
 }
 
 /// Turn a probe answer into a template: β = internal cost, slots carry the

@@ -3,15 +3,16 @@
 //! CoPhy's portability claim (§1, §6) is that the advisor is a thin layer
 //! over *any* what-if optimizer: everything above the DBMS consumes a narrow
 //! costing interface.  [`WhatIfBackend`] is that interface.  A backend must
-//! answer three kinds of questions:
+//! answer two kinds of questions:
 //!
 //! 1. **probe** — cost a query under a hypothetical configuration and
 //!    describe the resulting plan's leaf accesses ([`ProbeAnswer`]), which is
 //!    all INUM needs to build template plans;
-//! 2. **relevant_indexes** — enumerate candidate indexes the backend
-//!    considers relevant to a statement (the syntactic candidate surface);
-//! 3. **call accounting** — report how many what-if optimizations were spent,
+//! 2. **call accounting** — report how many what-if optimizations were spent,
 //!    the scarce resource of Figures 4/5.
+//!
+//! Candidate indexes are not the backend's business: CGen enumerates them
+//! from the workload itself.
 //!
 //! Update pricing (`ucost`, `base_update_cost`) and workload evaluation are
 //! provided methods derived analytically from the backend's schema and cost
@@ -35,9 +36,10 @@ use crate::plan::PhysicalPlan;
 /// replay miss or an exhausted probe quota is a per-request error, not a
 /// process fault.  Fallible callers (INUM preparation, the advisor session
 /// API, the `cophy-server` daemon) consume [`WhatIfBackend::try_probe`] and
-/// surface this error; the infallible convenience wrappers (`probe`,
-/// `cost_query`, …) panic on it, preserving the original single-tenant
-/// behavior for code that treats its backend as total.
+/// surface this error; the provided costing methods (`cost_query`,
+/// `cost_statement`, `cost_workload`, `perf`) panic on it, preserving the
+/// original single-tenant behavior for code that treats its backend as
+/// total.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
     /// A replay-style backend was asked for a `(query, configuration)` pair
@@ -48,9 +50,11 @@ pub enum BackendError {
         /// How many probe answers the backend does hold (diagnostic).
         recorded: usize,
     },
-    /// A replay-style backend was asked for candidate indexes of a statement
-    /// it never saw.
-    UnrecordedRelevant { statement: u64 },
+    /// The backend answered, but the answer does not describe `query`: its
+    /// leaves are not one per referenced table in order, or a required
+    /// column is not a column of its leaf's table.  Permanent: the same
+    /// probe would return the same answer.
+    MalformedAnswer { query: u64, config: u64 },
     /// A metered backend refused the probe because the tenant's what-if
     /// quota is spent.
     QuotaExceeded { spent: u64, limit: u64 },
@@ -86,9 +90,11 @@ impl fmt::Display for BackendError {
                 "unrecorded probe: ({query:016x}, {config:016x}) not in trace \
                  ({recorded} probes recorded)"
             ),
-            BackendError::UnrecordedRelevant { statement } => {
-                write!(f, "unrecorded relevant_indexes({statement:016x})")
-            }
+            BackendError::MalformedAnswer { query, config } => write!(
+                f,
+                "malformed probe answer: ({query:016x}, {config:016x}) does not \
+                 describe the query's tables and columns"
+            ),
             BackendError::QuotaExceeded { spent, limit } => {
                 write!(f, "what-if quota exceeded: spent {spent} of {limit} probes")
             }
@@ -174,55 +180,17 @@ pub trait WhatIfBackend: std::fmt::Debug + Send + Sync {
     /// rejections surface as typed errors instead of panics.
     fn try_probe(&self, q: &Query, config: &Configuration) -> Result<ProbeAnswer, BackendError>;
 
-    /// Infallible probe for callers that treat the backend as total (a live
-    /// optimizer never fails).  Panics on [`BackendError`].
-    fn probe(&self, q: &Query, config: &Configuration) -> ProbeAnswer {
-        self.try_probe(q, config).unwrap_or_else(|e| panic!("what-if backend error: {e}"))
-    }
-
     /// Number of what-if optimizations performed so far.
     fn what_if_calls(&self) -> u64;
 
     fn reset_call_counter(&self);
 
-    /// Fallible candidate enumeration.  The default is the syntactic
-    /// enumeration over the read shell — sargable predicate columns, the
-    /// equality-bound column set, and every interesting order — which never
-    /// fails; replay-style backends override it to report unrecorded
-    /// statements.
-    fn try_relevant_indexes(&self, stmt: &Statement) -> Result<Vec<Index>, BackendError> {
-        let q = stmt.read_shell();
-        let mut out: Vec<Index> = Vec::new();
-        let push = |out: &mut Vec<Index>, ix: Index| {
-            if !out.contains(&ix) {
-                out.push(ix);
-            }
-        };
-        for &t in &q.tables {
-            let eq = q.eq_columns_on(t);
-            if !eq.is_empty() {
-                push(&mut out, Index::secondary(t, eq));
-            }
-            for p in q.predicates_on(t) {
-                push(&mut out, Index::secondary(t, vec![p.column.column]));
-            }
-            for o in q.interesting_orders_on(t) {
-                push(&mut out, Index::secondary(t, o));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Candidate indexes this backend considers relevant to `stmt`.  Panics
-    /// on [`BackendError`]; fallible callers use
-    /// [`WhatIfBackend::try_relevant_indexes`].
-    fn relevant_indexes(&self, stmt: &Statement) -> Vec<Index> {
-        self.try_relevant_indexes(stmt).unwrap_or_else(|e| panic!("what-if backend error: {e}"))
-    }
-
-    /// `cost(q, X)` for a SELECT (or query shell).
+    /// `cost(q, X)` for a SELECT (or query shell).  Panics on
+    /// [`BackendError`]; fallible callers use [`WhatIfBackend::try_probe`].
     fn cost_query(&self, q: &Query, config: &Configuration) -> f64 {
-        self.probe(q, config).total_cost
+        self.try_probe(q, config)
+            .unwrap_or_else(|e| panic!("what-if backend error: {e}"))
+            .total_cost
     }
 
     /// Maintenance cost `ucost(a, q)` of index `a` under update `q` (§2):
@@ -302,14 +270,9 @@ pub fn query_fingerprint(q: &Query) -> u64 {
     fnv1a(format!("{q:?}").as_bytes())
 }
 
-/// Fingerprint of a statement.
-pub fn statement_fingerprint(stmt: &Statement) -> u64 {
-    fnv1a(format!("{stmt:?}").as_bytes())
-}
-
 /// Order-independent fingerprint of a configuration: per-index renderings are
 /// sorted before hashing, so set-equal configurations fingerprint equal.
-pub(crate) fn config_fingerprint(config: &Configuration) -> u64 {
+pub fn config_fingerprint(config: &Configuration) -> u64 {
     let mut parts: Vec<String> = config.iter().map(|ix| format!("{ix:?}")).collect();
     parts.sort_unstable();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -343,31 +306,6 @@ mod tests {
             assert_eq!(ans.leaves.len(), q.tables.len());
             for (leaf, &t) in ans.leaves.iter().zip(q.tables.iter()) {
                 assert_eq!(leaf.table, t);
-            }
-        }
-    }
-
-    #[test]
-    fn relevant_indexes_cover_predicates_and_orders() {
-        let o = opt();
-        let s = o.schema();
-        let w = HomGen::new(11).generate(s, 6);
-        let backend: &dyn WhatIfBackend = &o;
-        for (_, stmt, _) in w.iter() {
-            let ixs = backend.relevant_indexes(stmt);
-            let q = stmt.read_shell();
-            for &t in &q.tables {
-                for p in q.predicates_on(t) {
-                    assert!(
-                        ixs.iter()
-                            .any(|ix| ix.table == t && ix.key.first() == Some(&p.column.column)),
-                        "predicate column not covered by any relevant index"
-                    );
-                }
-            }
-            // No duplicates.
-            for (i, a) in ixs.iter().enumerate() {
-                assert!(!ixs[i + 1..].contains(a));
             }
         }
     }

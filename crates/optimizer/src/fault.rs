@@ -27,8 +27,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cophy_catalog::{Configuration, Index, Schema};
-use cophy_workload::{Query, Statement};
+use cophy_catalog::{Configuration, Schema};
+use cophy_workload::Query;
 
 use crate::backend::{
     config_fingerprint, query_fingerprint, splitmix64, BackendError, ProbeAnswer, WhatIfBackend,
@@ -215,10 +215,6 @@ impl WhatIfBackend for FaultInjectingBackend {
             ans.internal_cost *= fate.factor;
         }
         Ok(ans)
-    }
-
-    fn try_relevant_indexes(&self, stmt: &Statement) -> Result<Vec<Index>, BackendError> {
-        self.inner.try_relevant_indexes(stmt)
     }
 
     fn what_if_calls(&self) -> u64 {

@@ -34,7 +34,7 @@ mod whatif;
 
 pub use access::{heap_path, AccessMethod, AccessPath, TableFacts};
 pub use backend::{
-    fnv1a, query_fingerprint, statement_fingerprint, BackendError, ProbeAnswer, ProbeLeaf,
+    config_fingerprint, fnv1a, query_fingerprint, BackendError, ProbeAnswer, ProbeLeaf,
     WhatIfBackend,
 };
 pub use cardinality::access_rows;

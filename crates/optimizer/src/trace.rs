@@ -18,11 +18,11 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 
 use cophy_catalog::{ColumnId, Configuration, Index, IndexKind, Schema, TableId};
-use cophy_workload::{Query, Statement};
+use cophy_workload::Query;
 
 use crate::backend::{
-    config_fingerprint, fnv1a, query_fingerprint, statement_fingerprint, BackendError, ProbeAnswer,
-    ProbeLeaf, WhatIfBackend,
+    config_fingerprint, fnv1a, query_fingerprint, BackendError, ProbeAnswer, ProbeLeaf,
+    WhatIfBackend,
 };
 use crate::cost::{CostModel, SystemProfile};
 
@@ -41,31 +41,25 @@ pub(crate) fn schema_fingerprint(schema: &Schema) -> u64 {
 #[derive(Debug)]
 pub struct TraceRecorder<'a> {
     inner: &'a dyn WhatIfBackend,
-    log: Mutex<TraceLog>,
-}
-
-#[derive(Debug, Default)]
-struct TraceLog {
-    probes: HashMap<(u64, u64), ProbeAnswer>,
-    relevant: HashMap<u64, Vec<Index>>,
+    probes: Mutex<HashMap<(u64, u64), ProbeAnswer>>,
 }
 
 impl<'a> TraceRecorder<'a> {
     pub fn new(inner: &'a dyn WhatIfBackend) -> Self {
-        TraceRecorder { inner, log: Mutex::new(TraceLog::default()) }
+        TraceRecorder { inner, probes: Mutex::default() }
     }
 
     /// Serialize everything recorded so far.  Entries are sorted by
     /// fingerprint, so the trace text is deterministic even when probes were
     /// recorded from multiple threads.
     pub fn serialize(&self) -> String {
-        let log = self.log.lock().expect("trace log");
+        let probes = self.probes.lock().expect("trace log");
         let mut out = String::new();
         out.push_str(MAGIC);
         out.push('\n');
         out.push_str(&format!("profile {:?}\n", self.inner.profile()));
         out.push_str(&format!("schema {:016x}\n", schema_fingerprint(self.inner.schema())));
-        let mut probes: Vec<_> = log.probes.iter().collect();
+        let mut probes: Vec<_> = probes.iter().collect();
         probes.sort_by_key(|(k, _)| **k);
         for (&(qfp, cfp), ans) in probes {
             out.push_str(&format!(
@@ -75,15 +69,6 @@ impl<'a> TraceRecorder<'a> {
             ));
             for leaf in &ans.leaves {
                 out.push_str(&format!(" {}:{}", leaf.table.0, fmt_cols(&leaf.required)));
-            }
-            out.push('\n');
-        }
-        let mut relevant: Vec<_> = log.relevant.iter().collect();
-        relevant.sort_by_key(|(k, _)| **k);
-        for (&sfp, ixs) in relevant {
-            out.push_str(&format!("relevant {sfp:016x}"));
-            for ix in ixs {
-                out.push_str(&format!(" {}", fmt_index(ix)));
             }
             out.push('\n');
         }
@@ -108,18 +93,8 @@ impl WhatIfBackend for TraceRecorder<'_> {
     fn try_probe(&self, q: &Query, config: &Configuration) -> Result<ProbeAnswer, BackendError> {
         let ans = self.inner.try_probe(q, config)?;
         let key = (query_fingerprint(q), config_fingerprint(config));
-        self.log.lock().expect("trace log").probes.insert(key, ans.clone());
+        self.probes.lock().expect("trace log").insert(key, ans.clone());
         Ok(ans)
-    }
-
-    fn try_relevant_indexes(&self, stmt: &Statement) -> Result<Vec<Index>, BackendError> {
-        let ixs = self.inner.try_relevant_indexes(stmt)?;
-        self.log
-            .lock()
-            .expect("trace log")
-            .relevant
-            .insert(statement_fingerprint(stmt), ixs.clone());
-        Ok(ixs)
     }
 
     fn what_if_calls(&self) -> u64 {
@@ -136,8 +111,9 @@ impl WhatIfBackend for TraceRecorder<'_> {
 /// [`BackendError::UnrecordedProbe`] through `try_probe` (a replay that
 /// silently invented costs would defeat the point, and a replay that
 /// *panicked* — as this backend once did — would take down unrelated
-/// sessions in a multi-tenant daemon).  The infallible `probe` wrapper still
-/// panics, preserving fail-fast behavior for single-tenant callers.
+/// sessions in a multi-tenant daemon).  The provided costing methods
+/// (`cost_query`, …) still panic, preserving fail-fast behavior for
+/// single-tenant callers.
 ///
 /// The schema is supplied by the caller (generators are deterministic, so
 /// checking its fingerprint against the header suffices); the cost model is
@@ -149,7 +125,6 @@ pub struct TraceReplay {
     cm: CostModel,
     profile: SystemProfile,
     probes: HashMap<(u64, u64), ProbeAnswer>,
-    relevant: HashMap<u64, Vec<Index>>,
     calls: AtomicU64,
 }
 
@@ -162,7 +137,6 @@ impl TraceReplay {
         }
         let mut profile = None;
         let mut probes = HashMap::new();
-        let mut relevant = HashMap::new();
         for line in lines {
             let mut f = line.split_ascii_whitespace();
             match f.next() {
@@ -194,11 +168,6 @@ impl TraceReplay {
                         ProbeAnswer { total_cost: total, internal_cost: internal, leaves },
                     );
                 }
-                Some("relevant") => {
-                    let sfp = parse_hex(f.next().ok_or("truncated relevant line")?)?;
-                    let ixs = f.map(parse_index).collect::<Result<Vec<_>, _>>()?;
-                    relevant.insert(sfp, ixs);
-                }
                 Some("end") | None => {}
                 Some(other) => return Err(format!("unknown trace record {other:?}")),
             }
@@ -209,7 +178,6 @@ impl TraceReplay {
             cm: CostModel::profile(profile),
             profile,
             probes,
-            relevant,
             calls: AtomicU64::new(0),
         })
     }
@@ -236,11 +204,6 @@ impl WhatIfBackend for TraceReplay {
             config: key.1,
             recorded: self.probes.len(),
         })
-    }
-
-    fn try_relevant_indexes(&self, stmt: &Statement) -> Result<Vec<Index>, BackendError> {
-        let sfp = statement_fingerprint(stmt);
-        self.relevant.get(&sfp).cloned().ok_or(BackendError::UnrecordedRelevant { statement: sfp })
     }
 
     fn what_if_calls(&self) -> u64 {
@@ -278,9 +241,9 @@ fn parse_leaf(s: &str) -> Result<ProbeLeaf, String> {
     })
 }
 
-/// `table/kind/unique/key/include` — one index field.  Public because this
-/// is the canonical single-token wire rendering of an index, reused by the
-/// `cophy-server` protocol.
+/// `table/kind/unique/key/include` — the canonical single-token wire
+/// rendering of an index, used by the `cophy-server` protocol.  It shares
+/// the column-list syntax of the trace's probe leaves.
 pub fn fmt_index(ix: &Index) -> String {
     format!(
         "{}/{}/{}/{}/{}",
@@ -337,18 +300,16 @@ mod tests {
         let rec = TraceRecorder::new(&o);
         let mut answers = Vec::new();
         for (_, stmt, _) in w.iter() {
-            answers.push(rec.probe(stmt.read_shell(), &Configuration::empty()));
-            rec.relevant_indexes(stmt);
+            answers.push(rec.try_probe(stmt.read_shell(), &Configuration::empty()).unwrap());
         }
         let text = rec.serialize();
         let replay = TraceReplay::parse(TpchGen::default().schema(), &text).unwrap();
         assert_eq!(replay.probes.len(), answers.len());
         for ((_, stmt, _), want) in w.iter().zip(&answers) {
-            let got = replay.probe(stmt.read_shell(), &Configuration::empty());
+            let got = replay.try_probe(stmt.read_shell(), &Configuration::empty()).unwrap();
             assert_eq!(got.total_cost.to_bits(), want.total_cost.to_bits());
             assert_eq!(got.internal_cost.to_bits(), want.internal_cost.to_bits());
             assert_eq!(got.leaves, want.leaves);
-            assert_eq!(replay.relevant_indexes(stmt), WhatIfBackend::relevant_indexes(&o, stmt));
         }
         assert_eq!(replay.what_if_calls(), w.len() as u64);
     }
@@ -359,7 +320,7 @@ mod tests {
         let li = o.schema().table_by_name("lineitem").unwrap().id;
         let q = Query::scan(li);
         let rec = TraceRecorder::new(&o);
-        rec.probe(&q, &Configuration::empty());
+        rec.try_probe(&q, &Configuration::empty()).unwrap();
         let text = rec.serialize();
         let replay = TraceReplay::parse(TpchGen::default().schema(), &text).unwrap();
         assert_eq!(replay.what_if_calls(), 0);
@@ -396,12 +357,6 @@ mod tests {
                 recorded: 0,
             }
         );
-        let stmt = Statement::Select(q.clone());
-        let err = replay.try_relevant_indexes(&stmt).unwrap_err();
-        assert_eq!(
-            err,
-            BackendError::UnrecordedRelevant { statement: statement_fingerprint(&stmt) }
-        );
     }
 
     #[test]
@@ -412,7 +367,18 @@ mod tests {
         let text = rec.serialize();
         let replay = TraceReplay::parse(TpchGen::default().schema(), &text).unwrap();
         let li = replay.schema().table_by_name("lineitem").unwrap().id;
-        let _ = replay.probe(&Query::scan(li), &Configuration::empty());
+        let _ = replay.cost_query(&Query::scan(li), &Configuration::empty());
+    }
+
+    #[test]
+    fn replay_rejects_a_relevant_record_as_unknown() {
+        let o = opt();
+        let text = TraceRecorder::new(&o).serialize();
+        let schema = TpchGen::default().schema();
+        assert!(TraceReplay::parse(schema.clone(), &text).is_ok());
+        let text = text.replace("end\n", "relevant 0000000000000001 7/S/0/1/-\nend\n");
+        let err = TraceReplay::parse(schema, &text).unwrap_err();
+        assert_eq!(err, "unknown trace record \"relevant\"");
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! inner backend performed, so the ledger can never drift from the costs it
 //! gates.
 
-use cophy_catalog::{Configuration, Index, Schema};
+use cophy_catalog::{Configuration, Schema};
 use cophy_optimizer::{BackendError, CostModel, ProbeAnswer, SystemProfile, WhatIfBackend};
-use cophy_workload::{Query, Statement};
+use cophy_workload::Query;
 
 /// A quota-enforcing wrapper around a what-if backend.
 ///
@@ -68,10 +68,6 @@ impl WhatIfBackend for MeteredBackend {
 
     fn reset_call_counter(&self) {
         self.inner.reset_call_counter()
-    }
-
-    fn try_relevant_indexes(&self, stmt: &Statement) -> Result<Vec<Index>, BackendError> {
-        self.inner.try_relevant_indexes(stmt)
     }
 }
 
