@@ -8,7 +8,8 @@
 //!
 //! The seam's other side: a backend whose answer does not describe the
 //! probed query — a replayed trace with an edited leaf, or a live backend
-//! behind a corrupting wrapper — fails the tune with a typed
+//! behind a corrupting wrapper (bad leaves, or an internal cost that is not
+//! finite and non-negative) — fails the tune with a typed
 //! `BackendError::MalformedAnswer` instead of panicking inside INUM.
 
 use cophy::{CGen, CoPhy, CoPhyError, CoPhyOptions, ConstraintSet, Recommendation};
@@ -110,6 +111,8 @@ enum Corruption {
     LeafCount,
     /// The first leaf requires a column its table does not have.
     ColumnOutOfRange,
+    /// The internal cost is replaced by this value.
+    InternalCost(f64),
 }
 
 /// A live optimizer behind a wrapper that corrupts each answer it returns.
@@ -145,6 +148,7 @@ impl WhatIfBackend for CorruptingBackend {
                 ans.leaves.pop();
             }
             Corruption::ColumnOutOfRange => ans.leaves[0].required = vec![ColumnId(999)],
+            Corruption::InternalCost(cost) => ans.internal_cost = cost,
         }
         Ok(ans)
     }
@@ -165,6 +169,10 @@ fn a_corrupted_answer_fails_preparation_and_the_tune_typed() {
         Corruption::ForeignTable,
         Corruption::LeafCount,
         Corruption::ColumnOutOfRange,
+        Corruption::InternalCost(f64::INFINITY),
+        Corruption::InternalCost(f64::NAN),
+        Corruption::InternalCost(f64::NEG_INFINITY),
+        Corruption::InternalCost(-1.0),
     ] {
         let backend = CorruptingBackend {
             inner: WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A),

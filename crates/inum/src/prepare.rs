@@ -315,12 +315,15 @@ fn atomic_fallback_template(
     TemplatePlan { internal_cost: 0.0, slots }
 }
 
-/// Whether `ans` can be an answer for `q`: one leaf per referenced table, in
-/// `q.tables` order, each requiring only columns of its own table.  A
-/// template is built by indexing the schema with these ids, so an answer that
+/// Whether `ans` can be an answer for `q`: a finite, non-negative internal
+/// cost, and one leaf per referenced table, in `q.tables` order, each
+/// requiring only columns of its own table.  A template is built by indexing
+/// the schema with these ids and priced from that cost, so an answer that
 /// fails this must never reach [`extract`].
 fn describes(schema: &Schema, q: &Query, ans: &ProbeAnswer) -> bool {
-    ans.leaves.len() == q.tables.len()
+    ans.internal_cost.is_finite()
+        && ans.internal_cost >= 0.0
+        && ans.leaves.len() == q.tables.len()
         && ans.leaves.iter().zip(&q.tables).all(|(leaf, &t)| {
             let n_columns = schema.table(t).columns.len();
             leaf.table == t && leaf.required.iter().all(|c| (c.0 as usize) < n_columns)

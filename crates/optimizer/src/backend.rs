@@ -51,9 +51,10 @@ pub enum BackendError {
         recorded: usize,
     },
     /// The backend answered, but the answer does not describe `query`: its
-    /// leaves are not one per referenced table in order, or a required
-    /// column is not a column of its leaf's table.  Permanent: the same
-    /// probe would return the same answer.
+    /// internal cost is not finite and non-negative, its leaves are not one
+    /// per referenced table in order, or a required column is not a column
+    /// of its leaf's table.  Permanent: the same probe would return the same
+    /// answer.
     MalformedAnswer { query: u64, config: u64 },
     /// A metered backend refused the probe because the tenant's what-if
     /// quota is spent.
@@ -93,7 +94,8 @@ impl fmt::Display for BackendError {
             BackendError::MalformedAnswer { query, config } => write!(
                 f,
                 "malformed probe answer: ({query:016x}, {config:016x}) does not \
-                 describe the query's tables and columns"
+                 describe the query's tables and columns with a finite, \
+                 non-negative cost"
             ),
             BackendError::QuotaExceeded { spent, limit } => {
                 write!(f, "what-if quota exceeded: spent {spent} of {limit} probes")

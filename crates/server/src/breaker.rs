@@ -39,7 +39,7 @@ pub(crate) struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// Trip after `threshold` consecutive failures; half-open a trial
-    /// request after `cooldown`.  A zero threshold disables the breaker.
+    /// request after `cooldown`.
     pub(crate) fn new(threshold: u32, cooldown: Duration) -> CircuitBreaker {
         CircuitBreaker { threshold, cooldown, inner: Mutex::new(Inner::Closed { consecutive: 0 }) }
     }
@@ -51,9 +51,6 @@ impl CircuitBreaker {
     /// Admit or reject a request.  `Err(retry_after)` means the breaker is
     /// open and the caller should come back after the hinted wait.
     pub(crate) fn admit(&self) -> Result<(), Duration> {
-        if self.threshold == 0 {
-            return Ok(());
-        }
         let mut g = self.lock();
         match *g {
             Inner::Closed { .. } | Inner::HalfOpen => Ok(()),
@@ -78,9 +75,6 @@ impl CircuitBreaker {
     /// Record a backend fault.  In `Closed`, extends the streak and trips at
     /// the threshold; in `HalfOpen`, the failed trial re-opens immediately.
     pub(crate) fn record_failure(&self) {
-        if self.threshold == 0 {
-            return;
-        }
         let mut g = self.lock();
         match *g {
             Inner::Closed { consecutive } => {
@@ -163,17 +157,11 @@ mod tests {
     }
 
     #[test]
-    fn successes_reset_the_streak_and_zero_threshold_disables() {
+    fn successes_reset_the_streak() {
         let b = CircuitBreaker::new(2, Duration::from_secs(1));
         b.record_failure();
         b.record_success();
         b.record_failure();
         assert_eq!(b.state(), BreakerState::Closed, "streak must reset on success");
-
-        let off = CircuitBreaker::new(0, Duration::from_secs(1));
-        for _ in 0..10 {
-            off.record_failure();
-        }
-        assert!(off.admit().is_ok(), "zero threshold disables the breaker");
     }
 }

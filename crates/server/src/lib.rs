@@ -11,11 +11,12 @@
 //! * **Sharing** — sessions opened over the same workload spec share one
 //!   [`cophy_inum::InumCache`] `Arc`: N concurrent sessions cost the probes
 //!   of one ([`SessionManager`]).
-//! * **Isolation** — per-tenant probe quotas ([`ServerConfig::quota`]), a bounded solver
-//!   pool (`err busy` instead of collapse), cooperative cancellation when a
-//!   client disconnects mid-solve ([`Server`]), and a memory-capped LRU
-//!   that demotes cold sessions to a compact form they rebuild from
-//!   bit-identically.
+//! * **Isolation** — per-tenant probe quotas ([`ServerConfig::quota`]), a
+//!   bounded solver pool (`err busy` after a 10 s wait instead of collapse),
+//!   a per-tenant circuit breaker (5 faults, 500 ms cooldown), cooperative
+//!   cancellation when a client disconnects mid-solve or a solve passes its
+//!   300 s deadline ([`Server`]), and a memory-capped LRU that demotes cold
+//!   sessions to a compact form they rebuild from bit-identically.
 //! * **Streaming** — `tune`/`sweep` forward every anytime
 //!   [`cophy_bip::SolveProgress`] event as a `progress` line the moment the
 //!   solver emits it; the `server_smoke` gate checks the wire stream equals

@@ -10,8 +10,8 @@
 //!   (`cache=hit`), exactly the in-process
 //!   [`cophy::CoPhy::try_session_shared`] pattern lifted behind TCP.
 //! * **Admission control.**  Solver work (`tune`, `sweep`) must win a slot
-//!   from a bounded [`SolverPool`]; when every slot is busy past the
-//!   configured wait, the request is rejected with `err busy` instead of
+//!   from a bounded [`SolverPool`]; when every slot is busy past
+//!   [`SOLVER_WAIT`], the request is rejected with `err busy` instead of
 //!   queueing unboundedly.
 //! * **Memory-capped LRU.**  Each session's private solve state is metered
 //!   by [`cophy::TuningSession::approx_state_bytes`]; when the sum passes
@@ -48,20 +48,15 @@ use crate::breaker::CircuitBreaker;
 use crate::protocol::{DegradedLine, ErrCode, ProgressLine, WireError};
 use crate::quota::MeteredBackend;
 
-/// Daemon-wide tuning knobs.
+/// The settings a deployment chooses.  The daemon's other limits are fixed:
+/// 64 tenants, system profile A, a 10 s solver-slot wait, a breaker at 5
+/// faults / 500 ms, and a 300 s request deadline.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Cost-model parameterization of the synthetic what-if optimizer.
-    pub profile: SystemProfile,
     /// Per-tenant what-if probe quota (`u64::MAX` = unmetered).
     pub quota: u64,
-    /// Maximum distinct tenants (a tenant's metered backend is alive for
-    /// the daemon's lifetime, so this bounds that footprint).
-    pub max_tenants: usize,
     /// Concurrent solver slots (admission control for `tune`/`sweep`).
     pub solver_slots: usize,
-    /// How long a request waits for a slot before `err busy`.
-    pub solver_wait: Duration,
     /// Cap on the summed private session state before LRU eviction.
     pub mem_cap_bytes: usize,
     /// Solve budget applied to every session solve.
@@ -75,64 +70,58 @@ pub struct ServerConfig {
     /// [`FaultInjectingBackend`] with this plan (`None` = faults off).  The
     /// CI daemon smoke uses it to prove `degraded`/`err` replies end to end.
     pub fault_plan: Option<FaultPlan>,
-    /// Consecutive backend faults before a tenant's circuit breaker trips
-    /// (0 disables the breaker).
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker rejects before half-opening one trial.
-    pub breaker_cooldown: Duration,
-    /// Per-request deadline on solver verbs (`tune`, `sweep`): past it the
-    /// watchdog fires the solve's cancel token and the request completes
-    /// with its best incumbent (time-limit semantics).
-    pub request_deadline: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            profile: SystemProfile::A,
             quota: u64::MAX,
-            max_tenants: 64,
             solver_slots: 8,
-            solver_wait: Duration::from_secs(10),
             mem_cap_bytes: 64 << 20,
             budget: SolveBudget::within(0.05).with_time(Duration::from_secs(60)),
             retry: RetryPolicy::default(),
             fault_plan: None,
-            breaker_threshold: 5,
-            breaker_cooldown: Duration::from_millis(500),
-            request_deadline: Duration::from_secs(300),
         }
     }
 }
+
+/// Distinct tenants; each tenant's backend lives as long as the daemon.
+const MAX_TENANTS: usize = 64;
+
+/// How long a solver request waits for a slot before `err busy`.
+const SOLVER_WAIT: Duration = Duration::from_secs(10);
+
+/// Consecutive backend faults before a tenant's circuit breaker trips.
+const BREAKER_THRESHOLD: u32 = 5;
+
+/// How long a tripped breaker rejects before half-opening one trial.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
 
 /// A counting semaphore over solver slots (std-only: Mutex + Condvar).
 #[derive(Debug)]
 pub(crate) struct SolverPool {
     free: Mutex<usize>,
     cv: Condvar,
-    wait: Duration,
 }
 
 impl SolverPool {
-    fn new(slots: usize, wait: Duration) -> SolverPool {
-        SolverPool { free: Mutex::new(slots.max(1)), cv: Condvar::new(), wait }
+    fn new(slots: usize) -> SolverPool {
+        SolverPool { free: Mutex::new(slots.max(1)), cv: Condvar::new() }
     }
 
-    /// Wait up to the configured bound for a slot; `err busy` past it, with
-    /// a `retry_after_ms` hint the client backoff honors.
+    /// Wait up to [`SOLVER_WAIT`] for a slot; `err busy` past it, with a
+    /// `retry_after_ms` hint the client backoff honors.
     fn acquire(&self) -> Result<PoolGuard<'_>, WireError> {
-        let saturated = || busy_with_hint("solver pool saturated", self.wait);
+        let saturated = || busy_with_hint("solver pool saturated", SOLVER_WAIT);
         let mut free = lock(&self.free);
-        let deadline = std::time::Instant::now() + self.wait;
+        let deadline = std::time::Instant::now() + SOLVER_WAIT;
         while *free == 0 {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             if left.is_zero() {
                 return Err(saturated());
             }
-            let (g, timeout) = self.cv.wait_timeout(free, left).unwrap_or_else(|e| {
-                let (g, t) = e.into_inner();
-                (g, t)
-            });
+            let (g, timeout) =
+                self.cv.wait_timeout(free, left).unwrap_or_else(PoisonError::into_inner);
             free = g;
             if timeout.timed_out() && *free == 0 {
                 return Err(saturated());
@@ -166,7 +155,7 @@ fn busy_with_hint(msg: &str, wait: Duration) -> WireError {
 /// One tenant: a leaked quota-metered backend plus the advisor over it and
 /// the tenant's circuit breaker.  Leaking keeps
 /// `TuningSession<'static, 'static>` storable in the daemon's maps; the
-/// footprint is bounded by [`ServerConfig::max_tenants`].
+/// footprint is bounded by [`MAX_TENANTS`].
 #[derive(Clone, Copy)]
 struct Tenant {
     backend: &'static MeteredBackend,
@@ -212,12 +201,11 @@ struct ManagerState {
 
 /// Server-wide counters surfaced by the `stats` verb.
 #[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub evictions: AtomicU64,
-    pub rebuilds: AtomicU64,
-    pub tunes: AtomicU64,
+struct Counters {
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    evictions: AtomicU64,
+    rebuilds: AtomicU64,
 }
 
 /// Reply payload of `open`/`add`.
@@ -290,7 +278,7 @@ pub struct SessionManager {
     build_cv: Condvar,
     pool: SolverPool,
     clock: AtomicU64,
-    pub(crate) counters: Counters,
+    counters: Counters,
 }
 
 /// Parse a canonical workload spec `(hom|het|upd):SEED:N` into a
@@ -333,7 +321,7 @@ impl SessionManager {
     pub fn new(config: ServerConfig) -> Arc<SessionManager> {
         let schema = TpchGen::default().schema();
         Arc::new(SessionManager {
-            pool: SolverPool::new(config.solver_slots, config.solver_wait),
+            pool: SolverPool::new(config.solver_slots),
             config,
             schema,
             state: Mutex::new(ManagerState::default()),
@@ -341,10 +329,6 @@ impl SessionManager {
             clock: AtomicU64::new(1),
             counters: Counters::default(),
         })
-    }
-
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
     }
 
     pub fn schema(&self) -> &Schema {
@@ -359,13 +343,13 @@ impl SessionManager {
         if let Some(t) = st.tenants.get(sid) {
             return Ok(*t);
         }
-        if st.tenants.len() >= self.config.max_tenants {
+        if st.tenants.len() >= MAX_TENANTS {
             return Err(WireError::new(
                 ErrCode::Busy,
-                format!("tenant limit {} reached", self.config.max_tenants),
+                format!("tenant limit {MAX_TENANTS} reached"),
             ));
         }
-        let live = WhatIfOptimizer::new(self.schema.clone(), self.config.profile);
+        let live = WhatIfOptimizer::new(self.schema.clone(), SystemProfile::A);
         // Chaos mode: the fault layer sits *inside* the meter, so injected
         // faults never consume quota (they perform no real probe).
         let inner: Box<dyn WhatIfBackend> = match &self.config.fault_plan {
@@ -380,10 +364,8 @@ impl SessionManager {
             ..Default::default()
         };
         let cophy: &'static CoPhy<'static> = Box::leak(Box::new(CoPhy::new(backend, options)));
-        let breaker: &'static CircuitBreaker = Box::leak(Box::new(CircuitBreaker::new(
-            self.config.breaker_threshold,
-            self.config.breaker_cooldown,
-        )));
+        let breaker: &'static CircuitBreaker =
+            Box::leak(Box::new(CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN)));
         let t = Tenant { backend, cophy, breaker };
         st.tenants.insert(sid.to_string(), t);
         Ok(t)
@@ -594,7 +576,6 @@ impl SessionManager {
         cancel: Option<CancelToken>,
         mut on_progress: impl FnMut(ProgressLine),
     ) -> Result<TuneReply, WireError> {
-        self.counters.tunes.fetch_add(1, Ordering::Relaxed);
         self.with_session(sid, |session| {
             let _slot = self.pool.acquire()?;
             session.set_cancel(cancel);

@@ -35,6 +35,10 @@ use crate::protocol::{ErrCode, Request, WireError};
 /// How often the watchdog proves connection liveness during a solve.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(50);
 
+/// Deadline of a `tune` or `sweep`: past it the watchdog cancels the solve,
+/// which returns its best incumbent (time-limit semantics).
+const REQUEST_DEADLINE: Duration = Duration::from_secs(300);
+
 /// Longest request line accepted, newline included — about 100× the longest
 /// `what_if` the scripts send.  A client that withholds `\n` past it gets
 /// one `err bad-request` and a closed connection, not an ever-growing buffer.
@@ -308,7 +312,7 @@ impl Server {
                 send(writer, &line).then_some(()).ok_or_else(gone)
             }
             Request::Tune { sid } => {
-                let (cancel, watchdog) = Watchdog::arm(writer.clone(), m.config().request_deadline);
+                let (cancel, watchdog) = Watchdog::arm(writer.clone(), REQUEST_DEADLINE);
                 let r = m.tune(sid, Some(cancel), |p| {
                     let _ = send(writer, &p.to_line());
                 });
@@ -316,7 +320,7 @@ impl Server {
                 send_burst(writer, tune_burst(&r?)).then_some(()).ok_or_else(gone)
             }
             Request::Sweep { sid, budgets } => {
-                let (cancel, watchdog) = Watchdog::arm(writer.clone(), m.config().request_deadline);
+                let (cancel, watchdog) = Watchdog::arm(writer.clone(), REQUEST_DEADLINE);
                 let r = m.sweep(sid, budgets, Some(cancel), |p| {
                     let _ = send(writer, &p.to_line());
                 });
@@ -385,7 +389,7 @@ impl Server {
 
 /// The per-solve liveness prober: writes `hb` ticks while armed, fires the
 /// solve's [`CancelToken`] the moment a tick cannot be delivered (client
-/// gone), and again when the per-request deadline passes — the solve then
+/// gone), and again when [`REQUEST_DEADLINE`] passes — the solve then
 /// completes with its best incumbent under time-limit semantics instead of
 /// holding a connection and a solver slot indefinitely.
 struct Watchdog {
@@ -492,6 +496,39 @@ mod tests {
         let (reader, writer) = split(listener.accept().unwrap().0).unwrap();
         assert!(reader.get_ref().nodelay().unwrap());
         assert!(lock(&writer).get_ref().nodelay().unwrap());
+    }
+
+    /// Whether the watchdog's thread ends within `limit`.  It returns only
+    /// after firing its cancel token, so finishing is the cancel.
+    fn fires_within(watchdog: &Watchdog, limit: Duration) -> bool {
+        let started = std::time::Instant::now();
+        while !watchdog.join.is_finished() {
+            if started.elapsed() >= limit {
+                return false;
+            }
+            thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
+    #[test]
+    fn the_watchdog_cancels_at_the_deadline_and_when_the_peer_is_gone() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_, writer) = split(listener.accept().unwrap().0).unwrap();
+        let (_cancel, watchdog) = Watchdog::arm(writer, Duration::from_millis(100));
+        assert!(fires_within(&watchdog, Duration::from_secs(1)), "the deadline must cancel");
+        let mut first = String::new();
+        BufReader::new(peer).read_line(&mut first).unwrap();
+        assert_eq!(first, "hb\n", "heartbeats flow until the deadline");
+        watchdog.disarm();
+
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_, writer) = split(listener.accept().unwrap().0).unwrap();
+        drop(peer);
+        let (_cancel, watchdog) = Watchdog::arm(writer, Duration::from_secs(60));
+        assert!(fires_within(&watchdog, Duration::from_secs(2)), "a gone peer must cancel");
+        watchdog.disarm();
     }
 
     #[test]

@@ -371,14 +371,12 @@ fn breaker_trips_on_repeated_backend_faults_rejects_fast_and_half_opens() {
     let config = ServerConfig {
         fault_plan: Some(FaultPlan { permanent_rate: 1.0, ..FaultPlan::transient_only(7, 0.0, 1) }),
         retry: fast_retry(2),
-        breaker_threshold: 2,
-        breaker_cooldown: Duration::from_millis(50),
         ..smoke_config()
     };
     let handle = Server::bind("127.0.0.1:0", config, None).unwrap().spawn();
     let mut c = Client::connect(handle.addr()).unwrap();
 
-    for attempt in 0..2 {
+    for attempt in 0..5 {
         match c.open("t", "hom:5:8", 0.5).unwrap_err() {
             ClientError::Server(e) => {
                 assert_eq!(e.code, ErrCode::Backend, "attempt {attempt}: {}", e.message);
@@ -387,19 +385,19 @@ fn breaker_trips_on_repeated_backend_faults_rejects_fast_and_half_opens() {
             other => panic!("expected backend error, got {other}"),
         }
     }
-    // Two consecutive backend faults: the breaker is open and rejects fast,
-    // with a parsable backoff hint.
+    // Five consecutive backend faults: the breaker is open and rejects
+    // fast, with a parsable backoff hint within its 500 ms cooldown.
     match c.open("t", "hom:5:8", 0.5).unwrap_err() {
         ClientError::Server(e) => {
             assert_eq!(e.code, ErrCode::Busy, "{}", e.message);
             let hint = e.retry_after().expect("busy from the breaker carries retry_after_ms");
-            assert!(hint <= Duration::from_millis(50));
+            assert!(hint <= Duration::from_millis(500));
         }
         other => panic!("expected busy, got {other}"),
     }
     // After the cooldown the breaker half-opens: the trial request reaches
     // the backend again (and fails on the backend, not on the breaker).
-    std::thread::sleep(Duration::from_millis(60));
+    std::thread::sleep(Duration::from_millis(510));
     match c.open("t", "hom:5:8", 0.5).unwrap_err() {
         ClientError::Server(e) => assert_eq!(e.code, ErrCode::Backend, "{}", e.message),
         other => panic!("expected backend error, got {other}"),
@@ -421,15 +419,15 @@ fn client_retry_busy_honors_the_hint_and_recovers() {
     let config = ServerConfig {
         fault_plan: Some(FaultPlan { permanent_rate: 1.0, ..FaultPlan::transient_only(7, 0.0, 1) }),
         retry: fast_retry(2),
-        breaker_threshold: 1,
-        breaker_cooldown: Duration::from_millis(20),
         ..smoke_config()
     };
     let handle = Server::bind("127.0.0.1:0", config, None).unwrap().spawn();
     let mut c = Client::connect(handle.addr()).unwrap();
 
-    // Trip the breaker.
-    assert!(c.open("t", "hom:5:8", 0.5).is_err());
+    // Trip the breaker: five consecutive backend faults.
+    for _ in 0..5 {
+        assert!(c.open("t", "hom:5:8", 0.5).is_err());
+    }
     // retry_busy sleeps through the busy rejection (honoring the hint) and
     // reaches the backend on the half-open trial.
     match c.retry_busy(3, |c| c.open("t", "hom:5:8", 0.5)).unwrap_err() {
