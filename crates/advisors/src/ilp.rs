@@ -18,9 +18,9 @@ use std::time::{Duration, Instant};
 
 use cophy::{CGen, CandidateSet, ConstraintSet};
 use cophy_bip::{Alt, Block, BlockProblem, LagrangianSolver, SlotChoices, SolveBudget};
-use cophy_catalog::{Configuration, IndexId};
+use cophy_catalog::{Configuration, Index, IndexId, Schema};
 use cophy_inum::{Inum, PreparedQuery, PreparedWorkload};
-use cophy_optimizer::WhatIfBackend;
+use cophy_optimizer::{CostModel, IndexFacts, WhatIfBackend};
 use cophy_workload::Workload;
 
 use crate::Advisor;
@@ -98,16 +98,17 @@ impl IlpAdvisor {
         (cfg, stats)
     }
 
-    /// Enumerate + prune atomic configurations for one prepared query.
+    /// Enumerate + prune atomic configurations for one prepared query;
+    /// `index_facts` holds each candidate's [`IndexFacts`], by id.
     fn enumerate_query(
         &self,
-        optimizer: &dyn WhatIfBackend,
+        schema: &Schema,
+        cm: &CostModel,
         pq: &PreparedQuery,
         candidates: &CandidateSet,
+        index_facts: &[IndexFacts],
         stats: &mut IlpStats,
     ) -> Vec<AtomicCfg> {
-        let schema = optimizer.schema();
-        let cm = optimizer.cost_model();
         let n_slots = pq.query.tables.len();
 
         // Short-list per slot: the best few candidates by γ in *any*
@@ -126,7 +127,7 @@ impl IlpAdvisor {
                     .filter_map(|tpl| {
                         let slot = &tpl.slots[s];
                         let facts = facts.iter().find(|f| f.table() == slot.table)?;
-                        slot.gamma(facts, schema, cm, ix)
+                        slot.gamma(facts, cm, ix, &index_facts[id.0 as usize])
                     })
                     .fold(f64::INFINITY, f64::min);
                 if best_gamma.is_finite() {
@@ -157,12 +158,15 @@ impl IlpAdvisor {
 
         // Cost each configuration with INUM: min over templates of icost.
         for cfg in &mut configs {
-            let atomic: Vec<Option<&cophy_catalog::Index>> =
-                cfg.choices.iter().map(|c| c.map(|id| candidates.get(id))).collect();
+            let atomic: Vec<Option<(&Index, &IndexFacts)>> = cfg
+                .choices
+                .iter()
+                .map(|c| c.map(|id| (candidates.get(id), &index_facts[id.0 as usize])))
+                .collect();
             cfg.cost = pq
                 .templates
                 .iter()
-                .filter_map(|tpl| tpl.icost(&facts, schema, cm, &atomic))
+                .filter_map(|tpl| tpl.icost(&facts, cm, &atomic))
                 .fold(f64::INFINITY, f64::min);
         }
         configs.retain(|c| c.cost.is_finite());
@@ -200,13 +204,16 @@ impl IlpAdvisor {
         let schema = optimizer.schema();
         let cm = optimizer.cost_model();
         let n = candidates.len();
+        let index_facts: Vec<IndexFacts> =
+            candidates.iter().map(|(_, ix)| IndexFacts::new(schema, ix)).collect();
         let mut item_cost = vec![0.0f64; n];
         for pq in &prepared.queries {
             if pq.update.is_none() {
                 continue;
             }
             for (id, ix) in candidates.iter() {
-                item_cost[id.0 as usize] += pq.weight * pq.ucost(schema, cm, ix);
+                let ixf = &index_facts[id.0 as usize];
+                item_cost[id.0 as usize] += pq.weight * pq.ucost(cm, ix, || ixf.height());
             }
         }
         let item_size: Vec<f64> =
@@ -214,7 +221,7 @@ impl IlpAdvisor {
 
         let mut blocks = Vec::with_capacity(prepared.queries.len());
         for pq in &prepared.queries {
-            let configs = self.enumerate_query(optimizer, pq, candidates, stats);
+            let configs = self.enumerate_query(schema, cm, pq, candidates, &index_facts, stats);
             let alts = configs
                 .into_iter()
                 .map(|cfg| {

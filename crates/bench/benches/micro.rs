@@ -113,6 +113,15 @@ fn het200(o: &WhatIfOptimizer) -> (PreparedWorkload, CandidateSet, ConstraintSet
     (prepare(o, &w), CGen::default().generate(o.schema(), &w), half)
 }
 
+/// ... and its `het_update` size: the same 200 statements mixed 50 % with
+/// UPDATEs, whose maintenance costs land on `z`.
+fn het200_updates(o: &WhatIfOptimizer) -> (PreparedWorkload, CandidateSet, ConstraintSet) {
+    let het = make_workload(o, WorkloadKind::Het, 200);
+    let w = UpdateGen::new(0xC0FFEE ^ 0x5EED).mix_into(o.schema(), &het, 0.5);
+    let half = ConstraintSet::storage_fraction(o.schema(), 0.5);
+    (prepare(o, &w), CGen::default().generate(o.schema(), &w), half)
+}
+
 fn bench_build(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
     let w = make_workload(&o, WorkloadKind::Hom, 30);
@@ -139,10 +148,16 @@ fn bench_build(c: &mut Criterion) {
     group.bench_function("cgen_30_queries", |b| {
         b.iter(|| CGen::default().generate(o.schema(), &w));
     });
-    // `bipgen.build_s` of `perf`'s `het_storage`, and the literal model at
-    // `rich_bb`'s size (the branch-and-bound door's builder).
+    // `bipgen.build_s` of `perf`'s `het_storage` and `het_update`, and the
+    // literal model at `rich_bb`'s size (the branch-and-bound door's builder).
     let (prepared, cands, half) = het200(&o);
     group.bench_function("block_problem_het200", |b| {
+        b.iter(|| {
+            BipGen::default().block_problem(o.schema(), o.cost_model(), &prepared, &cands, &half)
+        });
+    });
+    let (prepared, cands, half) = het200_updates(&o);
+    group.bench_function("block_problem_het200_updates", |b| {
         b.iter(|| {
             BipGen::default().block_problem(o.schema(), o.cost_model(), &prepared, &cands, &half)
         });
@@ -218,18 +233,9 @@ fn bench_solvers(c: &mut Criterion) {
         };
         b.iter(|| solver.solve(&tp.block));
     });
-    // ... and of `het_update`: the same 200 statements mixed 50 % with
-    // UPDATEs, whose maintenance costs land on `z`.
-    let het = make_workload(&o, WorkloadKind::Het, 200);
-    let w = UpdateGen::new(0xC0FFEE ^ 0x5EED).mix_into(o.schema(), &het, 0.5);
-    let cands = CGen::default().generate(o.schema(), &w);
-    let tp = BipGen::default().block_problem(
-        o.schema(),
-        o.cost_model(),
-        &prepare(&o, &w),
-        &cands,
-        &half,
-    );
+    // ... and of `het_update`.
+    let (prepared, cands, half) = het200_updates(&o);
+    let tp = BipGen::default().block_problem(o.schema(), o.cost_model(), &prepared, &cands, &half);
     c.bench_function("solver/lagrangian_het200_updates_400it", |b| {
         let solver = LagrangianSolver {
             budget: SolveBudget::within(0.05).with_nodes(400),

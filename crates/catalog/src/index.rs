@@ -86,12 +86,13 @@ impl Index {
     /// Classic rule: strip key columns bound by equality from the front, then
     /// the remaining key must have `order` as a prefix.
     pub fn provides_order(&self, order: &[ColumnId], eq_cols: &[ColumnId]) -> bool {
-        if order.is_empty() {
-            return true;
-        }
-        let bound = self.eq_prefix_len(eq_cols);
-        let rest = &self.key[bound..];
-        rest.len() >= order.len() && rest[..order.len()] == *order
+        order.is_empty() || self.provides_order_past(order, self.eq_prefix_len(eq_cols))
+    }
+
+    /// [`Index::provides_order`] once the first `bound` key columns are
+    /// bound by equality: the rest of the key must have `order` as a prefix.
+    pub fn provides_order_past(&self, order: &[ColumnId], bound: usize) -> bool {
+        self.key[bound..].starts_with(order)
     }
 
     /// Leaf-entry width in bytes.
@@ -113,10 +114,15 @@ impl Index {
     /// the table in that order).
     pub fn size_bytes(&self, schema: &Schema) -> u64 {
         let table = schema.table(self.table);
+        self.size_bytes_at(table, self.entry_width(table))
+    }
+
+    /// [`Index::size_bytes`] with the leaf-entry width in hand.
+    fn size_bytes_at(&self, table: &Table, entry_width: u64) -> u64 {
         match self.kind {
             IndexKind::Clustered => table.heap_bytes(),
             IndexKind::Secondary => {
-                let leaf = table.rows * self.entry_width(table);
+                let leaf = table.rows * entry_width;
                 // 70% fill factor, ~0.5% inner-node overhead.
                 let with_fill = (leaf as f64 / 0.70 * 1.005) as u64;
                 with_fill.max(PAGE_SIZE)
@@ -124,18 +130,21 @@ impl Index {
         }
     }
 
-    /// Size in pages.
-    pub fn size_pages(&self, schema: &Schema) -> u64 {
-        self.size_bytes(schema).div_ceil(PAGE_SIZE).max(1)
+    /// Size in pages, and the B-tree height estimate (levels above the
+    /// leaves) that seek costs and update maintenance read, from one walk
+    /// of the columns.
+    pub fn pages_and_height(&self, schema: &Schema) -> (u64, u32) {
+        let table = schema.table(self.table);
+        let entry = self.entry_width(table);
+        let pages = self.size_bytes_at(table, entry).div_ceil(PAGE_SIZE).max(1);
+        let fanout = (PAGE_SIZE / entry.max(1)).max(2) as f64;
+        let leaves = pages.max(1) as f64;
+        (pages, (leaves.ln() / fanout.ln()).ceil().max(1.0) as u32)
     }
 
     /// B-tree height estimate (levels above the leaves), used for seek costs.
     pub fn height(&self, schema: &Schema) -> u32 {
-        let table = schema.table(self.table);
-        let entry = self.entry_width(table).max(1);
-        let fanout = (PAGE_SIZE / entry).max(2) as f64;
-        let leaves = self.size_pages(schema).max(1) as f64;
-        (leaves.ln() / fanout.ln()).ceil().max(1.0) as u32
+        self.pages_and_height(schema).1
     }
 
     /// Human-readable name, e.g. `ix_lineitem(l_orderkey,l_suppkey)+inc2`.
@@ -214,6 +223,42 @@ mod tests {
         let clustered = Index::clustered(TableId(0), vec![ColumnId(0)]);
         assert_eq!(clustered.size_bytes(&s), s.table(TableId(0)).heap_bytes());
         assert!(narrow.height(&s) >= 1);
+    }
+
+    /// `size_pages` and `height` as they were before they shared one walk of
+    /// the columns: the oracle of [`Index::pages_and_height`].
+    fn pages_and_height_per_call(ix: &Index, s: &Schema) -> (u64, u32) {
+        let size_pages = |ix: &Index| ix.size_bytes(s).div_ceil(PAGE_SIZE).max(1);
+        let table = s.table(ix.table);
+        let entry = ix.entry_width(table).max(1);
+        let fanout = (PAGE_SIZE / entry).max(2) as f64;
+        let leaves = size_pages(ix).max(1) as f64;
+        (size_pages(ix), (leaves.ln() / fanout.ln()).ceil().max(1.0) as u32)
+    }
+
+    #[test]
+    fn pages_and_height_match_the_per_call_estimates() {
+        let s = crate::TpchGen::default().schema();
+        let mut n = 0;
+        for t in s.tables() {
+            let cols: Vec<ColumnId> = (0..t.columns.len() as u32).map(ColumnId).collect();
+            for (i, &a) in cols.iter().enumerate() {
+                for k in 0..cols.len() {
+                    let key = vec![a];
+                    let rest = cols[..k].iter().copied().filter(|&c| c != a).collect();
+                    for ix in [
+                        Index::secondary(t.id, key.clone()),
+                        Index::covering(t.id, key.clone(), rest),
+                        Index::clustered(t.id, cols[i..].to_vec()),
+                    ] {
+                        assert_eq!(ix.pages_and_height(&s), pages_and_height_per_call(&ix, &s));
+                        assert_eq!(ix.height(&s), pages_and_height_per_call(&ix, &s).1);
+                        n += 1;
+                    }
+                }
+            }
+        }
+        assert!(n > 1_000, "{n}");
     }
 
     #[test]

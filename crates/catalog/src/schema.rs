@@ -122,6 +122,10 @@ impl Table {
     }
 }
 
+/// The widest table a schema registers: the optimizer's access-cost kernel
+/// keeps a table's columns as the bits of one `u64`.
+const MAX_COLUMNS: usize = 64;
+
 /// An immutable database schema: the universe the advisor tunes.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Schema {
@@ -134,7 +138,15 @@ impl Schema {
     }
 
     /// Register a table; its `id` field is overwritten with the dense id.
+    /// Panics on a table wider than 64 columns.
     pub(crate) fn add_table(&mut self, mut table: Table) -> TableId {
+        assert!(
+            table.columns.len() <= MAX_COLUMNS,
+            "table {} has {} columns, supported: at most {}",
+            table.name,
+            table.columns.len(),
+            MAX_COLUMNS
+        );
         let id = TableId(self.tables.len() as u32);
         table.id = id;
         self.tables.push(table);
@@ -231,5 +243,24 @@ mod tests {
         s.add_table(toy_table());
         let one = s.table(TableId(0)).heap_bytes();
         assert_eq!(s.data_bytes(), 2 * one);
+    }
+
+    fn table_of_width(n: usize) -> Table {
+        let stats = ColumnStats::uniform(10, 0.0, 9.0);
+        let columns = (0..n).map(|i| Column::new(format!("c{i}"), ColumnType::Int, stats.clone()));
+        Table { columns: columns.collect(), ..toy_table() }
+    }
+
+    #[test]
+    fn a_table_of_max_columns_registers() {
+        let mut s = Schema::new();
+        let id = s.add_table(table_of_width(MAX_COLUMNS));
+        assert_eq!(s.table(id).columns.len(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "table t has 65 columns, supported: at most 64")]
+    fn a_table_past_max_columns_is_refused() {
+        Schema::new().add_table(table_of_width(MAX_COLUMNS + 1));
     }
 }

@@ -29,11 +29,20 @@
 //! priced list by its order requirement and the domination rule in
 //! candidate-id order — the program a (template, slot, candidate) triple loop
 //! would emit.
+//!
+//! **Once per candidate.**  What pricing reads of an index alone — leaf
+//! pages, height, its columns as a bit mask — is an [`IndexFacts`] built
+//! once per walk beside the by-table buckets; every `γ` is
+//! [`TableFacts::price`] against it, and the maintenance terms read its
+//! height.  Once per (statement, table, candidate), the length of the key
+//! prefix the statement's equalities bind is computed and shared by every
+//! slot's order test (`Index::provides_order_past`, which is
+//! [`Slot::admits`] for a candidate on the slot's table).
 
 use cophy_bip::{Alt, Block, BlockProblem, ConstrId, LinExpr, Model, Sense, SlotChoices, VarId};
 use cophy_catalog::{Configuration, Index, Schema};
 use cophy_inum::{PreparedQuery, PreparedWorkload, Slot};
-use cophy_optimizer::{CostModel, TableFacts};
+use cophy_optimizer::{CostModel, IndexFacts, TableFacts};
 
 use crate::cgen::CandidateSet;
 use crate::constraints::{add_z_row, Constraint, ConstraintSet};
@@ -123,15 +132,19 @@ pub struct TuningProblem {
     pub fixed_cost: f64,
 }
 
+/// One candidate as the walk prices it: its position, its definition and
+/// its [`IndexFacts`], computed once per walk.
+type Candidate<'a> = (u32, &'a Index, IndexFacts);
+
 /// The candidate set bucketed by table (`TableId.0` indexes the outer
-/// vector): `(candidate position, index)` in candidate-id order.
+/// vector), in candidate-id order.
 fn candidates_by_table<'a>(
     schema: &Schema,
     candidates: &'a CandidateSet,
-) -> Vec<Vec<(u32, &'a Index)>> {
+) -> Vec<Vec<Candidate<'a>>> {
     let mut by_table = vec![Vec::new(); schema.n_tables()];
     for (id, ix) in candidates.iter() {
-        by_table[ix.table.0 as usize].push((id.0, ix));
+        by_table[ix.table.0 as usize].push((id.0, ix, IndexFacts::new(schema, ix)));
     }
     by_table
 }
@@ -139,27 +152,36 @@ fn candidates_by_table<'a>(
 /// `Σ_q f_q · ucost(a, q)` per candidate.  An UPDATE only charges indexes on
 /// the table it writes; every other term of the sum is `+ 0.0`.
 fn maintenance_costs(
-    schema: &Schema,
     cm: &CostModel,
     prepared: &PreparedWorkload,
-    by_table: &[Vec<(u32, &Index)>],
+    by_table: &[Vec<Candidate<'_>>],
     n_candidates: usize,
 ) -> Vec<f64> {
     let mut costs = vec![0.0f64; n_candidates];
     for pq in &prepared.queries {
         let Some((update, _)) = &pq.update else { continue };
-        for &(a, ix) in &by_table[update.table().0 as usize] {
-            costs[a as usize] += pq.weight * pq.ucost(schema, cm, ix);
+        for (a, ix, ixf) in &by_table[update.table().0 as usize] {
+            costs[*a as usize] += pq.weight * pq.ucost(cm, ix, || ixf.height());
         }
     }
     costs
 }
 
-/// One table a statement reads: its facts and `(candidate position, index,
-/// γ)` of every candidate on it that has a finite `γ`, in candidate-id order.
+/// One candidate with a finite `γ` on a table a statement reads: its
+/// position, its definition, `γ`, and the length of its key prefix the
+/// statement's equality predicates bind (what [`Slot::admits`] strips).
+struct Priced<'a> {
+    a: u32,
+    ix: &'a Index,
+    gamma: f64,
+    eq_prefix_len: usize,
+}
+
+/// One table a statement reads: its facts and the candidates on it that
+/// have a finite `γ`, in candidate-id order.
 struct TableGammas<'a> {
-    facts: TableFacts<'a>,
-    priced: Vec<(u32, &'a Index, f64)>,
+    facts: TableFacts,
+    priced: Vec<Priced<'a>>,
 }
 
 /// One statement's `γ` table: a [`TableGammas`] per table its templates read.
@@ -169,13 +191,17 @@ impl<'a> StatementGammas<'a> {
     fn new(
         schema: &Schema,
         cm: &CostModel,
-        pq: &'a PreparedQuery,
-        by_table: &[Vec<(u32, &'a Index)>],
+        pq: &PreparedQuery,
+        by_table: &[Vec<Candidate<'a>>],
     ) -> Self {
-        let price = |facts: TableFacts<'a>| {
+        let price = |facts: TableFacts| {
             let priced = by_table[facts.table().0 as usize]
                 .iter()
-                .filter_map(|&(a, ix)| facts.index_cost(schema, cm, ix).map(|g| (a, ix, g)))
+                .filter_map(|&(a, ix, ref ixf)| {
+                    let (_, gamma) = facts.price(cm, ix, ixf)?;
+                    let eq_prefix_len = ix.eq_prefix_len(facts.eq_cols());
+                    Some(Priced { a, ix, gamma, eq_prefix_len })
+                })
                 .collect();
             TableGammas { facts, priced }
         };
@@ -190,11 +216,18 @@ impl<'a> StatementGammas<'a> {
             .find(|t| t.facts.table() == slot.table)
             .expect("every slot table was priced");
         let dominated = |g: f64| prune_dominated && slot.heap_cost.is_some_and(|h| g >= h);
+        // `Slot::admits` with the candidate's bound prefix in hand: every
+        // candidate here is on the slot's table.
+        let admits = |c: &Priced<'_>| {
+            let admitted = c.ix.provides_order_past(&slot.required, c.eq_prefix_len);
+            debug_assert_eq!(admitted, slot.admits(c.ix, on_table.facts.eq_cols()));
+            admitted
+        };
         on_table
             .priced
             .iter()
-            .filter(|&&(_, ix, g)| slot.admits(ix, on_table.facts.eq_cols()) && !dominated(g))
-            .map(|&(a, _, g)| (a, g))
+            .filter(|c| admits(c) && !dominated(c.gamma))
+            .map(|c| (c.a, c.gamma))
             .collect()
     }
 }
@@ -212,7 +245,7 @@ impl BipGen {
     ) -> TuningProblem {
         let n = candidates.len();
         let by_table = candidates_by_table(schema, candidates);
-        let item_cost = maintenance_costs(schema, cm, prepared, &by_table, n);
+        let item_cost = maintenance_costs(cm, prepared, &by_table, n);
         let item_size: Vec<f64> =
             candidates.iter().map(|(id, _)| candidates.size_bytes(id) as f64).collect();
 
@@ -509,5 +542,46 @@ mod tests {
         let (mb, _) = gen.model(o.schema(), o.cost_model(), &big, &candidates, &constraints);
         // Doubling queries should roughly double variables (never explode).
         assert!(mb.n_vars() <= ms.n_vars() * 3 + candidates.len());
+    }
+
+    /// The walk's order test, with each candidate's equality-bound key
+    /// prefix computed once per (statement, table), is `Slot::admits` for
+    /// every slot of every template over the three generators and CGen's
+    /// candidates — those priced and those refused alike.
+    #[test]
+    fn shared_eq_prefix_admits_what_the_slot_admits() {
+        let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+        let s = o.schema();
+        let inum = Inum::new(&o);
+        let (mut compared, mut admitted, mut bound) = (0, 0, 0);
+        for w in [
+            HomGen::new(5).generate(s, 40),
+            cophy_workload::HetGen::new(5).generate(s, 40),
+            cophy_workload::UpdateGen::new(5).generate(s, 40),
+        ] {
+            let prepared = inum.prepare_workload(&w);
+            let candidates = crate::cgen::CGen::default().generate(s, &w);
+            let by_table = candidates_by_table(s, &candidates);
+            for pq in &prepared.queries {
+                for facts in pq.table_facts(s) {
+                    for &(_, ix, _) in &by_table[facts.table().0 as usize] {
+                        let eq_prefix_len = ix.eq_prefix_len(facts.eq_cols());
+                        bound += usize::from(eq_prefix_len > 0);
+                        let slots = pq.templates.iter().flat_map(|tpl| &tpl.slots);
+                        for slot in slots.filter(|slot| slot.table == facts.table()) {
+                            let admits = slot.admits(ix, facts.eq_cols());
+                            let past = ix.provides_order_past(&slot.required, eq_prefix_len);
+                            assert_eq!(past, admits, "{ix:?}");
+                            admitted += usize::from(admits);
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            compared > 10_000 && compared - admitted > 1_000 && bound > 100,
+            "{compared} compared, {admitted} admitted, {bound} with a bound prefix"
+        );
     }
 }

@@ -213,7 +213,7 @@ impl Ingest {
 mod tests {
     use std::time::Duration;
 
-    use cophy_catalog::TpchGen;
+    use cophy_catalog::{Configuration, TpchGen};
     use cophy_compress::CompressionPolicy;
     use cophy_optimizer::{
         FaultInjectingBackend, FaultPlan, RetryPolicy, SystemProfile, WhatIfBackend,
@@ -242,7 +242,8 @@ mod tests {
     /// A streamed ingest under a permanent-fault plan, 60 chunks: after
     /// every chunk the degradation report, read from the statements' cached
     /// `cost(q, ∅)`, equals the one that re-prices the whole cache, bit for
-    /// bit — while later chunks merge weight onto degraded representatives.
+    /// bit — while later chunks merge weight onto degraded representatives;
+    /// so does the workload's cached `Σ f_q · cost(q, ∅)`.
     #[test]
     fn degradation_from_cached_empty_costs_matches_repricing_after_every_chunk() {
         let opt = || WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
@@ -284,6 +285,10 @@ mod tests {
                 )
             });
             assert_eq!(bits(&ingest.degradation), bits(&want), "chunk {chunks}");
+            let (cached, priced) = ingest.prepared.read(|pw| {
+                (pw.empty_cost(), pw.cost(&schema, faulty.cost_model(), &Configuration::empty()))
+            });
+            assert_eq!(cached.to_bits(), priced.to_bits(), "chunk {chunks}");
         }
         assert!(chunks >= 50);
         let d = ingest.degradation.as_ref().expect("the plan must have lost probes");

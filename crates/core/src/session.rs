@@ -416,7 +416,7 @@ impl<'o, 'c> TuningSession<'o, 'c> {
         let cm = self.cophy.optimizer().cost_model();
         self.ingest.prepared.read(|pw| WhatIfAnswer {
             cost: pw.cost(schema, cm, cfg),
-            baseline_cost: pw.cost(schema, cm, &Configuration::empty()),
+            baseline_cost: pw.empty_cost(),
             size_bytes: cfg.size_bytes(schema),
             constraint_violation: self.constraints.check_configuration(schema, cfg).err(),
         })

@@ -82,7 +82,7 @@ impl ChordExplorer {
         let mut exact = cophy.exact_state(prepared, candidates, &none);
         // Normalize storage into cost units so λ spans a meaningful range:
         // one "cost unit" per (data_bytes / baseline_cost) bytes.
-        let baseline = prepared.cost(schema, cm, &Configuration::empty());
+        let baseline = prepared.empty_cost();
         let scale = baseline / schema.data_bytes() as f64;
         // λ=1 objective per variable, and each variable's storage footprint
         // (nonzero only for the z columns): f_λ is their affine blend.

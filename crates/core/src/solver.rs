@@ -174,8 +174,7 @@ impl DegradationReport {
         };
         let total_weight: f64 = prepared.queries.iter().map(|pq| pq.weight).sum();
         let degraded_weight: f64 = degraded().map(|pq| pq.weight).sum();
-        // The sum `PreparedWorkload::cost` takes under ∅, term for term.
-        let baseline: f64 = prepared.queries.iter().map(|pq| pq.weight * pq.empty_cost).sum();
+        let baseline = prepared.empty_cost();
         // Folded from +0.0: a fully recovered preparation inflates by 0, not
         // by the −0 an empty `sum()` returns.
         let degraded_base =
@@ -386,8 +385,7 @@ impl<'o> CoPhy<'o> {
         solved: Solved,
     ) -> Recommendation {
         let schema = self.opt.schema();
-        let baseline_cost =
-            prepared.read(|pw| pw.cost(schema, self.opt.cost_model(), &Configuration::empty()));
+        let baseline_cost = prepared.read(PreparedWorkload::empty_cost);
         debug_assert!(
             constraints.check_configuration(schema, &solved.configuration).is_ok(),
             "solver returned a constraint-violating configuration"

@@ -7,7 +7,7 @@
 //! paper's Definition 1 and what makes the evaluation run in microseconds.
 
 use cophy_catalog::{Configuration, Index, Schema};
-use cophy_optimizer::{CostModel, TableFacts};
+use cophy_optimizer::{CostModel, IndexFacts, TableFacts};
 
 use crate::prepare::{PreparedQuery, PreparedWorkload};
 
@@ -40,8 +40,8 @@ impl PreparedQuery {
     /// depends on the template only through
     /// [`Slot::admits`](crate::Slot::admits), so callers that price many
     /// indexes gather these once and use [`Slot::gamma`](crate::Slot::gamma).
-    pub fn table_facts(&self, schema: &Schema) -> Vec<TableFacts<'_>> {
-        let mut facts: Vec<TableFacts<'_>> = Vec::new();
+    pub fn table_facts(&self, schema: &Schema) -> Vec<TableFacts> {
+        let mut facts: Vec<TableFacts> = Vec::new();
         for slot in self.templates.iter().flat_map(|tpl| &tpl.slots) {
             if !facts.iter().any(|f| f.table() == slot.table) {
                 facts.push(TableFacts::new(schema, &self.query, slot.table));
@@ -51,10 +51,13 @@ impl PreparedQuery {
     }
 
     /// `ucost(a, q)`: maintenance cost of index `a` under this statement
-    /// (0 for SELECTs and unaffected indexes).
-    pub fn ucost(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> f64 {
+    /// (0 for SELECTs and unaffected indexes).  `height` yields
+    /// `ix.height(schema)`, and is called only when the statement maintains
+    /// `ix`; a caller holding the index's
+    /// [`IndexFacts`](cophy_optimizer::IndexFacts) passes its height.
+    pub fn ucost(&self, cm: &CostModel, ix: &Index, height: impl FnOnce() -> u32) -> f64 {
         match &self.update {
-            Some((u, rows)) if u.affects(ix) => cm.maintain(*rows, ix.height(schema)),
+            Some((u, rows)) if u.affects(ix) => cm.maintain(*rows, height()),
             _ => 0.0,
         }
     }
@@ -74,7 +77,7 @@ impl PreparedQuery {
         cm: &CostModel,
         config: &Configuration,
     ) -> f64 {
-        config.iter().map(|ix| self.ucost(schema, cm, ix)).sum()
+        config.iter().map(|ix| self.ucost(cm, ix, || ix.height(schema))).sum()
     }
 
     /// Full `cost(q, X)` (read + maintenance + fixed).
@@ -89,8 +92,15 @@ impl PreparedQuery {
         cm: &CostModel,
         config: &Configuration,
     ) -> CostBreakdown {
-        let indexes: Vec<&Index> = config.iter().collect();
         let facts = self.table_facts(schema);
+        // The configuration's indexes on the tables this statement reads:
+        // position in `config`, definition and facts.
+        let indexes: Vec<(usize, &Index, IndexFacts)> = config
+            .iter()
+            .enumerate()
+            .filter(|(_, ix)| facts.iter().any(|f| f.table() == ix.table))
+            .map(|(pos, ix)| (pos, ix, IndexFacts::new(schema, ix)))
+            .collect();
         let mut best: Option<CostBreakdown> = None;
 
         for (k, tpl) in self.templates.iter().enumerate() {
@@ -104,13 +114,13 @@ impl PreparedQuery {
                     .iter()
                     .find(|f| f.table() == slot.table)
                     .expect("facts of every slot table were gathered");
-                for (pos, ix) in indexes.iter().enumerate() {
+                for (pos, ix, ixf) in &indexes {
                     if ix.table != slot.table {
                         continue;
                     }
-                    if let Some(g) = slot.gamma(slot_facts, schema, cm, ix) {
+                    if let Some(g) = slot.gamma(slot_facts, cm, ix, ixf) {
                         if slot_best.as_ref().is_none_or(|(_, c)| g < *c) {
-                            slot_best = Some((AtomicChoice::Index(pos), g));
+                            slot_best = Some((AtomicChoice::Index(*pos), g));
                         }
                     }
                 }
@@ -148,6 +158,14 @@ impl PreparedWorkload {
     /// `Σ_q f_q · cost(q, X)` via the INUM cache — no optimizer calls.
     pub fn cost(&self, schema: &Schema, cm: &CostModel, config: &Configuration) -> f64 {
         self.queries.iter().map(|pq| pq.weight * pq.cost(schema, cm, config)).sum()
+    }
+
+    /// `Σ_q f_q · cost(q, ∅)`, the baseline every recommendation is measured
+    /// against: the sum [`PreparedWorkload::cost`] takes under
+    /// [`Configuration::empty`], term for term, over each statement's cached
+    /// [`PreparedQuery::empty_cost`] and current weight.  Prices nothing.
+    pub fn empty_cost(&self) -> f64 {
+        self.queries.iter().map(|pq| pq.weight * pq.empty_cost).sum()
     }
 }
 
@@ -301,7 +319,7 @@ mod tests {
             cfg.insert(affected.clone());
             let with_ix = pq.cost(s, o.cost_model(), &cfg);
             let without = pq.cost(s, o.cost_model(), &Configuration::empty());
-            let ucost = pq.ucost(s, o.cost_model(), &affected);
+            let ucost = pq.ucost(o.cost_model(), &affected, || affected.height(s));
             assert!(ucost > 0.0);
             // read side may improve, but by less than ucost was added for a
             // point update on a SET column with no predicate benefit…
@@ -337,24 +355,27 @@ mod tests {
                 for (i, pq) in pw.queries.iter().enumerate() {
                     let cfg = random_config(&o, seed)
                         .union(&config_on(&pq.query, seed * 1000 + i as u64));
-                    let indexes: Vec<&Index> = cfg.iter().collect();
+                    let indexes: Vec<(&Index, IndexFacts)> =
+                        cfg.iter().map(|ix| (ix, IndexFacts::new(s, ix))).collect();
                     let facts = pq.table_facts(s);
                     let mut best = f64::INFINITY;
                     for tpl in &pq.templates {
-                        let options: Vec<Vec<Option<&Index>>> = tpl
+                        let options: Vec<Vec<Option<(&Index, &IndexFacts)>>> = tpl
                             .slots
                             .iter()
                             .map(|slot| {
-                                let on_table = indexes.iter().filter(|ix| ix.table == slot.table);
-                                std::iter::once(None).chain(on_table.map(|&ix| Some(ix))).collect()
+                                let on_table =
+                                    indexes.iter().filter(|(ix, _)| ix.table == slot.table);
+                                let on_table = on_table.map(|(ix, ixf)| Some((*ix, ixf)));
+                                std::iter::once(None).chain(on_table).collect()
                             })
                             .collect();
                         // Odometer over the cartesian product atom(X).
                         let mut pick = vec![0usize; options.len()];
                         loop {
-                            let atomic: Vec<Option<&Index>> =
+                            let atomic: Vec<Option<(&Index, &IndexFacts)>> =
                                 pick.iter().zip(&options).map(|(&k, opts)| opts[k]).collect();
-                            if let Some(c) = tpl.icost(&facts, s, cm, &atomic) {
+                            if let Some(c) = tpl.icost(&facts, cm, &atomic) {
                                 best = best.min(c);
                             }
                             atomics += 1;
@@ -400,5 +421,31 @@ mod tests {
         let c = pw.cost(o.schema(), o.cost_model(), &Configuration::empty());
         let single = pw.queries[0].cost(o.schema(), o.cost_model(), &Configuration::empty());
         assert!((c - 5.0 * single).abs() < 1e-6);
+    }
+
+    /// The cached baseline is the priced one, bit for bit, over the three
+    /// generators — and still is after merges move weight between
+    /// statements, as a compressed workload's clusters do.
+    #[test]
+    fn empty_cost_is_the_cost_of_the_empty_configuration() {
+        let o = opt();
+        let (s, cm) = (o.schema(), o.cost_model());
+        let inum = Inum::new(&o);
+        let workloads = [
+            HomGen::new(7).generate(s, 30),
+            HetGen::new(7).generate(s, 30),
+            cophy_workload::UpdateGen::new(7).generate(s, 30),
+        ];
+        for w in &workloads {
+            let mut pw = inum.prepare_workload(w);
+            let priced = |pw: &PreparedWorkload| pw.cost(s, cm, &Configuration::empty()).to_bits();
+            assert_eq!(pw.empty_cost().to_bits(), priced(&pw));
+            let mut rng = SmallRng::seed_from_u64(7);
+            for _ in 0..20 {
+                let rep = rng.gen_range(0..pw.queries.len());
+                pw.queries[rep].weight += rng.gen_range(1..4) as f64 * 0.5;
+                assert_eq!(pw.empty_cost().to_bits(), priced(&pw));
+            }
+        }
     }
 }

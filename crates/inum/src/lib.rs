@@ -21,7 +21,9 @@
 //! composable* cost function of the paper, evaluated in microseconds instead
 //! of a full optimization.  [`Slot::gamma`] exposes the γ constants directly
 //! — exactly what CoPhy's BIP generator consumes — priced against the
-//! statement's [`PreparedQuery::table_facts`], gathered once.
+//! statement's [`PreparedQuery::table_facts`], gathered once, and the
+//! index's `IndexFacts`, which a caller pricing many statements builds once
+//! per index.
 //!
 //! Every preparation is [`Inum::try_prepare_statement`] over some statements:
 //! one probing loop that retries transient failures, degrades lost probes,

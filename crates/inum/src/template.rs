@@ -1,7 +1,7 @@
 //! Template plans: the unit of INUM's cache.
 
-use cophy_catalog::{ColumnId, Index, Schema, TableId};
-use cophy_optimizer::{CostModel, TableFacts};
+use cophy_catalog::{ColumnId, Index, TableId};
+use cophy_optimizer::{CostModel, IndexFacts, TableFacts};
 use serde::{Deserialize, Serialize};
 
 /// One leaf slot of a template plan.
@@ -28,19 +28,20 @@ impl Slot {
     }
 
     /// `γ` of this slot for `ix`, priced against the facts of the slot's
-    /// table that the caller gathered once for the statement.
+    /// table that the caller gathered once for the statement and the facts
+    /// of `ix` (`IndexFacts::new(schema, ix)`).
     pub fn gamma(
         &self,
-        facts: &TableFacts<'_>,
-        schema: &Schema,
+        facts: &TableFacts,
         cm: &CostModel,
         ix: &Index,
+        ixf: &IndexFacts,
     ) -> Option<f64> {
         debug_assert_eq!(facts.table(), self.table);
         if !self.admits(ix, facts.eq_cols()) {
             return None;
         }
-        facts.index_cost(schema, cm, ix)
+        facts.price(cm, ix, ixf).map(|(_, gamma)| gamma)
     }
 }
 
@@ -61,29 +62,28 @@ impl TemplatePlan {
     }
 
     /// Instantiated cost `icost(p, A)` for an atomic configuration given as
-    /// one optional index per slot (`None` = `I∅`), each `γ` priced by
-    /// [`Slot::gamma`] against the statement's gathered `facts`
-    /// ([`PreparedQuery::table_facts`](crate::PreparedQuery::table_facts)).
+    /// one optional index, with its facts, per slot (`None` = `I∅`), each
+    /// `γ` priced by [`Slot::gamma`] against the statement's gathered
+    /// `facts` ([`PreparedQuery::table_facts`](crate::PreparedQuery::table_facts)).
     /// Returns `None` when the configuration cannot instantiate the template
     /// (infinite cost).
     pub fn icost(
         &self,
-        facts: &[TableFacts<'_>],
-        schema: &Schema,
+        facts: &[TableFacts],
         cm: &CostModel,
-        atomic: &[Option<&Index>],
+        atomic: &[Option<(&Index, &IndexFacts)>],
     ) -> Option<f64> {
         debug_assert_eq!(atomic.len(), self.slots.len());
         let mut total = self.internal_cost;
         for (slot, choice) in self.slots.iter().zip(atomic) {
             let slot_cost = match choice {
                 None => slot.heap_cost?,
-                Some(ix) => {
+                Some((ix, ixf)) => {
                     let slot_facts = facts
                         .iter()
                         .find(|f| f.table() == slot.table)
                         .expect("facts of every slot table were gathered");
-                    slot.gamma(slot_facts, schema, cm, ix)?
+                    slot.gamma(slot_facts, cm, ix, ixf)?
                 }
             };
             total += slot_cost;
@@ -126,13 +126,13 @@ mod tests {
         let (slot, facts) = (&tpl.slots[0], TableFacts::new(&s, &q, li));
         // Index on another table: incompatible.
         let other = Index::secondary(s.table_by_name("orders").unwrap().id, vec![ColumnId(0)]);
-        assert!(slot.gamma(&facts, &s, &cm, &other).is_none());
+        assert!(slot.gamma(&facts, &cm, &other, &IndexFacts::new(&s, &other)).is_none());
         // Index that does not deliver the required order: incompatible.
         let wrong = Index::secondary(li, vec![s.resolve("lineitem.l_shipdate").unwrap().column]);
-        assert!(slot.gamma(&facts, &s, &cm, &wrong).is_none());
+        assert!(slot.gamma(&facts, &cm, &wrong, &IndexFacts::new(&s, &wrong)).is_none());
         // Index delivering the order: finite.
         let right = Index::secondary(li, vec![s.resolve("lineitem.l_quantity").unwrap().column]);
-        assert!(slot.gamma(&facts, &s, &cm, &right).is_some());
+        assert!(slot.gamma(&facts, &cm, &right, &IndexFacts::new(&s, &right)).is_some());
     }
 
     #[test]
@@ -144,11 +144,12 @@ mod tests {
             internal_cost: 7.0,
             slots: vec![Slot { table: li, required: vec![], heap_cost: Some(heap.cost) }],
         };
-        let c = tpl.icost(&[TableFacts::new(&s, &q, li)], &s, &cm, &[None]).unwrap();
+        let c = tpl.icost(&[TableFacts::new(&s, &q, li)], &cm, &[None]).unwrap();
         assert!((c - (7.0 + heap.cost)).abs() < 1e-9);
         // With a selective index the icost drops.
         let ix = Index::secondary(li, vec![s.resolve("lineitem.l_shipdate").unwrap().column]);
-        let c_ix = tpl.icost(&[TableFacts::new(&s, &q, li)], &s, &cm, &[Some(&ix)]).unwrap();
+        let ixf = IndexFacts::new(&s, &ix);
+        let c_ix = tpl.icost(&[TableFacts::new(&s, &q, li)], &cm, &[Some((&ix, &ixf))]).unwrap();
         assert!(c_ix < c);
     }
 
@@ -164,7 +165,7 @@ mod tests {
                 heap_cost: None,
             }],
         };
-        assert!(tpl.icost(&[TableFacts::new(&s, &q, li)], &s, &cm, &[None]).is_none());
+        assert!(tpl.icost(&[TableFacts::new(&s, &q, li)], &cm, &[None]).is_none());
     }
 
     #[test]

@@ -5,11 +5,21 @@
 //! descend on a sargable prefix) and full index *scan*, with index-only
 //! variants when the index covers every referenced column.  The same
 //! machinery computes INUM's `γ_qkia` — the cost of instantiating slot `i`
-//! with index `a`: [`TableFacts::index_cost`] is the cost of the path
+//! with index `a`: [`TableFacts::price`] is the cost of the path
 //! `TableFacts::index_path` returns, without building the path.
+//!
+//! **One kernel, two kinds of facts.**  Every access cost is
+//! [`TableFacts::price`] of an index against two records: the
+//! [`TableFacts`] of the (query, table) pair — its predicates, and the used
+//! and equality-bound columns as bit masks — and the [`IndexFacts`] of the
+//! index — leaf pages, height and its columns as a bit mask.  The what-if
+//! DP builds both on the spot for the one index it prices; INUM's cost
+//! function builds an index's facts once per statement it prices, and
+//! BIPGen and the ILP baseline, which price every candidate against every
+//! statement, once per candidate.
 
-use cophy_catalog::{ColumnId, ColumnRef, Configuration, Index, Schema, TableId};
-use cophy_workload::{PredOp, Predicate, Query};
+use cophy_catalog::{ColumnId, ColumnRef, Configuration, Index, Schema, Table, TableId};
+use cophy_workload::Query;
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
@@ -52,25 +62,88 @@ pub struct AccessPath {
     pub order: Ordering,
 }
 
+/// The columns `cols` of `table` as a bit mask, bit `c` for column `c`.
+/// Panics on an id past the table's width: such a column would otherwise be
+/// priced as another column's bit.  A schema registers no table wider than
+/// 64 columns, so every valid id has a bit.
+fn column_mask(table: &Table, cols: impl IntoIterator<Item = ColumnId>) -> u64 {
+    cols.into_iter().fold(0, |mask, c| {
+        assert!(
+            (c.0 as usize) < table.columns.len(),
+            "table {} has no column {} (it has {})",
+            table.name,
+            c.0,
+            table.columns.len()
+        );
+        mask | 1 << c.0
+    })
+}
+
+/// Is column `c` in `mask`?  Exact for every id, in range or not.
+fn has(mask: u64, c: ColumnId) -> bool {
+    mask.checked_shr(c.0).is_some_and(|m| m & 1 == 1)
+}
+
+/// What pricing reads of one index, computed once per index: the pure
+/// functions of the definition that every (query, table) pair would
+/// otherwise recompute.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexFacts {
+    /// `Index::pages_and_height`: leaf pages and B-tree height.
+    leaf_pages: u64,
+    height: u32,
+    /// Key ∪ include columns, one bit per column id.
+    columns: u64,
+    clustered: bool,
+}
+
+impl IndexFacts {
+    /// The facts of `ix`.  Panics on a key or include column past its
+    /// table's width.
+    pub fn new(schema: &Schema, ix: &Index) -> Self {
+        let table = schema.table(ix.table);
+        let columns = column_mask(table, ix.key.iter().chain(&ix.include).copied());
+        let (leaf_pages, height) = ix.pages_and_height(schema);
+        IndexFacts { leaf_pages, height, columns, clustered: ix.is_clustered() }
+    }
+
+    /// The B-tree height (`Index::height`).
+    pub fn height(&self) -> u32 {
+        self.height
+    }
+}
+
+/// One local predicate as the kernel reads it.
+#[derive(Debug, Clone, Copy)]
+struct SargPred {
+    column: ColumnId,
+    is_eq: bool,
+    sel: f64,
+}
+
 /// Everything the access paths of one table reference share: the facts that
 /// depend on the (query, table) pair but not on the index being priced.
 /// `enumerate` gathers them once per table; every heap and index path of
 /// that table is then priced against the same record.  Public so that the
 /// layers above the optimizer (INUM's `γ`, BIPGen) can gather them once per
 /// (statement, table) and price every candidate index against them with
-/// [`TableFacts::index_cost`].
+/// [`TableFacts::price`].
 #[derive(Debug)]
-pub struct TableFacts<'q> {
+pub struct TableFacts {
     table: TableId,
     /// Base-table row count.
     rows: f64,
     heap_pages: u64,
     /// Local predicates in query order, each with its selectivity.
-    preds: Vec<(&'q Predicate, f64)>,
+    preds: Vec<SargPred>,
     /// Columns bound by equality predicates.
     eq_cols: Vec<ColumnId>,
+    /// `eq_cols` as a mask; `range_mask` the columns of the other
+    /// predicates (`<`, `>`, `BETWEEN`).
+    eq_mask: u64,
+    range_mask: u64,
     /// Every column of the table the query touches (the covering set).
-    used_cols: Vec<ColumnId>,
+    used_mask: u64,
     /// Rows delivered after all local predicates.
     rows_out: f64,
 }
@@ -87,15 +160,25 @@ struct SargAnalysis {
     in_index_sel: f64,
 }
 
-impl<'q> TableFacts<'q> {
-    pub fn new(schema: &Schema, q: &'q Query, table: TableId) -> Self {
+impl TableFacts {
+    /// The facts of `table` as `q` reads it.  Panics on a column of `table`
+    /// that `q` names past the table's width.
+    pub fn new(schema: &Schema, q: &Query, table: TableId) -> Self {
         let t = schema.table(table);
-        let preds: Vec<(&Predicate, f64)> =
-            q.predicates_on(table).map(|p| (p, p.selectivity(schema))).collect();
-        let eq_cols =
-            preds.iter().filter(|(p, _)| p.is_eq()).map(|(p, _)| p.column.column).collect();
+        let preds: Vec<SargPred> = q
+            .predicates_on(table)
+            .map(|p| SargPred {
+                column: p.column.column,
+                is_eq: p.is_eq(),
+                sel: p.selectivity(schema),
+            })
+            .collect();
+        let eq_cols: Vec<ColumnId> = preds.iter().filter(|p| p.is_eq).map(|p| p.column).collect();
+        let eq_mask = column_mask(t, eq_cols.iter().copied());
+        let range_mask = column_mask(t, preds.iter().filter(|p| !p.is_eq).map(|p| p.column));
+        let used_mask = column_mask(t, q.columns_used_on(table));
         // `Query::local_selectivity`, over the selectivities already in hand.
-        let sel = preds.iter().map(|(_, s)| *s).product::<f64>().clamp(1e-12, 1.0);
+        let sel = preds.iter().map(|p| p.sel).product::<f64>().clamp(1e-12, 1.0);
         let rows = t.rows as f64;
         TableFacts {
             table,
@@ -103,7 +186,9 @@ impl<'q> TableFacts<'q> {
             heap_pages: t.heap_pages(),
             preds,
             eq_cols,
-            used_cols: q.columns_used_on(table),
+            eq_mask,
+            range_mask,
+            used_mask,
             rows_out: (rows * sel).max(1.0),
         }
     }
@@ -127,7 +212,7 @@ impl<'q> TableFacts<'q> {
         Ordering(ix.key[bound..].iter().map(|c| ColumnRef::new(self.table, *c)).collect())
     }
 
-    fn analyze_sargs(&self, ix: &Index) -> SargAnalysis {
+    fn analyze_sargs(&self, ix: &Index, ixf: &IndexFacts) -> SargAnalysis {
         let preds = &self.preds;
         // One flag per local predicate, on the stack for any realistic count.
         let (mut inline, mut spilled) = ([false; 16], Vec::new());
@@ -141,12 +226,17 @@ impl<'q> TableFacts<'q> {
         let mut matched_sel = 1.0;
         let mut eq_bound = 0;
 
-        // Bind equality predicates along the key prefix.
-        for key_col in &ix.key {
-            match preds.iter().position(|(p, _)| p.column.column == *key_col && p.is_eq()) {
+        // Bind equality predicates along the key prefix: each key column to
+        // the first equality predicate on it, stopping at a column with none
+        // or with that predicate already bound.
+        for &key_col in &ix.key {
+            if !has(self.eq_mask, key_col) {
+                break;
+            }
+            match preds.iter().position(|p| p.column == key_col && p.is_eq) {
                 Some(pi) if !matched[pi] => {
                     matched[pi] = true;
-                    matched_sel *= preds[pi].1;
+                    matched_sel *= preds[pi].sel;
                     eq_bound += 1;
                 }
                 _ => break,
@@ -154,13 +244,12 @@ impl<'q> TableFacts<'q> {
         }
         // One range predicate on the next key column extends the sargable
         // prefix.
-        if eq_bound < ix.key.len() {
-            let next = ix.key[eq_bound];
-            if let Some(pi) = preds.iter().enumerate().find_map(|(pi, (p, _))| {
-                (!matched[pi] && p.column.column == next && !p.is_eq()).then_some(pi)
-            }) {
+        if let Some(&next) = ix.key.get(eq_bound).filter(|&&c| has(self.range_mask, c)) {
+            if let Some(pi) = (0..preds.len())
+                .find(|&pi| !matched[pi] && preds[pi].column == next && !preds[pi].is_eq)
+            {
                 matched[pi] = true;
-                matched_sel *= preds[pi].1;
+                matched_sel *= preds[pi].sel;
             }
         }
 
@@ -168,26 +257,15 @@ impl<'q> TableFacts<'q> {
         let mut n_in_index = 0;
         let mut in_index_sel = 1.0;
         let mut n_residual = 0;
-        for (pi, (p, sel)) in preds.iter().enumerate() {
-            if matched[pi] {
-                continue;
-            }
-            if ix.contains(p.column.column) {
+        for (p, _) in preds.iter().zip(matched.iter()).filter(|(_, &m)| !m) {
+            if has(ixf.columns, p.column) {
                 n_in_index += 1;
-                in_index_sel *= sel;
+                in_index_sel *= p.sel;
             } else {
                 n_residual += 1;
             }
         }
         SargAnalysis { matched_sel, eq_bound, n_in_index, n_residual, in_index_sel }
-    }
-
-    /// Is there a range (non-eq) predicate on column `c`?
-    fn has_range_pred(&self, c: ColumnId) -> bool {
-        self.preds.iter().any(|(p, _)| {
-            p.column.column == c
-                && matches!(p.op, PredOp::Lt(_) | PredOp::Gt(_) | PredOp::Between(_, _))
-        })
     }
 
     fn heap_path(&self, cm: &CostModel, clustered: Option<&Index>) -> AccessPath {
@@ -202,28 +280,27 @@ impl<'q> TableFacts<'q> {
         }
     }
 
-    /// Price the best access that uses `ix`: whether it is a seek, and its
-    /// cost.  `None` when using the index is nonsensical (see
-    /// `index_path`).  The one copy of the access-cost formula;
-    /// allocates nothing.
-    fn price(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<(bool, f64)> {
+    /// Price the best access that uses `ix`, whose facts are `ixf`
+    /// (`IndexFacts::new(schema, ix)`): whether it is a seek, and its cost.
+    /// `None` when using the index is nonsensical (see `index_path`).  The
+    /// one copy of the access-cost formula; allocates nothing.
+    pub fn price(&self, cm: &CostModel, ix: &Index, ixf: &IndexFacts) -> Option<(bool, f64)> {
         debug_assert_eq!(ix.table, self.table);
         let rows = self.rows;
-        let sarg = self.analyze_sargs(ix);
-        let covering = ix.covers(&self.used_cols);
-        let leaf_pages = ix.size_pages(schema);
+        let sarg = self.analyze_sargs(ix, ixf);
+        let covering = ixf.clustered || self.used_mask & !ixf.columns == 0;
+        let leaf_pages = ixf.leaf_pages;
 
-        let sargable = sarg.matched_sel < 1.0 || sarg.eq_bound > 0 || {
-            // A range predicate on the first key column is sargable even when
-            // no equality binds a prefix.
-            !ix.key.is_empty() && self.has_range_pred(ix.key[0])
-        };
+        // A range predicate on the first key column is sargable even when no
+        // equality binds a prefix.
+        let sargable = sarg.matched_sel < 1.0
+            || sarg.eq_bound > 0
+            || ix.key.first().is_some_and(|&c| has(self.range_mask, c));
 
         if sargable {
             // Seek: descend + bounded leaf range.
             let scanned = rows * sarg.matched_sel;
-            let mut cost =
-                cm.index_range_scan(ix.height(schema), leaf_pages, sarg.matched_sel, scanned);
+            let mut cost = cm.index_range_scan(ixf.height, leaf_pages, sarg.matched_sel, scanned);
             cost += cm.filter(scanned, sarg.n_in_index);
             let fetch_rows = scanned * sarg.in_index_sel;
             if !covering {
@@ -235,7 +312,9 @@ impl<'q> TableFacts<'q> {
             // when the delivered order will be exploited — the caller decides
             // the latter; we only refuse the plainly dominated non-covering
             // case, where the equality-bound prefix leaves no order at all.
-            if !covering && ix.eq_prefix_len(&self.eq_cols) == ix.key.len() {
+            // Nothing binds the first key column here, so that prefix is the
+            // whole key only when the key is empty.
+            if !covering && ix.key.is_empty() {
                 return None;
             }
             let mut cost = cm.index_leaf_scan(leaf_pages, rows);
@@ -248,19 +327,13 @@ impl<'q> TableFacts<'q> {
         }
     }
 
-    /// `index_path(..).map(|p| p.cost)` for the table of these facts,
-    /// without building the path.
-    pub fn index_cost(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<f64> {
-        self.price(schema, cm, ix).map(|(_, cost)| cost)
-    }
-
     /// Best access path that *uses index `ix`* (seek if sargable, else full
     /// scan).  Returns `None` when using the index is nonsensical (e.g. a full
     /// scan of a non-covering index would re-fetch every heap row *and* the
     /// index has no sargable prefix or useful order — such paths are strictly
     /// dominated by the heap scan and INUM prunes their `x` variables).
     fn index_path(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<AccessPath> {
-        let (seek, cost) = self.price(schema, cm, ix)?;
+        let (seek, cost) = self.price(cm, ix, &IndexFacts::new(schema, ix))?;
         let method = if seek {
             AccessMethod::IndexSeek(ix.clone())
         } else {
@@ -328,7 +401,7 @@ mod tests {
     use super::*;
     use crate::cost::SystemProfile;
     use cophy_catalog::TpchGen;
-    use cophy_workload::Predicate;
+    use cophy_workload::{PredOp, Predicate};
 
     fn setup() -> (Schema, CostModel) {
         (TpchGen::default().schema(), CostModel::profile(SystemProfile::A))
@@ -458,6 +531,122 @@ mod tests {
         family
     }
 
+    /// The access-cost formula as it was before the kernel read
+    /// [`IndexFacts`] and column masks: per call it walks the index's
+    /// columns for its size and height, scans key and include lists for
+    /// `contains` / `covers`, and follows each predicate's pointer.  The
+    /// oracle of [`TableFacts::price`].
+    struct PerCallFacts<'q> {
+        table: TableId,
+        rows: f64,
+        preds: Vec<(&'q Predicate, f64)>,
+        eq_cols: Vec<ColumnId>,
+        used_cols: Vec<ColumnId>,
+    }
+
+    impl<'q> PerCallFacts<'q> {
+        fn new(schema: &Schema, q: &'q Query, table: TableId) -> Self {
+            let preds: Vec<(&Predicate, f64)> =
+                q.predicates_on(table).map(|p| (p, p.selectivity(schema))).collect();
+            let eq_cols =
+                preds.iter().filter(|(p, _)| p.is_eq()).map(|(p, _)| p.column.column).collect();
+            PerCallFacts {
+                table,
+                rows: schema.table(table).rows as f64,
+                preds,
+                eq_cols,
+                used_cols: q.columns_used_on(table),
+            }
+        }
+
+        fn analyze_sargs(&self, ix: &Index) -> SargAnalysis {
+            let preds = &self.preds;
+            let mut matched = vec![false; preds.len()];
+            let mut matched_sel = 1.0;
+            let mut eq_bound = 0;
+            for key_col in &ix.key {
+                match preds.iter().position(|(p, _)| p.column.column == *key_col && p.is_eq()) {
+                    Some(pi) if !matched[pi] => {
+                        matched[pi] = true;
+                        matched_sel *= preds[pi].1;
+                        eq_bound += 1;
+                    }
+                    _ => break,
+                }
+            }
+            if eq_bound < ix.key.len() {
+                let next = ix.key[eq_bound];
+                if let Some(pi) = preds.iter().enumerate().find_map(|(pi, (p, _))| {
+                    (!matched[pi] && p.column.column == next && !p.is_eq()).then_some(pi)
+                }) {
+                    matched[pi] = true;
+                    matched_sel *= preds[pi].1;
+                }
+            }
+            let mut n_in_index = 0;
+            let mut in_index_sel = 1.0;
+            let mut n_residual = 0;
+            for (pi, (p, sel)) in preds.iter().enumerate() {
+                if matched[pi] {
+                    continue;
+                }
+                if ix.contains(p.column.column) {
+                    n_in_index += 1;
+                    in_index_sel *= sel;
+                } else {
+                    n_residual += 1;
+                }
+            }
+            SargAnalysis { matched_sel, eq_bound, n_in_index, n_residual, in_index_sel }
+        }
+
+        fn has_range_pred(&self, c: ColumnId) -> bool {
+            self.preds.iter().any(|(p, _)| {
+                p.column.column == c
+                    && matches!(p.op, PredOp::Lt(_) | PredOp::Gt(_) | PredOp::Between(_, _))
+            })
+        }
+
+        fn price(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<(bool, f64)> {
+            assert_eq!(ix.table, self.table);
+            let rows = self.rows;
+            let sarg = self.analyze_sargs(ix);
+            let covering = ix.covers(&self.used_cols);
+            let leaf_pages = ix.pages_and_height(schema).0;
+            let sargable = sarg.matched_sel < 1.0
+                || sarg.eq_bound > 0
+                || (!ix.key.is_empty() && self.has_range_pred(ix.key[0]));
+            if sargable {
+                let scanned = rows * sarg.matched_sel;
+                let mut cost =
+                    cm.index_range_scan(ix.height(schema), leaf_pages, sarg.matched_sel, scanned);
+                cost += cm.filter(scanned, sarg.n_in_index);
+                let fetch_rows = scanned * sarg.in_index_sel;
+                if !covering {
+                    cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
+                }
+                Some((true, cost))
+            } else {
+                if !covering && ix.eq_prefix_len(&self.eq_cols) == ix.key.len() {
+                    return None;
+                }
+                let mut cost = cm.index_leaf_scan(leaf_pages, rows);
+                cost += cm.filter(rows, sarg.n_in_index);
+                let fetch_rows = rows * sarg.in_index_sel;
+                if !covering {
+                    cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
+                }
+                Some((false, cost))
+            }
+        }
+    }
+
+    /// The kernel against its per-call oracle, bit for bit, over HomGen,
+    /// HetGen and UpdateGen: every table of every statement priced with
+    /// [`index_family`] and with CGen's candidate set for the workload (the
+    /// candidates BIPGen prices, proposed for other statements too).  The
+    /// path `index_path` builds costs the same, and refuses only the full
+    /// scan that neither covers the query nor delivers an order.
     #[test]
     fn index_cost_is_the_cost_of_the_path() {
         use cophy_workload::{HetGen, HomGen, UpdateGen};
@@ -467,24 +656,32 @@ mod tests {
             HetGen::new(3).generate(&s, 50),
             UpdateGen::new(3).generate(&s, 50),
         ];
-        let (mut priced, mut refused) = (0, 0);
+        let (mut priced, mut refused, mut from_cgen) = (0, 0, 0);
         for w in &workloads {
+            let cgen = cophy::CGen::default().generate(&s, w);
             for (_, stmt, _) in w.iter() {
                 let q = stmt.read_shell();
                 for &table in &q.tables {
                     let facts = TableFacts::new(&s, q, table);
+                    let oracle = PerCallFacts::new(&s, q, table);
                     assert_eq!(facts.eq_cols(), q.eq_columns_on(table));
-                    for ix in index_family(&s, q, table) {
-                        let path = TableFacts::new(&s, q, table).index_path(&s, &cm, &ix);
-                        let cost = facts.index_cost(&s, &cm, &ix);
-                        assert_eq!(cost.map(f64::to_bits), path.as_ref().map(|p| p.cost.to_bits()));
+                    let proposed = cgen.indexes().iter().filter(|ix| ix.table == table);
+                    from_cgen += proposed.clone().count();
+                    for ix in index_family(&s, q, table).iter().chain(proposed) {
+                        let kernel = facts.price(&cm, ix, &IndexFacts::new(&s, ix));
+                        let bits = |p: Option<(bool, f64)>| p.map(|(seek, c)| (seek, c.to_bits()));
+                        assert_eq!(bits(kernel), bits(oracle.price(&s, &cm, ix)), "{ix:?}");
+                        let path = facts.index_path(&s, &cm, ix);
+                        let cost = kernel.map(|(_, cost)| cost.to_bits());
+                        assert_eq!(cost, path.as_ref().map(|p| p.cost.to_bits()));
                         // The one refusal: a full scan that neither covers
                         // the query nor delivers an order.
                         let useless =
-                            !ix.covers(&q.columns_used_on(table)) && facts.order_of(&ix).is_none();
+                            !ix.covers(&q.columns_used_on(table)) && facts.order_of(ix).is_none();
                         match path {
                             Some(p) => {
                                 let seek = matches!(p.method, AccessMethod::IndexSeek(_));
+                                assert_eq!(kernel.map(|(seek, _)| seek), Some(seek));
                                 assert!(seek || !useless, "{ix:?} should have been refused");
                                 priced += 1;
                             }
@@ -498,6 +695,33 @@ mod tests {
             }
         }
         assert!(priced > 10_000 && refused > 100, "{priced} priced, {refused} refused");
+        assert!(from_cgen > 10_000, "{from_cgen} CGen candidates priced");
+    }
+
+    /// A column id past its table's width is refused, never priced as the
+    /// column whose bit it would wrap onto (`c mod 64`), whether a query or
+    /// an index names it.
+    #[test]
+    fn an_out_of_range_column_is_refused_not_aliased() {
+        let (s, cm) = setup();
+        let nation = s.table_by_name("nation").unwrap();
+        let width = nation.columns.len() as u32;
+        let key = s.resolve("nation.n_nationkey").unwrap();
+        for bad in [width, 63, 64, 64 + key.column.0, u32::MAX].map(ColumnId) {
+            let ok = Index::secondary(nation.id, vec![key.column]);
+            let mut q = Query::scan(nation.id);
+            q.projections.push(ColumnRef::new(nation.id, bad));
+            let facts = std::panic::catch_unwind(|| TableFacts::new(&s, &q, nation.id));
+            assert!(facts.is_err(), "query column {bad:?} was accepted");
+            let wide = Index::covering(nation.id, vec![key.column], vec![bad]);
+            let ixf = std::panic::catch_unwind(|| IndexFacts::new(&s, &wide));
+            assert!(ixf.is_err(), "index column {bad:?} was accepted");
+            let facts = TableFacts::new(&s, &Query::scan(nation.id), nation.id);
+            assert!(std::panic::catch_unwind(|| facts.index_path(&s, &cm, &wide)).is_err());
+            assert!(facts.index_path(&s, &cm, &ok).is_some());
+            // Membership is exact for every id, the ones past 63 included.
+            assert!(!has(u64::MAX >> 1, ColumnId(63)) && !has(1 << key.column.0, bad));
+        }
     }
 
     #[test]

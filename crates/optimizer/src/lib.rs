@@ -32,7 +32,7 @@ mod plan;
 pub mod trace;
 mod whatif;
 
-pub use access::{heap_path, AccessMethod, AccessPath, TableFacts};
+pub use access::{heap_path, AccessMethod, AccessPath, IndexFacts, TableFacts};
 pub use backend::{
     config_fingerprint, fnv1a, query_fingerprint, BackendError, ProbeAnswer, ProbeLeaf,
     WhatIfBackend,
