@@ -36,7 +36,11 @@
 //! base; per block an alternative range; and the inverse, item → its
 //! coordinates in ascending order.  The `(block, alt, slot, item)` keys of a
 //! [`WarmStart`] are produced by a walk over the nested form at import and
-//! export only.
+//! export only.  The walk's order is the keys' order up to the items within
+//! a slot, so neither side hashes: the export sorts each slot's run of
+//! non-zero multipliers by item, and the import keeps one cursor on the list
+//! that finds each slot's run as the walk reaches the slot, and looks items
+//! up inside the run.
 //!
 //! An iteration then costs what it touches, not the size of the problem —
 //! and changes no bit of any result, because
@@ -46,11 +50,21 @@
 //!   coordinate with `μ = 0` (resp. `g = 0`) contributes `+ 0.0`, the
 //!   accumulators start at `+0.0` and never reach `−0.0` (μ is clamped at
 //!   `+0.0`, squares are non-negative), and `x + 0.0 == x` bit for bit for
-//!   every such `x`.  So the folds visit only the support of μ (≈ 20 % of
-//!   the coordinates) and of `g` — the block winners and the coordinates of
-//!   items with `z > 0`, ≈ 10 % — as bitsets walked word by word, which is
-//!   ascending order.  The μ update visits fewer still: `(μ + t·g).max(0.0)`
-//!   is `μ` again for `g = 0`, and `+0.0` again for `g < 0` at `μ = 0`;
+//!   every such `x`.  So `M_a` visits only the support of μ (≈ 20 % of the
+//!   coordinates), as a bitset walked word by word, which is ascending
+//!   order.  `‖g‖²` visits less: `g` is non-zero only on the block winners
+//!   and the coordinates of items with `z > 0` (≈ 10 %), and there, unless
+//!   the item's `z` is fractional, `g²` is exactly 1.0 (a winner of a
+//!   `z = 0` item, a loser of a `z = 1` item) or 0.0 (a winner of a `z = 1`
+//!   item).  So one pass over word bitsets — the winners, the coordinates of
+//!   `z = 1` items, the fractional items' coordinates — counts the ones by
+//!   popcount up to each fractional item's coordinate, adds each count by
+//!   `add_ones` (`k` sequential `+= 1.0` in one addition per binade, exact
+//!   because `x + 1.0` only rounds where it crosses into the next binade),
+//!   and folds the fractional terms in place.  The μ update visits fewer
+//!   still: `(μ + t·g).max(0.0)` is `μ` again for `g = 0`, and `+0.0` again
+//!   for `g < 0` at `μ = 0`, so the same pass lists only the coordinates
+//!   that can move, ≈ 2 % of them;
 //! * *a minimum does not depend on the order it is taken in — once ties are
 //!   broken by position.*  `min` over a set of finite floats is the same
 //!   value whatever the order, but not always the same bits: `−0.0 == +0.0`,
@@ -99,8 +113,6 @@
 //! All of this assumes finite coefficients, which BIPGen guarantees.  The
 //! kernels are tested against the nested walks bit for bit, and
 //! `lagrangian_digest.rs` pins whole solves recorded before the rewrite.
-
-use std::collections::HashMap;
 
 use crate::driver::{CancelToken, DecompositionProgress, SolveBudget, SolveDriver, SolveProgress};
 use crate::knapsack;
@@ -305,11 +317,20 @@ impl FixedBlockProblem {
 }
 
 /// Warm-start state carried between solves (interactive tuning, Pareto
-/// sweeps): multipliers keyed by stable coordinates and the last incumbent.
+/// sweeps): the non-zero multipliers keyed by stable coordinates, and the
+/// last incumbent.
+///
+/// A key is `(block, alt, slot, item)`, which pins and bans keep valid (they
+/// strip choices, not items) and appended blocks leave alone.  A solve
+/// exports the list ordered by key, each key once, sized to the non-zero
+/// count; where a slot lists an item twice, the key carries the μ of its
+/// later coordinate.  The import relies on that order — it reads the list
+/// with one cursor — and gives every coordinate of a key the key's μ where
+/// that is positive.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
-    /// μ keyed by `(block, alt, slot, item)`.
-    pub multipliers: HashMap<(u32, u32, u32, u32), f64>,
+    /// `((block, alt, slot, item), μ)`, ordered by key, each key once.
+    pub multipliers: Vec<((u32, u32, u32, u32), f64)>,
     pub selection: Vec<bool>,
 }
 
@@ -383,14 +404,7 @@ impl LagrangianSolver {
         let mut mu = vec![0.0f64; n_coords];
         let mut nonzero = CoordSet::new(n_coords);
         if let Some(w) = warm {
-            for_each_key(p, |ci, key| {
-                if let Some(&v) = w.multipliers.get(&key) {
-                    if v > 0.0 {
-                        mu[ci] = v;
-                        nonzero.insert(ci);
-                    }
-                }
-            });
+            import(p, &w.multipliers, &mut mu, &mut nonzero);
         }
 
         // --- initial primal -------------------------------------------------
@@ -426,7 +440,7 @@ impl LagrangianSolver {
         let mut zfrac: Vec<f64> = Vec::with_capacity(n);
         let mut ratio_order: Vec<(f64, u32)> = Vec::new();
         let mut chosen: Vec<u32> = Vec::new();
-        let mut touched = CoordSet::new(n_coords);
+        let mut support = Support::new(n_coords);
         let mut step: Vec<(u32, f64)> = Vec::new();
         let mut slot_min = flat.fallback.clone();
         let mut winners = Winners::new(&flat, &mu);
@@ -517,38 +531,18 @@ impl LagrangianSolver {
                 break;
             }
 
-            // Subgradient step.  g = [coordinate won its slot] − z_item is
-            // non-zero only on `touched`: the block winners and the
-            // coordinates of items with z > 0.  `chosen` is ascending (blocks,
-            // then slots, in flattening order), so one cursor tells the
-            // ascending walk which coordinates won.  Only a coordinate whose
-            // μ can move stays on `step` — `(0 + t·g).max(0.0)` is `+0.0`
-            // again for `g < 0` — but every one is written, and the test
-            // does not short-circuit, so that the walk does not branch on g.
-            touched.clear();
-            for &ci in &chosen {
-                touched.insert(ci as usize);
+            // Subgradient step: g = [coordinate won its slot] − z_item.
+            support.load(&flat, &chosen, &zfrac);
+            let norm2 = support.walk(&flat, &zfrac, &mu, &nonzero, &mut step);
+            #[cfg(test)]
+            {
+                let (want_norm2, want_step) = touched_step(&flat, &chosen, &zfrac, &mu);
+                assert_eq!(
+                    step_bits(norm2, &step),
+                    step_bits(want_norm2, &want_step),
+                    "‖g‖² and the movers against the touched walk"
+                );
             }
-            for (a, &z) in zfrac.iter().enumerate() {
-                if z != 0.0 {
-                    for &ci in flat.coords_of(a) {
-                        touched.insert(ci as usize);
-                    }
-                }
-            }
-            step.resize(touched.len(), (0, 0.0));
-            let mut norm2 = 0.0f64;
-            let (mut n_step, mut next_won) = (0, 0);
-            touched.for_each(|ci| {
-                let won = chosen.get(next_won) == Some(&(ci as u32));
-                next_won += usize::from(won);
-                let g = f64::from(u8::from(won)) - zfrac[flat.item_of[ci] as usize];
-                norm2 += g * g;
-                let m = mu[ci];
-                step[n_step] = (ci as u32, g);
-                n_step += usize::from((g > 0.0) | ((g < 0.0) & (m > 0.0)));
-            });
-            step.truncate(n_step);
             if norm2 < 1e-14 {
                 break;
             }
@@ -587,19 +581,24 @@ impl LagrangianSolver {
             iterations: r.ticks,
             trace: r.trace,
         };
-        let mut wout = WarmStart { multipliers: HashMap::new(), selection: best_sel };
-        for_each_key(p, |ci, key| {
-            if mu[ci] != 0.0 {
-                wout.multipliers.insert(key, mu[ci]);
-            }
-        });
-        (result, wout)
+        let multipliers = export(p, &mu, nonzero.len());
+        (result, WarmStart { multipliers, selection: best_sel })
     }
+}
+
+/// A [`WarmStart`] key: `(block, alt, slot, item)`.
+type Key = (u32, u32, u32, u32);
+
+/// The `(block, alt, slot)` a key belongs to.
+fn slot_key((b, k, s, _): Key) -> (u32, u32, u32) {
+    (b, k, s)
 }
 
 /// Walk the μ coordinates in flattening order — block, alternative, slot,
 /// choice — handing each its position and its stable [`WarmStart`] key.
-fn for_each_key(p: &BlockProblem, mut f: impl FnMut(usize, (u32, u32, u32, u32))) {
+/// The walk meets the slots in key order, and a slot's items in its
+/// choices' order.
+fn for_each_key(p: &BlockProblem, mut f: impl FnMut(usize, Key)) {
     let mut ci = 0;
     for (b, block) in p.blocks.iter().enumerate() {
         for (k, alt) in block.alts.iter().enumerate() {
@@ -611,6 +610,253 @@ fn for_each_key(p: &BlockProblem, mut f: impl FnMut(usize, (u32, u32, u32, u32))
             }
         }
     }
+}
+
+/// Give every coordinate the μ its key carries in `list` (a
+/// [`WarmStart::multipliers`]), where that is positive, and mark it in
+/// `nonzero`.  One cursor walks the list along with the coordinates: at
+/// each slot it skips the keys of earlier slots and takes the slot's run,
+/// and an item is looked up inside the run.
+fn import(p: &BlockProblem, list: &[(Key, f64)], mu: &mut [f64], nonzero: &mut CoordSet) {
+    debug_assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "keys ordered, each once");
+    let (mut cursor, mut run, mut slot) = (0, &list[..0], None);
+    for_each_key(p, |ci, key| {
+        let here = slot_key(key);
+        if slot != Some(here) {
+            slot = Some(here);
+            while cursor < list.len() && slot_key(list[cursor].0) < here {
+                cursor += 1;
+            }
+            let start = cursor;
+            while cursor < list.len() && slot_key(list[cursor].0) == here {
+                cursor += 1;
+            }
+            run = &list[start..cursor];
+        }
+        if let Ok(i) = run.binary_search_by_key(&key.3, |&(k, _)| k.3) {
+            let v = run[i].1;
+            if v > 0.0 {
+                mu[ci] = v;
+                nonzero.insert(ci);
+            }
+        }
+    });
+}
+
+/// The non-zero multipliers as a [`WarmStart::multipliers`] list, at the
+/// capacity `n_nonzero`, their count.  The walk already orders the keys up
+/// to the items inside a slot, so each slot's run is put in item order as
+/// the walk leaves it — where it is not in order already.
+fn export(p: &BlockProblem, mu: &[f64], n_nonzero: usize) -> Vec<(Key, f64)> {
+    let mut list = Vec::with_capacity(n_nonzero);
+    let mut run = 0;
+    for_each_key(p, |ci, key| {
+        if mu[ci] == 0.0 {
+            return;
+        }
+        if list.get(run).is_some_and(|&(k, _): &(Key, f64)| slot_key(k) != slot_key(key)) {
+            close_run(&mut list, run);
+            run = list.len();
+        }
+        list.push((key, mu[ci]));
+    });
+    close_run(&mut list, run);
+    list
+}
+
+/// Put one slot's run `list[run..]` in item order, each item once with the
+/// μ of its last coordinate — what inserting the run into a map would keep.
+fn close_run(list: &mut Vec<(Key, f64)>, run: usize) {
+    if list[run..].windows(2).all(|w| w[0].0 < w[1].0) {
+        return;
+    }
+    // Stable: a repeated item keeps its coordinates in walk order.
+    list[run..].sort_by_key(|&(key, _)| key);
+    let mut kept = run;
+    for i in run..list.len() {
+        if kept > run && list[kept - 1].0 == list[i].0 {
+            list[kept - 1].1 = list[i].1;
+        } else {
+            list[kept] = list[i];
+            kept += 1;
+        }
+    }
+    list.truncate(kept);
+}
+
+/// `x` plus `k` ones, bit for bit as `k` sequential `x += 1.0` (for
+/// `x ≥ +0.0`).  Inside a binade `[2^e, 2^(e+1))` with `e ≤ 52` the ulp
+/// divides 1.0, so each `+= 1.0` is exact while the sum stays below
+/// `2^(e+1)`: those steps are one exact addition, and where all `k` stay
+/// inside — the common case — so is the whole call.  The step that crosses
+/// into the next binade, and every step below 1.0 or from `2^53` on, is
+/// taken as it is; a step that leaves `x` where it was leaves it there for
+/// good.
+fn add_ones(mut x: f64, mut k: u32) -> f64 {
+    debug_assert!(x >= 0.0, "{x}");
+    const EXACT: f64 = (1u64 << 53) as f64;
+    while k > 0 {
+        if (1.0..EXACT).contains(&x) {
+            let binade_end = f64::from_bits(((x.to_bits() >> 52) + 1) << 52);
+            // Rounding is monotone and `binade_end` is a float, so a sum
+            // below it is the exact one.
+            let all = x + f64::from(k);
+            if all < binade_end {
+                return all;
+            }
+            // Exact: both are multiples of the ulp, within a factor of two.
+            // And `gap ≤ k`, as the sum reached `binade_end`.
+            let gap = binade_end - x;
+            // The steps that stay inside: `j ≥ 1` with `x + j < binade_end`.
+            let whole = gap as u32;
+            let inside = whole - u32::from(f64::from(whole) == gap);
+            x += f64::from(inside);
+            k -= inside;
+        }
+        let next = x + 1.0;
+        k -= 1;
+        if next == x {
+            break;
+        }
+        x = next;
+    }
+    x
+}
+
+/// The support of the subgradient `g = [coordinate won its slot] − z_item`
+/// in one μ step, as word bitsets over the coordinates (see the module
+/// docs): [`Support::load`] fills it from the block winners and `z`, and
+/// [`Support::walk`] folds `‖g‖²` from it and lists the coordinates whose μ
+/// can move.  Off the fractional items `g` is `1.0` on a winner of a `z = 0`
+/// item, `−1.0` on a loser of a `z = 1` item and `0.0` on a winner of one.
+struct Support {
+    /// The block winners.
+    won: CoordSet,
+    /// The coordinates of the items with `z = 1`.
+    full: CoordSet,
+    /// The coordinates of the other items with `z ≠ 0`.
+    frac: CoordSet,
+}
+
+impl Support {
+    fn new(n_coords: usize) -> Self {
+        Support {
+            won: CoordSet::new(n_coords),
+            full: CoordSet::new(n_coords),
+            frac: CoordSet::new(n_coords),
+        }
+    }
+
+    /// `chosen` holds the block winners, `zfrac` the knapsack's `z`.
+    fn load(&mut self, flat: &Flat, chosen: &[u32], zfrac: &[f64]) {
+        self.won.clear();
+        self.full.clear();
+        self.frac.clear();
+        for &ci in chosen {
+            self.won.insert(ci as usize);
+        }
+        for (a, &z) in zfrac.iter().enumerate() {
+            let set = if z == 1.0 {
+                &mut self.full
+            } else if z != 0.0 {
+                &mut self.frac
+            } else {
+                continue;
+            };
+            for &ci in flat.coords_of(a) {
+                set.insert(ci as usize);
+            }
+        }
+    }
+
+    /// `‖g‖²`, bit for bit the ascending fold over every coordinate, and in
+    /// `step` the coordinates whose μ can move, ascending, with their `g`:
+    /// `(μ + t·g).max(0.0)` is `μ` again for `g = 0`, and `+0.0` again for
+    /// `g < 0` at `μ = 0` — off `nonzero`.  One pass over the words: the
+    /// terms of exactly 1.0 before a fractional item's coordinate are added
+    /// as a count, its own term in place, and the zeros are left out.
+    fn walk(
+        &self,
+        flat: &Flat,
+        zfrac: &[f64],
+        mu: &[f64],
+        nonzero: &CoordSet,
+        step: &mut Vec<(u32, f64)>,
+    ) -> f64 {
+        /// The `±1` movers in word `w`, ascending.
+        fn push(step: &mut Vec<(u32, f64)>, w: usize, won: u64, mut bits: u64) {
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                let g = if won >> bit & 1 == 1 { 1.0 } else { -1.0 };
+                step.push(((w * 64) as u32 + bit, g));
+                bits &= bits - 1;
+            }
+        }
+        step.clear();
+        let (mut norm2, mut ones_before) = (0.0f64, 0);
+        for w in 0..self.won.words.len() {
+            let (won, full, mut frac) = (self.won.words[w], self.full.words[w], self.frac.words[w]);
+            let free_won = won & !full & !frac;
+            let mut ones = free_won | (full & !won);
+            let mut movers = free_won | (full & !won & nonzero.words[w]);
+            while frac != 0 {
+                let bit = frac.trailing_zeros();
+                let below = (1u64 << bit) - 1;
+                ones_before += (ones & below).count_ones();
+                ones &= !below;
+                push(step, w, won, movers & below);
+                movers &= !below;
+                norm2 = add_ones(norm2, ones_before);
+                ones_before = 0;
+                let ci = w * 64 + bit as usize;
+                let g = f64::from(u8::from(won >> bit & 1 == 1)) - zfrac[flat.item_of[ci] as usize];
+                norm2 += g * g;
+                if (g > 0.0) | ((g < 0.0) & (mu[ci] > 0.0)) {
+                    step.push((ci as u32, g));
+                }
+                frac &= frac - 1;
+            }
+            ones_before += ones.count_ones();
+            push(step, w, won, movers);
+        }
+        add_ones(norm2, ones_before)
+    }
+}
+
+/// The μ step as a walk of every coordinate where `g ≠ 0` — the block
+/// winners and the coordinates of items with `z ≠ 0` — ascending: `‖g‖²`
+/// and the coordinates that can move, with their `g`.  The oracle of
+/// [`Support`].
+#[cfg(test)]
+fn touched_step(flat: &Flat, chosen: &[u32], zfrac: &[f64], mu: &[f64]) -> (f64, Vec<(u32, f64)>) {
+    let mut touched = CoordSet::new(flat.gamma.len());
+    for &ci in chosen {
+        touched.insert(ci as usize);
+    }
+    for (a, &z) in zfrac.iter().enumerate() {
+        if z != 0.0 {
+            for &ci in flat.coords_of(a) {
+                touched.insert(ci as usize);
+            }
+        }
+    }
+    let (mut norm2, mut step, mut next_won) = (0.0f64, Vec::new(), 0);
+    touched.for_each(|ci| {
+        let won = chosen.get(next_won) == Some(&(ci as u32));
+        next_won += usize::from(won);
+        let g = f64::from(u8::from(won)) - zfrac[flat.item_of[ci] as usize];
+        norm2 += g * g;
+        if (g > 0.0) | ((g < 0.0) & (mu[ci] > 0.0)) {
+            step.push((ci as u32, g));
+        }
+    });
+    (norm2, step)
+}
+
+/// A μ step's `‖g‖²` and movers, bit for bit.
+#[cfg(test)]
+fn step_bits(norm2: f64, step: &[(u32, f64)]) -> (u64, Vec<(u32, u64)>) {
+    (norm2.to_bits(), step.iter().map(|&(ci, g)| (ci, g.to_bits())).collect())
 }
 
 /// "No coordinate": the slot's fallback won.
@@ -738,6 +984,8 @@ impl Flat {
     /// minimum of the coordinates' values (exact in any order, for finite
     /// values), then the first coordinate at that value, with its own bits —
     /// `−0.0 == +0.0`, so the first of a `±0` tie wins as in a scan by `<`.
+    /// (One pass that keeps each lane's first minimum with its position is
+    /// slower: the positions keep the lanes from vectorizing.)
     fn scan(&self, s: usize, mu: &[f64]) -> Winner {
         let coords = self.coords_in(s);
         let (gamma, mu) = (&self.gamma[coords.clone()], &mu[coords.clone()]);
@@ -1185,6 +1433,8 @@ fn local_search(p: &BlockProblem, flat: &Flat, sel: &mut [bool], best: &mut f64,
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1505,8 +1755,7 @@ mod tests {
         driver.offer_incumbent(ls_best, ls_sel);
         let r = driver.finish();
         let (objective, selected) = r.incumbent.unwrap();
-        let multipliers =
-            coord.iter().zip(&mu).filter(|(_, &m)| m != 0.0).map(|(&c, &m)| (c, m)).collect();
+        let multipliers = sorted(export_hashed(p, &mu));
         (
             LagrangeResult {
                 selected: selected.clone(),
@@ -1518,6 +1767,178 @@ mod tests {
             },
             WarmStart { multipliers, selection: selected },
         )
+    }
+
+    /// The warm-start export as it was: a map from key to the μ of the last
+    /// non-zero coordinate with that key.  The oracle of [`export`].
+    fn export_hashed(p: &BlockProblem, mu: &[f64]) -> HashMap<Key, f64> {
+        let mut map = HashMap::new();
+        for_each_key(p, |ci, key| {
+            if mu[ci] != 0.0 {
+                map.insert(key, mu[ci]);
+            }
+        });
+        map
+    }
+
+    /// The warm-start import as it was, from a map.  The oracle of
+    /// [`import`].
+    fn import_hashed(p: &BlockProblem, map: &HashMap<Key, f64>) -> (Vec<f64>, CoordSet) {
+        let mut mu = vec![0.0; p.n_choices()];
+        let mut nonzero = CoordSet::new(mu.len());
+        for_each_key(p, |ci, key| {
+            if let Some(&v) = map.get(&key) {
+                if v > 0.0 {
+                    mu[ci] = v;
+                    nonzero.insert(ci);
+                }
+            }
+        });
+        (mu, nonzero)
+    }
+
+    /// A map's entries ordered by key: the list [`export`] must produce.
+    fn sorted(map: HashMap<Key, f64>) -> Vec<(Key, f64)> {
+        let mut list: Vec<_> = map.into_iter().collect();
+        list.sort_unstable_by_key(|&(key, _)| key);
+        list
+    }
+
+    fn list_bits(list: &[(Key, f64)]) -> Vec<(Key, u64)> {
+        list.iter().map(|&(key, v)| (key, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn add_ones_matches_sequential_additions() {
+        // Zero, integers (up to and past 2^53, where `+ 1.0` ties or
+        // vanishes), values just under a power of two, and fractions.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut starts = vec![0.0, 1.0, 2.0, 3.0, 7.0, 1000.0, 4095.0, 123_456.0];
+        for e in [52, 53, 54, 60] {
+            let p = (1u64 << e) as f64;
+            starts.extend([p - 4.0, p - 1.0, p, p + 2.0, p + 4.0]);
+        }
+        for e in -3..60 {
+            let p = 2f64.powi(e);
+            starts.extend([f64::from_bits(p.to_bits() - 1), f64::from_bits(p.to_bits() - 3)]);
+        }
+        starts.extend([0.1, 0.5, 0.75, 1.5, 3.3, 1e-300, 5e-324, 1023.999, 65_535.5]);
+        starts.extend((0..40).map(|_| rng.gen_range(0.0..1.0)));
+        starts.extend((0..40).map(|_| rng.gen_range(0.0..1e6)));
+        starts.extend((0..10).map(|_| rng.gen_range(0.0..1e17)));
+        const K: u32 = 100_000;
+        let mut checked = 0;
+        for &x in &starts {
+            let mut checkpoints: Vec<u32> =
+                (0..300).chain((0..30).map(|_| rng.gen_range(0..=K))).chain([K]).collect();
+            checkpoints.sort_unstable();
+            checkpoints.dedup();
+            let (mut sum, mut done) = (x, 0);
+            for &k in &checkpoints {
+                for _ in done..k {
+                    sum += 1.0;
+                }
+                done = k;
+                assert_eq!(add_ones(x, k).to_bits(), sum.to_bits(), "{x:e} plus {k} ones");
+                checked += 1;
+            }
+        }
+        assert!(checked > 40_000, "{checked}");
+    }
+
+    #[test]
+    fn support_matches_the_touched_walk() {
+        // The block winners under random μ, and a `z` with zeros (both), ones
+        // and fractions — from none to several fractional items.
+        let mut rng = SmallRng::seed_from_u64(23);
+        let (mut steps, mut fractional, mut moved) = (0, 0, 0);
+        for p in kernel_problems() {
+            let flat = Flat::new(&p);
+            let mut support = Support::new(flat.gamma.len());
+            let mut step = Vec::new();
+            for draw in 0..20 {
+                let mu = match draw % 2 {
+                    0 => random_mu(&mut rng, p.n_choices()),
+                    _ => grid_mu(&mut rng, p.n_choices()).into_iter().map(f64::abs).collect(),
+                };
+                let mut nonzero = CoordSet::new(mu.len());
+                for (ci, &m) in mu.iter().enumerate() {
+                    nonzero.set(ci, m != 0.0);
+                }
+                let winners = Winners::new(&flat, &mu);
+                let mut chosen = Vec::new();
+                for b in 0..p.blocks.len() {
+                    winners.block_minimum(&flat, b, &mut chosen);
+                }
+                let zfrac: Vec<f64> = (0..p.n_items)
+                    .map(|_| match rng.gen_range(0..6) {
+                        0 => -0.0,
+                        1 | 2 => 0.0,
+                        3 | 4 => 1.0,
+                        _ => rng.gen_range(0.0..1.0),
+                    })
+                    .collect();
+                support.load(&flat, &chosen, &zfrac);
+                let norm2 = support.walk(&flat, &zfrac, &mu, &nonzero, &mut step);
+                let (want_norm2, want_step) = touched_step(&flat, &chosen, &zfrac, &mu);
+                assert!(
+                    step_bits(norm2, &step) == step_bits(want_norm2, &want_step),
+                    "‖g‖² {norm2} against {want_norm2}, movers {step:?} against {want_step:?}"
+                );
+                steps += 1;
+                fractional += usize::from(support.frac.len() > 0);
+                moved += step.len();
+            }
+        }
+        assert!(steps > 1000 && fractional > 500 && moved > 10_000, "{steps} {fractional} {moved}");
+    }
+
+    #[test]
+    fn warm_lists_round_trip_like_the_hashed_oracle() {
+        // Export: random μ over ragged problems (an item twice in a slot).
+        // Import: solved warm states into the problem itself, into it with
+        // pins and bans folded in, and into it with blocks appended.
+        let mut rng = SmallRng::seed_from_u64(29);
+        let (mut repeats, mut imports) = (0, 0);
+        let solver =
+            LagrangianSolver { budget: SolveBudget::within(1e-6).with_nodes(30), cancel: None };
+        for seed in 0..40u64 {
+            let p = ragged_problem(seed, Some(4.0 + seed as f64), true);
+            for _ in 0..10 {
+                let mu = random_mu(&mut rng, p.n_choices());
+                let n_nonzero = mu.iter().filter(|&&m| m != 0.0).count();
+                let list = export(&p, &mu, n_nonzero);
+                assert_eq!(list.capacity(), n_nonzero);
+                assert_eq!(list_bits(&list), list_bits(&sorted(export_hashed(&p, &mu))));
+                repeats += usize::from(list.len() < n_nonzero);
+            }
+
+            let (_, warm) = solver.solve_warm_with_progress(&p, None, |_, _| {});
+            let fixed: Vec<Option<bool>> = (0..p.n_items)
+                .map(|_| [None, None, Some(true), Some(false)][rng.gen_range(0..4)])
+                .collect();
+            let mut appended = p.clone();
+            appended.blocks.extend(p.blocks.iter().take(3).cloned());
+            let mut targets = vec![p.clone(), appended];
+            targets.extend(p.with_fixings(&fixed).map(|fx| fx.problem));
+            let map: HashMap<Key, f64> = warm.multipliers.iter().copied().collect();
+            for q in &targets {
+                let mut mu = vec![0.0; q.n_choices()];
+                let mut nonzero = CoordSet::new(mu.len());
+                import(q, &warm.multipliers, &mut mu, &mut nonzero);
+                let (want_mu, want_nonzero) = import_hashed(q, &map);
+                assert_eq!(
+                    mu.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
+                    want_mu.iter().map(|m| m.to_bits()).collect::<Vec<_>>()
+                );
+                assert_eq!(nonzero.words, want_nonzero.words);
+                imports += usize::from(nonzero.len() > 0);
+            }
+        }
+        assert!(
+            repeats > 50 && imports > 60,
+            "{repeats} lists with a repeated key, {imports} imports"
+        );
     }
 
     #[test]
@@ -1782,12 +2203,7 @@ mod tests {
                     .collect()
             };
             assert_eq!(bits(&got), bits(&want));
-            let sorted = |w: &WarmStart| {
-                let mut m: Vec<_> = w.multipliers.iter().map(|(k, v)| (*k, v.to_bits())).collect();
-                m.sort_unstable();
-                m
-            };
-            assert_eq!(sorted(&got_warm), sorted(&want_warm));
+            assert_eq!(list_bits(&got_warm.multipliers), list_bits(&want_warm.multipliers));
             solved += usize::from(got.iterations == 50);
         }
         assert!(solved >= 10, "only {solved} inputs ran all 50 iterations");

@@ -197,7 +197,8 @@ impl<'o, 'c> TuningSession<'o, 'c> {
             bytes += model.n_vars() * 48;
         }
         if let Some(warm) = &self.warm {
-            bytes += warm.multipliers.len() * 48 + warm.selection.len();
+            bytes += warm.multipliers.capacity() * size_of::<((u32, u32, u32, u32), f64)>()
+                + warm.selection.capacity() * size_of::<bool>();
         }
         bytes
     }
@@ -487,6 +488,26 @@ mod tests {
 
     fn setup() -> WhatIfOptimizer {
         WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A)
+    }
+
+    #[test]
+    fn state_bytes_charge_the_warm_list_it_holds() {
+        let o = setup();
+        let w = HetGen::new(5).generate(o.schema(), 20);
+        let cophy = CoPhy::new(&o, CoPhyOptions::default());
+        let mut session =
+            cophy.try_session(&w, ConstraintSet::storage_fraction(o.schema(), 0.5)).unwrap();
+        session.recommend();
+        let warm = session.warm.take().expect("a storage-only recommend runs the Lagrangian");
+        let cold_bytes = session.approx_state_bytes();
+        let (n, selection) = (warm.multipliers.len(), warm.selection.len());
+        assert!(n > 0, "the solve left no multiplier");
+        // The list leaves the solve sized to its entries: BIPGen lists an
+        // item at most once per slot.
+        assert_eq!(warm.multipliers.capacity(), n);
+        assert_eq!(warm.selection.capacity(), selection);
+        session.warm = Some(warm);
+        assert_eq!(session.approx_state_bytes() - cold_bytes, n * 24 + selection);
     }
 
     #[test]

@@ -81,10 +81,9 @@ fn fold_solve(fold: &mut Fold, r: &LagrangeResult, warm: &WarmStart) {
             fold.f64(v);
         }
     }
-    let mut multipliers: Vec<_> = warm.multipliers.iter().collect();
-    multipliers.sort_by_key(|(key, _)| **key);
+    let multipliers = &warm.multipliers;
     fold.u64(multipliers.len() as u64);
-    for (&(b, k, s, item), &mu) in multipliers {
+    for &((b, k, s, item), mu) in multipliers {
         for v in [b, k, s, item] {
             fold.u64(u64::from(v));
         }

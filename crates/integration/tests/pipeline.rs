@@ -5,7 +5,7 @@ use cophy::{CGen, CoPhy, CoPhyOptions, ConstraintSet, SolveBudget, SolverBackend
 use cophy_advisors::{Advisor, IlpAdvisor, ToolA, ToolB};
 use cophy_catalog::{Configuration, Skew, TpchGen};
 use cophy_inum::Inum;
-use cophy_optimizer::{SystemProfile, WhatIfBackend, WhatIfOptimizer};
+use cophy_optimizer::{IndexFacts, SystemProfile, WhatIfBackend, WhatIfOptimizer};
 use cophy_workload::{HetGen, HomGen, Statement, UpdateGen};
 
 fn optimizer(profile: SystemProfile, z: f64) -> WhatIfOptimizer {
@@ -249,4 +249,33 @@ fn baseline_x0_is_never_part_of_recommendation_budget() {
     let x0 = Configuration::baseline(o.schema());
     let union = rec.configuration.union(&x0);
     assert_eq!(union.len(), rec.configuration.len() + x0.len());
+}
+
+/// `PreparedQuery::ucost` (rows cached at preparation, the height from the
+/// index facts BIPGen builds) and `WhatIfBackend::ucost` (rows and height per
+/// call) are two copies of the maintenance formula.  They agree bit for bit
+/// over UPDATE statements × CGen's candidates, under both system profiles.
+#[test]
+fn inum_and_the_backend_price_index_maintenance_alike() {
+    let (mut priced, mut affected) = (0, 0);
+    for profile in [SystemProfile::A, SystemProfile::B] {
+        let o = optimizer(profile, 0.0);
+        let (schema, cm) = (o.schema(), o.cost_model());
+        let reads = HetGen::new(8).generate(schema, 40);
+        let w = UpdateGen::new(9).mix_into(schema, &reads, 0.5);
+        let candidates = CGen::default().generate(schema, &w);
+        let prepared = Inum::new(&o).prepare_workload(&w);
+        for pq in &prepared.queries {
+            let Some((u, _)) = &pq.update else { continue };
+            for (_, ix) in candidates.iter() {
+                let facts = IndexFacts::new(schema, ix);
+                let inum = pq.ucost(cm, ix, || facts.height());
+                let backend = o.ucost(u, ix);
+                assert_eq!(inum.to_bits(), backend.to_bits(), "{ix:?} under {u:?}");
+                priced += 1;
+                affected += usize::from(backend > 0.0);
+            }
+        }
+    }
+    assert!(affected > 500 && priced > 10 * affected, "{affected} of {priced} pairs affected");
 }
