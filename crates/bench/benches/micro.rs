@@ -67,7 +67,7 @@ fn bench_inum(c: &mut Criterion) {
         .filter(|(_, cfg)| !cfg.is_empty())
         .collect();
     c.bench_function("whatif/probe_hom_ideal_configs", |b| {
-        b.iter(|| ideal.iter().map(|(q, cfg)| o.optimize(q, cfg).total_cost()).sum::<f64>());
+        b.iter(|| ideal.iter().map(|(q, cfg)| o.cost_query(q, cfg)).sum::<f64>());
     });
 }
 
@@ -304,10 +304,11 @@ fn bench_solvers(c: &mut Criterion) {
 }
 
 /// The what-if kernel by join width: one statement per distinct table count
-/// of `W_hom` (1, 2, 3, 4, 6), optimized under the clustered baseline and
+/// of `W_hom` (1, 2, 3, 4, 6), probed under the clustered baseline and
 /// under an INUM ideal configuration — the two shapes of probe a tune
 /// issues, and the per-call number behind `optimizer.probe_us_p50/p95` of
-/// the `perf` harness.
+/// the `perf` harness.  The `optimize*` names predate the probe answer and
+/// stay so that their history stays comparable.
 fn bench_optimizer(c: &mut Criterion) {
     let o = make_optimizer(SystemProfile::A, 0.0);
     let schema = o.schema();
@@ -321,7 +322,7 @@ fn bench_optimizer(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimizer");
     for (n_tables, q) in by_width {
         group.bench_with_input(BenchmarkId::new("optimize", n_tables), q, |b, q| {
-            b.iter(|| o.optimize(q, &baseline));
+            b.iter(|| o.try_probe(q, &baseline));
         });
         // Every table's first interesting order at once.
         let orders: Vec<Vec<ColumnId>> = q
@@ -332,7 +333,7 @@ fn bench_optimizer(c: &mut Criterion) {
         let orders: Vec<&[ColumnId]> = orders.iter().map(Vec::as_slice).collect();
         let ideal = ideal_config(schema, q, &orders);
         group.bench_with_input(BenchmarkId::new("optimize_ideal", n_tables), q, |b, q| {
-            b.iter(|| o.optimize(q, &ideal));
+            b.iter(|| o.try_probe(q, &ideal));
         });
     }
     group.finish();

@@ -20,38 +20,15 @@
 
 use cophy_catalog::{ColumnId, ColumnRef, Configuration, Index, Schema, Table, TableId};
 use cophy_workload::Query;
-use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
 use crate::ordering::Ordering;
 
-/// How a table is physically read.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AccessMethod {
-    /// Sequential scan of the heap (or of the clustered index, which *is* the
-    /// table). This is INUM's `I∅` access method.
-    HeapScan,
-    /// B-tree descend on a sargable key prefix, then a bounded leaf range.
-    IndexSeek(Index),
-    /// Full leaf-level scan of an index (useful for order or covering).
-    IndexScan(Index),
-}
-
-impl AccessMethod {
-    /// The index used, if any.
-    pub fn index(&self) -> Option<&Index> {
-        match self {
-            AccessMethod::HeapScan => None,
-            AccessMethod::IndexSeek(ix) | AccessMethod::IndexScan(ix) => Some(ix),
-        }
-    }
-}
-
-/// A costed access path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A costed access path: the cheapest read of one table through one index
+/// (seek if a key prefix is sargable, else a full scan of its leaves) or
+/// through the heap.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessPath {
-    pub table: TableId,
-    pub method: AccessMethod,
     /// Total cost of the access including residual filtering and heap
     /// fetches.
     pub cost: f64,
@@ -271,13 +248,7 @@ impl TableFacts {
     fn heap_path(&self, cm: &CostModel, clustered: Option<&Index>) -> AccessPath {
         let cost = cm.seq_scan(self.heap_pages, self.rows) + cm.filter(self.rows, self.preds.len());
         let order = clustered.map_or_else(Ordering::none, |cix| self.order_of(cix));
-        AccessPath {
-            table: self.table,
-            method: AccessMethod::HeapScan,
-            cost,
-            rows: self.rows_out,
-            order,
-        }
+        AccessPath { cost, rows: self.rows_out, order }
     }
 
     /// Price the best access that uses `ix`, whose facts are `ixf`
@@ -333,19 +304,8 @@ impl TableFacts {
     /// index has no sargable prefix or useful order — such paths are strictly
     /// dominated by the heap scan and INUM prunes their `x` variables).
     fn index_path(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<AccessPath> {
-        let (seek, cost) = self.price(cm, ix, &IndexFacts::new(schema, ix))?;
-        let method = if seek {
-            AccessMethod::IndexSeek(ix.clone())
-        } else {
-            AccessMethod::IndexScan(ix.clone())
-        };
-        Some(AccessPath {
-            table: self.table,
-            method,
-            cost,
-            rows: self.rows_out,
-            order: self.order_of(ix),
-        })
+        let (_, cost) = self.price(cm, ix, &IndexFacts::new(schema, ix))?;
+        Some(AccessPath { cost, rows: self.rows_out, order: self.order_of(ix) })
     }
 }
 
@@ -425,9 +385,13 @@ mod tests {
         let mut q = Query::scan(ord.id);
         q.predicates.push(Predicate::eq(ck, 42.0));
         let ix = Index::secondary(ord.id, vec![ck.column]);
-        let seek = TableFacts::new(&s, &q, ord.id).index_path(&s, &cm, &ix).unwrap();
+        let facts = TableFacts::new(&s, &q, ord.id);
+        let seek = facts.index_path(&s, &cm, &ix).unwrap();
         let heap = heap_path(&s, &cm, &q, ord.id, None);
-        assert!(matches!(seek.method, AccessMethod::IndexSeek(_)));
+        assert_eq!(
+            facts.price(&cm, &ix, &IndexFacts::new(&s, &ix)).map(|(seek, _)| seek),
+            Some(true)
+        );
         assert!(seek.cost < heap.cost / 10.0, "seek {} heap {}", seek.cost, heap.cost);
     }
 
@@ -492,7 +456,7 @@ mod tests {
         let paths = enumerate(&s, &cm, &q, li.id, &cfg);
         // The selective seek dominates the heap scan here (cheaper AND
         // delivers a superset order), so pruning may drop the heap.
-        assert!(paths.iter().any(|p| p.method.index().is_some()));
+        assert!(paths.iter().any(|p| p.order == Ordering(vec![sd])));
         // pruning keeps at most one path per order
         let mut orders: Vec<_> = paths.iter().map(|p| p.order.clone()).collect();
         orders.sort_by_key(|o| o.0.len());
@@ -500,8 +464,7 @@ mod tests {
         assert_eq!(orders.len(), paths.len());
         // Without indexes, the heap scan is the only path.
         let bare = enumerate(&s, &cm, &q, li.id, &Configuration::empty());
-        assert_eq!(bare.len(), 1);
-        assert!(matches!(bare[0].method, AccessMethod::HeapScan));
+        assert_eq!(bare, vec![heap_path(&s, &cm, &q, li.id, None)]);
     }
 
     /// Index shapes over `table` as `q` sees it: every key of one to three
@@ -679,9 +642,8 @@ mod tests {
                         let useless =
                             !ix.covers(&q.columns_used_on(table)) && facts.order_of(ix).is_none();
                         match path {
-                            Some(p) => {
-                                let seek = matches!(p.method, AccessMethod::IndexSeek(_));
-                                assert_eq!(kernel.map(|(seek, _)| seek), Some(seek));
+                            Some(_) => {
+                                let seek = kernel.is_some_and(|(seek, _)| seek);
                                 assert!(seek || !useless, "{ix:?} should have been refused");
                                 priced += 1;
                             }

@@ -5,9 +5,10 @@
 //! costing interface.  [`WhatIfBackend`] is that interface.  A backend must
 //! answer two kinds of questions:
 //!
-//! 1. **probe** — cost a query under a hypothetical configuration and
-//!    describe the resulting plan's leaf accesses ([`ProbeAnswer`]), which is
-//!    all INUM needs to build template plans;
+//! 1. **probe** — cost a query under a hypothetical configuration and say
+//!    what the chosen plan asks of each table access: its internal cost
+//!    and the order each leaf must deliver ([`ProbeAnswer`]), which is all
+//!    INUM needs to build template plans;
 //! 2. **call accounting** — report how many what-if optimizations were spent,
 //!    the scarce resource of Figures 4/5.
 //!
@@ -18,8 +19,9 @@
 //! provided methods derived analytically from the backend's schema and cost
 //! model, so the §2 update semantics stay identical across backends.
 //!
-//! [`crate::WhatIfOptimizer`] is the reference implementation; see
-//! [`crate::trace`] for a record/replay backend and [`crate::fault`] for a
+//! [`crate::WhatIfOptimizer`] is the reference implementation: it reads each
+//! answer off its DP's memo and builds no plan.  See [`crate::trace`] for a
+//! record/replay backend and [`crate::fault`] for a
 //! seeded fault- and cost-corruption-injecting wrapper.
 
 use std::fmt;
@@ -28,7 +30,6 @@ use cophy_catalog::{ColumnId, Configuration, Index, Schema, TableId};
 use cophy_workload::{Query, Statement, UpdateStatement, Workload};
 
 use crate::cost::{CostModel, SystemProfile};
-use crate::plan::PhysicalPlan;
 
 /// A typed costing failure.
 ///
@@ -122,6 +123,10 @@ impl std::error::Error for BackendError {}
 pub struct ProbeLeaf {
     pub table: TableId,
     /// Required delivered-order prefix; empty = any access method works.
+    /// The plan may require an order on equivalent columns of *other*
+    /// tables (ORDER BY `o_orderdate` satisfied through a join); the leaf
+    /// records the local equivalent, the prefix of its own delivered order
+    /// of that length.
     pub required: Vec<ColumnId>,
 }
 
@@ -136,28 +141,6 @@ pub struct ProbeAnswer {
     pub internal_cost: f64,
     /// One entry per referenced table, in `q.tables` order.
     pub leaves: Vec<ProbeLeaf>,
-}
-
-impl ProbeAnswer {
-    /// Distill a full [`PhysicalPlan`] into a probe answer.  The required
-    /// order may name equivalent columns of *other* tables (e.g. ORDER BY
-    /// `o_orderdate` satisfied through a join); the local equivalent is the
-    /// leaf's own delivered-order prefix of that length.
-    pub fn from_plan(q: &Query, plan: &PhysicalPlan) -> ProbeAnswer {
-        let leaves = q
-            .tables
-            .iter()
-            .map(|&t| {
-                let leaf = plan.leaf(t).expect("plan covers every referenced table");
-                let req_len = leaf.required.0.len().min(leaf.path.order.0.len());
-                ProbeLeaf {
-                    table: t,
-                    required: leaf.path.order.0[..req_len].iter().map(|c| c.column).collect(),
-                }
-            })
-            .collect();
-        ProbeAnswer { total_cost: plan.total_cost(), internal_cost: plan.internal_cost(), leaves }
-    }
 }
 
 /// A pluggable what-if costing service.
@@ -289,27 +272,9 @@ mod tests {
     use super::*;
     use crate::WhatIfOptimizer;
     use cophy_catalog::TpchGen;
-    use cophy_workload::HomGen;
 
     fn opt() -> WhatIfOptimizer {
         WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A)
-    }
-
-    #[test]
-    fn probe_answer_matches_plan_decomposition() {
-        let o = opt();
-        let w = HomGen::new(3).generate(o.schema(), 4);
-        for (_, stmt, _) in w.iter() {
-            let q = stmt.read_shell();
-            let plan = o.optimize(q, &Configuration::empty());
-            let ans = ProbeAnswer::from_plan(q, &plan);
-            assert_eq!(ans.total_cost.to_bits(), plan.total_cost().to_bits());
-            assert_eq!(ans.internal_cost.to_bits(), plan.internal_cost().to_bits());
-            assert_eq!(ans.leaves.len(), q.tables.len());
-            for (leaf, &t) in ans.leaves.iter().zip(q.tables.iter()) {
-                assert_eq!(leaf.table, t);
-            }
-        }
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! space INUM's template plans quotient: one template per combination of
 //! exploited interesting orders.
 //!
-//! # Candidate records, back-pointers, one materialization
+//! # Candidate records, back-pointers, one walk
 //!
-//! A what-if probe prices thousands of join candidates and returns one plan,
-//! so the enumeration never holds a plan tree.  A candidate is a `Cand`:
-//! cost, rows, the id of its delivered order, and an `Op` that names its
-//! inputs by *reference* — an access path by `(table, index into that
-//! table's path list)`, a join by the arena ids of the two kept candidates
-//! it combines plus, for a merge join, the order each side is first sorted
-//! to.  The kept candidates of all table subsets live in one arena
+//! A what-if probe prices thousands of join candidates and answers with one
+//! cost and one order requirement per table, so the DP never builds a plan.
+//! A candidate is a `Cand`: cost, rows, the id of its delivered order, and
+//! an `Op` that names its inputs by *reference* — an access path by
+//! `(table, index into that table's path list)`, a join by the arena ids of
+//! the two kept candidates it combines plus, for a merge join, the order
+//! each side is first sorted to.  The kept candidates of all table subsets live in one arena
 //! (`Memo::arena`); a subset's pareto set is a range of it.  Orders are
 //! interned per query (`Orders`): the handful of useful ones get small
 //! ids, so a candidate is `Copy` and pricing one allocates nothing.
@@ -30,22 +30,28 @@
 //! are interned no new order appears, so whether one order satisfies
 //! another is a lookup in a per-query table (`Satisfies`).
 //!
-//! `finalize` prices aggregation and the final sort the same way, as up to
-//! three `Wrap` records stacked on a joined candidate, and only the
-//! winner is turned into a [`SubPlan`] tree, by `Memo::materialize`
-//! following the back-pointers.
+//! `Memo::finalize` prices aggregation and the final sort the same way, as
+//! up to three operators stacked on a joined candidate (`Finished`), and
+//! picks the winner.  `Memo::answer` reads the [`ProbeAnswer`] off the
+//! winner in one walk down its operators and back-pointers: each operator
+//! passes its order requirement on to its inputs (sorts and hash operators
+//! absorb it, a merge join asks each unsorted input for its merge key,
+//! stream aggregation for the group order, a nested loop passes it to its
+//! outer input), and each leaf keeps the prefix of its delivered order that
+//! requirement covers.
 //!
 //! # Bit identity
 //!
 //! Every layer above consumes these costs as exact floats: INUM's β, the BIP
-//! coefficients, the recorded traces.  The kernel therefore keeps three
+//! coefficients, the recorded traces.  The kernel therefore keeps four
 //! things fixed: each cost is produced by the same float operations in the
 //! same order (a hoisted sub-expression is only ever a whole call of a pure
 //! [`CostModel`] function, never a re-associated sum); candidates are
 //! offered in the same order (splits by descending sub-mask, left × right in
-//! pareto order, hash / nested-loop / merge per pair); and `finalize` takes
-//! the first cheapest plan.  `crates/integration/tests/probe_digest.rs` pins
-//! the answers and the full plans.
+//! pareto order, hash / nested-loop / merge per pair); `finalize` takes the
+//! first cheapest plan; and the walk sums the leaf costs of `β` in the order
+//! a pre-order traversal of the plan meets them (left input first).
+//! `crates/integration/tests/probe_digest.rs` pins the answers.
 //!
 //! The pareto set a subset keeps is defined by a prune over *all* its
 //! candidates in the total order (cost by `total_cmp`, then offer order): a
@@ -74,10 +80,10 @@ use cophy_catalog::{ColumnRef, Configuration, Schema};
 use cophy_workload::Query;
 
 use crate::access::{self, AccessPath};
+use crate::backend::{ProbeAnswer, ProbeLeaf};
 use crate::cardinality;
 use crate::cost::CostModel;
 use crate::ordering::{EquivClasses, Ordering};
-use crate::plan::{PhysicalPlan, PlanNode, SubPlan};
 
 /// Maximum number of table references the DP supports (bitmask width; the
 /// workloads top out at six).  [`Query::validate`] enforces it.
@@ -165,35 +171,51 @@ impl Edge {
     }
 }
 
-/// The DP's memory: what [`Memo::materialize`] needs to turn a candidate
-/// back into a plan tree.
+/// The DP's memory: what `finalize` and the walk of the winner read.
 struct Memo<'a> {
     cm: &'a CostModel,
+    ec: EquivClasses,
     /// Pruned access paths per table, in `q.tables` order.
     paths: Vec<Vec<AccessPath>>,
     orders: Orders,
     /// Kept candidates of every table subset, subset after subset.
     arena: Vec<Cand>,
+    /// The pareto set of the whole table set, as a range of the arena.
+    joined: Range<usize>,
 }
 
-/// Optimize `q` under configuration `config`.
+/// Answer the what-if probe of `q` under configuration `config`.
 ///
 /// `q` must pass [`Query::validate`], which bounds the table count by
-/// [`MAX_TABLES`] and guarantees a connected join graph; the DP panics on a
-/// query that does not.
-pub(crate) fn optimize(
+/// [`MAX_TABLES`], references each table once and guarantees a connected
+/// join graph; the DP panics on a query that does not.
+pub(crate) fn probe(
     schema: &Schema,
     cm: &CostModel,
     q: &Query,
     config: &Configuration,
-) -> PhysicalPlan {
+) -> ProbeAnswer {
+    let memo = search(schema, cm, q, config);
+    let winner = memo.finalize(schema, q);
+    memo.answer(q, &winner)
+}
+
+/// Price the connected subsets of `q`'s tables bottom up, keeping each
+/// subset's pareto set in the memo.
+fn search<'a>(schema: &Schema, cm: &'a CostModel, q: &Query, config: &Configuration) -> Memo<'a> {
     debug_assert!(q.validate().is_ok(), "{:?}", q.validate());
     let n = q.tables.len();
     assert!((1..=MAX_TABLES).contains(&n), "query must reference 1..={MAX_TABLES} tables");
 
-    let ec = EquivClasses::of_query(q);
     let requirements = collect_requirements(q);
-    let mut memo = Memo { cm, paths: Vec::with_capacity(n), orders: Orders::new(), arena: vec![] };
+    let mut memo = Memo {
+        cm,
+        ec: EquivClasses::of_query(q),
+        paths: Vec::with_capacity(n),
+        orders: Orders::new(),
+        arena: vec![],
+        joined: 0..0,
+    };
     // Reused by every subset: the survivors of the candidates priced for it.
     let mut front = Front::default();
     // `kept[mask]`: the subset's pareto set, as a range of the arena.
@@ -205,7 +227,7 @@ pub(crate) fn optimize(
         base_rows[i] = cardinality::access_rows(schema, q, t);
         let paths = access::enumerate(schema, cm, q, t, config);
         for (pi, p) in paths.iter().enumerate() {
-            let useful = useful_prefix(&p.order, &requirements, &ec);
+            let useful = useful_prefix(&p.order, &requirements, &memo.ec);
             front.offer(Cand {
                 cost: p.cost,
                 rows: p.rows,
@@ -234,7 +256,7 @@ pub(crate) fn optimize(
         })
         .collect();
     // Every order is interned by now.
-    let mut sat = Satisfies::new(&ec, &memo.orders);
+    let mut sat = Satisfies::new(&memo.ec, &memo.orders);
 
     // Subset cardinality: base rows times the selectivity of every edge
     // inside the subset.
@@ -281,10 +303,9 @@ pub(crate) fn optimize(
         kept[mask] = front.drain_into(&memo.orders, &mut memo.arena);
     }
 
-    let joined = kept[full].clone();
-    assert!(!joined.is_empty(), "no plan found for a validated query: {q:?}");
-
-    finalize(schema, q, &ec, &memo, joined)
+    memo.joined = kept[full].clone();
+    assert!(!memo.joined.is_empty(), "no plan found for a validated query: {q:?}");
+    memo
 }
 
 /// All order requirements of the query (for normalization).
@@ -497,157 +518,157 @@ impl Split {
     }
 }
 
-impl Memo<'_> {
-    /// Rebuild the plan tree of a kept candidate from its back-pointers.
-    fn materialize(&self, id: CandId) -> SubPlan {
-        let c = self.arena[id as usize];
-        let op = match c.op {
-            Op::Access { table, path } => {
-                PlanNode::Access(self.paths[table as usize][path as usize].clone())
-            }
-            Op::Join { kind, left, right, sort_left, sort_right } => {
-                let l = Box::new(self.input(left, sort_left));
-                let r = Box::new(self.input(right, sort_right));
-                match kind {
-                    JoinKind::Hash => PlanNode::HashJoin(l, r),
-                    JoinKind::NestLoop => PlanNode::NestLoopJoin(l, r),
-                    JoinKind::Merge => PlanNode::MergeJoin(l, r),
-                }
-            }
-        };
-        SubPlan { op, cost: c.cost, rows: c.rows, order: self.orders.get(c.order).clone() }
-    }
-
-    /// A join input: the candidate, wrapped in an explicit sort if the join
-    /// asked for one.
-    fn input(&self, id: CandId, sort_to: Option<OrderId>) -> SubPlan {
-        let plan = self.materialize(id);
-        match sort_to {
-            None => plan,
-            Some(order) => SubPlan {
-                cost: sorted(self.cm, plan.cost, plan.rows),
-                rows: plan.rows,
-                order: self.orders.get(order).clone(),
-                op: PlanNode::Sort(Box::new(plan)),
-            },
-        }
-    }
-}
-
-/// An operator [`finalize`] stacks on a joined candidate.
-#[derive(Clone, Copy)]
+/// An operator `finalize` stacks on a joined candidate.
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum WrapKind {
     Sort,
     HashAgg,
     StreamAgg,
 }
 
+/// A joined candidate under its aggregation and sort operators (at most
+/// sort → stream aggregate → sort).
 #[derive(Clone, Copy)]
-struct Wrap<'a> {
-    kind: WrapKind,
-    /// Cumulative cost including the input.
-    cost: f64,
-    rows: f64,
-    order: &'a Ordering,
-}
-
-/// A joined candidate under its aggregation and sort operators, innermost
-/// first: at most sort → stream aggregate → sort.
-#[derive(Clone, Copy)]
-struct Finished<'a> {
+struct Finished {
     input: CandId,
-    wraps: [Option<Wrap<'a>>; 3],
-    /// Cost, rows and delivered order of the outermost operator.
+    /// The operator stacked right on the input, if any.  Each operator sets
+    /// its input's order requirement whatever is asked of it, so this one
+    /// alone decides what the input must deliver.
+    innermost: Option<WrapKind>,
+    /// Cost (input included) and rows of the outermost operator.
     cost: f64,
     rows: f64,
-    order: &'a Ordering,
 }
 
-impl<'a> Finished<'a> {
-    fn wrap(mut self, kind: WrapKind, cost: f64, rows: f64, order: &'a Ordering) -> Self {
-        let slot = self.wraps.iter().position(Option::is_none).expect("at most three wraps");
-        self.wraps[slot] = Some(Wrap { kind, cost, rows, order });
-        Finished { cost, rows, order, ..self }
+impl Finished {
+    fn wrap(self, kind: WrapKind, cost: f64, rows: f64) -> Self {
+        Finished { innermost: self.innermost.or(Some(kind)), cost, rows, ..self }
     }
 }
 
-/// Apply aggregation and final ordering to every fully joined candidate,
-/// pick the global winner and materialize it.
-fn finalize(
-    schema: &Schema,
-    q: &Query,
-    ec: &EquivClasses,
-    memo: &Memo,
-    joined: Range<usize>,
-) -> PhysicalPlan {
-    let cm = memo.cm;
-    let has_agg = !q.aggregates.is_empty() || !q.group_by.is_empty();
-    let no_order = Ordering::none();
-    let group_req = Ordering(q.group_by.clone());
-    let order_req = Ordering(q.order_by.clone());
-    let n_aggs = q.aggregates.len().max(1);
+/// What the walk of the winner gathers.
+struct Leaves {
+    /// One per table, in `q.tables` order.
+    leaves: Vec<ProbeLeaf>,
+    /// The leaf path costs in the order the walk meets them, `n` of them.
+    costs: [f64; MAX_TABLES],
+    n: usize,
+}
 
-    // The first cheapest finished plan wins.
-    let mut winner: Option<Finished> = None;
-    for id in joined {
-        let p = memo.arena[id];
-        let bare = Finished {
-            input: id as CandId,
-            wraps: [None; 3],
-            cost: p.cost,
-            rows: p.rows,
-            order: memo.orders.get(p.order),
-        };
-        let posts = if !has_agg {
-            [Some(bare), None]
-        } else if q.group_by.is_empty() {
-            // Scalar aggregate: single streaming pass, no order needed.
-            let cost = p.cost + cm.stream_agg(p.rows, 1.0, n_aggs);
-            [Some(bare.wrap(WrapKind::StreamAgg, cost, 1.0, &no_order)), None]
-        } else {
-            let groups = cardinality::group_rows(schema, &q.group_by, p.rows);
-            // Hash aggregation.
-            let hcost = p.cost + cm.hash_agg(p.rows, groups, n_aggs);
-            // Stream aggregation over (possibly sorted) input.
-            let input = if ec.satisfies(bare.order, &group_req) {
-                bare
+impl Memo<'_> {
+    /// Apply aggregation and final ordering to every fully joined candidate
+    /// and pick the first cheapest.
+    fn finalize(&self, schema: &Schema, q: &Query) -> Finished {
+        let (cm, ec) = (self.cm, &self.ec);
+        let has_agg = !q.aggregates.is_empty() || !q.group_by.is_empty();
+        let no_order = Ordering::none();
+        let group_req = Ordering(q.group_by.clone());
+        let order_req = Ordering(q.order_by.clone());
+        let n_aggs = q.aggregates.len().max(1);
+
+        let mut winner: Option<Finished> = None;
+        for id in self.joined.clone() {
+            let p = self.arena[id];
+            let bare =
+                Finished { input: id as CandId, innermost: None, cost: p.cost, rows: p.rows };
+            let bare_order = self.orders.get(p.order);
+            // The aggregated plans, each with the order it delivers.
+            let posts = if !has_agg {
+                [Some((bare, bare_order)), None]
+            } else if q.group_by.is_empty() {
+                // Scalar aggregate: single streaming pass, no order needed.
+                let cost = p.cost + cm.stream_agg(p.rows, 1.0, n_aggs);
+                [Some((bare.wrap(WrapKind::StreamAgg, cost, 1.0), &no_order)), None]
             } else {
-                bare.wrap(WrapKind::Sort, sorted(cm, p.cost, p.rows), p.rows, &group_req)
+                let groups = cardinality::group_rows(schema, &q.group_by, p.rows);
+                // Hash aggregation.
+                let hcost = p.cost + cm.hash_agg(p.rows, groups, n_aggs);
+                // Stream aggregation over (possibly sorted) input.
+                let input = if ec.satisfies(bare_order, &group_req) {
+                    bare
+                } else {
+                    bare.wrap(WrapKind::Sort, sorted(cm, p.cost, p.rows), p.rows)
+                };
+                let scost = input.cost + cm.stream_agg(input.rows, groups, n_aggs);
+                [
+                    Some((bare.wrap(WrapKind::HashAgg, hcost, groups), &no_order)),
+                    Some((input.wrap(WrapKind::StreamAgg, scost, groups), &group_req)),
+                ]
             };
-            let scost = input.cost + cm.stream_agg(input.rows, groups, n_aggs);
-            [
-                Some(bare.wrap(WrapKind::HashAgg, hcost, groups, &no_order)),
-                Some(input.wrap(WrapKind::StreamAgg, scost, groups, &group_req)),
-            ]
+            for (post, order) in posts.into_iter().flatten() {
+                let done = if order_req.is_none() || ec.satisfies(order, &order_req) {
+                    post
+                } else {
+                    post.wrap(WrapKind::Sort, sorted(cm, post.cost, post.rows), post.rows)
+                };
+                if winner.is_none_or(|w| done.cost.total_cmp(&w.cost).is_lt()) {
+                    winner = Some(done);
+                }
+            }
+        }
+        winner.expect("at least one finished plan")
+    }
+
+    /// Read the probe answer off `winner`: its cost, and per table the
+    /// prefix of the leaf's delivered order that the plan relies on.
+    fn answer(&self, q: &Query, winner: &Finished) -> ProbeAnswer {
+        // What the joined input must deliver: a sort or hash aggregate asks
+        // nothing, a stream aggregate the group order (none for a scalar
+        // aggregate).  With no operator on top, the ORDER BY reaches it.
+        let required: &[ColumnRef] = match winner.innermost {
+            None => &q.order_by,
+            Some(WrapKind::Sort | WrapKind::HashAgg) => &[],
+            Some(WrapKind::StreamAgg) => &q.group_by,
         };
-        for post in posts.into_iter().flatten() {
-            let done = if order_req.is_none() || ec.satisfies(post.order, &order_req) {
-                post
-            } else {
-                post.wrap(WrapKind::Sort, sorted(cm, post.cost, post.rows), post.rows, &order_req)
-            };
-            if winner.as_ref().is_none_or(|w| done.cost.total_cmp(&w.cost).is_lt()) {
-                winner = Some(done);
+        let leaves = q.tables.iter().map(|&table| ProbeLeaf { table, required: Vec::new() });
+        let mut out = Leaves { leaves: leaves.collect(), costs: [0.0; MAX_TABLES], n: 0 };
+        self.walk(winner.input, required, &mut out);
+        debug_assert_eq!(out.n, q.tables.len(), "one leaf per table");
+        let leaf_cost = out.costs[..out.n].iter().sum::<f64>();
+        ProbeAnswer {
+            total_cost: winner.cost,
+            internal_cost: (winner.cost - leaf_cost).max(0.0),
+            leaves: out.leaves,
+        }
+    }
+
+    /// Walk kept candidate `id`, whose consumer requires the order
+    /// `required`, left input first.  A join passes requirements down as
+    /// described in the module doc; a leaf keeps the prefix of its delivered
+    /// order as long as `required`, in its own columns.
+    fn walk(&self, id: CandId, required: &[ColumnRef], out: &mut Leaves) {
+        let c = self.arena[id as usize];
+        match c.op {
+            Op::Access { table, path } => {
+                let path = &self.paths[table as usize][path as usize];
+                let n = required.len().min(path.order.0.len());
+                out.leaves[table as usize].required =
+                    path.order.0[..n].iter().map(|c| c.column).collect();
+                out.costs[out.n] = path.cost;
+                out.n += 1;
+            }
+            Op::Join { kind, left, right, sort_left, sort_right } => {
+                let (l, r): (&[ColumnRef], &[ColumnRef]) = match kind {
+                    JoinKind::Hash => (&[], &[]),
+                    JoinKind::NestLoop => (required, &[]),
+                    JoinKind::Merge => {
+                        (self.merge_key(c.order, left), self.merge_key(c.order, right))
+                    }
+                };
+                // An explicit sort of an input absorbs its requirement.
+                self.walk(left, if sort_left.is_some() { &[] } else { l }, out);
+                self.walk(right, if sort_right.is_some() { &[] } else { r }, out);
             }
         }
     }
 
-    let winner = winner.expect("at least one finished plan");
-    let mut root = memo.materialize(winner.input);
-    for wrap in winner.wraps.into_iter().flatten() {
-        let input = Box::new(root);
-        root = SubPlan {
-            cost: wrap.cost,
-            rows: wrap.rows,
-            order: wrap.order.clone(),
-            op: match wrap.kind {
-                WrapKind::Sort => PlanNode::Sort(input),
-                WrapKind::HashAgg => PlanNode::HashAgg(input),
-                WrapKind::StreamAgg => PlanNode::StreamAgg(input),
-            },
-        };
+    /// What a merge join delivering order `merged` requires of its unsorted
+    /// input `id`: the input's delivered order, cut to the merge order's
+    /// length.
+    fn merge_key(&self, merged: OrderId, id: CandId) -> &[ColumnRef] {
+        let delivered = &self.orders.get(self.arena[id as usize].order).0;
+        &delivered[..self.orders.get(merged).0.len().max(1).min(delivered.len())]
     }
-    PhysicalPlan::finish(root, &order_req)
 }
 
 #[cfg(test)]
@@ -762,7 +783,7 @@ mod tests {
         assert!(offered > 400_000 && kept > 5_000 && tied > 300_000, "{offered} / {kept} / {tied}");
     }
 
-    /// Every order one `optimize` call could intern for `q`: the useful
+    /// Every order one `probe` call could intern for `q`: the useful
     /// prefix of each access path under each configuration, the merge
     /// orders of its join edges, and each requirement with its prefixes.
     fn query_orders(s: &Schema, cm: &CostModel, q: &Query, configs: &[&Configuration]) -> Orders {
@@ -818,14 +839,111 @@ mod tests {
         assert!(statements == 270 && pairs > 5_000, "{statements} statements, {pairs} pairs");
     }
 
+    /// Check the tree below kept candidate `id` as the memo holds it: every
+    /// candidate costs finitely and yields a row, no input (explicit sort
+    /// included) costs more than the operator above it, and a merge join's
+    /// inputs arrive sorted on a join edge between its two sides.  Returns
+    /// the tables read below `id` as bits of their `q.tables` slots.
+    fn check_tree(memo: &Memo, q: &Query, id: CandId) -> usize {
+        let c = memo.arena[id as usize];
+        assert!(c.cost.is_finite() && c.rows >= 1.0, "cost {} rows {}", c.cost, c.rows);
+        let (kind, left, right, sort_left, sort_right) = match c.op {
+            Op::Access { table, path } => {
+                let path = &memo.paths[table as usize][path as usize];
+                assert_eq!(path.cost.to_bits(), c.cost.to_bits());
+                return 1 << table;
+            }
+            Op::Join { kind, left, right, sort_left, sort_right } => {
+                (kind, left, right, sort_left, sort_right)
+            }
+        };
+        // An input's cost and delivered order, after its explicit sort.
+        let input = |id: CandId, sort: Option<OrderId>| {
+            let p = memo.arena[id as usize];
+            match sort {
+                None => (p.cost, p.order),
+                Some(order) => {
+                    let cost = sorted(memo.cm, p.cost, p.rows);
+                    assert!(p.cost <= cost, "sort input {} above its sort {cost}", p.cost);
+                    (cost, order)
+                }
+            }
+        };
+        let ((l_cost, l_order), (r_cost, r_order)) =
+            (input(left, sort_left), input(right, sort_right));
+        assert!(l_cost + r_cost <= c.cost, "inputs above their join {}", c.cost);
+        let (lt, rt) = (check_tree(memo, q, left), check_tree(memo, q, right));
+        assert_eq!(lt & rt, 0, "a table read on both sides of a join");
+        if kind == JoinKind::Merge {
+            let (lo, ro) = (memo.orders.get(l_order), memo.orders.get(r_order));
+            assert!(!lo.is_none() && !ro.is_none(), "unsorted merge input");
+            let (lc, rc) = (lo.0[0], ro.0[0]);
+            let bit = |c: ColumnRef| 1 << q.tables.iter().position(|&t| t == c.table).unwrap();
+            let on_an_edge = q.joins.iter().any(|j| {
+                let (a, b) =
+                    if lt & bit(j.left) != 0 { (j.left, j.right) } else { (j.right, j.left) };
+                lt & bit(a) != 0
+                    && rt & bit(b) != 0
+                    && memo.ec.equivalent(lc, a)
+                    && memo.ec.equivalent(rc, b)
+            });
+            assert!(on_an_edge, "merge inputs sorted on {lc:?} / {rc:?}: no such edge");
+        } else {
+            assert!(sort_left.is_none() && sort_right.is_none(), "a sort below a {kind:?} join");
+        }
+        lt | rt
+    }
+
+    /// The winner as the memo holds it is a real plan — every table read
+    /// once, costs that never fall toward the root, sorted merge inputs —
+    /// under random CGen sub-configurations with and without the clustered
+    /// baseline, over HetGen and HomGen.
+    #[test]
+    fn winners_are_well_formed_in_the_memo() {
+        let (s, cm) = setup();
+        let (mut probes, mut merges) = (0, 0);
+        for seed in [5, 61, 2024] {
+            let mut statements = HetGen::new(seed).generate(&s, 20);
+            for (_, stmt, _) in HomGen::new(seed).generate(&s, 15).iter() {
+                statements.push(stmt.clone());
+            }
+            let mut rng = Rng(seed);
+            let picked: Configuration = cophy::CGen::default()
+                .generate(&s, &statements)
+                .iter()
+                .filter(|_| rng.below(25) == 0)
+                .map(|(_, ix)| ix.clone())
+                .collect();
+            for config in [picked.union(&Configuration::baseline(&s)), picked] {
+                for (_, stmt, _) in statements.iter() {
+                    let q = stmt.read_shell();
+                    let memo = search(&s, &cm, q, &config);
+                    let winner = memo.finalize(&s, q);
+                    let input = memo.arena[winner.input as usize];
+                    assert!(input.cost <= winner.cost, "{} above {}", input.cost, winner.cost);
+                    assert_eq!(check_tree(&memo, q, winner.input), (1 << q.tables.len()) - 1);
+                    let ans = memo.answer(q, &winner);
+                    assert!(0.0 <= ans.internal_cost && ans.internal_cost <= ans.total_cost);
+                    probes += 1;
+                    merges += usize::from(
+                        memo.arena
+                            .iter()
+                            .any(|c| matches!(c.op, Op::Join { kind: JoinKind::Merge, .. })),
+                    );
+                }
+            }
+        }
+        assert!(probes == 210 && merges > 0, "{probes} probes, {merges} with merge joins kept");
+    }
+
     #[test]
     fn single_table_scan_plan() {
         let (s, cm) = setup();
         let li = s.table_by_name("lineitem").unwrap().id;
-        let plan = optimize(&s, &cm, &Query::scan(li), &Configuration::empty());
-        assert_eq!(plan.leaves.len(), 1);
-        assert!(plan.total_cost() > 0.0);
-        assert!(plan.internal_cost() < 1e-9, "bare scan has no internal cost");
+        let ans = probe(&s, &cm, &Query::scan(li), &Configuration::empty());
+        assert_eq!(ans.leaves.len(), 1);
+        assert!(ans.total_cost > 0.0);
+        assert!(ans.internal_cost < 1e-9, "bare scan has no internal cost");
     }
 
     #[test]
@@ -835,11 +953,11 @@ mod tests {
         let ck = s.resolve("orders.o_custkey").unwrap();
         let mut q = Query::scan(ord.id);
         q.predicates.push(Predicate::eq(ck, 5.0));
-        let base = optimize(&s, &cm, &q, &Configuration::empty());
+        let base = probe(&s, &cm, &q, &Configuration::empty());
         let mut cfg = Configuration::empty();
         cfg.insert(Index::secondary(ord.id, vec![ck.column]));
-        let with_ix = optimize(&s, &cm, &q, &cfg);
-        assert!(with_ix.total_cost() < base.total_cost());
+        let with_ix = probe(&s, &cm, &q, &cfg);
+        assert!(with_ix.total_cost < base.total_cost);
     }
 
     #[test]
@@ -857,8 +975,8 @@ mod tests {
         ));
         for (_, stmt, _) in w.iter() {
             let q = stmt.read_shell();
-            let c0 = optimize(&s, &cm, q, &empty).total_cost();
-            let c1 = optimize(&s, &cm, q, &cfg).total_cost();
+            let c0 = probe(&s, &cm, q, &empty).total_cost;
+            let c1 = probe(&s, &cm, q, &cfg).total_cost;
             assert!(c1 <= c0 * (1.0 + 1e-9), "index made a plan worse: {c1} > {c0}\n{q:?}");
         }
     }
@@ -875,16 +993,19 @@ mod tests {
             order_by: vec![od],
             ..Default::default()
         };
-        let base = optimize(&s, &cm, &q, &Configuration::empty());
-        assert!(base.render().contains("Sort"), "{}", base.render());
+        // The heap scan delivers no order: the plan sorts, and the sort is
+        // all of its internal cost.
+        let base = probe(&s, &cm, &q, &Configuration::empty());
+        assert!(base.leaves[0].required.is_empty(), "{base:?}");
+        assert!(base.internal_cost > 0.0, "{base:?}");
         let mut cfg = Configuration::empty();
         cfg.insert(Index::covering(ord.id, vec![od.column], vec![tp.column]));
-        let with_ix = optimize(&s, &cm, &q, &cfg);
-        assert!(!with_ix.render().contains("Sort"), "{}", with_ix.render());
-        assert!(with_ix.total_cost() < base.total_cost());
-        // The leaf must carry the order requirement.
-        let leaf = with_ix.leaf(ord.id).unwrap();
-        assert_eq!(leaf.required.0, vec![od]);
+        let with_ix = probe(&s, &cm, &q, &cfg);
+        // The covering index delivers the order: no sort is left, and the
+        // leaf must carry the order requirement.
+        assert_eq!(with_ix.leaves[0].required, vec![od.column]);
+        assert_eq!(with_ix.internal_cost, 0.0, "{with_ix:?}");
+        assert!(with_ix.total_cost < base.total_cost);
     }
 
     #[test]
@@ -893,12 +1014,10 @@ mod tests {
         let w = HomGen::new(5).generate(&s, 45);
         for (_, stmt, _) in w.iter() {
             let q = stmt.read_shell();
-            let plan = optimize(&s, &cm, q, &Configuration::empty());
-            assert_eq!(plan.leaves.len(), q.tables.len(), "{q:?}");
-            // every referenced table appears exactly once among leaves
-            for t in &q.tables {
-                assert_eq!(plan.leaves.iter().filter(|l| l.table == *t).count(), 1);
-            }
+            let ans = probe(&s, &cm, q, &Configuration::empty());
+            // One leaf per referenced table, in `q.tables` order.
+            let tables: Vec<TableId> = ans.leaves.iter().map(|l| l.table).collect();
+            assert_eq!(tables, q.tables, "{q:?}");
         }
     }
 
@@ -907,8 +1026,8 @@ mod tests {
         let (s, cm) = setup();
         let w = HetGen::new(8).generate(&s, 60);
         for (_, stmt, _) in w.iter() {
-            let plan = optimize(&s, &cm, stmt.read_shell(), &Configuration::empty());
-            assert!(plan.total_cost().is_finite() && plan.total_cost() > 0.0);
+            let ans = probe(&s, &cm, stmt.read_shell(), &Configuration::empty());
+            assert!(ans.total_cost.is_finite() && ans.total_cost > 0.0);
         }
     }
 
@@ -929,10 +1048,10 @@ mod tests {
         let mut cfg = Configuration::empty();
         cfg.insert(Index::secondary(ord, vec![ok.column]));
         cfg.insert(Index::secondary(li, vec![lk.column]));
-        let plan = optimize(&s, &cm, &q, &cfg);
+        let ans = probe(&s, &cm, &q, &cfg);
         // Whatever wins must be no worse than the no-index plan.
-        let base = optimize(&s, &cm, &q, &Configuration::empty());
-        assert!(plan.total_cost() <= base.total_cost());
+        let base = probe(&s, &cm, &q, &Configuration::empty());
+        assert!(ans.total_cost <= base.total_cost);
     }
 
     #[test]
@@ -944,8 +1063,8 @@ mod tests {
         let mut differs = false;
         for (_, stmt, _) in w.iter() {
             let q = stmt.read_shell();
-            let ca = optimize(&s, &a, q, &Configuration::empty()).total_cost();
-            let cb = optimize(&s, &b, q, &Configuration::empty()).total_cost();
+            let ca = probe(&s, &a, q, &Configuration::empty()).total_cost;
+            let cb = probe(&s, &b, q, &Configuration::empty()).total_cost;
             differs |= (ca - cb).abs() > 1e-6;
         }
         assert!(differs, "profiles must yield different costings");
@@ -968,8 +1087,8 @@ mod tests {
         };
         let mut cfg = Configuration::empty();
         cfg.insert(Index::covering(li.id, vec![rf.column], vec![qty.column]));
-        let plan = optimize(&s, &cm, &q, &cfg);
-        let base = optimize(&s, &cm, &q, &Configuration::empty());
-        assert!(plan.total_cost() <= base.total_cost());
+        let ans = probe(&s, &cm, &q, &cfg);
+        let base = probe(&s, &cm, &q, &Configuration::empty());
+        assert!(ans.total_cost <= base.total_cost);
     }
 }

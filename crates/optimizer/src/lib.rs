@@ -11,15 +11,18 @@
 //!   two commercial systems,
 //! * cardinality estimation from catalog statistics (`cardinality`),
 //! * access-path selection over heap scans, index seeks, index scans and
-//!   index-only variants ([`AccessPath`]),
+//!   index-only variants ([`AccessPath`], priced by [`TableFacts::price`]),
 //! * Selinger-style dynamic-programming join enumeration with *interesting
 //!   orders* (`dp`) — the plan-space structure INUM's template plans encode,
-//! * the what-if facade ([`WhatIfOptimizer`]) with per-call accounting and
-//!   update-maintenance costing (`ucost`).
+//! * the what-if facade ([`WhatIfOptimizer`]) with per-call accounting,
+//!   behind the [`WhatIfBackend`] trait, whose provided methods add
+//!   update-maintenance costing (`ucost`) and workload evaluation.
 //!
-//! Plans expose their leaf *accesses* separately from internal operators
-//! (`PhysicalPlan::leaves`), which is exactly the decomposition INUM needs:
-//! `total = internal (β) + Σ leaf access costs (γ)`.
+//! A probe answers with the plan's cost split into its internal operators
+//! and its leaf *accesses*, plus the order each leaf must deliver
+//! ([`ProbeAnswer`]): exactly the decomposition INUM needs,
+//! `total = internal (β) + Σ leaf access costs (γ)`.  The DP reads that
+//! answer off its memo of priced candidates; it never builds a plan tree.
 
 mod access;
 mod backend;
@@ -28,11 +31,10 @@ mod cost;
 mod dp;
 mod fault;
 mod ordering;
-mod plan;
 pub mod trace;
 mod whatif;
 
-pub use access::{heap_path, AccessMethod, AccessPath, IndexFacts, TableFacts};
+pub use access::{heap_path, AccessPath, IndexFacts, TableFacts};
 pub use backend::{
     config_fingerprint, fnv1a, query_fingerprint, BackendError, ProbeAnswer, ProbeLeaf,
     WhatIfBackend,
@@ -41,6 +43,5 @@ pub use cardinality::access_rows;
 pub use cost::{CostModel, SystemProfile};
 pub use fault::{probe_with_retry, FaultInjectingBackend, FaultPlan, RetriedProbe, RetryPolicy};
 pub use ordering::{EquivClasses, Ordering};
-pub use plan::{LeafAccess, PhysicalPlan, PlanNode, SubPlan};
 pub use trace::{TraceRecorder, TraceReplay};
 pub use whatif::WhatIfOptimizer;

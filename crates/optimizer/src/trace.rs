@@ -129,17 +129,27 @@ pub struct TraceReplay {
 }
 
 impl TraceReplay {
-    /// Parse a trace recorded by [`TraceRecorder::serialize`].
+    /// Parse a trace recorded by [`TraceRecorder::serialize`].  Like the
+    /// recorder's output, the trace must hold exactly one `profile` and one
+    /// `schema` record and each `(query, configuration)` key at most once:
+    /// a trace without its schema record would replay against any schema,
+    /// and a repeated record would silently replace the first.
     pub fn parse(schema: Schema, text: &str) -> Result<TraceReplay, String> {
         let mut lines = text.lines();
         if lines.next() != Some(MAGIC) {
             return Err(format!("not a {MAGIC} file"));
         }
-        let mut profile = None;
+        let (mut profile, mut schema_checked) = (None, false);
         let mut probes = HashMap::new();
         for line in lines {
             let mut f = line.split_ascii_whitespace();
             match f.next() {
+                Some("profile") if profile.is_some() => {
+                    return Err("trace has more than one profile record".to_string());
+                }
+                Some("schema") if schema_checked => {
+                    return Err("trace has more than one schema record".to_string());
+                }
                 Some("profile") => {
                     profile = Some(match f.next() {
                         Some("A") => SystemProfile::A,
@@ -155,6 +165,7 @@ impl TraceReplay {
                             "schema fingerprint mismatch: trace {want:016x}, supplied {got:016x}"
                         ));
                     }
+                    schema_checked = true;
                 }
                 Some("probe") => {
                     let qfp = parse_hex(f.next().ok_or("truncated probe line")?)?;
@@ -163,16 +174,19 @@ impl TraceReplay {
                     let internal =
                         f64::from_bits(parse_hex(f.next().ok_or("truncated probe line")?)?);
                     let leaves = f.map(parse_leaf).collect::<Result<Vec<_>, _>>()?;
-                    probes.insert(
-                        (qfp, cfp),
-                        ProbeAnswer { total_cost: total, internal_cost: internal, leaves },
-                    );
+                    let ans = ProbeAnswer { total_cost: total, internal_cost: internal, leaves };
+                    if probes.insert((qfp, cfp), ans).is_some() {
+                        return Err(format!("trace records probe {qfp:016x} {cfp:016x} twice"));
+                    }
                 }
                 Some("end") | None => {}
                 Some(other) => return Err(format!("unknown trace record {other:?}")),
             }
         }
         let profile = profile.ok_or("trace has no profile header")?;
+        if !schema_checked {
+            return Err("trace has no schema header".to_string());
+        }
         Ok(TraceReplay {
             schema,
             cm: CostModel::profile(profile),
@@ -338,6 +352,74 @@ mod tests {
         let text = rec.serialize();
         let other = TpchGen { scale: 2.0, ..TpchGen::default() }.schema();
         assert!(TraceReplay::parse(other, &text).is_err());
+    }
+
+    /// A one-probe trace of the lineitem scan, and the schema it checks.
+    fn one_probe_trace() -> (Schema, String) {
+        let o = opt();
+        let rec = TraceRecorder::new(&o);
+        let li = o.schema().table_by_name("lineitem").unwrap().id;
+        rec.try_probe(&Query::scan(li), &Configuration::empty()).unwrap();
+        let text = rec.serialize();
+        assert!(TraceReplay::parse(o.schema().clone(), &text).is_ok());
+        (o.schema().clone(), text)
+    }
+
+    /// `text` with its line starting with `record ` written twice.
+    fn repeat(text: &str, record: &str) -> String {
+        let line = text.lines().find(|l| l.starts_with(record)).expect("the record");
+        text.replacen(line, &format!("{line}\n{line}"), 1)
+    }
+
+    /// `text` without its line starting with `record `.
+    fn drop_record(text: &str, record: &str) -> String {
+        text.lines().filter(|l| !l.starts_with(record)).map(|l| format!("{l}\n")).collect()
+    }
+
+    #[test]
+    fn replay_refuses_a_trace_without_a_schema_record() {
+        let (schema, text) = one_probe_trace();
+        let err = TraceReplay::parse(schema, &drop_record(&text, "schema ")).unwrap_err();
+        assert_eq!(err, "trace has no schema header");
+        // Nor does the trace replay against another schema that way.
+        let other = TpchGen { scale: 2.0, ..TpchGen::default() }.schema();
+        assert!(TraceReplay::parse(other, &drop_record(&text, "schema ")).is_err());
+    }
+
+    #[test]
+    fn replay_refuses_a_trace_without_a_profile_record() {
+        let (schema, text) = one_probe_trace();
+        let err = TraceReplay::parse(schema, &drop_record(&text, "profile ")).unwrap_err();
+        assert_eq!(err, "trace has no profile header");
+    }
+
+    #[test]
+    fn replay_refuses_a_repeated_profile_record() {
+        let (schema, text) = one_probe_trace();
+        let err = TraceReplay::parse(schema, &repeat(&text, "profile ")).unwrap_err();
+        assert_eq!(err, "trace has more than one profile record");
+    }
+
+    #[test]
+    fn replay_refuses_a_repeated_schema_record() {
+        let (schema, text) = one_probe_trace();
+        let err = TraceReplay::parse(schema, &repeat(&text, "schema ")).unwrap_err();
+        assert_eq!(err, "trace has more than one schema record");
+    }
+
+    #[test]
+    fn replay_refuses_a_repeated_probe_key() {
+        let (schema, text) = one_probe_trace();
+        let err = TraceReplay::parse(schema.clone(), &repeat(&text, "probe ")).unwrap_err();
+        assert!(err.contains("twice"), "{err}");
+        // The same key with another answer is refused too, not replaced.
+        let line = text.lines().find(|l| l.starts_with("probe ")).unwrap();
+        let mut fields: Vec<&str> = line.split(' ').collect();
+        let other_cost = format!("{:016x}", 1.5f64.to_bits());
+        fields[3] = &other_cost;
+        let text = text.replacen(line, &format!("{line}\n{}", fields.join(" ")), 1);
+        let err = TraceReplay::parse(schema, &text).unwrap_err();
+        assert!(err.contains("twice"), "{err}");
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! This is the interface the paper's architecture diagram draws between the
 //! DBMS and everything else: given a statement and a *hypothetical*
-//! configuration, return the optimal plan and its cost, without materializing
-//! anything.  The facade (through its [`WhatIfBackend`] impl) also:
+//! configuration, return the optimal plan's cost and what it asks of each
+//! table access, without materializing anything.  A probe runs the DP
+//! (`dp::probe`) and reads its [`ProbeAnswer`] off the DP's memo; no plan
+//! is built.  The facade (through its [`WhatIfBackend`] impl) also:
 //!
 //! * counts what-if calls — the scarce resource whose consumption separates
 //!   INUM-based advisors from optimizer-in-the-loop advisors (Figures 4/5),
@@ -20,7 +22,6 @@ use cophy_workload::Query;
 use crate::backend::{BackendError, ProbeAnswer, WhatIfBackend};
 use crate::cost::{CostModel, SystemProfile};
 use crate::dp;
-use crate::plan::PhysicalPlan;
 
 /// A simulated DBMS what-if optimizer.
 #[derive(Debug)]
@@ -61,16 +62,10 @@ impl WhatIfOptimizer {
     pub fn reset_call_counter(&self) {
         self.calls.store(0, AtomicOrdering::Relaxed);
     }
-
-    /// Optimize a SELECT (or query shell) under a hypothetical configuration.
-    pub fn optimize(&self, q: &Query, config: &Configuration) -> PhysicalPlan {
-        self.calls.fetch_add(1, AtomicOrdering::Relaxed);
-        dp::optimize(&self.schema, &self.cm, q, config)
-    }
 }
 
-/// The reference [`WhatIfBackend`]: every probe is a live `dp::optimize`
-/// call, and the statement / workload costing (`cost_query` … `perf`) is the
+/// The reference [`WhatIfBackend`]: every probe is a live `dp::probe` call,
+/// and the statement / workload costing (`cost_query` … `perf`) is the
 /// trait's own — import [`WhatIfBackend`] to call it on the concrete type.
 impl WhatIfBackend for WhatIfOptimizer {
     fn schema(&self) -> &Schema {
@@ -86,7 +81,8 @@ impl WhatIfBackend for WhatIfOptimizer {
     }
 
     fn try_probe(&self, q: &Query, config: &Configuration) -> Result<ProbeAnswer, BackendError> {
-        Ok(ProbeAnswer::from_plan(q, &self.optimize(q, config)))
+        self.calls.fetch_add(1, AtomicOrdering::Relaxed);
+        Ok(dp::probe(&self.schema, &self.cm, q, config))
     }
 
     fn what_if_calls(&self) -> u64 {
