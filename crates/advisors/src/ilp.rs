@@ -206,16 +206,8 @@ impl IlpAdvisor {
         let n = candidates.len();
         let index_facts: Vec<IndexFacts> =
             candidates.iter().map(|(_, ix)| IndexFacts::new(schema, ix)).collect();
-        let mut item_cost = vec![0.0f64; n];
-        for pq in &prepared.queries {
-            if pq.update.is_none() {
-                continue;
-            }
-            for (id, ix) in candidates.iter() {
-                let ixf = &index_facts[id.0 as usize];
-                item_cost[id.0 as usize] += pq.weight * pq.ucost(cm, ix, || ixf.height());
-            }
-        }
+        let heights = candidates.iter().zip(&index_facts).map(|((_, ix), ixf)| (ix, ixf.height()));
+        let item_cost = prepared.maintenance_costs(cm, heights);
         let item_size: Vec<f64> =
             candidates.iter().map(|(id, _)| candidates.size_bytes(id) as f64).collect();
 
@@ -267,10 +259,10 @@ impl Advisor for IlpAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cophy::{CoPhy, CoPhyOptions};
+    use cophy::{BipGen, CoPhy, CoPhyOptions};
     use cophy_catalog::TpchGen;
     use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
-    use cophy_workload::HomGen;
+    use cophy_workload::{HetGen, HomGen, UpdateGen};
 
     fn setup(n: usize) -> (WhatIfOptimizer, Workload) {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
@@ -316,5 +308,33 @@ mod tests {
             perf_cophy >= perf_ilp - 0.02,
             "CoPhy {perf_cophy} should not lose to ILP {perf_ilp}"
         );
+    }
+
+    /// The ILP baseline and CoPhy charge a selected index the same
+    /// maintenance: on a half-UPDATE mix, the ILP block's `item_cost` is
+    /// BIPGen's, bit for bit.
+    #[test]
+    fn ilp_charges_index_maintenance_like_bipgen() {
+        let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
+        let s = o.schema();
+        let reads = HetGen::new(4).generate(s, 20);
+        let w = UpdateGen::new(4).mix_into(s, &reads, 0.5);
+        let candidates = CGen::default().generate(s, &w);
+        let constraints = ConstraintSet::storage_fraction(s, 0.5);
+        let prepared = Inum::new(&o).prepare_workload(&w);
+        let mut stats = IlpStats::default();
+        let ilp =
+            IlpAdvisor::default().build_block(&o, &prepared, &candidates, &constraints, &mut stats);
+        let bip = BipGen::default().block_problem(
+            s,
+            o.cost_model(),
+            &prepared,
+            &candidates,
+            &constraints,
+        );
+        let bits = |costs: &[f64]| costs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ilp.item_cost), bits(&bip.block.item_cost));
+        let charged = ilp.item_cost.iter().filter(|&&c| c > 0.0).count();
+        assert!(charged > 10 && charged < candidates.len(), "{charged} charged");
     }
 }

@@ -67,7 +67,9 @@ fn bench_inum(c: &mut Criterion) {
         .filter(|(_, cfg)| !cfg.is_empty())
         .collect();
     c.bench_function("whatif/probe_hom_ideal_configs", |b| {
-        b.iter(|| ideal.iter().map(|(q, cfg)| o.cost_query(q, cfg)).sum::<f64>());
+        b.iter(|| {
+            ideal.iter().map(|(q, cfg)| o.try_probe(q, cfg).unwrap().total_cost).sum::<f64>()
+        });
     });
 }
 

@@ -32,12 +32,13 @@
 //!
 //! **Once per candidate.**  What pricing reads of an index alone — leaf
 //! pages, height, its columns as a bit mask — is an [`IndexFacts`] built
-//! once per walk beside the by-table buckets; every `γ` is
-//! [`TableFacts::price`] against it, and the maintenance terms read its
-//! height.  Once per (statement, table, candidate), the length of the key
-//! prefix the statement's equalities bind is computed and shared by every
-//! slot's order test (`Index::provides_order_past`, which is
-//! [`Slot::admits`] for a candidate on the slot's table).
+//! once per walk, in candidate order, and copied into the by-table buckets;
+//! every `γ` is [`TableFacts::price`] against it, and the maintenance terms
+//! (`z`'s costs, [`PreparedWorkload::maintenance_costs`]) read its height.
+//! Once per (statement, table, candidate), the length of the key prefix the
+//! statement's equalities bind is computed and shared by every slot's order
+//! test (`Index::provides_order_past`, which is [`Slot::admits`] for a
+//! candidate on the slot's table).
 
 use cophy_bip::{Alt, Block, BlockProblem, ConstrId, LinExpr, Model, Sense, SlotChoices, VarId};
 use cophy_catalog::{Configuration, Index, Schema};
@@ -137,34 +138,18 @@ pub struct TuningProblem {
 type Candidate<'a> = (u32, &'a Index, IndexFacts);
 
 /// The candidate set bucketed by table (`TableId.0` indexes the outer
-/// vector), in candidate-id order.
+/// vector), in candidate-id order; `facts` holds each candidate's
+/// [`IndexFacts`], by id.
 fn candidates_by_table<'a>(
     schema: &Schema,
     candidates: &'a CandidateSet,
+    facts: &[IndexFacts],
 ) -> Vec<Vec<Candidate<'a>>> {
     let mut by_table = vec![Vec::new(); schema.n_tables()];
     for (id, ix) in candidates.iter() {
-        by_table[ix.table.0 as usize].push((id.0, ix, IndexFacts::new(schema, ix)));
+        by_table[ix.table.0 as usize].push((id.0, ix, facts[id.0 as usize]));
     }
     by_table
-}
-
-/// `Σ_q f_q · ucost(a, q)` per candidate.  An UPDATE only charges indexes on
-/// the table it writes; every other term of the sum is `+ 0.0`.
-fn maintenance_costs(
-    cm: &CostModel,
-    prepared: &PreparedWorkload,
-    by_table: &[Vec<Candidate<'_>>],
-    n_candidates: usize,
-) -> Vec<f64> {
-    let mut costs = vec![0.0f64; n_candidates];
-    for pq in &prepared.queries {
-        let Some((update, _)) = &pq.update else { continue };
-        for (a, ix, ixf) in &by_table[update.table().0 as usize] {
-            costs[*a as usize] += pq.weight * pq.ucost(cm, ix, || ixf.height());
-        }
-    }
-    costs
 }
 
 /// One candidate with a finite `γ` on a table a statement reads: its
@@ -198,7 +183,7 @@ impl<'a> StatementGammas<'a> {
             let priced = by_table[facts.table().0 as usize]
                 .iter()
                 .filter_map(|&(a, ix, ref ixf)| {
-                    let (_, gamma) = facts.price(cm, ix, ixf)?;
+                    let gamma = facts.price(cm, ix, ixf)?;
                     let eq_prefix_len = ix.eq_prefix_len(facts.eq_cols());
                     Some(Priced { a, ix, gamma, eq_prefix_len })
                 })
@@ -244,8 +229,11 @@ impl BipGen {
         budget: Option<f64>,
     ) -> TuningProblem {
         let n = candidates.len();
-        let by_table = candidates_by_table(schema, candidates);
-        let item_cost = maintenance_costs(cm, prepared, &by_table, n);
+        let facts: Vec<IndexFacts> =
+            candidates.iter().map(|(_, ix)| IndexFacts::new(schema, ix)).collect();
+        let by_table = candidates_by_table(schema, candidates, &facts);
+        let heights = candidates.iter().zip(&facts).map(|((_, ix), ixf)| (ix, ixf.height()));
+        let item_cost = prepared.maintenance_costs(cm, heights);
         let item_size: Vec<f64> =
             candidates.iter().map(|(id, _)| candidates.size_bytes(id) as f64).collect();
 
@@ -561,7 +549,9 @@ mod tests {
         ] {
             let prepared = inum.prepare_workload(&w);
             let candidates = crate::cgen::CGen::default().generate(s, &w);
-            let by_table = candidates_by_table(s, &candidates);
+            let facts: Vec<IndexFacts> =
+                candidates.iter().map(|(_, ix)| IndexFacts::new(s, ix)).collect();
+            let by_table = candidates_by_table(s, &candidates, &facts);
             for pq in &prepared.queries {
                 for facts in pq.table_facts(s) {
                     for &(_, ix, _) in &by_table[facts.table().0 as usize] {

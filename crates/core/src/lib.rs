@@ -75,14 +75,16 @@
 //! The paper's portability claim — CoPhy works against *any* DBMS that can
 //! answer what-if questions — is a trait seam here: every layer above the
 //! optimizer (INUM, `CoPhy`, [`TuningSession`], the baseline advisors) sees
-//! only [`WhatIfBackend`].  The contract is three accessors (`schema`,
-//! `profile`, `cost_model`), one probe (`probe(query, configuration) →
-//! ProbeAnswer`: total cost, internal cost, per-table leaf column
-//! requirements), and call accounting (`what_if_calls`,
-//! `reset_call_counter`); everything else (statement costing, update
-//! pricing, workload totals) is derived analytically in provided methods so
-//! update semantics stay identical across backends.  Three implementations
-//! ship:
+//! only [`WhatIfBackend`].  A backend implements six methods: what it costs
+//! against (`schema`, `profile`, `cost_model`), one fallible probe
+//! (`try_probe(query, configuration) → Result<ProbeAnswer, BackendError>`:
+//! total cost, internal cost, per-table leaf column requirements), and call
+//! accounting (`what_if_calls`, `reset_call_counter`).  The trait provides
+//! three evaluators on top — `cost_statement`, `cost_workload` and `perf` —
+//! and prices an UPDATE by §2's update model, the plain functions
+//! [`cophy_optimizer::ucost`] and [`cophy_optimizer::CostModel::rewrite`],
+//! which no backend overrides: the ground truth and what INUM and BIPGen
+//! optimize price maintenance alike.  Three implementations ship:
 //!
 //! * [`cophy_optimizer::WhatIfOptimizer`] — the live analytic optimizer;
 //! * [`cophy_optimizer::TraceRecorder`] / [`cophy_optimizer::TraceReplay`] —

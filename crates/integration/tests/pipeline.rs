@@ -5,7 +5,9 @@ use cophy::{CGen, CoPhy, CoPhyOptions, ConstraintSet, SolveBudget, SolverBackend
 use cophy_advisors::{Advisor, IlpAdvisor, ToolA, ToolB};
 use cophy_catalog::{Configuration, Skew, TpchGen};
 use cophy_inum::Inum;
-use cophy_optimizer::{IndexFacts, SystemProfile, WhatIfBackend, WhatIfOptimizer};
+use cophy_optimizer::{
+    access_rows, ucost, IndexFacts, SystemProfile, WhatIfBackend, WhatIfOptimizer,
+};
 use cophy_workload::{HetGen, HomGen, Statement, UpdateGen};
 
 fn optimizer(profile: SystemProfile, z: f64) -> WhatIfOptimizer {
@@ -251,10 +253,15 @@ fn baseline_x0_is_never_part_of_recommendation_budget() {
     assert_eq!(union.len(), rec.configuration.len() + x0.len());
 }
 
-/// `PreparedQuery::ucost` (rows cached at preparation, the height from the
-/// index facts BIPGen builds) and `WhatIfBackend::ucost` (rows and height per
-/// call) are two copies of the maintenance formula.  They agree bit for bit
-/// over UPDATE statements × CGen's candidates, under both system profiles.
+/// INUM prices an UPDATE from the rows it cached at preparation, the
+/// backend's `cost_statement` from `access_rows` computed afresh; both go
+/// through §2's one definition (`cophy_optimizer::ucost` and
+/// `CostModel::rewrite`).  The cached rows are the fresh ones, and
+/// `PreparedQuery::ucost` (with the height from the index facts BIPGen
+/// builds) and `fixed_update_cost` are the shared functions of them, bit for
+/// bit, over UPDATE statements × CGen's candidates under both system
+/// profiles.  So is the backend's whole statement cost under the
+/// candidates on the UPDATE's table.
 #[test]
 fn inum_and_the_backend_price_index_maintenance_alike() {
     let (mut priced, mut affected) = (0, 0);
@@ -266,15 +273,26 @@ fn inum_and_the_backend_price_index_maintenance_alike() {
         let candidates = CGen::default().generate(schema, &w);
         let prepared = Inum::new(&o).prepare_workload(&w);
         for pq in &prepared.queries {
-            let Some((u, _)) = &pq.update else { continue };
+            let Some((u, rows)) = &pq.update else { continue };
+            let fresh = access_rows(schema, &u.shell, u.table());
+            assert_eq!(rows.to_bits(), fresh.to_bits(), "{u:?}");
+            assert_eq!(pq.fixed_update_cost.to_bits(), cm.rewrite(fresh).to_bits(), "{u:?}");
             for (_, ix) in candidates.iter() {
                 let facts = IndexFacts::new(schema, ix);
                 let inum = pq.ucost(cm, ix, || facts.height());
-                let backend = o.ucost(u, ix);
-                assert_eq!(inum.to_bits(), backend.to_bits(), "{ix:?} under {u:?}");
+                let shared = ucost(cm, u, fresh, ix, || ix.height(schema));
+                assert_eq!(inum.to_bits(), shared.to_bits(), "{ix:?} under {u:?}");
                 priced += 1;
-                affected += usize::from(backend > 0.0);
+                affected += usize::from(shared > 0.0);
             }
+            let on_table = candidates.iter().filter(|(_, ix)| ix.table == u.table());
+            let config = Configuration::from_indexes(on_table.map(|(_, ix)| ix.clone()));
+            let read = o.try_probe(&u.shell, &config).unwrap().total_cost;
+            let maintenance: f64 =
+                config.iter().map(|ix| pq.ucost(cm, ix, || ix.height(schema))).sum();
+            let backend = o.cost_statement(&Statement::Update(u.clone()), &config);
+            let inum = read + maintenance + pq.fixed_update_cost;
+            assert_eq!(backend.to_bits(), inum.to_bits(), "{u:?}");
         }
     }
     assert!(affected > 500 && priced > 10 * affected, "{affected} of {priced} pairs affected");

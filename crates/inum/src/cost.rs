@@ -7,7 +7,7 @@
 //! paper's Definition 1 and what makes the evaluation run in microseconds.
 
 use cophy_catalog::{Configuration, Index, Schema};
-use cophy_optimizer::{CostModel, IndexFacts, TableFacts};
+use cophy_optimizer::{ucost, CostModel, IndexFacts, TableFacts};
 
 use crate::prepare::{PreparedQuery, PreparedWorkload};
 
@@ -50,15 +50,15 @@ impl PreparedQuery {
         facts
     }
 
-    /// `ucost(a, q)`: maintenance cost of index `a` under this statement
-    /// (0 for SELECTs and unaffected indexes).  `height` yields
+    /// [`cophy_optimizer::ucost`] of index `a` under this statement, over
+    /// the rows cached at preparation (0 for SELECTs).  `height` yields
     /// `ix.height(schema)`, and is called only when the statement maintains
     /// `ix`; a caller holding the index's
     /// [`IndexFacts`](cophy_optimizer::IndexFacts) passes its height.
     pub fn ucost(&self, cm: &CostModel, ix: &Index, height: impl FnOnce() -> u32) -> f64 {
         match &self.update {
-            Some((u, rows)) if u.affects(ix) => cm.maintain(*rows, height()),
-            _ => 0.0,
+            Some((u, rows)) => ucost(cm, u, *rows, ix, height),
+            None => 0.0,
         }
     }
 
@@ -160,6 +160,31 @@ impl PreparedWorkload {
         self.queries.iter().map(|pq| pq.weight * pq.cost(schema, cm, config)).sum()
     }
 
+    /// `Σ_q f_q · ucost(a, q)` per candidate `a`, given in candidate order
+    /// with its height: the `z` costs of every BIP over this workload.  An
+    /// UPDATE visits only the candidates on the table it writes; each sum
+    /// runs in statement order.
+    pub fn maintenance_costs<'a>(
+        &self,
+        cm: &CostModel,
+        candidates: impl IntoIterator<Item = (&'a Index, u32)>,
+    ) -> Vec<f64> {
+        let (mut costs, mut by_table) = (Vec::new(), Vec::<Vec<(usize, &Index, u32)>>::new());
+        for (ix, height) in candidates {
+            let t = ix.table.0 as usize;
+            by_table.resize_with(by_table.len().max(t + 1), Vec::new);
+            by_table[t].push((costs.len(), ix, height));
+            costs.push(0.0f64);
+        }
+        for pq in &self.queries {
+            let Some((u, rows)) = &pq.update else { continue };
+            for &(a, ix, height) in by_table.get(u.table().0 as usize).into_iter().flatten() {
+                costs[a] += pq.weight * ucost(cm, u, *rows, ix, || height);
+            }
+        }
+        costs
+    }
+
     /// `Σ_q f_q · cost(q, ∅)`, the baseline every recommendation is measured
     /// against: the sum [`PreparedWorkload::cost`] takes under
     /// [`Configuration::empty`], term for term, over each statement's cached
@@ -232,7 +257,7 @@ mod tests {
         let pw = inum.prepare_workload(&w);
         for pq in &pw.queries {
             let inum_cost = pq.cost(o.schema(), o.cost_model(), &Configuration::empty());
-            let direct = o.cost_query(&pq.query, &Configuration::empty());
+            let direct = o.try_probe(&pq.query, &Configuration::empty()).unwrap().total_cost;
             let ratio = inum_cost / direct;
             assert!(
                 (0.999..=1.001).contains(&ratio),
@@ -252,7 +277,7 @@ mod tests {
             let cfg = random_config(&o, seed);
             for pq in &pw.queries {
                 let inum_cost = pq.cost(o.schema(), o.cost_model(), &cfg);
-                let direct = o.cost_query(&pq.query, &cfg);
+                let direct = o.try_probe(&pq.query, &cfg).unwrap().total_cost;
                 let ratio = inum_cost / direct;
                 // INUM restricts plan shapes to the template set → the INUM
                 // cost can never be more than marginally below the

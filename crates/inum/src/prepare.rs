@@ -18,8 +18,8 @@
 
 use cophy_catalog::{ColumnId, Configuration, Schema};
 use cophy_optimizer::{
-    config_fingerprint, probe_with_retry, query_fingerprint, BackendError, ProbeAnswer,
-    RetryPolicy, WhatIfBackend,
+    access_rows, config_fingerprint, probe_with_retry, query_fingerprint, BackendError,
+    ProbeAnswer, RetryPolicy, WhatIfBackend,
 };
 use cophy_workload::{Query, QueryId, Statement, UpdateStatement, Workload};
 
@@ -51,7 +51,7 @@ pub struct PreparedQuery {
     pub query: Query,
     /// `TPlans(q)`: deduplicated template plans, cheapest-β first.
     pub templates: Vec<TemplatePlan>,
-    /// For UPDATE statements: the statement (for `ucost`) and its row count.
+    /// For UPDATE statements: the statement and the rows it modifies.
     pub update: Option<(UpdateStatement, f64)>,
     /// The fixed `c_q` base-table update cost (0 for SELECTs).
     pub fixed_update_cost: f64,
@@ -135,13 +135,13 @@ impl<'o> Inum<'o> {
         if report.probes_exhausted > exhausted {
             report.degraded.push(qid);
         }
-        let (update, fixed) = match stmt {
-            Statement::Select(_) => (None, 0.0),
+        let update = match stmt {
+            Statement::Select(_) => None,
             Statement::Update(u) => {
-                let rows = cophy_optimizer::access_rows(self.opt.schema(), &u.shell, u.table());
-                (Some((u.clone(), rows)), self.opt.base_update_cost(u))
+                Some((u.clone(), access_rows(self.opt.schema(), &u.shell, u.table())))
             }
         };
+        let fixed = update.as_ref().map_or(0.0, |(_, rows)| self.opt.cost_model().rewrite(*rows));
         let mut pq = PreparedQuery {
             qid,
             weight,

@@ -41,7 +41,7 @@ impl Slot {
         if !self.admits(ix, facts.eq_cols()) {
             return None;
         }
-        facts.price(cm, ix, ixf).map(|(_, gamma)| gamma)
+        facts.price(cm, ix, ixf)
     }
 }
 

@@ -252,10 +252,10 @@ impl TableFacts {
     }
 
     /// Price the best access that uses `ix`, whose facts are `ixf`
-    /// (`IndexFacts::new(schema, ix)`): whether it is a seek, and its cost.
-    /// `None` when using the index is nonsensical (see `index_path`).  The
-    /// one copy of the access-cost formula; allocates nothing.
-    pub fn price(&self, cm: &CostModel, ix: &Index, ixf: &IndexFacts) -> Option<(bool, f64)> {
+    /// (`IndexFacts::new(schema, ix)`): its cost.  `None` when using the
+    /// index is nonsensical (see `index_path`).  The one copy of the
+    /// access-cost formula; allocates nothing.
+    pub fn price(&self, cm: &CostModel, ix: &Index, ixf: &IndexFacts) -> Option<f64> {
         debug_assert_eq!(ix.table, self.table);
         let rows = self.rows;
         let sarg = self.analyze_sargs(ix, ixf);
@@ -277,7 +277,7 @@ impl TableFacts {
             if !covering {
                 cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
             }
-            Some((true, cost))
+            Some(cost)
         } else {
             // Full index scan: only sensible when covering (index-only) or
             // when the delivered order will be exploited — the caller decides
@@ -294,7 +294,7 @@ impl TableFacts {
             if !covering {
                 cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
             }
-            Some((false, cost))
+            Some(cost)
         }
     }
 
@@ -304,7 +304,7 @@ impl TableFacts {
     /// index has no sargable prefix or useful order — such paths are strictly
     /// dominated by the heap scan and INUM prunes their `x` variables).
     fn index_path(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<AccessPath> {
-        let (_, cost) = self.price(cm, ix, &IndexFacts::new(schema, ix))?;
+        let cost = self.price(cm, ix, &IndexFacts::new(schema, ix))?;
         Some(AccessPath { cost, rows: self.rows_out, order: self.order_of(ix) })
     }
 }
@@ -388,10 +388,10 @@ mod tests {
         let facts = TableFacts::new(&s, &q, ord.id);
         let seek = facts.index_path(&s, &cm, &ix).unwrap();
         let heap = heap_path(&s, &cm, &q, ord.id, None);
-        assert_eq!(
-            facts.price(&cm, &ix, &IndexFacts::new(&s, &ix)).map(|(seek, _)| seek),
-            Some(true)
-        );
+        // Priced as a seek: below a full scan of the same index's leaves.
+        let priced = facts.price(&cm, &ix, &IndexFacts::new(&s, &ix)).unwrap();
+        let leaf_scan = cm.index_leaf_scan(ix.pages_and_height(&s).0, ord.rows as f64);
+        assert!(priced < leaf_scan, "seek {priced} leaf scan {leaf_scan}");
         assert!(seek.cost < heap.cost / 10.0, "seek {} heap {}", seek.cost, heap.cost);
     }
 
@@ -570,16 +570,22 @@ mod tests {
             })
         }
 
-        fn price(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<(bool, f64)> {
+        /// Whether the best access through `ix` is a seek: a key prefix is
+        /// sargable.
+        fn seeks(&self, ix: &Index) -> bool {
+            let sarg = self.analyze_sargs(ix);
+            sarg.matched_sel < 1.0
+                || sarg.eq_bound > 0
+                || (!ix.key.is_empty() && self.has_range_pred(ix.key[0]))
+        }
+
+        fn price(&self, schema: &Schema, cm: &CostModel, ix: &Index) -> Option<f64> {
             assert_eq!(ix.table, self.table);
             let rows = self.rows;
             let sarg = self.analyze_sargs(ix);
             let covering = ix.covers(&self.used_cols);
             let leaf_pages = ix.pages_and_height(schema).0;
-            let sargable = sarg.matched_sel < 1.0
-                || sarg.eq_bound > 0
-                || (!ix.key.is_empty() && self.has_range_pred(ix.key[0]));
-            if sargable {
+            if self.seeks(ix) {
                 let scanned = rows * sarg.matched_sel;
                 let mut cost =
                     cm.index_range_scan(ix.height(schema), leaf_pages, sarg.matched_sel, scanned);
@@ -588,7 +594,7 @@ mod tests {
                 if !covering {
                     cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
                 }
-                Some((true, cost))
+                Some(cost)
             } else {
                 if !covering && ix.eq_prefix_len(&self.eq_cols) == ix.key.len() {
                     return None;
@@ -599,7 +605,7 @@ mod tests {
                 if !covering {
                     cost += cm.heap_fetches(fetch_rows) + cm.filter(fetch_rows, sarg.n_residual);
                 }
-                Some((false, cost))
+                Some(cost)
             }
         }
     }
@@ -632,18 +638,17 @@ mod tests {
                     from_cgen += proposed.clone().count();
                     for ix in index_family(&s, q, table).iter().chain(proposed) {
                         let kernel = facts.price(&cm, ix, &IndexFacts::new(&s, ix));
-                        let bits = |p: Option<(bool, f64)>| p.map(|(seek, c)| (seek, c.to_bits()));
+                        let bits = |p: Option<f64>| p.map(f64::to_bits);
                         assert_eq!(bits(kernel), bits(oracle.price(&s, &cm, ix)), "{ix:?}");
                         let path = facts.index_path(&s, &cm, ix);
-                        let cost = kernel.map(|(_, cost)| cost.to_bits());
-                        assert_eq!(cost, path.as_ref().map(|p| p.cost.to_bits()));
+                        assert_eq!(bits(kernel), path.as_ref().map(|p| p.cost.to_bits()));
                         // The one refusal: a full scan that neither covers
                         // the query nor delivers an order.
                         let useless =
                             !ix.covers(&q.columns_used_on(table)) && facts.order_of(ix).is_none();
                         match path {
                             Some(_) => {
-                                let seek = kernel.is_some_and(|(seek, _)| seek);
+                                let seek = oracle.seeks(ix);
                                 assert!(seek || !useless, "{ix:?} should have been refused");
                                 priced += 1;
                             }

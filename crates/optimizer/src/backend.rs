@@ -2,22 +2,18 @@
 //!
 //! CoPhy's portability claim (§1, §6) is that the advisor is a thin layer
 //! over *any* what-if optimizer: everything above the DBMS consumes a narrow
-//! costing interface.  [`WhatIfBackend`] is that interface.  A backend must
-//! answer two kinds of questions:
+//! costing interface.  [`WhatIfBackend`] is that interface.  A backend
+//! implements six methods: the **probe** ([`WhatIfBackend::try_probe`]),
+//! which costs a query under a hypothetical configuration and says what the
+//! chosen plan asks of each table access — its internal cost and the order
+//! each leaf must deliver ([`ProbeAnswer`]), all INUM needs to build template
+//! plans; **call accounting**, the scarce resource of Figures 4/5; and what
+//! it costs against (`schema`, `profile`, `cost_model`).  Candidate indexes
+//! are not the backend's business: CGen enumerates them itself.
 //!
-//! 1. **probe** — cost a query under a hypothetical configuration and say
-//!    what the chosen plan asks of each table access: its internal cost
-//!    and the order each leaf must deliver ([`ProbeAnswer`]), which is all
-//!    INUM needs to build template plans;
-//! 2. **call accounting** — report how many what-if optimizations were spent,
-//!    the scarce resource of Figures 4/5.
-//!
-//! Candidate indexes are not the backend's business: CGen enumerates them
-//! from the workload itself.
-//!
-//! Update pricing (`ucost`, `base_update_cost`) and workload evaluation are
-//! provided methods derived analytically from the backend's schema and cost
-//! model, so the §2 update semantics stay identical across backends.
+//! The trait provides three evaluators, `cost_statement`, `cost_workload`
+//! and `perf`.  UPDATE maintenance and `c_q` are §2's plain functions
+//! [`crate::ucost`] and [`CostModel::rewrite`], which no backend overrides.
 //!
 //! [`crate::WhatIfOptimizer`] is the reference implementation: it reads each
 //! answer off its DP's memo and builds no plan.  See [`crate::trace`] for a
@@ -26,10 +22,11 @@
 
 use std::fmt;
 
-use cophy_catalog::{ColumnId, Configuration, Index, Schema, TableId};
-use cophy_workload::{Query, Statement, UpdateStatement, Workload};
+use cophy_catalog::{ColumnId, Configuration, Schema, TableId};
+use cophy_workload::{Query, Statement, Workload};
 
-use crate::cost::{CostModel, SystemProfile};
+use crate::cardinality::access_rows;
+use crate::cost::{ucost, CostModel, SystemProfile};
 
 /// A typed costing failure.
 ///
@@ -37,10 +34,9 @@ use crate::cost::{CostModel, SystemProfile};
 /// replay miss or an exhausted probe quota is a per-request error, not a
 /// process fault.  Fallible callers (INUM preparation, the advisor session
 /// API, the `cophy-server` daemon) consume [`WhatIfBackend::try_probe`] and
-/// surface this error; the provided costing methods (`cost_query`,
-/// `cost_statement`, `cost_workload`, `perf`) panic on it, preserving the
-/// original single-tenant behavior for code that treats its backend as
-/// total.
+/// surface this error; the provided evaluators (`cost_statement`,
+/// `cost_workload`, `perf`) panic on it, preserving the original
+/// single-tenant behavior for code that treats its backend as total.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
     /// A replay-style backend was asked for a `(query, configuration)` pair
@@ -156,12 +152,12 @@ pub trait WhatIfBackend: std::fmt::Debug + Send + Sync {
     /// The cost-model parameterization the backend calibrates to.
     fn profile(&self) -> SystemProfile;
 
-    /// The analytic cost model used for the derived update/heap costing.
+    /// The analytic cost model that §2's update model prices UPDATEs with.
     fn cost_model(&self) -> &CostModel;
 
     /// One what-if optimization: cost `q` under hypothetical configuration
     /// `config`.  Counts one call.  This is the *fallible* probe — the one
-    /// required method of the costing surface — so replay misses and quota
+    /// costing method a backend implements — so replay misses and quota
     /// rejections surface as typed errors instead of panics.
     fn try_probe(&self, q: &Query, config: &Configuration) -> Result<ProbeAnswer, BackendError>;
 
@@ -170,41 +166,23 @@ pub trait WhatIfBackend: std::fmt::Debug + Send + Sync {
 
     fn reset_call_counter(&self);
 
-    /// `cost(q, X)` for a SELECT (or query shell).  Panics on
-    /// [`BackendError`]; fallible callers use [`WhatIfBackend::try_probe`].
-    fn cost_query(&self, q: &Query, config: &Configuration) -> f64 {
-        self.try_probe(q, config)
-            .unwrap_or_else(|e| panic!("what-if backend error: {e}"))
-            .total_cost
-    }
-
-    /// Maintenance cost `ucost(a, q)` of index `a` under update `q` (§2):
-    /// per-modified-row B-tree maintenance, independent of the rest of the
-    /// configuration.
-    fn ucost(&self, upd: &UpdateStatement, ix: &Index) -> f64 {
-        if !upd.affects(ix) {
-            return 0.0;
-        }
-        let schema = self.schema();
-        let rows = crate::cardinality::access_rows(schema, &upd.shell, upd.table());
-        self.cost_model().maintain(rows, ix.height(schema))
-    }
-
-    /// The fixed `c_q` term: rewriting the base tuples themselves.
-    fn base_update_cost(&self, upd: &UpdateStatement) -> f64 {
-        let rows = crate::cardinality::access_rows(self.schema(), &upd.shell, upd.table());
-        let cm = self.cost_model();
-        cm.heap_fetches(rows) + rows * cm.cpu_tuple
-    }
-
-    /// Full statement cost under a configuration.
+    /// Full statement cost under a configuration: the probe's total for a
+    /// SELECT; for an UPDATE, §2's
+    /// `cost(q_r, X) + Σ_{a ∈ X} ucost(a, q) + c_q`, one maintenance term
+    /// per index of `X` in `X`'s order.  Panics on [`BackendError`];
+    /// fallible callers use [`WhatIfBackend::try_probe`].
     fn cost_statement(&self, stmt: &Statement, config: &Configuration) -> f64 {
+        let probe =
+            |q| self.try_probe(q, config).unwrap_or_else(|e| panic!("what-if backend error: {e}"));
         match stmt {
-            Statement::Select(q) => self.cost_query(q, config),
+            Statement::Select(q) => probe(q).total_cost,
             Statement::Update(u) => {
-                let read = self.cost_query(&u.shell, config);
-                let maintenance: f64 = config.iter().map(|ix| self.ucost(u, ix)).sum();
-                read + maintenance + self.base_update_cost(u)
+                let read = probe(&u.shell).total_cost;
+                let (schema, cm) = (self.schema(), self.cost_model());
+                let rows = access_rows(schema, &u.shell, u.table());
+                let maintenance: f64 =
+                    config.iter().map(|ix| ucost(cm, u, rows, ix, || ix.height(schema))).sum();
+                read + maintenance + cm.rewrite(rows)
             }
         }
     }
@@ -271,7 +249,7 @@ pub fn config_fingerprint(config: &Configuration) -> u64 {
 mod tests {
     use super::*;
     use crate::WhatIfOptimizer;
-    use cophy_catalog::TpchGen;
+    use cophy_catalog::{Index, TpchGen};
 
     fn opt() -> WhatIfOptimizer {
         WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A)

@@ -10,7 +10,12 @@
 //! which shifts plan choices (profile B favors index seeks and sorts more
 //! aggressively), producing genuinely different tuning problems on the same
 //! workload — as the paper's per-system results do.
+//!
+//! §2's update model, `cost(q_r, X) + Σ_{a ∈ X} ucost(a, q) + c_q`, is
+//! defined here once: [`ucost`] and `c_q` = [`CostModel::rewrite`].
 
+use cophy_catalog::Index;
+use cophy_workload::UpdateStatement;
 use serde::{Deserialize, Serialize};
 
 /// Which simulated DBMS the optimizer models.
@@ -153,10 +158,28 @@ impl CostModel {
         rows * n_preds as f64 * self.cpu_operator
     }
 
-    /// Maintain index of height `h` for `rows` modified entries.
-    pub fn maintain(&self, rows: f64, height: u32) -> f64 {
-        rows * (self.index_maintain + f64::from(height) * self.random_page * 0.5)
+    /// `c_q`: rewriting the `rows` base tuples an UPDATE modifies.
+    pub fn rewrite(&self, rows: f64) -> f64 {
+        self.heap_fetches(rows) + rows * self.cpu_tuple
     }
+}
+
+/// `ucost(a, q)`: maintaining index `ix` under `upd`, which modifies `rows`
+/// rows (`access_rows(schema, &upd.shell, upd.table())`) — independent of
+/// the rest of the configuration, `0.0` if `upd` does not affect `ix`.
+/// `height` yields `ix.height(schema)`; it is called only for an affected
+/// index.
+pub fn ucost(
+    cm: &CostModel,
+    upd: &UpdateStatement,
+    rows: f64,
+    ix: &Index,
+    height: impl FnOnce() -> u32,
+) -> f64 {
+    if !upd.affects(ix) {
+        return 0.0;
+    }
+    rows * (cm.index_maintain + f64::from(height()) * cm.random_page * 0.5)
 }
 
 #[cfg(test)]

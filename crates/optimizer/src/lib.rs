@@ -15,8 +15,9 @@
 //! * Selinger-style dynamic-programming join enumeration with *interesting
 //!   orders* (`dp`) — the plan-space structure INUM's template plans encode,
 //! * the what-if facade ([`WhatIfOptimizer`]) with per-call accounting,
-//!   behind the [`WhatIfBackend`] trait, whose provided methods add
-//!   update-maintenance costing (`ucost`) and workload evaluation.
+//!   behind the [`WhatIfBackend`] trait, whose provided methods evaluate
+//!   statements and workloads with §2's update model: [`ucost`] and
+//!   [`CostModel::rewrite`], plain functions no backend overrides.
 //!
 //! A probe answers with the plan's cost split into its internal operators
 //! and its leaf *accesses*, plus the order each leaf must deliver
@@ -40,7 +41,7 @@ pub use backend::{
     WhatIfBackend,
 };
 pub use cardinality::access_rows;
-pub use cost::{CostModel, SystemProfile};
+pub use cost::{ucost, CostModel, SystemProfile};
 pub use fault::{probe_with_retry, FaultInjectingBackend, FaultPlan, RetriedProbe, RetryPolicy};
 pub use ordering::{EquivClasses, Ordering};
 pub use trace::{TraceRecorder, TraceReplay};

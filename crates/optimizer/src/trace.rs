@@ -111,8 +111,8 @@ impl WhatIfBackend for TraceRecorder<'_> {
 /// [`BackendError::UnrecordedProbe`] through `try_probe` (a replay that
 /// silently invented costs would defeat the point, and a replay that
 /// *panicked* — as this backend once did — would take down unrelated
-/// sessions in a multi-tenant daemon).  The provided costing methods
-/// (`cost_query`, …) still panic, preserving fail-fast behavior for
+/// sessions in a multi-tenant daemon).  The provided evaluators
+/// (`cost_statement`, …) still panic, preserving fail-fast behavior for
 /// single-tenant callers.
 ///
 /// The schema is supplied by the caller (generators are deterministic, so
@@ -131,13 +131,17 @@ pub struct TraceReplay {
 impl TraceReplay {
     /// Parse a trace recorded by [`TraceRecorder::serialize`].  Like the
     /// recorder's output, the trace must hold exactly one `profile` and one
-    /// `schema` record and each `(query, configuration)` key at most once:
-    /// a trace without its schema record would replay against any schema,
-    /// and a repeated record would silently replace the first.
+    /// `schema` record, each `(query, configuration)` key at most once, and
+    /// one `end` record as its last line: a trace without its schema record
+    /// would replay against any schema, a repeated record would silently
+    /// replace the first, and a truncated trace would fail in mid-tune.
     pub fn parse(schema: Schema, text: &str) -> Result<TraceReplay, String> {
         let mut lines = text.lines();
         if lines.next() != Some(MAGIC) {
             return Err(format!("not a {MAGIC} file"));
+        }
+        if lines.next_back() != Some("end") {
+            return Err("trace does not end with its end record (truncated?)".to_string());
         }
         let (mut profile, mut schema_checked) = (None, false);
         let mut probes = HashMap::new();
@@ -179,7 +183,8 @@ impl TraceReplay {
                         return Err(format!("trace records probe {qfp:016x} {cfp:016x} twice"));
                     }
                 }
-                Some("end") | None => {}
+                Some("end") => return Err("trace has more than one end record".to_string()),
+                None => {}
                 Some(other) => return Err(format!("unknown trace record {other:?}")),
             }
         }
@@ -338,8 +343,8 @@ mod tests {
         let text = rec.serialize();
         let replay = TraceReplay::parse(TpchGen::default().schema(), &text).unwrap();
         assert_eq!(replay.what_if_calls(), 0);
-        let _ = replay.cost_query(&q, &Configuration::empty());
-        let _ = replay.cost_query(&q, &Configuration::empty());
+        replay.try_probe(&q, &Configuration::empty()).unwrap();
+        replay.try_probe(&q, &Configuration::empty()).unwrap();
         assert_eq!(replay.what_if_calls(), 2);
         replay.reset_call_counter();
         assert_eq!(replay.what_if_calls(), 0);
@@ -423,6 +428,38 @@ mod tests {
     }
 
     #[test]
+    fn replay_refuses_a_trace_without_its_end_record() {
+        let (schema, text) = one_probe_trace();
+        let err = TraceReplay::parse(schema.clone(), &drop_record(&text, "end")).unwrap_err();
+        assert_eq!(err, "trace does not end with its end record (truncated?)");
+        // Cut mid-file, after the first probe of a longer trace.
+        let o = opt();
+        let rec = TraceRecorder::new(&o);
+        for (_, stmt, _) in HomGen::new(5).generate(o.schema(), 4).iter() {
+            rec.try_probe(stmt.read_shell(), &Configuration::empty()).unwrap();
+        }
+        let full = rec.serialize();
+        assert!(full.lines().filter(|l| l.starts_with("probe ")).count() > 1);
+        let cut = full.find("probe ").and_then(|at| full[at..].find('\n').map(|n| at + n + 1));
+        let err = TraceReplay::parse(schema, &full[..cut.unwrap()]).unwrap_err();
+        assert_eq!(err, "trace does not end with its end record (truncated?)");
+    }
+
+    #[test]
+    fn replay_refuses_a_record_after_the_end_record() {
+        let (schema, text) = one_probe_trace();
+        let probe = text.lines().find(|l| l.starts_with("probe ")).unwrap();
+        let moved = format!("{}{probe}\n", drop_record(&text, "probe "));
+        let err = TraceReplay::parse(schema.clone(), &moved).unwrap_err();
+        assert_eq!(err, "trace does not end with its end record (truncated?)");
+        // Nor may a blank line follow the end, or a second end record.
+        let err = TraceReplay::parse(schema.clone(), &format!("{text}\n")).unwrap_err();
+        assert_eq!(err, "trace does not end with its end record (truncated?)");
+        let err = TraceReplay::parse(schema, &format!("{text}end\n")).unwrap_err();
+        assert_eq!(err, "trace has more than one end record");
+    }
+
+    #[test]
     fn replay_returns_typed_err_on_unrecorded_probe() {
         let o = opt();
         let rec = TraceRecorder::new(&o);
@@ -449,7 +486,8 @@ mod tests {
         let text = rec.serialize();
         let replay = TraceReplay::parse(TpchGen::default().schema(), &text).unwrap();
         let li = replay.schema().table_by_name("lineitem").unwrap().id;
-        let _ = replay.cost_query(&Query::scan(li), &Configuration::empty());
+        let stmt = cophy_workload::Statement::Select(Query::scan(li));
+        let _ = replay.cost_statement(&stmt, &Configuration::empty());
     }
 
     #[test]

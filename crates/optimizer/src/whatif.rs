@@ -9,7 +9,7 @@
 //!
 //! * counts what-if calls — the scarce resource whose consumption separates
 //!   INUM-based advisors from optimizer-in-the-loop advisors (Figures 4/5),
-//! * prices UPDATE statements per §2:
+//! * prices UPDATE statements per §2 ([`crate::ucost`]):
 //!   `cost(q, X) = cost(q_r, X) + Σ_{a ∈ X affected} ucost(a, q) + c_q`,
 //! * evaluates whole workloads, which is the ground-truth `perf` metric of
 //!   §5.1.
@@ -65,8 +65,8 @@ impl WhatIfOptimizer {
 }
 
 /// The reference [`WhatIfBackend`]: every probe is a live `dp::probe` call,
-/// and the statement / workload costing (`cost_query` … `perf`) is the
-/// trait's own — import [`WhatIfBackend`] to call it on the concrete type.
+/// and the evaluators (`cost_statement` … `perf`) are the trait's own —
+/// import [`WhatIfBackend`] to call them on the concrete type.
 impl WhatIfBackend for WhatIfOptimizer {
     fn schema(&self) -> &Schema {
         WhatIfOptimizer::schema(self)
@@ -109,8 +109,8 @@ mod tests {
         let o = opt();
         let li = o.schema().table_by_name("lineitem").unwrap().id;
         assert_eq!(o.what_if_calls(), 0);
-        let _ = o.cost_query(&Query::scan(li), &Configuration::empty());
-        let _ = o.cost_query(&Query::scan(li), &Configuration::empty());
+        o.try_probe(&Query::scan(li), &Configuration::empty()).unwrap();
+        o.try_probe(&Query::scan(li), &Configuration::empty()).unwrap();
         assert_eq!(o.what_if_calls(), 2);
         o.reset_call_counter();
         assert_eq!(o.what_if_calls(), 0);
@@ -129,16 +129,15 @@ mod tests {
         let mut cfg = Configuration::empty();
         cfg.insert(ix.clone());
         let with_ix = o.cost_statement(stmt, &cfg);
-        let ucost = o.ucost(u, &ix);
+        let rows = crate::access_rows(s, &u.shell, u.table());
+        let ucost = crate::ucost(o.cost_model(), u, rows, &ix, || ix.height(s));
         assert!(ucost > 0.0);
         // The shell may get cheaper with the index, but the maintenance term
         // must be present.
+        let read = |cfg: &Configuration| o.try_probe(&u.shell, cfg).unwrap().total_cost;
         assert!(
             with_ix + 1e-9
-                >= empty_cost - o.cost_query(&u.shell, &Configuration::empty())
-                    + o.cost_query(&u.shell, &cfg)
-                    + ucost
-                    - 1e-9
+                >= empty_cost - read(&Configuration::empty()) + read(&cfg) + ucost - 1e-9
         );
     }
 
@@ -151,7 +150,9 @@ mod tests {
         let Statement::Update(u) = stmt else { panic!() };
         let other_table = s.tables().iter().find(|t| t.id != u.table()).unwrap().id;
         let ix = Index::secondary(other_table, vec![cophy_catalog::ColumnId(0)]);
-        assert_eq!(o.ucost(u, &ix), 0.0);
+        let rows = crate::access_rows(s, &u.shell, u.table());
+        let height = || panic!("an unaffected index's height is never read");
+        assert_eq!(crate::ucost(o.cost_model(), u, rows, &ix, height), 0.0);
     }
 
     #[test]
