@@ -11,7 +11,7 @@
 //! That black-box coupling is exactly what the paper's Figure 4/Table 1
 //! exposes: per-step costs scale with `|W|`, so large workloads force an
 //! iteration cap and quality collapses (Tool-A times out on `W_het_1000`
-//! with z = 2 in Table 1).  The cap below reproduces that trade-off.
+//! with z = 2 in Table 1).  The caps below reproduce that trade-off.
 
 use cophy::ConstraintSet;
 use cophy_catalog::{Configuration, Index, Schema};
@@ -20,37 +20,22 @@ use cophy_workload::Workload;
 
 use crate::Advisor;
 
-/// The relaxation-based advisor.
-#[derive(Debug, Clone)]
-pub struct ToolA {
-    /// Maximum relaxation steps (each step re-costs the whole workload).
-    pub max_steps: usize,
-    /// Queries costed per evaluation (whole workload if `None`); the real
-    /// tool evaluates everything, which is why it is slow.
-    pub eval_cap: Option<usize>,
-    /// Relaxation candidates evaluated per step (drops of the largest
-    /// indexes first, then merges/shrinks).  Still `cap × |W|` optimizer
-    /// calls per step — the black-box coupling the paper measures.
-    pub relaxations_per_step: usize,
-}
+/// Maximum relaxation steps (each step re-costs the whole workload).
+const MAX_STEPS: usize = 40;
 
-impl Default for ToolA {
-    fn default() -> Self {
-        ToolA { max_steps: 40, eval_cap: None, relaxations_per_step: 32 }
-    }
-}
+/// Indexes relaxed per step (the largest first); each yields a drop and a
+/// shrink, and pairs of them merges, up to `3 × RELAXATIONS_PER_STEP`
+/// candidates.  Every candidate is a `|W|`-statement what-if costing — the
+/// black-box coupling the paper measures.
+const RELAXATIONS_PER_STEP: usize = 32;
+
+/// The relaxation-based advisor, at one setting: at most 40 relaxation
+/// steps (`MAX_STEPS`) of 32 indexes each (`RELAXATIONS_PER_STEP`), every
+/// candidate costed over the whole workload.
+#[derive(Debug, Clone, Default)]
+pub struct ToolA;
 
 impl ToolA {
-    /// Workload cost by direct what-if optimization (the expensive part).
-    fn direct_cost(&self, o: &dyn WhatIfBackend, w: &Workload, cfg: &Configuration) -> f64 {
-        match self.eval_cap {
-            None => o.cost_workload(w, cfg),
-            Some(cap) => {
-                w.iter().take(cap).map(|(_, stmt, f)| f * o.cost_statement(stmt, cfg)).sum()
-            }
-        }
-    }
-
     /// Initial configuration: per-query ideal single-table indexes (the
     /// "optimal per-query configuration" seed of [3]).
     fn seed(&self, schema: &Schema, w: &Workload) -> Configuration {
@@ -66,17 +51,17 @@ impl ToolA {
     }
 
     /// Candidate relaxations of one configuration (capped at
-    /// `relaxations_per_step`, largest-index drops prioritized).
-    fn relaxations(&self, cfg: &Configuration) -> Vec<(Configuration, u64)> {
+    /// [`RELAXATIONS_PER_STEP`], largest-index drops prioritized).
+    fn relaxations(&self, cfg: &Configuration) -> Vec<Configuration> {
         let mut out = Vec::new();
         let mut indexes: Vec<&Index> = cfg.iter().collect();
         indexes.sort_by_key(|ix| std::cmp::Reverse(ix.n_columns()));
-        indexes.truncate(self.relaxations_per_step);
+        indexes.truncate(RELAXATIONS_PER_STEP);
         // 1. Drop any one index.
         for ix in &indexes {
             let mut c = cfg.clone();
             c.remove(ix);
-            out.push((c, 0));
+            out.push(c);
         }
         // 2. Shrink: drop the INCLUDE payload, or truncate the key.
         for ix in &indexes {
@@ -84,12 +69,12 @@ impl ToolA {
                 let mut c = cfg.clone();
                 c.remove(ix);
                 c.insert(Index::secondary(ix.table, ix.key.clone()));
-                out.push((c, 0));
+                out.push(c);
             } else if ix.key.len() > 1 {
                 let mut c = cfg.clone();
                 c.remove(ix);
                 c.insert(Index::secondary(ix.table, ix.key[..ix.key.len() - 1].to_vec()));
-                out.push((c, 0));
+                out.push(c);
             }
         }
         // 3. Merge two same-table indexes: first key + union payload.
@@ -110,14 +95,14 @@ impl ToolA {
                 c.remove(a);
                 c.remove(b);
                 c.insert(Index::covering(a.table, key.clone(), include));
-                out.push((c, 0));
-                if out.len() >= 3 * self.relaxations_per_step {
-                    out.truncate(3 * self.relaxations_per_step);
+                out.push(c);
+                if out.len() >= 3 * RELAXATIONS_PER_STEP {
+                    out.truncate(3 * RELAXATIONS_PER_STEP);
                     return out;
                 }
             }
         }
-        out.truncate(3 * self.relaxations_per_step);
+        out.truncate(3 * RELAXATIONS_PER_STEP);
         out
     }
 }
@@ -136,22 +121,22 @@ impl Advisor for ToolA {
         let schema = optimizer.schema();
         let budget = constraints.storage_budget().unwrap_or(u64::MAX);
         let mut current = self.seed(schema, w);
-        let mut current_cost = self.direct_cost(optimizer, w, &current);
+        let mut current_cost = optimizer.cost_workload(w, &current);
 
         let mut steps = 0;
-        while steps < self.max_steps {
+        while steps < MAX_STEPS {
             let size = current.size_bytes(schema);
             let over_budget = size > budget;
             // Pick the relaxation with the best (cost increase)/(bytes
             // saved); when within budget, only accept strict improvements.
             let mut best: Option<(Configuration, f64, f64)> = None; // cfg, cost, score
-            for (cand, _) in self.relaxations(&current) {
+            for cand in self.relaxations(&current) {
                 let cand_size = cand.size_bytes(schema);
                 if !over_budget && cand_size >= size {
                     continue;
                 }
                 let saved = size.saturating_sub(cand_size).max(1) as f64;
-                let cost = self.direct_cost(optimizer, w, &cand);
+                let cost = optimizer.cost_workload(w, &cand);
                 let score = (cost - current_cost) / saved;
                 if best.as_ref().is_none_or(|(_, _, s)| score < *s) {
                     best = Some((cand, cost, score));
@@ -192,7 +177,7 @@ mod tests {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
         let w = HomGen::new(3).generate(o.schema(), 8);
         let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-        let cfg = ToolA { max_steps: 30, ..Default::default() }.recommend(&o, &w, &constraints);
+        let cfg = ToolA.recommend(&o, &w, &constraints);
         assert!(constraints.check_configuration(o.schema(), &cfg).is_ok());
         assert!(o.perf(&w, &cfg) > 0.0, "Tool-A should still help on small workloads");
     }
@@ -202,11 +187,7 @@ mod tests {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
         let w = HomGen::new(4).generate(o.schema(), 6);
         o.reset_call_counter();
-        let _ = ToolA { max_steps: 10, ..Default::default() }.recommend(
-            &o,
-            &w,
-            &ConstraintSet::storage_fraction(o.schema(), 0.5),
-        );
+        let _ = ToolA.recommend(&o, &w, &ConstraintSet::storage_fraction(o.schema(), 0.5));
         // Black-box coupling: every relaxation step re-costs the workload.
         assert!(
             o.what_if_calls() > 6 * 10,
@@ -220,7 +201,7 @@ mod tests {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::A);
         let w = HomGen::new(5).generate(o.schema(), 6);
         let tight = ConstraintSet::storage_fraction(o.schema(), 0.01);
-        let cfg = ToolA { max_steps: 15, ..Default::default() }.recommend(&o, &w, &tight);
+        let cfg = ToolA.recommend(&o, &w, &tight);
         assert!(cfg.size_bytes(o.schema()) <= o.schema().data_bytes() / 100 + 1);
     }
 }

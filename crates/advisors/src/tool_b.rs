@@ -25,37 +25,38 @@ use cophy_workload::Workload;
 
 use crate::Advisor;
 
-/// The sampling-compression greedy advisor.
-#[derive(Debug, Clone)]
-pub struct ToolB {
-    /// Compressed workload size (the random sample the tool actually tunes).
-    pub sample_size: usize,
-    /// Candidates proposed per sampled query (keeps `|S|` small, as the
-    /// paper observed: Tool-B examined ~45 candidates vs CoPhy's 1933).
-    pub candidates_cap: usize,
-    /// Refinement passes.
-    pub refine_passes: usize,
-    pub seed: u64,
-}
+/// Compressed workload size (the random sample the tool actually tunes).
+const SAMPLE_SIZE: usize = 30;
 
-impl Default for ToolB {
-    fn default() -> Self {
-        ToolB { sample_size: 30, candidates_cap: 48, refine_passes: 2, seed: 0x0db2 }
-    }
-}
+/// Candidates kept from the sample's CGen set (keeps `|S|` small, as the
+/// paper observed: Tool-B examined ~45 candidates vs CoPhy's 1933).
+const CANDIDATES_CAP: usize = 48;
+
+/// Refinement passes.
+const REFINE_PASSES: usize = 2;
+
+/// Seed of the sampling.
+const SEED: u64 = 0x0db2;
+
+/// The sampling-compression greedy advisor, at one setting: a random
+/// sample of 30 statements (`SAMPLE_SIZE`) drawn from seed 0x0db2
+/// (`SEED`), at most 48 candidates (`CANDIDATES_CAP`), and 2 refinement
+/// passes (`REFINE_PASSES`).
+#[derive(Debug, Clone, Default)]
+pub struct ToolB;
 
 impl ToolB {
     /// Compress the workload by uniform random sampling.
     fn compress(&self, w: &Workload) -> Workload {
-        if w.len() <= self.sample_size {
+        if w.len() <= SAMPLE_SIZE {
             return w.truncate(w.len());
         }
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = SmallRng::seed_from_u64(SEED);
         let mut ids: Vec<u32> = (0..w.len() as u32).collect();
         ids.shuffle(&mut rng);
-        ids.truncate(self.sample_size);
+        ids.truncate(SAMPLE_SIZE);
         ids.sort_unstable();
-        let scale = w.len() as f64 / self.sample_size as f64;
+        let scale = w.len() as f64 / SAMPLE_SIZE as f64;
         let mut out = Workload::new();
         for id in ids {
             let qid = cophy_workload::QueryId(id);
@@ -98,7 +99,7 @@ impl Advisor for ToolB {
         let gen = CGen { max_key_columns: 2, max_include_columns: 4 };
         let mut candidates: Vec<Index> =
             gen.generate(schema, &sample).iter().map(|(_, ix)| ix.clone()).collect();
-        candidates.truncate(self.candidates_cap);
+        candidates.truncate(CANDIDATES_CAP);
 
         // Greedy by benefit per byte (every intermediate config fits the
         // budget by construction).
@@ -131,7 +132,7 @@ impl Advisor for ToolB {
         }
 
         // Refinement: drop anything whose removal does not hurt the sample.
-        for _ in 0..self.refine_passes {
+        for _ in 0..REFINE_PASSES {
             let mut improved = false;
             for ix in cfg.indexes().to_vec() {
                 let mut without = cfg.clone();
@@ -163,7 +164,7 @@ mod tests {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::B);
         let w = HomGen::new(6).generate(o.schema(), 60);
         let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-        let cfg = ToolB { sample_size: 15, ..Default::default() }.recommend(&o, &w, &constraints);
+        let cfg = ToolB.recommend(&o, &w, &constraints);
         assert!(constraints.check_configuration(o.schema(), &cfg).is_ok());
         assert!(o.perf(&w, &cfg) > 0.0);
     }
@@ -172,24 +173,23 @@ mod tests {
     fn compression_keeps_sample_size_and_reweights() {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::B);
         let w = HomGen::new(7).generate(o.schema(), 100);
-        let tool = ToolB { sample_size: 20, ..Default::default() };
-        let sample = tool.compress(&w);
-        assert_eq!(sample.len(), 20);
-        // weights scaled by 5 so totals stay comparable
-        let (_, _, weight) = sample.iter().next().unwrap();
-        assert!((weight - 5.0).abs() < 1e-9);
+        let sample = ToolB.compress(&w);
+        assert_eq!(sample.len(), SAMPLE_SIZE);
+        // Weights scaled by 100/30 so totals stay comparable.
+        for (_, _, weight) in sample.iter() {
+            assert_eq!(weight, 100.0 / 30.0);
+        }
     }
 
     #[test]
     fn heterogeneous_workloads_hurt_tool_b_more_than_homogeneous() {
         let o = WhatIfOptimizer::new(TpchGen::default().schema(), SystemProfile::B);
         let constraints = ConstraintSet::storage_fraction(o.schema(), 1.0);
-        let tool = ToolB { sample_size: 10, ..Default::default() };
 
         let hom = HomGen::new(8).generate(o.schema(), 80);
         let het = HetGen::new(8).generate(o.schema(), 80);
-        let perf_hom = o.perf(&hom, &tool.recommend(&o, &hom, &constraints));
-        let perf_het = o.perf(&het, &tool.recommend(&o, &het, &constraints));
+        let perf_hom = o.perf(&hom, &ToolB.recommend(&o, &hom, &constraints));
+        let perf_het = o.perf(&het, &ToolB.recommend(&o, &het, &constraints));
         // The defining failure mode: sampling loses little on W_hom, a lot
         // on W_het.
         assert!(perf_hom > perf_het, "expected hom {perf_hom} > het {perf_het} under compression");

@@ -49,8 +49,8 @@ fn face_off(s: Scenario) -> FaceOff {
     let constraints = ConstraintSet::storage_fraction(o.schema(), s.m);
     let cophy = run_cophy(&o, &w, &constraints, None);
     let tool: Box<dyn Advisor> = match s.profile {
-        SystemProfile::A => Box::new(ToolA::default()),
-        SystemProfile::B => Box::new(ToolB::default()),
+        SystemProfile::A => Box::new(ToolA),
+        SystemProfile::B => Box::new(ToolB),
     };
     let (cfg, tool_time) = timed(|| tool.recommend(&o, &w, &constraints));
     FaceOff { cophy, tool_perf: o.perf(&w, &cfg), tool_time }
@@ -249,7 +249,7 @@ pub(crate) fn fig6c(k: &Knobs) -> Outcome {
     let prepared = prepare(&o, &w);
     let cands = CGen::default().generate(o.schema(), &w);
 
-    let explorer = ChordExplorer { max_points: 5, ..Default::default() };
+    let explorer = ChordExplorer { max_points: 5 };
     let (points, total_warm) = timed(|| explorer.explore(&cophy, &prepared, &cands));
 
     let mut per_point = Table::new(
@@ -269,7 +269,7 @@ pub(crate) fn fig6c(k: &Knobs) -> Outcome {
         for _ in points.iter().filter(|p| p.lambda > 0.0) {
             // max_points=1 solves exactly the λ=1 extreme; emulate cold cost
             // by exploring a single point per λ via a fresh explorer run.
-            let e = ChordExplorer { max_points: 1, ..Default::default() };
+            let e = ChordExplorer { max_points: 1 };
             let _ = e.explore(&cophy, &prepared, &cands);
         }
     });

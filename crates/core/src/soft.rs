@@ -50,18 +50,22 @@ pub struct ParetoPoint {
     pub solve_time: Duration,
 }
 
-/// Pareto-frontier explorer for a soft storage constraint.
+/// The chord-distance threshold ε for recursing, relative to the empty
+/// configuration's workload cost.
+const EPSILON: f64 = 0.02;
+
+/// Pareto-frontier explorer for a soft storage constraint.  A point is kept
+/// only if it lies further from its chord than ε = 0.02 (`EPSILON`) times
+/// the empty configuration's workload cost.
 #[derive(Debug, Clone)]
 pub struct ChordExplorer {
-    /// Relative chord-distance threshold ε for recursing.
-    pub epsilon: f64,
     /// Hard cap on solver invocations.
     pub max_points: usize,
 }
 
 impl Default for ChordExplorer {
     fn default() -> Self {
-        ChordExplorer { epsilon: 0.02, max_points: 9 }
+        ChordExplorer { max_points: 9 }
     }
 }
 
@@ -153,7 +157,7 @@ impl ChordExplorer {
                 (b.workload_cost, b.size_bytes as f64 * scale),
                 (p.workload_cost, p.size_bytes as f64 * scale),
             );
-            if d > self.epsilon * baseline {
+            if d > EPSILON * baseline {
                 // Insert between a and b (λ between theirs after sorting).
                 points.push(p);
                 points.sort_by(|x, y| x.lambda.total_cmp(&y.lambda));
@@ -252,7 +256,7 @@ mod tests {
         let inum = Inum::new(&o);
         let prepared = inum.prepare_workload(&w);
         let candidates = crate::cgen::CGen::default().generate(o.schema(), &w);
-        let explorer = ChordExplorer { max_points: 3, ..Default::default() };
+        let explorer = ChordExplorer { max_points: 3 };
         let points = explorer.explore(&cophy, &prepared, &candidates);
         // analytic empty point + at most 3 solves
         assert!(points.len() <= 4);

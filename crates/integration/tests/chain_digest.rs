@@ -118,11 +118,7 @@ fn digest(backend: &dyn WhatIfBackend, seed: u64) -> u64 {
     // (c) The Chord explorer over the same workload.
     let prepared = Inum::new(backend).prepare_workload(&w);
     let candidates = CGen::default().generate(schema, &w);
-    let points = ChordExplorer { max_points: 5, ..Default::default() }.explore(
-        &cophy,
-        &prepared,
-        &candidates,
-    );
+    let points = ChordExplorer { max_points: 5 }.explore(&cophy, &prepared, &candidates);
     fold.u64(points.len() as u64);
     for p in &points {
         fold.f64(p.lambda);

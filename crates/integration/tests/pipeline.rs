@@ -103,11 +103,8 @@ fn all_advisors_produce_feasible_configurations() {
     let o = optimizer(SystemProfile::A, 0.0);
     let w = HomGen::new(7).generate(o.schema(), 12);
     let constraints = ConstraintSet::storage_fraction(o.schema(), 0.5);
-    let advisors: Vec<Box<dyn Advisor>> = vec![
-        Box::new(IlpAdvisor::default()),
-        Box::new(ToolA { max_steps: 20, ..Default::default() }),
-        Box::new(ToolB::default()),
-    ];
+    let advisors: Vec<Box<dyn Advisor>> =
+        vec![Box::new(IlpAdvisor::default()), Box::new(ToolA), Box::new(ToolB)];
     for a in &advisors {
         let cfg = a.recommend(&o, &w, &constraints);
         assert!(
@@ -127,8 +124,8 @@ fn cophy_beats_or_matches_every_baseline_on_heterogeneous() {
     let rec = CoPhy::new(&o, CoPhyOptions::default()).try_tune(&w, &constraints).unwrap();
     let p_cophy = o.perf(&w, &rec.configuration);
     for (name, cfg) in [
-        ("Tool-A", ToolA { max_steps: 25, ..Default::default() }.recommend(&o, &w, &constraints)),
-        ("Tool-B", ToolB::default().recommend(&o, &w, &constraints)),
+        ("Tool-A", ToolA.recommend(&o, &w, &constraints)),
+        ("Tool-B", ToolB.recommend(&o, &w, &constraints)),
     ] {
         let p = o.perf(&w, &cfg);
         assert!(p_cophy >= p - 0.03, "CoPhy ({p_cophy}) lost to {name} ({p}) on W_het");

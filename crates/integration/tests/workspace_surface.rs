@@ -159,7 +159,7 @@ fn every_public_crate_is_reachable() {
 
     // cophy-advisors
     use cophy_advisors::Advisor;
-    let greedy = cophy_advisors::ToolB::default();
+    let greedy = cophy_advisors::ToolB;
     let rec = greedy.recommend(&o, &w, &constraints);
     assert!(constraints.check_configuration(o.schema(), &rec).is_ok());
 

@@ -5,34 +5,13 @@
 //! `atom(X)` means the minimum over atomic configurations decomposes into a
 //! minimum per slot.  This is the approximation-free consequence of the
 //! paper's Definition 1 and what makes the evaluation run in microseconds.
+//! The update terms `(Σ_{a ∈ X} ucost(a, q)) + c_q` are added to the
+//! winning template's cost in the same function.
 
 use cophy_catalog::{Configuration, Index, Schema};
 use cophy_optimizer::{ucost, CostModel, IndexFacts, TableFacts};
 
 use crate::prepare::{PreparedQuery, PreparedWorkload};
-
-/// Which access method a slot chose in the winning atomic configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AtomicChoice {
-    /// The heap scan `I∅`.
-    Heap,
-    /// Index position within the probed configuration's index list.
-    Index(usize),
-}
-
-/// The winning template and per-slot choices for one query under one
-/// configuration — useful for explaining recommendations.
-#[derive(Debug, Clone)]
-pub struct CostBreakdown {
-    /// Index of the winning template in `PreparedQuery::templates`.
-    pub template: usize,
-    /// `β` of the winning template.
-    pub internal_cost: f64,
-    /// Per-slot `(choice, γ)`.
-    pub slots: Vec<(AtomicChoice, f64)>,
-    /// Total `cost(q, X)` including update maintenance and `c_q`.
-    pub total: f64,
-}
 
 impl PreparedQuery {
     /// What every `γ` of this statement is priced against: the access facts
@@ -62,102 +41,59 @@ impl PreparedQuery {
         }
     }
 
-    /// Read-side cost: `min_k { β_qk + Σ_i min_a γ_qkia }` over `a ∈ X_i ∪
-    /// {I∅}`.  Always finite thanks to the unconstrained template.
-    pub fn read_cost(&self, schema: &Schema, cm: &CostModel, config: &Configuration) -> f64 {
-        self.breakdown(schema, cm, config).total
-            - self.maintenance_cost(schema, cm, config)
-            - self.fixed_update_cost
-    }
-
-    /// Total update maintenance under `config`.
-    pub(crate) fn maintenance_cost(
-        &self,
-        schema: &Schema,
-        cm: &CostModel,
-        config: &Configuration,
-    ) -> f64 {
-        config.iter().map(|ix| self.ucost(cm, ix, || ix.height(schema))).sum()
-    }
-
-    /// Full `cost(q, X)` (read + maintenance + fixed).
+    /// `cost(q, X)`: the read side `min_k { β_qk + Σ_i min_a γ_qkia }` over
+    /// `a ∈ X_i ∪ {I∅}`, always finite thanks to the unconstrained template,
+    /// plus `(Σ_{ix ∈ X} ucost(ix, q)) + c_q`.
     pub fn cost(&self, schema: &Schema, cm: &CostModel, config: &Configuration) -> f64 {
-        self.breakdown(schema, cm, config).total
+        self.cost_of(schema, cm, &index_facts(schema, config))
     }
 
-    /// Explain the winning template and per-slot access choices.
-    pub fn breakdown(
-        &self,
-        schema: &Schema,
-        cm: &CostModel,
-        config: &Configuration,
-    ) -> CostBreakdown {
+    /// [`PreparedQuery::cost`] over the configuration's indexes, each with
+    /// its facts, in configuration order.  Each slot's minimum runs over the
+    /// heap scan and then the admitted indexes, keeping the first strictly
+    /// cheapest; the first strictly cheapest template wins.
+    fn cost_of(&self, schema: &Schema, cm: &CostModel, indexes: &[(&Index, IndexFacts)]) -> f64 {
         let facts = self.table_facts(schema);
-        // The configuration's indexes on the tables this statement reads:
-        // position in `config`, definition and facts.
-        let indexes: Vec<(usize, &Index, IndexFacts)> = config
-            .iter()
-            .enumerate()
-            .filter(|(_, ix)| facts.iter().any(|f| f.table() == ix.table))
-            .map(|(pos, ix)| (pos, ix, IndexFacts::new(schema, ix)))
-            .collect();
-        let mut best: Option<CostBreakdown> = None;
-
-        for (k, tpl) in self.templates.iter().enumerate() {
-            let mut slot_choices = Vec::with_capacity(tpl.slots.len());
+        let mut best: Option<f64> = None;
+        'templates: for tpl in &self.templates {
             let mut total = tpl.internal_cost;
-            let mut feasible = true;
             for slot in &tpl.slots {
-                let mut slot_best: Option<(AtomicChoice, f64)> =
-                    slot.heap_cost.map(|c| (AtomicChoice::Heap, c));
                 let slot_facts = facts
                     .iter()
                     .find(|f| f.table() == slot.table)
                     .expect("facts of every slot table were gathered");
-                for (pos, ix, ixf) in &indexes {
-                    if ix.table != slot.table {
-                        continue;
-                    }
+                let mut slot_best = slot.heap_cost;
+                for (ix, ixf) in indexes.iter().filter(|(ix, _)| ix.table == slot.table) {
                     if let Some(g) = slot.gamma(slot_facts, cm, ix, ixf) {
-                        if slot_best.as_ref().is_none_or(|(_, c)| g < *c) {
-                            slot_best = Some((AtomicChoice::Index(*pos), g));
+                        if slot_best.is_none_or(|c| g < c) {
+                            slot_best = Some(g);
                         }
                     }
                 }
-                match slot_best {
-                    Some((choice, g)) => {
-                        total += g;
-                        slot_choices.push((choice, g));
-                    }
-                    None => {
-                        feasible = false;
-                        break;
-                    }
-                }
+                let Some(g) = slot_best else { continue 'templates };
+                total += g;
             }
-            if !feasible {
-                continue;
-            }
-            if best.as_ref().is_none_or(|b| total < b.total) {
-                best = Some(CostBreakdown {
-                    template: k,
-                    internal_cost: tpl.internal_cost,
-                    slots: slot_choices,
-                    total,
-                });
+            if best.is_none_or(|b| total < b) {
+                best = Some(total);
             }
         }
-
-        let mut b = best.expect("unconstrained template guarantees feasibility");
-        b.total += self.maintenance_cost(schema, cm, config) + self.fixed_update_cost;
-        b
+        let read = best.expect("unconstrained template guarantees feasibility");
+        let maintenance: f64 =
+            indexes.iter().map(|(ix, ixf)| self.ucost(cm, ix, || ixf.height())).sum();
+        read + (maintenance + self.fixed_update_cost)
     }
+}
+
+/// Each index of `config` with its facts, in configuration order.
+fn index_facts<'c>(schema: &Schema, config: &'c Configuration) -> Vec<(&'c Index, IndexFacts)> {
+    config.iter().map(|ix| (ix, IndexFacts::new(schema, ix))).collect()
 }
 
 impl PreparedWorkload {
     /// `Σ_q f_q · cost(q, X)` via the INUM cache — no optimizer calls.
     pub fn cost(&self, schema: &Schema, cm: &CostModel, config: &Configuration) -> f64 {
-        self.queries.iter().map(|pq| pq.weight * pq.cost(schema, cm, config)).sum()
+        let indexes = index_facts(schema, config);
+        self.queries.iter().map(|pq| pq.weight * pq.cost_of(schema, cm, &indexes)).sum()
     }
 
     /// `Σ_q f_q · ucost(a, q)` per candidate `a`, given in candidate order
@@ -291,9 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_picks_useful_index() {
+    fn cost_picks_useful_index() {
         let o = opt();
-        let s = o.schema();
+        let (s, cm) = (o.schema(), o.cost_model());
         let inum = Inum::new(&o);
         let ord = s.table_by_name("orders").unwrap().id;
         let ck = s.resolve("orders.o_custkey").unwrap();
@@ -304,14 +240,22 @@ mod tests {
         let pw = inum.prepare_workload(&w);
         let pq = &pw.queries[qid.0 as usize];
 
+        let ix = Index::secondary(ord, vec![ck.column]);
+        let ixf = IndexFacts::new(s, &ix);
         let mut cfg = Configuration::empty();
-        cfg.insert(Index::secondary(ord, vec![ck.column]));
-        let b = pq.breakdown(s, o.cost_model(), &cfg);
-        assert_eq!(b.slots.len(), 1);
-        assert!(matches!(b.slots[0].0, AtomicChoice::Index(0)));
-        let empty = pq.breakdown(s, o.cost_model(), &Configuration::empty());
-        assert!(matches!(empty.slots[0].0, AtomicChoice::Heap));
-        assert!(b.total < empty.total);
+        cfg.insert(ix.clone());
+        // The one slot takes the index: the cost is the cheapest template
+        // instantiated with it, and beats the heap scan's.
+        let facts = pq.table_facts(s);
+        let with_ix = pq
+            .templates
+            .iter()
+            .filter_map(|tpl| tpl.icost(&facts, cm, &[Some((&ix, &ixf))]))
+            .reduce(f64::min)
+            .unwrap();
+        assert!(pq.templates.iter().all(|tpl| tpl.slots.len() == 1));
+        assert_eq!(pq.cost(s, cm, &cfg).to_bits(), with_ix.to_bits());
+        assert!(with_ix < pq.cost(s, cm, &Configuration::empty()));
     }
 
     #[test]
@@ -342,29 +286,31 @@ mod tests {
             let affected = Index::secondary(u.table(), vec![u.set_columns[0]]);
             let mut cfg = Configuration::empty();
             cfg.insert(affected.clone());
-            let with_ix = pq.cost(s, o.cost_model(), &cfg);
-            let without = pq.cost(s, o.cost_model(), &Configuration::empty());
-            let ucost = pq.ucost(o.cost_model(), &affected, || affected.height(s));
+            let (cm, fixed) = (o.cost_model(), pq.fixed_update_cost);
+            let ucost = pq.ucost(cm, &affected, || affected.height(s));
             assert!(ucost > 0.0);
-            // read side may improve, but by less than ucost was added for a
-            // point update on a SET column with no predicate benefit…
-            // at minimum, the identity cost(X)=read(X)+maint(X)+fixed holds:
-            let read = pq.read_cost(s, o.cost_model(), &cfg);
-            let maint = pq.maintenance_cost(s, o.cost_model(), &cfg);
-            assert!((with_ix - (read + maint + pq.fixed_update_cost)).abs() < 1e-9);
-            let read0 = pq.read_cost(s, o.cost_model(), &Configuration::empty());
-            assert!((without - (read0 + pq.fixed_update_cost)).abs() < 1e-9);
+            // The read side is the cost of the statement's read shell: the
+            // same templates with no maintenance and no `c_q`.
+            let shell = PreparedQuery { update: None, fixed_update_cost: 0.0, ..pq.clone() };
+            let read = shell.cost(s, cm, &cfg);
+            let read0 = shell.cost(s, cm, &Configuration::empty());
+            assert_eq!(pq.cost(s, cm, &cfg).to_bits(), (read + (ucost + fixed)).to_bits());
+            assert_eq!(
+                pq.cost(s, cm, &Configuration::empty()).to_bits(),
+                (read0 + fixed).to_bits()
+            );
         }
     }
 
-    /// Definition 1 taken literally: `cost(q, X)`'s read side is the minimum
-    /// over templates `k` and atomic configurations `A ∈ atom(X)` (one index
-    /// of `X` on the slot's table, or `I∅`, per slot) of `icost(k, A)`.  The
-    /// per-slot minimum of `breakdown` is that minimum bit for bit: float
-    /// addition is monotone in each operand, so the sum of the per-slot
-    /// minima, taken in slot order, is the least of the sums.
+    /// Definition 1 taken literally: `cost(q, X)` is the minimum over
+    /// templates `k` and atomic configurations `A ∈ atom(X)` (one index of
+    /// `X` on the slot's table, or `I∅`, per slot) of `icost(k, A)`, plus
+    /// `(Σ_{ix ∈ X} ucost(ix, q)) + c_q`.  The per-slot minimum of `cost` is
+    /// that minimum bit for bit: float addition is monotone in each operand,
+    /// so the sum of the per-slot minima, taken in slot order, is the least
+    /// of the sums.
     #[test]
-    fn breakdown_is_the_minimum_over_atomic_configurations() {
+    fn cost_is_the_minimum_over_atomic_configurations() {
         let o = opt();
         let (s, cm) = (o.schema(), o.cost_model());
         let inum = Inum::new(&o);
@@ -383,7 +329,9 @@ mod tests {
                     let indexes: Vec<(&Index, IndexFacts)> =
                         cfg.iter().map(|ix| (ix, IndexFacts::new(s, ix))).collect();
                     let facts = pq.table_facts(s);
-                    let mut best = f64::INFINITY;
+                    // The least icost, and whether its atomic configuration
+                    // (the first found at that cost) holds an index.
+                    let mut best: Option<(f64, bool)> = None;
                     for tpl in &pq.templates {
                         let options: Vec<Vec<Option<(&Index, &IndexFacts)>>> = tpl
                             .slots
@@ -401,7 +349,9 @@ mod tests {
                             let atomic: Vec<Option<(&Index, &IndexFacts)>> =
                                 pick.iter().zip(&options).map(|(&k, opts)| opts[k]).collect();
                             if let Some(c) = tpl.icost(&facts, cm, &atomic) {
-                                best = best.min(c);
+                                if best.is_none_or(|(b, _)| c < b) {
+                                    best = Some((c, atomic.iter().any(Option::is_some)));
+                                }
                             }
                             atomics += 1;
                             let Some(d) = (0..pick.len()).find(|&d| pick[d] + 1 < options[d].len())
@@ -412,18 +362,14 @@ mod tests {
                             pick[..d].fill(0);
                         }
                     }
-                    let b = pq.breakdown(s, cm, &cfg);
-                    let read = b.slots.iter().fold(b.internal_cost, |t, (_, g)| t + g);
-                    assert_eq!(best.to_bits(), read.to_bits(), "{best} vs breakdown {read}");
-                    let via_total = pq.read_cost(s, cm, &cfg);
-                    assert!(
-                        (best - via_total).abs() <= 1e-12 * best.abs(),
-                        "{best} vs {via_total}"
-                    );
+                    let (read, index_won) = best.expect("the unconstrained template");
+                    let maintenance: f64 =
+                        cfg.iter().map(|ix| pq.ucost(cm, ix, || ix.height(s))).sum();
+                    let oracle = read + (maintenance + pq.fixed_update_cost);
+                    let cost = pq.cost(s, cm, &cfg);
+                    assert_eq!(oracle.to_bits(), cost.to_bits(), "{oracle} vs cost {cost}");
                     compared += 1;
-                    index_wins += usize::from(
-                        b.slots.iter().any(|(c, _)| matches!(c, AtomicChoice::Index(_))),
-                    );
+                    index_wins += usize::from(index_won);
                 }
             }
         }

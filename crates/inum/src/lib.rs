@@ -19,11 +19,13 @@
 //! `cost(q, X)` is then the Definition-1 minimum
 //! `min_k { β_qk + Σ_i min_{a ∈ X_i ∪ I∅} γ_qkia }`, i.e. the *linearly
 //! composable* cost function of the paper, evaluated in microseconds instead
-//! of a full optimization.  [`Slot::gamma`] exposes the γ constants directly
-//! — exactly what CoPhy's BIP generator consumes — priced against the
-//! statement's [`PreparedQuery::table_facts`], gathered once, and the
-//! index's `IndexFacts`, which a caller pricing many statements builds once
-//! per index.
+//! of a full optimization, plus the update terms `(Σ_{a ∈ X} ucost(a, q)) +
+//! c_q`: one function, [`PreparedQuery::cost`], which
+//! [`PreparedWorkload::cost`] weights and sums.  [`Slot::gamma`] exposes the
+//! γ constants directly — exactly what CoPhy's BIP generator consumes —
+//! priced against the statement's [`PreparedQuery::table_facts`], gathered
+//! once, and the index's `IndexFacts`, which a caller pricing many
+//! statements builds once per index.
 //!
 //! Every preparation is [`Inum::try_prepare_statement`] over some statements:
 //! one probing loop that retries transient failures, degrades lost probes,
@@ -41,7 +43,6 @@ mod prepare;
 mod template;
 
 pub use cache::InumCache;
-pub use cost::{AtomicChoice, CostBreakdown};
 pub use ideal::{ideal_config, ideal_index};
 pub use prepare::{Inum, PrepFaultReport, PreparedQuery, PreparedWorkload};
 pub use template::{Slot, TemplatePlan};

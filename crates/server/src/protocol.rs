@@ -479,10 +479,10 @@ mod tests {
     use super::*;
     use cophy_catalog::{ColumnId, TableId};
 
-    #[test]
-    fn request_lines_round_trip() {
+    /// One request of each verb, both `what_if` forms.
+    fn valid_requests() -> Vec<Request> {
         let ix = Index::secondary(TableId(3), vec![ColumnId(1), ColumnId(4)]);
-        let reqs = [
+        vec![
             Request::Open { sid: "s1".into(), spec: "hom:7:24".into(), budget: 0.5 },
             Request::Add { sid: "s1".into(), spec: "upd:9:4".into() },
             Request::Tune { sid: "s1".into() },
@@ -497,8 +497,12 @@ mod tests {
             Request::Close { sid: "s1".into() },
             Request::Stats,
             Request::Quit,
-        ];
-        for r in reqs {
+        ]
+    }
+
+    #[test]
+    fn request_lines_round_trip() {
+        for r in valid_requests() {
             assert_eq!(Request::parse(&r.to_line()).unwrap(), r, "line {:?}", r.to_line());
         }
     }
@@ -516,6 +520,56 @@ mod tests {
         ] {
             let err = Request::parse(line).unwrap_err();
             assert_eq!(err.code, ErrCode::BadRequest, "line {line:?} -> {err}");
+        }
+    }
+
+    /// Neither `Request::parse` nor the workload-spec parser behind `open`
+    /// and `add` panics: 6 000 seeded mutations of the valid lines above
+    /// (truncated, spliced from two lines, bytes flipped) each parse, or
+    /// fail as `bad-request`.
+    #[test]
+    fn mutated_request_lines_never_panic() {
+        let schema = cophy_catalog::TpchGen::default().schema();
+        let valid: Vec<Vec<u8>> =
+            valid_requests().iter().map(|r| r.to_line().into_bytes()).collect();
+        // SplitMix64: the crate has no random-number dependency.
+        let mut state = 0x7c0f_fee5_u64;
+        let mut next = |bound: usize| -> usize {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for case in 0..6000 {
+            let mut bytes = valid[next(valid.len())].clone();
+            match case % 3 {
+                0 => bytes.truncate(next(bytes.len() + 1)),
+                1 => {
+                    let other = &valid[next(valid.len())];
+                    bytes.truncate(next(bytes.len() + 1));
+                    bytes.extend_from_slice(&other[next(other.len() + 1)..]);
+                }
+                _ => {
+                    for _ in 0..1 + next(3) {
+                        let at = next(bytes.len());
+                        bytes[at] ^= 1 << next(8);
+                    }
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            let outcome = std::panic::catch_unwind(|| match Request::parse(&line) {
+                Ok(Request::Open { spec, .. } | Request::Add { spec, .. }) => {
+                    crate::parse_spec_source(&spec, &schema).err()
+                }
+                Ok(_) => None,
+                Err(e) => Some(e),
+            });
+            match outcome {
+                Ok(None) => {}
+                Ok(Some(e)) => assert_eq!(e.code, ErrCode::BadRequest, "{line:?} -> {e}"),
+                Err(_) => panic!("case {case}: {line:?} panicked"),
+            }
         }
     }
 

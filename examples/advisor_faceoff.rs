@@ -51,7 +51,7 @@ fn main() {
     );
 
     // Tool-A (relaxation-based, optimizer-in-the-loop).
-    let tool_a = ToolA::default();
+    let tool_a = ToolA;
     let t = Instant::now();
     let cfg = tool_a.recommend(&optimizer, &workload, &constraints);
     println!(
@@ -62,7 +62,7 @@ fn main() {
     );
 
     // Tool-B (greedy over a compressed workload).
-    let tool_b = ToolB::default();
+    let tool_b = ToolB;
     let t = Instant::now();
     let cfg = tool_b.recommend(&optimizer, &workload, &constraints);
     println!(
