@@ -9,8 +9,9 @@
 //!   clock excluded — only solver state is compared);
 //! * eight sessions cost exactly one session's optimizer probes (the
 //!   shared-cache economy the daemon exists for);
-//! * an evicted-then-retouched session reproduces its pre-eviction
-//!   recommendation bit-identically;
+//! * an evicted session answers with the whole reply of its un-evicted
+//!   self: a tuned session its pre-eviction reply, and a cold-opened one
+//!   evicted before its first tune the reply of its twin among the eight;
 //! * the per-tenant probe quota rejects a starved open with `err quota`;
 //! * every proven gap is finite.
 //!
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 use cophy::{CoPhy, CoPhyOptions, ConstraintSet};
 use cophy_catalog::TpchGen;
 use cophy_optimizer::{SystemProfile, WhatIfOptimizer};
-use cophy_server::{Client, ClientError, ErrCode, ProgressLine, Server, ServerConfig};
+use cophy_server::{Client, ClientError, ErrCode, ProgressLine, Server, ServerConfig, TuneReply};
 
 use crate::Cell::{Bool, Int, Num, Pct, Secs};
 use crate::{Knobs, Outcome, Table};
@@ -82,7 +83,7 @@ pub(crate) fn server(k: &Knobs) -> Outcome {
         lat.lock().unwrap().push(t.elapsed());
     }
 
-    let per_session: Vec<(bool, Vec<EventKey>, RecKey)> = std::thread::scope(|scope| {
+    let per_session: Vec<(bool, Vec<EventKey>, TuneReply)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..N_SESSIONS)
             .map(|i| {
                 let (spec, latencies) = (spec.clone(), &latencies);
@@ -105,7 +106,7 @@ pub(crate) fn server(k: &Knobs) -> Outcome {
                     timed(latencies, &mut || {
                         c.close(&sid).expect("close");
                     });
-                    (hit, events, rec_key(rec.objective, rec.bound, rec.gap, &rec.indexes))
+                    (hit, events, rec)
                 })
             })
             .collect();
@@ -113,7 +114,9 @@ pub(crate) fn server(k: &Knobs) -> Outcome {
     });
 
     let stream_match = per_session.iter().all(|(_, ev, _)| *ev == ref_events);
-    let rec_match = per_session.iter().all(|(_, _, rk)| *rk == ref_rec);
+    let rec_match = per_session
+        .iter()
+        .all(|(_, _, r)| rec_key(r.objective, r.bound, r.gap, &r.indexes) == ref_rec);
     let stream_events = ref_events.len();
 
     // Stats of the 8-session phase alone (the eviction phase below opens
@@ -124,25 +127,37 @@ pub(crate) fn server(k: &Knobs) -> Outcome {
     };
 
     // ------------------------------------------------------------------
-    // Eviction reproduction: pin, tune, evict, retouch — bit-identical.
+    // Eviction reproduction, whole replies: pin, tune, evict, retouch.
     // ------------------------------------------------------------------
     let eviction_reproduced = {
         let mut c = Client::connect(addr).expect("client connects");
         c.open("evictee", &spec, 0.5).expect("open evictee");
-        let pin = {
-            // Pin the reference's first recommended index.
-            sel.first().cloned().expect("reference recommends at least one index")
-        };
+        // Pin the reference's first recommended index.
+        let pin = sel.first().cloned().expect("reference recommends at least one index");
         c.pin("evictee", &pin).expect("pin");
         let before = c.tune("evictee", |_| {}).expect("pre-eviction tune");
         c.evict("evictee").expect("evict");
-        let after = c.tune("evictee", |_| {}).expect("post-rebuild tune");
+        let after = c.tune("evictee", |_| {}).expect("post-eviction tune");
         c.close("evictee").expect("close evictee");
-        rec_key(before.objective, before.bound, before.gap, &before.indexes)
-            == rec_key(after.objective, after.bound, after.gap, &after.indexes)
+        after == before
     };
 
     handle.stop();
+
+    // A cold open evicted before its first tune, on a daemon of its own,
+    // against its twin: the session among the eight that built the cache.
+    let cold_eviction_reproduced = {
+        let daemon = Server::bind("127.0.0.1:0", ServerConfig::default(), None)
+            .expect("bind loopback")
+            .spawn();
+        let mut c = Client::connect(daemon.addr()).expect("client connects");
+        c.open("evictee", &spec, 0.5).expect("cold open evictee");
+        c.evict("evictee").expect("evict");
+        let after = c.tune("evictee", |_| {}).expect("post-eviction tune");
+        let _ = c.quit();
+        daemon.stop();
+        per_session.iter().any(|(hit, _, twin)| !hit && *twin == after)
+    };
 
     // ------------------------------------------------------------------
     // Quota enforcement: a starved daemon rejects the cold open typed.
@@ -183,6 +198,7 @@ pub(crate) fn server(k: &Knobs) -> Outcome {
             ("stream_match", Bool(stream_match)),
             ("rec_match", Bool(rec_match)),
             ("eviction_reproduced", Bool(eviction_reproduced)),
+            ("cold_eviction_reproduced", Bool(cold_eviction_reproduced)),
             ("quota_enforced", Bool(quota_enforced)),
             ("gap", Pct(rec.gap)),
             ("p50_ms", latency_ms(0.50)),
@@ -211,7 +227,11 @@ pub(crate) fn server(k: &Knobs) -> Outcome {
     );
     out.claim(stream_match, "the wire stream equals the in-process stream event for event");
     out.claim(rec_match, "the wire recommendations equal the in-process one");
-    out.claim(eviction_reproduced, "an evicted session reproduces its recommendation");
+    out.claim(eviction_reproduced, "an evicted session reproduces its whole reply");
+    out.claim(
+        cold_eviction_reproduced,
+        "a cold open evicted before its first tune answers its un-evicted twin's reply",
+    );
     out.claim(quota_enforced, "a starved tenant is rejected with `err quota`");
     out.claim(rec.gap.is_finite(), format!("the proven gap is finite: {:.2}%", rec.gap * 100.0));
     out

@@ -183,8 +183,8 @@ impl<'o, 'c> TuningSession<'o, 'c> {
     /// mutation, and the Lagrangian warm-start vectors.  The shared INUM
     /// cache is excluded — it outlives any one
     /// session.  This is the metric the `cophy-server` LRU evicts on: an
-    /// evicted session drops exactly this state and rebuilds it from the
-    /// retained workload handle + sticky fixings on the next touch.
+    /// evicted session sheds its solve state in place
+    /// ([`TuningSession::shed_solve_state`]).
     pub fn approx_state_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.ingest.candidates.len() * (size_of::<Index>() + 16);
@@ -201,6 +201,16 @@ impl<'o, 'c> TuningSession<'o, 'c> {
                 + warm.selection.capacity() * size_of::<bool>();
         }
         bytes
+    }
+
+    /// Drop the solve state — the Lagrangian warm start and the sweeps'
+    /// interactive BIP — and keep what every answer is computed from: the
+    /// cache, candidates, constraints, fixings and the ingest's account
+    /// (degradation, probes not yet reported).  The next recommend or sweep
+    /// solves cold, as a freshly opened session over the same state would.
+    pub fn shed_solve_state(&mut self) {
+        self.warm = None;
+        self.interactive = None;
     }
 
     /// The session's shared INUM cache handle.  Clones are cheap; pass one

@@ -13,10 +13,11 @@
 //! wraps every tenant's backend in a seeded [`FaultPlan::chaos`] fault
 //! injector — the CI robustness smoke runs a daemon in this mode to prove
 //! `degraded`/`err` replies end to end.
-//! `script` runs the canonical round trip — open, streamed tune, pin, warm
-//! re-tune, what-if, close — asserting a finite proven gap, and exits
-//! non-zero on any protocol or acceptance failure; with `--expect-degraded`
-//! it additionally requires the server to have reported degradation.
+//! `script` runs the canonical round trip — open, streamed tune, evict,
+//! re-tune, pin, warm re-tune, what-if, close — asserting a finite proven
+//! gap, and exits non-zero on any protocol or acceptance failure; with
+//! `--expect-degraded` it additionally requires the open and the tune after
+//! the eviction to report degradation.
 
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
@@ -153,6 +154,15 @@ fn run_script(addr: &str, expect_degraded: bool) -> Result<(), Box<dyn std::erro
     }
     if cold.indexes.is_empty() {
         return Err("cold tune recommended no indexes".into());
+    }
+
+    // Evict, then re-tune: the session sheds its solve state, not what it
+    // knows about its own degradation.
+    let bytes = c.evict(sid)?;
+    let shed = c.retry_busy(5, |c| c.tune(sid, |_| {}))?;
+    println!("evict: bytes={bytes}; re-tune: objective={} gap={}", shed.objective, shed.gap);
+    if expect_degraded && shed.degraded.is_none() {
+        return Err("expected a degraded line on the tune after evict, got none".into());
     }
 
     // Pin the first recommended index; the warm re-tune must keep it.

@@ -15,8 +15,9 @@
 //!   bounded solver pool (`err busy` after a 10 s wait instead of collapse),
 //!   a per-tenant circuit breaker (5 faults, 500 ms cooldown), cooperative
 //!   cancellation when a client disconnects mid-solve or a solve passes its
-//!   300 s deadline ([`Server`]), and a memory-capped LRU that demotes cold
-//!   sessions to a compact form they rebuild from bit-identically.
+//!   300 s deadline ([`Server`]), and a memory-capped LRU that evicts cold
+//!   sessions by shedding their solve state in place; an evicted session
+//!   answers bit-identically to an un-evicted twin.
 //! * **Streaming** — `tune`/`sweep` forward every anytime
 //!   [`cophy_bip::SolveProgress`] event as a `progress` line the moment the
 //!   solver emits it; the `server_smoke` gate checks the wire stream equals

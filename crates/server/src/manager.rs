@@ -15,12 +15,12 @@
 //!   queueing unboundedly.
 //! * **Memory-capped LRU.**  Each session's private solve state is metered
 //!   by [`cophy::TuningSession::approx_state_bytes`]; when the sum passes
-//!   the cap, the least-recently-touched sessions are demoted to a compact
-//!   `EvictedState` (spec + candidates + constraints + sticky fixings).
-//!   The shared cache `Arc` is *retained*, so a later touch rebuilds the
-//!   session with zero probes, and — the solves being deterministic — a
-//!   rebuilt session's cold recommendation is bit-identical to the one it
-//!   would have given before eviction.
+//!   the cap, the least-recently-touched sessions shed their solve state in
+//!   place ([`cophy::TuningSession::shed_solve_state`]) and leave the cap's
+//!   account until their next touch.  A shed session keeps its cache,
+//!   candidates, constraints, fixings and degradation account, so its next
+//!   answer costs zero probes and — the solves being deterministic — equals
+//!   the cold answer an un-evicted twin would give.
 //!
 //! Lock order is `manager state → session`, never the reverse, and session
 //! mutexes are only held by one request at a time (per-session
@@ -28,7 +28,7 @@
 //! what lets eight clients stream eight solves concurrently.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -169,22 +169,15 @@ struct CacheEntry {
     candidates: cophy::CandidateSet,
 }
 
-/// A live session plus its LRU/footprint bookkeeping (readable without
-/// taking the session's own mutex, which a long solve may hold).
+/// A session plus its LRU/footprint bookkeeping (readable without taking
+/// the session's own mutex, which a long solve may hold).
 struct SessionMeta {
-    session: Arc<Mutex<TuningSession<'static, 'static>>>,
-    spec: String,
+    session: Mutex<TuningSession<'static, 'static>>,
     last_touch: AtomicU64,
     state_bytes: AtomicUsize,
-}
-
-/// The compact demoted form of a session: everything needed to rebuild it
-/// over the retained shared cache with zero optimizer probes.
-struct EvictedState {
-    spec: String,
-    candidates: cophy::CandidateSet,
-    constraints: ConstraintSet,
-    fixings: Vec<(Index, bool)>,
+    /// Evicted: the solve state is shed and the session is out of the cap's
+    /// account until its next touch.  Written under the session mutex.
+    shed: AtomicBool,
 }
 
 #[derive(Default)]
@@ -195,8 +188,7 @@ struct ManagerState {
     /// of the same spec wait for the build instead of duplicating the INUM
     /// probes (cold-stampede guard; see [`SessionManager::open`]).
     building: std::collections::HashSet<String>,
-    live: HashMap<String, Arc<SessionMeta>>,
-    evicted: HashMap<String, EvictedState>,
+    sessions: HashMap<String, Arc<SessionMeta>>,
 }
 
 /// Server-wide counters surfaced by the `stats` verb.
@@ -205,6 +197,7 @@ struct Counters {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     evictions: AtomicU64,
+    /// Shed sessions touched again (each re-enters the cap's account).
     rebuilds: AtomicU64,
 }
 
@@ -379,9 +372,11 @@ impl SessionManager {
         } else {
             ConstraintSet::none().with(cophy::Constraint::Storage { budget_bytes: budget as u64 })
         };
+        // Before the tenant: a spec that does not parse costs no slot.
+        let mut source = parse_spec_source(spec, &self.schema)?;
 
         let mut st = lock(&self.state);
-        if st.live.contains_key(sid) || st.evicted.contains_key(sid) {
+        if st.sessions.contains_key(sid) {
             return Err(WireError::new(ErrCode::BadRequest, format!("session {sid} exists")));
         }
         let tenant = self.tenant(&mut st, sid)?;
@@ -390,141 +385,89 @@ impl SessionManager {
         while st.building.contains(spec) {
             st = self.build_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        if !st.caches.contains_key(spec) {
-            // Cold spec: pay CGen + INUM once, with the manager lock
-            // *released* (preparation probes the optimizer many times).
-            // Probe-spending work is what the tenant's breaker guards.
-            if let Err(wait) = tenant.breaker.admit() {
-                return Err(busy_with_hint("backend circuit open", wait));
+        let (session, cache_hit, probes) = match st.caches.get(spec) {
+            Some(entry) => {
+                let (cache, candidates) = (entry.cache.clone(), entry.candidates.clone());
+                let session = tenant.cophy.try_session_shared(cache, candidates, constraints)?;
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                (session, true, 0)
             }
-            st.building.insert(spec.to_string());
-            drop(st);
-            let before = tenant.backend.spent();
-            let built = parse_spec_source(spec, &self.schema).and_then(|mut source| {
-                Ok(tenant.cophy.try_session_streaming(&mut *source, constraints.clone())?)
-            });
-            let mut st = lock(&self.state);
-            st.building.remove(spec);
-            self.build_cv.notify_all();
-            let session = match built {
-                Ok(s) => {
-                    tenant.breaker.record_success();
-                    s
+            None => {
+                // Cold spec: pay CGen + INUM once, with the manager lock
+                // *released* (preparation probes the optimizer many times).
+                // Probe-spending work is what the tenant's breaker guards.
+                if let Err(wait) = tenant.breaker.admit() {
+                    return Err(busy_with_hint("backend circuit open", wait));
                 }
-                Err(e) => {
-                    if e.code == ErrCode::Backend {
-                        tenant.breaker.record_failure();
+                st.building.insert(spec.to_string());
+                drop(st);
+                let before = tenant.backend.spent();
+                let built = tenant.cophy.try_session_streaming(&mut *source, constraints);
+                st = lock(&self.state);
+                st.building.remove(spec);
+                self.build_cv.notify_all();
+                let session = match built {
+                    Ok(s) => {
+                        tenant.breaker.record_success();
+                        s
                     }
-                    return Err(e);
-                }
-            };
-            let probes = tenant.backend.spent() - before;
-            st.caches.entry(spec.to_string()).or_insert_with(|| CacheEntry {
-                cache: session.cache(),
-                candidates: session.candidates().clone(),
-            });
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let reply = OpenReply {
-                sid: sid.to_string(),
-                statements: session.n_statements(),
-                candidates: session.candidates().len(),
-                cache_hit: false,
-                probes,
-                degraded: session.degradation().map(DegradedLine::from_report),
-            };
-            self.install(&mut st, sid, spec, session);
-            drop(st);
-            self.enforce_cap(sid);
-            return Ok(reply);
-        }
-        let entry = &st.caches[spec];
-        let (cache, candidates) = (entry.cache.clone(), entry.candidates.clone());
-        let session = tenant.cophy.try_session_shared(cache, candidates, constraints)?;
-        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    Err(e) => {
+                        let e = WireError::from(e);
+                        if e.code == ErrCode::Backend {
+                            tenant.breaker.record_failure();
+                        }
+                        return Err(e);
+                    }
+                };
+                st.caches.entry(spec.to_string()).or_insert_with(|| CacheEntry {
+                    cache: session.cache(),
+                    candidates: session.candidates().clone(),
+                });
+                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                (session, false, tenant.backend.spent() - before)
+            }
+        };
         let reply = OpenReply {
             sid: sid.to_string(),
             statements: session.n_statements(),
             candidates: session.candidates().len(),
-            cache_hit: true,
-            probes: 0,
-            degraded: None,
+            cache_hit,
+            probes,
+            degraded: session.degradation().map(DegradedLine::from_report),
         };
-        self.install(&mut st, sid, spec, session);
+        let meta = SessionMeta {
+            state_bytes: AtomicUsize::new(session.approx_state_bytes()),
+            session: Mutex::new(session),
+            last_touch: AtomicU64::new(self.now()),
+            shed: AtomicBool::new(false),
+        };
+        st.sessions.insert(sid.to_string(), Arc::new(meta));
         drop(st);
         self.enforce_cap(sid);
         Ok(reply)
     }
 
-    fn install(
-        &self,
-        st: &mut ManagerState,
-        sid: &str,
-        spec: &str,
-        session: TuningSession<'static, 'static>,
-    ) {
-        let bytes = session.approx_state_bytes();
-        st.live.insert(
-            sid.to_string(),
-            Arc::new(SessionMeta {
-                session: Arc::new(Mutex::new(session)),
-                spec: spec.to_string(),
-                last_touch: AtomicU64::new(self.now()),
-                state_bytes: AtomicUsize::new(bytes),
-            }),
-        );
-    }
-
-    /// Look up a session, transparently rebuilding it from its evicted form
-    /// (shared cache + retained candidates/constraints/fixings, zero
-    /// optimizer probes).
-    fn resolve(&self, sid: &str) -> Result<Arc<SessionMeta>, WireError> {
-        let mut st = lock(&self.state);
-        if let Some(meta) = st.live.get(sid) {
-            meta.last_touch.store(self.now(), Ordering::Relaxed);
-            return Ok(meta.clone());
-        }
-        let Some(ev) = st.evicted.remove(sid) else {
-            return Err(WireError::new(ErrCode::NoSession, format!("no session {sid}")));
-        };
-        // Both invariants hold by construction (close/drop remove all three
-        // maps together), but a daemon must answer `err`, not die, if one is
-        // ever violated.
-        let Some(tenant) = st.tenants.get(sid).copied() else {
-            return Err(WireError::new(
-                ErrCode::Internal,
-                format!("evicted session {sid} lost its tenant"),
-            ));
-        };
-        let Some(cache) = st.caches.get(&ev.spec) else {
-            return Err(WireError::new(
-                ErrCode::Internal,
-                format!("evicted session {sid} lost its cache entry for {}", ev.spec),
-            ));
-        };
-        let mut session =
-            tenant.cophy.try_session_shared(cache.cache.clone(), ev.candidates, ev.constraints)?;
-        for (ix, pinned) in &ev.fixings {
-            if *pinned {
-                session.pin_index(ix)?;
-            } else {
-                session.ban_index(ix);
-            }
-        }
-        self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
-        self.install(&mut st, sid, &ev.spec, session);
-        Ok(st.live[sid].clone())
-    }
-
     /// Run `f` under the session's mutex, then refresh its LRU/footprint
-    /// bookkeeping and enforce the memory cap.
+    /// bookkeeping and enforce the memory cap.  A shed session re-enters
+    /// the cap's account here.
     fn with_session<R>(
         &self,
         sid: &str,
         f: impl FnOnce(&mut TuningSession<'static, 'static>) -> Result<R, WireError>,
     ) -> Result<R, WireError> {
-        let meta = self.resolve(sid)?;
+        let meta = {
+            let st = lock(&self.state);
+            let Some(meta) = st.sessions.get(sid) else {
+                return Err(WireError::new(ErrCode::NoSession, format!("no session {sid}")));
+            };
+            meta.last_touch.store(self.now(), Ordering::Relaxed);
+            meta.clone()
+        };
         let out = {
             let mut session = lock(&meta.session);
+            if meta.shed.swap(false, Ordering::Relaxed) {
+                self.counters.rebuilds.fetch_add(1, Ordering::Relaxed);
+            }
             let out = f(&mut session)?;
             meta.state_bytes.store(session.approx_state_bytes(), Ordering::Relaxed);
             out
@@ -684,96 +627,88 @@ impl SessionManager {
         self.with_session(sid, |s| Ok(s.export_mps()))
     }
 
-    /// `evict`: demote now (the deterministic handle on the LRU machinery).
+    /// `evict`: shed the session's solve state now (the deterministic handle
+    /// on the LRU machinery); returns the private bytes it was charged.
     pub fn evict(&self, sid: &str) -> Result<usize, WireError> {
-        let meta = {
-            let mut st = lock(&self.state);
-            st.live.remove(sid).ok_or_else(|| {
-                WireError::new(ErrCode::NoSession, format!("no live session {sid}"))
-            })?
-        };
-        Ok(self.demote(sid, meta))
+        let meta = lock(&self.state).sessions.get(sid).cloned();
+        meta.and_then(|meta| self.shed(&meta))
+            .ok_or_else(|| WireError::new(ErrCode::NoSession, format!("no live session {sid}")))
     }
 
-    /// Demote one removed-from-live session to its evicted form; returns the
-    /// private bytes released.  Called with the manager lock *not* held —
-    /// extracting the fixings must wait for any in-flight request on the
-    /// session to finish.
-    fn demote(&self, sid: &str, meta: Arc<SessionMeta>) -> usize {
-        let (constraints, fixings, candidates) = {
-            let session = lock(&meta.session);
-            (
-                session.constraints().clone(),
-                session.fixings().to_vec(),
-                session.candidates().clone(),
-            )
-        };
-        let bytes = meta.state_bytes.load(Ordering::Relaxed);
-        let ev = EvictedState { spec: meta.spec.clone(), candidates, constraints, fixings };
-        lock(&self.state).evicted.insert(sid.to_string(), ev);
+    /// Shed one session's solve state and take it out of the cap's account;
+    /// returns the bytes it was charged, or `None` when it was shed already.
+    /// Called with the manager lock *not* held: shedding waits for any
+    /// in-flight request on the session to finish.
+    fn shed(&self, meta: &SessionMeta) -> Option<usize> {
+        let mut session = lock(&meta.session);
+        if meta.shed.swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        session.shed_solve_state();
         self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        bytes
+        Some(meta.state_bytes.swap(session.approx_state_bytes(), Ordering::Relaxed))
     }
 
     /// LRU-evict cold sessions (never `current`) until the summed private
-    /// state fits the cap.
+    /// state of the unshed ones fits the cap.
     fn enforce_cap(&self, current: &str) {
         loop {
             let victim = {
                 let st = lock(&self.state);
-                let total: usize =
-                    st.live.values().map(|m| m.state_bytes.load(Ordering::Relaxed)).sum();
-                if total <= self.config.mem_cap_bytes || st.live.len() <= 1 {
+                let live = || st.sessions.iter().filter(|(_, m)| !m.shed.load(Ordering::Relaxed));
+                let total: usize = live().map(|(_, m)| m.state_bytes.load(Ordering::Relaxed)).sum();
+                if total <= self.config.mem_cap_bytes || live().count() <= 1 {
                     return;
                 }
-                let Some(sid) = st
-                    .live
-                    .iter()
+                let Some(meta) = live()
                     .filter(|(sid, _)| sid.as_str() != current)
                     .min_by_key(|(_, m)| m.last_touch.load(Ordering::Relaxed))
-                    .map(|(sid, _)| sid.clone())
+                    .map(|(_, m)| m.clone())
                 else {
                     return;
                 };
-                sid
+                meta
             };
-            let Some(meta) = lock(&self.state).live.remove(&victim) else { continue };
-            self.demote(&victim, meta);
+            self.shed(&victim);
         }
     }
 
-    /// `close`: drop the session's live and evicted state (the tenant's
-    /// quota ledger survives on purpose).
+    /// `close`: drop the session (the tenant's quota ledger survives on
+    /// purpose).
     pub fn close(&self, sid: &str) -> Result<(), WireError> {
-        let mut st = lock(&self.state);
-        let had = st.live.remove(sid).is_some() | st.evicted.remove(sid).is_some();
-        if had {
-            Ok(())
-        } else {
-            Err(WireError::new(ErrCode::NoSession, format!("no session {sid}")))
+        match lock(&self.state).sessions.remove(sid) {
+            Some(_) => Ok(()),
+            None => Err(WireError::new(ErrCode::NoSession, format!("no session {sid}"))),
         }
     }
 
     /// Drop a session whose request handler panicked (its state may be
     /// arbitrarily torn); the client sees `err internal`.
     pub(crate) fn drop_session(&self, sid: &str) {
-        let mut st = lock(&self.state);
-        st.live.remove(sid);
-        st.evicted.remove(sid);
+        lock(&self.state).sessions.remove(sid);
     }
 
     pub fn stats(&self) -> StatsReply {
         let st = lock(&self.state);
+        let (mut live, mut evicted, mut state_bytes) = (0, 0, 0);
+        for m in st.sessions.values() {
+            if m.shed.load(Ordering::Relaxed) {
+                evicted += 1;
+            } else {
+                live += 1;
+                state_bytes += m.state_bytes.load(Ordering::Relaxed);
+            }
+        }
         StatsReply {
-            live: st.live.len(),
-            evicted: st.evicted.len(),
+            live,
+            evicted,
             cache_entries: st.caches.len(),
             cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.counters.cache_misses.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             rebuilds: self.counters.rebuilds.load(Ordering::Relaxed),
             probes: st.tenants.values().map(|t| t.backend.spent()).sum(),
-            state_bytes: st.live.values().map(|m| m.state_bytes.load(Ordering::Relaxed)).sum(),
+            state_bytes,
         }
     }
 }

@@ -76,8 +76,8 @@ pub enum Request {
     WhatIf { sid: String, indexes: Vec<Index> },
     /// `export_mps <sid>` — the session's Theorem-1 BIP as MPS text.
     ExportMps { sid: String },
-    /// `evict <sid>` — demote the session to its compact evicted form now
-    /// (deterministic trigger for what the LRU cap does under pressure).
+    /// `evict <sid>` — shed the session's solve state now (deterministic
+    /// trigger for what the LRU cap does under pressure).
     Evict { sid: String },
     /// `close <sid>` — drop the session entirely.
     Close { sid: String },

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use cophy_bip::CancelToken;
 
-use crate::manager::{PointReply, ServerConfig, SessionManager, TuneReply};
+use crate::manager::{PointReply, ServerConfig, SessionManager, StatsReply, TuneReply};
 use crate::protocol::{ErrCode, Request, WireError};
 
 /// How often the watchdog proves connection liveness during a solve.
@@ -366,19 +366,21 @@ impl Server {
                 send(writer, &format!("ok close {sid}")).then_some(()).ok_or_else(gone)
             }
             Request::Stats => {
-                let s = m.stats();
+                let StatsReply {
+                    live,
+                    evicted,
+                    cache_entries,
+                    cache_hits,
+                    cache_misses,
+                    evictions,
+                    rebuilds,
+                    probes,
+                    state_bytes,
+                } = m.stats();
                 let line = format!(
-                    "ok stats live={} evicted={} cache_entries={} cache_hits={} \
-                     cache_misses={} evictions={} rebuilds={} probes={} state_bytes={}",
-                    s.live,
-                    s.evicted,
-                    s.cache_entries,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.evictions,
-                    s.rebuilds,
-                    s.probes,
-                    s.state_bytes
+                    "ok stats live={live} evicted={evicted} cache_entries={cache_entries} \
+                     cache_hits={cache_hits} cache_misses={cache_misses} evictions={evictions} \
+                     rebuilds={rebuilds} probes={probes} state_bytes={state_bytes}"
                 );
                 send(writer, &line).then_some(()).ok_or_else(gone)
             }

@@ -508,3 +508,71 @@ fn manager_lru_cap_evicts_cold_sessions() {
     manager.tune("cold", None, |_| {}).unwrap();
     manager.tune("hot", None, |_| {}).unwrap();
 }
+
+#[test]
+fn a_malformed_spec_uses_no_tenant_slot() {
+    let handle = Server::bind("127.0.0.1:0", smoke_config(), None).unwrap().spawn();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    // As many distinct ids as the daemon has tenant slots.
+    for i in 0..64 {
+        match c.open(&format!("bad{i}"), "nope", 0.5).unwrap_err() {
+            ClientError::Server(e) => assert_eq!(e.code, ErrCode::BadRequest, "{}", e.message),
+            other => panic!("expected bad-request, got {other}"),
+        }
+    }
+    let open = c.open("fresh", "hom:1:4", 0.5).unwrap();
+    assert_eq!(open.statements, 4);
+    c.quit().unwrap();
+    handle.stop();
+}
+
+/// A reply's floats, bit for bit (`==` alone would let `-0.0` equal `0.0`).
+fn float_bits(r: &cophy_server::TuneReply) -> [u64; 4] {
+    [r.objective.to_bits(), r.bound.to_bits(), r.gap.to_bits(), r.baseline.to_bits()]
+}
+
+#[test]
+fn eviction_keeps_what_the_session_has_not_yet_reported() {
+    // A cold-opened session evicted before its first tune still reports its
+    // open's probes, and answers exactly as its un-evicted twin.
+    let twin_daemon = Server::bind("127.0.0.1:0", smoke_config(), None).unwrap().spawn();
+    let subject_daemon = Server::bind("127.0.0.1:0", smoke_config(), None).unwrap().spawn();
+    let mut twin = Client::connect(twin_daemon.addr()).unwrap();
+    let mut subject = Client::connect(subject_daemon.addr()).unwrap();
+    let open = twin.open("s", "hom:19:12", 0.5).unwrap();
+    assert_eq!(subject.open("s", "hom:19:12", 0.5).unwrap(), open);
+    subject.evict("s").unwrap();
+    assert_eq!(subject.stats().unwrap().evicted, 1);
+    let want = twin.tune("s", |_| {}).unwrap();
+    let got = subject.tune("s", |_| {}).unwrap();
+    assert_eq!(want.what_if_calls, open.probes, "the first tune reports the open's probes");
+    assert_eq!(got, want);
+    assert_eq!(float_bits(&got), float_bits(&want));
+    let stats = subject.stats().unwrap();
+    assert_eq!((stats.live, stats.evicted, stats.rebuilds), (1, 0, 1));
+    twin.quit().unwrap();
+    subject.quit().unwrap();
+    twin_daemon.stop();
+    subject_daemon.stop();
+
+    // A session whose open lost probes stays degraded across `evict`.
+    let config = ServerConfig {
+        fault_plan: Some(FaultPlan::chaos(50597)),
+        retry: fast_retry(4),
+        ..smoke_config()
+    };
+    let chaotic = Server::bind("127.0.0.1:0", config, None).unwrap().spawn();
+    let mut c = Client::connect(chaotic.addr()).unwrap();
+    let open = c.open("s", "hom:7:24", 0.5).unwrap();
+    let lost = open.degraded.as_ref().expect("the chaos plan degrades the open");
+    assert!(lost.substituted > 0, "the chaos plan must lose probes: {lost:?}");
+    let before = c.tune("s", |_| {}).unwrap();
+    assert_eq!(before.degraded.as_ref(), Some(lost));
+    c.evict("s").unwrap();
+    let after = c.tune("s", |_| {}).unwrap();
+    assert_eq!(after.degraded, before.degraded);
+    assert_eq!(after.indexes, before.indexes);
+    assert_eq!(float_bits(&after), float_bits(&before));
+    c.quit().unwrap();
+    chaotic.stop();
+}
